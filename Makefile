@@ -1,7 +1,7 @@
 # Standard verification pipeline: `make check` is what CI runs.
 GO ?= go
 
-.PHONY: all build fmt vet lint test race bench bench-sim check chaos sla experiments clean
+.PHONY: all build fmt vet lint test fixtures race bench bench-sim check chaos sla experiments clean
 
 all: check
 
@@ -17,7 +17,7 @@ vet:
 
 # Project-invariant static analysis (internal/analysis, docs/LINTING.md):
 # determinism, store key schema, watch-handler re-entrancy, the Monitor
-# read contract, the trace/counter mirror, deprecation hygiene, shard
+# read contract, the trace/counter mirror, deprecation hygiene, netstore
 # store-loop confinement, epoch-goroutine isolation, hot-path allocation
 # discipline and bounded retries. The second run audits the
 # //lint:allow ledger: unjustified or stale directives fail the build.
@@ -28,20 +28,21 @@ lint:
 test:
 	$(GO) test ./...
 
+# Fails when a file under any testdata/ directory is untracked *and*
+# ignored: a fixture written by a test's -update flag that .gitignore
+# swallowed passes locally and is missing on a fresh clone.
+fixtures:
+	@out=$$(git ls-files -oi --exclude-standard -- ':(glob)**/testdata/**'); if [ -n "$$out" ]; then echo "testdata files ignored by .gitignore:"; echo "$$out"; exit 1; fi
+
 # The race run covers the concurrent watch-table paths in internal/store.
 race:
 	$(GO) test -race ./...
 
-# Manager-tick microbenchmarks (all three policies over 8 guests), then
-# the netstore wire-protocol load bench in its two tracked scenarios
-# (docs/PERFORMANCE.md): the 64-client fleet with stalled watchers, and
-# the single-client batched hot path that carries the throughput target.
-# Both append to the BENCH_netstore.json trajectory and fail on a >20%
-# regression against the best comparable tracked run.
+# Manager-tick microbenchmarks (all three policies over 8 guests). The
+# wire path is measured by the repo benchmark: `go run ./bench`
+# (bench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkManagerTick -benchtime 1x ./internal/core/
-	$(GO) run ./cmd/netstore-load -clients 64 -stalled 4 -batch 1 -proto 1 -duration 2s -out BENCH_netstore.json
-	$(GO) run ./cmd/netstore-load -clients 1 -stalled 0 -batch 96 -proto 2 -duration 3s -out BENCH_netstore.json
 
 # Simulator-scaling trajectory (docs/PERFORMANCE.md §"Simulator scaling"):
 # the three tracked scale points appended to BENCH_sim.json, each gated
@@ -54,7 +55,7 @@ bench-sim:
 	$(GO) run ./cmd/sim-bench -guests 1000 -hosts 1 -epoch 3000ms -out BENCH_sim.json
 	$(GO) run ./cmd/sim-bench -guests 10000 -hosts 50 -epoch 3000ms -out BENCH_sim.json
 
-check: fmt vet lint build test race
+check: fmt vet lint build test fixtures race
 
 # Fault-injection smoke: sweeps uncooperative-guest fractions and
 # control-plane fault rates at quick scale (docs/FAULTS.md).

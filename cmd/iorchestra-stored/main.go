@@ -67,15 +67,7 @@ func main() {
 	notifyQueue := flag.Int("notify-queue", 1024, "per-connection watch-event queue bound")
 	writeTimeout := flag.Duration("write-timeout", 2*time.Second, "slow-client eviction window")
 	maxTxns := flag.Int("max-txns", 64, "open transactions allowed per connection")
-	shards := flag.Int("shards", 1, "store-loop shards (domain subtrees are routed deterministically)")
-	maxProto := flag.Int("max-proto", int(netstore.ProtocolVersion),
-		"highest protocol version to negotiate (lower to emulate an old server)")
 	flag.Parse()
-	if *maxProto < int(netstore.ProtocolV1) || *maxProto > int(netstore.ProtocolVersion) {
-		fmt.Fprintf(os.Stderr, "iorchestra-stored: -max-proto %d out of range [%d, %d]\n",
-			*maxProto, netstore.ProtocolV1, netstore.ProtocolVersion)
-		os.Exit(1)
-	}
 	if len(listens) == 0 {
 		listens = endpoints{"tcp://127.0.0.1:7011"}
 	}
@@ -85,8 +77,6 @@ func main() {
 		WriteTimeout: *writeTimeout,
 		Dom0Token:    *token,
 		MaxTxns:      *maxTxns,
-		Shards:       *shards,
-		MaxProtocol:  uint8(*maxProto),
 		Faults:       *faults,
 		FaultSeed:    *faultSeed,
 	})

@@ -26,7 +26,7 @@ var determinismScope = map[string]bool{
 
 // nonSimScope exempts the wire-facing packages from the determinism
 // pass. They bridge the simulated store to real sockets, so wall-clock
-// deadlines, timeouts and load pacing are their job, not a leak: the
+// deadlines and timeouts are their job, not a leak: the
 // store they host still runs on a private sim.Kernel, and golden-trace
 // parity is enforced on that side of the boundary (see
 // internal/netstore parity tests). The exemption wins over the
@@ -34,7 +34,6 @@ var determinismScope = map[string]bool{
 var nonSimScope = map[string]bool{
 	"iorchestra/internal/netstore":       true,
 	"iorchestra/cmd/iorchestra-stored":   true,
-	"iorchestra/cmd/netstore-load":       true,
 	"iorchestra/cmd/iorchestra-clusterd": true,
 }
 

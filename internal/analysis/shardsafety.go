@@ -7,10 +7,10 @@ import (
 	"strings"
 )
 
-// shardTrackedRecv are the receiver types that live behind a netstore
-// shard: the store (node maps, watch buckets, subtree-hash cells), its
-// transactions, the trace recorder and the private sim kernel. All of
-// them are single-goroutine structures owned by the shard's store loop.
+// shardTrackedRecv are the receiver types that live behind netstore's
+// store loop: the store (node maps, watch buckets, subtree-hash cells),
+// its transactions, the trace recorder and the private sim kernel. All
+// of them are single-goroutine structures owned by that loop.
 var shardTrackedRecv = map[string]bool{
 	"*iorchestra/internal/store.Store":    true,
 	"*iorchestra/internal/store.Txn":      true,
@@ -19,28 +19,27 @@ var shardTrackedRecv = map[string]bool{
 }
 
 // shardRunnerNames are the sanctioned wrappers that ship a closure to
-// the owning shard's store loop; a function-literal argument to any of
-// them runs on the loop and may touch tracked state freely. runTxn is
-// the transactional variant: it executes its callback inside doOn on
-// the transaction's bound shard.
+// the store loop; a function-literal argument to any of them runs on the
+// loop and may touch tracked state freely. run and runTxn are handle's
+// local wrappers around do.
 var shardRunnerNames = map[string]bool{
-	"doOn": true, "Do": true, "run": true, "runOn": true, "runTxn": true,
+	"do": true, "Do": true, "run": true, "runTxn": true,
 }
 
-// ShardSafety enforces the netstore store-loop discipline PR 6's
-// sharding rests on: every shard's store, recorder and kernel are
-// confined to that shard's store-loop goroutine, and the cross-shard
-// transaction refusal must stay the only cross-shard path. Tracked
-// method calls must sit inside a closure passed to doOn/Do/run/runOn or
-// inside a function marked //storeloop (one documented to execute on
-// the owning loop, like snapshotWalk). The shard op queue itself is
-// off-limits outside doOn/storeLoop: a raw send is a back door around
-// the confinement.
+// ShardSafety enforces the netstore store-loop discipline: the store,
+// its transactions, the recorder and the kernel are confined to the one
+// store-loop goroutine, while every connection runs two goroutines of
+// its own. Tracked method calls must sit inside a closure passed to
+// do/Do/run/runTxn or inside a function marked //storeloop (one
+// documented to execute on the loop, like snapshotWalk). The op queue
+// itself is off-limits outside do/storeLoop: a raw send is a back door
+// around the confinement. (The pass keeps the name it had when the loop
+// was one of several shards; allow comments and CI reference it.)
 var ShardSafety = &Analyzer{
 	Name: "shardsafety",
-	Doc: "netstore shard state (store, txns, recorder, kernel) may only be touched " +
-		"from the owning shard's store loop: wrap calls in doOn/Do/run/runOn closures " +
-		"or mark loop-context functions //storeloop; the op queue belongs to doOn/storeLoop",
+	Doc: "netstore store-loop state (store, txns, recorder, kernel) may only be touched " +
+		"from the store loop: wrap calls in do/Do/run/runTxn closures " +
+		"or mark loop-context functions //storeloop; the op queue belongs to do/storeLoop",
 	AppliesTo: func(pkgPath string) bool {
 		return pkgPath == "iorchestra/internal/netstore"
 	},
@@ -70,7 +69,7 @@ type shardWalker struct {
 }
 
 // walk inspects a subtree; onLoop records whether it executes on the
-// owning shard's store loop (i.e. inside a runner closure).
+// store loop (i.e. inside a runner closure).
 func (w *shardWalker) walk(n ast.Node, onLoop bool) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -93,17 +92,17 @@ func (w *shardWalker) walk(n ast.Node, onLoop bool) {
 			}
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 				if recv := recvTypeString(w.p.TypesInfo, sel); shardTrackedRecv[recv] {
-					w.p.Reportf(n.Pos(), "(%s).%s may only run on the owning shard's store loop; "+
-						"wrap the call in doOn/Do/run/runOn or mark the function //storeloop",
+					w.p.Reportf(n.Pos(), "(%s).%s may only run on the store loop; "+
+						"wrap the call in do/Do/run/runTxn or mark the function //storeloop",
 						recv, sel.Sel.Name)
 				}
 			}
 		case *ast.SendStmt:
-			if w.isOpsChan(n.Chan) && w.fn != "doOn" {
+			if w.isOpsChan(n.Chan) && w.fn != "do" {
 				w.reportOps(n.Pos())
 			}
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && w.isOpsChan(n.X) && w.fn != "doOn" && w.fn != "storeLoop" {
+			if n.Op == token.ARROW && w.isOpsChan(n.X) && w.fn != "do" && w.fn != "storeLoop" {
 				w.reportOps(n.Pos())
 			}
 		case *ast.RangeStmt:
@@ -116,12 +115,12 @@ func (w *shardWalker) walk(n ast.Node, onLoop bool) {
 }
 
 func (w *shardWalker) reportOps(pos token.Pos) {
-	w.p.Reportf(pos, "the shard op queue belongs to doOn and storeLoop; submit work "+
-		"through doOn so cross-shard transaction refusal stays the only cross-shard path")
+	w.p.Reportf(pos, "the store-loop op queue belongs to do and storeLoop; submit work "+
+		"through do so nothing reaches the store behind the loop's back")
 }
 
 // isOpsChan reports whether e is a selector named ops with channel type
-// (the shard's op queue).
+// (the store loop's op queue).
 func (w *shardWalker) isOpsChan(e ast.Expr) bool {
 	sel, ok := e.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "ops" {

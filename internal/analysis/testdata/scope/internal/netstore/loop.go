@@ -1,4 +1,4 @@
-// shard.go exercises the in-scope side of the PR 9 passes: netstore is
+// loop.go exercises the in-scope side of the PR 9 passes: netstore is
 // inside shardsafety's, hotpathalloc's and boundedretry's gates, so the
 // violations below must be flagged under auto scoping. Their twins in
 // internal/core, internal/analysis and cmd/iorchestra-stored carry
@@ -11,13 +11,13 @@ import (
 	"iorchestra/internal/store"
 )
 
-type shard struct {
+type server struct {
 	st  *store.Store
 	ops chan func()
 }
 
-func direct(sh *shard, dom store.DomID) (string, error) {
-	return sh.st.Read(dom, "/x") // want `owning shard's store loop`
+func direct(s *server, dom store.DomID) (string, error) {
+	return s.st.Read(dom, "/x") // want `only run on the store loop`
 }
 
 // hotpath

@@ -1,8 +1,7 @@
 // Package shardsafety exercises the netstore store-loop discipline
-// pass. The shapes mirror internal/netstore's server: a shard struct
-// bundling a store, recorder and kernel behind an op queue, the
-// doOn/run runner wrappers, and //storeloop functions documented to
-// execute on the owning loop.
+// pass. The shapes mirror internal/netstore's server: a store, recorder
+// and kernel behind an op queue, the do/run runner wrappers, and
+// //storeloop functions documented to execute on the loop.
 package shardsafety
 
 import (
@@ -11,65 +10,63 @@ import (
 	"iorchestra/internal/trace"
 )
 
-type shard struct {
+type server struct {
 	k   *sim.Kernel
 	st  *store.Store
 	rec *trace.Recorder
 	ops chan func()
 }
 
-type server struct{ shards []*shard }
-
-func (s *server) doOn(sh *shard, fn func()) {
+func (s *server) do(fn func()) {
 	done := make(chan struct{})
-	sh.ops <- func() { fn(); close(done) }
+	s.ops <- func() { fn(); close(done) }
 	<-done
 }
 
-// storeLoop owns the shard: it drains the op queue and drives the
+// storeLoop owns the store: it drains the op queue and drives the
 // private kernel, so its direct access is the sanctioned baseline.
 //
 // storeloop
-func (s *server) storeLoop(sh *shard) {
-	for fn := range sh.ops {
+func (s *server) storeLoop() {
+	for fn := range s.ops {
 		fn()
-		sh.k.Run()
+		s.k.Run()
 	}
 }
 
-// bad touches shard state outside any runner closure: flagged.
-func (s *server) bad(sh *shard, dom store.DomID, path string) (string, error) {
-	sh.rec.Record(trace.Record{}) // want `owning shard's store loop`
-	return sh.st.Read(dom, path)  // want `owning shard's store loop`
+// bad touches loop state outside any runner closure: flagged.
+func (s *server) bad(dom store.DomID, path string) (string, error) {
+	s.rec.Record(trace.Record{}) // want `only run on the store loop`
+	return s.st.Read(dom, path)  // want `only run on the store loop`
 }
 
-// good is the sanctioned shape: a closure shipped through doOn.
-func (s *server) good(sh *shard, dom store.DomID, path string) (v string, err error) {
-	s.doOn(sh, func() {
-		sh.rec.Record(trace.Record{})
-		v, err = sh.st.Read(dom, path)
+// good is the sanctioned shape: a closure shipped through do.
+func (s *server) good(dom store.DomID, path string) (v string, err error) {
+	s.do(func() {
+		s.rec.Record(trace.Record{})
+		v, err = s.st.Read(dom, path)
 	})
 	return v, err
 }
 
 // viaRun mirrors netstore's handle: a local runner named run sanctions
 // its closure argument too.
-func (s *server) viaRun(sh *shard, dom store.DomID, path string) (v string, err error) {
-	run := func(fn func(st *store.Store)) { s.doOn(sh, func() { fn(sh.st) }) }
+func (s *server) viaRun(dom store.DomID, path string) (v string, err error) {
+	run := func(fn func(st *store.Store)) { s.do(func() { fn(s.st) }) }
 	run(func(st *store.Store) { v, err = st.Read(dom, path) })
 	return v, err
 }
 
-// walk is documented to run on the owning loop (the snapshotWalk
-// shape): the marker exempts it.
+// walk is documented to run on the loop (the snapshotWalk shape): the
+// marker exempts it.
 //
 // storeloop
 func walk(st *store.Store, dom store.DomID, root string) (string, error) {
 	return st.Read(dom, root)
 }
 
-// sneak bypasses doOn with a raw send on the op queue — the cross-shard
-// back door the refusal path exists to close.
-func (s *server) sneak(sh *shard) {
-	sh.ops <- func() {} // want `op queue`
+// sneak bypasses do with a raw send on the op queue — a back door
+// around the confinement.
+func (s *server) sneak() {
+	s.ops <- func() {} // want `op queue`
 }

@@ -71,9 +71,6 @@ func (b *Bus) Notifications() uint64 { return b.notifications }
 // watches. *Domain implements it in-process; netstore.Client's Domain
 // adapter implements it over the wire, so a guest store driver runs
 // unchanged whether the system store is an object or a socket away.
-// The wire adapter satisfies Conn on either protocol version — against
-// an old v1 server the client transparently drops back to per-op
-// frames, so a driver never observes which generation it dialed.
 type Conn interface {
 	ID() store.DomID
 	Path(rel string) string

@@ -7,14 +7,10 @@ import (
 )
 
 // Batch accumulates store operations and runs them in a single round
-// trip (protocol v2's OpBatch frame). The server executes sub-ops
-// grouped per shard — one store-loop closure per shard touched — so a
-// 32-op batch costs one syscall pair and a handful of channel hops where
-// v1 cost 32 of each; this is where the hot-path throughput comes from.
-//
-// Against a v1 server (or a v1-negotiated connection) Run transparently
-// falls back to issuing the operations sequentially, preserving the
-// result contract at v1 speed, so callers never need to version-check.
+// trip (the OpBatch frame). The server executes the sub-ops as one
+// store-loop closure, so a 32-op batch costs one syscall pair and one
+// channel hop where unbatched calls cost 32 of each; this is where the
+// hot-path throughput comes from.
 //
 // A Batch is not safe for concurrent use; build it, Run it, read the
 // results. Failures are per-operation: Run only returns an error for
@@ -104,9 +100,6 @@ func (b *Batch) Run() ([]BatchResult, error) {
 	if len(ops) > MaxBatchOps {
 		return nil, fmt.Errorf("%w: batch of %d ops exceeds MaxBatchOps", ErrBadRequest, len(ops))
 	}
-	if b.c.proto < ProtocolV2 {
-		return b.runSequential(ops)
-	}
 	d, err := b.c.call(OpBatch, func(e *enc) {
 		e.u32(uint32(len(ops)))
 		for _, op := range ops {
@@ -157,35 +150,6 @@ func (b *Batch) Run() ([]BatchResult, error) {
 	}
 	if err := d.done(); err != nil {
 		return nil, err
-	}
-	return results, nil
-}
-
-// runSequential is the v1 fallback: the same operations, one frame each.
-func (b *Batch) runSequential(ops []batchReq) ([]BatchResult, error) {
-	results := make([]BatchResult, len(ops))
-	for i, op := range ops {
-		switch op.op {
-		case OpRead:
-			results[i].Value, results[i].Err = b.c.Read(op.path)
-		case OpWrite:
-			results[i].Err = b.c.Write(op.path, op.value)
-		case OpRemove:
-			results[i].Err = b.c.Remove(op.path)
-		case OpList:
-			results[i].Names, results[i].Err = b.c.List(op.path)
-		case OpExists:
-			results[i].Present, results[i].Err = b.c.Exists(op.path)
-		case OpGrant:
-			results[i].Err = b.c.Grant(op.path, op.target, op.perm)
-		case OpPing:
-			results[i].Err = b.c.Ping()
-		}
-		// A dead connection fails everything; surface it as the transport
-		// error the batched path would have returned.
-		if results[i].Err != nil && b.c.Err() != nil {
-			return nil, results[i].Err
-		}
 	}
 	return results, nil
 }

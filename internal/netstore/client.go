@@ -29,12 +29,6 @@ type Client struct {
 	br  *bufio.Reader
 	dom store.DomID
 
-	// proto is the protocol version the handshake negotiated: the server
-	// answers min(requested, its max), so a new client against an old
-	// server lands on v1 and transparently loses batching and sync
-	// (Batch falls back to sequential calls, Mirror.Sync to Snapshot).
-	proto uint8
-
 	// storeVersion is the server's version counter at handshake.
 	storeVersion uint64
 
@@ -71,42 +65,18 @@ type clientEvent struct {
 const DefaultTimeout = 30 * time.Second
 
 // Dial connects to an iorchestra-stored endpoint ("tcp" or "unix") and
-// performs the handshake binding the connection to dom, negotiating the
-// newest protocol both ends speak. An old (v1-only) server refuses the
-// v2 hello outright — old binaries knew no other answer — so Dial
-// redials once pinned to v1; the resulting client works against every
-// server version. token is required only when dom is Dom0 and the
-// server enforces a token.
+// performs the handshake binding the connection to dom. token is
+// required only when dom is Dom0 and the server enforces a token.
 func Dial(network, addr string, dom store.DomID, token string) (*Client, error) {
-	c, err := DialVersion(network, addr, dom, token, ProtocolVersion)
-	if err != nil && errors.Is(err, ErrBadRequest) && ProtocolVersion > ProtocolV1 {
-		return DialVersion(network, addr, dom, token, ProtocolV1)
-	}
-	return c, err
-}
-
-// DialVersion is Dial pinned to one requested protocol version, with no
-// fallback redial. Version-negotiation tests use it to stand in for an
-// old client (ver == ProtocolV1).
-func DialVersion(network, addr string, dom store.DomID, token string, ver uint8) (*Client, error) {
 	nc, err := net.Dial(network, addr)
 	if err != nil {
 		return nil, err
 	}
-	return NewClientVersion(nc, dom, token, ver)
+	return NewClient(nc, dom, token)
 }
 
-// NewClient performs the handshake over an established connection,
-// requesting the newest protocol. Against an old server this fails with
-// ErrBadRequest (the caller owns the socket, so no redial is possible);
-// use Dial for transparent fallback or NewClientVersion to pin v1.
+// NewClient performs the handshake over an established connection.
 func NewClient(nc net.Conn, dom store.DomID, token string) (*Client, error) {
-	return NewClientVersion(nc, dom, token, ProtocolVersion)
-}
-
-// NewClientVersion performs the handshake over an established
-// connection, requesting protocol version ver.
-func NewClientVersion(nc net.Conn, dom store.DomID, token string, ver uint8) (*Client, error) {
 	c := &Client{
 		c:        nc,
 		br:       bufio.NewReaderSize(nc, 16<<10),
@@ -122,7 +92,7 @@ func NewClientVersion(nc net.Conn, dom store.DomID, token string, ver uint8) (*C
 	e := &enc{}
 	e.op(OpHandshake, 1)
 	e.u32(Magic)
-	e.u8(ver)
+	e.u8(ProtocolVersion)
 	e.u32(uint32(dom))
 	e.str(token)
 	if err := writeFrame(nc, e.b); err != nil {
@@ -145,21 +115,15 @@ func NewClientVersion(nc net.Conn, dom store.DomID, token string, ver uint8) (*C
 		nc.Close()
 		return nil, rerr
 	}
-	// A v1 hello gets the bare v1 reply (u64 version); a v2+ hello gets
-	// the accepted version first. Old servers never accept a v2+ hello,
-	// so the layouts cannot be confused.
-	c.proto = ProtocolV1
-	if ver >= ProtocolV2 {
-		c.proto = d.u8()
-	}
+	accepted := d.u8()
 	c.storeVersion = d.u64()
 	if err := d.done(); err != nil {
 		nc.Close()
 		return nil, err
 	}
-	if c.proto < ProtocolV1 || c.proto > ver {
+	if accepted != ProtocolVersion {
 		nc.Close()
-		return nil, fmt.Errorf("%w: server negotiated impossible version %d", ErrBadRequest, c.proto)
+		return nil, fmt.Errorf("%w: server answered protocol version %d (want %d)", ErrBadRequest, accepted, ProtocolVersion)
 	}
 	go c.readLoop()
 	go c.dispatchLoop()
@@ -168,10 +132,6 @@ func NewClientVersion(nc net.Conn, dom store.DomID, token string, ver uint8) (*C
 
 // ID reports the domain this connection is bound to.
 func (c *Client) ID() store.DomID { return c.dom }
-
-// Proto reports the negotiated protocol version (ProtocolV1 against an
-// old server).
-func (c *Client) Proto() uint8 { return c.proto }
 
 // ServerVersion reports the store's mutation counter as of the
 // handshake, the anchor for Snapshot-based catch-up.
@@ -540,77 +500,6 @@ func (c *Client) ReadFloat(path string, defaultV float64) (float64, error) {
 		return defaultV, fmt.Errorf("netstore: %s holds non-float %q", path, raw)
 	}
 	return v, nil
-}
-
-// DialStalled connects and handshakes as dom, registers a watch on
-// prefix, and then never reads from the socket again — a deliberately
-// stalled client. Eviction tests and the load bench use it to prove a
-// wedged guest is coalesced around and eventually cut off while live
-// clients keep their streams. Closing the returned conn is the caller's
-// job.
-func DialStalled(network, addr string, dom store.DomID, prefix string) (net.Conn, error) {
-	nc, err := net.Dial(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	fail := func(e error) (net.Conn, error) { nc.Close(); return nil, e }
-	// A v1 hello works against every server version and keeps the reply
-	// layout fixed, which is all a deliberately wedged client needs.
-	hs := &enc{}
-	hs.op(OpHandshake, 1)
-	hs.u32(Magic)
-	hs.u8(ProtocolV1)
-	hs.u32(uint32(dom))
-	hs.str("")
-	if err := writeFrame(nc, hs.b); err != nil {
-		return fail(err)
-	}
-	if err := readStalledReply(nc); err != nil {
-		return fail(err)
-	}
-	w := &enc{}
-	w.op(OpWatch, 2)
-	w.u32(1)
-	w.str(prefix)
-	if err := writeFrame(nc, w.b); err != nil {
-		return fail(err)
-	}
-	if err := readStalledReply(nc); err != nil {
-		return fail(err)
-	}
-	return nc, nil
-}
-
-// readStalledReply consumes one reply frame (skipping any interleaved
-// events) and surfaces its status. The skip count is bounded per the
-// bounded-retry contract: a stalled dial expects at most a handful of
-// events ahead of its reply, so thousands of them mean the prefix is
-// pathologically hot and giving up loudly beats spinning forever.
-func readStalledReply(nc net.Conn) error {
-	const maxStalledSkips = 1 << 10
-	skipped := 0
-	for {
-		payload, err := readFrame(nc)
-		if err != nil {
-			return err
-		}
-		d := &dec{b: payload}
-		if Op(d.u8()) == OpEvent {
-			skipped++
-			if skipped > maxStalledSkips {
-				return fmt.Errorf("%w: %d interleaved events while awaiting the watch reply",
-					ErrBadRequest, skipped)
-			}
-			continue
-		}
-		d.u32() // request id
-		st := Status(d.u8())
-		msg := d.str()
-		if err := errOf(st, msg); err != nil {
-			return err
-		}
-		return nil
-	}
 }
 
 // --- Transactions -----------------------------------------------------------

@@ -19,8 +19,8 @@ type SyncPair struct {
 type SyncResult struct {
 	// Mode is SyncMatch, SyncDelta or SyncFull.
 	Mode uint8
-	// Version and Hash anchor the next sync: the owning shard's store
-	// version and the subtree's rolling content hash at reply time.
+	// Version and Hash anchor the next sync: the store version and the
+	// subtree's rolling content hash at reply time.
 	Version uint64
 	Hash    uint64
 	// Pairs carries the delta (SyncDelta) or the full subtree (SyncFull);
@@ -30,13 +30,9 @@ type SyncResult struct {
 
 // SyncSubtree asks the server how a domain subtree has changed since the
 // (version, hash) pair from a previous sync or bootstrap. root must be a
-// /local/domain/<id> subtree root. Requires a v2 connection; v1 callers
-// should use Mirror, which falls back to Snapshot.
+// /local/domain/<id> subtree root.
 func (c *Client) SyncSubtree(root string, sinceVersion, knownHash uint64) (SyncResult, error) {
 	var res SyncResult
-	if c.proto < ProtocolV2 {
-		return res, fmt.Errorf("%w: sync requires protocol >= %d", ErrBadRequest, ProtocolV2)
-	}
 	d, err := c.call(OpSync, func(e *enc) {
 		e.str(root)
 		e.u64(sinceVersion)
@@ -63,8 +59,7 @@ func (c *Client) SyncSubtree(root string, sinceVersion, knownHash uint64) (SyncR
 // cheap reconnect syncs: each Sync round trip costs nothing when the
 // subtree is unchanged (hash match), a minimal delta while the server's
 // mutation journal covers the mirror's age, and a full snapshot only
-// beyond that window. Against a v1 server every Sync is a Snapshot —
-// correct, just not cheap.
+// beyond that window.
 //
 // A Mirror is not safe for concurrent use; drive it from one goroutine
 // (watch callbacks run on the client's dispatcher goroutine, so either
@@ -112,28 +107,9 @@ func (m *Mirror) Nodes() map[string]string {
 	return out
 }
 
-// Mode constants Sync reports for observability; aliases of the wire
-// modes plus the v1 fallback marker.
-const (
-	// MirrorSyncedSnapshot marks a v1-fallback full Snapshot refresh.
-	MirrorSyncedSnapshot uint8 = 0xFF
-)
-
 // Sync brings the mirror up to date with one round trip and reports the
-// mode the server chose (SyncMatch, SyncDelta, SyncFull — or
-// MirrorSyncedSnapshot on the v1 fallback path).
+// mode the server chose (SyncMatch, SyncDelta or SyncFull).
 func (m *Mirror) Sync() (uint8, error) {
-	if m.c.proto < ProtocolV2 {
-		nodes, version, err := m.c.Snapshot(m.root)
-		if err != nil {
-			return 0, err
-		}
-		m.nodes = nodes
-		m.version = version
-		m.hash = 0
-		m.synced = true
-		return MirrorSyncedSnapshot, nil
-	}
 	since, known := m.version, m.hash
 	if !m.synced {
 		// Fresh mirror: a since beyond any real version forces the full
@@ -181,21 +157,6 @@ func (m *Mirror) prune(path string) {
 			delete(m.nodes, p)
 		}
 	}
-}
-
-// Bootstrap seeds the mirror from a Snapshot — useful on v2 when the
-// caller already has snapshot data, and the only option on v1. After a
-// bootstrap the next Sync on v2 is a delta from the snapshot version.
-func (m *Mirror) Bootstrap() error {
-	nodes, version, err := m.c.Snapshot(m.root)
-	if err != nil {
-		return err
-	}
-	m.nodes = nodes
-	m.version = version
-	m.hash = 0
-	m.synced = true
-	return nil
 }
 
 var _ = store.Root // keep the store import anchored for docs references

@@ -397,6 +397,65 @@ func TestSnapshotBootstrap(t *testing.T) {
 	}
 }
 
+// helloFrame builds a tokenless handshake request (id 1) for raw-socket
+// tests.
+func helloFrame(ver uint8, dom store.DomID) []byte {
+	hs := &enc{}
+	hs.op(OpHandshake, 1)
+	hs.u32(Magic)
+	hs.u8(ver)
+	hs.u32(uint32(dom))
+	hs.str("")
+	return hs.b
+}
+
+// readReply reads one frame off a raw socket, requires it to be a reply,
+// and returns its status as an error plus the decoder positioned at the
+// op-specific body.
+func readReply(nc net.Conn) (body *dec, status, err error) {
+	payload, err := readFrame(nc)
+	if err != nil {
+		return nil, nil, err
+	}
+	d := &dec{b: payload}
+	if op := Op(d.u8()); op != OpReply {
+		return nil, nil, fmt.Errorf("got %v, want a reply", op)
+	}
+	d.u32() // request id
+	return d, errOf(Status(d.u8()), d.str()), nil
+}
+
+// dialStalled connects and handshakes as dom, registers a watch on
+// prefix, and then never reads from the socket again — a deliberately
+// wedged client. Nothing has been written under prefix yet, so the two
+// frames it does read are exactly the two replies.
+func dialStalled(t *testing.T, sock string, dom store.DomID, prefix string) net.Conn {
+	t.Helper()
+	nc, err := net.Dial("unix", sock)
+	if err != nil {
+		t.Fatalf("stalled dial: %v", err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	w := &enc{}
+	w.op(OpWatch, 2)
+	w.u32(1)
+	w.str(prefix)
+	for _, req := range [][]byte{helloFrame(ProtocolVersion, dom), w.b} {
+		if err := writeFrame(nc, req); err != nil {
+			t.Fatalf("stalled dial: %v", err)
+		}
+		if _, status, err := readReply(nc); err != nil || status != nil {
+			t.Fatalf("stalled dial: %v / %v", status, err)
+		}
+	}
+	return nc
+}
+
+// TestStalledClientEvicted pins the eviction contract (docs/
+// WIRE_PROTOCOL.md §4): a wedged watcher is cut off on write-stall
+// evidence, while a live watcher on the same subtree — overflowing the
+// same tiny queue, but draining — is never severed and ends up with the
+// final value of every path.
 func TestStalledClientEvicted(t *testing.T) {
 	srv, sock := startServer(t, Options{NotifyQueue: 4, WriteTimeout: 300 * time.Millisecond})
 	// The blaster shares dom3 so the dom3 watchers can read every node it
@@ -404,31 +463,32 @@ func TestStalledClientEvicted(t *testing.T) {
 	writer := dialT(t, sock, 3)
 	base := store.DomainPath(3)
 
-	stalled, err := DialStalled("unix", sock, 3, base)
-	if err != nil {
-		t.Fatalf("stalled dial: %v", err)
-	}
-	defer stalled.Close()
+	dialStalled(t, sock, 3, base)
 
-	// A live watcher on the same subtree must survive the blast.
 	live := dialT(t, sock, 3)
 	var liveMu sync.Mutex
-	liveLast := ""
+	liveSeen := map[string]string{}
 	if _, err := live.Watch(base, func(p, v string) {
 		liveMu.Lock()
-		liveLast = v
+		liveSeen[p] = v
 		liveMu.Unlock()
 	}); err != nil {
 		t.Fatal(err)
 	}
 
-	// Distinct paths with fat values: the socket buffer fills, the writer
-	// stalls, the queue overflows, and nothing can coalesce.
-	fat := strings.Repeat("x", 32<<10)
+	// Distinct paths with fat values: nothing can coalesce, both watchers'
+	// queues overflow, and the stalled one's socket buffer fills.
+	want := map[string]string{}
 	for i := 0; i < 200; i++ {
-		if err := writer.Write(fmt.Sprintf("%s/blast/%d", base, i), fat); err != nil {
+		p, v := fmt.Sprintf("%s/blast/%d", base, i), strings.Repeat(fmt.Sprint(i%10), 32<<10)
+		want[p] = v
+		if err := writer.Write(p, v); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
+	}
+	want[base+"/blast/final"] = "final"
+	if err := writer.Write(base+"/blast/final", "final"); err != nil {
+		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for srv.Counters().Evicted == 0 {
@@ -437,25 +497,73 @@ func TestStalledClientEvicted(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	// Final sentinel write: the live client must still be streaming.
-	if err := writer.Write(base+"/blast/final", "final"); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.Now().Add(10 * time.Second)
 	for {
+		missing := ""
 		liveMu.Lock()
-		last := liveLast
+		for p, v := range want {
+			if liveSeen[p] != v {
+				missing = p
+				break
+			}
+		}
 		liveMu.Unlock()
-		if last == "final" {
+		if missing == "" {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("live client lost the stream (last %q)", last)
+			t.Fatalf("live client never saw the final value of %s", missing)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	if live.Err() != nil {
 		t.Fatalf("live client died: %v", live.Err())
+	}
+	if n := srv.Counters().Evicted; n != 1 {
+		t.Fatalf("evicted %d connections, want only the stalled one", n)
+	}
+}
+
+// TestOverflowRepairsFinalValues drives a draining watcher far past its
+// queue bound in one store-loop burst (a 200-write batch against
+// NotifyQueue 4): it must go lagged, stay connected, and still observe
+// every path's value, in first-write order.
+func TestOverflowRepairsFinalValues(t *testing.T) {
+	srv, sock := startServer(t, Options{NotifyQueue: 4})
+	c := dialT(t, sock, 3)
+	base := store.DomainPath(3)
+	const n = 200
+	got := make(chan string, n)
+	if _, err := c.Watch(base, func(p, v string) { got <- p + "=" + v }); err != nil {
+		t.Fatal(err)
+	}
+	b := c.NewBatch()
+	for i := 0; i < n; i++ {
+		b.Write(fmt.Sprintf("%s/k%d", base, i), fmt.Sprint(i))
+	}
+	if _, err := b.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case ev := <-got:
+			if want := fmt.Sprintf("%s/k%d=%d", base, i, i); ev != want {
+				t.Fatalf("event %d = %s, want %s", i, ev, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("watcher stopped after %d of %d events", i, n)
+		}
+	}
+	lagged := false
+	srv.Do(func(*store.Store) {
+		for _, r := range srv.rec.Events() {
+			lagged = lagged || (r.Kind == trace.KindWireConn && r.Value == "lag")
+		}
+	})
+	if !lagged {
+		t.Error("the burst never overflowed the queue; the repair path went unexercised")
+	}
+	if ctr := srv.Counters(); ctr.Evicted != 0 {
+		t.Fatalf("draining watcher evicted: %+v", ctr)
 	}
 }
 

@@ -339,12 +339,10 @@ func runParityLocal(t *testing.T) []string {
 }
 
 // runParityWire drives the identical exchange with both actors on
-// netstore clients against a live server. opts configures the server
-// (sharding, protocol cap); guestVer/mgrVer pin each client's protocol
-// version so mixed v1/v2 fleets can be exercised.
-func runParityWire(t *testing.T, opts netstore.Options, guestVer, mgrVer uint8) []string {
+// netstore clients against a live server.
+func runParityWire(t *testing.T) []string {
 	t.Helper()
-	srv := netstore.NewServer(opts)
+	srv := netstore.NewServer(netstore.Options{})
 	t.Cleanup(srv.Close)
 	sock := filepath.Join(t.TempDir(), "parity.sock")
 	l, err := net.Listen("unix", sock)
@@ -353,12 +351,12 @@ func runParityWire(t *testing.T, opts netstore.Options, guestVer, mgrVer uint8) 
 	}
 	go srv.Serve(l)
 
-	gc, err := netstore.DialVersion("unix", sock, parityGuestDom, "", guestVer)
+	gc, err := netstore.Dial("unix", sock, parityGuestDom, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { gc.Close() })
-	mc, err := netstore.DialVersion("unix", sock, store.Dom0, "", mgrVer)
+	mc, err := netstore.Dial("unix", sock, store.Dom0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,9 +410,7 @@ func runParityWire(t *testing.T, opts netstore.Options, guestVer, mgrVer uint8) 
 
 // TestWireDecisionParity is the Algorithm 1–3 decision-parity acceptance
 // test: the combined guest+manager decision log must be line-identical
-// across the in-process store and the wire — on every protocol and
-// server shape the fleet can negotiate (v2, legacy v1 both sides, a
-// mixed v1/v2 fleet, and a sharded server).
+// across the in-process store and the wire.
 func TestWireDecisionParity(t *testing.T) {
 	local := runParityLocal(t)
 	// The run must exercise every branch, or parity proves nothing.
@@ -428,31 +424,18 @@ func TestWireDecisionParity(t *testing.T) {
 			t.Errorf("scenario never hit %q; decisions:\n%s", want, joined)
 		}
 	}
-	for _, tc := range []struct {
-		name             string
-		opts             netstore.Options
-		guestVer, mgrVer uint8
-	}{
-		{"v2", netstore.Options{}, netstore.ProtocolV2, netstore.ProtocolV2},
-		{"v1-fleet", netstore.Options{}, netstore.ProtocolV1, netstore.ProtocolV1},
-		{"mixed-fleet", netstore.Options{}, netstore.ProtocolV1, netstore.ProtocolV2},
-		{"v1-capped-server", netstore.Options{MaxProtocol: netstore.ProtocolV1}, netstore.ProtocolV1, netstore.ProtocolV1},
-		{"sharded", netstore.Options{Shards: 4}, netstore.ProtocolV2, netstore.ProtocolV2},
-		{"sharded-mixed", netstore.Options{Shards: 4}, netstore.ProtocolV2, netstore.ProtocolV1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			wire := runParityWire(t, tc.opts, tc.guestVer, tc.mgrVer)
-			if len(local) != len(wire) {
-				t.Fatalf("decision counts diverge: local %d, wire %d\nlocal:\n%s\nwire:\n%s",
-					len(local), len(wire), strings.Join(local, "\n"), strings.Join(wire, "\n"))
+	t.Run("v2", func(t *testing.T) {
+		wire := runParityWire(t)
+		if len(local) != len(wire) {
+			t.Fatalf("decision counts diverge: local %d, wire %d\nlocal:\n%s\nwire:\n%s",
+				len(local), len(wire), strings.Join(local, "\n"), strings.Join(wire, "\n"))
+		}
+		for i := range local {
+			if local[i] != wire[i] {
+				t.Fatalf("decision %d diverges:\n  local: %s\n  wire:  %s", i, local[i], wire[i])
 			}
-			for i := range local {
-				if local[i] != wire[i] {
-					t.Fatalf("decision %d diverges:\n  local: %s\n  wire:  %s", i, local[i], wire[i])
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // --- Golden-replay state parity ---------------------------------------------

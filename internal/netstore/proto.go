@@ -12,27 +12,17 @@
 // (internal/store), so a guest on the wire can do exactly what a guest
 // in-process can do and nothing more.
 //
-// # Protocol generations
+// # One protocol, one store loop
 //
-// The handshake negotiates a protocol version downward (ProtocolV1 or
-// ProtocolV2), so either end may be old. V2 adds two frame kinds on top
-// of the unchanged per-op layouts: OpBatch carries up to MaxBatchOps
-// sub-ops and their replies in one round trip (the Batch builder falls
-// back to sequential per-op frames on a v1 connection, so callers never
-// branch on version), and OpSync resynchronizes a subtree from a
-// hash-versioned snapshot — a reconnecting Mirror presents its last
-// (version, content hash) and receives "match" (one small frame), a
-// delta since that version, or a full snapshot, in that order of
-// preference.
-//
-// # Sharding
-//
-// The server may run the store as N single-goroutine shard loops
-// (Options.Shards) behind store.Router: per-domain /local/domain/<id>
-// subtrees hash to a deterministic shard, structural paths live on
-// shard 0, and cross-shard transactions are refused rather than locked.
-// One connection goroutine dispatches to shards; a batch frame is split
-// per shard and its replies reassembled in request order.
+// There is one protocol version (ProtocolVersion); the handshake refuses
+// any other. Besides the per-op frames, OpBatch carries up to
+// MaxBatchOps sub-ops and their replies in one round trip, and OpSync
+// resynchronizes a subtree from a hash-versioned snapshot — a
+// reconnecting Mirror presents its last (version, content hash) and
+// receives "match" (one small frame), a delta since that version, or a
+// full snapshot, in that order of preference. The server runs the store
+// on one single-goroutine loop; connection goroutines submit closures
+// to it, and a batch frame is one closure.
 //
 // # Watch fan-out: delta queues, coalescing, eviction
 //
@@ -41,14 +31,20 @@
 // event for a (watch, path) pair is already queued, the new value
 // replaces it in place (Counters.Coalesced) instead of consuming a
 // slot. Consequently the queue grows only with the client's
-// distinct-path backlog, and eviction — disconnecting the client, who
-// recovers via OpSync — happens only when a stalled client's distinct
-// watched paths exceed the queue bound. The invariants: an evicted
-// client has missed nothing it could not recover by sync; a live client
-// observes, for every path, the latest value and a value no older than
-// any later-queued path's (queue order is first-enqueue order); and one
-// stalled guest can never wedge fan-out for everyone else, because
-// enqueueing never blocks on a slow socket. Writes out of a connection
+// distinct-path backlog. When that backlog overflows the queue, the
+// event's payload is dropped and its key parked; once the connection's
+// writer has drained room the server re-reads each parked path and
+// queues its current value, so overflow delays a watcher but never
+// costs it a final value. A connection is severed — it recovers via
+// OpSync — only on write-stall evidence (its socket accepted no frame
+// within Options.WriteTimeout) or when even the payload-free key
+// backlog (64 × NotifyQueue) is exhausted. The invariants: an evicted
+// client has missed nothing it could not recover by sync; a connected
+// client observes, for every path it can read, the latest value and a
+// value no older than any later-queued path's (queue order is
+// first-enqueue order); and one stalled guest can never wedge fan-out
+// for everyone else, because enqueueing never blocks on a slow socket.
+// Writes out of a connection
 // are flushed with syscall coalescing: queued reply and event frames
 // are merged into one pooled buffer per writeLoop wakeup.
 //
@@ -75,15 +71,10 @@ import (
 const (
 	// Magic opens every handshake request ("IORS").
 	Magic uint32 = 0x494F5253
-	// ProtocolV1 is the original protocol: one op per frame, no sync.
-	ProtocolV1 uint8 = 1
-	// ProtocolV2 adds batched frames (OpBatch) and hash-versioned
-	// subtree sync (OpSync). The per-op frame layouts are unchanged.
-	ProtocolV2 uint8 = 2
-	// ProtocolVersion is the newest protocol this package speaks. The
-	// handshake negotiates downward (docs/WIRE_PROTOCOL.md §2), so a v1
-	// peer on either end of the socket keeps working.
-	ProtocolVersion = ProtocolV2
+	// ProtocolVersion is the one protocol this package speaks; the
+	// handshake refuses a hello carrying any other version byte
+	// (docs/WIRE_PROTOCOL.md §2).
+	ProtocolVersion uint8 = 2
 	// MaxFrame bounds any single frame; larger frames poison the
 	// connection (snapshot replies of big trees are the sizing case).
 	MaxFrame = 16 << 20
@@ -126,8 +117,6 @@ const (
 	OpStats    Op = 19
 	OpPing     Op = 20
 
-	// Protocol v2 opcodes: a v1 connection answers both with
-	// StatusBadRequest without poisoning the connection.
 	OpBatch Op = 21
 	OpSync  Op = 22
 )
@@ -184,7 +173,7 @@ func (o Op) String() string {
 	}
 }
 
-// Sync reply modes (OpSync, protocol v2): how the server answered a
+// Sync reply modes (OpSync): how the server answered a
 // subtree catch-up request, cheapest first.
 const (
 	// SyncMatch: the client's hash matches the subtree; nothing sent.

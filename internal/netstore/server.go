@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,17 +25,20 @@ type Options struct {
 	// connection (replies are demand-bounded and do not count). When the
 	// queue is full, a newer event for the same (watch, path) replaces the
 	// queued one (coalescing, latest value wins — XenStore semantics); an
-	// event that cannot coalesce evicts the connection. Default 1024.
+	// event that cannot coalesce is remembered by key only and re-read
+	// from the store once the writer has drained room (see srvConn.lagged;
+	// that key backlog is bounded at lagFactor × NotifyQueue). Default
+	// 1024.
 	NotifyQueue int
 	// WriteTimeout evicts a connection whose socket cannot absorb one
-	// frame within the window — the slow-client backstop for peers that
-	// read just enough to keep the queue from overflowing. Default 2s.
+	// frame within the window — the only evidence of a stalled peer the
+	// server acts on. Default 2s.
 	WriteTimeout time.Duration
 	// Dom0Token, when non-empty, is required in the handshake to bind a
 	// connection to Dom0. Guest domains authenticate by reachability
 	// alone, as on a XenBus transport.
 	Dom0Token string
-	// TraceCapacity sizes each shard's decision-trace ring
+	// TraceCapacity sizes the store loop's decision-trace ring
 	// (default trace.DefaultRecorderCapacity).
 	TraceCapacity int
 	// MaxTxns bounds concurrently open transactions per connection.
@@ -48,18 +50,6 @@ type Options struct {
 	Faults string
 	// FaultSeed seeds the injector's deterministic stream (default 1).
 	FaultSeed uint64
-	// Shards is the number of store-loop shards (default 1). Per-domain
-	// /local/domain/<id> subtrees are disjoint, so each domain is routed
-	// to one shard by store.Router and shards execute independently.
-	// Structural paths (/, /local, /local/domain and non-domain subtrees)
-	// live on shard 0. With Shards == 1 the server behaves exactly like
-	// the pre-sharding implementation.
-	Shards int
-	// MaxProtocol caps the protocol version the handshake will accept
-	// (default ProtocolVersion). Set to ProtocolV1 to emulate an old
-	// server for interop testing: v2+ handshakes are then refused exactly
-	// as a v1-only binary would refuse them.
-	MaxProtocol uint8
 }
 
 func (o Options) withDefaults() Options {
@@ -72,18 +62,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxTxns <= 0 {
 		o.MaxTxns = 64
 	}
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
-	if o.MaxProtocol == 0 {
-		o.MaxProtocol = ProtocolVersion
-	}
 	return o
 }
 
 // Counters is a snapshot of the server's wire-level accounting, returned
-// by OpStats as JSON (and by Server.Counters in-process). Store counters
-// are summed across shards.
+// by OpStats as JSON (and by Server.Counters in-process).
 type Counters struct {
 	Accepted  uint64 `json:"accepted"`
 	Active    uint64 `json:"active"`
@@ -95,7 +78,6 @@ type Counters struct {
 	StoreWrites   uint64 `json:"store_writes"`
 	StoreNotifies uint64 `json:"store_notifies"`
 
-	Shards      uint64 `json:"shards,omitempty"`
 	Batches     uint64 `json:"batches,omitempty"`
 	BatchOps    uint64 `json:"batch_ops,omitempty"`
 	Syncs       uint64 `json:"syncs,omitempty"`
@@ -108,39 +90,24 @@ type Counters struct {
 	FaultDelayedNotifies uint64 `json:"fault_delayed_notifies,omitempty"`
 }
 
-// shard is one independent store loop: its own simulation kernel, store,
-// trace recorder and op queue. The per-shard kernel/store/recorder trio
-// keeps the single-goroutine discipline intact shard by shard — nothing
-// outside a shard's loop ever touches its store or recorder.
-type shard struct {
-	idx int
+// Server hosts one store.Store behind the wire protocol. Create with
+// NewServer, attach listeners with Serve, stop with Close.
+//
+// The store keeps its single-goroutine discipline: every operation is a
+// closure executed by the store-loop goroutine, which then drains the
+// private simulation kernel so watch notifications scheduled by the
+// operation are delivered (and fanned out to connections) before the
+// next operation runs. Connection reader/writer goroutines never touch
+// the store directly. Ordering is FIFO across all connections.
+type Server struct {
+	opts Options
+
+	// k, st and rec belong to the store loop: nothing outside a closure
+	// submitted through do (or a //storeloop function) touches them.
 	k   *sim.Kernel
 	st  *store.Store
 	rec *trace.Recorder
 	ops chan func()
-}
-
-// Server hosts one or more store.Store shards behind the wire protocol.
-// Create with NewServer, attach listeners with Serve, stop with Close.
-//
-// Each shard keeps the single-goroutine discipline: every operation is a
-// closure executed by that shard's store-loop goroutine, which then
-// drains the shard's private simulation kernel so watch notifications
-// scheduled by the operation are delivered (and fanned out to
-// connections) before the shard's next operation runs. Connection
-// reader/writer goroutines never touch a store directly. Ordering is
-// FIFO per shard; with Shards > 1 there is no cross-shard event order,
-// which is safe because per-domain subtrees are disjoint.
-type Server struct {
-	opts   Options
-	router store.Router
-	shards []*shard
-
-	// k, st and rec alias shard 0, the home of structural paths and
-	// connection-lifecycle trace records.
-	k   *sim.Kernel
-	st  *store.Store
-	rec *trace.Recorder
 
 	quit chan struct{}
 	wg   sync.WaitGroup
@@ -172,143 +139,102 @@ type Server struct {
 	nsubs atomic.Int32
 }
 
-// NewServer builds a server around fresh store shards. Each store lives
-// on a private simulation kernel with zero notification latency: virtual
-// time only orders deliveries; the wire provides the real latency. A
+// NewServer builds a server around a fresh store. The store lives on a
+// private simulation kernel with zero notification latency: virtual time
+// only orders deliveries; the wire provides the real latency. A
 // non-empty Options.Faults spec must parse, or NewServer panics: a store
 // silently running without its requested faults would invalidate any
 // soak result.
 func NewServer(opts Options) *Server {
 	opts = opts.withDefaults()
+	k := sim.NewKernel()
 	s := &Server{
-		opts:   opts,
-		router: store.NewRouter(opts.Shards),
-		quit:   make(chan struct{}),
-		conns:  map[*srvConn]struct{}{},
-		subs:   map[chan []byte]struct{}{},
+		opts:  opts,
+		k:     k,
+		st:    store.New(k, 0),
+		rec:   trace.NewRecorder(k, opts.TraceCapacity),
+		ops:   make(chan func()),
+		quit:  make(chan struct{}),
+		conns: map[*srvConn]struct{}{},
+		subs:  map[chan []byte]struct{}{},
 	}
 	var spec fault.Spec
-	var haveFaults bool
 	if opts.Faults != "" {
 		parsed, err := fault.ParseSpec(opts.Faults)
 		if err != nil {
 			panic(fmt.Sprintf("netstore: bad fault spec: %v", err))
 		}
-		spec, haveFaults = parsed, true
+		spec = parsed
 	}
 	seed := opts.FaultSeed
 	if seed == 0 {
 		seed = 1
 	}
-	for i := 0; i < opts.Shards; i++ {
-		k := sim.NewKernel()
-		s.shards = append(s.shards, &shard{
-			idx: i, k: k, st: store.New(k, 0),
-			rec: trace.NewRecorder(k, opts.TraceCapacity),
-			ops: make(chan func()),
-		})
-	}
-	s.k, s.st, s.rec = s.shards[0].k, s.shards[0].st, s.shards[0].rec
-	for _, sh := range s.shards {
-		s.wg.Add(1)
-		go s.storeLoop(sh)
-	}
-	// Wire each shard on its own loop: recorder, fault hooks and trace
-	// sink are store-loop state from the first operation onward, so even
-	// these construction-time writes go through doOn (shardsafety-
-	// enforced). Nothing is recorded during wiring, so ordering across
-	// shards does not matter.
-	for _, sh := range s.shards {
-		sh := sh
-		s.doOn(sh, func() {
-			sh.st.SetRecorder(sh.rec)
-			if haveFaults {
-				// Shard 0 keeps the historical stream name so single-shard
-				// fault soaks stay bit-for-bit reproducible across versions.
-				name := "netstore/faults"
-				if sh.idx > 0 {
-					name = fmt.Sprintf("netstore/faults.%d", sh.idx)
-				}
-				inj := fault.NewInjector(sh.k, spec, stats.NewStream(seed, name))
-				inj.SetRecorder(sh.rec)
-				if hooks := inj.StoreHooks(); hooks != nil {
-					sh.st.SetFaultHooks(hooks)
-				}
+	s.wg.Add(1)
+	go s.storeLoop()
+	// Recorder, fault hooks and trace sink are store-loop state from the
+	// first operation onward, so even these construction-time writes go
+	// through do (shardsafety-enforced).
+	s.do(func() {
+		s.st.SetRecorder(s.rec)
+		if opts.Faults != "" {
+			inj := fault.NewInjector(s.k, spec, stats.NewStream(seed, "netstore/faults"))
+			inj.SetRecorder(s.rec)
+			if hooks := inj.StoreHooks(); hooks != nil {
+				s.st.SetFaultHooks(hooks)
 			}
-			sh.rec.SetSink(s.broadcast)
-		})
-	}
-	// Shard 0 owns structural paths; give it the /local/domain spine up
-	// front so cross-shard snapshots and lists always find it.
-	s.doOn(s.shards[0], func() { s.st.EnsureRoot() })
+		}
+		s.rec.SetSink(s.broadcast)
+		// The /local/domain spine exists before the first handshake, so
+		// trees seeded through Do hang off Dom0-owned structural nodes.
+		s.st.EnsureRoot()
+	})
 	return s
 }
 
-// Kernel exposes shard 0's private simulation kernel, the clock a
+// Kernel exposes the store's private simulation kernel, the clock a
 // fault.Injector must be built on so watchdelay draws have a timeline to
 // land in. Schedule work on it only via Do.
 func (s *Server) Kernel() *sim.Kernel { return s.k }
 
-// ShardCount reports the number of store-loop shards.
-func (s *Server) ShardCount() int { return len(s.shards) }
-
-// Do runs fn on each shard's store-loop goroutine in turn (shard 0
-// first) with exclusive access to that shard's store, then drains the
-// watch deliveries it scheduled. With one shard this is exactly the
-// historical single-store Do; with several, fn observes each shard's
-// partition of the tree. It is how out-of-band wiring (fault hooks,
-// seeding) composes with the server. It reports false without running fn
-// if the server is closed.
+// Do runs fn on the store-loop goroutine with exclusive access to the
+// store, then drains the watch deliveries it scheduled. It is how
+// out-of-band wiring (fault hooks, seeding) composes with the server. It
+// reports false without running fn if the server is closed.
 func (s *Server) Do(fn func(st *store.Store)) bool {
-	for _, sh := range s.shards {
-		st := sh.st
-		if !s.doOn(sh, func() { fn(st) }) {
-			return false
-		}
-	}
-	return true
+	return s.do(func() { fn(s.st) })
 }
 
-// storeLoop owns one shard: it drains the op queue and drives the
-// shard's private kernel, so its direct access to shard state is the
-// sanctioned baseline.
+// storeLoop owns the store: it drains the op queue and drives the
+// private kernel, so its direct access to loop state is the sanctioned
+// baseline.
 //
 // storeloop
-func (s *Server) storeLoop(sh *shard) {
+func (s *Server) storeLoop() {
 	defer s.wg.Done()
 	for {
 		select {
-		case fn := <-sh.ops:
+		case fn := <-s.ops:
 			fn()
-			sh.k.Run()
+			s.k.Run()
 		case <-s.quit:
 			return
 		}
 	}
 }
 
-// doOn submits fn to one shard's store loop and waits for it (plus the
-// watch deliveries it triggers) to finish.
-func (s *Server) doOn(sh *shard, fn func()) bool {
+// do submits fn to the store loop and waits for it (plus the watch
+// deliveries it triggers) to finish.
+func (s *Server) do(fn func()) bool {
 	done := make(chan struct{})
 	select {
-	case sh.ops <- func() { fn(); close(done) }:
+	case s.ops <- func() { fn(); close(done) }:
 		<-done
 		return true
 	case <-s.quit:
 		return false
 	}
 }
-
-// shardFor routes a path to its owning shard: the domain's home shard
-// for /local/domain/<id> subtrees, shard 0 for structural paths.
-func (s *Server) shardFor(path string) *shard {
-	i, _ := s.router.PathShard(path)
-	return s.shards[i]
-}
-
-// sharded reports whether cross-shard merge paths are in play.
-func (s *Server) sharded() bool { return len(s.shards) > 1 }
 
 // Serve accepts connections on l until the listener or server closes.
 // It blocks; run one goroutine per listener.
@@ -348,12 +274,13 @@ func (s *Server) startConn(c net.Conn) {
 		c:       c,
 		br:      bufio.NewReaderSize(c, 16<<10),
 		id:      s.nextConn,
-		watches: map[uint32]*connWatch{},
-		txns:    map[uint32]*connTxn{},
+		watches: map[uint32]store.WatchID{},
+		txns:    map[uint32]*store.Txn{},
 		// Built here, not lazily in enqueueEvent: that is the event hot
 		// path and a per-call nil check plus literal is an allocation the
 		// hotpathalloc pass would rightly flag.
-		evIdx: map[eventKey]int{},
+		evIdx:  map[eventKey]int{},
+		lagIdx: map[eventKey]struct{}{},
 	}
 	sc.qcond = sync.NewCond(&sc.qmu)
 	s.conns[sc] = struct{}{}
@@ -365,7 +292,7 @@ func (s *Server) startConn(c net.Conn) {
 }
 
 // Close stops the listeners, evicts every connection and terminates the
-// store loops. It is idempotent.
+// store loop. It is idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -389,8 +316,7 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// Counters snapshots the wire + store accounting (store counters summed
-// across shards).
+// Counters snapshots the wire + store accounting.
 func (s *Server) Counters() Counters {
 	var ctr Counters
 	ctr.Accepted = s.accepted.Load()
@@ -403,26 +329,19 @@ func (s *Server) Counters() Counters {
 	ctr.SyncMatches = s.syncMatches.Load()
 	ctr.SyncDeltas = s.syncDeltas.Load()
 	ctr.SyncFulls = s.syncFulls.Load()
-	ctr.Shards = uint64(len(s.shards))
 	s.mu.Lock()
 	ctr.Active = uint64(len(s.conns))
 	s.mu.Unlock()
 	s.Do(func(st *store.Store) {
-		r, w, n := st.Stats()
-		ctr.StoreReads += r
-		ctr.StoreWrites += w
-		ctr.StoreNotifies += n
-		dw, dn, dl := st.FaultStats()
-		ctr.FaultDroppedWrites += dw
-		ctr.FaultDroppedNotifies += dn
-		ctr.FaultDelayedNotifies += dl
+		ctr.StoreReads, ctr.StoreWrites, ctr.StoreNotifies = st.Stats()
+		ctr.FaultDroppedWrites, ctr.FaultDroppedNotifies, ctr.FaultDelayedNotifies = st.FaultStats()
 	})
 	return ctr
 }
 
 // --- Live trace streaming ---------------------------------------------------
 
-// broadcast is the recorder sink: it runs on a store loop, so it only
+// broadcast is the recorder sink: it runs on the store loop, so it only
 // marshals and hands off; subscribers that cannot keep up lose records.
 func (s *Server) broadcast(rec trace.Record) {
 	if s.nsubs.Load() == 0 {
@@ -524,33 +443,19 @@ type outFrame struct {
 	key     eventKey
 }
 
-// connWatch is one client watch, possibly fanned out across shards: a
-// domain-subtree prefix registers on its home shard only; a structural
-// prefix (which any shard's writes can match) registers on every shard.
-type connWatch struct {
-	prefix string
-	ids    map[int]store.WatchID // shard index -> store watch id
-}
-
-// connTxn is one client transaction. The shard binding is lazy —
-// store.Txn.Begin has no side effects, so the transaction binds to the
-// shard of the first path it touches; operations on another shard's
-// paths fail with StatusBadRequest (cross-shard transactions would need
-// two-phase commit, which the disjoint-subtree model deliberately
-// avoids).
-type connTxn struct {
-	sh  *shard
-	txn *store.Txn
-}
+// lagFactor sizes the per-connection lagged-key backlog as a multiple of
+// Options.NotifyQueue. Lagged keys carry no payload, so the multiple
+// buys a deep repair window for little memory; a connection that falls
+// further behind than this is severed (docs/WIRE_PROTOCOL.md §4).
+const lagFactor = 64
 
 type srvConn struct {
 	srv *Server
 	c   net.Conn
 	id  uint64
 
-	// dom and proto are bound by the handshake, read-only afterwards.
+	// dom is bound by the handshake, read-only afterwards.
 	dom       store.DomID
-	proto     uint8
 	handshook bool
 
 	// Outbound queue: writer goroutine pops from the front; reader and
@@ -563,18 +468,27 @@ type srvConn struct {
 	nEvents int
 	evIdx   map[eventKey]int
 	qclosed bool
+	// lagged lists, oldest first, the keys whose events found the queue
+	// full: the payload is dropped and the key remembered, and repair
+	// re-reads the path's then-current value once the writer has made
+	// room — overflow costs a live watcher latency, never the final
+	// value. While it is non-empty every new key queues behind it, which
+	// keeps first-enqueue delivery order. lagIdx dedups it.
+	lagged []eventKey
+	lagIdx map[eventKey]struct{}
 
 	closeOnce sync.Once
 	// dead flips when the connection is torn down (evicted or closed); it
-	// makes eviction accounting idempotent — the queue-overflow evict and
-	// the write error it provokes in writeLoop must count once.
+	// makes eviction accounting idempotent — an evict and the write error
+	// it provokes in writeLoop must count once.
 	dead atomic.Bool
 
-	// watches and txns are confined to the reader goroutine and the
-	// store-loop closures it synchronously awaits, so accesses are
-	// serialized without a lock.
-	watches map[uint32]*connWatch
-	txns    map[uint32]*connTxn
+	// watches (client watch id -> store watch id) is store-loop state:
+	// only closures submitted through do touch it. txns is confined to the
+	// reader goroutine and the store-loop closures it synchronously
+	// awaits, so accesses are serialized without a lock.
+	watches map[uint32]store.WatchID
+	txns    map[uint32]*store.Txn
 	nextTxn uint32
 
 	// br buffers inbound frames so a burst of pipelined requests costs
@@ -612,22 +526,35 @@ func (c *srvConn) enqueue(payload []byte) {
 	c.qcond.Signal()
 }
 
-// enqueueEvent appends a watch-event frame under the notify-queue bound,
-// with delta fan-out: an event still queued for the same (watch, path)
-// is replaced by the newer value instead of queuing a second frame, so a
-// connection that falls behind receives the net change per path, not the
-// history — watch semantics promise "something changed here", never
-// every intermediate value. Only when the queue is full AND nothing
-// coalesces is the connection evicted. from is the shard whose store
-// loop is delivering the event (eviction must record on a loop it
-// already holds). It reports whether the connection survived.
+// eventFrame encodes one watch-event frame into a pooled buffer.
 //
 // hotpath
-func (c *srvConn) enqueueEvent(key eventKey, payload []byte, from *shard) bool {
+func eventFrame(watch uint32, path, value string) []byte {
+	ev := &enc{b: getBuf(64)}
+	ev.op(OpEvent, 0)
+	ev.u32(watch)
+	ev.str(path)
+	ev.str(value)
+	return ev.b
+}
+
+// enqueueEvent queues a watch event under the notify-queue bound, with
+// delta fan-out: an event still queued for the same (watch, path) is
+// replaced by the newer value instead of queuing a second frame, so a
+// connection that falls behind receives the net change per path, not the
+// history — watch semantics promise "something changed here", never
+// every intermediate value. When the queue is full and nothing
+// coalesces, the key alone is parked in lagged for repair; only a
+// connection that exhausts that backlog too is evicted. Runs on the
+// store loop (watch delivery).
+//
+// hotpath
+// storeloop
+func (c *srvConn) enqueueEvent(key eventKey, payload []byte) {
 	c.qmu.Lock()
 	if c.qclosed {
 		c.qmu.Unlock()
-		return false
+		return
 	}
 	if abs, ok := c.evIdx[key]; ok && abs >= c.qbase {
 		old := c.q[abs-c.qbase].payload
@@ -635,43 +562,102 @@ func (c *srvConn) enqueueEvent(key eventKey, payload []byte, from *shard) bool {
 		c.qmu.Unlock()
 		putBuf(old)
 		c.srv.coalesced.Add(1)
-		return true
+		return
 	}
-	if c.nEvents >= c.srv.opts.NotifyQueue {
+	if c.nEvents < c.srv.opts.NotifyQueue && len(c.lagged) == 0 {
+		c.pushEventLocked(key, payload)
 		c.qmu.Unlock()
-		c.evict("notify queue overflow", from)
-		return false
+		return
 	}
+	// No room for the payload from here on: the key is what survives.
+	putBuf(payload)
+	if _, parked := c.lagIdx[key]; parked {
+		c.qmu.Unlock()
+		c.srv.coalesced.Add(1)
+		return
+	}
+	if len(c.lagged) >= lagFactor*c.srv.opts.NotifyQueue {
+		c.qmu.Unlock()
+		c.evict("notify backlog overflow")
+		return
+	}
+	first := len(c.lagged) == 0
+	c.lagged = append(c.lagged, key)
+	c.lagIdx[key] = struct{}{}
+	c.qmu.Unlock()
+	if first {
+		c.srv.rec.Record(trace.Record{Kind: trace.KindWireConn, Dom: int(c.dom), Value: "lag", Path: key.path})
+	}
+}
+
+// pushEventLocked appends an event frame; the caller holds qmu and has
+// checked the bound.
+//
+// hotpath
+func (c *srvConn) pushEventLocked(key eventKey, payload []byte) {
 	c.q = append(c.q, outFrame{payload: payload, isEvent: true, key: key})
 	c.evIdx[key] = c.qbase + len(c.q) - 1
 	c.nEvents++
 	c.qcond.Signal()
-	c.qmu.Unlock()
 	c.srv.events.Add(1)
-	return true
 }
 
-// evict severs a connection that cannot keep up. onLoop must be the
-// shard whose store loop the caller is already running on (watch
-// delivery), where a doOn round trip would self-deadlock; nil when
-// called from a socket goroutine. The direct onLoop.rec.Record is
-// sanctioned by the same precondition, hence the marker.
+// repair moves lagged keys into the room the writer has drained, oldest
+// first, each with the value its path holds now. It runs on the store
+// loop, so no write can slip between the read and the enqueue, and the
+// store loop is the only producer of events, so the room it measured
+// cannot shrink underneath it.
 //
 // storeloop
-func (c *srvConn) evict(reason string, onLoop *shard) {
+func (c *srvConn) repair() {
+	c.qmu.Lock()
+	n := min(len(c.lagged), c.srv.opts.NotifyQueue-c.nEvents)
+	if c.qclosed || n <= 0 {
+		c.qmu.Unlock()
+		return
+	}
+	keys := c.lagged[:n:n]
+	c.lagged = c.lagged[n:]
+	for _, key := range keys {
+		delete(c.lagIdx, key)
+	}
+	c.qmu.Unlock()
+	payloads := make([][]byte, len(keys))
+	for i, key := range keys {
+		if _, live := c.watches[key.watch]; !live {
+			continue
+		}
+		// Mirror live delivery: a removed path notifies with an empty
+		// value, an unreadable one not at all.
+		v, err := c.srv.st.Read(c.dom, key.path)
+		if err == nil || errors.Is(err, store.ErrNoEntry) {
+			payloads[i] = eventFrame(key.watch, key.path, v)
+		}
+	}
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
+	if c.qclosed {
+		return
+	}
+	for i, key := range keys {
+		if payloads[i] != nil {
+			c.pushEventLocked(key, payloads[i])
+		}
+	}
+}
+
+// evict severs a connection that cannot keep up and records why. Runs
+// on the store loop.
+//
+// storeloop
+func (c *srvConn) evict(reason string) {
 	if !c.dead.CompareAndSwap(false, true) {
 		c.shutdown()
 		return
 	}
 	c.shutdown()
 	c.srv.evicted.Add(1)
-	rec := trace.Record{Kind: trace.KindWireConn, Dom: int(c.dom), Value: "evict", Path: reason}
-	if onLoop != nil {
-		onLoop.rec.Record(rec)
-	} else {
-		sh := c.srv.shards[0]
-		c.srv.doOn(sh, func() { sh.rec.Record(rec) })
-	}
+	c.srv.rec.Record(trace.Record{Kind: trace.KindWireConn, Dom: int(c.dom), Value: "evict", Path: reason})
 }
 
 // hotpath
@@ -708,6 +694,10 @@ func (c *srvConn) writeLoop() {
 			frames = append(frames, fr)
 			total += 4 + len(fr.payload)
 		}
+		// lagged is non-empty only while the queue is too (it fills from a
+		// full queue and repair refills the queue from it), so a writer
+		// that checks on every pop cannot sleep on a backlog.
+		lagging := len(c.lagged) > 0
 		c.qmu.Unlock()
 		buf := getBuf(total)
 		for i := range frames {
@@ -722,9 +712,22 @@ func (c *srvConn) writeLoop() {
 		_, err := c.c.Write(buf)
 		putBuf(buf)
 		if err != nil {
-			c.evict("write stall: "+err.Error(), nil)
+			c.writeStalled(err)
 			return
 		}
+		if lagging && !c.srv.do(c.repair) {
+			return
+		}
+	}
+}
+
+// writeStalled evicts the connection after a failed socket write — the
+// write-stall evidence. Split from writeLoop so the hot path carries no
+// closure.
+func (c *srvConn) writeStalled(err error) {
+	reason := "write stall: " + err.Error()
+	if !c.srv.do(func() { c.evict(reason) }) {
+		c.shutdown()
 	}
 }
 
@@ -735,30 +738,21 @@ func (c *srvConn) readLoop() {
 		c.srv.mu.Lock()
 		delete(c.srv.conns, c)
 		c.srv.mu.Unlock()
-		// Tear down store-side state (watches, open transactions) shard by
-		// shard; the connection-close record lands on shard 0 with the
-		// rest of the connection lifecycle.
-		dom, hs := c.dom, c.handshook
-		for _, sh := range c.srv.shards {
-			sh := sh
-			c.srv.doOn(sh, func() {
-				for _, cw := range c.watches {
-					if wid, ok := cw.ids[sh.idx]; ok {
-						sh.st.Unwatch(wid)
-					}
-				}
-				for _, t := range c.txns {
-					if t.txn != nil && t.sh == sh {
-						t.txn.Abort()
-					}
-				}
-				if sh.idx == 0 && hs {
-					sh.rec.Record(trace.Record{Kind: trace.KindWireConn, Dom: int(dom), Value: "close"})
-				}
-			})
-		}
-		c.watches = map[uint32]*connWatch{}
-		c.txns = map[uint32]*connTxn{}
+		// Tear down store-side state (watches, open transactions) and close
+		// out the connection's trace lifecycle.
+		c.srv.do(func() {
+			for _, wid := range c.watches {
+				c.srv.st.Unwatch(wid)
+			}
+			clear(c.watches)
+			for _, txn := range c.txns {
+				txn.Abort()
+			}
+			if c.handshook {
+				c.srv.rec.Record(trace.Record{Kind: trace.KindWireConn, Dom: int(c.dom), Value: "close"})
+			}
+		})
+		c.txns = map[uint32]*store.Txn{}
 	}()
 	if err := c.handshake(); err != nil {
 		return
@@ -798,15 +792,12 @@ func reply(id uint32, err error, body func(*enc)) []byte {
 	return e.b
 }
 
-// handshake reads and answers the binding frame, negotiating the
-// protocol version: a v1 hello gets the exact v1 reply (u64 store
-// version), a v2+ hello is answered with min(requested, MaxProtocol)
-// followed by the version — unless the server is capped at v1, which
-// refuses anything newer precisely as an old binary would. Its replies
-// go straight to the socket, not through the outbound queue: nothing
-// else can be queued yet (requests and watches require a completed
-// handshake), and a rejection must reach the peer before the connection
-// closes.
+// handshake reads and answers the binding frame. There is one protocol
+// version and no negotiation: a hello carrying any other version byte is
+// refused. Its replies go straight to the socket, not through the
+// outbound queue: nothing else can be queued yet (requests and watches
+// require a completed handshake), and a rejection must reach the peer
+// before the connection closes.
 func (c *srvConn) handshake() error {
 	payload, err := readFrame(c.br)
 	if err != nil {
@@ -819,87 +810,57 @@ func (c *srvConn) handshake() error {
 	ver := d.u8()
 	dom := store.DomID(d.u32())
 	token := d.str()
-	refuse := func(cause error) error {
+	send := func(cause error, body func(*enc)) error {
 		if wt := c.srv.opts.WriteTimeout; wt > 0 {
 			c.c.SetWriteDeadline(time.Now().Add(wt))
 		}
-		out := reply(id, cause, nil)
-		writeFrame(c.c, out)
+		out := reply(id, cause, body)
+		err := writeFrame(c.c, out)
 		putBuf(out)
-		return cause
+		if cause != nil {
+			return cause
+		}
+		return err
 	}
 	if err := d.done(); err != nil || op != OpHandshake || magic != Magic {
-		return refuse(fmt.Errorf("%w: malformed handshake", ErrBadRequest))
+		return send(fmt.Errorf("%w: malformed handshake", ErrBadRequest), nil)
 	}
-	if ver < ProtocolV1 || (ver > ProtocolV1 && c.srv.opts.MaxProtocol <= ProtocolV1) {
-		return refuse(fmt.Errorf("%w: protocol version %d (want %d)", ErrBadRequest, ver, ProtocolV1))
-	}
-	accepted := ver
-	if accepted > c.srv.opts.MaxProtocol {
-		accepted = c.srv.opts.MaxProtocol
+	if ver != ProtocolVersion {
+		return send(fmt.Errorf("%w: protocol version %d (want %d)", ErrBadRequest, ver, ProtocolVersion), nil)
 	}
 	if dom == store.Dom0 && c.srv.opts.Dom0Token != "" && token != c.srv.opts.Dom0Token {
-		return refuse(fmt.Errorf("%w: dom0 token rejected", ErrAuth))
+		return send(fmt.Errorf("%w: dom0 token rejected", ErrAuth), nil)
 	}
 	c.dom = dom
-	c.proto = accepted
 	c.handshook = true
-	home := c.srv.shards[c.srv.router.ShardOf(dom)]
 	var version uint64
-	if !c.srv.sharded() {
-		if !c.srv.doOn(home, func() {
-			home.st.AddDomain(dom)
-			version = home.st.Version()
-			home.rec.Record(trace.Record{Kind: trace.KindWireConn, Dom: int(dom), Value: "connect"})
-		}) {
-			return ErrClosed
-		}
-	} else {
-		if !c.srv.doOn(home, func() { home.st.AddDomain(dom) }) {
-			return ErrClosed
-		}
-		for _, sh := range c.srv.shards {
-			sh := sh
-			var v uint64
-			if !c.srv.doOn(sh, func() {
-				v = sh.st.Version()
-				if sh.idx == 0 {
-					sh.rec.Record(trace.Record{Kind: trace.KindWireConn, Dom: int(dom), Value: "connect"})
-				}
-			}) {
-				return ErrClosed
-			}
-			version += v
-		}
+	if !c.srv.do(func() {
+		c.srv.st.AddDomain(dom)
+		version = c.srv.st.Version()
+		c.srv.rec.Record(trace.Record{Kind: trace.KindWireConn, Dom: int(dom), Value: "connect"})
+	}) {
+		return ErrClosed
 	}
-	if wt := c.srv.opts.WriteTimeout; wt > 0 {
-		c.c.SetWriteDeadline(time.Now().Add(wt))
-	}
-	out := reply(id, nil, func(e *enc) {
-		if accepted >= ProtocolV2 {
-			e.u8(accepted)
-		}
+	if err := send(nil, func(e *enc) {
+		e.u8(ProtocolVersion)
 		e.u64(version)
-	})
-	err = writeFrame(c.c, out)
-	putBuf(out)
-	if err != nil {
+	}); err != nil {
 		return err
 	}
 	c.c.SetWriteDeadline(time.Time{})
 	return nil
 }
 
-// handle decodes and executes one request on the owning shard's store
-// loop, then queues the reply. Malformed bodies produce StatusBadRequest
-// rather than dropping the connection, so one bad client request stays
-// diagnosable.
+// handle decodes and executes one request on the store loop, then queues
+// the reply. Malformed bodies produce StatusBadRequest rather than
+// dropping the connection, so one bad client request stays diagnosable.
 func (c *srvConn) handle(op Op, id uint32, d *dec) {
 	var out []byte
-	// runOn executes fn on one shard, recording the wire.op trace there.
-	runOn := func(sh *shard, path string, fn func() (func(*enc), error)) {
-		ok := c.srv.doOn(sh, func() {
-			sh.rec.Record(trace.Record{
+	st := c.srv.st
+	// run executes fn on the store loop under a wire.op trace record.
+	run := func(path string, fn func() (func(*enc), error)) {
+		ok := c.srv.do(func() {
+			c.srv.rec.Record(trace.Record{
 				Kind: trace.KindWireOp, Dom: int(c.dom), Path: path, Value: op.String(),
 			})
 			body, err := fn()
@@ -909,10 +870,14 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 			out = reply(id, ErrClosed, nil)
 		}
 	}
-	// run routes by path and hands fn the owning shard's store.
-	run := func(path string, fn func(st *store.Store) (func(*enc), error)) {
-		sh := c.srv.shardFor(path)
-		runOn(sh, path, func() (func(*enc), error) { return fn(sh.st) })
+	// runTxn is run for an operation on open transaction tid.
+	runTxn := func(tid uint32, path string, fn func(*store.Txn) (func(*enc), error)) {
+		txn, ok := c.txns[tid]
+		if !ok {
+			out = reply(id, fmt.Errorf("%w: %d", ErrUnknownTxn, tid), nil)
+			return
+		}
+		run(path, func() (func(*enc), error) { return fn(txn) })
 	}
 	switch op {
 	case OpPing:
@@ -928,7 +893,7 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 			out = reply(id, err, nil)
 			break
 		}
-		run(path, func(st *store.Store) (func(*enc), error) {
+		run(path, func() (func(*enc), error) {
 			v, err := st.Read(c.dom, path)
 			return func(e *enc) { e.str(v) }, err
 		})
@@ -940,7 +905,7 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 			out = reply(id, err, nil)
 			break
 		}
-		run(path, func(st *store.Store) (func(*enc), error) {
+		run(path, func() (func(*enc), error) {
 			return nil, st.Write(c.dom, path, value)
 		})
 
@@ -950,13 +915,7 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 			out = reply(id, err, nil)
 			break
 		}
-		if c.srv.sharded() && strings.HasPrefix(store.Root, path) {
-			// /local and /local/domain are replicated spine on every
-			// shard; removing them piecemeal would desynchronize routing.
-			out = reply(id, fmt.Errorf("%w: cannot remove structural path %s on a sharded server", ErrBadRequest, path), nil)
-			break
-		}
-		run(path, func(st *store.Store) (func(*enc), error) {
+		run(path, func() (func(*enc), error) {
 			return nil, st.Remove(c.dom, path)
 		})
 
@@ -966,11 +925,7 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 			out = reply(id, err, nil)
 			break
 		}
-		if c.srv.sharded() && path == store.Root {
-			out = c.crossList(id, op, path)
-			break
-		}
-		run(path, func(st *store.Store) (func(*enc), error) {
+		run(path, func() (func(*enc), error) {
 			names, err := st.List(c.dom, path)
 			return func(e *enc) {
 				e.u32(uint32(len(names)))
@@ -988,13 +943,7 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 			out = reply(id, err, nil)
 			break
 		}
-		if _, owned := c.srv.router.PathShard(path); c.srv.sharded() && !owned {
-			// Structural nodes are replicated; apply the grant everywhere
-			// it exists so permission checks agree across shards.
-			out = c.crossGrant(id, op, path, target, perm)
-			break
-		}
-		run(path, func(st *store.Store) (func(*enc), error) {
+		run(path, func() (func(*enc), error) {
 			return nil, st.Grant(c.dom, path, target, perm)
 		})
 
@@ -1004,7 +953,7 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 			out = reply(id, err, nil)
 			break
 		}
-		run(path, func(st *store.Store) (func(*enc), error) {
+		run(path, func() (func(*enc), error) {
 			v := uint8(0)
 			if st.Exists(path) {
 				v = 1
@@ -1019,7 +968,20 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 			out = reply(id, err, nil)
 			break
 		}
-		out = c.handleWatch(id, op, cwid, prefix)
+		// Event frames carry the client's watch id, so the store's own id
+		// never crosses the wire.
+		run(prefix, func() (func(*enc), error) {
+			if _, dup := c.watches[cwid]; dup {
+				return nil, fmt.Errorf("%w: watch id %d in use", ErrBadRequest, cwid)
+			}
+			wid, err := st.Watch(c.dom, prefix, func(path, value string) {
+				c.enqueueEvent(eventKey{watch: cwid, path: path}, eventFrame(cwid, path, value))
+			})
+			if err == nil {
+				c.watches[cwid] = wid
+			}
+			return nil, err
+		})
 
 	case OpUnwatch:
 		cwid := d.u32()
@@ -1027,37 +989,26 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 			out = reply(id, err, nil)
 			break
 		}
-		cw := c.watches[cwid]
-		delete(c.watches, cwid)
-		runOn(c.srv.shards[0], "", func() (func(*enc), error) {
-			if cw != nil {
-				if wid, ok := cw.ids[0]; ok {
-					c.srv.shards[0].st.Unwatch(wid)
-				}
+		run("", func() (func(*enc), error) {
+			if wid, ok := c.watches[cwid]; ok {
+				st.Unwatch(wid)
+				delete(c.watches, cwid)
 			}
 			return nil, nil
 		})
-		if cw != nil {
-			for _, sh := range c.srv.shards[1:] {
-				if wid, ok := cw.ids[sh.idx]; ok {
-					sh := sh
-					c.srv.doOn(sh, func() { sh.st.Unwatch(wid) })
-				}
-			}
-		}
 
 	case OpTxnBegin:
 		if err := d.done(); err != nil {
 			out = reply(id, err, nil)
 			break
 		}
-		runOn(c.srv.shards[0], "", func() (func(*enc), error) {
+		run("", func() (func(*enc), error) {
 			if len(c.txns) >= c.srv.opts.MaxTxns {
 				return nil, fmt.Errorf("%w: %d transactions already open", ErrBadRequest, len(c.txns))
 			}
 			c.nextTxn++
 			tid := c.nextTxn
-			c.txns[tid] = &connTxn{}
+			c.txns[tid] = st.Begin(c.dom)
 			return func(e *enc) { e.u32(tid) }, nil
 		})
 
@@ -1068,8 +1019,8 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 			out = reply(id, err, nil)
 			break
 		}
-		c.runTxn(&out, op, id, tid, path, func(t *connTxn) (func(*enc), error) {
-			v, err := t.txn.Read(path)
+		runTxn(tid, path, func(txn *store.Txn) (func(*enc), error) {
+			v, err := txn.Read(path)
 			return func(e *enc) { e.str(v) }, err
 		})
 
@@ -1081,8 +1032,8 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 			out = reply(id, err, nil)
 			break
 		}
-		c.runTxn(&out, op, id, tid, path, func(t *connTxn) (func(*enc), error) {
-			return nil, t.txn.Write(path, value)
+		runTxn(tid, path, func(txn *store.Txn) (func(*enc), error) {
+			return nil, txn.Write(path, value)
 		})
 
 	case OpTxnRemove:
@@ -1092,54 +1043,23 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 			out = reply(id, err, nil)
 			break
 		}
-		c.runTxn(&out, op, id, tid, path, func(t *connTxn) (func(*enc), error) {
-			return nil, t.txn.Remove(path)
+		runTxn(tid, path, func(txn *store.Txn) (func(*enc), error) {
+			return nil, txn.Remove(path)
 		})
 
-	case OpTxnCommit:
+	case OpTxnCommit, OpTxnAbort:
 		tid := d.u32()
 		if err := d.done(); err != nil {
 			out = reply(id, err, nil)
 			break
 		}
-		t, ok := c.txns[tid]
-		if !ok {
-			out = reply(id, fmt.Errorf("%w: %d", ErrUnknownTxn, tid), nil)
-			break
-		}
-		delete(c.txns, tid)
-		sh := c.srv.shards[0]
-		if t.sh != nil {
-			sh = t.sh
-		}
-		runOn(sh, "", func() (func(*enc), error) {
-			if t.txn == nil {
-				return nil, nil // no ops: an empty transaction commits trivially
+		runTxn(tid, "", func(txn *store.Txn) (func(*enc), error) {
+			delete(c.txns, tid)
+			if op == OpTxnAbort {
+				txn.Abort()
+				return nil, nil
 			}
-			return nil, t.txn.Commit()
-		})
-
-	case OpTxnAbort:
-		tid := d.u32()
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
-		}
-		t, ok := c.txns[tid]
-		if !ok {
-			out = reply(id, fmt.Errorf("%w: %d", ErrUnknownTxn, tid), nil)
-			break
-		}
-		delete(c.txns, tid)
-		sh := c.srv.shards[0]
-		if t.sh != nil {
-			sh = t.sh
-		}
-		runOn(sh, "", func() (func(*enc), error) {
-			if t.txn != nil {
-				t.txn.Abort()
-			}
-			return nil, nil
+			return nil, txn.Commit()
 		})
 
 	case OpSnapshot:
@@ -1148,18 +1068,13 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 			out = reply(id, err, nil)
 			break
 		}
-		if _, owned := c.srv.router.PathShard(root); c.srv.sharded() && !owned {
-			out = c.crossSnapshot(id, op, root)
-			break
-		}
-		sh := c.srv.shardFor(root)
-		runOn(sh, root, func() (func(*enc), error) {
+		run(root, func() (func(*enc), error) {
 			type pair struct{ p, v string }
 			var pairs []pair
-			snapshotWalk(sh.st, c.dom, root, func(p, v string) {
+			snapshotWalk(st, c.dom, root, func(p, v string) {
 				pairs = append(pairs, pair{p, v})
 			})
-			version := sh.st.Version()
+			version := st.Version()
 			return func(e *enc) {
 				e.u64(version)
 				e.u32(uint32(len(pairs)))
@@ -1175,8 +1090,8 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 			out = reply(id, err, nil)
 			break
 		}
-		// Counters itself round-trips through the store loops; build the
-		// reply outside runOn to avoid a self-deadlock.
+		// Counters itself round-trips through the store loop; build the
+		// reply outside run to avoid a self-deadlock.
 		blob, err := json.Marshal(c.srv.Counters())
 		if err != nil {
 			out = reply(id, err, nil)
@@ -1196,226 +1111,7 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 	c.enqueue(out)
 }
 
-// runTxn executes one transactional path op, binding the transaction to
-// the path's shard on first touch (store.Txn.Begin has no side effects,
-// so lazy binding is exact).
-func (c *srvConn) runTxn(out *[]byte, op Op, id, tid uint32, path string, fn func(*connTxn) (func(*enc), error)) {
-	t, ok := c.txns[tid]
-	if !ok {
-		*out = reply(id, fmt.Errorf("%w: %d", ErrUnknownTxn, tid), nil)
-		return
-	}
-	sh := c.srv.shardFor(path)
-	if t.sh != nil && t.sh != sh {
-		*out = reply(id, fmt.Errorf("%w: cross-shard transaction: %s is on shard %d, transaction bound to shard %d",
-			ErrBadRequest, path, sh.idx, t.sh.idx), nil)
-		return
-	}
-	okDo := c.srv.doOn(sh, func() {
-		sh.rec.Record(trace.Record{Kind: trace.KindWireOp, Dom: int(c.dom), Path: path, Value: op.String()})
-		if t.txn == nil {
-			t.sh = sh
-			t.txn = sh.st.Begin(c.dom)
-		}
-		body, err := fn(t)
-		*out = reply(id, err, body)
-	})
-	if !okDo {
-		*out = reply(id, ErrClosed, nil)
-	}
-}
-
-// handleWatch registers a watch: a domain-subtree prefix on its home
-// shard only, a structural prefix on every shard (any shard's writes can
-// match it). Event frames carry the client's watch id, so fan-in across
-// shards is transparent to the peer.
-func (c *srvConn) handleWatch(id uint32, op Op, cwid uint32, prefix string) []byte {
-	if _, dup := c.watches[cwid]; dup {
-		return reply(id, fmt.Errorf("%w: watch id %d in use", ErrBadRequest, cwid), nil)
-	}
-	_, owned := c.srv.router.PathShard(prefix)
-	targets := c.srv.shards
-	if owned || !c.srv.sharded() {
-		targets = []*shard{c.srv.shardFor(prefix)}
-	}
-	cw := &connWatch{prefix: prefix, ids: map[int]store.WatchID{}}
-	for i, sh := range targets {
-		sh := sh
-		cb := func(path, value string) {
-			ev := &enc{b: getBuf(64)}
-			ev.op(OpEvent, 0)
-			ev.u32(cwid)
-			ev.str(path)
-			ev.str(value)
-			c.enqueueEvent(eventKey{watch: cwid, path: path}, ev.b, sh)
-		}
-		var werr error
-		recordHere := i == 0
-		ok := c.srv.doOn(sh, func() {
-			if recordHere {
-				sh.rec.Record(trace.Record{Kind: trace.KindWireOp, Dom: int(c.dom), Path: prefix, Value: op.String()})
-			}
-			wid, err := sh.st.Watch(c.dom, prefix, cb)
-			if err != nil {
-				werr = err
-				return
-			}
-			cw.ids[sh.idx] = wid
-		})
-		if !ok {
-			return reply(id, ErrClosed, nil)
-		}
-		if werr != nil {
-			// Roll back partial registrations.
-			for idx, wid := range cw.ids {
-				shx := c.srv.shards[idx]
-				c.srv.doOn(shx, func() { shx.st.Unwatch(wid) })
-			}
-			return reply(id, werr, nil)
-		}
-	}
-	c.watches[cwid] = cw
-	return reply(id, nil, nil)
-}
-
-// crossList merges List(/local/domain) across shards: domain children
-// live on their home shards, so the union (sorted, deduped) is the
-// single-store answer. Shard 0's permission verdict governs — the spine
-// is replicated with identical ownership everywhere.
-func (c *srvConn) crossList(id uint32, op Op, path string) []byte {
-	set := map[string]struct{}{}
-	var firstErr error
-	for _, sh := range c.srv.shards {
-		sh := sh
-		ok := c.srv.doOn(sh, func() {
-			if sh.idx == 0 {
-				sh.rec.Record(trace.Record{Kind: trace.KindWireOp, Dom: int(c.dom), Path: path, Value: op.String()})
-			}
-			names, err := sh.st.List(c.dom, path)
-			if err != nil {
-				if sh.idx == 0 {
-					firstErr = err
-				}
-				return
-			}
-			for _, n := range names {
-				set[n] = struct{}{}
-			}
-		})
-		if !ok {
-			return reply(id, ErrClosed, nil)
-		}
-	}
-	if firstErr != nil {
-		return reply(id, firstErr, nil)
-	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return reply(id, nil, func(e *enc) {
-		e.u32(uint32(len(names)))
-		for _, n := range names {
-			e.str(n)
-		}
-	})
-}
-
-// crossGrant applies a structural-path grant on every shard where the
-// node exists, so permission checks agree regardless of which shard
-// evaluates them. Shard 0's verdict is the reply.
-func (c *srvConn) crossGrant(id uint32, op Op, path string, target store.DomID, perm store.Perm) []byte {
-	var firstErr error
-	for _, sh := range c.srv.shards {
-		sh := sh
-		ok := c.srv.doOn(sh, func() {
-			if sh.idx == 0 {
-				sh.rec.Record(trace.Record{Kind: trace.KindWireOp, Dom: int(c.dom), Path: path, Value: op.String()})
-			}
-			if err := sh.st.Grant(c.dom, path, target, perm); err != nil && sh.idx == 0 {
-				firstErr = err
-			}
-		})
-		if !ok {
-			return reply(id, ErrClosed, nil)
-		}
-	}
-	return reply(id, firstErr, nil)
-}
-
-// crossSnapshot walks a structural root across shards: the spine and any
-// non-domain subtrees come from shard 0 (pruned at /local/domain), then
-// each domain subtree is walked on its home shard in sorted-name order.
-// The reported version is the sum of shard versions — monotonic, like
-// the handshake version. Node paths, not emission order, are the
-// contract; ordering matches a single store except that domain subtrees
-// sort after every structural node.
-func (c *srvConn) crossSnapshot(id uint32, op Op, root string) []byte {
-	type pair struct{ p, v string }
-	var pairs []pair
-	var version uint64
-	coversRoot := strings.HasPrefix(store.Root, root) || root == store.Root
-	domainSet := map[string]struct{}{}
-	for _, sh := range c.srv.shards {
-		sh := sh
-		ok := c.srv.doOn(sh, func() {
-			version += sh.st.Version()
-			if sh.idx == 0 {
-				sh.rec.Record(trace.Record{Kind: trace.KindWireOp, Dom: int(c.dom), Path: root, Value: op.String()})
-				if coversRoot {
-					snapshotWalkPruned(sh.st, c.dom, root, func(p, v string) {
-						pairs = append(pairs, pair{p, v})
-					})
-				} else {
-					// Non-domain subtree: shard 0 owns it outright.
-					snapshotWalk(sh.st, c.dom, root, func(p, v string) {
-						pairs = append(pairs, pair{p, v})
-					})
-				}
-			}
-			if coversRoot {
-				if names, err := sh.st.List(c.dom, store.Root); err == nil {
-					for _, n := range names {
-						domainSet[n] = struct{}{}
-					}
-				}
-			}
-		})
-		if !ok {
-			return reply(id, ErrClosed, nil)
-		}
-	}
-	if coversRoot {
-		names := make([]string, 0, len(domainSet))
-		for n := range domainSet {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			sub := store.Root + "/" + name
-			sh := c.srv.shardFor(sub)
-			ok := c.srv.doOn(sh, func() {
-				snapshotWalk(sh.st, c.dom, sub, func(p, v string) {
-					pairs = append(pairs, pair{p, v})
-				})
-			})
-			if !ok {
-				return reply(id, ErrClosed, nil)
-			}
-		}
-	}
-	return reply(id, nil, func(e *enc) {
-		e.u64(version)
-		e.u32(uint32(len(pairs)))
-		for _, kv := range pairs {
-			e.str(kv.p)
-			e.str(kv.v)
-		}
-	})
-}
-
-// --- Batched frames (protocol v2) -------------------------------------------
+// --- Batched frames -----------------------------------------------------------
 
 // batchSub is one decoded sub-operation of an OpBatch frame.
 type batchSub struct {
@@ -1427,15 +1123,11 @@ type batchSub struct {
 }
 
 // handleBatch executes an OpBatch frame: N sub-ops in, N sub-replies
-// out, one round trip. Sub-ops are grouped by owning shard and each
-// group runs as a single store-loop closure — one channel hop and one
-// wire.batch trace record per shard touched, which is where the hot-path
-// amortization comes from. Results are reassembled in request order;
-// per-op failures are per-op statuses, never a dropped frame.
+// out, one round trip. The whole batch runs as a single store-loop
+// closure — one channel hop and one wire.batch trace record — which is
+// where the hot-path amortization comes from. Per-op failures are per-op
+// statuses, never a dropped frame.
 func (c *srvConn) handleBatch(id uint32, d *dec) []byte {
-	if c.proto < ProtocolV2 {
-		return reply(id, fmt.Errorf("%w: batch requires protocol >= %d", ErrBadRequest, ProtocolV2), nil)
-	}
 	n := d.u32()
 	if d.err == nil && n > MaxBatchOps {
 		return reply(id, fmt.Errorf("%w: batch of %d ops exceeds MaxBatchOps", ErrBadRequest, n), nil)
@@ -1467,63 +1159,42 @@ func (c *srvConn) handleBatch(id uint32, d *dec) []byte {
 		body func(*enc)
 	}
 	results := make([]subRes, len(subs))
-	// Group by shard, preserving per-shard request order.
-	groups := make([][]int, len(c.srv.shards))
-	for i, so := range subs {
-		if so.op == OpRemove && c.srv.sharded() && strings.HasPrefix(store.Root, so.path) {
-			results[i] = subRes{err: fmt.Errorf("%w: cannot remove structural path %s on a sharded server", ErrBadRequest, so.path)}
-			continue
-		}
-		shardIdx := 0
-		if so.op != OpPing {
-			shardIdx, _ = c.srv.router.PathShard(so.path)
-		}
-		groups[shardIdx] = append(groups[shardIdx], i)
-	}
-	for shardIdx, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		sh := c.srv.shards[shardIdx]
-		group := group
-		ok := c.srv.doOn(sh, func() {
-			sh.rec.Record(trace.Record{
-				Kind: trace.KindWireBatch, Dom: int(c.dom), Value: "batch", Size: int64(len(group)),
-			})
-			for _, i := range group {
-				so := subs[i]
-				switch so.op {
-				case OpPing:
-					results[i] = subRes{}
-				case OpRead:
-					v, err := sh.st.Read(c.dom, so.path)
-					results[i] = subRes{err: err, body: func(e *enc) { e.str(v) }}
-				case OpWrite:
-					results[i] = subRes{err: sh.st.Write(c.dom, so.path, so.value)}
-				case OpRemove:
-					results[i] = subRes{err: sh.st.Remove(c.dom, so.path)}
-				case OpList:
-					names, err := sh.st.List(c.dom, so.path)
-					results[i] = subRes{err: err, body: func(e *enc) {
-						e.u32(uint32(len(names)))
-						for _, nm := range names {
-							e.str(nm)
-						}
-					}}
-				case OpExists:
-					v := uint8(0)
-					if sh.st.Exists(so.path) {
-						v = 1
-					}
-					results[i] = subRes{body: func(e *enc) { e.u8(v) }}
-				case OpGrant:
-					results[i] = subRes{err: sh.st.Grant(c.dom, so.path, so.target, so.perm)}
-				}
-			}
+	st := c.srv.st
+	ok := c.srv.do(func() {
+		c.srv.rec.Record(trace.Record{
+			Kind: trace.KindWireBatch, Dom: int(c.dom), Value: "batch", Size: int64(len(subs)),
 		})
-		if !ok {
-			return reply(id, ErrClosed, nil)
+		for i, so := range subs {
+			switch so.op {
+			case OpPing:
+			case OpRead:
+				v, err := st.Read(c.dom, so.path)
+				results[i] = subRes{err: err, body: func(e *enc) { e.str(v) }}
+			case OpWrite:
+				results[i] = subRes{err: st.Write(c.dom, so.path, so.value)}
+			case OpRemove:
+				results[i] = subRes{err: st.Remove(c.dom, so.path)}
+			case OpList:
+				names, err := st.List(c.dom, so.path)
+				results[i] = subRes{err: err, body: func(e *enc) {
+					e.u32(uint32(len(names)))
+					for _, nm := range names {
+						e.str(nm)
+					}
+				}}
+			case OpExists:
+				v := uint8(0)
+				if st.Exists(so.path) {
+					v = 1
+				}
+				results[i] = subRes{body: func(e *enc) { e.u8(v) }}
+			case OpGrant:
+				results[i] = subRes{err: st.Grant(c.dom, so.path, so.target, so.perm)}
+			}
 		}
+	})
+	if !ok {
+		return reply(id, ErrClosed, nil)
 	}
 	c.srv.batches.Add(1)
 	c.srv.batchOps.Add(uint64(len(subs)))
@@ -1543,7 +1214,7 @@ func (c *srvConn) handleBatch(id uint32, d *dec) []byte {
 	})
 }
 
-// --- Hash-versioned subtree sync (protocol v2) ------------------------------
+// --- Hash-versioned subtree sync ----------------------------------------------
 
 // handleSync answers an OpSync catch-up request for one domain subtree.
 // Three outcomes, cheapest first: the client's hash matches (nothing to
@@ -1552,9 +1223,6 @@ func (c *srvConn) handleBatch(id uint32, d *dec) []byte {
 // (full permission-filtered walk). The version/hash pair anchors the
 // client's next sync.
 func (c *srvConn) handleSync(id uint32, op Op, d *dec) []byte {
-	if c.proto < ProtocolV2 {
-		return reply(id, fmt.Errorf("%w: sync requires protocol >= %d", ErrBadRequest, ProtocolV2), nil)
-	}
 	root := d.path()
 	since := d.u64()
 	known := d.u64()
@@ -1564,7 +1232,7 @@ func (c *srvConn) handleSync(id uint32, op Op, d *dec) []byte {
 	if dom, ok := store.PathDomain(root); !ok || root != store.DomainPath(dom) {
 		return reply(id, fmt.Errorf("%w: sync root %q is not a domain subtree root", ErrBadRequest, root), nil)
 	}
-	sh := c.srv.shardFor(root)
+	st := c.srv.st
 	type pair struct {
 		p, v    string
 		removed bool
@@ -1573,14 +1241,14 @@ func (c *srvConn) handleSync(id uint32, op Op, d *dec) []byte {
 	var curV, curH uint64
 	var pairs []pair
 	var out []byte
-	ok := c.srv.doOn(sh, func() {
-		sh.rec.Record(trace.Record{Kind: trace.KindWireOp, Dom: int(c.dom), Path: root, Value: op.String()})
-		curV = sh.st.Version()
-		curH = sh.st.SubtreeHash(root)
+	ok := c.srv.do(func() {
+		c.srv.rec.Record(trace.Record{Kind: trace.KindWireOp, Dom: int(c.dom), Path: root, Value: op.String()})
+		curV = st.Version()
+		curH = st.SubtreeHash(root)
 		prefix := root + "/"
 		if known == curH {
 			mode = SyncMatch
-		} else if deltas, covered := sh.st.DeltasSince(since); covered && since <= curV {
+		} else if deltas, covered := st.DeltasSince(since); covered && since <= curV {
 			mode = SyncDelta
 			// Prune markers lead the reply so the client drops stale
 			// subtrees before applying current values — a path removed and
@@ -1592,7 +1260,7 @@ func (c *srvConn) handleSync(id uint32, op Op, d *dec) []byte {
 				if p != root && !strings.HasPrefix(p, prefix) {
 					continue
 				}
-				v, err := sh.st.Read(c.dom, p)
+				v, err := st.Read(c.dom, p)
 				switch {
 				case dl.Removed:
 					pairs = append(pairs, pair{p: p, removed: true})
@@ -1610,7 +1278,7 @@ func (c *srvConn) handleSync(id uint32, op Op, d *dec) []byte {
 			pairs = append(pairs, values...)
 		} else {
 			mode = SyncFull
-			snapshotWalk(sh.st, c.dom, root, func(p, v string) {
+			snapshotWalk(st, c.dom, root, func(p, v string) {
 				pairs = append(pairs, pair{p: p, v: v})
 			})
 		}
@@ -1646,7 +1314,7 @@ func (c *srvConn) handleSync(id uint32, op Op, d *dec) []byte {
 }
 
 // snapshotWalk emits every node at or below root readable by dom, in
-// deterministic (sorted-children) order. Runs on the owning store loop.
+// deterministic (sorted-children) order. Runs on the store loop.
 //
 // storeloop
 func snapshotWalk(st *store.Store, dom store.DomID, root string, emit func(path, value string)) {
@@ -1663,30 +1331,5 @@ func snapshotWalk(st *store.Store, dom store.DomID, root string, emit func(path,
 	}
 	for _, name := range names {
 		snapshotWalk(st, dom, base+name, emit)
-	}
-}
-
-// snapshotWalkPruned is snapshotWalk, except it does not descend below
-// /local/domain — the cross-shard snapshot walks those subtrees on their
-// home shards instead. Runs on the owning store loop.
-//
-// storeloop
-func snapshotWalkPruned(st *store.Store, dom store.DomID, root string, emit func(path, value string)) {
-	if v, err := st.Read(dom, root); err == nil {
-		emit(root, v)
-	}
-	if root == store.Root {
-		return
-	}
-	names, err := st.List(dom, root)
-	if err != nil {
-		return
-	}
-	base := root
-	if base != "/" {
-		base += "/"
-	}
-	for _, name := range names {
-		snapshotWalkPruned(st, dom, base+name, emit)
 	}
 }

@@ -27,9 +27,8 @@ func soakDuration() time.Duration {
 	return 1500 * time.Millisecond
 }
 
-// TestSoakConcurrentClientsWithFaults runs 8 guest clients — a mixed
-// fleet, half pinned to protocol v1 and half on v2 issuing batched
-// frames — against a sharded server whose store drops 5% of
+// TestSoakConcurrentClientsWithFaults runs 8 guest clients, each mixing
+// single-op and batched frames, against a server whose store drops 5% of
 // notifications and delays 20% of the rest: the PR 2 fault grammar
 // composed onto the wire path. Live clients must survive: no protocol
 // errors, no evictions, and every client still answers a round trip at
@@ -41,7 +40,6 @@ func TestSoakConcurrentClientsWithFaults(t *testing.T) {
 	srv := netstore.NewServer(netstore.Options{
 		NotifyQueue:  256,
 		WriteTimeout: time.Second,
-		Shards:       2,
 		Faults:       "watchdrop=0.05,watchdelay=2ms:0.2",
 		FaultSeed:    paritySeed,
 	})
@@ -60,15 +58,10 @@ func TestSoakConcurrentClientsWithFaults(t *testing.T) {
 	errs := make(chan error, nClients)
 	for i := 0; i < nClients; i++ {
 		dom := store.DomID(i + 1)
-		// Mixed fleet: even domains speak v1, odd domains v2 with batches.
-		ver := uint8(netstore.ProtocolV2)
-		if i%2 == 0 {
-			ver = netstore.ProtocolV1
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := netstore.DialVersion("unix", sock, dom, "", ver)
+			c, err := netstore.Dial("unix", sock, dom, "")
 			if err != nil {
 				errs <- fmt.Errorf("dom%d dial: %w", dom, err)
 				return
@@ -99,8 +92,6 @@ func TestSoakConcurrentClientsWithFaults(t *testing.T) {
 				case 3:
 					_, err = c.List(base)
 				case 5:
-					// Batched frame on v2 connections, sequential fallback
-					// on the v1 half of the fleet — same result contract.
 					res, berr := c.NewBatch().
 						Write(key, fmt.Sprintf("b%d", n)).
 						Read(key).
@@ -187,10 +178,7 @@ func TestSoakConcurrentClientsWithFaults(t *testing.T) {
 		t.Errorf("fault injection never fired: %+v", ctr)
 	}
 	if ctr.Batches == 0 {
-		t.Error("soak issued no batched frames (v2 half of the fleet idle?)")
-	}
-	if ctr.Shards != 2 {
-		t.Errorf("soak ran on %d shards, want 2", ctr.Shards)
+		t.Error("soak issued no batched frames")
 	}
 	t.Logf("soak counters: %+v", ctr)
 }

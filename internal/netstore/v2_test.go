@@ -1,78 +1,58 @@
 package netstore
 
-// Protocol v2 surface: version negotiation, batched frames, delta-watch
-// sync, and the sharded server — the ISSUE 6 hot-path rework. In-package
-// so negotiation tests can assert on wire-level details (c.proto) and
-// sharded tests can reach shard internals via Do.
+// Handshake version check, batched frames, delta-watch sync, and the
+// views that span several domains' subtrees on the one store loop.
 
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sort"
 	"testing"
+	"time"
 
 	"iorchestra/internal/store"
 )
 
-func dialVersionT(t *testing.T, sock string, dom store.DomID, ver uint8) *Client {
-	t.Helper()
-	c, err := DialVersion("unix", sock, dom, "", ver)
-	if err != nil {
-		t.Fatalf("dial v%d dom%d: %v", ver, dom, err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
+// --- Handshake ---------------------------------------------------------------
 
-// --- Version negotiation -----------------------------------------------------
-
-func TestNegotiationModernPair(t *testing.T) {
+// TestHandshakeVersion pins the no-negotiation rule on raw sockets: the
+// one protocol version is accepted and echoed back in the reply, and a
+// hello carrying any other version — older or newer — is refused with
+// ErrBadRequest followed by a clean close.
+func TestHandshakeVersion(t *testing.T) {
 	_, sock := startServer(t, Options{})
-	c := dialT(t, sock, 3)
-	if c.Proto() != ProtocolV2 {
-		t.Fatalf("negotiated v%d, want v%d", c.Proto(), ProtocolV2)
-	}
-}
-
-func TestNegotiationV1ClientNewServer(t *testing.T) {
-	// An old binary sends the v1 hello and expects the v1 reply layout;
-	// the new server must serve it bit-compatibly.
-	_, sock := startServer(t, Options{})
-	c := dialVersionT(t, sock, 3, ProtocolV1)
-	if c.Proto() != ProtocolV1 {
-		t.Fatalf("negotiated v%d, want v1", c.Proto())
-	}
-	base := store.DomainPath(3)
-	if err := c.Write(base+"/k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Read(base + "/k")
-	if err != nil || got != "v" {
-		t.Fatalf("read over v1 = %q, %v", got, err)
-	}
-	// v2-only ops must be refused, not crash the connection.
-	if _, err := c.SyncSubtree(base, 0, 0); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("sync on v1 err = %v, want ErrBadRequest", err)
-	}
-	if err := c.Ping(); err != nil {
-		t.Fatalf("connection unhealthy after refused sync: %v", err)
-	}
-}
-
-func TestNegotiationNewClientOldServer(t *testing.T) {
-	// A v1-capped server refuses the v2 hello; Dial must transparently
-	// redial pinned to v1.
-	_, sock := startServer(t, Options{MaxProtocol: ProtocolV1})
-	c := dialT(t, sock, 3)
-	if c.Proto() != ProtocolV1 {
-		t.Fatalf("fallback negotiated v%d, want v1", c.Proto())
-	}
-	if err := c.Write(store.DomainPath(3)+"/k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	// A pinned v2 dial against the same server must surface the refusal.
-	if _, err := DialVersion("unix", sock, 4, "", ProtocolV2); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("pinned v2 dial err = %v, want ErrBadRequest", err)
+	for _, ver := range []uint8{1, ProtocolVersion, 3} {
+		nc, err := net.Dial("unix", sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		nc.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := writeFrame(nc, helloFrame(ver, 3)); err != nil {
+			t.Fatal(err)
+		}
+		d, rerr, err := readReply(nc)
+		if err != nil {
+			t.Fatalf("v%d hello: no reply: %v", ver, err)
+		}
+		if ver == ProtocolVersion {
+			if accepted := d.u8(); rerr != nil || accepted != ProtocolVersion {
+				t.Fatalf("v%d hello = version %d, %v; want accepted", ver, accepted, rerr)
+			}
+			d.u64() // store version
+			if err := d.done(); err != nil {
+				t.Fatalf("v%d hello reply layout: %v", ver, err)
+			}
+			continue
+		}
+		if !errors.Is(rerr, ErrBadRequest) {
+			t.Fatalf("v%d hello err = %v, want ErrBadRequest", ver, rerr)
+		}
+		if _, err := readFrame(nc); err != io.EOF {
+			t.Fatalf("v%d hello: after the refusal got %v, want a clean close (EOF)", ver, err)
+		}
 	}
 }
 
@@ -151,28 +131,8 @@ func TestBatchEmptyAndOversize(t *testing.T) {
 	}
 }
 
-func TestBatchV1Fallback(t *testing.T) {
+func TestBatchAcrossDomains(t *testing.T) {
 	srv, sock := startServer(t, Options{})
-	c := dialVersionT(t, sock, 3, ProtocolV1)
-	base := store.DomainPath(3)
-	res, err := c.NewBatch().
-		Write(base+"/k", "v").
-		Read(base + "/k").
-		Read(base + "/missing").
-		Run()
-	if err != nil {
-		t.Fatalf("fallback batch: %v", err)
-	}
-	if res[0].Err != nil || res[1].Value != "v" || !errors.Is(res[2].Err, store.ErrNoEntry) {
-		t.Fatalf("fallback results wrong: %+v", res)
-	}
-	if ctr := srv.Counters(); ctr.Batches != 0 {
-		t.Fatalf("v1 fallback must not reach the batch op (batches=%d)", ctr.Batches)
-	}
-}
-
-func TestBatchCrossShard(t *testing.T) {
-	srv, sock := startServer(t, Options{Shards: 4})
 	c := dialT(t, sock, store.Dom0)
 	b := c.NewBatch()
 	for dom := 1; dom <= 8; dom++ {
@@ -180,15 +140,14 @@ func TestBatchCrossShard(t *testing.T) {
 	}
 	res, err := b.Run()
 	if err != nil {
-		t.Fatalf("cross-shard batch: %v", err)
+		t.Fatalf("cross-domain batch: %v", err)
 	}
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("op %d: %v", i, r.Err)
 		}
 	}
-	// Results must come back in request order even though shards execute
-	// their groups independently.
+	// Results come back in request order.
 	b = c.NewBatch()
 	for dom := 1; dom <= 8; dom++ {
 		b.Read(fmt.Sprintf("%s/k", store.DomainPath(store.DomID(dom))))
@@ -202,7 +161,7 @@ func TestBatchCrossShard(t *testing.T) {
 			t.Fatalf("read %d = %q, %v; want %d", i, r.Value, r.Err, i+1)
 		}
 	}
-	if ctr := srv.Counters(); ctr.Shards != 4 || ctr.BatchOps != 16 {
+	if ctr := srv.Counters(); ctr.Batches != 2 || ctr.BatchOps != 16 {
 		t.Fatalf("counters = %+v", ctr)
 	}
 }
@@ -353,44 +312,10 @@ func TestSyncBadRoot(t *testing.T) {
 	}
 }
 
-func TestMirrorV1FallsBackToSnapshot(t *testing.T) {
+// --- Views across domains ----------------------------------------------------
+
+func TestRootViewsAcrossDomains(t *testing.T) {
 	_, sock := startServer(t, Options{})
-	c := dialVersionT(t, sock, 3, ProtocolV1)
-	base := store.DomainPath(3)
-	if err := c.Write(base+"/k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	m := c.NewMirror(base)
-	mode, err := m.Sync()
-	if err != nil || mode != MirrorSyncedSnapshot {
-		t.Fatalf("v1 mirror sync = mode %d, %v", mode, err)
-	}
-	if v, ok := m.Get(base + "/k"); !ok || v != "v" {
-		t.Fatalf("v1 mirror k = %q, %v", v, ok)
-	}
-}
-
-// --- Sharded server ----------------------------------------------------------
-
-func TestShardedBasicOps(t *testing.T) {
-	srv, sock := startServer(t, Options{Shards: 4})
-	if srv.ShardCount() != 4 {
-		t.Fatalf("ShardCount = %d", srv.ShardCount())
-	}
-	for dom := store.DomID(1); dom <= 6; dom++ {
-		c := dialT(t, sock, dom)
-		base := store.DomainPath(dom)
-		if err := c.Write(base+"/k", fmt.Sprint(dom)); err != nil {
-			t.Fatalf("dom%d write: %v", dom, err)
-		}
-		if v, err := c.Read(base + "/k"); err != nil || v != fmt.Sprint(dom) {
-			t.Fatalf("dom%d read = %q, %v", dom, v, err)
-		}
-	}
-}
-
-func TestShardedCrossShardViews(t *testing.T) {
-	_, sock := startServer(t, Options{Shards: 3})
 	c0 := dialT(t, sock, store.Dom0)
 	doms := []store.DomID{1, 2, 3, 4, 5}
 	for _, dom := range doms {
@@ -398,22 +323,14 @@ func TestShardedCrossShardViews(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Root list is the union across shards, sorted ("0" is Dom0's own
-	// home, created by its handshake).
+	// "0" is Dom0's own home, created by its handshake.
 	names, err := c0.List(store.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"0", "1", "2", "3", "4", "5"}
-	if len(names) != len(want) {
+	if want := []string{"0", "1", "2", "3", "4", "5"}; fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Fatalf("root list = %v, want %v", names, want)
 	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("root list = %v, want %v", names, want)
-		}
-	}
-	// Root snapshot unions every shard's view: spine + all domain trees.
 	snap, _, err := c0.Snapshot(store.Root)
 	if err != nil {
 		t.Fatal(err)
@@ -426,18 +343,13 @@ func TestShardedCrossShardViews(t *testing.T) {
 	if _, ok := snap[store.Root]; !ok {
 		t.Fatal("snapshot missing structural spine")
 	}
-	// Removing a structural path on a sharded server is refused (it would
-	// tear every shard's spine at once).
-	if err := c0.Remove("/local"); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("structural remove err = %v, want ErrBadRequest", err)
-	}
 }
 
-func TestShardedWatches(t *testing.T) {
-	_, sock := startServer(t, Options{Shards: 4})
+func TestRootWatchAcrossDomains(t *testing.T) {
+	_, sock := startServer(t, Options{})
 	c0 := dialT(t, sock, store.Dom0)
 	events := make(chan string, 64)
-	// A structural-prefix watch must see writes on every shard.
+	// A structural-prefix watch sees writes under every domain.
 	if _, err := c0.Watch(store.Root, func(path, value string) {
 		events <- path + "=" + value
 	}); err != nil {
@@ -459,10 +371,10 @@ func TestShardedWatches(t *testing.T) {
 	for dom := 1; dom <= 4; dom++ {
 		key := fmt.Sprintf("%s/k=x", store.DomainPath(store.DomID(dom)))
 		if !got[key] {
-			t.Fatalf("global watch missed %s (got %v)", key, got)
+			t.Fatalf("root watch missed %s (got %v)", key, got)
 		}
 	}
-	// A domain-prefix watch must only see its own shard's subtree.
+	// A domain-prefix watch sees only its own subtree.
 	dom1Events := make(chan string, 8)
 	id, err := c0.Watch(store.DomainPath(1), func(path, value string) {
 		dom1Events <- path
@@ -483,75 +395,57 @@ func TestShardedWatches(t *testing.T) {
 	c0.Unwatch(id)
 }
 
-func TestShardedTxnRejectsCrossShard(t *testing.T) {
-	_, sock := startServer(t, Options{Shards: 4})
+func TestTxnAcrossDomains(t *testing.T) {
+	_, sock := startServer(t, Options{})
 	c := dialT(t, sock, store.Dom0)
-	for _, dom := range []store.DomID{1, 2} {
-		if err := c.Write(store.DomainPath(dom)+"/k", "v"); err != nil {
+	keys := []string{store.DomainPath(1) + "/k", store.DomainPath(2) + "/k"}
+	for _, k := range keys {
+		if err := c.Write(k, "v"); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// One transaction reads and writes under two domains and commits
+	// atomically.
 	txn, err := c.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := txn.Write(store.DomainPath(1)+"/k", "a"); err != nil {
-		t.Fatalf("first txn op binds the shard: %v", err)
-	}
-	// Domain 2 lives on a different shard; the txn cannot span both.
-	if err := txn.Write(store.DomainPath(2)+"/k", "b"); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("cross-shard txn op err = %v, want ErrBadRequest", err)
-	}
-	if err := txn.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	// Same-shard txns still work end to end.
-	txn, err = c.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Write(store.DomainPath(1)+"/k", "committed"); err != nil {
-		t.Fatal(err)
+	for _, k := range keys {
+		if v, err := txn.Read(k); err != nil || v != "v" {
+			t.Fatalf("txn read %s = %q, %v", k, v, err)
+		}
+		if err := txn.Write(k, "committed"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := c.Read(store.DomainPath(1) + "/k"); v != "committed" {
-		t.Fatalf("post-commit read = %q", v)
-	}
-}
-
-func TestShardedStateParity(t *testing.T) {
-	// The same write stream applied to a 1-shard and a 4-shard server
-	// must produce identical root snapshots.
-	_, sock1 := startServer(t, Options{})
-	_, sock4 := startServer(t, Options{Shards: 4})
-	snaps := make([]map[string]string, 2)
-	for i, sock := range []string{sock1, sock4} {
-		c := dialT(t, sock, store.Dom0)
-		for dom := 1; dom <= 6; dom++ {
-			base := store.DomainPath(store.DomID(dom))
-			for k := 0; k < 8; k++ {
-				if err := c.Write(fmt.Sprintf("%s/d/k%d", base, k), fmt.Sprint(dom*100+k)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := c.Remove(base + "/d/k3"); err != nil {
-				t.Fatal(err)
-			}
+	for _, k := range keys {
+		if v, _ := c.Read(k); v != "committed" {
+			t.Fatalf("post-commit read %s = %q", k, v)
 		}
-		snap, _, err := c.Snapshot(store.Root)
-		if err != nil {
+	}
+	// A conflict under either domain fails the whole transaction.
+	txn, err = c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if _, err := txn.Read(k); err != nil {
 			t.Fatal(err)
 		}
-		snaps[i] = snap
-	}
-	if len(snaps[0]) != len(snaps[1]) {
-		t.Fatalf("snapshot sizes diverge: %d vs %d", len(snaps[0]), len(snaps[1]))
-	}
-	for p, v := range snaps[0] {
-		if snaps[1][p] != v {
-			t.Fatalf("sharded tree diverges at %s: %q vs %q", p, v, snaps[1][p])
+		if err := txn.Write(k, "lost"); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if err := c.Write(keys[1], "raced"); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); !errors.Is(err, store.ErrConflict) {
+		t.Fatalf("racing commit err = %v, want ErrConflict", err)
+	}
+	if v, _ := c.Read(keys[0]); v != "committed" {
+		t.Fatalf("conflicted txn leaked a write: %s = %q", keys[0], v)
 	}
 }

@@ -299,6 +299,29 @@ func DomainPath(dom DomID) string {
 	return Root + "/" + strconv.Itoa(int(dom))
 }
 
+// PathDomain reports the domain owning path's /local/domain/<id>
+// subtree. ok is false for paths at or above the domain level and for
+// non-numeric children of /local/domain.
+func PathDomain(path string) (DomID, bool) {
+	const prefix = Root + "/"
+	if len(path) <= len(prefix) || path[:len(prefix)] != prefix {
+		return 0, false
+	}
+	rest := path[len(prefix):]
+	end := len(rest)
+	for i := 0; i < len(rest); i++ {
+		if rest[i] == '/' {
+			end = i
+			break
+		}
+	}
+	id, err := strconv.Atoi(rest[:end])
+	if err != nil || id < 0 {
+		return 0, false
+	}
+	return DomID(id), true
+}
+
 // DiskPath returns the absolute path of a per-disk key under a domain's
 // virt-dev subtree: /local/domain/<dom>/virt-dev/<disk>/<key>.
 func DiskPath(dom DomID, disk, key string) string {

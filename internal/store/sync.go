@@ -233,8 +233,7 @@ func (s *Store) ChangesSince(v uint64) (paths []string, ok bool) {
 
 // EnsureRoot creates the structural /local/domain chain without creating
 // any domain home, so a snapshot of the tree root has its spine before
-// the first handshake. Idempotent; netstore's shard 0 calls it at server
-// start (sharded snapshots export structural nodes from shard 0 only).
+// the first handshake. Idempotent; netstore calls it at server start.
 func (s *Store) EnsureRoot() {
 	n := s.root
 	path := ""

@@ -209,44 +209,14 @@ func TestEnsureRootIdempotent(t *testing.T) {
 	checkHashes(t, s, "after EnsureRoot x2")
 }
 
-func TestRouterMapping(t *testing.T) {
-	r := NewRouter(4)
-	if r.Shards() != 4 {
-		t.Fatalf("Shards = %d", r.Shards())
-	}
-	if NewRouter(0).Shards() != 1 {
-		t.Fatal("router must clamp to at least one shard")
-	}
-	if r.ShardOf(0) != 0 || r.ShardOf(5) != 1 || r.ShardOf(-6) != 2 {
-		t.Fatalf("ShardOf mapping wrong: %d %d %d", r.ShardOf(0), r.ShardOf(5), r.ShardOf(-6))
-	}
-	for path, want := range map[string]struct {
-		shard int
-		ok    bool
-	}{
-		"/local/domain/5":       {1, true},
-		"/local/domain/5/a/b":   {1, true},
-		"/local/domain/0":       {0, true},
-		"/":                     {0, false},
-		"/local":                {0, false},
-		"/local/domain":         {0, false},
-		"/local/domain/abc":     {0, false},
-		"/local/domain/-3":      {0, false},
-		"/other/local/domain/5": {0, false},
-		"/local/domainx/5":      {0, false},
-	} {
-		shard, ok := r.PathShard(path)
-		if shard != want.shard || ok != want.ok {
-			t.Errorf("PathShard(%q) = (%d, %v), want (%d, %v)", path, shard, ok, want.shard, want.ok)
+func TestPathDomain(t *testing.T) {
+	for p, want := range map[string]DomID{"/local/domain/12/virt-dev": 12, "/local/domain/5/a/b": 5, "/local/domain/0": 0} {
+		if dom, ok := PathDomain(p); !ok || dom != want {
+			t.Errorf("PathDomain(%q) = %d, %v; want %d", p, dom, ok, want)
 		}
 	}
-}
-
-func TestPathDomain(t *testing.T) {
-	if dom, ok := PathDomain("/local/domain/12/virt-dev"); !ok || dom != 12 {
-		t.Fatalf("PathDomain = %d, %v", dom, ok)
-	}
-	for _, p := range []string{"/local/domain", "/local/domain/", "/local/domain/x1", "/local", "/"} {
+	for _, p := range []string{"/local/domain", "/local/domain/", "/local/domain/x1", "/local", "/",
+		"/local/domain/-3", "/other/local/domain/5", "/local/domainx/5"} {
 		if _, ok := PathDomain(p); ok {
 			t.Errorf("PathDomain(%q) should not resolve", p)
 		}

@@ -105,12 +105,12 @@ const (
 	// and Path the operand (docs/WIRE_PROTOCOL.md).
 	KindWireOp Kind = "wire.op"
 	// KindWireConn is a netstore connection lifecycle event: Value is
-	// "connect", "close" or "evict" (slow-client eviction).
+	// "connect", "close", "lag" (event-queue overflow parked for repair;
+	// Path is the first overflowed path) or "evict" (Path is the reason).
 	KindWireConn Kind = "wire.conn"
-	// KindWireBatch is one shard-group of a batched netstore frame
-	// (protocol v2): Dom is the connection's bound domain and Size the
-	// number of sub-operations the group executed in a single store-loop
-	// closure. Individual sub-ops are not recorded — the amortization is
+	// KindWireBatch is one batched netstore frame: Dom is the
+	// connection's bound domain and Size the number of sub-operations
+	// the frame executed in a single store-loop closure. Individual sub-ops are not recorded — the amortization is
 	// the point (docs/WIRE_PROTOCOL.md §5).
 	KindWireBatch Kind = "wire.batch"
 
