@@ -1,7 +1,7 @@
 # Standard verification pipeline: `make check` is what CI runs.
 GO ?= go
 
-.PHONY: all build fmt vet lint test fixtures race bench bench-sim check chaos sla experiments clean
+.PHONY: all build fmt vet lint test fixtures race bench check chaos sla experiments clean
 
 all: check
 
@@ -17,8 +17,8 @@ vet:
 
 # Project-invariant static analysis (internal/analysis, docs/LINTING.md):
 # determinism, store key schema, watch-handler re-entrancy, the Monitor
-# read contract, the trace/counter mirror, deprecation hygiene, netstore
-# store-loop confinement, epoch-goroutine isolation, hot-path allocation
+# read contract, the trace/counter mirror, netstore store-loop
+# confinement, epoch-goroutine isolation, hot-path allocation
 # discipline and bounded retries. The second run audits the
 # //lint:allow ledger: unjustified or stale directives fail the build.
 lint:
@@ -34,7 +34,8 @@ test:
 fixtures:
 	@out=$$(git ls-files -oi --exclude-standard -- ':(glob)**/testdata/**'); if [ -n "$$out" ]; then echo "testdata files ignored by .gitignore:"; echo "$$out"; exit 1; fi
 
-# The race run covers the concurrent watch-table paths in internal/store.
+# The race run covers the concurrent watch-table paths in internal/store
+# and the epoch-barrier goroutines (TestRunEpochsParity, the bench tests).
 race:
 	$(GO) test -race ./...
 
@@ -43,17 +44,6 @@ race:
 # (bench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkManagerTick -benchtime 1x ./internal/core/
-
-# Simulator-scaling trajectory (docs/PERFORMANCE.md §"Simulator scaling"):
-# the three tracked scale points appended to BENCH_sim.json, each gated
-# >20% below the best comparable tracked run. The 10k point shards over
-# 50 per-host kernels with a full-span epoch — the bench workload has no
-# cross-host coupling, so one barrier per runUntil keeps each kernel's
-# working set hot (see the doc for the epoch-length tradeoff).
-bench-sim:
-	$(GO) run ./cmd/sim-bench -guests 100 -hosts 1 -epoch 3000ms -out BENCH_sim.json
-	$(GO) run ./cmd/sim-bench -guests 1000 -hosts 1 -epoch 3000ms -out BENCH_sim.json
-	$(GO) run ./cmd/sim-bench -guests 10000 -hosts 50 -epoch 3000ms -out BENCH_sim.json
 
 check: fmt vet lint build test fixtures race
 

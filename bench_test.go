@@ -113,7 +113,7 @@ func BenchmarkFig6Tiers(b *testing.B) {
 		for _, sys := range []System{SystemBaseline, SystemIOrchestra} {
 			p := NewPlatform(sys, benchSeed)
 			web, db, fs := p.NewVM(2, 4), p.NewVM(2, 4), p.NewVM(2, 4)
-			olio := apps.NewOlio(p.Kernel, web.G, db.G, fs.G, apps.OlioConfig{}, p.Rng.Fork("olio"))
+			olio := apps.NewOlio(p.Kernel, web.G, db.G, fs.G, p.Rng.Fork("olio"))
 			gen := workload.NewClosedLoop(p.Kernel, 150, Second, olio.Request, p.Rng.Fork("faban"))
 			gen.Start()
 			p.RunFor(5 * Second)

@@ -107,41 +107,10 @@ func storeFlags(fs *flag.FlagSet) (url, token *string) {
 	return
 }
 
-// netView adapts a netstore connection to federation.View, so the same
-// registry/placement/migration code runs whether the cluster store is
-// an object or a socket away. The sync modes and pair layout match the
-// wire protocol's by construction (both mirror netstore OpSync).
-type netView struct{ c *netstore.Client }
-
-var _ federation.View = netView{}
-
-func (v netView) Read(path string) (string, error)   { return v.c.Read(path) }
-func (v netView) Write(path, value string) error     { return v.c.Write(path, value) }
-func (v netView) Remove(path string) error           { return v.c.Remove(path) }
-func (v netView) List(path string) ([]string, error) { return v.c.List(path) }
-func (v netView) Grant(path string, target store.DomID, perm store.Perm) error {
-	return v.c.Grant(path, target, perm)
-}
-func (v netView) Watch(prefix string, fn func(path, value string)) (store.WatchID, error) {
-	return v.c.Watch(prefix, fn)
-}
-func (v netView) Unwatch(id store.WatchID) { v.c.Unwatch(id) }
-func (v netView) SyncSubtree(root string, since, known uint64) (federation.SyncPage, error) {
-	res, err := v.c.SyncSubtree(root, since, known)
-	if err != nil {
-		return federation.SyncPage{}, err
-	}
-	page := federation.SyncPage{
-		Mode:    federation.SyncMode(res.Mode),
-		Version: res.Version,
-		Hash:    res.Hash,
-		Pairs:   make([]federation.SyncPair, 0, len(res.Pairs)),
-	}
-	for _, p := range res.Pairs {
-		page.Pairs = append(page.Pairs, federation.SyncPair{Path: p.Path, Value: p.Value, Removed: p.Removed})
-	}
-	return page, nil
-}
+// A netstore connection is a federation.View as it stands, so the same
+// registry/placement/migration code runs whether the cluster store is an
+// object or a socket away.
+var _ federation.View = (*netstore.Client)(nil)
 
 // cmdJoin registers the host and heartbeats until a signal, then leaves
 // gracefully by removing its entry (so peers see a leave, not a TTL
@@ -194,8 +163,6 @@ func cmdJoin(args []string) error {
 		return err
 	}
 	defer c.Close()
-	v := netView{c}
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	tick := time.NewTicker(*interval)
@@ -204,21 +171,21 @@ func cmdJoin(args []string) error {
 	for beat := int64(1); ; beat++ {
 		// Statics ride along with every beat: a wrongly expired entry
 		// heals itself the moment the next beat lands.
-		federation.PublishHostStatics(v, *id, *class, *cores)
-		federation.PublishHostLoad(v, *id, federation.HostLoad{
+		federation.PublishHostStatics(c, *id, *class, *cores)
+		federation.PublishHostLoad(c, *id, federation.HostLoad{
 			ActiveVCPUs: *active, QueueDepth: *queue, Util: *util, P99Ms: *p99,
 		})
 		if len(tierCounts) > 0 {
-			federation.PublishTierCounts(v, *id, tierCounts)
+			federation.PublishTierCounts(c, *id, tierCounts)
 		}
-		federation.PublishHeartbeat(v, *id, beat)
+		federation.PublishHeartbeat(c, *id, beat)
 		if err := c.Err(); err != nil {
 			return fmt.Errorf("join: store connection lost: %w", err)
 		}
 		select {
 		case s := <-sig:
 			fmt.Fprintf(os.Stderr, "iorchestra-clusterd: %v, leaving\n", s)
-			return v.Remove(store.HypervisorPath(*id))
+			return c.Remove(store.HypervisorPath(*id))
 		case <-tick.C:
 		}
 	}
@@ -239,7 +206,7 @@ func cmdWatch(args []string) error {
 
 	root := store.HypervisorsPath()
 	seen := map[string]bool{} // touched only on the client's dispatch goroutine
-	for _, id := range registryHosts(netView{c}) {
+	for _, id := range registryHosts(c) {
 		seen[id] = true
 		fmt.Printf("%s member %s\n", time.Now().Format(time.RFC3339), id)
 	}
@@ -287,11 +254,9 @@ func cmdExpire(args []string) error {
 		return err
 	}
 	defer c.Close()
-	v := netView{c}
-
 	var mu sync.Mutex // beat stamps arrive on the dispatch goroutine; the sweep ticks on main
 	lastBeat := map[string]time.Time{}
-	for _, id := range registryHosts(v) {
+	for _, id := range registryHosts(c) {
 		lastBeat[id] = time.Now()
 	}
 	root := store.HypervisorsPath()
@@ -320,7 +285,7 @@ func cmdExpire(args []string) error {
 		if err := c.Err(); err != nil {
 			return fmt.Errorf("expire: store connection lost: %w", err)
 		}
-		for _, id := range registryHosts(v) {
+		for _, id := range registryHosts(c) {
 			mu.Lock()
 			at, heard := lastBeat[id]
 			mu.Unlock()
@@ -336,7 +301,7 @@ func cmdExpire(args []string) error {
 				mu.Lock()
 				delete(lastBeat, id)
 				mu.Unlock()
-				if err := v.Remove(store.HypervisorPath(id)); err == nil {
+				if err := c.Remove(store.HypervisorPath(id)); err == nil {
 					fmt.Printf("%s expire %s (age %v)\n", time.Now().Format(time.RFC3339), id, age.Round(time.Millisecond))
 				}
 			}
@@ -395,11 +360,9 @@ func cmdPlace(args []string) error {
 		return err
 	}
 	defer c.Close()
-	v := netView{c}
-
 	var hosts []federation.HostStats
-	for _, id := range registryHosts(v) {
-		hs := federation.ReadHostStats(v, id)
+	for _, id := range registryHosts(c) {
+		hs := federation.ReadHostStats(c, id)
 		hs.Live = true // presence in the registry is the expirer's liveness verdict
 		hosts = append(hosts, hs)
 	}
@@ -410,7 +373,7 @@ func cmdPlace(args []string) error {
 	if winner >= 0 {
 		out.Host, out.Score = scores[winner].ID, scores[winner].Score
 		if *bind {
-			if err := federation.RecordPlacement(v, *guest, out.Host, *vcpus); err != nil {
+			if err := federation.RecordPlacement(c, *guest, out.Host, *vcpus); err != nil {
 				return fmt.Errorf("place: bind: %w", err)
 			}
 		}

@@ -46,8 +46,7 @@ func formatCounts(c map[string]uint64) string {
 }
 
 // parsePolicies maps a -policies name to the controller subset it
-// enables, rejecting unknown names with the full menu (mirrors
-// cmd/sim-bench).
+// enables, rejecting unknown names with the full menu.
 func parsePolicies(s string) (core.Policies, error) {
 	switch s {
 	case "all":

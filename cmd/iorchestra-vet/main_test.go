@@ -126,7 +126,7 @@ func TestListDescribesSuite(t *testing.T) {
 	}
 	for _, name := range []string{
 		"determinism", "storekeys", "watchsafety", "monitoronly", "tracecounter",
-		"nodeprecated", "shardsafety", "epochsafety", "hotpathalloc", "boundedretry",
+		"shardsafety", "epochsafety", "hotpathalloc", "boundedretry",
 	} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing pass %q:\n%s", name, stdout)

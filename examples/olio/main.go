@@ -62,7 +62,7 @@ func main() {
 		y2 := workload.NewYCSBOpenLoop(k, workload.YCSB2(), s2, 2000, 0, p.Rng.Fork("y2"))
 
 		web, db, fs := p.NewVM(2, 4), p.NewVM(2, 4), p.NewVM(2, 4)
-		olio := apps.NewOlio(k, web.G, db.G, fs.G, apps.OlioConfig{}, p.Rng.Fork("olio"))
+		olio := apps.NewOlio(k, web.G, db.G, fs.G, p.Rng.Fork("olio"))
 		faban := workload.NewClosedLoop(k, 200, iorchestra.Second, olio.Request, p.Rng.Fork("faban"))
 
 		faban.Start()

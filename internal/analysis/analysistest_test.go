@@ -22,7 +22,6 @@ func TestStoreKeysFixture(t *testing.T)    { runFixture(t, StoreKeys, "storekeys
 func TestWatchSafetyFixture(t *testing.T)  { runFixture(t, WatchSafety, "watchsafety") }
 func TestMonitorOnlyFixture(t *testing.T)  { runFixture(t, MonitorOnly, "monitoronly") }
 func TestTraceCounterFixture(t *testing.T) { runFixture(t, TraceCounter, "tracecounter") }
-func TestNoDeprecatedFixture(t *testing.T) { runFixture(t, NoDeprecated, "nodeprecated") }
 func TestShardSafetyFixture(t *testing.T)  { runFixture(t, ShardSafety, "shardsafety") }
 func TestEpochSafetyFixture(t *testing.T)  { runFixture(t, EpochSafety, "epochsafety") }
 func TestHotPathAllocFixture(t *testing.T) { runFixture(t, HotPathAlloc, "hotpathalloc") }
@@ -32,8 +31,7 @@ func TestBoundedRetryFixture(t *testing.T) { runFixture(t, BoundedRetry, "bounde
 // miniature module tree (testdata/scope, module path iorchestra), with
 // scoping ENABLED — the opposite of runFixture. Determinism:
 // sim packages and commands are flagged while nonSimScope's wire-facing
-// packages and nonSimFiles' single files (sim-bench's stamp.go) use the
-// wall clock freely. ShardSafety fires only in internal/netstore,
+// packages use the wall clock freely. ShardSafety fires only in internal/netstore,
 // EpochSafety only in internal/cluster, HotPathAlloc only under
 // internal/, and BoundedRetry everywhere except internal/analysis. The
 // out-of-scope twins of each violation carry no want comments, so any
@@ -55,7 +53,6 @@ func TestScopeFixture(t *testing.T) {
 		"iorchestra/internal/cluster", "iorchestra/internal/store",
 		"iorchestra/internal/analysis",
 		"iorchestra/cmd/iorchestra-stored", "iorchestra/cmd/iorchestra-vet",
-		"iorchestra/cmd/sim-bench",
 	} {
 		if _, ok := flagged[p]; !ok {
 			t.Fatalf("scope fixture did not load %s; got %v", p, flagged)

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"path/filepath"
 	"strings"
 )
 
@@ -35,16 +34,6 @@ var nonSimScope = map[string]bool{
 	"iorchestra/internal/netstore":       true,
 	"iorchestra/cmd/iorchestra-stored":   true,
 	"iorchestra/cmd/iorchestra-clusterd": true,
-}
-
-// nonSimFiles exempts single files inside packages the pass otherwise
-// covers, for binaries that mix deterministic scenario driving with a
-// wall-clock measurement shell: sim-bench's simulation construction
-// must stay inside the pass, while its stopwatch/trajectory-stamping
-// file is real time by definition. Narrower than a nonSimScope entry —
-// a new file in the package is covered until it is listed here.
-var nonSimFiles = map[string]map[string]bool{
-	"iorchestra/cmd/sim-bench": {"stamp.go": true},
 }
 
 // Wall-clock and timer entry points of package time. Pure conversions
@@ -87,11 +76,7 @@ var Determinism = &Analyzer{
 }
 
 func runDeterminism(p *Pass) error {
-	exempt := nonSimFiles[strings.TrimSuffix(p.Pkg.Path(), "_test")]
 	walkFiles(p, func(f *ast.File, n ast.Node) bool {
-		if exempt != nil && exempt[filepath.Base(p.Fset.Position(f.Package).Filename)] {
-			return false
-		}
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
 			return true

@@ -8,7 +8,6 @@ func Suite() []*Analyzer {
 		WatchSafety,
 		MonitorOnly,
 		TraceCounter,
-		NoDeprecated,
 		ShardSafety,
 		EpochSafety,
 		HotPathAlloc,

@@ -85,7 +85,7 @@ func TestOlioRequestTraversesTiers(t *testing.T) {
 		rt := h.CreateGuest(guest.Config{VCPUs: 2, MemBytes: 4 << 30})
 		return rt.G
 	}
-	o := NewOlio(k, mkG(), mkG(), mkG(), OlioConfig{}, stats.NewStream(11, "olio"))
+	o := NewOlio(k, mkG(), mkG(), mkG(), stats.NewStream(11, "olio"))
 	done := 0
 	for i := 0; i < 30; i++ {
 		o.Request(func() { done++ })

@@ -52,13 +52,6 @@ func (j *BlastJob) Start() {
 	}
 }
 
-// Stop halts all workers.
-func (j *BlastJob) Stop() {
-	for _, w := range j.workers {
-		w.Stop()
-	}
-}
-
 // Workers exposes the per-VM scanners.
 func (j *BlastJob) Workers() []*workload.BlastScan { return j.workers }
 

@@ -16,61 +16,34 @@ const NetLatency = 100 * sim.Microsecond
 
 // CassandraConfig tunes the node model.
 type CassandraConfig struct {
-	// ReadCPUTime is coordinator+row-materialization compute per read.
-	ReadCPUTime sim.Duration
-	// WriteCPUTime is memtable-insert compute per update.
-	WriteCPUTime sim.Duration
-	// RowBytes is the on-disk row size read per miss (default 8 KiB).
-	RowBytes int64
-	// CommitBytes is the commitlog append per update (default 4 KiB).
-	CommitBytes int64
-	// RowCacheHit is the fraction of reads served from the row cache.
+	// RowCacheHit is the fraction of reads served from the row cache
+	// (default 0.30).
 	RowCacheHit float64
-	// TwoSeekFrac reads hit two SSTables instead of one.
-	TwoSeekFrac float64
-	// MemtableBytes triggers a memtable flush (a large buffered
-	// sequential SSTable write) once this many update bytes accumulate
-	// (default 32 MiB). Zero keeps the default; negative disables.
-	MemtableBytes int64
-	// CompactEvery runs a compaction after this many SSTable flushes:
-	// read CompactEvery×MemtableBytes sequentially, write the same amount
-	// back (default 4). Negative disables.
-	CompactEvery int
-	// CompactChunk paces compaction I/O (default 2 MiB).
-	CompactChunk int64
 }
 
-func (c *CassandraConfig) fillDefaults() {
-	if c.ReadCPUTime <= 0 {
-		// Row materialization, bloom filters, JVM overheads: the real
-		// read path costs on the order of 100 µs of CPU.
-		c.ReadCPUTime = 220 * sim.Microsecond
-	}
-	if c.WriteCPUTime <= 0 {
-		c.WriteCPUTime = 120 * sim.Microsecond
-	}
-	if c.RowBytes <= 0 {
-		c.RowBytes = 8 << 10
-	}
-	if c.CommitBytes <= 0 {
-		c.CommitBytes = 8 << 10
-	}
-	if c.RowCacheHit <= 0 {
-		c.RowCacheHit = 0.30
-	}
-	if c.TwoSeekFrac <= 0 {
-		c.TwoSeekFrac = 0.25
-	}
-	if c.MemtableBytes == 0 {
-		c.MemtableBytes = 8 << 20
-	}
-	if c.CompactEvery == 0 {
-		c.CompactEvery = 4
-	}
-	if c.CompactChunk <= 0 {
-		c.CompactChunk = 1 << 20
-	}
-}
+const (
+	// cassReadCPUTime is coordinator+row-materialization compute per
+	// read: bloom filters and JVM overheads put the real read path on
+	// the order of 100 µs of CPU.
+	cassReadCPUTime = 220 * sim.Microsecond
+	// cassWriteCPUTime is memtable-insert compute per update.
+	cassWriteCPUTime = 120 * sim.Microsecond
+	// cassRowBytes is the on-disk row size read per miss.
+	cassRowBytes = 8 << 10
+	// cassCommitBytes is the commitlog append per update.
+	cassCommitBytes = 8 << 10
+	// cassTwoSeekFrac of row-cache misses hit two SSTables instead of one.
+	cassTwoSeekFrac = 0.25
+	// cassMemtableBytes of accumulated updates trigger a memtable flush
+	// (a large buffered sequential SSTable write).
+	cassMemtableBytes int64 = 8 << 20
+	// cassCompactEvery SSTable flushes trigger a compaction: read
+	// cassCompactEvery×cassMemtableBytes sequentially, write the same
+	// amount back.
+	cassCompactEvery = 4
+	// cassCompactChunk paces flush and compaction I/O.
+	cassCompactChunk int64 = 1 << 20
+)
 
 // CassandraNode models one data node: reads hit the row cache or one/two
 // SSTable seeks; updates append to the commitlog (buffered, periodic
@@ -97,13 +70,13 @@ type CassandraNode struct {
 	sstables   int
 	bg         *guest.Process
 	compacting bool
-	flushes    uint64
-	compacts   uint64
 }
 
 // NewCassandraNode builds a node on guest g's disk d.
 func NewCassandraNode(k *sim.Kernel, g *guest.Guest, d *guest.VDisk, cfg CassandraConfig, rng *stats.Stream) *CassandraNode {
-	cfg.fillDefaults()
+	if cfg.RowCacheHit <= 0 {
+		cfg.RowCacheHit = 0.30
+	}
 	n := &CassandraNode{
 		k: k, g: g, d: d, cfg: cfg, rng: rng,
 		bg:       g.NewProcess(1),
@@ -121,12 +94,6 @@ func (n *CassandraNode) next() *guest.Process {
 	return n.procs[n.pi%len(n.procs)]
 }
 
-// Flushes and Compactions report background-write activity.
-func (n *CassandraNode) Flushes() uint64 { return n.flushes }
-
-// Compactions reports completed compaction rounds.
-func (n *CassandraNode) Compactions() uint64 { return n.compacts }
-
 // ReadLatency and WriteLatency expose node-local service histograms.
 func (n *CassandraNode) ReadLatency() *metrics.Histogram { return n.readLat }
 
@@ -143,14 +110,14 @@ func (n *CassandraNode) Read(key int, done func()) {
 		}
 	}
 	p := n.next()
-	p.Compute(n.cfg.ReadCPUTime, func() {
+	p.Compute(cassReadCPUTime, func() {
 		if n.rng.Float64() < n.cfg.RowCacheHit {
 			finish()
 			return
 		}
-		n.d.Read(p, n.cfg.RowBytes, false, func() {
-			if n.rng.Float64() < n.cfg.TwoSeekFrac {
-				n.d.Read(p, n.cfg.RowBytes, false, finish)
+		n.d.Read(p, cassRowBytes, false, func() {
+			if n.rng.Float64() < cassTwoSeekFrac {
+				n.d.Read(p, cassRowBytes, false, finish)
 			} else {
 				finish()
 			}
@@ -160,24 +127,22 @@ func (n *CassandraNode) Read(key int, done func()) {
 
 // Update implements the node-local write path: commitlog append plus
 // memtable insert; crossing the memtable threshold schedules an SSTable
-// flush, and every CompactEvery flushes schedule a compaction — the
+// flush, and every cassCompactEvery flushes schedule a compaction — the
 // write-amplification that makes YCSB1 flush-coordination-sensitive.
 func (n *CassandraNode) Update(key int, done func()) {
 	start := n.k.Now()
 	p := n.next()
-	p.Compute(n.cfg.WriteCPUTime, func() {
-		n.d.Write(p, n.cfg.CommitBytes, func() {
+	p.Compute(cassWriteCPUTime, func() {
+		n.d.Write(p, cassCommitBytes, func() {
 			n.writeLat.Record(n.k.Now() - start)
 			if done != nil {
 				done()
 			}
 		})
-		if n.cfg.MemtableBytes > 0 {
-			n.memtable += n.cfg.CommitBytes
-			if n.memtable >= n.cfg.MemtableBytes {
-				n.memtable = 0
-				n.flushSSTable()
-			}
+		n.memtable += cassCommitBytes
+		if n.memtable >= cassMemtableBytes {
+			n.memtable = 0
+			n.flushSSTable()
 		}
 	})
 }
@@ -185,19 +150,18 @@ func (n *CassandraNode) Update(key int, done func()) {
 // flushSSTable writes one memtable's worth of data as a buffered
 // sequential SSTable, in paced chunks on the background process.
 func (n *CassandraNode) flushSSTable() {
-	n.flushes++
-	remaining := n.cfg.MemtableBytes
+	remaining := cassMemtableBytes
 	var step func()
 	step = func() {
 		if remaining <= 0 {
 			n.sstables++
-			if n.cfg.CompactEvery > 0 && n.sstables >= n.cfg.CompactEvery && !n.compacting {
+			if n.sstables >= cassCompactEvery && !n.compacting {
 				n.sstables = 0
 				n.compact()
 			}
 			return
 		}
-		chunk := n.cfg.CompactChunk
+		chunk := cassCompactChunk
 		if remaining < chunk {
 			chunk = remaining
 		}
@@ -207,24 +171,24 @@ func (n *CassandraNode) flushSSTable() {
 	step()
 }
 
-// compact streams CompactEvery SSTables through the node: sequential
+// compact streams cassCompactEvery SSTables through the node: sequential
 // reads followed by an equal volume of buffered sequential writes.
 func (n *CassandraNode) compact() {
 	n.compacting = true
-	total := int64(n.cfg.CompactEvery) * n.cfg.MemtableBytes
+	total := cassCompactEvery * cassMemtableBytes
 	readLeft, writeLeft := total, total
 	var step func()
 	step = func() {
 		switch {
 		case readLeft > 0:
-			chunk := n.cfg.CompactChunk
+			chunk := cassCompactChunk
 			if readLeft < chunk {
 				chunk = readLeft
 			}
 			readLeft -= chunk
 			n.d.Read(n.bg, chunk, true, step)
 		case writeLeft > 0:
-			chunk := n.cfg.CompactChunk
+			chunk := cassCompactChunk
 			if writeLeft < chunk {
 				chunk = writeLeft
 			}
@@ -232,7 +196,6 @@ func (n *CassandraNode) compact() {
 			n.d.Write(n.bg, chunk, step)
 		default:
 			n.compacting = false
-			n.compacts++
 		}
 	}
 	step()
@@ -253,9 +216,6 @@ func NewCassandraCluster(k *sim.Kernel, nodes []*CassandraNode, rng *stats.Strea
 	}
 	return &CassandraCluster{k: k, nodes: nodes, rng: rng}
 }
-
-// Nodes exposes the members.
-func (c *CassandraCluster) Nodes() []*CassandraNode { return c.nodes }
 
 // route picks the replica for a key and wraps done with network RTT when
 // the coordinator (random) is not the replica.

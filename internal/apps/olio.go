@@ -7,69 +7,34 @@ import (
 	"iorchestra/internal/stats"
 )
 
-// OlioConfig tunes the three-tier social-events application (Sec. 5.1:
+// Parameters of the three-tier social-events application (Sec. 5.1:
 // Apache+PHP web VM, MySQL database VM, file-server VM, each 2 VCPU /
 // 4 GB; ~40 GB dataset for 500 users).
-type OlioConfig struct {
-	// PHPMean is the mean web-tier render time per request.
-	PHPMean sim.Duration
-	// QueryCPU is database compute per query.
-	QueryCPU sim.Duration
-	// QueriesMin/Max bound queries per request (uniform).
-	QueriesMin, QueriesMax int
-	// BufferMiss is the probability a query misses the buffer pool and
-	// reads a page from disk.
-	BufferMiss float64
-	// DBPage is the InnoDB page size (default 16 KiB).
-	DBPage int64
-	// StaticBytes is the file-server object size per request.
-	StaticBytes int64
-	// StaticFrac is the fraction of requests fetching static content.
-	StaticFrac float64
-	// WriteFrac is the fraction of requests that add events (DB write +
-	// file upload).
-	WriteFrac float64
-	// UploadBytes is the file-server upload size on writes.
-	UploadBytes int64
-}
-
-func (c *OlioConfig) fillDefaults() {
-	if c.PHPMean <= 0 {
-		c.PHPMean = 4 * sim.Millisecond
-	}
-	if c.QueryCPU <= 0 {
-		c.QueryCPU = 300 * sim.Microsecond
-	}
-	if c.QueriesMin <= 0 {
-		c.QueriesMin = 1
-	}
-	if c.QueriesMax < c.QueriesMin {
-		c.QueriesMax = c.QueriesMin + 2
-	}
-	if c.BufferMiss <= 0 {
-		c.BufferMiss = 0.6
-	}
-	if c.DBPage <= 0 {
-		c.DBPage = 16 << 10
-	}
-	if c.StaticBytes <= 0 {
-		c.StaticBytes = 64 << 10
-	}
-	if c.StaticFrac <= 0 {
-		c.StaticFrac = 0.8
-	}
-	if c.WriteFrac <= 0 {
-		c.WriteFrac = 0.1
-	}
-	if c.UploadBytes <= 0 {
-		c.UploadBytes = 128 << 10
-	}
-}
+const (
+	// olioPHPMean is the mean web-tier render time per request.
+	olioPHPMean = 4 * sim.Millisecond
+	// olioQueryCPU is database compute per query.
+	olioQueryCPU = 300 * sim.Microsecond
+	// olioQueriesMin/Max bound queries per request (uniform).
+	olioQueriesMin, olioQueriesMax = 1, 3
+	// olioBufferMiss is the probability a query misses the buffer pool
+	// and reads a page from disk.
+	olioBufferMiss = 0.6
+	// olioDBPage is the InnoDB page size.
+	olioDBPage = 16 << 10
+	// olioStaticBytes is the file-server object size per request, fetched
+	// by olioStaticFrac of requests.
+	olioStaticBytes = 64 << 10
+	olioStaticFrac  = 0.8
+	// olioWriteFrac of requests add events (DB write + file upload of
+	// olioUploadBytes).
+	olioWriteFrac   = 0.1
+	olioUploadBytes = 128 << 10
+)
 
 // Olio is the assembled three-tier application.
 type Olio struct {
 	k   *sim.Kernel
-	cfg OlioConfig
 	rng *stats.Stream
 
 	web, db, fs *guest.Guest
@@ -93,10 +58,9 @@ type Olio struct {
 
 // NewOlio wires the application onto three guests; each guest's first
 // disk carries that tier's data.
-func NewOlio(k *sim.Kernel, web, db, fs *guest.Guest, cfg OlioConfig, rng *stats.Stream) *Olio {
-	cfg.fillDefaults()
+func NewOlio(k *sim.Kernel, web, db, fs *guest.Guest, rng *stats.Stream) *Olio {
 	o := &Olio{
-		k: k, cfg: cfg, rng: rng,
+		k: k, rng: rng,
 		web: web, db: db, fs: fs,
 		webD: web.Disks()[0], dbD: db.Disks()[0], fsD: fs.Disks()[0],
 		webLat: metrics.NewHistogram(),
@@ -137,11 +101,11 @@ func (o *Olio) Request(done func()) {
 			done()
 		}
 	}
-	render := sim.DurationOf(o.rng.Exponential(1 / o.cfg.PHPMean.Seconds()))
+	render := sim.DurationOf(o.rng.Exponential(1 / olioPHPMean.Seconds()))
 	o.nextWeb().Compute(render, func() {
-		nq := o.cfg.QueriesMin + o.rng.Intn(o.cfg.QueriesMax-o.cfg.QueriesMin+1)
+		nq := olioQueriesMin + o.rng.Intn(olioQueriesMax-olioQueriesMin+1)
 		o.queries(nq, func() {
-			write := o.rng.Float64() < o.cfg.WriteFrac
+			write := o.rng.Float64() < olioWriteFrac
 			if write {
 				o.eventWrite(func() { o.static(finish) })
 				return
@@ -161,13 +125,13 @@ func (o *Olio) queries(n int, done func()) {
 	o.k.After(NetLatency, func() {
 		qStart = o.k.Now()
 		p := o.nextDB()
-		p.Compute(o.cfg.QueryCPU, func() {
+		p.Compute(olioQueryCPU, func() {
 			after := func() {
 				o.dbLat.Record(o.k.Now() - qStart)
 				o.k.After(NetLatency, func() { o.queries(n-1, done) })
 			}
-			if o.rng.Float64() < o.cfg.BufferMiss {
-				o.dbD.Read(p, o.cfg.DBPage, false, after)
+			if o.rng.Float64() < olioBufferMiss {
+				o.dbD.Read(p, olioDBPage, false, after)
 			} else {
 				after()
 			}
@@ -177,14 +141,14 @@ func (o *Olio) queries(n int, done func()) {
 
 // static fetches file-server content for most requests.
 func (o *Olio) static(done func()) {
-	if o.rng.Float64() >= o.cfg.StaticFrac {
+	if o.rng.Float64() >= olioStaticFrac {
 		done()
 		return
 	}
 	o.k.After(NetLatency, func() {
 		fStart := o.k.Now()
 		p := o.nextFS()
-		o.fsD.Read(p, o.cfg.StaticBytes, false, func() {
+		o.fsD.Read(p, olioStaticBytes, false, func() {
 			o.fsLat.Record(o.k.Now() - fStart)
 			o.k.After(NetLatency, done)
 		})
@@ -197,13 +161,13 @@ func (o *Olio) eventWrite(done func()) {
 	o.k.After(NetLatency, func() {
 		wStart := o.k.Now()
 		p := o.nextDB()
-		p.Compute(o.cfg.QueryCPU, func() {
-			o.dbD.Write(p, o.cfg.DBPage, func() {
+		p.Compute(olioQueryCPU, func() {
+			o.dbD.Write(p, olioDBPage, func() {
 				o.dbLat.Record(o.k.Now() - wStart)
 				o.k.After(NetLatency, func() {
 					fStart := o.k.Now()
 					fp := o.nextFS()
-					o.fsD.Write(fp, o.cfg.UploadBytes, func() {
+					o.fsD.Write(fp, olioUploadBytes, func() {
 						o.fsLat.Record(o.k.Now() - fStart)
 						done()
 					})

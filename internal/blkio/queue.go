@@ -1,8 +1,8 @@
 // Package blkio models the guest block I/O layer: a bounded request queue
-// with merging, plugging, pluggable dispatch scheduling, and — centrally
-// for this paper — Linux's congestion-avoidance scheme, which throttles
-// request producers when the queue crosses 7/8 of its limit and releases
-// them below 13/16 (Sec. 2).
+// with merging, plugging, FIFO dispatch, and — centrally for this paper —
+// Linux's congestion-avoidance scheme, which throttles request producers
+// when the queue crosses 7/8 of its limit and releases them below 13/16
+// (Sec. 2).
 //
 // The congestion decision is delegated to a CongestionController so the
 // three systems under study differ only in that policy object: the
@@ -86,19 +86,22 @@ type Config struct {
 	// sleeping on a full queue pays when a slot frees (defaults
 	// 200µs–2ms: an ordinary wait-queue wakeup).
 	WakeMin, WakeMax sim.Duration
-	// CongWakeMin/CongWakeMax bound the wake-up latency of producers put
-	// to sleep by congestion *avoidance* — Linux parks them in
-	// congestion_wait with jiffy-granularity timeouts, so these sleeps
-	// are an order of magnitude costlier (defaults 2–20 ms). This
-	// asymmetry is what makes falsely triggered avoidance so expensive
-	// (Sec. 2). Collaborative Release wake-ups use the fast path: the
-	// host's event-channel notification substitutes for the timeout.
-	CongWakeMin, CongWakeMax sim.Duration
 	// Controller decides congestion engagement (default LocalController).
 	Controller CongestionController
-	// Scheduler orders dispatches (default NOOP).
-	Scheduler Scheduler
 }
+
+// congWakeMin/congWakeMax bound the wake-up latency of producers put to
+// sleep by congestion *avoidance* — Linux parks them in
+// congestion_wait(BLK_RW_ASYNC, HZ/10) with jiffy-granularity timeouts of
+// up to 100 ms, so these sleeps are an order of magnitude costlier than
+// an ordinary wait-queue wakeup. This asymmetry is what makes falsely
+// triggered avoidance so expensive (Sec. 2). Collaborative Release
+// wake-ups use the fast path: the host's event-channel notification
+// substitutes for the timeout.
+const (
+	congWakeMin = 10 * sim.Millisecond
+	congWakeMax = 100 * sim.Millisecond
+)
 
 func (c *Config) fillDefaults() {
 	if c.Limit <= 0 {
@@ -119,26 +122,9 @@ func (c *Config) fillDefaults() {
 	if c.WakeMax <= c.WakeMin {
 		c.WakeMax = c.WakeMin + 2*sim.Millisecond
 	}
-	if c.CongWakeMin <= 0 {
-		c.CongWakeMin = 10 * sim.Millisecond
-	}
-	if c.CongWakeMax <= c.CongWakeMin {
-		// congestion_wait(BLK_RW_ASYNC, HZ/10) sleeps up to 100 ms.
-		c.CongWakeMax = c.CongWakeMin + 90*sim.Millisecond
-	}
 	if c.Controller == nil {
 		c.Controller = LocalController{}
 	}
-	if c.Scheduler == nil {
-		c.Scheduler = NewNOOP()
-	}
-}
-
-// queued wraps a request while it sits in the scheduler.
-type queued struct {
-	req *device.Request
-	// mergedDones collects completion callbacks of merged requests.
-	mergedDones []func()
 }
 
 // Queue is one virtual device's block layer.
@@ -147,6 +133,7 @@ type Queue struct {
 	cfg   Config
 	rng   *stats.Stream
 	lower Lower
+	sched *NOOP
 
 	pending    int // queued in scheduler + in flight below
 	inFlight   int
@@ -187,6 +174,7 @@ func NewQueue(k *sim.Kernel, cfg Config, rng *stats.Stream, lower Lower) *Queue 
 		cfg:          cfg,
 		rng:          rng,
 		lower:        lower,
+		sched:        NewNOOP(),
 		producers:    sim.NewWaitQueue(k),
 		fullSleeps:   sim.NewWaitQueue(k),
 		latency:      metrics.NewHistogram(),
@@ -194,9 +182,6 @@ func NewQueue(k *sim.Kernel, cfg Config, rng *stats.Stream, lower Lower) *Queue 
 	}
 	return q
 }
-
-// Name identifies the queue's virtual device.
-func (q *Queue) Name() string { return q.cfg.Name }
 
 // SetController swaps the congestion controller at runtime — installing
 // the IOrchestra guest driver is exactly this operation ("the guest OSes
@@ -218,9 +203,6 @@ func (q *Queue) SetRecorder(r *trace.Recorder, dom int) {
 
 // Pending reports queued plus in-flight requests.
 func (q *Queue) Pending() int { return q.pending }
-
-// Limit reports nr_requests.
-func (q *Queue) Limit() int { return q.cfg.Limit }
 
 // AvoidanceEngaged reports whether congestion avoidance is active.
 func (q *Queue) AvoidanceEngaged() bool { return q.avoidance }
@@ -257,9 +239,6 @@ func (q *Queue) SetCongestScale(f float64) {
 	}
 	q.congestScale = f
 }
-
-// CongestScale reports the active threshold scale (0 = unscaled).
-func (q *Queue) CongestScale() float64 { return q.congestScale }
 
 // onThreshold and offThreshold are the Linux 7/8 and 13/16 points,
 // shrunk by the G-state congestion scale when one is set. The scaled
@@ -321,12 +300,12 @@ func (q *Queue) trySubmit(r *device.Request) {
 func (q *Queue) accept(r *device.Request) {
 	r.Submitted = q.k.Now()
 	q.pending++
-	if q.cfg.Scheduler.Merge(r, q.cfg.MaxMerge) {
+	if q.sched.Merge(r, q.cfg.MaxMerge) {
 		q.merged++
 		q.pending-- // merged request occupies no extra slot
 		return
 	}
-	q.cfg.Scheduler.Add(r)
+	q.sched.Add(r)
 	q.maybePlug()
 	q.pump()
 }
@@ -336,7 +315,7 @@ func (q *Queue) maybePlug() {
 	if q.cfg.PlugDelay <= 0 || q.plugged || q.inFlight > 0 {
 		return
 	}
-	if q.cfg.Scheduler.Len() != 1 {
+	if q.sched.Len() != 1 {
 		return
 	}
 	q.plugged = true
@@ -369,7 +348,7 @@ func (q *Queue) pump() {
 		q.k.Cancel(q.plugEvent)
 	}
 	for q.inFlight < q.cfg.DispatchWindow {
-		r := q.cfg.Scheduler.Next(q.k.Now())
+		r := q.sched.Next()
 		if r == nil {
 			return
 		}
@@ -416,9 +395,9 @@ func (q *Queue) wakeDelay() sim.Duration {
 // by congestion avoidance pays before resuming.
 func (q *Queue) congWakeDelay() sim.Duration {
 	if q.rng == nil {
-		return q.cfg.CongWakeMin
+		return congWakeMin
 	}
-	return q.cfg.CongWakeMin + sim.Duration(q.rng.Int63n(int64(q.cfg.CongWakeMax-q.cfg.CongWakeMin)))
+	return congWakeMin + sim.Duration(q.rng.Int63n(int64(congWakeMax-congWakeMin)))
 }
 
 func (q *Queue) wakeProducers() {

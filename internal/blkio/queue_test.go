@@ -284,54 +284,14 @@ func TestNOOPSchedulerFIFO(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if got := s.Next(0); got != a {
+	if got := s.Next(); got != a {
 		t.Fatal("NOOP not FIFO")
 	}
-	if got := s.Next(0); got != b {
+	if got := s.Next(); got != b {
 		t.Fatal("NOOP not FIFO")
 	}
-	if s.Next(0) != nil {
+	if s.Next() != nil {
 		t.Fatal("Next on empty != nil")
-	}
-}
-
-func TestDeadlinePrefersReadsButAgesWrites(t *testing.T) {
-	s := NewDeadline(20 * sim.Millisecond)
-	w := &device.Request{Op: device.Write, Size: 1, Submitted: 0}
-	r := &device.Request{Op: device.Read, Size: 1, Submitted: 5 * sim.Millisecond}
-	s.Add(w)
-	s.Add(r)
-	// Fresh write: read goes first.
-	if got := s.Next(10 * sim.Millisecond); got != r {
-		t.Fatal("deadline did not prefer read")
-	}
-	s.Add(r)
-	// Write now older than its deadline: it must win over the read.
-	if got := s.Next(25 * sim.Millisecond); got != w {
-		t.Fatal("deadline did not age write")
-	}
-	if got := s.Next(25 * sim.Millisecond); got != r {
-		t.Fatal("remaining read lost")
-	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-}
-
-func TestDeadlineMergeSameDirection(t *testing.T) {
-	s := NewDeadline(0)
-	a := &device.Request{Op: device.Write, Size: 4096, Sequential: true}
-	s.Add(a)
-	b := &device.Request{Op: device.Write, Size: 4096, Sequential: true}
-	if !s.Merge(b, 1<<20) {
-		t.Fatal("merge failed")
-	}
-	if a.Size != 8192 {
-		t.Fatalf("merged size = %d", a.Size)
-	}
-	c := &device.Request{Op: device.Read, Size: 4096, Sequential: true}
-	if s.Merge(c, 1<<20) {
-		t.Fatal("cross-direction merge succeeded")
 	}
 }
 
@@ -346,7 +306,7 @@ func TestMergedDoneCallbacksAllFire(t *testing.T) {
 			t.Fatal("merge failed")
 		}
 	}
-	got := s.Next(0)
+	got := s.Next()
 	got.Done()
 	if count != 4 {
 		t.Fatalf("merged Done fired %d, want 4", count)

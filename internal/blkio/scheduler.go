@@ -1,25 +1,6 @@
 package blkio
 
-import (
-	"iorchestra/internal/device"
-	"iorchestra/internal/sim"
-)
-
-// Scheduler orders queued requests for dispatch. Implementations mirror
-// Linux elevators in spirit: NOOP (FIFO with back-merging) and Deadline
-// (reads preferred, writes aged).
-type Scheduler interface {
-	// Merge attempts to absorb r into an already-queued request (back
-	// merge); it reports whether the merge happened, in which case r's
-	// Done is chained onto the absorbing request.
-	Merge(r *device.Request, maxMerge int64) bool
-	// Add enqueues r.
-	Add(r *device.Request)
-	// Next pops the request to dispatch now, or nil when empty.
-	Next(now sim.Time) *device.Request
-	// Len reports queued requests.
-	Len() int
-}
+import "iorchestra/internal/device"
 
 // NOOP is a FIFO elevator with back-merging of sequential same-direction
 // requests — the scheduler virtualized guests typically run.
@@ -30,8 +11,10 @@ type NOOP struct {
 // NewNOOP returns an empty NOOP elevator.
 func NewNOOP() *NOOP { return &NOOP{} }
 
-// Merge implements Scheduler: r merges into the queue tail if both are
-// sequential, same direction, and the combined size stays under maxMerge.
+// Merge attempts to absorb r into the queue tail (back merge): both must
+// be sequential, same direction, and the combined size under maxMerge. It
+// reports whether the merge happened, in which case r's Done is chained
+// onto the absorbing request.
 func (s *NOOP) Merge(r *device.Request, maxMerge int64) bool {
 	if len(s.q) == 0 {
 		return false
@@ -58,11 +41,11 @@ func (s *NOOP) Merge(r *device.Request, maxMerge int64) bool {
 	return true
 }
 
-// Add implements Scheduler.
+// Add enqueues r.
 func (s *NOOP) Add(r *device.Request) { s.q = append(s.q, r) }
 
-// Next implements Scheduler.
-func (s *NOOP) Next(sim.Time) *device.Request {
+// Next pops the request to dispatch now, or nil when empty.
+func (s *NOOP) Next() *device.Request {
 	if len(s.q) == 0 {
 		return nil
 	}
@@ -73,94 +56,5 @@ func (s *NOOP) Next(sim.Time) *device.Request {
 	return r
 }
 
-// Len implements Scheduler.
+// Len reports queued requests.
 func (s *NOOP) Len() int { return len(s.q) }
-
-// Deadline dispatches reads ahead of writes unless a write has waited
-// longer than its deadline, preventing starvation — a simplified
-// mq-deadline.
-type Deadline struct {
-	reads, writes []*device.Request
-	readDeadline  sim.Duration
-	writeDeadline sim.Duration
-	added         map[*device.Request]sim.Time
-	clock         func() sim.Time
-}
-
-// NewDeadline returns a deadline elevator with the given write deadline
-// (default 50 ms when zero) and read deadline fixed at 10 ms.
-func NewDeadline(writeDeadline sim.Duration) *Deadline {
-	if writeDeadline <= 0 {
-		writeDeadline = 50 * sim.Millisecond
-	}
-	return &Deadline{
-		readDeadline:  10 * sim.Millisecond,
-		writeDeadline: writeDeadline,
-		added:         map[*device.Request]sim.Time{},
-	}
-}
-
-// Merge implements Scheduler: back merge within the matching direction.
-func (s *Deadline) Merge(r *device.Request, maxMerge int64) bool {
-	var q []*device.Request
-	if r.Op == device.Read {
-		q = s.reads
-	} else {
-		q = s.writes
-	}
-	if len(q) == 0 {
-		return false
-	}
-	tail := q[len(q)-1]
-	if !tail.Sequential || !r.Sequential || tail.Owner != r.Owner ||
-		tail.Stream != r.Stream || tail.Size+r.Size > maxMerge {
-		return false
-	}
-	tail.Size += r.Size
-	prev := tail.Done
-	rd := r.Done
-	tail.Done = func() {
-		if prev != nil {
-			prev()
-		}
-		if rd != nil {
-			rd()
-		}
-	}
-	return true
-}
-
-// Add implements Scheduler.
-func (s *Deadline) Add(r *device.Request) {
-	if r.Op == device.Read {
-		s.reads = append(s.reads, r)
-	} else {
-		s.writes = append(s.writes, r)
-	}
-}
-
-// Next implements Scheduler.
-func (s *Deadline) Next(now sim.Time) *device.Request {
-	// Expired write first.
-	if len(s.writes) > 0 && now-s.writes[0].Submitted > s.writeDeadline {
-		return popFront(&s.writes)
-	}
-	if len(s.reads) > 0 {
-		return popFront(&s.reads)
-	}
-	if len(s.writes) > 0 {
-		return popFront(&s.writes)
-	}
-	return nil
-}
-
-// Len implements Scheduler.
-func (s *Deadline) Len() int { return len(s.reads) + len(s.writes) }
-
-func popFront(q *[]*device.Request) *device.Request {
-	r := (*q)[0]
-	copy(*q, (*q)[1:])
-	(*q)[len(*q)-1] = nil
-	*q = (*q)[:len(*q)-1]
-	return r
-}

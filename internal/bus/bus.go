@@ -31,9 +31,6 @@ func New(k *sim.Kernel, st *store.Store, eventLatency sim.Duration) *Bus {
 // use it directly; guests go through their Domain handle).
 func (b *Bus) Store() *store.Store { return b.st }
 
-// Kernel exposes the simulation clock the bus is bound to.
-func (b *Bus) Kernel() *sim.Kernel { return b.k }
-
 // Register creates (or returns) the domain handle for dom, creating its
 // store home directory as the toolstack would at domain creation.
 func (b *Bus) Register(dom store.DomID) *Domain {
@@ -66,26 +63,6 @@ func (b *Bus) Domains() []store.DomID {
 // Notifications reports the number of event-channel deliveries so far.
 func (b *Bus) Notifications() uint64 { return b.notifications }
 
-// Conn is the store surface a guest-side component consumes: a handle
-// scoped to one domain's subtree with relative-path reads, writes and
-// watches. *Domain implements it in-process; netstore.Client's Domain
-// adapter implements it over the wire, so a guest store driver runs
-// unchanged whether the system store is an object or a socket away.
-type Conn interface {
-	ID() store.DomID
-	Path(rel string) string
-	Write(rel, value string) error
-	WriteBool(rel string, v bool) error
-	WriteInt(rel string, v int64) error
-	WriteFloat(rel string, v float64) error
-	Read(rel string) (string, error)
-	ReadBool(rel string) (bool, error)
-	ReadInt(rel string, def int64) (int64, error)
-	ReadFloat(rel string, def float64) (float64, error)
-	Watch(rel string, fn func(rel, value string)) (store.WatchID, error)
-	Unwatch(id store.WatchID)
-}
-
 // Domain is a handle scoped to one domain's view of the store.
 type Domain struct {
 	b    *Bus
@@ -99,8 +76,6 @@ type Domain struct {
 	// store-facing structure.
 	cursors map[string]*store.Cursor
 }
-
-var _ Conn = (*Domain)(nil)
 
 // ID reports the domain id.
 func (d *Domain) ID() store.DomID { return d.id }

@@ -51,9 +51,6 @@ type ArrivalsConfig struct {
 	YCSBOps      uint64
 	FSBytes      int64
 	Cloud9Bursts int
-	// Overcommit allows activeVCPUs up to Overcommit × usable cores
-	// (default 1.0: no overcommit, FIFO queueing instead).
-	Overcommit float64
 }
 
 func (c *ArrivalsConfig) fillDefaults() {
@@ -78,9 +75,6 @@ func (c *ArrivalsConfig) fillDefaults() {
 	if c.Cloud9Bursts == 0 {
 		c.Cloud9Bursts = 2000
 	}
-	if c.Overcommit <= 0 {
-		c.Overcommit = 1.0
-	}
 }
 
 // VMHooks lets the experiment wire a system (baseline, SDC, DIF,
@@ -93,6 +87,164 @@ type VMHooks struct {
 	OnRemove func(rt *hypervisor.GuestRuntime)
 }
 
+// units is app's problem size in its own progress units (bytes for FS,
+// ops for YCSB, bursts for Cloud9).
+func (c *ArrivalsConfig) units(app AppKind) float64 {
+	switch app {
+	case AppFS:
+		return float64(c.FSBytes)
+	case AppYCSB1:
+		return float64(c.YCSBOps)
+	default:
+		return float64(c.Cloud9Bursts)
+	}
+}
+
+// arrivalSource is the Poisson arrival step both engines share:
+// exponential gaps at Lambda per minute until Duration, each arrival
+// drawing a size and an app and handing them to admit. Its rng drives
+// the arrival process only; VM workloads get independent per-placement
+// streams derived from appSeed, so arrival sequences stay identical
+// across compared systems no matter when each system finishes its VMs.
+type arrivalSource struct {
+	k       *sim.Kernel
+	cfg     ArrivalsConfig
+	rng     *stats.Stream
+	appSeed uint64
+	arrived int
+	admit   func(vcpus int, app AppKind)
+}
+
+func newArrivalSource(k *sim.Kernel, cfg ArrivalsConfig, rng *stats.Stream) arrivalSource {
+	cfg.fillDefaults()
+	return arrivalSource{k: k, cfg: cfg, rng: rng, appSeed: rng.Uint64()}
+}
+
+// Start begins Poisson arrivals and runs until the configured duration;
+// VMs still running at the end are left to finish or be abandoned by the
+// caller's RunUntil horizon.
+func (s *arrivalSource) Start() { s.scheduleNext() }
+
+// Arrived reports VMs that have arrived so far.
+func (s *arrivalSource) Arrived() int { return s.arrived }
+
+func (s *arrivalSource) scheduleNext() {
+	ratePerSec := s.cfg.Lambda / 60.0
+	gap := sim.DurationOf(s.rng.Exponential(ratePerSec))
+	s.k.After(gap, func() {
+		if s.k.Now() >= s.cfg.Duration {
+			return
+		}
+		s.arrived++
+		s.admit(stats.Pick(s.rng, s.cfg.Sizes), stats.Pick(s.rng, s.cfg.Apps))
+		s.scheduleNext()
+	})
+}
+
+// createVM builds an arriving VM's shell on h and runs the OnCreate hook.
+func createVM(h *hypervisor.Host, vcpus int, hooks VMHooks) *hypervisor.GuestRuntime {
+	rt := h.CreateGuest(guest.Config{
+		VCPUs:    vcpus,
+		MemBytes: int64(vcpus) << 30,
+	}, guest.DiskConfig{Name: "xvda", CacheConfig: pagecache.Config{
+		// The OS page cache available for dirty data is bounded by what
+		// the apps leave free, not the whole VM (≈1 GB regardless of
+		// size); write bursts therefore outrun the dirty budget, which is
+		// the regime the flush policy targets.
+		TotalPages:      (1 << 30) / pagecache.PageSize,
+		DirtyRatio:      0.2,
+		BackgroundRatio: 0.1,
+		WritebackWindow: 64,
+	}})
+	if hooks.OnCreate != nil {
+		hooks.OnCreate(rt)
+	}
+	return rt
+}
+
+// launched is one running application placement: how to stop it, and
+// how far it has come in app units, write bytes and total I/O bytes.
+type launched struct {
+	stop     func()
+	progress func() float64
+	written  func() float64
+	io       func() float64
+}
+
+func zero() float64 { return 0 }
+
+// pollInterval paces the completion checks of apps with no natural end.
+const pollInterval = 250 * sim.Millisecond
+
+// launchApp starts app on g for units of its problem size (the whole
+// size on first placement, the remainder after a migration) and calls
+// done once when that much is complete. live gates every completion
+// check: a placement retired by its engine reports false and the check
+// dies silently. The app keeps running past done until stop.
+func launchApp(k *sim.Kernel, g *guest.Guest, app AppKind, vcpus int, units float64,
+	rng *stats.Stream, live func() bool, done func()) launched {
+	poll := func(complete func() bool) {
+		var check func()
+		check = func() {
+			if !live() {
+				return
+			}
+			if complete() {
+				done()
+				return
+			}
+			k.After(pollInterval, check)
+		}
+		k.After(pollInterval, check)
+	}
+	d := g.Disks()[0]
+	switch app {
+	case AppFS:
+		fs := workload.NewFS(k, g, d, workload.FSConfig{
+			Threads:      vcpus,
+			MeanFileSize: 1 << 20,
+			Think:        6 * sim.Millisecond,
+			WriteFrac:    0.8, AppendFrac: 0.1, ReadFrac: 0.05,
+			BurstOn:  1500 * sim.Millisecond,
+			BurstOff: 3500 * sim.Millisecond,
+		}, rng)
+		fs.Start()
+		// FS has no natural end: poll for the data-transmission quota.
+		poll(func() bool { return fs.WrittenBytes() >= units })
+		return launched{stop: fs.Stop, progress: fs.WrittenBytes, written: fs.WrittenBytes, io: fs.WrittenBytes}
+	case AppYCSB1:
+		node := apps.NewCassandraNode(k, g, d, apps.CassandraConfig{}, rng.Fork("node"))
+		cl := apps.NewCassandraCluster(k, []*apps.CassandraNode{node}, rng.Fork("cl"))
+		// Closed-loop with one client per VCPU ("the number of
+		// application threads is the same as its VCPUs").
+		op := workload.YCSBOp(workload.YCSB1(), cl, rng.Fork("op"))
+		gen := workload.NewClosedLoop(k, vcpus, 0, op, rng.Fork("gen"))
+		gen.Start()
+		ops := func() float64 { return float64(gen.Recorder().Completed()) }
+		poll(func() bool { return ops() >= units })
+		return launched{
+			stop: gen.Stop, progress: ops,
+			// Half the ops are 4 KiB commitlog updates (Table 2 accounting).
+			written: func() float64 { return ops() / 2 * 4096 },
+			io:      func() float64 { return ops() * 4096 },
+		}
+	default: // AppCloud9
+		cb := workload.NewCPUBound(k, g, rng)
+		cb.TotalBursts = int(units)
+		cb.OnDone = func() {
+			if live() {
+				done()
+			}
+		}
+		cb.Start()
+		return launched{
+			stop:     cb.Stop,
+			progress: func() float64 { return float64(cb.Ops().Completed()) },
+			written:  zero, io: zero,
+		}
+	}
+}
+
 type pendingVM struct {
 	vcpus int
 	app   AppKind
@@ -101,57 +253,44 @@ type pendingVM struct {
 type runningVM struct {
 	rt    *hypervisor.GuestRuntime
 	vcpus int
-	app   AppKind
-	stop  func()
-	// written reports application write bytes accepted so far; ioBytes
-	// the total I/O bytes. Used for live throughput accounting.
-	written func() float64
-	ioBytes func() float64
+	launched
 }
 
-// Arrivals drives the dynamic VM experiment on one host.
+// Arrivals drives the dynamic VM experiment on one host: arrivals queue
+// FIFO for the host's VCPU budget.
 type Arrivals struct {
-	k     *sim.Kernel
+	arrivalSource
 	h     *hypervisor.Host
-	cfg   ArrivalsConfig
 	hooks VMHooks
-	// rng drives the arrival process only (gaps, sizes, app choice); VM
-	// workloads get independent per-placement streams derived from
-	// appSeed, so arrival sequences stay identical across compared
-	// systems no matter when each system finishes its VMs.
-	rng     *stats.Stream
-	appSeed uint64
 
 	queue       []pendingVM
 	running     map[store.DomID]*runningVM
 	activeVCPUs int
-	usableCores int
+	// budget is the admission limit. It counts total cores on every
+	// platform: VCPUs may share cores (work-conserving), so reserving
+	// polling cores does not shrink the admission budget, only the
+	// compute capacity.
+	budget int
 
-	arrived      int
 	placed       int
 	completed    int
 	writtenBytes float64
 	ioBytes      float64
-
-	stopped bool
 }
 
 // NewArrivals builds the engine on host h.
 func NewArrivals(k *sim.Kernel, h *hypervisor.Host, cfg ArrivalsConfig, hooks VMHooks, rng *stats.Stream) *Arrivals {
-	cfg.fillDefaults()
-	// Admission budgets by total cores on every platform: VCPUs may share
-	// cores (work-conserving), so reserving polling cores does not shrink
-	// the admission budget, only the compute capacity.
-	usable := h.TotalCores()
-	return &Arrivals{
-		k: k, h: h, cfg: cfg, hooks: hooks, rng: rng,
-		appSeed: rng.Uint64(),
-		running: map[store.DomID]*runningVM{}, usableCores: usable,
+	a := &Arrivals{
+		arrivalSource: newArrivalSource(k, cfg, rng),
+		h:             h, hooks: hooks,
+		running: map[store.DomID]*runningVM{}, budget: h.TotalCores(),
 	}
+	a.admit = func(vcpus int, app AppKind) {
+		a.queue = append(a.queue, pendingVM{vcpus: vcpus, app: app})
+		a.tryPlace()
+	}
+	return a
 }
-
-// Arrived, Placed, Completed, QueueLen report progress.
-func (a *Arrivals) Arrived() int { return a.arrived }
 
 // Placed reports VMs that obtained capacity.
 func (a *Arrivals) Placed() int { return a.placed }
@@ -167,9 +306,7 @@ func (a *Arrivals) QueueLen() int { return len(a.queue) }
 func (a *Arrivals) WrittenBytes() float64 {
 	total := a.writtenBytes
 	for _, run := range a.running {
-		if run.written != nil {
-			total += run.written()
-		}
+		total += run.written()
 	}
 	return total
 }
@@ -179,52 +316,16 @@ func (a *Arrivals) WrittenBytes() float64 {
 func (a *Arrivals) IOBytes() float64 {
 	total := a.ioBytes
 	for _, run := range a.running {
-		if run.ioBytes != nil {
-			total += run.ioBytes()
-		}
+		total += run.io()
 	}
 	return total
 }
 
-// Start begins Poisson arrivals and runs until the configured duration;
-// VMs still running at the end are left to finish or be abandoned by the
-// caller's RunUntil horizon.
-func (a *Arrivals) Start() { a.scheduleNext() }
-
-// Stop halts new arrivals.
-func (a *Arrivals) Stop() { a.stopped = true }
-
-func (a *Arrivals) scheduleNext() {
-	if a.stopped {
-		return
-	}
-	ratePerSec := a.cfg.Lambda / 60.0
-	gap := sim.DurationOf(a.rng.Exponential(ratePerSec))
-	a.k.After(gap, func() {
-		if a.stopped || a.k.Now() >= a.cfg.Duration {
-			return
-		}
-		a.arrive()
-		a.scheduleNext()
-	})
-}
-
-func (a *Arrivals) arrive() {
-	a.arrived++
-	vm := pendingVM{
-		vcpus: stats.Pick(a.rng, a.cfg.Sizes),
-		app:   stats.Pick(a.rng, a.cfg.Apps),
-	}
-	a.queue = append(a.queue, vm)
-	a.tryPlace()
-}
-
 // tryPlace admits queued VMs FIFO while capacity remains.
 func (a *Arrivals) tryPlace() {
-	budget := int(float64(a.usableCores) * a.cfg.Overcommit)
 	for len(a.queue) > 0 {
 		vm := a.queue[0]
-		if a.activeVCPUs+vm.vcpus > budget {
+		if a.activeVCPUs+vm.vcpus > a.budget {
 			return
 		}
 		a.queue = a.queue[1:]
@@ -232,36 +333,31 @@ func (a *Arrivals) tryPlace() {
 	}
 }
 
+// place creates the VM and launches its application with the full
+// problem size.
 func (a *Arrivals) place(vm pendingVM) {
 	a.placed++
 	a.activeVCPUs += vm.vcpus
-	rt := a.h.CreateGuest(guest.Config{
-		VCPUs:    vm.vcpus,
-		MemBytes: int64(vm.vcpus) << 30,
-	}, guest.DiskConfig{Name: "xvda", CacheConfig: pagecache.Config{
-		// The OS page cache available for dirty data is bounded by what
-		// the apps leave free, not the whole VM (≈1 GB regardless of
-		// size); write bursts therefore outrun the dirty budget, which is
-		// the regime the flush policy targets.
-		TotalPages:      (1 << 30) / pagecache.PageSize,
-		DirtyRatio:      0.2,
-		BackgroundRatio: 0.1,
-		WritebackWindow: 64,
-	}})
-	if a.hooks.OnCreate != nil {
-		a.hooks.OnCreate(rt)
-	}
-	run := &runningVM{rt: rt, vcpus: vm.vcpus, app: vm.app}
-	a.running[rt.G.ID()] = run
-	a.startApp(run)
+	run := &runningVM{rt: createVM(a.h, vm.vcpus, a.hooks), vcpus: vm.vcpus}
+	dom := run.rt.G.ID()
+	a.running[dom] = run
+	rng := stats.NewStream(a.appSeed+uint64(a.placed), "app")
+	live := func() bool { return a.running[dom] == run }
+	run.launched = launchApp(a.k, run.rt.G, vm.app, vm.vcpus, a.cfg.units(vm.app), rng, live, func() {
+		run.stop()
+		written, io := run.written(), run.io()
+		if vm.app == AppYCSB1 {
+			// Credit the problem size, not the last poll's overshoot.
+			written = float64(a.cfg.YCSBOps) / 2 * 4096
+			io = written * 2
+		}
+		a.finish(run, written, io)
+	})
 }
 
 func (a *Arrivals) finish(run *runningVM, written, io float64) {
-	if _, ok := a.running[run.rt.G.ID()]; !ok {
-		return
-	}
-	run.written, run.ioBytes = nil, nil
-	delete(a.running, run.rt.G.ID())
+	dom := run.rt.G.ID()
+	delete(a.running, dom)
 	a.completed++
 	a.writtenBytes += written
 	a.ioBytes += io
@@ -269,77 +365,6 @@ func (a *Arrivals) finish(run *runningVM, written, io float64) {
 	if a.hooks.OnRemove != nil {
 		a.hooks.OnRemove(run.rt)
 	}
-	a.h.RemoveGuest(run.rt.G.ID())
+	a.h.RemoveGuest(dom)
 	a.tryPlace()
-}
-
-// startApp launches the VM's application with its fixed problem size.
-func (a *Arrivals) startApp(run *runningVM) {
-	g := run.rt.G
-	d := g.Disks()[0]
-	rng := stats.NewStream(a.appSeed+uint64(a.placed), "app")
-	switch run.app {
-	case AppFS:
-		fs := workload.NewFS(a.k, g, d, workload.FSConfig{
-			Threads:      run.vcpus,
-			MeanFileSize: 1 << 20,
-			Think:        6 * sim.Millisecond,
-			WriteFrac:    0.8, AppendFrac: 0.1, ReadFrac: 0.05,
-			BurstOn:  1500 * sim.Millisecond,
-			BurstOff: 3500 * sim.Millisecond,
-		}, rng)
-		fs.Start()
-		run.stop = fs.Stop
-		run.written = fs.WrittenBytes
-		run.ioBytes = fs.WrittenBytes
-		// Poll for the data-transmission quota; FS has no natural end.
-		target := float64(a.cfg.FSBytes)
-		var check func()
-		check = func() {
-			if _, ok := a.running[run.rt.G.ID()]; !ok {
-				return
-			}
-			if fs.WrittenBytes() >= target {
-				fs.Stop()
-				a.finish(run, fs.WrittenBytes(), fs.WrittenBytes())
-				return
-			}
-			a.k.After(250*sim.Millisecond, check)
-		}
-		a.k.After(250*sim.Millisecond, check)
-	case AppYCSB1:
-		node := apps.NewCassandraNode(a.k, g, d, apps.CassandraConfig{}, rng.Fork("node"))
-		cl := apps.NewCassandraCluster(a.k, []*apps.CassandraNode{node}, rng.Fork("cl"))
-		// Closed-loop with one client per VCPU ("the number of
-		// application threads is the same as its VCPUs").
-		cfg := workload.YCSB1()
-		op := workload.YCSBOp(cfg, cl, rng.Fork("op"))
-		gen := workload.NewClosedLoop(a.k, run.vcpus, 0, op, rng.Fork("gen"))
-		gen.Start()
-		run.stop = gen.Stop
-		run.written = func() float64 { return float64(gen.Recorder().Completed()) / 2 * 4096 }
-		run.ioBytes = func() float64 { return float64(gen.Recorder().Completed()) * 4096 }
-		ops := a.cfg.YCSBOps
-		var check func()
-		check = func() {
-			if _, ok := a.running[run.rt.G.ID()]; !ok {
-				return
-			}
-			if gen.Recorder().Completed() >= ops {
-				gen.Stop()
-				// Half the ops are 4 KiB commitlog updates.
-				written := float64(ops) / 2 * 4096
-				a.finish(run, written, written*2)
-				return
-			}
-			a.k.After(250*sim.Millisecond, check)
-		}
-		a.k.After(250*sim.Millisecond, check)
-	case AppCloud9:
-		cb := workload.NewCPUBound(a.k, g, rng)
-		cb.TotalBursts = a.cfg.Cloud9Bursts
-		cb.OnDone = func() { a.finish(run, 0, 0) }
-		cb.Start()
-		run.stop = cb.Stop
-	}
 }

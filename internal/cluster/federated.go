@@ -3,15 +3,11 @@ package cluster
 import (
 	"fmt"
 
-	"iorchestra/internal/apps"
 	"iorchestra/internal/federation"
-	"iorchestra/internal/guest"
 	"iorchestra/internal/hypervisor"
-	"iorchestra/internal/pagecache"
 	"iorchestra/internal/sim"
 	"iorchestra/internal/stats"
 	"iorchestra/internal/store"
-	"iorchestra/internal/workload"
 )
 
 // FederatedArrivals drives the dynamic VM experiment across a federated
@@ -22,28 +18,16 @@ import (
 // one host, hand its store subtree and progress over, and resume the
 // remainder of its problem size on another host (docs/CLUSTER.md §6).
 type FederatedArrivals struct {
-	k     *sim.Kernel
+	arrivalSource
 	fed   *federation.Federation
-	cfg   ArrivalsConfig
 	hooks VMHooks
-	// rng drives the arrival process only; each app placement gets an
-	// independent stream derived from appSeed, exactly like Arrivals.
-	rng     *stats.Stream
-	appSeed uint64
 
 	queue   []fedPending
 	running map[string]*fedVM
 
-	arrived    int
 	placements int // app starts, including post-migration resumes
-	placed     int // distinct VMs admitted
 	completed  int
 	migrated   int
-
-	writtenBytes float64
-	ioBytes      float64
-
-	stopped bool
 }
 
 type fedPending struct {
@@ -53,9 +37,10 @@ type fedPending struct {
 }
 
 // fedVM is one admitted VM. Progress accounting is split into the
-// current placement (closures over the live app) and totals carried
-// from placements retired by migration, so a VM's problem size survives
-// the move: the target resumes target − done, not the whole thing.
+// current placement (cur, closures over the live app) and the units
+// carried from placements retired by migration, so a VM's problem size
+// survives the move: the target resumes target − done, not the whole
+// thing.
 type fedVM struct {
 	uid   string
 	host  string
@@ -63,14 +48,8 @@ type fedVM struct {
 	vcpus int
 	app   AppKind
 
-	stop       func()
-	progress   func() float64 // app units done in the current placement
-	curWritten func() float64
-	curIO      func() float64
-
-	doneUnits   float64 // units retired by earlier placements
-	doneWritten float64
-	doneIO      float64
+	cur         *launched // nil while frozen or finished
+	doneUnits   float64   // units retired by earlier placements
 	targetUnits float64
 
 	frozen bool
@@ -81,11 +60,16 @@ type fedVM struct {
 // federation (hosts joined via fed.Join) and installs itself as the
 // federation's migration hooks.
 func NewFederatedArrivals(k *sim.Kernel, fed *federation.Federation, cfg ArrivalsConfig, hooks VMHooks, rng *stats.Stream) *FederatedArrivals {
-	cfg.fillDefaults()
 	f := &FederatedArrivals{
-		k: k, fed: fed, cfg: cfg, hooks: hooks, rng: rng,
-		appSeed: rng.Uint64(),
+		arrivalSource: newArrivalSource(k, cfg, rng),
+		fed:           fed, hooks: hooks,
 		running: map[string]*fedVM{},
+	}
+	f.admit = func(vcpus int, app AppKind) {
+		f.queue = append(f.queue, fedPending{
+			uid: fmt.Sprintf("vm%03d", f.arrived), vcpus: vcpus, app: app,
+		})
+		f.tryPlace()
 	}
 	fed.SetMigrationHooks(federation.MigrationHooks{
 		Freeze:   f.freezeVM,
@@ -95,12 +79,6 @@ func NewFederatedArrivals(k *sim.Kernel, fed *federation.Federation, cfg Arrival
 	})
 	return f
 }
-
-// Arrived, Placed, Completed, Migrated, QueueLen report progress.
-func (f *FederatedArrivals) Arrived() int { return f.arrived }
-
-// Placed reports distinct VMs that obtained capacity somewhere.
-func (f *FederatedArrivals) Placed() int { return f.placed }
 
 // Completed reports VMs that finished their problem size.
 func (f *FederatedArrivals) Completed() int { return f.completed }
@@ -113,62 +91,6 @@ func (f *FederatedArrivals) QueueLen() int { return len(f.queue) }
 
 // Running reports VMs currently placed and not yet finished.
 func (f *FederatedArrivals) Running() int { return len(f.running) }
-
-// WrittenBytes reports aggregate application write bytes, including
-// running VMs and progress carried across migrations.
-func (f *FederatedArrivals) WrittenBytes() float64 {
-	total := f.writtenBytes
-	for _, vm := range f.running {
-		total += vm.doneWritten
-		if vm.curWritten != nil {
-			total += vm.curWritten()
-		}
-	}
-	return total
-}
-
-// IOBytes reports aggregate application I/O bytes (reads and writes).
-func (f *FederatedArrivals) IOBytes() float64 {
-	total := f.ioBytes
-	for _, vm := range f.running {
-		total += vm.doneIO
-		if vm.curIO != nil {
-			total += vm.curIO()
-		}
-	}
-	return total
-}
-
-// Start begins Poisson arrivals until the configured duration.
-func (f *FederatedArrivals) Start() { f.scheduleNext() }
-
-// Stop halts new arrivals.
-func (f *FederatedArrivals) Stop() { f.stopped = true }
-
-func (f *FederatedArrivals) scheduleNext() {
-	if f.stopped {
-		return
-	}
-	ratePerSec := f.cfg.Lambda / 60.0
-	gap := sim.DurationOf(f.rng.Exponential(ratePerSec))
-	f.k.After(gap, func() {
-		if f.stopped || f.k.Now() >= f.cfg.Duration {
-			return
-		}
-		f.arrive()
-		f.scheduleNext()
-	})
-}
-
-func (f *FederatedArrivals) arrive() {
-	f.arrived++
-	f.queue = append(f.queue, fedPending{
-		uid:   fmt.Sprintf("vm%03d", f.arrived),
-		vcpus: stats.Pick(f.rng, f.cfg.Sizes),
-		app:   stats.Pick(f.rng, f.cfg.Apps),
-	})
-	f.tryPlace()
-}
 
 // tryPlace admits queued VMs FIFO through the placement engine; a
 // rejected head blocks the queue until capacity frees (each refused
@@ -186,50 +108,15 @@ func (f *FederatedArrivals) tryPlace() {
 }
 
 func (f *FederatedArrivals) place(p fedPending, hostID string) {
-	f.placed++
-	rt := f.createGuest(hostID, p.vcpus)
+	rt := createVM(f.fed.Member(hostID), p.vcpus, f.hooks)
 	f.fed.BindGuest(p.uid, rt.G.ID())
 	vm := &fedVM{
 		uid: p.uid, host: hostID, dom: rt.G.ID(),
 		vcpus: p.vcpus, app: p.app,
-		targetUnits: f.targetUnits(p.app),
+		targetUnits: f.cfg.units(p.app),
 	}
 	f.running[p.uid] = vm
 	f.startApp(vm, rt)
-}
-
-// createGuest builds a VM shell on the named host with the same sizing
-// the single-host Arrivals engine uses.
-func (f *FederatedArrivals) createGuest(hostID string, vcpus int) *hypervisor.GuestRuntime {
-	h := f.fed.Member(hostID)
-	rt := h.CreateGuest(guest.Config{
-		VCPUs:    vcpus,
-		MemBytes: int64(vcpus) << 30,
-	}, guest.DiskConfig{Name: "xvda", CacheConfig: pagecache.Config{
-		// Same dirty-budget regime as Arrivals.place: the cache available
-		// for dirty data is what the apps leave free, not the whole VM.
-		TotalPages:      (1 << 30) / pagecache.PageSize,
-		DirtyRatio:      0.2,
-		BackgroundRatio: 0.1,
-		WritebackWindow: 64,
-	}})
-	if f.hooks.OnCreate != nil {
-		f.hooks.OnCreate(rt)
-	}
-	return rt
-}
-
-// targetUnits is the app's problem size in its own progress units
-// (bytes for FS, ops for YCSB, bursts for Cloud9).
-func (f *FederatedArrivals) targetUnits(app AppKind) float64 {
-	switch app {
-	case AppFS:
-		return float64(f.cfg.FSBytes)
-	case AppYCSB1:
-		return float64(f.cfg.YCSBOps)
-	default:
-		return float64(f.cfg.Cloud9Bursts)
-	}
 }
 
 // finishVM retires a VM that met its problem size. A VM mid-migration
@@ -242,25 +129,13 @@ func (f *FederatedArrivals) finishVM(vm *fedVM) {
 	}
 	for _, uid := range f.fed.Migrating() {
 		if uid == vm.uid {
-			f.k.After(250*sim.Millisecond, func() { f.finishVM(vm) })
+			f.k.After(pollInterval, func() { f.finishVM(vm) })
 			return
 		}
 	}
-	if vm.stop != nil {
-		vm.stop()
-	}
-	vm.doneUnits += f.progressOf(vm)
-	if vm.curWritten != nil {
-		vm.doneWritten += vm.curWritten()
-	}
-	if vm.curIO != nil {
-		vm.doneIO += vm.curIO()
-	}
-	vm.stop, vm.progress, vm.curWritten, vm.curIO = nil, nil, nil, nil
+	vm.retire()
 	delete(f.running, vm.uid)
 	f.completed++
-	f.writtenBytes += vm.doneWritten
-	f.ioBytes += vm.doneIO
 	h := f.fed.Member(vm.host)
 	if rt := h.Guest(vm.dom); rt != nil && f.hooks.OnRemove != nil {
 		f.hooks.OnRemove(rt)
@@ -270,11 +145,15 @@ func (f *FederatedArrivals) finishVM(vm *fedVM) {
 	f.tryPlace()
 }
 
-func (f *FederatedArrivals) progressOf(vm *fedVM) float64 {
-	if vm.progress == nil {
-		return 0
+// retire stops the VM's current placement, if any, and folds its
+// progress into the carried units.
+func (vm *fedVM) retire() {
+	if vm.cur == nil {
+		return
 	}
-	return vm.progress()
+	vm.cur.stop()
+	vm.doneUnits += vm.cur.progress()
+	vm.cur = nil
 }
 
 // startApp launches (or resumes) the VM's application for the remainder
@@ -288,67 +167,12 @@ func (f *FederatedArrivals) startApp(vm *fedVM, rt *hypervisor.GuestRuntime) {
 	}
 	f.placements++
 	rng := stats.NewStream(f.appSeed+uint64(f.placements), "app")
-	g := rt.G
 	gen := vm.gen
-	// poll re-checks completion every 250 ms; it dies silently when the
-	// placement it belongs to was retired (freeze bumps vm.gen).
-	poll := func(done func() bool) {
-		var check func()
-		check = func() {
-			if f.running[vm.uid] != vm || vm.gen != gen || vm.frozen {
-				return
-			}
-			if done() {
-				f.finishVM(vm)
-				return
-			}
-			f.k.After(250*sim.Millisecond, check)
-		}
-		f.k.After(250*sim.Millisecond, check)
-	}
-	switch vm.app {
-	case AppFS:
-		d := g.Disks()[0]
-		fs := workload.NewFS(f.k, g, d, workload.FSConfig{
-			Threads:      vm.vcpus,
-			MeanFileSize: 1 << 20,
-			Think:        6 * sim.Millisecond,
-			WriteFrac:    0.8, AppendFrac: 0.1, ReadFrac: 0.05,
-			BurstOn:  1500 * sim.Millisecond,
-			BurstOff: 3500 * sim.Millisecond,
-		}, rng)
-		fs.Start()
-		vm.stop = fs.Stop
-		vm.progress = fs.WrittenBytes
-		vm.curWritten = fs.WrittenBytes
-		vm.curIO = fs.WrittenBytes
-		poll(func() bool { return fs.WrittenBytes() >= remaining })
-	case AppYCSB1:
-		d := g.Disks()[0]
-		node := apps.NewCassandraNode(f.k, g, d, apps.CassandraConfig{}, rng.Fork("node"))
-		cl := apps.NewCassandraCluster(f.k, []*apps.CassandraNode{node}, rng.Fork("cl"))
-		cfg := workload.YCSB1()
-		op := workload.YCSBOp(cfg, cl, rng.Fork("op"))
-		genr := workload.NewClosedLoop(f.k, vm.vcpus, 0, op, rng.Fork("gen"))
-		genr.Start()
-		vm.stop = genr.Stop
-		vm.progress = func() float64 { return float64(genr.Recorder().Completed()) }
-		// Half the ops are 4 KiB commitlog updates (Table 2 accounting).
-		vm.curWritten = func() float64 { return float64(genr.Recorder().Completed()) / 2 * 4096 }
-		vm.curIO = func() float64 { return float64(genr.Recorder().Completed()) * 4096 }
-		poll(func() bool { return float64(genr.Recorder().Completed()) >= remaining })
-	case AppCloud9:
-		cb := workload.NewCPUBound(f.k, g, rng)
-		cb.TotalBursts = int(remaining)
-		cb.OnDone = func() {
-			if f.running[vm.uid] == vm && vm.gen == gen && !vm.frozen {
-				f.finishVM(vm)
-			}
-		}
-		cb.Start()
-		vm.stop = cb.Stop
-		vm.progress = func() float64 { return float64(cb.Ops().Completed()) }
-	}
+	// A completion check dies silently when the placement it belongs to
+	// was retired (freeze bumps vm.gen).
+	live := func() bool { return f.running[vm.uid] == vm && vm.gen == gen && !vm.frozen }
+	l := launchApp(f.k, rt.G, vm.app, vm.vcpus, remaining, rng, live, func() { f.finishVM(vm) })
+	vm.cur = &l
 }
 
 // --- federation.MigrationHooks ----------------------------------------------
@@ -362,17 +186,7 @@ func (f *FederatedArrivals) freezeVM(uid string) {
 	}
 	vm.frozen = true
 	vm.gen++
-	if vm.stop != nil {
-		vm.stop()
-	}
-	vm.doneUnits += f.progressOf(vm)
-	if vm.curWritten != nil {
-		vm.doneWritten += vm.curWritten()
-	}
-	if vm.curIO != nil {
-		vm.doneIO += vm.curIO()
-	}
-	vm.stop, vm.progress, vm.curWritten, vm.curIO = nil, nil, nil, nil
+	vm.retire()
 }
 
 // createOnTarget builds the frozen VM's shell on the target host.
@@ -381,8 +195,7 @@ func (f *FederatedArrivals) createOnTarget(uid, target string) (store.DomID, err
 	if vm == nil {
 		return 0, fmt.Errorf("cluster: migrating unknown guest %q", uid)
 	}
-	rt := f.createGuest(target, vm.vcpus)
-	return rt.G.ID(), nil
+	return createVM(f.fed.Member(target), vm.vcpus, f.hooks).G.ID(), nil
 }
 
 // unfreezeVM resumes the VM on its new host with its remaining work.

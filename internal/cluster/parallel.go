@@ -54,12 +54,6 @@ func (t *ParallelTestbed) Kernel(i int) *sim.Kernel { return t.kernels[i] }
 // Kernels exposes the per-host kernels, in host order.
 func (t *ParallelTestbed) Kernels() []*sim.Kernel { return t.kernels }
 
-// RunUntil advances every host kernel to target in epoch-synced
-// lockstep (see RunEpochs).
-func (t *ParallelTestbed) RunUntil(target sim.Time, epoch sim.Duration) {
-	RunEpochs(t.kernels, target, epoch, nil)
-}
-
 // RunEpochs advances every kernel to target in epoch-sized barrier
 // steps: each kernel runs one epoch on its own goroutine, and no kernel
 // starts epoch e+1 until every kernel has finished epoch e. Between

@@ -14,8 +14,8 @@ import (
 
 // buildParityBed constructs a small multi-host scenario with real
 // cross-layer traffic — bursty dirtying writers, guest drivers, and an
-// Algorithm 1 manager per host — the same shape cmd/sim-bench scales
-// up. Construction is a pure function of the seed, so two calls build
+// Algorithm 1 manager per host — the same shape the repo benchmark's
+// scale_10k_50h workload scales up. Construction is a pure function of the seed, so two calls build
 // identical simulations.
 func buildParityBed(seed uint64) *ParallelTestbed {
 	rng := stats.NewStream(seed, "parity")

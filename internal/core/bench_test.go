@@ -53,8 +53,8 @@ func benchHost(n int, pol Policies) *sim.Kernel {
 // trigger. Per policy at the historical 8-guest scale, then the full
 // policy set at 100 and 1000 guests, where the incremental control-plane
 // structures (Algorithm 1's eligibility index, the congestion verdict
-// set) carry the load; cmd/sim-bench scales the same scenario across
-// parallel per-host kernels.
+// set) carry the load; the repo benchmark (go run ./bench) scales the
+// same scenario across parallel per-host kernels.
 func BenchmarkManagerTick(b *testing.B) {
 	cases := []struct {
 		name   string

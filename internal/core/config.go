@@ -17,7 +17,10 @@ type Policies struct {
 // the same cgroup weights.
 func All() Policies { return Policies{Flush: true, Congestion: true, Cosched: true} }
 
-// ManagerConfig tunes the hypervisor-side modules.
+// ManagerConfig tunes the hypervisor-side modules. Only parameters that
+// an experiment, benchmark workload or test sets to a second value are
+// fields; everything else is a constant below (docs/ARCHITECTURE.md,
+// "Configuration surface").
 type ManagerConfig struct {
 	// FlushUtilFrac: flush when device bandwidth is below this fraction
 	// of capacity (paper: one tenth).
@@ -31,65 +34,65 @@ type ManagerConfig struct {
 	MinFlushBytes int64
 	// FlushCooldown spaces successive flush notices.
 	FlushCooldown sim.Duration
-	// CongestionCheckInterval paces host-relief checks while VMs are held.
-	CongestionCheckInterval sim.Duration
 	// ReleaseStaggerMax is the FIFO wake-up stagger bound (paper: 0–99 ms).
 	ReleaseStaggerMax sim.Duration
 	// CoschedInterval is the weight-update cadence (paper: every second).
 	CoschedInterval sim.Duration
-	// CoschedChangeFrac forces an early update when the core-latency
-	// ratio shifts by more than this fraction (paper: 50 %).
-	CoschedChangeFrac float64
-	// CoschedMinLatency gates process redistribution: below this on-core
-	// latency there is no contention worth rebalancing, and migrations
-	// would only disturb cache and CPU co-location.
-	CoschedMinLatency sim.Duration
-
-	// Elastic G-states (docs/GSTATES.md).
-
-	// GStateInterval paces the G-state control loop (default 100 ms).
-	GStateInterval sim.Duration
-	// GStateHighUtil is the device-utilization fraction at or above
-	// which a tick counts as pressure (default 0.85); host congestion
-	// counts as pressure regardless.
-	GStateHighUtil float64
-	// GStateLowUtil is the utilization fraction at or below which an
-	// uncongested tick counts as relief (default 0.55). The band between
-	// the two thresholds is neutral and resets both hysteresis counters.
-	GStateLowUtil float64
-	// GStateDemoteAfter is how many consecutive pressure ticks trigger
-	// one demotion step (default 3).
-	GStateDemoteAfter int
-	// GStatePromoteAfter is how many consecutive relief ticks trigger
-	// one promotion step (default 5 — recovery is deliberately slower
-	// than demotion so the ladder does not oscillate).
-	GStatePromoteAfter int
-
-	// Graceful degradation (docs/FAULTS.md). The paper's host waits on
-	// guest cooperation; these bounds make every wait finite so one bad
-	// guest can never stall a loop or starve siblings.
-
-	// HeartbeatTimeout demotes a guest whose iorchestra/heartbeat is
-	// older than this to Baseline behavior (default 350 ms — three
-	// missed 100 ms beats plus delivery slack). <= 0 disables the check.
-	HeartbeatTimeout sim.Duration
 	// FlushMaxRetries bounds re-issued flush orders per (guest, disk)
 	// after a FlushTimeout expiry before the guest falls back.
 	FlushMaxRetries int
-	// ReleaseAckTimeout re-publishes an unacknowledged release_request
-	// (the ack is the guest's reset to 0); <= 0 disables retries.
-	ReleaseAckTimeout sim.Duration
-	// ReleaseMaxRetries bounds release re-publishes before fallback.
-	ReleaseMaxRetries int
-	// HoldDeadline force-releases a guest held in congestion avoidance
-	// this long even if the host still looks congested — the safety
-	// valve against a stuck device starving held guests forever.
-	HoldDeadline sim.Duration
 	// FallbackPenalty is how long a fallen-back guest must heartbeat
 	// again before it is restored (a driver re-registration restores it
 	// immediately).
 	FallbackPenalty sim.Duration
 }
+
+const (
+	// congestionCheckInterval paces host-relief checks while VMs are held.
+	congestionCheckInterval = 5 * sim.Millisecond
+	// coschedChangeFrac forces an early weight update when the
+	// core-latency ratio shifts by more than this fraction (paper: 50 %).
+	coschedChangeFrac = 0.5
+	// coschedMinLatency gates process redistribution: below this on-core
+	// latency there is no contention worth rebalancing, and migrations
+	// would only disturb cache and CPU co-location.
+	coschedMinLatency = 150 * sim.Microsecond
+
+	// Elastic G-states (docs/GSTATES.md).
+
+	// gstateInterval paces the G-state control loop.
+	gstateInterval = 100 * sim.Millisecond
+	// gstateHighUtil is the device-utilization fraction at or above which
+	// a tick counts as pressure; host congestion counts regardless.
+	gstateHighUtil = 0.85
+	// gstateLowUtil is the utilization fraction at or below which an
+	// uncongested tick counts as relief. The band between the two
+	// thresholds is neutral and resets both hysteresis counters.
+	gstateLowUtil = 0.55
+	// gstateDemoteAfter consecutive pressure ticks trigger one demotion
+	// step; gstatePromoteAfter consecutive relief ticks one promotion —
+	// recovery is deliberately slower so the ladder does not oscillate.
+	gstateDemoteAfter  = 3
+	gstatePromoteAfter = 5
+
+	// Graceful degradation (docs/FAULTS.md). The paper's host waits on
+	// guest cooperation; these bounds make every wait finite so one bad
+	// guest can never stall a loop or starve siblings.
+
+	// heartbeatTimeout demotes a guest whose iorchestra/heartbeat is
+	// older than this to Baseline behavior: three missed 100 ms beats
+	// plus delivery slack.
+	heartbeatTimeout = 350 * sim.Millisecond
+	// releaseAckTimeout re-publishes an unacknowledged release_request
+	// (the ack is the guest's reset to 0), at most releaseMaxRetries
+	// times before the guest falls back.
+	releaseAckTimeout = 100 * sim.Millisecond
+	releaseMaxRetries = 3
+	// holdDeadline force-releases a guest held in congestion avoidance
+	// this long even if the host still looks congested — the safety
+	// valve against a stuck device starving held guests forever.
+	holdDeadline = 5 * sim.Second
+)
 
 func (c *ManagerConfig) fillDefaults() {
 	if c.FlushUtilFrac <= 0 {
@@ -107,50 +110,14 @@ func (c *ManagerConfig) fillDefaults() {
 	if c.FlushCooldown <= 0 {
 		c.FlushCooldown = 200 * sim.Millisecond
 	}
-	if c.CongestionCheckInterval <= 0 {
-		c.CongestionCheckInterval = 5 * sim.Millisecond
-	}
 	if c.ReleaseStaggerMax <= 0 {
 		c.ReleaseStaggerMax = 99 * sim.Millisecond
 	}
 	if c.CoschedInterval <= 0 {
 		c.CoschedInterval = sim.Second
 	}
-	if c.CoschedChangeFrac <= 0 {
-		c.CoschedChangeFrac = 0.5
-	}
-	if c.CoschedMinLatency <= 0 {
-		c.CoschedMinLatency = 150 * sim.Microsecond
-	}
-	if c.GStateInterval <= 0 {
-		c.GStateInterval = 100 * sim.Millisecond
-	}
-	if c.GStateHighUtil <= 0 {
-		c.GStateHighUtil = 0.85
-	}
-	if c.GStateLowUtil <= 0 {
-		c.GStateLowUtil = 0.55
-	}
-	if c.GStateDemoteAfter <= 0 {
-		c.GStateDemoteAfter = 3
-	}
-	if c.GStatePromoteAfter <= 0 {
-		c.GStatePromoteAfter = 5
-	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 350 * sim.Millisecond
-	}
 	if c.FlushMaxRetries <= 0 {
 		c.FlushMaxRetries = 2
-	}
-	if c.ReleaseAckTimeout <= 0 {
-		c.ReleaseAckTimeout = 100 * sim.Millisecond
-	}
-	if c.ReleaseMaxRetries <= 0 {
-		c.ReleaseMaxRetries = 3
-	}
-	if c.HoldDeadline <= 0 {
-		c.HoldDeadline = 5 * sim.Second
 	}
 	if c.FallbackPenalty <= 0 {
 		c.FallbackPenalty = 2 * sim.Second

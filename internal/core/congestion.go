@@ -12,7 +12,7 @@ import (
 type congEntry struct {
 	dom   store.DomID
 	disk  string
-	since sim.Time // when the guest was confirmed held (HoldDeadline clock)
+	since sim.Time // when the guest was confirmed held (holdDeadline clock)
 }
 
 // congKey identifies one held (guest, disk) pair for O(1) dedup.
@@ -42,7 +42,7 @@ type congestController struct {
 	relief cadence
 
 	// held is FIFO in confirm order, so since is monotone along it:
-	// HoldDeadline expiry is always a prefix, and the expiry check stops
+	// holdDeadline expiry is always a prefix, and the expiry check stops
 	// at the first live entry instead of scanning every held guest.
 	// heldSet mirrors membership for O(1) dedup on re-confirms.
 	held       []congEntry
@@ -65,7 +65,7 @@ func newCongestController(m *Manager) *congestController {
 		heldSet:    map[congKey]bool{},
 		pendingRel: map[store.DomID]*releaseState{},
 	}
-	cc.relief = cadence{k: m.k, period: m.cfg.CongestionCheckInterval, tick: func() bool {
+	cc.relief = cadence{k: m.k, period: congestionCheckInterval, tick: func() bool {
 		cc.congestionTick()
 		return len(cc.held) > 0
 	}}
@@ -184,12 +184,12 @@ func (cc *congestController) requestRelease(dom store.DomID, disk string, kind t
 }
 
 func (cc *congestController) armReleaseRetry(dom store.DomID, disk string) {
-	if cc.cfg.ReleaseAckTimeout <= 0 || cc.pendingRel[dom] != nil {
+	if cc.pendingRel[dom] != nil {
 		return
 	}
 	rs := &releaseState{disk: disk}
 	cc.pendingRel[dom] = rs
-	rs.timer = cc.m.k.After(cc.cfg.ReleaseAckTimeout, func() { cc.releaseRetryTick(dom, rs) })
+	rs.timer = cc.m.k.After(releaseAckTimeout, func() { cc.releaseRetryTick(dom, rs) })
 }
 
 func (cc *congestController) releaseRetryTick(dom store.DomID, rs *releaseState) {
@@ -203,7 +203,7 @@ func (cc *congestController) releaseRetryTick(dom store.DomID, rs *releaseState)
 		delete(cc.pendingRel, dom)
 		return
 	}
-	if rs.retries >= cc.cfg.ReleaseMaxRetries {
+	if rs.retries >= releaseMaxRetries {
 		delete(cc.pendingRel, dom)
 		cc.releaseTimeouts++
 		if m.rec != nil {
@@ -226,7 +226,7 @@ func (cc *congestController) releaseRetryTick(dom store.DomID, rs *releaseState)
 	// Re-publish: the write re-fires the guest's watch even though the
 	// value does not change.
 	m.st.WriteBool(store.Dom0, store.DomainPath(dom)+"/"+keyReleaseRequest, true)
-	rs.timer = m.k.After(cc.cfg.ReleaseAckTimeout, func() { cc.releaseRetryTick(dom, rs) })
+	rs.timer = m.k.After(releaseAckTimeout, func() { cc.releaseRetryTick(dom, rs) })
 }
 
 func (cc *congestController) noteReleaseAck(dom store.DomID) {
@@ -260,16 +260,13 @@ func (cc *congestController) congestionTick() {
 	}
 	now := m.k.Now()
 	if cc.mon.IOCongested() {
-		// Still congested — but nobody may be held past HoldDeadline: a
+		// Still congested — but nobody may be held past holdDeadline: a
 		// device stuck in a degraded state (or a torn congested key)
 		// must not park a guest's producers forever. since is monotone
 		// along held, so the expired set is a prefix: the check is O(1)
 		// when nothing expired, not a scan over every held guest.
-		if cc.cfg.HoldDeadline <= 0 {
-			return
-		}
 		cut := 0
-		for cut < len(cc.held) && now-cc.held[cut].since >= cc.cfg.HoldDeadline {
+		for cut < len(cc.held) && now-cc.held[cut].since >= holdDeadline {
 			e := cc.held[cut]
 			cut++
 			delete(cc.heldSet, congKey{dom: e.dom, disk: e.disk})

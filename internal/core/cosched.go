@@ -92,7 +92,7 @@ func (cc *coschedController) coschedTick() bool {
 	// Change detection on the max/min latency ratio.
 	ratio := maxOf(lat) / minOf(lat)
 	due := now-cc.lastApply >= cc.cfg.CoschedInterval
-	changed := cc.lastRatio > 0 && relDelta(ratio, cc.lastRatio) > cc.cfg.CoschedChangeFrac
+	changed := cc.lastRatio > 0 && relDelta(ratio, cc.lastRatio) > coschedChangeFrac
 	if !due && !changed {
 		return cs.AnyTraffic || m.crossSocketGuestExists()
 	}
@@ -114,7 +114,7 @@ func (cc *coschedController) coschedTick() bool {
 	for _, l := range lat {
 		invSum += 1 / l
 	}
-	contended := maxOf(lat) >= cc.cfg.CoschedMinLatency.Seconds()
+	contended := maxOf(lat) >= coschedMinLatency.Seconds()
 	for _, dom := range sortedDomIDs(m.drivers) {
 		drv := m.drivers[dom]
 		if !contended || len(drv.g.Sockets()) < 2 || cc.off[dom] || !m.live.cooperative(dom) {

@@ -34,8 +34,7 @@ type Counters struct {
 }
 
 // Counters snapshots every counter in one call. It is the only counter
-// read surface: PR 3's deprecated per-counter getters are gone, and the
-// nodeprecated vet pass keeps Manager from regrowing them.
+// read surface.
 func (m *Manager) Counters() Counters {
 	var c Counters
 	if fc := m.flush; fc != nil {

@@ -24,23 +24,11 @@ import (
 type Driver struct {
 	k   *sim.Kernel
 	g   *guest.Guest
-	dom bus.Conn
+	dom *bus.Domain
 	rng *stats.Stream
 	rec *trace.Recorder // host's decision-trace recorder (may be nil)
 
 	disks map[string]*diskDriver
-
-	// QueryInterval rate-limits congestion queries per disk (default 5 ms).
-	QueryInterval sim.Duration
-	// ReleaseGrace is how long a host "not congested" verdict remains
-	// valid: within it, local congestion triggers are suppressed instead
-	// of re-queried (default 50 ms).
-	ReleaseGrace sim.Duration
-	// NrUpdateInterval rate-limits nr_dirty store updates (default 50 ms).
-	NrUpdateInterval sim.Duration
-	// HeartbeatInterval paces the iorchestra/heartbeat counter the
-	// manager uses for liveness (default 100 ms; <= 0 disables).
-	HeartbeatInterval sim.Duration
 
 	// Liveness machinery and fault-injection state.
 	watchID   store.WatchID
@@ -52,9 +40,22 @@ type Driver struct {
 	// Stats.
 	flushes    uint64
 	releases   uint64
-	rebalance  uint64
 	stuckSyncs uint64
 }
+
+const (
+	// queryInterval rate-limits congestion queries per disk.
+	queryInterval = 5 * sim.Millisecond
+	// releaseGrace is how long a host "not congested" verdict remains
+	// valid: within it, local congestion triggers are suppressed instead
+	// of re-queried.
+	releaseGrace = 50 * sim.Millisecond
+	// nrUpdateInterval rate-limits nr_dirty store updates.
+	nrUpdateInterval = 50 * sim.Millisecond
+	// heartbeatInterval paces the iorchestra/heartbeat counter the
+	// manager uses for liveness.
+	heartbeatInterval = 100 * sim.Millisecond
+)
 
 type diskDriver struct {
 	drv  *Driver
@@ -84,16 +85,12 @@ type diskDriver struct {
 // mirrored to the store, and all watches are registered.
 func NewDriver(h *hypervisor.Host, rt *hypervisor.GuestRuntime, rng *stats.Stream) *Driver {
 	drv := &Driver{
-		k:                 h.Kernel(),
-		g:                 rt.G,
-		dom:               rt.Dom,
-		rng:               rng,
-		rec:               h.Recorder(),
-		disks:             map[string]*diskDriver{},
-		QueryInterval:     5 * sim.Millisecond,
-		ReleaseGrace:      50 * sim.Millisecond,
-		NrUpdateInterval:  50 * sim.Millisecond,
-		HeartbeatInterval: 100 * sim.Millisecond,
+		k:     h.Kernel(),
+		g:     rt.G,
+		dom:   rt.Dom,
+		rng:   rng,
+		rec:   h.Recorder(),
+		disks: map[string]*diskDriver{},
 	}
 	// Register per-domain keys (guest-owned so both sides can write —
 	// nodes created by Dom0 under a guest's subtree would be unreadable
@@ -141,14 +138,11 @@ func (drv *Driver) addDisk(v *guest.VDisk) {
 	v.Queue.SetController(dd)
 }
 
-// Flushes, Releases, Rebalances report lifetime driver actions.
+// Flushes reports dirty-page flush orders handled.
 func (drv *Driver) Flushes() uint64 { return drv.flushes }
 
 // Releases reports collaborative congestion releases handled.
 func (drv *Driver) Releases() uint64 { return drv.releases }
-
-// Rebalances reports co-scheduling process redistributions applied.
-func (drv *Driver) Rebalances() uint64 { return drv.rebalance }
 
 // StuckSyncs reports flush orders lost to an injected stuck sync().
 func (drv *Driver) StuckSyncs() uint64 { return drv.stuckSyncs }
@@ -166,10 +160,7 @@ func (drv *Driver) SetSyncFault(fn func(disk string) bool) { drv.syncFault = fn 
 // startHeartbeat arms the periodic iorchestra/heartbeat write, the
 // manager's liveness signal.
 func (drv *Driver) startHeartbeat() {
-	if drv.HeartbeatInterval <= 0 {
-		return
-	}
-	drv.hb = drv.k.Every(drv.HeartbeatInterval, func() {
+	drv.hb = drv.k.Every(heartbeatInterval, func() {
 		drv.hbCount++
 		drv.dom.WriteInt(keyHeartbeat, drv.hbCount)
 	})
@@ -276,7 +267,7 @@ func (dd *diskDriver) onDirtyChange(nr int64) {
 		return
 	}
 	dd.havePending = true
-	dd.nrTimer = drv.k.After(drv.NrUpdateInterval, func() {
+	dd.nrTimer = drv.k.After(nrUpdateInterval, func() {
 		dd.nrTimer = nil
 		dd.havePending = false
 		if dd.pendingNr > 0 {
@@ -298,7 +289,7 @@ func (dd *diskDriver) OnCongested(q *blkio.Queue) bool {
 		// that verdict instead of re-engaging avoidance immediately.
 		return false
 	}
-	if !dd.everQueried || now-dd.lastQuery >= drv.QueryInterval {
+	if !dd.everQueried || now-dd.lastQuery >= queryInterval {
 		dd.everQueried = true
 		dd.lastQuery = now
 		drv.dom.WriteBool(dd.kCongestQuery, true)
@@ -372,7 +363,7 @@ func (dd *diskDriver) handleFlushNow() {
 // disk's request queue, clear congested flags, reset release_request.
 func (drv *Driver) handleRelease() {
 	drv.releases++
-	until := drv.k.Now() + drv.ReleaseGrace
+	until := drv.k.Now() + releaseGrace
 	for _, name := range sortedNames(drv.disks) {
 		dd := drv.disks[name]
 		dd.releasedUntil = until
@@ -486,7 +477,6 @@ func (drv *Driver) applyTargets() {
 	}
 	if migrate != nil {
 		migrate.MoveTo(migrateTo)
-		drv.rebalance++
 		if drv.rec != nil {
 			drv.rec.Record(trace.Record{
 				Kind: trace.KindCoschedMove, Dom: int(drv.g.ID()),

@@ -27,7 +27,6 @@ import (
 // cgroup weights per I/O core — is unsupported.
 type gstateController struct {
 	m   *Manager
-	cfg *ManagerConfig
 	mon *hypervisor.Monitor
 
 	machine *gstate.Machine
@@ -36,8 +35,8 @@ type gstateController struct {
 	sample cadence
 
 	// Hysteresis: consecutive pressure/relief verdicts. A demotion fires
-	// after GStateDemoteAfter pressure ticks, a promotion after
-	// GStatePromoteAfter relief ticks; the mid-band resets both so noisy
+	// after gstateDemoteAfter pressure ticks, a promotion after
+	// gstatePromoteAfter relief ticks; the mid-band resets both so noisy
 	// utilization cannot ratchet guests down.
 	pressTicks  int
 	reliefTicks int
@@ -66,13 +65,12 @@ type latWindow struct {
 func newGStateController(m *Manager) *gstateController {
 	gc := &gstateController{
 		m:       m,
-		cfg:     &m.cfg,
 		mon:     m.h.Monitor(),
 		machine: gstate.NewMachine(),
 		meter:   gstate.NewMeter(),
 		lat:     map[store.DomID]latWindow{},
 	}
-	gc.sample = cadence{k: m.k, period: m.cfg.GStateInterval, tick: gc.gstateTick}
+	gc.sample = cadence{k: m.k, period: gstateInterval, tick: gc.gstateTick}
 	return gc
 }
 
@@ -167,8 +165,8 @@ func (gc *gstateController) gstateTick() bool {
 	}
 	ds := gc.mon.DeviceSnapshot(now)
 	congested := gc.mon.IOCongested()
-	pressure := ds.UtilFraction >= gc.cfg.GStateHighUtil || congested
-	relief := ds.UtilFraction <= gc.cfg.GStateLowUtil && !congested
+	pressure := ds.UtilFraction >= gstateHighUtil || congested
+	relief := ds.UtilFraction <= gstateLowUtil && !congested
 	switch {
 	case pressure:
 		gc.pressTicks++
@@ -180,11 +178,11 @@ func (gc *gstateController) gstateTick() bool {
 		gc.pressTicks = 0
 		gc.reliefTicks = 0
 	}
-	if gc.pressTicks >= gc.cfg.GStateDemoteAfter {
+	if gc.pressTicks >= gstateDemoteAfter {
 		gc.pressTicks = 0
 		gc.demoteOne()
 	}
-	if gc.reliefTicks >= gc.cfg.GStatePromoteAfter {
+	if gc.reliefTicks >= gstatePromoteAfter {
 		gc.reliefTicks = 0
 		gc.promoteOne()
 	}

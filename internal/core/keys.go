@@ -31,7 +31,7 @@ const (
 	// manager's flush candidate set is always current (Algorithm 1).
 	keyHasDirty = "has_dirty_pages"
 	// keyNrDirty (int pages) — the guest's dirty-page count nr_i,
-	// rate-limited to one write per Driver.NrUpdateInterval; the manager
+	// rate-limited to one write per nrUpdateInterval (50 ms); the manager
 	// picks argmax_i nr_i among eligible flush candidates (Algorithm 1).
 	keyNrDirty = "nr_dirty"
 	// keyFlushNow (bool) — set by the manager to order a sync() when the
@@ -76,9 +76,9 @@ const (
 	// and immediately restores a fallen-back guest.
 	keyDriverPresent = "iorchestra/driver"
 	// keyHeartbeat (int, iorchestra/heartbeat) — monotonic counter the
-	// guest driver bumps every Driver.HeartbeatInterval (default 100 ms).
-	// The manager's liveness signal: a beat older than HeartbeatTimeout
-	// demotes the guest to Baseline behavior.
+	// guest driver bumps every heartbeatInterval (100 ms). The manager's
+	// liveness signal: a beat older than heartbeatTimeout demotes the
+	// guest to Baseline behavior.
 	keyHeartbeat = "iorchestra/heartbeat"
 	// keySLAState (int, sla/state) — manager-published current G-state
 	// index (0 = G0, docs/GSTATES.md); the guest driver watches it and

@@ -26,7 +26,6 @@ type liveness struct {
 	st  *store.Store
 	rec *trace.Recorder
 
-	timeout sim.Duration // HeartbeatTimeout
 	penalty sim.Duration // FallbackPenalty
 
 	// present reports whether a driver is attached for dom; a guest
@@ -68,7 +67,6 @@ func newLiveness(k *sim.Kernel, st *store.Store, rec *trace.Recorder,
 		k:        k,
 		st:       st,
 		rec:      rec,
-		timeout:  cfg.HeartbeatTimeout,
 		penalty:  cfg.FallbackPenalty,
 		present:  present,
 		beats:    map[store.DomID]*beatNode{},
@@ -103,18 +101,16 @@ func (lv *liveness) cooperative(dom store.DomID) bool {
 	if lv.fallback[dom] != nil {
 		return false
 	}
-	if t := lv.timeout; t > 0 {
-		if n := lv.beats[dom]; n != nil && lv.k.Now()-n.last > t {
-			lv.heartbeatMisses++
-			if lv.rec != nil {
-				lv.rec.Record(trace.Record{
-					Kind: trace.KindHeartbeatMiss, Dom: int(dom),
-					Latency: lv.k.Now() - n.last,
-				})
-			}
-			lv.enterFallback(dom, "heartbeat")
-			return false
+	if n := lv.beats[dom]; n != nil && lv.k.Now()-n.last > heartbeatTimeout {
+		lv.heartbeatMisses++
+		if lv.rec != nil {
+			lv.rec.Record(trace.Record{
+				Kind: trace.KindHeartbeatMiss, Dom: int(dom),
+				Latency: lv.k.Now() - n.last,
+			})
 		}
+		lv.enterFallback(dom, "heartbeat")
+		return false
 	}
 	return true
 }
@@ -127,12 +123,9 @@ func (lv *liveness) cooperative(dom store.DomID) bool {
 // argmax, preserving the demotion side effects of the replaced
 // every-dirty-dom scan.
 func (lv *liveness) sweepStale(keep func(store.DomID) bool) {
-	if lv.timeout <= 0 {
-		return
-	}
 	now := lv.k.Now()
 	var stale []store.DomID
-	for n := lv.beatHead; n != nil && now-n.last > lv.timeout; n = n.next {
+	for n := lv.beatHead; n != nil && now-n.last > heartbeatTimeout; n = n.next {
 		if lv.fallback[n.dom] == nil && lv.present(n.dom) && keep(n.dom) {
 			stale = append(stale, n.dom)
 		}

@@ -33,12 +33,6 @@ func NewDegraded(k *sim.Kernel, inner BlockDevice, factor float64) *Degraded {
 	return &Degraded{k: k, inner: inner, factor: factor}
 }
 
-// Factor reports the configured slowdown multiple.
-func (d *Degraded) Factor() float64 { return d.factor }
-
-// Inner exposes the wrapped device.
-func (d *Degraded) Inner() BlockDevice { return d.inner }
-
 // SetRecorder forwards the decision-trace recorder to the wrapped device
 // when it supports per-request service tracing.
 func (d *Degraded) SetRecorder(r *trace.Recorder) {

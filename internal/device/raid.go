@@ -171,48 +171,3 @@ func (a *RAID0) Submit(r *Request) {
 		})
 	}
 }
-
-// HDDConfig parameterizes a rotating-disk model, provided as an
-// alternative substrate (the paper's congestion examples generalize to
-// disks, where falsely triggered avoidance is even more costly).
-type HDDConfig struct {
-	Name       string
-	SeqBps     float64      // sustained transfer rate
-	AvgSeek    sim.Duration // average seek+rotational delay
-	QueueLimit int
-	JitterFrac float64
-}
-
-// DefaultHDDConfig models a 7200 RPM SATA disk.
-func DefaultHDDConfig(name string) HDDConfig {
-	return HDDConfig{
-		Name:       name,
-		SeqBps:     150e6,
-		AvgSeek:    8 * sim.Millisecond,
-		QueueLimit: DefaultQueueLimit,
-		JitterFrac: 0.3,
-	}
-}
-
-// HDD is a single-actuator rotating disk: one request in service at a
-// time, seeks dominate random access.
-type HDD struct {
-	*SSD // reuse the queue/accounting machinery with HDD-shaped parameters
-}
-
-// NewHDD builds a rotating-disk model.
-func NewHDD(k *sim.Kernel, cfg HDDConfig, rng *stats.Stream) *HDD {
-	ssdCfg := SSDConfig{
-		Name:        cfg.Name,
-		SeqReadBps:  cfg.SeqBps,
-		SeqWriteBps: cfg.SeqBps,
-		// A disk's random IOPS is 1/seek-time.
-		RandReadIOPS:        1 / cfg.AvgSeek.Seconds(),
-		RandWriteIOPS:       1 / cfg.AvgSeek.Seconds(),
-		AccessLatency:       cfg.AvgSeek / 4, // track-to-track component on sequential runs
-		InternalParallelism: 1,
-		QueueLimit:          cfg.QueueLimit,
-		JitterFrac:          cfg.JitterFrac,
-	}
-	return &HDD{SSD: NewSSD(k, ssdCfg, rng)}
-}

@@ -1,4 +1,4 @@
-// Package device models physical block storage: SSDs, HDDs and RAID0
+// Package device models physical block storage: SSDs and RAID0
 // arrays with service-time, queueing, utilization and congestion behaviour.
 // The experiment platform mirrors the paper's testbed: a 960 GB RAID0
 // volume striped over eight 120 GB SSDs.

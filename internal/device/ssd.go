@@ -13,11 +13,8 @@ type SSDConfig struct {
 	// SeqReadBps / SeqWriteBps are peak sequential bandwidths.
 	SeqReadBps  float64
 	SeqWriteBps float64
-	// RandReadIOPS / RandWriteIOPS bound small random operations.
-	RandReadIOPS  float64
-	RandWriteIOPS float64
-	// AccessLatency is the fixed per-request latency floor.
-	AccessLatency sim.Duration
+	// RandReadIOPS bounds small random reads.
+	RandReadIOPS float64
 	// InternalParallelism is the number of requests serviced concurrently
 	// (channels/planes); further requests queue.
 	InternalParallelism int
@@ -31,15 +28,22 @@ type SSDConfig struct {
 	// longer. Zero disables.
 	WriteTailOdds   int
 	WriteTailFactor float64
-	// StreamSwitchPenalty is added to a sequential request whose
+}
+
+const (
+	// randWriteIOPS bounds small random writes.
+	randWriteIOPS = 6000
+	// accessLatency is the fixed per-request latency floor.
+	accessLatency = 60 * sim.Microsecond
+	// streamSwitchPenalty is added to a sequential request whose
 	// (owner, stream) differs from the previous one serviced: on
 	// file-backed virtual disks, interleaved "sequential" streams from
 	// many VMs degenerate into scattered host I/O (extent allocation,
 	// journal commits, stripe misalignment). Coordinated flushing keeps
 	// streams contiguous and avoids this cost — the physical basis of
 	// Fig. 8's gains. Reads pay a quarter of the penalty.
-	StreamSwitchPenalty sim.Duration
-}
+	streamSwitchPenalty = 1500 * sim.Microsecond
+)
 
 // Intel520Config models one of the paper's 120 GB Intel 520 SSDs.
 func Intel520Config(name string) SSDConfig {
@@ -52,11 +56,9 @@ func Intel520Config(name string) SSDConfig {
 		// streams sustaining ~100 MB/s aggregate with ~200 ms per-MiB
 		// latencies) pins the effective array throughput at a small
 		// fraction of the devices' rated speed.
-		SeqReadBps:    120e6,
-		SeqWriteBps:   60e6,
-		RandReadIOPS:  12000,
-		RandWriteIOPS: 6000,
-		AccessLatency: 60 * sim.Microsecond,
+		SeqReadBps:   120e6,
+		SeqWriteBps:  60e6,
+		RandReadIOPS: 12000,
 		// Two concurrent commands per device: enough for NCQ overlap,
 		// low enough that large writes visibly delay reads on the same
 		// member — the interference channel the flush policies manage.
@@ -65,7 +67,6 @@ func Intel520Config(name string) SSDConfig {
 		JitterFrac:          0.15,
 		WriteTailOdds:       400,
 		WriteTailFactor:     12,
-		StreamSwitchPenalty: 1500 * sim.Microsecond,
 	}
 }
 
@@ -165,9 +166,9 @@ func (d *SSD) start(r *Request) {
 	d.inflight++
 	d.util.SetBusy(d.k.Now(), true)
 	svc := d.serviceTime(r)
-	if r.Sequential && d.cfg.StreamSwitchPenalty > 0 {
+	if r.Sequential {
 		if d.haveLast && (d.lastOwner != r.Owner || d.lastStream != r.Stream) {
-			p := d.cfg.StreamSwitchPenalty
+			p := streamSwitchPenalty
 			if r.Op == Read {
 				p /= 4
 			}
@@ -220,7 +221,7 @@ func (d *SSD) serviceTime(r *Request) sim.Duration {
 		if r.Op == Read {
 			iops, bps = d.cfg.RandReadIOPS, d.cfg.SeqReadBps
 		} else {
-			iops, bps = d.cfg.RandWriteIOPS, d.cfg.SeqWriteBps
+			iops, bps = randWriteIOPS, d.cfg.SeqWriteBps
 		}
 		iopsBps := iops * float64(r.Size)
 		if iopsBps < bps {
@@ -230,7 +231,7 @@ func (d *SSD) serviceTime(r *Request) sim.Duration {
 	if bps <= 0 {
 		bps = 1
 	}
-	t := float64(d.cfg.AccessLatency) + float64(r.Size)/bps*float64(sim.Second)
+	t := float64(accessLatency) + float64(r.Size)/bps*float64(sim.Second)
 	if d.cfg.JitterFrac > 0 && d.rng != nil {
 		t *= 1 + d.cfg.JitterFrac*(2*d.rng.Float64()-1)
 	}

@@ -2,38 +2,17 @@ package experiments
 
 import "time"
 
-// Clock supplies wall-clock readings for progress reporting in the
-// experiment binaries. It exists so cmd/experiments never calls time.Now
-// itself: the determinism vet pass bans wall-clock reads across the
-// simulation and its drivers, and elapsed-time reporting is the one
-// legitimate wall-clock consumer — so it is injected from here, outside
-// the deterministic scope, and tests can swap it for a fake.
-type Clock func() time.Time
-
-// wallClock is the process default; SetClock replaces it.
-var wallClock Clock = time.Now
-
-// SetClock installs an alternative clock (tests); nil restores the wall
-// clock.
-func SetClock(c Clock) {
-	if c == nil {
-		c = time.Now
-	}
-	wallClock = c
-}
-
-// Stopwatch measures elapsed wall time for progress lines.
+// Stopwatch measures elapsed wall time for progress lines in the
+// experiment binaries. It lives here so cmd/experiments never calls
+// time.Now itself: the determinism vet pass bans wall-clock reads across
+// the simulation and its drivers, and elapsed-time reporting is the one
+// legitimate wall-clock consumer.
 type Stopwatch struct {
-	clock Clock
 	start time.Time
 }
 
-// StartStopwatch begins timing on the injected clock.
-func StartStopwatch() Stopwatch {
-	return Stopwatch{clock: wallClock, start: wallClock()}
-}
+// StartStopwatch begins timing.
+func StartStopwatch() Stopwatch { return Stopwatch{start: time.Now()} }
 
 // Elapsed reports wall time since StartStopwatch.
-func (s Stopwatch) Elapsed() time.Duration {
-	return s.clock().Sub(s.start)
-}
+func (s Stopwatch) Elapsed() time.Duration { return time.Since(s.start) }

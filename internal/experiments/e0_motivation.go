@@ -10,19 +10,21 @@ import (
 	"iorchestra/internal/workload"
 )
 
-// E0Config parameterizes the Sec. 2 motivation test: two VMs, eight
-// threads each, reading eight 1 GB files concurrently, with Linux
-// congestion avoidance at defaults versus disabled versus IOrchestra's
-// collaborative control.
-type E0Config struct {
-	Duration  sim.Duration
-	Streams   int
-	FileSize  int64
-	ChunkSize int64
-	// QueueLimit is the virtio ring / nr_requests budget; readahead from
-	// eight streams fills it, falsely triggering avoidance.
-	QueueLimit int
-}
+// The Sec. 2 motivation test: two VMs, eight threads each, reading eight
+// 1 GB files concurrently, with Linux congestion avoidance at defaults
+// versus disabled versus IOrchestra's collaborative control.
+const (
+	e0Streams   = 8
+	e0FileSize  = 1 << 30
+	e0ChunkSize = 1 << 20
+	// e0QueueLimit is the virtio ring / nr_requests budget; readahead
+	// from eight streams fills it, falsely triggering avoidance: 8
+	// streams × 16 readahead chunks merge into ~64 queued requests per
+	// VM, above the 7/8 threshold (59) but below the hard limit (68), so
+	// congestion avoidance is the binding constraint — the regime of the
+	// paper's test.
+	e0QueueLimit = 68
+)
 
 // E0Variant selects the congestion configuration under test.
 type E0Variant int
@@ -57,25 +59,15 @@ type E0Result struct {
 
 // RunE0 executes the motivation test for all three variants.
 func RunE0(scale Scale, seed uint64) []E0Result {
-	cfg := E0Config{
-		Duration:  scale.pick(4*sim.Second, 20*sim.Second),
-		Streams:   8,
-		FileSize:  1 << 30,
-		ChunkSize: 1 << 20,
-		// 8 streams × 16 readahead chunks merge into ~64 queued requests
-		// per VM: above the 7/8 threshold (59) but below the hard limit
-		// (68), so congestion avoidance is the binding constraint — the
-		// regime of the paper's test.
-		QueueLimit: 68,
-	}
+	dur := scale.pick(4*sim.Second, 20*sim.Second)
 	variants := []E0Variant{E0Default, E0Disabled, E0IOrchestra}
 	results := parallelMap(len(variants), func(i int) E0Result {
-		return runE0Variant(variants[i], cfg, seed)
+		return runE0Variant(variants[i], dur, seed)
 	})
 	return results
 }
 
-func runE0Variant(v E0Variant, cfg E0Config, seed uint64) E0Result {
+func runE0Variant(v E0Variant, dur sim.Duration, seed uint64) E0Result {
 	sys := iorchestra.SystemBaseline
 	if v == E0IOrchestra {
 		sys = iorchestra.SystemIOrchestra
@@ -87,7 +79,7 @@ func runE0Variant(v E0Variant, cfg E0Config, seed uint64) E0Result {
 		dc := guest.DiskConfig{
 			Name: "xvda",
 			QueueConfig: blkio.Config{
-				Limit:    cfg.QueueLimit,
+				Limit:    e0QueueLimit,
 				MaxMerge: 128 << 10,
 			},
 			MaxTransfer: 64 << 10,
@@ -97,12 +89,12 @@ func runE0Variant(v E0Variant, cfg E0Config, seed uint64) E0Result {
 		}
 		rt := p.NewVM(4, 4, dc)
 		ms := workload.NewMultiStream(p.Kernel, rt.G, rt.G.Disks()[0],
-			cfg.Streams, cfg.FileSize, cfg.ChunkSize,
+			e0Streams, e0FileSize, e0ChunkSize,
 			p.Rng.Fork(fmt.Sprintf("ms%d", vm)))
 		ms.Start()
 		gens = append(gens, ms)
 	}
-	p.Kernel.RunUntil(cfg.Duration)
+	p.Kernel.RunUntil(dur)
 	dumpTrace(fmt.Sprintf("E0-%s-seed%d", v, seed), p)
 	var total float64
 	var p999 float64

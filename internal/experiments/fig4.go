@@ -66,7 +66,7 @@ func buildFig4(sys iorchestra.System, seed uint64, clients int, y1Rate, y2Rate f
 	web := p.NewVM(2, 4)
 	db := p.NewVM(2, 4)
 	fs := p.NewVM(2, 4)
-	olio := apps.NewOlio(k, web.G, db.G, fs.G, apps.OlioConfig{}, p.Rng.Fork("olio"))
+	olio := apps.NewOlio(k, web.G, db.G, fs.G, p.Rng.Fork("olio"))
 	gen := workload.NewClosedLoop(k, clients, sim.Second, olio.Request, p.Rng.Fork("faban"))
 
 	return &fig4Scenario{p: p, olio: olio, gen: gen, y1: y1, y2: y2}

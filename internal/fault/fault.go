@@ -258,9 +258,6 @@ func NewInjector(k *sim.Kernel, spec Spec, rng *stats.Stream) *Injector {
 	return &Injector{k: k, spec: spec, rng: rng, counts: map[string]uint64{}}
 }
 
-// Spec returns the injector's fault specification.
-func (in *Injector) Spec() Spec { return in.spec }
-
 // SetRecorder mirrors every injected fault into the decision trace as a
 // typed fault.inject record.
 func (in *Injector) SetRecorder(r *trace.Recorder) { in.rec = r }

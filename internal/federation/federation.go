@@ -31,10 +31,6 @@ type Config struct {
 	// TTL is the heartbeat age past which a host is considered dead
 	// (default 3.5 × HeartbeatInterval — a few missed beats, not one).
 	TTL sim.Duration
-	// ExpirySweep is the registry reaper cadence (default TTL/2).
-	ExpirySweep sim.Duration
-	// Policy is the placement policy.
-	Policy Policy
 	// RebalanceInterval enables the load rebalancer: every interval, if
 	// the live VCPU spread exceeds RebalanceGap, one guest migrates from
 	// the busiest to the idlest host (0 = rebalancer off).
@@ -45,10 +41,11 @@ type Config struct {
 	// MigrationStep is the latency of each migration phase — the window
 	// in which guest writes race the pre-copy (default 2 ms).
 	MigrationStep sim.Duration
-	// CatchUpRounds bounds delta catch-up after freeze before the
-	// migration is declared diverged and aborted (default 8).
-	CatchUpRounds int
 }
+
+// catchUpRounds bounds delta catch-up after freeze before the migration
+// is declared diverged and aborted.
+const catchUpRounds = 8
 
 func (c *Config) fillDefaults() {
 	if c.HeartbeatInterval <= 0 {
@@ -57,17 +54,11 @@ func (c *Config) fillDefaults() {
 	if c.TTL <= 0 {
 		c.TTL = c.HeartbeatInterval * 7 / 2
 	}
-	if c.ExpirySweep <= 0 {
-		c.ExpirySweep = c.TTL / 2
-	}
 	if c.RebalanceGap <= 0 {
 		c.RebalanceGap = 4
 	}
 	if c.MigrationStep <= 0 {
 		c.MigrationStep = 2 * sim.Millisecond
-	}
-	if c.CatchUpRounds <= 0 {
-		c.CatchUpRounds = 8
 	}
 }
 
@@ -103,6 +94,7 @@ type Federation struct {
 	view View
 	rec  *trace.Recorder
 	cfg  Config
+	pol  Policy // the default placement policy
 	reg  *Registry
 
 	members   map[string]*member
@@ -126,9 +118,10 @@ type Federation struct {
 // cluster.* event.
 func New(k *sim.Kernel, view View, rec *trace.Recorder, cfg Config) *Federation {
 	cfg.fillDefaults()
-	cfg.Policy.fillDefaults()
+	var pol Policy
+	pol.fillDefaults()
 	return &Federation{
-		k: k, view: view, rec: rec, cfg: cfg,
+		k: k, view: view, rec: rec, cfg: cfg, pol: pol,
 		reg:       NewRegistry(k, view, cfg.TTL),
 		members:   map[string]*member{},
 		migrating: map[string]*migration{},
@@ -137,9 +130,6 @@ func New(k *sim.Kernel, view View, rec *trace.Recorder, cfg Config) *Federation 
 
 // Registry exposes the membership/liveness tracker.
 func (f *Federation) Registry() *Registry { return f.reg }
-
-// Config reports the effective (default-filled) configuration.
-func (f *Federation) Config() Config { return f.cfg }
 
 // Counters snapshots the trace-mirroring counters.
 func (f *Federation) Counters() Counters {
@@ -156,7 +146,7 @@ func (f *Federation) Counters() Counters {
 // load rebalancer.
 func (f *Federation) Start() {
 	f.stopped = false
-	f.k.After(f.cfg.ExpirySweep, f.sweepTick)
+	f.k.After(f.cfg.TTL/2, f.sweepTick)
 	if f.cfg.RebalanceInterval > 0 {
 		f.k.After(f.cfg.RebalanceInterval, f.rebalanceTick)
 	}
@@ -200,11 +190,6 @@ func (f *Federation) Member(id string) *hypervisor.Host {
 	return nil
 }
 
-// MemberIDs lists joined hosts in ascending id order.
-func (f *Federation) MemberIDs() []string {
-	return append([]string(nil), f.memberIDs...)
-}
-
 // hostStats assembles the placement inputs for every registered host
 // from the registry, in ascending id order.
 func (f *Federation) hostStats() []HostStats {
@@ -223,7 +208,7 @@ func (f *Federation) hostStats() []HostStats {
 // returns the chosen host id; on rejection ok is false. Either way the
 // decision is traced (cluster.place / cluster.reject) and counted.
 func (f *Federation) Place(req Request) (hostID string, ok bool) {
-	scores, winner, mode := ScoreHosts(f.cfg.Policy, req, f.hostStats())
+	scores, winner, mode := ScoreHosts(f.pol, req, f.hostStats())
 	if winner < 0 {
 		f.rejects++
 		f.record(trace.Record{
@@ -285,7 +270,7 @@ func (f *Federation) sweepTick() {
 		f.expiries++
 		f.record(trace.Record{Kind: trace.KindClusterExpire, Host: id, Latency: sim.Time(age)})
 	}
-	f.k.After(f.cfg.ExpirySweep, f.sweepTick)
+	f.k.After(f.cfg.TTL/2, f.sweepTick)
 }
 
 // rebalanceTick migrates one guest from the busiest to the idlest live
@@ -336,7 +321,7 @@ func (f *Federation) rebalanceTick() {
 		if v <= 0 {
 			continue
 		}
-		if float64(dst.ActiveVCPUs+v) > float64(dst.Cores)*f.cfg.Policy.Overcommit {
+		if float64(dst.ActiveVCPUs+v) > float64(dst.Cores)*f.pol.Overcommit {
 			continue
 		}
 		if pick == "" || v < pickVCPUs {

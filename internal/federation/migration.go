@@ -172,12 +172,12 @@ func (f *Federation) migrateCatchUp(m *migration) {
 		Kind: trace.KindClusterMigrateSync, Path: m.uid, Host: m.to,
 		Value: page.Mode.String(), Size: int64(n),
 	})
-	if page.Mode == SyncMatch {
+	if page.Mode == store.SyncMatch {
 		f.k.After(f.cfg.MigrationStep, func() { f.migrateCommit(m) })
 		return
 	}
 	m.rounds++
-	if m.rounds >= f.cfg.CatchUpRounds {
+	if m.rounds >= catchUpRounds {
 		f.migrateAbort(m, abortDiverged)
 		return
 	}
@@ -271,36 +271,9 @@ func (f *Federation) migrateAbort(m *migration, reason string) {
 }
 
 // apply folds one sync page into the migration's collected subtree and
-// advances its cursor; it returns the pairs applied. Prune markers
-// arrive first (OpSync ordering), so a removed-then-recreated path
-// drops its stale children before its current value lands.
-func (m *migration) apply(page SyncPage) int {
-	switch page.Mode {
-	case SyncFull:
-		m.nodes = make(map[string]string, len(page.Pairs))
-		for _, kv := range page.Pairs {
-			m.nodes[kv.Path] = kv.Value
-		}
-	case SyncDelta:
-		for _, kv := range page.Pairs {
-			if kv.Removed {
-				prefix := kv.Path + "/"
-				delete(m.nodes, kv.Path)
-				for p := range m.nodes {
-					if strings.HasPrefix(p, prefix) {
-						delete(m.nodes, p)
-					}
-				}
-				continue
-			}
-			if m.nodes == nil {
-				m.nodes = map[string]string{}
-			}
-			m.nodes[kv.Path] = kv.Value
-		}
-	case SyncMatch:
-		// Converged; nothing to apply.
-	}
+// advances its cursor; it returns the pairs applied.
+func (m *migration) apply(page store.SyncPage) int {
+	m.nodes = page.Apply(m.nodes)
 	m.version, m.hash = page.Version, page.Hash
 	return len(page.Pairs)
 }

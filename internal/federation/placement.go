@@ -19,14 +19,6 @@ const (
 	Permissive
 )
 
-// String names the mode.
-func (m Mode) String() string {
-	if m == Permissive {
-		return "permissive"
-	}
-	return "enforce"
-}
-
 // Policy parameterizes placement scoring.
 type Policy struct {
 	// Mode selects enforce or permissive handling of infeasibility.

@@ -41,8 +41,6 @@ type Registry struct {
 	view     View
 	ttl      sim.Duration
 	lastBeat map[string]sim.Time
-	watchID  store.WatchID
-	watching bool
 }
 
 // NewRegistry builds a registry over the cluster view with the given
@@ -50,19 +48,11 @@ type Registry struct {
 func NewRegistry(k *sim.Kernel, view View, ttl sim.Duration) *Registry {
 	r := &Registry{k: k, view: view, ttl: ttl, lastBeat: map[string]sim.Time{}}
 	hp := store.HypervisorsPath()
-	id, err := view.Watch(hp, func(path, value string) { r.observe(hp, path, value) })
-	if err == nil {
-		r.watchID, r.watching = id, true
-	}
+	// A failed watch leaves the registry without arrivals: every host
+	// goes stale after one TTL, which is the safe reading of a view that
+	// cannot deliver heartbeats.
+	view.Watch(hp, func(path, value string) { r.observe(hp, path, value) })
 	return r
-}
-
-// Close removes the membership watch.
-func (r *Registry) Close() {
-	if r.watching {
-		r.view.Unwatch(r.watchID)
-		r.watching = false
-	}
 }
 
 // observe stamps heartbeat arrivals and forgets removed entries. Only
@@ -140,9 +130,6 @@ func (r *Registry) Stale(id string) (bool, sim.Duration) {
 	age := sim.Duration(r.k.Now() - at)
 	return age > r.ttl, age
 }
-
-// TTL reports the configured heartbeat time-to-live.
-func (r *Registry) TTL() sim.Duration { return r.ttl }
 
 // cutPrefix is strings.CutPrefix (kept local to avoid importing strings
 // for two one-liners shared with cutSlash).

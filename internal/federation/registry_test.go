@@ -166,7 +166,7 @@ func TestLocalViewSyncSubtree(t *testing.T) {
 	}
 
 	full, err := v.SyncSubtree(root, ^uint64(0), 0)
-	if err != nil || full.Mode != SyncFull {
+	if err != nil || full.Mode != store.SyncFull {
 		t.Fatalf("first sync = (%v, %v), want full walk", full.Mode, err)
 	}
 	got := map[string]string{}
@@ -179,7 +179,7 @@ func TestLocalViewSyncSubtree(t *testing.T) {
 
 	// No mutation: the hash matches and nothing is sent.
 	match, err := v.SyncSubtree(root, full.Version, full.Hash)
-	if err != nil || match.Mode != SyncMatch || len(match.Pairs) != 0 {
+	if err != nil || match.Mode != store.SyncMatch || len(match.Pairs) != 0 {
 		t.Fatalf("unchanged sync = %+v, %v, want empty match", match, err)
 	}
 
@@ -187,7 +187,7 @@ func TestLocalViewSyncSubtree(t *testing.T) {
 	st.Write(store.Dom0, root+"/a", "1b")
 	st.Remove(store.Dom0, root+"/b")
 	delta, err := v.SyncSubtree(root, full.Version, full.Hash)
-	if err != nil || delta.Mode != SyncDelta {
+	if err != nil || delta.Mode != store.SyncDelta {
 		t.Fatalf("windowed sync = (%v, %v), want delta", delta.Mode, err)
 	}
 	sawRemove, sawValue := false, false

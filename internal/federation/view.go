@@ -1,64 +1,17 @@
 package federation
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
 
 	"iorchestra/internal/store"
 )
 
-// SyncMode classifies a SyncSubtree reply, mirroring the netstore OpSync
-// outcomes (docs/WIRE_PROTOCOL.md §6): cheapest first.
-type SyncMode uint8
-
-const (
-	// SyncMatch: the caller's hash matches the subtree; nothing sent.
-	SyncMatch SyncMode = iota
-	// SyncDelta: the mutation journal covered the caller's version; the
-	// reply carries exactly the paths that moved.
-	SyncDelta
-	// SyncFull: the caller predates the journal window; the reply is a
-	// full subtree walk.
-	SyncFull
-)
-
-// String names the mode for trace records.
-func (m SyncMode) String() string {
-	switch m {
-	case SyncMatch:
-		return "match"
-	case SyncDelta:
-		return "delta"
-	default:
-		return "full"
-	}
-}
-
-// SyncPair is one path of a sync reply. Removed marks prune markers: the
-// consumer must drop its copy of the subtree at Path before applying the
-// value pairs that follow (the path may have been recreated since).
-type SyncPair struct {
-	Path    string
-	Value   string
-	Removed bool
-}
-
-// SyncPage is one hash-versioned subtree sync reply; Version and Hash
-// anchor the caller's next sync.
-type SyncPage struct {
-	Mode    SyncMode
-	Version uint64
-	Hash    uint64
-	Pairs   []SyncPair
-}
-
 // View is the store surface the federation consumes: a privileged
 // (Dom0) absolute-path handle plus the hash-versioned subtree sync the
-// migration handoff rides on. LocalView implements it in-process;
-// cmd/iorchestra-clusterd adapts netstore.Client to it, so the same
-// registry, placement and migration logic runs whether the cluster
-// store is an object or a socket away.
+// migration handoff rides on. LocalView implements it in-process and
+// *netstore.Client over the wire, so the same registry, placement and
+// migration logic runs whether the cluster store is an object or a
+// socket away.
 type View interface {
 	Read(path string) (string, error)
 	Write(path, value string) error
@@ -67,10 +20,10 @@ type View interface {
 	Grant(path string, target store.DomID, perm store.Perm) error
 	Watch(prefix string, fn func(path, value string)) (store.WatchID, error)
 	Unwatch(id store.WatchID)
-	// SyncSubtree answers a catch-up request for one domain subtree,
-	// with netstore OpSync semantics: root must be a /local/domain/<id>
+	// SyncSubtree answers a catch-up request for one domain subtree
+	// (store.SyncSubtree as Dom0): root must be a /local/domain/<id>
 	// subtree root; prune markers lead the pairs.
-	SyncSubtree(root string, since, known uint64) (SyncPage, error)
+	SyncSubtree(root string, since, known uint64) (store.SyncPage, error)
 }
 
 // LocalView adapts an in-process store to View with Dom0 privilege.
@@ -105,70 +58,9 @@ func (v LocalView) Watch(prefix string, fn func(path, value string)) (store.Watc
 // Unwatch removes a watch.
 func (v LocalView) Unwatch(id store.WatchID) { v.St.Unwatch(id) }
 
-// SyncSubtree mirrors the netstore server's OpSync algorithm against the
-// local store (internal/netstore server.go handleSync): a hash match
-// costs nothing, a journal hit sends exactly the paths that moved with
-// prune markers first, and only a journal miss walks the subtree.
-func (v LocalView) SyncSubtree(root string, since, known uint64) (SyncPage, error) {
-	if dom, ok := store.PathDomain(root); !ok || root != store.DomainPath(dom) {
-		return SyncPage{}, fmt.Errorf("federation: sync root %q is not a domain subtree root", root)
-	}
-	page := SyncPage{Version: v.St.Version(), Hash: v.St.SubtreeHash(root)}
-	prefix := root + "/"
-	if known == page.Hash {
-		page.Mode = SyncMatch
-		return page, nil
-	}
-	if deltas, covered := v.St.DeltasSince(since); covered && since <= page.Version {
-		page.Mode = SyncDelta
-		// Prune markers lead the reply so the consumer drops stale
-		// subtrees before applying current values — a path removed and
-		// then recreated in the window carries both a marker and a value,
-		// in that order.
-		var values []SyncPair
-		for _, dl := range deltas {
-			p := dl.Path
-			if p != root && !strings.HasPrefix(p, prefix) {
-				continue
-			}
-			val, err := v.St.Read(store.Dom0, p)
-			switch {
-			case dl.Removed:
-				page.Pairs = append(page.Pairs, SyncPair{Path: p, Removed: true})
-				if err == nil {
-					values = append(values, SyncPair{Path: p, Value: val})
-				}
-			case err == nil:
-				values = append(values, SyncPair{Path: p, Value: val})
-			default:
-				page.Pairs = append(page.Pairs, SyncPair{Path: p, Removed: true})
-			}
-		}
-		page.Pairs = append(page.Pairs, values...)
-		return page, nil
-	}
-	page.Mode = SyncFull
-	v.walk(root, &page.Pairs)
-	return page, nil
-}
-
-// walk emits every node at or below root in deterministic
-// (sorted-children) order, the in-process twin of snapshotWalk.
-func (v LocalView) walk(root string, out *[]SyncPair) {
-	if val, err := v.St.Read(store.Dom0, root); err == nil {
-		*out = append(*out, SyncPair{Path: root, Value: val})
-	}
-	names, err := v.St.List(store.Dom0, root)
-	if err != nil {
-		return
-	}
-	base := root
-	if base != "/" {
-		base += "/"
-	}
-	for _, name := range names {
-		v.walk(base+name, out)
-	}
+// SyncSubtree answers a catch-up request against the local store as Dom0.
+func (v LocalView) SyncSubtree(root string, since, known uint64) (store.SyncPage, error) {
+	return v.St.SyncSubtree(store.Dom0, root, since, known)
 }
 
 // --- Typed read helpers over a View -----------------------------------------

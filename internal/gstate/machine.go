@@ -92,9 +92,6 @@ func (ma *Machine) Add(dom store.DomID, tier Tier, sla SLA) {
 // Remove forgets a guest; safe for guests never added.
 func (ma *Machine) Remove(dom store.DomID) { delete(ma.guests, dom) }
 
-// Has reports whether dom is admitted.
-func (ma *Machine) Has(dom store.DomID) bool { return ma.guests[dom] != nil }
-
 // Len reports the number of admitted guests.
 func (ma *Machine) Len() int { return len(ma.guests) }
 

@@ -90,9 +90,6 @@ func (me *Meter) close(dom store.DomID, ep *episode, now sim.Time) {
 	delete(me.open, dom)
 }
 
-// Violating reports whether dom has an open violation episode.
-func (me *Meter) Violating(dom store.DomID) bool { return me.open[dom] != nil }
-
 // AnyViolating reports whether any guest of tier t is currently in
 // violation — the admission gate's input (new bronze arrivals are
 // deferred while gold is violating).

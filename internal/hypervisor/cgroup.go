@@ -68,9 +68,6 @@ func NewCgroup(k *sim.Kernel, dev device.BlockDevice, maxInFlight int) *Cgroup {
 	}
 }
 
-// Device exposes the backing device.
-func (c *Cgroup) Device() device.BlockDevice { return c.dev }
-
 // SetTracer installs a blktrace-style event recorder on the dispatch path.
 func (c *Cgroup) SetTracer(t *trace.Tracer) {
 	c.tracer = t
@@ -114,9 +111,6 @@ func (c *Cgroup) InFlight() int { return c.inFlight }
 
 // Backlog reports queued plus in-flight requests.
 func (c *Cgroup) Backlog() int { return c.Queued() + c.inFlight }
-
-// MaxInFlight reports the dispatch concurrency bound.
-func (c *Cgroup) MaxInFlight() int { return c.maxInFlight }
 
 // Congested reports whether the host I/O path is overcrowded: total
 // backlog (queued plus in flight) at or beyond 7/8 of the dispatch

@@ -41,15 +41,9 @@ type Config struct {
 	// of a VM goes to its home socket's core — SDC's same-socket
 	// assumption.
 	RouteBySocket bool
-	// RingLatency is the frontend↔backend notification latency each way.
-	RingLatency sim.Duration
 	// BackendCostPerReq is dom0 CPU time per request in ModeBackend
 	// (VM exits, interrupt handling, grant mapping).
 	BackendCostPerReq sim.Duration
-	// BackendBps is the backend's per-byte processing rate (grant
-	// copies); large requests occupy the backend proportionally, just as
-	// they occupy a polling core (default 6 GB/s).
-	BackendBps float64
 	// IOCoreCostPerReq and IOCoreBps parameterize polling cores.
 	IOCoreCostPerReq sim.Duration
 	IOCoreBps        float64
@@ -66,6 +60,16 @@ type Config struct {
 	TraceCapacity int
 }
 
+const (
+	// ringLatency is the frontend↔backend notification latency each way.
+	ringLatency = 25 * sim.Microsecond
+	// backendBps is the backend's per-byte processing rate: large
+	// requests occupy the backend proportionally, just as they occupy a
+	// polling core. Grant mapping is per-page bookkeeping and the data
+	// itself moves by DMA, so the effective rate is high.
+	backendBps = 25e9
+)
+
 func (c *Config) fillDefaults() {
 	if c.Name == "" {
 		c.Name = "host0"
@@ -76,19 +80,11 @@ func (c *Config) fillDefaults() {
 	if c.CoresPerSocket <= 0 {
 		c.CoresPerSocket = 6
 	}
-	if c.RingLatency <= 0 {
-		c.RingLatency = 25 * sim.Microsecond
-	}
 	if c.BackendCostPerReq <= 0 {
 		// Each request costs VM exits, interrupt injection and grant
 		// bookkeeping in the driver domain; eliminating this per-request
 		// tax is why the dedicated polling designs exist.
 		c.BackendCostPerReq = 30 * sim.Microsecond
-	}
-	if c.BackendBps <= 0 {
-		// Grant mapping is per-page bookkeeping; the data itself moves by
-		// DMA, so the effective per-byte rate is high.
-		c.BackendBps = 25e9
 	}
 	if c.IOCoreCostPerReq <= 0 {
 		c.IOCoreCostPerReq = 3 * sim.Microsecond
@@ -155,7 +151,7 @@ func New(k *sim.Kernel, cfg Config, rng *stats.Stream) *Host {
 		cfg:          cfg,
 		rng:          rng,
 		st:           st,
-		bs:           bus.New(k, st, cfg.RingLatency),
+		bs:           bus.New(k, st, ringLatency),
 		dev:          cfg.Device,
 		backendQ:     sim.NewFIFO[*device.Request](0),
 		backendOwner: map[*device.Request]store.DomID{},
@@ -179,12 +175,12 @@ func New(k *sim.Kernel, cfg Config, rng *stats.Stream) *Host {
 		h.coreLoad[s] = make([]int, cfg.CoresPerSocket)
 		h.pcores[s] = make([]*PCore, cfg.CoresPerSocket)
 		for c := range h.pcores[s] {
-			h.pcores[s][c] = NewPCore(k, s, c)
+			h.pcores[s][c] = NewPCore(k)
 		}
 	}
 	if cfg.Mode == ModeDedicated {
 		for s := 0; s < cfg.Sockets; s++ {
-			core := NewIOCore(k, s, s, h.cg, cfg.IOCoreCostPerReq, cfg.IOCoreBps)
+			core := NewIOCore(k, s, h.cg, cfg.IOCoreCostPerReq, cfg.IOCoreBps)
 			h.iocores = append(h.iocores, core)
 			h.cg.SetWeight(core.ID(), 1)
 			// Reserve core 0 of each socket for polling.
@@ -321,10 +317,10 @@ func (h *Host) RemoveGuest(id store.DomID) {
 func (h *Host) attachDisk(rt *GuestRuntime, dc guest.DiskConfig) {
 	front := blkio.LowerFunc(func(r *device.Request) {
 		// Frontend→host notification.
-		h.k.After(h.cfg.RingLatency, func() {
+		h.k.After(ringLatency, func() {
 			// Completion returns through the ring as well.
 			done := r.Done
-			r.Done = func() { h.k.After(h.cfg.RingLatency, done) }
+			r.Done = func() { h.k.After(ringLatency, done) }
 			h.route(rt, r)
 		})
 	})
@@ -371,7 +367,7 @@ func (h *Host) backendPump() {
 	h.backendBusy = true
 	h.backendUtil.SetBusy(h.k.Now(), true)
 	cost := h.cfg.BackendCostPerReq +
-		sim.Duration(float64(r.Size)/h.cfg.BackendBps*float64(sim.Second))
+		sim.Duration(float64(r.Size)/backendBps*float64(sim.Second))
 	h.k.After(cost, func() {
 		dom := h.backendOwner[r]
 		delete(h.backendOwner, r)
@@ -425,10 +421,6 @@ func (h *Host) CPUUtilization(now sim.Time) float64 {
 	}
 	return used / total
 }
-
-// PCore returns the physical core at (socket, index), for tests and the
-// monitoring module.
-func (h *Host) PCore(socket, index int) *PCore { return h.pcores[socket][index] }
 
 // BackendUtilization reports the dom0 backend core's busy fraction.
 func (h *Host) BackendUtilization(now sim.Time) float64 {

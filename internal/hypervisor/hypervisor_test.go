@@ -96,7 +96,7 @@ func TestIOCoreProcessesAndObservesLatency(t *testing.T) {
 	k := sim.NewKernel()
 	dev := quietSSD(k, 5)
 	cg := NewCgroup(k, dev, 8)
-	core := NewIOCore(k, 0, 0, cg, 3*sim.Microsecond, 6e9)
+	core := NewIOCore(k, 0, cg, 3*sim.Microsecond, 6e9)
 	done := 0
 	for i := 0; i < 20; i++ {
 		core.Enqueue(1, &device.Request{Op: device.Read, Size: 4096, Done: func() { done++ }})
@@ -124,7 +124,7 @@ func TestIOCoreDRRQuantaBiasService(t *testing.T) {
 	dev := quietSSD(k, 6)
 	// Large device concurrency: the polling core is the bottleneck.
 	cg := NewCgroup(k, dev, 64)
-	core := NewIOCore(k, 0, 0, cg, 10*sim.Microsecond, 1e9)
+	core := NewIOCore(k, 0, cg, 10*sim.Microsecond, 1e9)
 	core.SetQuantum(1, 4*256<<10)
 	core.SetQuantum(2, 1*256<<10)
 	var b1, b2 float64
@@ -147,7 +147,7 @@ func TestIOCoreEmptyBufferForfeitsCredit(t *testing.T) {
 	k := sim.NewKernel()
 	dev := quietSSD(k, 7)
 	cg := NewCgroup(k, dev, 8)
-	core := NewIOCore(k, 0, 0, cg, sim.Microsecond, 6e9)
+	core := NewIOCore(k, 0, cg, sim.Microsecond, 6e9)
 	// VM 1 idles while VM 2 works: VM 1 must not accumulate credit.
 	core.SetQuantum(1, 1<<20)
 	core.SetQuantum(2, 1<<20)

@@ -13,10 +13,9 @@ import (
 // served deficit-round-robin with quanta Q_i = BWmax · S^{VMi}_{SKT}, so
 // time on the polling core tracks each VM's IOrchestra-computed I/O share.
 type IOCore struct {
-	k      *sim.Kernel
-	id     int
-	socket int
-	out    *Cgroup
+	k   *sim.Kernel
+	id  int // one core per socket: the id is the socket index
+	out *Cgroup
 
 	// costPerReq is the CPU cost of polling + processing one request;
 	// perByte models the data-touch cost.
@@ -51,9 +50,9 @@ type pendingReq struct {
 	arrived sim.Time
 }
 
-// NewIOCore builds a polling core on the given socket dispatching into
-// out with class id = core id.
-func NewIOCore(k *sim.Kernel, id, socket int, out *Cgroup, costPerReq sim.Duration, coreBps float64) *IOCore {
+// NewIOCore builds a polling core dispatching into out with class id =
+// core id.
+func NewIOCore(k *sim.Kernel, id int, out *Cgroup, costPerReq sim.Duration, coreBps float64) *IOCore {
 	if costPerReq <= 0 {
 		costPerReq = 3 * sim.Microsecond
 	}
@@ -63,7 +62,6 @@ func NewIOCore(k *sim.Kernel, id, socket int, out *Cgroup, costPerReq sim.Durati
 	return &IOCore{
 		k:          k,
 		id:         id,
-		socket:     socket,
 		out:        out,
 		costPerReq: costPerReq,
 		perByteNs:  float64(sim.Second) / coreBps,
@@ -74,11 +72,8 @@ func NewIOCore(k *sim.Kernel, id, socket int, out *Cgroup, costPerReq sim.Durati
 	}
 }
 
-// ID reports the core id; Socket its NUMA socket.
+// ID reports the core id.
 func (c *IOCore) ID() int { return c.id }
-
-// Socket reports the core's NUMA socket.
-func (c *IOCore) Socket() int { return c.socket }
 
 // Processed reports lifetime requests handled.
 func (c *IOCore) Processed() uint64 { return c.processed }

@@ -266,17 +266,6 @@ func (mo *Monitor) Observed(dom store.DomID) bool {
 	return ok
 }
 
-// DirtyDoms lists domains with observed dirty state in ascending order —
-// deterministic iteration for fixed-seed replay.
-func (mo *Monitor) DirtyDoms() []store.DomID {
-	out := make([]store.DomID, 0, len(mo.dirty))
-	for dom := range mo.dirty {
-		out = append(out, dom)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // DirtyDisks lists a domain's observed disks in ascending name order.
 func (mo *Monitor) DirtyDisks(dom store.DomID) []string {
 	byDisk := mo.dirty[dom]

@@ -10,9 +10,7 @@ import (
 // approximation of the Xen credit scheduler: idle co-located VCPUs cost
 // nothing, busy ones interleave.
 type PCore struct {
-	k      *sim.Kernel
-	socket int
-	index  int
+	k *sim.Kernel
 
 	busy  bool
 	queue []pcoreBurst
@@ -29,13 +27,8 @@ type pcoreBurst struct {
 // short interactive bursts are not stuck behind batch compute.
 const Slice = 250 * sim.Microsecond
 
-// NewPCore builds a core at (socket, index).
-func NewPCore(k *sim.Kernel, socket, index int) *PCore {
-	return &PCore{k: k, socket: socket, index: index}
-}
-
-// Socket reports the core's socket.
-func (c *PCore) Socket() int { return c.socket }
+// NewPCore builds an idle core.
+func NewPCore(k *sim.Kernel) *PCore { return &PCore{k: k} }
 
 // Exec schedules a burst of duration d; done fires when it completes.
 // Exec matches guest.ExecFunc so a VCPU can delegate to its pinned core.
@@ -78,6 +71,3 @@ func (c *PCore) dispatch() {
 
 // UtilFraction reports the core's busy fraction.
 func (c *PCore) UtilFraction(now sim.Time) float64 { return c.util.Fraction(now) }
-
-// QueueLen reports runnable bursts waiting (steal-time indicator).
-func (c *PCore) QueueLen() int { return len(c.queue) }

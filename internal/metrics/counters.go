@@ -4,51 +4,6 @@ import (
 	"iorchestra/internal/sim"
 )
 
-// Throughput accumulates bytes (or operations) over simulated time and
-// reports rates. It is the instrument behind the write-throughput
-// improvements in Fig. 8, Table 2 and Fig. 11.
-type Throughput struct {
-	total   float64
-	started sim.Time
-	ended   sim.Time
-	haveT   bool
-}
-
-// Add accumulates amount observed at time now.
-func (tp *Throughput) Add(now sim.Time, amount float64) {
-	if !tp.haveT {
-		tp.started = now
-		tp.haveT = true
-	}
-	if now > tp.ended {
-		tp.ended = now
-	}
-	tp.total += amount
-}
-
-// Total reports the accumulated amount.
-func (tp *Throughput) Total() float64 { return tp.total }
-
-// Rate reports amount per second over [start, end]; end defaults to the
-// last observation when the span is zero the total is returned.
-func (tp *Throughput) Rate() float64 {
-	span := (tp.ended - tp.started).Seconds()
-	if span <= 0 {
-		return tp.total
-	}
-	return tp.total / span
-}
-
-// RateOver reports amount per second over an externally supplied window,
-// for harnesses that run a fixed-length test.
-func (tp *Throughput) RateOver(window sim.Duration) float64 {
-	s := window.Seconds()
-	if s <= 0 {
-		return 0
-	}
-	return tp.total / s
-}
-
 // Utilization integrates a busy/idle signal over virtual time, reporting
 // the busy fraction — the instrument behind Fig. 10(c)'s CPU utilization
 // and the device-idleness checks in the flush policy.
@@ -75,9 +30,6 @@ func (u *Utilization) SetBusy(now sim.Time, busy bool) {
 	}
 	u.busy = busy
 }
-
-// Busy reports the current state.
-func (u *Utilization) Busy() bool { return u.busy }
 
 // Fraction reports the busy fraction over [origin, now].
 func (u *Utilization) Fraction(now sim.Time) float64 {

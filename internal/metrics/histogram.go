@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"iorchestra/internal/sim"
 )
@@ -155,90 +154,4 @@ func (h *Histogram) Merge(o *Histogram) {
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v p99.9=%v max=%v",
 		h.count, h.Mean(), h.Percentile(50), h.Percentile(99), h.Percentile(99.9), h.Max())
-}
-
-// CDFPoint is one point of an empirical cumulative distribution.
-type CDFPoint struct {
-	Latency  sim.Time
-	Fraction float64 // cumulative fraction <= Latency
-}
-
-// CDF returns an empirical CDF with at most maxPoints points, suitable for
-// plotting Fig. 5 / Fig. 6 style curves.
-func (h *Histogram) CDF(maxPoints int) []CDFPoint {
-	if h.count == 0 {
-		return nil
-	}
-	var pts []CDFPoint
-	var cum uint64
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		pts = append(pts, CDFPoint{
-			Latency:  sim.Time((bucketLow(i) + bucketLow(i+1)) / 2),
-			Fraction: float64(cum) / float64(h.count),
-		})
-	}
-	if maxPoints > 0 && len(pts) > maxPoints {
-		out := make([]CDFPoint, 0, maxPoints)
-		stride := float64(len(pts)) / float64(maxPoints)
-		for i := 0; i < maxPoints; i++ {
-			out = append(out, pts[int(float64(i)*stride)])
-		}
-		out[len(out)-1] = pts[len(pts)-1]
-		pts = out
-	}
-	return pts
-}
-
-// Reservoir keeps every sample exactly (bounded by cap with uniform
-// reservoir sampling once full). It backs significance checks in tests
-// where exact order statistics matter.
-type Reservoir struct {
-	samples []float64
-	seen    uint64
-	cap     int
-	// xorshift state for reservoir eviction; determinism is preserved
-	// because each Reservoir owns its state.
-	rng uint64
-}
-
-// NewReservoir returns a reservoir holding at most capacity samples
-// (capacity <= 0 means unbounded).
-func NewReservoir(capacity int) *Reservoir {
-	return &Reservoir{cap: capacity, rng: 0x9e3779b97f4a7c15}
-}
-
-func (r *Reservoir) next() uint64 {
-	r.rng ^= r.rng << 13
-	r.rng ^= r.rng >> 7
-	r.rng ^= r.rng << 17
-	return r.rng
-}
-
-// Record adds a sample.
-func (r *Reservoir) Record(v float64) {
-	r.seen++
-	if r.cap <= 0 || len(r.samples) < r.cap {
-		r.samples = append(r.samples, v)
-		return
-	}
-	// Uniform replacement keeps the reservoir a uniform sample.
-	j := r.next() % r.seen
-	if j < uint64(r.cap) {
-		r.samples[j] = v
-	}
-}
-
-// Seen reports the total number of samples offered.
-func (r *Reservoir) Seen() uint64 { return r.seen }
-
-// Samples returns a sorted copy of the retained samples.
-func (r *Reservoir) Samples() []float64 {
-	out := make([]float64, len(r.samples))
-	copy(out, r.samples)
-	sort.Float64s(out)
-	return out
 }

@@ -16,9 +16,6 @@ func TestHistogramEmpty(t *testing.T) {
 	if h.Percentile(99) != 0 {
 		t.Fatal("empty percentile != 0")
 	}
-	if h.CDF(10) != nil {
-		t.Fatal("empty CDF != nil")
-	}
 }
 
 func TestHistogramBasicStats(t *testing.T) {
@@ -106,25 +103,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestHistogramCDFMonotone(t *testing.T) {
-	h := NewHistogram()
-	for i := 0; i < 10000; i++ {
-		h.Record(sim.Time(i%997) * sim.Microsecond)
-	}
-	pts := h.CDF(50)
-	if len(pts) == 0 || len(pts) > 50 {
-		t.Fatalf("CDF has %d points", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Latency < pts[i-1].Latency || pts[i].Fraction < pts[i-1].Fraction {
-			t.Fatal("CDF not monotone")
-		}
-	}
-	if last := pts[len(pts)-1].Fraction; math.Abs(last-1) > 1e-9 {
-		t.Fatalf("CDF does not reach 1: %v", last)
-	}
-}
-
 func TestHistogramPercentileMonotoneProperty(t *testing.T) {
 	f := func(vals []uint32) bool {
 		if len(vals) == 0 {
@@ -146,21 +124,6 @@ func TestHistogramPercentileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestThroughputRate(t *testing.T) {
-	var tp Throughput
-	tp.Add(0, 100)
-	tp.Add(2*sim.Second, 300)
-	if tp.Total() != 400 {
-		t.Fatalf("Total = %v", tp.Total())
-	}
-	if got := tp.Rate(); math.Abs(got-200) > 1e-9 {
-		t.Fatalf("Rate = %v, want 200/s", got)
-	}
-	if got := tp.RateOver(4 * sim.Second); math.Abs(got-100) > 1e-9 {
-		t.Fatalf("RateOver = %v, want 100/s", got)
 	}
 }
 
@@ -214,38 +177,6 @@ func TestWindowRateGrowth(t *testing.T) {
 	}
 	if got := w.Sum(100); got != 100 {
 		t.Fatalf("Sum = %v after growth, want 100", got)
-	}
-}
-
-func TestReservoirExactUnderCap(t *testing.T) {
-	r := NewReservoir(100)
-	for i := 0; i < 50; i++ {
-		r.Record(float64(49 - i))
-	}
-	s := r.Samples()
-	if len(s) != 50 {
-		t.Fatalf("len = %d", len(s))
-	}
-	for i, v := range s {
-		if v != float64(i) {
-			t.Fatal("samples not sorted or wrong")
-		}
-	}
-	if r.Seen() != 50 {
-		t.Fatalf("Seen = %d", r.Seen())
-	}
-}
-
-func TestReservoirBounded(t *testing.T) {
-	r := NewReservoir(10)
-	for i := 0; i < 10000; i++ {
-		r.Record(float64(i))
-	}
-	if len(r.Samples()) != 10 {
-		t.Fatalf("reservoir grew past cap: %d", len(r.Samples()))
-	}
-	if r.Seen() != 10000 {
-		t.Fatalf("Seen = %d", r.Seen())
 	}
 }
 

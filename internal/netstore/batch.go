@@ -44,9 +44,6 @@ type BatchResult struct {
 // NewBatch starts an empty batch on this connection.
 func (c *Client) NewBatch() *Batch { return &Batch{c: c} }
 
-// Len reports the number of queued operations.
-func (b *Batch) Len() int { return len(b.ops) }
-
 // Read queues a read of an absolute path.
 func (b *Batch) Read(path string) *Batch {
 	b.ops = append(b.ops, batchReq{op: OpRead, path: path})

@@ -15,8 +15,7 @@ import (
 
 // Client is a wire connection to an iorchestra-stored server, bound to
 // one domain by the handshake. Its method set mirrors the store surface a
-// guest sees in-process; Domain() adapts it to the bus.Conn shape the
-// guest driver consumes, so a driver can run out-of-process unchanged.
+// domain sees in-process, and satisfies federation.View as it stands.
 //
 // A Client is safe for concurrent use. Requests may be issued from many
 // goroutines; watch callbacks are delivered sequentially by a dedicated
@@ -26,11 +25,7 @@ type Client struct {
 	// br buffers inbound frames: the reply stream is read by exactly one
 	// goroutine (handshake, then readLoop), so pipelined replies cost one
 	// read syscall instead of two per frame.
-	br  *bufio.Reader
-	dom store.DomID
-
-	// storeVersion is the server's version counter at handshake.
-	storeVersion uint64
+	br *bufio.Reader
 
 	reqMu   sync.Mutex
 	nextReq uint32
@@ -45,8 +40,6 @@ type Client struct {
 	// deadlock against its own connection.
 	events chan clientEvent
 
-	timeout time.Duration
-
 	closeOnce sync.Once
 	closedCh  chan struct{}
 	// err records why the connection died, for post-mortem reporting.
@@ -60,9 +53,8 @@ type clientEvent struct {
 	value string
 }
 
-// DefaultTimeout bounds each request round trip unless SetTimeout
-// changes it.
-const DefaultTimeout = 30 * time.Second
+// requestTimeout bounds each request round trip.
+const requestTimeout = 30 * time.Second
 
 // Dial connects to an iorchestra-stored endpoint ("tcp" or "unix") and
 // performs the handshake binding the connection to dom. token is
@@ -80,11 +72,9 @@ func NewClient(nc net.Conn, dom store.DomID, token string) (*Client, error) {
 	c := &Client{
 		c:        nc,
 		br:       bufio.NewReaderSize(nc, 16<<10),
-		dom:      dom,
 		pending:  map[uint32]chan *dec{},
 		watchFns: map[uint32]func(path, value string){},
 		events:   make(chan clientEvent, 4096),
-		timeout:  DefaultTimeout,
 		closedCh: make(chan struct{}),
 	}
 	// Handshake is synchronous: one frame out, one frame back, before the
@@ -116,7 +106,7 @@ func NewClient(nc net.Conn, dom store.DomID, token string) (*Client, error) {
 		return nil, rerr
 	}
 	accepted := d.u8()
-	c.storeVersion = d.u64()
+	d.u64() // the store's version counter at handshake; no client path reads it
 	if err := d.done(); err != nil {
 		nc.Close()
 		return nil, err
@@ -129,16 +119,6 @@ func NewClient(nc net.Conn, dom store.DomID, token string) (*Client, error) {
 	go c.dispatchLoop()
 	return c, nil
 }
-
-// ID reports the domain this connection is bound to.
-func (c *Client) ID() store.DomID { return c.dom }
-
-// ServerVersion reports the store's mutation counter as of the
-// handshake, the anchor for Snapshot-based catch-up.
-func (c *Client) ServerVersion() uint64 { return c.storeVersion }
-
-// SetTimeout bounds each request round trip (0 disables).
-func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
 
 // Close tears the connection down; in-flight requests fail with
 // ErrClosed.
@@ -252,23 +232,19 @@ func (c *Client) rpc(build func(e *enc, id uint32)) (*dec, error) {
 		c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
 		return nil, c.Err()
 	}
-	var timer <-chan time.Time
-	if c.timeout > 0 {
-		t := time.NewTimer(c.timeout)
-		defer t.Stop()
-		timer = t.C
-	}
+	timer := time.NewTimer(requestTimeout)
+	defer timer.Stop()
 	select {
 	case d, ok := <-ch:
 		if !ok {
 			return nil, c.Err()
 		}
 		return d, nil
-	case <-timer:
+	case <-timer.C:
 		c.reqMu.Lock()
 		delete(c.pending, id)
 		c.reqMu.Unlock()
-		return nil, fmt.Errorf("%w after %v", ErrTimeout, c.timeout)
+		return nil, fmt.Errorf("%w after %v", ErrTimeout, requestTimeout)
 	}
 }
 
@@ -538,15 +514,6 @@ func (t *Txn) Read(path string) (string, error) {
 // Write buffers a write within the transaction.
 func (t *Txn) Write(path, value string) error {
 	d, err := t.c.call(OpTxnWrite, func(e *enc) { e.u32(t.tid); e.str(path); e.str(value) })
-	if err != nil {
-		return err
-	}
-	return d.done()
-}
-
-// Remove buffers a removal within the transaction.
-func (t *Txn) Remove(path string) error {
-	d, err := t.c.call(OpTxnRemove, func(e *enc) { e.u32(t.tid); e.str(path) })
 	if err != nil {
 		return err
 	}

@@ -173,19 +173,6 @@ func (o Op) String() string {
 	}
 }
 
-// Sync reply modes (OpSync): how the server answered a
-// subtree catch-up request, cheapest first.
-const (
-	// SyncMatch: the client's hash matches the subtree; nothing sent.
-	SyncMatch uint8 = 0
-	// SyncDelta: the mutation journal covered the client's version; the
-	// reply carries exactly the paths that moved (with removal markers).
-	SyncDelta uint8 = 1
-	// SyncFull: the client predates the journal window; the reply is a
-	// full permission-filtered subtree walk.
-	SyncFull uint8 = 2
-)
-
 // Status is the result code carried in every reply.
 type Status uint8
 

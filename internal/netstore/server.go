@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,9 +37,6 @@ type Options struct {
 	// connection to Dom0. Guest domains authenticate by reachability
 	// alone, as on a XenBus transport.
 	Dom0Token string
-	// TraceCapacity sizes the store loop's decision-trace ring
-	// (default trace.DefaultRecorderCapacity).
-	TraceCapacity int
 	// MaxTxns bounds concurrently open transactions per connection.
 	// Default 64.
 	MaxTxns int
@@ -152,7 +148,7 @@ func NewServer(opts Options) *Server {
 		opts:  opts,
 		k:     k,
 		st:    store.New(k, 0),
-		rec:   trace.NewRecorder(k, opts.TraceCapacity),
+		rec:   trace.NewRecorder(k, trace.DefaultRecorderCapacity),
 		ops:   make(chan func()),
 		quit:  make(chan struct{}),
 		conns: map[*srvConn]struct{}{},
@@ -191,11 +187,6 @@ func NewServer(opts Options) *Server {
 	})
 	return s
 }
-
-// Kernel exposes the store's private simulation kernel, the clock a
-// fault.Injector must be built on so watchdelay draws have a timeline to
-// land in. Schedule work on it only via Do.
-func (s *Server) Kernel() *sim.Kernel { return s.k }
 
 // Do runs fn on the store-loop goroutine with exclusive access to the
 // store, then drains the watch deliveries it scheduled. It is how
@@ -1071,7 +1062,7 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 		run(root, func() (func(*enc), error) {
 			type pair struct{ p, v string }
 			var pairs []pair
-			snapshotWalk(st, c.dom, root, func(p, v string) {
+			st.Walk(c.dom, root, func(p, v string) {
 				pairs = append(pairs, pair{p, v})
 			})
 			version := st.Version()
@@ -1216,12 +1207,9 @@ func (c *srvConn) handleBatch(id uint32, d *dec) []byte {
 
 // --- Hash-versioned subtree sync ----------------------------------------------
 
-// handleSync answers an OpSync catch-up request for one domain subtree.
-// Three outcomes, cheapest first: the client's hash matches (nothing to
-// send), the journal still covers the client's version (send exactly the
-// paths that moved), or the client is older than the retained window
-// (full permission-filtered walk). The version/hash pair anchors the
-// client's next sync.
+// handleSync answers an OpSync catch-up request for one domain subtree
+// with store.SyncSubtree's verdict as the connection's domain sees it.
+// The version/hash pair anchors the client's next sync.
 func (c *srvConn) handleSync(id uint32, op Op, d *dec) []byte {
 	root := d.path()
 	since := d.u64()
@@ -1229,107 +1217,42 @@ func (c *srvConn) handleSync(id uint32, op Op, d *dec) []byte {
 	if err := d.done(); err != nil {
 		return reply(id, err, nil)
 	}
-	if dom, ok := store.PathDomain(root); !ok || root != store.DomainPath(dom) {
-		return reply(id, fmt.Errorf("%w: sync root %q is not a domain subtree root", ErrBadRequest, root), nil)
-	}
-	st := c.srv.st
-	type pair struct {
-		p, v    string
-		removed bool
-	}
-	var mode uint8
-	var curV, curH uint64
-	var pairs []pair
-	var out []byte
+	var page store.SyncPage
+	var err error
 	ok := c.srv.do(func() {
-		c.srv.rec.Record(trace.Record{Kind: trace.KindWireOp, Dom: int(c.dom), Path: root, Value: op.String()})
-		curV = st.Version()
-		curH = st.SubtreeHash(root)
-		prefix := root + "/"
-		if known == curH {
-			mode = SyncMatch
-		} else if deltas, covered := st.DeltasSince(since); covered && since <= curV {
-			mode = SyncDelta
-			// Prune markers lead the reply so the client drops stale
-			// subtrees before applying current values — a path removed and
-			// then recreated in the window carries both a marker and a
-			// value, in that order.
-			var values []pair
-			for _, dl := range deltas {
-				p := dl.Path
-				if p != root && !strings.HasPrefix(p, prefix) {
-					continue
-				}
-				v, err := st.Read(c.dom, p)
-				switch {
-				case dl.Removed:
-					pairs = append(pairs, pair{p: p, removed: true})
-					if err == nil {
-						values = append(values, pair{p: p, v: v})
-					}
-				case err == nil:
-					values = append(values, pair{p: p, v: v})
-				case errors.Is(err, store.ErrNoEntry):
-					pairs = append(pairs, pair{p: p, removed: true})
-				default:
-					// Unreadable for this domain: not part of its view.
-				}
-			}
-			pairs = append(pairs, values...)
-		} else {
-			mode = SyncFull
-			snapshotWalk(st, c.dom, root, func(p, v string) {
-				pairs = append(pairs, pair{p: p, v: v})
-			})
+		page, err = c.srv.st.SyncSubtree(c.dom, root, since, known)
+		if err == nil {
+			c.srv.rec.Record(trace.Record{Kind: trace.KindWireOp, Dom: int(c.dom), Path: root, Value: op.String()})
 		}
-		out = reply(id, nil, func(e *enc) {
-			e.u8(mode)
-			e.u64(curV)
-			e.u64(curH)
-			e.u32(uint32(len(pairs)))
-			for _, kv := range pairs {
-				e.str(kv.p)
-				r := uint8(0)
-				if kv.removed {
-					r = 1
-				}
-				e.u8(r)
-				e.str(kv.v)
-			}
-		})
 	})
 	if !ok {
 		return reply(id, ErrClosed, nil)
 	}
+	if err != nil {
+		return reply(id, fmt.Errorf("%w: %v", ErrBadRequest, err), nil)
+	}
 	c.srv.syncs.Add(1)
-	switch mode {
-	case SyncMatch:
+	switch page.Mode {
+	case store.SyncMatch:
 		c.srv.syncMatches.Add(1)
-	case SyncDelta:
+	case store.SyncDelta:
 		c.srv.syncDeltas.Add(1)
 	default:
 		c.srv.syncFulls.Add(1)
 	}
-	return out
-}
-
-// snapshotWalk emits every node at or below root readable by dom, in
-// deterministic (sorted-children) order. Runs on the store loop.
-//
-// storeloop
-func snapshotWalk(st *store.Store, dom store.DomID, root string, emit func(path, value string)) {
-	if v, err := st.Read(dom, root); err == nil {
-		emit(root, v)
-	}
-	names, err := st.List(dom, root)
-	if err != nil {
-		return
-	}
-	base := root
-	if base != "/" {
-		base += "/"
-	}
-	for _, name := range names {
-		snapshotWalk(st, dom, base+name, emit)
-	}
+	return reply(id, nil, func(e *enc) {
+		e.u8(uint8(page.Mode))
+		e.u64(page.Version)
+		e.u64(page.Hash)
+		e.u32(uint32(len(page.Pairs)))
+		for _, kv := range page.Pairs {
+			e.str(kv.Path)
+			r := uint8(0)
+			if kv.Removed {
+				r = 1
+			}
+			e.u8(r)
+			e.str(kv.Value)
+		}
+	})
 }

@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
 
+	"iorchestra/internal/federation"
 	"iorchestra/internal/store"
 )
 
@@ -180,7 +182,7 @@ func TestSyncModes(t *testing.T) {
 
 	m := c.NewMirror(base)
 	mode, err := m.Sync()
-	if err != nil || mode != SyncFull {
+	if err != nil || mode != store.SyncFull {
 		t.Fatalf("bootstrap sync = mode %d, %v; want full", mode, err)
 	}
 	if v, ok := m.Get(base + "/k2"); !ok || v != "2" {
@@ -189,7 +191,7 @@ func TestSyncModes(t *testing.T) {
 
 	// Unchanged subtree: hash match, no payload.
 	mode, err = m.Sync()
-	if err != nil || mode != SyncMatch {
+	if err != nil || mode != store.SyncMatch {
 		t.Fatalf("idle sync = mode %d, %v; want match", mode, err)
 	}
 
@@ -201,7 +203,7 @@ func TestSyncModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	mode, err = m.Sync()
-	if err != nil || mode != SyncDelta {
+	if err != nil || mode != store.SyncDelta {
 		t.Fatalf("delta sync = mode %d, %v; want delta", mode, err)
 	}
 	if v, _ := m.Get(base + "/k1"); v != "changed" {
@@ -224,7 +226,7 @@ func TestSyncModes(t *testing.T) {
 	if err := c.Remove(base + "/sub"); err != nil {
 		t.Fatal(err)
 	}
-	if mode, err = m.Sync(); err != nil || mode != SyncDelta {
+	if mode, err = m.Sync(); err != nil || mode != store.SyncDelta {
 		t.Fatalf("post-remove sync = mode %d, %v", mode, err)
 	}
 	for _, p := range []string{base + "/sub", base + "/sub/x", base + "/sub/y"} {
@@ -258,7 +260,7 @@ func TestSyncJournalOverflowFallsBackToFull(t *testing.T) {
 		}
 	}
 	mode, err := m.Sync()
-	if err != nil || mode != SyncFull {
+	if err != nil || mode != store.SyncFull {
 		t.Fatalf("overflowed sync = mode %d, %v; want full", mode, err)
 	}
 	if m.Len() != 66 { // seed + 64 keys + home node
@@ -310,6 +312,88 @@ func TestSyncBadRoot(t *testing.T) {
 			t.Errorf("SyncSubtree(%q) err = %v, want ErrBadRequest", root, err)
 		}
 	}
+}
+
+// TestSyncParityWireAndLocalView: OpSync and federation.LocalView are two
+// surfaces of one function, store.SyncSubtree. Over one store history —
+// writes, a remove-then-recreate, a node the guest cannot read, a journal
+// overflow — the Dom0 wire reply equals LocalView's page in all three
+// modes, and a guest's wire reply equals the store's verdict for that
+// guest, without the node it cannot read.
+func TestSyncParityWireAndLocalView(t *testing.T) {
+	srv, sock := startServer(t, Options{})
+	srv.Do(func(st *store.Store) { st.SetJournalCap(8) })
+	c0, g := dialT(t, sock, store.Dom0), dialT(t, sock, 5)
+	root := store.DomainPath(5)
+	write := func(c *Client, rel, v string) {
+		t.Helper()
+		if err := c.Write(root+rel, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// check syncs over the wire as c and in process via local, and
+	// requires the same page in the wanted mode.
+	check := func(label string, c *Client, local func(*store.Store) (store.SyncPage, error), since, known uint64, want store.SyncMode) store.SyncPage {
+		t.Helper()
+		wire, werr := c.SyncSubtree(root, since, known)
+		var loc store.SyncPage
+		var lerr error
+		srv.Do(func(st *store.Store) { loc, lerr = local(st) })
+		if werr != nil || lerr != nil {
+			t.Fatalf("%s: wire err %v, local err %v", label, werr, lerr)
+		}
+		if len(wire.Pairs) == 0 {
+			wire.Pairs = nil // the decoder's empty slice is the store's nil
+		}
+		if !reflect.DeepEqual(wire, loc) {
+			t.Fatalf("%s: wire page\n%+v\n!= local page\n%+v", label, wire, loc)
+		}
+		if wire.Mode != want {
+			t.Fatalf("%s: mode %v, want %v", label, wire.Mode, want)
+		}
+		return wire
+	}
+	asDom0 := func(since, known uint64) func(*store.Store) (store.SyncPage, error) {
+		return func(st *store.Store) (store.SyncPage, error) {
+			return federation.LocalView{St: st}.SyncSubtree(root, since, known)
+		}
+	}
+	has := func(page store.SyncPage, path string) bool {
+		for _, kv := range page.Pairs {
+			if kv.Path == path {
+				return true
+			}
+		}
+		return false
+	}
+
+	write(g, "/a", "1")
+	write(g, "/sub/x", "1")
+	write(c0, "/secret", "s") // Dom0-owned under the guest's home: unreadable for dom 5
+	full := check("bootstrap", c0, asDom0(^uint64(0), ^uint64(0)), ^uint64(0), ^uint64(0), store.SyncFull)
+	check("idle", c0, asDom0(full.Version, full.Hash), full.Version, full.Hash, store.SyncMatch)
+
+	if err := g.Remove(root + "/sub"); err != nil {
+		t.Fatal(err)
+	}
+	write(g, "/sub/y", "2")
+	write(g, "/a", "2")
+	write(c0, "/secret", "s2")
+	delta := check("delta", c0, asDom0(full.Version, full.Hash), full.Version, full.Hash, store.SyncDelta)
+	if !has(delta, root+"/secret") || !delta.Pairs[0].Removed || delta.Pairs[0].Path != root+"/sub" {
+		t.Fatalf("Dom0 delta should lead with the /sub prune marker and carry /secret: %+v", delta)
+	}
+	guest := check("guest delta", g, func(st *store.Store) (store.SyncPage, error) {
+		return st.SyncSubtree(5, root, full.Version, full.Hash)
+	}, full.Version, full.Hash, store.SyncDelta)
+	if has(guest, root+"/secret") {
+		t.Fatalf("guest delta leaked a node the guest cannot read: %+v", guest)
+	}
+
+	for i := 0; i < 64; i++ {
+		write(g, fmt.Sprintf("/k%d", i), "v")
+	}
+	check("overflow", c0, asDom0(delta.Version, delta.Hash), delta.Version, delta.Hash, store.SyncFull)
 }
 
 // --- Views across domains ----------------------------------------------------

@@ -8,7 +8,6 @@ package pagecache
 import (
 	"iorchestra/internal/blkio"
 	"iorchestra/internal/device"
-	"iorchestra/internal/metrics"
 	"iorchestra/internal/sim"
 )
 
@@ -33,12 +32,15 @@ type Config struct {
 	WritebackChunk int64
 	// WritebackWindow bounds concurrent writeback requests (default 8).
 	WritebackWindow int
-	// MemCopyBps is the in-memory buffered-write speed (default 8 GB/s).
-	MemCopyBps float64
-	// CongestionBackoff is the flusher's congestion_wait sleep when the
-	// block queue has congestion avoidance engaged (Linux: 100 ms).
-	CongestionBackoff sim.Duration
 }
+
+const (
+	// memCopyBps is the in-memory buffered-write speed.
+	memCopyBps = 8e9
+	// congestionBackoff is the flusher's congestion_wait sleep when the
+	// block queue has congestion avoidance engaged (Linux: 100 ms).
+	congestionBackoff = 100 * sim.Millisecond
+)
 
 func (c *Config) fillDefaults() {
 	if c.TotalPages <= 0 {
@@ -61,12 +63,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.WritebackWindow <= 0 {
 		c.WritebackWindow = 8
-	}
-	if c.MemCopyBps <= 0 {
-		c.MemCopyBps = 8e9
-	}
-	if c.CongestionBackoff <= 0 {
-		c.CongestionBackoff = 100 * sim.Millisecond
 	}
 }
 
@@ -97,8 +93,8 @@ type Cache struct {
 	OnDirtyChange func(nrPages int64)
 
 	// Stats.
-	written     metrics.Throughput // bytes accepted from writers
-	writtenBack metrics.Throughput // bytes flushed to the device
+	written     float64 // bytes accepted from writers
+	writtenBack float64 // bytes flushed to the device
 	throttles   uint64
 }
 
@@ -159,10 +155,10 @@ func (c *Cache) Throttles() uint64 { return c.throttles }
 
 // WrittenBytes reports bytes accepted from writers (application-visible
 // write throughput).
-func (c *Cache) WrittenBytes() float64 { return c.written.Total() }
+func (c *Cache) WrittenBytes() float64 { return c.written }
 
 // WrittenBackBytes reports bytes flushed to storage.
-func (c *Cache) WrittenBackBytes() float64 { return c.writtenBack.Total() }
+func (c *Cache) WrittenBackBytes() float64 { return c.writtenBack }
 
 // hardLimit and bgLimit in pages, fixed at construction (they sit on the
 // per-write path).
@@ -215,8 +211,8 @@ func (c *Cache) buffer(size int64) sim.Duration {
 		c.oldestDirty = c.k.Now()
 	}
 	c.setDirty(c.dirtyPages + pages)
-	c.written.Add(c.k.Now(), float64(size))
-	copyTime := sim.Duration(float64(size) / c.cfg.MemCopyBps * float64(sim.Second))
+	c.written += float64(size)
+	copyTime := sim.Duration(float64(size) / memCopyBps * float64(sim.Second))
 	if c.dirtyPages >= c.bgLimit() {
 		c.kickWriteback(c.bgLimit())
 	}
@@ -293,7 +289,7 @@ func (c *Cache) pumpWriteback() {
 	if c.queue.AvoidanceEngaged() {
 		if !c.backoffArmed {
 			c.backoffArmed = true
-			c.k.After(c.cfg.CongestionBackoff, func() {
+			c.k.After(congestionBackoff, func() {
 				c.backoffArmed = false
 				c.pumpWriteback()
 			})
@@ -336,7 +332,7 @@ func (c *Cache) issue(pages int64) {
 		Done: func() {
 			c.inFlight--
 			c.setDirty(c.dirtyPages - pages)
-			c.writtenBack.Add(c.k.Now(), float64(size))
+			c.writtenBack += float64(size)
 			if c.dirtyPages > 0 {
 				// Approximate age reset: remaining dirty data is newer.
 				c.oldestDirty = c.k.Now() - c.cfg.DirtyExpire/2

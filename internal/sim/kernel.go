@@ -14,9 +14,6 @@ type Event struct {
 	canceled bool
 }
 
-// At reports the virtual time the event is (or was) scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 

@@ -65,9 +65,6 @@ func NewFIFO[T any](capacity int) *FIFO[T] { return &FIFO[T]{cap: capacity} }
 // Len reports current occupancy.
 func (f *FIFO[T]) Len() int { return len(f.items) }
 
-// Cap reports the configured capacity (0 = unbounded).
-func (f *FIFO[T]) Cap() int { return f.cap }
-
 // Full reports whether the queue is at capacity.
 func (f *FIFO[T]) Full() bool { return f.cap > 0 && len(f.items) >= f.cap }
 

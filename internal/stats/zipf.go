@@ -38,9 +38,6 @@ func NewZipf(s *Stream, n int, theta float64) *Zipf {
 	return z
 }
 
-// N reports the size of the keyspace.
-func (z *Zipf) N() int { return int(z.n) }
-
 func (z *Zipf) h(x float64) float64 { return math.Exp(-z.theta * math.Log(x)) }
 
 func (z *Zipf) hIntegral(x float64) float64 {

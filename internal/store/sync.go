@@ -1,6 +1,8 @@
 package store
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 	"strings"
 )
@@ -11,8 +13,9 @@ import (
 // round trip — a hash match means "nothing changed, keep your copy", a
 // journal hit means "here are exactly the paths that moved", and only a
 // journal miss (the client is older than the retained window) forces the
-// full snapshot walk. internal/netstore's sync op is the wire surface;
-// docs/WIRE_PROTOCOL.md §6 documents the sequence.
+// full snapshot walk. SyncSubtree below is that decision; netstore's
+// OpSync is its wire surface and federation.LocalView its in-process one
+// (docs/WIRE_PROTOCOL.md §6 documents the sequence).
 //
 // Both structures are maintained incrementally inside Write/Remove/
 // AddDomain on the kernel goroutine, so they follow the store's
@@ -229,6 +232,150 @@ func (s *Store) ChangesSince(v uint64) (paths []string, ok bool) {
 		paths[i] = d.Path
 	}
 	return paths, true
+}
+
+// SyncMode classifies a SyncSubtree reply, cheapest first. The values
+// are the wire encoding of netstore's OpSync reply.
+type SyncMode uint8
+
+const (
+	// SyncMatch: the caller's hash matches the subtree; nothing sent.
+	SyncMatch SyncMode = 0
+	// SyncDelta: the mutation journal covered the caller's version; the
+	// reply carries exactly the paths that moved (with prune markers).
+	SyncDelta SyncMode = 1
+	// SyncFull: the caller predates the journal window; the reply is a
+	// full permission-filtered subtree walk.
+	SyncFull SyncMode = 2
+)
+
+// String names the mode for trace records.
+func (m SyncMode) String() string {
+	switch m {
+	case SyncMatch:
+		return "match"
+	case SyncDelta:
+		return "delta"
+	default:
+		return "full"
+	}
+}
+
+// SyncPair is one path of a sync reply. Removed marks prune markers: the
+// consumer must drop its copy of the subtree at Path before applying the
+// value pairs that follow (the path may have been recreated since).
+type SyncPair struct {
+	Path    string
+	Value   string
+	Removed bool
+}
+
+// SyncPage is one hash-versioned subtree sync reply. Version and Hash —
+// the store version and the subtree's rolling content hash at reply time
+// — anchor the caller's next sync. Pairs carries the delta (SyncDelta)
+// or the whole subtree (SyncFull) and is empty for SyncMatch.
+type SyncPage struct {
+	Mode    SyncMode
+	Version uint64
+	Hash    uint64
+	Pairs   []SyncPair
+}
+
+// Apply folds the page into nodes, the caller's copy of the subtree, and
+// returns the updated copy (a fresh map after SyncFull). Prune markers
+// arrive first, so a removed-then-recreated path drops its stale
+// children before its current value lands.
+func (p SyncPage) Apply(nodes map[string]string) map[string]string {
+	if p.Mode == SyncFull || nodes == nil {
+		nodes = make(map[string]string, len(p.Pairs))
+	}
+	for _, kv := range p.Pairs {
+		if !kv.Removed {
+			nodes[kv.Path] = kv.Value
+			continue
+		}
+		// Removal markers journal only the subtree root.
+		delete(nodes, kv.Path)
+		prefix := kv.Path + "/"
+		for path := range nodes {
+			if strings.HasPrefix(path, prefix) {
+				delete(nodes, path)
+			}
+		}
+	}
+	return nodes
+}
+
+// SyncSubtree answers a catch-up request for one domain subtree as seen
+// by dom. root must be a /local/domain/<id> subtree root. Three
+// outcomes, cheapest first: the caller's hash matches (nothing to send),
+// the journal still covers the caller's version (exactly the paths that
+// moved), or the caller is older than the retained window (full
+// permission-filtered walk).
+func (s *Store) SyncSubtree(dom DomID, root string, since, known uint64) (SyncPage, error) {
+	if owner, ok := PathDomain(root); !ok || root != DomainPath(owner) {
+		return SyncPage{}, fmt.Errorf("sync root %q is not a domain subtree root", root)
+	}
+	page := SyncPage{Version: s.Version(), Hash: s.SubtreeHash(root)}
+	if known == page.Hash {
+		page.Mode = SyncMatch
+		return page, nil
+	}
+	deltas, covered := s.DeltasSince(since)
+	if !covered || since > page.Version {
+		page.Mode = SyncFull
+		s.Walk(dom, root, func(p, v string) {
+			page.Pairs = append(page.Pairs, SyncPair{Path: p, Value: v})
+		})
+		return page, nil
+	}
+	page.Mode = SyncDelta
+	// Prune markers lead the reply so the consumer drops stale subtrees
+	// before applying current values — a path removed and then recreated
+	// in the window carries both a marker and a value, in that order.
+	var values []SyncPair
+	prefix := root + "/"
+	for _, dl := range deltas {
+		p := dl.Path
+		if p != root && !strings.HasPrefix(p, prefix) {
+			continue
+		}
+		v, err := s.Read(dom, p)
+		switch {
+		case dl.Removed:
+			page.Pairs = append(page.Pairs, SyncPair{Path: p, Removed: true})
+			if err == nil {
+				values = append(values, SyncPair{Path: p, Value: v})
+			}
+		case err == nil:
+			values = append(values, SyncPair{Path: p, Value: v})
+		case errors.Is(err, ErrNoEntry):
+			page.Pairs = append(page.Pairs, SyncPair{Path: p, Removed: true})
+		default:
+			// Unreadable for this domain: not part of its view.
+		}
+	}
+	page.Pairs = append(page.Pairs, values...)
+	return page, nil
+}
+
+// Walk emits every node at or below root readable by dom, in
+// deterministic (sorted-children) order.
+func (s *Store) Walk(dom DomID, root string, emit func(path, value string)) {
+	if v, err := s.Read(dom, root); err == nil {
+		emit(root, v)
+	}
+	names, err := s.List(dom, root)
+	if err != nil {
+		return
+	}
+	base := root
+	if base != "/" {
+		base += "/"
+	}
+	for _, name := range names {
+		s.Walk(dom, base+name, emit)
+	}
 }
 
 // EnsureRoot creates the structural /local/domain chain without creating

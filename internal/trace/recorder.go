@@ -81,13 +81,13 @@ const (
 	// consumed so far for the (Dom, Disk) pair.
 	KindFlushTimeout Kind = "flush.timeout"
 	// KindReleaseRetry is the management module re-publishing an unacked
-	// release_request after ReleaseAckTimeout (Algorithm 2 degradation);
+	// release_request after the release-ack timeout (Algorithm 2 degradation);
 	// Value carries the retry number.
 	KindReleaseRetry Kind = "release.retry"
 	// KindReleaseTimeout is a release_request exhausting its bounded
 	// retries; the guest enters fallback.
 	KindReleaseTimeout Kind = "release.timeout"
-	// KindHoldTimeout is a held guest force-released after HoldDeadline
+	// KindHoldTimeout is a held guest force-released after the hold deadline
 	// even though the host still looks congested — the safety valve that
 	// keeps one stuck device from starving a held guest forever.
 	KindHoldTimeout Kind = "hold.timeout"

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"iorchestra/internal/guest"
-	"iorchestra/internal/metrics"
 	"iorchestra/internal/sim"
 	"iorchestra/internal/stats"
 )
@@ -25,9 +24,9 @@ type fbBase struct {
 	rec     *Recorder
 	stopped bool
 
-	// WrittenBytes tracks application-accepted write bytes, the quantity
+	// written tracks application-accepted write bytes, the quantity
 	// behind Fig. 8's write-throughput improvement.
-	written metrics.Throughput
+	written float64
 }
 
 func newFbBase(k *sim.Kernel, g *guest.Guest, d *guest.VDisk, rng *stats.Stream) fbBase {
@@ -41,7 +40,7 @@ func (b *fbBase) Ops() *Recorder { return b.rec }
 func (b *fbBase) Stop() { b.stopped = true }
 
 // WrittenBytes reports bytes accepted from the application's writes.
-func (b *fbBase) WrittenBytes() float64 { return b.written.Total() }
+func (b *fbBase) WrittenBytes() float64 { return b.written }
 
 // FSConfig parameterizes the file-server personality: create, read,
 // write, delete over a directory tree (FileBench fileserver).
@@ -49,8 +48,6 @@ type FSConfig struct {
 	Threads int
 	// MeanFileSize for whole-file reads/writes (default 128 KiB).
 	MeanFileSize int64
-	// AppendSize for log appends (default 16 KiB).
-	AppendSize int64
 	// ThinkTime between operations (default 100 µs of CPU).
 	Think sim.Duration
 	// Op mix fractions (whole-file write, log append, whole-file read;
@@ -61,6 +58,9 @@ type FSConfig struct {
 	// where coordinated flushing finds spare bandwidth.
 	BurstOn, BurstOff sim.Duration
 }
+
+// fsAppendSize is the size of one log append.
+const fsAppendSize = 16 << 10
 
 // FS is the FileBench fileserver personality: a metadata- and write-heavy
 // mix of small whole-file operations (create/write/read/append/delete).
@@ -78,9 +78,6 @@ func NewFS(k *sim.Kernel, g *guest.Guest, d *guest.VDisk, cfg FSConfig, rng *sta
 	}
 	if cfg.MeanFileSize <= 0 {
 		cfg.MeanFileSize = 128 << 10
-	}
-	if cfg.AppendSize <= 0 {
-		cfg.AppendSize = 16 << 10
 	}
 	if cfg.Think <= 0 {
 		cfg.Think = 100 * sim.Microsecond
@@ -151,15 +148,15 @@ func (f *FS) worker(p *guest.Process) {
 	// FileBench fileserver flow: weighted op mix.
 	switch r := f.rng.Float64(); {
 	case r < f.cfg.WriteFrac: // create+write a whole file (buffered)
-		f.written.Add(f.k.Now(), float64(size))
+		f.written += float64(size)
 		f.d.Write(p, size, finish)
 	case r < f.cfg.WriteFrac+f.cfg.AppendFrac: // append to a log
-		f.written.Add(f.k.Now(), float64(f.cfg.AppendSize))
-		f.d.Write(p, f.cfg.AppendSize, finish)
+		f.written += fsAppendSize
+		f.d.Write(p, fsAppendSize, finish)
 	case r < f.cfg.WriteFrac+f.cfg.AppendFrac+f.cfg.ReadFrac: // whole-file read
 		f.d.Read(p, size, false, finish)
 	default: // delete: metadata update, small journal write
-		f.written.Add(f.k.Now(), 4096)
+		f.written += 4096
 		f.d.Write(p, 4096, finish)
 	}
 }
@@ -167,11 +164,14 @@ func (f *FS) worker(p *guest.Process) {
 // WSConfig parameterizes the web-server personality: read web pages,
 // append to an access log.
 type WSConfig struct {
-	Threads  int
-	PageSize int64        // default 16 KiB
-	LogSize  int64        // default 4 KiB appended every 10 reads
-	Think    sim.Duration // default 200 µs
+	Threads int
+	Think   sim.Duration // default 200 µs
 }
+
+const (
+	wsPageSize = 16 << 10 // one web page read
+	wsLogSize  = 4 << 10  // access-log append, every 10 reads
+)
 
 // WS is the FileBench webserver personality (read-mostly).
 type WS struct {
@@ -184,12 +184,6 @@ type WS struct {
 func NewWS(k *sim.Kernel, g *guest.Guest, d *guest.VDisk, cfg WSConfig, rng *stats.Stream) *WS {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 4
-	}
-	if cfg.PageSize <= 0 {
-		cfg.PageSize = 16 << 10
-	}
-	if cfg.LogSize <= 0 {
-		cfg.LogSize = 4 << 10
 	}
 	if cfg.Think <= 0 {
 		cfg.Think = 200 * sim.Microsecond
@@ -218,22 +212,24 @@ func (w *WS) worker(p *guest.Process) {
 	}
 	w.reads[p]++
 	if w.reads[p]%10 == 0 {
-		w.written.Add(w.k.Now(), float64(w.cfg.LogSize))
-		w.d.Write(p, w.cfg.LogSize, finish)
+		w.written += wsLogSize
+		w.d.Write(p, wsLogSize, finish)
 		return
 	}
-	w.d.Read(p, w.cfg.PageSize, false, finish)
+	w.d.Read(p, wsPageSize, false, finish)
 }
 
 // VSConfig parameterizes the video-server personality: streaming readers
 // plus one thread adding new videos.
 type VSConfig struct {
 	Readers   int
-	ChunkSize int64 // streaming read unit, default 1 MiB
 	VideoSize int64 // new-video size, default 64 MiB
 	// AddInterval between new videos (default 10 s).
 	AddInterval sim.Duration
 }
+
+// vsChunkSize is the streaming read and upload write unit.
+const vsChunkSize int64 = 1 << 20
 
 // VS is the FileBench videoserver personality.
 type VS struct {
@@ -245,9 +241,6 @@ type VS struct {
 func NewVS(k *sim.Kernel, g *guest.Guest, d *guest.VDisk, cfg VSConfig, rng *stats.Stream) *VS {
 	if cfg.Readers <= 0 {
 		cfg.Readers = 4
-	}
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = 1 << 20
 	}
 	if cfg.VideoSize <= 0 {
 		cfg.VideoSize = 64 << 20
@@ -273,7 +266,7 @@ func (v *VS) reader(p *guest.Process) {
 	}
 	start := v.k.Now()
 	v.rec.started++
-	v.d.Read(p, v.cfg.ChunkSize, true, func() {
+	v.d.Read(p, vsChunkSize, true, func() {
 		v.rec.completed++
 		v.rec.Latency.Record(v.k.Now() - start)
 		// Streaming pace: decode time per chunk.
@@ -296,12 +289,12 @@ func (v *VS) writer(p *guest.Process) {
 			v.k.After(v.cfg.AddInterval, func() { v.writer(p) })
 			return
 		}
-		chunk := v.cfg.ChunkSize
+		chunk := vsChunkSize
 		if remaining < chunk {
 			chunk = remaining
 		}
 		remaining -= chunk
-		v.written.Add(v.k.Now(), float64(chunk))
+		v.written += float64(chunk)
 		v.d.Write(p, chunk, step)
 	}
 	step()

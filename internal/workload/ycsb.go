@@ -21,9 +21,10 @@ type YCSBConfig struct {
 	ReadFrac float64
 	// Records is the keyspace size (default 1e6).
 	Records int
-	// Theta is the zipfian skew (default 0.99, the YCSB standard).
-	Theta float64
 }
+
+// ycsbTheta is the zipfian skew (the YCSB standard).
+const ycsbTheta = 0.99
 
 // YCSB1 is the update-heavy core workload (read:write 50:50).
 func YCSB1() YCSBConfig { return YCSBConfig{ReadFrac: 0.5} }
@@ -35,9 +36,6 @@ func (c *YCSBConfig) fillDefaults() {
 	if c.Records <= 0 {
 		c.Records = 1 << 20
 	}
-	if c.Theta <= 0 {
-		c.Theta = 0.99
-	}
 	if c.ReadFrac <= 0 {
 		c.ReadFrac = 0.5
 	}
@@ -47,7 +45,7 @@ func (c *YCSBConfig) fillDefaults() {
 // kv per invocation; plug it into OpenLoop, ClosedLoop or Bursty.
 func YCSBOp(cfg YCSBConfig, kv KV, rng *stats.Stream) Operation {
 	cfg.fillDefaults()
-	zipf := stats.NewZipf(rng.Fork("zipf"), cfg.Records, cfg.Theta)
+	zipf := stats.NewZipf(rng.Fork("zipf"), cfg.Records, ycsbTheta)
 	return func(done func()) {
 		key := zipf.ScrambledNext()
 		if rng.Float64() < cfg.ReadFrac {
