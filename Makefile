@@ -17,7 +17,7 @@ vet:
 
 # Project-invariant static analysis (internal/analysis, docs/LINTING.md):
 # determinism, store key schema, watch-handler re-entrancy, the Monitor
-# read contract, the trace/counter mirror, netstore store-loop
+# read contract, the trace/counter mirror, netstore store-lock
 # confinement, epoch-goroutine isolation, hot-path allocation
 # discipline and bounded retries. The second run audits the
 # //lint:allow ledger: unjustified or stale directives fail the build.

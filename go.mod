@@ -1,3 +1,3 @@
 module iorchestra
 
-go 1.22
+go 1.24

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -275,6 +276,12 @@ func (l *moduleLoader) check(path, dir string, mode fileMode) (*types.Package, [
 			continue
 		}
 		if mode == noTestFiles && strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		// Honour build constraints as a plain `go build` would: a pair of
+		// files under opposite tags (race / !race) is one declaration, not
+		// a redeclaration.
+		if ok, err := build.Default.MatchFile(dir, n); err == nil && !ok {
 			continue
 		}
 		names = append(names, n)

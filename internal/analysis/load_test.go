@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/types"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -38,6 +39,21 @@ func TestLoadGenerics(t *testing.T) {
 	}
 	if len(pkg.Info.Defs) == 0 || len(pkg.Info.Types) == 0 {
 		t.Fatal("generics fixture loaded with empty type information")
+	}
+}
+
+// TestLoadHonoursBuildConstraints loads a fixture that declares one
+// constant in two files under opposite constraints (race / !race): the
+// loader must pick the file a plain build would, not report a
+// redeclaration.
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	pkgs, err := Load(LoadConfig{}, filepath.Join("testdata", "src", "buildtags"))
+	if err != nil {
+		t.Fatalf("Load on the buildtags fixture: %v", err)
+	}
+	c, _ := pkgs[0].Types.Scope().Lookup("Tagged").(*types.Const)
+	if c == nil || c.Val().String() != "false" {
+		t.Fatalf("Tagged = %v, want the !race file's false", c)
 	}
 }
 

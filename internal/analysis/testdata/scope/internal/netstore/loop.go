@@ -12,12 +12,11 @@ import (
 )
 
 type server struct {
-	st  *store.Store
-	ops chan func()
+	st *store.Store
 }
 
 func direct(s *server, dom store.DomID) (string, error) {
-	return s.st.Read(dom, "/x") // want `only run on the store loop`
+	return s.st.Read(dom, "/x") // want `only run under the store lock`
 }
 
 // hotpath

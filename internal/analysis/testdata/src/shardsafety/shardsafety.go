@@ -1,43 +1,47 @@
-// Package shardsafety exercises the netstore store-loop discipline
+// Package shardsafety exercises the netstore store-lock discipline
 // pass. The shapes mirror internal/netstore's server: a store, recorder
-// and kernel behind an op queue, the do/run runner wrappers, and
-// //storeloop functions documented to execute on the loop.
+// and kernel behind a lock, the do/run runner wrappers, and //storeloop
+// functions documented to execute under the lock.
 package shardsafety
 
 import (
+	"sync"
+
 	"iorchestra/internal/sim"
 	"iorchestra/internal/store"
 	"iorchestra/internal/trace"
 )
 
 type server struct {
+	mu  sync.Mutex
 	k   *sim.Kernel
 	st  *store.Store
 	rec *trace.Recorder
-	ops chan func()
 }
 
-func (s *server) do(fn func()) {
-	done := make(chan struct{})
-	s.ops <- func() { fn(); close(done) }
-	<-done
-}
-
-// storeLoop owns the store: it drains the op queue and drives the
+// do is the store loop: it runs fn under the lock and drains the
 // private kernel, so its direct access is the sanctioned baseline.
 //
 // storeloop
-func (s *server) storeLoop() {
-	for fn := range s.ops {
-		fn()
-		s.k.Run()
-	}
+func (s *server) do(fn func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fn()
+	s.k.Run()
 }
 
-// bad touches loop state outside any runner closure: flagged.
+// drain is do without the marker: the kernel call is flagged.
+func (s *server) drain(fn func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fn()
+	s.k.Run() // want `only run under the store lock`
+}
+
+// bad touches lock state outside any runner closure: flagged.
 func (s *server) bad(dom store.DomID, path string) (string, error) {
-	s.rec.Record(trace.Record{}) // want `only run on the store loop`
-	return s.st.Read(dom, path)  // want `only run on the store loop`
+	s.rec.Record(trace.Record{}) // want `only run under the store lock`
+	return s.st.Read(dom, path)  // want `only run under the store lock`
 }
 
 // good is the sanctioned shape: a closure shipped through do.
@@ -57,16 +61,10 @@ func (s *server) viaRun(dom store.DomID, path string) (v string, err error) {
 	return v, err
 }
 
-// walk is documented to run on the loop (the snapshotWalk shape): the
+// walk is documented to run under the lock (the repair shape): the
 // marker exempts it.
 //
 // storeloop
 func walk(st *store.Store, dom store.DomID, root string) (string, error) {
 	return st.Read(dom, root)
-}
-
-// sneak bypasses do with a raw send on the op queue — a back door
-// around the confinement.
-func (s *server) sneak() {
-	s.ops <- func() {} // want `op queue`
 }

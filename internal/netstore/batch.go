@@ -7,10 +7,10 @@ import (
 )
 
 // Batch accumulates store operations and runs them in a single round
-// trip (the OpBatch frame). The server executes the sub-ops as one
-// store-loop closure, so a 32-op batch costs one syscall pair and one
-// channel hop where unbatched calls cost 32 of each; this is where the
-// hot-path throughput comes from.
+// trip (the OpBatch frame). The server executes the sub-ops under one
+// hold of its store lock, so a 32-op batch costs one syscall pair and
+// one lock acquisition where unbatched calls cost 32 of each; this is
+// where the hot-path throughput comes from.
 //
 // A Batch is not safe for concurrent use; build it, Run it, read the
 // results. Failures are per-operation: Run only returns an error for

@@ -2,6 +2,7 @@ package netstore
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,21 +25,36 @@ type Client struct {
 	c net.Conn
 	// br buffers inbound frames: the reply stream is read by exactly one
 	// goroutine (handshake, then readLoop), so pipelined replies cost one
-	// read syscall instead of two per frame.
-	br *bufio.Reader
+	// read syscall instead of two per frame. rbuf is readLoop's reusable
+	// frame buffer, paths its intern table for event paths.
+	br    *bufio.Reader
+	rbuf  []byte
+	paths pathTable
 
+	// reqMu orders request ids, pending registrations and socket writes.
+	// wenc is the request encoder, reused under it: a frame is built
+	// behind a four-byte length prefix and written in place.
 	reqMu   sync.Mutex
 	nextReq uint32
-	pending map[uint32]chan *dec
+	pending map[uint32]*waiter
+	wenc    enc
 
 	watchMu   sync.Mutex
 	nextWatch uint32
 	watchFns  map[uint32]func(path, value string)
 
-	// events feeds the dispatcher goroutine; the buffer decouples the
-	// read loop from user callbacks so a callback issuing RPCs cannot
-	// deadlock against its own connection.
-	events chan clientEvent
+	// Inbound watch events wait here for the dispatcher goroutine. The
+	// queue grows on demand, so readLoop never blocks on it — a callback
+	// parked in an rpc can always get its reply — and, like the server's
+	// outbound queue, it holds the net change per (watch, path): a newer
+	// value replaces a queued one in place (evIdx finds it), so a stuck
+	// dispatcher costs memory in proportion to the distinct keys
+	// changed, not to the history.
+	evMu   sync.Mutex
+	evCond sync.Cond
+	evq    fifo[clientEvent]
+	evIdx  map[eventKey]int
+	evDone bool // readLoop has exited; the dispatcher drains and stops
 
 	closeOnce sync.Once
 	closedCh  chan struct{}
@@ -48,13 +64,32 @@ type Client struct {
 }
 
 type clientEvent struct {
-	watch uint32
-	path  string
+	key   eventKey
 	value string
 }
 
 // requestTimeout bounds each request round trip.
 const requestTimeout = 30 * time.Second
+
+// waiter is one in-flight request's rendezvous with readLoop. Waiters
+// are pooled, timer included, so a round trip allocates neither a
+// channel nor a timer. Whoever removes a waiter from Client.pending
+// (readLoop with the reply, fail without one) signals it exactly once.
+// Reusing the timer without draining its channel relies on the go 1.23
+// timer semantics go.mod selects: after Stop or Reset returns, no stale
+// tick is delivered.
+type waiter struct {
+	ready chan struct{} // capacity 1: the signal never blocks its sender
+	timer *time.Timer
+	d     dec  // the reply, positioned after opcode and request id
+	ok    bool // false: the connection died first
+}
+
+var waiterPool = sync.Pool{New: func() any {
+	t := time.NewTimer(requestTimeout)
+	t.Stop()
+	return &waiter{ready: make(chan struct{}, 1), timer: t}
+}}
 
 // Dial connects to an iorchestra-stored endpoint ("tcp" or "unix") and
 // performs the handshake binding the connection to dom. token is
@@ -72,11 +107,13 @@ func NewClient(nc net.Conn, dom store.DomID, token string) (*Client, error) {
 	c := &Client{
 		c:        nc,
 		br:       bufio.NewReaderSize(nc, 16<<10),
-		pending:  map[uint32]chan *dec{},
+		pending:  map[uint32]*waiter{},
 		watchFns: map[uint32]func(path, value string){},
-		events:   make(chan clientEvent, 4096),
+		evIdx:    map[eventKey]int{},
+		paths:    pathTable{},
 		closedCh: make(chan struct{}),
 	}
+	c.evCond.L = &c.evMu
 	// Handshake is synchronous: one frame out, one frame back, before the
 	// read loop owns the socket.
 	e := &enc{}
@@ -149,123 +186,181 @@ func (c *Client) fail(err error) {
 		close(c.closedCh)
 		c.c.Close()
 		c.reqMu.Lock()
-		for id, ch := range c.pending {
+		for id, w := range c.pending {
 			delete(c.pending, id)
-			close(ch)
+			w.ok = false
+			w.ready <- struct{}{}
 		}
 		c.reqMu.Unlock()
 	})
 }
 
+// readLoop owns the inbound stream until it fails, then fails the
+// connection and lets the dispatcher drain what is queued and stop.
 func (c *Client) readLoop() {
+	c.fail(c.readFrames())
+	c.evMu.Lock()
+	c.evDone = true
+	c.evCond.Broadcast()
+	c.evMu.Unlock()
+}
+
+// readFrames routes replies to their waiters and events to the
+// dispatcher's queue; it returns why the stream ended.
+func (c *Client) readFrames() error {
 	for {
-		payload, err := readFrame(c.br)
+		payload, next, err := readFrameReuse(c.br, c.rbuf)
+		c.rbuf = next
 		if err != nil {
-			c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
-			close(c.events)
-			return
+			return fmt.Errorf("%w: %v", ErrClosed, err)
 		}
-		d := &dec{b: payload}
+		d := dec{b: payload, paths: c.paths}
 		op := Op(d.u8())
 		id := d.u32()
 		if d.err != nil {
-			c.fail(fmt.Errorf("%w: truncated frame from server", ErrBadRequest))
-			close(c.events)
-			return
+			return fmt.Errorf("%w: truncated frame from server", ErrBadRequest)
 		}
 		switch op {
 		case OpReply:
 			c.reqMu.Lock()
-			ch := c.pending[id]
+			w := c.pending[id]
 			delete(c.pending, id)
 			c.reqMu.Unlock()
-			if ch != nil {
-				ch <- d
+			if w != nil {
+				// The waiter decodes on its own goroutine, after the next
+				// read has reused rbuf: it gets the body in a buffer of
+				// its own.
+				w.d = dec{b: append([]byte(nil), d.b...)}
+				w.ok = true
+				w.ready <- struct{}{}
 			}
 		case OpEvent:
+			// Decoded in place: dec copies the strings out before the next
+			// read overwrites rbuf.
 			watch := d.u32()
-			path := d.str()
+			path := d.path()
 			value := d.str()
 			if d.done() == nil {
-				c.events <- clientEvent{watch: watch, path: path, value: value}
+				c.pushEvent(eventKey{watch: watch, path: path}, value)
 			}
 		default:
-			c.fail(fmt.Errorf("%w: unexpected opcode %d from server", ErrBadRequest, uint8(op)))
-			close(c.events)
-			return
+			return fmt.Errorf("%w: unexpected opcode %d from server", ErrBadRequest, uint8(op))
+		}
+		if cap(c.rbuf) > poolMax {
+			c.rbuf = nil // one big snapshot or value must not pin its size
 		}
 	}
+}
+
+// pushEvent queues one watch event for the dispatcher without ever
+// blocking: a value for a key still queued replaces it in place.
+//
+// hotpath
+func (c *Client) pushEvent(key eventKey, value string) {
+	c.evMu.Lock()
+	if abs, queued := c.evIdx[key]; queued {
+		c.evq.at(abs).value = value
+	} else {
+		c.evIdx[key] = c.evq.push(clientEvent{key: key, value: value})
+		c.evCond.Signal()
+	}
+	c.evMu.Unlock()
 }
 
 func (c *Client) dispatchLoop() {
-	for ev := range c.events {
+	for {
+		c.evMu.Lock()
+		for c.evq.len() == 0 && !c.evDone {
+			c.evCond.Wait()
+		}
+		if c.evq.len() == 0 {
+			c.evMu.Unlock()
+			return
+		}
+		ev := c.evq.pop()
+		delete(c.evIdx, ev.key)
+		c.evMu.Unlock()
 		c.watchMu.Lock()
-		fn := c.watchFns[ev.watch]
+		fn := c.watchFns[ev.key.watch]
 		c.watchMu.Unlock()
 		if fn != nil {
-			fn(ev.path, ev.value)
+			fn(ev.key.path, ev.value)
 		}
 	}
 }
 
-// rpc sends one request payload and waits for its reply decoder.
-func (c *Client) rpc(build func(e *enc, id uint32)) (*dec, error) {
+// call sends one request — opcode, a fresh request id, then whatever
+// args appends — waits for its reply and decodes the standard
+// status+message prefix; the returned decoder is positioned at the
+// op-specific body.
+func (c *Client) call(op Op, args func(*enc)) (dec, error) {
 	select {
 	case <-c.closedCh:
-		return nil, c.Err()
+		return dec{}, c.Err()
 	default:
 	}
-	ch := make(chan *dec, 1)
-	c.reqMu.Lock()
-	c.nextReq++
-	id := c.nextReq
-	c.pending[id] = ch
-	e := &enc{b: getBuf(64)}
-	build(e, id)
+	w := waiterPool.Get().(*waiter)
 	// Frames must hit the socket in pending-registration order, so the
 	// write stays under reqMu; net.Conn writes are safe but interleaving
 	// is on us.
-	err := writeFrame(c.c, e.b)
+	c.reqMu.Lock()
+	c.nextReq++
+	id := c.nextReq
+	c.pending[id] = w
+	err := c.sendLocked(op, id, args)
 	c.reqMu.Unlock()
-	putBuf(e.b)
 	if err != nil {
+		// w stays out of the pool on the failure paths: fail may or may
+		// not have signalled it, and a pooled waiter must be quiet.
 		c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
-		return nil, c.Err()
+		return dec{}, c.Err()
 	}
-	timer := time.NewTimer(requestTimeout)
-	defer timer.Stop()
+	w.timer.Reset(requestTimeout)
 	select {
-	case d, ok := <-ch:
+	case <-w.ready:
+		w.timer.Stop()
+		d, ok := w.d, w.ok
+		w.d = dec{}
+		waiterPool.Put(w)
 		if !ok {
-			return nil, c.Err()
+			return dec{}, c.Err()
+		}
+		st := Status(d.u8())
+		msg := d.str()
+		if err := errOf(st, msg); err != nil {
+			return dec{}, err
 		}
 		return d, nil
-	case <-timer.C:
+	case <-w.timer.C:
 		c.reqMu.Lock()
 		delete(c.pending, id)
 		c.reqMu.Unlock()
-		return nil, fmt.Errorf("%w after %v", ErrTimeout, requestTimeout)
+		return dec{}, fmt.Errorf("%w after %v", ErrTimeout, requestTimeout)
 	}
 }
 
-// call performs an rpc and decodes the standard status+message prefix;
-// the returned decoder is positioned at the op-specific body.
-func (c *Client) call(op Op, args func(*enc)) (*dec, error) {
-	d, err := c.rpc(func(e *enc, id uint32) {
-		e.op(op, id)
-		if args != nil {
-			args(e)
-		}
-	})
-	if err != nil {
-		return nil, err
+// sendLocked encodes one request into the client's own buffer, length
+// prefix included, and writes it with a single Write. reqMu is held.
+//
+// hotpath
+func (c *Client) sendLocked(op Op, id uint32, args func(*enc)) error {
+	e := &c.wenc
+	e.b = append(e.b[:0], 0, 0, 0, 0)
+	e.op(op, id)
+	if args != nil {
+		args(e)
 	}
-	st := Status(d.u8())
-	msg := d.str()
-	if err := errOf(st, msg); err != nil {
-		return nil, err
+	n := len(e.b) - 4
+	if n > MaxFrame {
+		e.b = nil
+		return errFrameSize(n)
 	}
-	return d, nil
+	binary.BigEndian.PutUint32(e.b, uint32(n))
+	_, err := c.c.Write(e.b)
+	if cap(e.b) > poolMax {
+		e.b = nil // one big request must not pin its size
+	}
+	return err
 }
 
 // --- Store surface ----------------------------------------------------------

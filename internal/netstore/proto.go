@@ -12,7 +12,7 @@
 // (internal/store), so a guest on the wire can do exactly what a guest
 // in-process can do and nothing more.
 //
-// # One protocol, one store loop
+// # One protocol, one store lock
 //
 // There is one protocol version (ProtocolVersion); the handshake refuses
 // any other. Besides the per-op frames, OpBatch carries up to
@@ -20,9 +20,13 @@
 // resynchronizes a subtree from a hash-versioned snapshot — a
 // reconnecting Mirror presents its last (version, content hash) and
 // receives "match" (one small frame), a delta since that version, or a
-// full snapshot, in that order of preference. The server runs the store
-// on one single-goroutine loop; connection goroutines submit closures
-// to it, and a batch frame is one closure.
+// full snapshot, in that order of preference. The server keeps the
+// store behind one lock: a connection's reader goroutine runs each
+// request it decodes to completion under it — the store operation, then
+// the watch deliveries it caused, each queued on its connection — and a
+// batch frame is one hold of the lock. The order in which operations
+// take the lock is the total order of mutations; nothing that can block
+// on a peer runs under it.
 //
 // # Watch fan-out: delta queues, coalescing, eviction
 //
@@ -56,6 +60,7 @@
 package netstore
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -264,8 +269,13 @@ func errOf(st Status, msg string) error {
 
 // bufPool recycles frame and payload scratch buffers across requests.
 // Oversized buffers (large snapshots) are dropped on return rather than
-// pinned in the pool.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+// pinned in the pool. A sync.Pool holds pointers, so each pooled slice
+// rides in a *[]byte box; boxPool recycles the emptied boxes, or every
+// putBuf would allocate one.
+var (
+	bufPool sync.Pool
+	boxPool = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 const poolMax = 64 << 10
 
@@ -289,13 +299,15 @@ func errValueSize(n int) error {
 //
 // hotpath
 func getBuf(n int) []byte {
-	bp := bufPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	if cap(b) < n {
+	if bp, _ := bufPool.Get().(*[]byte); bp != nil {
+		if b := *bp; cap(b) >= n {
+			*bp = nil
+			boxPool.Put(bp)
+			return b
+		}
 		bufPool.Put(bp)
-		b = make([]byte, 0, n)
 	}
-	return b
+	return make([]byte, 0, max(n, 512))
 }
 
 // putBuf returns a buffer obtained from getBuf (or any payload the
@@ -306,8 +318,9 @@ func putBuf(b []byte) {
 	if cap(b) == 0 || cap(b) > poolMax {
 		return
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	bp := boxPool.Get().(*[]byte)
+	*bp = b[:0]
+	bufPool.Put(bp)
 }
 
 // writeFrame sends one length-prefixed payload. Header and payload are
@@ -352,18 +365,21 @@ func readFrame(r io.Reader) ([]byte, error) {
 // as needed, and returns the payload slice (aliasing buf) plus the
 // possibly grown buffer for the next call. The payload is only valid
 // until the next read — callers must finish decoding (dec copies string
-// bytes out) before reading again.
+// bytes out) before reading again. The length prefix is peeked in the
+// reader's own buffer: a local header array would escape through the
+// Read call and cost an allocation per frame.
 //
 // hotpath
-func readFrameReuse(r io.Reader, buf []byte) (payload, next []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func readFrameReuse(r *bufio.Reader, buf []byte) (payload, next []byte, err error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return nil, buf, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, buf, errFrameSize(int(n))
 	}
+	r.Discard(4) // cannot fail: Peek just buffered these bytes
 	if uint32(cap(buf)) < n {
 		buf = make([]byte, n)
 	}
@@ -406,11 +422,44 @@ func (e *enc) str(s string) *enc {
 	return e
 }
 
+// pathTable interns the paths one connection keeps naming. The control
+// channel revisits a handful of keys per guest (nr_dirty, flush_now, the
+// heartbeat, ...), so decoding each occurrence into a fresh string is
+// most of what a small frame allocates; the table hands back the string
+// it already holds instead. It belongs to the connection's one reader
+// goroutine. At pathTableMax entries it is emptied rather than evicted
+// from — a connection sweeping a large tree just stops benefiting — and
+// paths over pathInternMax bytes are not worth pinning.
+type pathTable map[string]string
+
+const (
+	pathTableMax  = 1024
+	pathInternMax = 256
+)
+
+// hotpath
+func (t pathTable) intern(raw []byte) string {
+	if t == nil || len(raw) > pathInternMax {
+		return string(raw)
+	}
+	if s, ok := t[string(raw)]; ok { // the conversion in a map index does not allocate
+		return s
+	}
+	if len(t) >= pathTableMax {
+		clear(t)
+	}
+	s := string(raw)
+	t[s] = s
+	return s
+}
+
 // dec consumes a payload; the first decode error sticks and zero values
-// flow from then on, so call sites check err once at the end.
+// flow from then on, so call sites check err once at the end. paths,
+// when set, interns what path decodes.
 type dec struct {
-	b   []byte
-	err error
+	b     []byte
+	err   error
+	paths pathTable
 }
 
 func (d *dec) fail() {
@@ -452,27 +501,33 @@ func (d *dec) u64() uint64 {
 	return v
 }
 
+// raw consumes one length-prefixed byte string, aliasing the payload.
+//
 // hotpath
-func (d *dec) str() string {
+func (d *dec) raw() []byte {
 	n := d.u32()
 	if d.err != nil || uint32(len(d.b)) < n {
 		d.fail()
-		return ""
+		return nil
 	}
-	v := string(d.b[:n])
+	v := d.b[:n]
 	d.b = d.b[n:]
 	return v
 }
 
-// path decodes a string and applies the wire path bound.
+// hotpath
+func (d *dec) str() string { return string(d.raw()) }
+
+// path decodes a string, applies the wire path bound and interns the
+// result in d.paths.
 //
 // hotpath
 func (d *dec) path() string {
-	s := d.str()
-	if d.err == nil && len(s) > MaxPath {
-		d.err = errPathSize(len(s))
+	raw := d.raw()
+	if d.err == nil && len(raw) > MaxPath {
+		d.err = errPathSize(len(raw))
 	}
-	return s
+	return d.paths.intern(raw)
 }
 
 // value decodes a string and applies the wire value bound.

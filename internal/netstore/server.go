@@ -89,22 +89,30 @@ type Counters struct {
 // Server hosts one store.Store behind the wire protocol. Create with
 // NewServer, attach listeners with Serve, stop with Close.
 //
-// The store keeps its single-goroutine discipline: every operation is a
-// closure executed by the store-loop goroutine, which then drains the
-// private simulation kernel so watch notifications scheduled by the
-// operation are delivered (and fanned out to connections) before the
-// next operation runs. Connection reader/writer goroutines never touch
-// the store directly. Ordering is FIFO across all connections.
+// The store keeps its one-at-a-time discipline without a goroutine of
+// its own: an operation runs to completion on the goroutine that decoded
+// it, inside do, which takes the store lock, runs the operation and
+// drains the private simulation kernel — so the watch notifications the
+// operation scheduled are delivered (and queued on their connections)
+// before the lock is released and before the operation's reply is
+// queued. The order in which operations take the lock is the one total
+// order of mutations; a connection's own operations keep their arrival
+// order because its one reader goroutine runs them one after another.
+// Nothing that can block on a peer — a socket write above all — happens
+// under the lock.
 type Server struct {
 	opts Options
 
-	// k, st and rec belong to the store loop: nothing outside a closure
-	// submitted through do (or a //storeloop function) touches them.
-	k   *sim.Kernel
-	st  *store.Store
-	rec *trace.Recorder
-	ops chan func()
+	// loopMu is the store lock. k, st, rec and every srvConn.watches are
+	// touched only while holding it, that is inside a closure passed to
+	// do or in a //storeloop function.
+	loopMu sync.Mutex
+	k      *sim.Kernel
+	st     *store.Store
+	rec    *trace.Recorder
 
+	// quit is closed by Close, under loopMu, so do never runs an
+	// operation once Close has got that far.
 	quit chan struct{}
 	wg   sync.WaitGroup
 
@@ -149,7 +157,6 @@ func NewServer(opts Options) *Server {
 		k:     k,
 		st:    store.New(k, 0),
 		rec:   trace.NewRecorder(k, trace.DefaultRecorderCapacity),
-		ops:   make(chan func()),
 		quit:  make(chan struct{}),
 		conns: map[*srvConn]struct{}{},
 		subs:  map[chan []byte]struct{}{},
@@ -166,11 +173,8 @@ func NewServer(opts Options) *Server {
 	if seed == 0 {
 		seed = 1
 	}
-	s.wg.Add(1)
-	go s.storeLoop()
-	// Recorder, fault hooks and trace sink are store-loop state from the
-	// first operation onward, so even these construction-time writes go
-	// through do (shardsafety-enforced).
+	// Recorder, fault hooks and trace sink are store-lock state, so even
+	// these construction-time writes go through do (shardsafety-enforced).
 	s.do(func() {
 		s.st.SetRecorder(s.rec)
 		if opts.Faults != "" {
@@ -188,43 +192,32 @@ func NewServer(opts Options) *Server {
 	return s
 }
 
-// Do runs fn on the store-loop goroutine with exclusive access to the
+// Do runs fn on the caller's goroutine with exclusive access to the
 // store, then drains the watch deliveries it scheduled. It is how
 // out-of-band wiring (fault hooks, seeding) composes with the server. It
-// reports false without running fn if the server is closed.
+// reports false without running fn if the server is closed. fn must not
+// call Do, Counters or Close: the store lock is not reentrant.
 func (s *Server) Do(fn func(st *store.Store)) bool {
 	return s.do(func() { fn(s.st) })
 }
 
-// storeLoop owns the store: it drains the op queue and drives the
-// private kernel, so its direct access to loop state is the sanctioned
-// baseline.
+// do is the store loop: it runs fn under the store lock, then drains the
+// private kernel so every watch delivery fn scheduled has reached its
+// connection's queue before the lock is released. It reports false
+// without running fn once the server is closed.
 //
 // storeloop
-func (s *Server) storeLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case fn := <-s.ops:
-			fn()
-			s.k.Run()
-		case <-s.quit:
-			return
-		}
-	}
-}
-
-// do submits fn to the store loop and waits for it (plus the watch
-// deliveries it triggers) to finish.
 func (s *Server) do(fn func()) bool {
-	done := make(chan struct{})
+	s.loopMu.Lock()
+	defer s.loopMu.Unlock()
 	select {
-	case s.ops <- func() { fn(); close(done) }:
-		<-done
-		return true
 	case <-s.quit:
 		return false
+	default:
 	}
+	fn()
+	s.k.Run()
+	return true
 }
 
 // Serve accepts connections on l until the listener or server closes.
@@ -272,6 +265,7 @@ func (s *Server) startConn(c net.Conn) {
 		// hotpathalloc pass would rightly flag.
 		evIdx:  map[eventKey]int{},
 		lagIdx: map[eventKey]struct{}{},
+		paths:  pathTable{},
 	}
 	sc.qcond = sync.NewCond(&sc.qmu)
 	s.conns[sc] = struct{}{}
@@ -282,8 +276,8 @@ func (s *Server) startConn(c net.Conn) {
 	go sc.writeLoop()
 }
 
-// Close stops the listeners, evicts every connection and terminates the
-// store loop. It is idempotent.
+// Close stops the listeners, severs every connection and closes the
+// store to further operations. It is idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -303,7 +297,9 @@ func (s *Server) Close() {
 	for _, c := range conns {
 		c.shutdown()
 	}
+	s.loopMu.Lock()
 	close(s.quit)
+	s.loopMu.Unlock()
 	s.wg.Wait()
 }
 
@@ -332,8 +328,9 @@ func (s *Server) Counters() Counters {
 
 // --- Live trace streaming ---------------------------------------------------
 
-// broadcast is the recorder sink: it runs on the store loop, so it only
-// marshals and hands off; subscribers that cannot keep up lose records.
+// broadcast is the recorder sink: it runs under the store lock, so it
+// only marshals and hands off; subscribers that cannot keep up lose
+// records.
 func (s *Server) broadcast(rec trace.Record) {
 	if s.nsubs.Load() == 0 {
 		return
@@ -449,13 +446,13 @@ type srvConn struct {
 	dom       store.DomID
 	handshook bool
 
-	// Outbound queue: writer goroutine pops from the front; reader and
-	// store-loop goroutines push. qbase is the absolute index of q[0] so
-	// evIdx (event key -> absolute index) survives pops.
+	// Outbound queue: the writer goroutine pops from the front; the
+	// reader pushes replies and whichever goroutine holds the store lock
+	// pushes events. evIdx maps an event key to its frame's absolute
+	// queue index, so it survives pops.
 	qmu     sync.Mutex
 	qcond   *sync.Cond
-	q       []outFrame
-	qbase   int
+	q       fifo[outFrame]
 	nEvents int
 	evIdx   map[eventKey]int
 	qclosed bool
@@ -474,10 +471,9 @@ type srvConn struct {
 	// it provokes in writeLoop must count once.
 	dead atomic.Bool
 
-	// watches (client watch id -> store watch id) is store-loop state:
-	// only closures submitted through do touch it. txns is confined to the
-	// reader goroutine and the store-loop closures it synchronously
-	// awaits, so accesses are serialized without a lock.
+	// watches (client watch id -> store watch id) is store-lock state:
+	// only closures passed to do touch it. txns belongs to the reader
+	// goroutine, inside and outside the closures it runs.
 	watches map[uint32]store.WatchID
 	txns    map[uint32]*store.Txn
 	nextTxn uint32
@@ -485,9 +481,10 @@ type srvConn struct {
 	// br buffers inbound frames so a burst of pipelined requests costs
 	// one read syscall; rbuf is the readLoop's reusable frame buffer
 	// (each request is fully decoded — dec copies string bytes out —
-	// before the next read).
-	br   *bufio.Reader
-	rbuf []byte
+	// before the next read); paths interns the request paths.
+	br    *bufio.Reader
+	rbuf  []byte
+	paths pathTable
 }
 
 // shutdown tears the connection down; safe from any goroutine, any number
@@ -513,7 +510,7 @@ func (c *srvConn) enqueue(payload []byte) {
 	if c.qclosed {
 		return
 	}
-	c.q = append(c.q, outFrame{payload: payload})
+	c.q.push(outFrame{payload: payload})
 	c.qcond.Signal()
 }
 
@@ -536,8 +533,8 @@ func eventFrame(watch uint32, path, value string) []byte {
 // history — watch semantics promise "something changed here", never
 // every intermediate value. When the queue is full and nothing
 // coalesces, the key alone is parked in lagged for repair; only a
-// connection that exhausts that backlog too is evicted. Runs on the
-// store loop (watch delivery).
+// connection that exhausts that backlog too is evicted. Runs under the
+// store lock (watch delivery).
 //
 // hotpath
 // storeloop
@@ -547,9 +544,10 @@ func (c *srvConn) enqueueEvent(key eventKey, payload []byte) {
 		c.qmu.Unlock()
 		return
 	}
-	if abs, ok := c.evIdx[key]; ok && abs >= c.qbase {
-		old := c.q[abs-c.qbase].payload
-		c.q[abs-c.qbase].payload = payload
+	if abs, queued := c.evIdx[key]; queued {
+		fr := c.q.at(abs) // an index entry lives exactly as long as its frame
+		old := fr.payload
+		fr.payload = payload
 		c.qmu.Unlock()
 		putBuf(old)
 		c.srv.coalesced.Add(1)
@@ -586,17 +584,16 @@ func (c *srvConn) enqueueEvent(key eventKey, payload []byte) {
 //
 // hotpath
 func (c *srvConn) pushEventLocked(key eventKey, payload []byte) {
-	c.q = append(c.q, outFrame{payload: payload, isEvent: true, key: key})
-	c.evIdx[key] = c.qbase + len(c.q) - 1
+	c.evIdx[key] = c.q.push(outFrame{payload: payload, isEvent: true, key: key})
 	c.nEvents++
 	c.qcond.Signal()
 	c.srv.events.Add(1)
 }
 
 // repair moves lagged keys into the room the writer has drained, oldest
-// first, each with the value its path holds now. It runs on the store
-// loop, so no write can slip between the read and the enqueue, and the
-// store loop is the only producer of events, so the room it measured
+// first, each with the value its path holds now. It runs under the
+// store lock, so no write can slip between the read and the enqueue,
+// and events are only produced under that lock, so the room it measured
 // cannot shrink underneath it.
 //
 // storeloop
@@ -638,7 +635,9 @@ func (c *srvConn) repair() {
 }
 
 // evict severs a connection that cannot keep up and records why. Runs
-// on the store loop.
+// under the store lock — possibly on the connection's own reader, when
+// the operation it is running overflows its own backlog; shutdown waits
+// for no goroutine, so that cannot deadlock.
 //
 // storeloop
 func (c *srvConn) evict(reason string) {
@@ -662,7 +661,7 @@ func (c *srvConn) writeLoop() {
 	var frames []outFrame
 	for {
 		c.qmu.Lock()
-		for len(c.q) == 0 && !c.qclosed {
+		for c.q.len() == 0 && !c.qclosed {
 			c.qcond.Wait()
 		}
 		if c.qclosed {
@@ -671,16 +670,13 @@ func (c *srvConn) writeLoop() {
 		}
 		frames = frames[:0]
 		total := 0
-		for len(c.q) > 0 && total < coalesceBudget {
-			fr := c.q[0]
-			c.q[0] = outFrame{}
-			c.q = c.q[1:]
-			c.qbase++
+		for c.q.len() > 0 && total < coalesceBudget {
+			fr := c.q.pop()
 			if fr.isEvent {
+				// A key has at most one frame queued (a second event
+				// coalesces into it), so the entry is this frame's.
 				c.nEvents--
-				if abs, ok := c.evIdx[fr.key]; ok && abs == c.qbase-1 {
-					delete(c.evIdx, fr.key)
-				}
+				delete(c.evIdx, fr.key)
 			}
 			frames = append(frames, fr)
 			total += 4 + len(fr.payload)
@@ -754,7 +750,7 @@ func (c *srvConn) readLoop() {
 		if err != nil {
 			return
 		}
-		d := &dec{b: payload}
+		d := &dec{b: payload, paths: c.paths}
 		op := Op(d.u8())
 		id := d.u32()
 		if d.err != nil {
@@ -768,19 +764,23 @@ func (c *srvConn) readLoop() {
 // The returned buffer is pooled; writeLoop recycles it after the socket
 // write.
 func reply(id uint32, err error, body func(*enc)) []byte {
-	e := &enc{b: getBuf(64)}
+	e := enc{b: getBuf(64)}
 	e.op(OpReply, id)
-	st := statusOf(err)
-	e.u8(uint8(st))
+	e.u8(uint8(statusOf(err)))
 	if err != nil {
 		e.str(err.Error())
-	} else {
-		e.str("")
+		return e.b
 	}
-	if body != nil && err == nil {
-		body(e)
+	e.str("")
+	if body == nil {
+		return e.b
 	}
-	return e.b
+	// body is a dynamic call, so the encoder it is handed lives on the
+	// heap; the bodiless replies above (write, remove, ping — the
+	// decision loop's traffic) never pay for one.
+	be := &enc{b: e.b}
+	body(be)
+	return be.b
 }
 
 // handshake reads and answers the binding frame. There is one protocol
@@ -842,13 +842,14 @@ func (c *srvConn) handshake() error {
 	return nil
 }
 
-// handle decodes and executes one request on the store loop, then queues
-// the reply. Malformed bodies produce StatusBadRequest rather than
-// dropping the connection, so one bad client request stays diagnosable.
+// handle decodes one request, executes it under the store lock on this
+// (the connection's reader) goroutine, then queues the reply. Malformed
+// bodies produce StatusBadRequest rather than dropping the connection,
+// so one bad client request stays diagnosable.
 func (c *srvConn) handle(op Op, id uint32, d *dec) {
 	var out []byte
 	st := c.srv.st
-	// run executes fn on the store loop under a wire.op trace record.
+	// run executes fn under the store lock and a wire.op trace record.
 	run := func(path string, fn func() (func(*enc), error)) {
 		ok := c.srv.do(func() {
 			c.srv.rec.Record(trace.Record{
@@ -1081,8 +1082,8 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 			out = reply(id, err, nil)
 			break
 		}
-		// Counters itself round-trips through the store loop; build the
-		// reply outside run to avoid a self-deadlock.
+		// Counters itself takes the store lock; build the reply outside
+		// run to avoid a self-deadlock.
 		blob, err := json.Marshal(c.srv.Counters())
 		if err != nil {
 			out = reply(id, err, nil)
@@ -1114,10 +1115,10 @@ type batchSub struct {
 }
 
 // handleBatch executes an OpBatch frame: N sub-ops in, N sub-replies
-// out, one round trip. The whole batch runs as a single store-loop
-// closure — one channel hop and one wire.batch trace record — which is
-// where the hot-path amortization comes from. Per-op failures are per-op
-// statuses, never a dropped frame.
+// out, one round trip. The whole batch runs under a single hold of the
+// store lock — one acquisition and one wire.batch trace record — which
+// is where the hot-path amortization comes from. Per-op failures are
+// per-op statuses, never a dropped frame.
 func (c *srvConn) handleBatch(id uint32, d *dec) []byte {
 	n := d.u32()
 	if d.err == nil && n > MaxBatchOps {
