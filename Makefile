@@ -1,7 +1,7 @@
 # Standard verification pipeline: `make check` is what CI runs.
 GO ?= go
 
-.PHONY: all build fmt vet lint test fixtures race bench check chaos sla experiments clean
+.PHONY: all build fmt vet lint test fixtures race bench pair check chaos sla experiments clean
 
 all: check
 
@@ -44,6 +44,14 @@ race:
 # (bench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkManagerTick -benchtime 1x ./internal/core/
+
+# Alternating paired runs of the repo benchmark, REV's build against the
+# working tree's (scripts/pair.sh; the evidence rule is docs/PERFORMANCE.md
+# §1): make pair REV=HEAD~1 W=wire_hotpath [N=10] [SEED=7]
+N ?= 10
+SEED ?= 7
+pair:
+	@sh scripts/pair.sh "$(REV)" "$(W)" $(N) $(SEED)
 
 check: fmt vet lint build test fixtures race
 

@@ -21,6 +21,15 @@ import (
 // A Client is safe for concurrent use. Requests may be issued from many
 // goroutines; watch callbacks are delivered sequentially by a dedicated
 // dispatcher goroutine, and may themselves issue Client operations.
+//
+// Retention: the strings one reply carries — a Read value, the names of
+// a List, the paths and values of a Snapshot, every Value and Names
+// element of a Batch's results — are views of that reply's one buffer,
+// which is never reused. They stay valid for as long as they are held;
+// holding any one of them keeps that whole reply (at most MaxFrame
+// bytes) from the collector, so a caller that files away one short field
+// of a large reply should strings.Clone it. Watch callback arguments and
+// SyncSubtree pages are private copies.
 type Client struct {
 	c net.Conn
 	// br buffers inbound frames: the reply stream is read by exactly one
@@ -38,6 +47,15 @@ type Client struct {
 	nextReq uint32
 	pending map[uint32]*waiter
 	wenc    enc
+	// One sweep per client enforces the request timeout, so a request
+	// arms no timer of its own: every sweepEvery (a quarter of
+	// requestTimeout as it stood at dial) sweeper advances epoch and fails
+	// the pending requests more than four epochs old with ErrTimeout —
+	// between one and one and a quarter timeouts after they were sent.
+	// Guarded by reqMu; fail stops it.
+	epoch      uint32
+	sweepEvery time.Duration
+	sweeper    *time.Timer
 
 	watchMu   sync.Mutex
 	nextWatch uint32
@@ -68,28 +86,29 @@ type clientEvent struct {
 	value string
 }
 
-// requestTimeout bounds each request round trip.
-const requestTimeout = 30 * time.Second
+// requestTimeout bounds each request round trip (see Client.sweep). A
+// variable only so a test can shorten it.
+var requestTimeout = 30 * time.Second
 
 // waiter is one in-flight request's rendezvous with readLoop. Waiters
-// are pooled, timer included, so a round trip allocates neither a
-// channel nor a timer. Whoever removes a waiter from Client.pending
-// (readLoop with the reply, fail without one) signals it exactly once.
-// Reusing the timer without draining its channel relies on the go 1.23
-// timer semantics go.mod selects: after Stop or Reset returns, no stale
-// tick is delivered.
+// are pooled, so a round trip allocates no channel. Whoever removes a
+// waiter from Client.pending — readLoop with the reply, fail or sweep
+// without one — fills it in and signals it exactly once.
 type waiter struct {
 	ready chan struct{} // capacity 1: the signal never blocks its sender
-	timer *time.Timer
-	d     dec  // the reply, positioned after opcode and request id
-	ok    bool // false: the connection died first
+	body  string        // the reply after opcode and request id
+	err   error         // non-nil: no reply; the connection died or the request timed out
+	epoch uint32        // Client.epoch when the request was registered
 }
 
 var waiterPool = sync.Pool{New: func() any {
-	t := time.NewTimer(requestTimeout)
-	t.Stop()
-	return &waiter{ready: make(chan struct{}, 1), timer: t}
+	return &waiter{ready: make(chan struct{}, 1)}
 }}
+
+// okBody is the body of a bodiless OK reply (status 0, empty message) —
+// what every write, remove, grant and ping is answered with. readFrames
+// hands waiters this constant instead of a copy of those five bytes.
+const okBody = "\x00\x00\x00\x00\x00"
 
 // Dial connects to an iorchestra-stored endpoint ("tcp" or "unix") and
 // performs the handshake binding the connection to dom. token is
@@ -152,6 +171,10 @@ func NewClient(nc net.Conn, dom store.DomID, token string) (*Client, error) {
 		nc.Close()
 		return nil, fmt.Errorf("%w: server answered protocol version %d (want %d)", ErrBadRequest, accepted, ProtocolVersion)
 	}
+	c.sweepEvery = requestTimeout / 4
+	c.reqMu.Lock()
+	c.sweeper = time.AfterFunc(c.sweepEvery, c.sweep)
+	c.reqMu.Unlock()
 	go c.readLoop()
 	go c.dispatchLoop()
 	return c, nil
@@ -186,13 +209,37 @@ func (c *Client) fail(err error) {
 		close(c.closedCh)
 		c.c.Close()
 		c.reqMu.Lock()
+		c.sweeper.Stop()
 		for id, w := range c.pending {
 			delete(c.pending, id)
-			w.ok = false
+			w.err = err
 			w.ready <- struct{}{}
 		}
 		c.reqMu.Unlock()
 	})
+}
+
+// sweep is the timeout tick (see Client.sweeper). It re-arms itself
+// unless the connection has failed: fail closes closedCh before it takes
+// reqMu to stop the timer, so a tick that got in first is stopped there
+// and one that comes after sees the channel closed.
+func (c *Client) sweep() {
+	c.reqMu.Lock()
+	defer c.reqMu.Unlock()
+	select {
+	case <-c.closedCh:
+		return
+	default:
+	}
+	c.epoch++
+	for id, w := range c.pending {
+		if c.epoch-w.epoch > 4 {
+			delete(c.pending, id)
+			w.err = fmt.Errorf("%w after %v", ErrTimeout, 4*c.sweepEvery)
+			w.ready <- struct{}{}
+		}
+	}
+	c.sweeper.Reset(c.sweepEvery)
 }
 
 // readLoop owns the inbound stream until it fails, then fails the
@@ -228,10 +275,13 @@ func (c *Client) readFrames() error {
 			c.reqMu.Unlock()
 			if w != nil {
 				// The waiter decodes on its own goroutine, after the next
-				// read has reused rbuf: it gets the body in a buffer of
-				// its own.
-				w.d = dec{b: append([]byte(nil), d.b...)}
-				w.ok = true
+				// read has reused rbuf: it gets the body as a string of its
+				// own, the reply's one allocation (rdec).
+				if string(d.b) == okBody {
+					w.body = okBody
+				} else {
+					w.body = string(d.b)
+				}
 				w.ready <- struct{}{}
 			}
 		case OpEvent:
@@ -293,10 +343,10 @@ func (c *Client) dispatchLoop() {
 // args appends — waits for its reply and decodes the standard
 // status+message prefix; the returned decoder is positioned at the
 // op-specific body.
-func (c *Client) call(op Op, args func(*enc)) (dec, error) {
+func (c *Client) call(op Op, args func(*enc)) (rdec, error) {
 	select {
 	case <-c.closedCh:
-		return dec{}, c.Err()
+		return rdec{}, c.Err()
 	default:
 	}
 	w := waiterPool.Get().(*waiter)
@@ -306,6 +356,7 @@ func (c *Client) call(op Op, args func(*enc)) (dec, error) {
 	c.reqMu.Lock()
 	c.nextReq++
 	id := c.nextReq
+	w.epoch = c.epoch
 	c.pending[id] = w
 	err := c.sendLocked(op, id, args)
 	c.reqMu.Unlock()
@@ -313,30 +364,21 @@ func (c *Client) call(op Op, args func(*enc)) (dec, error) {
 		// w stays out of the pool on the failure paths: fail may or may
 		// not have signalled it, and a pooled waiter must be quiet.
 		c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
-		return dec{}, c.Err()
+		return rdec{}, c.Err()
 	}
-	w.timer.Reset(requestTimeout)
-	select {
-	case <-w.ready:
-		w.timer.Stop()
-		d, ok := w.d, w.ok
-		w.d = dec{}
-		waiterPool.Put(w)
-		if !ok {
-			return dec{}, c.Err()
-		}
-		st := Status(d.u8())
-		msg := d.str()
-		if err := errOf(st, msg); err != nil {
-			return dec{}, err
-		}
-		return d, nil
-	case <-w.timer.C:
-		c.reqMu.Lock()
-		delete(c.pending, id)
-		c.reqMu.Unlock()
-		return dec{}, fmt.Errorf("%w after %v", ErrTimeout, requestTimeout)
+	<-w.ready
+	if w.err != nil {
+		return rdec{}, w.err
 	}
+	d := rdec{s: w.body}
+	w.body = ""
+	waiterPool.Put(w)
+	st := Status(d.u8())
+	msg := d.str()
+	if err := errOf(st, msg); err != nil {
+		return rdec{}, err
+	}
+	return d, nil
 }
 
 // sendLocked encodes one request into the client's own buffer, length

@@ -314,10 +314,11 @@ func TestCallbackRPCUnderEventBurst(t *testing.T) {
 // TestWriteRoundTripAllocs is the allocation budget of the frame path:
 // one Client.Write with one watcher over a Unix socket — request, store
 // write, watch fan-out, reply, event, callback, both ends in this
-// process — allocates at most 10 times. It read 33 when every operation
-// crossed to a store goroutine over per-op channels and closures; what
-// is left is the store's own fan-out, the value string at each decode
-// and the reply's buffer.
+// process — allocates at most 4 times. It read 33 when every operation
+// crossed to a store goroutine over per-op channels and closures, and 5
+// while the store built a closure per fan-out and the event was encoded
+// into a buffer of its own; what is left is the value string at each of
+// the two decodes (the server's request, the client's event).
 func TestWriteRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -341,7 +342,7 @@ func TestWriteRoundTripAllocs(t *testing.T) {
 	for j := 0; j < 64; j++ { // fill the pools and the intern tables
 		roundTrip()
 	}
-	const budget = 10
+	const budget = 4
 	if n := testing.AllocsPerRun(500, roundTrip); n > budget {
 		t.Errorf("one write round trip with one watcher allocates %.1f times, budget %d", n, budget)
 	} else {

@@ -2,6 +2,7 @@ package netstore
 
 import (
 	"fmt"
+	"strings"
 
 	"iorchestra/internal/store"
 )
@@ -26,9 +27,12 @@ func (c *Client) SyncSubtree(root string, sinceVersion, knownHash uint64) (store
 	n := d.u32()
 	res.Pairs = make([]store.SyncPair, 0, n)
 	for i := uint32(0); i < n && d.err == nil; i++ {
-		p := d.str()
+		// Cloned, not views of the reply: pages are folded into mirrors that
+		// live for the connection, where one surviving path of each delta
+		// would pin that delta's whole reply.
+		p := strings.Clone(d.str())
 		removed := d.u8() == 1
-		v := d.str()
+		v := strings.Clone(d.str())
 		res.Pairs = append(res.Pairs, store.SyncPair{Path: p, Value: v, Removed: removed})
 	}
 	return res, d.done()

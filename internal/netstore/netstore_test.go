@@ -648,6 +648,17 @@ func TestStatsCounters(t *testing.T) {
 	if ctr.Accepted == 0 || ctr.Active == 0 || ctr.StoreWrites == 0 {
 		t.Fatalf("counters look empty: %+v", ctr)
 	}
+	// A Dom0-created node under the guest's subtree is invisible to the
+	// guest's watch; the stats op shows the withheld notification.
+	if _, err := c.Watch(store.DomainPath(3), func(string, string) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dialT(t, sock, store.Dom0).Write(store.DomainPath(3)+"/dom0-owned", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if ctr, err = c.Stats(); err != nil || ctr.StoreFiltered != 1 {
+		t.Fatalf("StoreFiltered = %d (%v), want 1", ctr.StoreFiltered, err)
+	}
 }
 
 func TestProtoRoundTrip(t *testing.T) {

@@ -34,9 +34,12 @@
 // NotifyQueue) holding the *net change per path*, not history: when an
 // event for a (watch, path) pair is already queued, the new value
 // replaces it in place (Counters.Coalesced) instead of consuming a
-// slot. Consequently the queue grows only with the client's
+// slot. A queued event is its key plus the store's own value string,
+// not a frame: the connection's writer encodes whatever value is queued
+// when it flushes, so a replaced value is never encoded. Consequently
+// the queue grows only with the client's
 // distinct-path backlog. When that backlog overflows the queue, the
-// event's payload is dropped and its key parked; once the connection's
+// event's value is dropped and its key parked; once the connection's
 // writer has drained room the server re-reads each parked path and
 // queues its current value, so overflow delays a watcher but never
 // costs it a final value. A connection is severed — it recovers via
@@ -49,8 +52,8 @@
 // first-enqueue order); and one stalled guest can never wedge fan-out
 // for everyone else, because enqueueing never blocks on a slow socket.
 // Writes out of a connection
-// are flushed with syscall coalescing: queued reply and event frames
-// are merged into one pooled buffer per writeLoop wakeup.
+// are flushed with syscall coalescing: the frames queued at a writeLoop
+// wakeup go out in one write, from a buffer the loop keeps.
 //
 // docs/WIRE_PROTOCOL.md is the normative frame-layout and semantics
 // reference; docs/PERFORMANCE.md tracks the measured cost of all of
@@ -295,6 +298,8 @@ func errValueSize(n int) error {
 	return fmt.Errorf("%w: value of %d bytes exceeds MaxValue", ErrBadRequest, n)
 }
 
+func errTruncated() error { return fmt.Errorf("%w: truncated frame", ErrBadRequest) }
+
 // getBuf returns a zero-length pooled buffer with capacity ≥ n.
 //
 // hotpath
@@ -422,6 +427,37 @@ func (e *enc) str(s string) *enc {
 	return e
 }
 
+// bool appends a flag as one byte, 1 or 0.
+//
+// hotpath
+func (e *enc) bool(v bool) *enc {
+	if v {
+		return e.u8(1)
+	}
+	return e.u8(0)
+}
+
+// strs appends a counted list of strings (a List reply's names).
+//
+// hotpath
+func (e *enc) strs(ss []string) *enc {
+	e.u32(uint32(len(ss)))
+	for _, s := range ss {
+		e.str(s)
+	}
+	return e
+}
+
+// status appends a reply's (or a batch sub-reply's) prefix: err's wire
+// status and, for a failure, its message.
+func (e *enc) status(err error) *enc {
+	e.u8(uint8(statusOf(err)))
+	if err != nil {
+		return e.str(err.Error())
+	}
+	return e.str("")
+}
+
 // pathTable interns the paths one connection keeps naming. The control
 // channel revisits a handful of keys per guest (nr_dirty, flush_now, the
 // heartbeat, ...), so decoding each occurrence into a fresh string is
@@ -464,7 +500,7 @@ type dec struct {
 
 func (d *dec) fail() {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: truncated frame", ErrBadRequest)
+		d.err = errTruncated()
 	}
 }
 
@@ -550,4 +586,61 @@ func (d *dec) done() error {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadRequest, len(d.b))
 	}
 	return nil
+}
+
+// rdec consumes a reply body on the client. The body is a string — the
+// one allocation readFrames makes per reply, immutable from then on — and
+// every string rdec returns is a view of it, so a 32-name List or a
+// 96-result batch costs that one allocation, not one per field. The
+// price is retention: a kept field keeps its whole reply alive (see
+// Client). Requests and events are decoded by dec, which copies: they
+// are read out of a frame buffer the next read overwrites.
+type rdec struct {
+	s   string
+	err error
+}
+
+// take consumes the next n bytes, or fails the decode and returns "".
+//
+// hotpath
+func (d *rdec) take(n uint32) string {
+	if d.err != nil || uint32(len(d.s)) < n {
+		if d.err == nil {
+			d.err = errTruncated()
+		}
+		return ""
+	}
+	v := d.s[:n]
+	d.s = d.s[n:]
+	return v
+}
+
+// hotpath
+func (d *rdec) u8() uint8 {
+	if v := d.take(1); v != "" {
+		return v[0]
+	}
+	return 0
+}
+
+// hotpath
+func (d *rdec) u32() uint32 {
+	if v := d.take(4); v != "" {
+		return uint32(v[0])<<24 | uint32(v[1])<<16 | uint32(v[2])<<8 | uint32(v[3])
+	}
+	return 0
+}
+
+// hotpath
+func (d *rdec) u64() uint64 { return uint64(d.u32())<<32 | uint64(d.u32()) }
+
+// hotpath
+func (d *rdec) str() string { return d.take(d.u32()) }
+
+// done errors unless the body was fully consumed.
+func (d *rdec) done() error {
+	if d.err == nil && len(d.s) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadRequest, len(d.s))
+	}
+	return d.err
 }

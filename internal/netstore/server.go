@@ -31,7 +31,9 @@ type Options struct {
 	NotifyQueue int
 	// WriteTimeout evicts a connection whose socket cannot absorb one
 	// frame within the window — the only evidence of a stalled peer the
-	// server acts on. Default 2s.
+	// server acts on. The writer arms the socket deadline two windows out
+	// and re-arms it once less than one remains, so a stalled write is cut
+	// after at least WriteTimeout and at most twice that. Default 2s.
 	WriteTimeout time.Duration
 	// Dom0Token, when non-empty, is required in the handshake to bind a
 	// connection to Dom0. Guest domains authenticate by reachability
@@ -73,6 +75,11 @@ type Counters struct {
 	StoreReads    uint64 `json:"store_reads"`
 	StoreWrites   uint64 `json:"store_writes"`
 	StoreNotifies uint64 `json:"store_notifies"`
+	// StoreFiltered counts notifications the store withheld because the
+	// watching domain may not read the written node
+	// (store.FilteredNotifies): the first place to look when a watcher
+	// hears nothing.
+	StoreFiltered uint64 `json:"store_filtered,omitempty"`
 
 	Batches     uint64 `json:"batches,omitempty"`
 	BatchOps    uint64 `json:"batch_ops,omitempty"`
@@ -321,6 +328,7 @@ func (s *Server) Counters() Counters {
 	s.mu.Unlock()
 	s.Do(func(st *store.Store) {
 		ctr.StoreReads, ctr.StoreWrites, ctr.StoreNotifies = st.Stats()
+		ctr.StoreFiltered = st.FilteredNotifies()
 		ctr.FaultDroppedWrites, ctr.FaultDroppedNotifies, ctr.FaultDelayedNotifies = st.FaultStats()
 	})
 	return ctr
@@ -425,14 +433,39 @@ type eventKey struct {
 	path  string
 }
 
+// outFrame is one queued outbound frame. A reply is its encoded payload
+// in a pooled buffer. An event is queued undecoded — its key plus the
+// store's own value string, no copy — so coalescing replaces a string,
+// and only the value that survives to the writer is ever encoded.
 type outFrame struct {
 	payload []byte
 	isEvent bool
 	key     eventKey
+	value   string
+}
+
+// appendTo encodes the frame onto b behind its length prefix — the one
+// place an event is encoded — and recycles a reply's pooled payload.
+//
+// hotpath
+func (fr *outFrame) appendTo(b []byte) []byte {
+	mark := len(b)
+	e := enc{b: append(b, 0, 0, 0, 0)}
+	if fr.isEvent {
+		e.op(OpEvent, 0)
+		e.u32(fr.key.watch)
+		e.str(fr.key.path)
+		e.str(fr.value)
+	} else {
+		e.b = append(e.b, fr.payload...)
+		putBuf(fr.payload)
+	}
+	binary.BigEndian.PutUint32(e.b[mark:], uint32(len(e.b)-mark-4))
+	return e.b
 }
 
 // lagFactor sizes the per-connection lagged-key backlog as a multiple of
-// Options.NotifyQueue. Lagged keys carry no payload, so the multiple
+// Options.NotifyQueue. Lagged keys carry no value, so the multiple
 // buys a deep repair window for little memory; a connection that falls
 // further behind than this is severed (docs/WIRE_PROTOCOL.md §4).
 const lagFactor = 64
@@ -457,7 +490,7 @@ type srvConn struct {
 	evIdx   map[eventKey]int
 	qclosed bool
 	// lagged lists, oldest first, the keys whose events found the queue
-	// full: the payload is dropped and the key remembered, and repair
+	// full: the value is dropped and the key remembered, and repair
 	// re-reads the path's then-current value once the writer has made
 	// room — overflow costs a live watcher latency, never the final
 	// value. While it is non-empty every new key queues behind it, which
@@ -481,10 +514,16 @@ type srvConn struct {
 	// br buffers inbound frames so a burst of pipelined requests costs
 	// one read syscall; rbuf is the readLoop's reusable frame buffer
 	// (each request is fully decoded — dec copies string bytes out —
-	// before the next read); paths interns the request paths.
+	// before the next read); paths interns the request paths. renc is the
+	// reader's reply encoder — a field, because an encoder handed to an
+	// op closure would otherwise live on the heap, one per reply; its
+	// buffer is a fresh pooled one per reply. subs is handleBatch's decode
+	// scratch, cleared after each frame.
 	br    *bufio.Reader
 	rbuf  []byte
 	paths pathTable
+	renc  enc
+	subs  []batchSub
 }
 
 // shutdown tears the connection down; safe from any goroutine, any number
@@ -514,52 +553,38 @@ func (c *srvConn) enqueue(payload []byte) {
 	c.qcond.Signal()
 }
 
-// eventFrame encodes one watch-event frame into a pooled buffer.
-//
-// hotpath
-func eventFrame(watch uint32, path, value string) []byte {
-	ev := &enc{b: getBuf(64)}
-	ev.op(OpEvent, 0)
-	ev.u32(watch)
-	ev.str(path)
-	ev.str(value)
-	return ev.b
-}
-
 // enqueueEvent queues a watch event under the notify-queue bound, with
-// delta fan-out: an event still queued for the same (watch, path) is
-// replaced by the newer value instead of queuing a second frame, so a
+// delta fan-out: an event still queued for the same (watch, path) has its
+// value replaced by the newer one instead of queuing a second frame, so a
 // connection that falls behind receives the net change per path, not the
 // history — watch semantics promise "something changed here", never
-// every intermediate value. When the queue is full and nothing
-// coalesces, the key alone is parked in lagged for repair; only a
-// connection that exhausts that backlog too is evicted. Runs under the
-// store lock (watch delivery).
+// every intermediate value. Nothing is encoded here: value is the
+// store's own string and the writer encodes whichever value is queued
+// when it gets there. When the queue is full and nothing coalesces, the
+// key alone is parked in lagged for repair; only a connection that
+// exhausts that backlog too is evicted. Runs under the store lock (watch
+// delivery).
 //
 // hotpath
 // storeloop
-func (c *srvConn) enqueueEvent(key eventKey, payload []byte) {
+func (c *srvConn) enqueueEvent(key eventKey, value string) {
 	c.qmu.Lock()
 	if c.qclosed {
 		c.qmu.Unlock()
 		return
 	}
 	if abs, queued := c.evIdx[key]; queued {
-		fr := c.q.at(abs) // an index entry lives exactly as long as its frame
-		old := fr.payload
-		fr.payload = payload
+		c.q.at(abs).value = value // an index entry lives exactly as long as its frame
 		c.qmu.Unlock()
-		putBuf(old)
 		c.srv.coalesced.Add(1)
 		return
 	}
 	if c.nEvents < c.srv.opts.NotifyQueue && len(c.lagged) == 0 {
-		c.pushEventLocked(key, payload)
+		c.pushEventLocked(key, value)
 		c.qmu.Unlock()
 		return
 	}
-	// No room for the payload from here on: the key is what survives.
-	putBuf(payload)
+	// No room for the value from here on: the key is what survives.
 	if _, parked := c.lagIdx[key]; parked {
 		c.qmu.Unlock()
 		c.srv.coalesced.Add(1)
@@ -583,8 +608,8 @@ func (c *srvConn) enqueueEvent(key eventKey, payload []byte) {
 // checked the bound.
 //
 // hotpath
-func (c *srvConn) pushEventLocked(key eventKey, payload []byte) {
-	c.evIdx[key] = c.q.push(outFrame{payload: payload, isEvent: true, key: key})
+func (c *srvConn) pushEventLocked(key eventKey, value string) {
+	c.evIdx[key] = c.q.push(outFrame{isEvent: true, key: key, value: value})
 	c.nEvents++
 	c.qcond.Signal()
 	c.srv.events.Add(1)
@@ -610,8 +635,8 @@ func (c *srvConn) repair() {
 		delete(c.lagIdx, key)
 	}
 	c.qmu.Unlock()
-	payloads := make([][]byte, len(keys))
-	for i, key := range keys {
+	evs := make([]outFrame, 0, len(keys))
+	for _, key := range keys {
 		if _, live := c.watches[key.watch]; !live {
 			continue
 		}
@@ -619,7 +644,7 @@ func (c *srvConn) repair() {
 		// value, an unreadable one not at all.
 		v, err := c.srv.st.Read(c.dom, key.path)
 		if err == nil || errors.Is(err, store.ErrNoEntry) {
-			payloads[i] = eventFrame(key.watch, key.path, v)
+			evs = append(evs, outFrame{key: key, value: v})
 		}
 	}
 	c.qmu.Lock()
@@ -627,10 +652,8 @@ func (c *srvConn) repair() {
 	if c.qclosed {
 		return
 	}
-	for i, key := range keys {
-		if payloads[i] != nil {
-			c.pushEventLocked(key, payloads[i])
-		}
+	for _, ev := range evs {
+		c.pushEventLocked(ev.key, ev.value)
 	}
 }
 
@@ -655,10 +678,20 @@ func (c *srvConn) writeLoop() {
 	defer c.srv.wg.Done()
 	// Frames queued while the previous write was on the wire are drained
 	// together and written with a single syscall — under load a burst of
-	// replies and watch events costs one write, not one per frame. The
-	// byte budget keeps the combined buffer poolable.
+	// replies and watch events costs one write, not one per frame. They
+	// are encoded into wbuf, which the loop keeps across flushes; the byte
+	// budget bounds what one flush grows it to.
 	const coalesceBudget = 48 << 10
-	var frames []outFrame
+	var (
+		frames []outFrame
+		wbuf   []byte
+		// armed is the write deadline standing on the socket. Arming costs
+		// more than a small frame's encode, so it is set two WriteTimeouts
+		// out and re-armed only once less than one remains: a write still
+		// cannot stall past the deadline, and a peer is cut after at least
+		// WriteTimeout and at most twice that.
+		armed time.Time
+	)
 	for {
 		c.qmu.Lock()
 		for c.q.len() == 0 && !c.qclosed {
@@ -679,25 +712,28 @@ func (c *srvConn) writeLoop() {
 				delete(c.evIdx, fr.key)
 			}
 			frames = append(frames, fr)
-			total += 4 + len(fr.payload)
+			total += len(fr.payload) + len(fr.key.path) + len(fr.value)
 		}
 		// lagged is non-empty only while the queue is too (it fills from a
 		// full queue and repair refills the queue from it), so a writer
 		// that checks on every pop cannot sleep on a backlog.
 		lagging := len(c.lagged) > 0
 		c.qmu.Unlock()
-		buf := getBuf(total)
+		wbuf = wbuf[:0]
 		for i := range frames {
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(frames[i].payload)))
-			buf = append(buf, frames[i].payload...)
-			putBuf(frames[i].payload)
+			wbuf = frames[i].appendTo(wbuf)
 			frames[i] = outFrame{}
 		}
 		if wt := c.srv.opts.WriteTimeout; wt > 0 {
-			c.c.SetWriteDeadline(time.Now().Add(wt))
+			if now := time.Now(); armed.Sub(now) < wt {
+				armed = now.Add(2 * wt)
+				c.c.SetWriteDeadline(armed)
+			}
 		}
-		_, err := c.c.Write(buf)
-		putBuf(buf)
+		_, err := c.c.Write(wbuf)
+		if cap(wbuf) > poolMax {
+			wbuf = nil // one big reply must not pin its size
+		}
 		if err != nil {
 			c.writeStalled(err)
 			return
@@ -760,28 +796,18 @@ func (c *srvConn) readLoop() {
 	}
 }
 
-// reply builds a reply frame: status, message, then op-specific body.
-// The returned buffer is pooled; writeLoop recycles it after the socket
-// write.
-func reply(id uint32, err error, body func(*enc)) []byte {
+// replyTo starts the reply to request id in a pooled buffer (writeLoop
+// recycles it after the socket write): opcode, id, then err's status and
+// message. After an OK prefix the caller appends the op-specific body.
+func replyTo(id uint32, err error) enc {
 	e := enc{b: getBuf(64)}
 	e.op(OpReply, id)
-	e.u8(uint8(statusOf(err)))
-	if err != nil {
-		e.str(err.Error())
-		return e.b
-	}
-	e.str("")
-	if body == nil {
-		return e.b
-	}
-	// body is a dynamic call, so the encoder it is handed lives on the
-	// heap; the bodiless replies above (write, remove, ping — the
-	// decision loop's traffic) never pay for one.
-	be := &enc{b: e.b}
-	body(be)
-	return be.b
+	e.status(err)
+	return e
 }
+
+// replyHdr is a reply payload up to its status byte: opcode, request id.
+const replyHdr = 1 + 4
 
 // handshake reads and answers the binding frame. There is one protocol
 // version and no negotiation: a hello carrying any other version byte is
@@ -801,26 +827,26 @@ func (c *srvConn) handshake() error {
 	ver := d.u8()
 	dom := store.DomID(d.u32())
 	token := d.str()
-	send := func(cause error, body func(*enc)) error {
+	send := func(e enc) error {
 		if wt := c.srv.opts.WriteTimeout; wt > 0 {
 			c.c.SetWriteDeadline(time.Now().Add(wt))
 		}
-		out := reply(id, cause, body)
-		err := writeFrame(c.c, out)
-		putBuf(out)
-		if cause != nil {
-			return cause
-		}
+		err := writeFrame(c.c, e.b)
+		putBuf(e.b)
 		return err
 	}
+	refuse := func(cause error) error {
+		send(replyTo(id, cause)) // best effort: the connection closes either way
+		return cause
+	}
 	if err := d.done(); err != nil || op != OpHandshake || magic != Magic {
-		return send(fmt.Errorf("%w: malformed handshake", ErrBadRequest), nil)
+		return refuse(fmt.Errorf("%w: malformed handshake", ErrBadRequest))
 	}
 	if ver != ProtocolVersion {
-		return send(fmt.Errorf("%w: protocol version %d (want %d)", ErrBadRequest, ver, ProtocolVersion), nil)
+		return refuse(fmt.Errorf("%w: protocol version %d (want %d)", ErrBadRequest, ver, ProtocolVersion))
 	}
 	if dom == store.Dom0 && c.srv.opts.Dom0Token != "" && token != c.srv.opts.Dom0Token {
-		return send(fmt.Errorf("%w: dom0 token rejected", ErrAuth), nil)
+		return refuse(fmt.Errorf("%w: dom0 token rejected", ErrAuth))
 	}
 	c.dom = dom
 	c.handshook = true
@@ -832,10 +858,10 @@ func (c *srvConn) handshake() error {
 	}) {
 		return ErrClosed
 	}
-	if err := send(nil, func(e *enc) {
-		e.u8(ProtocolVersion)
-		e.u64(version)
-	}); err != nil {
+	e := replyTo(id, nil)
+	e.u8(ProtocolVersion)
+	e.u64(version)
+	if err := send(e); err != nil {
 		return err
 	}
 	c.c.SetWriteDeadline(time.Time{})
@@ -849,247 +875,206 @@ func (c *srvConn) handshake() error {
 func (c *srvConn) handle(op Op, id uint32, d *dec) {
 	var out []byte
 	st := c.srv.st
-	// run executes fn under the store lock and a wire.op trace record.
-	run := func(path string, fn func() (func(*enc), error)) {
+	// run executes fn under the store lock and a wire.op trace record. fn
+	// appends the op's reply body to e as it goes, behind an OK prefix
+	// that is rewound if fn fails.
+	run := func(path string, fn func(e *enc) error) {
 		ok := c.srv.do(func() {
 			c.srv.rec.Record(trace.Record{
 				Kind: trace.KindWireOp, Dom: int(c.dom), Path: path, Value: op.String(),
 			})
-			body, err := fn()
-			out = reply(id, err, body)
+			e := &c.renc
+			*e = replyTo(id, nil)
+			if err := fn(e); err != nil {
+				e.b = e.b[:replyHdr]
+				e.status(err)
+			}
+			out, e.b = e.b, nil
 		})
 		if !ok {
-			out = reply(id, ErrClosed, nil)
+			out = replyTo(id, ErrClosed).b
 		}
 	}
 	// runTxn is run for an operation on open transaction tid.
-	runTxn := func(tid uint32, path string, fn func(*store.Txn) (func(*enc), error)) {
+	runTxn := func(tid uint32, path string, fn func(*store.Txn, *enc) error) {
 		txn, ok := c.txns[tid]
 		if !ok {
-			out = reply(id, fmt.Errorf("%w: %d", ErrUnknownTxn, tid), nil)
+			out = replyTo(id, fmt.Errorf("%w: %d", ErrUnknownTxn, tid)).b
 			return
 		}
-		run(path, func() (func(*enc), error) { return fn(txn) })
+		run(path, func(e *enc) error { return fn(txn, e) })
 	}
+	// Every case decodes its whole body first; a malformed one is answered
+	// after the switch and runs nothing.
 	switch op {
 	case OpPing:
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
+		if d.done() == nil {
+			out = replyTo(id, nil).b
 		}
-		out = reply(id, nil, nil)
 
 	case OpRead:
 		path := d.path()
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
+		if d.done() == nil {
+			run(path, func(e *enc) error {
+				v, err := st.Read(c.dom, path)
+				e.str(v)
+				return err
+			})
 		}
-		run(path, func() (func(*enc), error) {
-			v, err := st.Read(c.dom, path)
-			return func(e *enc) { e.str(v) }, err
-		})
 
 	case OpWrite:
 		path := d.path()
 		value := d.value()
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
+		if d.done() == nil {
+			run(path, func(*enc) error { return st.Write(c.dom, path, value) })
 		}
-		run(path, func() (func(*enc), error) {
-			return nil, st.Write(c.dom, path, value)
-		})
 
 	case OpRemove:
 		path := d.path()
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
+		if d.done() == nil {
+			run(path, func(*enc) error { return st.Remove(c.dom, path) })
 		}
-		run(path, func() (func(*enc), error) {
-			return nil, st.Remove(c.dom, path)
-		})
 
 	case OpList:
 		path := d.path()
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
+		if d.done() == nil {
+			run(path, func(e *enc) error {
+				names, err := st.List(c.dom, path)
+				e.strs(names)
+				return err
+			})
 		}
-		run(path, func() (func(*enc), error) {
-			names, err := st.List(c.dom, path)
-			return func(e *enc) {
-				e.u32(uint32(len(names)))
-				for _, n := range names {
-					e.str(n)
-				}
-			}, err
-		})
 
 	case OpGrant:
 		path := d.path()
 		target := store.DomID(d.u32())
 		perm := store.Perm(d.u8())
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
+		if d.done() == nil {
+			run(path, func(*enc) error { return st.Grant(c.dom, path, target, perm) })
 		}
-		run(path, func() (func(*enc), error) {
-			return nil, st.Grant(c.dom, path, target, perm)
-		})
 
 	case OpExists:
 		path := d.path()
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
+		if d.done() == nil {
+			run(path, func(e *enc) error {
+				e.bool(st.Exists(path))
+				return nil
+			})
 		}
-		run(path, func() (func(*enc), error) {
-			v := uint8(0)
-			if st.Exists(path) {
-				v = 1
-			}
-			return func(e *enc) { e.u8(v) }, nil
-		})
 
 	case OpWatch:
 		cwid := d.u32()
 		prefix := d.path()
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
-		}
-		// Event frames carry the client's watch id, so the store's own id
-		// never crosses the wire.
-		run(prefix, func() (func(*enc), error) {
-			if _, dup := c.watches[cwid]; dup {
-				return nil, fmt.Errorf("%w: watch id %d in use", ErrBadRequest, cwid)
-			}
-			wid, err := st.Watch(c.dom, prefix, func(path, value string) {
-				c.enqueueEvent(eventKey{watch: cwid, path: path}, eventFrame(cwid, path, value))
+		if d.done() == nil {
+			// Event frames carry the client's watch id, so the store's own id
+			// never crosses the wire.
+			run(prefix, func(*enc) error {
+				if _, dup := c.watches[cwid]; dup {
+					return fmt.Errorf("%w: watch id %d in use", ErrBadRequest, cwid)
+				}
+				wid, err := st.Watch(c.dom, prefix, func(path, value string) {
+					c.enqueueEvent(eventKey{watch: cwid, path: path}, value)
+				})
+				if err == nil {
+					c.watches[cwid] = wid
+				}
+				return err
 			})
-			if err == nil {
-				c.watches[cwid] = wid
-			}
-			return nil, err
-		})
+		}
 
 	case OpUnwatch:
 		cwid := d.u32()
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
+		if d.done() == nil {
+			run("", func(*enc) error {
+				if wid, ok := c.watches[cwid]; ok {
+					st.Unwatch(wid)
+					delete(c.watches, cwid)
+				}
+				return nil
+			})
 		}
-		run("", func() (func(*enc), error) {
-			if wid, ok := c.watches[cwid]; ok {
-				st.Unwatch(wid)
-				delete(c.watches, cwid)
-			}
-			return nil, nil
-		})
 
 	case OpTxnBegin:
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
+		if d.done() == nil {
+			run("", func(e *enc) error {
+				if len(c.txns) >= c.srv.opts.MaxTxns {
+					return fmt.Errorf("%w: %d transactions already open", ErrBadRequest, len(c.txns))
+				}
+				c.nextTxn++
+				c.txns[c.nextTxn] = st.Begin(c.dom)
+				e.u32(c.nextTxn)
+				return nil
+			})
 		}
-		run("", func() (func(*enc), error) {
-			if len(c.txns) >= c.srv.opts.MaxTxns {
-				return nil, fmt.Errorf("%w: %d transactions already open", ErrBadRequest, len(c.txns))
-			}
-			c.nextTxn++
-			tid := c.nextTxn
-			c.txns[tid] = st.Begin(c.dom)
-			return func(e *enc) { e.u32(tid) }, nil
-		})
 
 	case OpTxnRead:
 		tid := d.u32()
 		path := d.path()
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
+		if d.done() == nil {
+			runTxn(tid, path, func(txn *store.Txn, e *enc) error {
+				v, err := txn.Read(path)
+				e.str(v)
+				return err
+			})
 		}
-		runTxn(tid, path, func(txn *store.Txn) (func(*enc), error) {
-			v, err := txn.Read(path)
-			return func(e *enc) { e.str(v) }, err
-		})
 
 	case OpTxnWrite:
 		tid := d.u32()
 		path := d.path()
 		value := d.value()
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
+		if d.done() == nil {
+			runTxn(tid, path, func(txn *store.Txn, _ *enc) error { return txn.Write(path, value) })
 		}
-		runTxn(tid, path, func(txn *store.Txn) (func(*enc), error) {
-			return nil, txn.Write(path, value)
-		})
 
 	case OpTxnRemove:
 		tid := d.u32()
 		path := d.path()
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
+		if d.done() == nil {
+			runTxn(tid, path, func(txn *store.Txn, _ *enc) error { return txn.Remove(path) })
 		}
-		runTxn(tid, path, func(txn *store.Txn) (func(*enc), error) {
-			return nil, txn.Remove(path)
-		})
 
 	case OpTxnCommit, OpTxnAbort:
 		tid := d.u32()
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
+		if d.done() == nil {
+			runTxn(tid, "", func(txn *store.Txn, _ *enc) error {
+				delete(c.txns, tid)
+				if op == OpTxnAbort {
+					txn.Abort()
+					return nil
+				}
+				return txn.Commit()
+			})
 		}
-		runTxn(tid, "", func(txn *store.Txn) (func(*enc), error) {
-			delete(c.txns, tid)
-			if op == OpTxnAbort {
-				txn.Abort()
-				return nil, nil
-			}
-			return nil, txn.Commit()
-		})
 
 	case OpSnapshot:
 		root := d.path()
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
-		}
-		run(root, func() (func(*enc), error) {
-			type pair struct{ p, v string }
-			var pairs []pair
-			st.Walk(c.dom, root, func(p, v string) {
-				pairs = append(pairs, pair{p, v})
+		if d.done() == nil {
+			run(root, func(e *enc) error {
+				e.u64(st.Version())
+				// The pair count goes in once the walk has counted them.
+				mark, n := len(e.b), uint32(0)
+				e.u32(0)
+				st.Walk(c.dom, root, func(p, v string) {
+					e.str(p)
+					e.str(v)
+					n++
+				})
+				binary.BigEndian.PutUint32(e.b[mark:], n)
+				return nil
 			})
-			version := st.Version()
-			return func(e *enc) {
-				e.u64(version)
-				e.u32(uint32(len(pairs)))
-				for _, kv := range pairs {
-					e.str(kv.p)
-					e.str(kv.v)
-				}
-			}, nil
-		})
+		}
 
 	case OpStats:
-		if err := d.done(); err != nil {
-			out = reply(id, err, nil)
-			break
+		if d.done() == nil {
+			// Counters itself takes the store lock; build the reply outside
+			// run to avoid a self-deadlock.
+			blob, err := json.Marshal(c.srv.Counters())
+			e := replyTo(id, err)
+			if err == nil {
+				e.str(string(blob))
+			}
+			out = e.b
 		}
-		// Counters itself takes the store lock; build the reply outside
-		// run to avoid a self-deadlock.
-		blob, err := json.Marshal(c.srv.Counters())
-		if err != nil {
-			out = reply(id, err, nil)
-			break
-		}
-		out = reply(id, nil, func(e *enc) { e.str(string(blob)) })
 
 	case OpBatch:
 		out = c.handleBatch(id, d)
@@ -1098,7 +1083,10 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 		out = c.handleSync(id, op, d)
 
 	default:
-		out = reply(id, fmt.Errorf("%w: opcode %d", ErrBadRequest, uint8(op)), nil)
+		out = replyTo(id, fmt.Errorf("%w: opcode %d", ErrBadRequest, uint8(op))).b
+	}
+	if out == nil {
+		out = replyTo(id, d.done()).b
 	}
 	c.enqueue(out)
 }
@@ -1114,17 +1102,18 @@ type batchSub struct {
 	perm   store.Perm
 }
 
-// handleBatch executes an OpBatch frame: N sub-ops in, N sub-replies
-// out, one round trip. The whole batch runs under a single hold of the
-// store lock — one acquisition and one wire.batch trace record — which
-// is where the hot-path amortization comes from. Per-op failures are
-// per-op statuses, never a dropped frame.
-func (c *srvConn) handleBatch(id uint32, d *dec) []byte {
+// subsKeep is the largest decode scratch a connection keeps between
+// batch frames; a bigger batch's is dropped rather than pinned.
+const subsKeep = 256
+
+// decodeBatch decodes every sub-op of an OpBatch body into subs. A frame
+// that fails to decode or names an un-batchable opcode yields an error,
+// so such a frame executes nothing.
+func decodeBatch(d *dec, subs []batchSub) ([]batchSub, error) {
 	n := d.u32()
 	if d.err == nil && n > MaxBatchOps {
-		return reply(id, fmt.Errorf("%w: batch of %d ops exceeds MaxBatchOps", ErrBadRequest, n), nil)
+		return subs, fmt.Errorf("%w: batch of %d ops exceeds MaxBatchOps", ErrBadRequest, n)
 	}
-	subs := make([]batchSub, 0, n)
 	for i := uint32(0); i < n && d.err == nil; i++ {
 		so := batchSub{op: Op(d.u8())}
 		switch so.op {
@@ -1139,71 +1128,72 @@ func (c *srvConn) handleBatch(id uint32, d *dec) []byte {
 			so.perm = store.Perm(d.u8())
 		case OpPing:
 		default:
-			return reply(id, fmt.Errorf("%w: opcode %d not batchable", ErrBadRequest, uint8(so.op)), nil)
+			return subs, fmt.Errorf("%w: opcode %d not batchable", ErrBadRequest, uint8(so.op))
 		}
 		subs = append(subs, so)
 	}
-	if err := d.done(); err != nil {
-		return reply(id, err, nil)
+	return subs, d.done()
+}
+
+// handleBatch executes an OpBatch frame: N sub-ops in, N sub-replies
+// out, one round trip. The whole batch runs under a single hold of the
+// store lock — one acquisition and one wire.batch trace record — which
+// is where the hot-path amortization comes from, and each sub-reply is
+// appended to the reply frame as its op runs. Per-op failures are per-op
+// statuses, never a dropped frame.
+func (c *srvConn) handleBatch(id uint32, d *dec) []byte {
+	subs, err := decodeBatch(d, c.subs[:0])
+	defer func() {
+		clear(subs) // the scratch must not pin the frame's values
+		if cap(subs) <= subsKeep {
+			c.subs = subs[:0]
+		}
+	}()
+	if err != nil {
+		return replyTo(id, err).b
 	}
-	type subRes struct {
-		err  error
-		body func(*enc)
-	}
-	results := make([]subRes, len(subs))
-	st := c.srv.st
+	st, e := c.srv.st, &c.renc
 	ok := c.srv.do(func() {
 		c.srv.rec.Record(trace.Record{
 			Kind: trace.KindWireBatch, Dom: int(c.dom), Value: "batch", Size: int64(len(subs)),
 		})
-		for i, so := range subs {
+		*e = replyTo(id, nil)
+		e.u32(uint32(len(subs)))
+		for i := range subs {
+			so := &subs[i]
 			switch so.op {
 			case OpPing:
+				e.status(nil)
 			case OpRead:
 				v, err := st.Read(c.dom, so.path)
-				results[i] = subRes{err: err, body: func(e *enc) { e.str(v) }}
+				if e.status(err); err == nil {
+					e.str(v)
+				}
 			case OpWrite:
-				results[i] = subRes{err: st.Write(c.dom, so.path, so.value)}
+				e.status(st.Write(c.dom, so.path, so.value))
 			case OpRemove:
-				results[i] = subRes{err: st.Remove(c.dom, so.path)}
+				e.status(st.Remove(c.dom, so.path))
 			case OpList:
 				names, err := st.List(c.dom, so.path)
-				results[i] = subRes{err: err, body: func(e *enc) {
-					e.u32(uint32(len(names)))
-					for _, nm := range names {
-						e.str(nm)
-					}
-				}}
-			case OpExists:
-				v := uint8(0)
-				if st.Exists(so.path) {
-					v = 1
+				if e.status(err); err == nil {
+					e.strs(names)
 				}
-				results[i] = subRes{body: func(e *enc) { e.u8(v) }}
+			case OpExists:
+				e.status(nil)
+				e.bool(st.Exists(so.path))
 			case OpGrant:
-				results[i] = subRes{err: st.Grant(c.dom, so.path, so.target, so.perm)}
+				e.status(st.Grant(c.dom, so.path, so.target, so.perm))
 			}
 		}
 	})
 	if !ok {
-		return reply(id, ErrClosed, nil)
+		return replyTo(id, ErrClosed).b
 	}
 	c.srv.batches.Add(1)
 	c.srv.batchOps.Add(uint64(len(subs)))
-	return reply(id, nil, func(e *enc) {
-		e.u32(uint32(len(results)))
-		for _, r := range results {
-			e.u8(uint8(statusOf(r.err)))
-			if r.err != nil {
-				e.str(r.err.Error())
-			} else {
-				e.str("")
-				if r.body != nil {
-					r.body(e)
-				}
-			}
-		}
-	})
+	out := e.b
+	e.b = nil
+	return out
 }
 
 // --- Hash-versioned subtree sync ----------------------------------------------
@@ -1216,7 +1206,7 @@ func (c *srvConn) handleSync(id uint32, op Op, d *dec) []byte {
 	since := d.u64()
 	known := d.u64()
 	if err := d.done(); err != nil {
-		return reply(id, err, nil)
+		return replyTo(id, err).b
 	}
 	var page store.SyncPage
 	var err error
@@ -1227,10 +1217,10 @@ func (c *srvConn) handleSync(id uint32, op Op, d *dec) []byte {
 		}
 	})
 	if !ok {
-		return reply(id, ErrClosed, nil)
+		return replyTo(id, ErrClosed).b
 	}
 	if err != nil {
-		return reply(id, fmt.Errorf("%w: %v", ErrBadRequest, err), nil)
+		return replyTo(id, fmt.Errorf("%w: %v", ErrBadRequest, err)).b
 	}
 	c.srv.syncs.Add(1)
 	switch page.Mode {
@@ -1241,19 +1231,15 @@ func (c *srvConn) handleSync(id uint32, op Op, d *dec) []byte {
 	default:
 		c.srv.syncFulls.Add(1)
 	}
-	return reply(id, nil, func(e *enc) {
-		e.u8(uint8(page.Mode))
-		e.u64(page.Version)
-		e.u64(page.Hash)
-		e.u32(uint32(len(page.Pairs)))
-		for _, kv := range page.Pairs {
-			e.str(kv.Path)
-			r := uint8(0)
-			if kv.Removed {
-				r = 1
-			}
-			e.u8(r)
-			e.str(kv.Value)
-		}
-	})
+	e := replyTo(id, nil)
+	e.u8(uint8(page.Mode))
+	e.u64(page.Version)
+	e.u64(page.Hash)
+	e.u32(uint32(len(page.Pairs)))
+	for _, kv := range page.Pairs {
+		e.str(kv.Path)
+		e.bool(kv.Removed)
+		e.str(kv.Value)
+	}
+	return e.b
 }

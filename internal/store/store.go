@@ -8,6 +8,13 @@
 // the simulation kernel with a configurable notification latency, modelling
 // the XenBus round trip; the store logic itself is ordinary control-plane
 // code with no knowledge of the simulator beyond the clock.
+//
+// A watched write is the control plane's unit of work, so its path keeps
+// nothing it allocates and does each piece of work once: a hot key's
+// resolution is memoized (pathEntry) together with the hash term its
+// current value contributes to the subtree hash, so a write hashes the
+// new value only; and the notifications of one write travel in delivery
+// records drawn from, and returned to, a free list the store owns.
 package store
 
 import (
@@ -92,6 +99,16 @@ type watch struct {
 // drivers living on other goroutines, so the watch table has its own
 // lock: Watch, Unwatch and notification delivery are safe to interleave
 // concurrently.
+//
+// Two pieces of per-write state are cached rather than rebuilt. Each
+// pathCache entry holds the hash term of its node's current value (hval;
+// writeEntry is the only place a value is assigned, and a path has one
+// entry), so the subtree hash is updated from the cached old term and
+// one hash of the new value. And fireWatches schedules delivery records
+// from freeDeliveries: one record per run of equal-latency notifications,
+// one kernel event per record, the record back on the list after its
+// last callback — the (time, seq) dispatch order is exactly that of a
+// closure per run, without the closure.
 type Store struct {
 	k             *sim.Kernel
 	root          *node
@@ -123,6 +140,11 @@ type Store struct {
 	// partsScratch is splitScratch's reusable tokenization buffer, under
 	// the same kernel-goroutine discipline.
 	partsScratch []string
+	// freeDeliveries is the delivery free list: fireWatches takes a record
+	// per run of equal-latency notifications and the record puts itself
+	// back after its last callback, so a watched write allocates nothing
+	// it keeps. Kernel goroutine only (Write and the kernel's dispatch).
+	freeDeliveries []*delivery
 	// pathCache memoizes path resolution for the hot read/write keys: one
 	// full-path lookup replaces tokenizing plus a map access per segment.
 	// A node stays resolvable until a Remove covers it, so Remove is the
@@ -154,6 +176,9 @@ type Store struct {
 
 	// Stats counters exposed for overhead accounting.
 	reads, writes, notifies uint64
+	// filteredNotifies counts notifications withheld because the watching
+	// domain may not read the written node (FilteredNotifies).
+	filteredNotifies uint64
 	// Fault accounting: writes silently lost and notifications dropped or
 	// delayed by the installed FaultHooks.
 	faultDroppedWrites, faultDroppedNotifies, faultDelayedNotifies uint64
@@ -382,9 +407,14 @@ func (s *Store) lookup(parts []string) *node {
 type pathEntry struct {
 	parts []string
 	n     *node
-	hpath uint64  // pathHashState(path): per-write hashing starts at the value
-	hash  *uint64 // subtree-hash cell for the path's bucket
-	wb    *watchBucket
+	hpath uint64 // pathHashState(path): per-write hashing starts at the value
+	// hval is mixString(hpath, n.value), the node's term as it stands in
+	// *hash. A path has one entry and writeEntry is the only assignment
+	// of n.value, so a write folds the cached term out and hashes the new
+	// value alone.
+	hval uint64
+	hash *uint64 // subtree-hash cell for the path's bucket
+	wb   *watchBucket
 }
 
 // cachePath memoizes a successful resolution. parts may alias a scratch
@@ -395,6 +425,7 @@ func (s *Store) cachePath(path string, parts []string, n *node) *pathEntry {
 	}
 	b := bucketOf(parts)
 	e := &pathEntry{parts: append([]string(nil), parts...), n: n, hpath: pathHashState(path)}
+	e.hval = mixString(e.hpath, n.value)
 	e.hash = s.hashCell(b)
 	s.watchMu.Lock()
 	e.wb = s.bucketFor(b)
@@ -574,7 +605,6 @@ func (s *Store) writeEntry(dom DomID, e *pathEntry, path, value string, firstCre
 	if !canWrite(n, dom) {
 		return errPermission(dom, "writing", path)
 	}
-	old := n.value // "" when the leaf was just created
 	if s.faults != nil && s.faults.DropWrite != nil && s.faults.DropWrite(dom, path) {
 		// The write is acknowledged but lost: the key keeps its stale
 		// value and no watch fires, exactly a torn XenStore transaction.
@@ -594,9 +624,11 @@ func (s *Store) writeEntry(dom DomID, e *pathEntry, path, value string, firstCre
 		s.noteCreated(parts, firstCreated, s.version)
 	}
 	// Fold the prior leaf content out of the subtree hash and the new
-	// content in — the entry pins the bucket cell, and the memoized path
-	// prefix state means only the values get hashed.
-	*e.hash ^= mixString(e.hpath, old) ^ mixString(e.hpath, value)
+	// content in — the entry pins the bucket cell and remembers the term
+	// it last folded in, so only the new value gets hashed.
+	hval := mixString(e.hpath, value)
+	*e.hash ^= e.hval ^ hval
+	e.hval = hval
 	s.journalAppend(s.version, path, false)
 	if s.rec != nil {
 		s.rec.Record(trace.Record{Kind: trace.KindStoreWrite, Dom: int(dom), Path: path, Value: value})
@@ -754,6 +786,60 @@ func hasPrefix(path, prefix []string) bool {
 	return true
 }
 
+// delivery is one run of equal-latency notifications of one write: the
+// watchers to call, in ascending id order, and the event they are told.
+// Records are reused through Store.freeDeliveries; fire is the run
+// method value, bound once when the record is made, so scheduling a
+// delivery builds no closure.
+type delivery struct {
+	s           *Store
+	ws          []*watch
+	path, value string
+	fire        func()
+}
+
+// takeDelivery pops a record off the free list (making one when the list
+// is empty — a callback that re-enters Write while its own record is
+// still running simply takes another) and loads it with the event.
+//
+// hotpath
+func (s *Store) takeDelivery(path, value string) *delivery {
+	var d *delivery
+	if n := len(s.freeDeliveries); n > 0 {
+		d = s.freeDeliveries[n-1]
+		s.freeDeliveries = s.freeDeliveries[:n-1]
+	} else {
+		d = &delivery{s: s}
+		d.fire = d.run
+	}
+	d.path, d.value = path, value
+	return d
+}
+
+// run is the kernel event of a delivery: it calls the watchers, then
+// hands the record back to the free list.
+//
+// hotpath
+func (d *delivery) run() {
+	s := d.s
+	for _, w := range d.ws {
+		// The watch may have been removed while the notification
+		// was in flight; XenStore drops such events.
+		if w.removed.Load() {
+			continue
+		}
+		if s.rec != nil {
+			s.rec.Record(trace.Record{Kind: trace.KindStoreWatch, Dom: int(w.dom), Path: d.path, Value: d.value})
+		}
+		w.fn(d.path, d.value)
+	}
+	clear(d.ws)
+	d.ws = d.ws[:0]
+	d.path, d.value = "", ""
+	s.freeDeliveries = append(s.freeDeliveries, d)
+}
+
+// hotpath
 func (s *Store) fireWatches(wb *watchBucket, parts []string, n *node, path, value string) {
 	// Snapshot the candidate watches under the lock, then match and
 	// schedule outside it so callbacks cannot deadlock against Watch/
@@ -789,34 +875,14 @@ func (s *Store) fireWatches(wb *watchBucket, parts []string, n *node, path, valu
 	// the callbacks consecutively inside one event preserves the exact
 	// dispatch order while cutting the calendar traffic of the fan-out
 	// (every write notifies at least the manager and the guest driver).
-	var run []*watch
+	var run *delivery // the open run, scheduled when its latency ends
 	runDelay := s.notifyLatency
-	p, v := path, value
-	flush := func() {
-		if len(run) == 0 {
-			return
-		}
-		ws := run
-		run = nil
-		s.k.After(runDelay, func() {
-			for _, w := range ws {
-				// The watch may have been removed while the notification
-				// was in flight; XenStore drops such events.
-				if w.removed.Load() {
-					continue
-				}
-				if s.rec != nil {
-					s.rec.Record(trace.Record{Kind: trace.KindStoreWatch, Dom: int(w.dom), Path: p, Value: v})
-				}
-				w.fn(p, v)
-			}
-		})
-	}
 	for _, w := range matched {
 		if !hasPrefix(parts, w.prefix) {
 			continue
 		}
 		if n != nil && !canRead(n, w.dom) {
+			s.filteredNotifies++
 			continue
 		}
 		delay := s.notifyLatency
@@ -831,14 +897,20 @@ func (s *Store) fireWatches(wb *watchBucket, parts []string, n *node, path, valu
 				delay += extra
 			}
 		}
-		if len(run) > 0 && delay != runDelay {
-			flush()
+		if run != nil && delay != runDelay {
+			s.k.After(runDelay, run.fire)
+			run = nil
 		}
 		runDelay = delay
 		s.notifies++
-		run = append(run, w)
+		if run == nil {
+			run = s.takeDelivery(path, value)
+		}
+		run.ws = append(run.ws, w)
 	}
-	flush()
+	if run != nil {
+		s.k.After(runDelay, run.fire)
+	}
 }
 
 // Stats reports cumulative operation counts (reads, writes, notifications),
@@ -846,6 +918,12 @@ func (s *Store) fireWatches(wb *watchBucket, parts []string, n *node, path, valu
 func (s *Store) Stats() (reads, writes, notifies uint64) {
 	return s.reads, s.writes, s.notifies
 }
+
+// FilteredNotifies reports how many notifications the permission filter
+// withheld: a watch matched a written node its domain may not read. A
+// watcher that hears nothing from a key it expects shows up here (a
+// Dom0-created node under a guest subtree needs a PermRead grant).
+func (s *Store) FilteredNotifies() uint64 { return s.filteredNotifies }
 
 // Version reports the store's global mutation counter: it advances on
 // every applied Write or Remove. Snapshot bootstrap (internal/netstore)
