@@ -1,7 +1,7 @@
 # Standard verification pipeline: `make check` is what CI runs.
 GO ?= go
 
-.PHONY: all build fmt vet lint test fixtures race bench pair check chaos sla experiments clean
+.PHONY: all build fmt vet lint test fixtures race fuzz bench pair check chaos sla experiments clean
 
 all: check
 
@@ -16,14 +16,11 @@ vet:
 	$(GO) vet ./...
 
 # Project-invariant static analysis (internal/analysis, docs/LINTING.md):
-# determinism, store key schema, watch-handler re-entrancy, the Monitor
-# read contract, the trace/counter mirror, netstore store-lock
-# confinement, epoch-goroutine isolation, hot-path allocation
-# discipline and bounded retries. The second run audits the
-# //lint:allow ledger: unjustified or stale directives fail the build.
+# determinism, store key schema, the trace/counter mirror, hot-path
+# allocation discipline and bounded retries — the rules no type can
+# carry. There is no suppression directive to audit.
 lint:
 	$(GO) run ./cmd/iorchestra-vet ./...
-	$(GO) run ./cmd/iorchestra-vet -audit ./...
 
 test:
 	$(GO) test ./...
@@ -38,6 +35,12 @@ fixtures:
 # and the epoch-barrier goroutines (TestRunEpochsParity, the bench tests).
 race:
 	$(GO) test -race ./...
+
+# The wire decoders' fuzz targets, 10 s each (go test -fuzz takes one
+# target per run). Plain `make test` already runs their seed corpus.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/netstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzReplyDecode$$' -fuzztime 10s ./internal/netstore/
 
 # Manager-tick microbenchmarks (all three policies over 8 guests). The
 # wire path is measured by the repo benchmark: `go run ./bench`

@@ -7,7 +7,9 @@
 // repeat; -trace-listen serves the live NDJSON decision stream that
 // `iorchestra-trace tcp://...` tails. Store-level faults from the PR 2
 // grammar (stalewrite, watchdrop, watchdelay) can be injected for
-// resilience drills.
+// resilience drills; a -faults spec that does not parse, or that names
+// a guest- or device-level clause a store cannot realise, is refused
+// with exit status 2 rather than served without its faults.
 //
 //	iorchestra-stored -listen tcp://127.0.0.1:7011
 //	iorchestra-stored -listen unix:///run/iorchestra/store.sock \
@@ -25,6 +27,7 @@ import (
 	"syscall"
 	"time"
 
+	"iorchestra/internal/fault"
 	"iorchestra/internal/netstore"
 )
 
@@ -56,6 +59,21 @@ func listen(url string) (net.Listener, error) {
 	return nil, fmt.Errorf("endpoint %q: want tcp://host:port or unix:///path", url)
 }
 
+// checkFaults rejects a -faults spec the store would not run as asked:
+// one that does not parse, or one naming guest- or device-level clauses,
+// which only a simulated host can inject.
+func checkFaults(raw string) error {
+	spec, err := fault.ParseSpec(raw)
+	if err != nil {
+		return err
+	}
+	spec.StaleWriteProb, spec.WatchDropProb, spec.WatchDelayProb = 0, 0, 0
+	if !spec.Empty() {
+		return fmt.Errorf("a store cannot inject %s (it takes stalewrite, watchdrop, watchdelay)", spec)
+	}
+	return nil
+}
+
 func main() {
 	var listens, traceListens endpoints
 	flag.Var(&listens, "listen", "store endpoint URL (tcp://host:port or unix:///path); repeatable")
@@ -70,6 +88,10 @@ func main() {
 	flag.Parse()
 	if len(listens) == 0 {
 		listens = endpoints{"tcp://127.0.0.1:7011"}
+	}
+	if err := checkFaults(*faults); err != nil {
+		fmt.Fprintln(os.Stderr, "iorchestra-stored: -faults:", err)
+		os.Exit(2)
 	}
 
 	srv := netstore.NewServer(netstore.Options{

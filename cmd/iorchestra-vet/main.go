@@ -7,22 +7,15 @@
 //	iorchestra-vet -run determinism ./internal/core
 //	iorchestra-vet -scope=all dir/...    # ignore per-pass package scoping
 //	iorchestra-vet -json ./...           # machine-readable findings (CI)
-//	iorchestra-vet -audit ./...          # ledger of //lint:allow directives
 //
 // The tool is a standalone multichecker: it parses and type-checks the
-// target packages itself (standard library only, no go/packages), so it
-// needs no network and no toolchain plumbing beyond `go run`. Exit
-// codes: 0 clean, 1 findings (or, under -audit, stale/unjustified
-// directives), 2 usage or load errors. Findings are suppressed only by
-// an escape hatch that names the pass and carries a justification:
-//
-//	//lint:allow determinism -- progress timer, never feeds the sim
-//
-// -audit reports every such directive with its justification and how
-// many findings it suppressed in the run; a directive that suppressed
-// nothing is stale and fails the audit. -json wraps either report in a
-// versioned, schema-stable envelope (docs/LINTING.md documents both
-// schemas, every rule and the escape-hatch policy).
+// target packages, _test.go files included, itself (standard library
+// only, no go/packages), so it needs no network and no toolchain
+// plumbing beyond `go run`. Exit codes: 0 clean, 1 findings, 2 usage or
+// load errors. There is no suppression directive: a finding is fixed or
+// the rule is changed. -json wraps the report in a versioned,
+// schema-stable envelope (docs/LINTING.md documents the schema and
+// every rule).
 package main
 
 import (
@@ -47,24 +40,11 @@ type jsonFinding struct {
 	Message string `json:"message"`
 }
 
-// jsonDirective is one //lint:allow directive in the -audit -json
-// envelope, with its suppression accounting.
-type jsonDirective struct {
-	File          string   `json:"file"`
-	Line          int      `json:"line"`
-	Passes        []string `json:"passes"`
-	Justification string   `json:"justification"`
-	Suppressed    int      `json:"suppressed"`
-	Stale         bool     `json:"stale"`
-}
-
 func main() {
 	list := flag.Bool("list", false, "list the suite's passes and exit")
 	run := flag.String("run", "", "comma-separated pass names to run (default: all)")
-	tests := flag.Bool("tests", true, "include _test.go files")
 	scope := flag.String("scope", "auto", "package scoping: auto (per-pass AppliesTo) or all")
 	jsonOut := flag.Bool("json", false, "emit a versioned JSON report instead of text")
-	audit := flag.Bool("audit", false, "report every //lint:allow directive; stale or unjustified ones fail")
 	flag.Parse()
 
 	if *list {
@@ -91,12 +71,12 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := analysis.Load(analysis.LoadConfig{Tests: *tests}, patterns...)
+	pkgs, err := analysis.Load(patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iorchestra-vet: %v\n", err)
 		os.Exit(2)
 	}
-	diags, allows, err := analysis.RunAnalyzersWithAllows(pkgs, analyzers, *scope == "all")
+	diags, err := analysis.RunAnalyzers(pkgs, analyzers, *scope == "all")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iorchestra-vet: %v\n", err)
 		os.Exit(2)
@@ -112,9 +92,6 @@ func main() {
 		return name
 	}
 
-	if *audit {
-		os.Exit(runAudit(diags, allows, *jsonOut, rel))
-	}
 	if *jsonOut {
 		findings := make([]jsonFinding, 0, len(diags))
 		for _, d := range diags {
@@ -145,72 +122,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "iorchestra-vet: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// runAudit reports the //lint:allow ledger. Unjustified directives
-// surface as lintallow findings from the framework; justified ones that
-// suppressed nothing this run are stale. Either fails the audit.
-func runAudit(diags []analysis.Diagnostic, allows []*analysis.AllowDirective, jsonOut bool, rel func(string) string) int {
-	var unjustified []analysis.Diagnostic
-	for _, d := range diags {
-		if d.Analyzer == "lintallow" {
-			unjustified = append(unjustified, d)
-		}
-	}
-	stale := 0
-	for _, a := range allows {
-		if a.Suppressed == 0 {
-			stale++
-		}
-	}
-
-	if jsonOut {
-		directives := make([]jsonDirective, 0, len(allows))
-		for _, a := range allows {
-			directives = append(directives, jsonDirective{
-				File:          rel(a.Pos.Filename),
-				Line:          a.Pos.Line,
-				Passes:        a.Passes,
-				Justification: a.Justification,
-				Suppressed:    a.Suppressed,
-				Stale:         a.Suppressed == 0,
-			})
-		}
-		unj := make([]jsonFinding, 0, len(unjustified))
-		for _, d := range unjustified {
-			unj = append(unj, jsonFinding{
-				Pass:    d.Analyzer,
-				File:    rel(d.Pos.Filename),
-				Line:    d.Pos.Line,
-				Col:     d.Pos.Column,
-				Message: d.Message,
-			})
-		}
-		emitJSON(struct {
-			Version     int             `json:"version"`
-			Directives  []jsonDirective `json:"directives"`
-			Unjustified []jsonFinding   `json:"unjustified"`
-		}{Version: 1, Directives: directives, Unjustified: unj})
-	} else {
-		for _, a := range allows {
-			status := fmt.Sprintf("suppressed %d finding(s)", a.Suppressed)
-			if a.Suppressed == 0 {
-				status = "STALE: suppressed nothing this run — delete or re-justify"
-			}
-			fmt.Printf("%s:%d: allow [%s] -- %q (%s)\n",
-				rel(a.Pos.Filename), a.Pos.Line, strings.Join(a.Passes, ","), a.Justification, status)
-		}
-		for _, d := range unjustified {
-			fmt.Printf("%s:%d: unjustified directive: %s\n", rel(d.Pos.Filename), d.Pos.Line, d.Message)
-		}
-	}
-
-	fmt.Fprintf(os.Stderr, "iorchestra-vet: %d directive(s), %d stale, %d unjustified\n",
-		len(allows), stale, len(unjustified))
-	if stale > 0 || len(unjustified) > 0 {
-		return 1
-	}
-	return 0
 }
 
 func emitJSON(v any) {

@@ -124,12 +124,14 @@ func TestListDescribesSuite(t *testing.T) {
 	if exit != 0 {
 		t.Fatalf("exit = %d, want 0", exit)
 	}
-	for _, name := range []string{
-		"determinism", "storekeys", "watchsafety", "monitoronly", "tracecounter",
-		"shardsafety", "epochsafety", "hotpathalloc", "boundedretry",
-	} {
-		if !strings.Contains(stdout, name) {
-			t.Errorf("-list output missing pass %q:\n%s", name, stdout)
+	names := []string{"determinism", "storekeys", "tracecounter", "hotpathalloc", "boundedretry"}
+	lines := strings.Split(strings.TrimSpace(stdout), "\n")
+	if len(lines) != len(names) {
+		t.Fatalf("-list printed %d passes, want %d:\n%s", len(lines), len(names), stdout)
+	}
+	for i, name := range names {
+		if !strings.HasPrefix(lines[i], name+" ") {
+			t.Errorf("-list line %d = %q, want pass %q", i, lines[i], name)
 		}
 	}
 }
@@ -145,23 +147,6 @@ type findingsReport struct {
 		Col     int    `json:"col"`
 		Message string `json:"message"`
 	} `json:"findings"`
-}
-
-// auditReport mirrors the -audit -json envelope.
-type auditReport struct {
-	Version    int `json:"version"`
-	Directives []struct {
-		File          string   `json:"file"`
-		Line          int      `json:"line"`
-		Passes        []string `json:"passes"`
-		Justification string   `json:"justification"`
-		Suppressed    int      `json:"suppressed"`
-		Stale         bool     `json:"stale"`
-	} `json:"directives"`
-	Unjustified []struct {
-		Pass string `json:"pass"`
-		File string `json:"file"`
-	} `json:"unjustified"`
 }
 
 func TestJSONFindings(t *testing.T) {
@@ -208,71 +193,6 @@ func TestJSONCleanEmitsEmptyArray(t *testing.T) {
 	}
 	if rep.Findings == nil || len(rep.Findings) != 0 {
 		t.Errorf("clean run must emit \"findings\": [] (not null), got:\n%s", stdout)
-	}
-}
-
-func TestAuditReportsLedger(t *testing.T) {
-	stdout, stderr, exit := runTool(t, "-scope=all", "-audit", "./allowed")
-	if exit != 1 {
-		t.Fatalf("exit = %d, want 1 (stale directive present)\nstdout:\n%s\nstderr:\n%s", exit, stdout, stderr)
-	}
-	for _, needle := range []string{
-		"allow [storekeys]",
-		"suppressed 1 finding(s)",
-		"allow [determinism]",
-		"STALE: suppressed nothing this run",
-	} {
-		if !strings.Contains(stdout, needle) {
-			t.Errorf("audit output missing %q:\n%s", needle, stdout)
-		}
-	}
-	if !strings.Contains(stderr, "2 directive(s), 1 stale, 0 unjustified") {
-		t.Errorf("stderr = %q, want ledger summary", stderr)
-	}
-}
-
-func TestAuditJSON(t *testing.T) {
-	stdout, _, exit := runTool(t, "-scope=all", "-audit", "-json", "./allowed")
-	if exit != 1 {
-		t.Fatalf("exit = %d, want 1\nstdout:\n%s", exit, stdout)
-	}
-	var rep auditReport
-	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-		t.Fatalf("stdout is not valid JSON: %v\n%s", err, stdout)
-	}
-	if rep.Version != 1 || len(rep.Directives) != 2 || len(rep.Unjustified) != 0 {
-		t.Fatalf("want version 1, 2 directives, 0 unjustified:\n%s", stdout)
-	}
-	byPass := map[string]struct {
-		suppressed int
-		stale      bool
-	}{}
-	for _, d := range rep.Directives {
-		if len(d.Passes) != 1 || d.Justification == "" {
-			t.Errorf("directive missing passes or justification: %+v", d)
-			continue
-		}
-		byPass[d.Passes[0]] = struct {
-			suppressed int
-			stale      bool
-		}{d.Suppressed, d.Stale}
-	}
-	if got := byPass["storekeys"]; got.suppressed != 1 || got.stale {
-		t.Errorf("storekeys directive: %+v, want suppressed=1 stale=false", got)
-	}
-	if got := byPass["determinism"]; got.suppressed != 0 || !got.stale {
-		t.Errorf("determinism directive: %+v, want suppressed=0 stale=true", got)
-	}
-}
-
-// A clean audit (no directives at all) exits zero.
-func TestAuditCleanExitsZero(t *testing.T) {
-	stdout, stderr, exit := runTool(t, "-scope=all", "-audit", "./clean")
-	if exit != 0 {
-		t.Fatalf("exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", exit, stdout, stderr)
-	}
-	if !strings.Contains(stderr, "0 directive(s), 0 stale, 0 unjustified") {
-		t.Errorf("stderr = %q, want empty-ledger summary", stderr)
 	}
 }
 

@@ -1,10 +1,11 @@
-// Package analysis is iorchestra-vet: a suite of static-analysis passes
-// that mechanically enforce the invariants this reproduction's
-// correctness story rests on — deterministic simulation (golden-trace
-// parity), the documented store key schema, watch-handler re-entrancy
-// discipline, the Controller measurement contract, and the 1:1
-// trace-event/counter mirror. docs/LINTING.md is the normative rule
-// reference; each Analyzer's Doc is the short form.
+// Package analysis is iorchestra-vet: five static-analysis passes that
+// enforce the invariants no type or signature can carry — deterministic
+// simulation (golden-trace parity), the documented store key schema,
+// the 1:1 trace-event/counter mirror, allocation discipline in //hotpath
+// functions and bounded retry loops. A convention the shape of the code
+// can hold is held there instead (docs/LINTING.md "Held by
+// construction"). docs/LINTING.md is the normative rule reference; each
+// Analyzer's Doc is the short form.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is self-contained: packages are
@@ -24,8 +25,8 @@ import (
 
 // Analyzer is one named pass over a type-checked package.
 type Analyzer struct {
-	// Name identifies the pass in diagnostics, -run selections and
-	// //lint:allow directives. Lower-case, no spaces.
+	// Name identifies the pass in diagnostics and -run selections.
+	// Lower-case, no spaces.
 	Name string
 	// Doc is the one-paragraph rule statement shown by -list.
 	Doc string
@@ -76,46 +77,27 @@ func pkgName(sel *ast.SelectorExpr) string {
 	return sel.Sel.Name
 }
 
-// RunAnalyzers applies every analyzer to every package it matches,
-// honors //lint:allow escape hatches, and returns the surviving
-// diagnostics sorted by position. scopeAll disables AppliesTo gating.
+// RunAnalyzers applies every analyzer to every package it matches and
+// returns the diagnostics sorted by position. scopeAll disables
+// AppliesTo gating. There is no suppression directive: a finding is
+// fixed, or the rule is changed.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, scopeAll bool) ([]Diagnostic, error) {
-	diags, _, err := RunAnalyzersWithAllows(pkgs, analyzers, scopeAll)
-	return diags, err
-}
-
-// RunAnalyzersWithAllows is RunAnalyzers plus the escape-hatch ledger:
-// every justified //lint:allow directive is returned with a count of
-// the findings it actually suppressed in this run, which is what the
-// driver's -audit mode reports (a directive that suppressed nothing is
-// stale — the violation it excused is gone, so the directive must go).
-func RunAnalyzersWithAllows(pkgs []*Package, analyzers []*Analyzer, scopeAll bool) ([]Diagnostic, []*AllowDirective, error) {
 	var diags []Diagnostic
-	var directives []*AllowDirective
 	for _, pkg := range pkgs {
-		allows, dirs, allowDiags := collectAllows(pkg)
-		directives = append(directives, dirs...)
-		diags = append(diags, allowDiags...)
 		for _, a := range analyzers {
 			if !scopeAll && a.AppliesTo != nil && !a.AppliesTo(strings.TrimSuffix(pkg.Path, "_test")) {
 				continue
 			}
-			var found []Diagnostic
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				diags:     &found,
+				diags:     &diags,
 			}
 			if err := a.Run(pass); err != nil {
-				return nil, nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
-			}
-			for _, d := range found {
-				if !allows.suppresses(a.Name, d.Pos) {
-					diags = append(diags, d)
-				}
+				return nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
 			}
 		}
 	}
@@ -129,95 +111,7 @@ func RunAnalyzersWithAllows(pkgs []*Package, analyzers []*Analyzer, scopeAll boo
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	sort.Slice(directives, func(i, j int) bool {
-		a, b := directives[i], directives[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		return a.Pos.Line < b.Pos.Line
-	})
-	return diags, directives, nil
-}
-
-// AllowDirective is one justified //lint:allow escape hatch, with the
-// suppression accounting -audit reports. Suppressed counts the findings
-// the directive absorbed in this run; zero means the violation it
-// excused is gone and the directive is stale.
-type AllowDirective struct {
-	Pos           token.Position
-	Passes        []string
-	Justification string
-	Suppressed    int
-}
-
-// allowTable indexes //lint:allow directives by (file, line, pass); the
-// leaf points back at the directive so suppressions can be counted.
-type allowTable map[string]map[int]map[string]*AllowDirective
-
-func (t allowTable) suppresses(pass string, pos token.Position) bool {
-	lines := t[pos.Filename]
-	if lines == nil {
-		return false
-	}
-	// A directive suppresses findings on its own line (trailing comment)
-	// and on the line directly below it (directive above the statement).
-	for _, line := range []int{pos.Line, pos.Line - 1} {
-		if d := lines[line][pass]; d != nil {
-			d.Suppressed++
-			return true
-		}
-	}
-	return false
-}
-
-const allowPrefix = "//lint:allow "
-
-// collectAllows parses every //lint:allow directive in the package. A
-// directive must carry a justification after " -- "; one without it
-// suppresses nothing and is itself reported, so the escape hatch can
-// never be used silently.
-func collectAllows(pkg *Package) (allowTable, []*AllowDirective, []Diagnostic) {
-	table := allowTable{}
-	var directives []*AllowDirective
-	var diags []Diagnostic
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, allowPrefix) {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				body := strings.TrimSpace(strings.TrimPrefix(c.Text, allowPrefix))
-				names, reason, ok := strings.Cut(body, " -- ")
-				if !ok || strings.TrimSpace(reason) == "" || strings.TrimSpace(names) == "" {
-					diags = append(diags, Diagnostic{
-						Analyzer: "lintallow",
-						Pos:      pos,
-						Message:  "lint:allow directive needs a justification: //lint:allow <pass>[,<pass>] -- <why this site is exempt>",
-					})
-					continue
-				}
-				d := &AllowDirective{Pos: pos, Justification: strings.TrimSpace(reason)}
-				lines := table[pos.Filename]
-				if lines == nil {
-					lines = map[int]map[string]*AllowDirective{}
-					table[pos.Filename] = lines
-				}
-				passes := lines[pos.Line]
-				if passes == nil {
-					passes = map[string]*AllowDirective{}
-					lines[pos.Line] = passes
-				}
-				for _, n := range strings.Split(names, ",") {
-					name := strings.TrimSpace(n)
-					d.Passes = append(d.Passes, name)
-					passes[name] = d
-				}
-				directives = append(directives, d)
-			}
-		}
-	}
-	return table, directives, diags
+	return diags, nil
 }
 
 // walkFiles runs fn over every node of every file in the pass.
@@ -250,7 +144,7 @@ func importedPkg(info *types.Info, sel *ast.SelectorExpr) string {
 // marker on a line of its own (e.g. "hotpath", written //hotpath; gofmt
 // may normalize it to "// hotpath", so both spellings count). Markers
 // opt declarations into pass-specific treatment: //hotpath submits a
-// function to hotpathalloc, //storeloop exempts one from shardsafety.
+// function to hotpathalloc.
 func hasMarker(fd *ast.FuncDecl, marker string) bool {
 	if fd.Doc == nil {
 		return false
@@ -261,15 +155,4 @@ func hasMarker(fd *ast.FuncDecl, marker string) bool {
 		}
 	}
 	return false
-}
-
-// recvTypeString resolves the receiver type of a selector call like
-// x.M(...) to its full type string (e.g. "*iorchestra/internal/store.Store"),
-// or "" when no type information is available.
-func recvTypeString(info *types.Info, sel *ast.SelectorExpr) string {
-	if s, ok := info.Selections[sel]; ok {
-		return types.TypeString(s.Recv(), nil)
-	}
-	// Not a method selection (package qualifier or struct field access).
-	return ""
 }

@@ -19,11 +19,7 @@ import (
 
 func TestDeterminismFixture(t *testing.T)  { runFixture(t, Determinism, "determinism") }
 func TestStoreKeysFixture(t *testing.T)    { runFixture(t, StoreKeys, "storekeys") }
-func TestWatchSafetyFixture(t *testing.T)  { runFixture(t, WatchSafety, "watchsafety") }
-func TestMonitorOnlyFixture(t *testing.T)  { runFixture(t, MonitorOnly, "monitoronly") }
 func TestTraceCounterFixture(t *testing.T) { runFixture(t, TraceCounter, "tracecounter") }
-func TestShardSafetyFixture(t *testing.T)  { runFixture(t, ShardSafety, "shardsafety") }
-func TestEpochSafetyFixture(t *testing.T)  { runFixture(t, EpochSafety, "epochsafety") }
 func TestHotPathAllocFixture(t *testing.T) { runFixture(t, HotPathAlloc, "hotpathalloc") }
 func TestBoundedRetryFixture(t *testing.T) { runFixture(t, BoundedRetry, "boundedretry") }
 
@@ -31,14 +27,13 @@ func TestBoundedRetryFixture(t *testing.T) { runFixture(t, BoundedRetry, "bounde
 // miniature module tree (testdata/scope, module path iorchestra), with
 // scoping ENABLED — the opposite of runFixture. Determinism:
 // sim packages and commands are flagged while nonSimScope's wire-facing
-// packages use the wall clock freely. ShardSafety fires only in internal/netstore,
-// EpochSafety only in internal/cluster, HotPathAlloc only under
+// packages use the wall clock freely. HotPathAlloc fires only under
 // internal/, and BoundedRetry everywhere except internal/analysis. The
 // out-of-scope twins of each violation carry no want comments, so any
 // diagnostic from them fails the test.
 func TestScopeFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "scope")
-	pkgs, err := Load(LoadConfig{}, dir+"/...")
+	pkgs, err := Load(dir + "/...")
 	if err != nil {
 		t.Fatalf("loading scope fixture: %v", err)
 	}
@@ -50,7 +45,6 @@ func TestScopeFixture(t *testing.T) {
 	}
 	for _, p := range []string{
 		"iorchestra/internal/core", "iorchestra/internal/netstore",
-		"iorchestra/internal/cluster", "iorchestra/internal/store",
 		"iorchestra/internal/analysis",
 		"iorchestra/cmd/iorchestra-stored", "iorchestra/cmd/iorchestra-vet",
 	} {
@@ -58,7 +52,7 @@ func TestScopeFixture(t *testing.T) {
 			t.Fatalf("scope fixture did not load %s; got %v", p, flagged)
 		}
 	}
-	scoped := []*Analyzer{Determinism, ShardSafety, EpochSafety, HotPathAlloc, BoundedRetry}
+	scoped := []*Analyzer{Determinism, HotPathAlloc, BoundedRetry}
 	diags, err := RunAnalyzers(pkgs, scoped, false)
 	if err != nil {
 		t.Fatalf("running scoped passes on scope fixture: %v", err)
@@ -87,7 +81,7 @@ type want struct {
 func runFixture(t *testing.T, a *Analyzer, name string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
-	pkgs, err := Load(LoadConfig{Tests: true}, dir)
+	pkgs, err := Load(dir)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}

@@ -26,26 +26,15 @@ type Package struct {
 	Info  *types.Info
 }
 
-// LoadConfig parameterizes Load.
-type LoadConfig struct {
-	// Tests includes _test.go files: in-package test files are merged
-	// into their package, external test packages are loaded separately.
-	Tests bool
-	// Dir anchors relative patterns; empty means the working directory.
-	Dir string
-}
-
 // Load expands go-style package patterns ("./...", "dir", "dir/...") and
-// returns each matched package parsed and type-checked. Resolution is
+// returns each matched package parsed and type-checked, _test.go files
+// included: in-package test files are merged into their package,
+// external test packages are loaded separately. Resolution is
 // toolchain-free: module-internal imports are type-checked from source
 // recursively (memoized), standard-library imports go through go/importer's
 // source importer. Directories named testdata and hidden directories are
 // skipped, exactly as the go tool skips them.
-func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
-	base := cfg.Dir
-	if base == "" {
-		base = "."
-	}
+func Load(patterns ...string) ([]*Package, error) {
 	var dirs []string
 	seen := map[string]bool{}
 	for _, pat := range patterns {
@@ -56,11 +45,7 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 		} else if pat == "..." {
 			rec, pat = true, "."
 		}
-		root := pat
-		if !filepath.IsAbs(root) {
-			root = filepath.Join(base, root)
-		}
-		expanded, err := expandDir(root, rec)
+		expanded, err := expandDir(filepath.Clean(pat), rec)
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +70,7 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 			l = newModuleLoader(modRoot, modPath)
 			loaders[modRoot] = l
 		}
-		loaded, err := l.loadDir(dir, cfg.Tests)
+		loaded, err := l.loadDir(dir)
 		if err != nil {
 			return nil, err
 		}
@@ -235,30 +220,24 @@ const (
 )
 
 // loadDir loads the package in dir for analysis: the primary package
-// (with its in-package test files when tests is set) and, when present
-// and requested, the external _test package.
-func (l *moduleLoader) loadDir(dir string, tests bool) ([]*Package, error) {
+// with its in-package test files and, when present, the external _test
+// package.
+func (l *moduleLoader) loadDir(dir string) ([]*Package, error) {
 	path, err := l.importPath(dir)
 	if err != nil {
 		return nil, err
 	}
-	mode := noTestFiles
-	if tests {
-		mode = withTestFiles
-	}
-	pkg, files, info, err := l.check(path, dir, mode)
+	pkg, files, info, err := l.check(path, dir, withTestFiles)
 	if err != nil {
 		return nil, err
 	}
 	out := []*Package{{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: pkg, Info: info}}
-	if tests {
-		xpkg, xfiles, xinfo, err := l.check(path+"_test", dir, onlyXTestFiles)
-		if err != nil {
-			return nil, err
-		}
-		if len(xfiles) > 0 {
-			out = append(out, &Package{Path: path + "_test", Dir: dir, Fset: l.fset, Files: xfiles, Types: xpkg, Info: xinfo})
-		}
+	xpkg, xfiles, xinfo, err := l.check(path+"_test", dir, onlyXTestFiles)
+	if err != nil {
+		return nil, err
+	}
+	if len(xfiles) > 0 {
+		out = append(out, &Package{Path: path + "_test", Dir: dir, Fset: l.fset, Files: xfiles, Types: xpkg, Info: xinfo})
 	}
 	return out, nil
 }

@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// mapNames is generic on purpose: iorchestra-vet type-checks this very
-// file when make lint runs with -tests, so a generics regression in the
-// stdlib-only loader fails the lint gate itself, not only these tests.
+// mapNames is generic on purpose: make lint type-checks this very file
+// (the loader always includes _test.go files), so a generics regression
+// in the stdlib-only loader fails the lint gate itself, not only these
+// tests.
 func mapNames[T any](in []T, f func(T) string) []string {
 	out := make([]string, 0, len(in))
 	for _, v := range in {
@@ -24,7 +25,7 @@ func mapNames[T any](in []T, f func(T) string) []string {
 // syntax (union constraints, multi-param instantiation) and asserts the
 // loader produced a fully typed package.
 func TestLoadGenerics(t *testing.T) {
-	pkgs, err := Load(LoadConfig{Tests: true}, filepath.Join("testdata", "src", "generics"))
+	pkgs, err := Load(filepath.Join("testdata", "src", "generics"))
 	if err != nil {
 		t.Fatalf("Load on the generics fixture: %v", err)
 	}
@@ -47,7 +48,7 @@ func TestLoadGenerics(t *testing.T) {
 // loader must pick the file a plain build would, not report a
 // redeclaration.
 func TestLoadHonoursBuildConstraints(t *testing.T) {
-	pkgs, err := Load(LoadConfig{}, filepath.Join("testdata", "src", "buildtags"))
+	pkgs, err := Load(filepath.Join("testdata", "src", "buildtags"))
 	if err != nil {
 		t.Fatalf("Load on the buildtags fixture: %v", err)
 	}
@@ -61,7 +62,7 @@ func TestLoadHonoursBuildConstraints(t *testing.T) {
 // cannot type-check: a hard error naming the phase, the package and the
 // offending file — never a silently mis-typed package.
 func TestLoadTypeErrorIsLoud(t *testing.T) {
-	_, err := Load(LoadConfig{}, filepath.Join("testdata", "loaderr"))
+	_, err := Load(filepath.Join("testdata", "loaderr"))
 	if err == nil {
 		t.Fatal("Load succeeded on a deliberately mis-typed package")
 	}

@@ -5,11 +5,7 @@ func Suite() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		StoreKeys,
-		WatchSafety,
-		MonitorOnly,
 		TraceCounter,
-		ShardSafety,
-		EpochSafety,
 		HotPathAlloc,
 		BoundedRetry,
 	}

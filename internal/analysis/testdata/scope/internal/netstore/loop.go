@@ -1,23 +1,11 @@
 // loop.go exercises the in-scope side of the PR 9 passes: netstore is
-// inside shardsafety's, hotpathalloc's and boundedretry's gates, so the
-// violations below must be flagged under auto scoping. Their twins in
-// internal/core, internal/analysis and cmd/iorchestra-stored carry
-// no expectations and prove the gates' negative side.
+// inside hotpathalloc's and boundedretry's gates, so the violations
+// below must be flagged under auto scoping. Their twins in
+// internal/analysis and cmd/iorchestra-stored carry no expectations and
+// prove the gates' negative side.
 package netstore
 
-import (
-	"fmt"
-
-	"iorchestra/internal/store"
-)
-
-type server struct {
-	st *store.Store
-}
-
-func direct(s *server, dom store.DomID) (string, error) {
-	return s.st.Read(dom, "/x") // want `only run under the store lock`
-}
+import "fmt"
 
 // hotpath
 func hotFmt(n int) string {

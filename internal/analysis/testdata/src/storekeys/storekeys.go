@@ -1,6 +1,5 @@
 // Package storekeysfix is an iorchestra-vet test fixture for the
-// storekeys pass, including both shapes of the //lint:allow escape
-// hatch (justified and rejected).
+// storekeys pass.
 package storekeysfix
 
 import "iorchestra/internal/store"
@@ -26,10 +25,3 @@ var (
 func prefix(suffix string) string {
 	return "/local/domain/" + suffix // want "raw store path literal"
 }
-
-// allowed is suppressed by a justified escape hatch.
-var allowed = "/local/domain/3/x" //lint:allow storekeys -- fixture: exercising the documented escape hatch
-
-// badAllow's directive has no justification: the directive itself is
-// reported and the finding is not suppressed.
-var badAllow = "/local/domain/4/x" //lint:allow storekeys // want "needs a justification" "raw store path literal"

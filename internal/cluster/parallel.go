@@ -103,10 +103,16 @@ func runEpoch(kernels []*sim.Kernel, upto sim.Time) {
 	var wg sync.WaitGroup
 	for _, k := range kernels {
 		wg.Add(1)
-		go func(k *sim.Kernel) {
-			defer wg.Done()
-			k.RunUntil(upto)
-		}(k)
+		go advance(k, upto, &wg)
 	}
 	wg.Wait()
+}
+
+// advance is the epoch worker. It is a named function, not a literal, so
+// it captures nothing: its own kernel, the barrier instant and the wait
+// group are all an epoch goroutine can reach, which is the share-nothing
+// contract RunEpochs' parity argument rests on.
+func advance(k *sim.Kernel, upto sim.Time, wg *sync.WaitGroup) {
+	defer wg.Done()
+	k.RunUntil(upto)
 }

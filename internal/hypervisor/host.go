@@ -190,8 +190,9 @@ func New(k *sim.Kernel, cfg Config, rng *stats.Stream) *Host {
 	return h
 }
 
-// Kernel, Store, Bus, Device, Cgroup, IOCores expose subsystems to the
-// control plane (monitoring and management modules).
+// Kernel, Store, Bus and IOCores expose subsystems to the control plane.
+// The cgroup, the tracer and the congestion verdict are not exported:
+// policies read measurements through Monitor.
 func (h *Host) Kernel() *sim.Kernel { return h.k }
 
 // Store exposes the system store.
@@ -200,15 +201,9 @@ func (h *Host) Store() *store.Store { return h.st }
 // Bus exposes the inter-domain bus.
 func (h *Host) Bus() *bus.Bus { return h.bs }
 
-// Device exposes the shared physical volume.
+// Device exposes the shared physical volume for end-of-run reporting;
+// policies read Monitor.DeviceSnapshot.
 func (h *Host) Device() device.BlockDevice { return h.dev }
-
-// Cgroup exposes the weighted device dispatcher.
-func (h *Host) Cgroup() *Cgroup { return h.cg }
-
-// Tracer exposes the blktrace-style host I/O event feed the monitoring
-// module samples.
-func (h *Host) Tracer() *trace.Tracer { return h.tracer }
 
 // Recorder exposes the unified decision-trace recorder (nil unless the
 // host was built with Config.Trace).
@@ -376,13 +371,6 @@ func (h *Host) backendPump() {
 	})
 }
 
-// IOCongested reports whether the host I/O subsystem is genuinely
-// overcrowded: the dispatch path backlog or the device's own queue has
-// crossed the congestion threshold.
-func (h *Host) IOCongested() bool {
-	return h.cg.Congested() || h.dev.Congested()
-}
-
 // SetGuestIOWeight sets a VM's cgroup weight on the device (backend mode).
 func (h *Host) SetGuestIOWeight(dom store.DomID, w float64) {
 	h.cg.SetWeight(int(dom), w)
@@ -400,7 +388,8 @@ func (h *Host) TotalCores() int { return h.cfg.Sockets * h.cfg.CoresPerSocket }
 
 // CPUUtilization aggregates core usage at time now: physical-core busy
 // fractions, spinning I/O cores at 100 %, and the backend's busy fraction
-// — the quantity behind Fig. 10(c).
+// — the quantity behind Fig. 10(c). End-of-run reporting, like Device;
+// policies read Monitor's snapshots.
 func (h *Host) CPUUtilization(now sim.Time) float64 {
 	var used float64
 	for s := range h.pcores {
@@ -420,9 +409,4 @@ func (h *Host) CPUUtilization(now sim.Time) float64 {
 		used = total
 	}
 	return used / total
-}
-
-// BackendUtilization reports the dom0 backend core's busy fraction.
-func (h *Host) BackendUtilization(now sim.Time) float64 {
-	return h.backendUtil.Fraction(now)
 }

@@ -310,7 +310,7 @@ func TestBackendUtilizationTracksWork(t *testing.T) {
 		d.Read(p, 4096, false, nil)
 	}
 	k.Run()
-	if h.BackendUtilization(k.Now()) <= 0 {
+	if h.backendUtil.Fraction(k.Now()) <= 0 {
 		t.Fatal("backend utilization not tracked")
 	}
 }
@@ -340,7 +340,7 @@ func TestSetGuestIOWeightAffectsCgroup(t *testing.T) {
 	h := New(k, Config{Mode: ModeBackend}, stats.NewStream(17, "host"))
 	rt := h.CreateGuest(guest.Config{VCPUs: 1})
 	h.SetGuestIOWeight(rt.G.ID(), 4)
-	if got := h.Cgroup().Weight(int(rt.G.ID())); got != 4 {
+	if got := h.cg.Weight(int(rt.G.ID())); got != 4 {
 		t.Fatalf("Weight = %v", got)
 	}
 }
@@ -355,7 +355,7 @@ func TestHostTracerRecordsDispatchPath(t *testing.T) {
 		d.Read(p, 4096, false, nil)
 	}
 	k.Run()
-	evs := h.Tracer().Events()
+	evs := h.tracer.Events()
 	var q, issue, comp int
 	for _, e := range evs {
 		switch e.Kind {
@@ -370,7 +370,7 @@ func TestHostTracerRecordsDispatchPath(t *testing.T) {
 	if q != 5 || issue != 5 || comp != 5 {
 		t.Fatalf("trace Q/D/C = %d/%d/%d, want 5/5/5", q, issue, comp)
 	}
-	if h.Tracer().CompletedBps(k.Now()) <= 0 {
+	if h.tracer.CompletedBps(k.Now()) <= 0 {
 		t.Fatal("tracer bandwidth window empty right after completions")
 	}
 }

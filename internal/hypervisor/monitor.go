@@ -119,9 +119,10 @@ func (mo *Monitor) CoreSnapshot(now sim.Time) CoreSnapshot {
 // subset of DeviceSnapshot for callers that need no bandwidth sampling.
 func (mo *Monitor) CapacityBps() float64 { return mo.h.dev.CapacityBps() }
 
-// IOCongested reports the host-side congestion verdict input: the cgroup
-// or the device itself is overcrowded (Algorithm 2's host check).
-func (mo *Monitor) IOCongested() bool { return mo.h.IOCongested() }
+// IOCongested reports the host-side congestion verdict input: the
+// dispatch-path backlog or the device's own queue has crossed the
+// congestion threshold (Algorithm 2's host check).
+func (mo *Monitor) IOCongested() bool { return mo.h.cg.Congested() || mo.h.dev.Congested() }
 
 // QueueBacklog reports requests parked in the host cgroup.
 func (mo *Monitor) QueueBacklog() int { return mo.h.cg.Backlog() }

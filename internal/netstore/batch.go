@@ -86,6 +86,29 @@ func (b *Batch) Ping() *Batch {
 	return b
 }
 
+// encodeBatch appends an OpBatch request body: the count, then each
+// sub-op. The server's decodeBatch is its inverse.
+func encodeBatch(e *enc, ops []batchReq) {
+	e.u32(uint32(len(ops)))
+	for _, op := range ops {
+		e.u8(uint8(op.op))
+		switch op.op {
+		case OpRead, OpRemove, OpList, OpExists:
+			e.str(op.path)
+		case OpWrite:
+			e.str(op.path)
+			e.str(op.value)
+		case OpGrant:
+			e.str(op.path)
+			e.u32(uint32(op.target))
+			e.u8(uint8(op.perm))
+		case OpPing:
+		default:
+			// Unreachable: builders only queue the ops above.
+		}
+	}
+}
+
 // Run executes the batch and returns one result per queued operation,
 // in order. The batch is reset afterwards and may be refilled.
 func (b *Batch) Run() ([]BatchResult, error) {
@@ -97,26 +120,7 @@ func (b *Batch) Run() ([]BatchResult, error) {
 	if len(ops) > MaxBatchOps {
 		return nil, fmt.Errorf("%w: batch of %d ops exceeds MaxBatchOps", ErrBadRequest, len(ops))
 	}
-	d, err := b.c.call(OpBatch, func(e *enc) {
-		e.u32(uint32(len(ops)))
-		for _, op := range ops {
-			e.u8(uint8(op.op))
-			switch op.op {
-			case OpRead, OpRemove, OpList, OpExists:
-				e.str(op.path)
-			case OpWrite:
-				e.str(op.path)
-				e.str(op.value)
-			case OpGrant:
-				e.str(op.path)
-				e.u32(uint32(op.target))
-				e.u8(uint8(op.perm))
-			case OpPing:
-			default:
-				// Unreachable: builders only queue the ops above.
-			}
-		}
-	})
+	d, err := b.c.call(OpBatch, func(e *enc) { encodeBatch(e, ops) })
 	if err != nil {
 		return nil, err
 	}

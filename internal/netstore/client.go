@@ -527,13 +527,13 @@ func (c *Client) Watch(prefix string, fn func(path, value string)) (store.WatchI
 	c.watchFns[cwid] = fn
 	c.watchMu.Unlock()
 	d, err := c.call(OpWatch, func(e *enc) { e.u32(cwid); e.str(prefix) })
+	if err == nil {
+		err = d.done()
+	}
 	if err != nil {
 		c.watchMu.Lock()
 		delete(c.watchFns, cwid)
 		c.watchMu.Unlock()
-		return 0, err
-	}
-	if err := d.done(); err != nil {
 		return 0, err
 	}
 	return store.WatchID(cwid), nil

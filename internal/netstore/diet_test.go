@@ -226,6 +226,34 @@ func TestEventsCoalesceBeforeEncode(t *testing.T) {
 	}
 }
 
+// playServer accepts one connection on a fresh socket, answers its hello
+// and hands it to script: a server that misbehaves from there on.
+func playServer(t *testing.T, script func(nc net.Conn, br *bufio.Reader)) (sock string) {
+	t.Helper()
+	l, err := net.Listen("unix", filepath.Join(t.TempDir(), "play.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		nc, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		br := bufio.NewReader(nc)
+		if _, err := readFrame(br); err != nil { // the hello
+			return
+		}
+		hs := replyTo(1, nil)
+		hs.u8(ProtocolVersion)
+		hs.u64(0)
+		writeFrame(nc, hs.b)
+		script(nc, br)
+	}()
+	return l.Addr().String()
+}
+
 // TestRequestTimeoutSweep plays a server that sits on a request: the
 // client's sweep fails it with ErrTimeout after at least the timeout and
 // at most a quarter more, the late reply is then ignored, and the
@@ -235,31 +263,13 @@ func TestRequestTimeoutSweep(t *testing.T) {
 	requestTimeout = 400 * time.Millisecond
 	t.Cleanup(func() { requestTimeout = old })
 
-	l, err := net.Listen("unix", filepath.Join(t.TempDir(), "mute.sock"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
 	release := make(chan struct{})
-	go func() {
-		nc, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer nc.Close()
-		br := bufio.NewReader(nc)
+	sock := playServer(t, func(nc net.Conn, br *bufio.Reader) {
 		answer := func(req []byte) { // a bodiless OK for the request's id
 			d := &dec{b: req}
 			d.u8()
 			writeFrame(nc, replyTo(d.u32(), nil).b)
 		}
-		if _, err := readFrame(br); err != nil { // the hello
-			return
-		}
-		hs := replyTo(1, nil)
-		hs.u8(ProtocolVersion)
-		hs.u64(0)
-		writeFrame(nc, hs.b)
 		sat, err := readFrame(br)
 		if err != nil {
 			return
@@ -273,9 +283,9 @@ func TestRequestTimeoutSweep(t *testing.T) {
 			}
 			answer(req)
 		}
-	}()
+	})
 
-	c, err := Dial("unix", l.Addr().String(), 3, "")
+	c, err := Dial("unix", sock, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,5 +317,38 @@ func TestRequestTimeoutSweep(t *testing.T) {
 		if err := c.Ping(); err != nil {
 			t.Fatalf("request %d after the timeout: %v", i, err)
 		}
+	}
+}
+
+// TestWatchMalformedReplyLeavesNoCallback plays a server that answers a
+// watch request with an OK and a stray byte: Watch must fail and take
+// its callback back out of the table, as it does when the call itself
+// fails — the caller holds no id to Unwatch it by.
+func TestWatchMalformedReplyLeavesNoCallback(t *testing.T) {
+	sock := playServer(t, func(nc net.Conn, br *bufio.Reader) {
+		req, err := readFrame(br)
+		if err != nil {
+			return
+		}
+		d := &dec{b: req}
+		d.u8()
+		reply := replyTo(d.u32(), nil)
+		writeFrame(nc, reply.u8(0xEE).b)
+		readFrame(br) // hold the connection until the client hangs up
+	})
+
+	c, err := Dial("unix", sock, 3, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Watch(store.DomainPath(3), func(string, string) {}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("Watch with a stray byte in its reply returned %v, want ErrBadRequest", err)
+	}
+	c.watchMu.Lock()
+	left := len(c.watchFns)
+	c.watchMu.Unlock()
+	if left != 0 {
+		t.Errorf("%d callbacks still installed after the failed Watch", left)
 	}
 }

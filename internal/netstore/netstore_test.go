@@ -554,8 +554,8 @@ func TestOverflowRepairsFinalValues(t *testing.T) {
 		}
 	}
 	lagged := false
-	srv.Do(func(*store.Store) {
-		for _, r := range srv.rec.Events() {
+	srv.do(func(t *tree) {
+		for _, r := range t.rec.Events() {
 			lagged = lagged || (r.Kind == trace.KindWireConn && r.Value == "lag")
 		}
 	})
@@ -623,9 +623,9 @@ func TestWireTraceRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wireOps, wireConns uint64
-	srv.Do(func(st *store.Store) {
-		wireOps = srv.rec.Count(trace.KindWireOp)
-		wireConns = srv.rec.Count(trace.KindWireConn)
+	srv.do(func(t *tree) {
+		wireOps = t.rec.Count(trace.KindWireOp)
+		wireConns = t.rec.Count(trace.KindWireConn)
 	})
 	if wireOps == 0 {
 		t.Error("no wire.op trace records")

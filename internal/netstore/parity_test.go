@@ -131,8 +131,7 @@ func (g *parityGuest) write(rel, v string) {
 	}
 }
 
-// onEvent dispatches the guest's watch stream. Named method: watch
-// callbacks must not be anonymous store-accessing literals (watchsafety).
+// onEvent dispatches the guest's watch stream.
 func (g *parityGuest) onEvent(path, value string) {
 	rel := strings.TrimPrefix(path, g.base+"/")
 	switch rel {

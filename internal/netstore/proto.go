@@ -26,7 +26,9 @@
 // the watch deliveries it caused, each queued on its connection — and a
 // batch frame is one hold of the lock. The order in which operations
 // take the lock is the total order of mutations; nothing that can block
-// on a peer runs under it.
+// on a peer runs under it. What the lock guards is one value (tree) that
+// only Server.do hands out, so code that touches the store takes a
+// *tree and cannot be reached without the lock.
 //
 // # Watch fan-out: delta queues, coalescing, eviction
 //

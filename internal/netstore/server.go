@@ -93,6 +93,17 @@ type Counters struct {
 	FaultDelayedNotifies uint64 `json:"fault_delayed_notifies,omitempty"`
 }
 
+// tree is the state the store lock guards: the store, the private kernel
+// that orders its watch deliveries and the trace recorder. The only
+// *tree there is is the one do hands to the closure it runs, so holding
+// one is holding the lock: a function that takes a *tree (enqueueEvent,
+// repair, evict) can only be called from inside do.
+type tree struct {
+	k   *sim.Kernel
+	st  *store.Store
+	rec *trace.Recorder
+}
+
 // Server hosts one store.Store behind the wire protocol. Create with
 // NewServer, attach listeners with Serve, stop with Close.
 //
@@ -110,13 +121,10 @@ type Counters struct {
 type Server struct {
 	opts Options
 
-	// loopMu is the store lock. k, st, rec and every srvConn.watches are
-	// touched only while holding it, that is inside a closure passed to
-	// do or in a //storeloop function.
+	// loopMu is the store lock. It guards tree, which only NewServer's
+	// literal and do name, and every srvConn.watches.
 	loopMu sync.Mutex
-	k      *sim.Kernel
-	st     *store.Store
-	rec    *trace.Recorder
+	tree   tree
 
 	// quit is closed by Close, under loopMu, so do never runs an
 	// operation once Close has got that far.
@@ -160,10 +168,12 @@ func NewServer(opts Options) *Server {
 	opts = opts.withDefaults()
 	k := sim.NewKernel()
 	s := &Server{
-		opts:  opts,
-		k:     k,
-		st:    store.New(k, 0),
-		rec:   trace.NewRecorder(k, trace.DefaultRecorderCapacity),
+		opts: opts,
+		tree: tree{
+			k:   k,
+			st:  store.New(k, 0),
+			rec: trace.NewRecorder(k, trace.DefaultRecorderCapacity),
+		},
 		quit:  make(chan struct{}),
 		conns: map[*srvConn]struct{}{},
 		subs:  map[chan []byte]struct{}{},
@@ -180,21 +190,19 @@ func NewServer(opts Options) *Server {
 	if seed == 0 {
 		seed = 1
 	}
-	// Recorder, fault hooks and trace sink are store-lock state, so even
-	// these construction-time writes go through do (shardsafety-enforced).
-	s.do(func() {
-		s.st.SetRecorder(s.rec)
+	s.do(func(t *tree) {
+		t.st.SetRecorder(t.rec)
 		if opts.Faults != "" {
-			inj := fault.NewInjector(s.k, spec, stats.NewStream(seed, "netstore/faults"))
-			inj.SetRecorder(s.rec)
+			inj := fault.NewInjector(t.k, spec, stats.NewStream(seed, "netstore/faults"))
+			inj.SetRecorder(t.rec)
 			if hooks := inj.StoreHooks(); hooks != nil {
-				s.st.SetFaultHooks(hooks)
+				t.st.SetFaultHooks(hooks)
 			}
 		}
-		s.rec.SetSink(s.broadcast)
+		t.rec.SetSink(s.broadcast)
 		// The /local/domain spine exists before the first handshake, so
 		// trees seeded through Do hang off Dom0-owned structural nodes.
-		s.st.EnsureRoot()
+		t.st.EnsureRoot()
 	})
 	return s
 }
@@ -205,16 +213,16 @@ func NewServer(opts Options) *Server {
 // reports false without running fn if the server is closed. fn must not
 // call Do, Counters or Close: the store lock is not reentrant.
 func (s *Server) Do(fn func(st *store.Store)) bool {
-	return s.do(func() { fn(s.st) })
+	return s.do(func(t *tree) { fn(t.st) })
 }
 
-// do is the store loop: it runs fn under the store lock, then drains the
-// private kernel so every watch delivery fn scheduled has reached its
-// connection's queue before the lock is released. It reports false
-// without running fn once the server is closed.
-//
-// storeloop
-func (s *Server) do(fn func()) bool {
+// do is the store loop and the one source of a *tree: it runs fn on the
+// tree under the store lock, then drains the private kernel so every
+// watch delivery fn scheduled has reached its connection's queue before
+// the lock is released. It reports false without running fn once the
+// server is closed. It stays a plain method: called through a func
+// value or an interface, every op closure handed to it would escape.
+func (s *Server) do(fn func(*tree)) bool {
 	s.loopMu.Lock()
 	defer s.loopMu.Unlock()
 	select {
@@ -222,14 +230,21 @@ func (s *Server) do(fn func()) bool {
 		return false
 	default:
 	}
-	fn()
-	s.k.Run()
+	t := &s.tree
+	fn(t)
+	t.k.Run()
 	return true
 }
 
 // Serve accepts connections on l until the listener or server closes.
 // It blocks; run one goroutine per listener.
 func (s *Server) Serve(l net.Listener) error {
+	return s.acceptLoop(l, s.startConn)
+}
+
+// acceptLoop registers l for Close and hands every connection it
+// accepts to start, until the listener fails or the server closes.
+func (s *Server) acceptLoop(l net.Listener, start func(net.Conn)) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -248,7 +263,7 @@ func (s *Server) Serve(l net.Listener) error {
 				return err
 			}
 		}
-		s.startConn(c)
+		start(c)
 	}
 }
 
@@ -364,27 +379,10 @@ func (s *Server) broadcast(rec trace.Record) {
 // ServeTrace streams NDJSON trace records to every connection accepted
 // on l (the iorchestra-trace live-tail endpoint). It blocks like Serve.
 func (s *Server) ServeTrace(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		l.Close()
-		return ErrClosed
-	}
-	s.listeners = append(s.listeners, l)
-	s.mu.Unlock()
-	for {
-		c, err := l.Accept()
-		if err != nil {
-			select {
-			case <-s.quit:
-				return nil
-			default:
-				return err
-			}
-		}
+	return s.acceptLoop(l, func(c net.Conn) {
 		s.wg.Add(1)
 		go s.serveTraceConn(c)
-	}
+	})
 }
 
 func (s *Server) serveTraceConn(c net.Conn) {
@@ -414,9 +412,7 @@ func (s *Server) serveTraceConn(c net.Conn) {
 	for {
 		select {
 		case line := <-ch:
-			if s.opts.WriteTimeout > 0 {
-				c.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-			}
+			c.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 			if _, err := c.Write(line); err != nil {
 				return
 			}
@@ -562,12 +558,11 @@ func (c *srvConn) enqueue(payload []byte) {
 // store's own string and the writer encodes whichever value is queued
 // when it gets there. When the queue is full and nothing coalesces, the
 // key alone is parked in lagged for repair; only a connection that
-// exhausts that backlog too is evicted. Runs under the store lock (watch
-// delivery).
+// exhausts that backlog too is evicted. It is called from watch delivery,
+// with the tree the watch was registered on.
 //
 // hotpath
-// storeloop
-func (c *srvConn) enqueueEvent(key eventKey, value string) {
+func (c *srvConn) enqueueEvent(t *tree, key eventKey, value string) {
 	c.qmu.Lock()
 	if c.qclosed {
 		c.qmu.Unlock()
@@ -592,7 +587,7 @@ func (c *srvConn) enqueueEvent(key eventKey, value string) {
 	}
 	if len(c.lagged) >= lagFactor*c.srv.opts.NotifyQueue {
 		c.qmu.Unlock()
-		c.evict("notify backlog overflow")
+		c.evict(t, "notify backlog overflow")
 		return
 	}
 	first := len(c.lagged) == 0
@@ -600,7 +595,7 @@ func (c *srvConn) enqueueEvent(key eventKey, value string) {
 	c.lagIdx[key] = struct{}{}
 	c.qmu.Unlock()
 	if first {
-		c.srv.rec.Record(trace.Record{Kind: trace.KindWireConn, Dom: int(c.dom), Value: "lag", Path: key.path})
+		t.rec.Record(trace.Record{Kind: trace.KindWireConn, Dom: int(c.dom), Value: "lag", Path: key.path})
 	}
 }
 
@@ -616,13 +611,11 @@ func (c *srvConn) pushEventLocked(key eventKey, value string) {
 }
 
 // repair moves lagged keys into the room the writer has drained, oldest
-// first, each with the value its path holds now. It runs under the
-// store lock, so no write can slip between the read and the enqueue,
-// and events are only produced under that lock, so the room it measured
-// cannot shrink underneath it.
-//
-// storeloop
-func (c *srvConn) repair() {
+// first, each with the value its path holds now. It holds the store
+// lock (it has the tree), so no write can slip between the read and the
+// enqueue, and events are only produced under that lock, so the room it
+// measured cannot shrink underneath it.
+func (c *srvConn) repair(t *tree) {
 	c.qmu.Lock()
 	n := min(len(c.lagged), c.srv.opts.NotifyQueue-c.nEvents)
 	if c.qclosed || n <= 0 {
@@ -642,7 +635,7 @@ func (c *srvConn) repair() {
 		}
 		// Mirror live delivery: a removed path notifies with an empty
 		// value, an unreadable one not at all.
-		v, err := c.srv.st.Read(c.dom, key.path)
+		v, err := t.st.Read(c.dom, key.path)
 		if err == nil || errors.Is(err, store.ErrNoEntry) {
 			evs = append(evs, outFrame{key: key, value: v})
 		}
@@ -657,20 +650,18 @@ func (c *srvConn) repair() {
 	}
 }
 
-// evict severs a connection that cannot keep up and records why. Runs
-// under the store lock — possibly on the connection's own reader, when
-// the operation it is running overflows its own backlog; shutdown waits
-// for no goroutine, so that cannot deadlock.
-//
-// storeloop
-func (c *srvConn) evict(reason string) {
+// evict severs a connection that cannot keep up and records why. It may
+// run on the connection's own reader, when the operation it is running
+// overflows its own backlog; shutdown waits for no goroutine, so that
+// cannot deadlock.
+func (c *srvConn) evict(t *tree, reason string) {
 	if !c.dead.CompareAndSwap(false, true) {
 		c.shutdown()
 		return
 	}
 	c.shutdown()
 	c.srv.evicted.Add(1)
-	c.srv.rec.Record(trace.Record{Kind: trace.KindWireConn, Dom: int(c.dom), Value: "evict", Path: reason})
+	t.rec.Record(trace.Record{Kind: trace.KindWireConn, Dom: int(c.dom), Value: "evict", Path: reason})
 }
 
 // hotpath
@@ -724,11 +715,9 @@ func (c *srvConn) writeLoop() {
 			wbuf = frames[i].appendTo(wbuf)
 			frames[i] = outFrame{}
 		}
-		if wt := c.srv.opts.WriteTimeout; wt > 0 {
-			if now := time.Now(); armed.Sub(now) < wt {
-				armed = now.Add(2 * wt)
-				c.c.SetWriteDeadline(armed)
-			}
+		if wt, now := c.srv.opts.WriteTimeout, time.Now(); armed.Sub(now) < wt {
+			armed = now.Add(2 * wt)
+			c.c.SetWriteDeadline(armed)
 		}
 		_, err := c.c.Write(wbuf)
 		if cap(wbuf) > poolMax {
@@ -749,7 +738,7 @@ func (c *srvConn) writeLoop() {
 // closure.
 func (c *srvConn) writeStalled(err error) {
 	reason := "write stall: " + err.Error()
-	if !c.srv.do(func() { c.evict(reason) }) {
+	if !c.srv.do(func(t *tree) { c.evict(t, reason) }) {
 		c.shutdown()
 	}
 }
@@ -763,16 +752,16 @@ func (c *srvConn) readLoop() {
 		c.srv.mu.Unlock()
 		// Tear down store-side state (watches, open transactions) and close
 		// out the connection's trace lifecycle.
-		c.srv.do(func() {
+		c.srv.do(func(t *tree) {
 			for _, wid := range c.watches {
-				c.srv.st.Unwatch(wid)
+				t.st.Unwatch(wid)
 			}
 			clear(c.watches)
 			for _, txn := range c.txns {
 				txn.Abort()
 			}
 			if c.handshook {
-				c.srv.rec.Record(trace.Record{Kind: trace.KindWireConn, Dom: int(c.dom), Value: "close"})
+				t.rec.Record(trace.Record{Kind: trace.KindWireConn, Dom: int(c.dom), Value: "close"})
 			}
 		})
 		c.txns = map[uint32]*store.Txn{}
@@ -828,9 +817,7 @@ func (c *srvConn) handshake() error {
 	dom := store.DomID(d.u32())
 	token := d.str()
 	send := func(e enc) error {
-		if wt := c.srv.opts.WriteTimeout; wt > 0 {
-			c.c.SetWriteDeadline(time.Now().Add(wt))
-		}
+		c.c.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout))
 		err := writeFrame(c.c, e.b)
 		putBuf(e.b)
 		return err
@@ -851,10 +838,10 @@ func (c *srvConn) handshake() error {
 	c.dom = dom
 	c.handshook = true
 	var version uint64
-	if !c.srv.do(func() {
-		c.srv.st.AddDomain(dom)
-		version = c.srv.st.Version()
-		c.srv.rec.Record(trace.Record{Kind: trace.KindWireConn, Dom: int(dom), Value: "connect"})
+	if !c.srv.do(func(t *tree) {
+		t.st.AddDomain(dom)
+		version = t.st.Version()
+		t.rec.Record(trace.Record{Kind: trace.KindWireConn, Dom: int(dom), Value: "connect"})
 	}) {
 		return ErrClosed
 	}
@@ -874,18 +861,17 @@ func (c *srvConn) handshake() error {
 // so one bad client request stays diagnosable.
 func (c *srvConn) handle(op Op, id uint32, d *dec) {
 	var out []byte
-	st := c.srv.st
 	// run executes fn under the store lock and a wire.op trace record. fn
 	// appends the op's reply body to e as it goes, behind an OK prefix
 	// that is rewound if fn fails.
-	run := func(path string, fn func(e *enc) error) {
-		ok := c.srv.do(func() {
-			c.srv.rec.Record(trace.Record{
+	run := func(path string, fn func(t *tree, e *enc) error) {
+		ok := c.srv.do(func(t *tree) {
+			t.rec.Record(trace.Record{
 				Kind: trace.KindWireOp, Dom: int(c.dom), Path: path, Value: op.String(),
 			})
 			e := &c.renc
 			*e = replyTo(id, nil)
-			if err := fn(e); err != nil {
+			if err := fn(t, e); err != nil {
 				e.b = e.b[:replyHdr]
 				e.status(err)
 			}
@@ -902,7 +888,7 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 			out = replyTo(id, fmt.Errorf("%w: %d", ErrUnknownTxn, tid)).b
 			return
 		}
-		run(path, func(e *enc) error { return fn(txn, e) })
+		run(path, func(_ *tree, e *enc) error { return fn(txn, e) })
 	}
 	// Every case decodes its whole body first; a malformed one is answered
 	// after the switch and runs nothing.
@@ -915,8 +901,8 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 	case OpRead:
 		path := d.path()
 		if d.done() == nil {
-			run(path, func(e *enc) error {
-				v, err := st.Read(c.dom, path)
+			run(path, func(t *tree, e *enc) error {
+				v, err := t.st.Read(c.dom, path)
 				e.str(v)
 				return err
 			})
@@ -926,20 +912,20 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 		path := d.path()
 		value := d.value()
 		if d.done() == nil {
-			run(path, func(*enc) error { return st.Write(c.dom, path, value) })
+			run(path, func(t *tree, _ *enc) error { return t.st.Write(c.dom, path, value) })
 		}
 
 	case OpRemove:
 		path := d.path()
 		if d.done() == nil {
-			run(path, func(*enc) error { return st.Remove(c.dom, path) })
+			run(path, func(t *tree, _ *enc) error { return t.st.Remove(c.dom, path) })
 		}
 
 	case OpList:
 		path := d.path()
 		if d.done() == nil {
-			run(path, func(e *enc) error {
-				names, err := st.List(c.dom, path)
+			run(path, func(t *tree, e *enc) error {
+				names, err := t.st.List(c.dom, path)
 				e.strs(names)
 				return err
 			})
@@ -950,14 +936,14 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 		target := store.DomID(d.u32())
 		perm := store.Perm(d.u8())
 		if d.done() == nil {
-			run(path, func(*enc) error { return st.Grant(c.dom, path, target, perm) })
+			run(path, func(t *tree, _ *enc) error { return t.st.Grant(c.dom, path, target, perm) })
 		}
 
 	case OpExists:
 		path := d.path()
 		if d.done() == nil {
-			run(path, func(e *enc) error {
-				e.bool(st.Exists(path))
+			run(path, func(t *tree, e *enc) error {
+				e.bool(t.st.Exists(path))
 				return nil
 			})
 		}
@@ -968,12 +954,12 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 		if d.done() == nil {
 			// Event frames carry the client's watch id, so the store's own id
 			// never crosses the wire.
-			run(prefix, func(*enc) error {
+			run(prefix, func(t *tree, _ *enc) error {
 				if _, dup := c.watches[cwid]; dup {
 					return fmt.Errorf("%w: watch id %d in use", ErrBadRequest, cwid)
 				}
-				wid, err := st.Watch(c.dom, prefix, func(path, value string) {
-					c.enqueueEvent(eventKey{watch: cwid, path: path}, value)
+				wid, err := t.st.Watch(c.dom, prefix, func(path, value string) {
+					c.enqueueEvent(t, eventKey{watch: cwid, path: path}, value)
 				})
 				if err == nil {
 					c.watches[cwid] = wid
@@ -985,9 +971,9 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 	case OpUnwatch:
 		cwid := d.u32()
 		if d.done() == nil {
-			run("", func(*enc) error {
+			run("", func(t *tree, _ *enc) error {
 				if wid, ok := c.watches[cwid]; ok {
-					st.Unwatch(wid)
+					t.st.Unwatch(wid)
 					delete(c.watches, cwid)
 				}
 				return nil
@@ -996,12 +982,12 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 
 	case OpTxnBegin:
 		if d.done() == nil {
-			run("", func(e *enc) error {
+			run("", func(t *tree, e *enc) error {
 				if len(c.txns) >= c.srv.opts.MaxTxns {
 					return fmt.Errorf("%w: %d transactions already open", ErrBadRequest, len(c.txns))
 				}
 				c.nextTxn++
-				c.txns[c.nextTxn] = st.Begin(c.dom)
+				c.txns[c.nextTxn] = t.st.Begin(c.dom)
 				e.u32(c.nextTxn)
 				return nil
 			})
@@ -1049,12 +1035,12 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 	case OpSnapshot:
 		root := d.path()
 		if d.done() == nil {
-			run(root, func(e *enc) error {
-				e.u64(st.Version())
+			run(root, func(t *tree, e *enc) error {
+				e.u64(t.st.Version())
 				// The pair count goes in once the walk has counted them.
 				mark, n := len(e.b), uint32(0)
 				e.u32(0)
-				st.Walk(c.dom, root, func(p, v string) {
+				t.st.Walk(c.dom, root, func(p, v string) {
 					e.str(p)
 					e.str(v)
 					n++
@@ -1152,9 +1138,10 @@ func (c *srvConn) handleBatch(id uint32, d *dec) []byte {
 	if err != nil {
 		return replyTo(id, err).b
 	}
-	st, e := c.srv.st, &c.renc
-	ok := c.srv.do(func() {
-		c.srv.rec.Record(trace.Record{
+	e := &c.renc
+	ok := c.srv.do(func(t *tree) {
+		st := t.st
+		t.rec.Record(trace.Record{
 			Kind: trace.KindWireBatch, Dom: int(c.dom), Value: "batch", Size: int64(len(subs)),
 		})
 		*e = replyTo(id, nil)
@@ -1210,10 +1197,10 @@ func (c *srvConn) handleSync(id uint32, op Op, d *dec) []byte {
 	}
 	var page store.SyncPage
 	var err error
-	ok := c.srv.do(func() {
-		page, err = c.srv.st.SyncSubtree(c.dom, root, since, known)
+	ok := c.srv.do(func(t *tree) {
+		page, err = t.st.SyncSubtree(c.dom, root, since, known)
 		if err == nil {
-			c.srv.rec.Record(trace.Record{Kind: trace.KindWireOp, Dom: int(c.dom), Path: root, Value: op.String()})
+			t.rec.Record(trace.Record{Kind: trace.KindWireOp, Dom: int(c.dom), Path: root, Value: op.String()})
 		}
 	})
 	if !ok {

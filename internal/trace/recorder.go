@@ -110,8 +110,9 @@ const (
 	KindWireConn Kind = "wire.conn"
 	// KindWireBatch is one batched netstore frame: Dom is the
 	// connection's bound domain and Size the number of sub-operations
-	// the frame executed in a single store-loop closure. Individual sub-ops are not recorded — the amortization is
-	// the point (docs/WIRE_PROTOCOL.md §5).
+	// the frame executed under one hold of the store lock. Individual
+	// sub-ops are not recorded — the amortization is the point
+	// (docs/WIRE_PROTOCOL.md §5).
 	KindWireBatch Kind = "wire.batch"
 
 	// Cluster federation kinds (internal/federation, docs/CLUSTER.md).
