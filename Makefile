@@ -16,9 +16,9 @@ vet:
 	$(GO) vet ./...
 
 # Project-invariant static analysis (internal/analysis, docs/LINTING.md):
-# determinism, store key schema, the trace/counter mirror, hot-path
-# allocation discipline and bounded retries — the rules no type can
-# carry. There is no suppression directive to audit.
+# four passes — determinism, store key schema, hot-path allocation
+# discipline and bounded retries — the rules no type can carry. There
+# is no suppression directive to audit.
 lint:
 	$(GO) run ./cmd/iorchestra-vet ./...
 

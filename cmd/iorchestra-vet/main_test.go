@@ -124,7 +124,7 @@ func TestListDescribesSuite(t *testing.T) {
 	if exit != 0 {
 		t.Fatalf("exit = %d, want 0", exit)
 	}
-	names := []string{"determinism", "storekeys", "tracecounter", "hotpathalloc", "boundedretry"}
+	names := []string{"determinism", "storekeys", "hotpathalloc", "boundedretry"}
 	lines := strings.Split(strings.TrimSpace(stdout), "\n")
 	if len(lines) != len(names) {
 		t.Fatalf("-list printed %d passes, want %d:\n%s", len(lines), len(names), stdout)

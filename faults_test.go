@@ -73,6 +73,45 @@ func TestFullyUncooperativeMatchesBaseline(t *testing.T) {
 	}
 }
 
+// assertCountersMirrorTrace requires, on a traced platform, that the
+// recorder's lifetime count of every mirrored kind equals the Counters
+// field reporting it. The pairing is stated here independently of
+// Manager.Counters, so a mis-wired line there fails. Relieves is an
+// upper bound: a release is counted when decided and traced after its
+// stagger, so a run may end with records still pending.
+func assertCountersMirrorTrace(t *testing.T, p *Platform) {
+	t.Helper()
+	c := p.Manager.Counters()
+	for _, m := range []struct {
+		kind trace.Kind
+		n    uint64
+	}{
+		{trace.KindFlushOrder, c.FlushNotices},
+		{trace.KindFlushTimeout, c.FlushTimeouts},
+		{trace.KindCongestVeto, c.Vetoes},
+		{trace.KindCongestConfirm, c.Confirms},
+		{trace.KindReleaseRetry, c.ReleaseRetries},
+		{trace.KindReleaseTimeout, c.ReleaseTimeouts},
+		{trace.KindHoldTimeout, c.HoldTimeouts},
+		{trace.KindCoschedUpdate, c.CoschedRuns},
+		{trace.KindGStateDemote, c.GStateDemotes},
+		{trace.KindGStatePromote, c.GStatePromotes},
+		{trace.KindGStateViolation, c.SLAViolations},
+		{trace.KindGStateAdmit, c.GStateAdmits},
+		{trace.KindGStateDefer, c.GStateDefers},
+		{trace.KindHeartbeatMiss, c.HeartbeatMisses},
+		{trace.KindFallbackEnter, c.Fallbacks},
+		{trace.KindFallbackExit, c.Restores},
+	} {
+		if got := p.Trace.Count(m.kind); got != m.n {
+			t.Errorf("%s events = %d, counter = %d", m.kind, got, m.n)
+		}
+	}
+	if got := p.Trace.Count(trace.KindCongestRelease); got > c.Relieves {
+		t.Errorf("congest.release events = %d exceed Relieves = %d", got, c.Relieves)
+	}
+}
+
 // Every injected fault and every degradation decision must appear as a
 // typed trace event, and the stream must survive the NDJSON cycle.
 func TestInjectedTimeoutsAreTypedTraceEvents(t *testing.T) {
@@ -98,14 +137,9 @@ func TestInjectedTimeoutsAreTypedTraceEvents(t *testing.T) {
 		t.Fatalf("degradation counters empty: timeouts=%d fallbacks=%d",
 			p.Manager.Counters().FlushTimeouts, p.Manager.Counters().Fallbacks)
 	}
-	// Counters and trace agree: every timeout/fallback the manager counted
-	// is a typed event in the stream.
-	if got := p.Trace.Count(trace.KindFlushTimeout); got != p.Manager.Counters().FlushTimeouts {
-		t.Fatalf("flush.timeout events %d != counter %d", got, p.Manager.Counters().FlushTimeouts)
-	}
-	if got := p.Trace.Count(trace.KindFallbackEnter); got != p.Manager.Counters().Fallbacks {
-		t.Fatalf("fallback.enter events %d != counter %d", got, p.Manager.Counters().Fallbacks)
-	}
+	// Counters and trace agree: every decision the manager counted is a
+	// typed event in the stream.
+	assertCountersMirrorTrace(t, p)
 	// NDJSON round trip preserves the typed events.
 	var buf bytes.Buffer
 	if err := p.Trace.WriteNDJSON(&buf); err != nil {

@@ -1,10 +1,9 @@
-// Package analysis is iorchestra-vet: five static-analysis passes that
+// Package analysis is iorchestra-vet: four static-analysis passes that
 // enforce the invariants no type or signature can carry — deterministic
 // simulation (golden-trace parity), the documented store key schema,
-// the 1:1 trace-event/counter mirror, allocation discipline in //hotpath
-// functions and bounded retry loops. A convention the shape of the code
-// can hold is held there instead (docs/LINTING.md "Held by
-// construction"). docs/LINTING.md is the normative rule reference; each
+// allocation discipline in //hotpath functions and bounded retry loops.
+// A convention the shape of the code can hold is held there instead
+// (docs/LINTING.md "Held by construction"). docs/LINTING.md is the normative rule reference; each
 // Analyzer's Doc is the short form.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis

@@ -19,7 +19,6 @@ import (
 
 func TestDeterminismFixture(t *testing.T)  { runFixture(t, Determinism, "determinism") }
 func TestStoreKeysFixture(t *testing.T)    { runFixture(t, StoreKeys, "storekeys") }
-func TestTraceCounterFixture(t *testing.T) { runFixture(t, TraceCounter, "tracecounter") }
 func TestHotPathAllocFixture(t *testing.T) { runFixture(t, HotPathAlloc, "hotpathalloc") }
 func TestBoundedRetryFixture(t *testing.T) { runFixture(t, BoundedRetry, "boundedretry") }
 

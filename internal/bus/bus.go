@@ -7,6 +7,7 @@ package bus
 
 import (
 	"fmt"
+	"slices"
 
 	"iorchestra/internal/sim"
 	"iorchestra/internal/store"
@@ -52,11 +53,7 @@ func (b *Bus) Domains() []store.DomID {
 	for id := range b.domains {
 		out = append(out, id)
 	}
-	for i := 1; i < len(out); i++ { // insertion sort; the set is small
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

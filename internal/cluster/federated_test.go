@@ -75,8 +75,11 @@ func (f *FederatedArrivals) runningUIDs() []string {
 	return uids
 }
 
-// assertCountersMirrorTrace enforces the 1:1 trace↔counter contract the
-// tracecounter vet pass promises statically, on a live run.
+// assertCountersMirrorTrace is the runtime backstop of the trace↔counter
+// mirror (docs/LINTING.md "Held by construction"): on a live run, the
+// recorder's count of every cluster.* kind equals the Counters field
+// reporting it. The pairing is stated here independently of
+// Federation.Counters, so a mis-wired line there fails.
 func assertCountersMirrorTrace(t *testing.T, b *fedBed) {
 	t.Helper()
 	c := b.fed.Counters()

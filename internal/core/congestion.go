@@ -49,12 +49,10 @@ type congestController struct {
 	heldSet    map[congKey]bool
 	pendingRel map[store.DomID]*releaseState
 
-	vetoes          uint64
-	confirms        uint64
-	relieves        uint64
-	releaseRetries  uint64
-	releaseTimeouts uint64
-	holdTimeouts    uint64
+	// relieves counts releases when congestionTick decides them; the
+	// congest.release record follows after the stagger, so at any
+	// instant the kind's count may still trail the decisions taken.
+	relieves uint64
 }
 
 func newCongestController(m *Manager) *congestController {
@@ -158,7 +156,6 @@ func (cc *congestController) handleCongestQuery(dom store.DomID, disk string) {
 	// Reset the query flag so subsequent queries re-fire the watch.
 	m.st.WriteBool(store.Dom0, absDiskKey(dom, disk, keyCongestQuery), false)
 	if cc.mon.IOCongested() {
-		cc.confirms++
 		cc.recordCongestion(trace.KindCongestConfirm, dom, disk)
 		m.st.WriteBool(store.Dom0, absDiskKey(dom, disk, keyCongested), true)
 		key := congKey{dom: dom, disk: disk}
@@ -170,7 +167,6 @@ func (cc *congestController) handleCongestQuery(dom store.DomID, disk string) {
 		cc.relief.arm()
 		return
 	}
-	cc.vetoes++
 	cc.requestRelease(dom, disk, trace.KindCongestVeto)
 }
 
@@ -205,24 +201,18 @@ func (cc *congestController) releaseRetryTick(dom store.DomID, rs *releaseState)
 	}
 	if rs.retries >= releaseMaxRetries {
 		delete(cc.pendingRel, dom)
-		cc.releaseTimeouts++
-		if m.rec != nil {
-			m.rec.Record(trace.Record{
-				Kind: trace.KindReleaseTimeout, Dom: int(dom), Disk: rs.disk,
-				Value: strconv.Itoa(rs.retries),
-			})
-		}
+		m.rec.Record(trace.Record{
+			Kind: trace.KindReleaseTimeout, Dom: int(dom), Disk: rs.disk,
+			Value: strconv.Itoa(rs.retries),
+		})
 		m.live.enterFallback(dom, "release-deadline")
 		return
 	}
 	rs.retries++
-	cc.releaseRetries++
-	if m.rec != nil {
-		m.rec.Record(trace.Record{
-			Kind: trace.KindReleaseRetry, Dom: int(dom), Disk: rs.disk,
-			Value: strconv.Itoa(rs.retries),
-		})
-	}
+	m.rec.Record(trace.Record{
+		Kind: trace.KindReleaseRetry, Dom: int(dom), Disk: rs.disk,
+		Value: strconv.Itoa(rs.retries),
+	})
 	// Re-publish: the write re-fires the guest's watch even though the
 	// value does not change.
 	m.st.WriteBool(store.Dom0, store.DomainPath(dom)+"/"+keyReleaseRequest, true)
@@ -239,11 +229,7 @@ func (cc *congestController) noteReleaseAck(dom store.DomID) {
 // recordCongestion traces an Algorithm 2 verdict with the host queue
 // depths that justified it.
 func (cc *congestController) recordCongestion(kind trace.Kind, dom store.DomID, disk string) {
-	m := cc.m
-	if m.rec == nil {
-		return
-	}
-	m.rec.Record(trace.Record{
+	cc.m.rec.Record(trace.Record{
 		Kind: kind, Dom: int(dom), Disk: disk,
 		QueueDepth: cc.mon.QueueBacklog(),
 		DevPending: cc.mon.DevPending(),
@@ -270,7 +256,6 @@ func (cc *congestController) congestionTick() {
 			e := cc.held[cut]
 			cut++
 			delete(cc.heldSet, congKey{dom: e.dom, disk: e.disk})
-			cc.holdTimeouts++
 			cc.requestRelease(e.dom, e.disk, trace.KindHoldTimeout)
 		}
 		if cut > 0 {

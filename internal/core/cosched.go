@@ -21,7 +21,6 @@ type coschedController struct {
 
 	lastRatio float64
 	lastApply sim.Time
-	runs      uint64
 	off       map[store.DomID]bool
 }
 
@@ -98,14 +97,11 @@ func (cc *coschedController) coschedTick() bool {
 	}
 	cc.lastApply = now
 	cc.lastRatio = ratio
-	cc.runs++
-	if m.rec != nil {
-		m.rec.Record(trace.Record{
-			Kind:        trace.KindCoschedUpdate,
-			CoreLatency: append([]float64(nil), lat...),
-			Weight:      ratio,
-		})
-	}
+	m.rec.Record(trace.Record{
+		Kind:        trace.KindCoschedUpdate,
+		CoreLatency: append([]float64(nil), lat...),
+		Weight:      ratio,
+	})
 
 	// Weight targets: fraction on socket i ∝ 1/L_i (the paper's inverse-
 	// proportional distribution). Published only when some core is

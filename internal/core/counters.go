@@ -1,5 +1,7 @@
 package core
 
+import "iorchestra/internal/trace"
+
 // Counters is a point-in-time snapshot of every management-module
 // counter: policy decisions (Sec. 5's measured quantities) and graceful-
 // degradation events (docs/FAULTS.md). Zero values are reported for
@@ -34,33 +36,35 @@ type Counters struct {
 }
 
 // Counters snapshots every counter in one call. It is the only counter
-// read surface.
+// read surface. A decision is counted where it is traced: each field is
+// the manager's recorder's lifetime count of the kind it names, so the
+// two cannot drift. Relieves alone is a field of its controller.
 func (m *Manager) Counters() Counters {
-	var c Counters
-	if fc := m.flush; fc != nil {
-		c.FlushNotices = fc.notices
-		c.FlushTimeouts = fc.timeouts
+	n := m.rec.Count
+	c := Counters{
+		FlushNotices:  n(trace.KindFlushOrder),
+		FlushTimeouts: n(trace.KindFlushTimeout),
+
+		Vetoes:          n(trace.KindCongestVeto),
+		Confirms:        n(trace.KindCongestConfirm),
+		ReleaseRetries:  n(trace.KindReleaseRetry),
+		ReleaseTimeouts: n(trace.KindReleaseTimeout),
+		HoldTimeouts:    n(trace.KindHoldTimeout),
+
+		CoschedRuns: n(trace.KindCoschedUpdate),
+
+		GStateDemotes:  n(trace.KindGStateDemote),
+		GStatePromotes: n(trace.KindGStatePromote),
+		SLAViolations:  n(trace.KindGStateViolation),
+		GStateAdmits:   n(trace.KindGStateAdmit),
+		GStateDefers:   n(trace.KindGStateDefer),
+
+		HeartbeatMisses: n(trace.KindHeartbeatMiss),
+		Fallbacks:       n(trace.KindFallbackEnter),
+		Restores:        n(trace.KindFallbackExit),
 	}
-	if cc := m.congest; cc != nil {
-		c.Vetoes = cc.vetoes
-		c.Confirms = cc.confirms
-		c.Relieves = cc.relieves
-		c.ReleaseRetries = cc.releaseRetries
-		c.ReleaseTimeouts = cc.releaseTimeouts
-		c.HoldTimeouts = cc.holdTimeouts
+	if m.congest != nil {
+		c.Relieves = m.congest.relieves
 	}
-	if sc := m.cosched; sc != nil {
-		c.CoschedRuns = sc.runs
-	}
-	if gc := m.gstate; gc != nil {
-		c.GStateDemotes = gc.gstateDemotes
-		c.GStatePromotes = gc.gstatePromotes
-		c.SLAViolations = gc.gstateViolations
-		c.GStateAdmits = gc.gstateAdmits
-		c.GStateDefers = gc.gstateDefers
-	}
-	c.HeartbeatMisses = m.live.heartbeatMisses
-	c.Fallbacks = m.live.fallbacks
-	c.Restores = m.live.restores
 	return c
 }

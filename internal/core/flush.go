@@ -31,9 +31,7 @@ type flushController struct {
 	outstandingSince sim.Time
 	lastNotice       sim.Time
 
-	notices  uint64
-	timeouts uint64
-	retries  map[retryKey]int
+	retries map[retryKey]int
 	// withdrawn counts the manager's own flush_now=0 withdrawal writes
 	// whose watch notifications are still in flight: they must not be
 	// mistaken for guest acks (the notification arrives a latency later,
@@ -43,11 +41,13 @@ type flushController struct {
 
 func newFlushController(m *Manager) *flushController {
 	fc := &flushController{
-		m:         m,
-		cfg:       &m.cfg,
-		mon:       m.h.Monitor(),
-		retries:   map[retryKey]int{},
-		withdrawn: map[retryKey]int{},
+		m:   m,
+		cfg: &m.cfg,
+		mon: m.h.Monitor(),
+		// No order yet: the first one owes no cooldown.
+		lastNotice: -m.cfg.FlushCooldown,
+		retries:    map[retryKey]int{},
+		withdrawn:  map[retryKey]int{},
 	}
 	// Algorithm 1's mid-burst guard, taken literally: a guest whose dirty
 	// count grew within the last 200 ms is still writing — leave it alone.
@@ -159,15 +159,12 @@ func (fc *flushController) flushTick() {
 		// starve.
 		dom, disk := fc.outstandingDom, fc.outstandingDisk
 		fc.outstandingDom = 0
-		fc.timeouts++
 		rk := retryKey{dom: dom, disk: disk}
 		fc.retries[rk]++
-		if m.rec != nil {
-			m.rec.Record(trace.Record{
-				Kind: trace.KindFlushTimeout, Dom: int(dom), Disk: disk,
-				Value: strconv.Itoa(fc.retries[rk]),
-			})
-		}
+		m.rec.Record(trace.Record{
+			Kind: trace.KindFlushTimeout, Dom: int(dom), Disk: disk,
+			Value: strconv.Itoa(fc.retries[rk]),
+		})
 		fc.withdrawn[rk]++
 		m.st.WriteBool(store.Dom0, absDiskKey(dom, disk, keyFlushNow), false)
 		if fc.retries[rk] > fc.cfg.FlushMaxRetries {
@@ -182,7 +179,7 @@ func (fc *flushController) flushTick() {
 	if dev.BandwidthBps >= fc.cfg.FlushUtilFrac*dev.CapacityBps {
 		return
 	}
-	if fc.notices > 0 && now-fc.lastNotice < fc.cfg.FlushCooldown {
+	if now-fc.lastNotice < fc.cfg.FlushCooldown {
 		return
 	}
 	// i = argmax_i nr_i over guests with dirty pages, skipping guests
@@ -199,15 +196,12 @@ func (fc *flushController) flushTick() {
 	if !found || bestNr*4096 < fc.cfg.MinFlushBytes {
 		return
 	}
-	fc.notices++
 	fc.lastNotice = now
 	fc.outstandingDom, fc.outstandingDisk, fc.outstandingSince = bestDom, bestDisk, now
-	if m.rec != nil {
-		m.rec.Record(trace.Record{
-			Kind: trace.KindFlushOrder, Dom: int(bestDom), Disk: bestDisk,
-			NrDirty: bestNr, DeviceBps: dev.BandwidthBps,
-			UtilFrac: dev.UtilFraction,
-		})
-	}
+	m.rec.Record(trace.Record{
+		Kind: trace.KindFlushOrder, Dom: int(bestDom), Disk: bestDisk,
+		NrDirty: bestNr, DeviceBps: dev.BandwidthBps,
+		UtilFrac: dev.UtilFraction,
+	})
 	m.st.WriteBool(store.Dom0, absDiskKey(bestDom, bestDisk, keyFlushNow), true)
 }

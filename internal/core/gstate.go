@@ -47,14 +47,6 @@ type gstateController struct {
 
 	// pending holds deferred arrivals in FIFO order.
 	pending []store.DomID
-
-	// Decision counters, mirrored 1:1 by gstate.* trace kinds
-	// (tracecounter vet pass).
-	gstateDemotes    uint64
-	gstatePromotes   uint64
-	gstateViolations uint64
-	gstateAdmits     uint64
-	gstateDefers     uint64
 }
 
 type latWindow struct {
@@ -83,13 +75,10 @@ func (gc *gstateController) Attach(rt *hypervisor.GuestRuntime) {
 	dom := rt.G.ID()
 	tier, sla := gstate.ReadSLA(gc.m.st, dom)
 	if tier == gstate.Bronze && gc.meter.AnyViolating(gstate.Gold) {
-		gc.gstateDefers++
-		if gc.m.rec != nil {
-			gc.m.rec.Record(trace.Record{
-				Kind: trace.KindGStateDefer, Dom: int(dom),
-				Path: string(tier), Value: "gold-violating",
-			})
-		}
+		gc.m.rec.Record(trace.Record{
+			Kind: trace.KindGStateDefer, Dom: int(dom),
+			Path: string(tier), Value: "gold-violating",
+		})
 		// Park the arrival at the bronze floor: it runs, but at the
 		// deepest throttle, so it cannot widen the violation it arrived
 		// into. admitPending lifts it on relief.
@@ -125,13 +114,10 @@ func (gc *gstateController) Meter() *gstate.Meter { return gc.meter }
 func (gc *gstateController) admitGuest(dom store.DomID, tier gstate.Tier, sla gstate.SLA, how string) {
 	gc.machine.Add(dom, tier, sla)
 	gc.applyState(dom, gstate.G0)
-	gc.gstateAdmits++
-	if gc.m.rec != nil {
-		gc.m.rec.Record(trace.Record{
-			Kind: trace.KindGStateAdmit, Dom: int(dom),
-			Path: string(tier), Value: how,
-		})
-	}
+	gc.m.rec.Record(trace.Record{
+		Kind: trace.KindGStateAdmit, Dom: int(dom),
+		Path: string(tier), Value: how,
+	})
 }
 
 // applyState actuates one guest's G-state: the proportional-share
@@ -198,13 +184,10 @@ func (gc *gstateController) demoteOne() {
 		return // every guest is at its tier floor
 	}
 	gc.applyState(dom, st)
-	gc.gstateDemotes++
-	if gc.m.rec != nil {
-		gc.m.rec.Record(trace.Record{
-			Kind: trace.KindGStateDemote, Dom: int(dom),
-			Path: string(gc.machine.Tier(dom)), Value: st.String(), Weight: st.Weight(),
-		})
-	}
+	gc.m.rec.Record(trace.Record{
+		Kind: trace.KindGStateDemote, Dom: int(dom),
+		Path: string(gc.machine.Tier(dom)), Value: st.String(), Weight: st.Weight(),
+	})
 }
 
 // promoteOne applies one promotion step (gold recovers first).
@@ -214,13 +197,10 @@ func (gc *gstateController) promoteOne() {
 		return // everyone already at G0
 	}
 	gc.applyState(dom, st)
-	gc.gstatePromotes++
-	if gc.m.rec != nil {
-		gc.m.rec.Record(trace.Record{
-			Kind: trace.KindGStatePromote, Dom: int(dom),
-			Path: string(gc.machine.Tier(dom)), Value: st.String(), Weight: st.Weight(),
-		})
-	}
+	gc.m.rec.Record(trace.Record{
+		Kind: trace.KindGStatePromote, Dom: int(dom),
+		Path: string(gc.machine.Tier(dom)), Value: st.String(), Weight: st.Weight(),
+	})
 }
 
 // observeViolations renders one verdict per admitted guest and folds it
@@ -246,13 +226,10 @@ func (gc *gstateController) observeViolations(now sim.Time) {
 		}
 		gc.lat[dom] = latWindow{count: count, sum: sum}
 		if onset := gc.meter.Observe(dom, tier, reason != "", now); onset {
-			gc.gstateViolations++
-			if gc.m.rec != nil {
-				gc.m.rec.Record(trace.Record{
-					Kind: trace.KindGStateViolation, Dom: int(dom),
-					Path: string(tier), Value: reason,
-				})
-			}
+			gc.m.rec.Record(trace.Record{
+				Kind: trace.KindGStateViolation, Dom: int(dom),
+				Path: string(tier), Value: reason,
+			})
 		}
 	}
 }

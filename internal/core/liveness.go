@@ -42,10 +42,6 @@ type liveness struct {
 	beats              map[store.DomID]*beatNode
 	beatHead, beatTail *beatNode
 	fallback           map[store.DomID]*fallbackState
-
-	heartbeatMisses uint64
-	fallbacks       uint64
-	restores        uint64
 }
 
 // beatNode is one guest's last-heartbeat stamp on the beat list.
@@ -102,13 +98,10 @@ func (lv *liveness) cooperative(dom store.DomID) bool {
 		return false
 	}
 	if n := lv.beats[dom]; n != nil && lv.k.Now()-n.last > heartbeatTimeout {
-		lv.heartbeatMisses++
-		if lv.rec != nil {
-			lv.rec.Record(trace.Record{
-				Kind: trace.KindHeartbeatMiss, Dom: int(dom),
-				Latency: lv.k.Now() - n.last,
-			})
-		}
+		lv.rec.Record(trace.Record{
+			Kind: trace.KindHeartbeatMiss, Dom: int(dom),
+			Latency: lv.k.Now() - n.last,
+		})
 		lv.enterFallback(dom, "heartbeat")
 		return false
 	}
@@ -202,10 +195,7 @@ func (lv *liveness) enterFallback(dom store.DomID, reason string) {
 		return
 	}
 	lv.fallback[dom] = &fallbackState{reason: reason, since: lv.k.Now()}
-	lv.fallbacks++
-	if lv.rec != nil {
-		lv.rec.Record(trace.Record{Kind: trace.KindFallbackEnter, Dom: int(dom), Value: reason})
-	}
+	lv.rec.Record(trace.Record{Kind: trace.KindFallbackEnter, Dom: int(dom), Value: reason})
 	lv.st.WriteBool(store.Dom0, store.DomainPath(dom)+"/"+keyFallback, true)
 	for _, h := range lv.hooks {
 		h.OnFallback(dom)
@@ -218,10 +208,7 @@ func (lv *liveness) exitFallback(dom store.DomID, reason string) {
 		return
 	}
 	delete(lv.fallback, dom)
-	lv.restores++
-	if lv.rec != nil {
-		lv.rec.Record(trace.Record{Kind: trace.KindFallbackExit, Dom: int(dom), Value: reason})
-	}
+	lv.rec.Record(trace.Record{Kind: trace.KindFallbackExit, Dom: int(dom), Value: reason})
 	lv.st.WriteBool(store.Dom0, store.DomainPath(dom)+"/"+keyFallback, false)
 	lv.noteBeat(dom) // fresh grace window
 	for _, h := range lv.hooks {

@@ -30,7 +30,10 @@ type Manager struct {
 	rng *stats.Stream
 	pol Policies
 	cfg ManagerConfig
-	rec *trace.Recorder // host's decision-trace recorder (may be nil)
+	// rec is the decision ledger: the host's trace recorder when tracing
+	// is on, a count-only one otherwise. Every decision is one
+	// rec.Record; Counters reads the per-kind counts back.
+	rec *trace.Recorder
 
 	drivers map[store.DomID]*Driver
 	live    *liveness
@@ -68,7 +71,7 @@ func NewManager(h *hypervisor.Host, pol Policies, cfg ManagerConfig, rng *stats.
 		rng:          rng,
 		pol:          pol,
 		cfg:          cfg,
-		rec:          h.Recorder(),
+		rec:          trace.OrCountOnly(h.Recorder()),
 		drivers:      map[store.DomID]*Driver{},
 		diskRoutes:   map[string][]StoreHandler{},
 		domainRoutes: map[string][]StoreHandler{},

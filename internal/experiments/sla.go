@@ -151,16 +151,12 @@ var slaSystems = []struct {
 func runSLAPoint(sysIdx int, seed uint64, mix slaMix, rogueBronze bool, dur sim.Duration, label string) slaPoint {
 	cfg := slaSystems[sysIdx]
 	pol := iorchestra.Policies{Flush: true, Congestion: true, GState: cfg.gstate}
-	// The shadow meter reads host-path latency through the Monitor,
-	// which requires the decision-trace recorder, so tracing is on for
-	// every system (tracedPlatform only adds the export directory).
 	// Host dispatch concurrency is bounded well below the population's
 	// outstanding I/O so the weighted cgroup — the actuation surface the
 	// G-state controller drives — is where requests queue; with the
 	// default bound the device's internal FIFO absorbs the backlog and
 	// no per-class differentiation is possible on any system.
-	p := tracedPlatform(cfg.sys, seed,
-		iorchestra.WithTracing(1<<19), iorchestra.WithPolicies(pol),
+	p := tracedPlatform(cfg.sys, seed, iorchestra.WithPolicies(pol),
 		iorchestra.WithHostConfig(hypervisor.Config{MaxDeviceInFlight: 8}))
 	sh := newSLAShadow(p)
 	i := 0

@@ -9,8 +9,8 @@
 // All cluster coordination state lives under /cluster in a shared store
 // (internal/store's key constructors own the schema), so the same logic
 // runs in-process over LocalView or across machines over netstore.
-// Every cluster.* trace event is mirrored 1:1 by a Counters field,
-// enforced by the iorchestra-vet tracecounter pass.
+// Every cluster.* decision is one record in the federation's recorder,
+// and Counters reads the per-kind counts back from it.
 package federation
 
 import (
@@ -62,8 +62,9 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Counters mirrors the cluster.* trace kinds 1:1 (tracecounter pass),
-// so operators can reconcile NDJSON traces against the federation even
+// Counters is the federation's lifetime decision counts: one field per
+// cluster.* trace kind, read from the recorder that traced it, so
+// operators can reconcile NDJSON traces against the federation even
 // when the recorder ring has evicted events.
 type Counters struct {
 	Joins          uint64 `json:"joins"`
@@ -92,7 +93,7 @@ type member struct {
 type Federation struct {
 	k    *sim.Kernel
 	view View
-	rec  *trace.Recorder
+	rec  *trace.Recorder // the decision ledger; never nil (see New)
 	cfg  Config
 	pol  Policy // the default placement policy
 	reg  *Registry
@@ -106,22 +107,20 @@ type Federation struct {
 
 	stopped bool
 
-	// Trace/counter mirror (Counters); fields bump exactly where the
-	// matching cluster.* kind is recorded.
-	joins, expiries, places, rejects                         uint64
-	migrateStarts, migrateSyncs, migrateDones, migrateAborts uint64
-	rebalanceScans                                           uint64
+	// rebalanceScans has no trace kind — most scans decide nothing — so
+	// it is the one count the recorder cannot hold.
+	rebalanceScans uint64
 }
 
-// New builds a federation over the shared cluster view. rec may be nil
-// (no tracing); with a recorder, every decision lands in it as a typed
-// cluster.* event.
+// New builds a federation over the shared cluster view. Every decision
+// lands in rec as a typed cluster.* event; a nil rec (no tracing) is
+// replaced by a count-only recorder, so Counters works either way.
 func New(k *sim.Kernel, view View, rec *trace.Recorder, cfg Config) *Federation {
 	cfg.fillDefaults()
 	var pol Policy
 	pol.fillDefaults()
 	return &Federation{
-		k: k, view: view, rec: rec, cfg: cfg, pol: pol,
+		k: k, view: view, rec: trace.OrCountOnly(rec), cfg: cfg, pol: pol,
 		reg:       NewRegistry(k, view, cfg.TTL),
 		members:   map[string]*member{},
 		migrating: map[string]*migration{},
@@ -131,13 +130,18 @@ func New(k *sim.Kernel, view View, rec *trace.Recorder, cfg Config) *Federation 
 // Registry exposes the membership/liveness tracker.
 func (f *Federation) Registry() *Registry { return f.reg }
 
-// Counters snapshots the trace-mirroring counters.
+// Counters snapshots the decision counts from the recorder.
 func (f *Federation) Counters() Counters {
+	n := f.rec.Count
 	return Counters{
-		Joins: f.joins, Expiries: f.expiries,
-		Places: f.places, Rejects: f.rejects,
-		MigrateStarts: f.migrateStarts, MigrateSyncs: f.migrateSyncs,
-		MigrateDones: f.migrateDones, MigrateAborts: f.migrateAborts,
+		Joins:          n(trace.KindClusterJoin),
+		Expiries:       n(trace.KindClusterExpire),
+		Places:         n(trace.KindClusterPlace),
+		Rejects:        n(trace.KindClusterReject),
+		MigrateStarts:  n(trace.KindClusterMigrateStart),
+		MigrateSyncs:   n(trace.KindClusterMigrateSync),
+		MigrateDones:   n(trace.KindClusterMigrateDone),
+		MigrateAborts:  n(trace.KindClusterMigrateAbort),
 		RebalanceScans: f.rebalanceScans,
 	}
 }
@@ -174,8 +178,7 @@ func (f *Federation) Join(id, class string, h *hypervisor.Host) (*HostAgent, err
 	sort.Strings(f.memberIDs)
 	f.reg.MarkAlive(id)
 	m.agent.Start()
-	f.joins++
-	f.record(trace.Record{
+	f.rec.Record(trace.Record{
 		Kind: trace.KindClusterJoin, Host: id,
 		Size: int64(h.TotalCores()), Value: class,
 	})
@@ -210,8 +213,7 @@ func (f *Federation) hostStats() []HostStats {
 func (f *Federation) Place(req Request) (hostID string, ok bool) {
 	scores, winner, mode := ScoreHosts(f.pol, req, f.hostStats())
 	if winner < 0 {
-		f.rejects++
-		f.record(trace.Record{
+		f.rec.Record(trace.Record{
 			Kind: trace.KindClusterReject, Path: req.Guest,
 			Size: int64(req.VCPUs), Value: mode,
 		})
@@ -219,8 +221,7 @@ func (f *Federation) Place(req Request) (hostID string, ok bool) {
 	}
 	win := scores[winner]
 	RecordPlacement(f.view, req.Guest, win.ID, req.VCPUs)
-	f.places++
-	f.record(trace.Record{
+	f.rec.Record(trace.Record{
 		Kind: trace.KindClusterPlace, Host: win.ID, Path: req.Guest,
 		Size: int64(req.VCPUs), Weight: win.Score, Value: mode,
 	})
@@ -267,8 +268,7 @@ func (f *Federation) sweepTick() {
 		}
 		f.reg.Forget(id)
 		f.view.Remove(store.HypervisorPath(id))
-		f.expiries++
-		f.record(trace.Record{Kind: trace.KindClusterExpire, Host: id, Latency: sim.Time(age)})
+		f.rec.Record(trace.Record{Kind: trace.KindClusterExpire, Host: id, Latency: sim.Time(age)})
 	}
 	f.k.After(f.cfg.TTL/2, f.sweepTick)
 }
@@ -332,11 +332,4 @@ func (f *Federation) rebalanceTick() {
 		return
 	}
 	f.Migrate(pick, src.ID, dst.ID)
-}
-
-// record mirrors a decision into the trace recorder, if any.
-func (f *Federation) record(rec trace.Record) {
-	if f.rec != nil {
-		f.rec.Record(rec)
-	}
 }

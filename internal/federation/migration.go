@@ -107,8 +107,7 @@ func (f *Federation) Migrate(uid, from, to string) bool {
 		start: f.k.Now(),
 	}
 	f.migrating[uid] = m
-	f.migrateStarts++
-	f.record(trace.Record{
+	f.rec.Record(trace.Record{
 		Kind: trace.KindClusterMigrateStart, Path: uid,
 		Host: from, Value: to,
 	})
@@ -132,8 +131,7 @@ func (f *Federation) migratePreCopy(m *migration) {
 		return
 	}
 	n := m.apply(page)
-	f.migrateSyncs++
-	f.record(trace.Record{
+	f.rec.Record(trace.Record{
 		Kind: trace.KindClusterMigrateSync, Path: m.uid, Host: m.to,
 		Value: page.Mode.String(), Size: int64(n),
 	})
@@ -167,8 +165,7 @@ func (f *Federation) migrateCatchUp(m *migration) {
 		return
 	}
 	n := m.apply(page)
-	f.migrateSyncs++
-	f.record(trace.Record{
+	f.rec.Record(trace.Record{
 		Kind: trace.KindClusterMigrateSync, Path: m.uid, Host: m.to,
 		Value: page.Mode.String(), Size: int64(n),
 	})
@@ -245,8 +242,7 @@ func (f *Federation) migrateCommit(m *migration) {
 	}
 	f.hooks.Unfreeze(m.uid, m.to, dstDom)
 	delete(f.migrating, m.uid)
-	f.migrateDones++
-	f.record(trace.Record{
+	f.rec.Record(trace.Record{
 		Kind: trace.KindClusterMigrateDone, Path: m.uid, Host: m.to,
 		Size: int64(moved), Latency: f.k.Now() - m.start,
 	})
@@ -263,8 +259,7 @@ func (f *Federation) migrateAbort(m *migration, reason string) {
 	} else if m.frozen {
 		f.hooks.Restore(m.uid)
 	}
-	f.migrateAborts++
-	f.record(trace.Record{
+	f.rec.Record(trace.Record{
 		Kind: trace.KindClusterMigrateAbort, Path: m.uid,
 		Host: m.from, Value: reason,
 	})

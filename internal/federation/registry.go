@@ -2,6 +2,7 @@ package federation
 
 import (
 	"strconv"
+	"strings"
 
 	"iorchestra/internal/gstate"
 	"iorchestra/internal/hypervisor"
@@ -75,11 +76,11 @@ func (r *Registry) observe(hyperRoot, path, value string) {
 // wall-clock watcher and expirer so both clocks agree on what counts as
 // a beat.
 func BeatObserved(root, path string) (id string, ok bool) {
-	rel, ok := cutPrefix(path, root+"/")
+	rel, ok := strings.CutPrefix(path, root+"/")
 	if !ok {
 		return "", false
 	}
-	id, key, hasKey := cutSlash(rel)
+	id, key, hasKey := strings.Cut(rel, "/")
 	return id, hasKey && key == keyHeartbeat
 }
 
@@ -88,11 +89,11 @@ func BeatObserved(root, path string) (id string, ok bool) {
 // graceful leave). Edge-triggered watches deliver removals as an empty
 // value on the entry path itself.
 func EntryRemoved(root, path, value string) (id string, ok bool) {
-	rel, ok := cutPrefix(path, root+"/")
+	rel, ok := strings.CutPrefix(path, root+"/")
 	if !ok || value != "" {
 		return "", false
 	}
-	id, _, hasKey := cutSlash(rel)
+	id, _, hasKey := strings.Cut(rel, "/")
 	return id, !hasKey
 }
 
@@ -129,25 +130,6 @@ func (r *Registry) Stale(id string) (bool, sim.Duration) {
 	}
 	age := sim.Duration(r.k.Now() - at)
 	return age > r.ttl, age
-}
-
-// cutPrefix is strings.CutPrefix (kept local to avoid importing strings
-// for two one-liners shared with cutSlash).
-func cutPrefix(s, prefix string) (string, bool) {
-	if len(s) >= len(prefix) && s[:len(prefix)] == prefix {
-		return s[len(prefix):], true
-	}
-	return s, false
-}
-
-// cutSlash splits "id/key..." into id and the remainder.
-func cutSlash(s string) (id, rest string, found bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '/' {
-			return s[:i], s[i+1:], true
-		}
-	}
-	return s, "", false
 }
 
 // HostAgent is the per-hypervisor publisher: it registers the host in

@@ -10,9 +10,9 @@ import (
 // per-tick per-guest violation verdicts into the metrics the tiered
 // experiments report — per-tier violation counts (episode onsets),
 // accrued violation-seconds, and a histogram of completed episode
-// durations. The controller mirrors every onset with a gstate.violation
-// trace event and its counter (the 1:1 contract the tracecounter vet
-// pass enforces); the meter itself is pure accounting.
+// durations. The controller records every onset as one gstate.violation
+// trace event, which is also its count; the meter itself is pure
+// accounting.
 type Meter struct {
 	tiers map[Tier]*tierStats
 	open  map[store.DomID]*episode

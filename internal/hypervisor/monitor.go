@@ -132,9 +132,12 @@ func (mo *Monitor) QueueBacklog() int { return mo.h.cg.Backlog() }
 func (mo *Monitor) DevPending() int { return mo.h.dev.Pending() }
 
 // HostPathP99 reports the 99th-percentile host-path completion latency
-// across every guest, from the decision-trace recorder's histograms
-// (0 when tracing is off or nothing has completed). The federation's
-// host agents publish it as the registry's p99 health key.
+// across every guest, from the decision-trace recorder's host-path
+// histogram (0 when tracing is off or nothing has completed). The
+// federation's host agents publish it as the registry's p99 health key.
+// It is the one Monitor reading that still depends on tracing: feeding
+// it from the always-on path moves the cluster golden's placement
+// scores (ROADMAP item 5).
 func (mo *Monitor) HostPathP99() sim.Time {
 	if mo.h.rec == nil {
 		return 0
@@ -143,20 +146,14 @@ func (mo *Monitor) HostPathP99() sim.Time {
 }
 
 // GuestPathStats reports the completion count and summed host-path
-// latency recorded for one guest's I/O, from the decision-trace
-// recorder's per-domain histogram (zeros when tracing is off or the
-// guest has no completions). Two snapshots give a windowed mean — the
+// latency of one guest's I/O, from the dispatch path's always-on tracer
+// (zeros when the guest has no completions) — never from the optional
+// decision-trace recorder, so a verdict built on it cannot depend on
+// whether anyone is tracing. Two snapshots give a windowed mean — the
 // G-state controller's per-guest latency verdict — without the
 // saturation a lifetime percentile would suffer under sustained load.
 func (mo *Monitor) GuestPathStats(dom store.DomID) (count uint64, sum sim.Time) {
-	if mo.h.rec == nil {
-		return 0, 0
-	}
-	h := mo.h.rec.DomainLatency(int(dom))
-	if h == nil {
-		return 0, 0
-	}
-	return h.Count(), h.Sum()
+	return mo.h.tracer.PathLatency(int(dom))
 }
 
 // ActiveVCPUs reports the summed VCPU count of resident guests — the
@@ -245,8 +242,10 @@ func (mo *Monitor) ObserveNrDirty(dom store.DomID, disk string, nr int64) {
 	}
 }
 
-// ForgetGuest drops all dirty state for a removed or demoted guest.
+// ForgetGuest drops all dirty state and the host-path latency aggregate
+// for a removed or demoted guest.
 func (mo *Monitor) ForgetGuest(dom store.DomID) {
+	mo.h.tracer.ForgetOwner(int(dom))
 	for _, e := range mo.dirty[dom] {
 		if e.st.HasDirty {
 			mo.dirtyCount--

@@ -81,11 +81,6 @@ func (h *Histogram) Record(v sim.Time) {
 // Count reports the number of recorded values.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Sum reports the running total of recorded values. Together with Count
-// it lets callers compute windowed means from two snapshots — the
-// G-state controller's latency verdict uses exactly that delta.
-func (h *Histogram) Sum() sim.Time { return sim.Time(h.sum) }
-
 // Mean reports the arithmetic mean latency.
 func (h *Histogram) Mean() sim.Time {
 	if h.count == 0 {

@@ -4,10 +4,8 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"sync"
 	"time"
 
@@ -549,70 +547,6 @@ func (c *Client) Unwatch(id store.WatchID) {
 	if err == nil {
 		_ = d.done()
 	}
-}
-
-// --- Typed helpers (mirror store.Store's encodings) -------------------------
-
-// WriteInt writes an integer value.
-func (c *Client) WriteInt(path string, v int64) error {
-	return c.Write(path, strconv.FormatInt(v, 10))
-}
-
-// ReadInt reads an integer value; absent nodes return defaultV.
-func (c *Client) ReadInt(path string, defaultV int64) (int64, error) {
-	raw, err := c.Read(path)
-	if errors.Is(err, store.ErrNoEntry) {
-		return defaultV, nil
-	}
-	if err != nil {
-		return defaultV, err
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return defaultV, fmt.Errorf("netstore: %s holds non-integer %q", path, raw)
-	}
-	return v, nil
-}
-
-// WriteBool writes "1" or "0".
-func (c *Client) WriteBool(path string, v bool) error {
-	if v {
-		return c.Write(path, "1")
-	}
-	return c.Write(path, "0")
-}
-
-// ReadBool reads a boolean; absent nodes return false.
-func (c *Client) ReadBool(path string) (bool, error) {
-	raw, err := c.Read(path)
-	if errors.Is(err, store.ErrNoEntry) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return raw == "1" || raw == "true", nil
-}
-
-// WriteFloat writes a float value.
-func (c *Client) WriteFloat(path string, v float64) error {
-	return c.Write(path, strconv.FormatFloat(v, 'g', -1, 64))
-}
-
-// ReadFloat reads a float value; absent nodes return defaultV.
-func (c *Client) ReadFloat(path string, defaultV float64) (float64, error) {
-	raw, err := c.Read(path)
-	if errors.Is(err, store.ErrNoEntry) {
-		return defaultV, nil
-	}
-	if err != nil {
-		return defaultV, err
-	}
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return defaultV, fmt.Errorf("netstore: %s holds non-float %q", path, raw)
-	}
-	return v, nil
 }
 
 // --- Transactions -----------------------------------------------------------

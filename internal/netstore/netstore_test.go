@@ -73,34 +73,6 @@ func TestBasicOps(t *testing.T) {
 	}
 }
 
-func TestTypedHelpers(t *testing.T) {
-	_, sock := startServer(t, Options{})
-	c := dialT(t, sock, 4)
-	base := store.DomainPath(4)
-
-	if err := c.WriteInt(base+"/n", 7); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := c.ReadInt(base+"/n", -1); err != nil || n != 7 {
-		t.Fatalf("ReadInt = %d, %v", n, err)
-	}
-	if n, err := c.ReadInt(base+"/absent", 5); err != nil || n != 5 {
-		t.Fatalf("ReadInt default = %d, %v", n, err)
-	}
-	if err := c.WriteBool(base+"/b", true); err != nil {
-		t.Fatal(err)
-	}
-	if b, err := c.ReadBool(base + "/b"); err != nil || !b {
-		t.Fatalf("ReadBool = %v, %v", b, err)
-	}
-	if err := c.WriteFloat(base+"/f", 2.5); err != nil {
-		t.Fatal(err)
-	}
-	if f, err := c.ReadFloat(base+"/f", 0); err != nil || f != 2.5 {
-		t.Fatalf("ReadFloat = %g, %v", f, err)
-	}
-}
-
 func TestPermissionBoundary(t *testing.T) {
 	_, sock := startServer(t, Options{})
 	guest := dialT(t, sock, 3)

@@ -116,8 +116,7 @@ const (
 	KindWireBatch Kind = "wire.batch"
 
 	// Cluster federation kinds (internal/federation, docs/CLUSTER.md).
-	// Each is mirrored 1:1 by a Federation counter, enforced by the
-	// iorchestra-vet tracecounter pass.
+	// federation.Counters reads each one's count from the recorder.
 
 	// KindClusterJoin is a hypervisor registering in the cluster host
 	// registry: Host names it, Size carries its core count and Value its
@@ -152,8 +151,8 @@ const (
 	KindClusterMigrateAbort Kind = "cluster.migrate.abort"
 
 	// Elastic G-state kinds (internal/gstate + the core controller,
-	// docs/GSTATES.md). Each is mirrored 1:1 by a Counters field,
-	// enforced by the iorchestra-vet tracecounter pass.
+	// docs/GSTATES.md). core.Counters reads each one's count from the
+	// recorder.
 
 	// KindGStateDemote is the controller stepping a guest one G-state
 	// deeper under sustained contention: Value is the new state
@@ -278,22 +277,27 @@ func (r Record) String() string {
 
 // Recorder collects decision-trace records for one platform. It keeps a
 // bounded ring of recent records (for NDJSON export) plus unbounded
-// aggregates: per-kind counts and per-domain device-latency histograms,
+// aggregates: per-kind counts and the host-path latency histogram,
 // which survive ring eviction so end-of-run summaries are exact.
+//
+// The per-kind counts are the decision ledger: core.Manager and
+// federation.Federation record every decision exactly once and answer
+// Counters() from Count, so a count and its trace cannot disagree. A
+// count-only recorder (NewCountOnly) is that ledger without a trace.
 //
 // A Recorder belongs to one simulation kernel and, like the kernel, is
 // not safe for concurrent use.
 type Recorder struct {
-	k    *sim.Kernel
-	ring []Record
+	k    *sim.Kernel // nil in a count-only recorder
+	ring []Record    // nil in a count-only recorder
 	head int
 	full bool
 	seq  uint64
 
 	counts map[Kind]uint64
-	// devLat[dom] aggregates dev.complete host-path latencies, the feed
-	// for per-run metrics summaries.
-	devLat map[int]*metrics.Histogram
+	// devLat aggregates dev.complete host-path latencies across every
+	// domain, the feed for LatencyPercentile.
+	devLat *metrics.Histogram
 
 	// sink, when set, observes every record synchronously after it is
 	// stamped — the feed for live NDJSON streaming (netstore's trace
@@ -314,24 +318,45 @@ func NewRecorder(k *sim.Kernel, capacity int) *Recorder {
 		k:      k,
 		ring:   make([]Record, capacity),
 		counts: map[Kind]uint64{},
-		devLat: map[int]*metrics.Histogram{},
+		devLat: metrics.NewHistogram(),
 	}
 }
 
+// NewCountOnly returns a recorder that keeps the lifetime aggregates and
+// nothing else: no ring, no timestamps, no sink. Events is always empty.
+// It is what a decision-maker books into when nobody is tracing.
+func NewCountOnly() *Recorder {
+	return &Recorder{counts: map[Kind]uint64{}, devLat: metrics.NewHistogram()}
+}
+
+// OrCountOnly returns r, or a fresh count-only recorder when r is nil:
+// how a component that always counts its decisions adopts a trace
+// recorder that exists only when tracing is on.
+func OrCountOnly(r *Recorder) *Recorder {
+	if r == nil {
+		return NewCountOnly()
+	}
+	return r
+}
+
 // Record stamps rec with the current sim time and the next sequence
-// number, folds it into the aggregates, and appends it to the ring.
+// number, folds it into the aggregates, and appends it to the ring. A
+// count-only recorder has no kernel to read the time from and no ring
+// to keep the record in: it stops after the aggregates. netstore's
+// server records every op and store write through here under its store
+// lock, so this is the wire hot path too.
 func (r *Recorder) Record(rec Record) {
-	rec.At = r.k.Now()
+	if r.ring != nil {
+		rec.At = r.k.Now()
+	}
 	rec.Seq = r.seq
 	r.seq++
 	r.counts[rec.Kind]++
 	if rec.Kind == KindDevComplete {
-		h := r.devLat[rec.Dom]
-		if h == nil {
-			h = metrics.NewHistogram()
-			r.devLat[rec.Dom] = h
-		}
-		h.Record(rec.Latency)
+		r.devLat.Record(rec.Latency)
+	}
+	if r.ring == nil {
+		return
 	}
 	r.ring[r.head] = rec
 	r.head = (r.head + 1) % len(r.ring)
@@ -372,25 +397,11 @@ func (r *Recorder) Counts() map[Kind]uint64 {
 	return out
 }
 
-// DomainLatency exposes the per-domain host-path completion-latency
-// histogram (nil if the domain completed no requests).
-func (r *Recorder) DomainLatency(dom int) *metrics.Histogram { return r.devLat[dom] }
-
 // LatencyPercentile reports the p-th percentile host-path completion
 // latency across every domain (0 when nothing has completed) — the
 // host-level health signal the federation's placement scoring reads via
-// hypervisor.Monitor. Histogram merging is commutative, so the map
-// iteration order does not affect the result.
-func (r *Recorder) LatencyPercentile(p float64) sim.Time {
-	merged := metrics.NewHistogram()
-	for _, h := range r.devLat {
-		merged.Merge(h)
-	}
-	if merged.Count() == 0 {
-		return 0
-	}
-	return merged.Percentile(p)
-}
+// hypervisor.Monitor.
+func (r *Recorder) LatencyPercentile(p float64) sim.Time { return r.devLat.Percentile(p) }
 
 // Events returns the retained records oldest-first. (At, Seq) is already
 // non-decreasing, so no sort is needed.

@@ -112,21 +112,59 @@ func TestReadNDJSONSkipsBlankAndReportsBadLines(t *testing.T) {
 	}
 }
 
-// TestRecorderDeviceLatencyFeed: dev.complete records feed the per-domain
-// metrics histograms that back per-run summaries.
+// TestRecorderDeviceLatencyFeed: dev.complete records of every domain
+// feed the one host-path histogram behind LatencyPercentile; no other
+// kind does.
 func TestRecorderDeviceLatencyFeed(t *testing.T) {
 	k := sim.NewKernel()
 	r := trace.NewRecorder(k, 8)
+	if got := r.LatencyPercentile(99); got != 0 {
+		t.Fatalf("LatencyPercentile with no completions = %v, want 0", got)
+	}
+	r.Record(trace.Record{Kind: trace.KindDevService, Dom: 3, Latency: sim.Second})
 	for i := 1; i <= 4; i++ {
-		r.Record(trace.Record{Kind: trace.KindDevComplete, Dom: 3,
-			Latency: sim.Time(i) * sim.Time(sim.Millisecond)})
+		r.Record(trace.Record{Kind: trace.KindDevComplete, Dom: 2 + i%2,
+			Latency: sim.Time(i) * sim.Millisecond})
 	}
-	h := r.DomainLatency(3)
-	if h == nil || h.Count() != 4 {
-		t.Fatalf("DomainLatency(3) = %v", h)
+	if got := r.LatencyPercentile(50); got < 19*sim.Millisecond/10 || got > 21*sim.Millisecond/10 {
+		t.Fatalf("p50 = %v, want ~2ms (both domains, dev.complete only)", got)
 	}
-	if r.DomainLatency(4) != nil {
-		t.Fatal("DomainLatency(4) should be nil (no completions)")
+	if got := r.LatencyPercentile(100); got < 38*sim.Millisecond/10 || got > 42*sim.Millisecond/10 {
+		t.Fatalf("p100 = %v, want ~4ms (dev.service must not feed it)", got)
+	}
+}
+
+// TestCountOnlyRecorder: a count-only recorder keeps exact lifetime
+// counts, retains nothing and calls no sink; OrCountOnly hands a real
+// recorder through untouched.
+func TestCountOnlyRecorder(t *testing.T) {
+	r := trace.NewCountOnly()
+	r.SetSink(func(trace.Record) { t.Fatal("count-only recorder called its sink") })
+	for i := 0; i < 3; i++ {
+		r.Record(trace.Record{Kind: trace.KindFlushOrder, Dom: i})
+	}
+	r.Record(trace.Record{Kind: trace.KindCongestVeto, Dom: 1})
+	if got := r.Count(trace.KindFlushOrder); got != 3 {
+		t.Fatalf("Count(flush.order) = %d, want 3", got)
+	}
+	if got := r.Count(trace.KindCongestVeto); got != 1 {
+		t.Fatalf("Count(congest.veto) = %d, want 1", got)
+	}
+	if got := r.Recorded(); got != 4 {
+		t.Fatalf("Recorded = %d, want 4", got)
+	}
+	if evs := r.Events(); len(evs) != 0 {
+		t.Fatalf("Events = %v, want none (no ring)", evs)
+	}
+	if got := r.Dropped(); got != 0 {
+		t.Fatalf("Dropped = %d, want 0 (nothing was ever retained)", got)
+	}
+	if got := trace.OrCountOnly(nil); got == nil || len(got.Events()) != 0 {
+		t.Fatalf("OrCountOnly(nil) = %v, want a count-only recorder", got)
+	}
+	full := trace.NewRecorder(sim.NewKernel(), 4)
+	if trace.OrCountOnly(full) != full {
+		t.Fatal("OrCountOnly replaced a non-nil recorder")
 	}
 }
 

@@ -64,10 +64,19 @@ type Tracer struct {
 
 	completes *metrics.WindowRate // bytes completed, trailing window
 	queues    *metrics.WindowRate // requests queued, trailing window
+	// pathLat[owner] is the lifetime completion count and summed
+	// host-path latency of one owner's requests.
+	pathLat map[int]*pathLatency
 
 	// rec, when set, receives each event as a typed decision-trace record
 	// (dev.queue / dev.issue / dev.complete) for the unified pipeline.
 	rec *Recorder
+}
+
+// pathLatency is one owner's lifetime host-path completion aggregate.
+type pathLatency struct {
+	count uint64
+	sum   sim.Duration
 }
 
 // New returns a tracer with a ring of the given capacity (default 4096)
@@ -82,6 +91,7 @@ func New(k *sim.Kernel, device string, capacity int) *Tracer {
 		ring:      make([]Event, capacity),
 		completes: metrics.NewWindowRate(100*sim.Millisecond, 512),
 		queues:    metrics.NewWindowRate(100*sim.Millisecond, 512),
+		pathLat:   map[int]*pathLatency{},
 	}
 }
 
@@ -98,8 +108,28 @@ func (t *Tracer) Record(kind EventKind, owner int, write bool, size int64) {
 // RecordComplete appends a completion event carrying the host-path
 // latency (arrival at the dispatcher to completion).
 func (t *Tracer) RecordComplete(owner int, write bool, size int64, latency sim.Duration) {
+	pl := t.pathLat[owner]
+	if pl == nil {
+		pl = &pathLatency{}
+		t.pathLat[owner] = pl
+	}
+	pl.count++
+	pl.sum += latency
 	t.record(Complete, owner, write, size, latency)
 }
+
+// PathLatency reports the completion count and summed host-path latency
+// of owner's requests since the tracer was built (or since ForgetOwner).
+// Two snapshots give a windowed mean.
+func (t *Tracer) PathLatency(owner int) (count uint64, sum sim.Duration) {
+	if pl := t.pathLat[owner]; pl != nil {
+		return pl.count, pl.sum
+	}
+	return 0, 0
+}
+
+// ForgetOwner drops a departed owner's host-path aggregate.
+func (t *Tracer) ForgetOwner(owner int) { delete(t.pathLat, owner) }
 
 func (t *Tracer) record(kind EventKind, owner int, write bool, size int64, latency sim.Duration) {
 	e := Event{At: t.k.Now(), Kind: kind, Device: t.device, Owner: owner, Write: write, Size: size}

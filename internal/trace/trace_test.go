@@ -71,6 +71,30 @@ func TestTracerQueueRate(t *testing.T) {
 	}
 }
 
+// TestTracerPathLatency: completions feed a per-owner (count, sum)
+// whether or not a recorder is attached, and ForgetOwner restarts it.
+func TestTracerPathLatency(t *testing.T) {
+	tr := New(sim.NewKernel(), "md0", 0)
+	tr.RecordComplete(1, true, 4096, 2*sim.Millisecond)
+	tr.RecordComplete(1, false, 4096, 3*sim.Millisecond)
+	tr.RecordComplete(2, true, 4096, 7*sim.Millisecond)
+	tr.Record(Queue, 1, true, 4096)
+	if count, sum := tr.PathLatency(1); count != 2 || sum != 5*sim.Millisecond {
+		t.Fatalf("PathLatency(1) = %d, %v; want 2, 5ms", count, sum)
+	}
+	if count, sum := tr.PathLatency(3); count != 0 || sum != 0 {
+		t.Fatalf("PathLatency(3) = %d, %v; want zeros", count, sum)
+	}
+	tr.ForgetOwner(1)
+	tr.RecordComplete(1, true, 4096, sim.Millisecond)
+	if count, sum := tr.PathLatency(1); count != 1 || sum != sim.Millisecond {
+		t.Fatalf("PathLatency(1) after ForgetOwner = %d, %v; want 1, 1ms", count, sum)
+	}
+	if count, _ := tr.PathLatency(2); count != 1 {
+		t.Fatalf("ForgetOwner(1) disturbed owner 2: count = %d", count)
+	}
+}
+
 func TestEventString(t *testing.T) {
 	e := Event{At: sim.Millisecond, Kind: Complete, Device: "md0", Owner: 2, Write: true, Size: 4096}
 	if e.String() == "" {

@@ -176,8 +176,8 @@ func WithFaults(spec fault.Spec) Option {
 // events all land in one (sim-time, seq)-ordered stream on
 // Platform.Trace, exportable as NDJSON for cmd/iorchestra-trace.
 // capacity bounds the retained event ring (<= 0 selects the default);
-// per-kind counts and per-domain latency histograms are lifetime exact
-// regardless of ring eviction.
+// per-kind counts and the host-path latency histogram are lifetime
+// exact regardless of ring eviction.
 func WithTracing(capacity int) Option {
 	return func(o *options) { o.trace = true; o.traceCap = capacity }
 }
@@ -372,10 +372,6 @@ func (p *Platform) Disable(rt *hypervisor.GuestRuntime) {
 		c.Detach(rt.G.ID())
 	}
 }
-
-// Controllers lists the installed policy controllers in installation
-// order (empty for Baseline).
-func (p *Platform) Controllers() []core.Controller { return p.controllers }
 
 // RunFor advances the simulation by d.
 func (p *Platform) RunFor(d sim.Duration) {

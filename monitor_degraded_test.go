@@ -3,10 +3,9 @@ package iorchestra
 // Monitor measurement coverage under degraded devices: a slow RAID
 // member (member=INDEX:FACTOR fault, docs/FAULTS.md) must surface
 // through the sanctioned Monitor read surface — HostPathP99 from the
-// recorder's host-path histograms and the per-core MeanLatency samples
+// recorder's host-path histogram and the per-core MeanLatency samples
 // of CoreSnapshot — because those are exactly the inputs the federation
-// registry publishes and the G-state controller's latency verdict
-// consumes. A degradation the Monitor cannot see is one no policy can
+// registry publishes. A degradation the Monitor cannot see is one no policy can
 // react to.
 
 import (
