@@ -36,11 +36,16 @@ fixtures:
 race:
 	$(GO) test -race ./...
 
-# The wire decoders' fuzz targets, 10 s each (go test -fuzz takes one
-# target per run). Plain `make test` already runs their seed corpus.
+# The wire fuzz targets, 10 s each (go test -fuzz takes one target per
+# run): the two decoders, then whole frames at a live server connection.
+# Plain `make test` already runs their seed corpus. The server target's
+# coverage moves with goroutine scheduling, so the engine is given 1 s,
+# not its default minute, to minimize each input it finds interesting —
+# otherwise a 10 s run can spend itself shrinking one input.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/netstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplyDecode$$' -fuzztime 10s ./internal/netstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzServerFrames$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/netstore/
 
 # Manager-tick microbenchmarks (all three policies over 8 guests). The
 # wire path is measured by the repo benchmark: `go run ./bench`

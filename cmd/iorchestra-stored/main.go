@@ -136,6 +136,6 @@ func main() {
 	ctr := srv.Counters()
 	srv.Close()
 	fmt.Fprintf(os.Stderr,
-		"iorchestra-stored: served %d conns (%d evicted), %d events (%d coalesced), %d writes\n",
-		ctr.Accepted, ctr.Evicted, ctr.Events, ctr.Coalesced, ctr.StoreWrites)
+		"iorchestra-stored: served %d conns (%d evicted), %d events (%d coalesced), %d writes, %d trace lines dropped\n",
+		ctr.Accepted, ctr.Evicted, ctr.Events, ctr.Coalesced, ctr.StoreWrites, ctr.TraceDropped)
 }

@@ -2,9 +2,14 @@ package netstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"iorchestra/internal/store"
 )
@@ -141,5 +146,152 @@ func FuzzReplyDecode(f *testing.F) {
 			t.Fatalf("done() = %v with the body consumed exactly: %v (reference at %d of %d, failed %v)",
 				err, exact, pos, len(body), failed)
 		}
+	})
+}
+
+// fuzzFrames cuts a fuzz input into frame payloads: a big-endian u16
+// length, then that many bytes (or what is left of the input).
+func fuzzFrames(data []byte) (payloads [][]byte) {
+	for len(data) >= 2 {
+		n := min(int(binary.BigEndian.Uint16(data)), len(data)-2)
+		payloads = append(payloads, data[2:2+n])
+		data = data[2+n:]
+	}
+	return payloads
+}
+
+// frameScript is fuzzFrames' inverse, for seeding.
+func frameScript(payloads ...[]byte) (data []byte) {
+	for _, p := range payloads {
+		data = append(binary.BigEndian.AppendUint16(data, uint16(len(p))), p...)
+	}
+	return data
+}
+
+// nextReply reads frames off a raw connection up to the next reply,
+// skipping watch events, and returns the request id it answers.
+func nextReply(nc net.Conn) (uint32, error) {
+	for {
+		payload, err := readFrame(nc)
+		if err != nil {
+			return 0, err
+		}
+		d := &dec{b: payload}
+		switch op, id := Op(d.u8()), d.u32(); {
+		case d.err != nil:
+			return 0, fmt.Errorf("the server sent a %d-byte frame", len(payload))
+		case op == OpReply:
+			return id, nil
+		case op != OpEvent:
+			return 0, fmt.Errorf("the server sent a %v frame", op)
+		}
+	}
+}
+
+// FuzzServerFrames plays a hello and then arbitrary frames at a real
+// server connection — reader, dispatch, store, writer — over net.Pipe.
+// Whatever the frames hold, the server must not panic; must answer every
+// frame with exactly one reply naming its id, in request order (watch
+// events may come in between), or close the connection, which it does
+// only at a frame too short to carry an opcode and an id; and must leave
+// the store lock free when the connection is gone.
+func FuzzServerFrames(f *testing.F) {
+	req := func(op Op, id uint32, body func(*enc)) []byte {
+		e := &enc{}
+		e.op(op, id)
+		if body != nil {
+			body(e)
+		}
+		return e.b
+	}
+	base := store.DomainPath(3)
+	path := func(p string) func(*enc) { return func(e *enc) { e.str(p) } }
+	write := func(p, v string) func(*enc) { return func(e *enc) { e.str(p).str(v) } }
+	batch := req(OpBatch, 9, func(e *enc) { e.b = append(e.b, batchFrame()...) })
+	// A watched write, reads of every kind, a removal: the control channel.
+	f.Add(frameScript(
+		req(OpWatch, 1, func(e *enc) { e.u32(1).str(base) }),
+		req(OpWrite, 2, write(base+"/k", "v")),
+		req(OpRead, 3, path(base+"/k")),
+		req(OpList, 4, path(base)),
+		req(OpExists, 5, path(base+"/k")),
+		req(OpSnapshot, 6, path("/")),
+		req(OpSync, 7, func(e *enc) { e.str(base).u64(0).u64(0) }),
+		req(OpStats, 8, nil),
+		batch,
+		req(OpRemove, 10, path(base+"/k")),
+		req(OpUnwatch, 11, func(e *enc) { e.u32(1) }),
+		req(OpPing, 12, nil),
+	))
+	// A transaction, a grant, an operation on a transaction that is gone.
+	f.Add(frameScript(
+		req(OpTxnBegin, 1, nil),
+		req(OpTxnWrite, 2, func(e *enc) { e.u32(1).str(base + "/t").str("1") }),
+		req(OpTxnRead, 3, func(e *enc) { e.u32(1).str(base + "/t") }),
+		req(OpTxnCommit, 4, func(e *enc) { e.u32(1) }),
+		req(OpTxnAbort, 5, func(e *enc) { e.u32(1) }),
+		req(OpGrant, 6, func(e *enc) { e.str(base + "/t").u32(5).u8(uint8(store.PermRead)) }),
+	))
+	// Frames the server must refuse without dropping the connection: a
+	// second hello, an unknown opcode, server-to-client opcodes, a body cut
+	// short, a body with bytes left over, a batch cut mid sub-op.
+	f.Add(frameScript(
+		helloFrame(ProtocolVersion, 3),
+		req(Op(200), 1, nil),
+		req(OpReply, 2, nil),
+		req(OpEvent, 3, nil),
+		req(OpWrite, 4, path(base+"/k")),
+		req(OpPing, 5, path("left over")),
+		batch[:len(batch)/2],
+		req(OpRead, 7, path("no/leading/slash")),
+	))
+	// A frame too short for an opcode and an id ends the connection; what
+	// follows is never read.
+	f.Add(frameScript(req(OpPing, 1, nil), []byte{byte(OpPing), 0, 0}, req(OpPing, 2, nil)))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		srv := NewServer(Options{})
+		defer srv.Close()
+		nc, peer := net.Pipe()
+		defer nc.Close()
+		srv.startConn(peer)
+		nc.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := writeFrame(nc, helloFrame(ProtocolVersion, 3)); err != nil {
+			t.Fatal(err)
+		}
+		if _, status, err := readReply(nc); err != nil || status != nil {
+			t.Fatalf("hello: %v / %v", status, err)
+		}
+		// net.Pipe has no buffer: the frames go out on a goroutine of their
+		// own while this one reads what comes back.
+		payloads := fuzzFrames(data)
+		go func() {
+			for _, p := range payloads {
+				if writeFrame(nc, p) != nil {
+					return // the server hung up, as it does on a short frame
+				}
+			}
+		}()
+		// The server hangs up at the first frame too short to answer, and
+		// replies still queued then go down with the connection.
+		short := slices.IndexFunc(payloads, func(p []byte) bool { return len(p) < replyHdr })
+		for i, p := range payloads {
+			id, err := nextReply(nc)
+			if err != nil {
+				if short < 0 || !errors.Is(err, io.EOF) {
+					t.Fatalf("frame %d (%x) was never answered: %v", i, p, err)
+				}
+				break
+			}
+			if short >= 0 && i >= short {
+				t.Fatalf("reply %d arrived for frame %d, past the %d-byte frame %d that should have ended the connection", id, i, len(payloads[short]), short)
+			}
+			if want := binary.BigEndian.Uint32(p[1:]); id != want {
+				t.Fatalf("frame %d (id %d) answered by reply %d", i, want, id)
+			}
+		}
+		nc.Close()
+		within(t, 10*time.Second, "the store lock after the connection closed", func() { srv.Counters() })
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -501,6 +502,7 @@ func TestStalledClientEvicted(t *testing.T) {
 // every path's value, in first-write order.
 func TestOverflowRepairsFinalValues(t *testing.T) {
 	srv, sock := startServer(t, Options{NotifyQueue: 4})
+	tl := tailT(t, srv)
 	c := dialT(t, sock, 3)
 	base := store.DomainPath(3)
 	const n = 200
@@ -525,18 +527,14 @@ func TestOverflowRepairsFinalValues(t *testing.T) {
 			t.Fatalf("watcher stopped after %d of %d events", i, n)
 		}
 	}
-	lagged := false
-	srv.do(func(t *tree) {
-		for _, r := range t.rec.Events() {
-			lagged = lagged || (r.Kind == trace.KindWireConn && r.Value == "lag")
-		}
-	})
-	if !lagged {
-		t.Error("the burst never overflowed the queue; the repair path went unexercised")
-	}
 	if ctr := srv.Counters(); ctr.Evicted != 0 {
 		t.Fatalf("draining watcher evicted: %+v", ctr)
 	}
+	// The burst overflowed the queue, or the repair path went unexercised:
+	// the lag record is on the trace before the batch's last delivery.
+	tl.find(t, "wire.conn lag (the burst never overflowed the queue)", func(r trace.Record) bool {
+		return r.Kind == trace.KindWireConn && r.Value == "lag" && r.Dom == 3
+	})
 }
 
 func TestConcurrentClients(t *testing.T) {
@@ -588,22 +586,36 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestWireTraceRecords: a connection's lifecycle is recorded and counted
+// whether or not anyone is listening; its operations are recorded for a
+// tail (TestTraceTail pins the stream itself).
 func TestWireTraceRecords(t *testing.T) {
 	srv, sock := startServer(t, Options{})
-	c := dialT(t, sock, 3)
-	if err := c.Write(store.DomainPath(3)+"/k", "v"); err != nil {
-		t.Fatal(err)
-	}
+	path := store.DomainPath(3) + "/k"
+	dialT(t, sock, 3).Write(path, "untailed")
 	var wireOps, wireConns uint64
 	srv.do(func(t *tree) {
 		wireOps = t.rec.Count(trace.KindWireOp)
 		wireConns = t.rec.Count(trace.KindWireConn)
 	})
-	if wireOps == 0 {
-		t.Error("no wire.op trace records")
+	if wireOps != 0 || wireConns != 1 {
+		t.Errorf("untailed: %d wire.op and %d wire.conn records counted, want 0 and the connect", wireOps, wireConns)
 	}
-	if wireConns == 0 {
-		t.Error("no wire.conn trace records")
+	tl := tailT(t, srv)
+	c := dialT(t, sock, 4)
+	if err := c.Write(store.DomainPath(4)+"/k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	for _, want := range []trace.Record{
+		{Kind: trace.KindWireConn, Dom: 4, Value: "connect"},
+		{Kind: trace.KindWireOp, Dom: 4, Value: "write", Path: store.DomainPath(4) + "/k"},
+		{Kind: trace.KindWireConn, Dom: 4, Value: "close"},
+	} {
+		tl.find(t, fmt.Sprintf("%s %s", want.Kind, want.Value), func(r trace.Record) bool {
+			want.Seq, want.At = r.Seq, r.At
+			return reflect.DeepEqual(r, want)
+		})
 	}
 }
 

@@ -91,17 +91,56 @@ type Counters struct {
 	FaultDroppedWrites   uint64 `json:"fault_dropped_writes,omitempty"`
 	FaultDroppedNotifies uint64 `json:"fault_dropped_notifies,omitempty"`
 	FaultDelayedNotifies uint64 `json:"fault_delayed_notifies,omitempty"`
+
+	// TraceDropped counts trace lines a tail did not get because its
+	// buffer was full (one per line per subscriber). The server retains
+	// no record, so a dropped line is gone: a tail that must not miss any
+	// reads faster, and checks here.
+	TraceDropped uint64 `json:"trace_dropped,omitempty"`
 }
 
 // tree is the state the store lock guards: the store, the private kernel
-// that orders its watch deliveries and the trace recorder. The only
-// *tree there is is the one do hands to the closure it runs, so holding
-// one is holding the lock: a function that takes a *tree (enqueueEvent,
-// repair, evict) can only be called from inside do.
+// that orders its watch deliveries, the trace recorder and the tails it
+// feeds. The only *tree there is is the one do hands to the closure it
+// runs, so holding one is holding the lock: a function that takes a
+// *tree (enqueueEvent, repair, evict) can only be called from inside do.
+//
+// rec is a stream (trace.NewStream): it stamps and counts a record and
+// hands it to Server.broadcast; nothing is retained. The server records
+// for whoever is listening. The rare kinds (wire.conn, fault.inject) are
+// always recorded, so their counts stay live; the per-operation kinds
+// (wire.op, wire.batch, and the store's store.write and store.watch) are
+// built only while tailed is set, which is exactly while a ServeTrace
+// subscriber is attached — an untailed operation pays the test of that
+// bit and of the store's nil recorder, and builds nothing.
 type tree struct {
 	k   *sim.Kernel
 	st  *store.Store
 	rec *trace.Recorder
+
+	// tails holds one line buffer per attached trace subscriber; tailed is
+	// len(tails) > 0, kept as a bit for the operation path.
+	tails  map[chan []byte]struct{}
+	tailed bool
+}
+
+// attach subscribes a trace tail. The first one switches the
+// per-operation kinds on, the store's among them, so a tail sees every
+// record of every operation that takes the store lock after this one.
+func (t *tree) attach(ch chan []byte) {
+	t.tails[ch] = struct{}{}
+	t.tailed = true
+	t.st.SetRecorder(t.rec)
+}
+
+// detach unsubscribes a tail; the last one out switches the
+// per-operation kinds off again.
+func (t *tree) detach(ch chan []byte) {
+	delete(t.tails, ch)
+	if len(t.tails) == 0 {
+		t.tailed = false
+		t.st.SetRecorder(nil)
+	}
 }
 
 // Server hosts one store.Store behind the wire protocol. Create with
@@ -150,12 +189,7 @@ type Server struct {
 	syncDeltas  atomic.Uint64
 	syncFulls   atomic.Uint64
 
-	subMu sync.Mutex
-	subs  map[chan []byte]struct{}
-	// nsubs mirrors len(subs) so the recorder sink can skip the mutex
-	// entirely when nobody is tailing the trace — the common case, paid
-	// for on every store mutation otherwise.
-	nsubs atomic.Int32
+	traceDropped atomic.Uint64
 }
 
 // NewServer builds a server around a fresh store. The store lives on a
@@ -170,13 +204,13 @@ func NewServer(opts Options) *Server {
 	s := &Server{
 		opts: opts,
 		tree: tree{
-			k:   k,
-			st:  store.New(k, 0),
-			rec: trace.NewRecorder(k, trace.DefaultRecorderCapacity),
+			k:     k,
+			st:    store.New(k, 0),
+			rec:   trace.NewStream(k),
+			tails: map[chan []byte]struct{}{},
 		},
 		quit:  make(chan struct{}),
 		conns: map[*srvConn]struct{}{},
-		subs:  map[chan []byte]struct{}{},
 	}
 	var spec fault.Spec
 	if opts.Faults != "" {
@@ -191,7 +225,9 @@ func NewServer(opts Options) *Server {
 		seed = 1
 	}
 	s.do(func(t *tree) {
-		t.st.SetRecorder(t.rec)
+		// The recorder only ever runs under the store lock, so its sink may
+		// keep the tree. The store gets the recorder from the first tail.
+		t.rec.SetSink(func(rec trace.Record) { s.broadcast(t, rec) })
 		if opts.Faults != "" {
 			inj := fault.NewInjector(t.k, spec, stats.NewStream(seed, "netstore/faults"))
 			inj.SetRecorder(t.rec)
@@ -199,7 +235,6 @@ func NewServer(opts Options) *Server {
 				t.st.SetFaultHooks(hooks)
 			}
 		}
-		t.rec.SetSink(s.broadcast)
 		// The /local/domain spine exists before the first handshake, so
 		// trees seeded through Do hang off Dom0-owned structural nodes.
 		t.st.EnsureRoot()
@@ -338,6 +373,7 @@ func (s *Server) Counters() Counters {
 	ctr.SyncMatches = s.syncMatches.Load()
 	ctr.SyncDeltas = s.syncDeltas.Load()
 	ctr.SyncFulls = s.syncFulls.Load()
+	ctr.TraceDropped = s.traceDropped.Load()
 	s.mu.Lock()
 	ctr.Active = uint64(len(s.conns))
 	s.mu.Unlock()
@@ -352,32 +388,32 @@ func (s *Server) Counters() Counters {
 // --- Live trace streaming ---------------------------------------------------
 
 // broadcast is the recorder sink: it runs under the store lock, so it
-// only marshals and hands off; subscribers that cannot keep up lose
-// records.
-func (s *Server) broadcast(rec trace.Record) {
-	if s.nsubs.Load() == 0 {
-		return
-	}
-	s.subMu.Lock()
-	if len(s.subs) == 0 {
-		s.subMu.Unlock()
+// only marshals and hands off. A tail whose buffer is full loses the
+// line — the store never waits for an observer — and, because nothing is
+// retained, loses it for good; TraceDropped counts those.
+func (s *Server) broadcast(t *tree, rec trace.Record) {
+	if !t.tailed {
 		return
 	}
 	line, err := json.Marshal(rec)
-	if err == nil {
-		line = append(line, '\n')
-		for ch := range s.subs {
-			select {
-			case ch <- line:
-			default: // slow trace subscriber: drop, never block the store
-			}
+	if err != nil {
+		return
+	}
+	line = append(line, '\n')
+	for ch := range t.tails {
+		select {
+		case ch <- line:
+		default:
+			s.traceDropped.Add(1)
 		}
 	}
-	s.subMu.Unlock()
 }
 
 // ServeTrace streams NDJSON trace records to every connection accepted
-// on l (the iorchestra-trace live-tail endpoint). It blocks like Serve.
+// on l (the iorchestra-trace live-tail endpoint): each gets the records
+// of every operation that takes the store lock after it attached, and
+// nothing from before — the server keeps no history. It blocks like
+// Serve.
 func (s *Server) ServeTrace(l net.Listener) error {
 	return s.acceptLoop(l, func(c net.Conn) {
 		s.wg.Add(1)
@@ -385,26 +421,28 @@ func (s *Server) ServeTrace(l net.Listener) error {
 	})
 }
 
+// traceBuffer is how many lines a tail may fall behind before it starts
+// losing them: seven 96-op hot frames' worth (145 records each), so a
+// tail rides out a scheduling hiccup, and at most a few hundred KB held
+// for one that has stopped reading.
+const traceBuffer = 1024
+
 func (s *Server) serveTraceConn(c net.Conn) {
 	defer s.wg.Done()
 	defer c.Close()
-	ch := make(chan []byte, 1024)
-	s.subMu.Lock()
-	s.subs[ch] = struct{}{}
-	s.nsubs.Store(int32(len(s.subs)))
-	s.subMu.Unlock()
-	defer func() {
-		s.subMu.Lock()
-		delete(s.subs, ch)
-		s.nsubs.Store(int32(len(s.subs)))
-		s.subMu.Unlock()
-	}()
-	// Drain reads so a closing peer is noticed even while idle.
+	ch := make(chan []byte, traceBuffer)
+	if !s.do(func(t *tree) { t.attach(ch) }) {
+		return
+	}
+	defer s.do(func(t *tree) { t.detach(ch) })
+	// Drain reads so a closing peer is noticed, and detached, even while
+	// idle: a tail that has gone must not keep operations recording.
+	gone := make(chan struct{})
 	go func() {
+		defer close(gone)
 		buf := make([]byte, 256)
 		for {
 			if _, err := c.Read(buf); err != nil {
-				c.Close()
 				return
 			}
 		}
@@ -416,6 +454,8 @@ func (s *Server) serveTraceConn(c net.Conn) {
 			if _, err := c.Write(line); err != nil {
 				return
 			}
+		case <-gone:
+			return
 		case <-s.quit:
 			return
 		}
@@ -861,14 +901,16 @@ func (c *srvConn) handshake() error {
 // so one bad client request stays diagnosable.
 func (c *srvConn) handle(op Op, id uint32, d *dec) {
 	var out []byte
-	// run executes fn under the store lock and a wire.op trace record. fn
-	// appends the op's reply body to e as it goes, behind an OK prefix
-	// that is rewound if fn fails.
+	// run executes fn under the store lock, behind a wire.op trace record
+	// when a tail is attached. fn appends the op's reply body to e as it
+	// goes, behind an OK prefix that is rewound if fn fails.
 	run := func(path string, fn func(t *tree, e *enc) error) {
 		ok := c.srv.do(func(t *tree) {
-			t.rec.Record(trace.Record{
-				Kind: trace.KindWireOp, Dom: int(c.dom), Path: path, Value: op.String(),
-			})
+			if t.tailed {
+				t.rec.Record(trace.Record{
+					Kind: trace.KindWireOp, Dom: int(c.dom), Path: path, Value: op.String(),
+				})
+			}
 			e := &c.renc
 			*e = replyTo(id, nil)
 			if err := fn(t, e); err != nil {
@@ -1123,10 +1165,10 @@ func decodeBatch(d *dec, subs []batchSub) ([]batchSub, error) {
 
 // handleBatch executes an OpBatch frame: N sub-ops in, N sub-replies
 // out, one round trip. The whole batch runs under a single hold of the
-// store lock — one acquisition and one wire.batch trace record — which
-// is where the hot-path amortization comes from, and each sub-reply is
-// appended to the reply frame as its op runs. Per-op failures are per-op
-// statuses, never a dropped frame.
+// store lock — one acquisition and, when tailed, one wire.batch record —
+// which is where the hot-path amortization comes from, and each
+// sub-reply is appended to the reply frame as its op runs. Per-op
+// failures are per-op statuses, never a dropped frame.
 func (c *srvConn) handleBatch(id uint32, d *dec) []byte {
 	subs, err := decodeBatch(d, c.subs[:0])
 	defer func() {
@@ -1141,9 +1183,11 @@ func (c *srvConn) handleBatch(id uint32, d *dec) []byte {
 	e := &c.renc
 	ok := c.srv.do(func(t *tree) {
 		st := t.st
-		t.rec.Record(trace.Record{
-			Kind: trace.KindWireBatch, Dom: int(c.dom), Value: "batch", Size: int64(len(subs)),
-		})
+		if t.tailed {
+			t.rec.Record(trace.Record{
+				Kind: trace.KindWireBatch, Dom: int(c.dom), Value: "batch", Size: int64(len(subs)),
+			})
+		}
 		*e = replyTo(id, nil)
 		e.u32(uint32(len(subs)))
 		for i := range subs {
@@ -1199,7 +1243,7 @@ func (c *srvConn) handleSync(id uint32, op Op, d *dec) []byte {
 	var err error
 	ok := c.srv.do(func(t *tree) {
 		page, err = t.st.SyncSubtree(c.dom, root, since, known)
-		if err == nil {
+		if err == nil && t.tailed {
 			t.rec.Record(trace.Record{Kind: trace.KindWireOp, Dom: int(c.dom), Path: root, Value: op.String()})
 		}
 	})

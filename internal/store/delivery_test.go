@@ -177,7 +177,7 @@ func TestSubtreeHashCachedTerm(t *testing.T) {
 	s.AddDomain(1)
 	path := DomainPath(1) + "/virt-dev/xvda/flush_now"
 	s.Write(1, path, "seed")
-	s.invalidatePaths(path) // the next entry is built over a non-empty value
+	delete(s.pathCache, path) // the next entry is built over a non-empty value
 	if v, err := s.Read(1, path); err != nil || v != "seed" {
 		t.Fatalf("Read = %q, %v", v, err)
 	}

@@ -150,11 +150,14 @@ type Store struct {
 	// A node stays resolvable until a Remove covers it, so Remove is the
 	// only invalidation point (AddDomain recreates a home under a fresh
 	// node, but any cached descendants died with the Remove that made the
-	// recreation possible). Kernel-goroutine discipline, like the tree.
+	// recreation possible). Only existing nodes are cached and a path has
+	// one spelling (splitInto rejects the rest), so Remove's walk of the
+	// subtree it deletes (dropSubtree) meets every entry it must drop.
+	// Kernel-goroutine discipline, like the tree.
 	pathCache map[string]*pathEntry
-	// cacheGen counts invalidatePaths calls; Cursors compare it to know
-	// their pinned entry survived (Removes are control-plane rare, so the
-	// occasional full re-pin is cheap).
+	// cacheGen counts Removes; Cursors compare it to know their pinned
+	// entry survived (Removes are control-plane rare, so the occasional
+	// full re-pin is cheap).
 	cacheGen uint64
 
 	// rec, when set, receives store.write and store.watch trace records.
@@ -434,18 +437,6 @@ func (s *Store) cachePath(path string, parts []string, n *node) *pathEntry {
 	return e
 }
 
-// invalidatePaths drops every cached resolution at or below path, ahead
-// of the subtree's removal. Removes are control-plane rare; the scan is
-// the price of keeping the per-operation hot path to a single lookup.
-func (s *Store) invalidatePaths(path string) {
-	s.cacheGen++
-	for p := range s.pathCache {
-		if strings.HasPrefix(p, path) && (len(p) == len(path) || p[len(path)] == '/') {
-			delete(s.pathCache, p)
-		}
-	}
-}
-
 // Cursor pins one path's resolution across repeated operations: the
 // in-process bus handle keeps one per hot key, so a driver heartbeat
 // costs a generation compare instead of hashing the absolute path on
@@ -612,7 +603,7 @@ func (s *Store) writeEntry(dom DomID, e *pathEntry, path, value string, firstCre
 		// so they still enter the hash and journal.
 		s.faultDroppedWrites++
 		if firstCreated >= 0 {
-			s.noteCreated(parts, firstCreated, s.version+1)
+			s.noteCreated(path, parts, firstCreated, s.version+1)
 		}
 		return nil
 	}
@@ -621,7 +612,7 @@ func (s *Store) writeEntry(dom DomID, e *pathEntry, path, value string, firstCre
 	n.version = s.version
 	s.writes++
 	if firstCreated >= 0 {
-		s.noteCreated(parts, firstCreated, s.version)
+		s.noteCreated(path, parts, firstCreated, s.version)
 	}
 	// Fold the prior leaf content out of the subtree hash and the new
 	// content in — the entry pins the bucket cell and remembers the term
@@ -662,8 +653,8 @@ func (s *Store) Remove(dom DomID, path string) error {
 	if !canWrite(n, dom) {
 		return fmt.Errorf("%w: dom%d removing %s", ErrPermission, dom, path)
 	}
-	s.invalidatePaths(path)
-	s.unhashSubtree(parts, path, n)
+	s.cacheGen++
+	s.dropSubtree(parts, path, n)
 	delete(parent.children, name)
 	parent.sorted = nil
 	s.version++

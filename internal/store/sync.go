@@ -114,29 +114,33 @@ func (s *Store) noteNode(parts []string, path, value string) {
 	*s.hashCell(bucketOf(parts)) ^= nodeHash(path, value)
 }
 
-// noteCreated folds the freshly created empty nodes of a Write (levels
-// first..len(parts)-1 — creation cascades, so they are a suffix of the
-// chain) into their subtree hashes and journals them at version v. Only
-// runs when a write actually created nodes, so the hot path (re-writing
-// an existing key) never materializes intermediate path strings.
-func (s *Store) noteCreated(parts []string, first int, v uint64) {
-	path := ""
-	for i := 0; i < first; i++ {
-		path += "/" + parts[i]
-	}
-	for i := first; i < len(parts); i++ {
-		path += "/" + parts[i]
-		s.noteNode(parts[:i+1], path, "")
-		s.journalAppend(v, path, false)
+// noteCreated folds the freshly created empty nodes of a Write to path
+// (levels first..len(parts)-1 — creation cascades, so they are a suffix
+// of the chain) into their subtree hashes and journals them at version
+// v. parts is path tokenized, so level i's own path is a prefix of the
+// caller's string: it is sliced at the running offset, never rebuilt —
+// bringing a guest up is mostly leaf creates under an existing chain,
+// and a concatenation per level was its largest allocation site.
+func (s *Store) noteCreated(path string, parts []string, first int, v uint64) {
+	end := 0
+	for i, p := range parts {
+		end += 1 + len(p)
+		if i >= first {
+			s.noteNode(parts[:i+1], path[:end], "")
+			s.journalAppend(v, path[:end], false)
+		}
 	}
 }
 
-// unhashSubtree folds a subtree out of the bucket hashes ahead of its
-// removal. XOR makes the traversal order irrelevant.
-func (s *Store) unhashSubtree(parts []string, path string, n *node) {
+// dropSubtree folds a subtree out of the bucket hashes and the path
+// cache ahead of its removal: the walk meets every node that dies with
+// its one path, so the cache is cleaned in O(subtree), not by scanning
+// every entry the store holds. XOR makes the traversal order irrelevant.
+func (s *Store) dropSubtree(parts []string, path string, n *node) {
 	s.noteNode(parts, path, n.value)
+	delete(s.pathCache, path)
 	for name, child := range n.children {
-		s.unhashSubtree(append(parts, name), path+"/"+name, child)
+		s.dropSubtree(append(parts, name), path+"/"+name, child)
 	}
 }
 

@@ -285,11 +285,16 @@ func (r Record) String() string {
 // Counters() from Count, so a count and its trace cannot disagree. A
 // count-only recorder (NewCountOnly) is that ledger without a trace.
 //
+// A recorder comes in three shapes, told apart by what it holds: a
+// kernel and a ring (NewRecorder: stamps, retains, feeds the sink), a
+// kernel and no ring (NewStream: stamps and feeds the sink, retains
+// nothing) and neither (NewCountOnly: the aggregates alone).
+//
 // A Recorder belongs to one simulation kernel and, like the kernel, is
 // not safe for concurrent use.
 type Recorder struct {
 	k    *sim.Kernel // nil in a count-only recorder
-	ring []Record    // nil in a count-only recorder
+	ring []Record    // nil in a stream and in a count-only recorder
 	head int
 	full bool
 	seq  uint64
@@ -314,12 +319,21 @@ func NewRecorder(k *sim.Kernel, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultRecorderCapacity
 	}
-	return &Recorder{
-		k:      k,
-		ring:   make([]Record, capacity),
-		counts: map[Kind]uint64{},
-		devLat: metrics.NewHistogram(),
-	}
+	r := NewStream(k)
+	r.ring = make([]Record, capacity)
+	return r
+}
+
+// NewStream returns a recorder bound to kernel k that retains nothing:
+// it stamps (At, Seq), keeps the lifetime aggregates and hands each
+// record to the sink. Events is always empty and Dropped always zero —
+// a record nobody's sink took is simply gone. It is what a long-running
+// server records into: whoever is listening gets the record, and no
+// memory is spent on the ones nobody will read (netstore.Server).
+func NewStream(k *sim.Kernel) *Recorder {
+	r := NewCountOnly()
+	r.k = k
+	return r
 }
 
 // NewCountOnly returns a recorder that keeps the lifetime aggregates and
@@ -339,29 +353,28 @@ func OrCountOnly(r *Recorder) *Recorder {
 	return r
 }
 
-// Record stamps rec with the current sim time and the next sequence
-// number, folds it into the aggregates, and appends it to the ring. A
-// count-only recorder has no kernel to read the time from and no ring
-// to keep the record in: it stops after the aggregates. netstore's
-// server records every op and store write through here under its store
-// lock, so this is the wire hot path too.
+// Record stamps rec with the next sequence number and the current sim
+// time, folds it into the aggregates, appends it to the ring and hands
+// it to the sink. A count-only recorder has no kernel to read the time
+// from: it stops after the aggregates. A stream has no ring to keep the
+// record in: the sink's copy is the only one.
 func (r *Recorder) Record(rec Record) {
-	if r.ring != nil {
-		rec.At = r.k.Now()
-	}
 	rec.Seq = r.seq
 	r.seq++
 	r.counts[rec.Kind]++
 	if rec.Kind == KindDevComplete {
 		r.devLat.Record(rec.Latency)
 	}
-	if r.ring == nil {
+	if r.k == nil {
 		return
 	}
-	r.ring[r.head] = rec
-	r.head = (r.head + 1) % len(r.ring)
-	if r.head == 0 {
-		r.full = true
+	rec.At = r.k.Now()
+	if r.ring != nil {
+		r.ring[r.head] = rec
+		r.head = (r.head + 1) % len(r.ring)
+		if r.head == 0 {
+			r.full = true
+		}
 	}
 	if r.sink != nil {
 		r.sink(rec)

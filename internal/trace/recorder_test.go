@@ -168,6 +168,35 @@ func TestCountOnlyRecorder(t *testing.T) {
 	}
 }
 
+// TestStreamRecorder: a stream stamps and counts like a ring recorder,
+// hands every record to its sink, and retains nothing — with no sink the
+// record is counted and gone.
+func TestStreamRecorder(t *testing.T) {
+	k := sim.NewKernel()
+	r := trace.NewStream(k)
+	r.Record(trace.Record{Kind: trace.KindWireConn, Value: "connect"}) // nobody listening yet
+	var got []trace.Record
+	r.SetSink(func(rec trace.Record) { got = append(got, rec) })
+	k.After(5*sim.Microsecond, func() {
+		r.Record(trace.Record{Kind: trace.KindStoreWrite, Dom: 3, Path: "/k", Value: "v"})
+		r.Record(trace.Record{Kind: trace.KindStoreWatch, Dom: 3, Path: "/k", Value: "v"})
+	})
+	k.Run()
+	want := []trace.Record{
+		{Seq: 1, At: 5 * sim.Microsecond, Kind: trace.KindStoreWrite, Dom: 3, Path: "/k", Value: "v"},
+		{Seq: 2, At: 5 * sim.Microsecond, Kind: trace.KindStoreWatch, Dom: 3, Path: "/k", Value: "v"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the sink got %+v, want %+v", got, want)
+	}
+	if r.Recorded() != 3 || r.Count(trace.KindWireConn) != 1 || r.Count(trace.KindStoreWrite) != 1 {
+		t.Fatalf("Recorded = %d, counts = %v", r.Recorded(), r.Counts())
+	}
+	if evs := r.Events(); len(evs) != 0 || r.Dropped() != 0 {
+		t.Fatalf("a stream retained %v (Dropped %d)", evs, r.Dropped())
+	}
+}
+
 // TestSummarizeFormat: the CLI summary names each decision family and the
 // per-domain completion latency percentiles.
 func TestSummarizeFormat(t *testing.T) {
