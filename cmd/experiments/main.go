@@ -45,7 +45,11 @@ func main() {
 
 	var selected []experiments.Runner
 	if *run == "all" {
-		selected = experiments.Runners()
+		for _, r := range experiments.Runners() {
+			if r.AliasOf == "" {
+				selected = append(selected, r)
+			}
+		}
 	} else if r := experiments.Lookup(*run); r != nil {
 		selected = []experiments.Runner{*r}
 	} else {
@@ -59,7 +63,7 @@ func main() {
 		// may read the wall clock directly.
 		sw := experiments.StartStopwatch()
 		fmt.Printf("--- %s (%s scale, seed %d): %s\n", r.ID, scale, *seed, r.Describe)
-		for _, t := range r.Run(scale, *seed) {
+		for _, t := range r.Run(scale, *seed).Tables() {
 			fmt.Println(t.Format())
 		}
 		fmt.Printf("    [%s elapsed]\n\n", sw.Elapsed().Round(time.Millisecond))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"iorchestra"
-	"iorchestra/internal/apps"
 	"iorchestra/internal/blkio"
 	"iorchestra/internal/core"
 	"iorchestra/internal/guest"
@@ -18,13 +17,33 @@ import (
 // store-notification latency, the flush trigger threshold, the congestion
 // release stagger, and the co-scheduling update cadence. Each ablation
 // reruns a small representative scenario with one knob swept.
-func RunAblations(scale Scale, seed uint64) []*Table {
-	return []*Table{
+func RunAblations(scale Scale, seed uint64) *Result {
+	return &Result{Panels: []Panel{
 		ablateStoreLatency(scale, seed),
 		ablateFlushThreshold(scale, seed),
 		ablateReleaseStagger(scale, seed),
 		ablateCoschedCadence(scale, seed),
+	}}
+}
+
+// ablate sweeps one knob over xs (printed as xtext) and tabulates the
+// scenario's one outcome per setting.
+func ablate(title, xName, yName, format string, xs []float64, xtext []string, seed uint64,
+	point func(seed uint64, i int) float64) Panel {
+	g := sweep(seed, 1, func(seed uint64, c []int) float64 { return point(seed, c[0]) }, len(xs))
+	p := Panel{Title: title, XName: xName, X: xs, XText: xtext}
+	p.add(yName, format, func(i int) float64 { return g.one(i) })
+	return p
+}
+
+// durationAxis is a knob swept over durations: seconds as X, the
+// duration's own rendering as the printed tick.
+func durationAxis(ds []sim.Duration) (xs []float64, xtext []string) {
+	for _, d := range ds {
+		xs = append(xs, d.Seconds())
+		xtext = append(xtext, d.String())
 	}
+	return xs, xtext
 }
 
 // congestedDisk is the small-ring disk profile whose queues falsely
@@ -39,11 +58,13 @@ func congestedDisk() guest.DiskConfig {
 
 // ablateStoreLatency sweeps the watch-notification latency: how slow may
 // the control channel get before the collaborative veto stops paying off?
-func ablateStoreLatency(scale Scale, seed uint64) *Table {
+func ablateStoreLatency(scale Scale, seed uint64) Panel {
 	dur := scale.pick(6*sim.Second, 20*sim.Second)
 	latencies := []sim.Duration{10 * sim.Microsecond, 100 * sim.Microsecond,
 		sim.Millisecond, 10 * sim.Millisecond, 100 * sim.Millisecond}
-	results := parallelMap(len(latencies), func(i int) float64 {
+	xs, xtext := durationAxis(latencies)
+	const title = "Ablation: store notification latency vs read p99.9 (congestion policy)"
+	return ablate(title, "notify latency", "p99.9 (ms)", "%.2f", xs, xtext, seed, func(seed uint64, i int) float64 {
 		p := tracedPlatform(iorchestra.SystemIOrchestra, seed,
 			iorchestra.WithPolicies(iorchestra.Policies{Congestion: true}),
 			iorchestra.WithHostConfig(hypervisor.Config{StoreLatency: latencies[i]}))
@@ -55,20 +76,19 @@ func ablateStoreLatency(scale Scale, seed uint64) *Table {
 		dumpTrace(fmt.Sprintf("ablate-storelat-%s-seed%d", latencies[i], seed), p)
 		return ms.Ops().Latency.Percentile(99.9).Milliseconds()
 	})
-	t := &Table{Title: "Ablation: store notification latency vs read p99.9 (congestion policy)",
-		Header: []string{"notify latency", "p99.9 (ms)"}}
-	for i, l := range latencies {
-		t.Rows = append(t.Rows, []string{l.String(), fmt.Sprintf("%.2f", results[i])})
-	}
-	return t
 }
 
 // ablateFlushThreshold sweeps Algorithm 1's "one tenth of capacity"
 // trigger and reports FS write throughput at the Fig. 8 sweet spot.
-func ablateFlushThreshold(scale Scale, seed uint64) *Table {
+func ablateFlushThreshold(scale Scale, seed uint64) Panel {
 	dur := scale.pick(20*sim.Second, 60*sim.Second)
 	fracs := []float64{0.02, 0.05, 0.10, 0.25, 0.50}
-	results := parallelMap(len(fracs), func(i int) float64 {
+	xtext := make([]string, len(fracs))
+	for i, f := range fracs {
+		xtext[i] = fmt.Sprintf("%.2f", f)
+	}
+	const title = "Ablation: flush trigger threshold (fraction of device capacity)"
+	return ablate(title, "threshold", "write MB/s", "%.1f", fracs, xtext, seed, func(seed uint64, i int) float64 {
 		p := tracedPlatform(iorchestra.SystemIOrchestra, seed,
 			iorchestra.WithPolicies(iorchestra.Policies{Flush: true}),
 			iorchestra.WithManagerConfig(core.ManagerConfig{FlushUtilFrac: fracs[i]}))
@@ -93,22 +113,18 @@ func ablateFlushThreshold(scale Scale, seed uint64) *Table {
 		}
 		return total / dur.Seconds() / 1e6
 	})
-	t := &Table{Title: "Ablation: flush trigger threshold (fraction of device capacity)",
-		Header: []string{"threshold", "write MB/s"}}
-	for i, f := range fracs {
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%.2f", f), fmt.Sprintf("%.1f", results[i])})
-	}
-	return t
 }
 
 // ablateReleaseStagger compares the paper's 0–99 ms FIFO wake-up stagger
 // against no stagger (thundering herd) and a wider window, using the
 // genuinely-congested relief scenario.
-func ablateReleaseStagger(scale Scale, seed uint64) *Table {
+func ablateReleaseStagger(scale Scale, seed uint64) Panel {
 	dur := scale.pick(10*sim.Second, 30*sim.Second)
 	staggers := []sim.Duration{sim.Microsecond, 99 * sim.Millisecond, 500 * sim.Millisecond}
 	labels := []string{"none (herd)", "0-99 ms (paper)", "0-500 ms"}
-	results := parallelMap(len(staggers), func(i int) float64 {
+	xs, _ := durationAxis(staggers)
+	const title = "Ablation: congestion release stagger vs read p99 (4 congested VMs)"
+	return ablate(title, "stagger", "p99 (ms)", "%.2f", xs, labels, seed, func(seed uint64, i int) float64 {
 		p := tracedPlatform(iorchestra.SystemIOrchestra, seed,
 			iorchestra.WithPolicies(iorchestra.Policies{Congestion: true}),
 			iorchestra.WithManagerConfig(core.ManagerConfig{ReleaseStaggerMax: staggers[i]}))
@@ -131,20 +147,16 @@ func ablateReleaseStagger(scale Scale, seed uint64) *Table {
 		}
 		return sum / n
 	})
-	t := &Table{Title: "Ablation: congestion release stagger vs read p99 (4 congested VMs)",
-		Header: []string{"stagger", "p99 (ms)"}}
-	for i := range staggers {
-		t.Rows = append(t.Rows, []string{labels[i], fmt.Sprintf("%.2f", results[i])})
-	}
-	return t
 }
 
 // ablateCoschedCadence sweeps the weight-update interval (the paper uses
 // 1 s or a >50 % latency-ratio change) on the Fig. 10(a) scenario.
-func ablateCoschedCadence(scale Scale, seed uint64) *Table {
+func ablateCoschedCadence(scale Scale, seed uint64) Panel {
 	dur := scale.pick(15*sim.Second, 45*sim.Second)
 	intervals := []sim.Duration{250 * sim.Millisecond, sim.Second, 4 * sim.Second, 16 * sim.Second}
-	results := parallelMap(len(intervals), func(i int) float64 {
+	xs, xtext := durationAxis(intervals)
+	const title = "Ablation: co-scheduling update cadence vs stream throughput (MB/s)"
+	return ablate(title, "interval", "MB/s", "%.0f", xs, xtext, seed, func(seed uint64, i int) float64 {
 		p := tracedPlatform(iorchestra.SystemIOrchestra, seed,
 			iorchestra.WithPolicies(iorchestra.Policies{Cosched: true}),
 			iorchestra.WithManagerConfig(core.ManagerConfig{CoschedInterval: intervals[i]}),
@@ -161,12 +173,6 @@ func ablateCoschedCadence(scale Scale, seed uint64) *Table {
 		dumpTrace(fmt.Sprintf("ablate-cosched-%s-seed%d", intervals[i], seed), p)
 		return float64(ms.Ops().Completed()) / dur.Seconds()
 	})
-	t := &Table{Title: "Ablation: co-scheduling update cadence vs stream throughput (MB/s)",
-		Header: []string{"interval", "MB/s"}}
-	for i, iv := range intervals {
-		t.Rows = append(t.Rows, []string{iv.String(), fmt.Sprintf("%.0f", results[i])})
-	}
-	return t
 }
 
 func init() {
@@ -176,5 +182,3 @@ func init() {
 		Run:      RunAblations,
 	})
 }
-
-var _ = apps.NetLatency // keep the import available for future scenario ablations

@@ -104,47 +104,26 @@ func runChaosPoint(sys iorchestra.System, seed uint64, spec fault.Spec, dur sim.
 
 // RunChaos sweeps fault intensity and reports Baseline-vs-IOrchestra
 // throughput plus IOrchestra's degradation ledger.
-func RunChaos(scale Scale, seed uint64) []*Table {
+func RunChaos(scale Scale, seed uint64) *Result {
 	dur := scale.pick(8*sim.Second, 40*sim.Second)
 
 	// Table A: uncooperative-guest sweep, both systems.
 	fracs := []float64{0, 0.25, 0.5, 0.75, 1}
-	type jobA struct {
-		fi int
-		io bool
-	}
-	var jobsA []jobA
-	for fi := range fracs {
-		jobsA = append(jobsA, jobA{fi, false}, jobA{fi, true})
-	}
-	resA := parallelMap(len(jobsA), func(ji int) chaosPoint {
-		j := jobsA[ji]
-		sys := iorchestra.SystemBaseline
-		if j.io {
-			sys = iorchestra.SystemIOrchestra
-		}
-		spec := fault.Spec{Uncoop: fracs[j.fi]}
-		return runChaosPoint(sys, seed, spec, dur,
-			fmt.Sprintf("chaos-uncoop%g-%s-seed%d", fracs[j.fi], sys, seed))
-	})
-	ta := &Table{
-		Title:  "Chaos A: uncooperative-guest fraction, write throughput",
-		Header: []string{"uncoop", "Baseline MB/s", "IOrchestra MB/s", "delta"},
-	}
-	for ji := 0; ji < len(jobsA); ji += 2 {
-		base, io := resA[ji], resA[ji+1]
-		ta.Rows = append(ta.Rows, []string{
-			fmt.Sprintf("%g", fracs[jobsA[ji].fi]),
-			fmt.Sprintf("%.1f", base.mbps),
-			fmt.Sprintf("%.1f", io.mbps),
-			fmt.Sprintf("%+.1f%%", gain(base.mbps, io.mbps)),
-		})
-	}
+	systems := []iorchestra.System{iorchestra.SystemBaseline, iorchestra.SystemIOrchestra}
+	ga := sweep(seed, 1, func(seed uint64, c []int) chaosPoint {
+		frac, sys := fracs[c[0]], systems[c[1]]
+		return runChaosPoint(sys, seed, fault.Spec{Uncoop: frac}, dur,
+			fmt.Sprintf("chaos-uncoop%g-%s-seed%d", frac, sys, seed))
+	}, len(fracs), len(systems))
+	ta := Panel{Title: "Chaos A: uncooperative-guest fraction, write throughput", XName: "uncoop", X: fracs}
+	ta.add("Baseline MB/s", "%.1f", func(fi int) float64 { return ga.one(fi, 0).mbps })
+	ta.add("IOrchestra MB/s", "%.1f", func(fi int) float64 { return ga.one(fi, 1).mbps })
+	ta.add("delta", "%+.1f%%", func(fi int) float64 { return gain(ga.one(fi, 0).mbps, ga.one(fi, 1).mbps) })
 
 	// Table B: control-plane fault-rate sweep, IOrchestra only.
 	rates := []float64{0, 0.25, 0.5, 1}
-	resB := parallelMap(len(rates), func(ri int) chaosPoint {
-		r := rates[ri]
+	gb := sweep(seed, 1, func(seed uint64, c []int) chaosPoint {
+		r := rates[c[0]]
 		var spec fault.Spec
 		if r > 0 {
 			spec = fault.Spec{
@@ -157,26 +136,23 @@ func RunChaos(scale Scale, seed uint64) []*Table {
 		}
 		return runChaosPoint(iorchestra.SystemIOrchestra, seed, spec, dur,
 			fmt.Sprintf("chaos-rate%g-seed%d", r, seed))
-	})
-	tb := &Table{
-		Title: "Chaos B: control-plane fault rate, IOrchestra degradation",
-		Header: []string{"rate", "MB/s", "p99 lat", "injected",
-			"hb miss", "flush t/o", "fallbacks", "restores"},
+	}, len(rates))
+	tb := Panel{Title: "Chaos B: control-plane fault rate, IOrchestra degradation", XName: "rate", X: rates}
+	for _, col := range []struct {
+		label, format string
+		get           func(chaosPoint) float64
+	}{
+		{"MB/s", "%.1f", func(pt chaosPoint) float64 { return pt.mbps }},
+		{"p99 lat", durationCell, func(pt chaosPoint) float64 { return float64(pt.p99) }},
+		{"injected", "%.0f", func(pt chaosPoint) float64 { return float64(pt.injected) }},
+		{"hb miss", "%.0f", func(pt chaosPoint) float64 { return float64(pt.hbMiss) }},
+		{"flush t/o", "%.0f", func(pt chaosPoint) float64 { return float64(pt.flushTO) }},
+		{"fallbacks", "%.0f", func(pt chaosPoint) float64 { return float64(pt.fallback) }},
+		{"restores", "%.0f", func(pt chaosPoint) float64 { return float64(pt.restores) }},
+	} {
+		tb.add(col.label, col.format, func(ri int) float64 { return col.get(gb.one(ri)) })
 	}
-	for ri, r := range rates {
-		pt := resB[ri]
-		tb.Rows = append(tb.Rows, []string{
-			fmt.Sprintf("%g", r),
-			fmt.Sprintf("%.1f", pt.mbps),
-			pt.p99.String(),
-			fmt.Sprintf("%d", pt.injected),
-			fmt.Sprintf("%d", pt.hbMiss),
-			fmt.Sprintf("%d", pt.flushTO),
-			fmt.Sprintf("%d", pt.fallback),
-			fmt.Sprintf("%d", pt.restores),
-		})
-	}
-	return []*Table{ta, tb}
+	return &Result{Panels: []Panel{ta, tb}}
 }
 
 func init() {

@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Sec. 5) plus the Sec. 2 motivation test. Each experiment is
-// a pure function of (scale, seed): it builds fresh platforms, runs the
-// scenario once per system under test, and returns the series the paper
-// plots. Independent simulation points fan out over a worker pool sized
-// to GOMAXPROCS — the kernels share nothing.
+// a pure function of (scale, seed) and one sweep: it names its axes and
+// a point function that builds a fresh platform and runs the scenario,
+// and returns the series the paper plots as numbers (Result); the
+// printed tables are derived from them. sweep owns the replication
+// seeds and the worker pool.
 package experiments
 
 import (
@@ -44,11 +45,66 @@ func (s Scale) pick(q, f sim.Duration) sim.Duration {
 	return f
 }
 
-// Series is one plotted line: Y value per X.
+// Series is one plotted line: Y value per X, X being its panel's axis.
+// A categorical axis (E0's variants, the SLA tiers) leaves X nil and
+// names its ticks in the panel's XText.
 type Series struct {
 	Label string
 	X     []float64
 	Y     []float64
+	// Format is the fmt verb of a printed Y cell; durationCell prints
+	// Y as a sim.Duration of nanoseconds.
+	Format string
+}
+
+const durationCell = "duration"
+
+// Footer is the one summary row some figures print under their series.
+type Footer struct {
+	Label  string
+	Value  float64
+	Format string
+}
+
+// Panel is one figure panel or table of the paper: series sharing the
+// axis X. XText, when set, replaces the %g rendering of X as the
+// printed axis; a tab in XName and in each XText entry starts a further
+// label column (the SLA tables are keyed by mix and tier).
+type Panel struct {
+	Title  string
+	XName  string
+	X      []float64
+	XText  []string
+	Series []Series
+	Footer *Footer
+}
+
+// add appends the series y(i) over the panel's axis.
+func (p *Panel) add(label, format string, y func(i int) float64) {
+	n := len(p.X)
+	if p.X == nil {
+		n = len(p.XText)
+	}
+	s := Series{Label: label, X: p.X, Format: format, Y: make([]float64, n)}
+	for i := range s.Y {
+		s.Y[i] = y(i)
+	}
+	p.Series = append(p.Series, s)
+}
+
+// Result is what every experiment returns: its numbers, panel by panel.
+// What cmd/experiments prints is derived from them by Tables.
+type Result struct {
+	Panels []Panel
+}
+
+// Tables renders every panel.
+func (r *Result) Tables() []*Table {
+	tables := make([]*Table, len(r.Panels))
+	for i := range r.Panels {
+		tables[i] = SeriesTable(&r.Panels[i])
+	}
+	return tables
 }
 
 // Table is a printable result table.
@@ -89,42 +145,81 @@ func (t *Table) Format() string {
 	return b.String()
 }
 
-// SeriesTable renders aligned series sharing an X axis.
-func SeriesTable(title, xName string, series []Series, format string) *Table {
-	t := &Table{Title: title}
-	t.Header = append(t.Header, xName)
-	for _, s := range series {
+// SeriesTable renders a panel: one row per X, one column per series,
+// then the footer row padded to the header's width.
+func SeriesTable(p *Panel) *Table {
+	t := &Table{Title: p.Title, Header: strings.Split(p.XName, "\t")}
+	for _, s := range p.Series {
 		t.Header = append(t.Header, s.Label)
 	}
-	if len(series) == 0 {
-		return t
-	}
-	for i, x := range series[0].X {
-		row := []string{fmt.Sprintf("%g", x)}
-		for _, s := range series {
-			if i < len(s.Y) {
-				row = append(row, fmt.Sprintf(format, s.Y[i]))
+	for i := range p.Series[0].Y {
+		var row []string
+		if p.XText != nil {
+			row = strings.Split(p.XText[i], "\t")
+		} else {
+			row = []string{fmt.Sprintf("%g", p.X[i])}
+		}
+		for _, s := range p.Series {
+			if s.Format == durationCell {
+				row = append(row, sim.Duration(s.Y[i]).String())
 			} else {
-				row = append(row, "-")
+				row = append(row, fmt.Sprintf(s.Format, s.Y[i]))
 			}
 		}
+		t.Rows = append(t.Rows, row)
+	}
+	if f := p.Footer; f != nil {
+		row := make([]string, len(t.Header))
+		row[0], row[1] = f.Label, fmt.Sprintf(f.Format, f.Value)
 		t.Rows = append(t.Rows, row)
 	}
 	return t
 }
 
-// parallelMap runs fn over n indices on a bounded worker pool and
-// collects results in order. Each index builds its own simulation, so the
-// work is embarrassingly parallel.
-func parallelMap[T any](n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+// grid holds one sweep's results by coordinate.
+type grid[T any] struct {
+	dims []int
+	reps int
+	out  []T // row-major over dims, replications innermost
+}
+
+// at returns the replications of the point at coordinate c, in
+// replication order.
+func (g *grid[T]) at(c ...int) []T {
+	i := 0
+	for d, n := range g.dims {
+		i = i*n + c[d]
 	}
-	if workers < 1 {
-		workers = 1
+	return g.out[i*g.reps : (i+1)*g.reps]
+}
+
+// one returns the point at coordinate c of an unreplicated sweep.
+func (g *grid[T]) one(c ...int) T { return g.at(c...)[0] }
+
+// repSeedStride separates the seeds of one point's replications.
+const repSeedStride = 1000
+
+// sweep runs point at every coordinate of the grid spanned by dims, reps
+// times each: replication r runs with seed+r*repSeedStride at every
+// coordinate, so the systems compared at a point see the same seeds.
+// Every (coordinate, replication) builds its own simulation — the
+// kernels share nothing — so they fan out over a worker pool sized to
+// GOMAXPROCS; results are stored by coordinate, never by completion
+// order, and do not depend on the worker count.
+func sweep[T any](seed uint64, reps int, point func(seed uint64, c []int) T, dims ...int) *grid[T] {
+	n := reps
+	for _, d := range dims {
+		n *= d
 	}
+	g := &grid[T]{dims: dims, reps: reps, out: make([]T, n)}
+	run := func(i int) {
+		c := make([]int, len(dims))
+		for d, rest := len(dims)-1, i/reps; d >= 0; d-- {
+			c[d], rest = rest%dims[d], rest/dims[d]
+		}
+		g.out[i] = point(seed+uint64(i%reps)*repSeedStride, c)
+	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	var wg sync.WaitGroup
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -132,7 +227,7 @@ func parallelMap[T any](n int, fn func(i int) T) []T {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i] = fn(i)
+				run(i)
 			}
 		}()
 	}
@@ -141,7 +236,7 @@ func parallelMap[T any](n int, fn func(i int) T) []T {
 	}
 	close(idx)
 	wg.Wait()
-	return out
+	return g
 }
 
 // improvement reports (base-x)/base as a percentage (positive = better
@@ -179,7 +274,10 @@ func meanOf(ys []float64) float64 {
 type Runner struct {
 	ID       string
 	Describe string
-	Run      func(scale Scale, seed uint64) []*Table
+	Run      func(scale Scale, seed uint64) *Result
+	// AliasOf names the experiment this id re-runs (fig11 is a panel of
+	// fig10bc); "-run all" skips aliases.
+	AliasOf string
 }
 
 var registry []Runner

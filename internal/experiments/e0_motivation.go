@@ -49,25 +49,33 @@ func (v E0Variant) String() string {
 	}
 }
 
-// E0Result is the mean application read latency per variant.
-type E0Result struct {
-	Variant E0Variant
-	MeanMs  float64
-	P999Ms  float64
-	Chunks  uint64
+// e0Point is the application read latency of one variant.
+type e0Point struct {
+	meanMs float64
+	p999Ms float64
+	chunks uint64
 }
 
 // RunE0 executes the motivation test for all three variants.
-func RunE0(scale Scale, seed uint64) []E0Result {
+func RunE0(scale Scale, seed uint64) *Result {
 	dur := scale.pick(4*sim.Second, 20*sim.Second)
 	variants := []E0Variant{E0Default, E0Disabled, E0IOrchestra}
-	results := parallelMap(len(variants), func(i int) E0Result {
-		return runE0Variant(variants[i], dur, seed)
-	})
-	return results
+	g := sweep(seed, 1, func(seed uint64, c []int) e0Point {
+		return runE0Variant(variants[c[0]], dur, seed)
+	}, len(variants))
+
+	p := Panel{Title: "Sec. 2 motivation test — mean 1 MiB read latency", XName: "variant"}
+	for _, v := range variants {
+		p.XText = append(p.XText, v.String())
+	}
+	p.add("mean (ms)", "%.2f", func(i int) float64 { return g.one(i).meanMs })
+	p.add("p99.9 (ms)", "%.2f", func(i int) float64 { return g.one(i).p999Ms })
+	p.add("reads", "%.0f", func(i int) float64 { return float64(g.one(i).chunks) })
+	p.Footer = &Footer{"off vs on", improvement(g.one(0).meanMs, g.one(1).meanMs), "%.1f%% faster"}
+	return &Result{Panels: []Panel{p}}
 }
 
-func runE0Variant(v E0Variant, dur sim.Duration, seed uint64) E0Result {
+func runE0Variant(v E0Variant, dur sim.Duration, seed uint64) e0Point {
 	sys := iorchestra.SystemBaseline
 	if v == E0IOrchestra {
 		sys = iorchestra.SystemIOrchestra
@@ -111,32 +119,13 @@ func runE0Variant(v E0Variant, dur sim.Duration, seed uint64) E0Result {
 	if chunks > 0 {
 		mean = total / float64(chunks)
 	}
-	return E0Result{Variant: v, MeanMs: mean, P999Ms: p999, Chunks: chunks}
+	return e0Point{meanMs: mean, p999Ms: p999, chunks: chunks}
 }
 
 func init() {
 	register(Runner{
 		ID:       "E0",
 		Describe: "Sec. 2 motivation: falsely triggered congestion avoidance on concurrent streams",
-		Run: func(scale Scale, seed uint64) []*Table {
-			rs := RunE0(scale, seed)
-			t := &Table{
-				Title:  "Sec. 2 motivation test — mean 1 MiB read latency",
-				Header: []string{"variant", "mean (ms)", "p99.9 (ms)", "reads"},
-			}
-			for _, r := range rs {
-				t.Rows = append(t.Rows, []string{
-					r.Variant.String(),
-					fmt.Sprintf("%.2f", r.MeanMs),
-					fmt.Sprintf("%.2f", r.P999Ms),
-					fmt.Sprintf("%d", r.Chunks),
-				})
-			}
-			base := rs[0].MeanMs
-			t.Rows = append(t.Rows, []string{
-				"off vs on", fmt.Sprintf("%.1f%% faster", improvement(base, rs[1].MeanMs)), "", "",
-			})
-			return []*Table{t}
-		},
+		Run:      RunE0,
 	})
 }

@@ -17,47 +17,19 @@ import (
 // baseline is the dedicated-core platform without IOrchestra's process
 // redistribution (processes stay where the guest scheduler put them); the
 // comparison reports I/O throughput improvement.
-func RunFig10a(scale Scale, seed uint64) []*Table {
+func RunFig10a(scale Scale, seed uint64) *Result {
 	ratios := []float64{0.2, 0.4, 0.6, 0.8}
 	dur := scale.pick(20*sim.Second, 60*sim.Second)
+	g := sweep(seed, 2, func(seed uint64, c []int) float64 {
+		return runFig10aPoint(c[1] == 1, seed, ratios[c[0]], dur)
+	}, len(ratios), 2)
 
-	type job struct {
-		ri int
-		io bool
+	p := Panel{Title: "Fig 10(a): I/O throughput improvement at I/O-thread ratios", XName: "% I/O threads", X: ratios}
+	for _, r := range ratios {
+		p.XText = append(p.XText, fmt.Sprintf("%.0f", r*100))
 	}
-	var jobs []job
-	for ri := range ratios {
-		jobs = append(jobs, job{ri, false}, job{ri, true})
-	}
-	const reps = 2
-	results := parallelMap(len(jobs), func(ji int) float64 {
-		j := jobs[ji]
-		var sum float64
-		for rep := 0; rep < reps; rep++ {
-			sum += runFig10aPoint(j.io, seed+uint64(rep)*1000, ratios[j.ri], dur)
-		}
-		return sum / reps
-	})
-
-	t := &Table{
-		Title:  "Fig 10(a): I/O throughput improvement at I/O-thread ratios",
-		Header: []string{"% I/O threads", "improvement"},
-	}
-	for ri, r := range ratios {
-		var base, io float64
-		for ji, j := range jobs {
-			if j.ri == ri {
-				if j.io {
-					io = results[ji]
-				} else {
-					base = results[ji]
-				}
-			}
-		}
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%.0f", r*100),
-			fmt.Sprintf("%.1f%%", gain(base, io))})
-	}
-	return []*Table{t}
+	p.add("improvement", "%.1f%%", func(ri int) float64 { return gain(meanOf(g.at(ri, 0)), meanOf(g.at(ri, 1))) })
+	return &Result{Panels: []Panel{p}}
 }
 
 // runFig10aPoint returns multi-stream read throughput (bytes/sec). Both

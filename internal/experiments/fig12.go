@@ -15,7 +15,7 @@ import (
 // synchronized bursts at 10× the average rate, 50 ms and 100 ms burst
 // lengths — across all four systems, reporting p99.9 latency versus the
 // average request rate.
-func RunFig12(scale Scale, seed uint64) []*Table {
+func RunFig12(scale Scale, seed uint64) *Result {
 	rates := []float64{100, 200, 300, 400, 500, 600, 700, 800, 900, 1000}
 	if scale == Quick {
 		rates = []float64{200, 400, 600, 800, 1000}
@@ -23,57 +23,26 @@ func RunFig12(scale Scale, seed uint64) []*Table {
 	bursts := []sim.Duration{50 * sim.Millisecond, 100 * sim.Millisecond}
 	dur := scale.pick(40*sim.Second, 120*sim.Second)
 	systems := iorchestra.Systems()
+	g := sweep(seed, 2, func(seed uint64, c []int) float64 {
+		return runFig12Point(systems[c[2]], seed, rates[c[1]], bursts[c[0]], dur)
+	}, len(bursts), len(rates), len(systems))
 
-	type job struct {
-		bi, ri, si int
-	}
-	var jobs []job
-	for bi := range bursts {
-		for ri := range rates {
-			for si := range systems {
-				jobs = append(jobs, job{bi, ri, si})
-			}
-		}
-	}
-	const reps = 2
-	results := parallelMap(len(jobs), func(ji int) float64 {
-		j := jobs[ji]
-		var sum float64
-		for rep := 0; rep < reps; rep++ {
-			sum += runFig12Point(systems[j.si], seed+uint64(rep)*1000, rates[j.ri], bursts[j.bi], dur)
-		}
-		return sum / reps
-	})
-
-	var tables []*Table
+	res := &Result{}
 	for bi, b := range bursts {
-		t := &Table{
-			Title:  fmt.Sprintf("Fig 12: YCSB1 p99.9 latency (us), %v burst length", b),
-			Header: []string{"req/s", "Baseline", "SDC", "DIF", "IOrchestra"},
+		p := Panel{Title: fmt.Sprintf("Fig 12: YCSB1 p99.9 latency (us), %v burst length", b), XName: "req/s", X: rates}
+		for si, s := range systems {
+			p.add(s.String(), "%.0f", func(ri int) float64 { return meanOf(g.at(bi, ri, si)) })
 		}
+		// A System's value is its index in iorchestra.Systems().
+		base, io := p.Series[iorchestra.SystemBaseline].Y, p.Series[iorchestra.SystemIOrchestra].Y
 		var imps []float64
-		for ri, r := range rates {
-			row := []string{fmt.Sprintf("%g", r)}
-			var base, io float64
-			for ji, j := range jobs {
-				if j.bi == bi && j.ri == ri {
-					v := results[ji]
-					row = append(row, fmt.Sprintf("%.0f", v))
-					switch systems[j.si] {
-					case iorchestra.SystemBaseline:
-						base = v
-					case iorchestra.SystemIOrchestra:
-						io = v
-					}
-				}
-			}
-			imps = append(imps, improvement(base, io))
-			t.Rows = append(t.Rows, row)
+		for ri := range rates {
+			imps = append(imps, improvement(base[ri], io[ri]))
 		}
-		t.Rows = append(t.Rows, []string{"avg impr", fmt.Sprintf("%.1f%%", meanOf(imps)), "", "", ""})
-		tables = append(tables, t)
+		p.Footer = &Footer{"avg impr", meanOf(imps), "%.1f%%"}
+		res.Panels = append(res.Panels, p)
 	}
-	return tables
+	return res
 }
 
 // runFig12Point returns YCSB1 p99.9 latency in microseconds under bursty

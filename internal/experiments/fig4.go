@@ -72,220 +72,176 @@ func buildFig4(sys iorchestra.System, seed uint64, clients int, y1Rate, y2Rate f
 	return &fig4Scenario{p: p, olio: olio, gen: gen, y1: y1, y2: y2}
 }
 
-// fig4PointResult carries one (system, intensity) measurement.
-type fig4PointResult struct {
-	olioMeanMs, olioP999Ms float64
-	y1MeanUs, y1P999Us     float64
-	y2MeanUs, y2P999Us     float64
-
-	// Retained histograms for Fig. 5 / Fig. 6 CDFs.
-	y1Hist, y2Hist         *metrics.Histogram
-	webHist, dbHist, fHist *metrics.Histogram
+// fig4Hists is the latency histograms of one (system, intensity) point:
+// one replication's as runFig4Point returns them, a point's as
+// mergeFig4 folds its replications. Fig. 4 reads means and tails off
+// them, Fig. 5 / Fig. 6 their CDFs.
+type fig4Hists struct {
+	y1, y2       *metrics.Histogram
+	web, db, fsv *metrics.Histogram
 }
 
 // fig4Reps replications per point are merged so tail percentiles are
 // stable; every system sees the same replication seeds.
 const fig4Reps = 3
 
-func runFig4Point(sys iorchestra.System, seed uint64, clients int, y1Rate, y2Rate float64, dur sim.Duration) fig4PointResult {
-	merged := fig4PointResult{
-		y1Hist:  metrics.NewHistogram(),
-		y2Hist:  metrics.NewHistogram(),
-		webHist: metrics.NewHistogram(),
-		dbHist:  metrics.NewHistogram(),
-		fHist:   metrics.NewHistogram(),
+func runFig4Point(sys iorchestra.System, seed uint64, clients int, y1Rate, y2Rate float64, dur sim.Duration) fig4Hists {
+	sc := buildFig4(sys, seed, clients, y1Rate, y2Rate)
+	sc.gen.Start()
+	sc.y1.Gen.Start()
+	sc.y2.Gen.Start()
+	sc.p.Kernel.RunUntil(dur)
+	dumpTrace(fmt.Sprintf("fig4-%s-c%d-r%g-seed%d", sys, clients, y1Rate, seed), sc.p)
+	return fig4Hists{
+		y1: sc.y1.Rec.Latency, y2: sc.y2.Rec.Latency,
+		web: sc.olio.WebLatency(), db: sc.olio.DBLatency(), fsv: sc.olio.FSLatency(),
 	}
-	for rep := 0; rep < fig4Reps; rep++ {
-		sc := buildFig4(sys, seed+uint64(rep)*1000, clients, y1Rate, y2Rate)
-		sc.gen.Start()
-		sc.y1.Gen.Start()
-		sc.y2.Gen.Start()
-		sc.p.Kernel.RunUntil(dur)
-		dumpTrace(fmt.Sprintf("fig4-%s-c%d-r%g-seed%d", sys, clients, y1Rate, seed+uint64(rep)*1000), sc.p)
-		merged.y1Hist.Merge(sc.y1.Rec.Latency)
-		merged.y2Hist.Merge(sc.y2.Rec.Latency)
-		merged.webHist.Merge(sc.olio.WebLatency())
-		merged.dbHist.Merge(sc.olio.DBLatency())
-		merged.fHist.Merge(sc.olio.FSLatency())
-	}
-	merged.olioMeanMs = merged.webHist.Mean().Milliseconds()
-	merged.olioP999Ms = merged.webHist.Percentile(99.9).Milliseconds()
-	merged.y1MeanUs = merged.y1Hist.Mean().Microseconds()
-	merged.y1P999Us = merged.y1Hist.Percentile(99.9).Microseconds()
-	merged.y2MeanUs = merged.y2Hist.Mean().Microseconds()
-	merged.y2P999Us = merged.y2Hist.Percentile(99.9).Microseconds()
-	return merged
 }
 
-// Fig4Result holds the six panels of Fig. 4.
-type Fig4Result struct {
-	Clients []int
-	Rates   []float64
-	// Indexed [system][point].
-	OlioMean, OlioP999 map[iorchestra.System][]float64
-	Y1Mean, Y1P999     map[iorchestra.System][]float64
-	Y2Mean, Y2P999     map[iorchestra.System][]float64
+// mergeFig4 folds a point's replications into one set of histograms.
+func mergeFig4(reps []fig4Hists) fig4Hists {
+	m := fig4Hists{
+		y1: metrics.NewHistogram(), y2: metrics.NewHistogram(),
+		web: metrics.NewHistogram(), db: metrics.NewHistogram(), fsv: metrics.NewHistogram(),
+	}
+	for _, r := range reps {
+		m.y1.Merge(r.y1)
+		m.y2.Merge(r.y2)
+		m.web.Merge(r.web)
+		m.db.Merge(r.db)
+		m.fsv.Merge(r.fsv)
+	}
+	return m
 }
 
-// RunFig4 sweeps workload intensity for all four systems.
-func RunFig4(scale Scale, seed uint64) *Fig4Result {
-	clients := []int{50, 100, 150, 200, 250, 300}
+// RunFig4 sweeps workload intensity for all four systems: six panels
+// (mean and p99.9 of Olio, YCSB1, YCSB2) and IOrchestra's mean
+// improvement over Baseline on each.
+func RunFig4(scale Scale, seed uint64) *Result {
+	clients := []float64{50, 100, 150, 200, 250, 300}
 	rates := []float64{500, 1000, 1500, 2000, 2500, 3000}
 	dur := scale.pick(30*sim.Second, 150*sim.Second)
 	systems := iorchestra.Systems()
-
-	type job struct {
-		sys   iorchestra.System
-		point int
-	}
-	var jobs []job
-	for _, s := range systems {
+	g := sweep(seed, fig4Reps, func(seed uint64, c []int) fig4Hists {
+		return runFig4Point(systems[c[0]], seed, int(clients[c[1]]), rates[c[1]], rates[c[1]], dur)
+	}, len(systems), len(clients))
+	merged := make([][]fig4Hists, len(systems))
+	for si := range systems {
 		for i := range clients {
-			jobs = append(jobs, job{s, i})
+			merged[si] = append(merged[si], mergeFig4(g.at(si, i)))
 		}
 	}
-	results := parallelMap(len(jobs), func(i int) fig4PointResult {
-		j := jobs[i]
-		return runFig4Point(j.sys, seed, clients[j.point], rates[j.point], rates[j.point], dur)
-	})
 
-	out := &Fig4Result{
-		Clients:  clients,
-		Rates:    rates,
-		OlioMean: map[iorchestra.System][]float64{}, OlioP999: map[iorchestra.System][]float64{},
-		Y1Mean: map[iorchestra.System][]float64{}, Y1P999: map[iorchestra.System][]float64{},
-		Y2Mean: map[iorchestra.System][]float64{}, Y2P999: map[iorchestra.System][]float64{},
+	ms := func(d sim.Duration) float64 { return d.Milliseconds() }
+	us := func(d sim.Duration) float64 { return d.Microseconds() }
+	panels := []struct {
+		name, title, xName, format string
+		xs                         []float64
+		get                        func(fig4Hists) float64
+	}{
+		{"Olio mean", "Fig 4(a) Olio mean latency (ms)", "clients", "%.1f", clients,
+			func(h fig4Hists) float64 { return ms(h.web.Mean()) }},
+		{"YCSB1 mean", "Fig 4(b) YCSB1 mean latency (us)", "req/s", "%.0f", rates,
+			func(h fig4Hists) float64 { return us(h.y1.Mean()) }},
+		{"YCSB2 mean", "Fig 4(c) YCSB2 mean latency (us)", "req/s", "%.0f", rates,
+			func(h fig4Hists) float64 { return us(h.y2.Mean()) }},
+		{"Olio p99.9", "Fig 4(d) Olio p99.9 latency (ms)", "clients", "%.1f", clients,
+			func(h fig4Hists) float64 { return ms(h.web.Percentile(99.9)) }},
+		{"YCSB1 p99.9", "Fig 4(e) YCSB1 p99.9 latency (us)", "req/s", "%.0f", rates,
+			func(h fig4Hists) float64 { return us(h.y1.Percentile(99.9)) }},
+		{"YCSB2 p99.9", "Fig 4(f) YCSB2 p99.9 latency (us)", "req/s", "%.0f", rates,
+			func(h fig4Hists) float64 { return us(h.y2.Percentile(99.9)) }},
 	}
-	for idx, j := range jobs {
-		r := results[idx]
-		out.OlioMean[j.sys] = append(out.OlioMean[j.sys], r.olioMeanMs)
-		out.OlioP999[j.sys] = append(out.OlioP999[j.sys], r.olioP999Ms)
-		out.Y1Mean[j.sys] = append(out.Y1Mean[j.sys], r.y1MeanUs)
-		out.Y1P999[j.sys] = append(out.Y1P999[j.sys], r.y1P999Us)
-		out.Y2Mean[j.sys] = append(out.Y2Mean[j.sys], r.y2MeanUs)
-		out.Y2P999[j.sys] = append(out.Y2P999[j.sys], r.y2P999Us)
-	}
-	return out
-}
-
-func fig4Tables(r *Fig4Result) []*Table {
-	systems := iorchestra.Systems()
-	mk := func(title, xName string, xs []float64, data map[iorchestra.System][]float64, format string) *Table {
-		var series []Series
-		for _, s := range systems {
-			series = append(series, Series{Label: s.String(), X: xs, Y: data[s]})
+	res := &Result{}
+	imp := map[string]float64{}
+	for _, p := range panels {
+		panel := Panel{Title: p.title, XName: p.xName, X: p.xs}
+		for si, s := range systems {
+			panel.add(s.String(), p.format, func(i int) float64 { return p.get(merged[si][i]) })
 		}
-		return SeriesTable(title, xName, series, format)
-	}
-	xc := make([]float64, len(r.Clients))
-	for i, c := range r.Clients {
-		xc[i] = float64(c)
-	}
-	var tables []*Table
-	tables = append(tables,
-		mk("Fig 4(a) Olio mean latency (ms)", "clients", xc, r.OlioMean, "%.1f"),
-		mk("Fig 4(b) YCSB1 mean latency (us)", "req/s", r.Rates, r.Y1Mean, "%.0f"),
-		mk("Fig 4(c) YCSB2 mean latency (us)", "req/s", r.Rates, r.Y2Mean, "%.0f"),
-		mk("Fig 4(d) Olio p99.9 latency (ms)", "clients", xc, r.OlioP999, "%.1f"),
-		mk("Fig 4(e) YCSB1 p99.9 latency (us)", "req/s", r.Rates, r.Y1P999, "%.0f"),
-		mk("Fig 4(f) YCSB2 p99.9 latency (us)", "req/s", r.Rates, r.Y2P999, "%.0f"),
-	)
-	// Headline averages (paper: overall 9 % mean / 12 % tail; YCSB1 13 % / 16 %).
-	sum := &Table{Title: "Fig 4 summary: IOrchestra improvement vs Baseline",
-		Header: []string{"metric", "improvement"}}
-	addImp := func(name string, base, io []float64) {
+		// A System's value is its index in iorchestra.Systems().
+		base, io := panel.Series[iorchestra.SystemBaseline].Y, panel.Series[iorchestra.SystemIOrchestra].Y
 		var imps []float64
 		for i := range base {
 			imps = append(imps, improvement(base[i], io[i]))
 		}
-		sum.Rows = append(sum.Rows, []string{name, fmt.Sprintf("%.1f%%", meanOf(imps))})
+		imp[p.name] = meanOf(imps)
+		res.Panels = append(res.Panels, panel)
 	}
-	b, io := iorchestra.SystemBaseline, iorchestra.SystemIOrchestra
-	addImp("Olio mean", r.OlioMean[b], r.OlioMean[io])
-	addImp("Olio p99.9", r.OlioP999[b], r.OlioP999[io])
-	addImp("YCSB1 mean", r.Y1Mean[b], r.Y1Mean[io])
-	addImp("YCSB1 p99.9", r.Y1P999[b], r.Y1P999[io])
-	addImp("YCSB2 mean", r.Y2Mean[b], r.Y2Mean[io])
-	addImp("YCSB2 p99.9", r.Y2P999[b], r.Y2P999[io])
-	tables = append(tables, sum)
-	return tables
+	// Headline averages (paper: overall 9 % mean / 12 % tail; YCSB1 13 % / 16 %).
+	sum := Panel{Title: "Fig 4 summary: IOrchestra improvement vs Baseline", XName: "metric",
+		XText: []string{"Olio mean", "Olio p99.9", "YCSB1 mean", "YCSB1 p99.9", "YCSB2 mean", "YCSB2 p99.9"}}
+	sum.add("improvement", "%.1f%%", func(i int) float64 { return imp[sum.XText[i]] })
+	res.Panels = append(res.Panels, sum)
+	return res
 }
 
 func init() {
 	register(Runner{
 		ID:       "fig4",
 		Describe: "Olio + YCSB1 + YCSB2 latency vs workload intensity, four systems",
-		Run: func(scale Scale, seed uint64) []*Table {
-			return fig4Tables(RunFig4(scale, seed))
-		},
+		Run:      RunFig4,
 	})
 }
 
-// --- Fig. 5: latency CDFs at 3000 req/s ------------------------------------
+// cdfPercentiles are the points Fig. 5 and Fig. 6 report their CDFs at.
+var cdfPercentiles = []float64{50, 75, 90, 95, 99, 99.9}
+
+// runFig4Pair runs the Fig. 4 scenario at 200 clients and one YCSB rate
+// and returns Baseline's and IOrchestra's merged histograms.
+func runFig4Pair(seed uint64, rate float64, dur sim.Duration) (base, io fig4Hists) {
+	systems := []iorchestra.System{iorchestra.SystemBaseline, iorchestra.SystemIOrchestra}
+	g := sweep(seed, fig4Reps, func(seed uint64, c []int) fig4Hists {
+		return runFig4Point(systems[c[0]], seed, 200, rate, rate, dur)
+	}, len(systems))
+	return mergeFig4(g.at(0)), mergeFig4(g.at(1))
+}
+
+// cdfPanel tabulates Baseline's and IOrchestra's latency CDFs in unit.
+func cdfPanel(title, unit, format string, in func(sim.Duration) float64, base, io *metrics.Histogram) Panel {
+	p := Panel{Title: title, XName: "percentile", X: cdfPercentiles}
+	for _, pc := range cdfPercentiles {
+		p.XText = append(p.XText, fmt.Sprintf("p%g", pc))
+	}
+	for _, s := range []struct {
+		label string
+		h     *metrics.Histogram
+	}{{"Baseline", base}, {"IOrchestra", io}} {
+		p.add(fmt.Sprintf("%s (%s)", s.label, unit), format,
+			func(i int) float64 { return in(s.h.Percentile(cdfPercentiles[i])) })
+	}
+	return p
+}
 
 // RunFig5 produces YCSB1/YCSB2 latency CDFs at the highest intensity for
 // Baseline and IOrchestra.
-func RunFig5(scale Scale, seed uint64) []*Table {
-	dur := scale.pick(20*sim.Second, 120*sim.Second)
-	systems := []iorchestra.System{iorchestra.SystemBaseline, iorchestra.SystemIOrchestra}
-	results := parallelMap(len(systems), func(i int) fig4PointResult {
-		return runFig4Point(systems[i], seed, 200, 3000, 3000, dur)
-	})
-	var tables []*Table
-	for wi, name := range []string{"Fig 5(a) YCSB1", "Fig 5(b) YCSB2"} {
-		t := &Table{Title: name + " latency CDF at 3000 req/s",
-			Header: []string{"percentile", "Baseline (us)", "IOrchestra (us)"}}
-		for _, p := range []float64{50, 75, 90, 95, 99, 99.9} {
-			row := []string{fmt.Sprintf("p%g", p)}
-			for si := range systems {
-				h := results[si].y1Hist
-				if wi == 1 {
-					h = results[si].y2Hist
-				}
-				row = append(row, fmt.Sprintf("%.0f", h.Percentile(p).Microseconds()))
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		tables = append(tables, t)
-	}
-	return tables
+func RunFig5(scale Scale, seed uint64) *Result {
+	base, io := runFig4Pair(seed, 3000, scale.pick(20*sim.Second, 120*sim.Second))
+	return &Result{Panels: []Panel{
+		cdfPanel("Fig 5(a) YCSB1 latency CDF at 3000 req/s", "us", "%.0f", sim.Duration.Microseconds, base.y1, io.y1),
+		cdfPanel("Fig 5(b) YCSB2 latency CDF at 3000 req/s", "us", "%.0f", sim.Duration.Microseconds, base.y2, io.y2),
+	}}
 }
-
-// --- Fig. 6: per-tier Olio CDFs ---------------------------------------------
 
 // RunFig6 produces per-tier latency CDFs for Olio (web end-to-end,
 // database queries, file-server ops), Baseline vs IOrchestra.
-func RunFig6(scale Scale, seed uint64) []*Table {
-	dur := scale.pick(20*sim.Second, 120*sim.Second)
-	systems := []iorchestra.System{iorchestra.SystemBaseline, iorchestra.SystemIOrchestra}
-	results := parallelMap(len(systems), func(i int) fig4PointResult {
-		return runFig4Point(systems[i], seed, 200, 1500, 1500, dur)
-	})
-	tiers := []struct {
-		name string
-		get  func(fig4PointResult) *metrics.Histogram
+func RunFig6(scale Scale, seed uint64) *Result {
+	base, io := runFig4Pair(seed, 1500, scale.pick(20*sim.Second, 120*sim.Second))
+	res := &Result{}
+	for _, tier := range []struct {
+		title    string
+		base, io *metrics.Histogram
 	}{
-		{"Fig 6(a) web server (end-to-end)", func(r fig4PointResult) *metrics.Histogram { return r.webHist }},
-		{"Fig 6(b) database", func(r fig4PointResult) *metrics.Histogram { return r.dbHist }},
-		{"Fig 6(c) file server", func(r fig4PointResult) *metrics.Histogram { return r.fHist }},
+		{"Fig 6(a) web server (end-to-end)", base.web, io.web},
+		{"Fig 6(b) database", base.db, io.db},
+		{"Fig 6(c) file server", base.fsv, io.fsv},
+	} {
+		p := cdfPanel(tier.title+" latency CDF", "ms", "%.2f", sim.Duration.Milliseconds, tier.base, tier.io)
+		p.Footer = &Footer{"mean improvement",
+			improvement(float64(tier.base.Mean()), float64(tier.io.Mean())), "%.1f%%"}
+		res.Panels = append(res.Panels, p)
 	}
-	var tables []*Table
-	for _, tier := range tiers {
-		t := &Table{Title: tier.name + " latency CDF",
-			Header: []string{"percentile", "Baseline (ms)", "IOrchestra (ms)"}}
-		for _, p := range []float64{50, 75, 90, 95, 99, 99.9} {
-			row := []string{fmt.Sprintf("p%g", p)}
-			for si := range systems {
-				row = append(row, fmt.Sprintf("%.2f", tier.get(results[si]).Percentile(p).Milliseconds()))
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		base, io := tier.get(results[0]).Mean(), tier.get(results[1]).Mean()
-		t.Rows = append(t.Rows, []string{"mean improvement",
-			fmt.Sprintf("%.1f%%", improvement(float64(base), float64(io))), ""})
-		tables = append(tables, t)
-	}
-	return tables
+	return res
 }
 
 func init() {

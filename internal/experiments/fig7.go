@@ -21,65 +21,42 @@ import (
 // YCSB1 Cassandra node; mpiBLAST partitions its database across machines
 // and Cassandra shards its keyspace. Mean I/O latency is normalized to
 // the Baseline at the same cluster size.
-func RunFig7(scale Scale, seed uint64) []*Table {
-	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8}
+func RunFig7(scale Scale, seed uint64) *Result {
+	sizes := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	systems := iorchestra.Systems()
 	dur := scale.pick(20*sim.Second, 90*sim.Second)
+	g := sweep(seed, 1, func(seed uint64, c []int) fig7Point {
+		return runFig7Point(systems[c[0]], seed, int(sizes[c[1]]), dur)
+	}, len(systems), len(sizes))
 
-	type point struct {
-		blastMean float64 // seconds
-		ycsbMean  float64
-	}
-	type job struct {
-		sysIdx, sizeIdx int
-	}
-	var jobs []job
-	for si := range systems {
-		for zi := range sizes {
-			jobs = append(jobs, job{si, zi})
-		}
-	}
-	results := parallelMap(len(jobs), func(ji int) point {
-		j := jobs[ji]
-		return runFig7Point(systems[j.sysIdx], seed, sizes[j.sizeIdx], dur)
-	})
-
-	blast := map[iorchestra.System][]float64{}
-	ycsb := map[iorchestra.System][]float64{}
-	for ji, j := range jobs {
-		s := systems[j.sysIdx]
-		blast[s] = append(blast[s], results[ji].blastMean)
-		ycsb[s] = append(ycsb[s], results[ji].ycsbMean)
-	}
-
-	mkNorm := func(title string, data map[iorchestra.System][]float64) *Table {
-		t := &Table{Title: title, Header: []string{"machines", "IOrchestra", "SDC", "DIF"}}
-		base := data[iorchestra.SystemBaseline]
-		for i, n := range sizes {
-			row := []string{fmt.Sprintf("%d", n)}
-			for _, s := range []iorchestra.System{iorchestra.SystemIOrchestra, iorchestra.SystemSDC, iorchestra.SystemDIF} {
-				row = append(row, fmt.Sprintf("%.3f", data[s][i]/base[i]))
-			}
-			t.Rows = append(t.Rows, row)
+	// A System's value is its index in iorchestra.Systems().
+	base, io := int(iorchestra.SystemBaseline), int(iorchestra.SystemIOrchestra)
+	normalized := func(title string, get func(fig7Point) float64) Panel {
+		p := Panel{Title: title, XName: "machines", X: sizes}
+		for _, s := range []iorchestra.System{iorchestra.SystemIOrchestra, iorchestra.SystemSDC, iorchestra.SystemDIF} {
+			p.add(s.String(), "%.3f", func(i int) float64 { return get(g.one(int(s), i)) / get(g.one(base, i)) })
 		}
 		// Average improvement of IOrchestra (paper: 10.1 % blast, 12.9 % YCSB1).
 		var imp []float64
 		for i := range sizes {
-			imp = append(imp, improvement(base[i], data[iorchestra.SystemIOrchestra][i]))
+			imp = append(imp, improvement(get(g.one(base, i)), get(g.one(io, i))))
 		}
-		t.Rows = append(t.Rows, []string{"avg impr", fmt.Sprintf("%.1f%%", meanOf(imp)), "", ""})
-		return t
+		p.Footer = &Footer{"avg impr", meanOf(imp), "%.1f%%"}
+		return p
 	}
-	return []*Table{
-		mkNorm("Fig 7(a) mpiBLAST normalized mean I/O latency", blast),
-		mkNorm("Fig 7(b) YCSB1 normalized mean I/O latency", ycsb),
-	}
+	return &Result{Panels: []Panel{
+		normalized("Fig 7(a) mpiBLAST normalized mean I/O latency", func(pt fig7Point) float64 { return pt.blastMean }),
+		normalized("Fig 7(b) YCSB1 normalized mean I/O latency", func(pt fig7Point) float64 { return pt.ycsbMean }),
+	}}
 }
 
-func runFig7Point(sys iorchestra.System, seed uint64, machines int, dur sim.Duration) (pt struct {
+// fig7Point is one (system, cluster size) measurement, in seconds.
+type fig7Point struct {
 	blastMean float64
 	ycsbMean  float64
-}) {
+}
+
+func runFig7Point(sys iorchestra.System, seed uint64, machines int, dur sim.Duration) (pt fig7Point) {
 	k := sim.NewKernel()
 	rng := stats.NewStream(seed, "fig7")
 	hostCfg := hypervisor.Config{}

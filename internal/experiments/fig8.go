@@ -15,60 +15,30 @@ import (
 // sets larger than twice their memory, at dirty ratios of 10–40 %. Only
 // the flush policy is enabled; the figure reports write-throughput
 // improvement over the baseline.
-func RunFig8(scale Scale, seed uint64) []*Table {
-	vmCounts := []int{2, 4, 6, 8, 10, 12, 14, 16, 18, 20}
+func RunFig8(scale Scale, seed uint64) *Result {
+	vmCounts := []float64{2, 4, 6, 8, 10, 12, 14, 16, 18, 20}
 	ratios := []float64{0.10, 0.20, 0.30, 0.40}
 	if scale == Quick {
-		vmCounts = []int{2, 8, 14, 20}
+		vmCounts = []float64{2, 8, 14, 20}
 	}
 	dur := scale.pick(60*sim.Second, 240*sim.Second)
+	g := sweep(seed, 3, func(seed uint64, c []int) float64 {
+		return runFig8Point(c[2] == 1, seed, int(vmCounts[c[0]]), ratios[c[1]], dur)
+	}, len(vmCounts), len(ratios), 2)
 
-	type job struct {
-		vmIdx, ratioIdx int
-		io              bool
-	}
-	var jobs []job
-	for vi := range vmCounts {
-		for ri := range ratios {
-			jobs = append(jobs, job{vi, ri, false}, job{vi, ri, true})
-		}
-	}
-	const reps = 3
-	results := parallelMap(len(jobs), func(ji int) float64 {
-		j := jobs[ji]
-		var sum float64
-		for rep := 0; rep < reps; rep++ {
-			sum += runFig8Point(j.io, seed+uint64(rep)*1000, vmCounts[j.vmIdx], ratios[j.ratioIdx], dur)
-		}
-		return sum / reps
-	})
-
-	t := &Table{
-		Title:  "Fig 8: FS write-throughput improvement (flush policy only)",
-		Header: []string{"VMs", "10%", "20%", "30%", "40%"},
+	p := Panel{Title: "Fig 8: FS write-throughput improvement (flush policy only)", XName: "VMs", X: vmCounts}
+	for ri, r := range ratios {
+		p.add(fmt.Sprintf("%.0f%%", r*100), "%.1f%%",
+			func(vi int) float64 { return gain(meanOf(g.at(vi, ri, 0)), meanOf(g.at(vi, ri, 1))) })
 	}
 	var all []float64
-	for vi, n := range vmCounts {
-		row := []string{fmt.Sprintf("%d", n)}
-		for ri := range ratios {
-			var base, io float64
-			for ji, j := range jobs {
-				if j.vmIdx == vi && j.ratioIdx == ri {
-					if j.io {
-						io = results[ji]
-					} else {
-						base = results[ji]
-					}
-				}
-			}
-			g := gain(base, io)
-			all = append(all, g)
-			row = append(row, fmt.Sprintf("%.1f%%", g))
+	for vi := range vmCounts {
+		for _, s := range p.Series {
+			all = append(all, s.Y[vi])
 		}
-		t.Rows = append(t.Rows, row)
 	}
-	t.Rows = append(t.Rows, []string{"mean", fmt.Sprintf("%.1f%%", meanOf(all)), "", "", ""})
-	return []*Table{t}
+	p.Footer = &Footer{"mean", meanOf(all), "%.1f%%"}
+	return &Result{Panels: []Panel{p}}
 }
 
 // runFig8Point returns aggregate FS write throughput (bytes accepted per

@@ -16,56 +16,22 @@ import (
 // FS issues many small mixed requests and falsely triggers avoidance at
 // low VM counts (≈0.90); all curves approach 1.0 as the device becomes
 // genuinely congested.
-func RunFig9(scale Scale, seed uint64) []*Table {
-	vmCounts := []int{2, 4, 6, 8, 10, 12, 14, 16, 18, 20}
+func RunFig9(scale Scale, seed uint64) *Result {
+	vmCounts := []float64{2, 4, 6, 8, 10, 12, 14, 16, 18, 20}
 	if scale == Quick {
-		vmCounts = []int{2, 6, 10, 14, 20}
+		vmCounts = []float64{2, 6, 10, 14, 20}
 	}
 	dur := scale.pick(20*sim.Second, 90*sim.Second)
 	kinds := []string{"FS", "WS", "VS"}
+	g := sweep(seed, 2, func(seed uint64, c []int) float64 {
+		return runFig9Point(c[2] == 1, seed, kinds[c[0]], int(vmCounts[c[1]]), dur)
+	}, len(kinds), len(vmCounts), 2)
 
-	type job struct {
-		kindIdx, vmIdx int
-		io             bool
+	p := Panel{Title: "Fig 9: latency normalized to baseline (congestion policy only)", XName: "VMs", X: vmCounts}
+	for ki, kind := range kinds {
+		p.add(kind, "%.3f", func(vi int) float64 { return meanOf(g.at(ki, vi, 1)) / meanOf(g.at(ki, vi, 0)) })
 	}
-	var jobs []job
-	for ki := range kinds {
-		for vi := range vmCounts {
-			jobs = append(jobs, job{ki, vi, false}, job{ki, vi, true})
-		}
-	}
-	const reps = 2
-	results := parallelMap(len(jobs), func(ji int) float64 {
-		j := jobs[ji]
-		var sum float64
-		for rep := 0; rep < reps; rep++ {
-			sum += runFig9Point(j.io, seed+uint64(rep)*1000, kinds[j.kindIdx], vmCounts[j.vmIdx], dur)
-		}
-		return sum / reps
-	})
-
-	t := &Table{
-		Title:  "Fig 9: latency normalized to baseline (congestion policy only)",
-		Header: []string{"VMs", "FS", "WS", "VS"},
-	}
-	for vi, n := range vmCounts {
-		row := []string{fmt.Sprintf("%d", n)}
-		for ki := range kinds {
-			var base, io float64
-			for ji, j := range jobs {
-				if j.kindIdx == ki && j.vmIdx == vi {
-					if j.io {
-						io = results[ji]
-					} else {
-						base = results[ji]
-					}
-				}
-			}
-			row = append(row, fmt.Sprintf("%.3f", io/base))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return []*Table{t}
+	return &Result{Panels: []Panel{p}}
 }
 
 // runFig9Point returns the mean op latency (seconds) of the workload.

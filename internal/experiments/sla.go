@@ -201,69 +201,57 @@ func runSLAPoint(sysIdx int, seed uint64, mix slaMix, rogueBronze bool, dur sim.
 
 // RunSLA sweeps tier mixes across the three configurations and runs the
 // chaos composition, reporting per-tier violation budgets.
-func RunSLA(scale Scale, seed uint64) []*Table {
+func RunSLA(scale Scale, seed uint64) *Result {
 	dur := scale.pick(6*sim.Second, 30*sim.Second)
+	g := sweep(seed, 1, func(seed uint64, c []int) slaPoint {
+		mix, si := slaMixes[c[0]], c[1]
+		return runSLAPoint(si, seed, mix, false, dur,
+			fmt.Sprintf("sla-%s-%s-seed%d", mix, slaSystems[si].label, seed))
+	}, len(slaMixes), len(slaSystems))
+	// Chaos composition: balanced mix under gstate, without and with the rogue.
+	chaosRuns := []string{"clean", "rogue"}
+	chaos := sweep(seed, 1, func(seed uint64, c []int) slaPoint {
+		return runSLAPoint(2, seed, slaMixes[0], c[0] == 1, dur,
+			fmt.Sprintf("sla-chaos-%s-seed%d", chaosRuns[c[0]], seed))
+	}, len(chaosRuns))
 
-	type job struct {
-		mi, si int
+	// Tables A and B have one row per (mix, tier), C one per tier; a
+	// column reads the meter of its row's mix at its row's tier.
+	tiers := gstate.Tiers()
+	var byMix, byTier []string
+	for _, tier := range tiers {
+		byTier = append(byTier, string(tier))
 	}
-	var jobs []job
-	for mi := range slaMixes {
-		for si := range slaSystems {
-			jobs = append(jobs, job{mi, si})
+	for _, mix := range slaMixes {
+		for _, tier := range byTier {
+			byMix = append(byMix, mix.String()+"\t"+tier)
 		}
 	}
-	res := parallelMap(len(jobs), func(ji int) slaPoint {
-		j := jobs[ji]
-		return runSLAPoint(j.si, seed, slaMixes[j.mi], false, dur,
-			fmt.Sprintf("sla-%s-%s-seed%d", slaMixes[j.mi], slaSystems[j.si].label, seed))
-	})
-	at := func(mi, si int) slaPoint { return res[mi*len(slaSystems)+si] }
+	col := func(p *Panel, label, format string, meter func(mi int) *gstate.Meter,
+		y func(*gstate.Meter, gstate.Tier) float64) {
+		p.add(label, format, func(i int) float64 { return y(meter(i/len(tiers)), tiers[i%len(tiers)]) })
+	}
+	episodes := func(me *gstate.Meter, t gstate.Tier) float64 { return float64(me.Violations(t)) }
+	seconds := (*gstate.Meter).ViolationSeconds
 
-	ta := &Table{
-		Title:  "SLA A: tier-mix sweep, shadow violation-seconds per tier (latency law, identical across systems)",
-		Header: []string{"mix", "tier", "Baseline", "IOrchestra", "IOrchestra+gstate"},
+	ta := Panel{Title: "SLA A: tier-mix sweep, shadow violation-seconds per tier (latency law, identical across systems)",
+		XName: "mix\ttier", XText: byMix}
+	for si, sys := range slaSystems {
+		col(&ta, sys.label, "%.2f", func(mi int) *gstate.Meter { return g.one(mi, si).shadow }, seconds)
 	}
-	tb := &Table{
-		Title:  "SLA B: G-state controller meter per tier (both violation laws)",
-		Header: []string{"mix", "tier", "violations", "violation-s"},
+	ctrl := func(mi int) *gstate.Meter { return g.one(mi, 2).ctrl }
+	tb := Panel{Title: "SLA B: G-state controller meter per tier (both violation laws)",
+		XName: "mix\ttier", XText: byMix}
+	col(&tb, "violations", "%.0f", ctrl, episodes)
+	col(&tb, "violation-s", "%.2f", ctrl, seconds)
+	tc := Panel{Title: "SLA C: chaos composition — uncooperative bronze guest vs gold budget (controller meter)",
+		XName: "tier", XText: byTier}
+	for ci, name := range chaosRuns {
+		me := func(int) *gstate.Meter { return chaos.one(ci).ctrl }
+		col(&tc, name+" violations", "%.0f", me, episodes)
+		col(&tc, name+" viol-s", "%.2f", me, seconds)
 	}
-	for mi, mix := range slaMixes {
-		for _, tier := range gstate.Tiers() {
-			ta.Rows = append(ta.Rows, []string{
-				mix.String(), string(tier),
-				fmt.Sprintf("%.2f", at(mi, 0).shadow.ViolationSeconds(tier)),
-				fmt.Sprintf("%.2f", at(mi, 1).shadow.ViolationSeconds(tier)),
-				fmt.Sprintf("%.2f", at(mi, 2).shadow.ViolationSeconds(tier)),
-			})
-			if ctrl := at(mi, 2).ctrl; ctrl != nil {
-				tb.Rows = append(tb.Rows, []string{
-					mix.String(), string(tier),
-					fmt.Sprintf("%d", ctrl.Violations(tier)),
-					fmt.Sprintf("%.2f", ctrl.ViolationSeconds(tier)),
-				})
-			}
-		}
-	}
-
-	// Chaos composition: balanced mix, with and without the rogue.
-	mix := slaMixes[0]
-	clean := runSLAPoint(2, seed, mix, false, dur, fmt.Sprintf("sla-chaos-clean-seed%d", seed))
-	rogue := runSLAPoint(2, seed, mix, true, dur, fmt.Sprintf("sla-chaos-rogue-seed%d", seed))
-	tc := &Table{
-		Title:  "SLA C: chaos composition — uncooperative bronze guest vs gold budget (controller meter)",
-		Header: []string{"tier", "clean violations", "clean viol-s", "rogue violations", "rogue viol-s"},
-	}
-	for _, tier := range gstate.Tiers() {
-		tc.Rows = append(tc.Rows, []string{
-			string(tier),
-			fmt.Sprintf("%d", clean.ctrl.Violations(tier)),
-			fmt.Sprintf("%.2f", clean.ctrl.ViolationSeconds(tier)),
-			fmt.Sprintf("%d", rogue.ctrl.Violations(tier)),
-			fmt.Sprintf("%.2f", rogue.ctrl.ViolationSeconds(tier)),
-		})
-	}
-	return []*Table{ta, tb, tc}
+	return &Result{Panels: []Panel{ta, tb, tc}}
 }
 
 func init() {

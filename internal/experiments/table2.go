@@ -43,49 +43,23 @@ func runArrivalPoint(sys iorchestra.System, pol iorchestra.Policies, seed uint64
 	return a, p
 }
 
+// arrivalLambdas is the VM arrival-rate axis (per minute) of Table 2 and
+// Fig. 10(b,c) / Fig. 11.
+var arrivalLambdas = []float64{4, 8, 12, 16, 20}
+
 // RunTable2 reproduces Table 2: aggregate write-throughput improvement of
 // IOrchestra's flush policy under dynamic VM arrivals at λ = 4..20/min.
-func RunTable2(scale Scale, seed uint64) []*Table {
-	lambdas := []float64{4, 8, 12, 16, 20}
+func RunTable2(scale Scale, seed uint64) *Result {
 	dur := scale.pick(6*sim.Minute, 30*sim.Minute)
-	pol := iorchestra.Policies{Flush: true}
-
-	type job struct {
-		li int
-		io bool
-	}
-	var jobs []job
-	for li := range lambdas {
-		jobs = append(jobs, job{li, false}, job{li, true})
-	}
-	results := parallelMap(len(jobs), func(ji int) float64 {
-		j := jobs[ji]
-		sys := iorchestra.SystemBaseline
-		if j.io {
-			sys = iorchestra.SystemIOrchestra
-		}
-		a, _ := runArrivalPoint(sys, pol, seed, lambdas[j.li], dur)
+	systems := []iorchestra.System{iorchestra.SystemBaseline, iorchestra.SystemIOrchestra}
+	g := sweep(seed, 1, func(seed uint64, c []int) float64 {
+		a, _ := runArrivalPoint(systems[c[1]], iorchestra.Policies{Flush: true}, seed, arrivalLambdas[c[0]], dur)
 		return a.WrittenBytes()
-	})
-
-	t := &Table{
-		Title:  "Table 2: write-throughput improvement at VM arrival rate λ (per minute)",
-		Header: []string{"λ", "improvement"},
-	}
-	for li, l := range lambdas {
-		var base, io float64
-		for ji, j := range jobs {
-			if j.li == li {
-				if j.io {
-					io = results[ji]
-				} else {
-					base = results[ji]
-				}
-			}
-		}
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%g", l), fmt.Sprintf("%.1f%%", gain(base, io))})
-	}
-	return []*Table{t}
+	}, len(arrivalLambdas), len(systems))
+	p := Panel{Title: "Table 2: write-throughput improvement at VM arrival rate λ (per minute)",
+		XName: "λ", X: arrivalLambdas}
+	p.add("improvement", "%.1f%%", func(li int) float64 { return gain(g.one(li, 0), g.one(li, 1)) })
+	return &Result{Panels: []Panel{p}}
 }
 
 func init() {
@@ -99,67 +73,38 @@ func init() {
 // RunFig10bc reproduces Fig. 10(b) and 10(c): with the full IOrchestra
 // (dedicated cores + co-scheduling) versus SDC versus baseline under the
 // same dynamic arrivals — improvement in completed VMs, and average CPU
-// utilization.
-func RunFig10bc(scale Scale, seed uint64) []*Table {
-	lambdas := []float64{4, 8, 12, 16, 20}
+// utilization — and Fig. 11, the same runs' I/O throughput.
+func RunFig10bc(scale Scale, seed uint64) *Result {
 	dur := scale.pick(6*sim.Minute, 30*sim.Minute)
-
 	systems := []iorchestra.System{iorchestra.SystemBaseline, iorchestra.SystemSDC, iorchestra.SystemIOrchestra}
-	type res struct {
-		completed int
-		util      float64
-		ioBytes   float64
-	}
-	type job struct {
-		li, si int
-	}
-	var jobs []job
-	for li := range lambdas {
-		for si := range systems {
-			jobs = append(jobs, job{li, si})
-		}
-	}
-	results := parallelMap(len(jobs), func(ji int) res {
-		j := jobs[ji]
+	type point struct{ completed, util, ioBytes float64 }
+	g := sweep(seed, 1, func(seed uint64, c []int) point {
 		// Sec. 5.5 isolates the co-scheduling function for this experiment.
-		a, p := runArrivalPoint(systems[j.si], iorchestra.Policies{Cosched: true},
-			seed, lambdas[j.li], dur)
-		return res{
-			completed: a.Completed(),
+		a, p := runArrivalPoint(systems[c[1]], iorchestra.Policies{Cosched: true},
+			seed, arrivalLambdas[c[0]], dur)
+		return point{
+			completed: float64(a.Completed()),
 			util:      p.Host.CPUUtilization(p.Kernel.Now()),
 			ioBytes:   a.IOBytes(),
 		}
-	})
-	get := func(li, si int) res {
-		for ji, j := range jobs {
-			if j.li == li && j.si == si {
-				return results[ji]
-			}
-		}
-		return res{}
-	}
+	}, len(arrivalLambdas), len(systems))
 
-	tb := &Table{Title: "Fig 10(b): improvement in completed VMs vs baseline",
-		Header: []string{"λ", "SDC", "IOrchestra"}}
-	tc := &Table{Title: "Fig 10(c): average CPU utilization",
-		Header: []string{"λ", "Baseline", "SDC", "IOrchestra"}}
-	t11 := &Table{Title: "Fig 11: I/O throughput improvement vs baseline",
-		Header: []string{"λ", "SDC", "IOrchestra"}}
-	for li, l := range lambdas {
-		b := get(li, 0)
-		s := get(li, 1)
-		io := get(li, 2)
-		tb.Rows = append(tb.Rows, []string{fmt.Sprintf("%g", l),
-			fmt.Sprintf("%.1f%%", gain(float64(b.completed), float64(s.completed))),
-			fmt.Sprintf("%.1f%%", gain(float64(b.completed), float64(io.completed)))})
-		tc.Rows = append(tc.Rows, []string{fmt.Sprintf("%g", l),
-			fmt.Sprintf("%.0f%%", b.util*100), fmt.Sprintf("%.0f%%", s.util*100),
-			fmt.Sprintf("%.0f%%", io.util*100)})
-		t11.Rows = append(t11.Rows, []string{fmt.Sprintf("%g", l),
-			fmt.Sprintf("%.1f%%", gain(b.ioBytes, s.ioBytes)),
-			fmt.Sprintf("%.1f%%", gain(b.ioBytes, io.ioBytes))})
+	// panel tabulates systems[from:], each system's y against Baseline's.
+	panel := func(title, format string, from int, y func(base, sys point) float64) Panel {
+		p := Panel{Title: title, XName: "λ", X: arrivalLambdas}
+		for si := from; si < len(systems); si++ {
+			p.add(systems[si].String(), format, func(li int) float64 { return y(g.one(li, 0), g.one(li, si)) })
+		}
+		return p
 	}
-	return []*Table{tb, tc, t11}
+	return &Result{Panels: []Panel{
+		panel("Fig 10(b): improvement in completed VMs vs baseline", "%.1f%%", 1,
+			func(base, sys point) float64 { return gain(base.completed, sys.completed) }),
+		panel("Fig 10(c): average CPU utilization", "%.0f%%", 0,
+			func(_, sys point) float64 { return sys.util * 100 }),
+		panel("Fig 11: I/O throughput improvement vs baseline", "%.1f%%", 1,
+			func(base, sys point) float64 { return gain(base.ioBytes, sys.ioBytes) }),
+	}}
 }
 
 func init() {
@@ -172,5 +117,6 @@ func init() {
 		ID:       "fig11",
 		Describe: "I/O throughput improvement at arrival rate λ (alias of fig10bc)",
 		Run:      RunFig10bc,
+		AliasOf:  "fig10bc",
 	})
 }

@@ -14,7 +14,7 @@ import (
 // the experiments build: each simulation point writes
 // <dir>/<label>.ndjson (the raw event stream, loadable by
 // cmd/iorchestra-trace) and <dir>/<label>.summary.txt (the per-domain
-// decision/metrics summary). Points run on parallelMap workers but each
+// decision/metrics summary). Points run on sweep's workers but each
 // writes distinct files, so no locking is needed.
 var traceDir string
 
@@ -54,8 +54,11 @@ func dumpTrace(label string, p *iorchestra.Platform) {
 		fmt.Fprintf(os.Stderr, "trace: %s.ndjson: %v\n", base, werr)
 		return
 	}
-	if err := os.WriteFile(base+".summary.txt",
-		[]byte(trace.Summarize(events).Format()), 0o644); err != nil {
+	// The ring keeps the newest records only: say how much of a long
+	// point's trace the files hold, as iorchestra-sim -trace does.
+	summary := fmt.Sprintf("trace: %d events recorded (%d retained, %d evicted)\n%s",
+		p.Trace.Recorded(), len(events), p.Trace.Dropped(), trace.Summarize(events).Format())
+	if err := os.WriteFile(base+".summary.txt", []byte(summary), 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 	}
 }

@@ -159,7 +159,7 @@ func New(k *sim.Kernel, cfg Config, rng *stats.Stream) *Host {
 		nextDom:      1,
 	}
 	h.cg = NewCgroup(k, cfg.Device, cfg.MaxDeviceInFlight)
-	h.tracer = trace.New(k, cfg.Device.Name(), 0)
+	h.tracer = trace.New(k, cfg.Device.Name())
 	h.cg.SetTracer(h.tracer)
 	if cfg.Trace {
 		h.rec = trace.NewRecorder(k, cfg.TraceCapacity)

@@ -347,7 +347,7 @@ func TestSetGuestIOWeightAffectsCgroup(t *testing.T) {
 
 func TestHostTracerRecordsDispatchPath(t *testing.T) {
 	k := sim.NewKernel()
-	h := New(k, Config{Mode: ModeBackend}, stats.NewStream(18, "host"))
+	h := New(k, Config{Mode: ModeBackend, Trace: true}, stats.NewStream(18, "host"))
 	rt := h.CreateGuest(guest.Config{VCPUs: 1})
 	p := rt.G.NewProcess(1)
 	d := rt.G.Disk("xvda")
@@ -355,18 +355,7 @@ func TestHostTracerRecordsDispatchPath(t *testing.T) {
 		d.Read(p, 4096, false, nil)
 	}
 	k.Run()
-	evs := h.tracer.Events()
-	var q, issue, comp int
-	for _, e := range evs {
-		switch e.Kind {
-		case trace.Queue:
-			q++
-		case trace.Issue:
-			issue++
-		case trace.Complete:
-			comp++
-		}
-	}
+	q, issue, comp := h.rec.Count(trace.KindDevQueue), h.rec.Count(trace.KindDevIssue), h.rec.Count(trace.KindDevComplete)
 	if q != 5 || issue != 5 || comp != 5 {
 		t.Fatalf("trace Q/D/C = %d/%d/%d, want 5/5/5", q, issue, comp)
 	}

@@ -1,12 +1,11 @@
 // Package trace records per-device block-I/O events in the spirit of
 // blktrace, which the paper's monitoring module uses to observe physical
-// disk status. The tracer keeps a bounded ring of events plus windowed
-// aggregates the monitoring module samples.
+// disk status. The tracer keeps the windowed aggregates the monitoring
+// module samples; the events themselves go to the Recorder when a run
+// is traced.
 package trace
 
 import (
-	"fmt"
-
 	"iorchestra/internal/metrics"
 	"iorchestra/internal/sim"
 )
@@ -23,44 +22,10 @@ const (
 	Complete
 )
 
-// String names the event kind with blktrace letters.
-func (k EventKind) String() string {
-	switch k {
-	case Queue:
-		return "Q"
-	case Issue:
-		return "D"
-	default:
-		return "C"
-	}
-}
-
-// Event is one trace record.
-type Event struct {
-	At     sim.Time
-	Kind   EventKind
-	Device string
-	Owner  int
-	Write  bool
-	Size   int64
-}
-
-// String renders the event like a blktrace line.
-func (e Event) String() string {
-	rw := "R"
-	if e.Write {
-		rw = "W"
-	}
-	return fmt.Sprintf("%v %s %s %s %d dom%d", e.At, e.Device, e.Kind, rw, e.Size, e.Owner)
-}
-
 // Tracer collects events for one device.
 type Tracer struct {
 	k      *sim.Kernel
 	device string
-	ring   []Event
-	head   int
-	full   bool
 
 	completes *metrics.WindowRate // bytes completed, trailing window
 	queues    *metrics.WindowRate // requests queued, trailing window
@@ -79,16 +44,11 @@ type pathLatency struct {
 	sum   sim.Duration
 }
 
-// New returns a tracer with a ring of the given capacity (default 4096)
-// and 100 ms aggregation windows.
-func New(k *sim.Kernel, device string, capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = 4096
-	}
+// New returns a tracer with 100 ms aggregation windows.
+func New(k *sim.Kernel, device string) *Tracer {
 	return &Tracer{
 		k:         k,
 		device:    device,
-		ring:      make([]Event, capacity),
 		completes: metrics.NewWindowRate(100*sim.Millisecond, 512),
 		queues:    metrics.NewWindowRate(100*sim.Millisecond, 512),
 		pathLat:   map[int]*pathLatency{},
@@ -96,16 +56,16 @@ func New(k *sim.Kernel, device string, capacity int) *Tracer {
 }
 
 // SetRecorder forwards every event into the unified decision-trace
-// recorder in addition to the local ring and aggregates.
+// recorder in addition to the local aggregates.
 func (t *Tracer) SetRecorder(r *Recorder) { t.rec = r }
 
-// Record appends an event. Completions should use RecordComplete so the
+// Record notes an event. Completions should use RecordComplete so the
 // host-path latency reaches the decision trace.
 func (t *Tracer) Record(kind EventKind, owner int, write bool, size int64) {
 	t.record(kind, owner, write, size, 0)
 }
 
-// RecordComplete appends a completion event carrying the host-path
+// RecordComplete notes a completion event carrying the host-path
 // latency (arrival at the dispatcher to completion).
 func (t *Tracer) RecordComplete(owner int, write bool, size int64, latency sim.Duration) {
 	pl := t.pathLat[owner]
@@ -132,17 +92,11 @@ func (t *Tracer) PathLatency(owner int) (count uint64, sum sim.Duration) {
 func (t *Tracer) ForgetOwner(owner int) { delete(t.pathLat, owner) }
 
 func (t *Tracer) record(kind EventKind, owner int, write bool, size int64, latency sim.Duration) {
-	e := Event{At: t.k.Now(), Kind: kind, Device: t.device, Owner: owner, Write: write, Size: size}
-	t.ring[t.head] = e
-	t.head = (t.head + 1) % len(t.ring)
-	if t.head == 0 {
-		t.full = true
-	}
 	switch kind {
 	case Complete:
-		t.completes.Add(e.At, float64(size))
+		t.completes.Add(t.k.Now(), float64(size))
 	case Queue:
-		t.queues.Add(e.At, 1)
+		t.queues.Add(t.k.Now(), 1)
 	}
 	if t.rec != nil {
 		rk := KindDevQueue
@@ -157,19 +111,6 @@ func (t *Tracer) record(kind EventKind, owner int, write bool, size int64, laten
 			Write: write, Size: size, Latency: latency,
 		})
 	}
-}
-
-// Events returns the retained events oldest-first.
-func (t *Tracer) Events() []Event {
-	if !t.full {
-		out := make([]Event, t.head)
-		copy(out, t.ring[:t.head])
-		return out
-	}
-	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.head:]...)
-	out = append(out, t.ring[:t.head]...)
-	return out
 }
 
 // CompletedBps reports the completion bandwidth over the trailing window.

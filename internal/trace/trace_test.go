@@ -6,18 +6,28 @@ import (
 	"iorchestra/internal/sim"
 )
 
+// TestTracerRecordsAndReturnsInOrder: the tracer keeps no events of its
+// own; a traced run's Q/D/C events reach the recorder typed, counted
+// and in order.
 func TestTracerRecordsAndReturnsInOrder(t *testing.T) {
 	k := sim.NewKernel()
-	tr := New(k, "md0", 8)
+	tr := New(k, "md0")
+	rec := NewRecorder(k, 8)
+	tr.SetRecorder(rec)
 	k.At(1, func() { tr.Record(Queue, 1, false, 4096) })
 	k.At(2, func() { tr.Record(Issue, 1, false, 4096) })
-	k.At(3, func() { tr.Record(Complete, 1, false, 4096) })
+	k.At(3, func() { tr.RecordComplete(1, false, 4096, 2) })
 	k.Run()
-	evs := tr.Events()
+	for _, kind := range []Kind{KindDevQueue, KindDevIssue, KindDevComplete} {
+		if got := rec.Count(kind); got != 1 {
+			t.Fatalf("Count(%s) = %d, want 1", kind, got)
+		}
+	}
+	evs := rec.Events()
 	if len(evs) != 3 {
 		t.Fatalf("Events = %d", len(evs))
 	}
-	if evs[0].Kind != Queue || evs[1].Kind != Issue || evs[2].Kind != Complete {
+	if evs[0].Kind != KindDevQueue || evs[1].Kind != KindDevIssue || evs[2].Kind != KindDevComplete {
 		t.Fatalf("order wrong: %v", evs)
 	}
 	if evs[0].At != 1 || evs[2].At != 3 {
@@ -25,24 +35,9 @@ func TestTracerRecordsAndReturnsInOrder(t *testing.T) {
 	}
 }
 
-func TestTracerRingWraps(t *testing.T) {
-	k := sim.NewKernel()
-	tr := New(k, "md0", 4)
-	for i := 0; i < 10; i++ {
-		tr.Record(Queue, i, true, 1)
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("Events = %d, want ring size 4", len(evs))
-	}
-	if evs[0].Owner != 6 || evs[3].Owner != 9 {
-		t.Fatalf("ring kept wrong events: %v", evs)
-	}
-}
-
 func TestTracerWindowedRates(t *testing.T) {
 	k := sim.NewKernel()
-	tr := New(k, "md0", 0)
+	tr := New(k, "md0")
 	k.At(sim.Millisecond, func() { tr.Record(Complete, 1, true, 1e6) })
 	k.At(2*sim.Millisecond, func() { tr.Record(Complete, 1, true, 1e6) })
 	k.Run()
@@ -60,7 +55,7 @@ func TestTracerWindowedRates(t *testing.T) {
 
 func TestTracerQueueRate(t *testing.T) {
 	k := sim.NewKernel()
-	tr := New(k, "md0", 0)
+	tr := New(k, "md0")
 	for i := 0; i < 10; i++ {
 		at := sim.Time(i+1) * sim.Millisecond
 		k.At(at, func() { tr.Record(Queue, 0, false, 512) })
@@ -74,7 +69,7 @@ func TestTracerQueueRate(t *testing.T) {
 // TestTracerPathLatency: completions feed a per-owner (count, sum)
 // whether or not a recorder is attached, and ForgetOwner restarts it.
 func TestTracerPathLatency(t *testing.T) {
-	tr := New(sim.NewKernel(), "md0", 0)
+	tr := New(sim.NewKernel(), "md0")
 	tr.RecordComplete(1, true, 4096, 2*sim.Millisecond)
 	tr.RecordComplete(1, false, 4096, 3*sim.Millisecond)
 	tr.RecordComplete(2, true, 4096, 7*sim.Millisecond)
@@ -92,15 +87,5 @@ func TestTracerPathLatency(t *testing.T) {
 	}
 	if count, _ := tr.PathLatency(2); count != 1 {
 		t.Fatalf("ForgetOwner(1) disturbed owner 2: count = %d", count)
-	}
-}
-
-func TestEventString(t *testing.T) {
-	e := Event{At: sim.Millisecond, Kind: Complete, Device: "md0", Owner: 2, Write: true, Size: 4096}
-	if e.String() == "" {
-		t.Fatal("empty String")
-	}
-	if Queue.String() != "Q" || Issue.String() != "D" || Complete.String() != "C" {
-		t.Fatal("EventKind letters wrong")
 	}
 }
