@@ -37,7 +37,8 @@ race:
 	$(GO) test -race ./...
 
 # The wire fuzz targets, 10 s each (go test -fuzz takes one target per
-# run): the two decoders, then whole frames at a live server connection.
+# run): the decoders, the frame reader against its reference, then whole
+# frames at a live server connection.
 # Plain `make test` already runs their seed corpus. The server target's
 # coverage moves with goroutine scheduling, so the engine is given 1 s,
 # not its default minute, to minimize each input it finds interesting —
@@ -45,6 +46,8 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/netstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplyDecode$$' -fuzztime 10s ./internal/netstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzReplyComposites$$' -fuzztime 10s ./internal/netstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s ./internal/netstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzServerFrames$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/netstore/
 
 # Manager-tick microbenchmarks (all three policies over 8 guests). The

@@ -44,47 +44,42 @@ type BatchResult struct {
 // NewBatch starts an empty batch on this connection.
 func (c *Client) NewBatch() *Batch { return &Batch{c: c} }
 
-// Read queues a read of an absolute path.
-func (b *Batch) Read(path string) *Batch {
-	b.ops = append(b.ops, batchReq{op: OpRead, path: path})
+// add queues one operation, on the op slice the connection's last
+// finished batch left behind when there is one (see Run).
+func (b *Batch) add(r batchReq) *Batch {
+	if b.ops == nil {
+		b.c.reqMu.Lock()
+		b.ops, b.c.freeOps = b.c.freeOps, nil
+		b.c.reqMu.Unlock()
+	}
+	b.ops = append(b.ops, r)
 	return b
 }
+
+// Read queues a read of an absolute path.
+func (b *Batch) Read(path string) *Batch { return b.add(batchReq{op: OpRead, path: path}) }
 
 // Write queues a write of an absolute path.
 func (b *Batch) Write(path, value string) *Batch {
-	b.ops = append(b.ops, batchReq{op: OpWrite, path: path, value: value})
-	return b
+	return b.add(batchReq{op: OpWrite, path: path, value: value})
 }
 
 // Remove queues a subtree removal.
-func (b *Batch) Remove(path string) *Batch {
-	b.ops = append(b.ops, batchReq{op: OpRemove, path: path})
-	return b
-}
+func (b *Batch) Remove(path string) *Batch { return b.add(batchReq{op: OpRemove, path: path}) }
 
 // List queues a child listing.
-func (b *Batch) List(path string) *Batch {
-	b.ops = append(b.ops, batchReq{op: OpList, path: path})
-	return b
-}
+func (b *Batch) List(path string) *Batch { return b.add(batchReq{op: OpList, path: path}) }
 
 // Exists queues an existence probe.
-func (b *Batch) Exists(path string) *Batch {
-	b.ops = append(b.ops, batchReq{op: OpExists, path: path})
-	return b
-}
+func (b *Batch) Exists(path string) *Batch { return b.add(batchReq{op: OpExists, path: path}) }
 
 // Grant queues a permission grant.
 func (b *Batch) Grant(path string, target store.DomID, perm store.Perm) *Batch {
-	b.ops = append(b.ops, batchReq{op: OpGrant, path: path, target: target, perm: perm})
-	return b
+	return b.add(batchReq{op: OpGrant, path: path, target: target, perm: perm})
 }
 
 // Ping queues a no-op round-trip marker.
-func (b *Batch) Ping() *Batch {
-	b.ops = append(b.ops, batchReq{op: OpPing})
-	return b
-}
+func (b *Batch) Ping() *Batch { return b.add(batchReq{op: OpPing}) }
 
 // encodeBatch appends an OpBatch request body: the count, then each
 // sub-op. The server's decodeBatch is its inverse.
@@ -128,29 +123,55 @@ func (b *Batch) Run() ([]BatchResult, error) {
 	if d.err == nil && int(n) != len(ops) {
 		return nil, fmt.Errorf("%w: batch reply carries %d results for %d ops", ErrBadRequest, n, len(ops))
 	}
-	results := make([]BatchResult, 0, n)
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		st := Status(d.u8())
-		msg := d.str()
-		res := BatchResult{Err: errOf(st, msg)}
-		if res.Err == nil {
-			switch ops[i].op {
-			case OpRead:
-				res.Value = d.str()
-			case OpList:
-				m := d.u32()
-				res.Names = make([]string, 0, m)
-				for j := uint32(0); j < m; j++ {
-					res.Names = append(res.Names, d.str())
-				}
-			case OpExists:
-				res.Present = d.u8() == 1
-			}
-		}
-		results = append(results, res)
-	}
+	results := make([]BatchResult, len(ops))
+	d.results(ops, results)
 	if err := d.done(); err != nil {
 		return nil, err
 	}
+	if cap(ops) <= subsKeep {
+		clear(ops) // the kept slice must not pin this batch's paths and values
+		b.c.reqMu.Lock()
+		b.c.freeOps = ops[:0]
+		b.c.reqMu.Unlock()
+	}
 	return results, nil
+}
+
+// results decodes a batch reply's sub-replies into res, in place. Every
+// List result's Names are carved out of one array, sized at the first
+// list: its count times the lists still to come, and never more names
+// than the rest of the body could hold. A list that does not fit what is
+// left of the array starts the next one, by the same rule.
+//
+// hotpath
+func (d *rdec) results(ops []batchReq, res []BatchResult) {
+	var names []string
+	for i := 0; i < len(ops) && d.err == nil; i++ {
+		if st, msg := Status(d.u8()), d.str(); st != StatusOK {
+			res[i].Err = errOf(st, msg)
+			continue
+		}
+		switch ops[i].op {
+		case OpRead:
+			res[i].Value = d.str()
+		case OpList:
+			m := d.count(4)
+			if names == nil || cap(names)-len(names) < m {
+				lists := 0
+				for _, op := range ops[i:] {
+					if op.op == OpList {
+						lists++
+					}
+				}
+				names = make([]string, 0, min(m*lists, len(d.s)/4))
+			}
+			start := len(names)
+			for j := 0; j < m && d.err == nil; j++ {
+				names = append(names, d.str())
+			}
+			res[i].Names = names[start:len(names):len(names)]
+		case OpExists:
+			res[i].Present = d.u8() == 1
+		}
+	}
 }

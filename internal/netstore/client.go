@@ -1,7 +1,6 @@
 package netstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -26,25 +25,27 @@ import (
 // which is never reused. They stay valid for as long as they are held;
 // holding any one of them keeps that whole reply (at most MaxFrame
 // bytes) from the collector, so a caller that files away one short field
-// of a large reply should strings.Clone it. Watch callback arguments and
+// of a large reply should strings.Clone it; one batch's Names slices
+// likewise share one array. Watch callback arguments and
 // SyncSubtree pages are private copies.
 type Client struct {
 	c net.Conn
-	// br buffers inbound frames: the reply stream is read by exactly one
-	// goroutine (handshake, then readLoop), so pipelined replies cost one
-	// read syscall instead of two per frame. rbuf is readLoop's reusable
-	// frame buffer, paths its intern table for event paths.
-	br    *bufio.Reader
-	rbuf  []byte
+	// fr reads the inbound frames: the stream is read by exactly one
+	// goroutine (handshake, then readLoop), so whatever the server sent
+	// behind its hello reply is already buffered for the loop. paths is
+	// readLoop's intern table for event paths.
+	fr    frameReader
 	paths pathTable
 
 	// reqMu orders request ids, pending registrations and socket writes.
 	// wenc is the request encoder, reused under it: a frame is built
-	// behind a four-byte length prefix and written in place.
+	// behind a four-byte length prefix and written in place. freeOps is
+	// the last finished batch's op slice, kept for the next (batch.go).
 	reqMu   sync.Mutex
 	nextReq uint32
 	pending map[uint32]*waiter
 	wenc    enc
+	freeOps []batchReq
 	// One sweep per client enforces the request timeout, so a request
 	// arms no timer of its own: every sweepEvery (a quarter of
 	// requestTimeout as it stood at dial) sweeper advances epoch and fails
@@ -63,13 +64,14 @@ type Client struct {
 	// queue grows on demand, so readLoop never blocks on it — a callback
 	// parked in an rpc can always get its reply — and, like the server's
 	// outbound queue, it holds the net change per (watch, path): a newer
-	// value replaces a queued one in place (evIdx finds it), so a stuck
-	// dispatcher costs memory in proportion to the distinct keys
-	// changed, not to the history.
+	// value replaces a queued one in place, so a stuck dispatcher costs
+	// memory in proportion to the distinct keys changed, not to the
+	// history. evIdx finds the queued one: per registered watch, path to
+	// absolute queue index; an event for any other watch is dropped.
 	evMu   sync.Mutex
 	evCond sync.Cond
 	evq    fifo[clientEvent]
-	evIdx  map[eventKey]int
+	evIdx  map[uint32]map[string]int
 	evDone bool // readLoop has exited; the dispatcher drains and stops
 
 	closeOnce sync.Once
@@ -123,10 +125,10 @@ func Dial(network, addr string, dom store.DomID, token string) (*Client, error) 
 func NewClient(nc net.Conn, dom store.DomID, token string) (*Client, error) {
 	c := &Client{
 		c:        nc,
-		br:       bufio.NewReaderSize(nc, 16<<10),
+		fr:       frameReader{r: nc},
 		pending:  map[uint32]*waiter{},
 		watchFns: map[uint32]func(path, value string){},
-		evIdx:    map[eventKey]int{},
+		evIdx:    map[uint32]map[string]int{},
 		paths:    pathTable{},
 		closedCh: make(chan struct{}),
 	}
@@ -143,7 +145,7 @@ func NewClient(nc net.Conn, dom store.DomID, token string) (*Client, error) {
 		nc.Close()
 		return nil, err
 	}
-	payload, err := readFrame(c.br)
+	payload, err := c.fr.next()
 	if err != nil {
 		nc.Close()
 		return nil, err
@@ -254,8 +256,7 @@ func (c *Client) readLoop() {
 // dispatcher's queue; it returns why the stream ended.
 func (c *Client) readFrames() error {
 	for {
-		payload, next, err := readFrameReuse(c.br, c.rbuf)
-		c.rbuf = next
+		payload, err := c.fr.next()
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrClosed, err)
 		}
@@ -294,9 +295,6 @@ func (c *Client) readFrames() error {
 		default:
 			return fmt.Errorf("%w: unexpected opcode %d from server", ErrBadRequest, uint8(op))
 		}
-		if cap(c.rbuf) > poolMax {
-			c.rbuf = nil // one big snapshot or value must not pin its size
-		}
 	}
 }
 
@@ -306,10 +304,12 @@ func (c *Client) readFrames() error {
 // hotpath
 func (c *Client) pushEvent(key eventKey, value string) {
 	c.evMu.Lock()
-	if abs, queued := c.evIdx[key]; queued {
+	if idx := c.evIdx[key.watch]; idx == nil {
+		// Unwatched since the server sent it.
+	} else if abs, queued := idx[key.path]; queued {
 		c.evq.at(abs).value = value
 	} else {
-		c.evIdx[key] = c.evq.push(clientEvent{key: key, value: value})
+		idx[key.path] = c.evq.push(clientEvent{key: key, value: value})
 		c.evCond.Signal()
 	}
 	c.evMu.Unlock()
@@ -326,7 +326,7 @@ func (c *Client) dispatchLoop() {
 			return
 		}
 		ev := c.evq.pop()
-		delete(c.evIdx, ev.key)
+		delete(c.evIdx[ev.key.watch], ev.key.path) // a no-op once unwatched
 		c.evMu.Unlock()
 		c.watchMu.Lock()
 		fn := c.watchFns[ev.key.watch]
@@ -439,11 +439,7 @@ func (c *Client) List(path string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := d.u32()
-	names := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		names = append(names, d.str())
-	}
+	names := d.names()
 	return names, d.done()
 }
 
@@ -504,13 +500,7 @@ func (c *Client) Snapshot(root string) (map[string]string, uint64, error) {
 		return nil, 0, err
 	}
 	version := d.u64()
-	n := d.u32()
-	nodes := make(map[string]string, n)
-	for i := uint32(0); i < n; i++ {
-		p := d.str()
-		v := d.str()
-		nodes[p] = v
-	}
+	nodes := d.pairs()
 	return nodes, version, d.done()
 }
 
@@ -524,25 +514,34 @@ func (c *Client) Watch(prefix string, fn func(path, value string)) (store.WatchI
 	// Install before sending: the first event may beat the reply.
 	c.watchFns[cwid] = fn
 	c.watchMu.Unlock()
+	c.evMu.Lock()
+	c.evIdx[cwid] = map[string]int{}
+	c.evMu.Unlock()
 	d, err := c.call(OpWatch, func(e *enc) { e.u32(cwid); e.str(prefix) })
 	if err == nil {
 		err = d.done()
 	}
 	if err != nil {
-		c.watchMu.Lock()
-		delete(c.watchFns, cwid)
-		c.watchMu.Unlock()
+		c.forget(cwid)
 		return 0, err
 	}
 	return store.WatchID(cwid), nil
 }
 
-// Unwatch removes a watch registered through this client.
-func (c *Client) Unwatch(id store.WatchID) {
-	cwid := uint32(id)
+// forget drops a watch's callback and index; dispatch discards its queue.
+func (c *Client) forget(cwid uint32) {
 	c.watchMu.Lock()
 	delete(c.watchFns, cwid)
 	c.watchMu.Unlock()
+	c.evMu.Lock()
+	delete(c.evIdx, cwid)
+	c.evMu.Unlock()
+}
+
+// Unwatch removes a watch registered through this client.
+func (c *Client) Unwatch(id store.WatchID) {
+	cwid := uint32(id)
+	c.forget(cwid)
 	d, err := c.call(OpUnwatch, func(e *enc) { e.u32(cwid) })
 	if err == nil {
 		_ = d.done()

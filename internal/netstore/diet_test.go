@@ -12,6 +12,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -24,8 +25,9 @@ import (
 // hot frame: 96 ops, 6 writes : 1 read : 1 list over 32 keys of 256
 // bytes, the client watching its own writes. What is left per op is the
 // written value's string on the server, a share of the reply's one
-// buffer and of the result slices, and the value of each event that
-// survives coalescing.
+// buffer, of the result slice and of the frame's one names array, and
+// the value of each event that survives coalescing — counted, and
+// weighed: the bytes are what paces the collector.
 func TestBatchRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -70,12 +72,16 @@ func TestBatchRoundTripAllocs(t *testing.T) {
 	for i := 0; i < 32; i++ { // fill the pools, the intern tables and the queues
 		frame()
 	}
-	const budget = 2.0
+	const budget, byteBudget = 1.25, 520
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	perOp := testing.AllocsPerRun(200, frame) / ops
-	if perOp > budget {
-		t.Errorf("a 96-op batch round trip allocates %.2f times per op, budget %.1f", perOp, budget)
+	runtime.ReadMemStats(&m1)
+	bytesPerOp := float64(m1.TotalAlloc-m0.TotalAlloc) / (201 * ops) // AllocsPerRun warms up with one run more
+	if perOp > budget || bytesPerOp > byteBudget {
+		t.Errorf("a 96-op batch round trip allocates %.2f times and %.0f bytes per op, budget %.2f and %d", perOp, bytesPerOp, budget, byteBudget)
 	} else {
-		t.Logf("%.2f allocations per batched op (budget %.1f)", perOp, budget)
+		t.Logf("%.2f allocations, %.0f bytes per batched op (budget %.2f, %d)", perOp, bytesPerOp, budget, byteBudget)
 	}
 	if events.Load() == 0 {
 		t.Error("the client's own watch never fired")

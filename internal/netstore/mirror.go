@@ -24,9 +24,9 @@ func (c *Client) SyncSubtree(root string, sinceVersion, knownHash uint64) (store
 	res.Mode = store.SyncMode(d.u8())
 	res.Version = d.u64()
 	res.Hash = d.u64()
-	n := d.u32()
+	n := d.count(9) // a pair costs two length prefixes and a flag at least
 	res.Pairs = make([]store.SyncPair, 0, n)
-	for i := uint32(0); i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.err == nil; i++ {
 		// Cloned, not views of the reply: pages are folded into mirrors that
 		// live for the connection, where one surviving path of each delta
 		// would pin that delta's whole reply.

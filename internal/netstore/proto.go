@@ -65,7 +65,6 @@
 package netstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -347,54 +346,69 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame reads one length-prefixed payload into a fresh buffer. Use
-// readFrameReuse on per-connection read loops where the payload is fully
-// consumed before the next read.
+// frameReader parses one connection's inbound frames where they land: it
+// reads the socket straight into the buffer it owns and hands each
+// payload out as a slice of it. It serves the whole stream, hello
+// included, so what a peer pipelines behind a frame is never stranded.
+// The buffer grows to the largest frame it meets, and one over poolMax is
+// given up once its frame has been consumed. One goroutine at a time.
+type frameReader struct {
+	r          io.Reader
+	buf        []byte // len == cap; buf[head:tail] is read and not yet handed out
+	head, tail int
+}
+
+// frameBufMin is the buffer a connection starts with: one read syscall
+// takes a burst of small frames (a reply behind its request's events).
+const frameBufMin = 16 << 10
+
+// next returns the next frame's payload: a slice of the reader's buffer,
+// valid until the following call — callers finish decoding (dec copies
+// string bytes out) before reading again. A length over MaxFrame is
+// refused before anything is allocated for it.
 //
 // hotpath
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func (fr *frameReader) next() ([]byte, error) {
+	if err := fr.fill(4); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(fr.buf[fr.head:]))
 	if n > MaxFrame {
-		return nil, errFrameSize(int(n))
+		return nil, errFrameSize(n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if err := fr.fill(4 + n); err != nil {
 		return nil, err
 	}
+	payload := fr.buf[fr.head+4 : fr.head+4+n : fr.head+4+n]
+	fr.head += 4 + n
 	return payload, nil
 }
 
-// readFrameReuse reads one length-prefixed payload into buf, growing it
-// as needed, and returns the payload slice (aliasing buf) plus the
-// possibly grown buffer for the next call. The payload is only valid
-// until the next read — callers must finish decoding (dec copies string
-// bytes out) before reading again. The length prefix is peeked in the
-// reader's own buffer: a local header array would escape through the
-// Read call and cost an allocation per frame.
+// fill reads until need bytes are buffered. A frame that straddles the
+// end of the buffer is first moved to the front of it, or of one that
+// fits — at most once per frame, and never for a peer with one request
+// in flight: an emptied buffer refills from its start.
 //
 // hotpath
-func readFrameReuse(r *bufio.Reader, buf []byte) (payload, next []byte, err error) {
-	hdr, err := r.Peek(4)
-	if err != nil {
-		return nil, buf, err
+func (fr *frameReader) fill(need int) error {
+	if fr.tail-fr.head >= need {
+		return nil
 	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n > MaxFrame {
-		return nil, buf, errFrameSize(int(n))
+	if fr.head > 0 || need > len(fr.buf) {
+		buf := fr.buf
+		if need > len(buf) || len(buf) > poolMax {
+			buf = make([]byte, max(need, frameBufMin))
+		}
+		fr.tail = copy(buf, fr.buf[fr.head:fr.tail])
+		fr.head, fr.buf = 0, buf
 	}
-	r.Discard(4) // cannot fail: Peek just buffered these bytes
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
+	for fr.tail < need {
+		n, err := fr.r.Read(fr.buf[fr.tail:])
+		if fr.tail += n; n == 0 && err != nil {
+			return err
+		}
 	}
-	payload = buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, buf, err
-	}
-	return payload, buf, nil
+	return nil
 }
 
 // enc builds a payload. The zero value is ready to use.
@@ -638,6 +652,41 @@ func (d *rdec) u64() uint64 { return uint64(d.u32())<<32 | uint64(d.u32()) }
 
 // hotpath
 func (d *rdec) str() string { return d.take(d.u32()) }
+
+// count reads an element count, which sizes allocations and loops, and
+// fails the decode unless the rest of the body could hold that many
+// elements of at least min bytes each.
+//
+// hotpath
+func (d *rdec) count(min int) int {
+	n := d.u32()
+	if d.err == nil && uint64(n) > uint64(len(d.s)/min) {
+		d.err = errTruncated()
+		return 0
+	}
+	return int(n)
+}
+
+// names decodes a counted list of strings: a List reply's body.
+func (d *rdec) names() []string {
+	n := d.count(4) // a name costs its length prefix at least
+	names := make([]string, 0, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		names = append(names, d.str())
+	}
+	return names
+}
+
+// pairs decodes a counted list of path/value pairs: a Snapshot reply's.
+func (d *rdec) pairs() map[string]string {
+	n := d.count(8) // a pair costs two length prefixes at least
+	nodes := make(map[string]string, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		p := d.str()
+		nodes[p] = d.str()
+	}
+	return nodes
+}
 
 // done errors unless the body was fully consumed.
 func (d *rdec) done() error {

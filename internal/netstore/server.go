@@ -1,7 +1,6 @@
 package netstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -313,14 +312,13 @@ func (s *Server) startConn(c net.Conn) {
 	sc := &srvConn{
 		srv:     s,
 		c:       c,
-		br:      bufio.NewReaderSize(c, 16<<10),
+		fr:      frameReader{r: c},
 		id:      s.nextConn,
-		watches: map[uint32]store.WatchID{},
+		watches: map[uint32]srvWatch{},
 		txns:    map[uint32]*store.Txn{},
 		// Built here, not lazily in enqueueEvent: that is the event hot
 		// path and a per-call nil check plus literal is an allocation the
 		// hotpathalloc pass would rightly flag.
-		evIdx:  map[eventKey]int{},
 		lagIdx: map[eventKey]struct{}{},
 		paths:  pathTable{},
 	}
@@ -469,13 +467,24 @@ type eventKey struct {
 	path  string
 }
 
+// srvWatch is one registered watch: the store's id for it and idx, the
+// index of its own queued events — path to the frame's absolute queue
+// index, which survives pops. Its callback captured the map. Guarded by
+// qmu.
+type srvWatch struct {
+	id  store.WatchID
+	idx map[string]int
+}
+
 // outFrame is one queued outbound frame. A reply is its encoded payload
 // in a pooled buffer. An event is queued undecoded — its key plus the
 // store's own value string, no copy — so coalescing replaces a string,
-// and only the value that survives to the writer is ever encoded.
+// and only the value that survives to the writer is ever encoded. An
+// event carries its watch's idx (nil marks a reply), so the writer
+// deletes its entry whether or not the watch is still registered.
 type outFrame struct {
 	payload []byte
-	isEvent bool
+	idx     map[string]int
 	key     eventKey
 	value   string
 }
@@ -487,7 +496,7 @@ type outFrame struct {
 func (fr *outFrame) appendTo(b []byte) []byte {
 	mark := len(b)
 	e := enc{b: append(b, 0, 0, 0, 0)}
-	if fr.isEvent {
+	if fr.idx != nil {
 		e.op(OpEvent, 0)
 		e.u32(fr.key.watch)
 		e.str(fr.key.path)
@@ -517,13 +526,11 @@ type srvConn struct {
 
 	// Outbound queue: the writer goroutine pops from the front; the
 	// reader pushes replies and whichever goroutine holds the store lock
-	// pushes events. evIdx maps an event key to its frame's absolute
-	// queue index, so it survives pops.
+	// pushes events, each indexed by its watch (srvWatch.idx).
 	qmu     sync.Mutex
 	qcond   *sync.Cond
 	q       fifo[outFrame]
 	nEvents int
-	evIdx   map[eventKey]int
 	qclosed bool
 	// lagged lists, oldest first, the keys whose events found the queue
 	// full: the value is dropped and the key remembered, and repair
@@ -540,23 +547,21 @@ type srvConn struct {
 	// it provokes in writeLoop must count once.
 	dead atomic.Bool
 
-	// watches (client watch id -> store watch id) is store-lock state:
-	// only closures passed to do touch it. txns belongs to the reader
-	// goroutine, inside and outside the closures it runs.
-	watches map[uint32]store.WatchID
+	// watches (by client watch id) is store-lock state: only closures
+	// passed to do touch it. txns belongs to the reader goroutine, inside
+	// and outside the closures it runs.
+	watches map[uint32]srvWatch
 	txns    map[uint32]*store.Txn
 	nextTxn uint32
 
-	// br buffers inbound frames so a burst of pipelined requests costs
-	// one read syscall; rbuf is the readLoop's reusable frame buffer
-	// (each request is fully decoded — dec copies string bytes out —
-	// before the next read); paths interns the request paths. renc is the
-	// reader's reply encoder — a field, because an encoder handed to an
-	// op closure would otherwise live on the heap, one per reply; its
-	// buffer is a fresh pooled one per reply. subs is handleBatch's decode
-	// scratch, cleared after each frame.
-	br    *bufio.Reader
-	rbuf  []byte
+	// fr reads the inbound frames, hello included (each request is fully
+	// decoded — dec copies string bytes out — before the next read); paths
+	// interns the request paths. renc is the reader's reply encoder — a
+	// field, because an encoder handed to an op closure would otherwise
+	// live on the heap, one per reply; its buffer is a fresh pooled one per
+	// reply. subs is handleBatch's decode scratch, cleared after each
+	// frame.
+	fr    frameReader
 	paths pathTable
 	renc  enc
 	subs  []batchSub
@@ -599,23 +604,23 @@ func (c *srvConn) enqueue(payload []byte) {
 // when it gets there. When the queue is full and nothing coalesces, the
 // key alone is parked in lagged for repair; only a connection that
 // exhausts that backlog too is evicted. It is called from watch delivery,
-// with the tree the watch was registered on.
+// with the tree the watch was registered on and the watch's own idx.
 //
 // hotpath
-func (c *srvConn) enqueueEvent(t *tree, key eventKey, value string) {
+func (c *srvConn) enqueueEvent(t *tree, idx map[string]int, key eventKey, value string) {
 	c.qmu.Lock()
 	if c.qclosed {
 		c.qmu.Unlock()
 		return
 	}
-	if abs, queued := c.evIdx[key]; queued {
+	if abs, queued := idx[key.path]; queued {
 		c.q.at(abs).value = value // an index entry lives exactly as long as its frame
 		c.qmu.Unlock()
 		c.srv.coalesced.Add(1)
 		return
 	}
 	if c.nEvents < c.srv.opts.NotifyQueue && len(c.lagged) == 0 {
-		c.pushEventLocked(key, value)
+		c.pushEventLocked(idx, key, value)
 		c.qmu.Unlock()
 		return
 	}
@@ -643,8 +648,8 @@ func (c *srvConn) enqueueEvent(t *tree, key eventKey, value string) {
 // checked the bound.
 //
 // hotpath
-func (c *srvConn) pushEventLocked(key eventKey, value string) {
-	c.evIdx[key] = c.q.push(outFrame{isEvent: true, key: key, value: value})
+func (c *srvConn) pushEventLocked(idx map[string]int, key eventKey, value string) {
+	idx[key.path] = c.q.push(outFrame{idx: idx, key: key, value: value})
 	c.nEvents++
 	c.qcond.Signal()
 	c.srv.events.Add(1)
@@ -670,14 +675,15 @@ func (c *srvConn) repair(t *tree) {
 	c.qmu.Unlock()
 	evs := make([]outFrame, 0, len(keys))
 	for _, key := range keys {
-		if _, live := c.watches[key.watch]; !live {
+		w, live := c.watches[key.watch]
+		if !live {
 			continue
 		}
 		// Mirror live delivery: a removed path notifies with an empty
 		// value, an unreadable one not at all.
 		v, err := t.st.Read(c.dom, key.path)
 		if err == nil || errors.Is(err, store.ErrNoEntry) {
-			evs = append(evs, outFrame{key: key, value: v})
+			evs = append(evs, outFrame{idx: w.idx, key: key, value: v})
 		}
 	}
 	c.qmu.Lock()
@@ -686,7 +692,7 @@ func (c *srvConn) repair(t *tree) {
 		return
 	}
 	for _, ev := range evs {
-		c.pushEventLocked(ev.key, ev.value)
+		c.pushEventLocked(ev.idx, ev.key, ev.value)
 	}
 }
 
@@ -736,11 +742,11 @@ func (c *srvConn) writeLoop() {
 		total := 0
 		for c.q.len() > 0 && total < coalesceBudget {
 			fr := c.q.pop()
-			if fr.isEvent {
-				// A key has at most one frame queued (a second event
-				// coalesces into it), so the entry is this frame's.
+			if fr.idx != nil {
+				// A watch has at most one frame queued per path (a second
+				// event coalesces into it), so the entry is this frame's.
 				c.nEvents--
-				delete(c.evIdx, fr.key)
+				delete(fr.idx, fr.key.path)
 			}
 			frames = append(frames, fr)
 			total += len(fr.payload) + len(fr.key.path) + len(fr.value)
@@ -793,8 +799,8 @@ func (c *srvConn) readLoop() {
 		// Tear down store-side state (watches, open transactions) and close
 		// out the connection's trace lifecycle.
 		c.srv.do(func(t *tree) {
-			for _, wid := range c.watches {
-				t.st.Unwatch(wid)
+			for _, w := range c.watches {
+				t.st.Unwatch(w.id)
 			}
 			clear(c.watches)
 			for _, txn := range c.txns {
@@ -810,8 +816,7 @@ func (c *srvConn) readLoop() {
 		return
 	}
 	for {
-		payload, next, err := readFrameReuse(c.br, c.rbuf)
-		c.rbuf = next
+		payload, err := c.fr.next()
 		if err != nil {
 			return
 		}
@@ -845,7 +850,7 @@ const replyHdr = 1 + 4
 // require a completed handshake), and a rejection must reach the peer
 // before the connection closes.
 func (c *srvConn) handshake() error {
-	payload, err := readFrame(c.br)
+	payload, err := c.fr.next()
 	if err != nil {
 		return err
 	}
@@ -967,8 +972,8 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 		path := d.path()
 		if d.done() == nil {
 			run(path, func(t *tree, e *enc) error {
-				names, err := t.st.List(c.dom, path)
-				e.strs(names)
+				names, err := t.st.Children(c.dom, path)
+				e.strs(names) // the store's own index, encoded under its lock
 				return err
 			})
 		}
@@ -1000,11 +1005,12 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 				if _, dup := c.watches[cwid]; dup {
 					return fmt.Errorf("%w: watch id %d in use", ErrBadRequest, cwid)
 				}
+				idx := map[string]int{}
 				wid, err := t.st.Watch(c.dom, prefix, func(path, value string) {
-					c.enqueueEvent(t, eventKey{watch: cwid, path: path}, value)
+					c.enqueueEvent(t, idx, eventKey{watch: cwid, path: path}, value)
 				})
 				if err == nil {
-					c.watches[cwid] = wid
+					c.watches[cwid] = srvWatch{id: wid, idx: idx}
 				}
 				return err
 			})
@@ -1014,8 +1020,8 @@ func (c *srvConn) handle(op Op, id uint32, d *dec) {
 		cwid := d.u32()
 		if d.done() == nil {
 			run("", func(t *tree, _ *enc) error {
-				if wid, ok := c.watches[cwid]; ok {
-					t.st.Unwatch(wid)
+				if w, ok := c.watches[cwid]; ok {
+					t.st.Unwatch(w.id)
 					delete(c.watches, cwid)
 				}
 				return nil
@@ -1130,8 +1136,9 @@ type batchSub struct {
 	perm   store.Perm
 }
 
-// subsKeep is the largest decode scratch a connection keeps between
-// batch frames; a bigger batch's is dropped rather than pinned.
+// subsKeep is the largest batch scratch either end of a connection keeps
+// between frames — the server's decoded sub-ops, the client's op slice;
+// a bigger batch's is dropped rather than pinned.
 const subsKeep = 256
 
 // decodeBatch decodes every sub-op of an OpBatch body into subs. A frame
@@ -1205,7 +1212,7 @@ func (c *srvConn) handleBatch(id uint32, d *dec) []byte {
 			case OpRemove:
 				e.status(st.Remove(c.dom, so.path))
 			case OpList:
-				names, err := st.List(c.dom, so.path)
+				names, err := st.Children(c.dom, so.path)
 				if e.status(err); err == nil {
 					e.strs(names)
 				}

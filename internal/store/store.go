@@ -520,22 +520,35 @@ func canWrite(n *node, dom DomID) bool {
 //
 // hotpath
 func (s *Store) Read(dom DomID, path string) (string, error) {
-	n := s.pathNode(path)
-	if n == nil {
-		parts, err := s.splitScratch(path)
-		if err != nil {
-			return "", err
-		}
-		if n = s.lookup(parts); n == nil {
-			return "", errNoEntry(path)
-		}
-		s.cachePath(path, parts, n)
+	n, err := s.nodeAt(path)
+	if err != nil {
+		return "", err
 	}
 	if !canRead(n, dom) {
 		return "", errPermission(dom, "reading", path)
 	}
 	s.reads++
 	return n.value, nil
+}
+
+// nodeAt resolves path to its node through the path cache, memoizing a
+// resolution it had to walk for.
+//
+// hotpath
+func (s *Store) nodeAt(path string) (*node, error) {
+	if n := s.pathNode(path); n != nil {
+		return n, nil
+	}
+	parts, err := s.splitScratch(path)
+	if err != nil {
+		return nil, err
+	}
+	n := s.lookup(parts)
+	if n == nil {
+		return nil, errNoEntry(path)
+	}
+	s.cachePath(path, parts, n)
+	return n, nil
 }
 
 // pathNode returns the memoized node for path, or nil on a cache miss.
@@ -670,30 +683,40 @@ func (s *Store) Remove(dom DomID, path string) error {
 	return nil
 }
 
-// List returns the sorted child names under path readable by dom.
+// List returns the sorted child names under path readable by dom, as a
+// slice of the caller's own: Children's copying form.
 func (s *Store) List(dom DomID, path string) ([]string, error) {
-	parts, err := s.splitScratch(path)
+	names, err := s.Children(dom, path)
+	return append([]string(nil), names...), err
+}
+
+// Children is List without the copy: it returns the node's sorted child
+// index itself. The slice is valid until that node's next mutation and is
+// the store's — a caller encodes or scans it on the spot, under whatever
+// serializes it with writers, and neither keeps nor writes it.
+//
+// hotpath
+func (s *Store) Children(dom DomID, path string) ([]string, error) {
+	n, err := s.nodeAt(path)
 	if err != nil {
 		return nil, err
 	}
-	n := s.lookup(parts)
-	if n == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoEntry, path)
-	}
 	if !canRead(n, dom) {
-		return nil, fmt.Errorf("%w: dom%d listing %s", ErrPermission, dom, path)
+		return nil, errPermission(dom, "listing", path)
 	}
 	if n.sorted == nil && len(n.children) > 0 {
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		n.sorted = names
+		n.sortChildren()
 	}
-	// Callers may hold the slice across mutations; hand out a copy so the
-	// cache stays private to the node.
-	return append([]string(nil), n.sorted...), nil
+	return n.sorted, nil
+}
+
+// sortChildren rebuilds the sorted child index after a shape change.
+func (n *node) sortChildren() {
+	n.sorted = make([]string, 0, len(n.children))
+	for name := range n.children {
+		n.sorted = append(n.sorted, name)
+	}
+	sort.Strings(n.sorted)
 }
 
 // Grant gives target the given permission on path. Only Dom0 or the node

@@ -132,6 +132,48 @@ func TestList(t *testing.T) {
 	}
 }
 
+// TestChildrenIsTheIndex pins the List/Children contract: Children hands
+// out the node's own sorted index — no allocation on a directory whose
+// shape is settled — with List's names, errors and permission check; a
+// List result is the caller's (writing it reaches nobody); and a slice
+// taken before a shape change keeps the names it had.
+func TestChildrenIsTheIndex(t *testing.T) {
+	_, s := newTestStore()
+	s.AddDomain(1)
+	dir := DomainPath(1) + "/dir"
+	for _, name := range []string{"z", "a", "m"} {
+		s.Write(1, dir+"/"+name, name)
+	}
+	kids, err := s.Children(1, dir)
+	if err != nil || len(kids) != 3 || kids[0] != "a" || kids[1] != "m" || kids[2] != "z" {
+		t.Fatalf("Children = %v, %v, want sorted [a m z]", kids, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Children(1, dir) }); n != 0 {
+		t.Errorf("Children of a settled directory allocates %.0f times", n)
+	}
+	list, _ := s.List(1, dir)
+	list[0] = "scribble"
+	if again, _ := s.Children(1, dir); again[0] != "a" {
+		t.Errorf("writing a List result reached the index: %v", again)
+	}
+	s.Write(1, dir+"/b", "b")
+	if kids[1] != "m" {
+		t.Errorf("a slice taken before the create changed under its holder: %v", kids)
+	}
+	if now, _ := s.Children(1, dir); len(now) != 4 || now[1] != "b" {
+		t.Errorf("Children after a create = %v, want [a b m z]", now)
+	}
+	if _, err := s.Children(2, dir); !errors.Is(err, ErrPermission) {
+		t.Errorf("dom2 listing dom1's directory: %v, want ErrPermission", err)
+	}
+	if _, err := s.Children(1, dir+"/nope"); !errors.Is(err, ErrNoEntry) {
+		t.Errorf("Children of a missing node: %v, want ErrNoEntry", err)
+	}
+	if leaf, err := s.Children(1, dir+"/a"); err != nil || len(leaf) != 0 {
+		t.Errorf("Children of a leaf = %v, %v, want none", leaf, err)
+	}
+}
+
 func TestWatchFiresAfterLatency(t *testing.T) {
 	k, s := newTestStore()
 	s.AddDomain(1)
