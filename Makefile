@@ -37,8 +37,10 @@ race:
 	$(GO) test -race ./...
 
 # The wire fuzz targets, 10 s each (go test -fuzz takes one target per
-# run): the decoders, the frame reader against its reference, then whole
-# frames at a live server connection.
+# run): the decoders — FuzzDecodeBatch is the one request decoder's, any
+# opcode's body, single frame or batch, and keeps the name the test floor
+# lists its seeds under — the frame reader against its reference, then
+# whole frames at a live server connection.
 # Plain `make test` already runs their seed corpus. The server target's
 # coverage moves with goroutine scheduling, so the engine is given 1 s,
 # not its default minute, to minimize each input it finds interesting —

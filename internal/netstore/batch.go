@@ -17,15 +17,7 @@ import (
 // transport or framing problems.
 type Batch struct {
 	c   *Client
-	ops []batchReq
-}
-
-type batchReq struct {
-	op     Op
-	path   string
-	value  string
-	target store.DomID
-	perm   store.Perm
+	ops []req
 }
 
 // BatchResult is the outcome of one batched operation, in request order.
@@ -37,8 +29,6 @@ type BatchResult struct {
 	Value string
 	// Names are the listed children (OpList only).
 	Names []string
-	// Present reports node existence (OpExists only).
-	Present bool
 }
 
 // NewBatch starts an empty batch on this connection.
@@ -46,7 +36,7 @@ func (c *Client) NewBatch() *Batch { return &Batch{c: c} }
 
 // add queues one operation, on the op slice the connection's last
 // finished batch left behind when there is one (see Run).
-func (b *Batch) add(r batchReq) *Batch {
+func (b *Batch) add(r req) *Batch {
 	if b.ops == nil {
 		b.c.reqMu.Lock()
 		b.ops, b.c.freeOps = b.c.freeOps, nil
@@ -57,52 +47,26 @@ func (b *Batch) add(r batchReq) *Batch {
 }
 
 // Read queues a read of an absolute path.
-func (b *Batch) Read(path string) *Batch { return b.add(batchReq{op: OpRead, path: path}) }
+func (b *Batch) Read(path string) *Batch { return b.add(req{op: OpRead, path: path}) }
 
 // Write queues a write of an absolute path.
 func (b *Batch) Write(path, value string) *Batch {
-	return b.add(batchReq{op: OpWrite, path: path, value: value})
+	return b.add(req{op: OpWrite, path: path, value: value})
 }
 
 // Remove queues a subtree removal.
-func (b *Batch) Remove(path string) *Batch { return b.add(batchReq{op: OpRemove, path: path}) }
+func (b *Batch) Remove(path string) *Batch { return b.add(req{op: OpRemove, path: path}) }
 
 // List queues a child listing.
-func (b *Batch) List(path string) *Batch { return b.add(batchReq{op: OpList, path: path}) }
-
-// Exists queues an existence probe.
-func (b *Batch) Exists(path string) *Batch { return b.add(batchReq{op: OpExists, path: path}) }
+func (b *Batch) List(path string) *Batch { return b.add(req{op: OpList, path: path}) }
 
 // Grant queues a permission grant.
 func (b *Batch) Grant(path string, target store.DomID, perm store.Perm) *Batch {
-	return b.add(batchReq{op: OpGrant, path: path, target: target, perm: perm})
+	return b.add(req{op: OpGrant, path: path, target: target, perm: perm})
 }
 
 // Ping queues a no-op round-trip marker.
-func (b *Batch) Ping() *Batch { return b.add(batchReq{op: OpPing}) }
-
-// encodeBatch appends an OpBatch request body: the count, then each
-// sub-op. The server's decodeBatch is its inverse.
-func encodeBatch(e *enc, ops []batchReq) {
-	e.u32(uint32(len(ops)))
-	for _, op := range ops {
-		e.u8(uint8(op.op))
-		switch op.op {
-		case OpRead, OpRemove, OpList, OpExists:
-			e.str(op.path)
-		case OpWrite:
-			e.str(op.path)
-			e.str(op.value)
-		case OpGrant:
-			e.str(op.path)
-			e.u32(uint32(op.target))
-			e.u8(uint8(op.perm))
-		case OpPing:
-		default:
-			// Unreachable: builders only queue the ops above.
-		}
-	}
-}
+func (b *Batch) Ping() *Batch { return b.add(req{op: OpPing}) }
 
 // Run executes the batch and returns one result per queued operation,
 // in order. The batch is reset afterwards and may be refilled.
@@ -113,9 +77,9 @@ func (b *Batch) Run() ([]BatchResult, error) {
 		return nil, nil
 	}
 	if len(ops) > MaxBatchOps {
-		return nil, fmt.Errorf("%w: batch of %d ops exceeds MaxBatchOps", ErrBadRequest, len(ops))
+		return nil, errBatchSize(uint32(len(ops)))
 	}
-	d, err := b.c.call(OpBatch, func(e *enc) { encodeBatch(e, ops) })
+	d, err := b.c.call(&req{op: OpBatch, subs: ops})
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +108,7 @@ func (b *Batch) Run() ([]BatchResult, error) {
 // left of the array starts the next one, by the same rule.
 //
 // hotpath
-func (d *rdec) results(ops []batchReq, res []BatchResult) {
+func (d *rdec) results(ops []req, res []BatchResult) {
 	var names []string
 	for i := 0; i < len(ops) && d.err == nil; i++ {
 		if st, msg := Status(d.u8()), d.str(); st != StatusOK {
@@ -170,8 +134,6 @@ func (d *rdec) results(ops []batchReq, res []BatchResult) {
 				names = append(names, d.str())
 			}
 			res[i].Names = names[start:len(names):len(names)]
-		case OpExists:
-			res[i].Present = d.u8() == 1
 		}
 	}
 }

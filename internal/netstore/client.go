@@ -20,8 +20,7 @@ import (
 // dispatcher goroutine, and may themselves issue Client operations.
 //
 // Retention: the strings one reply carries — a Read value, the names of
-// a List, the paths and values of a Snapshot, every Value and Names
-// element of a Batch's results — are views of that reply's one buffer,
+// a List, every Value and Names element of a Batch's results — are views of that reply's one buffer,
 // which is never reused. They stay valid for as long as they are held;
 // holding any one of them keeps that whole reply (at most MaxFrame
 // bytes) from the collector, so a caller that files away one short field
@@ -45,7 +44,7 @@ type Client struct {
 	nextReq uint32
 	pending map[uint32]*waiter
 	wenc    enc
-	freeOps []batchReq
+	freeOps []req
 	// One sweep per client enforces the request timeout, so a request
 	// arms no timer of its own: every sweepEvery (a quarter of
 	// requestTimeout as it stood at dial) sweeper advances epoch and fails
@@ -337,11 +336,11 @@ func (c *Client) dispatchLoop() {
 	}
 }
 
-// call sends one request — opcode, a fresh request id, then whatever
-// args appends — waits for its reply and decodes the standard
-// status+message prefix; the returned decoder is positioned at the
-// op-specific body.
-func (c *Client) call(op Op, args func(*enc)) (rdec, error) {
+// call sends one request — r's opcode, a fresh request id, then the body
+// r's row of the op table lays out — waits for its reply and decodes the
+// standard status+message prefix; the returned decoder is positioned at
+// the op-specific body.
+func (c *Client) call(r *req) (rdec, error) {
 	select {
 	case <-c.closedCh:
 		return rdec{}, c.Err()
@@ -356,7 +355,7 @@ func (c *Client) call(op Op, args func(*enc)) (rdec, error) {
 	id := c.nextReq
 	w.epoch = c.epoch
 	c.pending[id] = w
-	err := c.sendLocked(op, id, args)
+	err := c.sendLocked(r, id)
 	c.reqMu.Unlock()
 	if err != nil {
 		// w stays out of the pool on the failure paths: fail may or may
@@ -379,17 +378,33 @@ func (c *Client) call(op Op, args func(*enc)) (rdec, error) {
 	return d, nil
 }
 
+// callOK is call for a request whose OK reply has no body.
+func (c *Client) callOK(r *req) error {
+	d, err := c.call(r)
+	if err != nil {
+		return err
+	}
+	return d.done()
+}
+
+// callStr is call for a request whose OK reply is one string.
+func (c *Client) callStr(r *req) (string, error) {
+	d, err := c.call(r)
+	if err != nil {
+		return "", err
+	}
+	v := d.str()
+	return v, d.done()
+}
+
 // sendLocked encodes one request into the client's own buffer, length
 // prefix included, and writes it with a single Write. reqMu is held.
 //
 // hotpath
-func (c *Client) sendLocked(op Op, id uint32, args func(*enc)) error {
+func (c *Client) sendLocked(r *req, id uint32) error {
 	e := &c.wenc
 	e.b = append(e.b[:0], 0, 0, 0, 0)
-	e.op(op, id)
-	if args != nil {
-		args(e)
-	}
+	e.op(r.op, id).req(r)
 	n := len(e.b) - 4
 	if n > MaxFrame {
 		e.b = nil
@@ -407,35 +422,20 @@ func (c *Client) sendLocked(op Op, id uint32, args func(*enc)) error {
 
 // Read returns the value at an absolute path.
 func (c *Client) Read(path string) (string, error) {
-	d, err := c.call(OpRead, func(e *enc) { e.str(path) })
-	if err != nil {
-		return "", err
-	}
-	v := d.str()
-	return v, d.done()
+	return c.callStr(&req{op: OpRead, path: path})
 }
 
 // Write sets the value at an absolute path.
 func (c *Client) Write(path, value string) error {
-	d, err := c.call(OpWrite, func(e *enc) { e.str(path); e.str(value) })
-	if err != nil {
-		return err
-	}
-	return d.done()
+	return c.callOK(&req{op: OpWrite, path: path, value: value})
 }
 
 // Remove deletes the node (and subtree) at an absolute path.
-func (c *Client) Remove(path string) error {
-	d, err := c.call(OpRemove, func(e *enc) { e.str(path) })
-	if err != nil {
-		return err
-	}
-	return d.done()
-}
+func (c *Client) Remove(path string) error { return c.callOK(&req{op: OpRemove, path: path}) }
 
 // List returns the sorted child names under an absolute path.
 func (c *Client) List(path string) ([]string, error) {
-	d, err := c.call(OpList, func(e *enc) { e.str(path) })
+	d, err := c.call(&req{op: OpList, path: path})
 	if err != nil {
 		return nil, err
 	}
@@ -445,63 +445,20 @@ func (c *Client) List(path string) ([]string, error) {
 
 // Grant gives target a permission on an absolute path.
 func (c *Client) Grant(path string, target store.DomID, perm store.Perm) error {
-	d, err := c.call(OpGrant, func(e *enc) {
-		e.str(path)
-		e.u32(uint32(target))
-		e.u8(uint8(perm))
-	})
-	if err != nil {
-		return err
-	}
-	return d.done()
-}
-
-// Exists reports whether an absolute path names a node.
-func (c *Client) Exists(path string) (bool, error) {
-	d, err := c.call(OpExists, func(e *enc) { e.str(path) })
-	if err != nil {
-		return false, err
-	}
-	v := d.u8()
-	return v == 1, d.done()
+	return c.callOK(&req{op: OpGrant, path: path, target: target, perm: perm})
 }
 
 // Ping round-trips an empty request (liveness / latency probe).
-func (c *Client) Ping() error {
-	d, err := c.call(OpPing, nil)
-	if err != nil {
-		return err
-	}
-	return d.done()
-}
+func (c *Client) Ping() error { return c.callOK(&req{op: OpPing}) }
 
 // Stats fetches the server's wire+store counters.
 func (c *Client) Stats() (Counters, error) {
 	var ctr Counters
-	d, err := c.call(OpStats, nil)
+	blob, err := c.callStr(&req{op: OpStats})
 	if err != nil {
-		return ctr, err
-	}
-	blob := d.str()
-	if err := d.done(); err != nil {
 		return ctr, err
 	}
 	return ctr, json.Unmarshal([]byte(blob), &ctr)
-}
-
-// Snapshot walks the subtree at root readable by this domain and returns
-// its nodes plus the store version at the instant of the walk — the
-// reconnect bootstrap: snapshot first, then re-register watches, and no
-// change is lost in between because the walk and the version are atomic
-// on the server.
-func (c *Client) Snapshot(root string) (map[string]string, uint64, error) {
-	d, err := c.call(OpSnapshot, func(e *enc) { e.str(root) })
-	if err != nil {
-		return nil, 0, err
-	}
-	version := d.u64()
-	nodes := d.pairs()
-	return nodes, version, d.done()
 }
 
 // Watch registers fn on an absolute prefix. The callback runs on the
@@ -517,11 +474,7 @@ func (c *Client) Watch(prefix string, fn func(path, value string)) (store.WatchI
 	c.evMu.Lock()
 	c.evIdx[cwid] = map[string]int{}
 	c.evMu.Unlock()
-	d, err := c.call(OpWatch, func(e *enc) { e.u32(cwid); e.str(prefix) })
-	if err == nil {
-		err = d.done()
-	}
-	if err != nil {
+	if err := c.callOK(&req{op: OpWatch, id: cwid, path: prefix}); err != nil {
 		c.forget(cwid)
 		return 0, err
 	}
@@ -540,12 +493,8 @@ func (c *Client) forget(cwid uint32) {
 
 // Unwatch removes a watch registered through this client.
 func (c *Client) Unwatch(id store.WatchID) {
-	cwid := uint32(id)
-	c.forget(cwid)
-	d, err := c.call(OpUnwatch, func(e *enc) { e.u32(cwid) })
-	if err == nil {
-		_ = d.done()
-	}
+	c.forget(uint32(id))
+	_ = c.callOK(&req{op: OpUnwatch, id: uint32(id)}) // idempotent on the server; a dead connection has no watches
 }
 
 // --- Transactions -----------------------------------------------------------
@@ -560,7 +509,7 @@ type Txn struct {
 
 // Begin opens a transaction on the server.
 func (c *Client) Begin() (*Txn, error) {
-	d, err := c.call(OpTxnBegin, nil)
+	d, err := c.call(&req{op: OpTxnBegin})
 	if err != nil {
 		return nil, err
 	}
@@ -573,37 +522,16 @@ func (c *Client) Begin() (*Txn, error) {
 
 // Read reads within the transaction.
 func (t *Txn) Read(path string) (string, error) {
-	d, err := t.c.call(OpTxnRead, func(e *enc) { e.u32(t.tid); e.str(path) })
-	if err != nil {
-		return "", err
-	}
-	v := d.str()
-	return v, d.done()
+	return t.c.callStr(&req{op: OpTxnRead, id: t.tid, path: path})
 }
 
 // Write buffers a write within the transaction.
 func (t *Txn) Write(path, value string) error {
-	d, err := t.c.call(OpTxnWrite, func(e *enc) { e.u32(t.tid); e.str(path); e.str(value) })
-	if err != nil {
-		return err
-	}
-	return d.done()
+	return t.c.callOK(&req{op: OpTxnWrite, id: t.tid, path: path, value: value})
 }
 
 // Commit validates and applies the transaction atomically.
-func (t *Txn) Commit() error {
-	d, err := t.c.call(OpTxnCommit, func(e *enc) { e.u32(t.tid) })
-	if err != nil {
-		return err
-	}
-	return d.done()
-}
+func (t *Txn) Commit() error { return t.c.callOK(&req{op: OpTxnCommit, id: t.tid}) }
 
 // Abort discards the transaction.
-func (t *Txn) Abort() error {
-	d, err := t.c.call(OpTxnAbort, func(e *enc) { e.u32(t.tid) })
-	if err != nil {
-		return err
-	}
-	return d.done()
-}
+func (t *Txn) Abort() error { return t.c.callOK(&req{op: OpTxnAbort, id: t.tid}) }

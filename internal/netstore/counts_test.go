@@ -51,7 +51,6 @@ func TestOversizedReplyCountsRefused(t *testing.T) {
 	const huge = 1<<32 - 1
 	base := store.DomainPath(3)
 	list := func(c *Client) error { _, err := c.List(base); return err }
-	snapshot := func(c *Client) error { _, _, err := c.Snapshot(base); return err }
 	sync := func(c *Client) error { _, err := c.SyncSubtree(base, 0, 0); return err }
 	batch := func(c *Client) error { _, err := c.NewBatch().Read(base).List(base).List(base).Run(); return err }
 	okSub := func(e *enc) *enc { return e.u8(0).str("") }
@@ -63,8 +62,6 @@ func TestOversizedReplyCountsRefused(t *testing.T) {
 		{"list, count of 4 billion", list, (&enc{}).u32(huge)},
 		{"list, count past a truncated body", list, (&enc{}).u32(1000).str("a").str("b").str("c")},
 		{"list, count one more than the names sent", list, (&enc{}).u32(3).str("").str("")},
-		{"snapshot, count of 4 billion", snapshot, (&enc{}).u64(7).u32(huge)},
-		{"snapshot, count past a truncated body", snapshot, (&enc{}).u64(7).u32(50).str("/p").str("v")},
 		{"sync, count of 4 billion", sync, (&enc{}).u8(uint8(store.SyncFull)).u64(7).u64(9).u32(huge)},
 		{"batch, result count of 4 billion", batch, (&enc{}).u32(huge)},
 		{"batch, list count of 4 billion", batch, okSub(okSub((&enc{}).u32(3)).str("v")).u32(huge)},
@@ -101,15 +98,15 @@ func TestOversizedReplyCountsRefused(t *testing.T) {
 	}
 }
 
-// FuzzReplyComposites drives the client's three composite reply decoders
-// — a List's names, a Snapshot's pairs, a batch's results — over
+// FuzzReplyComposites drives the client's two composite reply decoders
+// — a List's names, a batch's results — over
 // arbitrary bodies against a reference that walks the body with the
 // copying decoder, one bounds check at a time: same values or both fail,
 // and a names slice is never sized past what the body could hold.
 func FuzzReplyComposites(f *testing.F) {
 	okSub := func(e *enc) *enc { return e.u8(0).str("") }
-	kinds := []byte{0, 1, 1, 2, 3} // read, list, list, exists, write
-	good := okSub(okSub(okSub(okSub(okSub(&enc{}).str("value")).strs([]string{"a", "bc"})).strs(nil)).bool(true))
+	kinds := []byte{0, 1, 1, 2, 3} // read, list, list, remove, write
+	good := okSub(okSub(okSub(okSub(okSub(&enc{}).str("value")).strs([]string{"a", "bc"})).strs(nil)))
 	f.Add(string((&enc{}).strs([]string{"a", "", "ccc"}).b), kinds)
 	f.Add(string((&enc{}).u32(2).str("/p").str("v").str("/q").str("").b), kinds)
 	f.Add(string(good.b), kinds)
@@ -134,25 +131,13 @@ func FuzzReplyComposites(f *testing.F) {
 			t.Fatalf("names = %q, %v; reference %q, %v", names, d.err, want, ref.err)
 		}
 
-		// pairs
-		d, ref = rdec{s: body}, dec{b: []byte(body)}
-		pairs := d.pairs()
-		wantPairs := map[string]string{}
-		for n := ref.u32(); n > 0 && ref.err == nil; n-- {
-			p := ref.str()
-			wantPairs[p] = ref.str()
-		}
-		if (d.err == nil) != (ref.err == nil) || d.err == nil && !reflect.DeepEqual(pairs, wantPairs) {
-			t.Fatalf("pairs = %q, %v; reference %q, %v", pairs, d.err, wantPairs, ref.err)
-		}
-
 		// results
 		if len(kinds) > 64 {
 			kinds = kinds[:64]
 		}
-		ops := make([]batchReq, len(kinds))
+		ops := make([]req, len(kinds))
 		for i, k := range kinds {
-			ops[i].op = []Op{OpRead, OpList, OpExists, OpWrite}[k%4]
+			ops[i].op = []Op{OpRead, OpList, OpRemove, OpWrite}[k%4]
 		}
 		d, ref = rdec{s: body}, dec{b: []byte(body)}
 		res := make([]BatchResult, len(ops))
@@ -172,8 +157,6 @@ func FuzzReplyComposites(f *testing.F) {
 					for n := ref.u32(); n > 0 && ref.err == nil; n-- {
 						w.Names = append(w.Names, ref.str())
 					}
-				case OpExists:
-					w.Present = ref.u8() == 1
 				}
 			}
 			if ref.err != nil {
@@ -181,7 +164,7 @@ func FuzzReplyComposites(f *testing.F) {
 			}
 			got := res[i]
 			if (got.Err == nil) != (w.Err == nil) || got.Err != nil && got.Err.Error() != w.Err.Error() ||
-				got.Value != w.Value || got.Present != w.Present || len(got.Names) != len(w.Names) ||
+				got.Value != w.Value || len(got.Names) != len(w.Names) ||
 				len(w.Names) > 0 && !reflect.DeepEqual(got.Names, w.Names) {
 				t.Fatalf("result %d (%v) = %+v, reference %+v", i, ops[i].op, got, w)
 			}

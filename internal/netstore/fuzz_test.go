@@ -1,6 +1,7 @@
 package netstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,48 +27,92 @@ func batchFrame() []byte {
 		b.Write(fmt.Sprintf("%s/k%d", base, i), "v")
 	}
 	b.Read(base + "/k0").List(base)
-	e := &enc{}
-	encodeBatch(e, b.ops)
-	return e.b
+	return (&enc{}).req(&req{op: OpBatch, subs: b.ops}).b
 }
 
-// FuzzDecodeBatch feeds arbitrary bytes to the server's batch decoder —
-// the one place a peer's count sizes a loop. It must never panic, never
-// hand back more than MaxBatchOps sub-ops, and accept only frames whose
-// every sub-op is batchable and inside the wire's path and value bounds.
+// decodeRequest runs the server's one request decoder over a frame's
+// body, as srvConn.handle does.
+func decodeRequest(op Op, body []byte) (req, error) {
+	d := &dec{b: body, paths: pathTable{}}
+	r := req{op: op}
+	d.req(&r)
+	return r, d.done()
+}
+
+// FuzzDecodeBatch feeds an arbitrary opcode and body to the one request
+// decoder, which serves single frames and batch sub-ops alike and is the
+// one place a peer's count sizes a loop. It must never panic, never hand
+// back more than MaxBatchOps sub-ops, and accept only a request opcode
+// whose every field is inside the wire's bounds and whose every sub-op is
+// batchable; and what it accepts is canonical: encoding the decoded
+// request gives the body back, byte for byte. The seeds are the batch
+// frame cut at every length and, from a loop over the op table, each
+// opcode's own request whole, cut short and overlong — a new row of the
+// table is seeded by being there.
 func FuzzDecodeBatch(f *testing.F) {
 	valid := batchFrame()
 	for cut := 0; cut <= len(valid); cut++ {
-		f.Add(valid[:cut])
+		f.Add(uint8(OpBatch), valid[:cut])
 	}
-	f.Add(binary.BigEndian.AppendUint32(nil, 1<<32-1))
+	f.Add(uint8(OpBatch), binary.BigEndian.AppendUint32(nil, 1<<32-1))
 	unbatchable := append([]byte(nil), valid...)
 	unbatchable[4+1+4+len(store.DomainPath(3)+"/k0")+4+1] = byte(OpWatch) // the second sub-op's opcode
-	if _, err := decodeBatch(&dec{b: unbatchable}, nil); err == nil || !strings.Contains(err.Error(), "not batchable") {
+	if _, err := decodeRequest(OpBatch, unbatchable); err == nil || !strings.Contains(err.Error(), "not batchable") {
 		f.Fatalf("the un-batchable seed decodes with %v", err)
 	}
-	f.Add(unbatchable)
+	f.Add(uint8(OpBatch), unbatchable)
+	sample := req{id: 7, path: store.DomainPath(3) + "/k", value: "v", target: 5, perm: store.PermRead, since: 1, known: 2}
+	for code, desc := range ops {
+		if desc.batch {
+			sub := sample
+			sub.op = Op(code)
+			sample.subs = append(sample.subs, sub)
+		}
+	}
+	for code := range ops {
+		r := sample
+		r.op = Op(code)
+		body := (&enc{}).req(&r).b
+		f.Add(uint8(code), body)
+		f.Add(uint8(code), append(body[:len(body):len(body)], 0))
+		if len(body) > 0 {
+			f.Add(uint8(code), body[:len(body)-1])
+		}
+	}
+	f.Add(uint8(len(ops)), []byte{})
 
-	f.Fuzz(func(t *testing.T, body []byte) {
-		subs, err := decodeBatch(&dec{b: body, paths: pathTable{}}, nil)
-		if len(subs) > MaxBatchOps {
-			t.Fatalf("%d sub-ops decoded, MaxBatchOps is %d", len(subs), MaxBatchOps)
+	f.Fuzz(func(t *testing.T, code uint8, body []byte) {
+		r, err := decodeRequest(Op(code), body)
+		if len(r.subs) > MaxBatchOps {
+			t.Fatalf("%d sub-ops decoded, MaxBatchOps is %d", len(r.subs), MaxBatchOps)
 		}
 		if err != nil {
 			return
 		}
-		if n := binary.BigEndian.Uint32(body); int(n) != len(subs) {
-			t.Fatalf("frame announces %d sub-ops, %d decoded without error", n, len(subs))
+		if code <= uint8(OpEvent) || code == 9 || code == 18 || int(code) >= len(ops) {
+			t.Fatalf("opcode %d accepted: no client may send it", code)
 		}
-		for i, so := range subs {
+		if r.op == OpBatch {
+			if n := binary.BigEndian.Uint32(body); int(n) != len(r.subs) {
+				t.Fatalf("frame announces %d sub-ops, %d decoded without error", n, len(r.subs))
+			}
+		} else if len(r.subs) > 0 {
+			t.Fatalf("%v decoded %d sub-ops", r.op, len(r.subs))
+		}
+		for i, so := range append(r.subs, r) {
 			switch so.op {
-			case OpPing, OpRead, OpWrite, OpRemove, OpList, OpExists, OpGrant:
+			case OpPing, OpRead, OpWrite, OpRemove, OpList, OpGrant:
 			default:
-				t.Fatalf("sub-op %d: %v accepted, not batchable", i, so.op)
+				if i < len(r.subs) {
+					t.Fatalf("sub-op %d: %v accepted, not batchable", i, so.op)
+				}
 			}
-			if len(so.path) > MaxPath || len(so.value) > MaxValue {
-				t.Fatalf("sub-op %d: path of %d bytes, value of %d accepted", i, len(so.path), len(so.value))
+			if len(so.path) > MaxPath || len(so.value) > MaxValue || so.perm > store.PermWrite {
+				t.Fatalf("op %d (%v): path of %d bytes, value of %d, perm %d accepted", i, so.op, len(so.path), len(so.value), so.perm)
 			}
+		}
+		if again := (&enc{}).req(&r).b; !bytes.Equal(again, body) {
+			t.Fatalf("%v: decoded %x, which encodes as %x", r.op, body, again)
 		}
 	})
 }
@@ -214,8 +259,8 @@ func FuzzServerFrames(f *testing.F) {
 		req(OpWrite, 2, write(base+"/k", "v")),
 		req(OpRead, 3, path(base+"/k")),
 		req(OpList, 4, path(base)),
-		req(OpExists, 5, path(base+"/k")),
-		req(OpSnapshot, 6, path("/")),
+		req(Op(9), 5, path(base+"/k")), // reserved: once exists
+		req(Op(18), 6, path("/")),      // reserved: once snapshot
 		req(OpSync, 7, func(e *enc) { e.str(base).u64(0).u64(0) }),
 		req(OpStats, 8, nil),
 		batch,

@@ -13,11 +13,7 @@ import (
 // /local/domain/<id> subtree root.
 func (c *Client) SyncSubtree(root string, sinceVersion, knownHash uint64) (store.SyncPage, error) {
 	var res store.SyncPage
-	d, err := c.call(OpSync, func(e *enc) {
-		e.str(root)
-		e.u64(sinceVersion)
-		e.u64(knownHash)
-	})
+	d, err := c.call(&req{op: OpSync, path: root, since: sinceVersion, known: knownHash})
 	if err != nil {
 		return res, err
 	}

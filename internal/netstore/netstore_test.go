@@ -30,6 +30,14 @@ func startServer(t *testing.T, opts Options) (*Server, string) {
 	return s, sock
 }
 
+// treeOf flattens the subtree at root as dom sees it, read straight from
+// the server's store: the tests' whole-tree oracle.
+func treeOf(srv *Server, dom store.DomID, root string) map[string]string {
+	nodes := map[string]string{}
+	srv.Do(func(st *store.Store) { st.Walk(dom, root, func(p, v string) { nodes[p] = v }) })
+	return nodes
+}
+
 func dialT(t *testing.T, sock string, dom store.DomID) *Client {
 	t.Helper()
 	c, err := Dial("unix", sock, dom, "")
@@ -59,15 +67,11 @@ func TestBasicOps(t *testing.T) {
 	if err != nil || len(names) != 1 || names[0] != "xvda" {
 		t.Fatalf("list = %v, %v; want [xvda]", names, err)
 	}
-	ok, err := c.Exists(base + "/virt-dev/xvda")
-	if err != nil || !ok {
-		t.Fatalf("exists = %v, %v; want true", ok, err)
-	}
 	if err := c.Remove(base + "/virt-dev/xvda"); err != nil {
 		t.Fatalf("remove: %v", err)
 	}
-	if ok, _ := c.Exists(base + "/virt-dev/xvda"); ok {
-		t.Fatal("node survives remove")
+	if _, err := c.Read(base + "/virt-dev/xvda"); !errors.Is(err, store.ErrNoEntry) {
+		t.Fatalf("node survives remove: read err = %v", err)
 	}
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping: %v", err)
@@ -305,8 +309,8 @@ func TestTxnAbortAndLimit(t *testing.T) {
 	if err := txn.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := c.Exists(path); ok {
-		t.Fatal("aborted write applied")
+	if _, err := c.Read(path); !errors.Is(err, store.ErrNoEntry) {
+		t.Fatalf("aborted write applied: read err = %v", err)
 	}
 	t1, err := c.Begin()
 	if err != nil {
@@ -320,53 +324,6 @@ func TestTxnAbortAndLimit(t *testing.T) {
 	defer t2.Abort()
 	if _, err := c.Begin(); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("txn over limit err = %v; want ErrBadRequest", err)
-	}
-}
-
-func TestSnapshotBootstrap(t *testing.T) {
-	_, sock := startServer(t, Options{})
-	base := store.DomainPath(3)
-	seed := map[string]string{
-		base + "/virt-dev/xvda/nr_dirty": "10",
-		base + "/virt-dev/xvda/flush":    "0",
-		base + "/io/weight/0":            "1.5",
-	}
-	// The guest seeds its own keys (guest-owned, so the snapshot walk can
-	// read them), as a real driver does at registration.
-	guest := dialT(t, sock, 3)
-	for p, v := range seed {
-		if err := guest.Write(p, v); err != nil {
-			t.Fatalf("seed %s: %v", p, err)
-		}
-	}
-	nodes, version, err := guest.Snapshot(base)
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	if version == 0 {
-		t.Fatal("snapshot version = 0 after writes")
-	}
-	for p, want := range seed {
-		if got, ok := nodes[p]; !ok || got != want {
-			t.Fatalf("snapshot[%s] = %q, %v; want %q", p, got, ok, want)
-		}
-	}
-	// A fresh connection reconstructs identical state: the reconnect path.
-	guest2 := dialT(t, sock, 3)
-	nodes2, v2, err := guest2.Snapshot(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2 < version || len(nodes2) != len(nodes) {
-		t.Fatalf("reconnect snapshot: %d nodes @v%d vs %d @v%d", len(nodes2), v2, len(nodes), version)
-	}
-	// Guests cannot snapshot another domain's subtree contents.
-	nodes3, _, err := guest.Snapshot(store.DomainPath(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nodes3) != 0 {
-		t.Fatalf("guest snapshot of foreign subtree leaked %d nodes", len(nodes3))
 	}
 }
 
@@ -606,10 +563,28 @@ func TestWireTraceRecords(t *testing.T) {
 	if err := c.Write(store.DomainPath(4)+"/k", "v"); err != nil {
 		t.Fatal(err)
 	}
+	// One rule for every single-frame op: recorded before it runs, so the
+	// ops that touch no path and the ones that fail are on the trace too.
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SyncSubtree("/local", 0, 0); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("sync of a root that is no domain subtree: %v", err)
+	}
+	if err := (&Txn{c: c, tid: 9}).Commit(); !errors.Is(err, ErrUnknownTxn) {
+		t.Fatalf("commit of a transaction never begun: %v", err)
+	}
 	c.Close()
 	for _, want := range []trace.Record{
 		{Kind: trace.KindWireConn, Dom: 4, Value: "connect"},
 		{Kind: trace.KindWireOp, Dom: 4, Value: "write", Path: store.DomainPath(4) + "/k"},
+		{Kind: trace.KindWireOp, Dom: 4, Value: "ping"},
+		{Kind: trace.KindWireOp, Dom: 4, Value: "stats"},
+		{Kind: trace.KindWireOp, Dom: 4, Value: "sync", Path: "/local"},
+		{Kind: trace.KindWireOp, Dom: 4, Value: "txn.commit"},
 		{Kind: trace.KindWireConn, Dom: 4, Value: "close"},
 	} {
 		tl.find(t, fmt.Sprintf("%s %s", want.Kind, want.Value), func(r trace.Record) bool {

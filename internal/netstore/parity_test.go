@@ -539,10 +539,8 @@ func TestWireStateParity(t *testing.T) {
 			t.Fatalf("wire replay seq %d (dom%d %s): %v", w.Seq, w.Dom, w.Path, err)
 		}
 	}
-	got, _, err := clientFor(0).Snapshot(store.Root)
-	if err != nil {
-		t.Fatalf("wire snapshot: %v", err)
-	}
+	got := map[string]string{}
+	srv.Do(func(st *store.Store) { walkLocal(st, store.Root, got) })
 
 	if len(got) != len(want) {
 		t.Errorf("tree sizes diverge: wire %d nodes, reference %d", len(got), len(want))

@@ -15,20 +15,23 @@
 // # One protocol, one store lock
 //
 // There is one protocol version (ProtocolVersion); the handshake refuses
-// any other. Besides the per-op frames, OpBatch carries up to
-// MaxBatchOps sub-ops and their replies in one round trip, and OpSync
-// resynchronizes a subtree from a hash-versioned snapshot — a
-// reconnecting Mirror presents its last (version, content hash) and
-// receives "match" (one small frame), a delta since that version, or a
-// full snapshot, in that order of preference. The server keeps the
-// store behind one lock: a connection's reader goroutine runs each
-// request it decodes to completion under it — the store operation, then
-// the watch deliveries it caused, each queued on its connection — and a
-// batch frame is one hold of the lock. The order in which operations
-// take the lock is the total order of mutations; nothing that can block
-// on a peer runs under it. What the lock guards is one value (tree) that
-// only Server.do hands out, so code that touches the store takes a
-// *tree and cannot be reached without the lock.
+// any other. Every request opcode is described once, in the op table
+// (ops): name, request-body layout, batchable or not, executor — both
+// ends encode, decode and run from that row, so a frame's own op and a
+// batch's sub-op are the same op by construction. Besides the per-op
+// frames, OpBatch carries up to MaxBatchOps sub-ops and their replies in
+// one round trip, and OpSync resynchronizes a domain subtree by version
+// and content hash — a reconnecting Mirror presents its last (version,
+// hash) and receives "match" (one small frame), a delta since that
+// version, or the whole readable subtree, in that order of preference.
+// The server keeps the store behind one lock: a connection's reader
+// goroutine runs each request it decodes to completion under it — the
+// store operation, then the watch deliveries it caused, each queued on
+// its connection — and a batch frame is one hold of the lock. The order
+// in which operations take the lock is the total order of mutations;
+// nothing that can block on a peer runs under it. What the lock guards is
+// one value (tree) that only Server.do hands out, so code that touches
+// the store takes a *tree and cannot be reached without the lock.
 //
 // # Watch fan-out: delta queues, coalescing, eviction
 //
@@ -85,7 +88,7 @@ const (
 	// (docs/WIRE_PROTOCOL.md §2).
 	ProtocolVersion uint8 = 2
 	// MaxFrame bounds any single frame; larger frames poison the
-	// connection (snapshot replies of big trees are the sizing case).
+	// connection (a full sync page of a big subtree is the sizing case).
 	MaxFrame = 16 << 20
 	// MaxPath bounds a store path on the wire.
 	MaxPath = 4 << 10
@@ -99,7 +102,9 @@ const (
 type Op uint8
 
 // Opcodes. OpReply and OpEvent flow server→client; everything else is a
-// client request.
+// client request, described by its row of the op table (ops). Codes 9 and
+// 18 are reserved — they named two ops no caller used — and are refused
+// like any unknown opcode; a new op takes a fresh number.
 const (
 	OpHandshake Op = 1
 	OpReply     Op = 2
@@ -110,7 +115,6 @@ const (
 	OpRemove Op = 6
 	OpList   Op = 7
 	OpGrant  Op = 8
-	OpExists Op = 9
 
 	OpWatch   Op = 10
 	OpUnwatch Op = 11
@@ -122,9 +126,8 @@ const (
 	OpTxnCommit Op = 16
 	OpTxnAbort  Op = 17
 
-	OpSnapshot Op = 18
-	OpStats    Op = 19
-	OpPing     Op = 20
+	OpStats Op = 19
+	OpPing  Op = 20
 
 	OpBatch Op = 21
 	OpSync  Op = 22
@@ -132,54 +135,10 @@ const (
 
 // String names the opcode for traces and diagnostics.
 func (o Op) String() string {
-	switch o {
-	case OpHandshake:
-		return "handshake"
-	case OpReply:
-		return "reply"
-	case OpEvent:
-		return "event"
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	case OpRemove:
-		return "remove"
-	case OpList:
-		return "list"
-	case OpGrant:
-		return "grant"
-	case OpExists:
-		return "exists"
-	case OpWatch:
-		return "watch"
-	case OpUnwatch:
-		return "unwatch"
-	case OpTxnBegin:
-		return "txn.begin"
-	case OpTxnRead:
-		return "txn.read"
-	case OpTxnWrite:
-		return "txn.write"
-	case OpTxnRemove:
-		return "txn.remove"
-	case OpTxnCommit:
-		return "txn.commit"
-	case OpTxnAbort:
-		return "txn.abort"
-	case OpSnapshot:
-		return "snapshot"
-	case OpStats:
-		return "stats"
-	case OpPing:
-		return "ping"
-	case OpBatch:
-		return "batch"
-	case OpSync:
-		return "sync"
-	default:
-		return fmt.Sprintf("op(%d)", uint8(o))
+	if int(o) < len(ops) && ops[o].name != "" {
+		return ops[o].name
 	}
+	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
 // Status is the result code carried in every reply.
@@ -215,64 +174,49 @@ var (
 	ErrTimeout = errors.New("netstore: request timed out")
 )
 
-// statusOf maps a store (or wire) error to its wire status.
-func statusOf(err error) Status {
-	switch {
-	case err == nil:
-		return StatusOK
-	case errors.Is(err, store.ErrNoEntry):
-		return StatusNoEntry
-	case errors.Is(err, store.ErrPermission):
-		return StatusPermission
-	case errors.Is(err, store.ErrConflict):
-		return StatusConflict
-	case errors.Is(err, store.ErrBadPath):
-		return StatusBadPath
-	case errors.Is(err, ErrUnknownTxn):
-		return StatusUnknownTxn
-	case errors.Is(err, ErrAuth):
-		return StatusAuth
-	case errors.Is(err, ErrBadRequest):
-		return StatusBadRequest
-	default:
-		return StatusInternal
-	}
+// statusErrs is the status taxonomy, once: the sentinel each failure
+// status stands for. statusOf and errOf are its two readings, so an error
+// crosses the wire and errors.Is still finds it. StatusInternal has no
+// sentinel: it is what every other error becomes.
+var statusErrs = [...]error{
+	StatusNoEntry:    store.ErrNoEntry,
+	StatusPermission: store.ErrPermission,
+	StatusConflict:   store.ErrConflict,
+	StatusBadPath:    store.ErrBadPath,
+	StatusBadRequest: ErrBadRequest,
+	StatusUnknownTxn: ErrUnknownTxn,
+	StatusAuth:       ErrAuth,
 }
 
-// errOf reconstructs a client-side error from a reply status so that
-// errors.Is(err, store.ErrNoEntry) and friends keep working across the
-// wire; msg carries the server's rendering for diagnostics.
-func errOf(st Status, msg string) error {
-	base := func(b error) error {
-		if msg == "" {
-			return b
+// statusOf maps a store (or wire) error to its wire status.
+func statusOf(err error) Status {
+	if err == nil {
+		return StatusOK
+	}
+	for st, base := range statusErrs {
+		if base != nil && errors.Is(err, base) {
+			return Status(st)
 		}
-		return fmt.Errorf("%w: %s", b, msg)
 	}
-	switch st {
-	case StatusOK:
+	return StatusInternal
+}
+
+// errOf reconstructs a client-side error from a reply status; msg carries
+// the server's rendering for diagnostics.
+func errOf(st Status, msg string) error {
+	switch {
+	case st == StatusOK:
 		return nil
-	case StatusNoEntry:
-		return base(store.ErrNoEntry)
-	case StatusPermission:
-		return base(store.ErrPermission)
-	case StatusConflict:
-		return base(store.ErrConflict)
-	case StatusBadPath:
-		return base(store.ErrBadPath)
-	case StatusUnknownTxn:
-		return base(ErrUnknownTxn)
-	case StatusAuth:
-		return base(ErrAuth)
-	case StatusBadRequest:
-		return base(ErrBadRequest)
-	default:
+	case int(st) >= len(statusErrs) || statusErrs[st] == nil:
 		return fmt.Errorf("netstore: server error: %s", msg)
+	case msg == "":
+		return statusErrs[st]
 	}
+	return fmt.Errorf("%w: %s", statusErrs[st], msg)
 }
 
 // bufPool recycles frame and payload scratch buffers across requests.
-// Oversized buffers (large snapshots) are dropped on return rather than
+// Oversized buffers (large sync pages) are dropped on return rather than
 // pinned in the pool. A sync.Pool holds pointers, so each pooled slice
 // rides in a *[]byte box; boxPool recycles the emptied boxes, or every
 // putBuf would allocate one.
@@ -604,6 +548,119 @@ func (d *dec) done() error {
 	return nil
 }
 
+// req is one request as either end holds it: the opcode and every field
+// any opcode's body carries. Which of them an opcode uses, in what wire
+// order, is its row's layout in the op table: one letter per field, read
+// by enc.req and dec.req and nothing else.
+type req struct {
+	op     Op
+	perm   store.Perm  // 'm': u8, at most store.PermWrite
+	id     uint32      // 'i': u32, a watch id or a transaction id
+	target store.DomID // 'd': u32
+	path   string      // 'p': str, at most MaxPath, interned by the server
+	value  string      // 'v': str, at most MaxValue
+	since  uint64      // 's': u64, OpSync's since-version
+	known  uint64      // 'h': u64, OpSync's known-hash
+	subs   []req       // 'b': u32 n, then n × (u8 opcode, that opcode's body)
+}
+
+// req appends r's body: the fields its opcode's layout names. A sub-op's
+// body is appended by the same loop, one level down.
+//
+// hotpath
+func (e *enc) req(r *req) *enc {
+	layout := ops[r.op].layout
+	for i := 0; i < len(layout); i++ {
+		switch layout[i] {
+		case 'i':
+			e.u32(r.id)
+		case 'p':
+			e.str(r.path)
+		case 'v':
+			e.str(r.value)
+		case 'd':
+			e.u32(uint32(r.target))
+		case 'm':
+			e.u8(uint8(r.perm))
+		case 's':
+			e.u64(r.since)
+		case 'h':
+			e.u64(r.known)
+		case 'b':
+			e.u32(uint32(len(r.subs)))
+			for j := range r.subs {
+				e.u8(uint8(r.subs[j].op)).req(&r.subs[j])
+			}
+		}
+	}
+	return e
+}
+
+// Cold error constructors for dec.req, as for the frame codecs above.
+func errOpcode(o Op, why string) error {
+	return fmt.Errorf("%w: opcode %d%s", ErrBadRequest, uint8(o), why)
+}
+
+func errBatchSize(n uint32) error {
+	return fmt.Errorf("%w: batch of %d ops exceeds MaxBatchOps", ErrBadRequest, n)
+}
+
+func errPerm(p store.Perm) error {
+	return fmt.Errorf("%w: permission %d is none of none, read and write", ErrBadRequest, uint8(p))
+}
+
+// req decodes the body of r.op into r — enc.req's inverse and the one
+// place a peer's request is believed: an opcode no client may send, a
+// field past its bound, a permission the store does not define, a batch
+// over MaxBatchOps or with an un-batchable sub-op fails the decode, so
+// its frame executes nothing. Sub-ops are appended to r.subs (scratch).
+//
+// hotpath
+func (d *dec) req(r *req) {
+	if int(r.op) >= len(ops) || ops[r.op].run == nil && r.op != OpBatch {
+		d.err = errOpcode(r.op, "")
+		return
+	}
+	layout := ops[r.op].layout
+	for i := 0; i < len(layout) && d.err == nil; i++ {
+		switch layout[i] {
+		case 'i':
+			r.id = d.u32()
+		case 'p':
+			r.path = d.path()
+		case 'v':
+			r.value = d.value()
+		case 'd':
+			r.target = store.DomID(d.u32())
+		case 'm':
+			if r.perm = store.Perm(d.u8()); r.perm > store.PermWrite {
+				d.err = errPerm(r.perm)
+			}
+		case 's':
+			r.since = d.u64()
+		case 'h':
+			r.known = d.u64()
+		case 'b':
+			n := d.u32()
+			if n > MaxBatchOps {
+				d.err = errBatchSize(n)
+			}
+			for ; n > 0 && d.err == nil; n-- {
+				op := Op(d.u8())
+				if d.err != nil {
+					break
+				}
+				if int(op) >= len(ops) || !ops[op].batch {
+					d.err = errOpcode(op, " not batchable")
+					break
+				}
+				r.subs = append(r.subs, req{op: op})
+				d.req(&r.subs[len(r.subs)-1])
+			}
+		}
+	}
+}
+
 // rdec consumes a reply body on the client. The body is a string — the
 // one allocation readFrames makes per reply, immutable from then on — and
 // every string rdec returns is a view of it, so a 32-name List or a
@@ -675,17 +732,6 @@ func (d *rdec) names() []string {
 		names = append(names, d.str())
 	}
 	return names
-}
-
-// pairs decodes a counted list of path/value pairs: a Snapshot reply's.
-func (d *rdec) pairs() map[string]string {
-	n := d.count(8) // a pair costs two length prefixes at least
-	nodes := make(map[string]string, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		p := d.str()
-		nodes[p] = d.str()
-	}
-	return nodes
 }
 
 // done errors unless the body was fully consumed.

@@ -360,27 +360,37 @@ func (s *Server) Close() {
 
 // Counters snapshots the wire + store accounting.
 func (s *Server) Counters() Counters {
-	var ctr Counters
-	ctr.Accepted = s.accepted.Load()
-	ctr.Evicted = s.evicted.Load()
-	ctr.Events = s.events.Load()
-	ctr.Coalesced = s.coalesced.Load()
-	ctr.Batches = s.batches.Load()
-	ctr.BatchOps = s.batchOps.Load()
-	ctr.Syncs = s.syncs.Load()
-	ctr.SyncMatches = s.syncMatches.Load()
-	ctr.SyncDeltas = s.syncDeltas.Load()
-	ctr.SyncFulls = s.syncFulls.Load()
-	ctr.TraceDropped = s.traceDropped.Load()
+	ctr := s.wireCounters()
+	s.Do(ctr.addStore)
+	return ctr
+}
+
+// wireCounters snapshots the server's own accounting, the store's aside.
+func (s *Server) wireCounters() Counters {
+	ctr := Counters{
+		Accepted:     s.accepted.Load(),
+		Evicted:      s.evicted.Load(),
+		Events:       s.events.Load(),
+		Coalesced:    s.coalesced.Load(),
+		Batches:      s.batches.Load(),
+		BatchOps:     s.batchOps.Load(),
+		Syncs:        s.syncs.Load(),
+		SyncMatches:  s.syncMatches.Load(),
+		SyncDeltas:   s.syncDeltas.Load(),
+		SyncFulls:    s.syncFulls.Load(),
+		TraceDropped: s.traceDropped.Load(),
+	}
 	s.mu.Lock()
 	ctr.Active = uint64(len(s.conns))
 	s.mu.Unlock()
-	s.Do(func(st *store.Store) {
-		ctr.StoreReads, ctr.StoreWrites, ctr.StoreNotifies = st.Stats()
-		ctr.StoreFiltered = st.FilteredNotifies()
-		ctr.FaultDroppedWrites, ctr.FaultDroppedNotifies, ctr.FaultDelayedNotifies = st.FaultStats()
-	})
 	return ctr
+}
+
+// addStore fills in the store's share; the caller holds the store lock.
+func (ctr *Counters) addStore(st *store.Store) {
+	ctr.StoreReads, ctr.StoreWrites, ctr.StoreNotifies = st.Stats()
+	ctr.StoreFiltered = st.FilteredNotifies()
+	ctr.FaultDroppedWrites, ctr.FaultDroppedNotifies, ctr.FaultDelayedNotifies = st.FaultStats()
 }
 
 // --- Live trace streaming ---------------------------------------------------
@@ -556,15 +566,15 @@ type srvConn struct {
 
 	// fr reads the inbound frames, hello included (each request is fully
 	// decoded — dec copies string bytes out — before the next read); paths
-	// interns the request paths. renc is the reader's reply encoder — a
-	// field, because an encoder handed to an op closure would otherwise
-	// live on the heap, one per reply; its buffer is a fresh pooled one per
-	// reply. subs is handleBatch's decode scratch, cleared after each
-	// frame.
+	// interns the request paths. req is the request being served and renc
+	// the reply being built — fields, so serve finds them on the connection
+	// and neither a closure nor an encoder lives on the heap per frame.
+	// renc's buffer is a fresh pooled one per reply; req is cleared after
+	// each frame and keeps only its subs array, the batch decode scratch.
 	fr    frameReader
 	paths pathTable
+	req   req
 	renc  enc
-	subs  []batchSub
 }
 
 // shutdown tears the connection down; safe from any goroutine, any number
@@ -840,9 +850,6 @@ func replyTo(id uint32, err error) enc {
 	return e
 }
 
-// replyHdr is a reply payload up to its status byte: opcode, request id.
-const replyHdr = 1 + 4
-
 // handshake reads and answers the binding frame. There is one protocol
 // version and no negotiation: a hello carrying any other version byte is
 // refused. Its replies go straight to the socket, not through the
@@ -900,365 +907,222 @@ func (c *srvConn) handshake() error {
 	return nil
 }
 
-// handle decodes one request, executes it under the store lock on this
-// (the connection's reader) goroutine, then queues the reply. Malformed
-// bodies produce StatusBadRequest rather than dropping the connection,
-// so one bad client request stays diagnosable.
+// handle is one frame on this, the connection's reader goroutine: the
+// one request decoder, one hold of the store lock, the reply queued. A
+// frame that does not decode is answered BAD_REQUEST and runs nothing; the
+// connection stays up, so a bad request stays diagnosable.
 func (c *srvConn) handle(op Op, id uint32, d *dec) {
-	var out []byte
-	// run executes fn under the store lock, behind a wire.op trace record
-	// when a tail is attached. fn appends the op's reply body to e as it
-	// goes, behind an OK prefix that is rewound if fn fails.
-	run := func(path string, fn func(t *tree, e *enc) error) {
-		ok := c.srv.do(func(t *tree) {
-			if t.tailed {
-				t.rec.Record(trace.Record{
-					Kind: trace.KindWireOp, Dom: int(c.dom), Path: path, Value: op.String(),
-				})
-			}
-			e := &c.renc
-			*e = replyTo(id, nil)
-			if err := fn(t, e); err != nil {
-				e.b = e.b[:replyHdr]
-				e.status(err)
-			}
-			out, e.b = e.b, nil
-		})
-		if !ok {
-			out = replyTo(id, ErrClosed).b
-		}
+	r, e := &c.req, &c.renc
+	r.op = op
+	d.req(r)
+	*e = enc{b: getBuf(64)}
+	e.op(OpReply, id)
+	if err := d.done(); err != nil {
+		e.status(err)
+	} else if !c.srv.do(c.serve) {
+		e.b = e.b[:replyHdr]
+		e.status(ErrClosed)
 	}
-	// runTxn is run for an operation on open transaction tid.
-	runTxn := func(tid uint32, path string, fn func(*store.Txn, *enc) error) {
-		txn, ok := c.txns[tid]
-		if !ok {
-			out = replyTo(id, fmt.Errorf("%w: %d", ErrUnknownTxn, tid)).b
-			return
-		}
-		run(path, func(_ *tree, e *enc) error { return fn(txn, e) })
-	}
-	// Every case decodes its whole body first; a malformed one is answered
-	// after the switch and runs nothing.
-	switch op {
-	case OpPing:
-		if d.done() == nil {
-			out = replyTo(id, nil).b
-		}
-
-	case OpRead:
-		path := d.path()
-		if d.done() == nil {
-			run(path, func(t *tree, e *enc) error {
-				v, err := t.st.Read(c.dom, path)
-				e.str(v)
-				return err
-			})
-		}
-
-	case OpWrite:
-		path := d.path()
-		value := d.value()
-		if d.done() == nil {
-			run(path, func(t *tree, _ *enc) error { return t.st.Write(c.dom, path, value) })
-		}
-
-	case OpRemove:
-		path := d.path()
-		if d.done() == nil {
-			run(path, func(t *tree, _ *enc) error { return t.st.Remove(c.dom, path) })
-		}
-
-	case OpList:
-		path := d.path()
-		if d.done() == nil {
-			run(path, func(t *tree, e *enc) error {
-				names, err := t.st.Children(c.dom, path)
-				e.strs(names) // the store's own index, encoded under its lock
-				return err
-			})
-		}
-
-	case OpGrant:
-		path := d.path()
-		target := store.DomID(d.u32())
-		perm := store.Perm(d.u8())
-		if d.done() == nil {
-			run(path, func(t *tree, _ *enc) error { return t.st.Grant(c.dom, path, target, perm) })
-		}
-
-	case OpExists:
-		path := d.path()
-		if d.done() == nil {
-			run(path, func(t *tree, e *enc) error {
-				e.bool(t.st.Exists(path))
-				return nil
-			})
-		}
-
-	case OpWatch:
-		cwid := d.u32()
-		prefix := d.path()
-		if d.done() == nil {
-			// Event frames carry the client's watch id, so the store's own id
-			// never crosses the wire.
-			run(prefix, func(t *tree, _ *enc) error {
-				if _, dup := c.watches[cwid]; dup {
-					return fmt.Errorf("%w: watch id %d in use", ErrBadRequest, cwid)
-				}
-				idx := map[string]int{}
-				wid, err := t.st.Watch(c.dom, prefix, func(path, value string) {
-					c.enqueueEvent(t, idx, eventKey{watch: cwid, path: path}, value)
-				})
-				if err == nil {
-					c.watches[cwid] = srvWatch{id: wid, idx: idx}
-				}
-				return err
-			})
-		}
-
-	case OpUnwatch:
-		cwid := d.u32()
-		if d.done() == nil {
-			run("", func(t *tree, _ *enc) error {
-				if w, ok := c.watches[cwid]; ok {
-					t.st.Unwatch(w.id)
-					delete(c.watches, cwid)
-				}
-				return nil
-			})
-		}
-
-	case OpTxnBegin:
-		if d.done() == nil {
-			run("", func(t *tree, e *enc) error {
-				if len(c.txns) >= c.srv.opts.MaxTxns {
-					return fmt.Errorf("%w: %d transactions already open", ErrBadRequest, len(c.txns))
-				}
-				c.nextTxn++
-				c.txns[c.nextTxn] = t.st.Begin(c.dom)
-				e.u32(c.nextTxn)
-				return nil
-			})
-		}
-
-	case OpTxnRead:
-		tid := d.u32()
-		path := d.path()
-		if d.done() == nil {
-			runTxn(tid, path, func(txn *store.Txn, e *enc) error {
-				v, err := txn.Read(path)
-				e.str(v)
-				return err
-			})
-		}
-
-	case OpTxnWrite:
-		tid := d.u32()
-		path := d.path()
-		value := d.value()
-		if d.done() == nil {
-			runTxn(tid, path, func(txn *store.Txn, _ *enc) error { return txn.Write(path, value) })
-		}
-
-	case OpTxnRemove:
-		tid := d.u32()
-		path := d.path()
-		if d.done() == nil {
-			runTxn(tid, path, func(txn *store.Txn, _ *enc) error { return txn.Remove(path) })
-		}
-
-	case OpTxnCommit, OpTxnAbort:
-		tid := d.u32()
-		if d.done() == nil {
-			runTxn(tid, "", func(txn *store.Txn, _ *enc) error {
-				delete(c.txns, tid)
-				if op == OpTxnAbort {
-					txn.Abort()
-					return nil
-				}
-				return txn.Commit()
-			})
-		}
-
-	case OpSnapshot:
-		root := d.path()
-		if d.done() == nil {
-			run(root, func(t *tree, e *enc) error {
-				e.u64(t.st.Version())
-				// The pair count goes in once the walk has counted them.
-				mark, n := len(e.b), uint32(0)
-				e.u32(0)
-				t.st.Walk(c.dom, root, func(p, v string) {
-					e.str(p)
-					e.str(v)
-					n++
-				})
-				binary.BigEndian.PutUint32(e.b[mark:], n)
-				return nil
-			})
-		}
-
-	case OpStats:
-		if d.done() == nil {
-			// Counters itself takes the store lock; build the reply outside
-			// run to avoid a self-deadlock.
-			blob, err := json.Marshal(c.srv.Counters())
-			e := replyTo(id, err)
-			if err == nil {
-				e.str(string(blob))
-			}
-			out = e.b
-		}
-
-	case OpBatch:
-		out = c.handleBatch(id, d)
-
-	case OpSync:
-		out = c.handleSync(id, op, d)
-
-	default:
-		out = replyTo(id, fmt.Errorf("%w: opcode %d", ErrBadRequest, uint8(op))).b
-	}
-	if out == nil {
-		out = replyTo(id, d.done()).b
+	out := e.b
+	e.b = nil
+	clear(r.subs) // the scratch must not pin the frame's values
+	if *r = (req{subs: r.subs[:0]}); cap(r.subs) > subsKeep {
+		r.subs = nil
 	}
 	c.enqueue(out)
 }
 
-// --- Batched frames -----------------------------------------------------------
-
-// batchSub is one decoded sub-operation of an OpBatch frame.
-type batchSub struct {
-	op     Op
-	path   string
-	value  string
-	target store.DomID
-	perm   store.Perm
-}
+// replyHdr is a reply payload up to its status byte: opcode, request id.
+const replyHdr = 1 + 4
 
 // subsKeep is the largest batch scratch either end of a connection keeps
 // between frames — the server's decoded sub-ops, the client's op slice;
 // a bigger batch's is dropped rather than pinned.
 const subsKeep = 256
 
-// decodeBatch decodes every sub-op of an OpBatch body into subs. A frame
-// that fails to decode or names an un-batchable opcode yields an error,
-// so such a frame executes nothing.
-func decodeBatch(d *dec, subs []batchSub) ([]batchSub, error) {
-	n := d.u32()
-	if d.err == nil && n > MaxBatchOps {
-		return subs, fmt.Errorf("%w: batch of %d ops exceeds MaxBatchOps", ErrBadRequest, n)
-	}
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		so := batchSub{op: Op(d.u8())}
-		switch so.op {
-		case OpRead, OpRemove, OpList, OpExists:
-			so.path = d.path()
-		case OpWrite:
-			so.path = d.path()
-			so.value = d.value()
-		case OpGrant:
-			so.path = d.path()
-			so.target = store.DomID(d.u32())
-			so.perm = store.Perm(d.u8())
-		case OpPing:
-		default:
-			return subs, fmt.Errorf("%w: opcode %d not batchable", ErrBadRequest, uint8(so.op))
-		}
-		subs = append(subs, so)
-	}
-	return subs, d.done()
-}
-
-// handleBatch executes an OpBatch frame: N sub-ops in, N sub-replies
-// out, one round trip. The whole batch runs under a single hold of the
-// store lock — one acquisition and, when tailed, one wire.batch record —
-// which is where the hot-path amortization comes from, and each
-// sub-reply is appended to the reply frame as its op runs. Per-op
-// failures are per-op statuses, never a dropped frame.
-func (c *srvConn) handleBatch(id uint32, d *dec) []byte {
-	subs, err := decodeBatch(d, c.subs[:0])
-	defer func() {
-		clear(subs) // the scratch must not pin the frame's values
-		if cap(subs) <= subsKeep {
-			c.subs = subs[:0]
-		}
-	}()
-	if err != nil {
-		return replyTo(id, err).b
-	}
-	e := &c.renc
-	ok := c.srv.do(func(t *tree) {
-		st := t.st
+// serve runs the decoded frame c.req under the store lock and appends
+// its reply to c.renc. The two kinds of frame differ only in this
+// wrapper: a single op is one wire.op record and its own hold of the
+// lock; a batch is one wire.batch record and one hold for its N sub-ops
+// (the hot path's amortization), answered in request order behind an OK
+// prefix and a count. The record is built before the op runs, whatever
+// its outcome, and only while a tail is attached.
+func (c *srvConn) serve(t *tree) {
+	r, e := &c.req, &c.renc
+	if r.op != OpBatch {
 		if t.tailed {
-			t.rec.Record(trace.Record{
-				Kind: trace.KindWireBatch, Dom: int(c.dom), Value: "batch", Size: int64(len(subs)),
-			})
+			t.rec.Record(trace.Record{Kind: trace.KindWireOp, Dom: int(c.dom), Path: r.path, Value: r.op.String()})
 		}
-		*e = replyTo(id, nil)
-		e.u32(uint32(len(subs)))
-		for i := range subs {
-			so := &subs[i]
-			switch so.op {
-			case OpPing:
-				e.status(nil)
-			case OpRead:
-				v, err := st.Read(c.dom, so.path)
-				if e.status(err); err == nil {
-					e.str(v)
-				}
-			case OpWrite:
-				e.status(st.Write(c.dom, so.path, so.value))
-			case OpRemove:
-				e.status(st.Remove(c.dom, so.path))
-			case OpList:
-				names, err := st.Children(c.dom, so.path)
-				if e.status(err); err == nil {
-					e.strs(names)
-				}
-			case OpExists:
-				e.status(nil)
-				e.bool(st.Exists(so.path))
-			case OpGrant:
-				e.status(st.Grant(c.dom, so.path, so.target, so.perm))
-			}
-		}
-	})
-	if !ok {
-		return replyTo(id, ErrClosed).b
+		c.exec(t, r, e)
+		return
+	}
+	if t.tailed {
+		t.rec.Record(trace.Record{Kind: trace.KindWireBatch, Dom: int(c.dom), Value: "batch", Size: int64(len(r.subs))})
+	}
+	e.status(nil)
+	e.u32(uint32(len(r.subs)))
+	for i := range r.subs {
+		c.exec(t, &r.subs[i], e)
 	}
 	c.srv.batches.Add(1)
-	c.srv.batchOps.Add(uint64(len(subs)))
-	out := e.b
-	e.b = nil
-	return out
+	c.srv.batchOps.Add(uint64(len(r.subs)))
 }
 
-// --- Hash-versioned subtree sync ----------------------------------------------
+// exec executes one op — a frame's own or a batch's sub-op — and appends
+// its reply: status, message and, on OK, the body run appended behind the
+// OK prefix. A failure rewinds to the prefix: a failed op has no body.
+func (c *srvConn) exec(t *tree, r *req, e *enc) {
+	mark := len(e.b)
+	e.status(nil)
+	if err := ops[r.op].run(c, t, r, e); err != nil {
+		e.b = e.b[:mark]
+		e.status(err)
+	}
+}
 
-// handleSync answers an OpSync catch-up request for one domain subtree
-// with store.SyncSubtree's verdict as the connection's domain sees it.
-// The version/hash pair anchors the client's next sync.
-func (c *srvConn) handleSync(id uint32, op Op, d *dec) []byte {
-	root := d.path()
-	since := d.u64()
-	known := d.u64()
-	if err := d.done(); err != nil {
-		return replyTo(id, err).b
+// --- The op table -------------------------------------------------------------
+
+// opDesc describes one opcode, once.
+type opDesc struct {
+	name   string
+	layout string // the request body: one letter per field in wire order (see req)
+	batch  bool   // stateless: may ride in an OpBatch frame as a sub-op
+	// run executes the decoded request under the store lock as the
+	// connection's domain and appends the reply body to e. Nil for what a
+	// client may not send, and for OpBatch, which is served as its sub-ops.
+	run func(c *srvConn, t *tree, r *req, e *enc) error
+}
+
+// ops is the protocol's one description of its opcodes, indexed by code:
+// Op.String, both ends' request codecs (enc.req, dec.req) and exec read
+// it, and docs/WIRE_PROTOCOL.md §3 is checked against it.
+var ops = [...]opDesc{
+	OpHandshake: {name: "handshake"},
+	OpReply:     {name: "reply"},
+	OpEvent:     {name: "event"},
+	OpRead:      {"read", "p", true, (*srvConn).opRead},
+	OpWrite:     {"write", "pv", true, (*srvConn).opWrite},
+	OpRemove:    {"remove", "p", true, (*srvConn).opRemove},
+	OpList:      {"list", "p", true, (*srvConn).opList},
+	OpGrant:     {"grant", "pdm", true, (*srvConn).opGrant},
+	OpWatch:     {"watch", "ip", false, (*srvConn).opWatch},
+	OpUnwatch:   {"unwatch", "i", false, (*srvConn).opUnwatch},
+	OpTxnBegin:  {"txn.begin", "", false, (*srvConn).opTxnBegin},
+	OpTxnRead:   {"txn.read", "ip", false, inTxn(txnRead)},
+	OpTxnWrite:  {"txn.write", "ipv", false, inTxn(txnWrite)},
+	OpTxnRemove: {"txn.remove", "ip", false, inTxn(txnRemove)},
+	OpTxnCommit: {"txn.commit", "i", false, inTxn(txnEnd)},
+	OpTxnAbort:  {"txn.abort", "i", false, inTxn(txnEnd)},
+	OpStats:     {"stats", "", false, (*srvConn).opStats},
+	OpPing:      {"ping", "", true, (*srvConn).opPing},
+	OpBatch:     {name: "batch", layout: "b"},
+	OpSync:      {"sync", "psh", false, (*srvConn).opSync},
+}
+
+func (c *srvConn) opPing(*tree, *req, *enc) error { return nil }
+
+func (c *srvConn) opRead(t *tree, r *req, e *enc) error {
+	v, err := t.st.Read(c.dom, r.path)
+	e.str(v)
+	return err
+}
+
+func (c *srvConn) opWrite(t *tree, r *req, _ *enc) error {
+	return t.st.Write(c.dom, r.path, r.value)
+}
+
+func (c *srvConn) opRemove(t *tree, r *req, _ *enc) error { return t.st.Remove(c.dom, r.path) }
+
+func (c *srvConn) opList(t *tree, r *req, e *enc) error {
+	names, err := t.st.Children(c.dom, r.path)
+	e.strs(names) // the store's own index, encoded under its lock
+	return err
+}
+
+func (c *srvConn) opGrant(t *tree, r *req, _ *enc) error {
+	return t.st.Grant(c.dom, r.path, r.target, r.perm)
+}
+
+// opWatch registers a watch under the client's id for it (r.id): event
+// frames carry that id, so the store's own never crosses the wire.
+func (c *srvConn) opWatch(t *tree, r *req, _ *enc) error {
+	cwid := r.id
+	if _, dup := c.watches[cwid]; dup {
+		return fmt.Errorf("%w: watch id %d in use", ErrBadRequest, cwid)
 	}
-	var page store.SyncPage
-	var err error
-	ok := c.srv.do(func(t *tree) {
-		page, err = t.st.SyncSubtree(c.dom, root, since, known)
-		if err == nil && t.tailed {
-			t.rec.Record(trace.Record{Kind: trace.KindWireOp, Dom: int(c.dom), Path: root, Value: op.String()})
-		}
+	idx := map[string]int{}
+	wid, err := t.st.Watch(c.dom, r.path, func(path, value string) {
+		c.enqueueEvent(t, idx, eventKey{watch: cwid, path: path}, value)
 	})
-	if !ok {
-		return replyTo(id, ErrClosed).b
+	if err == nil {
+		c.watches[cwid] = srvWatch{id: wid, idx: idx}
 	}
+	return err
+}
+
+func (c *srvConn) opUnwatch(t *tree, r *req, _ *enc) error {
+	if w, ok := c.watches[r.id]; ok {
+		t.st.Unwatch(w.id)
+		delete(c.watches, r.id)
+	}
+	return nil
+}
+
+func (c *srvConn) opTxnBegin(t *tree, _ *req, e *enc) error {
+	if len(c.txns) >= c.srv.opts.MaxTxns {
+		return fmt.Errorf("%w: %d transactions already open", ErrBadRequest, len(c.txns))
+	}
+	c.nextTxn++
+	c.txns[c.nextTxn] = t.st.Begin(c.dom)
+	e.u32(c.nextTxn)
+	return nil
+}
+
+// inTxn makes a row's run out of an op on the open transaction r.id names.
+func inTxn(op func(*srvConn, *store.Txn, *req, *enc) error) func(*srvConn, *tree, *req, *enc) error {
+	return func(c *srvConn, _ *tree, r *req, e *enc) error {
+		if txn, ok := c.txns[r.id]; ok {
+			return op(c, txn, r, e)
+		}
+		return fmt.Errorf("%w: %d", ErrUnknownTxn, r.id)
+	}
+}
+
+func txnRead(_ *srvConn, txn *store.Txn, r *req, e *enc) error {
+	v, err := txn.Read(r.path)
+	e.str(v)
+	return err
+}
+
+func txnWrite(_ *srvConn, txn *store.Txn, r *req, _ *enc) error { return txn.Write(r.path, r.value) }
+
+func txnRemove(_ *srvConn, txn *store.Txn, r *req, _ *enc) error { return txn.Remove(r.path) }
+
+// txnEnd finishes a transaction either way: the id is gone afterwards.
+func txnEnd(c *srvConn, txn *store.Txn, r *req, _ *enc) error {
+	delete(c.txns, r.id)
+	if r.op == OpTxnAbort {
+		txn.Abort()
+		return nil
+	}
+	return txn.Commit()
+}
+
+func (c *srvConn) opStats(t *tree, _ *req, e *enc) error {
+	ctr := c.srv.wireCounters()
+	ctr.addStore(t.st)
+	blob, err := json.Marshal(ctr)
+	e.str(string(blob))
+	return err
+}
+
+// opSync answers a catch-up request for one domain subtree with
+// store.SyncSubtree's verdict as the connection's domain sees it; the
+// version/hash pair anchors the client's next sync (WIRE_PROTOCOL.md §6).
+func (c *srvConn) opSync(t *tree, r *req, e *enc) error {
+	page, err := t.st.SyncSubtree(c.dom, r.path, r.since, r.known)
 	if err != nil {
-		return replyTo(id, fmt.Errorf("%w: %v", ErrBadRequest, err)).b
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	c.srv.syncs.Add(1)
 	switch page.Mode {
@@ -1269,7 +1133,6 @@ func (c *srvConn) handleSync(id uint32, op Op, d *dec) []byte {
 	default:
 		c.srv.syncFulls.Add(1)
 	}
-	e := replyTo(id, nil)
 	e.u8(uint8(page.Mode))
 	e.u64(page.Version)
 	e.u64(page.Hash)
@@ -1279,5 +1142,5 @@ func (c *srvConn) handleSync(id uint32, op Op, d *dec) []byte {
 		e.bool(kv.Removed)
 		e.str(kv.Value)
 	}
-	return e.b
+	return nil
 }

@@ -95,7 +95,7 @@ func TestSoakConcurrentClientsWithFaults(t *testing.T) {
 					res, berr := c.NewBatch().
 						Write(key, fmt.Sprintf("b%d", n)).
 						Read(key).
-						Exists(base).
+						List(base).
 						Run()
 					err = berr
 					for _, r := range res {
@@ -139,7 +139,7 @@ func TestSoakConcurrentClientsWithFaults(t *testing.T) {
 		}()
 	}
 
-	// Dom0 observer: stats and snapshots while the guests hammer.
+	// Dom0 observer: stats and full subtree syncs while the guests hammer.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -154,8 +154,8 @@ func TestSoakConcurrentClientsWithFaults(t *testing.T) {
 				errs <- fmt.Errorf("dom0 stats: %w", err)
 				return
 			}
-			if _, _, err := c.Snapshot(store.Root); err != nil {
-				errs <- fmt.Errorf("dom0 snapshot: %w", err)
+			if _, err := c.NewMirror(store.DomainPath(1)).Sync(); err != nil {
+				errs <- fmt.Errorf("dom0 full sync: %w", err)
 				return
 			}
 			time.Sleep(50 * time.Millisecond)

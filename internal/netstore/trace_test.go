@@ -330,7 +330,7 @@ func observedRun(t *testing.T, tailed bool) (transcript []string, version, hash 
 	say("granted write %v", dom0.Write(base+"/dom0-owned", "y"))
 	event()
 
-	res, err := guest.NewBatch().Write(base+"/a", "1").Write(base+"/b", "2").Read(base + "/a").List(base).Exists(base + "/nope").Run()
+	res, err := guest.NewBatch().Write(base+"/a", "1").Write(base+"/b", "2").Read(base + "/a").List(base).Read(base + "/nope").Run()
 	say("batch %v %v", res, err)
 	event()
 	event()
@@ -355,13 +355,14 @@ func observedRun(t *testing.T, tailed bool) (transcript []string, version, hash 
 	event()
 	page, err := guest.SyncSubtree(base, 0, 0)
 	say("sync %+v %v", page, err)
-	nodes, ver, err := dom0.Snapshot(base)
-	say("snapshot %v @%d %v", nodes, ver, err)
+	names, err := dom0.List(base)
+	say("list %v %v", names, err)
+	say("tree %v", treeOf(srv, store.Dom0, base))
 	srv.Do(func(st *store.Store) { version, hash = st.Version(), st.SubtreeHash(base) })
 	if tailed {
 		// The tail really was on the whole run, and kept up with it.
 		tl.find(t, "the script's last wire.op", func(r trace.Record) bool {
-			return r.Kind == trace.KindWireOp && r.Value == OpSnapshot.String()
+			return r.Kind == trace.KindWireOp && r.Value == OpList.String()
 		})
 		if ctr := srv.Counters(); ctr.TraceDropped != 0 {
 			t.Errorf("the tail dropped %d lines", ctr.TraceDropped)

@@ -69,8 +69,8 @@ func TestBatchAllOps(t *testing.T) {
 		Write(base+"/a", "1").
 		Write(base+"/b/deep", "2").
 		Read(base+"/a").
-		Exists(base+"/b").
-		Exists(base+"/nope").
+		Read(base+"/b").
+		Read(base+"/nope").
 		List(base).
 		Grant(base+"/a", 4, store.PermRead).
 		Ping().
@@ -84,15 +84,15 @@ func TestBatchAllOps(t *testing.T) {
 		t.Fatalf("got %d results, want 10", len(res))
 	}
 	for i, r := range res[:8] {
-		if r.Err != nil {
+		if r.Err != nil && i != 4 {
 			t.Fatalf("op %d err = %v", i, r.Err)
 		}
 	}
 	if res[2].Value != "1" {
 		t.Errorf("batched read = %q", res[2].Value)
 	}
-	if !res[3].Present || res[4].Present {
-		t.Errorf("batched exists = %v/%v, want true/false", res[3].Present, res[4].Present)
+	if res[3].Err != nil || !errors.Is(res[4].Err, store.ErrNoEntry) {
+		t.Errorf("batched reads of a present and an absent node = %v/%v, want nil/ErrNoEntry", res[3].Err, res[4].Err)
 	}
 	wantNames := []string{"a", "b"}
 	if !sort.StringsAreSorted(res[5].Names) || len(res[5].Names) != 2 ||
@@ -105,8 +105,8 @@ func TestBatchAllOps(t *testing.T) {
 	if res[9].Err != nil {
 		t.Errorf("batched remove err = %v", res[9].Err)
 	}
-	if ok, _ := c.Exists(base + "/a"); ok {
-		t.Error("batched remove did not take effect")
+	if _, err := c.Read(base + "/a"); !errors.Is(err, store.ErrNoEntry) {
+		t.Errorf("batched remove did not take effect: read err = %v", err)
 	}
 
 	ctr := srv.Counters()
@@ -415,17 +415,13 @@ func TestRootViewsAcrossDomains(t *testing.T) {
 	if want := []string{"0", "1", "2", "3", "4", "5"}; fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Fatalf("root list = %v, want %v", names, want)
 	}
-	snap, _, err := c0.Snapshot(store.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, dom := range doms {
-		if v := snap[store.DomainPath(dom)+"/k"]; v != fmt.Sprint(dom) {
-			t.Fatalf("snapshot missing dom%d key: %q (snap %v)", dom, v, snap)
+		if v, err := c0.Read(store.DomainPath(dom) + "/k"); err != nil || v != fmt.Sprint(dom) {
+			t.Fatalf("dom0 read of dom%d's key = %q, %v", dom, v, err)
 		}
 	}
-	if _, ok := snap[store.Root]; !ok {
-		t.Fatal("snapshot missing structural spine")
+	if _, err := c0.Read(store.Root); err != nil {
+		t.Fatalf("the structural spine is unreadable: %v", err)
 	}
 }
 
