@@ -79,7 +79,7 @@ func (b *Batch) Run() ([]BatchResult, error) {
 	if len(ops) > MaxBatchOps {
 		return nil, errBatchSize(uint32(len(ops)))
 	}
-	d, err := b.c.call(&req{op: OpBatch, subs: ops})
+	d, err := b.c.call(&req{op: OpBatch}, ops)
 	if err != nil {
 		return nil, err
 	}

@@ -20,13 +20,13 @@ import (
 // dispatcher goroutine, and may themselves issue Client operations.
 //
 // Retention: the strings one reply carries — a Read value, the names of
-// a List, every Value and Names element of a Batch's results — are views of that reply's one buffer,
-// which is never reused. They stay valid for as long as they are held;
-// holding any one of them keeps that whole reply (at most MaxFrame
-// bytes) from the collector, so a caller that files away one short field
-// of a large reply should strings.Clone it; one batch's Names slices
-// likewise share one array. Watch callback arguments and
-// SyncSubtree pages are private copies.
+// a List, every Value and Names element of a Batch's results — are views
+// of that reply's one buffer, which is never reused. They stay valid for
+// as long as they are held; holding any one of them keeps that whole
+// reply (at most MaxFrame bytes) from the collector, so a caller that
+// files away one short field of a large reply should strings.Clone it;
+// one batch's Names slices likewise share one array. Watch callback
+// arguments and SyncSubtree pages are private copies.
 type Client struct {
 	c net.Conn
 	// fr reads the inbound frames: the stream is read by exactly one
@@ -337,10 +337,11 @@ func (c *Client) dispatchLoop() {
 }
 
 // call sends one request — r's opcode, a fresh request id, then the body
-// r's row of the op table lays out — waits for its reply and decodes the
-// standard status+message prefix; the returned decoder is positioned at
-// the op-specific body.
-func (c *Client) call(r *req) (rdec, error) {
+// r's row of the op table lays out (subs being a batch's sub-ops, nil
+// otherwise) — waits for its reply and decodes the standard
+// status+message prefix; the returned decoder is positioned at the
+// op-specific body.
+func (c *Client) call(r *req, subs []req) (rdec, error) {
 	select {
 	case <-c.closedCh:
 		return rdec{}, c.Err()
@@ -355,7 +356,7 @@ func (c *Client) call(r *req) (rdec, error) {
 	id := c.nextReq
 	w.epoch = c.epoch
 	c.pending[id] = w
-	err := c.sendLocked(r, id)
+	err := c.sendLocked(r, subs, id)
 	c.reqMu.Unlock()
 	if err != nil {
 		// w stays out of the pool on the failure paths: fail may or may
@@ -380,7 +381,7 @@ func (c *Client) call(r *req) (rdec, error) {
 
 // callOK is call for a request whose OK reply has no body.
 func (c *Client) callOK(r *req) error {
-	d, err := c.call(r)
+	d, err := c.call(r, nil)
 	if err != nil {
 		return err
 	}
@@ -389,7 +390,7 @@ func (c *Client) callOK(r *req) error {
 
 // callStr is call for a request whose OK reply is one string.
 func (c *Client) callStr(r *req) (string, error) {
-	d, err := c.call(r)
+	d, err := c.call(r, nil)
 	if err != nil {
 		return "", err
 	}
@@ -401,10 +402,10 @@ func (c *Client) callStr(r *req) (string, error) {
 // prefix included, and writes it with a single Write. reqMu is held.
 //
 // hotpath
-func (c *Client) sendLocked(r *req, id uint32) error {
+func (c *Client) sendLocked(r *req, subs []req, id uint32) error {
 	e := &c.wenc
 	e.b = append(e.b[:0], 0, 0, 0, 0)
-	e.op(r.op, id).req(r)
+	e.op(r.op, id).req(r, subs)
 	n := len(e.b) - 4
 	if n > MaxFrame {
 		e.b = nil
@@ -435,7 +436,7 @@ func (c *Client) Remove(path string) error { return c.callOK(&req{op: OpRemove, 
 
 // List returns the sorted child names under an absolute path.
 func (c *Client) List(path string) ([]string, error) {
-	d, err := c.call(&req{op: OpList, path: path})
+	d, err := c.call(&req{op: OpList, path: path}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -509,7 +510,7 @@ type Txn struct {
 
 // Begin opens a transaction on the server.
 func (c *Client) Begin() (*Txn, error) {
-	d, err := c.call(&req{op: OpTxnBegin})
+	d, err := c.call(&req{op: OpTxnBegin}, nil)
 	if err != nil {
 		return nil, err
 	}

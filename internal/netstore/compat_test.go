@@ -144,16 +144,14 @@ func conversation(t *testing.T) string {
 
 	wire.mu.Lock()
 	defer wire.mu.Unlock()
+	sent := unframe(t, wire.sent)
 	requests := map[uint32][]byte{}
-	for i, p := range unframe(t, wire.sent) {
-		if i == 0 {
-			continue // the hello shares id 1 with the first request; it is written first below
-		}
+	for _, p := range sent[1:] { // the hello shares id 1 with the first request; it is written first below
 		requests[binary.BigEndian.Uint32(p[1:])] = p
 	}
 	var out strings.Builder
 	line := func(side string, p []byte) { fmt.Fprintf(&out, "%s %-10v %x\n", side, Op(p[0]), p) }
-	line("C", unframe(t, wire.sent)[0])
+	line("C", sent[0])
 	var events [][]byte
 	for i, p := range unframe(t, wire.got) {
 		if Op(p[0]) == OpEvent {

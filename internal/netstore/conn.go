@@ -59,11 +59,12 @@ type srvConn struct {
 	// interns the request paths. req is the request being served and renc
 	// the reply being built — fields, so serve finds them on the connection
 	// and neither a closure nor an encoder lives on the heap per frame.
-	// renc's buffer is a fresh pooled one per reply; req is cleared after
-	// each frame and keeps only its subs array, the batch decode scratch.
+	// renc's buffer is a fresh pooled one per reply; subs is a batch's
+	// decoded sub-ops, scratch cleared (like req) after each frame.
 	fr    frameReader
 	paths pathTable
 	req   req
+	subs  []req
 	renc  enc
 }
 

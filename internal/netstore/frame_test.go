@@ -57,7 +57,7 @@ func frameStream() (stream []byte, payloads [][]byte) {
 		hot.Write(fmt.Sprintf("%s/k%d", store.DomainPath(1), i%32), strings.Repeat("v", 256))
 	}
 	e := &enc{}
-	e.op(OpBatch, 2).req(&req{op: OpBatch, subs: hot.ops})
+	e.op(OpBatch, 2).req(&req{op: OpBatch}, hot.ops)
 	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
 	payloads = [][]byte{
 		helloFrame(ProtocolVersion, 1),

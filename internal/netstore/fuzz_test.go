@@ -27,16 +27,16 @@ func batchFrame() []byte {
 		b.Write(fmt.Sprintf("%s/k%d", base, i), "v")
 	}
 	b.Read(base + "/k0").List(base)
-	return (&enc{}).req(&req{op: OpBatch, subs: b.ops}).b
+	return (&enc{}).req(&req{op: OpBatch}, b.ops).b
 }
 
 // decodeRequest runs the server's one request decoder over a frame's
 // body, as srvConn.handle does.
-func decodeRequest(op Op, body []byte) (req, error) {
+func decodeRequest(op Op, body []byte) (req, []req, error) {
 	d := &dec{b: body, paths: pathTable{}}
 	r := req{op: op}
-	d.req(&r)
-	return r, d.done()
+	subs := d.req(&r, nil)
+	return r, subs, d.done()
 }
 
 // FuzzDecodeBatch feeds an arbitrary opcode and body to the one request
@@ -57,22 +57,23 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(uint8(OpBatch), binary.BigEndian.AppendUint32(nil, 1<<32-1))
 	unbatchable := append([]byte(nil), valid...)
 	unbatchable[4+1+4+len(store.DomainPath(3)+"/k0")+4+1] = byte(OpWatch) // the second sub-op's opcode
-	if _, err := decodeRequest(OpBatch, unbatchable); err == nil || !strings.Contains(err.Error(), "not batchable") {
+	if _, _, err := decodeRequest(OpBatch, unbatchable); err == nil || !strings.Contains(err.Error(), "not batchable") {
 		f.Fatalf("the un-batchable seed decodes with %v", err)
 	}
 	f.Add(uint8(OpBatch), unbatchable)
 	sample := req{id: 7, path: store.DomainPath(3) + "/k", value: "v", target: 5, perm: store.PermRead, since: 1, known: 2}
+	var subs []req
 	for code, desc := range ops {
 		if desc.batch {
 			sub := sample
 			sub.op = Op(code)
-			sample.subs = append(sample.subs, sub)
+			subs = append(subs, sub)
 		}
 	}
 	for code := range ops {
 		r := sample
 		r.op = Op(code)
-		body := (&enc{}).req(&r).b
+		body := (&enc{}).req(&r, subs).b
 		f.Add(uint8(code), body)
 		f.Add(uint8(code), append(body[:len(body):len(body)], 0))
 		if len(body) > 0 {
@@ -82,9 +83,9 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(uint8(len(ops)), []byte{})
 
 	f.Fuzz(func(t *testing.T, code uint8, body []byte) {
-		r, err := decodeRequest(Op(code), body)
-		if len(r.subs) > MaxBatchOps {
-			t.Fatalf("%d sub-ops decoded, MaxBatchOps is %d", len(r.subs), MaxBatchOps)
+		r, subs, err := decodeRequest(Op(code), body)
+		if len(subs) > MaxBatchOps {
+			t.Fatalf("%d sub-ops decoded, MaxBatchOps is %d", len(subs), MaxBatchOps)
 		}
 		if err != nil {
 			return
@@ -93,17 +94,17 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("opcode %d accepted: no client may send it", code)
 		}
 		if r.op == OpBatch {
-			if n := binary.BigEndian.Uint32(body); int(n) != len(r.subs) {
-				t.Fatalf("frame announces %d sub-ops, %d decoded without error", n, len(r.subs))
+			if n := binary.BigEndian.Uint32(body); int(n) != len(subs) {
+				t.Fatalf("frame announces %d sub-ops, %d decoded without error", n, len(subs))
 			}
-		} else if len(r.subs) > 0 {
-			t.Fatalf("%v decoded %d sub-ops", r.op, len(r.subs))
+		} else if len(subs) > 0 {
+			t.Fatalf("%v decoded %d sub-ops", r.op, len(subs))
 		}
-		for i, so := range append(r.subs, r) {
+		for i, so := range append(subs[:len(subs):len(subs)], r) {
 			switch so.op {
 			case OpPing, OpRead, OpWrite, OpRemove, OpList, OpGrant:
 			default:
-				if i < len(r.subs) {
+				if i < len(subs) {
 					t.Fatalf("sub-op %d: %v accepted, not batchable", i, so.op)
 				}
 			}
@@ -111,7 +112,7 @@ func FuzzDecodeBatch(f *testing.F) {
 				t.Fatalf("op %d (%v): path of %d bytes, value of %d, perm %d accepted", i, so.op, len(so.path), len(so.value), so.perm)
 			}
 		}
-		if again := (&enc{}).req(&r).b; !bytes.Equal(again, body) {
+		if again := (&enc{}).req(&r, subs).b; !bytes.Equal(again, body) {
 			t.Fatalf("%v: decoded %x, which encodes as %x", r.op, body, again)
 		}
 	})
@@ -296,18 +297,7 @@ func FuzzServerFrames(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		srv := NewServer(Options{})
-		defer srv.Close()
-		nc, peer := net.Pipe()
-		defer nc.Close()
-		srv.startConn(peer)
-		nc.SetDeadline(time.Now().Add(10 * time.Second))
-		if err := writeFrame(nc, helloFrame(ProtocolVersion, 3)); err != nil {
-			t.Fatal(err)
-		}
-		if _, status, err := readReply(nc); err != nil || status != nil {
-			t.Fatalf("hello: %v / %v", status, err)
-		}
+		srv, nc := rawConn(t, 3)
 		// net.Pipe has no buffer: the frames go out on a goroutine of their
 		// own while this one reads what comes back.
 		payloads := fuzzFrames(data)

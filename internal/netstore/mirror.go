@@ -13,7 +13,7 @@ import (
 // /local/domain/<id> subtree root.
 func (c *Client) SyncSubtree(root string, sinceVersion, knownHash uint64) (store.SyncPage, error) {
 	var res store.SyncPage
-	d, err := c.call(&req{op: OpSync, path: root, since: sinceVersion, known: knownHash})
+	d, err := c.call(&req{op: OpSync, path: root, since: sinceVersion, known: knownHash}, nil)
 	if err != nil {
 		return res, err
 	}

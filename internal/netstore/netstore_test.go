@@ -339,6 +339,9 @@ func helloFrame(ver uint8, dom store.DomID) []byte {
 	return hs.b
 }
 
+// replyHdr is a reply payload up to its status byte: opcode, request id.
+const replyHdr = 1 + 4
+
 // readReply reads one frame off a raw socket, requires it to be a reply,
 // and returns its status as an error plus the decoder positioned at the
 // op-specific body.

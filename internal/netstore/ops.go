@@ -18,41 +18,38 @@ import (
 func (c *srvConn) handle(op Op, id uint32, d *dec) {
 	r, e := &c.req, &c.renc
 	r.op = op
-	d.req(r)
+	c.subs = d.req(r, c.subs[:0])
 	*e = enc{b: getBuf(64)}
 	e.op(OpReply, id)
 	if err := d.done(); err != nil {
 		e.status(err)
 	} else if !c.srv.do(c.serve) {
-		e.b = e.b[:replyHdr]
-		e.status(ErrClosed)
+		e.status(ErrClosed) // a closed server ran nothing: e is still the bare header
 	}
 	out := e.b
 	e.b = nil
-	clear(r.subs) // the scratch must not pin the frame's values
-	if *r = (req{subs: r.subs[:0]}); cap(r.subs) > subsKeep {
-		r.subs = nil
+	*r = req{}
+	clear(c.subs) // the scratch must not pin the frame's values
+	if cap(c.subs) > subsKeep {
+		c.subs = nil
 	}
 	c.enqueue(out)
 }
-
-// replyHdr is a reply payload up to its status byte: opcode, request id.
-const replyHdr = 1 + 4
 
 // subsKeep is the largest batch scratch either end of a connection keeps
 // between frames — the server's decoded sub-ops, the client's op slice;
 // a bigger batch's is dropped rather than pinned.
 const subsKeep = 256
 
-// serve runs the decoded frame c.req under the store lock and appends
-// its reply to c.renc. The two kinds of frame differ only in this
-// wrapper: a single op is one wire.op record and its own hold of the
-// lock; a batch is one wire.batch record and one hold for its N sub-ops
-// (the hot path's amortization), answered in request order behind an OK
-// prefix and a count. The record is built before the op runs, whatever
-// its outcome, and only while a tail is attached.
+// serve runs the decoded frame (c.req; c.subs if it is a batch) under the
+// store lock and appends its reply to c.renc. The two kinds of frame
+// differ only in this wrapper: a single op is one wire.op record and its
+// own hold of the lock; a batch is one wire.batch record and one hold
+// for its N sub-ops (the hot path's amortization), answered in request
+// order behind an OK prefix and a count. The record is built before the
+// op runs, whatever its outcome, and only while a tail is attached.
 func (c *srvConn) serve(t *tree) {
-	r, e := &c.req, &c.renc
+	r, subs, e := &c.req, c.subs, &c.renc
 	if r.op != OpBatch {
 		if t.tailed {
 			t.rec.Record(trace.Record{Kind: trace.KindWireOp, Dom: int(c.dom), Path: r.path, Value: r.op.String()})
@@ -61,15 +58,15 @@ func (c *srvConn) serve(t *tree) {
 		return
 	}
 	if t.tailed {
-		t.rec.Record(trace.Record{Kind: trace.KindWireBatch, Dom: int(c.dom), Value: "batch", Size: int64(len(r.subs))})
+		t.rec.Record(trace.Record{Kind: trace.KindWireBatch, Dom: int(c.dom), Value: "batch", Size: int64(len(subs))})
 	}
 	e.status(nil)
-	e.u32(uint32(len(r.subs)))
-	for i := range r.subs {
-		c.exec(t, &r.subs[i], e)
+	e.u32(uint32(len(subs)))
+	for i := range subs {
+		c.exec(t, &subs[i], e)
 	}
 	c.srv.batches.Add(1)
-	c.srv.batchOps.Add(uint64(len(r.subs)))
+	c.srv.batchOps.Add(uint64(len(subs)))
 }
 
 // exec executes one op — a frame's own or a batch's sub-op — and appends

@@ -34,11 +34,11 @@ func rawConn(t *testing.T, dom store.DomID) (*Server, net.Conn) {
 	return srv, nc
 }
 
-// ask sends r as one frame and returns its reply: the status as an error
-// and everything from the status byte on.
-func ask(t *testing.T, nc net.Conn, r *req) (status error, reply []byte) {
+// ask sends r as one frame (subs its sub-ops, for a batch) and returns
+// its reply: the status as an error and everything from the status byte on.
+func ask(t *testing.T, nc net.Conn, r *req, subs ...req) (status error, reply []byte) {
 	t.Helper()
-	if err := writeFrame(nc, (&enc{}).op(r.op, 77).req(r).b); err != nil {
+	if err := writeFrame(nc, (&enc{}).op(r.op, 77).req(r, subs).b); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := readFrame(nc)
@@ -89,8 +89,7 @@ func TestGrantRefusesUndefinedPerm(t *testing.T) {
 		if status, _ := ask(t, nc, &grant); !errors.Is(status, ErrBadRequest) {
 			t.Errorf("grant of perm %d: %v, want BAD_REQUEST", perm, status)
 		}
-		batch := req{op: OpBatch, subs: []req{{op: OpWrite, path: key + "2", value: "ran"}, grant}}
-		if status, _ := ask(t, nc, &batch); !errors.Is(status, ErrBadRequest) {
+		if status, _ := ask(t, nc, &req{op: OpBatch}, req{op: OpWrite, path: key + "2", value: "ran"}, grant); !errors.Is(status, ErrBadRequest) {
 			t.Errorf("batched grant of perm %d: %v, want BAD_REQUEST for the frame", perm, status)
 		}
 	}
@@ -161,7 +160,7 @@ func play(t *testing.T, script []req, batched bool) played {
 		st.Watch(store.Dom0, store.DomainPath(3), func(p, v string) { out.events = append(out.events, p+"="+v) })
 	})
 	if batched {
-		status, reply := ask(t, nc, &req{op: OpBatch, subs: script})
+		status, reply := ask(t, nc, &req{op: OpBatch}, script...)
 		if status != nil {
 			t.Fatalf("batch: %v", status)
 		}

@@ -551,24 +551,25 @@ func (d *dec) done() error {
 // req is one request as either end holds it: the opcode and every field
 // any opcode's body carries. Which of them an opcode uses, in what wire
 // order, is its row's layout in the op table: one letter per field, read
-// by enc.req and dec.req and nothing else.
+// by enc.req and dec.req and nothing else. 'b', OpBatch's sub-ops (u32 n,
+// then n × (u8 opcode, that opcode's body)), is a []req beside it: held
+// inside, every sub-op would carry an empty one.
 type req struct {
 	op     Op
 	perm   store.Perm  // 'm': u8, at most store.PermWrite
 	id     uint32      // 'i': u32, a watch id or a transaction id
 	target store.DomID // 'd': u32
-	path   string      // 'p': str, at most MaxPath, interned by the server
-	value  string      // 'v': str, at most MaxValue
 	since  uint64      // 's': u64, OpSync's since-version
 	known  uint64      // 'h': u64, OpSync's known-hash
-	subs   []req       // 'b': u32 n, then n × (u8 opcode, that opcode's body)
+	path   string      // 'p': str, at most MaxPath, interned by the server
+	value  string      // 'v': str, at most MaxValue
 }
 
-// req appends r's body: the fields its opcode's layout names. A sub-op's
-// body is appended by the same loop, one level down.
+// req appends r's body: the fields its opcode's layout names, subs being
+// OpBatch's. A sub-op's body is appended by the same loop, one level down.
 //
 // hotpath
-func (e *enc) req(r *req) *enc {
+func (e *enc) req(r *req, subs []req) *enc {
 	layout := ops[r.op].layout
 	for i := 0; i < len(layout); i++ {
 		switch layout[i] {
@@ -587,9 +588,9 @@ func (e *enc) req(r *req) *enc {
 		case 'h':
 			e.u64(r.known)
 		case 'b':
-			e.u32(uint32(len(r.subs)))
-			for j := range r.subs {
-				e.u8(uint8(r.subs[j].op)).req(&r.subs[j])
+			e.u32(uint32(len(subs)))
+			for j := range subs {
+				e.u8(uint8(subs[j].op)).req(&subs[j], nil)
 			}
 		}
 	}
@@ -613,13 +614,14 @@ func errPerm(p store.Perm) error {
 // place a peer's request is believed: an opcode no client may send, a
 // field past its bound, a permission the store does not define, a batch
 // over MaxBatchOps or with an un-batchable sub-op fails the decode, so
-// its frame executes nothing. Sub-ops are appended to r.subs (scratch).
+// its frame executes nothing. A batch's sub-ops are appended to subs
+// (the caller's scratch) and returned.
 //
 // hotpath
-func (d *dec) req(r *req) {
+func (d *dec) req(r *req, subs []req) []req {
 	if int(r.op) >= len(ops) || ops[r.op].run == nil && r.op != OpBatch {
 		d.err = errOpcode(r.op, "")
-		return
+		return subs
 	}
 	layout := ops[r.op].layout
 	for i := 0; i < len(layout) && d.err == nil; i++ {
@@ -654,11 +656,12 @@ func (d *dec) req(r *req) {
 					d.err = errOpcode(op, " not batchable")
 					break
 				}
-				r.subs = append(r.subs, req{op: op})
-				d.req(&r.subs[len(r.subs)-1])
+				subs = append(subs, req{op: op})
+				d.req(&subs[len(subs)-1], nil)
 			}
 		}
 	}
+	return subs
 }
 
 // rdec consumes a reply body on the client. The body is a string — the
