@@ -52,11 +52,15 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s ./internal/netstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzServerFrames$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/netstore/
 
-# Manager-tick microbenchmarks (all three policies over 8 guests). The
-# wire path is measured by the repo benchmark: `go run ./bench`
-# (bench/README.md).
+# Manager-tick microbenchmarks (all three policies over 8 guests), then
+# the two bring-up and tear-down cost lines — a host's 200 guests brought
+# up, one guest's subtree removed among 10,000 — one iteration each, so
+# none of them rots. The wire path is measured by the repo benchmark:
+# `go run ./bench` (bench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkManagerTick -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkGuestBringUp -benchtime 1x -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkRemoveOneOf10kDomains -benchtime 1x -benchmem ./internal/store/
 
 # Alternating paired runs of the repo benchmark, REV's build against the
 # working tree's (scripts/pair.sh; the evidence rule is docs/PERFORMANCE.md

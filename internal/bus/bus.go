@@ -47,6 +47,13 @@ func (b *Bus) Register(dom store.DomID) *Domain {
 	return d
 }
 
+// Unregister is Register's inverse, for a domain that has left the host:
+// the bus forgets the handle, and with it the store nodes its cursors
+// pin. The domain's store subtree is the toolstack's to remove; a handle
+// someone still holds keeps working, and a later Register makes a fresh
+// one.
+func (b *Bus) Unregister(dom store.DomID) { delete(b.domains, dom) }
+
 // Domains returns the ids of all registered domains in ascending order.
 func (b *Bus) Domains() []store.DomID {
 	out := make([]store.DomID, 0, len(b.domains))
@@ -65,12 +72,13 @@ type Domain struct {
 	b    *Bus
 	id   store.DomID
 	home string // cached store.DomainPath(id); Path runs on every store op
-	// cursors memoizes rel → pinned store cursors: a domain touches a
-	// small fixed key set, so both the path concatenation and the store's
-	// absolute-path resolution happen once per key instead of once per
-	// operation — every typed op below is one short-key map hit plus the
-	// cursor fast path. Kernel-goroutine only, like every other
-	// store-facing structure.
+	// cursors memoizes rel → pinned store cursors, the one per-domain
+	// index: a domain touches a small fixed key set, so both the path
+	// concatenation and the store's absolute-path resolution happen once
+	// per key instead of once per operation — every typed op below is one
+	// short-key map hit plus the cursor's liveness check, and the
+	// concatenated string is the one the store's node keeps as its path.
+	// Kernel-goroutine only, like every other store-facing structure.
 	cursors map[string]*store.Cursor
 }
 

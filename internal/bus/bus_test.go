@@ -2,9 +2,14 @@ package bus
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"iorchestra/internal/sim"
+	"iorchestra/internal/stats"
 	"iorchestra/internal/store"
 )
 
@@ -172,5 +177,163 @@ func TestPortString(t *testing.T) {
 	a, _ := b.NewChannel(7, 0)
 	if a.String() != "port(dom7)" {
 		t.Fatalf("String = %q", a.String())
+	}
+}
+
+func TestUnregisterForgetsTheHandle(t *testing.T) {
+	_, b := mk()
+	d := b.Register(3)
+	d.Write("k", "1")
+	b.Unregister(3)
+	b.Unregister(3) // unknown ids are ignored
+	if got := b.Domains(); len(got) != 0 {
+		t.Fatalf("Domains after Unregister = %v", got)
+	}
+	// The store subtree is not the bus's to remove, a held handle keeps
+	// working, and the domain can register again.
+	if err := d.Write("k", "2"); err != nil {
+		t.Fatal(err)
+	}
+	d2 := b.Register(3)
+	if v, err := d2.Read("k"); d2 == d || err != nil || v != "2" {
+		t.Fatalf("after re-Register: same handle %v, Read = %q, %v", d2 == d, v, err)
+	}
+}
+
+// storeHistory is everything an observer can tell about a store after a
+// script ran against it.
+type storeHistory struct {
+	errs    []string // the outcome of every scripted operation
+	events  []string // watch deliveries, in order, tagged by watcher
+	walk    []string
+	version uint64
+	hashes  []uint64   // "/" and every domain's SubtreeHash
+	deltas  [][]string // DeltasSince(v) for every v up to version ("!" when not covered)
+}
+
+// runScript drives one seeded script of creates, overwrites, removes,
+// grants and re-creates against a fresh store. Guest writes go through
+// write(dom, rel, value); everything else is absolute in both runs.
+func runScript(t *testing.T, seed uint64, viaHandles bool) storeHistory {
+	t.Helper()
+	k, b := mk()
+	st := b.Store()
+	const doms = 3
+	handles := map[store.DomID]*Domain{}
+	for d := store.DomID(1); d <= doms; d++ {
+		if viaHandles {
+			handles[d] = b.Register(d)
+		} else {
+			st.AddDomain(d)
+		}
+	}
+	var h storeHistory
+	watch := func(tag string, dom store.DomID, prefix string) {
+		if _, err := st.Watch(dom, prefix, func(p, v string) { h.events = append(h.events, tag+" "+p+"="+v) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	watch("dom0-root", store.Dom0, "/")
+	watch("dom1-own", 1, store.DomainPath(1))
+	watch("dom2-foreign", 2, store.DomainPath(1)) // hears only what dom1 grants it
+	note := func(op string, err error) {
+		if err != nil {
+			op += ": " + err.Error()
+		}
+		h.errs = append(h.errs, op)
+	}
+	rels := []string{"a", "b/c", "b/d", "virt-dev/xvda/k", "virt-dev/xvda/l", "virt-dev/xvdb/k"}
+	dirs := []string{"b", "virt-dev", "virt-dev/xvda"}
+	rng := stats.NewStream(seed, "script")
+	for step := 0; step < 600; step++ {
+		dom := store.DomID(1 + rng.Intn(doms))
+		rel := rels[rng.Intn(len(rels))]
+		abs := store.DomainPath(dom) + "/" + rel
+		value := strconv.Itoa(step)
+		switch r := rng.Intn(100); {
+		case r < 60: // the guest writes its own key: a create the first time, an overwrite after
+			if viaHandles {
+				note("write "+abs, handles[dom].Write(rel, value))
+			} else {
+				note("write "+abs, st.Write(dom, abs, value))
+			}
+		case r < 68: // Dom0 writes into the guest's subtree; what it creates is Dom0's
+			note("dom0 write "+abs, st.Write(store.Dom0, abs, value))
+		case r < 76:
+			note("remove "+abs, st.Remove(store.Dom0, abs))
+		case r < 84:
+			dir := store.DomainPath(dom) + "/" + dirs[rng.Intn(len(dirs))]
+			note("remove "+dir, st.Remove(store.Dom0, dir))
+		case r < 88: // the whole domain goes and its home comes back
+			note("remove "+store.DomainPath(dom), st.Remove(store.Dom0, store.DomainPath(dom)))
+			st.AddDomain(dom)
+		case r < 96:
+			note("grant "+abs, st.Grant(dom, abs, 2, store.PermRead))
+		default:
+			k.Run() // deliver what is pending
+		}
+	}
+	k.Run()
+	st.Walk(store.Dom0, "/", func(p, v string) { h.walk = append(h.walk, p+"="+v) })
+	h.version = st.Version()
+	h.hashes = append(h.hashes, st.SubtreeHash("/"))
+	for d := store.DomID(1); d <= doms; d++ {
+		h.hashes = append(h.hashes, st.SubtreeHash(store.DomainPath(d)))
+	}
+	for v := uint64(0); v <= h.version; v++ {
+		deltas, ok := st.DeltasSince(v)
+		if !ok {
+			h.deltas = append(h.deltas, []string{"!"})
+			continue
+		}
+		row := make([]string, len(deltas))
+		for i, dl := range deltas {
+			row[i] = fmt.Sprint(dl)
+		}
+		h.deltas = append(h.deltas, row)
+	}
+	return h
+}
+
+// The handle path is the absolute path: one script run through
+// Store.Write alone and again through bus.Domain handles leaves the same
+// store — tree, version, hashes, every delta window — told its watchers
+// the same things in the same order (a Dom0 root watcher, a domain's own,
+// a foreign one that hears only granted nodes) and refused the same
+// operations with the same words.
+func TestHandleWritesAreAbsoluteWrites(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3} {
+		abs, via := runScript(t, seed, false), runScript(t, seed, true)
+		if len(abs.events) < 100 || len(abs.walk) < 8 {
+			t.Fatalf("seed %d: the script is too thin to tell: %d events, %d nodes", seed, len(abs.events), len(abs.walk))
+		}
+		var refused, foreign int
+		for _, e := range abs.errs {
+			if strings.Contains(e, "permission denied") {
+				refused++
+			}
+		}
+		for _, e := range abs.events {
+			if strings.HasPrefix(e, "dom2-foreign") {
+				foreign++
+			}
+		}
+		if refused == 0 || foreign == 0 {
+			t.Fatalf("seed %d: %d refusals and %d foreign deliveries: the script misses a case", seed, refused, foreign)
+		}
+		if !reflect.DeepEqual(abs, via) {
+			for i := range abs.errs {
+				if abs.errs[i] != via.errs[i] {
+					t.Fatalf("seed %d, operation %d: absolute %q, handles %q", seed, i, abs.errs[i], via.errs[i])
+				}
+			}
+			for i := range min(len(abs.events), len(via.events)) {
+				if abs.events[i] != via.events[i] {
+					t.Fatalf("seed %d, event %d: absolute %q, handles %q", seed, i, abs.events[i], via.events[i])
+				}
+			}
+			t.Fatalf("seed %d: histories differ:\nabsolute: version %d, %d events, hashes %x\n walk %v\nhandles:  version %d, %d events, hashes %x\n walk %v",
+				seed, abs.version, len(abs.events), abs.hashes, abs.walk, via.version, len(via.events), via.hashes, via.walk)
+		}
 	}
 }

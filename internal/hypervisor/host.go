@@ -2,6 +2,7 @@ package hypervisor
 
 import (
 	"fmt"
+	"slices"
 
 	"iorchestra/internal/blkio"
 	"iorchestra/internal/bus"
@@ -222,9 +223,7 @@ func (h *Host) Name() string { return h.cfg.Name }
 func (h *Host) Guests() []*GuestRuntime {
 	out := make([]*GuestRuntime, 0, len(h.guestOrder))
 	for _, id := range h.guestOrder {
-		if rt, ok := h.guests[id]; ok {
-			out = append(out, rt)
-		}
+		out = append(out, h.guests[id])
 	}
 	return out
 }
@@ -292,8 +291,10 @@ func (h *Host) leastLoadedCore() (socket, core int) {
 	return socket, core
 }
 
-// RemoveGuest releases a VM's cores and closes its caches (used by the
-// dynamic-arrival experiments).
+// RemoveGuest releases a VM's cores, closes its caches and forgets it:
+// its place in the creation order and its bus handle go too, so a host
+// that guests come and go on holds its live population and no more
+// (used by the dynamic-arrival experiments and by migration).
 func (h *Host) RemoveGuest(id store.DomID) {
 	rt := h.guests[id]
 	if rt == nil {
@@ -306,6 +307,10 @@ func (h *Host) RemoveGuest(id store.DomID) {
 		d.Cache.Close()
 	}
 	delete(h.guests, id)
+	if i := slices.Index(h.guestOrder, id); i >= 0 {
+		h.guestOrder = slices.Delete(h.guestOrder, i, i+1)
+	}
+	h.bs.Unregister(id)
 }
 
 // attachDisk wires one virtual disk through a frontend into the host path.

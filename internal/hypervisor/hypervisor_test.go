@@ -2,12 +2,14 @@ package hypervisor
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"iorchestra/internal/device"
 	"iorchestra/internal/guest"
 	"iorchestra/internal/sim"
 	"iorchestra/internal/stats"
+	"iorchestra/internal/store"
 	"iorchestra/internal/trace"
 )
 
@@ -332,6 +334,33 @@ func TestGuestsListingAndLookup(t *testing.T) {
 	}
 	if h.Guest(a.G.ID()) != nil {
 		t.Fatal("removed guest still present")
+	}
+}
+
+// A departed guest leaves nothing behind on the host: not its slot in the
+// creation order (Guests scanned every guest the host ever held), not its
+// bus handle — and the guests that stay keep their order.
+func TestRemoveGuestForgetsTheGuest(t *testing.T) {
+	h := New(sim.NewKernel(), Config{}, stats.NewStream(16, "host"))
+	var ids []store.DomID
+	for i := 0; i < 5; i++ {
+		ids = append(ids, h.CreateGuest(guest.Config{VCPUs: 1}).G.ID())
+	}
+	h.RemoveGuest(ids[1])
+	h.RemoveGuest(ids[3])
+	h.RemoveGuest(ids[3]) // a second removal is a no-op
+	want := []store.DomID{ids[0], ids[2], ids[4]}
+	if !slices.Equal(h.guestOrder, want) || !slices.Equal(h.bs.Domains(), want) {
+		t.Fatalf("after two removals: order %v, bus domains %v, want both %v", h.guestOrder, h.bs.Domains(), want)
+	}
+	// An id that comes back (a migration returning) is listed once, last.
+	h.CreateGuest(guest.Config{ID: ids[1], VCPUs: 1})
+	var got []store.DomID
+	for _, rt := range h.Guests() {
+		got = append(got, rt.G.ID())
+	}
+	if want = append(want, ids[1]); !slices.Equal(got, want) {
+		t.Fatalf("Guests = %v, want %v", got, want)
 	}
 }
 

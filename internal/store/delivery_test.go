@@ -8,11 +8,12 @@ import (
 	"iorchestra/internal/sim"
 )
 
-// A write to a cached path with one watcher, delivery included, keeps
+// A write to an existing key with one watcher, delivery included, keeps
 // nothing it allocates: the delivery record comes off the free list and
-// goes back, and the only hash computed is the new value's. (The
-// kernel's event slab and the journal's growth are amortized far below
-// one allocation per write, which AllocsPerRun rounds away.)
+// goes back, the only hash computed is the new value's, and the journal
+// is a ring bought whole by the first mutation. (The kernel's event slab
+// is amortized far below one allocation per write, which AllocsPerRun
+// rounds away.)
 func TestWatchedWriteAllocatesNothing(t *testing.T) {
 	k, s := newTestStore()
 	s.AddDomain(1)
@@ -29,10 +30,6 @@ func TestWatchedWriteAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.Run()
-	}
-	// Past two journal windows the journal compacts in place.
-	for i := 0; i < 2*DefaultJournalCap+1; i++ {
-		write()
 	}
 	if allocs := testing.AllocsPerRun(1000, write); allocs != 0 {
 		t.Fatalf("watched write + delivery allocates %.0f times, want 0", allocs)
@@ -169,20 +166,15 @@ func TestDeliveryRecordReuse(t *testing.T) {
 }
 
 // The cached hash term follows the node through every way a value gets
-// in front of an entry: an entry made by Read over an existing value, a
-// cursor write, a write the fault hook loses, and a path recreated after
-// a Remove dropped its entry.
+// into it: a path write, a cursor write, a write the fault hook loses,
+// and a path recreated after a Remove detached its node.
 func TestSubtreeHashCachedTerm(t *testing.T) {
 	_, s := newTestStore()
 	s.AddDomain(1)
 	path := DomainPath(1) + "/virt-dev/xvda/flush_now"
 	s.Write(1, path, "seed")
-	delete(s.pathCache, path) // the next entry is built over a non-empty value
-	if v, err := s.Read(1, path); err != nil || v != "seed" {
-		t.Fatalf("Read = %q, %v", v, err)
-	}
-	s.Write(1, path, "after-read-entry")
-	checkHashes(t, s, "write through an entry Read cached")
+	s.Write(1, path, "over-a-value")
+	checkHashes(t, s, "a rewrite over a non-empty value")
 
 	c := s.CursorFor(path)
 	s.WriteCursor(1, c, "by-cursor")

@@ -10,11 +10,13 @@
 // code with no knowledge of the simulator beyond the clock.
 //
 // A watched write is the control plane's unit of work, so its path keeps
-// nothing it allocates and does each piece of work once: a hot key's
-// resolution is memoized (pathEntry) together with the hash term its
-// current value contributes to the subtree hash, so a write hashes the
-// new value only; and the notifications of one write travel in delivery
-// records drawn from, and returned to, a free list the store owns.
+// nothing it allocates and does each piece of work once. A node is its
+// own resolution: it carries its absolute path, the hash term its current
+// value contributes to the subtree hash (so a write hashes the new value
+// only) and its subtree's bucket (hash cell and watch list), and one index
+// keyed by absolute path finds it in a single probe. The notifications of
+// one write travel in delivery records drawn from, and returned to, a
+// free list the store owns.
 package store
 
 import (
@@ -57,39 +59,76 @@ var (
 	ErrBadPath    = errors.New("store: malformed path")
 )
 
+// node is one key and everything an operation on it needs, so resolving a
+// path — by the index, or by a Cursor that pinned the node earlier — is
+// the whole lookup: no side entry, no tokenized copy of the path.
 type node struct {
-	value    string
-	owner    DomID
-	perms    map[DomID]Perm // explicit grants beyond owner and Dom0
-	children map[string]*node
-	// sorted caches the sorted child names for List; every mutation of
-	// children must reset it to nil. Directory shape changes far less
+	// path is the node's absolute path and its key in Store.index. A
+	// created leaf keeps the string it was written under and the levels
+	// created with it are prefixes of that string, so a create allocates
+	// no path of its own.
+	path  string
+	value string
+	owner DomID
+	perms map[DomID]Perm // explicit grants beyond owner and Dom0
+	// Children form an intrusive list in no particular order (kids is its
+	// head, next/prev link siblings): a create links in and a Remove links
+	// out in O(1), and a directory costs no allocation of its own.
+	kids, next, prev *node
+	// sorted caches the sorted child names for List; every change to the
+	// child list must reset it to nil. Directory shape changes far less
 	// often than it is listed, so the sort happens once per change
 	// instead of once per List.
 	sorted  []string
 	version uint64
+	// b is the bucket of the /local/domain/<id> subtree the path lives in,
+	// inherited from the parent at creation. Remove sets it to nil on
+	// every node it detaches: that is how a Cursor, or the directory memo,
+	// learns the node it pinned no longer stands for its path.
+	b *bucket
+	// hpath is pathHashState(path), so per-write hashing starts at the
+	// value; hval is mixString(hpath, value), the node's term as it stands
+	// in b.hash. writeNode is the only assignment of value, so a write
+	// folds the cached term out and hashes the new value alone.
+	hpath, hval uint64
 }
 
-func (n *node) child(name string) *node {
-	if n.children == nil {
-		return nil
-	}
-	return n.children[name]
-}
+// live reports whether n is still attached to the tree.
+func (n *node) live() bool { return n.b != nil }
+
+// name is the node's last path segment.
+func (n *node) name() string { return n.path[strings.LastIndexByte(n.path, '/')+1:] }
 
 // WatchID identifies a registered watch.
 type WatchID int
 
 type watch struct {
-	id     WatchID
-	dom    DomID
-	prefix []string
-	bucket string
+	id  WatchID
+	dom DomID
+	// prefix is a validated path, so "at or below prefix" is a string
+	// comparison with a segment boundary (under): a path has one spelling.
+	prefix string
+	b      *bucket
 	fn     func(path, value string)
 	// removed is the delivery-time tombstone: XenStore drops events whose
 	// watch was removed while they were queued. An atomic flag lets the
 	// fan-out check it without retaking watchMu per delivery.
 	removed atomic.Bool
+}
+
+// bucket is the per-subtree state a write to any path of one
+// /local/domain/<id> subtree touches: the subtree's rolling content hash
+// (sync.go) and the watches whose prefix lives in it. One bucket,
+// structB, stands for every path at or above the domain level. Buckets
+// sit behind a stable pointer that every node of the subtree holds, so a
+// write folds its hash and finds its watchers without a lookup.
+type bucket struct {
+	// hash follows the tree's kernel-goroutine discipline.
+	hash uint64
+	// ws is guarded by Store.watchMu and kept in ascending id order — ids
+	// are handed out monotonically, so registration is an append — which
+	// makes the delivery order deterministic without a per-fire sort.
+	ws []*watch
 }
 
 // Store is the system store. Create with New.
@@ -100,65 +139,58 @@ type watch struct {
 // lock: Watch, Unwatch and notification delivery are safe to interleave
 // concurrently.
 //
-// Two pieces of per-write state are cached rather than rebuilt. Each
-// pathCache entry holds the hash term of its node's current value (hval;
-// writeEntry is the only place a value is assigned, and a path has one
-// entry), so the subtree hash is updated from the cached old term and
-// one hash of the new value. And fireWatches schedules delivery records
-// from freeDeliveries: one record per run of equal-latency notifications,
-// one kernel event per record, the record back on the list after its
-// last callback — the (time, seq) dispatch order is exactly that of a
-// closure per run, without the closure.
+// fireWatches schedules delivery records from freeDeliveries: one record
+// per run of equal-latency notifications, one kernel event per record,
+// the record back on the list after its last callback. Every such event
+// calls the same function, which takes the record at the head of the
+// pending list — kept in the kernel's own (time, sequence) order, so the
+// dispatch order is exactly that of a closure per run, without the
+// closure.
 type Store struct {
 	k             *sim.Kernel
 	root          *node
 	notifyLatency sim.Duration
 	version       uint64
 
-	// watchMu guards watches, watchBuckets and nextWatch. fireWatches
-	// snapshots the table under the lock, and in-flight notifications
-	// re-check registration under it at delivery time (XenStore drops
+	// index holds every live node under its absolute path, the root under
+	// "/": the one resolution of a path to its node. A node stays in it
+	// until a Remove covers it, and a path has one spelling (checkPath
+	// rejects the rest), so Remove's walk of the subtree it deletes meets
+	// every entry it must drop. Kernel-goroutine discipline, like the tree.
+	index map[string]*node
+	// dir is the directory the last create made a node in. A guest's keys
+	// arrive directory by directory, so the next create usually finds its
+	// parent here instead of probing the index for it.
+	dir *node
+
+	// watchMu guards watches, buckets, every bucket's ws and nextWatch.
+	// fireWatches snapshots the candidates under the lock, and in-flight
+	// notifications re-check registration at delivery time (XenStore drops
 	// events whose watch was removed while they were queued).
 	watchMu sync.Mutex
 	watches map[WatchID]*watch
-	// watchBuckets indexes watches by the /local/domain/<id> subtree
-	// their prefix lives in ("" = structural prefixes that can match any
-	// path), so fan-out scans only the watches a write can possibly
-	// match instead of the whole table. Each bucket is kept in ascending
-	// id order — ids are handed out monotonically, so registration is an
-	// append — which makes the delivery order deterministic without a
-	// per-fire sort. Buckets are indirected through a stable struct so
-	// the path cache can hold the pointer and fan-out skips the map.
-	watchBuckets map[string]*watchBucket
-	// structWB is the "" bucket (structural prefixes), consulted on every
-	// fire; held directly so the hot path never looks it up.
-	structWB  *watchBucket
+	// buckets indexes the per-subtree buckets by domain id segment, so
+	// fan-out scans only the watches a write can possibly match instead
+	// of the whole table. It is consulted when a domain home is created,
+	// when a watch is registered and by SubtreeHash — never by a write.
+	buckets map[string]*bucket
+	// structB is the bucket of structural paths (at or above the domain
+	// level), whose watches can match any path: consulted on every fire.
+	structB   *bucket
 	nextWatch WatchID
 	// matchScratch is fireWatches's reusable candidate buffer; safe
 	// because fireWatches only runs on the kernel goroutine.
 	matchScratch []*watch
-	// partsScratch is splitScratch's reusable tokenization buffer, under
-	// the same kernel-goroutine discipline.
-	partsScratch []string
 	// freeDeliveries is the delivery free list: fireWatches takes a record
-	// per run of equal-latency notifications and the record puts itself
-	// back after its last callback, so a watched write allocates nothing
-	// it keeps. Kernel goroutine only (Write and the kernel's dispatch).
+	// per run of equal-latency notifications and deliver puts it back after
+	// its last callback, so a watched write allocates nothing it keeps.
+	// Kernel goroutine only (Write and the kernel's dispatch).
 	freeDeliveries []*delivery
-	// pathCache memoizes path resolution for the hot read/write keys: one
-	// full-path lookup replaces tokenizing plus a map access per segment.
-	// A node stays resolvable until a Remove covers it, so Remove is the
-	// only invalidation point (AddDomain recreates a home under a fresh
-	// node, but any cached descendants died with the Remove that made the
-	// recreation possible). Only existing nodes are cached and a path has
-	// one spelling (splitInto rejects the rest), so Remove's walk of the
-	// subtree it deletes (dropSubtree) meets every entry it must drop.
-	// Kernel-goroutine discipline, like the tree.
-	pathCache map[string]*pathEntry
-	// cacheGen counts Removes; Cursors compare it to know their pinned
-	// entry survived (Removes are control-plane rare, so the occasional
-	// full re-pin is cheap).
-	cacheGen uint64
+	// pendHead and pendTail are the ends of the list of scheduled, not yet
+	// delivered records; deliverFn is deliver bound once, the function of
+	// every delivery's kernel event.
+	pendHead, pendTail *delivery
+	deliverFn          func()
 
 	// rec, when set, receives store.write and store.watch trace records.
 	rec *trace.Recorder
@@ -168,12 +200,11 @@ type Store struct {
 	// goroutine, inside Write.
 	faults *FaultHooks
 
-	// Cheap-reconnect sync state (sync.go): rolling per-subtree content
-	// hashes plus a bounded (version, path) mutation journal. Cells are
-	// pointers so the path cache can pin a key's bucket cell and the
-	// per-write fold skips the map.
-	subHashes      map[string]*uint64
+	// Cheap-reconnect sync state (sync.go): the buckets' rolling hashes
+	// plus a bounded (version, path) mutation journal, a ring of
+	// journalCap entries whose oldest is journal[journalHead] once full.
 	journal        []journalEntry
+	journalHead    int
 	journalCap     int
 	evictedThrough uint64
 
@@ -213,52 +244,33 @@ func (s *Store) FaultStats() (droppedWrites, droppedNotifies, delayedNotifies ui
 // between a write and delivery of watch callbacks (the XenBus event-channel
 // round trip; tens of microseconds on the paper's hardware).
 func New(k *sim.Kernel, notifyLatency sim.Duration) *Store {
-	structWB := &watchBucket{}
-	return &Store{
+	structB := &bucket{}
+	root := &node{path: "/", owner: Dom0, b: structB}
+	s := &Store{
 		k:             k,
-		root:          &node{owner: Dom0},
+		root:          root,
+		index:         map[string]*node{"/": root},
+		dir:           root,
 		watches:       map[WatchID]*watch{},
-		watchBuckets:  map[string]*watchBucket{"": structWB},
-		structWB:      structWB,
+		buckets:       map[string]*bucket{"": structB},
+		structB:       structB,
 		notifyLatency: notifyLatency,
 	}
+	s.deliverFn = s.deliver
+	return s
 }
 
-// watchBucket holds one bucket's watches behind a stable pointer: the
-// slice header mutates under watchMu, the struct never moves, so cached
-// references (pathEntry.wb, structWB) stay valid across registration.
-type watchBucket struct {
-	ws []*watch
-}
-
-// bucketFor returns (creating if needed) the bucket for key b. Callers
-// must hold watchMu.
-func (s *Store) bucketFor(b string) *watchBucket {
-	wb := s.watchBuckets[b]
-	if wb == nil {
-		wb = &watchBucket{}
-		s.watchBuckets[b] = wb
+// bucketFor returns (creating if needed) the bucket of a domain id
+// segment, as bucketOf spells it.
+func (s *Store) bucketFor(id string) *bucket {
+	s.watchMu.Lock()
+	defer s.watchMu.Unlock()
+	b := s.buckets[id]
+	if b == nil {
+		b = &bucket{}
+		s.buckets[id] = b
 	}
-	return wb
-}
-
-// hashCell returns (creating if needed) the subtree-hash cell for bucket
-// b. Kernel-goroutine only, like the tree.
-func (s *Store) hashCell(b string) *uint64 {
-	if s.subHashes == nil {
-		s.subHashes = map[string]*uint64{}
-	}
-	p := s.subHashes[b]
-	if p == nil {
-		p = new(uint64)
-		s.subHashes[b] = p
-	}
-	return p
-}
-
-// split validates and tokenizes a path like /local/domain/3/virt-dev/xvda.
-func split(path string) ([]string, error) {
-	return splitInto(path, nil)
+	return b
 }
 
 // Cold error constructors for the //hotpath functions below: fmt
@@ -267,52 +279,41 @@ func split(path string) ([]string, error) {
 // pass enforces the split (docs/LINTING.md).
 func errBadPath(path string) error { return fmt.Errorf("%w: %q", ErrBadPath, path) }
 func errNoEntry(path string) error { return fmt.Errorf("%w: %s", ErrNoEntry, path) }
+func errRoot(verb string) error    { return fmt.Errorf("%w: cannot %s root", ErrBadPath, verb) }
 func errPermission(dom DomID, verb, path string) error {
 	return fmt.Errorf("%w: dom%d %s %s", ErrPermission, dom, verb, path)
 }
 
-// splitInto is split with a caller-supplied parts buffer, so the hot
-// store operations tokenize without allocating. The returned segments
-// are substrings of path.
-//
-// hotpath
-func splitInto(path string, buf []string) ([]string, error) {
+// checkPath validates a path like /local/domain/3/virt-dev/xvda: absolute,
+// no empty segment, no trailing slash ("/" alone is the root). A valid
+// path is the only spelling of its node.
+func checkPath(path string) error {
 	if path == "" || path[0] != '/' {
-		return nil, errBadPath(path)
+		return errBadPath(path)
 	}
-	if path == "/" {
-		return nil, nil
+	if len(path) > 1 && (path[len(path)-1] == '/' || strings.Contains(path, "//")) {
+		return errBadPath(path)
 	}
-	parts := buf[:0]
-	rest := path[1:]
-	for {
-		i := strings.IndexByte(rest, '/')
-		if i < 0 {
-			if rest == "" {
-				return nil, errBadPath(path)
-			}
-			return append(parts, rest), nil
-		}
-		if i == 0 {
-			return nil, errBadPath(path)
-		}
-		parts = append(parts, rest[:i])
-		rest = rest[i+1:]
-	}
+	return nil
 }
 
-// splitScratch tokenizes into the store's reusable parts buffer. Like
-// matchScratch it leans on the kernel-goroutine discipline for node
-// operations; callers must not retain the result past their own return
-// (Watch, which retains its prefix, uses split instead).
+// dirOf returns the parent directory's path of a valid non-root path: the
+// path up to its last slash, or "/" for a child of the root.
+func dirOf(path string) string {
+	return path[:max(strings.LastIndexByte(path, '/'), 1)]
+}
+
+// under reports whether path is at or below prefix, both valid paths: a
+// string prefix that ends on a segment boundary, so /local/domain/1 does
+// not cover /local/domain/10/x.
 //
 // hotpath
-func (s *Store) splitScratch(path string) ([]string, error) {
-	parts, err := splitInto(path, s.partsScratch)
-	if cap(parts) > cap(s.partsScratch) {
-		s.partsScratch = parts
+func under(path, prefix string) bool {
+	if len(prefix) == 1 {
+		return true // "/" covers everything
 	}
-	return parts, err
+	return len(path) >= len(prefix) && path[:len(prefix)] == prefix &&
+		(len(path) == len(prefix) || path[len(prefix)] == '/')
 }
 
 // Root is the top of the per-domain namespace, mirroring XenStore's
@@ -331,19 +332,11 @@ func DomainPath(dom DomID) string {
 // subtree. ok is false for paths at or above the domain level and for
 // non-numeric children of /local/domain.
 func PathDomain(path string) (DomID, bool) {
-	const prefix = Root + "/"
-	if len(path) <= len(prefix) || path[:len(prefix)] != prefix {
+	b := bucketOf(path)
+	if b == "" {
 		return 0, false
 	}
-	rest := path[len(prefix):]
-	end := len(rest)
-	for i := 0; i < len(rest); i++ {
-		if rest[i] == '/' {
-			end = i
-			break
-		}
-	}
-	id, err := strconv.Atoi(rest[:end])
+	id, err := strconv.Atoi(b)
 	if err != nil || id < 0 {
 		return 0, false
 	}
@@ -356,148 +349,117 @@ func DiskPath(dom DomID, disk, key string) string {
 	return DomainPath(dom) + "/virt-dev/" + disk + "/" + key
 }
 
+// attach creates the node at path, owned by owner, as a child of parent:
+// linked into the child list and the index, its empty value folded into
+// its bucket's hash. A child of /local/domain opens its own bucket, every
+// other node shares its parent's. Journalling is the caller's.
+func (s *Store) attach(parent *node, path string, owner DomID) *node {
+	n := &node{path: path, owner: owner, b: parent.b, next: parent.kids, hpath: pathHashState(path)}
+	if parent.path == Root {
+		n.b = s.bucketFor(n.name())
+	}
+	n.hval = mixString(n.hpath, "")
+	n.b.hash ^= n.hval
+	if n.next != nil {
+		n.next.prev = n
+	}
+	parent.kids, parent.sorted = n, nil
+	s.index[path] = n
+	return n
+}
+
+// EnsureRoot creates the structural /local/domain chain without creating
+// any domain home, so a snapshot of the tree root has its spine before
+// the first handshake. Idempotent; netstore calls it at server start.
+func (s *Store) EnsureRoot() { s.domainsDir() }
+
+// domainsDir returns the /local/domain node, creating the Dom0-owned
+// chain down to it where missing.
+func (s *Store) domainsDir() *node {
+	n := s.index[Root]
+	if n == nil {
+		local := s.index[dirOf(Root)]
+		if local == nil {
+			local = s.attach(s.root, dirOf(Root), Dom0)
+		}
+		n = s.attach(local, Root, Dom0)
+	}
+	return n
+}
+
 // AddDomain creates the /local/domain/<dom> home directory owned by dom,
 // the step the toolstack performs at domain creation in Xen. Without it a
 // guest has nowhere it is allowed to write.
 func (s *Store) AddDomain(dom DomID) {
-	n := s.root
-	path := ""
-	for _, p := range []string{"local", "domain"} {
-		path += "/" + p
-		child := n.child(p)
-		if child == nil {
-			child = &node{owner: Dom0}
-			if n.children == nil {
-				n.children = map[string]*node{}
-			}
-			n.children[p] = child
-			n.sorted = nil
-			s.noteNode(strings.Split(path[1:], "/"), path, "")
-		}
-		n = child
-	}
-	name := strconv.Itoa(int(dom))
-	if n.child(name) == nil {
-		if n.children == nil {
-			n.children = map[string]*node{}
-		}
-		n.children[name] = &node{owner: dom}
-		n.sorted = nil
-		home := Root + "/" + name
-		s.noteNode([]string{"local", "domain", name}, home, "")
+	domains := s.domainsDir()
+	home := DomainPath(dom)
+	if s.index[home] == nil {
+		s.attach(domains, home, dom)
 		// Journal the (re)created home so a client that pruned the subtree
 		// after a Remove learns it is back on its next delta sync.
 		s.journalAppend(s.version+1, home, false)
 	}
 }
 
-func (s *Store) lookup(parts []string) *node {
-	n := s.root
-	for _, p := range parts {
-		n = n.child(p)
-		if n == nil {
-			return nil
-		}
-	}
-	return n
-}
-
-// pathEntry is one memoized resolution: the tokenized path, the node it
-// names, the path's node-hash prefix state, and pinned pointers to the
-// path's hash cell and watch bucket — everything a hot-key write needs,
-// so the whole operation costs one map access. parts is owned by the
-// entry (never a scratch alias).
-type pathEntry struct {
-	parts []string
-	n     *node
-	hpath uint64 // pathHashState(path): per-write hashing starts at the value
-	// hval is mixString(hpath, n.value), the node's term as it stands in
-	// *hash. A path has one entry and writeEntry is the only assignment
-	// of n.value, so a write folds the cached term out and hashes the new
-	// value alone.
-	hval uint64
-	hash *uint64 // subtree-hash cell for the path's bucket
-	wb   *watchBucket
-}
-
-// cachePath memoizes a successful resolution. parts may alias a scratch
-// buffer; the entry stores a private copy.
-func (s *Store) cachePath(path string, parts []string, n *node) *pathEntry {
-	if s.pathCache == nil {
-		s.pathCache = map[string]*pathEntry{}
-	}
-	b := bucketOf(parts)
-	e := &pathEntry{parts: append([]string(nil), parts...), n: n, hpath: pathHashState(path)}
-	e.hval = mixString(e.hpath, n.value)
-	e.hash = s.hashCell(b)
-	s.watchMu.Lock()
-	e.wb = s.bucketFor(b)
-	s.watchMu.Unlock()
-	s.pathCache[path] = e
-	return e
-}
-
-// Cursor pins one path's resolution across repeated operations: the
-// in-process bus handle keeps one per hot key, so a driver heartbeat
-// costs a generation compare instead of hashing the absolute path on
-// every store call. Obtain with Store.CursorFor; use from the kernel
-// goroutine only, like every node operation.
+// Cursor pins one path's node across repeated operations: the in-process
+// bus handle keeps one per hot key, so a driver heartbeat costs a liveness
+// check instead of hashing the absolute path on every store call. A
+// Remove detaches the nodes it covers, and a cursor that finds its node
+// detached resolves its path again — to the node a later create put
+// there, never to the dead one. Obtain with Store.CursorFor; use from the
+// kernel goroutine only, like every node operation.
 type Cursor struct {
 	path string
-	e    *pathEntry
-	gen  uint64
+	n    *node
 }
 
 // CursorFor returns a cursor for path. The path need not exist yet; the
-// cursor pins its resolution on first successful use.
+// cursor pins its node on first successful use.
 func (s *Store) CursorFor(path string) *Cursor { return &Cursor{path: path} }
 
 // Path reports the absolute path the cursor stands for.
 func (c *Cursor) Path() string { return c.path }
 
-// cursorEntry returns the pinned entry, re-pinning from the path cache
-// after an invalidation (nil when the path has no cached resolution).
+// pinned returns the cursor's node, resolving the path again when the
+// pinned node was detached (nil when the path names no node).
 //
 // hotpath
-func (s *Store) cursorEntry(c *Cursor) *pathEntry {
-	if c.e != nil && c.gen == s.cacheGen {
-		return c.e
+func (s *Store) pinned(c *Cursor) *node {
+	if c.n == nil || !c.n.live() {
+		c.n = s.index[c.path]
 	}
-	c.e, c.gen = s.pathCache[c.path], s.cacheGen
-	return c.e
+	return c.n
 }
 
 // WriteCursor is Write through a pinned cursor.
 //
 // hotpath
 func (s *Store) WriteCursor(dom DomID, c *Cursor, value string) error {
-	if e := s.cursorEntry(c); e != nil {
-		return s.writeEntry(dom, e, c.path, value, -1)
+	n := s.pinned(c)
+	if n == nil {
+		var err error
+		if n, err = s.create(dom, c.path); err != nil {
+			return err
+		}
+		c.n = n
 	}
-	if err := s.Write(dom, c.path, value); err != nil {
-		return err
-	}
-	c.e, c.gen = s.pathCache[c.path], s.cacheGen
-	return nil
+	return s.writeNode(dom, n, value)
 }
 
 // ReadCursor is Read through a pinned cursor.
 //
 // hotpath
 func (s *Store) ReadCursor(dom DomID, c *Cursor) (string, error) {
-	e := s.cursorEntry(c)
-	if e == nil {
-		v, err := s.Read(dom, c.path)
-		if err == nil {
-			c.e, c.gen = s.pathCache[c.path], s.cacheGen
-		}
-		return v, err
+	n := s.pinned(c)
+	if n == nil {
+		_, err := s.nodeAt(c.path) // which of the two ways a path names no node
+		return "", err
 	}
-	if !canRead(e.n, dom) {
+	if !canRead(n, dom) {
 		return "", errPermission(dom, "reading", c.path)
 	}
 	s.reads++
-	return e.n.value, nil
+	return n.value, nil
 }
 
 // canRead reports whether dom may read node n. Dom0 reads everything; the
@@ -531,113 +493,110 @@ func (s *Store) Read(dom DomID, path string) (string, error) {
 	return n.value, nil
 }
 
-// nodeAt resolves path to its node through the path cache, memoizing a
-// resolution it had to walk for.
+// nodeAt resolves path to its node: one probe of the index.
 //
 // hotpath
 func (s *Store) nodeAt(path string) (*node, error) {
-	if n := s.pathNode(path); n != nil {
+	if n := s.index[path]; n != nil {
 		return n, nil
 	}
-	parts, err := s.splitScratch(path)
-	if err != nil {
+	if err := checkPath(path); err != nil {
 		return nil, err
 	}
-	n := s.lookup(parts)
-	if n == nil {
-		return nil, errNoEntry(path)
-	}
-	s.cachePath(path, parts, n)
-	return n, nil
-}
-
-// pathNode returns the memoized node for path, or nil on a cache miss.
-//
-// hotpath
-func (s *Store) pathNode(path string) *node {
-	if e := s.pathCache[path]; e != nil {
-		return e.n
-	}
-	return nil
+	return nil, errNoEntry(path)
 }
 
 // Write sets the value at path on behalf of dom, creating intermediate
 // nodes owned by dom as needed. Writing to another domain's subtree
 // requires an explicit write grant on the closest existing ancestor.
 func (s *Store) Write(dom DomID, path, value string) error {
-	firstCreated := -1 // index of the shallowest node this write created
-	e := s.pathCache[path]
-	if e == nil {
-		parts, err := s.splitScratch(path)
-		if err != nil {
+	n := s.index[path]
+	if n == nil {
+		var err error
+		if n, err = s.create(dom, path); err != nil {
 			return err
 		}
-		if len(parts) == 0 {
-			return fmt.Errorf("%w: cannot write root", ErrBadPath)
-		}
-		n := s.root
-		for i, p := range parts {
-			child := n.child(p)
-			if child == nil {
-				if !canWrite(n, dom) {
-					return fmt.Errorf("%w: dom%d creating under %s", ErrPermission, dom, path)
-				}
-				child = &node{owner: dom}
-				if n.children == nil {
-					n.children = map[string]*node{}
-				}
-				n.children[p] = child
-				n.sorted = nil
-				if firstCreated < 0 {
-					firstCreated = i
-				}
-			}
-			n = child
-		}
-		e = s.cachePath(path, parts, n)
 	}
-	return s.writeEntry(dom, e, path, value, firstCreated)
+	return s.writeNode(dom, n, value)
 }
 
-// writeEntry applies a write through a resolved cache entry; firstCreated
-// is the index of the shallowest node the resolution created (-1 when the
-// whole chain already existed).
+// deepest returns the deepest existing ancestor of path, a valid path
+// that names no node, and the offset of the slash that follows it in path
+// (0 for the root).
+func (s *Store) deepest(path string) (*node, int) {
+	for end := len(path); ; {
+		end = strings.LastIndexByte(path[:end], '/')
+		dir := path[:max(end, 1)]
+		if d := s.dir; d.live() && d.path == dir {
+			return d, end
+		}
+		if n := s.index[dir]; n != nil {
+			return n, end
+		}
+	}
+}
+
+// create makes the node at path, which the index does not hold, and every
+// missing level above it, owned by dom — which needs write access at the
+// creation point; the levels below it are its own. Each level is folded
+// into its subtree hash and journalled at the version of the write it is
+// part of, under its own path: a prefix of the caller's string, sliced,
+// never rebuilt — bringing a guest up is mostly leaf creates in an
+// existing directory.
+func (s *Store) create(dom DomID, path string) (*node, error) {
+	if err := checkPath(path); err != nil {
+		return nil, err
+	}
+	n, end := s.deepest(path)
+	if !canWrite(n, dom) {
+		return nil, errPermission(dom, "creating under", path)
+	}
+	for end < len(path) {
+		s.dir = n
+		if i := strings.IndexByte(path[end+1:], '/'); i >= 0 {
+			end += 1 + i
+		} else {
+			end = len(path)
+		}
+		n = s.attach(n, path[:end], dom)
+		s.journalAppend(s.version+1, n.path, false)
+	}
+	return n, nil
+}
+
+// writeNode applies a write to a resolved node.
 //
 // hotpath
-func (s *Store) writeEntry(dom DomID, e *pathEntry, path, value string, firstCreated int) error {
-	parts, n := e.parts, e.n
-	if !canWrite(n, dom) {
-		return errPermission(dom, "writing", path)
+func (s *Store) writeNode(dom DomID, n *node, value string) error {
+	if n == s.root {
+		return errRoot("write")
 	}
-	if s.faults != nil && s.faults.DropWrite != nil && s.faults.DropWrite(dom, path) {
+	if !canWrite(n, dom) {
+		return errPermission(dom, "writing", n.path)
+	}
+	if s.faults != nil && s.faults.DropWrite != nil && s.faults.DropWrite(dom, n.path) {
 		// The write is acknowledged but lost: the key keeps its stale
 		// value and no watch fires, exactly a torn XenStore transaction.
-		// Created intermediates (and an empty created leaf) do persist,
-		// so they still enter the hash and journal.
+		// Created intermediates (and an empty created leaf) do persist:
+		// create already put them in the hash and the journal.
 		s.faultDroppedWrites++
-		if firstCreated >= 0 {
-			s.noteCreated(path, parts, firstCreated, s.version+1)
-		}
 		return nil
 	}
 	s.version++
 	n.value = value
 	n.version = s.version
 	s.writes++
-	if firstCreated >= 0 {
-		s.noteCreated(path, parts, firstCreated, s.version)
-	}
-	// Fold the prior leaf content out of the subtree hash and the new
-	// content in — the entry pins the bucket cell and remembers the term
-	// it last folded in, so only the new value gets hashed.
-	hval := mixString(e.hpath, value)
-	*e.hash ^= e.hval ^ hval
-	e.hval = hval
-	s.journalAppend(s.version, path, false)
+	// Fold the prior content out of the subtree hash and the new content
+	// in — the node holds its bucket and remembers the term it last folded
+	// in, so only the new value gets hashed.
+	hval := mixString(n.hpath, value)
+	n.b.hash ^= n.hval ^ hval
+	n.hval = hval
+	s.journalAppend(s.version, n.path, false)
 	if s.rec != nil {
-		s.rec.Record(trace.Record{Kind: trace.KindStoreWrite, Dom: int(dom), Path: path, Value: value})
+		s.rec.Record(trace.Record{Kind: trace.KindStoreWrite, Dom: int(dom), Path: n.path, Value: value})
 	}
-	s.fireWatches(e.wb, parts, n, path, value)
+	s.fireWatches(n.b, n, n.path, value)
 	return nil
 }
 
@@ -647,40 +606,53 @@ func (s *Store) SetRecorder(r *trace.Recorder) { s.rec = r }
 
 // Remove deletes the node at path (and its subtree) on behalf of dom.
 func (s *Store) Remove(dom DomID, path string) error {
-	parts, err := s.splitScratch(path)
+	n, err := s.nodeAt(path)
 	if err != nil {
 		return err
 	}
-	if len(parts) == 0 {
-		return fmt.Errorf("%w: cannot remove root", ErrBadPath)
-	}
-	parent := s.lookup(parts[:len(parts)-1])
-	if parent == nil {
-		return fmt.Errorf("%w: %s", ErrNoEntry, path)
-	}
-	name := parts[len(parts)-1]
-	n := parent.child(name)
-	if n == nil {
-		return fmt.Errorf("%w: %s", ErrNoEntry, path)
+	if n == s.root {
+		return errRoot("remove")
 	}
 	if !canWrite(n, dom) {
-		return fmt.Errorf("%w: dom%d removing %s", ErrPermission, dom, path)
+		return errPermission(dom, "removing", path)
 	}
-	s.cacheGen++
-	s.dropSubtree(parts, path, n)
-	delete(parent.children, name)
+	b := n.b
+	if n.next != nil {
+		n.next.prev = n.prev
+	}
+	if n.prev != nil {
+		n.prev.next = n.next
+	}
+	parent := s.index[dirOf(path)]
+	if parent.kids == n {
+		parent.kids = n.next
+	}
 	parent.sorted = nil
+	s.detach(n)
 	s.version++
 	// Journal only the subtree root, flagged as a removal: sync clients
 	// prune by prefix, even if the path is recreated later.
 	s.journalAppend(s.version, path, true)
 	// The node is gone: nil keeps the XenStore behavior of delivering the
 	// removal to every matching watcher without a readability filter.
-	s.watchMu.Lock()
-	wb := s.bucketFor(bucketOf(parts))
-	s.watchMu.Unlock()
-	s.fireWatches(wb, parts, nil, path, "")
+	s.fireWatches(b, nil, path, "")
 	return nil
+}
+
+// detach takes a subtree out of the index and its terms out of the bucket
+// hashes, and marks every node of it dead for whoever pinned one. The
+// walk meets every node that dies with its one path, so a Remove costs
+// O(subtree) however big the store is; XOR makes the order irrelevant. A
+// dead node lets go of its relatives, so a pinned one retains only itself.
+func (s *Store) detach(n *node) {
+	n.b.hash ^= n.hval
+	delete(s.index, n.path)
+	for c := n.kids; c != nil; {
+		next := c.next
+		s.detach(c)
+		c = next
+	}
+	n.b, n.kids, n.next, n.prev = nil, nil, nil, nil
 }
 
 // List returns the sorted child names under path readable by dom, as a
@@ -704,7 +676,7 @@ func (s *Store) Children(dom DomID, path string) ([]string, error) {
 	if !canRead(n, dom) {
 		return nil, errPermission(dom, "listing", path)
 	}
-	if n.sorted == nil && len(n.children) > 0 {
+	if n.sorted == nil && n.kids != nil {
 		n.sortChildren()
 	}
 	return n.sorted, nil
@@ -712,9 +684,8 @@ func (s *Store) Children(dom DomID, path string) ([]string, error) {
 
 // sortChildren rebuilds the sorted child index after a shape change.
 func (n *node) sortChildren() {
-	n.sorted = make([]string, 0, len(n.children))
-	for name := range n.children {
-		n.sorted = append(n.sorted, name)
+	for c := n.kids; c != nil; c = c.next {
+		n.sorted = append(n.sorted, c.name())
 	}
 	sort.Strings(n.sorted)
 }
@@ -722,16 +693,12 @@ func (n *node) sortChildren() {
 // Grant gives target the given permission on path. Only Dom0 or the node
 // owner may change permissions (XenStore SET_PERMS semantics).
 func (s *Store) Grant(dom DomID, path string, target DomID, perm Perm) error {
-	parts, err := split(path)
+	n, err := s.nodeAt(path)
 	if err != nil {
 		return err
 	}
-	n := s.lookup(parts)
-	if n == nil {
-		return fmt.Errorf("%w: %s", ErrNoEntry, path)
-	}
 	if dom != Dom0 && dom != n.owner {
-		return fmt.Errorf("%w: dom%d setting perms on %s", ErrPermission, dom, path)
+		return errPermission(dom, "setting perms on", path)
 	}
 	if n.perms == nil {
 		n.perms = map[DomID]Perm{}
@@ -741,33 +708,24 @@ func (s *Store) Grant(dom DomID, path string, target DomID, perm Perm) error {
 }
 
 // Exists reports whether path names a node, regardless of readability.
-func (s *Store) Exists(path string) bool {
-	parts, err := s.splitScratch(path)
-	if err != nil {
-		return false
-	}
-	return s.lookup(parts) != nil
-}
+func (s *Store) Exists(path string) bool { return s.index[path] != nil }
 
 // Watch registers fn to be called (after the configured notification
 // latency) whenever a node at or below prefix changes, provided dom can
 // read the changed node. It returns an id for Unwatch. Matching follows
 // XenStore: a watch on /a fires for writes to /a, /a/b, /a/b/c, ...
 func (s *Store) Watch(dom DomID, prefix string, fn func(path, value string)) (WatchID, error) {
-	parts, err := split(prefix)
-	if err != nil {
+	if err := checkPath(prefix); err != nil {
 		return 0, err
 	}
+	b := s.bucketFor(bucketOf(prefix))
 	s.watchMu.Lock()
 	defer s.watchMu.Unlock()
 	s.nextWatch++
-	id := s.nextWatch
-	b := bucketOf(parts)
-	w := &watch{id: id, dom: dom, prefix: parts, bucket: b, fn: fn}
-	s.watches[id] = w
-	wb := s.bucketFor(b)
-	wb.ws = append(wb.ws, w)
-	return id, nil
+	w := &watch{id: s.nextWatch, dom: dom, prefix: prefix, b: b, fn: fn}
+	s.watches[w.id] = w
+	b.ws = append(b.ws, w)
+	return w.id, nil
 }
 
 // Unwatch removes a watch; unknown ids are ignored.
@@ -777,39 +735,26 @@ func (s *Store) Unwatch(id WatchID) {
 	if w, ok := s.watches[id]; ok {
 		w.removed.Store(true)
 		delete(s.watches, id)
-		if wb := s.watchBuckets[w.bucket]; wb != nil {
-			for i, bw := range wb.ws {
-				if bw.id == id {
-					wb.ws = append(wb.ws[:i], wb.ws[i+1:]...)
-					break
-				}
+		for i, bw := range w.b.ws {
+			if bw == w {
+				w.b.ws = append(w.b.ws[:i], w.b.ws[i+1:]...)
+				break
 			}
 		}
 	}
 }
 
-func hasPrefix(path, prefix []string) bool {
-	if len(prefix) > len(path) {
-		return false
-	}
-	for i, p := range prefix {
-		if path[i] != p {
-			return false
-		}
-	}
-	return true
-}
-
 // delivery is one run of equal-latency notifications of one write: the
 // watchers to call, in ascending id order, and the event they are told.
-// Records are reused through Store.freeDeliveries; fire is the run
-// method value, bound once when the record is made, so scheduling a
-// delivery builds no closure.
+// Records are reused through Store.freeDeliveries and wait their turn on
+// the store's pending list, so a scheduled delivery is this one object:
+// no closure, and no separate backing for the usual one or two watchers.
 type delivery struct {
-	s           *Store
 	ws          []*watch
 	path, value string
-	fire        func()
+	due         sim.Time
+	next, prev  *delivery // pending-list links
+	first       [2]*watch // ws's backing until a third watcher matches
 }
 
 // takeDelivery pops a record off the free list (making one when the list
@@ -823,19 +768,54 @@ func (s *Store) takeDelivery(path, value string) *delivery {
 		d = s.freeDeliveries[n-1]
 		s.freeDeliveries = s.freeDeliveries[:n-1]
 	} else {
-		d = &delivery{s: s}
-		d.fire = d.run
+		d = new(delivery)
+		d.ws = d.first[:0]
 	}
 	d.path, d.value = path, value
 	return d
 }
 
-// run is the kernel event of a delivery: it calls the watchers, then
-// hands the record back to the free list.
+// schedule queues d for delivery after delay. The kernel fires events in
+// (time, scheduling order), and every delivery's event is the same
+// function, so the pending list is kept in that order: d goes behind every
+// record due no later. Deliveries share one latency unless a fault hook
+// adds to it, so that is nearly always the tail.
 //
 // hotpath
-func (d *delivery) run() {
-	s := d.s
+func (s *Store) schedule(d *delivery, delay sim.Duration) {
+	d.due = s.k.Now() + delay
+	after := s.pendTail
+	for after != nil && after.due > d.due {
+		after = after.prev
+	}
+	d.prev = after
+	if after == nil {
+		d.next, s.pendHead = s.pendHead, d
+	} else {
+		d.next, after.next = after.next, d
+	}
+	if d.next == nil {
+		s.pendTail = d
+	} else {
+		d.next.prev = d
+	}
+	s.k.After(delay, s.deliverFn)
+}
+
+// deliver is the kernel event of a delivery: it takes the record whose
+// turn it is off the pending list, calls the watchers, then hands the
+// record back to the free list.
+//
+// hotpath
+func (s *Store) deliver() {
+	d := s.pendHead
+	s.pendHead = d.next
+	if d.next == nil {
+		s.pendTail = nil
+	} else {
+		d.next.prev = nil
+		d.next = nil
+	}
 	for _, w := range d.ws {
 		// The watch may have been removed while the notification
 		// was in flight; XenStore drops such events.
@@ -854,21 +834,21 @@ func (d *delivery) run() {
 }
 
 // hotpath
-func (s *Store) fireWatches(wb *watchBucket, parts []string, n *node, path, value string) {
+func (s *Store) fireWatches(b *bucket, n *node, path, value string) {
 	// Snapshot the candidate watches under the lock, then match and
 	// schedule outside it so callbacks cannot deadlock against Watch/
 	// Unwatch. Only the path's own domain bucket plus the structural
 	// bucket can possibly match (watch prefixes in other domain buckets
 	// diverge at /local/domain/<id>), so fan-out cost tracks the watches
 	// on this subtree, not the whole table; the caller hands in the
-	// path's bucket, already pinned by its cache entry. Buckets are
+	// path's bucket, which the written node holds. Buckets are
 	// id-sorted, so a two-way merge yields the deterministic
 	// ascending-id delivery order with no per-fire sort; matchScratch is
 	// reused across fires (kernel goroutine only).
 	s.watchMu.Lock()
 	matched := s.matchScratch[:0]
-	db, sb := wb.ws, s.structWB.ws
-	if wb == s.structWB {
+	db, sb := b.ws, s.structB.ws
+	if b == s.structB {
 		sb = nil // structural path: db already is the structural bucket
 	}
 	for len(db) > 0 || len(sb) > 0 {
@@ -892,7 +872,7 @@ func (s *Store) fireWatches(wb *watchBucket, parts []string, n *node, path, valu
 	var run *delivery // the open run, scheduled when its latency ends
 	runDelay := s.notifyLatency
 	for _, w := range matched {
-		if !hasPrefix(parts, w.prefix) {
+		if !under(path, w.prefix) {
 			continue
 		}
 		if n != nil && !canRead(n, w.dom) {
@@ -912,7 +892,7 @@ func (s *Store) fireWatches(wb *watchBucket, parts []string, n *node, path, valu
 			}
 		}
 		if run != nil && delay != runDelay {
-			s.k.After(runDelay, run.fire)
+			s.schedule(run, runDelay)
 			run = nil
 		}
 		runDelay = delay
@@ -923,7 +903,7 @@ func (s *Store) fireWatches(wb *watchBucket, parts []string, n *node, path, valu
 		run.ws = append(run.ws, w)
 	}
 	if run != nil {
-		s.k.After(runDelay, run.fire)
+		s.schedule(run, runDelay)
 	}
 }
 

@@ -214,6 +214,68 @@ func TestWatchPrefixSemantics(t *testing.T) {
 	}
 }
 
+// hasPrefix is the segment-wise watch match the string match replaced:
+// prefix's segments lead path's.
+func hasPrefix(path, prefix []string) bool {
+	if len(prefix) > len(path) {
+		return false
+	}
+	for i, p := range prefix {
+		if path[i] != p {
+			return false
+		}
+	}
+	return true
+}
+
+// Watches match on the path string with a segment boundary. Over every
+// pair of these paths the string match says what the segment-wise one
+// did, and a store delivers accordingly.
+func TestWatchMatchIsSegmentWise(t *testing.T) {
+	paths := []string{"/", "/local", "/local/domain", "/local/domain/1", "/local/domain/10", "/local/domain/10/x",
+		"/local/domain/1/x", "/local/domain/1/xy", "/local/domain/1/x/y", "/local/domainx", "/a", "/a/b", "/ab", "/a/bb"}
+	for _, prefix := range paths {
+		for _, path := range paths {
+			if got, want := under(path, prefix), hasPrefix(split(path), split(prefix)); got != want {
+				t.Errorf("under(%q, %q) = %v, segment-wise says %v", path, prefix, got, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		path, prefix string
+		want         bool
+	}{
+		{"/local/domain/10/x", "/local/domain/1", false},
+		{"/local/domain/1/x", "/local/domain/1", true},
+		{"/local/domain/1", "/local/domain/1", true}, // a prefix equal to the path
+		{"/local/domain/10/x", "/", true},            // the root covers everything
+		{"/local/domain", "/local/domain/1", false},
+	} {
+		if got := under(c.path, c.prefix); got != c.want {
+			t.Errorf("under(%q, %q) = %v, want %v", c.path, c.prefix, got, c.want)
+		}
+	}
+
+	k, s := newTestStore()
+	fired := map[string]int{}
+	for _, prefix := range []string{"/", DomainPath(1), DomainPath(10)} {
+		if _, err := s.Watch(Dom0, prefix, func(string, string) { fired[prefix]++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Write(Dom0, DomainPath(10)+"/x", "v")
+	s.Write(Dom0, DomainPath(1), "v")
+	k.Run()
+	if fired["/"] != 2 || fired[DomainPath(1)] != 1 || fired[DomainPath(10)] != 1 {
+		t.Fatalf("deliveries by prefix: %v", fired)
+	}
+	for _, bad := range []string{"", "a", "/a/", "//", "/a//b"} {
+		if _, err := s.Watch(Dom0, bad, func(string, string) {}); !errors.Is(err, ErrBadPath) {
+			t.Errorf("Watch(%q) = %v, want ErrBadPath", bad, err)
+		}
+	}
+}
+
 func TestWatchPermissionFiltered(t *testing.T) {
 	k, s := newTestStore()
 	s.AddDomain(1)

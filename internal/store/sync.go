@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -46,23 +47,20 @@ type Delta struct {
 	Removed bool
 }
 
-// nodeHash is the per-node content hash over path and value with a
-// separator, XOR-folded into subtree hashes. XOR folding makes node
-// insertion and removal O(1): adding and removing the same (path, value)
-// cancel exactly. The hash is never persisted or compared across
-// processes — a client's remembered hash only ever meets the same
-// server's counter — so it needs collision resistance, not a fixed
-// algorithm. It mixes 8-byte words per multiply instead of FNV's
-// byte-at-a-time chain: value payloads dominate the bytes hashed on the
-// write path, and the serial multiply per byte was the single hottest
-// instruction in the store under load.
-func nodeHash(path, value string) uint64 {
-	return mixString(pathHashState(path), value)
-}
+// The per-node content hash covers path and value with a separator —
+// mixString(pathHashState(path), value) — and is XOR-folded into the
+// subtree hashes. XOR folding makes node insertion and removal O(1):
+// adding and removing the same (path, value) cancel exactly. The hash is
+// never persisted or compared across processes — a client's remembered
+// hash only ever meets the same server's counter — so it needs collision
+// resistance, not a fixed algorithm. It mixes 8-byte words per multiply
+// instead of FNV's byte-at-a-time chain: value payloads dominate the
+// bytes hashed on the write path, and the serial multiply per byte was
+// the single hottest instruction in the store under load.
 
 // pathHashState is the node-hash state after folding the path and the
-// path/value separator — the per-path prefix of nodeHash. The path cache
-// memoizes it so a hot-key write hashes only the old and new values.
+// path/value separator — the per-path prefix of a node's hash. The node
+// keeps it, so a write hashes only the new value.
 func pathHashState(path string) uint64 {
 	h := mixString(14695981039346656037, path)
 	return mixWord(h, 0xa5) // path/value separator
@@ -116,52 +114,20 @@ func mixString(h uint64, s string) uint64 {
 	return h
 }
 
-// bucketOf maps a path (as split parts) to its hash bucket: the owning
-// domain's id segment (a substring of the path — no allocation on the
-// write path), or "" for structural nodes at or above the domain level.
-// The short key is internal; SubtreeHash translates from the public
-// /local/domain/<id> spelling.
-func bucketOf(parts []string) string {
-	if len(parts) >= 3 && parts[0] == "local" && parts[1] == "domain" {
-		return parts[2]
+// bucketOf maps a path to its bucket key: the owning domain's id segment
+// (a substring of the path), or "" for structural nodes at or above the
+// domain level. The short key is internal; SubtreeHash translates from
+// the public /local/domain/<id> spelling.
+func bucketOf(path string) string {
+	const prefix = Root + "/"
+	if !strings.HasPrefix(path, prefix) {
+		return ""
 	}
-	return ""
-}
-
-// noteNode folds one node's presence (or, called twice, a value change)
-// into its subtree hash.
-func (s *Store) noteNode(parts []string, path, value string) {
-	*s.hashCell(bucketOf(parts)) ^= nodeHash(path, value)
-}
-
-// noteCreated folds the freshly created empty nodes of a Write to path
-// (levels first..len(parts)-1 — creation cascades, so they are a suffix
-// of the chain) into their subtree hashes and journals them at version
-// v. parts is path tokenized, so level i's own path is a prefix of the
-// caller's string: it is sliced at the running offset, never rebuilt —
-// bringing a guest up is mostly leaf creates under an existing chain,
-// and a concatenation per level was its largest allocation site.
-func (s *Store) noteCreated(path string, parts []string, first int, v uint64) {
-	end := 0
-	for i, p := range parts {
-		end += 1 + len(p)
-		if i >= first {
-			s.noteNode(parts[:i+1], path[:end], "")
-			s.journalAppend(v, path[:end], false)
-		}
+	id := path[len(prefix):]
+	if i := strings.IndexByte(id, '/'); i >= 0 {
+		id = id[:i]
 	}
-}
-
-// dropSubtree folds a subtree out of the bucket hashes and the path
-// cache ahead of its removal: the walk meets every node that dies with
-// its one path, so the cache is cleaned in O(subtree), not by scanning
-// every entry the store holds. XOR makes the traversal order irrelevant.
-func (s *Store) dropSubtree(parts []string, path string, n *node) {
-	s.noteNode(parts, path, n.value)
-	delete(s.pathCache, path)
-	for name, child := range n.children {
-		s.dropSubtree(append(parts, name), path+"/"+name, child)
-	}
+	return id
 }
 
 // SubtreeHash reports the rolling content hash of a subtree. root must
@@ -169,50 +135,61 @@ func (s *Store) dropSubtree(parts []string, path string, n *node) {
 // "/local" or "/local/domain" for the XOR of every bucket including the
 // structural one. Hashes cover node paths and values, not permissions.
 func (s *Store) SubtreeHash(root string) uint64 {
-	parts, err := split(root)
-	if err != nil {
+	if checkPath(root) != nil {
 		return 0
 	}
-	if b := bucketOf(parts); b != "" {
-		if len(parts) != 3 {
-			return 0 // deeper than a bucket root: not tracked
+	s.watchMu.Lock()
+	defer s.watchMu.Unlock()
+	if id := bucketOf(root); id != "" {
+		if b := s.buckets[id]; b != nil && len(root) == len(Root)+1+len(id) {
+			return b.hash
 		}
-		if p := s.subHashes[b]; p != nil {
-			return *p
-		}
-		return 0
+		return 0 // no such domain, or deeper than a bucket root: not tracked
 	}
 	var h uint64
-	for _, v := range s.subHashes {
-		h ^= *v
+	for _, b := range s.buckets {
+		h ^= b.hash
 	}
 	return h
 }
 
-// SetJournalCap resizes the retained journal window (minimum 1). It
-// applies from the next mutation on.
+// SetJournalCap resizes the retained journal window (minimum 1), keeping
+// the most recent entries that fit.
 func (s *Store) SetJournalCap(n int) {
-	if n < 1 {
-		n = 1
+	n = max(n, 1)
+	if s.journal != nil && n != s.journalCap {
+		old := slices.Concat(s.journal[s.journalHead:], s.journal[:s.journalHead])
+		if drop := len(old) - n; drop > 0 {
+			s.evictedThrough = old[drop-1].version
+			old = old[drop:]
+		}
+		s.journal, s.journalHead = append(make([]journalEntry, 0, n), old...), 0
 	}
 	s.journalCap = n
 }
 
-// journalAppend records a mutated path (removed marks subtree
-// removals). The ring is compacted in halves so appends stay amortized
-// O(1); evictedThrough remembers how far back DeltasSince can still
-// answer.
+// journalAppend records a mutated path (removed marks subtree removals)
+// in the ring, bought whole at first use. Once full, each append takes
+// the oldest entry's slot, and evictedThrough remembers how far back
+// DeltasSince can still answer.
 func (s *Store) journalAppend(version uint64, path string, removed bool) {
-	cap := s.journalCap
-	if cap <= 0 {
-		cap = DefaultJournalCap
-		s.journalCap = cap
+	if s.journal == nil {
+		if s.journalCap == 0 {
+			s.journalCap = DefaultJournalCap
+		}
+		s.journal = make([]journalEntry, 0, s.journalCap)
 	}
-	if len(s.journal) >= 2*cap {
-		s.evictedThrough = s.journal[len(s.journal)-cap-1].version
-		s.journal = append(s.journal[:0], s.journal[len(s.journal)-cap:]...)
+	e := journalEntry{version: version, path: path, removed: removed}
+	if n := len(s.journal); n < s.journalCap {
+		s.journal = s.journal[:n+1]
+		s.journal[n] = e
+		return
 	}
-	s.journal = append(s.journal, journalEntry{version: version, path: path, removed: removed})
+	s.evictedThrough = s.journal[s.journalHead].version
+	s.journal[s.journalHead] = e
+	if s.journalHead++; s.journalHead == s.journalCap {
+		s.journalHead = 0
+	}
 }
 
 // DeltasSince reports every path mutated after store version v, deduped
@@ -227,6 +204,7 @@ func (s *Store) DeltasSince(v uint64) (deltas []Delta, ok bool) {
 	}
 	removed := map[string]bool{}
 	var paths []string
+	// Dedupe does not care that the ring is read out of age order.
 	for _, e := range s.journal {
 		if e.version <= v {
 			continue
@@ -399,27 +377,5 @@ func (s *Store) Walk(dom DomID, root string, emit func(path, value string)) {
 	}
 	for _, name := range names {
 		s.Walk(dom, base+name, emit)
-	}
-}
-
-// EnsureRoot creates the structural /local/domain chain without creating
-// any domain home, so a snapshot of the tree root has its spine before
-// the first handshake. Idempotent; netstore calls it at server start.
-func (s *Store) EnsureRoot() {
-	n := s.root
-	path := ""
-	for _, p := range []string{"local", "domain"} {
-		path += "/" + p
-		child := n.child(p)
-		if child == nil {
-			child = &node{owner: Dom0}
-			if n.children == nil {
-				n.children = map[string]*node{}
-			}
-			n.children[p] = child
-			n.sorted = nil
-			s.noteNode(strings.Split(path[1:], "/"), path, "")
-		}
-		n = child
 	}
 }

@@ -3,24 +3,68 @@ package store
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
+// nodeHash is the per-node content hash from scratch: what a node's cached
+// term must always equal.
+func nodeHash(path, value string) uint64 {
+	return mixString(pathHashState(path), value)
+}
+
+// split tokenizes a path the way the store did before paths were matched
+// as strings; the oracles below still reason segment by segment.
+func split(path string) []string {
+	if path == "/" {
+		return nil
+	}
+	return strings.Split(path[1:], "/")
+}
+
 // recomputeBuckets walks the whole tree and rebuilds the per-subtree
 // hash map from scratch — the oracle the incremental bookkeeping in
-// Write/Remove/AddDomain must always agree with.
-func recomputeBuckets(s *Store) map[string]uint64 {
+// Write/Remove/AddDomain must always agree with. On the way it checks
+// that the tree and the index are the same set of nodes: every node
+// reachable from the root is live, sits in the index under the path its
+// parent and name give it, holds its subtree's bucket and a hash term
+// that matches its value, and the index holds nothing else.
+func recomputeBuckets(t *testing.T, s *Store) map[string]uint64 {
+	t.Helper()
 	got := map[string]uint64{}
-	var walk func(parts []string, path string, n *node)
-	walk = func(parts []string, path string, n *node) {
-		if path != "" {
-			got[bucketOf(parts)] ^= nodeHash(path, n.value)
+	reached := 0
+	var walk func(path string, n *node)
+	walk = func(path string, n *node) {
+		reached++
+		parts := split(path)
+		key := ""
+		if len(parts) >= 3 && parts[0] == "local" && parts[1] == "domain" {
+			key = parts[2]
 		}
-		for name, child := range n.children {
-			walk(append(parts, name), path+"/"+name, child)
+		switch {
+		case n.path != path || s.index[path] != n:
+			t.Fatalf("node reached as %s calls itself %s and the index holds %p for it, not %p", path, n.path, s.index[path], n)
+		case n.b == nil || n.b != s.buckets[key]:
+			t.Fatalf("%s holds bucket %p, want bucket %q (%p)", path, n.b, key, s.buckets[key])
+		case n != s.root && n.hval != nodeHash(path, n.value): // the root is in no hash
+			t.Fatalf("%s caches hash term %#x for value %q, want %#x", path, n.hval, n.value, nodeHash(path, n.value))
+		}
+		if path != "/" {
+			got[key] ^= nodeHash(path, n.value)
+			path += "/"
+		}
+		var prev *node
+		for c := n.kids; c != nil; prev, c = c, c.next {
+			if c.prev != prev {
+				t.Fatalf("child list of %s is broken at %s", n.path, c.path)
+			}
+			walk(path+c.name(), c)
 		}
 	}
-	walk(nil, "", s.root)
+	walk("/", s.root)
+	if reached != len(s.index) {
+		t.Fatalf("%d nodes reachable from the root, %d in the index", reached, len(s.index))
+	}
 	for b, h := range got {
 		if h == 0 {
 			delete(got, b) // cancelled buckets match an absent map entry
@@ -31,11 +75,11 @@ func recomputeBuckets(s *Store) map[string]uint64 {
 
 func checkHashes(t *testing.T, s *Store, when string) {
 	t.Helper()
-	want := recomputeBuckets(s)
+	want := recomputeBuckets(t, s)
 	have := map[string]uint64{}
-	for b, h := range s.subHashes {
-		if *h != 0 {
-			have[b] = *h
+	for key, b := range s.buckets {
+		if b.hash != 0 {
+			have[key] = b.hash
 		}
 	}
 	if !reflect.DeepEqual(have, want) {
@@ -100,8 +144,8 @@ func TestSubtreeHashRoots(t *testing.T) {
 	s.Write(Dom0, "/local/domain/2/b", "y")
 
 	var all uint64
-	for _, h := range s.subHashes {
-		all ^= *h
+	for _, b := range s.buckets {
+		all ^= b.hash
 	}
 	for _, root := range []string{"/", "/local", "/local/domain"} {
 		if got := s.SubtreeHash(root); got != all {
@@ -168,6 +212,102 @@ func TestChangesSinceJournalWindow(t *testing.T) {
 	}
 	if _, ok := s.ChangesSince(s.Version()); !ok {
 		t.Fatal("ChangesSince(current) must always be answerable")
+	}
+}
+
+// The journal is a ring. Filled to exactly its capacity it has evicted
+// nothing; one entry more and the oldest is gone, and only it; after
+// three laps the window is still the last cap entries. DeltasSince
+// refuses exactly the versions an evicted entry is newer than — never the
+// current one — and what it reports is what a journal that never forgot
+// would.
+func TestJournalRingWraps(t *testing.T) {
+	const cap = 8
+	type entry struct {
+		version uint64
+		path    string
+	}
+	for _, entries := range []int{cap - 1, cap, cap + 1, 3 * cap, 3*cap + 5} {
+		_, s := newTestStore()
+		s.SetJournalCap(cap)
+		var all []entry // the journal that never forgets
+		for i := 0; len(all) < entries; i++ {
+			p := fmt.Sprintf("/k%d", i%3)
+			s.Write(Dom0, p, "v")
+			if i < 3 { // a create journals its level, then the write: six entries up front
+				all = append(all, entry{s.Version(), p})
+			}
+			all = append(all, entry{s.Version(), p})
+		}
+		if len(s.journal) != min(entries, cap) {
+			t.Fatalf("%d entries: ring holds %d, want %d", entries, len(s.journal), min(entries, cap))
+		}
+		evicted := all[:max(0, entries-cap)]
+		for since := uint64(0); since <= s.Version(); since++ {
+			deltas, ok := s.DeltasSince(since)
+			wantOK := len(evicted) == 0 || evicted[len(evicted)-1].version <= since
+			if ok != wantOK {
+				t.Fatalf("%d entries: DeltasSince(%d) ok = %v, want %v", entries, since, ok, wantOK)
+			}
+			if !ok {
+				continue
+			}
+			want := map[string]bool{}
+			for _, e := range all {
+				if e.version > since {
+					want[e.path] = true
+				}
+			}
+			if len(deltas) != len(want) {
+				t.Fatalf("%d entries: DeltasSince(%d) = %v, want the paths %v", entries, since, deltas, want)
+			}
+			for _, d := range deltas {
+				if !want[d.Path] || d.Removed {
+					t.Fatalf("%d entries: DeltasSince(%d) = %v, want the paths %v", entries, since, deltas, want)
+				}
+			}
+		}
+		if _, ok := s.DeltasSince(s.Version()); !ok {
+			t.Fatalf("%d entries: the current version is not answerable", entries)
+		}
+	}
+}
+
+// A capacity change mid-stream keeps the newest entries that fit, in
+// order, and moves the window's edge when some do not.
+func TestJournalCapChangeMidStream(t *testing.T) {
+	_, s := newTestStore()
+	s.Write(Dom0, "/k", "1") // version 1, journalled twice: the create, the write
+	s.SetJournalCap(8)       // the default-sized ring becomes one of 8, both entries kept
+	for v := 2; v <= 11; v++ {
+		s.Write(Dom0, "/k", fmt.Sprint(v))
+	}
+	// Twelve entries: the ring holds versions 4..11 and has wrapped.
+	if _, ok := s.DeltasSince(2); ok {
+		t.Fatal("version 2 answerable though version 3's entry was evicted")
+	}
+	if _, ok := s.DeltasSince(3); !ok {
+		t.Fatal("version 3 not answerable though everything after it is retained")
+	}
+	s.SetJournalCap(4) // shrink: versions 8..11 stay
+	if _, ok := s.DeltasSince(6); ok {
+		t.Fatal("after shrinking to 4, version 6 is still answerable")
+	}
+	if d, ok := s.DeltasSince(7); !ok || len(d) != 1 {
+		t.Fatalf("after shrinking to 4, DeltasSince(7) = %v, %v", d, ok)
+	}
+	s.SetJournalCap(6) // grow: nothing comes back, nothing is lost, two more fit
+	s.Write(Dom0, "/k", "12")
+	s.Write(Dom0, "/k", "13")
+	if d, ok := s.DeltasSince(7); !ok || len(d) != 1 || len(s.journal) != 6 {
+		t.Fatalf("after growing to 6, DeltasSince(7) = %v, %v with %d entries held", d, ok, len(s.journal))
+	}
+	s.Write(Dom0, "/k", "14") // the seventh entry since version 7 takes version 8's slot
+	if _, ok := s.DeltasSince(7); ok {
+		t.Fatal("version 7 answerable after version 8's entry was evicted")
+	}
+	if d, ok := s.DeltasSince(8); !ok || len(d) != 1 || len(s.journal) != 6 {
+		t.Fatalf("DeltasSince(8) = %v, %v with %d entries held", d, ok, len(s.journal))
 	}
 }
 

@@ -27,15 +27,10 @@ func (s *Store) Begin(dom DomID) *Txn {
 }
 
 func (t *Txn) versionOf(path string) uint64 {
-	parts, err := split(path)
-	if err != nil {
-		return 0
+	if n := t.s.index[path]; n != nil {
+		return n.version
 	}
-	n := t.s.lookup(parts)
-	if n == nil {
-		return 0
-	}
-	return n.version
+	return 0
 }
 
 // Read reads within the transaction, observing earlier buffered writes.
@@ -60,7 +55,7 @@ func (t *Txn) Write(path, value string) error {
 	if t.done {
 		return fmt.Errorf("store: use of finished transaction")
 	}
-	if _, err := split(path); err != nil {
+	if err := checkPath(path); err != nil {
 		return err
 	}
 	if _, ok := t.writeSet[path]; !ok {
@@ -82,7 +77,7 @@ func (t *Txn) Remove(path string) error {
 	if t.done {
 		return fmt.Errorf("store: use of finished transaction")
 	}
-	if _, err := split(path); err != nil {
+	if err := checkPath(path); err != nil {
 		return err
 	}
 	if _, ok := t.writeSet[path]; !ok {
@@ -112,8 +107,7 @@ func (t *Txn) Commit() error {
 	// application behind.
 	for _, path := range t.order {
 		if v := t.writeSet[path]; v == nil {
-			parts, _ := split(path)
-			n := t.s.lookup(parts)
+			n := t.s.index[path]
 			if n == nil {
 				continue // removing an absent node is a no-op
 			}
@@ -144,24 +138,21 @@ func (t *Txn) Abort() { t.done = true }
 // checkWritable reports whether dom could perform Write(path) right now,
 // without mutating anything.
 func (s *Store) checkWritable(dom DomID, path string) error {
-	parts, err := split(path)
-	if err != nil {
+	if n := s.index[path]; n != nil {
+		if n == s.root {
+			return errRoot("write")
+		}
+		if !canWrite(n, dom) {
+			return errPermission(dom, "writing", path)
+		}
+		return nil
+	}
+	if err := checkPath(path); err != nil {
 		return err
 	}
-	n := s.root
-	for _, p := range parts {
-		child := n.child(p)
-		if child == nil {
-			// Creation point: need write on the deepest existing ancestor.
-			if !canWrite(n, dom) {
-				return fmt.Errorf("%w: dom%d creating under %s", ErrPermission, dom, path)
-			}
-			return nil
-		}
-		n = child
-	}
-	if !canWrite(n, dom) {
-		return fmt.Errorf("%w: dom%d writing %s", ErrPermission, dom, path)
+	// Creation point: need write on the deepest existing ancestor.
+	if n, _ := s.deepest(path); !canWrite(n, dom) {
+		return errPermission(dom, "creating under", path)
 	}
 	return nil
 }

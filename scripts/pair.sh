@@ -38,8 +38,9 @@ run() { # run SIDE PAIR: one benchmark run; its top-line figures go to $tmp/runs
 i=1
 while [ "$i" -le "$n" ]; do
 	if [ $((i % 2)) -eq 1 ]; then run rev "$i" && run tree "$i"; else run tree "$i" && run rev "$i"; fi
-	awk -v i="$i" '$2 == i && $3 == "latency_quiet_us" { v[$1] = $4 }
-		END { printf "pair %d: latency_quiet_us %s -> %s\n", i, v["rev"], v["tree"] }' "$tmp/runs" >&2
+	awk -v i="$i" '$2 == i { v[$1, $3] = $4 }
+		END { printf "pair %d: latency_quiet_us %s -> %s, setup_s %s -> %s\n", i,
+			v["rev", "latency_quiet_us"], v["tree", "latency_quiet_us"], v["rev", "setup_s"], v["tree", "setup_s"] }' "$tmp/runs" >&2
 	i=$((i + 1))
 done
 
