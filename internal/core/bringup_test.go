@@ -36,10 +36,10 @@ func bringUpHost(n int) (h *hypervisor.Host, m *Manager, oneMore func() *hypervi
 // guests of a host (a scale_10k_50h kernel holds 200), growth of the
 // host's maps included as AllocsPerRun averages it.
 //
-// Before the node absorbed the path-cache entry and its tokenized path
-// (three string-keyed maps per key, a doubling journal, three
-// allocations per pending delivery) this read 206 allocations and
-// 18.4 KB per guest; it reads 134 and 10.6 KB now.
+// At the parent commit (3731c9c: a path-cache entry with a tokenized copy
+// of the path beside every node, three string-keyed maps per key, a
+// journal grown by doubling, three allocations per pending delivery) this
+// read 217 allocations and 17.0 KB per guest; it reads 140 and 13.0 KB.
 func TestGuestBringUpAllocs(t *testing.T) {
 	_, _, oneMore := bringUpHost(199)
 	const runs = 50
