@@ -54,13 +54,15 @@ fuzz:
 
 # Manager-tick microbenchmarks (all three policies over 8 guests), then
 # the two bring-up and tear-down cost lines — a host's 200 guests brought
-# up, one guest's subtree removed among 10,000 — one iteration each, so
-# none of them rots. The wire path is measured by the repo benchmark:
-# `go run ./bench` (bench/README.md).
+# up, one guest's subtree removed among 10,000 — and the host dispatch
+# path (one I/O core, 1,000 guest buffers, 8 backlogged), one iteration
+# each, so none of them rots. The wire path is measured by the repo
+# benchmark: `go run ./bench` (bench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkManagerTick -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkGuestBringUp -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkRemoveOneOf10kDomains -benchtime 1x -benchmem ./internal/store/
+	$(GO) test -run '^$$' -bench BenchmarkHostDispatch -benchtime 1x -benchmem ./internal/hypervisor/
 
 # Alternating paired runs of the repo benchmark, REV's build against the
 # working tree's (scripts/pair.sh; the evidence rule is docs/PERFORMANCE.md

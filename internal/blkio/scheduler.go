@@ -1,11 +1,15 @@
 package blkio
 
-import "iorchestra/internal/device"
+import (
+	"iorchestra/internal/device"
+	"iorchestra/internal/sim"
+)
 
 // NOOP is a FIFO elevator with back-merging of sequential same-direction
 // requests — the scheduler virtualized guests typically run.
 type NOOP struct {
-	q []*device.Request
+	q    sim.FIFO[*device.Request]
+	tail int // absolute index of the last Add: the merge candidate while queued
 }
 
 // NewNOOP returns an empty NOOP elevator.
@@ -16,10 +20,11 @@ func NewNOOP() *NOOP { return &NOOP{} }
 // reports whether the merge happened, in which case r's Done is chained
 // onto the absorbing request.
 func (s *NOOP) Merge(r *device.Request, maxMerge int64) bool {
-	if len(s.q) == 0 {
+	p := s.q.At(s.tail)
+	if p == nil {
 		return false
 	}
-	tail := s.q[len(s.q)-1]
+	tail := *p
 	if !tail.Sequential || !r.Sequential || tail.Op != r.Op ||
 		tail.Owner != r.Owner || tail.Stream != r.Stream {
 		return false
@@ -42,19 +47,13 @@ func (s *NOOP) Merge(r *device.Request, maxMerge int64) bool {
 }
 
 // Add enqueues r.
-func (s *NOOP) Add(r *device.Request) { s.q = append(s.q, r) }
+func (s *NOOP) Add(r *device.Request) { s.tail = s.q.Push(r) }
 
 // Next pops the request to dispatch now, or nil when empty.
 func (s *NOOP) Next() *device.Request {
-	if len(s.q) == 0 {
-		return nil
-	}
-	r := s.q[0]
-	copy(s.q, s.q[1:])
-	s.q[len(s.q)-1] = nil
-	s.q = s.q[:len(s.q)-1]
+	r, _ := s.q.Pop()
 	return r
 }
 
 // Len reports queued requests.
-func (s *NOOP) Len() int { return len(s.q) }
+func (s *NOOP) Len() int { return s.q.Len() }

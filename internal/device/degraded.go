@@ -20,7 +20,7 @@ type Degraded struct {
 	k      *sim.Kernel
 	inner  BlockDevice
 	factor float64
-	staged []*Request // FIFO awaiting the throttle stage
+	staged sim.FIFO[*Request] // awaiting the throttle stage; the head is in it
 	busy   bool
 }
 
@@ -46,25 +46,25 @@ func (d *Degraded) SetRecorder(r *trace.Recorder) {
 // has elapsed.
 func (d *Degraded) Submit(r *Request) {
 	r.Submitted = d.k.Now()
-	d.staged = append(d.staged, r)
+	d.staged.Push(r)
 	if !d.busy {
 		d.advance()
 	}
 }
 
 func (d *Degraded) advance() {
-	if len(d.staged) == 0 {
+	r, ok := d.staged.Peek()
+	if !ok {
 		d.busy = false
 		return
 	}
 	d.busy = true
-	r := d.staged[0]
 	hold := sim.Duration(float64(r.Size) * d.factor / d.inner.CapacityBps() * float64(sim.Second))
 	if hold < 1 {
 		hold = 1
 	}
 	d.k.After(hold, func() {
-		d.staged = d.staged[1:]
+		d.staged.Pop()
 		d.inner.Submit(r)
 		d.advance()
 	})
@@ -82,7 +82,7 @@ func (d *Degraded) QueueLimit() int { return d.inner.QueueLimit() }
 
 // Pending implements BlockDevice, counting both staged and in-flight
 // requests so congestion feedback still sees the real backlog.
-func (d *Degraded) Pending() int { return len(d.staged) + d.inner.Pending() }
+func (d *Degraded) Pending() int { return d.staged.Len() + d.inner.Pending() }
 
 // Congested implements BlockDevice against the combined backlog.
 func (d *Degraded) Congested() bool {
@@ -96,4 +96,4 @@ func (d *Degraded) BandwidthBps(now sim.Time) float64 { return d.inner.Bandwidth
 func (d *Degraded) UtilFraction(now sim.Time) float64 { return d.inner.UtilFraction(now) }
 
 // Idle implements BlockDevice.
-func (d *Degraded) Idle() bool { return len(d.staged) == 0 && d.inner.Idle() }
+func (d *Degraded) Idle() bool { return d.staged.Len() == 0 && d.inner.Idle() }

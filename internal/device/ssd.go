@@ -76,7 +76,7 @@ type SSD struct {
 	cfg SSDConfig
 	rng *stats.Stream
 
-	queue    *sim.FIFO[*Request]
+	queue    sim.FIFO[*Request]
 	inflight int
 	// Last sequential stream serviced, for switch-penalty accounting.
 	lastOwner, lastStream int
@@ -107,7 +107,6 @@ func NewSSD(k *sim.Kernel, cfg SSDConfig, rng *stats.Stream) *SSD {
 		k:       k,
 		cfg:     cfg,
 		rng:     rng,
-		queue:   sim.NewFIFO[*Request](0),
 		bw:      metrics.NewWindowRate(100*sim.Millisecond, 512),
 		latency: metrics.NewHistogram(),
 	}

@@ -85,7 +85,7 @@ type VCPU struct {
 	Exec ExecFunc
 
 	busy  bool
-	queue []burst
+	queue sim.FIFO[burst]
 	share float64 // execution speed multiplier when Exec is nil
 	util  metrics.Utilization
 }
@@ -119,22 +119,19 @@ func (v *VCPU) UtilFraction(now sim.Time) float64 { return v.util.Fraction(now) 
 // Run schedules a compute burst of duration d (at full-core speed); done
 // fires when it finishes.
 func (v *VCPU) Run(d sim.Duration, done func()) {
-	v.queue = append(v.queue, burst{d: d, done: done})
+	v.queue.Push(burst{d: d, done: done})
 	if !v.busy {
 		v.dispatch()
 	}
 }
 
 func (v *VCPU) dispatch() {
-	if len(v.queue) == 0 {
+	b, ok := v.queue.Pop()
+	if !ok {
 		v.busy = false
 		v.util.SetBusy(v.g.k.Now(), false)
 		return
 	}
-	b := v.queue[0]
-	copy(v.queue, v.queue[1:])
-	v.queue[len(v.queue)-1] = burst{}
-	v.queue = v.queue[:len(v.queue)-1]
 	v.busy = true
 	v.util.SetBusy(v.g.k.Now(), true)
 	finish := func() {

@@ -112,10 +112,9 @@ type Host struct {
 
 	iocores []*IOCore // one per socket in ModeDedicated
 
-	backendBusy  bool
-	backendQ     *sim.FIFO[*device.Request]
-	backendOwner map[*device.Request]store.DomID
-	backendUtil  metrics.Utilization
+	backendBusy bool
+	backendQ    sim.FIFO[*device.Request]
+	backendUtil metrics.Utilization
 
 	guests     map[store.DomID]*GuestRuntime
 	guestOrder []store.DomID
@@ -148,19 +147,17 @@ func New(k *sim.Kernel, cfg Config, rng *stats.Stream) *Host {
 	}
 	st := store.New(k, cfg.StoreLatency)
 	h := &Host{
-		k:            k,
-		cfg:          cfg,
-		rng:          rng,
-		st:           st,
-		bs:           bus.New(k, st, ringLatency),
-		dev:          cfg.Device,
-		backendQ:     sim.NewFIFO[*device.Request](0),
-		backendOwner: map[*device.Request]store.DomID{},
-		guests:       map[store.DomID]*GuestRuntime{},
-		nextDom:      1,
+		k:       k,
+		cfg:     cfg,
+		rng:     rng,
+		st:      st,
+		bs:      bus.New(k, st, ringLatency),
+		dev:     cfg.Device,
+		guests:  map[store.DomID]*GuestRuntime{},
+		nextDom: 1,
 	}
 	h.cg = NewCgroup(k, cfg.Device, cfg.MaxDeviceInFlight)
-	h.tracer = trace.New(k, cfg.Device.Name())
+	h.tracer = trace.New(cfg.Device.Name())
 	h.cg.SetTracer(h.tracer)
 	if cfg.Trace {
 		h.rec = trace.NewRecorder(k, cfg.TraceCapacity)
@@ -292,9 +289,12 @@ func (h *Host) leastLoadedCore() (socket, core int) {
 }
 
 // RemoveGuest releases a VM's cores, closes its caches and forgets it:
-// its place in the creation order and its bus handle go too, so a host
-// that guests come and go on holds its live population and no more
-// (used by the dynamic-arrival experiments and by migration).
+// its place in the creation order, its bus handle and its place in the
+// host's round robins (its cgroup class in backend mode, its buffer on
+// every I/O core, each once drained; a request still on its way is
+// served from it) go too, so a host that guests come and go on holds
+// its live population and no more (used by the dynamic-arrival
+// experiments and by migration).
 func (h *Host) RemoveGuest(id store.DomID) {
 	rt := h.guests[id]
 	if rt == nil {
@@ -311,6 +311,12 @@ func (h *Host) RemoveGuest(id store.DomID) {
 		h.guestOrder = slices.Delete(h.guestOrder, i, i+1)
 	}
 	h.bs.Unregister(id)
+	if h.cfg.Mode == ModeBackend {
+		h.cg.drr.depart(int(id))
+	}
+	for _, c := range h.iocores {
+		c.drr.depart(int(id))
+	}
 }
 
 // attachDisk wires one virtual disk through a frontend into the host path.
@@ -343,14 +349,13 @@ func (h *Host) route(rt *GuestRuntime, r *device.Request) {
 		h.iocores[socket].Enqueue(rt.G.ID(), r)
 		return
 	}
-	h.backendSubmit(rt.G.ID(), r)
+	h.backendSubmit(r)
 }
 
 // backendSubmit models the driver-domain backend: per-request CPU cost on
 // a shared dom0 core, then weighted dispatch to the device with the VM's
-// cgroup class.
-func (h *Host) backendSubmit(dom store.DomID, r *device.Request) {
-	h.backendOwner[r] = dom
+// cgroup class (r.Owner: the guest stamped it, and merges keep it).
+func (h *Host) backendSubmit(r *device.Request) {
 	h.backendQ.Push(r)
 	if !h.backendBusy {
 		h.backendPump()
@@ -369,9 +374,7 @@ func (h *Host) backendPump() {
 	cost := h.cfg.BackendCostPerReq +
 		sim.Duration(float64(r.Size)/backendBps*float64(sim.Second))
 	h.k.After(cost, func() {
-		dom := h.backendOwner[r]
-		delete(h.backendOwner, r)
-		h.cg.Submit(int(dom), r)
+		h.cg.Submit(r.Owner, r)
 		h.backendPump()
 	})
 }

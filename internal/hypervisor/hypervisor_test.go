@@ -388,7 +388,7 @@ func TestHostTracerRecordsDispatchPath(t *testing.T) {
 	if q != 5 || issue != 5 || comp != 5 {
 		t.Fatalf("trace Q/D/C = %d/%d/%d, want 5/5/5", q, issue, comp)
 	}
-	if h.tracer.CompletedBps(k.Now()) <= 0 {
-		t.Fatal("tracer bandwidth window empty right after completions")
+	if n, sum := h.tracer.PathLatency(int(rt.G.ID())); n != 5 || sum <= 0 {
+		t.Fatalf("tracer host-path aggregate = %d completions, %v; want 5, > 0", n, sum)
 	}
 }

@@ -22,10 +22,11 @@ type IOCore struct {
 	costPerReq sim.Duration
 	perByteNs  float64
 
-	buffers map[store.DomID]*coreBuffer
-	order   []store.DomID
-	cursor  int
-	busy    bool
+	drr drr // per-VM buffers, keyed by first use; quantum Q_i
+	// serving is the request on the core, r nil while it idles: the core
+	// handles one at a time, so its hand-off event is finish, bound once.
+	serving  arrival
+	finishFn func()
 
 	// Latency on the I/O core (arrival in buffer → handed to the device):
 	// the L_i the co-scheduling weight formula divides by. latWin holds
@@ -38,18 +39,6 @@ type IOCore struct {
 	bytes     float64
 }
 
-type coreBuffer struct {
-	dom     store.DomID
-	queue   *sim.FIFO[*pendingReq]
-	credit  float64
-	quantum float64
-}
-
-type pendingReq struct {
-	r       *device.Request
-	arrived sim.Time
-}
-
 // NewIOCore builds a polling core dispatching into out with class id =
 // core id.
 func NewIOCore(k *sim.Kernel, id int, out *Cgroup, costPerReq sim.Duration, coreBps float64) *IOCore {
@@ -59,17 +48,18 @@ func NewIOCore(k *sim.Kernel, id int, out *Cgroup, costPerReq sim.Duration, core
 	if coreBps <= 0 {
 		coreBps = 25e9
 	}
-	return &IOCore{
+	c := &IOCore{
 		k:          k,
 		id:         id,
 		out:        out,
 		costPerReq: costPerReq,
 		perByteNs:  float64(sim.Second) / coreBps,
-		buffers:    map[store.DomID]*coreBuffer{},
 		latWin:     metrics.NewWindowRate(sim.Second, 1024),
 		cnt:        metrics.NewWindowRate(sim.Second, 1024),
 		latHist:    metrics.NewHistogram(),
 	}
+	c.finishFn = c.finish
+	return c
 }
 
 // ID reports the core id.
@@ -110,114 +100,67 @@ func (c *IOCore) observe(lat sim.Duration) {
 	c.cnt.Add(c.k.Now(), 1)
 }
 
+// defaultQuantum is a buffer's DRR quantum until the policy sets one.
+const defaultQuantum = 256 << 10
+
 // SetQuantum sets a VM's DRR quantum in bytes (Q_i = BWmax · S_SKT). The
 // buffer is created on first use; quanta default to 256 KiB.
 func (c *IOCore) SetQuantum(dom store.DomID, bytes float64) {
-	b := c.buffer(dom)
 	if bytes <= 0 {
-		bytes = 256 << 10
+		bytes = defaultQuantum
 	}
-	b.quantum = bytes
+	c.buffer(dom).quantum = bytes
 }
 
 // Quantum reports a VM's current quantum.
 func (c *IOCore) Quantum(dom store.DomID) float64 { return c.buffer(dom).quantum }
 
-func (c *IOCore) buffer(dom store.DomID) *coreBuffer {
-	b := c.buffers[dom]
-	if b == nil {
-		b = &coreBuffer{dom: dom, queue: sim.NewFIFO[*pendingReq](0), quantum: 256 << 10}
-		c.buffers[dom] = b
-		c.order = append(c.order, dom)
+// buffer returns dom's buffer, created on first use. Buffers are ordered
+// by first use: the key is the number of buffers made before.
+func (c *IOCore) buffer(dom store.DomID) *drrClass {
+	if b := c.drr.byID[int(dom)]; b != nil {
+		return b
 	}
-	return b
+	return c.drr.add(int(dom), len(c.drr.byID), defaultQuantum)
 }
 
 // Enqueue places a guest request in the VM's buffer on this core.
 func (c *IOCore) Enqueue(dom store.DomID, r *device.Request) {
-	c.buffer(dom).queue.Push(&pendingReq{r: r, arrived: c.k.Now()})
-	if !c.busy {
+	c.drr.push(c.buffer(dom), r, c.k.Now())
+	if c.serving.r == nil {
 		c.poll()
 	}
 }
 
 // QueuedFor reports the backlog of one VM's buffer.
 func (c *IOCore) QueuedFor(dom store.DomID) int {
-	if b := c.buffers[dom]; b != nil {
+	if b := c.drr.byID[int(dom)]; b != nil {
 		return b.queue.Len()
 	}
 	return 0
 }
 
 // Queued reports the total backlog on this core.
-func (c *IOCore) Queued() int {
-	n := 0
-	for _, b := range c.buffers {
-		n += b.queue.Len()
-	}
-	return n
-}
+func (c *IOCore) Queued() int { return c.drr.queued }
 
 // poll is one DRR service decision (Algorithm 3): pick the next buffer
-// with work, replenish its credit on first visit this round, process its
-// head request for the polling cost, hand it to the device, repeat.
+// whose credit covers its head request and process that request for the
+// polling cost; finish hands it to the device and polls again.
 func (c *IOCore) poll() {
-	b := c.next()
+	b := c.drr.next()
 	if b == nil {
-		c.busy = false
+		c.serving = arrival{}
 		return
 	}
-	c.busy = true
-	p, _ := b.queue.Pop()
-	b.credit -= float64(p.r.Size)
-	cost := c.costPerReq + sim.Duration(float64(p.r.Size)*c.perByteNs)
-	c.k.After(cost, func() {
-		c.processed++
-		c.bytes += float64(p.r.Size)
-		c.observe(c.k.Now() - p.arrived)
-		c.out.Submit(c.id, p.r)
-		c.poll()
-	})
+	c.serving = c.drr.pop(b)
+	c.k.After(c.costPerReq+sim.Duration(float64(c.serving.r.Size)*c.perByteNs), c.finishFn)
 }
 
-// next implements the credit scan: serve the current buffer while it has
-// credit and work; otherwise advance, replenishing credits as rounds
-// complete.
-func (c *IOCore) next() *coreBuffer {
-	if len(c.order) == 0 {
-		return nil
-	}
-	for sweep := 0; sweep < 2; sweep++ {
-		for i := 0; i < len(c.order); i++ {
-			b := c.buffers[c.order[c.cursor]]
-			if b.queue.Len() == 0 {
-				b.credit = 0 // Algorithm 3: empty buffer forfeits credit
-				c.cursor = (c.cursor + 1) % len(c.order)
-				continue
-			}
-			if p, _ := b.queue.Peek(); b.credit >= float64(p.r.Size) {
-				return b
-			}
-			c.cursor = (c.cursor + 1) % len(c.order)
-		}
-		if sweep == 0 {
-			any := false
-			for _, id := range c.order {
-				b := c.buffers[id]
-				if b.queue.Len() > 0 {
-					b.credit += b.quantum
-					if p, _ := b.queue.Peek(); b.credit < float64(p.r.Size) {
-						// A single request larger than the quantum must
-						// still make progress (DRR anti-starvation).
-						b.credit = float64(p.r.Size)
-					}
-					any = true
-				}
-			}
-			if !any {
-				return nil
-			}
-		}
-	}
-	return nil
+func (c *IOCore) finish() {
+	p := c.serving
+	c.processed++
+	c.bytes += float64(p.r.Size)
+	c.observe(c.k.Now() - p.at)
+	c.out.Submit(c.id, p.r)
+	c.poll()
 }

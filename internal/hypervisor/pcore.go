@@ -13,7 +13,7 @@ type PCore struct {
 	k *sim.Kernel
 
 	busy  bool
-	queue []pcoreBurst
+	queue sim.FIFO[pcoreBurst]
 	util  metrics.Utilization
 }
 
@@ -33,32 +33,29 @@ func NewPCore(k *sim.Kernel) *PCore { return &PCore{k: k} }
 // Exec schedules a burst of duration d; done fires when it completes.
 // Exec matches guest.ExecFunc so a VCPU can delegate to its pinned core.
 func (c *PCore) Exec(d sim.Duration, done func()) {
-	c.queue = append(c.queue, pcoreBurst{d: d, done: done})
+	c.queue.Push(pcoreBurst{d: d, done: done})
 	if !c.busy {
 		c.dispatch()
 	}
 }
 
 func (c *PCore) dispatch() {
-	if len(c.queue) == 0 {
+	b, ok := c.queue.Pop()
+	if !ok {
 		c.busy = false
 		c.util.SetBusy(c.k.Now(), false)
 		return
 	}
-	b := c.queue[0]
-	copy(c.queue, c.queue[1:])
-	c.queue[len(c.queue)-1] = pcoreBurst{}
-	c.queue = c.queue[:len(c.queue)-1]
 	c.busy = true
 	c.util.SetBusy(c.k.Now(), true)
 	run := b.d
-	if run > Slice && len(c.queue) > 0 {
+	if run > Slice && c.queue.Len() > 0 {
 		run = Slice
 	}
 	c.k.After(run, func() {
 		if remaining := b.d - run; remaining > 0 {
 			// Preempted: requeue the rest behind other runnables.
-			c.queue = append(c.queue, pcoreBurst{d: remaining, done: b.done})
+			c.queue.Push(pcoreBurst{d: remaining, done: b.done})
 			c.dispatch()
 			return
 		}

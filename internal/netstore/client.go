@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"iorchestra/internal/sim"
 	"iorchestra/internal/store"
 )
 
@@ -69,7 +70,7 @@ type Client struct {
 	// absolute queue index; an event for any other watch is dropped.
 	evMu   sync.Mutex
 	evCond sync.Cond
-	evq    fifo[clientEvent]
+	evq    sim.FIFO[clientEvent]
 	evIdx  map[uint32]map[string]int
 	evDone bool // readLoop has exited; the dispatcher drains and stops
 
@@ -306,9 +307,9 @@ func (c *Client) pushEvent(key eventKey, value string) {
 	if idx := c.evIdx[key.watch]; idx == nil {
 		// Unwatched since the server sent it.
 	} else if abs, queued := idx[key.path]; queued {
-		c.evq.at(abs).value = value
+		c.evq.At(abs).value = value
 	} else {
-		idx[key.path] = c.evq.push(clientEvent{key: key, value: value})
+		idx[key.path] = c.evq.Push(clientEvent{key: key, value: value})
 		c.evCond.Signal()
 	}
 	c.evMu.Unlock()
@@ -317,14 +318,14 @@ func (c *Client) pushEvent(key eventKey, value string) {
 func (c *Client) dispatchLoop() {
 	for {
 		c.evMu.Lock()
-		for c.evq.len() == 0 && !c.evDone {
+		for c.evq.Len() == 0 && !c.evDone {
 			c.evCond.Wait()
 		}
-		if c.evq.len() == 0 {
+		if c.evq.Len() == 0 {
 			c.evMu.Unlock()
 			return
 		}
-		ev := c.evq.pop()
+		ev, _ := c.evq.Pop()
 		delete(c.evIdx[ev.key.watch], ev.key.path) // a no-op once unwatched
 		c.evMu.Unlock()
 		c.watchMu.Lock()

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"iorchestra/internal/sim"
 	"iorchestra/internal/store"
 	"iorchestra/internal/trace"
 )
@@ -29,7 +30,7 @@ type srvConn struct {
 	// pushes events, each indexed by its watch (srvWatch.idx).
 	qmu     sync.Mutex
 	qcond   *sync.Cond
-	q       fifo[outFrame]
+	q       sim.FIFO[outFrame]
 	nEvents int
 	qclosed bool
 	// lagged lists, oldest first, the keys whose events found the queue
@@ -132,7 +133,7 @@ func (c *srvConn) writeLoop() {
 	)
 	for {
 		c.qmu.Lock()
-		for c.q.len() == 0 && !c.qclosed {
+		for c.q.Len() == 0 && !c.qclosed {
 			c.qcond.Wait()
 		}
 		if c.qclosed {
@@ -141,8 +142,8 @@ func (c *srvConn) writeLoop() {
 		}
 		frames = frames[:0]
 		total := 0
-		for c.q.len() > 0 && total < coalesceBudget {
-			fr := c.q.pop()
+		for c.q.Len() > 0 && total < coalesceBudget {
+			fr, _ := c.q.Pop()
 			if fr.idx != nil {
 				// A watch has at most one frame queued per path (a second
 				// event coalesces into it), so the entry is this frame's.

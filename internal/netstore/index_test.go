@@ -167,7 +167,7 @@ func waitIndexesEmpty(t *testing.T, c *srvConn, more ...map[string]int) {
 		var left, queued int
 		c.srv.do(func(*tree) { // the store lock for watches, then qmu: enqueueEvent's order
 			c.qmu.Lock()
-			queued = c.q.len() + c.nEvents
+			queued = c.q.Len() + c.nEvents
 			for _, w := range c.watches {
 				left += len(w.idx)
 			}
@@ -316,7 +316,7 @@ func TestClientIndexPerWatch(t *testing.T) {
 			t.Errorf("watch %d indexes %d queued events, want 2", cwid, len(idx))
 		}
 	}
-	if n := c.evq.len(); n != 6 {
+	if n := c.evq.Len(); n != 6 {
 		t.Errorf("%d events queued for three watches of two changed keys, want 6", n)
 	}
 	c.evMu.Unlock()
@@ -352,7 +352,7 @@ func TestClientIndexPerWatch(t *testing.T) {
 		t.Errorf("%d watch indexes after an unwatch of one of three, want 2", len(c.evIdx))
 	}
 	for cwid, idx := range c.evIdx {
-		if c.evq.len() == 0 && len(idx) != 0 {
+		if c.evq.Len() == 0 && len(idx) != 0 {
 			t.Errorf("queue drained, watch %d still indexes %v", cwid, idx)
 		}
 	}

@@ -349,60 +349,3 @@ func TestWriteRoundTripAllocs(t *testing.T) {
 		t.Logf("%.1f allocations per write round trip (budget %d)", n, budget)
 	}
 }
-
-// TestFifo checks the queue the outbound and event queues are built on:
-// absolute indices survive pops and slides, and a queue that is filled
-// and drained over and over stops allocating.
-func TestFifo(t *testing.T) {
-	var q fifo[int]
-	next, popped := 0, 0
-	push := func() {
-		if abs := q.push(next * 10); abs != next {
-			t.Fatalf("push %d returned absolute index %d", next, abs)
-		}
-		next++
-	}
-	pop := func() {
-		if v := q.pop(); v != popped*10 {
-			t.Fatalf("pop %d = %d", popped, v)
-		}
-		popped++
-	}
-	// A standing backlog with pops and pushes interleaved walks the live
-	// window through the array and forces slides.
-	for i := 0; i < 100; i++ {
-		push()
-	}
-	for i := 0; i < 1000; i++ {
-		pop()
-		push()
-		if q.len() != 100 {
-			t.Fatalf("len = %d, want 100", q.len())
-		}
-		if q.at(popped-1) != nil {
-			t.Fatalf("at(%d) still answers after its pop", popped-1)
-		}
-		if p := q.at(next - 1); p == nil || *p != (next-1)*10 {
-			t.Fatalf("at(%d) = %v", next-1, p)
-		}
-		if p := q.at(popped); p == nil || *p != popped*10 {
-			t.Fatalf("at(%d) = %v", popped, p)
-		}
-	}
-	if cap(q.buf) > 400 {
-		t.Errorf("a 100-element backlog grew the array to %d", cap(q.buf))
-	}
-	for q.len() > 0 {
-		pop()
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 50; i++ {
-			q.push(i)
-		}
-		for q.len() > 0 {
-			q.pop()
-		}
-	}); n != 0 {
-		t.Errorf("fill-and-drain allocates %.1f times per cycle", n)
-	}
-}

@@ -74,7 +74,7 @@ func (c *srvConn) enqueue(payload []byte) {
 	if c.qclosed {
 		return
 	}
-	c.q.push(outFrame{payload: payload})
+	c.q.Push(outFrame{payload: payload})
 	c.qcond.Signal()
 }
 
@@ -98,7 +98,7 @@ func (c *srvConn) enqueueEvent(t *tree, idx map[string]int, key eventKey, value 
 		return
 	}
 	if abs, queued := idx[key.path]; queued {
-		c.q.at(abs).value = value // an index entry lives exactly as long as its frame
+		c.q.At(abs).value = value // an index entry lives exactly as long as its frame
 		c.qmu.Unlock()
 		c.srv.coalesced.Add(1)
 		return
@@ -133,7 +133,7 @@ func (c *srvConn) enqueueEvent(t *tree, idx map[string]int, key eventKey, value 
 //
 // hotpath
 func (c *srvConn) pushEventLocked(idx map[string]int, key eventKey, value string) {
-	idx[key.path] = c.q.push(outFrame{idx: idx, key: key, value: value})
+	idx[key.path] = c.q.Push(outFrame{idx: idx, key: key, value: value})
 	c.nEvents++
 	c.qcond.Signal()
 	c.srv.events.Add(1)

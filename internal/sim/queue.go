@@ -1,106 +1,102 @@
 package sim
 
 // WaitQueue models a set of sleeping processes, in the spirit of a kernel
-// wait queue: continuations park in FIFO order and are resumed by WakeOne
-// or WakeAll. Resumption happens through the kernel calendar so that woken
+// wait queue: continuations park in FIFO order and are resumed by
+// WakeOne. Resumption happens through the kernel calendar so that woken
 // continuations run after the waker finishes, never reentrantly.
 type WaitQueue struct {
 	k       *Kernel
-	waiters []func()
+	waiters FIFO[func()]
 }
 
 // NewWaitQueue returns an empty wait queue bound to k.
 func NewWaitQueue(k *Kernel) *WaitQueue { return &WaitQueue{k: k} }
 
 // Len reports the number of parked continuations.
-func (q *WaitQueue) Len() int { return len(q.waiters) }
+func (q *WaitQueue) Len() int { return q.waiters.Len() }
 
 // Wait parks fn until a wake-up.
 func (q *WaitQueue) Wait(fn func()) {
 	if fn == nil {
 		panic("sim: WaitQueue.Wait with nil fn")
 	}
-	q.waiters = append(q.waiters, fn)
+	q.waiters.Push(fn)
 }
 
 // WakeOne resumes the oldest waiter after delay, preserving FIFO order.
 // It reports whether a waiter was present.
 func (q *WaitQueue) WakeOne(delay Duration) bool {
-	if len(q.waiters) == 0 {
-		return false
+	fn, ok := q.waiters.Pop()
+	if ok {
+		q.k.After(delay, fn)
 	}
-	fn := q.waiters[0]
-	copy(q.waiters, q.waiters[1:])
-	q.waiters[len(q.waiters)-1] = nil
-	q.waiters = q.waiters[:len(q.waiters)-1]
-	q.k.After(delay, fn)
-	return true
+	return ok
 }
 
-// WakeAll resumes every waiter. Each waiter i is resumed at now + delay +
-// i*stagger; the paper's congestion-control policy wakes VMs "in a FIFO
-// order and interleaved with a random time interval", which callers express
-// by passing per-call delays instead.
-func (q *WaitQueue) WakeAll(delay, stagger Duration) int {
-	n := len(q.waiters)
-	for i, fn := range q.waiters {
-		q.k.After(delay+Duration(i)*stagger, fn)
-		q.waiters[i] = nil
-	}
-	q.waiters = q.waiters[:0]
-	return n
-}
-
-// FIFO is a bounded queue of arbitrary items with occupancy accounting,
-// used as a building block for request queues. A zero capacity means
-// unbounded.
+// FIFO is a first-in first-out queue with the contract the package doc
+// states: amortised O(1), absolute indices, nothing retained after a pop.
+// The zero value is an empty queue. Not safe for concurrent use.
 type FIFO[T any] struct {
-	items []T
-	cap   int
+	buf  []T
+	head int // buf[head:] are the live elements
+	base int // absolute index of buf[head]
 }
 
-// NewFIFO returns a FIFO with the given capacity (0 = unbounded).
-func NewFIFO[T any](capacity int) *FIFO[T] { return &FIFO[T]{cap: capacity} }
+// Len reports the number of queued elements.
+//
+// hotpath
+func (q *FIFO[T]) Len() int { return len(q.buf) - q.head }
 
-// Len reports current occupancy.
-func (f *FIFO[T]) Len() int { return len(f.items) }
-
-// Full reports whether the queue is at capacity.
-func (f *FIFO[T]) Full() bool { return f.cap > 0 && len(f.items) >= f.cap }
-
-// Push appends an item, reporting false when the queue is full.
-func (f *FIFO[T]) Push(item T) bool {
-	if f.Full() {
-		return false
+// Push appends v and returns its absolute index.
+//
+// hotpath
+func (q *FIFO[T]) Push(v T) int {
+	if q.head > 0 && len(q.buf) == cap(q.buf) && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
 	}
-	f.items = append(f.items, item)
-	return true
+	q.buf = append(q.buf, v)
+	return q.base + q.Len() - 1
 }
 
-// Pop removes and returns the oldest item. ok is false when empty.
-func (f *FIFO[T]) Pop() (item T, ok bool) {
-	if len(f.items) == 0 {
-		return item, false
+// At returns the live element pushed as number abs, or nil once it has
+// been popped. The pointer is valid until the next push or pop.
+//
+// hotpath
+func (q *FIFO[T]) At(abs int) *T {
+	if abs < q.base || abs >= q.base+q.Len() {
+		return nil
 	}
-	item = f.items[0]
+	return &q.buf[q.head+abs-q.base]
+}
+
+// Peek returns the oldest element without removing it; ok is false when
+// the queue is empty.
+//
+// hotpath
+func (q *FIFO[T]) Peek() (v T, ok bool) {
+	if q.head == len(q.buf) {
+		return v, false
+	}
+	return q.buf[q.head], true
+}
+
+// Pop removes and returns the oldest element; ok is false when the queue
+// is empty.
+//
+// hotpath
+func (q *FIFO[T]) Pop() (v T, ok bool) {
+	if q.head == len(q.buf) {
+		return v, false
+	}
+	v = q.buf[q.head]
 	var zero T
-	copy(f.items, f.items[1:])
-	f.items[len(f.items)-1] = zero
-	f.items = f.items[:len(f.items)-1]
-	return item, true
-}
-
-// Peek returns the oldest item without removing it.
-func (f *FIFO[T]) Peek() (item T, ok bool) {
-	if len(f.items) == 0 {
-		return item, false
+	q.buf[q.head] = zero
+	q.head++
+	q.base++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
 	}
-	return f.items[0], true
-}
-
-// Drain removes and returns all items in order.
-func (f *FIFO[T]) Drain() []T {
-	out := f.items
-	f.items = nil
-	return out
+	return v, true
 }

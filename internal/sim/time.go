@@ -12,6 +12,22 @@
 // sweeps is obtained by running many independent Kernel instances across a
 // worker pool (see internal/experiments), each seeded independently, so
 // every replication remains reproducible.
+//
+// FIFO is the repository's one first-in first-out queue — request and
+// run queues, wait queues, the host's round-robin backlogs and netstore's
+// outbound and event queues are all this type. Its contract:
+//
+//   - Amortised O(1). A pop advances a head index instead of copying the
+//     backlog down; a drained queue rewinds to the start of its array,
+//     and a push that finds the array full slides the live elements over
+//     the popped room when that room is at least half of it. A queue
+//     filled and drained over and over stops allocating once its array
+//     fits.
+//   - Absolute indices. An element's index is the number of pushes before
+//     it: Push returns it and At resolves it, so an index kept outside
+//     the queue survives pops and slides.
+//   - Nothing retained after a pop: the vacated slot is zeroed, so the
+//     queue keeps no popped pointer alive.
 package sim
 
 import "fmt"

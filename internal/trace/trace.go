@@ -1,14 +1,12 @@
 // Package trace records per-device block-I/O events in the spirit of
 // blktrace, which the paper's monitoring module uses to observe physical
-// disk status. The tracer keeps the windowed aggregates the monitoring
-// module samples; the events themselves go to the Recorder when a run
-// is traced.
+// disk status. The tracer keeps one aggregate, each owner's host-path
+// latency sum, which the G-state verdict reads through
+// Monitor.GuestPathStats; the events themselves go to the Recorder when a
+// run is traced.
 package trace
 
-import (
-	"iorchestra/internal/metrics"
-	"iorchestra/internal/sim"
-)
+import "iorchestra/internal/sim"
 
 // EventKind classifies trace events, mirroring blktrace actions.
 type EventKind uint8
@@ -24,11 +22,8 @@ const (
 
 // Tracer collects events for one device.
 type Tracer struct {
-	k      *sim.Kernel
 	device string
 
-	completes *metrics.WindowRate // bytes completed, trailing window
-	queues    *metrics.WindowRate // requests queued, trailing window
 	// pathLat[owner] is the lifetime completion count and summed
 	// host-path latency of one owner's requests.
 	pathLat map[int]*pathLatency
@@ -44,19 +39,13 @@ type pathLatency struct {
 	sum   sim.Duration
 }
 
-// New returns a tracer with 100 ms aggregation windows.
-func New(k *sim.Kernel, device string) *Tracer {
-	return &Tracer{
-		k:         k,
-		device:    device,
-		completes: metrics.NewWindowRate(100*sim.Millisecond, 512),
-		queues:    metrics.NewWindowRate(100*sim.Millisecond, 512),
-		pathLat:   map[int]*pathLatency{},
-	}
+// New returns a tracer for one device.
+func New(device string) *Tracer {
+	return &Tracer{device: device, pathLat: map[int]*pathLatency{}}
 }
 
 // SetRecorder forwards every event into the unified decision-trace
-// recorder in addition to the local aggregates.
+// recorder.
 func (t *Tracer) SetRecorder(r *Recorder) { t.rec = r }
 
 // Record notes an event. Completions should use RecordComplete so the
@@ -92,29 +81,18 @@ func (t *Tracer) PathLatency(owner int) (count uint64, sum sim.Duration) {
 func (t *Tracer) ForgetOwner(owner int) { delete(t.pathLat, owner) }
 
 func (t *Tracer) record(kind EventKind, owner int, write bool, size int64, latency sim.Duration) {
+	if t.rec == nil {
+		return
+	}
+	rk := KindDevQueue
 	switch kind {
+	case Issue:
+		rk = KindDevIssue
 	case Complete:
-		t.completes.Add(t.k.Now(), float64(size))
-	case Queue:
-		t.queues.Add(t.k.Now(), 1)
+		rk = KindDevComplete
 	}
-	if t.rec != nil {
-		rk := KindDevQueue
-		switch kind {
-		case Issue:
-			rk = KindDevIssue
-		case Complete:
-			rk = KindDevComplete
-		}
-		t.rec.Record(Record{
-			Kind: rk, Dom: owner, Device: t.device,
-			Write: write, Size: size, Latency: latency,
-		})
-	}
+	t.rec.Record(Record{
+		Kind: rk, Dom: owner, Device: t.device,
+		Write: write, Size: size, Latency: latency,
+	})
 }
-
-// CompletedBps reports the completion bandwidth over the trailing window.
-func (t *Tracer) CompletedBps(now sim.Time) float64 { return t.completes.Rate(now) }
-
-// QueueRate reports request arrivals per second over the trailing window.
-func (t *Tracer) QueueRate(now sim.Time) float64 { return t.queues.Rate(now) }

@@ -11,7 +11,7 @@ import (
 // and in order.
 func TestTracerRecordsAndReturnsInOrder(t *testing.T) {
 	k := sim.NewKernel()
-	tr := New(k, "md0")
+	tr := New("md0")
 	rec := NewRecorder(k, 8)
 	tr.SetRecorder(rec)
 	k.At(1, func() { tr.Record(Queue, 1, false, 4096) })
@@ -35,41 +35,10 @@ func TestTracerRecordsAndReturnsInOrder(t *testing.T) {
 	}
 }
 
-func TestTracerWindowedRates(t *testing.T) {
-	k := sim.NewKernel()
-	tr := New(k, "md0")
-	k.At(sim.Millisecond, func() { tr.Record(Complete, 1, true, 1e6) })
-	k.At(2*sim.Millisecond, func() { tr.Record(Complete, 1, true, 1e6) })
-	k.Run()
-	// 2 MB in a 100ms window = 20 MB/s.
-	if got := tr.CompletedBps(k.Now()); got < 19e6 || got > 21e6 {
-		t.Fatalf("CompletedBps = %v", got)
-	}
-	// Old events age out.
-	k.At(sim.Second, func() {})
-	k.Run()
-	if got := tr.CompletedBps(k.Now()); got != 0 {
-		t.Fatalf("CompletedBps after window = %v", got)
-	}
-}
-
-func TestTracerQueueRate(t *testing.T) {
-	k := sim.NewKernel()
-	tr := New(k, "md0")
-	for i := 0; i < 10; i++ {
-		at := sim.Time(i+1) * sim.Millisecond
-		k.At(at, func() { tr.Record(Queue, 0, false, 512) })
-	}
-	k.Run()
-	if got := tr.QueueRate(k.Now()); got != 100 {
-		t.Fatalf("QueueRate = %v, want 100/s", got)
-	}
-}
-
 // TestTracerPathLatency: completions feed a per-owner (count, sum)
 // whether or not a recorder is attached, and ForgetOwner restarts it.
 func TestTracerPathLatency(t *testing.T) {
-	tr := New(sim.NewKernel(), "md0")
+	tr := New("md0")
 	tr.RecordComplete(1, true, 4096, 2*sim.Millisecond)
 	tr.RecordComplete(1, false, 4096, 3*sim.Millisecond)
 	tr.RecordComplete(2, true, 4096, 7*sim.Millisecond)
