@@ -15,10 +15,9 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Project-invariant static analysis (internal/analysis, docs/LINTING.md):
-# four passes — determinism, store key schema, hot-path allocation
-# discipline and bounded retries — the rules no type can carry. There
-# is no suppression directive to audit.
+# Project-invariant static analysis (internal/analysis): the rules no
+# type or test can carry, one pass each (`go run ./cmd/iorchestra-vet
+# -list`, docs/LINTING.md). There is no suppression directive to audit.
 lint:
 	$(GO) run ./cmd/iorchestra-vet ./...
 

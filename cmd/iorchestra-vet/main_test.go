@@ -6,8 +6,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"iorchestra/internal/analysis"
 )
 
 // The e2e tests build the real binary and run it against the tiny
@@ -119,12 +122,19 @@ func TestUnknownPassExitsTwo(t *testing.T) {
 	}
 }
 
+// TestListDescribesSuite holds -list, the suite and the rule reference
+// to one another: -list prints every pass of analysis.Suite() in order,
+// and docs/LINTING.md's "The passes" has one ### `name` heading per pass
+// and no other.
 func TestListDescribesSuite(t *testing.T) {
 	stdout, _, exit := runTool(t, "-list")
 	if exit != 0 {
 		t.Fatalf("exit = %d, want 0", exit)
 	}
-	names := []string{"determinism", "storekeys", "hotpathalloc", "boundedretry"}
+	var names []string
+	for _, a := range analysis.Suite() {
+		names = append(names, a.Name)
+	}
 	lines := strings.Split(strings.TrimSpace(stdout), "\n")
 	if len(lines) != len(names) {
 		t.Fatalf("-list printed %d passes, want %d:\n%s", len(lines), len(names), stdout)
@@ -133,6 +143,26 @@ func TestListDescribesSuite(t *testing.T) {
 		if !strings.HasPrefix(lines[i], name+" ") {
 			t.Errorf("-list line %d = %q, want pass %q", i, lines[i], name)
 		}
+	}
+
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "LINTING.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## The passes\n")
+	if !ok {
+		t.Fatal(`docs/LINTING.md has no "## The passes" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var headed []string
+	for _, line := range strings.Split(section, "\n") {
+		if rest, ok := strings.CutPrefix(line, "### `"); ok {
+			name, _, _ := strings.Cut(rest, "`")
+			headed = append(headed, name)
+		}
+	}
+	if !slices.Equal(headed, names) {
+		t.Errorf(`docs/LINTING.md "The passes" heads %q, want one section per pass: %q`, headed, names)
 	}
 }
 

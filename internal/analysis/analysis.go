@@ -1,10 +1,8 @@
-// Package analysis is iorchestra-vet: four static-analysis passes that
-// enforce the invariants no type or signature can carry — deterministic
-// simulation (golden-trace parity), the documented store key schema,
-// allocation discipline in //hotpath functions and bounded retry loops.
-// A convention the shape of the code can hold is held there instead
-// (docs/LINTING.md "Held by construction"). docs/LINTING.md is the normative rule reference; each
-// Analyzer's Doc is the short form.
+// Package analysis is iorchestra-vet: the static-analysis passes that
+// enforce the invariants no type, signature or test can carry. Suite
+// lists them (`iorchestra-vet -list` prints it); docs/LINTING.md is the
+// normative rule reference and says what holds each convention that is
+// not a pass. Each Analyzer's Doc is the short form.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is self-contained: packages are
@@ -137,21 +135,4 @@ func importedPkg(info *types.Info, sel *ast.SelectorExpr) string {
 		return pn.Imported().Path()
 	}
 	return ""
-}
-
-// hasMarker reports whether a function's doc comment carries the given
-// marker on a line of its own (e.g. "hotpath", written //hotpath; gofmt
-// may normalize it to "// hotpath", so both spellings count). Markers
-// opt declarations into pass-specific treatment: //hotpath submits a
-// function to hotpathalloc.
-func hasMarker(fd *ast.FuncDecl, marker string) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) == marker {
-			return true
-		}
-	}
-	return false
 }

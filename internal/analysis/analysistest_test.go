@@ -19,17 +19,15 @@ import (
 
 func TestDeterminismFixture(t *testing.T)  { runFixture(t, Determinism, "determinism") }
 func TestStoreKeysFixture(t *testing.T)    { runFixture(t, StoreKeys, "storekeys") }
-func TestHotPathAllocFixture(t *testing.T) { runFixture(t, HotPathAlloc, "hotpathalloc") }
 func TestBoundedRetryFixture(t *testing.T) { runFixture(t, BoundedRetry, "boundedretry") }
 
 // TestScopeFixture proves both sides of every scope-gated pass on a
 // miniature module tree (testdata/scope, module path iorchestra), with
 // scoping ENABLED — the opposite of runFixture. Determinism:
 // sim packages and commands are flagged while nonSimScope's wire-facing
-// packages use the wall clock freely. HotPathAlloc fires only under
-// internal/, and BoundedRetry everywhere except internal/analysis. The
-// out-of-scope twins of each violation carry no want comments, so any
-// diagnostic from them fails the test.
+// packages use the wall clock freely. BoundedRetry fires everywhere
+// except internal/analysis. The out-of-scope twins of each violation
+// carry no want comments, so any diagnostic from them fails the test.
 func TestScopeFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "scope")
 	pkgs, err := Load(dir + "/...")
@@ -51,7 +49,7 @@ func TestScopeFixture(t *testing.T) {
 			t.Fatalf("scope fixture did not load %s; got %v", p, flagged)
 		}
 	}
-	scoped := []*Analyzer{Determinism, HotPathAlloc, BoundedRetry}
+	scoped := []*Analyzer{Determinism, BoundedRetry}
 	diags, err := RunAnalyzers(pkgs, scoped, false)
 	if err != nil {
 		t.Fatalf("running scoped passes on scope fixture: %v", err)

@@ -5,7 +5,6 @@ func Suite() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		StoreKeys,
-		HotPathAlloc,
 		BoundedRetry,
 	}
 }

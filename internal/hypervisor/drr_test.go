@@ -2,6 +2,7 @@ package hypervisor
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -406,25 +407,59 @@ type instantDevice struct {
 
 func (d instantDevice) Submit(r *device.Request) { d.k.After(sim.Microsecond, r.Done) }
 
-// BenchmarkHostDispatch: one dedicated I/O core holding 1,000 guest
-// buffers, 8 of them backlogged, dispatching into the cgroup — the shape
-// an arrival run grows a host into. One op is one request enqueued,
+// dispatchBed is one dedicated I/O core holding 1,000 guest buffers, 8 of
+// them backlogged, dispatching into the cgroup over an instantDevice: the
+// shape an arrival run grows a host into. dispatch enqueues the requests
+// of reqs round-robin over the 8 and runs the kernel until each has been
 // picked by the core, picked by the cgroup and completed.
-func BenchmarkHostDispatch(b *testing.B) {
-	k := sim.NewKernel()
+func dispatchBed() (k *sim.Kernel, dispatch func(reqs []device.Request)) {
+	k = sim.NewKernel()
 	core := NewIOCore(k, 0, NewCgroup(k, instantDevice{k: k}, 64), 0, 0)
 	for dom := store.DomID(1); dom <= 1000; dom++ {
 		core.SetQuantum(dom, 64<<10)
 	}
+	return k, func(reqs []device.Request) {
+		for i := range reqs {
+			reqs[i] = device.Request{Op: device.Read, Size: 64 << 10}
+			core.Enqueue(store.DomID(1+125*(i%8)), &reqs[i])
+		}
+		k.Run()
+	}
+}
+
+// BenchmarkHostDispatch: one op is one request through dispatchBed.
+func BenchmarkHostDispatch(b *testing.B) {
+	_, dispatch := dispatchBed()
 	reqs := make([]device.Request, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n += len(reqs) {
-		batch := reqs[:min(len(reqs), b.N-n)]
-		for i := range batch {
-			batch[i] = device.Request{Op: device.Read, Size: 64 << 10}
-			core.Enqueue(store.DomID(1+125*(i%8)), &batch[i])
-		}
-		k.Run()
+		dispatch(reqs[:min(len(reqs), b.N-n)])
+	}
+}
+
+// TestHostDispatchAllocs pins the host data path's cost per request once
+// the I/O core's trailing latency window is full (1 s of simulated time,
+// about 180 k requests; before that the window's ring is still growing).
+// A request then costs 1.03 allocations and 132 bytes: the cgroup's
+// completion closure, which carries the request's arrival, and two
+// 64-event slab shares for the core's hand-off and the device's
+// completion events.
+func TestHostDispatchAllocs(t *testing.T) {
+	k, dispatch := dispatchBed()
+	reqs := make([]device.Request, 256)
+	for k.Now() < sim.Time(1100*sim.Millisecond) {
+		dispatch(reqs)
+	}
+	const budget, byteBudget = 1.05, 140
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	perReq := testing.AllocsPerRun(100, func() { dispatch(reqs) }) / float64(len(reqs))
+	runtime.ReadMemStats(&m1)
+	bytesPerReq := float64(m1.TotalAlloc-m0.TotalAlloc) / (101 * float64(len(reqs))) // AllocsPerRun warms up with one run more
+	if perReq > budget || bytesPerReq > byteBudget {
+		t.Errorf("a dispatched request allocates %.2f times and %.0f bytes, budget %.2f and %d", perReq, bytesPerReq, budget, byteBudget)
+	} else {
+		t.Logf("%.2f allocations, %.0f bytes per dispatched request (budget %.2f, %d)", perReq, bytesPerReq, budget, byteBudget)
 	}
 }

@@ -30,9 +30,8 @@ type IOCore struct {
 
 	// Latency on the I/O core (arrival in buffer → handed to the device):
 	// the L_i the co-scheduling weight formula divides by. latWin holds
-	// summed latency seconds, cnt the sample count, over the same window.
+	// each request's latency in seconds over the trailing second.
 	latWin  *metrics.WindowRate
-	cnt     *metrics.WindowRate
 	latHist *metrics.Histogram
 
 	processed uint64
@@ -55,7 +54,6 @@ func NewIOCore(k *sim.Kernel, id int, out *Cgroup, costPerReq sim.Duration, core
 		costPerReq: costPerReq,
 		perByteNs:  float64(sim.Second) / coreBps,
 		latWin:     metrics.NewWindowRate(sim.Second, 1024),
-		cnt:        metrics.NewWindowRate(sim.Second, 1024),
 		latHist:    metrics.NewHistogram(),
 	}
 	c.finishFn = c.finish
@@ -83,21 +81,15 @@ func (c *IOCore) MeanLatency(now sim.Time) float64 {
 	// infinitely so, which keeps the inverse-proportional weight formula
 	// from slamming all load onto it at once.
 	const floor = 100e-6
-	n := c.cnt.Sum(now)
-	if n == 0 {
-		return floor
+	if v := c.latWin.Mean(now); v > floor {
+		return v
 	}
-	v := c.latWin.Sum(now) / n
-	if v < floor {
-		return floor
-	}
-	return v
+	return floor
 }
 
 func (c *IOCore) observe(lat sim.Duration) {
 	c.latHist.Record(lat)
 	c.latWin.Add(c.k.Now(), lat.Seconds())
-	c.cnt.Add(c.k.Now(), 1)
 }
 
 // defaultQuantum is a buffer's DRR quantum until the policy sets one.

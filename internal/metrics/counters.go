@@ -119,8 +119,12 @@ func (w *WindowRate) Rate(now sim.Time) float64 {
 	return w.sum / s
 }
 
-// Sum reports the raw amount within the window as of now.
-func (w *WindowRate) Sum(now sim.Time) float64 {
+// Mean reports the mean amount per observation within the window as of
+// now, 0 when the window holds none.
+func (w *WindowRate) Mean(now sim.Time) float64 {
 	w.expire(now)
-	return w.sum
+	if w.count == 0 {
+		return 0
+	}
+	return w.sum / float64(w.count)
 }

@@ -158,25 +158,28 @@ func TestWindowRateExpiry(t *testing.T) {
 	w := NewWindowRate(sim.Second, 4)
 	w.Add(0, 10)
 	w.Add(500*sim.Millisecond, 20)
-	if got := w.Sum(900 * sim.Millisecond); got != 30 {
-		t.Fatalf("Sum = %v, want 30", got)
+	if got := w.Mean(900 * sim.Millisecond); got != 15 {
+		t.Fatalf("Mean = %v, want 15", got)
 	}
 	// At t=1.2s the t=0 sample has fallen out of the 1s window.
-	if got := w.Sum(1200 * sim.Millisecond); got != 20 {
-		t.Fatalf("Sum = %v, want 20 after expiry", got)
+	if got := w.Mean(1200 * sim.Millisecond); got != 20 {
+		t.Fatalf("Mean = %v, want 20 after expiry", got)
 	}
 	if got := w.Rate(1200 * sim.Millisecond); math.Abs(got-20) > 1e-9 {
 		t.Fatalf("Rate = %v, want 20/s", got)
+	}
+	if got := w.Mean(3 * sim.Second); got != 0 {
+		t.Fatalf("Mean = %v over an empty window, want 0", got)
 	}
 }
 
 func TestWindowRateGrowth(t *testing.T) {
 	w := NewWindowRate(sim.Hour, 2)
 	for i := 0; i < 100; i++ {
-		w.Add(sim.Time(i), 1)
+		w.Add(sim.Time(i), float64(i))
 	}
-	if got := w.Sum(100); got != 100 {
-		t.Fatalf("Sum = %v after growth, want 100", got)
+	if got := w.Mean(100); got != 49.5 {
+		t.Fatalf("Mean = %v after growth, want 49.5", got)
 	}
 }
 

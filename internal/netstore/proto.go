@@ -227,10 +227,9 @@ var (
 
 const poolMax = 64 << 10
 
-// Cold error constructors for the //hotpath frame codecs below: fmt
+// Cold error constructors for the per-frame codecs below: fmt
 // formatting reflects and allocates, so the bound checks pay for their
-// (rare) errors out of line. The hotpathalloc vet pass enforces the
-// split (docs/LINTING.md).
+// (rare) errors out of line.
 func errFrameSize(n int) error {
 	return fmt.Errorf("%w: frame of %d bytes exceeds MaxFrame", ErrBadRequest, n)
 }
@@ -246,8 +245,6 @@ func errValueSize(n int) error {
 func errTruncated() error { return fmt.Errorf("%w: truncated frame", ErrBadRequest) }
 
 // getBuf returns a zero-length pooled buffer with capacity ≥ n.
-//
-// hotpath
 func getBuf(n int) []byte {
 	if bp, _ := bufPool.Get().(*[]byte); bp != nil {
 		if b := *bp; cap(b) >= n {
@@ -262,8 +259,6 @@ func getBuf(n int) []byte {
 
 // putBuf returns a buffer obtained from getBuf (or any payload the
 // caller has finished with) to the pool.
-//
-// hotpath
 func putBuf(b []byte) {
 	if cap(b) == 0 || cap(b) > poolMax {
 		return
@@ -276,8 +271,6 @@ func putBuf(b []byte) {
 // writeFrame sends one length-prefixed payload. Header and payload are
 // combined into one pooled buffer so each frame costs a single Write —
 // on the hot path that halves the syscalls per round trip.
-//
-// hotpath
 func writeFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return errFrameSize(len(payload))
@@ -310,8 +303,6 @@ const frameBufMin = 16 << 10
 // valid until the following call — callers finish decoding (dec copies
 // string bytes out) before reading again. A length over MaxFrame is
 // refused before anything is allocated for it.
-//
-// hotpath
 func (fr *frameReader) next() ([]byte, error) {
 	if err := fr.fill(4); err != nil {
 		return nil, err
@@ -332,8 +323,6 @@ func (fr *frameReader) next() ([]byte, error) {
 // end of the buffer is first moved to the front of it, or of one that
 // fits — at most once per frame, and never for a peer with one request
 // in flight: an emptied buffer refills from its start.
-//
-// hotpath
 func (fr *frameReader) fill(need int) error {
 	if fr.tail-fr.head >= need {
 		return nil
@@ -358,29 +347,24 @@ func (fr *frameReader) fill(need int) error {
 // enc builds a payload. The zero value is ready to use.
 type enc struct{ b []byte }
 
-// hotpath
 func (e *enc) op(o Op, id uint32) *enc {
 	e.b = append(e.b, byte(o))
 	e.u32(id)
 	return e
 }
 
-// hotpath
 func (e *enc) u8(v uint8) *enc { e.b = append(e.b, v); return e }
 
-// hotpath
 func (e *enc) u32(v uint32) *enc {
 	e.b = binary.BigEndian.AppendUint32(e.b, v)
 	return e
 }
 
-// hotpath
 func (e *enc) u64(v uint64) *enc {
 	e.b = binary.BigEndian.AppendUint64(e.b, v)
 	return e
 }
 
-// hotpath
 func (e *enc) str(s string) *enc {
 	e.u32(uint32(len(s)))
 	e.b = append(e.b, s...)
@@ -388,8 +372,6 @@ func (e *enc) str(s string) *enc {
 }
 
 // bool appends a flag as one byte, 1 or 0.
-//
-// hotpath
 func (e *enc) bool(v bool) *enc {
 	if v {
 		return e.u8(1)
@@ -398,8 +380,6 @@ func (e *enc) bool(v bool) *enc {
 }
 
 // strs appends a counted list of strings (a List reply's names).
-//
-// hotpath
 func (e *enc) strs(ss []string) *enc {
 	e.u32(uint32(len(ss)))
 	for _, s := range ss {
@@ -433,7 +413,6 @@ const (
 	pathInternMax = 256
 )
 
-// hotpath
 func (t pathTable) intern(raw []byte) string {
 	if t == nil || len(raw) > pathInternMax {
 		return string(raw)
@@ -464,7 +443,6 @@ func (d *dec) fail() {
 	}
 }
 
-// hotpath
 func (d *dec) u8() uint8 {
 	if d.err != nil || len(d.b) < 1 {
 		d.fail()
@@ -475,7 +453,6 @@ func (d *dec) u8() uint8 {
 	return v
 }
 
-// hotpath
 func (d *dec) u32() uint32 {
 	if d.err != nil || len(d.b) < 4 {
 		d.fail()
@@ -486,7 +463,6 @@ func (d *dec) u32() uint32 {
 	return v
 }
 
-// hotpath
 func (d *dec) u64() uint64 {
 	if d.err != nil || len(d.b) < 8 {
 		d.fail()
@@ -498,8 +474,6 @@ func (d *dec) u64() uint64 {
 }
 
 // raw consumes one length-prefixed byte string, aliasing the payload.
-//
-// hotpath
 func (d *dec) raw() []byte {
 	n := d.u32()
 	if d.err != nil || uint32(len(d.b)) < n {
@@ -511,13 +485,10 @@ func (d *dec) raw() []byte {
 	return v
 }
 
-// hotpath
 func (d *dec) str() string { return string(d.raw()) }
 
 // path decodes a string, applies the wire path bound and interns the
 // result in d.paths.
-//
-// hotpath
 func (d *dec) path() string {
 	raw := d.raw()
 	if d.err == nil && len(raw) > MaxPath {
@@ -527,8 +498,6 @@ func (d *dec) path() string {
 }
 
 // value decodes a string and applies the wire value bound.
-//
-// hotpath
 func (d *dec) value() string {
 	s := d.str()
 	if d.err == nil && len(s) > MaxValue {
@@ -567,8 +536,6 @@ type req struct {
 
 // req appends r's body: the fields its opcode's layout names, subs being
 // OpBatch's. A sub-op's body is appended by the same loop, one level down.
-//
-// hotpath
 func (e *enc) req(r *req, subs []req) *enc {
 	layout := ops[r.op].layout
 	for i := 0; i < len(layout); i++ {
@@ -616,8 +583,6 @@ func errPerm(p store.Perm) error {
 // over MaxBatchOps or with an un-batchable sub-op fails the decode, so
 // its frame executes nothing. A batch's sub-ops are appended to subs
 // (the caller's scratch) and returned.
-//
-// hotpath
 func (d *dec) req(r *req, subs []req) []req {
 	if int(r.op) >= len(ops) || ops[r.op].run == nil && r.op != OpBatch {
 		d.err = errOpcode(r.op, "")
@@ -677,8 +642,6 @@ type rdec struct {
 }
 
 // take consumes the next n bytes, or fails the decode and returns "".
-//
-// hotpath
 func (d *rdec) take(n uint32) string {
 	if d.err != nil || uint32(len(d.s)) < n {
 		if d.err == nil {
@@ -691,7 +654,6 @@ func (d *rdec) take(n uint32) string {
 	return v
 }
 
-// hotpath
 func (d *rdec) u8() uint8 {
 	if v := d.take(1); v != "" {
 		return v[0]
@@ -699,7 +661,6 @@ func (d *rdec) u8() uint8 {
 	return 0
 }
 
-// hotpath
 func (d *rdec) u32() uint32 {
 	if v := d.take(4); v != "" {
 		return uint32(v[0])<<24 | uint32(v[1])<<16 | uint32(v[2])<<8 | uint32(v[3])
@@ -707,17 +668,13 @@ func (d *rdec) u32() uint32 {
 	return 0
 }
 
-// hotpath
 func (d *rdec) u64() uint64 { return uint64(d.u32())<<32 | uint64(d.u32()) }
 
-// hotpath
 func (d *rdec) str() string { return d.take(d.u32()) }
 
 // count reads an element count, which sizes allocations and loops, and
 // fails the decode unless the rest of the body could hold that many
 // elements of at least min bytes each.
-//
-// hotpath
 func (d *rdec) count(min int) int {
 	n := d.u32()
 	if d.err == nil && uint64(n) > uint64(len(d.s)/min) {

@@ -40,8 +40,6 @@ type outFrame struct {
 
 // appendTo encodes the frame onto b behind its length prefix — the one
 // place an event is encoded — and recycles a reply's pooled payload.
-//
-// hotpath
 func (fr *outFrame) appendTo(b []byte) []byte {
 	mark := len(b)
 	e := enc{b: append(b, 0, 0, 0, 0)}
@@ -66,8 +64,6 @@ const lagFactor = 64
 
 // enqueue appends a reply frame; replies are bounded by the peer's
 // outstanding requests, so they bypass the notify-queue cap.
-//
-// hotpath
 func (c *srvConn) enqueue(payload []byte) {
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
@@ -89,8 +85,6 @@ func (c *srvConn) enqueue(payload []byte) {
 // key alone is parked in lagged for repair; only a connection that
 // exhausts that backlog too is evicted. It is called from watch delivery,
 // with the tree the watch was registered on and the watch's own idx.
-//
-// hotpath
 func (c *srvConn) enqueueEvent(t *tree, idx map[string]int, key eventKey, value string) {
 	c.qmu.Lock()
 	if c.qclosed {
@@ -130,8 +124,6 @@ func (c *srvConn) enqueueEvent(t *tree, idx map[string]int, key eventKey, value 
 
 // pushEventLocked appends an event frame; the caller holds qmu and has
 // checked the bound.
-//
-// hotpath
 func (c *srvConn) pushEventLocked(idx map[string]int, key eventKey, value string) {
 	idx[key.path] = c.q.Push(outFrame{idx: idx, key: key, value: value})
 	c.nEvents++

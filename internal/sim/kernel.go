@@ -44,8 +44,6 @@ func slotBefore(a, b heapSlot) bool {
 }
 
 // siftUp moves h[i] toward the root until its parent fires no later.
-//
-// hotpath
 func (h eventHeap) siftUp(i int) {
 	s := h[i]
 	for i > 0 {
@@ -62,8 +60,6 @@ func (h eventHeap) siftUp(i int) {
 }
 
 // siftDown moves h[i] toward the leaves until no child fires earlier.
-//
-// hotpath
 func (h eventHeap) siftDown(i int) {
 	n := len(h)
 	s := h[i]
@@ -94,8 +90,6 @@ func (h eventHeap) siftDown(i int) {
 }
 
 // push appends e and restores heap order.
-//
-// hotpath
 func (k *Kernel) pushEvent(e *Event) {
 	e.index = len(k.events)
 	k.events = append(k.events, heapSlot{at: e.at, seq: e.seq, e: e})
@@ -103,8 +97,6 @@ func (k *Kernel) pushEvent(e *Event) {
 }
 
 // popEvent removes and returns the earliest event.
-//
-// hotpath
 func (k *Kernel) popEvent() *Event {
 	h := k.events
 	e := h[0].e

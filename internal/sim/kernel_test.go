@@ -279,3 +279,37 @@ func TestTimeConversions(t *testing.T) {
 		t.Errorf("Seconds() = %v, want 2", got)
 	}
 }
+
+// TestKernelSteadyStateAllocs pins the calendar's cost per event. With a
+// pre-bound func, After (and At under it), Cancel, Reschedule and Run
+// allocate nothing but the Event slab: one 64-event chunk per 64 events
+// scheduled, 0.0156 per event. Events are carved from the slab and never
+// recycled, because a handle a caller keeps must stay valid after its
+// event fires. Cancel and Reschedule of a queued event are what reach
+// siftDown.
+func TestKernelSteadyStateAllocs(t *testing.T) {
+	k := NewKernel()
+	fired := 0
+	fn := func() { fired++ }
+	const events = 64 * 64 // a whole number of slab chunks per run
+	var evs [8]*Event
+	run := func() {
+		for i := 0; i < events; i += len(evs) {
+			for j := range evs {
+				evs[j] = k.After(Duration(1+j*5%8), fn)
+			}
+			k.Cancel(evs[2])
+			k.Reschedule(evs[5], k.Now()+9)
+			k.Run()
+		}
+	}
+	const budget = 1.0 / 64
+	if perEvent := testing.AllocsPerRun(20, run) / events; perEvent > budget {
+		t.Errorf("the calendar allocates %.4f times per event, budget %.4f (one slab chunk per 64)", perEvent, budget)
+	} else {
+		t.Logf("%.4f allocations per event (budget %.4f)", perEvent, budget)
+	}
+	if want := 21 * events * 7 / 8; fired != want {
+		t.Errorf("%d events fired, want %d", fired, want)
+	}
+}

@@ -43,13 +43,9 @@ type FIFO[T any] struct {
 }
 
 // Len reports the number of queued elements.
-//
-// hotpath
 func (q *FIFO[T]) Len() int { return len(q.buf) - q.head }
 
 // Push appends v and returns its absolute index.
-//
-// hotpath
 func (q *FIFO[T]) Push(v T) int {
 	if q.head > 0 && len(q.buf) == cap(q.buf) && 2*q.head >= len(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
@@ -62,8 +58,6 @@ func (q *FIFO[T]) Push(v T) int {
 
 // At returns the live element pushed as number abs, or nil once it has
 // been popped. The pointer is valid until the next push or pop.
-//
-// hotpath
 func (q *FIFO[T]) At(abs int) *T {
 	if abs < q.base || abs >= q.base+q.Len() {
 		return nil
@@ -73,8 +67,6 @@ func (q *FIFO[T]) At(abs int) *T {
 
 // Peek returns the oldest element without removing it; ok is false when
 // the queue is empty.
-//
-// hotpath
 func (q *FIFO[T]) Peek() (v T, ok bool) {
 	if q.head == len(q.buf) {
 		return v, false
@@ -84,8 +76,6 @@ func (q *FIFO[T]) Peek() (v T, ok bool) {
 
 // Pop removes and returns the oldest element; ok is false when the queue
 // is empty.
-//
-// hotpath
 func (q *FIFO[T]) Pop() (v T, ok bool) {
 	if q.head == len(q.buf) {
 		return v, false

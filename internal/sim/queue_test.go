@@ -206,15 +206,22 @@ func TestFIFOStandingBacklog(t *testing.T) {
 }
 
 // TestFIFOFillAndDrainAllocatesNothing pins the allocation contract: once
-// its array fits, a queue filled and drained over and over allocates
-// nothing.
+// its array fits, a queue filled and drained over and over, its head
+// peeked and its elements looked up by absolute index, allocates nothing.
 func TestFIFOFillAndDrainAllocatesNothing(t *testing.T) {
 	var q FIFO[int]
 	cycle := func() {
-		for i := 0; i < 50; i++ {
+		first := q.Push(0)
+		for i := 1; i < 50; i++ {
 			q.Push(i)
 		}
 		for q.Len() > 0 {
+			if p := q.At(first + 49); p == nil || *p != 49 {
+				t.Fatalf("At(%d) = %v, want the last push", first+49, p)
+			}
+			if head, _ := q.Peek(); head != 50-q.Len() {
+				t.Fatalf("Peek = %d with %d queued", head, q.Len())
+			}
 			q.Pop()
 		}
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"iorchestra/internal/sim"
@@ -41,6 +42,31 @@ func TestWatchedWriteAllocatesNothing(t *testing.T) {
 		t.Fatalf("free list holds %d records after serial writes, want the one reused", len(s.freeDeliveries))
 	}
 	checkHashes(t, s, "after rewrites through the cached term")
+}
+
+// A burst of watched writes the kernel has not yet delivered, as when a
+// host brings its guests up, leaves the free list full to its bound
+// once it drains, not holding a record per write for the store's life.
+func TestFreeDeliveriesCapped(t *testing.T) {
+	k, s := newTestStore()
+	s.AddDomain(1)
+	seen := 0
+	if _, err := s.Watch(Dom0, DomainPath(1), func(string, string) { seen++ }); err != nil {
+		t.Fatal(err)
+	}
+	const burst = 10000
+	for i := 0; i < burst; i++ {
+		if err := s.Write(1, DomainPath(1)+"/k", strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.Run()
+	if seen != burst {
+		t.Fatalf("watcher saw %d of %d writes", seen, burst)
+	}
+	if n := len(s.freeDeliveries); n != maxFreeDeliveries {
+		t.Fatalf("free list holds %d records after a %d-write burst, want its bound %d", n, burst, maxFreeDeliveries)
+	}
 }
 
 // The permission filter's silent continue is counted: a guest watching

