@@ -147,20 +147,9 @@ func main() {
 	// Algorithm 1 can act. The scenario that exercises flush orders (and,
 	// with -faults, the flush-deadline machinery — docs/FAULTS.md).
 	newBurstyVM := func(i int) workload.Personality {
-		vm := makeVM(guest.DiskConfig{
-			Name: "xvda",
-			CacheConfig: pagecache.Config{
-				TotalPages:      (1 << 30) / pagecache.PageSize,
-				DirtyRatio:      0.2,
-				BackgroundRatio: 0.1,
-				WritebackWindow: 64,
-			},
-		})
-		return workload.NewFS(p.Kernel, vm.G, vm.G.Disks()[0], workload.FSConfig{
-			Threads: *vcpus, MeanFileSize: 1 << 20, Think: 6 * sim.Millisecond,
-			WriteFrac: 0.8, AppendFrac: 0.1, ReadFrac: 0.05,
-			BurstOn: 1500 * sim.Millisecond, BurstOff: 3500 * sim.Millisecond,
-		}, p.Rng.Fork(fmt.Sprintf("wl%d", i)))
+		vm := makeVM(workload.FlushProneDisk(0.2))
+		return workload.NewFS(p.Kernel, vm.G, vm.G.Disks()[0], workload.FlushProneFS(*vcpus),
+			p.Rng.Fork(fmt.Sprintf("wl%d", i)))
 	}
 
 	switch strings.ToLower(*wl) {

@@ -14,7 +14,6 @@ import (
 
 	"iorchestra"
 	"iorchestra/internal/blkio"
-	"iorchestra/internal/guest"
 	"iorchestra/internal/workload"
 )
 
@@ -39,11 +38,7 @@ func main() {
 			iorchestra.WithPolicies(iorchestra.Policies{Congestion: true}))
 		var gens []*workload.MultiStream
 		for i := 0; i < 2; i++ {
-			dc := guest.DiskConfig{
-				Name:        "xvda",
-				QueueConfig: blkio.Config{Limit: 68, MaxMerge: 128 << 10},
-				MaxTransfer: 64 << 10,
-			}
+			dc := workload.CongestProneDisk()
 			if v.controller != nil {
 				dc.QueueConfig.Controller = v.controller
 			}

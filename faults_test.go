@@ -13,8 +13,6 @@ import (
 
 	"iorchestra/internal/core"
 	"iorchestra/internal/fault"
-	"iorchestra/internal/guest"
-	"iorchestra/internal/pagecache"
 	"iorchestra/internal/sim"
 	"iorchestra/internal/trace"
 	"iorchestra/internal/workload"
@@ -23,20 +21,8 @@ import (
 // faultFSVM is flushProneVM returning the workload for throughput
 // accounting.
 func faultFSVM(p *Platform, i int) *workload.FS {
-	rt := p.NewVM(1, 1, guest.DiskConfig{
-		Name: "xvda",
-		CacheConfig: pagecache.Config{
-			TotalPages:      (1 << 30) / pagecache.PageSize,
-			DirtyRatio:      0.2,
-			BackgroundRatio: 0.1,
-			WritebackWindow: 64,
-		},
-	})
-	fs := workload.NewFS(p.Kernel, rt.G, rt.G.Disks()[0], workload.FSConfig{
-		Threads: 2, MeanFileSize: 1 << 20, Think: 6 * sim.Millisecond,
-		WriteFrac: 0.8, AppendFrac: 0.1, ReadFrac: 0.05,
-		BurstOn: 1500 * sim.Millisecond, BurstOff: 3500 * sim.Millisecond,
-	}, p.Rng.Fork(fmt.Sprintf("fs%d", i)))
+	rt := p.NewVM(1, 1, workload.FlushProneDisk(0.2))
+	fs := workload.NewFS(p.Kernel, rt.G, rt.G.Disks()[0], workload.FlushProneFS(2), p.Rng.Fork(fmt.Sprintf("fs%d", i)))
 	fs.Start()
 	return fs
 }

@@ -17,9 +17,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"iorchestra/internal/blkio"
 	"iorchestra/internal/gstate"
-	"iorchestra/internal/guest"
 	"iorchestra/internal/hypervisor"
 	"iorchestra/internal/trace"
 	"iorchestra/internal/workload"
@@ -32,11 +30,7 @@ const goldenGStateDur = 6 * Second
 // tieredGoldenVM is the SLA experiment's congestion-prone profile: a
 // declared tier plus eight readahead streams per guest.
 func tieredGoldenVM(p *Platform, i int, tier gstate.Tier) {
-	rt := p.NewTieredVM(tier, gstate.SLA{}, 2, 2, guest.DiskConfig{
-		Name:        "xvda",
-		QueueConfig: blkio.Config{Limit: 68, MaxMerge: 128 << 10},
-		MaxTransfer: 64 << 10,
-	})
+	rt := p.NewTieredVM(tier, gstate.SLA{}, 2, 2, workload.CongestProneDisk())
 	ms := workload.NewMultiStream(p.Kernel, rt.G, rt.G.Disks()[0], 8, 1<<30, 1<<20,
 		p.Rng.Fork(fmt.Sprintf("gs%d", i)))
 	ms.Start()

@@ -11,7 +11,6 @@ import (
 	"iorchestra/internal/apps"
 	"iorchestra/internal/blkio"
 	"iorchestra/internal/guest"
-	"iorchestra/internal/pagecache"
 	"iorchestra/internal/store"
 	"iorchestra/internal/workload"
 )
@@ -21,9 +20,7 @@ func TestIntegrationFlushPolicyKeepsCachesCleanerThanBaseline(t *testing.T) {
 		p := NewPlatform(sys, 11, WithPolicies(Policies{Flush: true}))
 		var vms []*VM
 		for i := 0; i < 4; i++ {
-			rt := p.NewVM(1, 1, guest.DiskConfig{Name: "xvda", CacheConfig: pagecache.Config{
-				TotalPages: (1 << 30) / pagecache.PageSize,
-				DirtyRatio: 0.4, BackgroundRatio: 0.2, WritebackWindow: 64}})
+			rt := p.NewVM(1, 1, workload.FlushProneDisk(0.4))
 			fs := workload.NewFS(p.Kernel, rt.G, rt.G.Disks()[0], workload.FSConfig{
 				Threads: 2, MeanFileSize: 1 << 20, Think: 6 * Millisecond,
 				WriteFrac: 0.8, AppendFrac: 0.1, ReadFrac: 0.05,

@@ -4,7 +4,6 @@ import (
 	"iorchestra/internal/apps"
 	"iorchestra/internal/guest"
 	"iorchestra/internal/hypervisor"
-	"iorchestra/internal/pagecache"
 	"iorchestra/internal/sim"
 	"iorchestra/internal/stats"
 	"iorchestra/internal/store"
@@ -146,16 +145,7 @@ func createVM(h *hypervisor.Host, vcpus int, hooks VMHooks) *hypervisor.GuestRun
 	rt := h.CreateGuest(guest.Config{
 		VCPUs:    vcpus,
 		MemBytes: int64(vcpus) << 30,
-	}, guest.DiskConfig{Name: "xvda", CacheConfig: pagecache.Config{
-		// The OS page cache available for dirty data is bounded by what
-		// the apps leave free, not the whole VM (≈1 GB regardless of
-		// size); write bursts therefore outrun the dirty budget, which is
-		// the regime the flush policy targets.
-		TotalPages:      (1 << 30) / pagecache.PageSize,
-		DirtyRatio:      0.2,
-		BackgroundRatio: 0.1,
-		WritebackWindow: 64,
-	}})
+	}, workload.FlushProneDisk(0.2))
 	if hooks.OnCreate != nil {
 		hooks.OnCreate(rt)
 	}
@@ -200,14 +190,7 @@ func launchApp(k *sim.Kernel, g *guest.Guest, app AppKind, vcpus int, units floa
 	d := g.Disks()[0]
 	switch app {
 	case AppFS:
-		fs := workload.NewFS(k, g, d, workload.FSConfig{
-			Threads:      vcpus,
-			MeanFileSize: 1 << 20,
-			Think:        6 * sim.Millisecond,
-			WriteFrac:    0.8, AppendFrac: 0.1, ReadFrac: 0.05,
-			BurstOn:  1500 * sim.Millisecond,
-			BurstOff: 3500 * sim.Millisecond,
-		}, rng)
+		fs := workload.NewFS(k, g, d, workload.FlushProneFS(vcpus), rng)
 		fs.Start()
 		// FS has no natural end: poll for the data-transmission quota.
 		poll(func() bool { return fs.WrittenBytes() >= units })

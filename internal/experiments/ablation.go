@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"iorchestra"
-	"iorchestra/internal/blkio"
 	"iorchestra/internal/core"
 	"iorchestra/internal/guest"
 	"iorchestra/internal/hypervisor"
-	"iorchestra/internal/pagecache"
 	"iorchestra/internal/sim"
 	"iorchestra/internal/workload"
 )
@@ -46,16 +44,6 @@ func durationAxis(ds []sim.Duration) (xs []float64, xtext []string) {
 	return xs, xtext
 }
 
-// congestedDisk is the small-ring disk profile whose queues falsely
-// trigger avoidance under multi-stream readahead.
-func congestedDisk() guest.DiskConfig {
-	return guest.DiskConfig{
-		Name:        "xvda",
-		QueueConfig: blkio.Config{Limit: 68, MaxMerge: 128 << 10},
-		MaxTransfer: 64 << 10,
-	}
-}
-
 // ablateStoreLatency sweeps the watch-notification latency: how slow may
 // the control channel get before the collaborative veto stops paying off?
 func ablateStoreLatency(scale Scale, seed uint64) Panel {
@@ -68,7 +56,7 @@ func ablateStoreLatency(scale Scale, seed uint64) Panel {
 		p := tracedPlatform(iorchestra.SystemIOrchestra, seed,
 			iorchestra.WithPolicies(iorchestra.Policies{Congestion: true}),
 			iorchestra.WithHostConfig(hypervisor.Config{StoreLatency: latencies[i]}))
-		vm := p.NewVM(4, 4, congestedDisk())
+		vm := p.NewVM(4, 4, workload.CongestProneDisk())
 		ms := workload.NewMultiStream(p.Kernel, vm.G, vm.G.Disks()[0], 8, 1<<30, 1<<20,
 			p.Rng.Fork("ms"))
 		ms.Start()
@@ -94,14 +82,9 @@ func ablateFlushThreshold(scale Scale, seed uint64) Panel {
 			iorchestra.WithManagerConfig(core.ManagerConfig{FlushUtilFrac: fracs[i]}))
 		var gens []*workload.FS
 		for j := 0; j < 10; j++ {
-			rt := p.NewVM(1, 1, guest.DiskConfig{Name: "xvda", CacheConfig: pagecache.Config{
-				TotalPages: (1 << 30) / pagecache.PageSize, DirtyRatio: 0.2,
-				BackgroundRatio: 0.1, WritebackWindow: 64}})
-			fs := workload.NewFS(p.Kernel, rt.G, rt.G.Disks()[0], workload.FSConfig{
-				Threads: 2, MeanFileSize: 1 << 20, Think: 6 * sim.Millisecond,
-				WriteFrac: 0.8, AppendFrac: 0.1, ReadFrac: 0.05,
-				BurstOn: 1500 * sim.Millisecond, BurstOff: 3500 * sim.Millisecond,
-			}, p.Rng.Fork(fmt.Sprintf("fs%d", j)))
+			rt := p.NewVM(1, 1, workload.FlushProneDisk(0.2))
+			fs := workload.NewFS(p.Kernel, rt.G, rt.G.Disks()[0], workload.FlushProneFS(2),
+				p.Rng.Fork(fmt.Sprintf("fs%d", j)))
 			fs.Start()
 			gens = append(gens, fs)
 		}
@@ -130,7 +113,7 @@ func ablateReleaseStagger(scale Scale, seed uint64) Panel {
 			iorchestra.WithManagerConfig(core.ManagerConfig{ReleaseStaggerMax: staggers[i]}))
 		var gens []*workload.MultiStream
 		for j := 0; j < 4; j++ {
-			vm := p.NewVM(2, 2, congestedDisk())
+			vm := p.NewVM(2, 2, workload.CongestProneDisk())
 			ms := workload.NewMultiStream(p.Kernel, vm.G, vm.G.Disks()[0], 8, 256<<20, 1<<20,
 				p.Rng.Fork(fmt.Sprintf("ms%d", j)))
 			ms.Start()

@@ -5,9 +5,7 @@ import (
 
 	"iorchestra"
 	"iorchestra/internal/fault"
-	"iorchestra/internal/guest"
 	"iorchestra/internal/metrics"
-	"iorchestra/internal/pagecache"
 	"iorchestra/internal/sim"
 	"iorchestra/internal/workload"
 )
@@ -36,20 +34,8 @@ const chaosVMs = 4
 // ratios under a write-heavy fileserver keeps Algorithm 1 busy, which is
 // exactly the traffic the flush-deadline machinery needs to be exercised.
 func chaosVM(p *iorchestra.Platform, i int) *workload.FS {
-	rt := p.NewVM(1, 1, guest.DiskConfig{
-		Name: "xvda",
-		CacheConfig: pagecache.Config{
-			TotalPages:      (1 << 30) / pagecache.PageSize,
-			DirtyRatio:      0.2,
-			BackgroundRatio: 0.1,
-			WritebackWindow: 64,
-		},
-	})
-	fs := workload.NewFS(p.Kernel, rt.G, rt.G.Disks()[0], workload.FSConfig{
-		Threads: 2, MeanFileSize: 1 << 20, Think: 6 * sim.Millisecond,
-		WriteFrac: 0.8, AppendFrac: 0.1, ReadFrac: 0.05,
-		BurstOn: 1500 * sim.Millisecond, BurstOff: 3500 * sim.Millisecond,
-	}, p.Rng.Fork(fmt.Sprintf("fs%d", i)))
+	rt := p.NewVM(1, 1, workload.FlushProneDisk(0.2))
+	fs := workload.NewFS(p.Kernel, rt.G, rt.G.Disks()[0], workload.FlushProneFS(2), p.Rng.Fork(fmt.Sprintf("fs%d", i)))
 	fs.Start()
 	return fs
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"iorchestra"
-	"iorchestra/internal/guest"
-	"iorchestra/internal/pagecache"
 	"iorchestra/internal/sim"
 	"iorchestra/internal/workload"
 )
@@ -52,24 +50,9 @@ func runFig8Point(iorch bool, seed uint64, vms int, dirtyRatio float64, dur sim.
 		iorchestra.WithPolicies(iorchestra.Policies{Flush: true}))
 	var gens []*workload.FS
 	for i := 0; i < vms; i++ {
-		rt := p.NewVM(1, 1, guest.DiskConfig{
-			Name: "xvda",
-			CacheConfig: pagecache.Config{
-				TotalPages:      (1 << 30) / pagecache.PageSize,
-				DirtyRatio:      dirtyRatio,
-				BackgroundRatio: dirtyRatio / 2,
-				WritebackWindow: 64,
-			},
-		})
-		fs := workload.NewFS(p.Kernel, rt.G, rt.G.Disks()[0],
-			workload.FSConfig{
-				Threads:      2,
-				MeanFileSize: 1 << 20,
-				Think:        6 * sim.Millisecond,
-				WriteFrac:    0.8, AppendFrac: 0.1, ReadFrac: 0.05,
-				BurstOn:  1500 * sim.Millisecond,
-				BurstOff: 3500 * sim.Millisecond,
-			}, p.Rng.Fork(fmt.Sprintf("fs%d", i)))
+		rt := p.NewVM(1, 1, workload.FlushProneDisk(dirtyRatio))
+		fs := workload.NewFS(p.Kernel, rt.G, rt.G.Disks()[0], workload.FlushProneFS(2),
+			p.Rng.Fork(fmt.Sprintf("fs%d", i)))
 		gens = append(gens, fs)
 	}
 	for _, g := range gens {

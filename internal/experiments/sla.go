@@ -31,7 +31,6 @@ import (
 	"fmt"
 
 	"iorchestra"
-	"iorchestra/internal/blkio"
 	"iorchestra/internal/gstate"
 	"iorchestra/internal/guest"
 	"iorchestra/internal/hypervisor"
@@ -58,12 +57,7 @@ var slaMixes = []slaMix{{2, 2, 2}, {1, 2, 3}, {3, 2, 1}}
 // against a small ring) with a declared tier: the population that keeps
 // the device saturated enough for latency budgets to matter.
 func slaVM(p *iorchestra.Platform, i int, tier gstate.Tier) *iorchestra.VM {
-	disk := guest.DiskConfig{
-		Name:        "xvda",
-		QueueConfig: blkio.Config{Limit: 68, MaxMerge: 128 << 10},
-		MaxTransfer: 64 << 10,
-	}
-	rt := p.NewTieredVM(tier, gstate.SLA{}, 2, 2, disk)
+	rt := p.NewTieredVM(tier, gstate.SLA{}, 2, 2, workload.CongestProneDisk())
 	ms := workload.NewMultiStream(p.Kernel, rt.G, rt.G.Disks()[0], 8, 1<<30, 1<<20,
 		p.Rng.Fork(fmt.Sprintf("sla%d", i)))
 	ms.Start()
@@ -173,12 +167,7 @@ func runSLAPoint(sysIdx int, seed uint64, mix slaMix, rogueBronze bool, dur sim.
 		// The uncooperative guest: created and declared bronze, but never
 		// enabled — no store driver registers, no controller attaches,
 		// nothing can actuate it. Its streams still pound the device.
-		rt := p.Host.CreateGuest(guest.Config{VCPUs: 2, MemBytes: 2 << 30},
-			guest.DiskConfig{
-				Name:        "xvda",
-				QueueConfig: blkio.Config{Limit: 68, MaxMerge: 128 << 10},
-				MaxTransfer: 64 << 10,
-			})
+		rt := p.Host.CreateGuest(guest.Config{VCPUs: 2, MemBytes: 2 << 30}, workload.CongestProneDisk())
 		gstate.PublishSLA(p.Host.Store(), rt.G.ID(), gstate.Bronze, gstate.SLA{})
 		ms := workload.NewMultiStream(p.Kernel, rt.G, rt.G.Disks()[0], 8, 1<<30, 1<<20,
 			p.Rng.Fork("rogue"))

@@ -29,11 +29,19 @@ type Cgroup struct {
 	inFlight    int
 	maxInFlight int
 
-	// tracer, when set, records Q/D/C events for every request that
-	// crosses the host dispatch path — the blktrace feed the paper's
-	// monitoring module consumes. A completion carries the host-path
-	// latency from its queued entry's arrival.
-	tracer *trace.Tracer
+	// The blktrace account of the dispatch path, the feed the paper's
+	// monitoring module consumes. pathLat[owner] is the lifetime
+	// completion count and summed host-path latency (arrival here to
+	// completion) of one owner's requests, always kept: the G-state
+	// verdict reads it. rec, when set, receives every request's
+	// dev.queue, dev.issue and dev.complete records.
+	pathLat map[int]*pathLatency
+	rec     *trace.Recorder
+}
+
+type pathLatency struct {
+	count uint64
+	sum   sim.Duration
 }
 
 // NewCgroup builds a dispatcher over dev. maxInFlight bounds requests
@@ -46,11 +54,8 @@ func NewCgroup(k *sim.Kernel, dev device.BlockDevice, maxInFlight int) *Cgroup {
 			maxInFlight = 8
 		}
 	}
-	return &Cgroup{k: k, dev: dev, maxInFlight: maxInFlight}
+	return &Cgroup{k: k, dev: dev, maxInFlight: maxInFlight, pathLat: map[int]*pathLatency{}}
 }
-
-// SetTracer installs a blktrace-style event recorder on the dispatch path.
-func (c *Cgroup) SetTracer(t *trace.Tracer) { c.tracer = t }
 
 // SetWeight sets a class's proportional weight, creating the class if
 // needed. A weight-0 class is never served.
@@ -101,10 +106,17 @@ func (c *Cgroup) BytesDispatched(id int) float64 {
 // Submit enqueues r under class id (created with weight 1 when unknown).
 func (c *Cgroup) Submit(id int, r *device.Request) {
 	c.drr.push(c.class(id), r, c.k.Now())
-	if c.tracer != nil {
-		c.tracer.Record(trace.Queue, r.Owner, r.Op == device.Write, r.Size)
-	}
+	c.record(trace.KindDevQueue, r, 0)
 	c.pump()
+}
+
+// PathLatency reports the completion count and summed host-path latency
+// of owner's requests. Two snapshots give a windowed mean.
+func (c *Cgroup) PathLatency(owner int) (count uint64, sum sim.Duration) {
+	if pl := c.pathLat[owner]; pl != nil {
+		return pl.count, pl.sum
+	}
+	return 0, 0
 }
 
 // pump dispatches by DRR while capacity remains.
@@ -117,20 +129,34 @@ func (c *Cgroup) pump() {
 		q := c.drr.pop(cl)
 		r := q.r
 		c.inFlight++
-		if c.tracer != nil {
-			c.tracer.Record(trace.Issue, r.Owner, r.Op == device.Write, r.Size)
-		}
+		c.record(trace.KindDevIssue, r, 0)
 		done := r.Done
 		r.Done = func() {
 			c.inFlight--
-			if c.tracer != nil {
-				c.tracer.RecordComplete(r.Owner, r.Op == device.Write, r.Size, c.k.Now()-q.at)
+			lat := c.k.Now() - q.at
+			pl := c.pathLat[r.Owner]
+			if pl == nil {
+				pl = &pathLatency{}
+				c.pathLat[r.Owner] = pl
 			}
+			pl.count++
+			pl.sum += lat
+			c.record(trace.KindDevComplete, r, lat)
 			if done != nil {
 				done()
 			}
 			c.pump()
 		}
 		c.dev.Submit(r)
+	}
+}
+
+// record sends one of r's Q/D/C records to the recorder, if one is set.
+func (c *Cgroup) record(kind trace.Kind, r *device.Request, latency sim.Duration) {
+	if c.rec != nil {
+		c.rec.Record(trace.Record{
+			Kind: kind, Dom: r.Owner, Device: c.dev.Name(),
+			Write: r.Op == device.Write, Size: r.Size, Latency: latency,
+		})
 	}
 }

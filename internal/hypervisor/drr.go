@@ -24,18 +24,19 @@ import (
 // request's size unless its quantum is zero, so a request larger than the
 // quantum still makes progress — and the ring is walked once more.
 //
-// A departed class leaves the ring once it is drained with no credit, and
-// keeps its byID entry, so a request of its guest that was already on the
-// way brings it back where it was, weight and quantum intact. The ring
-// then holds the live classes only, and picks are the ones a ring that
-// kept every class would make: a drained class is only ever skipped.
+// The ring holds the classes with work: a class joins it with its first
+// queued request and leaves when a walk finds it drained, its credit
+// forfeited. Picks are the ones a ring of every class would make, since a
+// drained class is only ever skipped. A class keeps its byID entry when
+// it leaves — its guest's departure included — so a later request brings
+// it back where it was, weight and quantum intact.
 type drr struct {
-	byID map[int]*drrClass // every class, departed ones too; never read by the walk
-	ring []*drrClass       // classes that can have work, ascending key
+	byID map[int]*drrClass // every class ever added; never read by the walk
+	ring []*drrClass       // classes with work (or drained since a walk passed), ascending key
 	// cursor is the key of the class the walk starts at — or of the
-	// departed class that sat there, the walk then starting at the next.
-	// A key, not an index, so a class leaving or rejoining the ring moves
-	// nothing.
+	// class that sat there before leaving, the walk then starting at the
+	// next. A key, not an index, so a class leaving or joining the ring
+	// moves nothing.
 	cursor int
 	queued int // requests queued across the ring
 }
@@ -46,8 +47,7 @@ type drrClass struct {
 	credit  float64
 	queue   sim.FIFO[arrival]
 	served  float64 // lifetime bytes served
-	gone    bool    // departed
-	out     bool    // departed and out of the ring
+	out     bool    // not in the ring
 }
 
 // arrival is one request waiting in a class and when it arrived.
@@ -61,7 +61,8 @@ func byKey(cl *drrClass, key int) int { return cmp.Compare(cl.key, key) }
 // add creates class id at ring key key. The cursor keeps its place in
 // the order of every class ever added — the parent cgroup's sort.Ints
 // kept the cursor's index — so a class added below it moves it to the
-// class just before it, departed or not.
+// class just before it, in the ring or not. The class starts out of the
+// ring.
 func (d *drr) add(id, key int, quantum float64) *drrClass {
 	if d.byID == nil {
 		d.byID, d.cursor = map[int]*drrClass{}, math.MinInt
@@ -75,22 +76,17 @@ func (d *drr) add(id, key int, quantum float64) *drrClass {
 		}
 		d.cursor = prev
 	}
-	cl := &drrClass{key: key, quantum: quantum}
+	cl := &drrClass{key: key, quantum: quantum, out: true}
 	d.byID[id] = cl
-	d.insert(cl)
 	return cl
 }
 
-func (d *drr) insert(cl *drrClass) {
-	at, _ := slices.BinarySearchFunc(d.ring, cl.key, byKey)
-	d.ring = slices.Insert(d.ring, at, cl)
-	cl.out = false
-}
-
-// push queues r on cl, arriving now.
+// push queues r on cl, arriving now; a class out of the ring joins it.
 func (d *drr) push(cl *drrClass, r *device.Request, now sim.Time) {
 	if cl.out {
-		d.insert(cl)
+		at, _ := slices.BinarySearchFunc(d.ring, cl.key, byKey)
+		d.ring = slices.Insert(d.ring, at, cl)
+		cl.out = false
 	}
 	cl.queue.Push(arrival{r: r, at: now})
 	d.queued++
@@ -111,37 +107,30 @@ func (d *drr) next() *drrClass {
 				d.cursor = cl.key
 				return cl
 			case !ok:
-				cl.credit = 0
-				if cl.gone {
-					d.drop(i)
-					continue
-				}
+				cl.credit, cl.out = 0, true
+				d.ring = slices.Delete(d.ring, i, i+1)
+				continue
 			}
 			i++
 		}
-		if sweep == 0 && !d.replenish() {
-			return nil
+		if sweep == 0 {
+			d.replenish()
 		}
 	}
 	return nil
 }
 
-// replenish starts a round: every backlogged class gains its quantum. It
-// reports whether any class is backlogged.
-func (d *drr) replenish() bool {
-	any := false
+// replenish starts a round: every class gains its quantum. It runs after
+// a walk that served nothing, which left only backlogged classes in the
+// ring.
+func (d *drr) replenish() {
 	for _, cl := range d.ring {
-		head, ok := cl.queue.Peek()
-		if !ok {
-			continue
-		}
+		head, _ := cl.queue.Peek()
 		cl.credit += cl.quantum
 		if size := float64(head.r.Size); cl.credit < size && cl.quantum > 0 {
 			cl.credit = size
 		}
-		any = true
 	}
-	return any
 }
 
 // pop dequeues cl's head request and charges it to cl's credit.
@@ -152,23 +141,4 @@ func (d *drr) pop(cl *drrClass) arrival {
 	cl.credit -= size
 	cl.served += size
 	return q
-}
-
-// depart marks class id departed. A drained class without credit leaves
-// the ring now; any other leaves when a walk finds it drained.
-func (d *drr) depart(id int) {
-	cl := d.byID[id]
-	if cl == nil || cl.gone {
-		return
-	}
-	cl.gone = true
-	if cl.queue.Len() == 0 && cl.credit == 0 {
-		i, _ := slices.BinarySearchFunc(d.ring, cl.key, byKey)
-		d.drop(i)
-	}
-}
-
-func (d *drr) drop(i int) {
-	d.ring[i].out = true
-	d.ring = slices.Delete(d.ring, i, i+1)
 }

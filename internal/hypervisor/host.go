@@ -119,7 +119,6 @@ type Host struct {
 	guests     map[store.DomID]*GuestRuntime
 	guestOrder []store.DomID
 	nextDom    store.DomID
-	tracer     *trace.Tracer
 	rec        *trace.Recorder // nil unless Config.Trace
 
 	// coreLoad[socket][core] counts VCPUs pinned to that core.
@@ -157,11 +156,9 @@ func New(k *sim.Kernel, cfg Config, rng *stats.Stream) *Host {
 		nextDom: 1,
 	}
 	h.cg = NewCgroup(k, cfg.Device, cfg.MaxDeviceInFlight)
-	h.tracer = trace.New(cfg.Device.Name())
-	h.cg.SetTracer(h.tracer)
 	if cfg.Trace {
 		h.rec = trace.NewRecorder(k, cfg.TraceCapacity)
-		h.tracer.SetRecorder(h.rec)
+		h.cg.rec = h.rec
 		st.SetRecorder(h.rec)
 		if dr, ok := cfg.Device.(interface{ SetRecorder(*trace.Recorder) }); ok {
 			dr.SetRecorder(h.rec)
@@ -189,8 +186,8 @@ func New(k *sim.Kernel, cfg Config, rng *stats.Stream) *Host {
 }
 
 // Kernel, Store, Bus and IOCores expose subsystems to the control plane.
-// The cgroup, the tracer and the congestion verdict are not exported:
-// policies read measurements through Monitor.
+// The cgroup (with its blktrace account) and the congestion verdict are
+// not exported: policies read measurements through Monitor.
 func (h *Host) Kernel() *sim.Kernel { return h.k }
 
 // Store exposes the system store.
@@ -289,12 +286,12 @@ func (h *Host) leastLoadedCore() (socket, core int) {
 }
 
 // RemoveGuest releases a VM's cores, closes its caches and forgets it:
-// its place in the creation order, its bus handle and its place in the
-// host's round robins (its cgroup class in backend mode, its buffer on
-// every I/O core, each once drained; a request still on its way is
-// served from it) go too, so a host that guests come and go on holds
+// its place in the creation order, its bus handle and its host-path
+// latency aggregate go too, so a host that guests come and go on holds
 // its live population and no more (used by the dynamic-arrival
-// experiments and by migration).
+// experiments and by migration). Its round-robin classes need nothing:
+// a drained class is already off the ring, and a request still on its
+// way is served from its class at the weight it had.
 func (h *Host) RemoveGuest(id store.DomID) {
 	rt := h.guests[id]
 	if rt == nil {
@@ -311,12 +308,7 @@ func (h *Host) RemoveGuest(id store.DomID) {
 		h.guestOrder = slices.Delete(h.guestOrder, i, i+1)
 	}
 	h.bs.Unregister(id)
-	if h.cfg.Mode == ModeBackend {
-		h.cg.drr.depart(int(id))
-	}
-	for _, c := range h.iocores {
-		c.drr.depart(int(id))
-	}
+	delete(h.cg.pathLat, int(id))
 }
 
 // attachDisk wires one virtual disk through a frontend into the host path.

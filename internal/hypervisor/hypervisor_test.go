@@ -110,9 +110,6 @@ func TestIOCoreProcessesAndObservesLatency(t *testing.T) {
 	if core.Processed() != 20 {
 		t.Fatalf("Processed = %d", core.Processed())
 	}
-	if core.Latency().Count() != 20 {
-		t.Fatal("latency not observed")
-	}
 	if core.MeanLatency(k.Now()) <= 0 {
 		t.Fatal("MeanLatency not positive")
 	}
@@ -388,7 +385,107 @@ func TestHostTracerRecordsDispatchPath(t *testing.T) {
 	if q != 5 || issue != 5 || comp != 5 {
 		t.Fatalf("trace Q/D/C = %d/%d/%d, want 5/5/5", q, issue, comp)
 	}
-	if n, sum := h.tracer.PathLatency(int(rt.G.ID())); n != 5 || sum <= 0 {
-		t.Fatalf("tracer host-path aggregate = %d completions, %v; want 5, > 0", n, sum)
+	if n, sum := h.cg.PathLatency(int(rt.G.ID())); n != 5 || sum <= 0 {
+		t.Fatalf("host-path aggregate = %d completions, %v; want 5, > 0", n, sum)
+	}
+}
+
+// TestCgroupRecordsQDCInOrder: with a recorder set, each request through
+// the cgroup leaves dev.queue when it arrives, dev.issue when it goes to
+// the device and dev.complete, carrying its host-path latency, when it
+// comes back — typed, counted and in sim-time order.
+func TestCgroupRecordsQDCInOrder(t *testing.T) {
+	k := sim.NewKernel()
+	cg := NewCgroup(k, quietSSD(k, 21), 1)
+	cg.rec = trace.NewRecorder(k, 8)
+	k.At(1, func() {
+		cg.Submit(1, &device.Request{Op: device.Write, Size: 4096, Owner: 1})
+		cg.Submit(2, &device.Request{Op: device.Read, Size: 8192, Owner: 2})
+	})
+	k.Run()
+	type ev struct {
+		kind trace.Kind
+		dom  int
+	}
+	want := []ev{
+		{trace.KindDevQueue, 1}, {trace.KindDevIssue, 1}, {trace.KindDevQueue, 2},
+		{trace.KindDevComplete, 1}, {trace.KindDevIssue, 2}, {trace.KindDevComplete, 2},
+	}
+	evs := cg.rec.Events()
+	if len(evs) != len(want) {
+		t.Fatalf("%d records, want %d: %v", len(evs), len(want), evs)
+	}
+	for i, e := range evs {
+		if e.Kind != want[i].kind || e.Dom != want[i].dom || e.Device != "ssd" {
+			t.Fatalf("record %d = %v, want %s for dom %d on ssd", i, e, want[i].kind, want[i].dom)
+		}
+		if e.Kind == trace.KindDevComplete && e.Latency != e.At-1 {
+			t.Fatalf("dom %d completed at %v with latency %v, want %v since its arrival", e.Dom, e.At, e.Latency, e.At-1)
+		}
+	}
+	if evs[0].At != 1 || evs[3].At <= 1 || evs[5].At <= evs[3].At || !evs[0].Write || evs[2].Size != 8192 {
+		t.Fatalf("times, direction or size wrong: %v", evs)
+	}
+	for _, kind := range []trace.Kind{trace.KindDevQueue, trace.KindDevIssue, trace.KindDevComplete} {
+		if got := cg.rec.Count(kind); got != 2 {
+			t.Fatalf("Count(%s) = %d, want 2", kind, got)
+		}
+	}
+}
+
+// TestCgroupPathLatency: completions feed a per-owner (count, summed
+// host-path latency) with no recorder set; an owner without completions
+// reads zeros.
+func TestCgroupPathLatency(t *testing.T) {
+	k := sim.NewKernel()
+	cg := NewCgroup(k, quietSSD(k, 22), 1)
+	var want [3]sim.Duration
+	for i, owner := range []int{1, 1, 2} {
+		at := sim.Time(i+1) * sim.Millisecond
+		k.At(at, func() {
+			cg.Submit(owner, &device.Request{Op: device.Read, Size: 4096, Owner: owner, Done: func() { want[owner] += k.Now() - at }})
+		})
+	}
+	k.Run()
+	if count, sum := cg.PathLatency(1); count != 2 || sum != want[1] || sum <= 0 {
+		t.Fatalf("PathLatency(1) = %d, %v; want 2, %v", count, sum, want[1])
+	}
+	if count, sum := cg.PathLatency(2); count != 1 || sum != want[2] {
+		t.Fatalf("PathLatency(2) = %d, %v; want 1, %v", count, sum, want[2])
+	}
+	if count, sum := cg.PathLatency(3); count != 0 || sum != 0 {
+		t.Fatalf("PathLatency(3) = %d, %v; want zeros", count, sum)
+	}
+}
+
+// TestQuantumProbeCreatesNoBuffer: reading an unseen VM's quantum
+// creates nothing, so it cannot give that VM a ring key ahead of the
+// VMs whose requests arrive first. The probe script reads dom 3's
+// quantum between dom 1's first request and dom 2's; a probe that
+// created dom 3's buffer would put it before dom 2 in the ring and
+// change the order the three are served in.
+func TestQuantumProbeCreatesNoBuffer(t *testing.T) {
+	served := func(probe bool) []int {
+		k := sim.NewKernel()
+		core := NewIOCore(k, 0, NewCgroup(k, instantDevice{k: k}, 64), 0, 0)
+		var order []int
+		enqueue := func(dom int) {
+			for i := 0; i < 3; i++ {
+				core.Enqueue(store.DomID(dom), &device.Request{Size: defaultQuantum, Done: func() { order = append(order, dom) }})
+			}
+		}
+		enqueue(1)
+		if probe {
+			if q := core.Quantum(3); q != defaultQuantum {
+				t.Fatalf("Quantum of an unseen VM = %v, want %v", q, defaultQuantum)
+			}
+		}
+		enqueue(2)
+		enqueue(3)
+		k.Run()
+		return order
+	}
+	if plain, probed := served(false), served(true); !slices.Equal(plain, probed) {
+		t.Fatalf("a Quantum probe changed the service order: %v, without it %v", probed, plain)
 	}
 }

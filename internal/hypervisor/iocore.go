@@ -31,8 +31,7 @@ type IOCore struct {
 	// Latency on the I/O core (arrival in buffer → handed to the device):
 	// the L_i the co-scheduling weight formula divides by. latWin holds
 	// each request's latency in seconds over the trailing second.
-	latWin  *metrics.WindowRate
-	latHist *metrics.Histogram
+	latWin *metrics.WindowRate
 
 	processed uint64
 	bytes     float64
@@ -54,7 +53,6 @@ func NewIOCore(k *sim.Kernel, id int, out *Cgroup, costPerReq sim.Duration, core
 		costPerReq: costPerReq,
 		perByteNs:  float64(sim.Second) / coreBps,
 		latWin:     metrics.NewWindowRate(sim.Second, 1024),
-		latHist:    metrics.NewHistogram(),
 	}
 	c.finishFn = c.finish
 	return c
@@ -68,9 +66,6 @@ func (c *IOCore) Processed() uint64 { return c.processed }
 
 // Bytes reports lifetime bytes handled.
 func (c *IOCore) Bytes() float64 { return c.bytes }
-
-// Latency exposes the on-core latency histogram.
-func (c *IOCore) Latency() *metrics.Histogram { return c.latHist }
 
 // MeanLatency reports the trailing-window mean on-core latency in seconds
 // (the L_i input to the weight redistribution formula). Zero-traffic cores
@@ -87,11 +82,6 @@ func (c *IOCore) MeanLatency(now sim.Time) float64 {
 	return floor
 }
 
-func (c *IOCore) observe(lat sim.Duration) {
-	c.latHist.Record(lat)
-	c.latWin.Add(c.k.Now(), lat.Seconds())
-}
-
 // defaultQuantum is a buffer's DRR quantum until the policy sets one.
 const defaultQuantum = 256 << 10
 
@@ -104,8 +94,14 @@ func (c *IOCore) SetQuantum(dom store.DomID, bytes float64) {
 	c.buffer(dom).quantum = bytes
 }
 
-// Quantum reports a VM's current quantum.
-func (c *IOCore) Quantum(dom store.DomID) float64 { return c.buffer(dom).quantum }
+// Quantum reports a VM's current quantum (defaultQuantum for a VM the
+// core has not seen).
+func (c *IOCore) Quantum(dom store.DomID) float64 {
+	if b := c.drr.byID[int(dom)]; b != nil {
+		return b.quantum
+	}
+	return defaultQuantum
+}
 
 // buffer returns dom's buffer, created on first use. Buffers are ordered
 // by first use: the key is the number of buffers made before.
@@ -152,7 +148,7 @@ func (c *IOCore) finish() {
 	p := c.serving
 	c.processed++
 	c.bytes += float64(p.r.Size)
-	c.observe(c.k.Now() - p.at)
+	c.latWin.Add(c.k.Now(), (c.k.Now() - p.at).Seconds())
 	c.out.Submit(c.id, p.r)
 	c.poll()
 }

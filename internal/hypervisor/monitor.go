@@ -146,14 +146,14 @@ func (mo *Monitor) HostPathP99() sim.Time {
 }
 
 // GuestPathStats reports the completion count and summed host-path
-// latency of one guest's I/O, from the dispatch path's always-on tracer
+// latency of one guest's I/O, from the cgroup's always-on blktrace account
 // (zeros when the guest has no completions) — never from the optional
 // decision-trace recorder, so a verdict built on it cannot depend on
 // whether anyone is tracing. Two snapshots give a windowed mean — the
 // G-state controller's per-guest latency verdict — without the
 // saturation a lifetime percentile would suffer under sustained load.
 func (mo *Monitor) GuestPathStats(dom store.DomID) (count uint64, sum sim.Time) {
-	return mo.h.tracer.PathLatency(int(dom))
+	return mo.h.cg.PathLatency(int(dom))
 }
 
 // ActiveVCPUs reports the summed VCPU count of resident guests — the
@@ -242,10 +242,8 @@ func (mo *Monitor) ObserveNrDirty(dom store.DomID, disk string, nr int64) {
 	}
 }
 
-// ForgetGuest drops all dirty state and the host-path latency aggregate
-// for a removed or demoted guest.
+// ForgetGuest drops all dirty state for a removed or demoted guest.
 func (mo *Monitor) ForgetGuest(dom store.DomID) {
-	mo.h.tracer.ForgetOwner(int(dom))
 	for _, e := range mo.dirty[dom] {
 		if e.st.HasDirty {
 			mo.dirtyCount--

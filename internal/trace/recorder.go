@@ -1,3 +1,8 @@
+// Package trace is the unified decision trace: one (sim-time,
+// seq)-ordered stream of typed records — the control plane's decisions
+// and store traffic, and the host dispatch path's blktrace-style Q/D/C
+// events, which the paper's monitoring module uses to observe physical
+// disk status — exportable as NDJSON and counted per kind.
 package trace
 
 import (

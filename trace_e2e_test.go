@@ -12,10 +12,6 @@ import (
 	"reflect"
 	"testing"
 
-	"iorchestra/internal/blkio"
-	"iorchestra/internal/guest"
-	"iorchestra/internal/pagecache"
-	"iorchestra/internal/sim"
 	"iorchestra/internal/trace"
 	"iorchestra/internal/workload"
 )
@@ -23,31 +19,15 @@ import (
 // flushProneVM is the Fig. 8 profile: a small cache with low dirty ratios
 // under a write-heavy FileBench fileserver piles up dirty pages fast.
 func flushProneVM(p *Platform, i int) {
-	rt := p.NewVM(1, 1, guest.DiskConfig{
-		Name: "xvda",
-		CacheConfig: pagecache.Config{
-			TotalPages:      (1 << 30) / pagecache.PageSize,
-			DirtyRatio:      0.2,
-			BackgroundRatio: 0.1,
-			WritebackWindow: 64,
-		},
-	})
-	fs := workload.NewFS(p.Kernel, rt.G, rt.G.Disks()[0], workload.FSConfig{
-		Threads: 2, MeanFileSize: 1 << 20, Think: 6 * sim.Millisecond,
-		WriteFrac: 0.8, AppendFrac: 0.1, ReadFrac: 0.05,
-		BurstOn: 1500 * sim.Millisecond, BurstOff: 3500 * sim.Millisecond,
-	}, p.Rng.Fork(fmt.Sprintf("fs%d", i)))
+	rt := p.NewVM(1, 1, workload.FlushProneDisk(0.2))
+	fs := workload.NewFS(p.Kernel, rt.G, rt.G.Disks()[0], workload.FlushProneFS(2), p.Rng.Fork(fmt.Sprintf("fs%d", i)))
 	fs.Start()
 }
 
 // congestProneVM is the Sec. 2 motivation profile: eight readahead streams
 // against a small ring cross the 7/8 threshold without real congestion.
 func congestProneVM(p *Platform, i int) {
-	rt := p.NewVM(4, 4, guest.DiskConfig{
-		Name:        "xvda",
-		QueueConfig: blkio.Config{Limit: 68, MaxMerge: 128 << 10},
-		MaxTransfer: 64 << 10,
-	})
+	rt := p.NewVM(4, 4, workload.CongestProneDisk())
 	ms := workload.NewMultiStream(p.Kernel, rt.G, rt.G.Disks()[0], 8, 1<<30, 1<<20,
 		p.Rng.Fork(fmt.Sprintf("ms%d", i)))
 	ms.Start()
