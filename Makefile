@@ -38,8 +38,10 @@ race:
 # The wire fuzz targets, 10 s each (go test -fuzz takes one target per
 # run): the decoders — FuzzDecodeBatch is the one request decoder's, any
 # opcode's body, single frame or batch, and keeps the name the test floor
-# lists its seeds under — the frame reader against its reference, then
-# whole frames at a live server connection.
+# lists its seeds under — the frame reader against its reference, whole
+# frames at a live server connection, then the shared-memory transport:
+# byte streams and hostile indexes through a ring, and hellos carrying
+# descriptors no server may take.
 # Plain `make test` already runs their seed corpus. The server target's
 # coverage moves with goroutine scheduling, so the engine is given 1 s,
 # not its default minute, to minimize each input it finds interesting —
@@ -50,6 +52,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplyComposites$$' -fuzztime 10s ./internal/netstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s ./internal/netstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzServerFrames$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/netstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzRingStream$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/netstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzHello$$' -fuzztime 10s ./internal/netstore/
 
 # Manager-tick microbenchmarks (all three policies over 8 guests), then
 # the two bring-up and tear-down cost lines — a host's 200 guests brought

@@ -40,14 +40,18 @@ func (e *endpoints) Set(v string) error {
 	return nil
 }
 
-// listen opens one tcp:// or unix:// endpoint URL; stale unix socket
-// files from a previous run are removed before binding.
+// listen opens one tcp:// or unix:// endpoint URL. A stale Unix socket
+// from a previous run — one nothing answers on — is removed before
+// binding; anything else at the path is refused, never removed.
 func listen(url string) (net.Listener, error) {
 	if addr, ok := strings.CutPrefix(url, "tcp://"); ok {
 		return net.Listen("tcp", addr)
 	}
 	if path, ok := strings.CutPrefix(url, "unix://"); ok {
-		if _, err := os.Stat(path); err == nil {
+		if fi, err := os.Lstat(path); err == nil {
+			if fi.Mode()&os.ModeSocket == 0 {
+				return nil, fmt.Errorf("unix://%s: not a socket, left in place", path)
+			}
 			if c, derr := net.DialTimeout("unix", path, 200*time.Millisecond); derr == nil {
 				c.Close()
 				return nil, fmt.Errorf("unix://%s: already serving", path)
@@ -136,6 +140,6 @@ func main() {
 	ctr := srv.Counters()
 	srv.Close()
 	fmt.Fprintf(os.Stderr,
-		"iorchestra-stored: served %d conns (%d evicted), %d events (%d coalesced), %d writes, %d trace lines dropped\n",
-		ctr.Accepted, ctr.Evicted, ctr.Events, ctr.Coalesced, ctr.StoreWrites, ctr.TraceDropped)
+		"iorchestra-stored: served %d conns (%d evicted, %d on a shared-memory ring, %d doorbells), %d events (%d coalesced), %d writes, %d trace lines dropped\n",
+		ctr.Accepted, ctr.Evicted, ctr.RingConns, ctr.Doorbells, ctr.Events, ctr.Coalesced, ctr.StoreWrites, ctr.TraceDropped)
 }

@@ -110,4 +110,31 @@ func TestStoreFaultSpecServes(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping through a store with watchdrop=0.01: %v", err)
 	}
+	// A client in another process shares a ring with the daemon.
+	if ctr, err := c.Stats(); err != nil || ctr.RingConns != 1 {
+		t.Fatalf("stats: %d connections on a ring (%v), want this one", ctr.RingConns, err)
+	}
+}
+
+// TestListenLeavesANonSocket: -listen unix://<path> removes a stale
+// socket, but a regular file at the path is refused — one line, exit
+// status 1 — and survives.
+func TestListenLeavesANonSocket(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "not.sock")
+	if err := os.WriteFile(path, []byte("keep me\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(toolPath, "-listen", "unix://"+path)
+	var se strings.Builder
+	cmd.Stderr = &se
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("-listen over a regular file: %v, want exit status 1\nstderr:\n%s", err, se.String())
+	}
+	if stderr := se.String(); strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, "not a socket") {
+		t.Errorf("want one line saying it is not a socket, got:\n%s", stderr)
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "keep me\n" {
+		t.Errorf("the file at the path did not survive: %q, %v", b, err)
+	}
 }

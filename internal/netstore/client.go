@@ -134,42 +134,32 @@ func NewClient(nc net.Conn, dom store.DomID, token string) (*Client, error) {
 	}
 	c.evCond.L = &c.evMu
 	// Handshake is synchronous: one frame out, one frame back, before the
-	// read loop owns the socket.
+	// read loop owns the socket. On a Unix socket the hello offers a ring
+	// (ring.go), which the server's reply may have accepted.
 	e := &enc{}
 	e.op(OpHandshake, 1)
 	e.u32(Magic)
 	e.u8(ProtocolVersion)
 	e.u32(uint32(dom))
 	e.str(token)
-	if err := writeFrame(nc, e.b); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	payload, err := c.fr.next()
+	region, err := sendHello(nc, e.b)
 	if err != nil {
 		nc.Close()
 		return nil, err
 	}
-	d := &dec{b: payload}
-	if Op(d.u8()) != OpReply || d.u32() != 1 {
-		nc.Close()
-		return nil, fmt.Errorf("%w: unexpected handshake reply", ErrBadRequest)
-	}
-	st := Status(d.u8())
-	msg := d.str()
-	if rerr := errOf(st, msg); rerr != nil {
-		nc.Close()
-		return nil, rerr
-	}
-	accepted := d.u8()
-	d.u64() // the store's version counter at handshake; no client path reads it
-	if err := d.done(); err != nil {
+	if err := c.helloReply(); err != nil {
+		if region != nil {
+			unmapRegion(region)
+		}
 		nc.Close()
 		return nil, err
 	}
-	if accepted != ProtocolVersion {
-		nc.Close()
-		return nil, fmt.Errorf("%w: server answered protocol version %d (want %d)", ErrBadRequest, accepted, ProtocolVersion)
+	if region != nil {
+		if c.c, err = takeRing(nc, region); err != nil {
+			nc.Close()
+			return nil, err
+		}
+		c.fr.r = c.c
 	}
 	c.sweepEvery = requestTimeout / 4
 	c.reqMu.Lock()
@@ -178,6 +168,32 @@ func NewClient(nc net.Conn, dom store.DomID, token string) (*Client, error) {
 	go c.readLoop()
 	go c.dispatchLoop()
 	return c, nil
+}
+
+// helloReply reads and checks the server's answer to the hello.
+func (c *Client) helloReply() error {
+	payload, err := c.fr.next()
+	if err != nil {
+		return err
+	}
+	d := &dec{b: payload}
+	if Op(d.u8()) != OpReply || d.u32() != 1 {
+		return fmt.Errorf("%w: unexpected handshake reply", ErrBadRequest)
+	}
+	st := Status(d.u8())
+	msg := d.str()
+	if rerr := errOf(st, msg); rerr != nil {
+		return rerr
+	}
+	accepted := d.u8()
+	d.u64() // the store's version counter at handshake; no client path reads it
+	if err := d.done(); err != nil {
+		return err
+	}
+	if accepted != ProtocolVersion {
+		return fmt.Errorf("%w: server answered protocol version %d (want %d)", ErrBadRequest, accepted, ProtocolVersion)
+	}
+	return nil
 }
 
 // Close tears the connection down; in-flight requests fail with

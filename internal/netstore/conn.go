@@ -106,8 +106,9 @@ func (c *srvConn) shutdown() {
 		c.qmu.Lock()
 		c.qclosed = true
 		c.qcond.Broadcast()
+		conn := c.c
 		c.qmu.Unlock()
-		c.c.Close()
+		conn.Close()
 	})
 }
 
@@ -245,12 +246,19 @@ func replyTo(id uint32, err error) enc {
 // refused. Its replies go straight to the socket, not through the
 // outbound queue: nothing else can be queued yet (requests and watches
 // require a completed handshake), and a rejection must reach the peer
-// before the connection closes.
+// before the connection closes. A Unix peer's hello may offer a ring
+// (ring.go); one that is taken carries the rest of the connection.
 func (c *srvConn) handshake() error {
+	o := newOffer(c.c)
+	if o != nil {
+		c.fr.r = o
+		defer o.close()
+	}
 	payload, err := c.fr.next()
 	if err != nil {
 		return err
 	}
+	c.fr.r = c.c
 	d := &dec{b: payload}
 	op := Op(d.u8())
 	id := d.u32()
@@ -287,6 +295,9 @@ func (c *srvConn) handshake() error {
 	}) {
 		return ErrClosed
 	}
+	// A peer that sent more than its hello is not waiting for the reply
+	// to switch, so it stays on the socket.
+	ring := o != nil && c.fr.head == c.fr.tail && o.accept()
 	e := replyTo(id, nil)
 	e.u8(ProtocolVersion)
 	e.u64(version)
@@ -294,5 +305,25 @@ func (c *srvConn) handshake() error {
 		return err
 	}
 	c.c.SetWriteDeadline(time.Time{})
+	if !ring {
+		return nil
+	}
+	rc, err := o.ring(&c.srv.doorbells)
+	if err != nil {
+		return err // the peer was told it is on a ring: it cannot stay
+	}
+	// shutdown closes whatever c.c is under qmu, so the swap is made there.
+	c.qmu.Lock()
+	closed := c.qclosed
+	if !closed {
+		c.c = rc
+	}
+	c.qmu.Unlock()
+	if closed {
+		rc.Close()
+		return ErrClosed
+	}
+	c.fr.r = rc
+	c.srv.ringConns.Add(1)
 	return nil
 }

@@ -164,7 +164,7 @@ func TestEventsCoalesceBeforeEncode(t *testing.T) {
 	srv, sock := startServer(t, Options{WriteTimeout: time.Minute})
 	writer := dialT(t, sock, 3)
 	base := store.DomainPath(3)
-	stalled := dialStalled(t, sock, 3, base)
+	stalled := dialStalled(t, sock, 3, base, false)
 
 	// Wedge the writer: more event bytes than any socket buffer takes.
 	// The first filler alone exceeds the flush budget, so the flush that

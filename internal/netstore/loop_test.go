@@ -222,7 +222,7 @@ func TestDoDuringClose(t *testing.T) {
 func TestSelfEvictionUnderLock(t *testing.T) {
 	srv, sock := startServer(t, Options{NotifyQueue: 1})
 	base := store.DomainPath(3)
-	nc := dialStalled(t, sock, 3, base)
+	nc := dialStalled(t, sock, 3, base, false)
 
 	// 1 queued + 64 parked keys is the whole backlog; 1000 distinct paths
 	// in one operation overrun it however fast the writer drains.

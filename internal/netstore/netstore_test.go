@@ -6,6 +6,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -359,44 +360,66 @@ func readReply(nc net.Conn) (body *dec, status, err error) {
 }
 
 // dialStalled connects and handshakes as dom, registers a watch on
-// prefix, and then never reads from the socket again — a deliberately
-// wedged client. Nothing has been written under prefix yet, so the two
-// frames it does read are exactly the two replies.
-func dialStalled(t *testing.T, sock string, dom store.DomID, prefix string) net.Conn {
+// prefix, and then never reads again — a deliberately wedged client.
+// Nothing has been written under prefix yet, so the two frames it does
+// read are exactly the two replies. With ring it offers a shared-memory
+// ring as Dial does, and what it never reads is the ring, which it keeps
+// mapped (on a system without rings it stays on the socket).
+func dialStalled(t *testing.T, sock string, dom store.DomID, prefix string, ring bool) net.Conn {
 	t.Helper()
 	nc, err := net.Dial("unix", sock)
 	if err != nil {
 		t.Fatalf("stalled dial: %v", err)
 	}
-	t.Cleanup(func() { nc.Close() })
+	var region []byte
+	if ring {
+		region, err = sendHello(nc, helloFrame(ProtocolVersion, dom))
+	} else {
+		err = writeFrame(nc, helloFrame(ProtocolVersion, dom))
+	}
+	if err != nil {
+		t.Fatalf("stalled dial: %v", err)
+	}
+	if _, status, err := readReply(nc); err != nil || status != nil {
+		t.Fatalf("stalled dial: %v / %v", status, err)
+	}
+	conn := net.Conn(nc)
+	if region != nil {
+		if conn, err = takeRing(nc, region); err != nil {
+			t.Fatalf("stalled dial: %v", err)
+		}
+	}
+	t.Cleanup(func() { conn.Close() })
 	w := &enc{}
 	w.op(OpWatch, 2)
 	w.u32(1)
 	w.str(prefix)
-	for _, req := range [][]byte{helloFrame(ProtocolVersion, dom), w.b} {
-		if err := writeFrame(nc, req); err != nil {
-			t.Fatalf("stalled dial: %v", err)
-		}
-		if _, status, err := readReply(nc); err != nil || status != nil {
-			t.Fatalf("stalled dial: %v / %v", status, err)
-		}
+	if err := writeFrame(conn, w.b); err != nil {
+		t.Fatalf("stalled dial: %v", err)
 	}
-	return nc
+	if _, status, err := readReply(conn); err != nil || status != nil {
+		t.Fatalf("stalled dial: %v / %v", status, err)
+	}
+	return conn
 }
 
 // TestStalledClientEvicted pins the eviction contract (docs/
-// WIRE_PROTOCOL.md §4): a wedged watcher is cut off on write-stall
-// evidence, while a live watcher on the same subtree — overflowing the
-// same tiny queue, but draining — is never severed and ends up with the
-// final value of every path.
+// WIRE_PROTOCOL.md §4): two wedged watchers — one whose socket fills, one
+// whose shared-memory ring does — are each cut off on write-stall
+// evidence, between one and two WriteTimeouts after their writer stalled,
+// while a live watcher on the same subtree — overflowing the same tiny
+// queue, but draining — is never severed and ends up with the final value
+// of every path.
 func TestStalledClientEvicted(t *testing.T) {
-	srv, sock := startServer(t, Options{NotifyQueue: 4, WriteTimeout: 300 * time.Millisecond})
+	const wt = 300 * time.Millisecond
+	srv, sock := startServer(t, Options{NotifyQueue: 4, WriteTimeout: wt})
 	// The blaster shares dom3 so the dom3 watchers can read every node it
 	// creates (Dom0-created nodes would be invisible to them).
 	writer := dialT(t, sock, 3)
 	base := store.DomainPath(3)
 
-	dialStalled(t, sock, 3, base)
+	dialStalled(t, sock, 3, base, false)
+	dialStalled(t, sock, 3, base, true)
 
 	live := dialT(t, sock, 3)
 	var liveMu sync.Mutex
@@ -408,10 +431,15 @@ func TestStalledClientEvicted(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if n := srv.Counters().RingConns; runtime.GOOS == "linux" && n != 3 {
+		t.Fatalf("%d connections on a ring, want the writer, the ring-stalled watcher and the live one", n)
+	}
 
-	// Distinct paths with fat values: nothing can coalesce, both watchers'
-	// queues overflow, and the stalled one's socket buffer fills.
+	// Distinct paths with fat values: nothing can coalesce, all three
+	// watchers' queues overflow, and the stalled ones' socket buffer and
+	// ring fill.
 	want := map[string]string{}
+	blastStart := time.Now()
 	for i := 0; i < 200; i++ {
 		p, v := fmt.Sprintf("%s/blast/%d", base, i), strings.Repeat(fmt.Sprint(i%10), 32<<10)
 		want[p] = v
@@ -423,12 +451,25 @@ func TestStalledClientEvicted(t *testing.T) {
 	if err := writer.Write(base+"/blast/final", "final"); err != nil {
 		t.Fatal(err)
 	}
+	blastEnd := time.Now()
+	// A writer stalls at some point of the blast and is cut at its armed
+	// deadline: at least one WriteTimeout after the stall, at most two.
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Counters().Evicted == 0 {
+	var evicted [2]time.Time
+	for n := 0; n < 2; {
 		if time.Now().After(deadline) {
-			t.Fatal("stalled client never evicted")
+			t.Fatalf("%d of the two stalled clients evicted", n)
 		}
-		time.Sleep(10 * time.Millisecond)
+		for got := int(srv.Counters().Evicted); n < got && n < 2; n++ {
+			evicted[n] = time.Now()
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if first := evicted[0].Sub(blastStart); first < wt {
+		t.Errorf("a stalled client was evicted %v into the blast, before one WriteTimeout (%v)", first, wt)
+	}
+	if last := evicted[1].Sub(blastEnd); last > 2*wt+100*time.Millisecond {
+		t.Errorf("a stalled client was evicted %v after the blast, past two WriteTimeouts (%v)", last, 2*wt)
 	}
 	for {
 		missing := ""
@@ -451,8 +492,8 @@ func TestStalledClientEvicted(t *testing.T) {
 	if live.Err() != nil {
 		t.Fatalf("live client died: %v", live.Err())
 	}
-	if n := srv.Counters().Evicted; n != 1 {
-		t.Fatalf("evicted %d connections, want only the stalled one", n)
+	if n := srv.Counters().Evicted; n != 2 {
+		t.Fatalf("evicted %d connections, want only the two stalled ones", n)
 	}
 }
 

@@ -26,11 +26,12 @@ type Options struct {
 	// that key backlog is bounded at lagFactor × NotifyQueue). Default
 	// 1024.
 	NotifyQueue int
-	// WriteTimeout evicts a connection whose socket cannot absorb one
-	// frame within the window — the only evidence of a stalled peer the
-	// server acts on. The writer arms the socket deadline two windows out
-	// and re-arms it once less than one remains, so a stalled write is cut
-	// after at least WriteTimeout and at most twice that. Default 2s.
+	// WriteTimeout evicts a connection whose socket (or shared-memory
+	// ring) cannot absorb one frame within the window — the only evidence
+	// of a stalled peer the server acts on. The writer arms the deadline
+	// two windows out and re-arms it once less than one remains, so a
+	// stalled write is cut after at least WriteTimeout and at most twice
+	// that. Default 2s.
 	WriteTimeout time.Duration
 	// Dom0Token, when non-empty, is required in the handshake to bind a
 	// connection to Dom0. Guest domains authenticate by reachability
@@ -68,6 +69,12 @@ type Counters struct {
 	Evicted   uint64 `json:"evicted"`
 	Events    uint64 `json:"events"`
 	Coalesced uint64 `json:"coalesced"`
+	// RingConns counts connections that took a shared-memory ring
+	// (ring.go) and Doorbells the bytes the server wrote on their sockets
+	// to wake a parked reader: every other frame crossed without a
+	// system call.
+	RingConns uint64 `json:"ring_conns,omitempty"`
+	Doorbells uint64 `json:"doorbells,omitempty"`
 
 	StoreReads    uint64 `json:"store_reads"`
 	StoreWrites   uint64 `json:"store_writes"`
@@ -174,6 +181,8 @@ type Server struct {
 	nextConn  uint64
 
 	accepted  atomic.Uint64
+	ringConns atomic.Uint64
+	doorbells atomic.Uint64
 	evicted   atomic.Uint64
 	events    atomic.Uint64
 	coalesced atomic.Uint64
@@ -337,6 +346,8 @@ func (s *Server) Counters() Counters {
 func (s *Server) wireCounters() Counters {
 	ctr := Counters{
 		Accepted:     s.accepted.Load(),
+		RingConns:    s.ringConns.Load(),
+		Doorbells:    s.doorbells.Load(),
 		Evicted:      s.evicted.Load(),
 		Events:       s.events.Load(),
 		Coalesced:    s.coalesced.Load(),

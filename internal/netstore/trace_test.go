@@ -421,8 +421,12 @@ func TestUnreadTailCountsDrops(t *testing.T) {
 
 	c := dialT(t, sock, 3)
 	base := store.DomainPath(3)
-	fat := strings.Repeat("x", 16<<10) // a dozen store.write lines fill the socket
-	const perFrame, frames = 128, 16   // 2 × traceBuffer records in all
+	// About a hundred store.write lines fill the socket; the line buffer
+	// must then fill before the tail's write deadline cuts it, so a record
+	// stays cheap enough to build a thousand in well under a WriteTimeout
+	// under the race detector (16 KiB values took 1–2 s there).
+	fat := strings.Repeat("x", 2<<10)
+	const perFrame, frames = 128, 16 // 2 × traceBuffer records in all
 	within(t, 20*time.Second, "writes against an unread tail", func() {
 		for i := 0; i < frames && srv.Counters().TraceDropped == 0; i++ {
 			b := c.NewBatch()
