@@ -25,14 +25,25 @@ type srvConn struct {
 	dom       store.DomID
 	handshook bool
 
-	// Outbound queue: the writer goroutine pops from the front; the
-	// reader pushes replies and whichever goroutine holds the store lock
-	// pushes events, each indexed by its watch (srvWatch.idx).
+	// Outbound queue: the reader pushes replies and whichever goroutine
+	// holds the store lock pushes events, each indexed by its watch
+	// (srvWatch.idx). On a socket the writer goroutine pops from the
+	// front; on a ring the pusher writes the queue itself (flushLocked)
+	// and the writer runs only when the ring lacks room.
 	qmu     sync.Mutex
 	qcond   *sync.Cond
 	q       sim.FIFO[outFrame]
 	nEvents int
 	qclosed bool
+	// ring is c.c once the connection is on a shared-memory ring, nil on
+	// a socket. wbusy says the writer holds frames it has popped and not
+	// yet written, which no flush may overtake; fbuf is the flushes'
+	// encode buffer. All three under qmu. flushing says the connection
+	// is on the store lock holder's tree.flushq: store-lock state.
+	ring     *ringConn
+	wbusy    bool
+	fbuf     []byte
+	flushing bool
 	// lagged lists, oldest first, the keys whose events found the queue
 	// full: the value is dropped and the key remembered, and repair
 	// re-reads the path's then-current value once the writer has made
@@ -77,9 +88,11 @@ func (s *Server) startConn(c net.Conn) {
 		return
 	}
 	s.nextConn++
+	ring, _ := c.(*ringConn) // handed over on a ring already: one from the start
 	sc := &srvConn{
 		srv:     s,
 		c:       c,
+		ring:    ring,
 		fr:      frameReader{r: c},
 		id:      s.nextConn,
 		watches: map[uint32]srvWatch{},
@@ -112,26 +125,32 @@ func (c *srvConn) shutdown() {
 	})
 }
 
+// writeLoop writes what the queue holds each time it is woken: on a
+// socket for every frame, on a ring only when a flush found no room
+// (flushLocked). Frames queued while the previous write was on the wire
+// are drained together and written at once — under load a burst of
+// replies and watch events costs one write, not one per frame.
 func (c *srvConn) writeLoop() {
 	defer c.srv.wg.Done()
-	// Frames queued while the previous write was on the wire are drained
-	// together and written with a single syscall — under load a burst of
-	// replies and watch events costs one write, not one per frame. They
-	// are encoded into wbuf, which the loop keeps across flushes; the byte
-	// budget bounds what one flush grows it to.
+	// The run is encoded into wbuf, which the loop keeps across writes;
+	// the byte budget bounds what one write grows it to.
 	const coalesceBudget = 48 << 10
 	var (
-		frames []outFrame
-		wbuf   []byte
+		wbuf []byte
 		// armed is the write deadline standing on the socket. Arming costs
 		// more than a small frame's encode, so it is set two WriteTimeouts
 		// out and re-armed only once less than one remains: a write still
 		// cannot stall past the deadline, and a peer is cut after at least
 		// WriteTimeout and at most twice that.
 		armed time.Time
+		// writes is the loop's share of Counters.WriterFlushes, added as it
+		// exits: the write path touches no shared counter.
+		writes uint64
 	)
+	defer func() { c.srv.writerFlushes.Add(writes) }()
 	for {
 		c.qmu.Lock()
+		c.wbusy = false
 		for c.q.Len() == 0 && !c.qclosed {
 			c.qcond.Wait()
 		}
@@ -139,34 +158,22 @@ func (c *srvConn) writeLoop() {
 			c.qmu.Unlock()
 			return
 		}
-		frames = frames[:0]
-		total := 0
-		for c.q.Len() > 0 && total < coalesceBudget {
-			fr, _ := c.q.Pop()
-			if fr.idx != nil {
-				// A watch has at most one frame queued per path (a second
-				// event coalesces into it), so the entry is this frame's.
-				c.nEvents--
-				delete(fr.idx, fr.key.path)
-			}
-			frames = append(frames, fr)
-			total += len(fr.payload) + len(fr.key.path) + len(fr.value)
-		}
+		var n int
+		wbuf, n = c.encodeRun(wbuf[:0], coalesceBudget)
+		c.dropRun(n)
 		// lagged is non-empty only while the queue is too (it fills from a
-		// full queue and repair refills the queue from it), so a writer
-		// that checks on every pop cannot sleep on a backlog.
+		// full queue, repair refills the queue from it, and a flush that
+		// empties the queue repairs at once), so a writer that checks on
+		// every write cannot sleep on a backlog.
 		lagging := len(c.lagged) > 0
+		c.wbusy = true
 		c.qmu.Unlock()
-		wbuf = wbuf[:0]
-		for i := range frames {
-			wbuf = frames[i].appendTo(wbuf)
-			frames[i] = outFrame{}
-		}
 		if wt, now := c.srv.opts.WriteTimeout, time.Now(); armed.Sub(now) < wt {
 			armed = now.Add(2 * wt)
 			c.c.SetWriteDeadline(armed)
 		}
 		_, err := c.c.Write(wbuf)
+		writes++
 		if cap(wbuf) > poolMax {
 			wbuf = nil // one big reply must not pin its size
 		}
@@ -231,8 +238,8 @@ func (c *srvConn) readLoop() {
 	}
 }
 
-// replyTo starts the reply to request id in a pooled buffer (writeLoop
-// recycles it after the socket write): opcode, id, then err's status and
+// replyTo starts the reply to request id in a pooled buffer (recycled
+// once the reply is written, dropRun): opcode, id, then err's status and
 // message. After an OK prefix the caller appends the op-specific body.
 func replyTo(id uint32, err error) enc {
 	e := enc{b: getBuf(64)}
@@ -312,11 +319,12 @@ func (c *srvConn) handshake() error {
 	if err != nil {
 		return err // the peer was told it is on a ring: it cannot stay
 	}
-	// shutdown closes whatever c.c is under qmu, so the swap is made there.
+	// shutdown closes whatever c.c is under qmu, so the swap is made there,
+	// and with it the switch to writing frames where they are queued.
 	c.qmu.Lock()
 	closed := c.qclosed
 	if !closed {
-		c.c = rc
+		c.c, c.ring = rc, rc
 	}
 	c.qmu.Unlock()
 	if closed {

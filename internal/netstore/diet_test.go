@@ -159,21 +159,36 @@ func TestReplyStringsOutliveLaterReplies(t *testing.T) {
 // hold 4 events, not 100 frames, and once the peer reads, those 4 frames
 // carry each key's final value in first-change order. Nothing about the
 // 96 replaced values was ever encoded — the queue held the store's own
-// strings.
+// strings. The peer is on a ring ("unix"), where the fillers overrun the
+// ring and the writer takes over, or on a socket ("tcp").
 func TestEventsCoalesceBeforeEncode(t *testing.T) {
-	srv, sock := startServer(t, Options{WriteTimeout: time.Minute})
-	writer := dialT(t, sock, 3)
-	base := store.DomainPath(3)
-	stalled := dialStalled(t, sock, 3, base, false)
+	for _, network := range transports {
+		t.Run(network, func(t *testing.T) { eventsCoalesceBeforeEncode(t, network) })
+	}
+}
 
-	// Wedge the writer: more event bytes than any socket buffer takes.
-	// The first filler alone exceeds the flush budget, so the flush that
-	// blocks carries fillers only and everything after them stays queued.
-	const fillers = 8
-	for i := 0; i < fillers; i++ {
-		if err := writer.Write(fmt.Sprintf("%s/filler/%d", base, i), strings.Repeat("f", MaxValue)); err != nil {
+func eventsCoalesceBeforeEncode(t *testing.T, network string) {
+	srv, addr := startServerOn(t, network, Options{WriteTimeout: time.Minute})
+	writer := dialOn(t, network, addr, 3)
+	base := store.DomainPath(3)
+	stalled := dialStalled(t, network, addr, 3, base, true)
+	c := watchingConn(t, srv)
+
+	// Wedge the writer: fillers until one's event is still queued a
+	// moment after its write — the writer is stuck on a peer whose ring or
+	// socket buffers are full. Each filler alone exceeds the writer's
+	// budget, so the write that blocks carries fillers only and everything
+	// after them stays queued.
+	fillers := 0
+	for wedged := false; !wedged; {
+		if err := writer.Write(fmt.Sprintf("%s/filler/%d", base, fillers), strings.Repeat("f", MaxValue)); err != nil {
 			t.Fatal(err)
 		}
+		fillers++
+		time.Sleep(20 * time.Millisecond)
+		c.qmu.Lock()
+		wedged = c.q.Len() > 0
+		c.qmu.Unlock()
 	}
 	before := srv.Counters()
 	var order []string

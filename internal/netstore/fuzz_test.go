@@ -9,6 +9,7 @@ import (
 	"net"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -235,12 +236,15 @@ func nextReply(nc net.Conn) (uint32, error) {
 }
 
 // FuzzServerFrames plays a hello and then arbitrary frames at a real
-// server connection — reader, dispatch, store, writer — over net.Pipe.
-// Whatever the frames hold, the server must not panic; must answer every
-// frame with exactly one reply naming its id, in request order (watch
-// events may come in between), or close the connection, which it does
-// only at a frame too short to carry an opcode and an id; and must leave
-// the store lock free when the connection is gone.
+// server connection — reader, dispatch, store, writer — over net.Pipe,
+// and then again over 1 KiB rings where there are rings, so the frames
+// reach the flush that writes where they are queued and, past the ring's
+// room, its writer fallback. Whatever the frames hold, the server must
+// not panic; must answer every frame with exactly one reply naming its
+// id, in request order (watch events may come in between), or close the
+// connection, which it does only at a frame too short to carry an opcode
+// and an id; and must leave the store lock free when the connection is
+// gone.
 func FuzzServerFrames(f *testing.F) {
 	req := func(op Op, id uint32, body func(*enc)) []byte {
 		e := &enc{}
@@ -297,36 +301,58 @@ func FuzzServerFrames(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		srv, nc := rawConn(t, 3)
-		// net.Pipe has no buffer: the frames go out on a goroutine of their
-		// own while this one reads what comes back.
 		payloads := fuzzFrames(data)
-		go func() {
-			for _, p := range payloads {
-				if writeFrame(nc, p) != nil {
-					return // the server hung up, as it does on a short frame
-				}
-			}
-		}()
-		// The server hangs up at the first frame too short to answer, and
-		// replies still queued then go down with the connection.
-		short := slices.IndexFunc(payloads, func(p []byte) bool { return len(p) < replyHdr })
-		for i, p := range payloads {
-			id, err := nextReply(nc)
-			if err != nil {
-				if short < 0 || !errors.Is(err, io.EOF) {
-					t.Fatalf("frame %d (%x) was never answered: %v", i, p, err)
-				}
-				break
-			}
-			if short >= 0 && i >= short {
-				t.Fatalf("reply %d arrived for frame %d, past the %d-byte frame %d that should have ended the connection", id, i, len(payloads[short]), short)
-			}
-			if want := binary.BigEndian.Uint32(p[1:]); id != want {
-				t.Fatalf("frame %d (id %d) answered by reply %d", i, want, id)
+		srv, nc := rawConn(t, 3)
+		serveFrames(t, srv, nc, payloads)
+		srv = NewServer(Options{})
+		t.Cleanup(srv.Close)
+		if nc = ringTo(t, srv, 1<<10); nc == nil {
+			return
+		}
+		nc.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := writeFrame(nc, helloFrame(ProtocolVersion, 3)); err != nil {
+			t.Fatal(err)
+		}
+		if _, status, err := readReply(nc); err != nil || status != nil {
+			t.Fatalf("hello on a ring: %v / %v", status, err)
+		}
+		serveFrames(t, srv, nc, payloads)
+	})
+}
+
+// serveFrames is FuzzServerFrames' check on one connection, nc, which has
+// said its hello to srv.
+func serveFrames(t *testing.T, srv *Server, nc net.Conn, payloads [][]byte) {
+	// net.Pipe has no buffer, and a ring's is small: the frames go out
+	// on a goroutine of their own while this one reads what comes back.
+	go func() {
+		for _, p := range payloads {
+			if writeFrame(nc, p) != nil {
+				return // the server hung up, as it does on a short frame
 			}
 		}
-		nc.Close()
-		within(t, 10*time.Second, "the store lock after the connection closed", func() { srv.Counters() })
-	})
+	}()
+	// The server hangs up at the first frame too short to answer, and
+	// replies still queued then go down with the connection — one the
+	// writer was streaming through a ring, part way. A ring peer hears
+	// the hang-up on its socket, as a reset if doorbells were left unread.
+	short := slices.IndexFunc(payloads, func(p []byte) bool { return len(p) < replyHdr })
+	for i, p := range payloads {
+		id, err := nextReply(nc)
+		if err != nil {
+			hungUp := errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, syscall.ECONNRESET)
+			if short < 0 || !hungUp {
+				t.Fatalf("frame %d (%x) was never answered: %v", i, p, err)
+			}
+			break
+		}
+		if short >= 0 && i >= short {
+			t.Fatalf("reply %d arrived for frame %d, past the %d-byte frame %d that should have ended the connection", id, i, len(payloads[short]), short)
+		}
+		if want := binary.BigEndian.Uint32(p[1:]); id != want {
+			t.Fatalf("frame %d (id %d) answered by reply %d", i, want, id)
+		}
+	}
+	nc.Close()
+	within(t, 10*time.Second, "the store lock after the connection closed", func() { srv.Counters() })
 }

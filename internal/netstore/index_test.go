@@ -105,7 +105,7 @@ func TestOverlappingWatchesCoalesceIndependently(t *testing.T) {
 	srv, sock := startServer(t, Options{WriteTimeout: time.Minute})
 	writer := dialT(t, sock, 3)
 	base := store.DomainPath(3)
-	stalled := dialStalled(t, sock, 3, base, false)
+	stalled := dialStalled(t, "unix", sock, 3, base, false)
 	request(t, stalled, (&enc{}).op(OpWatch, 3).u32(2).str(base+"/hot"))
 	if _, status, err := readReply(stalled); err != nil || status != nil {
 		t.Fatalf("second watch: %v / %v", status, err)
@@ -200,7 +200,7 @@ func TestUnwatchWithEventsQueued(t *testing.T) {
 	srv, sock := startServer(t, Options{WriteTimeout: time.Minute})
 	writer := dialT(t, sock, 3)
 	base := store.DomainPath(3)
-	stalled := dialStalled(t, sock, 3, base, false)
+	stalled := dialStalled(t, "unix", sock, 3, base, false)
 	fillers := wedge(t, writer, base)
 	c := watchingConn(t, srv)
 	// registered reports watch 1's index as the table has it now (nil:

@@ -222,7 +222,7 @@ func TestDoDuringClose(t *testing.T) {
 func TestSelfEvictionUnderLock(t *testing.T) {
 	srv, sock := startServer(t, Options{NotifyQueue: 1})
 	base := store.DomainPath(3)
-	nc := dialStalled(t, sock, 3, base, false)
+	nc := dialStalled(t, "unix", sock, 3, base, false)
 
 	// 1 queued + 64 parked keys is the whole backlog; 1000 distinct paths
 	// in one operation overrun it however fast the writer drains.
@@ -312,19 +312,27 @@ func TestCallbackRPCUnderEventBurst(t *testing.T) {
 }
 
 // TestWriteRoundTripAllocs is the allocation budget of the frame path:
-// one Client.Write with one watcher over a Unix socket — request, store
-// write, watch fan-out, reply, event, callback, both ends in this
-// process — allocates at most 4 times. It read 33 when every operation
-// crossed to a store goroutine over per-op channels and closures, and 5
-// while the store built a closure per fan-out and the event was encoded
-// into a buffer of its own; what is left is the value string at each of
-// the two decodes (the server's request, the client's event).
+// one Client.Write with one watcher — request, store write, watch
+// fan-out, reply, event, callback, both ends in this process — allocates
+// at most 4 times, whether the server's flush writes the frames into a
+// ring ("unix") or its writer goroutine writes them to a socket ("tcp").
+// It read 33 when every operation crossed to a store goroutine over
+// per-op channels and closures, and 5 while the store built a closure per
+// fan-out and the event was encoded into a buffer of its own; what is
+// left is the value string at each of the two decodes (the server's
+// request, the client's event).
 func TestWriteRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	_, sock := startServer(t, Options{})
-	c := dialT(t, sock, 3)
+	for _, network := range transports {
+		t.Run(network, func(t *testing.T) { writeRoundTripAllocs(t, network) })
+	}
+}
+
+func writeRoundTripAllocs(t *testing.T, network string) {
+	_, addr := startServerOn(t, network, Options{})
+	c := dialOn(t, network, addr, 3)
 	key := store.DiskPath(3, "xvda", "nr_dirty")
 	seen := make(chan struct{}, 1)
 	if _, err := c.Watch(key, func(p, v string) { seen <- struct{}{} }); err != nil {

@@ -20,15 +20,31 @@ import (
 // down with the test.
 func startServer(t *testing.T, opts Options) (*Server, string) {
 	t.Helper()
+	return startServerOn(t, "unix", opts)
+}
+
+// transports are the two ways the server writes a connection's frames. A
+// "unix" peer that dials as Dial does takes a shared-memory ring (on
+// Linux), whose frames the goroutine that queued them writes; a "tcp"
+// peer stays on its socket, whose frames the writer goroutine writes.
+var transports = []string{"unix", "tcp"}
+
+// startServerOn is startServer listening on network: a fresh Unix socket
+// or a loopback TCP port. It returns the address to dial.
+func startServerOn(t *testing.T, network string, opts Options) (*Server, string) {
+	t.Helper()
 	s := NewServer(opts)
-	sock := filepath.Join(t.TempDir(), "stored.sock")
-	l, err := net.Listen("unix", sock)
+	addr := "127.0.0.1:0"
+	if network == "unix" {
+		addr = filepath.Join(t.TempDir(), "stored.sock")
+	}
+	l, err := net.Listen(network, addr)
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	go s.Serve(l)
 	t.Cleanup(s.Close)
-	return s, sock
+	return s, l.Addr().String()
 }
 
 // treeOf flattens the subtree at root as dom sees it, read straight from
@@ -41,7 +57,12 @@ func treeOf(srv *Server, dom store.DomID, root string) map[string]string {
 
 func dialT(t *testing.T, sock string, dom store.DomID) *Client {
 	t.Helper()
-	c, err := Dial("unix", sock, dom, "")
+	return dialOn(t, "unix", sock, dom)
+}
+
+func dialOn(t *testing.T, network, addr string, dom store.DomID) *Client {
+	t.Helper()
+	c, err := Dial(network, addr, dom, "")
 	if err != nil {
 		t.Fatalf("dial dom%d: %v", dom, err)
 	}
@@ -364,10 +385,10 @@ func readReply(nc net.Conn) (body *dec, status, err error) {
 // Nothing has been written under prefix yet, so the two frames it does
 // read are exactly the two replies. With ring it offers a shared-memory
 // ring as Dial does, and what it never reads is the ring, which it keeps
-// mapped (on a system without rings it stays on the socket).
-func dialStalled(t *testing.T, sock string, dom store.DomID, prefix string, ring bool) net.Conn {
+// mapped (on a system without rings, or over TCP, it stays on the socket).
+func dialStalled(t *testing.T, network, addr string, dom store.DomID, prefix string, ring bool) net.Conn {
 	t.Helper()
-	nc, err := net.Dial("unix", sock)
+	nc, err := net.Dial(network, addr)
 	if err != nil {
 		t.Fatalf("stalled dial: %v", err)
 	}
@@ -404,24 +425,29 @@ func dialStalled(t *testing.T, sock string, dom store.DomID, prefix string, ring
 }
 
 // TestStalledClientEvicted pins the eviction contract (docs/
-// WIRE_PROTOCOL.md §4): two wedged watchers — one whose socket fills, one
-// whose shared-memory ring does — are each cut off on write-stall
-// evidence, between one and two WriteTimeouts after their writer stalled,
-// while a live watcher on the same subtree — overflowing the same tiny
-// queue, but draining — is never severed and ends up with the final value
-// of every path.
+// WIRE_PROTOCOL.md §4) on both transports: a wedged watcher — one whose
+// shared-memory ring fills ("unix"), one whose socket does ("tcp") — is
+// cut off on write-stall evidence, between one and two WriteTimeouts after
+// its writer stalled, while a live watcher on the same subtree —
+// overflowing the same tiny queue, but draining — is never severed and
+// ends up with the final value of every path.
 func TestStalledClientEvicted(t *testing.T) {
+	for _, network := range transports {
+		t.Run(network, func(t *testing.T) { stalledClientEvicted(t, network) })
+	}
+}
+
+func stalledClientEvicted(t *testing.T, network string) {
 	const wt = 300 * time.Millisecond
-	srv, sock := startServer(t, Options{NotifyQueue: 4, WriteTimeout: wt})
+	srv, addr := startServerOn(t, network, Options{NotifyQueue: 4, WriteTimeout: wt})
 	// The blaster shares dom3 so the dom3 watchers can read every node it
 	// creates (Dom0-created nodes would be invisible to them).
-	writer := dialT(t, sock, 3)
+	writer := dialOn(t, network, addr, 3)
 	base := store.DomainPath(3)
 
-	dialStalled(t, sock, 3, base, false)
-	dialStalled(t, sock, 3, base, true)
+	dialStalled(t, network, addr, 3, base, true)
 
-	live := dialT(t, sock, 3)
+	live := dialOn(t, network, addr, 3)
 	var liveMu sync.Mutex
 	liveSeen := map[string]string{}
 	if _, err := live.Watch(base, func(p, v string) {
@@ -431,13 +457,18 @@ func TestStalledClientEvicted(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if n := srv.Counters().RingConns; runtime.GOOS == "linux" && n != 3 {
-		t.Fatalf("%d connections on a ring, want the writer, the ring-stalled watcher and the live one", n)
+	// A request answered on each connection says its handshake, and with
+	// it the switch to the ring, is complete.
+	if err := writer.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.Counters().RingConns; network == "unix" && runtime.GOOS == "linux" && n != 3 {
+		t.Fatalf("%d connections on a ring, want the writer, the stalled watcher and the live one", n)
 	}
 
-	// Distinct paths with fat values: nothing can coalesce, all three
-	// watchers' queues overflow, and the stalled ones' socket buffer and
-	// ring fill.
+	// Distinct paths with fat values: nothing can coalesce, both
+	// watchers' queues overflow, and the stalled one's ring or socket
+	// buffers fill.
 	want := map[string]string{}
 	blastStart := time.Now()
 	for i := 0; i < 200; i++ {
@@ -455,21 +486,18 @@ func TestStalledClientEvicted(t *testing.T) {
 	// A writer stalls at some point of the blast and is cut at its armed
 	// deadline: at least one WriteTimeout after the stall, at most two.
 	deadline := time.Now().Add(10 * time.Second)
-	var evicted [2]time.Time
-	for n := 0; n < 2; {
+	for srv.Counters().Evicted == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of the two stalled clients evicted", n)
-		}
-		for got := int(srv.Counters().Evicted); n < got && n < 2; n++ {
-			evicted[n] = time.Now()
+			t.Fatal("the stalled client was never evicted")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if first := evicted[0].Sub(blastStart); first < wt {
-		t.Errorf("a stalled client was evicted %v into the blast, before one WriteTimeout (%v)", first, wt)
+	evicted := time.Now()
+	if first := evicted.Sub(blastStart); first < wt {
+		t.Errorf("the stalled client was evicted %v into the blast, before one WriteTimeout (%v)", first, wt)
 	}
-	if last := evicted[1].Sub(blastEnd); last > 2*wt+100*time.Millisecond {
-		t.Errorf("a stalled client was evicted %v after the blast, past two WriteTimeouts (%v)", last, 2*wt)
+	if last := evicted.Sub(blastEnd); last > 2*wt+100*time.Millisecond {
+		t.Errorf("the stalled client was evicted %v after the blast, past two WriteTimeouts (%v)", last, 2*wt)
 	}
 	for {
 		missing := ""
@@ -492,19 +520,27 @@ func TestStalledClientEvicted(t *testing.T) {
 	if live.Err() != nil {
 		t.Fatalf("live client died: %v", live.Err())
 	}
-	if n := srv.Counters().Evicted; n != 2 {
-		t.Fatalf("evicted %d connections, want only the two stalled ones", n)
+	if n := srv.Counters().Evicted; n != 1 {
+		t.Fatalf("evicted %d connections, want only the stalled one", n)
 	}
 }
 
 // TestOverflowRepairsFinalValues drives a draining watcher far past its
 // queue bound in one store-loop burst (a 200-write batch against
 // NotifyQueue 4): it must go lagged, stay connected, and still observe
-// every path's value, in first-write order.
+// every path's value, in first-write order — on a ring, where the flush
+// that empties the queue must repair, since no writer wakes to, as on a
+// socket.
 func TestOverflowRepairsFinalValues(t *testing.T) {
-	srv, sock := startServer(t, Options{NotifyQueue: 4})
+	for _, network := range transports {
+		t.Run(network, func(t *testing.T) { overflowRepairsFinalValues(t, network) })
+	}
+}
+
+func overflowRepairsFinalValues(t *testing.T, network string) {
+	srv, addr := startServerOn(t, network, Options{NotifyQueue: 4})
 	tl := tailT(t, srv)
-	c := dialT(t, sock, 3)
+	c := dialOn(t, network, addr, 3)
 	base := store.DomainPath(3)
 	const n = 200
 	got := make(chan string, n)
@@ -536,6 +572,39 @@ func TestOverflowRepairsFinalValues(t *testing.T) {
 	tl.find(t, "wire.conn lag (the burst never overflowed the queue)", func(r trace.Record) bool {
 		return r.Kind == trace.KindWireConn && r.Value == "lag" && r.Dom == 3
 	})
+}
+
+// TestWriterFlushes: 1,000 watched-write round trips on a ring with room
+// leave Counters.WriterFlushes at 0 — the goroutine that queued each
+// frame wrote it — and over TCP do not, the writer goroutine having
+// written them. A connection's count is added as its writer exits, so it
+// is read once the server has closed.
+func TestWriterFlushes(t *testing.T) {
+	for _, network := range transports {
+		t.Run(network, func(t *testing.T) {
+			srv, addr := startServerOn(t, network, Options{})
+			c := dialOn(t, network, addr, 3)
+			key := store.DomainPath(3) + "/k"
+			seen := make(chan struct{}, 1)
+			if _, err := c.Watch(key, func(string, string) { seen <- struct{}{} }); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 1000; i++ {
+				if err := c.Write(key, fmt.Sprint(i)); err != nil {
+					t.Fatal(err)
+				}
+				<-seen
+			}
+			onRing := srv.Counters().RingConns == 1
+			c.Close()
+			srv.Close()
+			n := srv.Counters().WriterFlushes
+			if onRing == (n != 0) {
+				t.Errorf("on a ring: %v; writer flushes: %d", onRing, n)
+			}
+			t.Logf("on a ring: %v; writer flushes: %d", onRing, n)
+		})
+	}
 }
 
 func TestConcurrentClients(t *testing.T) {

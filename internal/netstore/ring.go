@@ -109,7 +109,8 @@ type ring struct {
 func word(mem []byte, off int) *atomic.Uint32 { return (*atomic.Uint32)(unsafe.Pointer(&mem[off])) }
 
 // ringConn is one side of an accepted region. It allows one Read and one
-// Write at a time, like the frame reader and the writer above it.
+// Write or putAll at a time, like the frame reader above it and the
+// server's flush and writer, which take turns (srvConn.wbusy).
 type ringConn struct {
 	// sock is the Unix socket as a pollable file. A park waits in its raw
 	// read, and the deadline error a wake ends that wait with comes back
@@ -219,9 +220,10 @@ func (rc *ringConn) take(p []byte) (int, error) {
 	return int(n), nil
 }
 
-// put copies as much of p as fits into the ring, publishes it, and rings
-// the doorbell if the peer's reader has parked.
-func (rc *ringConn) put(p []byte) (int, error) {
+// put copies as much of p as fits into the ring — with whole, all of p
+// or nothing — publishes it, and rings the doorbell if the peer's reader
+// has parked.
+func (rc *ringConn) put(p []byte, whole bool) (int, error) {
 	if rc.users.Load()&closing != 0 {
 		return 0, net.ErrClosed
 	}
@@ -234,7 +236,7 @@ func (rc *ringConn) put(p []byte) (int, error) {
 	}
 	r.seen = head
 	n := min(size-(r.pos-head), uint32(min(len(p), ringSize)))
-	if n == 0 {
+	if n == 0 || whole && int(n) < len(p) {
 		return 0, nil
 	}
 	off := r.pos & (size - 1)
@@ -246,6 +248,18 @@ func (rc *ringConn) put(p []byte) (int, error) {
 		rc.raw.Write(rc.bell)
 	}
 	return int(n), nil
+}
+
+// putAll publishes all of p or none of it and never waits: the server's
+// flush (srvConn.flushLocked), which leaves what does not fit to the
+// writer. It reports whether p went out.
+func (rc *ringConn) putAll(p []byte) bool {
+	if !rc.enter() {
+		return false
+	}
+	n, err := rc.put(p, true)
+	rc.exit()
+	return err == nil && n == len(p)
 }
 
 // Read copies what the peer has written. On an empty ring a hot reader
@@ -340,7 +354,7 @@ func (rc *ringConn) Write(p []byte) (int, error) {
 	var spinEnd time.Time
 	backoff := time.Duration(0)
 	for done < len(p) {
-		n, err := rc.put(p[done:])
+		n, err := rc.put(p[done:], false)
 		if done += n; err != nil {
 			return done, err
 		}

@@ -7,6 +7,7 @@ package netstore
 // bytes is either taken or closed — never leaked.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -57,6 +59,27 @@ func ringPair(t testing.TB, size int) (cli, srv *ringConn) {
 	}
 	t.Cleanup(func() { cli.Close(); srv.Close() })
 	return cli, srv
+}
+
+// ringTo connects a raw peer to srv over a region of two size-byte rings
+// on a socket pair, as if the handshake had taken an offer of it: the
+// server's end is a ring connection from the start, with rings as small
+// as a test needs. It returns the peer's end, before its hello.
+func ringTo(t testing.TB, srv *Server, size int) net.Conn {
+	t.Helper()
+	a, b := socketPair(t)
+	mem := make([]byte, ringHdr+2*size)
+	end, err := newRingConn(b, mem, true, nil, &srv.doorbells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := newRingConn(a, mem, false, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { peer.Close() })
+	srv.startConn(end)
+	return peer
 }
 
 // streamByte is the i-th byte of the fuzz stream.
@@ -382,4 +405,195 @@ func FuzzHello(f *testing.F) {
 			t.Fatalf("a bad offer put %d connections on a ring", n)
 		}
 	})
+}
+
+// TestRingFlushFallsBackToWriter puts a watcher on 1 KiB rings, where
+// bursts of events and replies larger than the ring overrun it, so the
+// flush leaves them to the writer, at GOMAXPROCS 1 and 2. It reads the
+// raw stream: every frame arrives once and in queue order — the first
+// round's 300 keys each once and in write order, though the notify queue
+// holds 16 and the rest lag, and each reply to its own reads in request
+// order, whole — and every key's final value arrives.
+func TestRingFlushFallsBackToWriter(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			ringFlushFallsBackToWriter(t)
+		})
+	}
+}
+
+func ringFlushFallsBackToWriter(t *testing.T) {
+	const size, keys = 1 << 10, 300
+	srv, sock := startServer(t, Options{NotifyQueue: 16})
+	writer := dialT(t, sock, 3)
+	base := store.DomainPath(3)
+	big := strings.Repeat("b", 3*size)
+	if err := writer.Write(base+"/big", big); err != nil {
+		t.Fatal(err)
+	}
+	nc := ringTo(t, srv, size)
+	nc.SetDeadline(time.Now().Add(30 * time.Second))
+	request(t, nc, &enc{b: helloFrame(ProtocolVersion, 3)})
+	request(t, nc, (&enc{}).op(OpWatch, 2).u32(1).str(base+"/keys"))
+	for _, what := range []string{"hello", "watch"} {
+		if _, status, err := readReply(nc); err != nil || status != nil {
+			t.Fatalf("%s: %v / %v", what, status, err)
+		}
+	}
+
+	// An event is a path and value, a reply (to a read) an id and value.
+	type frame struct {
+		id          uint32
+		path, value string
+	}
+	// Room for every frame the test provokes: the reader never waits.
+	frames := make(chan frame, 4096)
+	go func() {
+		defer close(frames)
+		fr := frameReader{r: nc}
+		for {
+			payload, err := fr.next()
+			if err != nil {
+				return
+			}
+			d := &dec{b: payload}
+			switch op, id := Op(d.u8()), d.u32(); op {
+			case OpEvent:
+				d.u32()
+				frames <- frame{path: d.str(), value: d.str()}
+			case OpReply:
+				d.u8()
+				d.str()
+				frames <- frame{id: id, value: d.str()}
+			}
+		}
+	}()
+	next := func(what string) frame {
+		t.Helper()
+		select {
+		case f, ok := <-frames:
+			if !ok {
+				t.Fatalf("the stream ended before %s", what)
+			}
+			return f
+		case <-time.After(30 * time.Second):
+			t.Fatalf("no %s within 30 s", what)
+		}
+		panic("unreachable")
+	}
+	keyPath := func(i int) string { return fmt.Sprintf("%s/keys/%d", base, i) }
+	value := func(i int) string {
+		if i%10 == 0 {
+			return strings.Repeat("v", 3*size/2) + fmt.Sprint(i) // an event larger than the ring
+		}
+		return fmt.Sprint(i)
+	}
+
+	// Round one: every key once, in two batches with a large read of the
+	// watcher's own after each.
+	for half := 0; half < 2; half++ {
+		b := writer.NewBatch()
+		for i := half * keys / 2; i < (half+1)*keys/2; i++ {
+			b.Write(keyPath(i), value(i))
+		}
+		if _, err := b.Run(); err != nil {
+			t.Fatal(err)
+		}
+		request(t, nc, (&enc{}).op(OpRead, uint32(10+half)).str(base+"/big"))
+	}
+	events, replies := 0, 0
+	for events < keys || replies < 2 {
+		f := next(fmt.Sprintf("event %d of %d, reply %d of 2", events, keys, replies))
+		if f.id != 0 {
+			if want := uint32(10 + replies); f.id != want || f.value != big {
+				t.Fatalf("reply %d: id %d with %d bytes, want id %d with %d", replies, f.id, len(f.value), want, len(big))
+			}
+			replies++
+			continue
+		}
+		if f.path != keyPath(events) || f.value != value(events) {
+			t.Fatalf("event %d = %s (%d bytes), want %s (%d bytes)", events, f.path, len(f.value), keyPath(events), len(value(events)))
+		}
+		events++
+	}
+
+	// Round two: 50 keys rewritten ten times, coalescing as they queue.
+	// Each key's values arrive in write order, the last one included.
+	for r := 0; r < 10; r++ {
+		b := writer.NewBatch()
+		for i := 0; i < 50; i++ {
+			b.Write(keyPath(i), fmt.Sprintf("r%d", r))
+		}
+		if _, err := b.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := writer.Write(base+"/keys/end", "end"); err != nil {
+		t.Fatal(err)
+	}
+	last := map[string]string{}
+	for f := next("round two"); f.path != base+"/keys/end"; f = next("round two") {
+		if f.id != 0 || f.value < last[f.path] {
+			t.Fatalf("round two: %+v after %q", f, last[f.path])
+		}
+		last[f.path] = f.value
+	}
+	for i := 0; i < 50; i++ {
+		if last[keyPath(i)] != "r9" {
+			t.Errorf("%s ended at %q, want r9", keyPath(i), last[keyPath(i)])
+		}
+	}
+	if len(last) != 50 {
+		t.Errorf("round two touched %d keys, want 50", len(last))
+	}
+	srv.Close()
+	if ctr := srv.Counters(); ctr.Evicted != 0 || ctr.WriterFlushes == 0 {
+		t.Errorf("evicted %d, writer flushes %d: want none evicted and the writer carrying what overran the ring", ctr.Evicted, ctr.WriterFlushes)
+	}
+}
+
+// TestWatchedWriteFlushAllocs pins the flush: a warm watched write whose
+// event a ring connection's flush copies into the ring as the store lock
+// is released allocates nothing — no scratch, no list growth, no copy of
+// the event. The peer reads each event into a buffer of its own.
+func TestWatchedWriteFlushAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	srv := NewServer(Options{})
+	t.Cleanup(srv.Close)
+	nc := ringTo(t, srv, ringSize)
+	nc.SetDeadline(time.Now().Add(30 * time.Second))
+	key := store.DiskPath(3, "xvda", "nr_dirty")
+	request(t, nc, &enc{b: helloFrame(ProtocolVersion, 3)})
+	request(t, nc, (&enc{}).op(OpWrite, 2).str(key).str("0"))
+	request(t, nc, (&enc{}).op(OpWatch, 3).u32(1).str(key))
+	for _, what := range []string{"hello", "write", "watch"} {
+		if _, status, err := readReply(nc); err != nil || status != nil {
+			t.Fatalf("%s: %v / %v", what, status, err)
+		}
+	}
+	values := [2]string{"4096", "8192"}
+	var buf [256]byte
+	n := 0
+	write := func() {
+		n++
+		srv.do(func(t *tree) { t.st.Write(3, key, values[n%2]) })
+		if _, err := io.ReadFull(nc, buf[:4]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(nc, buf[:binary.BigEndian.Uint32(buf[:4])]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		write()
+	}
+	if allocs := testing.AllocsPerRun(1000, write); allocs != 0 {
+		t.Errorf("a watched write flushed into a ring allocates %.1f times, want 0", allocs)
+	}
+	if Op(buf[0]) != OpEvent {
+		t.Errorf("the peer read %x, want an event", buf[:16])
+	}
 }

@@ -75,6 +75,11 @@ type Counters struct {
 	// system call.
 	RingConns uint64 `json:"ring_conns,omitempty"`
 	Doorbells uint64 `json:"doorbells,omitempty"`
+	// WriterFlushes counts the writes connections' writer goroutines made,
+	// each connection's added when its writer exits. A socket's writer
+	// makes every write; a ring's frames are written by the goroutine that
+	// queued them, and its writer only when the ring lacked room.
+	WriterFlushes uint64 `json:"writer_flushes,omitempty"`
 
 	StoreReads    uint64 `json:"store_reads"`
 	StoreWrites   uint64 `json:"store_writes"`
@@ -126,6 +131,10 @@ type tree struct {
 	// len(tails) > 0, kept as a bit for the operation path.
 	tails  map[chan []byte]struct{}
 	tailed bool
+
+	// flushq lists the ring connections this hold queued events on, each
+	// once (srvConn.flushing); do writes their queues as the hold ends.
+	flushq []*srvConn
 }
 
 // attach subscribes a trace tail. The first one switches the
@@ -160,7 +169,9 @@ func (t *tree) detach(ch chan []byte) {
 // order of mutations; a connection's own operations keep their arrival
 // order because its one reader goroutine runs them one after another.
 // Nothing that can block on a peer — a socket write above all — happens
-// under the lock.
+// under the lock: a ring connection's events are copied into its ring as
+// the hold ends, whole or not at all, and what does not fit is left to
+// its writer goroutine.
 type Server struct {
 	opts Options
 
@@ -180,12 +191,13 @@ type Server struct {
 	closed    bool
 	nextConn  uint64
 
-	accepted  atomic.Uint64
-	ringConns atomic.Uint64
-	doorbells atomic.Uint64
-	evicted   atomic.Uint64
-	events    atomic.Uint64
-	coalesced atomic.Uint64
+	accepted      atomic.Uint64
+	ringConns     atomic.Uint64
+	doorbells     atomic.Uint64
+	writerFlushes atomic.Uint64
+	evicted       atomic.Uint64
+	events        atomic.Uint64
+	coalesced     atomic.Uint64
 
 	batches  atomic.Uint64
 	batchOps atomic.Uint64
@@ -260,9 +272,11 @@ func (s *Server) Do(fn func(st *store.Store)) bool {
 // do is the store loop and the one source of a *tree: it runs fn on the
 // tree under the store lock, then drains the private kernel so every
 // watch delivery fn scheduled has reached its connection's queue before
-// the lock is released. It reports false without running fn once the
-// server is closed. It stays a plain method: called through a func
-// value or an interface, every op closure handed to it would escape.
+// the lock is released, and writes the queues of the ring connections
+// those deliveries reached (tree.flush). It reports false without
+// running fn once the server is closed. It stays a plain method: called
+// through a func value or an interface, every op closure handed to it
+// would escape.
 func (s *Server) do(fn func(*tree)) bool {
 	s.loopMu.Lock()
 	defer s.loopMu.Unlock()
@@ -274,6 +288,7 @@ func (s *Server) do(fn func(*tree)) bool {
 	t := &s.tree
 	fn(t)
 	t.k.Run()
+	t.flush()
 	return true
 }
 
@@ -345,19 +360,20 @@ func (s *Server) Counters() Counters {
 // wireCounters snapshots the server's own accounting, the store's aside.
 func (s *Server) wireCounters() Counters {
 	ctr := Counters{
-		Accepted:     s.accepted.Load(),
-		RingConns:    s.ringConns.Load(),
-		Doorbells:    s.doorbells.Load(),
-		Evicted:      s.evicted.Load(),
-		Events:       s.events.Load(),
-		Coalesced:    s.coalesced.Load(),
-		Batches:      s.batches.Load(),
-		BatchOps:     s.batchOps.Load(),
-		Syncs:        s.syncs.Load(),
-		SyncMatches:  s.syncMatches.Load(),
-		SyncDeltas:   s.syncDeltas.Load(),
-		SyncFulls:    s.syncFulls.Load(),
-		TraceDropped: s.traceDropped.Load(),
+		Accepted:      s.accepted.Load(),
+		RingConns:     s.ringConns.Load(),
+		Doorbells:     s.doorbells.Load(),
+		WriterFlushes: s.writerFlushes.Load(),
+		Evicted:       s.evicted.Load(),
+		Events:        s.events.Load(),
+		Coalesced:     s.coalesced.Load(),
+		Batches:       s.batches.Load(),
+		BatchOps:      s.batchOps.Load(),
+		Syncs:         s.syncs.Load(),
+		SyncMatches:   s.syncMatches.Load(),
+		SyncDeltas:    s.syncDeltas.Load(),
+		SyncFulls:     s.syncFulls.Load(),
+		TraceDropped:  s.traceDropped.Load(),
 	}
 	s.mu.Lock()
 	ctr.Active = uint64(len(s.conns))

@@ -56,6 +56,10 @@ func (q *FIFO[T]) Push(v T) int {
 	return q.base + q.Len() - 1
 }
 
+// Base is the absolute index of the oldest element: the live ones are
+// Base() through Base()+Len()-1.
+func (q *FIFO[T]) Base() int { return q.base }
+
 // At returns the live element pushed as number abs, or nil once it has
 // been popped. The pointer is valid until the next push or pop.
 func (q *FIFO[T]) At(abs int) *T {
