@@ -3,9 +3,13 @@ package netstore
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
+	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"iorchestra/internal/sim"
@@ -17,8 +21,11 @@ import (
 // domain sees in-process, and satisfies federation.View as it stands.
 //
 // A Client is safe for concurrent use. Requests may be issued from many
-// goroutines; watch callbacks are delivered sequentially by a dedicated
-// dispatcher goroutine, and may themselves issue Client operations.
+// goroutines. Each client has one goroutine of its own, its loop: it
+// reads the inbound stream and runs the watch callbacks one at a time, on
+// the goroutine that read their events. A callback may itself issue
+// Client operations, and such a request reads its own reply: while the
+// loop runs callbacks, a caller waiting for a reply reads the stream.
 //
 // Retention: the strings one reply carries — a Read value, the names of
 // a List, every Value and Names element of a Batch's results — are views
@@ -30,12 +37,20 @@ import (
 // arguments and SyncSubtree pages are private copies.
 type Client struct {
 	c net.Conn
-	// fr reads the inbound frames: the stream is read by exactly one
-	// goroutine (handshake, then readLoop), so whatever the server sent
-	// behind its hello reply is already buffered for the loop. paths is
-	// readLoop's intern table for event paths.
+	// The inbound stream is read by whoever holds the read token, which
+	// tok holds while nobody reads: the loop, a caller waiting for its
+	// reply (await), or the standby reader behind a slow callback. The
+	// loop takes the token only when it is free and otherwise waits on
+	// kick, so a token let go goes to a waiting caller or stays free for
+	// the next one — never to a loop that would hand it straight back.
+	// fr, paths (the intern table for event paths) and rerr are the
+	// holder's. The handshake reads fr before the loop starts, so whatever
+	// the server sent behind its hello reply is already buffered for it.
+	tok   chan struct{}
+	kick  chan struct{} // capacity 1: a holder other than the loop has let go
 	fr    frameReader
 	paths pathTable
+	rerr  error // why the stream ended; once set, nobody reads again
 
 	// reqMu orders request ids, pending registrations and socket writes.
 	// wenc is the request encoder, reused under it: a frame is built
@@ -56,23 +71,32 @@ type Client struct {
 	sweepEvery time.Duration
 	sweeper    *time.Timer
 
-	watchMu   sync.Mutex
+	// Inbound watch events wait here for the loop to run their callbacks.
+	// The queue grows on demand, so a reader never blocks on it — a
+	// callback parked in an rpc can always get its reply — and, like the
+	// server's outbound queue, it holds the net change per (watch, path):
+	// a newer value replaces a queued one in place, so a stuck callback
+	// costs memory in proportion to the distinct keys changed, not to the
+	// history. watches holds each registered watch's callback and finds
+	// its queued events; an event for any other watch is dropped.
+	evMu      sync.Mutex
+	evq       sim.FIFO[clientEvent]
+	watches   map[uint32]*clientWatch
 	nextWatch uint32
-	watchFns  map[uint32]func(path, value string)
 
-	// Inbound watch events wait here for the dispatcher goroutine. The
-	// queue grows on demand, so readLoop never blocks on it — a callback
-	// parked in an rpc can always get its reply — and, like the server's
-	// outbound queue, it holds the net change per (watch, path): a newer
-	// value replaces a queued one in place, so a stuck dispatcher costs
-	// memory in proportion to the distinct keys changed, not to the
-	// history. evIdx finds the queued one: per registered watch, path to
-	// absolute queue index; an event for any other watch is dropped.
-	evMu   sync.Mutex
-	evCond sync.Cond
-	evq    sim.FIFO[clientEvent]
-	evIdx  map[uint32]map[string]int
-	evDone bool // readLoop has exited; the dispatcher drains and stops
+	// The standby reader keeps the stream moving behind a slow callback,
+	// so the server's write to this client cannot stall into an eviction.
+	// cb is bumped as each callback starts and as it returns: odd while
+	// one runs, its value names that one. While callbacks run, standby
+	// ticks every standbyEvery; a tick that finds the callback of the
+	// previous tick (lastCB) still running, and the token free, reads
+	// until that callback returns. The loop re-arms the timer only once a
+	// tick has found no callback run (armed), so it is armed at most once
+	// per tick and never per callback.
+	cb      atomic.Uint64
+	lastCB  atomic.Uint64
+	armed   atomic.Bool
+	standby *time.Timer
 
 	closeOnce sync.Once
 	closedCh  chan struct{}
@@ -86,14 +110,26 @@ type clientEvent struct {
 	value string
 }
 
+// clientWatch is one registered watch: its callback, and per path its
+// queued event's absolute index in Client.evq.
+type clientWatch struct {
+	fn  func(path, value string)
+	idx map[string]int
+}
+
 // requestTimeout bounds each request round trip (see Client.sweep). A
 // variable only so a test can shorten it.
 var requestTimeout = 30 * time.Second
 
-// waiter is one in-flight request's rendezvous with readLoop. Waiters
-// are pooled, so a round trip allocates no channel. Whoever removes a
-// waiter from Client.pending — readLoop with the reply, fail or sweep
-// without one — fills it in and signals it exactly once.
+// standbyEvery is the standby reader's tick: a callback that runs
+// longer than one to two of them has the stream read behind it.
+const standbyEvery = time.Millisecond
+
+// waiter is one in-flight request's rendezvous with whoever reads its
+// reply. Waiters are pooled, so a round trip allocates no channel.
+// Whoever removes a waiter from Client.pending — a reader with the
+// reply, fail or sweep without one — fills it in and signals it exactly
+// once; a caller that reads its own reply is not signalled (step).
 type waiter struct {
 	ready chan struct{} // capacity 1: the signal never blocks its sender
 	body  string        // the reply after opcode and request id
@@ -106,8 +142,8 @@ var waiterPool = sync.Pool{New: func() any {
 }}
 
 // okBody is the body of a bodiless OK reply (status 0, empty message) —
-// what every write, remove, grant and ping is answered with. readFrames
-// hands waiters this constant instead of a copy of those five bytes.
+// what every write, remove, grant and ping is answered with. step hands
+// waiters this constant instead of a copy of those five bytes.
 const okBody = "\x00\x00\x00\x00\x00"
 
 // Dial connects to an iorchestra-stored endpoint ("tcp" or "unix") and
@@ -125,16 +161,16 @@ func Dial(network, addr string, dom store.DomID, token string) (*Client, error) 
 func NewClient(nc net.Conn, dom store.DomID, token string) (*Client, error) {
 	c := &Client{
 		c:        nc,
+		tok:      make(chan struct{}, 1),
+		kick:     make(chan struct{}, 1),
 		fr:       frameReader{r: nc},
 		pending:  map[uint32]*waiter{},
-		watchFns: map[uint32]func(path, value string){},
-		evIdx:    map[uint32]map[string]int{},
+		watches:  map[uint32]*clientWatch{},
 		paths:    pathTable{},
 		closedCh: make(chan struct{}),
 	}
-	c.evCond.L = &c.evMu
 	// Handshake is synchronous: one frame out, one frame back, before the
-	// read loop owns the socket. On a Unix socket the hello offers a ring
+	// loop reads the stream. On a Unix socket the hello offers a ring
 	// (ring.go), which the server's reply may have accepted.
 	e := &enc{}
 	e.op(OpHandshake, 1)
@@ -165,8 +201,10 @@ func NewClient(nc net.Conn, dom store.DomID, token string) (*Client, error) {
 	c.reqMu.Lock()
 	c.sweeper = time.AfterFunc(c.sweepEvery, c.sweep)
 	c.reqMu.Unlock()
-	go c.readLoop()
-	go c.dispatchLoop()
+	c.standby = time.AfterFunc(standbyEvery, c.standbyTick)
+	c.standby.Stop() // the first callback arms it
+	c.tok <- struct{}{}
+	go c.loop()
 	return c, nil
 }
 
@@ -248,105 +286,262 @@ func (c *Client) sweep() {
 	default:
 	}
 	c.epoch++
+	expired := false
 	for id, w := range c.pending {
 		if c.epoch-w.epoch > 4 {
 			delete(c.pending, id)
 			w.err = fmt.Errorf("%w after %v", ErrTimeout, 4*c.sweepEvery)
 			w.ready <- struct{}{}
+			expired = true
 		}
+	}
+	if expired {
+		// The timed-out caller may be the one reading, for a reply that
+		// will not come: an expired read deadline ends its read. Whoever
+		// is reading clears it and goes on (step).
+		c.c.SetReadDeadline(longAgo)
 	}
 	c.sweeper.Reset(c.sweepEvery)
 }
 
-// readLoop owns the inbound stream until it fails, then fails the
-// connection and lets the dispatcher drain what is queued and stop.
-func (c *Client) readLoop() {
-	c.fail(c.readFrames())
-	c.evMu.Lock()
-	c.evDone = true
-	c.evCond.Broadcast()
-	c.evMu.Unlock()
-}
-
-// readFrames routes replies to their waiters and events to the
-// dispatcher's queue; it returns why the stream ended.
-func (c *Client) readFrames() error {
+// loop is the client's goroutine. It runs the queued callbacks, in
+// order, with the read token free, so callers read their own replies
+// meanwhile; then it reads if the token is free, or waits for its holder
+// to let go (kick). Once the stream has ended it runs what is queued and
+// returns.
+func (c *Client) loop() {
 	for {
-		payload, err := c.fr.next()
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrClosed, err)
-		}
-		d := dec{b: payload, paths: c.paths}
-		op := Op(d.u8())
-		id := d.u32()
-		if d.err != nil {
-			return fmt.Errorf("%w: truncated frame from server", ErrBadRequest)
-		}
-		switch op {
-		case OpReply:
-			c.reqMu.Lock()
-			w := c.pending[id]
-			delete(c.pending, id)
-			c.reqMu.Unlock()
-			if w != nil {
-				// The waiter decodes on its own goroutine, after the next
-				// read has reused rbuf: it gets the body as a string of its
-				// own, the reply's one allocation (rdec).
-				if string(d.b) == okBody {
-					w.body = okBody
-				} else {
-					w.body = string(d.b)
-				}
-				w.ready <- struct{}{}
-			}
-		case OpEvent:
-			// Decoded in place: dec copies the strings out before the next
-			// read overwrites rbuf.
-			watch := d.u32()
-			path := d.path()
-			value := d.str()
-			if d.done() == nil {
-				c.pushEvent(eventKey{watch: watch, path: path}, value)
+		c.dispatch()
+		select {
+		case <-c.tok:
+			if !c.readUntilEvent() {
+				c.dispatch()
+				return
 			}
 		default:
-			return fmt.Errorf("%w: unexpected opcode %d from server", ErrBadRequest, uint8(op))
+			<-c.kick
 		}
 	}
 }
 
-// pushEvent queues one watch event for the dispatcher without ever
-// blocking: a value for a key still queued replaces it in place.
-func (c *Client) pushEvent(key eventKey, value string) {
+// readUntilEvent is the loop's read, the token held: it reads until an
+// event is queued and no whole frame is buffered behind it, then lets
+// the token go. It reports whether the stream is still up.
+func (c *Client) readUntilEvent() bool {
 	c.evMu.Lock()
-	if idx := c.evIdx[key.watch]; idx == nil {
-		// Unwatched since the server sent it.
-	} else if abs, queued := idx[key.path]; queued {
-		c.evq.At(abs).value = value
-	} else {
-		idx[key.path] = c.evq.Push(clientEvent{key: key, value: value})
-		c.evCond.Signal()
-	}
+	queued := c.evq.Len() > 0
 	c.evMu.Unlock()
+	woke := false
+	for c.rerr == nil && (!queued || c.fr.whole()) {
+		switch c.step(nil) {
+		case queuedEvent:
+			queued = true
+		case wokeWaiter:
+			woke = true
+		}
+	}
+	c.tok <- struct{}{}
+	if woke {
+		// The caller just handed its reply waits in this goroutine's
+		// processor's next slot: let it run before the callbacks do.
+		runtime.Gosched()
+	}
+	return c.rerr == nil
 }
 
-func (c *Client) dispatchLoop() {
+// release lets the read token go — to a caller waiting for it, or back
+// to the loop — and kicks the loop so that it looks again. Every holder
+// but the loop lets go through here.
+func (c *Client) release() {
+	c.tok <- struct{}{}
+	select {
+	case c.kick <- struct{}{}:
+	default: // a kick is pending already
+	}
+}
+
+// dispatch runs the queued callbacks until the queue is empty; the
+// standby timer covers each one.
+func (c *Client) dispatch() {
 	for {
 		c.evMu.Lock()
-		for c.evq.Len() == 0 && !c.evDone {
-			c.evCond.Wait()
-		}
-		if c.evq.Len() == 0 {
+		ev, ok := c.evq.Pop()
+		if !ok {
 			c.evMu.Unlock()
 			return
 		}
-		ev, _ := c.evq.Pop()
-		delete(c.evIdx[ev.key.watch], ev.key.path) // a no-op once unwatched
+		w := c.watches[ev.key.watch]
+		if w != nil {
+			delete(w.idx, ev.key.path)
+		}
 		c.evMu.Unlock()
-		c.watchMu.Lock()
-		fn := c.watchFns[ev.key.watch]
-		c.watchMu.Unlock()
-		if fn != nil {
-			fn(ev.key.path, ev.value)
+		if w != nil { // else unwatched since it was queued
+			// Bumped before armed is read, and standbyTick clears armed
+			// before it reads cb: a tick that disarms has seen this
+			// callback start, or this read sees it disarmed and arms it.
+			c.cb.Add(1)
+			if !c.armed.Load() && c.armed.CompareAndSwap(false, true) {
+				c.standby.Reset(standbyEvery)
+			}
+			w.fn(ev.key.path, ev.value)
+			c.cb.Add(1)
+		}
+	}
+}
+
+// standbyTick is the standby timer's tick (see Client.standby). It ticks
+// again while callbacks run, and disarms after a tick with none run.
+func (c *Client) standbyTick() {
+	select {
+	case <-c.closedCh:
+		return
+	default:
+	}
+	s := c.cb.Load()
+	if last := c.lastCB.Swap(s); s == last && s&1 == 1 {
+		select {
+		case <-c.tok:
+			for c.rerr == nil && c.cb.Load() == s {
+				c.step(nil)
+			}
+			c.release()
+		default: // someone is reading
+		}
+	} else if s == last {
+		c.armed.Store(false)
+		if c.cb.Load() == s || !c.armed.CompareAndSwap(false, true) {
+			return
+		}
+	}
+	c.standby.Reset(standbyEvery)
+}
+
+// stepped is what step did with a frame.
+type stepped uint8
+
+const (
+	routedNone  stepped = iota // a deadline, an error, or a frame for nobody
+	answeredOwn                // the reading caller's own reply
+	wokeWaiter                 // another caller's reply, signalled
+	queuedEvent                // an event, queued
+)
+
+// step reads one frame and routes it; the caller holds the read token.
+// A reply goes to its waiter — to own, the reading caller's, without a
+// signal — and an event to the queue. A deadline error is the sweep
+// ending a timed-out caller's read: it is cleared and nothing is routed.
+// Any other error ends the stream: it is kept in rerr and fails the
+// connection.
+func (c *Client) step(own *waiter) stepped {
+	payload, err := c.fr.next()
+	if err != nil {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			c.c.SetReadDeadline(time.Time{})
+			return routedNone
+		}
+		c.end(fmt.Errorf("%w: %v", ErrClosed, err))
+		return routedNone
+	}
+	d := dec{b: payload, paths: c.paths}
+	op := Op(d.u8())
+	id := d.u32()
+	if d.err != nil {
+		c.end(fmt.Errorf("%w: truncated frame from server", ErrBadRequest))
+		return routedNone
+	}
+	switch op {
+	case OpReply:
+		c.reqMu.Lock()
+		w := c.pending[id]
+		delete(c.pending, id)
+		c.reqMu.Unlock()
+		if w != nil {
+			// The waiter decodes after the next read has reused the
+			// reader's buffer: it gets the body as a string of its own, the
+			// reply's one allocation (rdec).
+			if string(d.b) == okBody {
+				w.body = okBody
+			} else {
+				w.body = string(d.b)
+			}
+			if w == own {
+				return answeredOwn
+			}
+			w.ready <- struct{}{}
+			return wokeWaiter
+		}
+	case OpEvent:
+		// Decoded in place: dec copies the strings out before the next
+		// read overwrites the buffer.
+		watch := d.u32()
+		path := d.path()
+		value := d.str()
+		if d.done() == nil && c.pushEvent(eventKey{watch: watch, path: path}, value) {
+			return queuedEvent
+		}
+	default:
+		c.end(fmt.Errorf("%w: unexpected opcode %d from server", ErrBadRequest, uint8(op)))
+	}
+	return routedNone
+}
+
+// end records why the stream ended and fails the connection, which
+// answers every pending request; the token is held.
+func (c *Client) end(err error) {
+	c.rerr = err
+	c.fail(err)
+}
+
+// pushEvent queues one watch event for the loop without ever blocking: a
+// value for a key still queued replaces it in place. It reports whether
+// the event is queued; one for a watch since removed is dropped.
+func (c *Client) pushEvent(key eventKey, value string) bool {
+	c.evMu.Lock()
+	defer c.evMu.Unlock()
+	w := c.watches[key.watch]
+	if w == nil {
+		return false
+	}
+	if abs, queued := w.idx[key.path]; queued {
+		c.evq.At(abs).value = value
+	} else {
+		w.idx[key.path] = c.evq.Push(clientEvent{key: key, value: value})
+	}
+	return true
+}
+
+// await returns once w is answered. While someone else reads, it waits
+// for them to route the reply; when the token comes free first, the
+// caller reads the stream itself until its own reply is among what it
+// read.
+func (c *Client) await(w *waiter) {
+	select {
+	case <-c.tok: // nobody reads: a callback's request, as a rule
+	default:
+		select {
+		case <-w.ready:
+			return
+		case <-c.tok:
+		}
+	}
+	for {
+		// Check before each read: the token's last holder, the sweep or
+		// fail may have answered w already, and a read after the reply
+		// would wait for a frame that may never come.
+		select {
+		case <-w.ready:
+			c.release()
+			return
+		default:
+		}
+		if c.rerr != nil {
+			c.release()
+			<-w.ready // the ended stream failed the connection, which answers w
+			return
+		}
+		if c.step(w) == answeredOwn {
+			c.release()
+			return
 		}
 	}
 }
@@ -357,9 +552,31 @@ func (c *Client) dispatchLoop() {
 // status+message prefix; the returned decoder is positioned at the
 // op-specific body.
 func (c *Client) call(r *req, subs []req) (rdec, error) {
+	w, err := c.send(r, subs)
+	if err != nil {
+		return rdec{}, err
+	}
+	c.await(w)
+	if w.err != nil {
+		return rdec{}, w.err
+	}
+	d := rdec{s: w.body}
+	w.body = ""
+	waiterPool.Put(w)
+	st := Status(d.u8())
+	msg := d.str()
+	if err := errOf(st, msg); err != nil {
+		return rdec{}, err
+	}
+	return d, nil
+}
+
+// send registers a waiter under a fresh request id and writes the
+// request; the reply is await's to wait for.
+func (c *Client) send(r *req, subs []req) (*waiter, error) {
 	select {
 	case <-c.closedCh:
-		return rdec{}, c.Err()
+		return nil, c.Err()
 	default:
 	}
 	w := waiterPool.Get().(*waiter)
@@ -377,21 +594,9 @@ func (c *Client) call(r *req, subs []req) (rdec, error) {
 		// w stays out of the pool on the failure paths: fail may or may
 		// not have signalled it, and a pooled waiter must be quiet.
 		c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
-		return rdec{}, c.Err()
+		return nil, c.Err()
 	}
-	<-w.ready
-	if w.err != nil {
-		return rdec{}, w.err
-	}
-	d := rdec{s: w.body}
-	w.body = ""
-	waiterPool.Put(w)
-	st := Status(d.u8())
-	msg := d.str()
-	if err := errOf(st, msg); err != nil {
-		return rdec{}, err
-	}
-	return d, nil
+	return w, nil
 }
 
 // callOK is call for a request whose OK reply has no body.
@@ -476,17 +681,17 @@ func (c *Client) Stats() (Counters, error) {
 }
 
 // Watch registers fn on an absolute prefix. The callback runs on the
-// client's dispatcher goroutine; events for the same path may be
-// coalesced (latest value wins) if this client falls behind.
+// client's loop, the goroutine that read its event, one callback at a
+// time; an RPC it issues reads its own reply. Events for the same path
+// may be coalesced (latest value wins) while callbacks fall behind, and
+// the stream is read behind a callback that runs for more than a couple
+// of milliseconds, so a slow one never stalls the server's writes.
 func (c *Client) Watch(prefix string, fn func(path, value string)) (store.WatchID, error) {
-	c.watchMu.Lock()
+	c.evMu.Lock()
 	c.nextWatch++
 	cwid := c.nextWatch
 	// Install before sending: the first event may beat the reply.
-	c.watchFns[cwid] = fn
-	c.watchMu.Unlock()
-	c.evMu.Lock()
-	c.evIdx[cwid] = map[string]int{}
+	c.watches[cwid] = &clientWatch{fn: fn, idx: map[string]int{}}
 	c.evMu.Unlock()
 	if err := c.callOK(&req{op: OpWatch, id: cwid, path: prefix}); err != nil {
 		c.forget(cwid)
@@ -497,11 +702,8 @@ func (c *Client) Watch(prefix string, fn func(path, value string)) (store.WatchI
 
 // forget drops a watch's callback and index; dispatch discards its queue.
 func (c *Client) forget(cwid uint32) {
-	c.watchMu.Lock()
-	delete(c.watchFns, cwid)
-	c.watchMu.Unlock()
 	c.evMu.Lock()
-	delete(c.evIdx, cwid)
+	delete(c.watches, cwid)
 	c.evMu.Unlock()
 }
 

@@ -330,6 +330,78 @@ func TestRequestTimeoutSweep(t *testing.T) {
 	}
 }
 
+// TestRequestTimeoutEndsACallersRead: a request issued from a watch
+// callback finds nobody reading and reads the stream itself, so when the
+// server sits on it the sweep must end that read as well as fail the
+// request. The request returns ErrTimeout inside the sweep's window, the
+// connection stays up, and the next request is answered.
+func TestRequestTimeoutEndsACallersRead(t *testing.T) {
+	old := requestTimeout
+	requestTimeout = 400 * time.Millisecond
+	t.Cleanup(func() { requestTimeout = old })
+
+	base := store.DomainPath(3)
+	sock := playServer(t, func(nc net.Conn, br *bufio.Reader) {
+		satOn := false
+		for {
+			req, err := readFrame(br)
+			if err != nil {
+				return
+			}
+			d := &dec{b: req}
+			op := Op(d.u8())
+			reply := replyTo(d.u32(), nil).b
+			switch {
+			case op == OpPing && !satOn:
+				satOn = true // never answered
+			case op == OpWrite:
+				ev := (&enc{}).op(OpEvent, 0).u32(1).str(base + "/go").str("1")
+				nc.Write(framed(ev.b, reply))
+			default:
+				writeFrame(nc, reply)
+			}
+		}
+	})
+	c, err := Dial("unix", sock, 3, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	type outcome struct {
+		err  error
+		took time.Duration
+	}
+	res := make(chan outcome, 1)
+	if _, err := c.Watch(base, func(p, v string) {
+		t0 := time.Now()
+		err := c.Ping()
+		res <- outcome{err, time.Since(t0)}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write(base+"/go", "1"); err != nil {
+		t.Fatal(err)
+	}
+	var got outcome
+	select {
+	case got = <-res:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the callback's request is still reading long after its timeout")
+	}
+	if !errors.Is(got.err, ErrTimeout) {
+		t.Fatalf("unanswered request from a callback returned %v after %v, want ErrTimeout", got.err, got.took)
+	}
+	if lo, hi := requestTimeout, requestTimeout*5/4+500*time.Millisecond; got.took < lo || got.took > hi {
+		t.Errorf("timed out after %v, want between %v and %v", got.took, lo, hi)
+	}
+	if c.Err() != nil {
+		t.Fatalf("a timed-out request killed the connection: %v", c.Err())
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("request after the timeout: %v", err)
+	}
+}
+
 // TestWatchMalformedReplyLeavesNoCallback plays a server that answers a
 // watch request with an OK and a stray byte: Watch must fail and take
 // its callback back out of the table, as it does when the call itself
@@ -355,9 +427,9 @@ func TestWatchMalformedReplyLeavesNoCallback(t *testing.T) {
 	if _, err := c.Watch(store.DomainPath(3), func(string, string) {}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("Watch with a stray byte in its reply returned %v, want ErrBadRequest", err)
 	}
-	c.watchMu.Lock()
-	left := len(c.watchFns)
-	c.watchMu.Unlock()
+	c.evMu.Lock()
+	left := len(c.watches)
+	c.evMu.Unlock()
 	if left != 0 {
 		t.Errorf("%d callbacks still installed after the failed Watch", left)
 	}

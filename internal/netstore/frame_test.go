@@ -247,11 +247,10 @@ func TestHelloReplyAndEventInOneSegment(t *testing.T) {
 	if err := c.Err(); !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "opcode 99") {
 		t.Errorf("client died of %v, want the unexpected opcode", err)
 	}
-	c.evMu.Lock() // readLoop is done once evDone is set; paths is its own
-	for !c.evDone {
-		c.evCond.Wait()
-	}
-	c.evMu.Unlock()
+	// paths belongs to the read token's holder. The reader that met the
+	// bad opcode failed the connection before it let the token go, and the
+	// stream is over, so whoever takes the token now reads nothing more.
+	<-c.tok
 	if _, ok := c.paths[path]; !ok {
 		t.Errorf("the event behind the hello reply was not decoded")
 	}

@@ -1,6 +1,6 @@
 package netstore
 
-// Tests for the per-watch event index (srvWatch.idx, Client.evIdx): each
+// Tests for the per-watch event index (srvWatch.idx, clientWatch.idx): each
 // watch finds its own queued events by path, so two watches coalesce
 // independently, and an entry lives exactly as long as its frame whether
 // or not the watch outlives it.
@@ -261,7 +261,7 @@ func TestUnwatchWithEventsQueued(t *testing.T) {
 	waitIndexesEmpty(t, c, old)
 }
 
-// TestClientIndexPerWatch is the client's half: behind a dispatcher stuck
+// TestClientIndexPerWatch is the client's half: behind a callback stuck
 // in a callback, two overlapping watches each keep the net change per
 // path; an unwatched one's queued events are discarded, its index with
 // it; and a drained queue leaves every index empty.
@@ -311,9 +311,9 @@ func TestClientIndexPerWatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.evMu.Lock()
-	for cwid, idx := range c.evIdx {
-		if len(idx) != 2 {
-			t.Errorf("watch %d indexes %d queued events, want 2", cwid, len(idx))
+	for cwid, w := range c.watches {
+		if len(w.idx) != 2 {
+			t.Errorf("watch %d indexes %d queued events, want 2", cwid, len(w.idx))
 		}
 	}
 	if n := c.evq.Len(); n != 6 {
@@ -322,7 +322,7 @@ func TestClientIndexPerWatch(t *testing.T) {
 	c.evMu.Unlock()
 	c.Unwatch(gone)
 	close(release)
-	// A marker write tells when the dispatcher has caught up.
+	// A marker write tells when the loop's callbacks have caught up.
 	if err := writer.Write(base+"/hot/end", "end"); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestClientIndexPerWatch(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("dispatcher never caught up: %v", seen)
+			t.Fatalf("the callbacks never caught up: %v", seen)
 		}
 	}
 	mu.Lock()
@@ -348,12 +348,12 @@ func TestClientIndexPerWatch(t *testing.T) {
 	}
 	c.evMu.Lock()
 	defer c.evMu.Unlock()
-	if len(c.evIdx) != 2 {
-		t.Errorf("%d watch indexes after an unwatch of one of three, want 2", len(c.evIdx))
+	if len(c.watches) != 2 {
+		t.Errorf("%d watch indexes after an unwatch of one of three, want 2", len(c.watches))
 	}
-	for cwid, idx := range c.evIdx {
-		if c.evq.Len() == 0 && len(idx) != 0 {
-			t.Errorf("queue drained, watch %d still indexes %v", cwid, idx)
+	for cwid, w := range c.watches {
+		if c.evq.Len() == 0 && len(w.idx) != 0 {
+			t.Errorf("queue drained, watch %d still indexes %v", cwid, w.idx)
 		}
 	}
 }

@@ -2,11 +2,15 @@ package netstore
 
 // Tests for the execution model: an operation runs to completion on the
 // goroutine that decoded it, under the server's store lock
-// (docs/WIRE_PROTOCOL.md §3.2). CI runs them at GOMAXPROCS 1, 2 and the
-// default, plain and under the race detector.
+// (docs/WIRE_PROTOCOL.md §3.2), and a client's one loop reads the stream
+// and runs the callbacks, handing the read token to a caller that waits
+// for its reply (§4). CI runs them at GOMAXPROCS 1, 2 and the default,
+// plain and under the race detector.
 
 import (
+	"bufio"
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -144,7 +148,7 @@ func TestStoreLockTotalOrder(t *testing.T) {
 		nextRound[tag]++
 	}
 
-	// Every event was queued before its write's reply, but a dispatcher
+	// Every event was queued before its write's reply, but a client's loop
 	// may still be a few callbacks behind: poll for the final values.
 	deadline := time.Now().Add(10 * time.Second)
 	for i, s := range views {
@@ -254,10 +258,11 @@ func TestSelfEvictionUnderLock(t *testing.T) {
 	}
 }
 
-// TestCallbackRPCUnderEventBurst parks the dispatcher in a callback and,
-// from inside it, puts 5000 events and then an rpc reply on the client's
-// own stream. The reader must get past the events to the reply without
-// waiting for the dispatcher, which is waiting for the reply. (With a
+// TestCallbackRPCUnderEventBurst parks the client's loop in a callback
+// and, from inside it, puts 5000 events and then an rpc reply on the
+// client's own stream. The rpc, which reads the stream itself, must queue
+// the events and get to its reply without waiting for the callbacks to
+// run, since the loop that runs them is waiting for the reply. (With a
 // bounded hand-off of 4096 this resolved only by the 30 s request
 // timeout.)
 func TestCallbackRPCUnderEventBurst(t *testing.T) {
@@ -302,12 +307,157 @@ func TestCallbackRPCUnderEventBurst(t *testing.T) {
 			t.Fatalf("rpc from the callback: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("rpc from the callback never returned: reader blocked behind the dispatcher")
+		t.Fatal("rpc from the callback never returned: its read blocked behind the queued events")
 	}
 	select {
 	case <-all:
 	case <-time.After(10 * time.Second):
-		t.Fatalf("dispatcher delivered %d of %d queued events", got.Load(), burst)
+		t.Fatalf("the loop ran %d of %d queued callbacks", got.Load(), burst)
+	}
+}
+
+// TestCallerChecksBeforeReading: a caller that takes the read token must
+// look at its waiter before it reads. A client watches its own subtree
+// and writes from the test's goroutine; the played server answers each
+// write with the write's event and its reply in one socket write, so the
+// loop reads both in one take, routes the reply, and lets the token go to
+// run the callback. The test sends each write (send) and waits for its
+// reply (await) only once the loop is inside that write's callback: the
+// caller comes to a free token with its reply already in, as one that
+// loses the race to the loop does. A read then would wait for a frame
+// this server sends only when asked, so every wait must end within a
+// bounded deadline — and, for good measure, so must plain Writes.
+func TestCallerChecksBeforeReading(t *testing.T) {
+	base := store.DomainPath(3)
+	sock := playServer(t, func(nc net.Conn, br *bufio.Reader) {
+		for n := 0; ; {
+			req, err := readFrame(br)
+			if err != nil {
+				return
+			}
+			d := &dec{b: req}
+			op := Op(d.u8())
+			reply := replyTo(d.u32(), nil).b
+			if op != OpWrite {
+				writeFrame(nc, reply)
+				continue
+			}
+			n++
+			ev := (&enc{}).op(OpEvent, 0).u32(1).str(base + "/k").str(strconv.Itoa(n))
+			nc.Write(framed(ev.b, reply))
+		}
+	})
+	c, err := Dial("unix", sock, 3, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var held atomic.Bool
+	entered, release := make(chan string), make(chan struct{})
+	if _, err := c.Watch(base, func(p, v string) {
+		if held.Load() {
+			entered <- v
+			<-release
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	held.Store(true)
+	for i := 1; i <= 50; i++ {
+		w, err := c.send(&req{op: OpWrite, path: base + "/k", value: "v"}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := <-entered; v != strconv.Itoa(i) {
+			t.Fatalf("write %d: the callback got event %s", i, v)
+		}
+		within(t, 5*time.Second, fmt.Sprintf("the wait for write %d's reply, routed before it began", i), func() { c.await(w) })
+		if w.err != nil || w.body != okBody {
+			t.Fatalf("write %d: reply %q, %v", i, w.body, w.err)
+		}
+		release <- struct{}{}
+	}
+	held.Store(false)
+	for i := 0; i < 200; i++ {
+		within(t, 5*time.Second, fmt.Sprintf("write %d", i), func() {
+			if err := c.Write(base+"/k", "v"); err != nil {
+				t.Errorf("write %d: %v", i, err)
+			}
+		})
+	}
+}
+
+// TestStandbyReaderBehindSlowCallback: a watch callback blocks for three
+// WriteTimeouts without calling the client, while another connection
+// writes far more distinct keys than a ring or a loopback socket holds.
+// Nobody waits for a reply, so only the standby reader reads the stream
+// behind the callback: the server must evict nobody, and once the
+// callback returns, the latest value of every key must reach the callback.
+func TestStandbyReaderBehindSlowCallback(t *testing.T) {
+	for _, network := range transports {
+		t.Run(network, func(t *testing.T) { standbyReader(t, network) })
+	}
+}
+
+func standbyReader(t *testing.T, network string) {
+	const wt = 200 * time.Millisecond
+	srv, addr := startServerOn(t, network, Options{WriteTimeout: wt})
+	c := dialOn(t, network, addr, 3)
+	writer := dialOn(t, network, addr, 3)
+	base := store.DomainPath(3)
+	var mu sync.Mutex
+	seen := map[string]string{}
+	blocked := make(chan struct{})
+	if _, err := c.Watch(base, func(p, v string) {
+		if p == base+"/gate" {
+			close(blocked)
+			time.Sleep(3 * wt)
+			return
+		}
+		mu.Lock()
+		seen[p] = v
+		mu.Unlock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Write(base+"/gate", "shut"); err != nil {
+		t.Fatal(err)
+	}
+	within(t, 10*time.Second, "the gate's callback", func() { <-blocked })
+	// Two values a key, fat ones: 6.4 MB in all, for 100 keys.
+	want := map[string]string{}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 100; i++ {
+			p := fmt.Sprintf("%s/k/%d", base, i)
+			v := strings.Repeat(strconv.Itoa(round), 32<<10)
+			want[p] = v
+			if err := writer.Write(p, v); err != nil {
+				t.Fatalf("write %s: %v", p, err)
+			}
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		missing := ""
+		mu.Lock()
+		for p, v := range want {
+			if seen[p] != v {
+				missing = p
+				break
+			}
+		}
+		mu.Unlock()
+		if missing == "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the callback never saw the latest value of %s", missing)
+		}
+	}
+	if n := srv.Counters().Evicted; n != 0 {
+		t.Errorf("evicted %d connections behind a slow callback, want 0", n)
+	}
+	if err := c.Err(); err != nil {
+		t.Errorf("the slow callback's client died: %v", err)
 	}
 }
 

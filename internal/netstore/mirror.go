@@ -41,7 +41,7 @@ func (c *Client) SyncSubtree(root string, sinceVersion, knownHash uint64) (store
 // beyond that window.
 //
 // A Mirror is not safe for concurrent use; drive it from one goroutine
-// (watch callbacks run on the client's dispatcher goroutine, so either
+// (watch callbacks run on the client's loop goroutine, so either
 // sync from there or don't mix the two).
 type Mirror struct {
 	c    *Client

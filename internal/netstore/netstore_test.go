@@ -202,7 +202,7 @@ func TestWatchCallbackMayReenterClient(t *testing.T) {
 
 	done := make(chan string, 1)
 	_, err := c.Watch(base+"/ping", func(p, v string) {
-		// Issuing an RPC from the dispatcher goroutine must not deadlock.
+		// An RPC issued from the callback reads its own reply: no deadlock.
 		if v == "go" {
 			if err := c.Write(base+"/pong", "ok"); err != nil {
 				done <- err.Error()
@@ -256,7 +256,7 @@ func TestUnwatchStopsEvents(t *testing.T) {
 	}
 	// The write round trip has fully drained the store loop; anything the
 	// watch produced would already be queued. Ping once more to flush the
-	// dispatcher, then assert silence.
+	// client's loop, then assert silence.
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}

@@ -319,6 +319,13 @@ func (fr *frameReader) next() ([]byte, error) {
 	return payload, nil
 }
 
+// whole reports whether a whole frame is buffered: whether next would
+// return without reading.
+func (fr *frameReader) whole() bool {
+	n := fr.tail - fr.head
+	return n >= 4 && n-4 >= int(binary.BigEndian.Uint32(fr.buf[fr.head:]))
+}
+
 // fill reads until need bytes are buffered. A frame that straddles the
 // end of the buffer is first moved to the front of it, or of one that
 // fits — at most once per frame, and never for a peer with one request
