@@ -41,14 +41,15 @@ race:
 # lists its seeds under — the frame reader against its reference, whole
 # frames at a live server connection, then the shared-memory transport:
 # byte streams and hostile indexes through a ring, and hellos carrying
-# descriptors no server may take.
+# descriptors no server may take; last, the subtree-sync contract — a
+# copy kept by SyncSubtree and SyncPage.Apply converges on the subtree.
 # Plain `make test` already runs their seed corpus. Every target gives
 # the engine 1 s, not its default minute, to minimize each input it finds
 # interesting: otherwise a 10 s run can spend itself shrinking one input.
 # FuzzFrameReader did — its seeds are 30 KB streams, and it ran 45,373
 # inputs in its first 3 s and none after; the server and ring targets'
 # coverage moves with goroutine scheduling, so they find such inputs often.
-FUZZ = FuzzDecodeBatch FuzzReplyDecode FuzzReplyComposites FuzzFrameReader FuzzServerFrames FuzzRingStream FuzzHello
+FUZZ = FuzzDecodeBatch FuzzReplyDecode FuzzReplyComposites FuzzFrameReader FuzzServerFrames FuzzRingStream FuzzHello FuzzSyncApply
 fuzz:
 	for f in $(FUZZ); do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s -fuzzminimizetime 1s ./internal/netstore/ || exit 1; \

@@ -11,7 +11,9 @@ import (
 	"iorchestra/internal/apps"
 	"iorchestra/internal/blkio"
 	"iorchestra/internal/guest"
+	"iorchestra/internal/pagecache"
 	"iorchestra/internal/store"
+	"iorchestra/internal/trace"
 	"iorchestra/internal/workload"
 )
 
@@ -34,7 +36,7 @@ func TestIntegrationFlushPolicyKeepsCachesCleanerThanBaseline(t *testing.T) {
 		for step := 0; step < 60; step++ {
 			p.RunFor(500 * Millisecond)
 			for _, vm := range vms {
-				integral += float64(vm.G.Disks()[0].Cache.DirtyBytes())
+				integral += float64(vm.G.Disks()[0].Cache.DirtyPages() * pagecache.PageSize)
 			}
 		}
 		return integral
@@ -47,7 +49,7 @@ func TestIntegrationFlushPolicyKeepsCachesCleanerThanBaseline(t *testing.T) {
 }
 
 func TestIntegrationCongestionVetoUnderRealWorkload(t *testing.T) {
-	p := NewPlatform(SystemIOrchestra, 12, WithPolicies(Policies{Congestion: true}))
+	p := NewPlatform(SystemIOrchestra, 12, WithPolicies(Policies{Congestion: true}), WithTracing(0))
 	rt := p.NewVM(2, 2, guest.DiskConfig{
 		Name:        "xvda",
 		QueueConfig: blkio.Config{Limit: 48, DispatchWindow: 16, MaxMerge: 64 << 10},
@@ -59,8 +61,7 @@ func TestIntegrationCongestionVetoUnderRealWorkload(t *testing.T) {
 	if p.Manager.Counters().Vetoes == 0 {
 		t.Fatal("no vetoes despite queue pressure on an idle array")
 	}
-	drv := p.Manager.Driver(rt.G.ID())
-	if drv.Releases() == 0 {
+	if p.Trace.Count(trace.KindQueueRelease) == 0 {
 		t.Fatal("driver never released its queue")
 	}
 	if ms.Ops().Completed() == 0 {

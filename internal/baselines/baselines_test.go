@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"strings"
 	"testing"
 
 	"iorchestra/internal/guest"
@@ -8,13 +9,30 @@ import (
 	"iorchestra/internal/pagecache"
 	"iorchestra/internal/sim"
 	"iorchestra/internal/stats"
+	"iorchestra/internal/store"
+	"iorchestra/internal/trace"
 )
+
+// idleSignals counts, from now on, the disk_idle signals DIF raises for
+// each guest: its writes of "1" to the guest's key, as the host's
+// recorder sees them. The host must be built with Trace on.
+func idleSignals(h *hypervisor.Host) map[store.DomID]int {
+	n := map[store.DomID]int{}
+	h.Recorder().SetSink(func(r trace.Record) {
+		if r.Kind == trace.KindStoreWrite && r.Value == "1" && strings.HasSuffix(r.Path, "/disk_idle") {
+			dom, _ := store.PathDomain(r.Path)
+			n[dom]++
+		}
+	})
+	return n
+}
 
 func TestDIFFlushesOnIdle(t *testing.T) {
 	k := sim.NewKernel()
 	rng := stats.NewStream(1, "dif")
-	h := hypervisor.New(k, hypervisor.Config{}, rng.Fork("host"))
+	h := hypervisor.New(k, hypervisor.Config{Trace: true}, rng.Fork("host"))
 	dif := NewDIF(h)
+	signals := idleSignals(h)
 	rt := h.CreateGuest(guest.Config{VCPUs: 1, MemBytes: 1 << 30},
 		guest.DiskConfig{Name: "xvda", CacheConfig: pagecache.Config{
 			WakeInterval: 60 * sim.Second, DirtyRatio: 0.9, BackgroundRatio: 0.8,
@@ -27,7 +45,7 @@ func TestDIFFlushesOnIdle(t *testing.T) {
 	if d.Cache.DirtyPages() != 0 {
 		t.Fatalf("DIF left %d dirty pages", d.Cache.DirtyPages())
 	}
-	if dif.Signals() == 0 {
+	if signals[rt.G.ID()] == 0 {
 		t.Fatal("no idleness signals published")
 	}
 }
@@ -37,8 +55,9 @@ func TestDIFSignalsAllDirtyGuestsAtOnce(t *testing.T) {
 	// idle signal in the same tick (thundering herd).
 	k := sim.NewKernel()
 	rng := stats.NewStream(2, "dif")
-	h := hypervisor.New(k, hypervisor.Config{}, rng.Fork("host"))
+	h := hypervisor.New(k, hypervisor.Config{Trace: true}, rng.Fork("host"))
 	dif := NewDIF(h)
+	signals := idleSignals(h)
 	mk := func() *hypervisor.GuestRuntime {
 		rt := h.CreateGuest(guest.Config{VCPUs: 1, MemBytes: 1 << 30},
 			guest.DiskConfig{Name: "xvda", CacheConfig: pagecache.Config{
@@ -54,8 +73,8 @@ func TestDIFSignalsAllDirtyGuestsAtOnce(t *testing.T) {
 		rt2.G.Disk("xvda").Write(p2, 8<<20, nil)
 	})
 	k.RunUntil(150 * sim.Millisecond)
-	if dif.Signals() < 2 {
-		t.Fatalf("Signals = %d, want both guests signalled", dif.Signals())
+	if signals[rt1.G.ID()] == 0 || signals[rt2.G.ID()] == 0 {
+		t.Fatalf("signals per guest = %v, want both guests signalled", signals)
 	}
 	k.RunUntil(3 * sim.Second)
 	if rt1.G.Disk("xvda").Cache.DirtyPages() != 0 || rt2.G.Disk("xvda").Cache.DirtyPages() != 0 {
@@ -63,40 +82,10 @@ func TestDIFSignalsAllDirtyGuestsAtOnce(t *testing.T) {
 	}
 }
 
-func TestSDCStaticEqualQuanta(t *testing.T) {
-	k := sim.NewKernel()
-	rng := stats.NewStream(3, "sdc")
-	cfg := HostConfig()
-	cfg.Sockets = 2
-	cfg.CoresPerSocket = 2
-	h := hypervisor.New(k, cfg, rng.Fork("host"))
-	if h.Mode() != hypervisor.ModeDedicated {
-		t.Fatal("SDC host not in dedicated mode")
-	}
-	sdc := NewSDC(h)
-	rt1 := h.CreateGuest(guest.Config{VCPUs: 1})
-	rt2 := h.CreateGuest(guest.Config{VCPUs: 1})
-	sdc.EnableGuest(rt1)
-	sdc.EnableGuest(rt2)
-	for _, c := range h.IOCores() {
-		if c.Quantum(rt1.G.ID()) != c.Quantum(rt2.G.ID()) {
-			t.Fatal("SDC quanta not equal")
-		}
-	}
-	sdc.Rebalance() // no-op by contract
-	for _, c := range h.IOCores() {
-		if c.Quantum(rt1.G.ID()) != sdc.EqualQuantum {
-			t.Fatal("Rebalance changed static quanta")
-		}
-	}
-}
-
 func TestSDCRoutesToHomeSocketOnly(t *testing.T) {
 	k := sim.NewKernel()
 	rng := stats.NewStream(4, "sdc")
-	cfg := HostConfig()
-	cfg.Sockets = 2
-	cfg.CoresPerSocket = 2
+	cfg := hypervisor.Config{Mode: hypervisor.ModeDedicated, Sockets: 2, CoresPerSocket: 2}
 	h := hypervisor.New(k, cfg, rng.Fork("host"))
 	sdc := NewSDC(h)
 	// Cross-socket guest: 2 VCPUs but only 1 free core per socket.

@@ -41,8 +41,6 @@ type DIF struct {
 
 	guests map[store.DomID]*difGuest
 	timer  *sim.Event
-
-	signals uint64
 }
 
 type difGuest struct {
@@ -63,9 +61,6 @@ func NewDIF(h *hypervisor.Host) *DIF {
 		guests:        map[store.DomID]*difGuest{},
 	}
 }
-
-// Signals reports how many idleness notifications were published.
-func (d *DIF) Signals() uint64 { return d.signals }
 
 // Name identifies the coordinator in the platform's controller registry.
 func (d *DIF) Name() string { return "dif" }
@@ -169,7 +164,6 @@ func (d *DIF) tick() {
 	sort.Slice(doms, func(i, j int) bool { return doms[i] < doms[j] })
 	for _, dom := range doms {
 		if d.guests[dom].dirty > 0 {
-			d.signals++
 			d.h.Store().WriteBool(store.Dom0, store.DomainPath(dom)+"/disk_idle", true)
 		}
 	}

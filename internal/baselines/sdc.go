@@ -23,11 +23,6 @@ func NewSDC(h *hypervisor.Host) *SDC {
 	return &SDC{h: h, EqualQuantum: 256 << 10}
 }
 
-// HostConfig returns the host configuration SDC requires.
-func HostConfig() hypervisor.Config {
-	return hypervisor.Config{Mode: hypervisor.ModeDedicated, RouteBySocket: false}
-}
-
 // Name identifies SDC in the platform's controller registry.
 func (s *SDC) Name() string { return "sdc" }
 
@@ -46,10 +41,3 @@ func (s *SDC) EnableGuest(rt *hypervisor.GuestRuntime) {
 		c.SetQuantum(rt.G.ID(), s.EqualQuantum)
 	}
 }
-
-// Rebalance is a no-op: SDC is static by definition. It exists so tests
-// can assert the contrast with IOrchestra's dynamic updates.
-func (s *SDC) Rebalance() {}
-
-// Dom0 re-exported for convenience in experiment wiring.
-var _ = store.Dom0

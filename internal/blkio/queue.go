@@ -201,14 +201,8 @@ func (q *Queue) SetRecorder(r *trace.Recorder, dom int) {
 	q.recDom = dom
 }
 
-// Pending reports queued plus in-flight requests.
-func (q *Queue) Pending() int { return q.pending }
-
 // AvoidanceEngaged reports whether congestion avoidance is active.
 func (q *Queue) AvoidanceEngaged() bool { return q.avoidance }
-
-// ThrottledProducers reports how many producer continuations are asleep.
-func (q *Queue) ThrottledProducers() int { return q.producers.Len() + q.fullSleeps.Len() }
 
 // Submitted, Completed, Merged, Throttled expose lifetime counters.
 func (q *Queue) Submitted() uint64 { return q.submitted }

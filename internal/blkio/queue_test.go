@@ -26,6 +26,10 @@ func mkQueue(k *sim.Kernel, cfg Config, delay sim.Duration) (*Queue, *instantLow
 	return q, lower
 }
 
+// asleep counts the producers parked on q, by congestion avoidance or
+// by a hard-full queue.
+func asleep(q *Queue) int { return q.producers.Len() + q.fullSleeps.Len() }
+
 func TestSubmitCompletesThroughLower(t *testing.T) {
 	k := sim.NewKernel()
 	q, lower := mkQueue(k, Config{Name: "xvda"}, sim.Millisecond)
@@ -35,8 +39,8 @@ func TestSubmitCompletesThroughLower(t *testing.T) {
 	if !done || lower.seen != 1 {
 		t.Fatalf("done=%v seen=%d", done, lower.seen)
 	}
-	if q.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", q.Pending())
+	if q.pending != 0 {
+		t.Fatalf("%d requests pending after drain", q.pending)
 	}
 	if q.Completed() != 1 || q.Submitted() != 1 {
 		t.Fatalf("counters: %d/%d", q.Completed(), q.Submitted())
@@ -70,13 +74,13 @@ func TestCongestionAvoidanceEngagesAndThrottles(t *testing.T) {
 		q.Submit(&device.Request{Op: device.Read, Size: 1})
 	}
 	if !q.AvoidanceEngaged() {
-		t.Fatalf("avoidance not engaged at %d/16", q.Pending())
+		t.Fatalf("avoidance not engaged at %d/16", q.pending)
 	}
 	// Next submission parks its producer.
 	accepted := false
 	q.Submit(&device.Request{Op: device.Read, Size: 1, Done: func() { accepted = true }})
-	if q.ThrottledProducers() != 1 {
-		t.Fatalf("ThrottledProducers = %d", q.ThrottledProducers())
+	if asleep(q) != 1 {
+		t.Fatalf("%d producers asleep, want 1", asleep(q))
 	}
 	if q.Throttled() != 1 {
 		t.Fatalf("Throttled = %d", q.Throttled())
@@ -129,8 +133,8 @@ func TestControllerVetoPreventsThrottling(t *testing.T) {
 	if ctl.asked == 0 {
 		t.Fatal("controller never consulted")
 	}
-	if q.ThrottledProducers() != 0 {
-		t.Fatalf("producers throttled despite veto: %d", q.ThrottledProducers())
+	if asleep(q) != 0 {
+		t.Fatalf("producers throttled despite veto: %d", asleep(q))
 	}
 	k.Run()
 }
@@ -144,8 +148,8 @@ func TestHardFullAlwaysSleeps(t *testing.T) {
 		q.Submit(&device.Request{Op: device.Read, Size: 1})
 	}
 	// 8 fill the queue; 2 sleep on hard-full even with avoidance vetoed.
-	if q.ThrottledProducers() != 2 {
-		t.Fatalf("hard-full sleepers = %d, want 2", q.ThrottledProducers())
+	if asleep(q) != 2 {
+		t.Fatalf("hard-full sleepers = %d, want 2", asleep(q))
 	}
 	k.Run()
 	if q.Completed() != 10 {
@@ -164,15 +168,15 @@ func TestReleaseWakesFIFOWithStagger(t *testing.T) {
 	}
 	q.Submit(&device.Request{Op: device.Read, Size: 1})
 	q.Submit(&device.Request{Op: device.Read, Size: 1})
-	if q.ThrottledProducers() != 2 {
-		t.Fatalf("setup: throttled = %d", q.ThrottledProducers())
+	if asleep(q) != 2 {
+		t.Fatalf("setup: throttled = %d", asleep(q))
 	}
 	q.Release(func(i int) sim.Duration { return sim.Duration(i) * 10 * sim.Millisecond })
 	if q.AvoidanceEngaged() {
 		t.Fatal("Release did not lift avoidance")
 	}
-	if q.ThrottledProducers() != 0 {
-		t.Fatalf("Release left %d sleepers", q.ThrottledProducers())
+	if asleep(q) != 0 {
+		t.Fatalf("Release left %d sleepers", asleep(q))
 	}
 	k.Run()
 }

@@ -133,11 +133,6 @@ func (d *Domain) ReadBool(rel string) (bool, error) {
 	return d.b.st.ReadBoolCursor(d.id, d.cursor(rel))
 }
 
-// ReadInt reads an integer key with a default.
-func (d *Domain) ReadInt(rel string, def int64) (int64, error) {
-	return d.b.st.ReadIntCursor(d.id, d.cursor(rel), def)
-}
-
 // ReadFloat reads a float key with a default.
 func (d *Domain) ReadFloat(rel string, def float64) (float64, error) {
 	return d.b.st.ReadFloatCursor(d.id, d.cursor(rel), def)

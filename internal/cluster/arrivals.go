@@ -124,9 +124,6 @@ func newArrivalSource(k *sim.Kernel, cfg ArrivalsConfig, rng *stats.Stream) arri
 // caller's RunUntil horizon.
 func (s *arrivalSource) Start() { s.scheduleNext() }
 
-// Arrived reports VMs that have arrived so far.
-func (s *arrivalSource) Arrived() int { return s.arrived }
-
 func (s *arrivalSource) scheduleNext() {
 	ratePerSec := s.cfg.Lambda / 60.0
 	gap := sim.DurationOf(s.rng.Exponential(ratePerSec))
@@ -275,14 +272,8 @@ func NewArrivals(k *sim.Kernel, h *hypervisor.Host, cfg ArrivalsConfig, hooks VM
 	return a
 }
 
-// Placed reports VMs that obtained capacity.
-func (a *Arrivals) Placed() int { return a.placed }
-
 // Completed reports VMs that finished their problem size (Fig. 10b).
 func (a *Arrivals) Completed() int { return a.completed }
-
-// QueueLen reports VMs waiting FIFO for capacity.
-func (a *Arrivals) QueueLen() int { return len(a.queue) }
 
 // WrittenBytes reports aggregate application write bytes (Table 2),
 // including VMs still running.

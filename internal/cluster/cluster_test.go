@@ -11,17 +11,14 @@ import (
 func TestTestbedBuildsIndependentHosts(t *testing.T) {
 	k := sim.NewKernel()
 	tb := NewTestbed(k, 3, hypervisor.Config{}, stats.NewStream(1, "tb"))
-	if tb.Size() != 3 {
-		t.Fatalf("Size = %d", tb.Size())
+	if n := len(tb.Hosts()); n != 3 {
+		t.Fatalf("%d hosts, want 3", n)
 	}
-	if tb.Host(0).Device() == tb.Host(1).Device() {
+	if tb.Hosts()[0].Device() == tb.Hosts()[1].Device() {
 		t.Fatal("hosts share a device")
 	}
-	if tb.Host(0).Name() == tb.Host(1).Name() {
+	if tb.Hosts()[0].Name() == tb.Hosts()[1].Name() {
 		t.Fatal("hosts share a name")
-	}
-	if len(tb.Hosts()) != 3 {
-		t.Fatal("Hosts() wrong")
 	}
 }
 
@@ -45,21 +42,21 @@ func TestArrivalsPlacesRunsAndCompletes(t *testing.T) {
 	}, rng.Fork("arr"))
 	a.Start()
 	k.RunUntil(6 * sim.Minute)
-	if a.Arrived() < 20 {
-		t.Fatalf("Arrived = %d at λ=12 over 4 min", a.Arrived())
+	if a.arrived < 20 {
+		t.Fatalf("Arrived = %d at λ=12 over 4 min", a.arrived)
 	}
-	if a.Placed() == 0 || a.Completed() == 0 {
-		t.Fatalf("placed=%d completed=%d", a.Placed(), a.Completed())
+	if a.placed == 0 || a.Completed() == 0 {
+		t.Fatalf("placed=%d completed=%d", a.placed, a.Completed())
 	}
-	if created != a.Placed() || removed != a.Completed() {
+	if created != a.placed || removed != a.Completed() {
 		t.Fatalf("hooks: created=%d placed=%d removed=%d completed=%d",
-			created, a.Placed(), removed, a.Completed())
+			created, a.placed, removed, a.Completed())
 	}
 	if a.WrittenBytes() == 0 {
 		t.Fatal("no write throughput recorded")
 	}
 	// Conservation: placed = completed + still running + never-placed.
-	if a.Placed() < a.Completed() {
+	if a.placed < a.Completed() {
 		t.Fatal("completed more than placed")
 	}
 }
@@ -80,11 +77,11 @@ func TestArrivalsFIFOQueueUnderPressure(t *testing.T) {
 	a.Start()
 	k.RunUntil(90 * sim.Second)
 	// Only one 4-VCPU VM fits at a time: a queue must have formed.
-	if a.QueueLen() == 0 {
-		t.Fatalf("no FIFO queue under pressure (arrived=%d placed=%d)", a.Arrived(), a.Placed())
+	if len(a.queue) == 0 {
+		t.Fatalf("no FIFO queue under pressure (arrived=%d placed=%d)", a.arrived, a.placed)
 	}
-	if a.Placed() > 2+a.Completed() {
-		t.Fatalf("overcommitted: placed=%d completed=%d", a.Placed(), a.Completed())
+	if a.placed > 2+a.Completed() {
+		t.Fatalf("overcommitted: placed=%d completed=%d", a.placed, a.Completed())
 	}
 }
 
@@ -102,14 +99,14 @@ func TestArrivalsStopsAtDuration(t *testing.T) {
 	a := NewArrivals(k, h, cfg, VMHooks{}, rng.Fork("arr"))
 	a.Start()
 	k.RunUntil(5 * sim.Minute)
-	arrivedAtEnd := a.Arrived()
+	arrivedAtEnd := a.arrived
 	k.RunUntil(10 * sim.Minute)
-	if a.Arrived() != arrivedAtEnd {
+	if a.arrived != arrivedAtEnd {
 		t.Fatal("arrivals continued past duration")
 	}
 	// ~30 VMs expected in 30 s at 60/min.
-	if a.Arrived() < 15 || a.Arrived() > 50 {
-		t.Fatalf("Arrived = %d, want ~30", a.Arrived())
+	if a.arrived < 15 || a.arrived > 50 {
+		t.Fatalf("Arrived = %d, want ~30", a.arrived)
 	}
 }
 

@@ -27,7 +27,6 @@ type FederatedArrivals struct {
 
 	placements int // app starts, including post-migration resumes
 	completed  int
-	migrated   int
 }
 
 type fedPending struct {
@@ -82,15 +81,6 @@ func NewFederatedArrivals(k *sim.Kernel, fed *federation.Federation, cfg Arrival
 
 // Completed reports VMs that finished their problem size.
 func (f *FederatedArrivals) Completed() int { return f.completed }
-
-// Migrated reports completed live migrations of this engine's VMs.
-func (f *FederatedArrivals) Migrated() int { return f.migrated }
-
-// QueueLen reports VMs waiting for any host to admit them.
-func (f *FederatedArrivals) QueueLen() int { return len(f.queue) }
-
-// Running reports VMs currently placed and not yet finished.
-func (f *FederatedArrivals) Running() int { return len(f.running) }
 
 // tryPlace admits queued VMs FIFO through the placement engine; a
 // rejected head blocks the queue until capacity frees (each refused
@@ -206,7 +196,6 @@ func (f *FederatedArrivals) unfreezeVM(uid, target string, dom store.DomID) {
 	}
 	vm.host, vm.dom = target, dom
 	vm.frozen = false
-	f.migrated++
 	rt := f.fed.Member(target).Guest(dom)
 	f.startApp(vm, rt)
 	f.tryPlace()

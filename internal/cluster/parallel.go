@@ -42,9 +42,6 @@ func NewParallelTestbed(n int, cfg hypervisor.Config, rng *stats.Stream) *Parall
 	return t
 }
 
-// Size reports the number of hosts.
-func (t *ParallelTestbed) Size() int { return len(t.hosts) }
-
 // Host returns the i-th host.
 func (t *ParallelTestbed) Host(i int) *hypervisor.Host { return t.hosts[i] }
 

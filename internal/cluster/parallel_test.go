@@ -20,7 +20,7 @@ import (
 func buildParityBed(seed uint64) *ParallelTestbed {
 	rng := stats.NewStream(seed, "parity")
 	tb := NewParallelTestbed(3, hypervisor.Config{}, rng)
-	for h := 0; h < tb.Size(); h++ {
+	for h := 0; h < len(tb.hosts); h++ {
 		k := tb.Kernel(h)
 		m := core.NewManager(tb.Host(h), core.All(), core.ManagerConfig{}, rng.Fork(fmt.Sprintf("mgr%d", h)))
 		for i := 0; i < 4; i++ {

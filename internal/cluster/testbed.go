@@ -39,9 +39,3 @@ func NewTestbed(k *sim.Kernel, n int, cfg hypervisor.Config, rng *stats.Stream) 
 
 // Hosts exposes the members.
 func (t *Testbed) Hosts() []*hypervisor.Host { return t.hosts }
-
-// Host returns the i-th host.
-func (t *Testbed) Host(i int) *hypervisor.Host { return t.hosts[i] }
-
-// Size reports the number of hosts.
-func (t *Testbed) Size() int { return len(t.hosts) }

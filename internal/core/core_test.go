@@ -11,6 +11,7 @@ import (
 	"iorchestra/internal/sim"
 	"iorchestra/internal/stats"
 	"iorchestra/internal/store"
+	"iorchestra/internal/trace"
 )
 
 func mkPlatform(t *testing.T, hcfg hypervisor.Config, pol Policies, seed uint64) (*sim.Kernel, *hypervisor.Host, *Manager) {
@@ -22,15 +23,27 @@ func mkPlatform(t *testing.T, hcfg hypervisor.Config, pol Policies, seed uint64)
 	return k, h, m
 }
 
+// perDom counts, from now on, the records of one kind the host's
+// recorder takes for each domain. The host must be built with Trace on.
+func perDom(h *hypervisor.Host, kind trace.Kind) map[store.DomID]int {
+	n := map[store.DomID]int{}
+	h.Recorder().SetSink(func(r trace.Record) {
+		if r.Kind == kind {
+			n[store.DomID(r.Dom)]++
+		}
+	})
+	return n
+}
+
 func TestFlushPolicyDrainsDirtyPagesDuringIdle(t *testing.T) {
-	k, h, m := mkPlatform(t, hypervisor.Config{}, Policies{Flush: true}, 1)
+	k, h, m := mkPlatform(t, hypervisor.Config{Trace: true}, Policies{Flush: true}, 1)
 	rt := h.CreateGuest(guest.Config{VCPUs: 1, MemBytes: 1 << 30},
 		guest.DiskConfig{Name: "xvda", CacheConfig: pagecache.Config{
 			// Long flusher period and generous ratios: without IOrchestra
 			// nothing would flush for 30+ seconds.
 			WakeInterval: 30 * sim.Second, DirtyRatio: 0.9, BackgroundRatio: 0.8,
 		}})
-	drv := m.EnableGuest(rt)
+	m.EnableGuest(rt)
 	d := rt.G.Disk("xvda")
 	p := rt.G.NewProcess(1)
 	k.At(sim.Millisecond, func() { d.Write(p, 32<<20, nil) })
@@ -41,7 +54,7 @@ func TestFlushPolicyDrainsDirtyPagesDuringIdle(t *testing.T) {
 	if m.Counters().FlushNotices == 0 {
 		t.Fatal("management module never issued flush_now")
 	}
-	if drv.Flushes() == 0 {
+	if h.Recorder().Count(trace.KindFlushSync) == 0 {
 		t.Fatal("guest driver never handled flush_now")
 	}
 	// flush_now was reset by the guest.
@@ -51,7 +64,7 @@ func TestFlushPolicyDrainsDirtyPagesDuringIdle(t *testing.T) {
 }
 
 func TestFlushPolicyPicksArgmaxDirty(t *testing.T) {
-	k, h, m := mkPlatform(t, hypervisor.Config{}, Policies{Flush: true}, 2)
+	k, h, m := mkPlatform(t, hypervisor.Config{Trace: true}, Policies{Flush: true}, 2)
 	mk := func() *hypervisor.GuestRuntime {
 		return h.CreateGuest(guest.Config{VCPUs: 1, MemBytes: 1 << 30},
 			guest.DiskConfig{Name: "xvda", CacheConfig: pagecache.Config{
@@ -59,7 +72,9 @@ func TestFlushPolicyPicksArgmaxDirty(t *testing.T) {
 			}})
 	}
 	rt1, rt2 := mk(), mk()
-	d1, d2 := m.EnableGuest(rt1), m.EnableGuest(rt2)
+	m.EnableGuest(rt1)
+	m.EnableGuest(rt2)
+	syncs := perDom(h, trace.KindFlushSync)
 	p1 := rt1.G.NewProcess(1)
 	p2 := rt2.G.NewProcess(1)
 	k.At(sim.Millisecond, func() {
@@ -69,11 +84,11 @@ func TestFlushPolicyPicksArgmaxDirty(t *testing.T) {
 	// Run long enough for the first flush decision (the manager waits out
 	// the dirty-set growth guard before acting).
 	k.RunUntil(400 * sim.Millisecond)
-	if d2.Flushes() == 0 {
-		t.Fatalf("guest with most dirty pages not flushed first (d1=%d d2=%d)",
-			d1.Flushes(), d2.Flushes())
+	s1, s2 := syncs[rt1.G.ID()], syncs[rt2.G.ID()]
+	if s2 == 0 {
+		t.Fatalf("guest with most dirty pages not flushed first (d1=%d d2=%d)", s1, s2)
 	}
-	if d1.Flushes() != 0 {
+	if s1 != 0 {
 		t.Fatal("smaller guest flushed before argmax guest")
 	}
 	k.RunUntil(5 * sim.Second)
@@ -87,10 +102,10 @@ func TestCongestionVetoReleasesQueue(t *testing.T) {
 	// A tiny queue limit makes the guest cross its 7/8 threshold while
 	// the big host array stays uncongested — the false trigger from
 	// Sec. 2. The manager must veto and release the producers.
-	k, h, m := mkPlatform(t, hypervisor.Config{}, Policies{Congestion: true}, 3)
+	k, h, m := mkPlatform(t, hypervisor.Config{Trace: true}, Policies{Congestion: true}, 3)
 	rt := h.CreateGuest(guest.Config{VCPUs: 1, MemBytes: 1 << 30},
 		guest.DiskConfig{Name: "xvda", QueueConfig: blkio.Config{Limit: 16, DispatchWindow: 4}})
-	drv := m.EnableGuest(rt)
+	m.EnableGuest(rt)
 	d := rt.G.Disk("xvda")
 	p := rt.G.NewProcess(1)
 	k.At(sim.Millisecond, func() {
@@ -102,7 +117,7 @@ func TestCongestionVetoReleasesQueue(t *testing.T) {
 	if m.Counters().Vetoes == 0 {
 		t.Fatalf("manager never vetoed a false congestion trigger (confirms=%d)", m.Counters().Confirms)
 	}
-	if drv.Releases() == 0 {
+	if h.Recorder().Count(trace.KindQueueRelease) == 0 {
 		t.Fatal("guest driver never released the queue")
 	}
 	if got := d.Queue.Completed(); got != 40 {
@@ -189,10 +204,15 @@ func TestCoschedPublishesTargetsAndQuanta(t *testing.T) {
 			t.Fatalf("target for socket %d = %v, %v", s, f, err)
 		}
 	}
-	// Quanta were applied on the cores.
-	q0 := h.IOCores()[0].Quantum(rt.G.ID())
-	q1 := h.IOCores()[1].Quantum(rt.G.ID())
-	if q0 == 256<<10 && q1 == 256<<10 {
+	// Shares were published, and the cores' quanta set from them
+	// (Q_i = BWmax · S_SKT, in the same step).
+	shared := false
+	for _, s := range rt.G.Sockets() {
+		f, _ := h.Store().ReadFloat(store.Dom0,
+			store.DomainPath(rt.G.ID())+"/"+socketKey(keySharePrefix, s), 0)
+		shared = shared || f > 0
+	}
+	if !shared {
 		t.Fatal("quanta never updated from defaults")
 	}
 }

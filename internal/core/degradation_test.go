@@ -18,13 +18,14 @@ import (
 	"iorchestra/internal/sim"
 	"iorchestra/internal/stats"
 	"iorchestra/internal/store"
+	"iorchestra/internal/trace"
 )
 
 func mkPlatformCfg(t *testing.T, pol Policies, cfg ManagerConfig, seed uint64) (*sim.Kernel, *hypervisor.Host, *Manager) {
 	t.Helper()
 	k := sim.NewKernel()
 	rng := stats.NewStream(seed, "platform")
-	h := hypervisor.New(k, hypervisor.Config{}, rng.Fork("host"))
+	h := hypervisor.New(k, hypervisor.Config{Trace: true}, rng.Fork("host"))
 	return k, h, NewManager(h, pol, cfg, rng.Fork("mgr"))
 }
 
@@ -50,15 +51,18 @@ func TestStuckSyncGuestSkippedAndSiblingFlushed(t *testing.T) {
 		FallbackPenalty:    500 * sim.Millisecond,
 	}, 11)
 	rt1, rt2 := flushyGuest(h), flushyGuest(h)
-	d1, d2 := m.EnableGuest(rt1), m.EnableGuest(rt2)
-	d1.SetSyncFault(func(string) bool { return true })
+	d1 := m.EnableGuest(rt1)
+	m.EnableGuest(rt2)
+	syncs := perDom(h, trace.KindFlushSync)
+	stuck := 0
+	d1.SetSyncFault(func(string) bool { stuck++; return true })
 	p1, p2 := rt1.G.NewProcess(1), rt2.G.NewProcess(1)
 	k.At(sim.Millisecond, func() {
 		rt1.G.Disk("xvda").Write(p1, 64<<20, nil) // argmax: the stuck guest
 		rt2.G.Disk("xvda").Write(p2, 32<<20, nil)
 	})
 	k.RunUntil(2 * sim.Second)
-	if d1.StuckSyncs() == 0 {
+	if stuck == 0 {
 		t.Fatal("sync fault never exercised")
 	}
 	if got := m.Counters().FlushTimeouts; got < 3 {
@@ -69,7 +73,7 @@ func TestStuckSyncGuestSkippedAndSiblingFlushed(t *testing.T) {
 	}
 	// The loop proceeded: the sibling was flushed despite the stuck argmax
 	// winner, and its cache drained.
-	if d2.Flushes() == 0 {
+	if syncs[rt2.G.ID()] == 0 {
 		t.Fatal("sibling never flushed — one bad guest stalled Algorithm 1")
 	}
 	if rt2.G.Disk("xvda").Cache.DirtyPages() != 0 {
@@ -82,13 +86,13 @@ func TestStuckSyncGuestSkippedAndSiblingFlushed(t *testing.T) {
 	if m.Counters().Restores == 0 {
 		t.Fatal("guest never restored after penalty")
 	}
-	if !m.Cooperative(rt1.G.ID()) {
+	if !m.live.cooperative(rt1.G.ID()) {
 		t.Fatal("recovered guest still non-cooperative")
 	}
 	if rt1.G.Disk("xvda").Cache.DirtyPages() != 0 {
 		t.Fatal("recovered guest's cache not drained")
 	}
-	if d1.Flushes() == 0 {
+	if syncs[rt1.G.ID()] == 0 {
 		t.Fatal("recovered guest never handled a flush order")
 	}
 }
@@ -102,27 +106,27 @@ func TestCrashedDriverFallsBackAndRestartRestores(t *testing.T) {
 	drv := m.EnableGuest(rt)
 	dom := rt.G.ID()
 	k.RunUntil(500 * sim.Millisecond)
-	if !m.Cooperative(dom) {
+	if !m.live.cooperative(dom) {
 		t.Fatal("healthy heartbeating guest reported non-cooperative")
 	}
 	k.At(sim.Second, drv.Crash)
 	k.RunUntil(2 * sim.Second)
-	if !drv.Crashed() {
+	if !drv.crashed {
 		t.Fatal("driver not crashed")
 	}
-	if m.Cooperative(dom) {
+	if m.live.cooperative(dom) {
 		t.Fatal("guest with 1s-stale heartbeat still cooperative")
 	}
-	if m.Counters().HeartbeatMisses == 0 || m.Counters().Fallbacks == 0 || !m.InFallback(dom) {
+	if m.Counters().HeartbeatMisses == 0 || m.Counters().Fallbacks == 0 || !m.live.inFallback(dom) {
 		t.Fatalf("miss/fallback not recorded: misses=%d fallbacks=%d",
 			m.Counters().HeartbeatMisses, m.Counters().Fallbacks)
 	}
 	k.At(k.Now()+500*sim.Millisecond, drv.Restart)
 	k.RunUntil(3 * sim.Second)
-	if m.Counters().Restores == 0 || m.InFallback(dom) {
+	if m.Counters().Restores == 0 || m.live.inFallback(dom) {
 		t.Fatalf("re-registration did not restore: restores=%d", m.Counters().Restores)
 	}
-	if !m.Cooperative(dom) {
+	if !m.live.cooperative(dom) {
 		t.Fatal("restarted guest not cooperative")
 	}
 }
@@ -130,10 +134,10 @@ func TestCrashedDriverFallsBackAndRestartRestores(t *testing.T) {
 // congestedGuest reproduces the Sec. 2 false-trigger shape: a tiny guest
 // queue crosses 7/8 while the host array is uncongested, so the manager
 // vetoes and must get release_request through to the guest.
-func congestedGuest(k *sim.Kernel, h *hypervisor.Host, m *Manager) (*hypervisor.GuestRuntime, *Driver) {
+func congestedGuest(k *sim.Kernel, h *hypervisor.Host, m *Manager) *hypervisor.GuestRuntime {
 	rt := h.CreateGuest(guest.Config{VCPUs: 1, MemBytes: 1 << 30},
 		guest.DiskConfig{Name: "xvda", QueueConfig: blkio.Config{Limit: 16, DispatchWindow: 4}})
-	drv := m.EnableGuest(rt)
+	m.EnableGuest(rt)
 	d := rt.G.Disk("xvda")
 	p := rt.G.NewProcess(1)
 	k.At(sim.Millisecond, func() {
@@ -141,14 +145,14 @@ func congestedGuest(k *sim.Kernel, h *hypervisor.Host, m *Manager) (*hypervisor.
 			d.Read(p, 64<<10, false, nil)
 		}
 	})
-	return rt, drv
+	return rt
 }
 
 // A lost release notification must be re-published after the ack timeout
 // and still reach the guest.
 func TestReleaseRetryRecoversLostNotification(t *testing.T) {
 	k, h, m := mkPlatformCfg(t, Policies{Congestion: true}, ManagerConfig{}, 13)
-	rt, drv := congestedGuest(k, h, m)
+	rt := congestedGuest(k, h, m)
 	dom := rt.G.ID()
 	dropped := 0
 	h.Store().SetFaultHooks(&store.FaultHooks{
@@ -167,10 +171,10 @@ func TestReleaseRetryRecoversLostNotification(t *testing.T) {
 	if m.Counters().ReleaseRetries == 0 {
 		t.Fatal("lost release never retried")
 	}
-	if drv.Releases() == 0 {
+	if h.Recorder().Count(trace.KindQueueRelease) == 0 {
 		t.Fatal("guest never released despite retry")
 	}
-	if m.Counters().ReleaseTimeouts != 0 || m.InFallback(dom) {
+	if m.Counters().ReleaseTimeouts != 0 || m.live.inFallback(dom) {
 		t.Fatal("single lost delivery must not exhaust retries")
 	}
 	if got := rt.G.Disk("xvda").Queue.Completed(); got != 40 {
@@ -183,7 +187,7 @@ func TestReleaseRetryRecoversLostNotification(t *testing.T) {
 // Baseline path.
 func TestNeverAckingGuestFallsBackAndCompletes(t *testing.T) {
 	k, h, m := mkPlatformCfg(t, Policies{Congestion: true}, ManagerConfig{}, 14)
-	rt, _ := congestedGuest(k, h, m)
+	rt := congestedGuest(k, h, m)
 	dom := rt.G.ID()
 	h.Store().SetFaultHooks(&store.FaultHooks{
 		Delivery: func(d store.DomID, path string) (sim.Duration, bool) {
@@ -202,7 +206,7 @@ func TestNeverAckingGuestFallsBackAndCompletes(t *testing.T) {
 	}
 	// The driver itself is alive and heartbeating (only its release
 	// notifications are lost), so after FallbackPenalty the heartbeat path
-	// legitimately restores it — InFallback may be false again by now.
+	// legitimately restores it — it may be out of fallback again by now.
 	if got := rt.G.Disk("xvda").Queue.Completed(); got != 40 {
 		t.Fatalf("completed %d/40 — degradation stalled the guest's own I/O", got)
 	}
@@ -215,18 +219,18 @@ func TestDisableGuestForgetsDegradationState(t *testing.T) {
 	dom := rt.G.ID()
 	k.At(sim.Second, drv.Crash)
 	k.RunUntil(2 * sim.Second)
-	if m.Cooperative(dom) {
+	if m.live.cooperative(dom) {
 		t.Fatal("crashed guest cooperative")
 	}
 	m.DisableGuest(dom)
-	if m.Driver(dom) != nil || m.InFallback(dom) {
+	if m.drivers[dom] != nil || m.live.inFallback(dom) {
 		t.Fatal("DisableGuest left state behind")
 	}
 	// Counters keep their history; a fresh guest starts clean.
 	rt2 := flushyGuest(h)
 	m.EnableGuest(rt2)
 	k.RunUntil(3 * sim.Second)
-	if !m.Cooperative(rt2.G.ID()) {
+	if !m.live.cooperative(rt2.G.ID()) {
 		t.Fatal("fresh guest not cooperative")
 	}
 }

@@ -36,11 +36,6 @@ type Driver struct {
 	hbCount   int64
 	crashed   bool
 	syncFault func(disk string) bool // non-nil only under fault injection
-
-	// Stats.
-	flushes    uint64
-	releases   uint64
-	stuckSyncs uint64
 }
 
 const (
@@ -137,18 +132,6 @@ func (drv *Driver) addDisk(v *guest.VDisk) {
 	// Collaborative congestion control (Algorithm 2's guest half).
 	v.Queue.SetController(dd)
 }
-
-// Flushes reports dirty-page flush orders handled.
-func (drv *Driver) Flushes() uint64 { return drv.flushes }
-
-// Releases reports collaborative congestion releases handled.
-func (drv *Driver) Releases() uint64 { return drv.releases }
-
-// StuckSyncs reports flush orders lost to an injected stuck sync().
-func (drv *Driver) StuckSyncs() uint64 { return drv.stuckSyncs }
-
-// Crashed reports whether the driver is currently dead.
-func (drv *Driver) Crashed() bool { return drv.crashed }
 
 // SetSyncFault installs a fault-injection predicate consulted on every
 // flush order; a true return means the sync() sticks forever and
@@ -345,10 +328,8 @@ func (dd *diskDriver) handleFlushNow() {
 		// Injected stuck sync: the order arrived but the guest's sync()
 		// never completes, so flush_now stays set — the manager's flush
 		// deadline is the only recovery path.
-		drv.stuckSyncs++
 		return
 	}
-	drv.flushes++
 	if drv.rec != nil {
 		drv.rec.Record(trace.Record{
 			Kind: trace.KindFlushSync, Dom: int(drv.g.ID()), Disk: dd.name,
@@ -362,7 +343,6 @@ func (dd *diskDriver) handleFlushNow() {
 // handleRelease is Algorithm 2's release branch: unplug and flush every
 // disk's request queue, clear congested flags, reset release_request.
 func (drv *Driver) handleRelease() {
-	drv.releases++
 	until := drv.k.Now() + releaseGrace
 	for _, name := range sortedNames(drv.disks) {
 		dd := drv.disks[name]

@@ -184,9 +184,6 @@ func (m *Manager) DisableGuest(dom store.DomID) {
 	m.live.forget(dom)
 }
 
-// Driver returns the installed driver for a domain (nil if not enabled).
-func (m *Manager) Driver(dom store.DomID) *Driver { return m.drivers[dom] }
-
 // GStateMeter exposes the G-state controller's SLA-violation meter for
 // the tiered experiments' per-tier reporting — nil when the gstate
 // policy is off.
@@ -196,14 +193,6 @@ func (m *Manager) GStateMeter() *gstate.Meter {
 	}
 	return m.gstate.Meter()
 }
-
-// InFallback reports whether dom is currently demoted (read-only; use
-// Cooperative to also run the lazy heartbeat check).
-func (m *Manager) InFallback(dom store.DomID) bool { return m.live.inFallback(dom) }
-
-// Cooperative is the exported liveness probe: it runs the same lazy
-// heartbeat check the decision loops use.
-func (m *Manager) Cooperative(dom store.DomID) bool { return m.live.cooperative(dom) }
 
 // DisableCosched excludes one guest from co-scheduling decisions (weight
 // targets and quanta); ablation experiments use it to hold a guest's

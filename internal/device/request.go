@@ -76,7 +76,7 @@ type BlockDevice interface {
 	Congested() bool
 	// BandwidthBps reports the recent transfer rate (trailing window).
 	BandwidthBps(now sim.Time) float64
-	// UtilFraction reports the busy fraction since the last reset.
+	// UtilFraction reports the busy fraction since time zero.
 	UtilFraction(now sim.Time) float64
 	// Idle reports whether the device is entirely quiescent right now.
 	Idle() bool

@@ -48,8 +48,6 @@ type slaMix struct{ gold, silver, bronze int }
 
 func (m slaMix) String() string { return fmt.Sprintf("%dg/%ds/%db", m.gold, m.silver, m.bronze) }
 
-func (m slaMix) total() int { return m.gold + m.silver + m.bronze }
-
 // slaMixes is the sweep: balanced, bronze-heavy, gold-heavy.
 var slaMixes = []slaMix{{2, 2, 2}, {1, 2, 3}, {3, 2, 1}}
 

@@ -249,11 +249,6 @@ func (f *Federation) NoteGuestGone(uid string) {
 	}
 }
 
-// GuestHost reports which hypervisor currently holds uid ("" unknown).
-func (f *Federation) GuestHost(uid string) string {
-	return readString(f.view, store.ClusterGuestKey(uid, keyGuestHost), "")
-}
-
 // sweepTick TTL-expires hosts whose heartbeat stalled: the registry
 // entry is removed (agents republish statics each beat, so a wrongly
 // expired but living host heals itself) and the expiry is traced.

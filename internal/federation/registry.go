@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"strconv"
 	"strings"
 
 	"iorchestra/internal/gstate"
@@ -146,7 +145,6 @@ type HostAgent struct {
 	interval sim.Duration
 	beats    int64
 	stopped  bool
-	tiers    []gstate.Tier // admitted SLA tiers; nil = untiered host
 }
 
 // NewHostAgent builds an agent publishing host h as id every interval.
@@ -197,39 +195,6 @@ func (a *HostAgent) PublishStats() {
 		Util:        dev.UtilFraction,
 		P99Ms:       float64(mon.HostPathP99()) / 1e6,
 	})
-	a.publishTiers()
-}
-
-// SetTierCapability declares which SLA tiers this host admits; every
-// Publish from then on writes the /tiers census (key presence =
-// capability, value = resident guests of that tier, with undeclared
-// guests counting as bronze per internal/gstate's taxonomy). The nil
-// default keeps the host untiered, exactly as before tiering existed.
-func (a *HostAgent) SetTierCapability(tiers []gstate.Tier) { a.tiers = tiers }
-
-// publishTiers counts resident guests per tier from the host's local
-// store SLA declarations and publishes the census.
-func (a *HostAgent) publishTiers() {
-	if len(a.tiers) == 0 {
-		return
-	}
-	counts := make(map[string]int, len(a.tiers))
-	for _, t := range a.tiers {
-		counts[string(t)] = 0
-	}
-	st := a.h.Store()
-	doms, _ := st.List(store.Dom0, store.Root)
-	for _, d := range doms {
-		id, err := strconv.Atoi(d)
-		if err != nil || id == 0 {
-			continue // Dom0 is the control domain, not a placed guest
-		}
-		tier, _ := gstate.ReadSLA(st, store.DomID(id))
-		if _, ok := counts[string(tier)]; ok {
-			counts[string(tier)]++
-		}
-	}
-	PublishTierCounts(a.view, a.id, counts)
 }
 
 // --- Registry-entry schema helpers -------------------------------------------

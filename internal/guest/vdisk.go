@@ -170,31 +170,3 @@ func (v *VDisk) Write(p *Process, size int64, done func()) {
 		}
 	})
 }
-
-// DirectWrite bypasses the page cache (O_DIRECT): done fires when the
-// device completes, as a database commit log would require.
-func (v *VDisk) DirectWrite(p *Process, size int64, sequential bool, done func()) {
-	start := v.g.k.Now()
-	socket, stream := 0, 0
-	if p != nil {
-		socket = p.Socket()
-		stream = p.ID()
-	}
-	v.Queue.Submit(&device.Request{
-		Op:         device.Write,
-		Size:       size,
-		Sequential: sequential,
-		Owner:      int(v.g.cfg.ID),
-		Socket:     socket,
-		Stream:     stream,
-		Done: func() {
-			v.writeLat.Record(v.g.k.Now() - start)
-			if done != nil {
-				done()
-			}
-		},
-	})
-}
-
-// Fsync flushes the disk's dirty pages; done fires when clean.
-func (v *VDisk) Fsync(done func()) { v.Cache.Sync(done) }

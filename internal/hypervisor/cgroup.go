@@ -70,20 +70,6 @@ func (c *Cgroup) class(id int) *drrClass {
 	return c.drr.add(id, id, cgQuantum)
 }
 
-// Weight reports a class's weight (0 for unknown).
-func (c *Cgroup) Weight(id int) float64 {
-	if cl := c.drr.byID[id]; cl != nil {
-		return cl.quantum / cgQuantum
-	}
-	return 0
-}
-
-// Queued reports requests waiting in class queues.
-func (c *Cgroup) Queued() int { return c.drr.queued }
-
-// InFlight reports requests outstanding at the device.
-func (c *Cgroup) InFlight() int { return c.inFlight }
-
 // Backlog reports queued plus in-flight requests.
 func (c *Cgroup) Backlog() int { return c.drr.queued + c.inFlight }
 
@@ -93,14 +79,6 @@ func (c *Cgroup) Backlog() int { return c.drr.queued + c.inFlight }
 // test the management module applies in Algorithm 2.
 func (c *Cgroup) Congested() bool {
 	return c.Backlog() >= c.maxInFlight*device.CongestedOnNum/device.CongestedOnDen
-}
-
-// BytesDispatched reports lifetime bytes dispatched for a class.
-func (c *Cgroup) BytesDispatched(id int) float64 {
-	if cl := c.drr.byID[id]; cl != nil {
-		return cl.served
-	}
-	return 0
 }
 
 // Submit enqueues r under class id (created with weight 1 when unknown).

@@ -46,8 +46,7 @@ type drrClass struct {
 	quantum float64 // credit granted per round, bytes
 	credit  float64
 	queue   sim.FIFO[arrival]
-	served  float64 // lifetime bytes served
-	out     bool    // not in the ring
+	out     bool // not in the ring
 }
 
 // arrival is one request waiting in a class and when it arrived.
@@ -139,6 +138,5 @@ func (d *drr) pop(cl *drrClass) arrival {
 	d.queued--
 	size := float64(q.r.Size)
 	cl.credit -= size
-	cl.served += size
 	return q
 }

@@ -371,11 +371,6 @@ func (h *Host) backendPump() {
 	})
 }
 
-// SetGuestIOWeight sets a VM's cgroup weight on the device (backend mode).
-func (h *Host) SetGuestIOWeight(dom store.DomID, w float64) {
-	h.cg.SetWeight(int(dom), w)
-}
-
 // SetClassWeight sets an arbitrary dispatch class's cgroup weight on the
 // device — the actuation surface co-scheduling uses for I/O-core classes
 // (Sec. 3.3), so policy controllers never reach into the Cgroup itself.

@@ -26,19 +26,19 @@ func TestCgroupEqualWeightsShareEqually(t *testing.T) {
 	cg := NewCgroup(k, dev, 4)
 	cg.SetWeight(1, 1)
 	cg.SetWeight(2, 1)
+	var b1, b2 float64
 	for i := 0; i < 200; i++ {
-		cg.Submit(1, &device.Request{Op: device.Read, Size: 64 << 10, Sequential: true})
-		cg.Submit(2, &device.Request{Op: device.Read, Size: 64 << 10, Sequential: true})
+		cg.Submit(1, &device.Request{Op: device.Read, Size: 64 << 10, Sequential: true, Done: func() { b1 += 64 << 10 }})
+		cg.Submit(2, &device.Request{Op: device.Read, Size: 64 << 10, Sequential: true, Done: func() { b2 += 64 << 10 }})
 	}
 	// Run only part way so both classes are still backlogged (fairness is
 	// only defined while both compete).
 	k.RunUntil(20 * sim.Millisecond)
-	b1, b2 := cg.BytesDispatched(1), cg.BytesDispatched(2)
 	if b1 == 0 || b2 == 0 {
 		t.Fatalf("no progress: %v/%v", b1, b2)
 	}
 	if ratio := b1 / b2; ratio < 0.8 || ratio > 1.25 {
-		t.Fatalf("equal weights dispatched %v vs %v (ratio %v)", b1, b2, ratio)
+		t.Fatalf("equal weights completed %v vs %v (ratio %v)", b1, b2, ratio)
 	}
 	k.Run()
 }
@@ -49,14 +49,14 @@ func TestCgroupWeightedShares(t *testing.T) {
 	cg := NewCgroup(k, dev, 4)
 	cg.SetWeight(1, 3)
 	cg.SetWeight(2, 1)
+	var b1, b2 float64
 	for i := 0; i < 400; i++ {
-		cg.Submit(1, &device.Request{Op: device.Read, Size: 64 << 10, Sequential: true})
-		cg.Submit(2, &device.Request{Op: device.Read, Size: 64 << 10, Sequential: true})
+		cg.Submit(1, &device.Request{Op: device.Read, Size: 64 << 10, Sequential: true, Done: func() { b1 += 64 << 10 }})
+		cg.Submit(2, &device.Request{Op: device.Read, Size: 64 << 10, Sequential: true, Done: func() { b2 += 64 << 10 }})
 	}
 	k.RunUntil(20 * sim.Millisecond)
-	b1, b2 := cg.BytesDispatched(1), cg.BytesDispatched(2)
 	if ratio := b1 / b2; ratio < 2.2 || ratio > 4.0 {
-		t.Fatalf("3:1 weights dispatched ratio %v (%v vs %v)", ratio, b1, b2)
+		t.Fatalf("3:1 weights completed ratio %v (%v vs %v)", ratio, b1, b2)
 	}
 	k.Run()
 }
@@ -68,14 +68,14 @@ func TestCgroupInFlightCap(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		cg.Submit(1, &device.Request{Op: device.Read, Size: 1 << 20, Sequential: true})
 	}
-	if cg.InFlight() != 4 {
-		t.Fatalf("InFlight = %d, want cap 4", cg.InFlight())
+	if cg.inFlight != 4 {
+		t.Fatalf("%d in flight, want cap 4", cg.inFlight)
 	}
-	if cg.Queued() != 46 {
-		t.Fatalf("Queued = %d", cg.Queued())
+	if cg.drr.queued != 46 {
+		t.Fatalf("%d queued, want 46", cg.drr.queued)
 	}
 	k.Run()
-	if cg.InFlight() != 0 || cg.Queued() != 0 {
+	if cg.inFlight != 0 || cg.drr.queued != 0 {
 		t.Fatal("not drained")
 	}
 }
@@ -154,10 +154,10 @@ func TestIOCoreEmptyBufferForfeitsCredit(t *testing.T) {
 		core.Enqueue(2, &device.Request{Op: device.Read, Size: 4096})
 	}
 	k.Run()
-	if got := core.QueuedFor(2); got != 0 {
+	if got := core.drr.byID[2].queue.Len(); got != 0 {
 		t.Fatalf("VM2 backlog = %d", got)
 	}
-	if core.Queued() != 0 {
+	if core.drr.queued != 0 {
 		t.Fatal("core not drained")
 	}
 }
@@ -361,13 +361,13 @@ func TestRemoveGuestForgetsTheGuest(t *testing.T) {
 	}
 }
 
-func TestSetGuestIOWeightAffectsCgroup(t *testing.T) {
+func TestSetClassWeightAffectsCgroup(t *testing.T) {
 	k := sim.NewKernel()
 	h := New(k, Config{Mode: ModeBackend}, stats.NewStream(17, "host"))
 	rt := h.CreateGuest(guest.Config{VCPUs: 1})
-	h.SetGuestIOWeight(rt.G.ID(), 4)
-	if got := h.cg.Weight(int(rt.G.ID())); got != 4 {
-		t.Fatalf("Weight = %v", got)
+	h.SetClassWeight(int(rt.G.ID()), 4)
+	if got := h.cg.drr.byID[int(rt.G.ID())].quantum; got != 4*cgQuantum {
+		t.Fatalf("quantum = %v, want 4 × %v", got, cgQuantum)
 	}
 }
 
@@ -455,37 +455,5 @@ func TestCgroupPathLatency(t *testing.T) {
 	}
 	if count, sum := cg.PathLatency(3); count != 0 || sum != 0 {
 		t.Fatalf("PathLatency(3) = %d, %v; want zeros", count, sum)
-	}
-}
-
-// TestQuantumProbeCreatesNoBuffer: reading an unseen VM's quantum
-// creates nothing, so it cannot give that VM a ring key ahead of the
-// VMs whose requests arrive first. The probe script reads dom 3's
-// quantum between dom 1's first request and dom 2's; a probe that
-// created dom 3's buffer would put it before dom 2 in the ring and
-// change the order the three are served in.
-func TestQuantumProbeCreatesNoBuffer(t *testing.T) {
-	served := func(probe bool) []int {
-		k := sim.NewKernel()
-		core := NewIOCore(k, 0, NewCgroup(k, instantDevice{k: k}, 64), 0, 0)
-		var order []int
-		enqueue := func(dom int) {
-			for i := 0; i < 3; i++ {
-				core.Enqueue(store.DomID(dom), &device.Request{Size: defaultQuantum, Done: func() { order = append(order, dom) }})
-			}
-		}
-		enqueue(1)
-		if probe {
-			if q := core.Quantum(3); q != defaultQuantum {
-				t.Fatalf("Quantum of an unseen VM = %v, want %v", q, defaultQuantum)
-			}
-		}
-		enqueue(2)
-		enqueue(3)
-		k.Run()
-		return order
-	}
-	if plain, probed := served(false), served(true); !slices.Equal(plain, probed) {
-		t.Fatalf("a Quantum probe changed the service order: %v, without it %v", probed, plain)
 	}
 }

@@ -94,15 +94,6 @@ func (c *IOCore) SetQuantum(dom store.DomID, bytes float64) {
 	c.buffer(dom).quantum = bytes
 }
 
-// Quantum reports a VM's current quantum (defaultQuantum for a VM the
-// core has not seen).
-func (c *IOCore) Quantum(dom store.DomID) float64 {
-	if b := c.drr.byID[int(dom)]; b != nil {
-		return b.quantum
-	}
-	return defaultQuantum
-}
-
 // buffer returns dom's buffer, created on first use. Buffers are ordered
 // by first use: the key is the number of buffers made before.
 func (c *IOCore) buffer(dom store.DomID) *drrClass {
@@ -119,17 +110,6 @@ func (c *IOCore) Enqueue(dom store.DomID, r *device.Request) {
 		c.poll()
 	}
 }
-
-// QueuedFor reports the backlog of one VM's buffer.
-func (c *IOCore) QueuedFor(dom store.DomID) int {
-	if b := c.drr.byID[int(dom)]; b != nil {
-		return b.queue.Len()
-	}
-	return 0
-}
-
-// Queued reports the total backlog on this core.
-func (c *IOCore) Queued() int { return c.drr.queued }
 
 // poll is one DRR service decision (Algorithm 3): pick the next buffer
 // whose credit covers its head request and process that request for the

@@ -11,15 +11,10 @@ type Utilization struct {
 	busySince sim.Time
 	busy      bool
 	busyTotal sim.Duration
-	origin    sim.Time
-	last      sim.Time
 }
 
 // SetBusy transitions the signal at time now.
 func (u *Utilization) SetBusy(now sim.Time, busy bool) {
-	if now > u.last {
-		u.last = now
-	}
 	if busy == u.busy {
 		return
 	}
@@ -31,27 +26,16 @@ func (u *Utilization) SetBusy(now sim.Time, busy bool) {
 	u.busy = busy
 }
 
-// Fraction reports the busy fraction over [origin, now].
+// Fraction reports the busy fraction over [0, now].
 func (u *Utilization) Fraction(now sim.Time) float64 {
-	total := now - u.origin
-	if total <= 0 {
+	if now <= 0 {
 		return 0
 	}
 	busy := u.busyTotal
 	if u.busy && now > u.busySince {
 		busy += now - u.busySince
 	}
-	return float64(busy) / float64(total)
-}
-
-// Reset restarts the integration window at now, preserving current state.
-func (u *Utilization) Reset(now sim.Time) {
-	u.origin = now
-	u.busyTotal = 0
-	if u.busy {
-		u.busySince = now
-	}
-	u.last = now
+	return float64(busy) / float64(now)
 }
 
 // WindowRate measures a rate over a sliding window of fixed length by

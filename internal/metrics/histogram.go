@@ -20,7 +20,6 @@ type Histogram struct {
 	buckets []uint64 // index = log-linear bucket
 	count   uint64
 	sum     float64
-	min     sim.Time
 	max     sim.Time
 }
 
@@ -53,7 +52,7 @@ func bucketLow(i int) int64 {
 }
 
 // NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{min: sim.Forever} }
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // Record folds one latency into the histogram. Negative values are clamped
 // to zero (they indicate a model bug, but must not corrupt the buckets).
@@ -70,9 +69,6 @@ func (h *Histogram) Record(v sim.Time) {
 	h.buckets[i]++
 	h.count++
 	h.sum += float64(v)
-	if v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
@@ -87,14 +83,6 @@ func (h *Histogram) Mean() sim.Time {
 		return 0
 	}
 	return sim.Time(h.sum / float64(h.count))
-}
-
-// Min reports the smallest recorded value (0 when empty).
-func (h *Histogram) Min() sim.Time {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max reports the largest recorded value.
@@ -137,9 +125,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.count += o.count
 	h.sum += o.sum
-	if o.min < h.min {
-		h.min = o.min
-	}
 	if o.max > h.max {
 		h.max = o.max
 	}

@@ -10,7 +10,7 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram not zeroed")
 	}
 	if h.Percentile(99) != 0 {
@@ -29,9 +29,6 @@ func TestHistogramBasicStats(t *testing.T) {
 	mean := h.Mean().Milliseconds()
 	if math.Abs(mean-50.5) > 2 {
 		t.Fatalf("Mean = %vms, want ~50.5ms", mean)
-	}
-	if h.Min() > sim.Millisecond+sim.Millisecond/10 {
-		t.Fatalf("Min = %v", h.Min())
 	}
 	if h.Max() != 100*sim.Millisecond {
 		t.Fatalf("Max = %v", h.Max())
@@ -72,7 +69,7 @@ func TestHistogramRelativePrecision(t *testing.T) {
 func TestHistogramNegativeClamped(t *testing.T) {
 	h := NewHistogram()
 	h.Record(-5)
-	if h.Count() != 1 || h.Min() != 0 {
+	if h.Count() != 1 || h.Max() != 0 {
 		t.Fatal("negative value not clamped to 0")
 	}
 }
@@ -91,9 +88,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 	if a.Max() != 100*sim.Second {
 		t.Fatalf("merged max = %v", a.Max())
-	}
-	if a.Min() != 1 {
-		t.Fatalf("merged min = %v", a.Min())
 	}
 	// Merging an empty histogram changes nothing.
 	before := a.Count()
@@ -141,16 +135,6 @@ func TestUtilizationFraction(t *testing.T) {
 	u.SetBusy(10*sim.Second, true)
 	if got := u.Fraction(10 * sim.Second); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("redundant SetBusy changed fraction: %v", got)
-	}
-}
-
-func TestUtilizationReset(t *testing.T) {
-	var u Utilization
-	u.SetBusy(0, true)
-	u.Reset(10 * sim.Second)
-	got := u.Fraction(20 * sim.Second)
-	if math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("Fraction after reset = %v, want 1", got)
 	}
 }
 

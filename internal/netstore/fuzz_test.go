@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"slices"
 	"strings"
@@ -355,4 +356,87 @@ func serveFrames(t *testing.T, srv *Server, nc net.Conn, payloads [][]byte) {
 	}
 	nc.Close()
 	within(t, 10*time.Second, "the store lock after the connection closed", func() { srv.Counters() })
+}
+
+// FuzzSyncApply holds the subtree-sync contract: a copy of a domain
+// subtree kept with Client.SyncSubtree and SyncPage.Apply from the ^0, ^0
+// bootstrap converges. The input is a script of two-byte steps, run by a
+// guest against a store whose mutation journal holds eight entries, so
+// a delta and the full walk it falls back to both occur: a write, a
+// removal (of a key or of a whole directory), a create three levels deep,
+// or a sync of the guest's own subtree. After every sync the copy equals
+// the subtree as the guest reads it, and a second sync of the unchanged
+// subtree answers SyncMatch.
+func FuzzSyncApply(f *testing.F) {
+	const (
+		write = iota
+		remove
+		create
+		sync
+	)
+	step := func(kind, arg byte) []byte { return []byte{kind, arg} }
+	script := func(steps ...[]byte) []byte { return bytes.Join(steps, nil) }
+	// Writes, a sync, a change and a removal: full, then delta.
+	f.Add(script(step(write, 0), step(write, 1), step(sync, 0), step(write, 0), step(remove, 1), step(sync, 0)))
+	// A directory three levels deep (d/c/b), its middle removed whole
+	// (d/c), then recreated.
+	f.Add(script(step(create, 0x1b), step(sync, 0), step(remove, 0x4b), step(sync, 0), step(create, 0x1b), step(sync, 0)))
+	// Past the journal's window: the delta falls back to the full walk.
+	var many [][]byte
+	for i := byte(0); i < 12; i++ {
+		many = append(many, step(write, i), step(create, i*7))
+	}
+	f.Add(script(append(append([][]byte{step(sync, 0)}, many...), step(sync, 0))...))
+	f.Add([]byte{})
+
+	names := []string{"a", "b", "c", "d"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 128 {
+			data = data[:128]
+		}
+		srv, nc := pipeServer(t)
+		srv.Do(func(st *store.Store) { st.SetJournalCap(8) })
+		c, err := NewClient(nc, 3, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		base := store.DomainPath(3)
+		cp := newSubtreeCopy(c, base)
+		check := func() {
+			t.Helper()
+			if _, err := cp.sync(); err != nil {
+				t.Fatalf("sync: %v", err)
+			}
+			if want := treeOf(srv, 3, base); !maps.Equal(cp.nodes, want) {
+				t.Fatalf("copy after sync = %v, the subtree = %v", cp.nodes, want)
+			}
+			if mode, err := cp.sync(); err != nil || mode != store.SyncMatch {
+				t.Fatalf("sync of an unchanged subtree = mode %d, %v; want match", mode, err)
+			}
+		}
+		for i := 0; i+1 < len(data); i += 2 {
+			arg := data[i+1]
+			key := base + "/" + names[arg%4]
+			switch data[i] % 4 {
+			case write:
+				err = c.Write(key, fmt.Sprint(i))
+			case remove:
+				if arg&0x40 != 0 {
+					key += "/" + names[arg/4%4]
+				}
+				if err = c.Remove(key); errors.Is(err, store.ErrNoEntry) {
+					err = nil
+				}
+			case create:
+				err = c.Write(key+"/"+names[arg/4%4]+"/"+names[arg/16%4], fmt.Sprint(i))
+			case sync:
+				check()
+			}
+			if err != nil {
+				t.Fatalf("step %d: %v", i/2, err)
+			}
+		}
+		check()
+	})
 }

@@ -21,9 +21,10 @@
 // batch's sub-op are the same op by construction. Besides the per-op
 // frames, OpBatch carries up to MaxBatchOps sub-ops and their replies in
 // one round trip, and OpSync resynchronizes a domain subtree by version
-// and content hash — a reconnecting Mirror presents its last (version,
-// hash) and receives "match" (one small frame), a delta since that
-// version, or the whole readable subtree, in that order of preference.
+// and content hash — a reconnecting client presents its last (version,
+// hash) to Client.SyncSubtree and receives "match" (one small frame), a
+// delta since that version, or the whole readable subtree, in that order
+// of preference.
 // The server keeps the store behind one lock: a connection's reader
 // goroutine runs each request it decodes to completion under it — the
 // store operation, then the watch deliveries it caused, each queued on

@@ -251,8 +251,8 @@ func (c *srvConn) repair(t *tree) {
 		if !live {
 			continue
 		}
-		// Mirror live delivery: a removed path notifies with an empty
-		// value, an unreadable one not at all.
+		// As in-process live delivery: a removed path notifies with an
+		// empty value, an unreadable one not at all.
 		v, err := t.st.Read(c.dom, key.path)
 		if err == nil || errors.Is(err, store.ErrNoEntry) {
 			evs = append(evs, outFrame{idx: w.idx, key: key, value: v})

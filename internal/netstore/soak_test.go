@@ -154,7 +154,7 @@ func TestSoakConcurrentClientsWithFaults(t *testing.T) {
 				errs <- fmt.Errorf("dom0 stats: %w", err)
 				return
 			}
-			if _, err := c.NewMirror(store.DomainPath(1)).Sync(); err != nil {
+			if _, err := c.SyncSubtree(store.DomainPath(1), ^uint64(0), ^uint64(0)); err != nil {
 				errs <- fmt.Errorf("dom0 full sync: %w", err)
 				return
 			}

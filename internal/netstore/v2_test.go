@@ -168,7 +168,38 @@ func TestBatchAcrossDomains(t *testing.T) {
 	}
 }
 
-// --- Delta sync and Mirror ---------------------------------------------------
+// --- Delta sync ---------------------------------------------------------------
+
+// subtreeCopy is a caller's copy of one domain subtree, kept current by
+// Client.SyncSubtree and SyncPage.Apply from the ^0, ^0 bootstrap
+// (docs/WIRE_PROTOCOL.md §6).
+type subtreeCopy struct {
+	c             *Client
+	root          string
+	version, hash uint64
+	nodes         map[string]string
+}
+
+func newSubtreeCopy(c *Client, root string) *subtreeCopy {
+	return &subtreeCopy{c: c, root: root, version: ^uint64(0), hash: ^uint64(0)}
+}
+
+// sync is one round trip: it folds the page in and reports its mode.
+func (cp *subtreeCopy) sync() (store.SyncMode, error) {
+	page, err := cp.c.SyncSubtree(cp.root, cp.version, cp.hash)
+	if err != nil {
+		return 0, err
+	}
+	cp.nodes = page.Apply(cp.nodes)
+	cp.version, cp.hash = page.Version, page.Hash
+	return page.Mode, nil
+}
+
+// get reads a node of the copy.
+func (cp *subtreeCopy) get(path string) (string, bool) {
+	v, ok := cp.nodes[path]
+	return v, ok
+}
 
 func TestSyncModes(t *testing.T) {
 	srv, sock := startServer(t, Options{})
@@ -180,17 +211,17 @@ func TestSyncModes(t *testing.T) {
 		}
 	}
 
-	m := c.NewMirror(base)
-	mode, err := m.Sync()
+	cp := newSubtreeCopy(c, base)
+	mode, err := cp.sync()
 	if err != nil || mode != store.SyncFull {
 		t.Fatalf("bootstrap sync = mode %d, %v; want full", mode, err)
 	}
-	if v, ok := m.Get(base + "/k2"); !ok || v != "2" {
-		t.Fatalf("mirror k2 = %q, %v", v, ok)
+	if v, ok := cp.get(base + "/k2"); !ok || v != "2" {
+		t.Fatalf("copy k2 = %q, %v", v, ok)
 	}
 
 	// Unchanged subtree: hash match, no payload.
-	mode, err = m.Sync()
+	mode, err = cp.sync()
 	if err != nil || mode != store.SyncMatch {
 		t.Fatalf("idle sync = mode %d, %v; want match", mode, err)
 	}
@@ -202,15 +233,15 @@ func TestSyncModes(t *testing.T) {
 	if err := c.Remove(base + "/k3"); err != nil {
 		t.Fatal(err)
 	}
-	mode, err = m.Sync()
+	mode, err = cp.sync()
 	if err != nil || mode != store.SyncDelta {
 		t.Fatalf("delta sync = mode %d, %v; want delta", mode, err)
 	}
-	if v, _ := m.Get(base + "/k1"); v != "changed" {
-		t.Fatalf("mirror missed delta: k1 = %q", v)
+	if v, _ := cp.get(base + "/k1"); v != "changed" {
+		t.Fatalf("copy missed delta: k1 = %q", v)
 	}
-	if _, ok := m.Get(base + "/k3"); ok {
-		t.Fatal("mirror did not prune removed key")
+	if _, ok := cp.get(base + "/k3"); ok {
+		t.Fatal("copy did not prune removed key")
 	}
 
 	// Whole-subtree removal prunes by prefix.
@@ -220,18 +251,18 @@ func TestSyncModes(t *testing.T) {
 	if err := c.Write(base+"/sub/y", "2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Sync(); err != nil {
+	if _, err := cp.sync(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Remove(base + "/sub"); err != nil {
 		t.Fatal(err)
 	}
-	if mode, err = m.Sync(); err != nil || mode != store.SyncDelta {
+	if mode, err = cp.sync(); err != nil || mode != store.SyncDelta {
 		t.Fatalf("post-remove sync = mode %d, %v", mode, err)
 	}
 	for _, p := range []string{base + "/sub", base + "/sub/x", base + "/sub/y"} {
-		if _, ok := m.Get(p); ok {
-			t.Fatalf("mirror kept pruned node %s", p)
+		if _, ok := cp.get(p); ok {
+			t.Fatalf("copy kept pruned node %s", p)
 		}
 	}
 
@@ -249,22 +280,22 @@ func TestSyncJournalOverflowFallsBackToFull(t *testing.T) {
 	if err := c.Write(base+"/seed", "1"); err != nil {
 		t.Fatal(err)
 	}
-	m := c.NewMirror(base)
-	if _, err := m.Sync(); err != nil {
+	cp := newSubtreeCopy(c, base)
+	if _, err := cp.sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Blow past the journal window so the mirror's anchor is evicted.
+	// Blow past the journal window so the copy's anchor is evicted.
 	for i := 0; i < 64; i++ {
 		if err := c.Write(fmt.Sprintf("%s/k%d", base, i), "v"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mode, err := m.Sync()
+	mode, err := cp.sync()
 	if err != nil || mode != store.SyncFull {
 		t.Fatalf("overflowed sync = mode %d, %v; want full", mode, err)
 	}
-	if m.Len() != 66 { // seed + 64 keys + home node
-		t.Fatalf("mirror has %d nodes, want 66", m.Len())
+	if len(cp.nodes) != 66 { // seed + 64 keys + home node
+		t.Fatalf("copy has %d nodes, want 66", len(cp.nodes))
 	}
 	if ctr := srv.Counters(); ctr.SyncFulls < 2 {
 		t.Fatalf("expected two full syncs, counters = %+v", ctr)
@@ -273,7 +304,7 @@ func TestSyncJournalOverflowFallsBackToFull(t *testing.T) {
 
 func TestSyncDomainRecreation(t *testing.T) {
 	// Remove-then-recreate of a whole domain home must heal through the
-	// journal: the mirror prunes on the removal and re-learns the home.
+	// journal: the copy prunes on the removal and re-learns the home.
 	_, sock := startServer(t, Options{})
 	c0 := dialT(t, sock, store.Dom0)
 	c := dialT(t, sock, 7)
@@ -281,8 +312,8 @@ func TestSyncDomainRecreation(t *testing.T) {
 	if err := c.Write(base+"/k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	m := c0.NewMirror(base)
-	if _, err := m.Sync(); err != nil {
+	cp := newSubtreeCopy(c0, base)
+	if _, err := cp.sync(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c0.Remove(base); err != nil {
@@ -293,14 +324,14 @@ func TestSyncDomainRecreation(t *testing.T) {
 	if err := c2.Write(base+"/k2", "back"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Sync(); err != nil {
+	if _, err := cp.sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.Get(base + "/k"); ok {
-		t.Fatal("mirror kept node removed with the domain")
+	if _, ok := cp.get(base + "/k"); ok {
+		t.Fatal("copy kept node removed with the domain")
 	}
-	if v, ok := m.Get(base + "/k2"); !ok || v != "back" {
-		t.Fatalf("mirror missed recreated key: %q, %v", v, ok)
+	if v, ok := cp.get(base + "/k2"); !ok || v != "back" {
+		t.Fatalf("copy missed recreated key: %q, %v", v, ok)
 	}
 }
 
@@ -311,6 +342,18 @@ func TestSyncBadRoot(t *testing.T) {
 		if _, err := c.SyncSubtree(root, 0, 0); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("SyncSubtree(%q) err = %v, want ErrBadRequest", root, err)
 		}
+	}
+}
+
+// TestSyncUnknownModeRefused: a sync reply whose mode is none of match,
+// delta and full fails the call with ErrBadRequest, so it never reaches
+// SyncPage.Apply, which would fold it in as a delta.
+func TestSyncUnknownModeRefused(t *testing.T) {
+	var body enc
+	body.u8(3).u64(1).u64(2).u32(0)
+	c := lyingPeer(t, body.b)
+	if page, err := c.SyncSubtree(store.DomainPath(3), 0, 0); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("a mode-3 reply = %+v, %v; want ErrBadRequest", page, err)
 	}
 }
 

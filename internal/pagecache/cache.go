@@ -142,14 +142,6 @@ func (c *Cache) armTimer() {
 // Algorithm 1 reads).
 func (c *Cache) DirtyPages() int64 { return c.dirtyPages }
 
-// DirtyBytes reports dirty bytes.
-func (c *Cache) DirtyBytes() int64 { return c.dirtyPages * PageSize }
-
-// DirtyFraction reports dirty pages over the page budget.
-func (c *Cache) DirtyFraction() float64 {
-	return float64(c.dirtyPages) / float64(c.cfg.TotalPages)
-}
-
 // Throttles reports how many writer blocks occurred at the dirty ratio.
 func (c *Cache) Throttles() uint64 { return c.throttles }
 

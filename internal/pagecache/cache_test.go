@@ -40,8 +40,8 @@ func TestBufferedWriteDirtiesPages(t *testing.T) {
 	if !returned {
 		t.Fatal("buffered write did not return promptly")
 	}
-	if f.cache.DirtyBytes() != 64<<10 {
-		t.Fatalf("DirtyBytes = %d", f.cache.DirtyBytes())
+	if f.cache.DirtyPages()*PageSize != 64<<10 {
+		t.Fatalf("%d dirty pages, want 64 KiB's worth", f.cache.DirtyPages())
 	}
 	f.cache.Close()
 }
@@ -173,23 +173,14 @@ func TestWritebackWindowBoundsInFlight(t *testing.T) {
 	f := mkFixture(Config{TotalPages: 1 << 20, WritebackWindow: 2, WritebackChunk: 1 << 20})
 	f.cache.Write(100<<20, nil)
 	f.cache.Sync(nil)
-	// Immediately after the sync kick, at most 2 chunks may be in flight
-	// in the block queue.
-	if p := f.queue.Pending(); p > 2 {
-		t.Fatalf("queue pending = %d with window 2", p)
+	// Immediately after the sync kick, at most 2 chunks may have been
+	// submitted to the block queue.
+	if n := f.queue.Submitted(); n > 2 {
+		t.Fatalf("%d chunks submitted with window 2", n)
 	}
 	f.k.RunUntil(30 * sim.Second)
 	if f.cache.DirtyPages() != 0 {
 		t.Fatalf("sync incomplete: %d pages", f.cache.DirtyPages())
-	}
-	f.cache.Close()
-}
-
-func TestDirtyFraction(t *testing.T) {
-	f := mkFixture(Config{TotalPages: 1000})
-	f.cache.Write(100*PageSize, nil)
-	if got := f.cache.DirtyFraction(); got != 0.1 {
-		t.Fatalf("DirtyFraction = %v", got)
 	}
 	f.cache.Close()
 }

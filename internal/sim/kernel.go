@@ -14,14 +14,10 @@ type Event struct {
 	canceled bool
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
 // heapSlot is one calendar entry with the ordering key held inline, so
 // sift comparisons read sequential heap memory instead of dereferencing
 // two Events per compare — the difference profiles as the simulator's
-// hottest loop at scale. e.at/e.seq mirror the slot key; Reschedule
-// rewrites both.
+// hottest loop at scale. e.at/e.seq mirror the slot key.
 type heapSlot struct {
 	at  Time
 	seq uint64
@@ -158,24 +154,13 @@ func (k *Kernel) removeEvent(i int) {
 	}
 }
 
-// fixEvent restores heap order after h[i]'s event key changed.
-func (k *Kernel) fixEvent(i int) {
-	e := k.events[i].e
-	k.events[i].at, k.events[i].seq = e.at, e.seq
-	k.events.siftDown(i)
-	if e.index == i {
-		k.events.siftUp(i)
-	}
-}
-
 // Kernel is a discrete-event simulation executive. The zero value is ready
 // to use at time zero. Kernel is not safe for concurrent use; each
 // simulation owns exactly one goroutine.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	events  eventHeap
-	stopped bool
+	now    Time
+	seq    uint64
+	events eventHeap
 
 	// slab batches Event allocations: events are transient but numerous
 	// (one per scheduled callback), so handing them out of a chunk cuts
@@ -197,10 +182,6 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Executed reports how many events have been dispatched so far.
 func (k *Kernel) Executed() uint64 { return k.executed }
-
-// Pending reports how many events are queued (including canceled ones not
-// yet discarded).
-func (k *Kernel) Pending() int { return len(k.events) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it is always a model bug, and silently clamping would hide causality
@@ -239,29 +220,10 @@ func (k *Kernel) Cancel(e *Event) {
 	e.fn = nil
 }
 
-// Reschedule moves a pending event to a new absolute time, preserving FIFO
-// fairness at the new instant (it is assigned a fresh sequence number). If
-// the event already fired or was canceled, Reschedule schedules nothing and
-// returns false.
-func (k *Kernel) Reschedule(e *Event, t Time) bool {
-	if e == nil || e.canceled || e.index < 0 {
-		return false
-	}
-	if t < k.now {
-		panic(fmt.Sprintf("sim: rescheduling at %v, before now %v", t, k.now))
-	}
-	e.at = t
-	e.seq = k.seq
-	k.seq++
-	k.fixEvent(e.index)
-	return true
-}
-
 // Step dispatches the single earliest event, advancing the clock to its
-// timestamp. It reports false when the calendar is empty or the kernel has
-// been stopped.
+// timestamp. It reports false when the calendar is empty.
 func (k *Kernel) Step() bool {
-	if k.stopped || len(k.events) == 0 {
+	if len(k.events) == 0 {
 		return false
 	}
 	e := k.popEvent()
@@ -273,30 +235,22 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// Run dispatches events until the calendar is empty or Stop is called.
+// Run dispatches events until the calendar is empty.
 func (k *Kernel) Run() {
 	for k.Step() {
 	}
 }
 
 // RunUntil dispatches events with timestamps <= t, then advances the clock
-// to exactly t (if the simulation has not been stopped earlier). Events
-// scheduled beyond t remain queued.
+// to exactly t. Events scheduled beyond t remain queued.
 func (k *Kernel) RunUntil(t Time) {
-	for !k.stopped && len(k.events) > 0 && k.events[0].at <= t {
+	for len(k.events) > 0 && k.events[0].at <= t {
 		k.Step()
 	}
-	if !k.stopped && k.now < t {
+	if k.now < t {
 		k.now = t
 	}
 }
-
-// Stop halts the run loop after the current event completes. Further Step
-// calls return false. Stop is idempotent.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (k *Kernel) Stopped() bool { return k.stopped }
 
 // Every schedules fn at now+d, then every d thereafter, until the returned
 // Ticker is stopped. fn observes the tick time via Kernel.Now.

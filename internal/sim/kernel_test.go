@@ -10,8 +10,8 @@ func TestKernelZeroValueStartsAtZero(t *testing.T) {
 	if k.Now() != 0 {
 		t.Fatalf("Now() = %v, want 0", k.Now())
 	}
-	if k.Pending() != 0 {
-		t.Fatalf("Pending() = %d, want 0", k.Pending())
+	if len(k.events) != 0 {
+		t.Fatalf("%d events queued, want 0", len(k.events))
 	}
 }
 
@@ -82,8 +82,8 @@ func TestCancelPreventsExecution(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if !e.canceled {
+		t.Fatal("event not marked canceled after Cancel")
 	}
 	// Double-cancel and cancel-nil are no-ops.
 	k.Cancel(e)
@@ -102,22 +102,6 @@ func TestCancelFromWithinEarlierEvent(t *testing.T) {
 	}
 }
 
-func TestRescheduleMovesEvent(t *testing.T) {
-	k := NewKernel()
-	var at Time
-	e := k.At(10, func() { at = k.Now() })
-	if !k.Reschedule(e, 25) {
-		t.Fatal("Reschedule returned false for pending event")
-	}
-	k.Run()
-	if at != 25 {
-		t.Fatalf("fired at %v, want 25", at)
-	}
-	if k.Reschedule(e, 30) {
-		t.Fatal("Reschedule returned true for already-fired event")
-	}
-}
-
 func TestRunUntilAdvancesClockExactly(t *testing.T) {
 	k := NewKernel()
 	var fired []Time
@@ -133,26 +117,6 @@ func TestRunUntilAdvancesClockExactly(t *testing.T) {
 	k.RunUntil(100)
 	if len(fired) != 2 || fired[1] != 40 {
 		t.Fatalf("fired = %v, want [10 40]", fired)
-	}
-}
-
-func TestStopHaltsRun(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		k.At(Time(i), func() {
-			count++
-			if count == 3 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if count != 3 {
-		t.Fatalf("executed %d events after Stop, want 3", count)
-	}
-	if !k.Stopped() {
-		t.Fatal("Stopped() = false")
 	}
 }
 
@@ -281,12 +245,11 @@ func TestTimeConversions(t *testing.T) {
 }
 
 // TestKernelSteadyStateAllocs pins the calendar's cost per event. With a
-// pre-bound func, After (and At under it), Cancel, Reschedule and Run
-// allocate nothing but the Event slab: one 64-event chunk per 64 events
+// pre-bound func, After (and At under it), Cancel and Run allocate
+// nothing but the Event slab: one 64-event chunk per 64 events
 // scheduled, 0.0156 per event. Events are carved from the slab and never
 // recycled, because a handle a caller keeps must stay valid after its
-// event fires. Cancel and Reschedule of a queued event are what reach
-// siftDown.
+// event fires. Cancel of a queued event is what reaches siftDown.
 func TestKernelSteadyStateAllocs(t *testing.T) {
 	k := NewKernel()
 	fired := 0
@@ -299,7 +262,6 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 				evs[j] = k.After(Duration(1+j*5%8), fn)
 			}
 			k.Cancel(evs[2])
-			k.Reschedule(evs[5], k.Now()+9)
 			k.Run()
 		}
 	}

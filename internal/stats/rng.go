@@ -1,6 +1,6 @@
-// Package stats provides deterministic random-number streams, the
-// distributions the workload models draw from (exponential, Poisson,
-// zipfian, Pareto), and small summary-statistics helpers.
+// Package stats provides deterministic random-number streams and the
+// distributions the workload models draw from: uniform, exponential
+// (inter-arrival times) and zipfian (key popularity).
 //
 // Every stochastic component in the simulator owns its own Stream, derived
 // from an experiment seed and a component label, so adding or removing one
@@ -149,76 +149,6 @@ func (s *Stream) Exponential(rate float64) float64 {
 		u = s.Float64()
 	}
 	return -math.Log(u) / rate
-}
-
-// Poisson returns a draw from Poisson(mean) using inversion for small means
-// and the PTRS transformed-rejection method threshold via normal
-// approximation fallback for large means.
-func (s *Stream) Poisson(mean float64) int {
-	if mean < 0 {
-		panic("stats: Poisson with negative mean")
-	}
-	if mean == 0 {
-		return 0
-	}
-	if mean < 30 {
-		// Knuth inversion.
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= s.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// Normal approximation with continuity correction is adequate for the
-	// arrival-rate ranges used in the experiments (λ ≤ a few hundred).
-	for {
-		v := s.Normal(mean, math.Sqrt(mean))
-		if v > -0.5 {
-			return int(v + 0.5)
-		}
-	}
-}
-
-// Normal returns a draw from N(mean, stddev) via Box–Muller.
-func (s *Stream) Normal(mean, stddev float64) float64 {
-	u1 := s.Float64()
-	for u1 == 0 {
-		u1 = s.Float64()
-	}
-	u2 := s.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
-// Pareto returns a draw from a Pareto distribution with the given minimum
-// value and shape alpha. Heavy-tailed service times use alpha in (1, 2).
-func (s *Stream) Pareto(min, alpha float64) float64 {
-	if min <= 0 || alpha <= 0 {
-		panic("stats: Pareto with non-positive parameter")
-	}
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return min / math.Pow(u, 1/alpha)
-}
-
-// LogNormal returns a draw whose logarithm is N(mu, sigma).
-func (s *Stream) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
-}
-
-// Shuffle permutes xs in place (Fisher–Yates).
-func Shuffle[T any](s *Stream, xs []T) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
-	}
 }
 
 // Pick returns a uniformly chosen element of xs.

@@ -73,15 +73,12 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	NewStream(1, "p").Intn(0)
 }
 
-// moments accumulates the sample mean and standard deviation the
-// distribution tests compare against their analytic values.
-type moments struct{ n, sum, sumSq float64 }
+// moments accumulates the sample mean the distribution tests compare
+// against their analytic values.
+type moments struct{ n, sum float64 }
 
-func (m *moments) Add(x float64) { m.n++; m.sum += x; m.sumSq += x * x }
+func (m *moments) Add(x float64) { m.n++; m.sum += x }
 func (m *moments) Mean() float64 { return m.sum / m.n }
-func (m *moments) StdDev() float64 {
-	return math.Sqrt(m.sumSq/m.n - m.Mean()*m.Mean())
-}
 
 func TestExponentialMean(t *testing.T) {
 	s := NewStream(3, "exp")
@@ -91,46 +88,6 @@ func TestExponentialMean(t *testing.T) {
 	}
 	if got, want := sum.Mean(), 0.5; math.Abs(got-want) > 0.01 {
 		t.Fatalf("Exponential(2) mean = %v, want ~%v", got, want)
-	}
-}
-
-func TestPoissonMeanSmallAndLarge(t *testing.T) {
-	s := NewStream(4, "poisson")
-	for _, mean := range []float64{0.5, 5, 100} {
-		var sum moments
-		for i := 0; i < 100000; i++ {
-			sum.Add(float64(s.Poisson(mean)))
-		}
-		if math.Abs(sum.Mean()-mean) > 0.05*mean+0.05 {
-			t.Fatalf("Poisson(%v) mean = %v", mean, sum.Mean())
-		}
-	}
-	if s.Poisson(0) != 0 {
-		t.Fatal("Poisson(0) != 0")
-	}
-}
-
-func TestNormalMoments(t *testing.T) {
-	s := NewStream(5, "normal")
-	var sum moments
-	for i := 0; i < 200000; i++ {
-		sum.Add(s.Normal(10, 3))
-	}
-	if math.Abs(sum.Mean()-10) > 0.05 {
-		t.Fatalf("Normal mean = %v", sum.Mean())
-	}
-	if math.Abs(sum.StdDev()-3) > 0.05 {
-		t.Fatalf("Normal stddev = %v", sum.StdDev())
-	}
-}
-
-func TestParetoTailAndMin(t *testing.T) {
-	s := NewStream(6, "pareto")
-	for i := 0; i < 100000; i++ {
-		v := s.Pareto(1.0, 1.5)
-		if v < 1.0 {
-			t.Fatalf("Pareto draw %v below minimum", v)
-		}
 	}
 }
 
@@ -172,19 +129,9 @@ func TestZipfScrambledCoversSpace(t *testing.T) {
 	}
 }
 
-func TestShuffleAndPick(t *testing.T) {
+func TestPick(t *testing.T) {
 	s := NewStream(9, "shuffle")
 	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	orig := append([]int(nil), xs...)
-	Shuffle(s, xs)
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 36 {
-		t.Fatal("shuffle changed multiset")
-	}
-	_ = orig
 	v := Pick(s, xs)
 	found := false
 	for _, x := range xs {
@@ -222,15 +169,6 @@ func TestInt63n(t *testing.T) {
 		v := s.Int63n(1 << 40)
 		if v < 0 || v >= 1<<40 {
 			t.Fatalf("Int63n out of range: %d", v)
-		}
-	}
-}
-
-func TestLogNormalPositive(t *testing.T) {
-	s := NewStream(12, "ln")
-	for i := 0; i < 1000; i++ {
-		if v := s.LogNormal(0, 1); v <= 0 {
-			t.Fatalf("LogNormal = %v", v)
 		}
 	}
 }

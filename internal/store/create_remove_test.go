@@ -45,7 +45,7 @@ func TestSevenLevelCreateAllocs(t *testing.T) {
 	if err := s.Write(Dom0, "/a/bb/ccc/d/ee/fff/g", "v"); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := s.ChangesSince(0)
+	got, _ := changesSince(s, 0)
 	want := []string{"/a", "/a/bb", "/a/bb/ccc", "/a/bb/ccc/d", "/a/bb/ccc/d/ee", "/a/bb/ccc/d/ee/fff", "/a/bb/ccc/d/ee/fff/g"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("a seven-level create journalled %v, want %v", got, want)

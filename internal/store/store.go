@@ -919,12 +919,6 @@ func (s *Store) WriteInt(dom DomID, path string, v int64) error {
 	return s.Write(dom, path, strconv.FormatInt(v, 10))
 }
 
-// ReadInt reads an integer value; absent nodes return defaultV.
-func (s *Store) ReadInt(dom DomID, path string, defaultV int64) (int64, error) {
-	raw, err := s.Read(dom, path)
-	return parseIntValue(raw, err, path, defaultV)
-}
-
 // WriteBool writes "1" or "0", the encoding Algorithms 1 and 2 use for
 // has_dirty_pages, flush_now, congested and release_request.
 func (s *Store) WriteBool(dom DomID, path string, v bool) error {
@@ -953,12 +947,6 @@ func (s *Store) ReadFloat(dom DomID, path string, defaultV float64) (float64, er
 // WriteIntCursor writes an integer value through a pinned cursor.
 func (s *Store) WriteIntCursor(dom DomID, c *Cursor, v int64) error {
 	return s.WriteCursor(dom, c, strconv.FormatInt(v, 10))
-}
-
-// ReadIntCursor reads an integer value; absent nodes return defaultV.
-func (s *Store) ReadIntCursor(dom DomID, c *Cursor, defaultV int64) (int64, error) {
-	raw, err := s.ReadCursor(dom, c)
-	return parseIntValue(raw, err, c.path, defaultV)
 }
 
 // WriteBoolCursor writes "1" or "0" through a pinned cursor.
@@ -997,20 +985,6 @@ func parseBoolValue(raw string, err error) (bool, error) {
 		return false, err
 	}
 	return raw == "1" || raw == "true", nil
-}
-
-func parseIntValue(raw string, err error, path string, def int64) (int64, error) {
-	if errors.Is(err, ErrNoEntry) {
-		return def, nil
-	}
-	if err != nil {
-		return def, err
-	}
-	v, perr := strconv.ParseInt(raw, 10, 64)
-	if perr != nil {
-		return def, fmt.Errorf("store: %s holds non-integer %q", path, raw)
-	}
-	return v, nil
 }
 
 func parseFloatValue(raw string, err error, path string, def float64) (float64, error) {

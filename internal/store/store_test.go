@@ -327,11 +327,8 @@ func TestTypedHelpers(t *testing.T) {
 	if err := s.WriteInt(Dom0, "/n", 42); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := s.ReadInt(Dom0, "/n", -1); err != nil || v != 42 {
-		t.Fatalf("ReadInt = %d, %v", v, err)
-	}
-	if v, err := s.ReadInt(Dom0, "/missing", 7); err != nil || v != 7 {
-		t.Fatalf("ReadInt default = %d, %v", v, err)
+	if v, err := s.Read(Dom0, "/n"); err != nil || v != "42" {
+		t.Fatalf("WriteInt stored %q, %v", v, err)
 	}
 	s.WriteBool(Dom0, "/b", true)
 	if v, err := s.ReadBool(Dom0, "/b"); err != nil || !v {
@@ -353,9 +350,6 @@ func TestTypedHelpers(t *testing.T) {
 	}
 	// Corrupt values report errors with defaults.
 	s.Write(Dom0, "/bad", "not-a-number")
-	if _, err := s.ReadInt(Dom0, "/bad", 0); err == nil {
-		t.Fatal("ReadInt of garbage succeeded")
-	}
 	if _, err := s.ReadFloat(Dom0, "/bad", 0); err == nil {
 		t.Fatal("ReadFloat of garbage succeeded")
 	}

@@ -221,19 +221,6 @@ func (s *Store) DeltasSince(v uint64) (deltas []Delta, ok bool) {
 	return deltas, true
 }
 
-// ChangesSince is DeltasSince flattened to just the touched paths.
-func (s *Store) ChangesSince(v uint64) (paths []string, ok bool) {
-	deltas, ok := s.DeltasSince(v)
-	if !ok {
-		return nil, false
-	}
-	paths = make([]string, len(deltas))
-	for i, d := range deltas {
-		paths[i] = d.Path
-	}
-	return paths, true
-}
-
 // SyncMode classifies a SyncSubtree reply, cheapest first. The values
 // are the wire encoding of netstore's OpSync reply.
 type SyncMode uint8

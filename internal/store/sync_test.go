@@ -160,6 +160,18 @@ func TestSubtreeHashRoots(t *testing.T) {
 	}
 }
 
+// changesSince is DeltasSince flattened to just the touched paths.
+func changesSince(s *Store, v uint64) (paths []string, ok bool) {
+	deltas, ok := s.DeltasSince(v)
+	if !ok {
+		return nil, false
+	}
+	for _, d := range deltas {
+		paths = append(paths, d.Path)
+	}
+	return paths, true
+}
+
 func TestChangesSinceReportsMutatedPaths(t *testing.T) {
 	_, s := newTestStore()
 	s.AddDomain(1)
@@ -167,7 +179,7 @@ func TestChangesSinceReportsMutatedPaths(t *testing.T) {
 	s.Write(Dom0, "/local/domain/1/b", "1")
 	s.Write(Dom0, "/local/domain/1/a/deep", "2")
 	s.Write(Dom0, "/local/domain/1/b", "3") // dedup with the first write
-	paths, ok := s.ChangesSince(v0)
+	paths, ok := changesSince(s, v0)
 	if !ok {
 		t.Fatal("journal should cover v0")
 	}
@@ -181,14 +193,14 @@ func TestChangesSinceReportsMutatedPaths(t *testing.T) {
 		"/local/domain/1/b",
 	}
 	if !reflect.DeepEqual(paths, want) {
-		t.Fatalf("ChangesSince = %v, want %v", paths, want)
+		t.Fatalf("changesSince = %v, want %v", paths, want)
 	}
 
 	vMid := s.Version()
 	s.Remove(Dom0, "/local/domain/1/a")
-	paths, ok = s.ChangesSince(vMid)
+	paths, ok = changesSince(s, vMid)
 	if !ok || !reflect.DeepEqual(paths, []string{"/local/domain/1/a"}) {
-		t.Fatalf("ChangesSince after remove = %v, %v; want just the subtree root", paths, ok)
+		t.Fatalf("changesSince after remove = %v, %v; want just the subtree root", paths, ok)
 	}
 }
 
@@ -200,18 +212,18 @@ func TestChangesSinceJournalWindow(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		s.Write(Dom0, fmt.Sprintf("/local/domain/1/k%02d", i), "v")
 	}
-	if _, ok := s.ChangesSince(v0); ok {
+	if _, ok := changesSince(s, v0); ok {
 		t.Fatal("journal claims to cover a version older than its window")
 	}
 	// The most recent window must still be answerable.
 	vRecent := s.Version()
 	s.Write(Dom0, "/local/domain/1/k00", "again")
-	paths, ok := s.ChangesSince(vRecent)
+	paths, ok := changesSince(s, vRecent)
 	if !ok || !reflect.DeepEqual(paths, []string{"/local/domain/1/k00"}) {
-		t.Fatalf("recent ChangesSince = %v, %v", paths, ok)
+		t.Fatalf("recent changesSince = %v, %v", paths, ok)
 	}
-	if _, ok := s.ChangesSince(s.Version()); !ok {
-		t.Fatal("ChangesSince(current) must always be answerable")
+	if _, ok := changesSince(s, s.Version()); !ok {
+		t.Fatal("changesSince(current) must always be answerable")
 	}
 }
 
@@ -318,7 +330,7 @@ func TestAddDomainAfterRemoveIsJournalled(t *testing.T) {
 	s.Remove(Dom0, DomainPath(7))
 	v := s.Version()
 	s.AddDomain(7)
-	paths, ok := s.ChangesSince(v)
+	paths, ok := changesSince(s, v)
 	if !ok {
 		t.Fatal("journal should cover the re-add")
 	}
