@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"iorchestra/internal/fault"
-	"iorchestra/internal/sim"
 	"iorchestra/internal/stats"
 	"iorchestra/internal/store"
 	"iorchestra/internal/trace"
@@ -108,14 +107,14 @@ type Counters struct {
 	TraceDropped uint64 `json:"trace_dropped,omitempty"`
 }
 
-// tree is the state the store lock guards: the store, the private kernel
-// that orders its watch deliveries, the trace recorder and the tails it
-// feeds. The only *tree there is is the one do hands to the closure it
+// tree is the state the store lock guards: the store, the trace recorder
+// and the tails it feeds. The only *tree there is is the one do hands to the closure it
 // runs, so holding one is holding the lock: a function that takes a
 // *tree (enqueueEvent, repair, evict) can only be called from inside do.
 //
-// rec is a stream (trace.NewStream): it stamps and counts a record and
-// hands it to Server.broadcast; nothing is retained. The server records
+// rec is a stream without a clock (trace.NewStream(nil)): it numbers and
+// counts a record and hands it to Server.broadcast; nothing is retained,
+// and At is zero. The server records
 // for whoever is listening. The rare kinds (wire.conn, fault.inject) are
 // always recorded, so their counts stay live; the per-operation kinds
 // (wire.op, wire.batch, and the store's store.write and store.watch) are
@@ -123,7 +122,6 @@ type Counters struct {
 // subscriber is attached — an untailed operation pays the test of that
 // bit and of the store's nil recorder, and builds nothing.
 type tree struct {
-	k   *sim.Kernel
 	st  *store.Store
 	rec *trace.Recorder
 
@@ -162,10 +160,10 @@ func (t *tree) detach(ch chan []byte) {
 // The store keeps its one-at-a-time discipline without a goroutine of
 // its own: an operation runs to completion on the goroutine that decoded
 // it, inside do, which takes the store lock, runs the operation and
-// drains the private simulation kernel — so the watch notifications the
-// operation scheduled are delivered (and queued on their connections)
-// before the lock is released and before the operation's reply is
-// queued. The order in which operations take the lock is the one total
+// drains the store's pending deliveries (store.Store.Deliver) — so the
+// watch notifications the operation scheduled are delivered, in write
+// order, and queued on their connections before the lock is released and
+// before the operation's reply is queued. The order in which operations take the lock is the one total
 // order of mutations; a connection's own operations keep their arrival
 // order because its one reader goroutine runs them one after another.
 // Nothing that can block on a peer — a socket write above all — happens
@@ -210,21 +208,20 @@ type Server struct {
 	traceDropped atomic.Uint64
 }
 
-// NewServer builds a server around a fresh store. The store lives on a
-// private simulation kernel with zero notification latency: virtual time
-// only orders deliveries; the wire provides the real latency. A
+// NewServer builds a server around a fresh store with no simulation
+// kernel and zero notification latency: the store's delivery clock only
+// orders deliveries (a watch-delay fault moves an event behind those due
+// sooner); the wire provides the real latency. A
 // non-empty Options.Faults spec must parse, or NewServer panics: a store
 // silently running without its requested faults would invalidate any
 // soak result.
 func NewServer(opts Options) *Server {
 	opts = opts.withDefaults()
-	k := sim.NewKernel()
 	s := &Server{
 		opts: opts,
 		tree: tree{
-			k:     k,
-			st:    store.New(k, 0),
-			rec:   trace.NewStream(k),
+			st:    store.New(nil, 0),
+			rec:   trace.NewStream(nil),
 			tails: map[chan []byte]struct{}{},
 		},
 		quit:  make(chan struct{}),
@@ -247,7 +244,8 @@ func NewServer(opts Options) *Server {
 		// keep the tree. The store gets the recorder from the first tail.
 		t.rec.SetSink(func(rec trace.Record) { s.broadcast(t, rec) })
 		if opts.Faults != "" {
-			inj := fault.NewInjector(t.k, spec, stats.NewStream(seed, "netstore/faults"))
+			// The store hooks never touch a kernel: the injector needs none.
+			inj := fault.NewInjector(nil, spec, stats.NewStream(seed, "netstore/faults"))
 			inj.SetRecorder(t.rec)
 			if hooks := inj.StoreHooks(); hooks != nil {
 				t.st.SetFaultHooks(hooks)
@@ -270,7 +268,7 @@ func (s *Server) Do(fn func(st *store.Store)) bool {
 }
 
 // do is the store loop and the one source of a *tree: it runs fn on the
-// tree under the store lock, then drains the private kernel so every
+// tree under the store lock, then drains the store's deliveries so every
 // watch delivery fn scheduled has reached its connection's queue before
 // the lock is released, and writes the queues of the ring connections
 // those deliveries reached (tree.flush). It reports false without
@@ -287,7 +285,7 @@ func (s *Server) do(fn func(*tree)) bool {
 	}
 	t := &s.tree
 	fn(t)
-	t.k.Run()
+	t.st.Deliver()
 	t.flush()
 	return true
 }

@@ -164,8 +164,8 @@ func TestTraceTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One write is wire.op, store.write, store.watch; a batch is its
-	// wire.batch, then the writes as they ran, then the deliveries the
-	// kernel drained before the lock was released.
+	// wire.batch, then the writes as they ran, then their deliveries, run
+	// as the store lock's hold ended.
 	want := []trace.Record{
 		{Kind: trace.KindWireOp, Dom: 3, Path: base + "/k", Value: "write"},
 		{Kind: trace.KindStoreWrite, Dom: 3, Path: base + "/k", Value: "v1"},

@@ -4,10 +4,14 @@
 //
 // Every domain registers configuration under /local/domain/<domid>/...;
 // each VM may only access its own subtree while the hypervisor (domain 0)
-// has access to everything. Watches deliver change notifications through
-// the simulation kernel with a configurable notification latency, modelling
-// the XenBus round trip; the store logic itself is ordinary control-plane
-// code with no knowledge of the simulator beyond the clock.
+// has access to everything. Watches deliver change notifications after a
+// configurable notification latency, modelling the XenBus round trip. A
+// store built on a simulation kernel delivers them on the kernel's events;
+// one built without (New(nil, ...), the wire server's) queues them, and
+// its owner runs the queue with Deliver, as XenStore's daemon fires a
+// request's watches from the loop that served it. The store logic itself
+// is ordinary control-plane code with no knowledge of the simulator beyond
+// the clock.
 //
 // A watched write is the control plane's unit of work, so its path keeps
 // nothing it allocates and does each piece of work once. A node is its
@@ -133,21 +137,27 @@ type bucket struct {
 
 // Store is the system store. Create with New.
 //
-// Node data follows the simulation kernel's single-goroutine discipline,
-// but watch registration is also exercised from test harnesses and
+// Node data follows the simulation kernel's single-goroutine discipline
+// (without a kernel, whatever serializes the owner's calls), but watch registration is also exercised from test harnesses and
 // drivers living on other goroutines, so the watch table has its own
 // lock: Watch, Unwatch and notification delivery are safe to interleave
 // concurrently.
 //
 // fireWatches schedules delivery records from freeDeliveries: one record
-// per run of equal-latency notifications, one kernel event per record,
-// the record back on the list after its last callback. Every such event
-// calls the same function, which takes the record at the head of the
-// pending list — kept in the kernel's own (time, sequence) order, so the
-// dispatch order is exactly that of a closure per run, without the
-// closure.
+// per run of equal-latency notifications, the record back on the list
+// after its last callback. The pending list is kept in (due time,
+// scheduling) order. On a kernel-backed store every record is one kernel
+// event, and every such event calls the same function, which takes the
+// record at the head of the list — the kernel's own (time, sequence)
+// order, so the dispatch order is exactly that of a closure per run,
+// without the closure. A store without a kernel is drained by Deliver,
+// which takes the same records in the same order.
 type Store struct {
+	// k, when set, triggers deliveries; nil leaves them to Deliver, and
+	// now is then the delivery clock: the due time of the last record
+	// Deliver took.
 	k             *sim.Kernel
+	now           sim.Time
 	root          *node
 	notifyLatency sim.Duration
 	version       uint64
@@ -189,7 +199,7 @@ type Store struct {
 	freeDeliveries []*delivery
 	// pendHead and pendTail are the ends of the list of scheduled, not yet
 	// delivered records; deliverFn is deliver bound once, the function of
-	// every delivery's kernel event.
+	// every delivery's kernel event (nil without a kernel).
 	pendHead, pendTail *delivery
 	deliverFn          func()
 
@@ -241,9 +251,12 @@ func (s *Store) FaultStats() (droppedWrites, droppedNotifies, delayedNotifies ui
 	return s.faultDroppedWrites, s.faultDroppedNotifies, s.faultDelayedNotifies
 }
 
-// New returns an empty store bound to kernel k. notifyLatency is the delay
-// between a write and delivery of watch callbacks (the XenBus event-channel
-// round trip; tens of microseconds on the paper's hardware).
+// New returns an empty store. notifyLatency is the delay between a write
+// and delivery of watch callbacks (the XenBus event-channel round trip;
+// tens of microseconds on the paper's hardware). The kernel is optional:
+// on k, each run of deliveries is one kernel event; with k nil, the store
+// keeps its own delivery clock, and its owner runs what a write queued by
+// calling Deliver.
 func New(k *sim.Kernel, notifyLatency sim.Duration) *Store {
 	structB := &bucket{}
 	root := &node{path: "/", owner: Dom0, b: structB}
@@ -257,7 +270,9 @@ func New(k *sim.Kernel, notifyLatency sim.Duration) *Store {
 		structB:       structB,
 		notifyLatency: notifyLatency,
 	}
-	s.deliverFn = s.deliver
+	if k != nil {
+		s.deliverFn = s.deliver
+	}
 	return s
 }
 
@@ -769,9 +784,14 @@ func (s *Store) takeDelivery(path, value string) *delivery {
 // (time, scheduling order), and every delivery's event is the same
 // function, so the pending list is kept in that order: d goes behind every
 // record due no later. Deliveries share one latency unless a fault hook
-// adds to it, so that is nearly always the tail.
+// adds to it, so that is nearly always the tail. Without a kernel, the
+// list is all there is: Deliver walks it.
 func (s *Store) schedule(d *delivery, delay sim.Duration) {
-	d.due = s.k.Now() + delay
+	now := s.now
+	if s.k != nil {
+		now = s.k.Now()
+	}
+	d.due = now + delay
 	after := s.pendTail
 	for after != nil && after.due > d.due {
 		after = after.prev
@@ -787,12 +807,30 @@ func (s *Store) schedule(d *delivery, delay sim.Duration) {
 	} else {
 		d.next.prev = d
 	}
-	s.k.After(delay, s.deliverFn)
+	if s.k != nil {
+		s.k.After(delay, s.deliverFn)
+	}
 }
 
-// deliver is the kernel event of a delivery: it takes the record whose
-// turn it is off the pending list, calls the watchers, then hands the
-// record back to the free list if the list has room.
+// Deliver runs every delivery a store built without a kernel has queued,
+// those its callbacks queue included, in (due time, scheduling) order,
+// advancing the store's delivery clock to each record's due time before
+// its callbacks run. That is what Kernel.Run does on a kernel holding only
+// the store's deliveries, watch-delay faults included. A kernel-backed
+// store delivers on its kernel's events; Deliver panics there.
+func (s *Store) Deliver() {
+	if s.k != nil {
+		panic("store: Deliver on a kernel-backed store")
+	}
+	for s.pendHead != nil {
+		s.now = s.pendHead.due
+		s.deliver()
+	}
+}
+
+// deliver is one delivery, a kernel event or a step of Deliver: it takes
+// the record whose turn it is off the pending list, calls the watchers,
+// then hands the record back to the free list if the list has room.
 func (s *Store) deliver() {
 	d := s.pendHead
 	s.pendHead = d.next
@@ -850,12 +888,13 @@ func (s *Store) fireWatches(b *bucket, n *node, path, value string) {
 	// The caller hands in the written node (nil for removals): the node is
 	// the same for every watcher, only the per-watcher permission differs.
 	//
-	// Deliveries that share a latency ride one kernel event: they were
-	// scheduled back-to-back for the same instant with consecutive
-	// sequence numbers, so no other event can interleave them — running
-	// the callbacks consecutively inside one event preserves the exact
-	// dispatch order while cutting the calendar traffic of the fan-out
-	// (every write notifies at least the manager and the guest driver).
+	// Deliveries that share a latency ride one record (one kernel event on
+	// a kernel-backed store): they were scheduled back-to-back for the
+	// same instant with consecutive sequence numbers, so no other event
+	// can interleave them — running the callbacks consecutively inside one
+	// record preserves the exact dispatch order while cutting the
+	// pending-list traffic of the fan-out (every write notifies at least
+	// the manager and the guest driver).
 	var run *delivery // the open run, scheduled when its latency ends
 	runDelay := s.notifyLatency
 	for _, w := range matched {

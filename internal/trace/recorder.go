@@ -290,19 +290,21 @@ func (r Record) String() string {
 // Counters() from Count, so a count and its trace cannot disagree. A
 // count-only recorder (NewCountOnly) is that ledger without a trace.
 //
-// A recorder comes in three shapes, told apart by what it holds: a
-// kernel and a ring (NewRecorder: stamps, retains, feeds the sink), a
-// kernel and no ring (NewStream: stamps and feeds the sink, retains
-// nothing) and neither (NewCountOnly: the aggregates alone).
+// A recorder comes in three shapes: a ring (NewRecorder: stamps,
+// retains, feeds the sink), no ring (NewStream: stamps and feeds the
+// sink, retains nothing) and count-only (NewCountOnly: the aggregates
+// alone). A recorder with a kernel stamps At from its clock; one without
+// leaves At zero.
 //
-// A Recorder belongs to one simulation kernel and, like the kernel, is
-// not safe for concurrent use.
+// A Recorder belongs to one simulation kernel, or to whatever serializes
+// its owner, and is not safe for concurrent use.
 type Recorder struct {
-	k    *sim.Kernel // nil in a count-only recorder
-	ring []Record    // nil in a stream and in a count-only recorder
-	head int
-	full bool
-	seq  uint64
+	k         *sim.Kernel // nil in a count-only recorder and a clockless stream
+	ring      []Record    // nil in a stream and in a count-only recorder
+	countOnly bool
+	head      int
+	full      bool
+	seq       uint64
 
 	counts map[Kind]uint64
 	// devLat aggregates dev.complete host-path latencies across every
@@ -329,23 +331,24 @@ func NewRecorder(k *sim.Kernel, capacity int) *Recorder {
 	return r
 }
 
-// NewStream returns a recorder bound to kernel k that retains nothing:
-// it stamps (At, Seq), keeps the lifetime aggregates and hands each
-// record to the sink. Events is always empty and Dropped always zero —
-// a record nobody's sink took is simply gone. It is what a long-running
-// server records into: whoever is listening gets the record, and no
-// memory is spent on the ones nobody will read (netstore.Server).
+// NewStream returns a recorder that retains nothing: it stamps Seq, and
+// At from kernel k when k is not nil, keeps the lifetime aggregates and
+// hands each record to the sink. Events is always empty and Dropped
+// always zero — a record nobody's sink took is simply gone. It is what a
+// long-running server records into, with no kernel: whoever is listening
+// gets the record, and no memory is spent on the ones nobody will read
+// (netstore.Server).
 func NewStream(k *sim.Kernel) *Recorder {
-	r := NewCountOnly()
-	r.k = k
-	return r
+	return &Recorder{k: k, counts: map[Kind]uint64{}, devLat: metrics.NewHistogram()}
 }
 
 // NewCountOnly returns a recorder that keeps the lifetime aggregates and
 // nothing else: no ring, no timestamps, no sink. Events is always empty.
 // It is what a decision-maker books into when nobody is tracing.
 func NewCountOnly() *Recorder {
-	return &Recorder{counts: map[Kind]uint64{}, devLat: metrics.NewHistogram()}
+	r := NewStream(nil)
+	r.countOnly = true
+	return r
 }
 
 // OrCountOnly returns r, or a fresh count-only recorder when r is nil:
@@ -360,9 +363,9 @@ func OrCountOnly(r *Recorder) *Recorder {
 
 // Record stamps rec with the next sequence number and the current sim
 // time, folds it into the aggregates, appends it to the ring and hands
-// it to the sink. A count-only recorder has no kernel to read the time
-// from: it stops after the aggregates. A stream has no ring to keep the
-// record in: the sink's copy is the only one.
+// it to the sink. A count-only recorder stops after the aggregates. A
+// stream has no ring to keep the record in: the sink's copy is the only
+// one.
 func (r *Recorder) Record(rec Record) {
 	rec.Seq = r.seq
 	r.seq++
@@ -370,10 +373,12 @@ func (r *Recorder) Record(rec Record) {
 	if rec.Kind == KindDevComplete {
 		r.devLat.Record(rec.Latency)
 	}
-	if r.k == nil {
+	if r.countOnly {
 		return
 	}
-	rec.At = r.k.Now()
+	if r.k != nil {
+		rec.At = r.k.Now()
+	}
 	if r.ring != nil {
 		r.ring[r.head] = rec
 		r.head = (r.head + 1) % len(r.ring)
