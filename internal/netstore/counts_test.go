@@ -115,6 +115,15 @@ func FuzzReplyComposites(f *testing.F) {
 	f.Add("\xff\xff\xff\xff", kinds)
 	f.Add("\x00\x00\x00\x00\x00\xff\xff\xff\xff", []byte{1})
 	f.Add("", []byte{})
+	// The last string's length prefix equal to the bytes left, one more
+	// than that, and all ones after a partial body: a List's names, then
+	// a batch's read results.
+	f.Add(string((&enc{}).u32(2).str("a").u32(3).b)+"bcd", []byte{1})
+	f.Add(string((&enc{}).u32(2).str("a").u32(4).b)+"bcd", []byte{1})
+	f.Add(string((&enc{}).u32(2).str("a").u32(0xFFFFFFFF).b)+"bcd", []byte{1})
+	f.Add(string(okSub(&enc{}).u32(5).b)+"value", []byte{0})
+	f.Add(string(okSub(&enc{}).u32(6).b)+"value", []byte{0})
+	f.Add(string(okSub(okSub(&enc{}).str("v")).u32(0xFFFFFFFF).b)+"ab", []byte{0, 0})
 
 	f.Fuzz(func(t *testing.T, body string, kinds []byte) {
 		// names

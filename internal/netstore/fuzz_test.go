@@ -135,6 +135,13 @@ func FuzzReplyDecode(f *testing.F) {
 	f.Add(body[:len(body)-3], []byte{0, 3, 3, 1, 3, 3, 2})
 	f.Add("\xff\xff\xff\xffab", []byte{3, 0}) // a length prefix far past the body
 	f.Add("", []byte{})
+	// A string's one bounds check, at its edge: a length prefix equal to
+	// the bytes that follow it, one more than that, all ones after a
+	// partial body, and a body too short for the prefix itself.
+	f.Add("\x00\x00\x00\x03abc", []byte{3})
+	f.Add("\x00\x00\x00\x04abc", []byte{3, 0})
+	f.Add("\x07\x00\x00\x00\x01a\xff\xff\xff\xffbc", []byte{0, 3, 3, 0})
+	f.Add("\x00\x00\x00", []byte{3, 1, 0})
 
 	f.Fuzz(func(t *testing.T, body string, script []byte) {
 		d := rdec{s: body}

@@ -644,6 +644,11 @@ func (d *dec) req(r *req, subs []req) []req {
 // price is retention: a kept field keeps its whole reply alive (see
 // Client). Requests and events are decoded by dec, which copies: they
 // are read out of a frame buffer the next read overwrites.
+//
+// Each field is one bounds check against what remains — a string's
+// 4 + n bytes together — and only a read that fails takes the slow path,
+// take. A failed decode keeps its first error and no bytes, so every
+// later read fails there too.
 type rdec struct {
 	s   string
 	err error
@@ -651,10 +656,11 @@ type rdec struct {
 
 // take consumes the next n bytes, or fails the decode and returns "".
 func (d *rdec) take(n uint32) string {
-	if d.err != nil || uint32(len(d.s)) < n {
+	if uint64(len(d.s)) < uint64(n) {
 		if d.err == nil {
 			d.err = errTruncated()
 		}
+		d.s = ""
 		return ""
 	}
 	v := d.s[:n]
@@ -663,22 +669,37 @@ func (d *rdec) take(n uint32) string {
 }
 
 func (d *rdec) u8() uint8 {
-	if v := d.take(1); v != "" {
-		return v[0]
+	if len(d.s) < 1 {
+		d.take(1)
+		return 0
 	}
-	return 0
+	v := d.s[0]
+	d.s = d.s[1:]
+	return v
 }
 
 func (d *rdec) u32() uint32 {
-	if v := d.take(4); v != "" {
-		return uint32(v[0])<<24 | uint32(v[1])<<16 | uint32(v[2])<<8 | uint32(v[3])
+	if len(d.s) < 4 {
+		d.take(4)
+		return 0
 	}
-	return 0
+	v := uint32(d.s[0])<<24 | uint32(d.s[1])<<16 | uint32(d.s[2])<<8 | uint32(d.s[3])
+	d.s = d.s[4:]
+	return v
 }
 
 func (d *rdec) u64() uint64 { return uint64(d.u32())<<32 | uint64(d.u32()) }
 
-func (d *rdec) str() string { return d.take(d.u32()) }
+func (d *rdec) str() string {
+	if len(d.s) >= 4 {
+		n := uint32(d.s[0])<<24 | uint32(d.s[1])<<16 | uint32(d.s[2])<<8 | uint32(d.s[3])
+		if rest := d.s[4:]; uint64(n) <= uint64(len(rest)) {
+			d.s = rest[n:]
+			return rest[:n]
+		}
+	}
+	return d.take(d.u32())
+}
 
 // count reads an element count, which sizes allocations and loops, and
 // fails the decode unless the rest of the body could hold that many
@@ -686,7 +707,7 @@ func (d *rdec) str() string { return d.take(d.u32()) }
 func (d *rdec) count(min int) int {
 	n := d.u32()
 	if d.err == nil && uint64(n) > uint64(len(d.s)/min) {
-		d.err = errTruncated()
+		d.err, d.s = errTruncated(), ""
 		return 0
 	}
 	return int(n)
