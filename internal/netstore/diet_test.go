@@ -72,7 +72,7 @@ func TestBatchRoundTripAllocs(t *testing.T) {
 	for i := 0; i < 32; i++ { // fill the pools, the intern tables and the queues
 		frame()
 	}
-	const budget, byteBudget = 1.25, 520
+	const budget, byteBudget = 1.25, 470
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	perOp := testing.AllocsPerRun(200, frame) / ops

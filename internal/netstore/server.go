@@ -108,14 +108,14 @@ type Counters struct {
 }
 
 // tree is the state the store lock guards: the store, the trace recorder
-// and the tails it feeds. The only *tree there is is the one do hands to the closure it
-// runs, so holding one is holding the lock: a function that takes a
-// *tree (enqueueEvent, repair, evict) can only be called from inside do.
+// and the tails it feeds. The only *tree there is is the one do hands to
+// the closure it runs, so holding one is holding the lock: a function
+// that takes a *tree (enqueueEvent, repair, evict) can only be called
+// from inside do.
 //
 // rec is a stream without a clock (trace.NewStream(nil)): it numbers and
 // counts a record and hands it to Server.broadcast; nothing is retained,
-// and At is zero. The server records
-// for whoever is listening. The rare kinds (wire.conn, fault.inject) are
+// and At is zero. The server records for whoever is listening. The rare kinds (wire.conn, fault.inject) are
 // always recorded, so their counts stay live; the per-operation kinds
 // (wire.op, wire.batch, and the store's store.write and store.watch) are
 // built only while tailed is set, which is exactly while a ServeTrace
@@ -163,13 +163,13 @@ func (t *tree) detach(ch chan []byte) {
 // drains the store's pending deliveries (store.Store.Deliver) — so the
 // watch notifications the operation scheduled are delivered, in write
 // order, and queued on their connections before the lock is released and
-// before the operation's reply is queued. The order in which operations take the lock is the one total
-// order of mutations; a connection's own operations keep their arrival
-// order because its one reader goroutine runs them one after another.
-// Nothing that can block on a peer — a socket write above all — happens
-// under the lock: a ring connection's events are copied into its ring as
-// the hold ends, whole or not at all, and what does not fit is left to
-// its writer goroutine.
+// before the operation's reply is queued. The order in which operations
+// take the lock is the one total order of mutations; a connection's own
+// operations keep their arrival order because its one reader goroutine
+// runs them one after another. Nothing that can block on a peer — a
+// socket write above all — happens under the lock: a ring connection's
+// events are copied into its ring as the hold ends, whole or not at all,
+// and what does not fit is left to its writer goroutine.
 type Server struct {
 	opts Options
 
@@ -211,10 +211,9 @@ type Server struct {
 // NewServer builds a server around a fresh store with no simulation
 // kernel and zero notification latency: the store's delivery clock only
 // orders deliveries (a watch-delay fault moves an event behind those due
-// sooner); the wire provides the real latency. A
-// non-empty Options.Faults spec must parse, or NewServer panics: a store
-// silently running without its requested faults would invalidate any
-// soak result.
+// sooner); the wire provides the real latency. A non-empty
+// Options.Faults spec must parse, or NewServer panics: a store silently
+// running without its requested faults would invalidate any soak result.
 func NewServer(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{

@@ -130,15 +130,3 @@ func TestOwnerDrainIsKernelDrain(t *testing.T) {
 		t.Fatalf("a fault never fired: stale writes %d, drops %d, delays %d", fired[0], fired[1], fired[2])
 	}
 }
-
-// Deliver belongs to a store without a kernel: on a kernel-backed store
-// it would take records whose kernel events are still to fire.
-func TestDeliverOnKernelStorePanics(t *testing.T) {
-	_, s := newTestStore()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Deliver on a kernel-backed store did not panic")
-		}
-	}()
-	s.Deliver()
-}

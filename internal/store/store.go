@@ -138,10 +138,10 @@ type bucket struct {
 // Store is the system store. Create with New.
 //
 // Node data follows the simulation kernel's single-goroutine discipline
-// (without a kernel, whatever serializes the owner's calls), but watch registration is also exercised from test harnesses and
-// drivers living on other goroutines, so the watch table has its own
-// lock: Watch, Unwatch and notification delivery are safe to interleave
-// concurrently.
+// (without a kernel, whatever serializes the owner's calls), but watch
+// registration is also exercised from test harnesses and drivers living
+// on other goroutines, so the watch table has its own lock: Watch,
+// Unwatch and notification delivery are safe to interleave concurrently.
 //
 // fireWatches schedules delivery records from freeDeliveries: one record
 // per run of equal-latency notifications, the record back on the list
@@ -817,11 +817,8 @@ func (s *Store) schedule(d *delivery, delay sim.Duration) {
 // advancing the store's delivery clock to each record's due time before
 // its callbacks run. That is what Kernel.Run does on a kernel holding only
 // the store's deliveries, watch-delay faults included. A kernel-backed
-// store delivers on its kernel's events; Deliver panics there.
+// store delivers on its kernel's events and must not be drained here.
 func (s *Store) Deliver() {
-	if s.k != nil {
-		panic("store: Deliver on a kernel-backed store")
-	}
 	for s.pendHead != nil {
 		s.now = s.pendHead.due
 		s.deliver()
