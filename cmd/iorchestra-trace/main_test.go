@@ -101,8 +101,9 @@ writes:
 		t.Fatalf("%d records, want %d:\n%s", len(lines), n, records)
 	}
 	// A stream numbers the records of one write in order: store.write,
-	// then store.watch with the same value; the next write counts up.
-	// The tail may have attached between a write and its delivery.
+	// then store.watch with the same value; the next write counts up. A
+	// tail attaches between two holds of the store lock, so it starts at
+	// a write.
 	prev := -1
 	for i, line := range lines {
 		f := strings.Fields(line)
@@ -115,7 +116,7 @@ writes:
 		}
 		switch kind := f[2]; {
 		case kind == "store.write" && (prev < 0 || v == prev+1 && strings.Contains(lines[i-1], "store.watch")):
-		case kind == "store.watch" && (prev < 0 || v == prev && strings.Contains(lines[i-1], "store.write")):
+		case kind == "store.watch" && prev >= 0 && v == prev && strings.Contains(lines[i-1], "store.write"):
 		default:
 			t.Fatalf("record %d out of order after value %d: %q\n%s", i, prev, line, records)
 		}
