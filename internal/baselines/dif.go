@@ -10,18 +10,10 @@ import (
 	"sort"
 	"strconv"
 
-	"iorchestra/internal/core"
 	"iorchestra/internal/guest"
 	"iorchestra/internal/hypervisor"
 	"iorchestra/internal/sim"
 	"iorchestra/internal/store"
-)
-
-// Both baselines plug into the same policy-controller framework as
-// IOrchestra's manager, so platforms install them through one registry.
-var (
-	_ core.Controller = (*DIF)(nil)
-	_ core.Controller = (*SDC)(nil)
 )
 
 // DIF coordinates disk-idleness-based flushing: the host publishes an
@@ -62,10 +54,7 @@ func NewDIF(h *hypervisor.Host) *DIF {
 	}
 }
 
-// Name identifies the coordinator in the platform's controller registry.
-func (d *DIF) Name() string { return "dif" }
-
-// Attach is the Controller lifecycle entry (see EnableGuest).
+// Attach is the core.Controller lifecycle entry (see EnableGuest).
 func (d *DIF) Attach(rt *hypervisor.GuestRuntime) { d.EnableGuest(rt) }
 
 // Detach forgets a removed guest: its dirty tracking stops feeding the

@@ -23,10 +23,7 @@ func NewSDC(h *hypervisor.Host) *SDC {
 	return &SDC{h: h, EqualQuantum: 256 << 10}
 }
 
-// Name identifies SDC in the platform's controller registry.
-func (s *SDC) Name() string { return "sdc" }
-
-// Attach is the Controller lifecycle entry (see EnableGuest).
+// Attach is the core.Controller lifecycle entry (see EnableGuest).
 func (s *SDC) Attach(rt *hypervisor.GuestRuntime) { s.EnableGuest(rt) }
 
 // Detach is a no-op: the static quantum is harmless once the guest stops

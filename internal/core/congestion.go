@@ -70,62 +70,13 @@ func newCongestController(m *Manager) *congestController {
 	return cc
 }
 
-func (cc *congestController) Name() string { return "congestion" }
-
-// Attach: congestion control needs no per-guest hooks beyond the shared
-// driver; guests ask through congest_query when their queues fill.
-func (cc *congestController) Attach(rt *hypervisor.GuestRuntime) {}
-
-// Detach forgets all congestion state about dom.
-func (cc *congestController) Detach(dom store.DomID) {
+// detach forgets all congestion state about dom, reporting whether dom
+// was held.
+func (cc *congestController) detach(dom store.DomID) (wasHeld bool) {
 	if rs := cc.pendingRel[dom]; rs != nil {
 		cc.m.k.Cancel(rs.timer)
 		delete(cc.pendingRel, dom)
 	}
-	kept := cc.held[:0]
-	for _, e := range cc.held {
-		if e.dom != dom {
-			kept = append(kept, e)
-		} else {
-			delete(cc.heldSet, congKey{dom: e.dom, disk: e.disk})
-		}
-	}
-	cc.held = kept
-}
-
-// Routes: the per-disk query key plus the per-domain release key (the
-// guest's reset to 0 is the ack).
-func (cc *congestController) Routes() Routes {
-	return Routes{
-		DiskKeys:   []string{keyCongestQuery},
-		DomainKeys: []string{keyReleaseRequest},
-	}
-}
-
-func (cc *congestController) OnStoreEvent(ev StoreEvent) {
-	switch ev.Key {
-	case keyCongestQuery:
-		if ev.Value == "1" {
-			cc.handleCongestQuery(ev.Dom, ev.Disk)
-		}
-	case keyReleaseRequest:
-		// The manager writes "1"; the guest's reset to "0" is the ack.
-		if ev.Value == "0" {
-			cc.noteReleaseAck(ev.Dom)
-		}
-	}
-}
-
-// OnFallback stops expecting acks from a guest we no longer trust, and
-// publishes one last best-effort release if the guest was held: a
-// live-but-slow driver will act on it; a dead one leaves its queues to
-// the local controller. Nothing may stay parked behind a dead protocol.
-func (cc *congestController) OnFallback(dom store.DomID) {
-	if rs := cc.pendingRel[dom]; rs != nil {
-		cc.m.k.Cancel(rs.timer)
-		delete(cc.pendingRel, dom)
-	}
-	var wasHeld bool
 	kept := cc.held[:0]
 	for _, e := range cc.held {
 		if e.dom == dom {
@@ -136,13 +87,18 @@ func (cc *congestController) OnFallback(dom store.DomID) {
 		}
 	}
 	cc.held = kept
-	if wasHeld {
+	return wasHeld
+}
+
+// fellBack stops expecting acks from a guest we no longer trust, and
+// publishes one last best-effort release if the guest was held: a
+// live-but-slow driver will act on it; a dead one leaves its queues to
+// the local controller. Nothing may stay parked behind a dead protocol.
+func (cc *congestController) fellBack(dom store.DomID) {
+	if cc.detach(dom) {
 		cc.m.st.WriteBool(store.Dom0, store.DomainPath(dom)+"/"+keyReleaseRequest, true)
 	}
 }
-
-// OnRestore: a restored guest starts with a clean slate; nothing to do.
-func (cc *congestController) OnRestore(dom store.DomID) {}
 
 // handleCongestQuery answers a guest's congestion query: confirm when the
 // host device is genuinely overcrowded, otherwise release the guest.
@@ -269,6 +225,9 @@ func (cc *congestController) congestionTick() {
 		delete(cc.heldSet, congKey{dom: dom, disk: disk})
 		cc.relieves++
 		m.k.After(offset, func() {
+			if m.drivers[dom] == nil {
+				return // detached during the stagger
+			}
 			cc.requestRelease(dom, disk, trace.KindCongestRelease)
 		})
 		offset += sim.Duration(m.rng.Int63n(int64(cc.cfg.ReleaseStaggerMax)))

@@ -8,70 +8,14 @@ import (
 	"iorchestra/internal/store"
 )
 
-// Controller is one pluggable policy unit: the paper's management module
-// hosts three of them (flush control, congestion control, co-scheduling),
-// the baselines package contributes DIF and SDC, and a new policy plugs
-// in by implementing this interface and registering with the platform or
-// the manager (docs/ARCHITECTURE.md walks through a complete example).
-//
-// The lifecycle calls are per-guest: Attach installs whatever per-VM
-// hooks the policy needs when a guest is enabled; Detach forgets every
-// piece of policy state about a removed guest and must be safe to call
-// for guests that were never attached.
-//
-// Controllers that need more than lifecycle calls implement the optional
-// capability interfaces: StoreHandler to receive routed system-store
-// notifications, FallbackHook to react when the liveness middleware
-// demotes or restores a guest. Periodic work runs through a cadence
-// timer rather than a free-running loop, so the event calendar stays
-// empty while there is nothing to do.
+// Controller is the per-guest lifecycle a platform drives through the
+// system it installs: the IOrchestra Manager, and the baselines' DIF and
+// SDC. Attach installs whatever per-VM hooks the system needs when a
+// guest is enabled; Detach forgets every piece of state about a removed
+// guest and must be safe to call for guests that were never attached.
 type Controller interface {
-	// Name identifies the policy in registries and diagnostics.
-	Name() string
-	// Attach installs the policy's per-guest hooks.
 	Attach(rt *hypervisor.GuestRuntime)
-	// Detach forgets all state about dom.
 	Detach(dom store.DomID)
-}
-
-// StoreEvent is one parsed system-store notification, routed to a
-// controller by the manager's dispatcher. Disk is empty for domain-level
-// keys; Key is the path relative to /local/domain/<id> with any
-// virt-dev/<disk>/ prefix stripped.
-type StoreEvent struct {
-	Dom   store.DomID
-	Disk  string
-	Key   string
-	Value string
-}
-
-// Routes declares which store keys a controller wants. The manager owns
-// the single privileged watch over /local/domain and fans matching
-// events out to registered handlers; a controller never installs its own
-// global watch.
-type Routes struct {
-	// DiskKeys match virt-dev/<disk>/<key> for any disk.
-	DiskKeys []string
-	// DomainKeys match a domain-relative key exactly.
-	DomainKeys []string
-	// DomainPrefixes match any domain-relative key with the prefix.
-	DomainPrefixes []string
-}
-
-// StoreHandler is the store-routing capability of a Controller.
-type StoreHandler interface {
-	Routes() Routes
-	OnStoreEvent(ev StoreEvent)
-}
-
-// FallbackHook is the degradation capability of a Controller: the
-// liveness middleware calls OnFallback when it demotes a guest to
-// Baseline behavior and OnRestore when the guest earns its way back, so
-// each policy can unstick anything it was holding or expecting from the
-// guest (docs/FAULTS.md).
-type FallbackHook interface {
-	OnFallback(dom store.DomID)
-	OnRestore(dom store.DomID)
 }
 
 // cadence is the shared tick scheduler: a lazy re-arming timer. arm is a

@@ -41,39 +41,6 @@ func newCoschedController(m *Manager) *coschedController {
 	return cc
 }
 
-func (cc *coschedController) Name() string { return "cosched" }
-
-// Attach starts the sampling cadence: a new guest may immediately shift
-// the per-core latency distribution.
-func (cc *coschedController) Attach(rt *hypervisor.GuestRuntime) { cc.sample.arm() }
-
-// Detach forgets the guest's co-scheduling exclusion flag.
-func (cc *coschedController) Detach(dom store.DomID) { delete(cc.off, dom) }
-
-// Routes: guest-published per-socket weights and the share denominator;
-// any change re-arms sampling.
-func (cc *coschedController) Routes() Routes {
-	return Routes{
-		DomainKeys:     []string{keyTotalWeight},
-		DomainPrefixes: []string{keyWeightPrefix + "/"},
-	}
-}
-
-func (cc *coschedController) OnStoreEvent(ev StoreEvent) { cc.sample.arm() }
-
-// OnFallback: nothing to unstick — the per-tick loops below skip
-// fallen-back guests, leaving their last-applied static weights in place
-// (Algorithm 3 degradation).
-func (cc *coschedController) OnFallback(dom store.DomID) {}
-
-// OnRestore: the next sample naturally folds the guest back in.
-func (cc *coschedController) OnRestore(dom store.DomID) {}
-
-// disable excludes one guest from co-scheduling decisions (weight
-// targets and quanta); ablation experiments use it to hold a guest's
-// process placement static on an otherwise identical platform.
-func (cc *coschedController) disable(dom store.DomID) { cc.off[dom] = true }
-
 // coschedTick samples per-core latencies, publishes redistribution targets
 // for cross-socket VMs, computes per-VM per-socket I/O shares, and applies
 // DRR quanta and cgroup weights. It reports whether co-scheduling should

@@ -234,3 +234,46 @@ func TestDisableGuestForgetsDegradationState(t *testing.T) {
 		t.Fatal("fresh guest not cooperative")
 	}
 }
+
+// A guest detached while its staggered relief release is still pending
+// gets no release: nothing is written to or recorded against the
+// departed domain, no ack retry runs, and no fallback is entered.
+func TestStaggeredReleaseSkipsDepartedGuest(t *testing.T) {
+	k, h, m := mkPlatformCfg(t, Policies{Congestion: true}, ManagerConfig{}, 16)
+	stay := h.CreateGuest(guest.Config{VCPUs: 1, MemBytes: 1 << 30})
+	leave := h.CreateGuest(guest.Config{VCPUs: 1, MemBytes: 1 << 30})
+	m.EnableGuest(stay)
+	m.EnableGuest(leave)
+	k.RunUntil(10 * sim.Millisecond)
+	// Hold both, as two confirmed queries would, then relieve the idle
+	// host: stay is released at once, leave after a non-zero stagger.
+	cc := m.congest
+	for _, rt := range []*hypervisor.GuestRuntime{stay, leave} {
+		e := congEntry{dom: rt.G.ID(), disk: "xvda", since: k.Now()}
+		cc.held = append(cc.held, e)
+		cc.heldSet[congKey{dom: e.dom, disk: e.disk}] = true
+	}
+	cc.congestionTick()
+	gone := leave.G.ID()
+	m.DisableGuest(gone)
+	released := 0
+	var late []trace.Record
+	h.Recorder().SetSink(func(r trace.Record) {
+		if r.Kind == trace.KindCongestRelease && r.Dom == int(stay.G.ID()) {
+			released++
+		}
+		if r.Dom == int(gone) {
+			late = append(late, r)
+		}
+	})
+	k.RunUntil(k.Now() + m.cfg.ReleaseStaggerMax + 4*releaseAckTimeout)
+	if released != 1 {
+		t.Fatalf("the staying guest got %d releases, want 1", released)
+	}
+	if len(late) > 0 {
+		t.Fatalf("%d records against the departed guest, first %s", len(late), late[0].Kind)
+	}
+	if m.live.fallback[gone] != nil || m.Counters().Fallbacks != 0 {
+		t.Fatalf("fallback entered for the departed guest (%d fallbacks)", m.Counters().Fallbacks)
+	}
+}

@@ -59,14 +59,8 @@ func newFlushController(m *Manager) *flushController {
 	return fc
 }
 
-func (fc *flushController) Name() string { return "flush" }
-
-// Attach: flush control needs no per-guest hooks beyond the shared
-// driver; candidates announce themselves through has_dirty_pages.
-func (fc *flushController) Attach(rt *hypervisor.GuestRuntime) {}
-
-// Detach forgets all flush state about dom.
-func (fc *flushController) Detach(dom store.DomID) {
+// detach forgets all flush state about dom.
+func (fc *flushController) detach(dom store.DomID) {
 	fc.mon.ForgetGuest(dom)
 	if fc.outstandingDom == dom {
 		fc.outstandingDom = 0
@@ -83,27 +77,12 @@ func (fc *flushController) Detach(dom store.DomID) {
 	}
 }
 
-// Routes: the guest's dirty-page mirror plus our own flush_now key (the
-// guest's reset to 0 is the completion ack).
-func (fc *flushController) Routes() Routes {
-	return Routes{DiskKeys: []string{keyHasDirty, keyNrDirty, keyFlushNow}}
-}
-
-func (fc *flushController) OnStoreEvent(ev StoreEvent) {
-	switch ev.Key {
-	case keyHasDirty:
-		fc.mon.ObserveDirty(ev.Dom, ev.Disk, ev.Value == "1")
-		if ev.Value == "1" {
-			fc.check.arm()
-		}
-	case keyNrDirty:
-		if nr, err := strconv.ParseInt(ev.Value, 10, 64); err == nil {
-			fc.mon.ObserveNrDirty(ev.Dom, ev.Disk, nr)
-		}
-	case keyFlushNow:
-		if ev.Value == "0" {
-			fc.noteFlushAck(ev.Dom, ev.Disk)
-		}
+// noteDirty mirrors a guest's has_dirty_pages bit; a dirty guest is a
+// flush candidate, so the idle-bandwidth check runs.
+func (fc *flushController) noteDirty(dom store.DomID, disk string, has bool) {
+	fc.mon.ObserveDirty(dom, disk, has)
+	if has {
+		fc.check.arm()
 	}
 }
 
@@ -122,17 +101,17 @@ func (fc *flushController) noteFlushAck(dom store.DomID, disk string) {
 	}
 }
 
-// OnFallback: a demoted guest can owe us nothing — drop any outstanding
+// fellBack: a demoted guest can owe us nothing — drop any outstanding
 // order so the argmax is free to pick a live candidate.
-func (fc *flushController) OnFallback(dom store.DomID) {
+func (fc *flushController) fellBack(dom store.DomID) {
 	if fc.outstandingDom == dom {
 		fc.outstandingDom = 0
 	}
 }
 
-// OnRestore wipes the guest's retry debt and resumes idle checks if
+// restored wipes the guest's retry debt and resumes idle checks if
 // anyone still holds dirty pages.
-func (fc *flushController) OnRestore(dom store.DomID) {
+func (fc *flushController) restored(dom store.DomID) {
 	for rk := range fc.retries {
 		if rk.dom == dom {
 			delete(fc.retries, rk)

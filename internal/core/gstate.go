@@ -66,13 +66,10 @@ func newGStateController(m *Manager) *gstateController {
 	return gc
 }
 
-func (gc *gstateController) Name() string { return "gstate" }
-
-// Attach runs admission control for a new guest: read its declared SLA,
+// attach runs admission control for a new guest: read its declared SLA,
 // defer a bronze arrival while gold is in violation (parked at the
 // bronze floor weight until relief), admit everyone else at G0.
-func (gc *gstateController) Attach(rt *hypervisor.GuestRuntime) {
-	dom := rt.G.ID()
+func (gc *gstateController) attach(dom store.DomID) {
 	tier, sla := gstate.ReadSLA(gc.m.st, dom)
 	if tier == gstate.Bronze && gc.meter.AnyViolating(gstate.Gold) {
 		gc.m.rec.Record(trace.Record{
@@ -91,10 +88,10 @@ func (gc *gstateController) Attach(rt *hypervisor.GuestRuntime) {
 	gc.sample.arm()
 }
 
-// Detach forgets the guest: any open violation episode is closed and
+// detach forgets the guest: any open violation episode is closed and
 // accrued so a removed guest's half-open violation still lands in the
 // books.
-func (gc *gstateController) Detach(dom store.DomID) {
+func (gc *gstateController) detach(dom store.DomID) {
 	gc.machine.Remove(dom)
 	gc.meter.Forget(dom, gc.m.k.Now())
 	delete(gc.lat, dom)

@@ -8,31 +8,20 @@ import (
 	"iorchestra/internal/trace"
 )
 
-// liveness is the cross-cutting degradation middleware that wraps every
-// policy controller (docs/FAULTS.md). The collaborative functions assume
-// a live driver on the other side of the store; when one guest stops
+// liveness is the cross-cutting degradation middleware under every
+// policy (docs/FAULTS.md). The collaborative functions assume a live
+// driver on the other side of the store; when one guest stops
 // cooperating — no driver, crashed driver, stuck sync, lost
 // notifications — liveness demotes exactly that guest to Baseline
-// behavior and notifies each registered FallbackHook so the policies can
-// unstick anything they were holding or expecting from it. Siblings keep
-// full collaboration.
+// behavior and tells the manager, whose policies unstick anything they
+// were holding or expecting from it. Siblings keep full collaboration.
 //
 // Policies consume it through two calls: cooperative(dom) at decision
 // sites (which lazily runs the heartbeat check, so detection costs
 // nothing while everyone is healthy) and inFallback(dom) for read-only
 // gating. They never touch the fallback state directly.
 type liveness struct {
-	k   *sim.Kernel
-	st  *store.Store
-	rec *trace.Recorder
-
-	penalty sim.Duration // FallbackPenalty
-
-	// present reports whether a driver is attached for dom; a guest
-	// without one (never enabled, or disabled) is never cooperative.
-	present func(store.DomID) bool
-	// hooks receive demote/restore callbacks in registration order.
-	hooks []FallbackHook
+	m *Manager
 
 	// beats holds per-guest heartbeat stamps, doubly linked in stamp
 	// order (stamps are always "now", so a beat moves its node to the
@@ -57,33 +46,11 @@ type fallbackState struct {
 	since  sim.Time
 }
 
-func newLiveness(k *sim.Kernel, st *store.Store, rec *trace.Recorder,
-	cfg *ManagerConfig, present func(store.DomID) bool) *liveness {
+func newLiveness(m *Manager) *liveness {
 	return &liveness{
-		k:        k,
-		st:       st,
-		rec:      rec,
-		penalty:  cfg.FallbackPenalty,
-		present:  present,
+		m:        m,
 		beats:    map[store.DomID]*beatNode{},
 		fallback: map[store.DomID]*fallbackState{},
-	}
-}
-
-// Routes: liveness consumes the guest driver's registration and
-// heartbeat keys.
-func (lv *liveness) Routes() Routes {
-	return Routes{DomainKeys: []string{keyHeartbeat, keyDriverPresent}}
-}
-
-func (lv *liveness) OnStoreEvent(ev StoreEvent) {
-	switch ev.Key {
-	case keyHeartbeat:
-		lv.noteHeartbeat(ev.Dom)
-	case keyDriverPresent:
-		if ev.Value == "1" {
-			lv.noteDriverRegistered(ev.Dom)
-		}
 	}
 }
 
@@ -91,16 +58,17 @@ func (lv *liveness) OnStoreEvent(ev StoreEvent) {
 // decisions, lazily demoting it on a stale heartbeat — the check runs at
 // decision sites, so detection costs nothing while everyone is healthy.
 func (lv *liveness) cooperative(dom store.DomID) bool {
-	if !lv.present(dom) {
+	if lv.m.drivers[dom] == nil {
+		// Never enabled, or disabled: no driver to cooperate with.
 		return false
 	}
 	if lv.fallback[dom] != nil {
 		return false
 	}
-	if n := lv.beats[dom]; n != nil && lv.k.Now()-n.last > heartbeatTimeout {
-		lv.rec.Record(trace.Record{
+	if n := lv.beats[dom]; n != nil && lv.m.k.Now()-n.last > heartbeatTimeout {
+		lv.m.rec.Record(trace.Record{
 			Kind: trace.KindHeartbeatMiss, Dom: int(dom),
-			Latency: lv.k.Now() - n.last,
+			Latency: lv.m.k.Now() - n.last,
 		})
 		lv.enterFallback(dom, "heartbeat")
 		return false
@@ -116,10 +84,10 @@ func (lv *liveness) cooperative(dom store.DomID) bool {
 // argmax, preserving the demotion side effects of the replaced
 // every-dirty-dom scan.
 func (lv *liveness) sweepStale(keep func(store.DomID) bool) {
-	now := lv.k.Now()
+	now := lv.m.k.Now()
 	var stale []store.DomID
 	for n := lv.beatHead; n != nil && now-n.last > heartbeatTimeout; n = n.next {
-		if lv.fallback[n.dom] == nil && lv.present(n.dom) && keep(n.dom) {
+		if lv.fallback[n.dom] == nil && lv.m.drivers[n.dom] != nil && keep(n.dom) {
 			stale = append(stale, n.dom)
 		}
 	}
@@ -140,12 +108,12 @@ func (lv *liveness) noteBeat(dom store.DomID) {
 		n = &beatNode{dom: dom}
 		lv.beats[dom] = n
 	} else if n == lv.beatTail {
-		n.last = lv.k.Now()
+		n.last = lv.m.k.Now()
 		return
 	} else {
 		lv.beatUnlink(n)
 	}
-	n.last = lv.k.Now()
+	n.last = lv.m.k.Now()
 	n.prev = lv.beatTail
 	if lv.beatTail != nil {
 		lv.beatTail.next = n
@@ -176,7 +144,7 @@ func (lv *liveness) noteHeartbeat(dom store.DomID) {
 	lv.noteBeat(dom)
 	// A fallen-back guest that has served its penalty and is beating
 	// again earns its way back to collaborative mode.
-	if fb := lv.fallback[dom]; fb != nil && lv.k.Now()-fb.since >= lv.penalty {
+	if fb := lv.fallback[dom]; fb != nil && lv.m.k.Now()-fb.since >= lv.m.cfg.FallbackPenalty {
 		lv.exitFallback(dom, "heartbeat-resumed")
 	}
 }
@@ -194,12 +162,10 @@ func (lv *liveness) enterFallback(dom store.DomID, reason string) {
 	if lv.fallback[dom] != nil {
 		return
 	}
-	lv.fallback[dom] = &fallbackState{reason: reason, since: lv.k.Now()}
-	lv.rec.Record(trace.Record{Kind: trace.KindFallbackEnter, Dom: int(dom), Value: reason})
-	lv.st.WriteBool(store.Dom0, store.DomainPath(dom)+"/"+keyFallback, true)
-	for _, h := range lv.hooks {
-		h.OnFallback(dom)
-	}
+	lv.fallback[dom] = &fallbackState{reason: reason, since: lv.m.k.Now()}
+	lv.m.rec.Record(trace.Record{Kind: trace.KindFallbackEnter, Dom: int(dom), Value: reason})
+	lv.m.st.WriteBool(store.Dom0, store.DomainPath(dom)+"/"+keyFallback, true)
+	lv.m.fellBack(dom)
 }
 
 // exitFallback restores dom to collaborative mode with a clean slate.
@@ -208,12 +174,10 @@ func (lv *liveness) exitFallback(dom store.DomID, reason string) {
 		return
 	}
 	delete(lv.fallback, dom)
-	lv.rec.Record(trace.Record{Kind: trace.KindFallbackExit, Dom: int(dom), Value: reason})
-	lv.st.WriteBool(store.Dom0, store.DomainPath(dom)+"/"+keyFallback, false)
+	lv.m.rec.Record(trace.Record{Kind: trace.KindFallbackExit, Dom: int(dom), Value: reason})
+	lv.m.st.WriteBool(store.Dom0, store.DomainPath(dom)+"/"+keyFallback, false)
 	lv.noteBeat(dom) // fresh grace window
-	for _, h := range lv.hooks {
-		h.OnRestore(dom)
-	}
+	lv.m.restored(dom)
 }
 
 // noteAttached seeds the grace window: registration counts as the first

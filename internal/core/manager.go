@@ -14,15 +14,15 @@ import (
 )
 
 // Manager is the hypervisor side of IOrchestra: the paper's management
-// module (Fig. 3) as an orchestrator over pluggable policy controllers.
-// It owns the privileged store watch and fans parsed events out to the
-// controllers' declared routes, hosts the shared liveness middleware,
-// and runs the per-guest lifecycle (driver installation, teardown). The
-// policies themselves live in flush.go, congestion.go and cosched.go;
+// module (Fig. 3), "called when there is a change on watched items". It
+// owns the privileged store watch and hands each parsed key to the
+// policy that owns it, hosts the shared liveness middleware, and runs
+// the per-guest lifecycle (driver installation, teardown). The policies
+// themselves live in flush.go, congestion.go, cosched.go and gstate.go;
 // the Manager holds no policy state of its own.
 //
-// Manager is itself a Controller, so platforms install it through the
-// same registry as the baseline systems.
+// Manager is a Controller, the lifecycle a platform drives, as the
+// baseline systems are.
 type Manager struct {
 	h   *hypervisor.Host
 	k   *sim.Kernel
@@ -39,24 +39,12 @@ type Manager struct {
 	live    *liveness
 	faults  *fault.Injector // optional; see SetFaults
 
-	// subs are the policy controllers in registration order; flush,
-	// congest and cosched alias the entries for counter snapshots and
-	// targeted delegation (each may be nil under a partial Policies).
-	subs    []Controller
+	// The policies, each nil when Policies leaves it off. Every lifecycle
+	// step calls them in this order: flush, congestion, cosched, gstate.
 	flush   *flushController
 	congest *congestController
 	cosched *coschedController
 	gstate  *gstateController
-
-	// Store-event routing tables, built from each handler's Routes().
-	diskRoutes   map[string][]StoreHandler
-	domainRoutes map[string][]StoreHandler
-	prefixRoutes []prefixRoute
-}
-
-type prefixRoute struct {
-	prefix  string
-	handler StoreHandler
 }
 
 // NewManager attaches IOrchestra's hypervisor modules to h with the given
@@ -65,75 +53,38 @@ type prefixRoute struct {
 func NewManager(h *hypervisor.Host, pol Policies, cfg ManagerConfig, rng *stats.Stream) *Manager {
 	cfg.fillDefaults()
 	m := &Manager{
-		h:            h,
-		k:            h.Kernel(),
-		st:           h.Store(),
-		rng:          rng,
-		pol:          pol,
-		cfg:          cfg,
-		rec:          trace.OrCountOnly(h.Recorder()),
-		drivers:      map[store.DomID]*Driver{},
-		diskRoutes:   map[string][]StoreHandler{},
-		domainRoutes: map[string][]StoreHandler{},
+		h:       h,
+		k:       h.Kernel(),
+		st:      h.Store(),
+		rng:     rng,
+		pol:     pol,
+		cfg:     cfg,
+		rec:     trace.OrCountOnly(h.Recorder()),
+		drivers: map[store.DomID]*Driver{},
 	}
-	m.live = newLiveness(m.k, m.st, m.rec, &m.cfg,
-		func(dom store.DomID) bool { _, ok := m.drivers[dom]; return ok })
-	m.addRoutes(m.live)
+	m.live = newLiveness(m)
 	if pol.Flush {
 		m.flush = newFlushController(m)
-		m.register(m.flush)
 	}
 	if pol.Congestion {
 		m.congest = newCongestController(m)
-		m.register(m.congest)
 	}
 	if pol.Cosched {
 		m.cosched = newCoschedController(m)
-		m.register(m.cosched)
 	}
 	if pol.GState {
 		m.gstate = newGStateController(m)
-		m.register(m.gstate)
 	}
-	// The management module is called when there is a change on watched
-	// items (Fig. 3): one privileged watch over all domains, fanned out
-	// to the registered routes.
+	// One privileged watch over all domains; onStoreEvent hands each
+	// change to the policy that owns the key.
 	m.st.Watch(store.Dom0, store.Root, m.onStoreEvent)
 	return m
-}
-
-// register wires a policy controller into the manager's framework:
-// lifecycle dispatch, store-event routing, and liveness callbacks.
-func (m *Manager) register(c Controller) {
-	m.subs = append(m.subs, c)
-	if sh, ok := c.(StoreHandler); ok {
-		m.addRoutes(sh)
-	}
-	if fh, ok := c.(FallbackHook); ok {
-		m.live.hooks = append(m.live.hooks, fh)
-	}
-}
-
-func (m *Manager) addRoutes(sh StoreHandler) {
-	r := sh.Routes()
-	for _, k := range r.DiskKeys {
-		m.diskRoutes[k] = append(m.diskRoutes[k], sh)
-	}
-	for _, k := range r.DomainKeys {
-		m.domainRoutes[k] = append(m.domainRoutes[k], sh)
-	}
-	for _, p := range r.DomainPrefixes {
-		m.prefixRoutes = append(m.prefixRoutes, prefixRoute{prefix: p, handler: sh})
-	}
 }
 
 // SetFaults installs the platform's fault injector: Attach consults it
 // to decide whether a guest's driver registers at all (an uncooperative
 // legacy image) and to arm per-driver crash/sync faults.
 func (m *Manager) SetFaults(inj *fault.Injector) { m.faults = inj }
-
-// Name identifies the manager in the platform's controller registry.
-func (m *Manager) Name() string { return "iorchestra" }
 
 // Attach is the Controller lifecycle entry: it enables the guest unless
 // the fault layer marks it uncooperative — such a guest never registers
@@ -161,14 +112,18 @@ func (m *Manager) EnableGuest(rt *hypervisor.GuestRuntime) *Driver {
 	// Registration counts as the first heartbeat: the real one arrives
 	// through the store a notification latency later.
 	m.live.noteAttached(rt.G.ID())
-	for _, c := range m.subs {
-		c.Attach(rt)
+	if m.cosched != nil {
+		// A new guest may shift the per-core latency distribution at once.
+		m.cosched.sample.arm()
+	}
+	if m.gstate != nil {
+		m.gstate.attach(rt.G.ID())
 	}
 	return drv
 }
 
-// DisableGuest closes a guest's driver and lets every controller forget
-// its policy state — the teardown path for guest removal (the arrival
+// DisableGuest closes a guest's driver and lets every policy forget its
+// state about the guest — the teardown path for guest removal (the arrival
 // experiments call it through Platform.Disable). Safe to call for guests
 // that were never enabled.
 func (m *Manager) DisableGuest(dom store.DomID) {
@@ -178,10 +133,40 @@ func (m *Manager) DisableGuest(dom store.DomID) {
 	}
 	drv.Close()
 	delete(m.drivers, dom)
-	for _, c := range m.subs {
-		c.Detach(dom)
+	if m.flush != nil {
+		m.flush.detach(dom)
+	}
+	if m.congest != nil {
+		m.congest.detach(dom)
+	}
+	if m.cosched != nil {
+		delete(m.cosched.off, dom)
+	}
+	if m.gstate != nil {
+		m.gstate.detach(dom)
 	}
 	m.live.forget(dom)
+}
+
+// fellBack lets each policy unstick anything it was holding or expecting
+// from a guest liveness has just demoted to Baseline behavior
+// (docs/FAULTS.md). Co-scheduling has nothing to unstick: its tick skips
+// fallen-back guests, leaving their last-applied static weights in place
+// (Algorithm 3 degradation).
+func (m *Manager) fellBack(dom store.DomID) {
+	if m.flush != nil {
+		m.flush.fellBack(dom)
+	}
+	if m.congest != nil {
+		m.congest.fellBack(dom)
+	}
+}
+
+// restored runs when liveness lets a guest back into collaborative mode.
+func (m *Manager) restored(dom store.DomID) {
+	if m.flush != nil {
+		m.flush.restored(dom)
+	}
 }
 
 // GStateMeter exposes the G-state controller's SLA-violation meter for
@@ -200,7 +185,7 @@ func (m *Manager) GStateMeter() *gstate.Meter {
 // when the manager runs without the co-scheduling policy.
 func (m *Manager) DisableCosched(dom store.DomID) {
 	if m.cosched != nil {
-		m.cosched.disable(dom)
+		m.cosched.off[dom] = true
 	}
 }
 
@@ -215,8 +200,9 @@ func (m *Manager) crossSocketGuestExists() bool {
 	return false
 }
 
-// onStoreEvent parses /local/domain/<id>/<rel> and routes to the
-// controllers whose declared keys match.
+// onStoreEvent parses /local/domain/<id>/<rel> and hands the key to the
+// policy that owns it (docs/STORE_KEYS.md, "Controller routing"). The
+// keys of a policy Policies leaves off are dropped.
 func (m *Manager) onStoreEvent(path, value string) {
 	const prefix = store.Root + "/"
 	if !strings.HasPrefix(path, prefix) {
@@ -240,20 +226,31 @@ func (m *Manager) onStoreEvent(path, value string) {
 			return
 		}
 		disk, key := dr[:j], dr[j+1:]
-		for _, h := range m.diskRoutes[key] {
-			h.OnStoreEvent(StoreEvent{Dom: dom, Disk: disk, Key: key, Value: value})
+		switch {
+		case key == keyHasDirty && m.flush != nil:
+			m.flush.noteDirty(dom, disk, value == "1")
+		case key == keyNrDirty && m.flush != nil:
+			if nr, err := strconv.ParseInt(value, 10, 64); err == nil {
+				m.flush.mon.ObserveNrDirty(dom, disk, nr)
+			}
+		case key == keyFlushNow && value == "0" && m.flush != nil:
+			// The guest's reset of our order is the completion ack.
+			m.flush.noteFlushAck(dom, disk)
+		case key == keyCongestQuery && value == "1" && m.congest != nil:
+			m.congest.handleCongestQuery(dom, disk)
 		}
 		return
 	}
-	if hs := m.domainRoutes[rel]; hs != nil {
-		for _, h := range hs {
-			h.OnStoreEvent(StoreEvent{Dom: dom, Key: rel, Value: value})
-		}
-		return
-	}
-	for _, pr := range m.prefixRoutes {
-		if strings.HasPrefix(rel, pr.prefix) {
-			pr.handler.OnStoreEvent(StoreEvent{Dom: dom, Key: rel, Value: value})
-		}
+	switch {
+	case rel == keyReleaseRequest && value == "0" && m.congest != nil:
+		// The manager writes "1"; the guest's reset to "0" is the ack.
+		m.congest.noteReleaseAck(dom)
+	case rel == keyHeartbeat:
+		m.live.noteHeartbeat(dom)
+	case rel == keyDriverPresent && value == "1":
+		m.live.noteDriverRegistered(dom)
+	case (rel == keyTotalWeight || strings.HasPrefix(rel, keyWeightPrefix+"/")) && m.cosched != nil:
+		// Guest-published weights: any change re-arms sampling.
+		m.cosched.sample.arm()
 	}
 }

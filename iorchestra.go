@@ -204,65 +204,9 @@ type Platform struct {
 	// built WithFaults and the spec is non-empty).
 	Faults *fault.Injector
 
-	// controllers are the system's policy controllers in installation
-	// order; Enable and Disable dispatch the guest lifecycle to each.
-	controllers []core.Controller
-}
-
-// systemSpec declares how one System assembles: how it forces the host
-// I/O topology, and which policy controllers it installs. Adding a
-// system (or a fifth policy) means adding an entry here — nothing else
-// in the platform switches on the system identity.
-type systemSpec struct {
-	// configure forces Mode/RouteBySocket on the host config.
-	configure func(cfg *hypervisor.Config, pol core.Policies)
-	// install builds the system's controllers against the platform's
-	// host and registers them (may be nil for Baseline).
-	install func(p *Platform, pol core.Policies, o *options, rng *stats.Stream)
-}
-
-// modeBackend is the default host topology: the shared paravirtual
-// backend path, no dedicated polling cores.
-func modeBackend(cfg *hypervisor.Config, _ core.Policies) { cfg.Mode = hypervisor.ModeBackend }
-
-var systemSpecs = map[System]systemSpec{
-	SystemBaseline: {configure: modeBackend},
-	SystemSDC: {
-		configure: func(cfg *hypervisor.Config, _ core.Policies) {
-			cfg.Mode = hypervisor.ModeDedicated
-			cfg.RouteBySocket = false
-		},
-		install: func(p *Platform, _ core.Policies, _ *options, _ *stats.Stream) {
-			p.SDC = baselines.NewSDC(p.Host)
-			p.controllers = append(p.controllers, p.SDC)
-		},
-	},
-	SystemDIF: {
-		configure: modeBackend,
-		install: func(p *Platform, _ core.Policies, _ *options, _ *stats.Stream) {
-			p.DIF = baselines.NewDIF(p.Host)
-			p.controllers = append(p.controllers, p.DIF)
-		},
-	},
-	SystemIOrchestra: {
-		configure: func(cfg *hypervisor.Config, pol core.Policies) {
-			// Dedicated polling cores belong to the co-scheduling
-			// function; single-policy ablations (flush-only,
-			// congestion-only) run on the standard paravirtual path so
-			// platforms stay comparable.
-			if pol.Cosched {
-				cfg.Mode = hypervisor.ModeDedicated
-				cfg.RouteBySocket = true
-			} else {
-				cfg.Mode = hypervisor.ModeBackend
-			}
-		},
-		install: func(p *Platform, pol core.Policies, o *options, rng *stats.Stream) {
-			p.Manager = core.NewManager(p.Host, pol, o.managerCfg, rng.Fork("mgr"))
-			p.Manager.SetFaults(p.Faults)
-			p.controllers = append(p.controllers, p.Manager)
-		},
-	},
+	// ctl is the system's controller — the Manager, DIF or SDC, nil on
+	// Baseline; Enable and Disable drive the guest lifecycle through it.
+	ctl core.Controller
 }
 
 // NewPlatform builds a fresh kernel and host configured for the system.
@@ -282,11 +226,19 @@ func NewPlatform(sys System, seed uint64, opts ...Option) *Platform {
 	if o.havePol {
 		pol = o.policies
 	}
-	spec, ok := systemSpecs[sys]
-	if !ok {
-		spec = systemSpecs[SystemBaseline]
+	switch {
+	case sys == SystemSDC:
+		cfg.Mode = hypervisor.ModeDedicated
+		cfg.RouteBySocket = false
+	case sys == SystemIOrchestra && pol.Cosched:
+		// Dedicated polling cores belong to the co-scheduling function;
+		// single-policy ablations (flush-only, congestion-only) run on the
+		// standard paravirtual path so platforms stay comparable.
+		cfg.Mode = hypervisor.ModeDedicated
+		cfg.RouteBySocket = true
+	default:
+		cfg.Mode = hypervisor.ModeBackend
 	}
-	spec.configure(&cfg, pol)
 	var inj *fault.Injector
 	if o.haveFaults && !o.faults.Empty() {
 		inj = fault.NewInjector(k, o.faults, rng.Fork("faults"))
@@ -320,8 +272,17 @@ func NewPlatform(sys System, seed uint64, opts ...Option) *Platform {
 		inj.SetRecorder(h.Recorder())
 		h.Store().SetFaultHooks(inj.StoreHooks())
 	}
-	if spec.install != nil {
-		spec.install(p, pol, &o, rng)
+	switch sys {
+	case SystemSDC:
+		p.SDC = baselines.NewSDC(h)
+		p.ctl = p.SDC
+	case SystemDIF:
+		p.DIF = baselines.NewDIF(h)
+		p.ctl = p.DIF
+	case SystemIOrchestra:
+		p.Manager = core.NewManager(h, pol, o.managerCfg, rng.Fork("mgr"))
+		p.Manager.SetFaults(inj)
+		p.ctl = p.Manager
 	}
 	return p
 }
@@ -355,21 +316,21 @@ func (p *Platform) NewTieredVM(tier gstate.Tier, sla gstate.SLA, vcpus, memGB in
 
 // Enable installs the system's per-VM hooks on an existing runtime (used
 // by the arrival experiments, which create guests through the cluster
-// engine): every installed controller attaches the guest. Fault gating —
-// an uncooperative guest whose driver never registers — lives inside the
+// engine): the system's controller attaches the guest. Fault gating — an
+// uncooperative guest whose driver never registers — lives inside the
 // manager's Attach, not here.
 func (p *Platform) Enable(rt *hypervisor.GuestRuntime) {
-	for _, c := range p.controllers {
-		c.Attach(rt)
+	if p.ctl != nil {
+		p.ctl.Attach(rt)
 	}
 }
 
 // Disable tears down the system's per-VM hooks (used by the arrival
-// experiments when the cluster engine removes a guest): every installed
+// experiments when the cluster engine removes a guest): the system's
 // controller forgets the guest.
 func (p *Platform) Disable(rt *hypervisor.GuestRuntime) {
-	for _, c := range p.controllers {
-		c.Detach(rt.G.ID())
+	if p.ctl != nil {
+		p.ctl.Detach(rt.G.ID())
 	}
 }
 

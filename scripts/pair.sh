@@ -10,7 +10,10 @@
 # binaries are built once, and each side runs in its own empty directory.
 # Prints, for the five top-line figures of the report, each side's median
 # [q1, q3], the ratio of the medians and in how many pairs the working tree
-# won (ties count for neither).
+# won (ties count for neither). For a workload whose report has an `exact:`
+# line (the simulated ones: counts that must repeat bit for bit), it then
+# prints in how many pairs the two sides' lines are identical, or the first
+# pair and field that differ.
 #
 # A stop-gap for ROADMAP item 1's `go run ./bench -pair <rev>`, which
 # replaces this script in the next [benchmark] PR (bench/ is frozen for any
@@ -28,9 +31,11 @@ git -C "$root" archive "$rev" | tar -x -C "$tmp/src"
 (cd "$tmp/src" && go build -o "$tmp/rev/bench" ./bench)
 (cd "$root" && go build -o "$tmp/tree/bench" ./bench)
 
-run() { # run SIDE PAIR: one benchmark run; its top-line figures go to $tmp/runs
+run() { # run SIDE PAIR: one benchmark run; its top-line figures go to $tmp/runs, its exact: line to $tmp/exact
 	(cd "$tmp/$1" && ./bench -workload "$w" -seed "$seed" 2>&1 >result.json) |
-		awk -v side="$1" -v pair="$2" '$1 ~ /^(work_per_s|latency_(p50|p99|quiet)_us|setup_s)$/ { print side, pair, $1, $2 }' >>"$tmp/runs"
+		awk -v side="$1" -v pair="$2" -v runs="$tmp/runs" -v exact="$tmp/exact" '
+			$1 ~ /^(work_per_s|latency_(p50|p99|quiet)_us|setup_s)$/ { print side, pair, $1, $2 >>runs }
+			$1 == "exact:" { $1 = ""; print side, pair $0 >>exact }'
 	grep -q '"correct":true,"attempted":[0-9]*,"failed":0,' "$tmp/$1/result.json" ||
 		echo "pair.sh: pair $2, $1: not a clean run: $(cut -c1-60 "$tmp/$1/result.json")" >&2
 }
@@ -69,3 +74,16 @@ END {
 		printf "  %-17s %s -> %s  ratio %.3f  wins %d/%d\n", metric, left, right, med["tree"] / med["rev"], wins, pairs
 	}
 }' pairs="$n" "$tmp/runs"
+
+if [ -s "$tmp/exact" ]; then awk -v pairs="$n" '
+{ s = $1; p = $2; $1 = $2 = ""; line[s, p] = $0 }
+END {
+	for (p = 1; p <= pairs; p++) {
+		if (line["rev", p] == line["tree", p]) { same++; continue }
+		if (first != "") continue
+		nr = split(line["rev", p], r, " "); nt = split(line["tree", p], t, " ")
+		for (i = 1; r[i] == t[i]; i++);
+		first = sprintf("pair %d: %s -> %s", p, i <= nr ? r[i] : "(none)", i <= nt ? t[i] : "(none)")
+	}
+	printf "  exact: identical in %d/%d pairs%s\n", same, pairs, first == "" ? "" : "; first difference, " first
+}' "$tmp/exact"; fi
