@@ -8,6 +8,8 @@ package bus
 import (
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 
 	"iorchestra/internal/sim"
 	"iorchestra/internal/store"
@@ -39,16 +41,14 @@ func (b *Bus) Register(dom store.DomID) *Domain {
 		return d
 	}
 	b.st.AddDomain(dom)
-	// The cursor map is built here, not lazily in cursor(): that runs on
-	// every operation, and a nil check plus literal there would allocate.
-	d := &Domain{b: b, id: dom, home: store.DomainPath(dom), cursors: map[string]*store.Cursor{}}
+	d := &Domain{b: b, id: dom, home: store.DomainPath(dom)}
 	b.domains[dom] = d
 	return d
 }
 
 // Unregister is Register's inverse, for a domain that has left the host:
-// the bus forgets the handle, and with it the store nodes its cursors
-// pin. The domain's store subtree is the toolstack's to remove; a handle
+// the bus forgets the handle, and with it the store nodes its memoized
+// cursors pin. The domain's store subtree is the toolstack's to remove; a handle
 // someone still holds keeps working, and a later Register makes a fresh
 // one.
 func (b *Bus) Unregister(dom store.DomID) { delete(b.domains, dom) }
@@ -71,12 +71,12 @@ type Domain struct {
 	b    *Bus
 	id   store.DomID
 	home string // cached store.DomainPath(id); Path runs on every store op
-	// cursors memoizes rel → pinned store cursors, the one per-domain
-	// index: a domain touches a small fixed key set, so both the path
-	// concatenation and the store's absolute-path resolution happen once
-	// per key instead of once per operation — every typed op below is one
-	// short-key map hit plus the cursor's liveness check, and the
-	// concatenated string is the one the store's node keeps as its path.
+	// cursors memoizes rel → pinned store cursors for the relative-key
+	// methods below: a caller that names its keys by string gets both the
+	// path concatenation and the store's absolute-path resolution once per
+	// key instead of once per operation, and the concatenated string is
+	// the one the store's node keeps as its path. Made on first use, so a
+	// caller that holds its own cursors (Keys) never builds one.
 	// Kernel-goroutine only, like every other store-facing structure.
 	cursors map[string]*store.Cursor
 }
@@ -84,16 +84,23 @@ type Domain struct {
 // ID reports the domain id.
 func (d *Domain) ID() store.DomID { return d.id }
 
-// cursor returns (creating if needed) the pinned cursor for rel.
+// abs returns the absolute path of rel, the home itself for "".
+func (d *Domain) abs(rel string) string {
+	if rel == "" {
+		return d.home
+	}
+	return d.home + "/" + rel
+}
+
+// cursor returns (creating if needed) the memoized cursor for rel.
 func (d *Domain) cursor(rel string) *store.Cursor {
 	if c, ok := d.cursors[rel]; ok {
 		return c
 	}
-	p := d.home
-	if rel != "" {
-		p = d.home + "/" + rel
+	if d.cursors == nil {
+		d.cursors = map[string]*store.Cursor{}
 	}
-	c := d.b.st.CursorFor(p)
+	c := d.b.st.CursorFor(d.abs(rel))
 	d.cursors[rel] = c
 	return c
 }
@@ -141,7 +148,7 @@ func (d *Domain) ReadFloat(rel string, def float64) (float64, error) {
 // Watch registers a callback on a relative prefix of the domain's own
 // subtree; fn receives the path relative to the domain root.
 func (d *Domain) Watch(rel string, fn func(rel, value string)) (store.WatchID, error) {
-	prefix := d.Path(rel)
+	prefix := d.abs(rel)
 	base := d.home + "/"
 	return d.b.st.Watch(d.id, prefix, func(path, value string) {
 		r := path
@@ -154,6 +161,87 @@ func (d *Domain) Watch(rel string, fn func(rel, value string)) (store.WatchID, e
 
 // Unwatch removes a previously registered watch.
 func (d *Domain) Unwatch(id store.WatchID) { d.b.st.Unwatch(id) }
+
+// Keys builds the paths of a key table under one domain's home into a
+// single string and points each of the caller's cursors at its slice of
+// it: the driver registers a guest's keys once, at attach (Fig. 2), and a
+// whole table costs that one string instead of a string, a cursor and a
+// map entry per key. Each path is given as pieces, so no relative-key
+// string is built either. The store nodes the cursors create keep their
+// slices as their paths, so the string lives as long as the guest's nodes
+// do.
+//
+// The caller adds its keys in a loop, for ks.Next() { ks.Add(…); … },
+// whose body must add the same keys in the same order on every turn and
+// do nothing else: Next runs it three times — to measure the string, to
+// write it, and to cut it — so the string is bought once, at its exact
+// size, and nothing else is.
+type Keys struct {
+	home string
+	pass int             // turns of the caller's loop so far: 1 measure, 2 write, 3 cut
+	n    int             // measure: bytes so far; cut: where the next path starts
+	b    strings.Builder // write
+	s    string          // cut
+}
+
+// Keys starts a key table under the domain's home.
+func (d *Domain) Keys() Keys { return Keys{home: d.home} }
+
+// Next starts the next turn of the caller's loop, and reports false once
+// the cursors are cut.
+func (ks *Keys) Next() bool {
+	switch ks.pass {
+	case 1:
+		ks.b.Grow(ks.n)
+	case 2:
+		ks.s, ks.n = ks.b.String(), 0
+	case 3:
+		return false
+	}
+	ks.pass++
+	return true
+}
+
+// Add adds c's path, home/<parts...> with the parts concatenated.
+func (ks *Keys) Add(c *store.Cursor, parts ...string) {
+	if ks.pass == 2 {
+		ks.b.WriteString(ks.home)
+		ks.b.WriteByte('/')
+		for _, p := range parts {
+			ks.b.WriteString(p)
+		}
+		return
+	}
+	n := len(ks.home) + 1
+	for _, p := range parts {
+		n += len(p)
+	}
+	ks.step(c, n)
+}
+
+// AddIndex adds c's path home/<prefix>/<i>, i in decimal: one per-socket
+// key.
+func (ks *Keys) AddIndex(c *store.Cursor, prefix string, i int) {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(i), 10)
+	if ks.pass == 2 {
+		ks.b.WriteString(ks.home)
+		ks.b.WriteByte('/')
+		ks.b.WriteString(prefix)
+		ks.b.WriteByte('/')
+		ks.b.Write(d)
+		return
+	}
+	ks.step(c, len(ks.home)+1+len(prefix)+1+len(d))
+}
+
+// step accounts for one path of n bytes: measured, or cut for c.
+func (ks *Keys) step(c *store.Cursor, n int) {
+	if ks.pass == 3 {
+		*c = store.CursorAt(ks.s[ks.n : ks.n+n])
+	}
+	ks.n += n
+}
 
 // Port is one end of an event channel. Notifications carry no payload
 // (exactly as in Xen); data travels through the store or shared rings.

@@ -96,7 +96,7 @@ func (cc *congestController) detach(dom store.DomID) (wasHeld bool) {
 // the local controller. Nothing may stay parked behind a dead protocol.
 func (cc *congestController) fellBack(dom store.DomID) {
 	if cc.detach(dom) {
-		cc.m.st.WriteBool(store.Dom0, store.DomainPath(dom)+"/"+keyReleaseRequest, true)
+		cc.m.st.WriteBoolCursor(store.Dom0, &cc.m.drivers[dom].release, true)
 	}
 }
 
@@ -110,10 +110,10 @@ func (cc *congestController) handleCongestQuery(dom store.DomID, disk string) {
 		return
 	}
 	// Reset the query flag so subsequent queries re-fire the watch.
-	m.st.WriteBool(store.Dom0, absDiskKey(dom, disk, keyCongestQuery), false)
+	m.st.WriteBoolCursor(store.Dom0, m.diskKey(dom, disk, diskCongestQuery), false)
 	if cc.mon.IOCongested() {
 		cc.recordCongestion(trace.KindCongestConfirm, dom, disk)
-		m.st.WriteBool(store.Dom0, absDiskKey(dom, disk, keyCongested), true)
+		m.st.WriteBoolCursor(store.Dom0, m.diskKey(dom, disk, diskCongested), true)
 		key := congKey{dom: dom, disk: disk}
 		if cc.heldSet[key] {
 			return
@@ -131,7 +131,7 @@ func (cc *congestController) handleCongestQuery(dom store.DomID, disk string) {
 // leave the guest's producers parked forever.
 func (cc *congestController) requestRelease(dom store.DomID, disk string, kind trace.Kind) {
 	cc.recordCongestion(kind, dom, disk)
-	cc.m.st.WriteBool(store.Dom0, store.DomainPath(dom)+"/"+keyReleaseRequest, true)
+	cc.m.st.WriteBoolCursor(store.Dom0, &cc.m.drivers[dom].release, true)
 	cc.armReleaseRetry(dom, disk)
 }
 
@@ -151,7 +151,8 @@ func (cc *congestController) releaseRetryTick(dom store.DomID, rs *releaseState)
 	}
 	// The guest resets release_request to 0 when it acts; a still-set key
 	// means the order (or its notification) was lost.
-	if v, _ := m.st.ReadBool(store.Dom0, store.DomainPath(dom)+"/"+keyReleaseRequest); !v {
+	release := &m.drivers[dom].release
+	if v, _ := m.st.ReadBoolCursor(store.Dom0, release); !v {
 		delete(cc.pendingRel, dom)
 		return
 	}
@@ -171,7 +172,7 @@ func (cc *congestController) releaseRetryTick(dom store.DomID, rs *releaseState)
 	})
 	// Re-publish: the write re-fires the guest's watch even though the
 	// value does not change.
-	m.st.WriteBool(store.Dom0, store.DomainPath(dom)+"/"+keyReleaseRequest, true)
+	m.st.WriteBoolCursor(store.Dom0, release, true)
 	rs.timer = m.k.After(releaseAckTimeout, func() { cc.releaseRetryTick(dom, rs) })
 }
 

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"iorchestra/internal/hypervisor"
 	"iorchestra/internal/sim"
@@ -42,26 +42,16 @@ func (c *cadence) arm() {
 	})
 }
 
-// sortedDomIDs returns a per-domain map's keys in ascending order. Policy
-// loops iterate guests through it so fixed-seed runs replay identically:
-// Go map order would otherwise leak into store-write order, and with it
-// into the decision trace and every downstream timing.
-func sortedDomIDs[V any](m map[store.DomID]V) []store.DomID {
-	out := make([]store.DomID, 0, len(m))
+// sortedDomIDs appends a per-domain map's keys to dst in ascending order
+// and returns the result. Policy loops iterate guests through it so
+// fixed-seed runs replay identically: Go map order would otherwise leak
+// into store-write order, and with it into the decision trace and every
+// downstream timing.
+func sortedDomIDs[V any](dst []store.DomID, m map[store.DomID]V) []store.DomID {
+	n := len(dst)
 	for dom := range m {
-		out = append(out, dom)
+		dst = append(dst, dom)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// sortedNames returns a per-disk map's keys in ascending order, for the
-// same determinism reason as sortedDomIDs.
-func sortedNames[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for name := range m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"testing"
 
 	"iorchestra/internal/blkio"
@@ -13,6 +14,15 @@ import (
 	"iorchestra/internal/store"
 	"iorchestra/internal/trace"
 )
+
+// Key paths spelled out the long way, as the driver's key table holds
+// them: diskKey and socketKey are relative to the domain's home, absDiskKey
+// is absolute.
+func diskKey(disk, key string) string { return "virt-dev/" + disk + "/" + key }
+
+func socketKey(prefix string, socket int) string { return prefix + "/" + strconv.Itoa(socket) }
+
+func absDiskKey(dom store.DomID, disk, key string) string { return store.DiskPath(dom, disk, key) }
 
 func mkPlatform(t *testing.T, hcfg hypervisor.Config, pol Policies, seed uint64) (*sim.Kernel, *hypervisor.Host, *Manager) {
 	t.Helper()

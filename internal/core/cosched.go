@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"iorchestra/internal/hypervisor"
 	"iorchestra/internal/sim"
 	"iorchestra/internal/store"
@@ -22,6 +24,11 @@ type coschedController struct {
 	lastRatio float64
 	lastApply sim.Time
 	off       map[store.DomID]bool
+
+	// Per-tick scratch, reused so a warm update allocates only the values
+	// it writes: the guests in dom order and the per-core share sums.
+	doms   []store.DomID
+	shares []float64
 }
 
 func newCoschedController(m *Manager) *coschedController {
@@ -64,11 +71,14 @@ func (cc *coschedController) coschedTick() bool {
 	}
 	cc.lastApply = now
 	cc.lastRatio = ratio
-	m.rec.Record(trace.Record{
-		Kind:        trace.KindCoschedUpdate,
-		CoreLatency: append([]float64(nil), lat...),
-		Weight:      ratio,
-	})
+	rec := trace.Record{Kind: trace.KindCoschedUpdate, Weight: ratio}
+	if m.h.Recorder() != nil {
+		// The host keeps records (m.rec is count-only otherwise), and lat
+		// is the Monitor's buffer: the record gets its own copy.
+		rec.CoreLatency = slices.Clone(lat)
+	}
+	m.rec.Record(rec)
+	cc.doms = sortedDomIDs(cc.doms[:0], m.drivers)
 
 	// Weight targets: fraction on socket i ∝ 1/L_i (the paper's inverse-
 	// proportional distribution). Published only when some core is
@@ -78,13 +88,14 @@ func (cc *coschedController) coschedTick() bool {
 		invSum += 1 / l
 	}
 	contended := maxOf(lat) >= coschedMinLatency.Seconds()
-	for _, dom := range sortedDomIDs(m.drivers) {
+	for _, dom := range cc.doms {
 		drv := m.drivers[dom]
-		if !contended || len(drv.g.Sockets()) < 2 || cc.off[dom] || !m.live.cooperative(dom) {
+		if !contended || len(drv.sockets) < 2 || cc.off[dom] || !m.live.cooperative(dom) {
 			continue
 		}
-		for _, s := range drv.g.Sockets() {
-			if s >= 0 && s < len(lat) {
+		for i := range drv.sockets {
+			sk := &drv.sockets[i]
+			if s := sk.socket; s >= 0 && s < len(lat) {
 				f := (1 / lat[s]) / invSum
 				// Keep every socket carrying some share so the
 				// distribution converges instead of oscillating between
@@ -95,7 +106,7 @@ func (cc *coschedController) coschedTick() bool {
 				if f > 0.9 {
 					f = 0.9
 				}
-				m.st.WriteFloat(store.Dom0, store.DomainPath(dom)+"/"+socketKey(keyTargetPrefix, s), f)
+				m.st.WriteFloatCursor(store.Dom0, &sk.target, f)
 			}
 		}
 	}
@@ -104,9 +115,12 @@ func (cc *coschedController) coschedTick() bool {
 	// guests unless overridden in the store.
 	nGuests := len(m.drivers)
 	bwMax := cc.mon.CapacityBps()
-	type coreShare struct{ sum float64 }
-	shares := make([]coreShare, len(cores))
-	for _, dom := range sortedDomIDs(m.drivers) {
+	if len(cc.shares) != len(cores) {
+		cc.shares = make([]float64, len(cores))
+	}
+	shares := cc.shares
+	clear(shares)
+	for _, dom := range cc.doms {
 		drv := m.drivers[dom]
 		if cc.off[dom] || m.live.inFallback(dom) {
 			// Fallback guests keep their last-applied static weights
@@ -114,27 +128,27 @@ func (cc *coschedController) coschedTick() bool {
 			// not keep steering quanta.
 			continue
 		}
-		base := store.DomainPath(dom)
-		vmShare, _ := m.st.ReadFloat(store.Dom0, base+"/"+keyVMShare, 1.0/float64(nGuests))
-		totalW, _ := m.st.ReadFloat(store.Dom0, base+"/"+keyTotalWeight, 0)
+		vmShare, _ := m.st.ReadFloatCursor(store.Dom0, &drv.vmShare, 1.0/float64(nGuests))
+		totalW, _ := m.st.ReadFloatCursor(store.Dom0, &drv.totalWeight, 0)
 		if totalW <= 0 {
 			continue
 		}
-		for _, s := range drv.g.Sockets() {
-			w, _ := m.st.ReadFloat(store.Dom0, base+"/"+socketKey(keyWeightPrefix, s), 0)
+		for i := range drv.sockets {
+			sk := &drv.sockets[i]
+			w, _ := m.st.ReadFloatCursor(store.Dom0, &sk.weight, 0)
 			sSkt := w / totalW * vmShare
-			m.st.WriteFloat(store.Dom0, base+"/"+socketKey(keySharePrefix, s), sSkt)
-			if s >= 0 && s < len(cores) {
+			m.st.WriteFloatCursor(store.Dom0, &sk.share, sSkt)
+			if s := sk.socket; s >= 0 && s < len(cores) {
 				// Q_i = BWmax · S_SKT, scaled to a 1 ms round.
 				cores[s].SetQuantum(dom, bwMax*sSkt/1000)
-				shares[s].sum += sSkt
+				shares[s] += sSkt
 			}
 		}
 	}
 	// The sum of shares on a socket is its I/O core's weight at the
 	// device (Sec. 3.3: "cgroups with these I/O cores' weights").
 	for i, c := range cores {
-		w := shares[i].sum
+		w := shares[i]
 		if w <= 0 {
 			w = 0.01
 		}

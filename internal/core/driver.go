@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -10,7 +11,6 @@ import (
 	"iorchestra/internal/guest"
 	"iorchestra/internal/hypervisor"
 	"iorchestra/internal/sim"
-	"iorchestra/internal/stats"
 	"iorchestra/internal/store"
 	"iorchestra/internal/trace"
 )
@@ -24,11 +24,21 @@ import (
 type Driver struct {
 	k   *sim.Kernel
 	g   *guest.Guest
-	dom *bus.Domain
-	rng *stats.Stream
+	dom *bus.Domain // the guest's bus handle: its watch, its key table's paths
+	st  *store.Store
+	id  store.DomID
 	rec *trace.Recorder // host's decision-trace recorder (may be nil)
 
-	disks map[string]*diskDriver
+	// The guest's key table, registered at initialization (Fig. 2): a
+	// cursor per per-domain and per-socket key here, a disk's on its
+	// diskDriver, every path a slice of one string bus.Keys cut at
+	// attach. The guest writes through them as itself, the manager's
+	// policies as Dom0 (docs/STORE_KEYS.md).
+	release, totalWeight, heartbeat, fallback, present, vmShare store.Cursor
+	sockets                                                     []socketKeys
+
+	// disks are in name order, the order every per-disk loop runs in.
+	disks []diskDriver
 
 	// Liveness machinery and fault-injection state.
 	watchID   store.WatchID
@@ -52,19 +62,34 @@ const (
 	heartbeatInterval = 100 * sim.Millisecond
 )
 
+// socketKeys are one socket's co-scheduling keys, io/<kind>/<socket>:
+// the guest publishes the weight, the manager the target and the share.
+type socketKeys struct {
+	socket                int
+	weight, target, share store.Cursor
+}
+
+// A disk's keys, indexes into diskDriver.keys in the order the driver
+// creates them; diskKeyNames holds each one's name.
+const (
+	diskHasDirty = iota
+	diskNrDirty
+	diskFlushNow
+	diskCongestQuery
+	diskCongested
+	nDiskKeys
+)
+
+var diskKeyNames = [nDiskKeys]string{keyHasDirty, keyNrDirty, keyFlushNow, keyCongestQuery, keyCongested}
+
 type diskDriver struct {
 	drv  *Driver
 	name string
 	v    *guest.VDisk
 
-	// Relative store keys, formatted once: the dirty mirror and the
-	// congestion handshake hit them on every state change, and the
-	// per-call concatenations dominated the driver in profiles at scale.
-	kHasDirty     string
-	kNrDirty      string
-	kFlushNow     string
-	kCongestQuery string
-	kCongested    string
+	// keys are the disk's virt-dev/<disk>/<key> cursors: the dirty mirror
+	// and the congestion handshake hit them on every state change.
+	keys [nDiskKeys]store.Cursor
 
 	lastQuery     sim.Time
 	everQueried   bool
@@ -78,59 +103,100 @@ type diskDriver struct {
 // must run after the guest's disks are attached: each disk's congestion
 // controller is replaced with the collaborative one, dirty-page state is
 // mirrored to the store, and all watches are registered.
-func NewDriver(h *hypervisor.Host, rt *hypervisor.GuestRuntime, rng *stats.Stream) *Driver {
+func NewDriver(h *hypervisor.Host, rt *hypervisor.GuestRuntime) *Driver {
 	drv := &Driver{
-		k:     h.Kernel(),
-		g:     rt.G,
-		dom:   rt.Dom,
-		rng:   rng,
-		rec:   h.Recorder(),
-		disks: map[string]*diskDriver{},
+		k:   h.Kernel(),
+		g:   rt.G,
+		dom: rt.Dom,
+		st:  h.Store(),
+		id:  rt.G.ID(),
+		rec: h.Recorder(),
 	}
-	// Register per-domain keys (guest-owned so both sides can write —
-	// nodes created by Dom0 under a guest's subtree would be unreadable
-	// to the guest).
-	drv.dom.WriteBool(keyReleaseRequest, false)
-	drv.dom.WriteInt(keyTotalWeight, 0)
-	drv.dom.WriteInt(keyHeartbeat, 0)
-	drv.dom.WriteBool(keyFallback, false)
-	for _, s := range rt.G.Sockets() {
-		drv.dom.WriteFloat(socketKey(keyTargetPrefix, s), -1)
-		drv.dom.WriteFloat(socketKey(keySharePrefix, s), -1)
+	disks := rt.G.Disks()
+	drv.registerKeys(disks)
+	// Create per-domain keys (guest-owned so both sides can write — nodes
+	// created by Dom0 under a guest's subtree would be unreadable to the
+	// guest).
+	drv.writeBool(&drv.release, false)
+	drv.writeInt(&drv.totalWeight, 0)
+	drv.writeInt(&drv.heartbeat, 0)
+	drv.writeBool(&drv.fallback, false)
+	for i := range drv.sockets {
+		drv.writeFloat(&drv.sockets[i].target, -1)
+		drv.writeFloat(&drv.sockets[i].share, -1)
 	}
-	for _, v := range rt.G.Disks() {
-		drv.addDisk(v)
+	for _, v := range disks { // in creation order
+		drv.addDisk(drv.disk(v.Name()))
 	}
 	drv.PublishWeights()
 	// One watch over the domain subtree dispatches every notification.
 	drv.watchID, _ = drv.dom.Watch("", drv.onStoreEvent)
 	// Announce the driver and start heartbeating: the registration write
 	// doubles as the first proof of life.
-	drv.dom.WriteBool(keyDriverPresent, true)
+	drv.writeBool(&drv.present, true)
 	drv.startHeartbeat()
 	return drv
 }
 
-func (drv *Driver) addDisk(v *guest.VDisk) {
-	dd := &diskDriver{
-		drv: drv, name: v.Name(), v: v,
-		kHasDirty:     diskKey(v.Name(), keyHasDirty),
-		kNrDirty:      diskKey(v.Name(), keyNrDirty),
-		kFlushNow:     diskKey(v.Name(), keyFlushNow),
-		kCongestQuery: diskKey(v.Name(), keyCongestQuery),
-		kCongested:    diskKey(v.Name(), keyCongested),
+// registerKeys builds the key table: a diskDriver per disk, a socketKeys
+// per socket the guest's VCPUs span, and every cursor's path in one
+// bus.Keys string. It writes nothing.
+func (drv *Driver) registerKeys(disks []*guest.VDisk) {
+	drv.disks = make([]diskDriver, len(disks))
+	for i, v := range disks {
+		drv.disks[i] = diskDriver{drv: drv, name: v.Name(), v: v}
 	}
-	drv.disks[v.Name()] = dd
+	slices.SortFunc(drv.disks, func(a, b diskDriver) int { return strings.Compare(a.name, b.name) })
+	sockets := drv.g.Sockets()
+	drv.sockets = make([]socketKeys, len(sockets))
+	for i, s := range sockets {
+		drv.sockets[i].socket = s
+	}
+	ks := drv.dom.Keys()
+	for ks.Next() {
+		ks.Add(&drv.release, keyReleaseRequest)
+		ks.Add(&drv.totalWeight, keyTotalWeight)
+		ks.Add(&drv.heartbeat, keyHeartbeat)
+		ks.Add(&drv.fallback, keyFallback)
+		ks.Add(&drv.present, keyDriverPresent)
+		ks.Add(&drv.vmShare, keyVMShare)
+		for i := range drv.sockets {
+			sk := &drv.sockets[i]
+			ks.AddIndex(&sk.weight, keyWeightPrefix, sk.socket)
+			ks.AddIndex(&sk.target, keyTargetPrefix, sk.socket)
+			ks.AddIndex(&sk.share, keySharePrefix, sk.socket)
+		}
+		for i := range drv.disks {
+			dd := &drv.disks[i]
+			for k := range dd.keys {
+				ks.Add(&dd.keys[k], "virt-dev/", dd.name, "/", diskKeyNames[k])
+			}
+		}
+	}
+}
+
+// disk returns the driver of the named disk, nil for a disk it does not
+// drive. A guest has a disk or two: a scan beats a map.
+func (drv *Driver) disk(name string) *diskDriver {
+	for i := range drv.disks {
+		if drv.disks[i].name == name {
+			return &drv.disks[i]
+		}
+	}
+	return nil
+}
+
+func (drv *Driver) addDisk(dd *diskDriver) {
 	// Pre-create guest-owned keys.
-	drv.dom.WriteBool(dd.kHasDirty, false)
-	drv.dom.WriteInt(dd.kNrDirty, 0)
-	drv.dom.WriteBool(dd.kFlushNow, false)
-	drv.dom.WriteBool(dd.kCongestQuery, false)
-	drv.dom.WriteBool(dd.kCongested, false)
+	drv.writeBool(&dd.keys[diskHasDirty], false)
+	drv.writeInt(&dd.keys[diskNrDirty], 0)
+	drv.writeBool(&dd.keys[diskFlushNow], false)
+	drv.writeBool(&dd.keys[diskCongestQuery], false)
+	drv.writeBool(&dd.keys[diskCongested], false)
 	// Mirror dirty-page state (Algorithm 1's guest half).
-	v.Cache.OnDirtyChange = dd.onDirtyChange
+	dd.v.Cache.OnDirtyChange = dd.onDirtyChange
 	// Collaborative congestion control (Algorithm 2's guest half).
-	v.Queue.SetController(dd)
+	dd.v.Queue.SetController(dd)
 }
 
 // SetSyncFault installs a fault-injection predicate consulted on every
@@ -145,7 +211,7 @@ func (drv *Driver) SetSyncFault(fn func(disk string) bool) { drv.syncFault = fn 
 func (drv *Driver) startHeartbeat() {
 	drv.hb = drv.k.Every(heartbeatInterval, func() {
 		drv.hbCount++
-		drv.dom.WriteInt(keyHeartbeat, drv.hbCount)
+		drv.writeInt(&drv.heartbeat, drv.hbCount)
 	})
 }
 
@@ -157,7 +223,8 @@ func (drv *Driver) detach() {
 		drv.hb = nil
 	}
 	drv.dom.Unwatch(drv.watchID)
-	for _, dd := range drv.disks {
+	for i := range drv.disks {
+		dd := &drv.disks[i]
 		dd.v.Cache.OnDirtyChange = nil
 		dd.v.Queue.SetController(nil) // back to the kernel's LocalController
 		if dd.nrTimer != nil {
@@ -190,24 +257,24 @@ func (drv *Driver) Restart() {
 		return
 	}
 	drv.crashed = false
-	for _, name := range sortedNames(drv.disks) {
-		dd := drv.disks[name]
+	for i := range drv.disks {
+		dd := &drv.disks[i]
 		dd.v.Cache.OnDirtyChange = dd.onDirtyChange
 		dd.v.Queue.SetController(dd)
 		nr := dd.v.Cache.DirtyPages()
-		drv.dom.WriteBool(dd.kHasDirty, nr > 0)
-		drv.dom.WriteInt(dd.kNrDirty, nr)
-		drv.dom.WriteBool(dd.kFlushNow, false)
-		drv.dom.WriteBool(dd.kCongestQuery, false)
+		drv.writeBool(&dd.keys[diskHasDirty], nr > 0)
+		drv.writeInt(&dd.keys[diskNrDirty], nr)
+		drv.writeBool(&dd.keys[diskFlushNow], false)
+		drv.writeBool(&dd.keys[diskCongestQuery], false)
 	}
 	drv.watchID, _ = drv.dom.Watch("", drv.onStoreEvent)
 	drv.PublishWeights()
 	// A release the manager published while we were dead must still be
 	// honoured, or the producers it meant to wake stay parked.
-	if v, _ := drv.dom.ReadBool(keyReleaseRequest); v {
+	if drv.readBool(&drv.release) {
 		drv.handleRelease()
 	}
-	drv.dom.WriteBool(keyDriverPresent, true)
+	drv.writeBool(&drv.present, true)
 	drv.startHeartbeat()
 }
 
@@ -232,16 +299,16 @@ func (dd *diskDriver) onDirtyChange(nr int64) {
 			dd.nrTimer = nil
 			dd.havePending = false
 		}
-		drv.dom.WriteBool(dd.kHasDirty, false)
-		drv.dom.WriteInt(dd.kNrDirty, 0)
+		drv.writeBool(&dd.keys[diskHasDirty], false)
+		drv.writeInt(&dd.keys[diskNrDirty], 0)
 		return
 	}
 	// The readback (not a cached mirror) is deliberate: under injected
 	// stale writes the published has_dirty can silently diverge from what
 	// we last wrote, and re-reading is what retries the lost transition.
-	if v, _ := drv.dom.ReadBool(dd.kHasDirty); !v {
-		drv.dom.WriteBool(dd.kHasDirty, true)
-		drv.dom.WriteInt(dd.kNrDirty, nr)
+	if !drv.readBool(&dd.keys[diskHasDirty]) {
+		drv.writeBool(&dd.keys[diskHasDirty], true)
+		drv.writeInt(&dd.keys[diskNrDirty], nr)
 		return
 	}
 	// Rate-limit nr updates: remember the latest and flush on a timer.
@@ -254,7 +321,7 @@ func (dd *diskDriver) onDirtyChange(nr int64) {
 		dd.nrTimer = nil
 		dd.havePending = false
 		if dd.pendingNr > 0 {
-			drv.dom.WriteInt(dd.kNrDirty, dd.pendingNr)
+			drv.writeInt(&dd.keys[diskNrDirty], dd.pendingNr)
 		}
 	})
 }
@@ -275,14 +342,14 @@ func (dd *diskDriver) OnCongested(q *blkio.Queue) bool {
 	if !dd.everQueried || now-dd.lastQuery >= queryInterval {
 		dd.everQueried = true
 		dd.lastQuery = now
-		drv.dom.WriteBool(dd.kCongestQuery, true)
+		drv.writeBool(&dd.keys[diskCongestQuery], true)
 	}
 	return true
 }
 
 // OnUncongested implements blkio.CongestionController.
 func (dd *diskDriver) OnUncongested(q *blkio.Queue) {
-	dd.drv.dom.WriteBool(dd.kCongested, false)
+	dd.drv.writeBool(&dd.keys[diskCongested], false)
 }
 
 // --- Store event dispatch --------------------------------------------------
@@ -296,7 +363,7 @@ func (drv *Driver) onStoreEvent(rel, value string) {
 			return
 		}
 		disk, key := rest[:i], rest[i+1:]
-		dd := drv.disks[disk]
+		dd := drv.disk(disk)
 		if dd == nil {
 			return
 		}
@@ -337,20 +404,20 @@ func (dd *diskDriver) handleFlushNow() {
 		})
 	}
 	dd.v.Cache.Sync(nil)
-	drv.dom.WriteBool(dd.kFlushNow, false)
+	drv.writeBool(&dd.keys[diskFlushNow], false)
 }
 
 // handleRelease is Algorithm 2's release branch: unplug and flush every
 // disk's request queue, clear congested flags, reset release_request.
 func (drv *Driver) handleRelease() {
 	until := drv.k.Now() + releaseGrace
-	for _, name := range sortedNames(drv.disks) {
-		dd := drv.disks[name]
+	for i := range drv.disks {
+		dd := &drv.disks[i]
 		dd.releasedUntil = until
 		dd.v.Queue.Release(nil)
-		drv.dom.WriteBool(dd.kCongested, false)
+		drv.writeBool(&dd.keys[diskCongested], false)
 	}
-	drv.dom.WriteBool(keyReleaseRequest, false)
+	drv.writeBool(&drv.release, false)
 }
 
 // --- Elastic G-states (docs/GSTATES.md, guest side) ------------------------
@@ -367,8 +434,8 @@ func (drv *Driver) applyGState(value string) {
 		return
 	}
 	w := gstate.State(n).Weight()
-	for _, name := range sortedNames(drv.disks) {
-		drv.disks[name].v.Queue.SetCongestScale(w)
+	for i := range drv.disks {
+		drv.disks[i].v.Queue.SetCongestScale(w)
 	}
 }
 
@@ -378,10 +445,11 @@ func (drv *Driver) applyGState(value string) {
 // process weight to the store for the management module.
 func (drv *Driver) PublishWeights() {
 	weights := drv.g.ProcessWeightBySocket()
-	for _, s := range drv.g.Sockets() {
-		drv.dom.WriteFloat(socketKey(keyWeightPrefix, s), weights[s])
+	for i := range drv.sockets {
+		sk := &drv.sockets[i]
+		drv.writeFloat(&sk.weight, weights[sk.socket])
 	}
-	drv.dom.WriteFloat(keyTotalWeight, drv.g.TotalProcessWeight())
+	drv.writeFloat(&drv.totalWeight, drv.g.TotalProcessWeight())
 }
 
 // applyTargets reads the management module's per-socket weight fractions
@@ -395,12 +463,13 @@ func (drv *Driver) applyTargets() {
 	}
 	targets := make(map[int]float64, len(sockets))
 	var sum float64
-	for _, s := range sockets {
-		f, err := drv.dom.ReadFloat(socketKey(keyTargetPrefix, s), -1)
+	for i := range drv.sockets {
+		sk := &drv.sockets[i]
+		f, err := drv.st.ReadFloatCursor(drv.id, &sk.target, -1)
 		if err != nil || f < 0 {
 			return // incomplete target set; wait for the next update
 		}
-		targets[s] = f
+		targets[sk.socket] = f
 		sum += f
 	}
 	if sum <= 0 {
@@ -465,6 +534,21 @@ func (drv *Driver) applyTargets() {
 		}
 		drv.PublishWeights()
 	}
+}
+
+// The guest's own store operations, as itself, through its key table's
+// cursors. A failed write is dropped, as it always was here: the guest
+// has nobody to report it to, and the manager's deadlines cover a lost
+// key.
+
+func (drv *Driver) writeBool(c *store.Cursor, v bool)     { drv.st.WriteBoolCursor(drv.id, c, v) }
+func (drv *Driver) writeInt(c *store.Cursor, v int64)     { drv.st.WriteIntCursor(drv.id, c, v) }
+func (drv *Driver) writeFloat(c *store.Cursor, v float64) { drv.st.WriteFloatCursor(drv.id, c, v) }
+
+// readBool reads a boolean key; absent or unreadable reads false.
+func (drv *Driver) readBool(c *store.Cursor) bool {
+	v, _ := drv.st.ReadBoolCursor(drv.id, c)
+	return v
 }
 
 // String identifies the driver.

@@ -145,7 +145,7 @@ func (fc *flushController) flushTick() {
 			Value: strconv.Itoa(fc.retries[rk]),
 		})
 		fc.withdrawn[rk]++
-		m.st.WriteBool(store.Dom0, absDiskKey(dom, disk, keyFlushNow), false)
+		m.st.WriteBoolCursor(store.Dom0, m.diskKey(dom, disk, diskFlushNow), false)
 		if fc.retries[rk] > fc.cfg.FlushMaxRetries {
 			delete(fc.retries, rk)
 			m.live.enterFallback(dom, "flush-deadline")
@@ -182,5 +182,5 @@ func (fc *flushController) flushTick() {
 		NrDirty: bestNr, DeviceBps: dev.BandwidthBps,
 		UtilFrac: dev.UtilFraction,
 	})
-	m.st.WriteBool(store.Dom0, absDiskKey(bestDom, bestDisk, keyFlushNow), true)
+	m.st.WriteBoolCursor(store.Dom0, m.diskKey(bestDom, bestDisk, diskFlushNow), true)
 }

@@ -47,6 +47,11 @@ type gstateController struct {
 
 	// pending holds deferred arrivals in FIFO order.
 	pending []store.DomID
+
+	// state holds each attached guest's sla/state cursor. The node is
+	// Dom0's, created by applyState, so the cursor is the policy's and not
+	// on the guest driver's key table.
+	state map[store.DomID]*store.Cursor
 }
 
 type latWindow struct {
@@ -61,6 +66,7 @@ func newGStateController(m *Manager) *gstateController {
 		machine: gstate.NewMachine(),
 		meter:   gstate.NewMeter(),
 		lat:     map[store.DomID]latWindow{},
+		state:   map[store.DomID]*store.Cursor{},
 	}
 	gc.sample = cadence{k: m.k, period: gstateInterval, tick: gc.gstateTick}
 	return gc
@@ -70,6 +76,7 @@ func newGStateController(m *Manager) *gstateController {
 // defer a bronze arrival while gold is in violation (parked at the
 // bronze floor weight until relief), admit everyone else at G0.
 func (gc *gstateController) attach(dom store.DomID) {
+	gc.state[dom] = gc.m.st.CursorFor(store.SLAKey(dom, gstate.KeyState))
 	tier, sla := gstate.ReadSLA(gc.m.st, dom)
 	if tier == gstate.Bronze && gc.meter.AnyViolating(gstate.Gold) {
 		gc.m.rec.Record(trace.Record{
@@ -95,6 +102,7 @@ func (gc *gstateController) detach(dom store.DomID) {
 	gc.machine.Remove(dom)
 	gc.meter.Forget(dom, gc.m.k.Now())
 	delete(gc.lat, dom)
+	delete(gc.state, dom)
 	for i, d := range gc.pending {
 		if d == dom {
 			gc.pending = append(gc.pending[:i], gc.pending[i+1:]...)
@@ -123,18 +131,18 @@ func (gc *gstateController) admitGuest(dom store.DomID, tier gstate.Tier, sla gs
 // congestion thresholds — the collaborative half of the actuation.
 func (gc *gstateController) applyState(dom store.DomID, st gstate.State) {
 	gc.m.h.SetClassWeight(int(dom), st.Weight())
-	key := store.SLAKey(dom, gstate.KeyState)
-	if !gc.m.st.Exists(key) {
+	key := gc.state[dom]
+	if !gc.m.st.Exists(key.Path()) {
 		// The node is Dom0-owned (the manager publishes it), but the
 		// guest driver watches it — and the store checks the watcher's
 		// read permission at notification time. Create the node and
 		// grant the guest read BEFORE the first meaningful write, or
 		// every state notification would be silently filtered and the
 		// guest would never scale its congestion thresholds.
-		gc.m.st.WriteInt(store.Dom0, key, int64(gstate.G0))
-		gc.m.st.Grant(store.Dom0, key, dom, store.PermRead)
+		gc.m.st.WriteIntCursor(store.Dom0, key, int64(gstate.G0))
+		gc.m.st.Grant(store.Dom0, key.Path(), dom, store.PermRead)
 	}
-	gc.m.st.WriteInt(store.Dom0, key, int64(st))
+	gc.m.st.WriteIntCursor(store.Dom0, key, int64(st))
 }
 
 // gstateTick is the control loop: classify host pressure, run the

@@ -11,12 +11,6 @@
 // kernels it manages are simulated.
 package core
 
-import (
-	"fmt"
-
-	"iorchestra/internal/store"
-)
-
 // Store key suffixes, relative to /local/domain/<id>. The guest driver
 // creates every key it owns at registration time so that the management
 // module can write to guest-owned nodes (Dom0 always may) while the guest
@@ -92,16 +86,3 @@ const (
 	// the control plane reads it back.
 	keyFallback = "iorchestra/fallback"
 )
-
-// diskKey builds the relative path of a per-disk key.
-func diskKey(disk, key string) string { return "virt-dev/" + disk + "/" + key }
-
-// socketKey builds the relative path of a per-socket key.
-func socketKey(prefix string, socket int) string {
-	return fmt.Sprintf("%s/%d", prefix, socket)
-}
-
-// absDiskKey builds the absolute path of a per-disk key for a domain.
-func absDiskKey(dom store.DomID, disk, key string) string {
-	return store.DiskPath(dom, disk, key)
-}

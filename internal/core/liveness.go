@@ -140,7 +140,14 @@ func (lv *liveness) beatUnlink(n *beatNode) {
 // inFallback is the read-only probe (no lazy heartbeat check).
 func (lv *liveness) inFallback(dom store.DomID) bool { return lv.fallback[dom] != nil }
 
+// noteHeartbeat and noteDriverRegistered ignore a dom with no driver: a
+// departed guest's last writes are delivered after DisableGuest, and a
+// beat stamped for it would sit at the head of the stale prefix
+// sweepStale walks, forever.
 func (lv *liveness) noteHeartbeat(dom store.DomID) {
+	if lv.m.drivers[dom] == nil {
+		return
+	}
 	lv.noteBeat(dom)
 	// A fallen-back guest that has served its penalty and is beating
 	// again earns its way back to collaborative mode.
@@ -150,6 +157,9 @@ func (lv *liveness) noteHeartbeat(dom store.DomID) {
 }
 
 func (lv *liveness) noteDriverRegistered(dom store.DomID) {
+	if lv.m.drivers[dom] == nil {
+		return
+	}
 	lv.noteBeat(dom)
 	if lv.fallback[dom] != nil {
 		lv.exitFallback(dom, "driver-registered")
@@ -164,7 +174,7 @@ func (lv *liveness) enterFallback(dom store.DomID, reason string) {
 	}
 	lv.fallback[dom] = &fallbackState{reason: reason, since: lv.m.k.Now()}
 	lv.m.rec.Record(trace.Record{Kind: trace.KindFallbackEnter, Dom: int(dom), Value: reason})
-	lv.m.st.WriteBool(store.Dom0, store.DomainPath(dom)+"/"+keyFallback, true)
+	lv.m.st.WriteBoolCursor(store.Dom0, &lv.m.drivers[dom].fallback, true)
 	lv.m.fellBack(dom)
 }
 
@@ -175,7 +185,7 @@ func (lv *liveness) exitFallback(dom store.DomID, reason string) {
 	}
 	delete(lv.fallback, dom)
 	lv.m.rec.Record(trace.Record{Kind: trace.KindFallbackExit, Dom: int(dom), Value: reason})
-	lv.m.st.WriteBool(store.Dom0, store.DomainPath(dom)+"/"+keyFallback, false)
+	lv.m.st.WriteBoolCursor(store.Dom0, &lv.m.drivers[dom].fallback, false)
 	lv.noteBeat(dom) // fresh grace window
 	lv.m.restored(dom)
 }

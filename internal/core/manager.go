@@ -35,6 +35,15 @@ type Manager struct {
 	// rec.Record; Counters reads the per-kind counts back.
 	rec *trace.Recorder
 
+	// drivers holds each enabled guest's driver, and with it the key
+	// table every policy writes and reads the guest's keys through (as
+	// Dom0). Each such site runs only for a dom in this map: it checks
+	// live.cooperative, which requires the driver, or a m.drivers entry
+	// directly, or it acts on state DisableGuest clears with the entry —
+	// flush's outstanding order, congestion's held and pending releases,
+	// liveness's fallbacks, cosched's walk over this map and gstate's
+	// machine. The one lookup that can miss is a disk the driver does not
+	// drive (Manager.diskKey).
 	drivers map[store.DomID]*Driver
 	live    *liveness
 	faults  *fault.Injector // optional; see SetFaults
@@ -107,7 +116,7 @@ func (m *Manager) Detach(dom store.DomID) { m.DisableGuest(dom) }
 // EnableGuest installs the guest driver for rt and registers it with the
 // manager. Returns the driver for inspection.
 func (m *Manager) EnableGuest(rt *hypervisor.GuestRuntime) *Driver {
-	drv := NewDriver(m.h, rt, m.rng.Fork("drv"+strconv.Itoa(int(rt.G.ID()))))
+	drv := NewDriver(m.h, rt)
 	m.drivers[rt.G.ID()] = drv
 	// Registration counts as the first heartbeat: the real one arrives
 	// through the store a notification latency later.
@@ -187,6 +196,19 @@ func (m *Manager) DisableCosched(dom store.DomID) {
 	if m.cosched != nil {
 		m.cosched.off[dom] = true
 	}
+}
+
+// diskKey returns the cursor of one of dom's per-disk keys, a
+// diskDriver.keys index: the one its driver registered, or a fresh cursor
+// on the absolute path for a disk the driver does not drive. The Monitor
+// learns a dom's disks from its has_dirty_pages writes, and can hold one
+// written under an earlier driver of the same dom id, delivered after
+// DisableGuest forgot it. dom has a driver (see drivers).
+func (m *Manager) diskKey(dom store.DomID, disk string, key int) *store.Cursor {
+	if dd := m.drivers[dom].disk(disk); dd != nil {
+		return &dd.keys[key]
+	}
+	return m.st.CursorFor(store.DiskPath(dom, disk, diskKeyNames[key]))
 }
 
 // crossSocketGuestExists reports whether any enabled guest spans sockets

@@ -6,7 +6,7 @@ package guest
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"iorchestra/internal/sim"
 	"iorchestra/internal/stats"
@@ -33,11 +33,12 @@ type Guest struct {
 	cfg Config
 	rng *stats.Stream
 
-	vcpus  []*VCPU
-	vdisks map[string]*VDisk
-	names  []string // vdisk names in creation order
-	procs  []*Process
-	nextPr int
+	vcpus   []*VCPU
+	sockets []int // distinct VCPU sockets, ascending; kept by PlaceVCPU
+	vdisks  map[string]*VDisk
+	names   []string // vdisk names in creation order
+	procs   []*Process
+	nextPr  int
 }
 
 // New builds a guest; disks are attached by the host via AddDisk.
@@ -52,6 +53,7 @@ func New(k *sim.Kernel, cfg Config, rng *stats.Stream) *Guest {
 	for i := 0; i < cfg.VCPUs; i++ {
 		g.vcpus = append(g.vcpus, &VCPU{g: g, idx: i})
 	}
+	g.sockets = []int{0}
 	return g
 }
 
@@ -72,9 +74,10 @@ func (g *Guest) VCPU(i int) *VCPU { return g.vcpus[i] }
 type ExecFunc func(d sim.Duration, done func())
 
 // VCPU models one virtual CPU as a FIFO run queue of compute bursts. The
-// host sets Socket at placement time; when Exec is installed, burst
-// execution is delegated to the physical core (which serializes busy
-// co-located VCPUs), otherwise bursts run locally at full-core speed.
+// host sets Socket and Exec at placement time, with Guest.PlaceVCPU; when
+// Exec is installed, burst execution is delegated to the physical core
+// (which serializes busy co-located VCPUs), otherwise bursts run locally
+// at full-core speed.
 type VCPU struct {
 	g      *Guest
 	idx    int
@@ -162,19 +165,24 @@ func (p *Process) MoveTo(vcpuIdx int) {
 	p.vcpu = p.g.vcpus[vcpuIdx]
 }
 
-// Sockets reports the distinct sockets this guest's VCPUs span, ascending.
-func (g *Guest) Sockets() []int {
-	seen := map[int]bool{}
+// PlaceVCPU pins VCPU i to a socket, its bursts executed by exec (nil
+// runs them locally): the host's placement, once per VCPU before the
+// guest runs. The socket set Sockets reports is kept here, so callers
+// that ask for it on every tick do not rebuild it.
+func (g *Guest) PlaceVCPU(i, socket int, exec ExecFunc) {
+	v := g.vcpus[i]
+	v.Socket, v.Exec = socket, exec
+	g.sockets = g.sockets[:0]
 	for _, v := range g.vcpus {
-		seen[v.Socket] = true
+		if j, found := slices.BinarySearch(g.sockets, v.Socket); !found {
+			g.sockets = slices.Insert(g.sockets, j, v.Socket)
+		}
 	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
 }
+
+// Sockets reports the distinct sockets this guest's VCPUs span,
+// ascending. The slice is the guest's own; callers must not modify it.
+func (g *Guest) Sockets() []int { return g.sockets }
 
 // ProcessWeightBySocket sums process I/O weights per socket — the
 // W_SKT(VCPU_k) aggregation from Sec. 3.3.

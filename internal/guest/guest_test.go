@@ -52,8 +52,8 @@ func TestProcessMoveAndSocketWeights(t *testing.T) {
 	k := sim.NewKernel()
 	g := mkGuest(k, 4)
 	// Place VCPUs 0,1 on socket 0 and 2,3 on socket 1 (as a host would).
-	g.VCPU(2).Socket = 1
-	g.VCPU(3).Socket = 1
+	g.PlaceVCPU(2, 1, nil)
+	g.PlaceVCPU(3, 1, nil)
 	p0 := g.NewProcess(2) // vcpu0, socket0
 	p1 := g.NewProcess(3) // vcpu1, socket0
 	p2 := g.NewProcess(5) // vcpu2, socket1
@@ -188,7 +188,7 @@ func TestVDiskFsync(t *testing.T) {
 func TestRequestsCarrySocketTag(t *testing.T) {
 	k := sim.NewKernel()
 	g := mkGuest(k, 2)
-	g.VCPU(1).Socket = 1
+	g.PlaceVCPU(1, 1, nil)
 	var gotSocket int
 	v := g.AddDisk(DiskConfig{}, blkio.LowerFunc(func(r *device.Request) {
 		gotSocket = r.Socket

@@ -264,8 +264,7 @@ func (h *Host) placeVCPUs(rt *GuestRuntime) {
 		s, c := h.leastLoadedCore()
 		h.coreLoad[s][c]++
 		rt.vcpuCores = append(rt.vcpuCores, [2]int{s, c})
-		g.VCPU(i).Socket = s
-		g.VCPU(i).Exec = h.pcores[s][c].Exec
+		g.PlaceVCPU(i, s, h.pcores[s][c].Exec)
 		if i == 0 {
 			rt.HomeSocket = s
 		}

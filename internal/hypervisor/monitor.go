@@ -45,6 +45,8 @@ type Monitor struct {
 	settleWin  sim.Duration
 	// recent list bounds, LastGrow-ascending; nil when empty.
 	recentHead, recentTail *dirtyEntry
+
+	lat []float64 // CoreSnapshot's Latencies, reused
 }
 
 // dirtyEntry is one (guest, disk) mirror plus its index position.
@@ -78,8 +80,11 @@ type DeviceSnapshot struct {
 
 // CoreSnapshot is a point-in-time sample of the dedicated I/O cores.
 type CoreSnapshot struct {
-	Latencies  []float64 // mean on-core latency L_i per core, seconds
-	AnyTraffic bool      // any core has processed at least one request
+	// Latencies is the mean on-core latency L_i per core, in seconds. It
+	// is the Monitor's buffer, overwritten by the next CoreSnapshot: a
+	// caller that keeps it copies it.
+	Latencies  []float64
+	AnyTraffic bool // any core has processed at least one request
 }
 
 // Monitor returns the host's monitoring module, creating it on first use.
@@ -105,7 +110,10 @@ func (mo *Monitor) DeviceSnapshot(now sim.Time) DeviceSnapshot {
 // the host runs no dedicated I/O cores (ModeBackend).
 func (mo *Monitor) CoreSnapshot(now sim.Time) CoreSnapshot {
 	cores := mo.h.iocores
-	cs := CoreSnapshot{Latencies: make([]float64, len(cores))}
+	if len(mo.lat) != len(cores) {
+		mo.lat = make([]float64, len(cores))
+	}
+	cs := CoreSnapshot{Latencies: mo.lat}
 	for i, c := range cores {
 		cs.Latencies[i] = c.MeanLatency(now)
 		if c.Processed() > 0 {

@@ -414,21 +414,30 @@ func (s *Store) AddDomain(dom DomID) {
 	}
 }
 
-// Cursor pins one path's node across repeated operations: the in-process
-// bus handle keeps one per hot key, so a driver heartbeat costs a liveness
-// check instead of hashing the absolute path on every store call. A
-// Remove detaches the nodes it covers, and a cursor that finds its node
-// detached resolves its path again — to the node a later create put
-// there, never to the dead one. Obtain with Store.CursorFor; use from the
-// kernel goroutine only, like every node operation.
+// Cursor pins one path's node across repeated operations: a guest's
+// driver holds one per key it registers (inline, in its own fields), so a
+// heartbeat or a manager's order costs a liveness check instead of hashing
+// the absolute path on every store call. A Remove detaches the nodes it
+// covers, and a cursor that finds its node detached resolves its path
+// again — to the node a later create put there, never to the dead one.
+// Obtain with CursorAt or Store.CursorFor; use from the kernel goroutine
+// only, like every node operation.
 type Cursor struct {
 	path string
 	n    *node
 }
 
-// CursorFor returns a cursor for path. The path need not exist yet; the
-// cursor pins its node on first successful use.
-func (s *Store) CursorFor(path string) *Cursor { return &Cursor{path: path} }
+// CursorAt returns a cursor for path by value, for a holder that keeps
+// its cursors inline — struct fields, slice elements — instead of one
+// heap object per key. The path need not exist yet; the cursor pins its
+// node on first successful use.
+func CursorAt(path string) Cursor { return Cursor{path: path} }
+
+// CursorFor is CursorAt behind a pointer.
+func (s *Store) CursorFor(path string) *Cursor {
+	c := CursorAt(path)
+	return &c
+}
 
 // Path reports the absolute path the cursor stands for.
 func (c *Cursor) Path() string { return c.path }
@@ -978,7 +987,11 @@ func (s *Store) ReadFloat(dom DomID, path string, defaultV float64) (float64, er
 }
 
 // Cursor-typed variants, sharing the exact parse semantics above — the
-// in-process bus handle routes every typed operation through these.
+// bus handle and the guest driver's key table route every typed operation
+// through these. They are the control plane's per-decision path, so they
+// allocate no more than the value they write: a float is formatted on the
+// stack and copied once, and a read of an absent key returns its default
+// without building the ErrNoEntry the parse would discard.
 
 // WriteIntCursor writes an integer value through a pinned cursor.
 func (s *Store) WriteIntCursor(dom DomID, c *Cursor, v int64) error {
@@ -992,19 +1005,30 @@ func (s *Store) WriteBoolCursor(dom DomID, c *Cursor, v bool) error {
 
 // ReadBoolCursor reads a boolean; absent nodes return false.
 func (s *Store) ReadBoolCursor(dom DomID, c *Cursor) (bool, error) {
+	if s.absent(c) {
+		return false, nil
+	}
 	return parseBoolValue(s.ReadCursor(dom, c))
 }
 
 // WriteFloatCursor writes a float value through a pinned cursor.
 func (s *Store) WriteFloatCursor(dom DomID, c *Cursor, v float64) error {
-	return s.WriteCursor(dom, c, strconv.FormatFloat(v, 'g', -1, 64))
+	var b [32]byte
+	return s.WriteCursor(dom, c, string(strconv.AppendFloat(b[:0], v, 'g', -1, 64)))
 }
 
 // ReadFloatCursor reads a float value; absent nodes return defaultV.
 func (s *Store) ReadFloatCursor(dom DomID, c *Cursor, defaultV float64) (float64, error) {
+	if s.absent(c) {
+		return defaultV, nil
+	}
 	raw, err := s.ReadCursor(dom, c)
 	return parseFloatValue(raw, err, c.path, defaultV)
 }
+
+// absent reports whether a well-formed cursor names no node: the read
+// ReadCursor would answer with ErrNoEntry.
+func (s *Store) absent(c *Cursor) bool { return s.pinned(c) == nil && checkPath(c.path) == nil }
 
 func boolValue(v bool) string {
 	if v {

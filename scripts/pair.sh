@@ -9,8 +9,10 @@
 # registered in .git, so an interrupted run leaves nothing behind), both
 # binaries are built once, and each side runs in its own empty directory.
 # Prints, for the five top-line figures of the report, each side's median
-# [q1, q3], the ratio of the medians and in how many pairs the working tree
-# won (ties count for neither). For a workload whose report has an `exact:`
+# [q1, q3], the ratio of the medians, the median of the per-pair ratios
+# ("paired"), in how many pairs the working tree won (ties count for
+# neither) and whether the medians differ by more than REV's interquartile
+# range — with the wins, the claim rule of docs/PERFORMANCE.md §1. For a workload whose report has an `exact:`
 # line (the simulated ones: counts that must repeat bit for bit), it then
 # prints in how many pairs the two sides' lines are identical, or the first
 # pair and field that differ.
@@ -55,23 +57,32 @@ function quantile(a, m, p,    h, lo) { # a[1..m] sorted; linear interpolation
 	h = 1 + (m - 1) * p; lo = int(h)
 	return lo >= m ? a[m] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
 }
-function summary(side, metric,    m, i, j, t, a) {
+function isort(a, m,    i, j, t) { # insertion sort of a[1..m]
+	for (i = 2; i <= m; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+}
+function summary(side, metric,    m, i, a) {
 	m = cnt[side, metric]
 	for (i = 1; i <= m; i++) a[i] = val[side, metric, i]
-	for (i = 2; i <= m; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+	isort(a, m)
 	med[side] = quantile(a, m, 0.5)
+	iqr[side] = quantile(a, m, 0.75) - quantile(a, m, 0.25)
 	return sprintf("%.4g [%.4g, %.4g]", med[side], quantile(a, m, 0.25), quantile(a, m, 0.75))
 }
 { k = ++cnt[$1, $3]; val[$1, $3, k] = $4; byPair[$1, $3, $2] = $4; if (!($3 in seen)) { seen[$3]; order[++nm] = $3 } }
 END {
 	for (x = 1; x <= nm; x++) {
-		metric = order[x]; wins = 0
+		metric = order[x]; wins = 0; nr = 0
 		for (p = 1; p <= pairs; p++) {
 			r = byPair["rev", metric, p]; t = byPair["tree", metric, p]
 			if (metric == "work_per_s" ? t > r : t < r) wins++
+			if (r != 0) ratios[++nr] = t / r
 		}
+		isort(ratios, nr)
 		left = summary("rev", metric); right = summary("tree", metric)
-		printf "  %-17s %s -> %s  ratio %.3f  wins %d/%d\n", metric, left, right, med["tree"] / med["rev"], wins, pairs
+		d = med["tree"] - med["rev"]; if (d < 0) d = -d
+		printf "  %-17s %s -> %s  ratio %.3f  paired %.3f  wins %d/%d  medians %.4g apart, %s REV IQR %.4g\n",
+			metric, left, right, med["tree"] / med["rev"], (nr ? quantile(ratios, nr, 0.5) : 0), wins, pairs,
+			d, (d > iqr["rev"] ? "beyond" : "within"), iqr["rev"]
 	}
 }' pairs="$n" "$tmp/runs"
 
