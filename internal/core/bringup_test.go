@@ -41,7 +41,7 @@ func bringUpHost(n int) (h *hypervisor.Host, m *Manager, oneMore func() *hypervi
 // node, three string-keyed maps per key, a journal grown by doubling and
 // three allocations per pending delivery, this read 217 allocations and
 // 17.0 KB per guest; with a path string, a heap cursor and a map entry
-// per key in the bus handle, 140 and 12.6 KB; it reads 93 and 11.3 KB.
+// per key in the bus handle, 140 and 12.6 KB; it reads 90 and 11.2 KB.
 func TestGuestBringUpAllocs(t *testing.T) {
 	_, _, oneMore := bringUpHost(199)
 	const runs = 50

@@ -53,7 +53,7 @@ func New(k *sim.Kernel, cfg Config, rng *stats.Stream) *Guest {
 	for i := 0; i < cfg.VCPUs; i++ {
 		g.vcpus = append(g.vcpus, &VCPU{g: g, idx: i})
 	}
-	g.sockets = []int{0}
+	g.sockets = []int{0} // every VCPU starts on socket 0
 	return g
 }
 
