@@ -164,12 +164,11 @@ func (d *Domain) Unwatch(id store.WatchID) { d.b.st.Unwatch(id) }
 
 // Keys builds the paths of a key table under one domain's home into a
 // single string and points each of the caller's cursors at its slice of
-// it: the driver registers a guest's keys once, at attach (Fig. 2), and a
-// whole table costs that one string instead of a string, a cursor and a
-// map entry per key. Each path is given as pieces, so no relative-key
-// string is built either. The store nodes the cursors create keep their
-// slices as their paths, so the string lives as long as the guest's nodes
-// do.
+// it: the driver registers a guest's keys once, at attach (Fig. 2), and
+// the whole table costs that one string. Each path is given as pieces, so
+// no relative-key string is built either. The store nodes the cursors
+// create keep their slices as their paths, so the string lives as long as
+// the guest's nodes do.
 //
 // The caller adds its keys in a loop, for ks.Next() { ks.Add(…); … },
 // whose body must add the same keys in the same order on every turn and
