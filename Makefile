@@ -62,7 +62,7 @@ fuzz:
 # each, so none of them rots. The wire path is measured by the repo
 # benchmark: `go run ./bench` (bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkManagerTick -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkManagerTick -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkGuestBringUp -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkRemoveOneOf10kDomains -benchtime 1x -benchmem ./internal/store/
 	$(GO) test -run '^$$' -bench BenchmarkHostDispatch -benchtime 1x -benchmem ./internal/hypervisor/

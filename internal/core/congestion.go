@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 
 	"iorchestra/internal/hypervisor"
@@ -9,16 +10,10 @@ import (
 	"iorchestra/internal/trace"
 )
 
+// congEntry is one held disk on the relief FIFO.
 type congEntry struct {
-	dom   store.DomID
-	disk  string
+	dd    *diskDriver
 	since sim.Time // when the guest was confirmed held (holdDeadline clock)
-}
-
-// congKey identifies one held (guest, disk) pair for O(1) dedup.
-type congKey struct {
-	dom  store.DomID
-	disk string
 }
 
 // releaseState tracks an unacknowledged release_request.
@@ -33,7 +28,8 @@ type releaseState struct {
 // confirmed-held guests on a relief cadence, and releases them in FIFO
 // order with a random stagger once the host device decongests. The
 // stagger draws come from the manager's stream, in hold order, so
-// fixed-seed runs replay identically.
+// fixed-seed runs replay identically. A held disk is flagged on its
+// diskDriver and an unacknowledged release is its guest's Driver's.
 type congestController struct {
 	m   *Manager
 	cfg *ManagerConfig
@@ -44,10 +40,7 @@ type congestController struct {
 	// held is FIFO in confirm order, so since is monotone along it:
 	// holdDeadline expiry is always a prefix, and the expiry check stops
 	// at the first live entry instead of scanning every held guest.
-	// heldSet mirrors membership for O(1) dedup on re-confirms.
-	held       []congEntry
-	heldSet    map[congKey]bool
-	pendingRel map[store.DomID]*releaseState
+	held []congEntry
 
 	// relieves counts releases when congestionTick decides them; the
 	// congest.release record follows after the stagger, so at any
@@ -57,11 +50,9 @@ type congestController struct {
 
 func newCongestController(m *Manager) *congestController {
 	cc := &congestController{
-		m:          m,
-		cfg:        &m.cfg,
-		mon:        m.h.Monitor(),
-		heldSet:    map[congKey]bool{},
-		pendingRel: map[store.DomID]*releaseState{},
+		m:   m,
+		cfg: &m.cfg,
+		mon: m.h.Monitor(),
 	}
 	cc.relief = cadence{k: m.k, period: congestionCheckInterval, tick: func() bool {
 		cc.congestionTick()
@@ -70,124 +61,118 @@ func newCongestController(m *Manager) *congestController {
 	return cc
 }
 
-// detach forgets all congestion state about dom, reporting whether dom
-// was held.
-func (cc *congestController) detach(dom store.DomID) (wasHeld bool) {
-	if rs := cc.pendingRel[dom]; rs != nil {
-		cc.m.k.Cancel(rs.timer)
-		delete(cc.pendingRel, dom)
-	}
-	kept := cc.held[:0]
-	for _, e := range cc.held {
-		if e.dom == dom {
-			wasHeld = true
-			delete(cc.heldSet, congKey{dom: e.dom, disk: e.disk})
-		} else {
-			kept = append(kept, e)
+// detach forgets all congestion state about drv's guest, reporting
+// whether one of its disks was held.
+func (cc *congestController) detach(drv *Driver) (wasHeld bool) {
+	cc.noteReleaseAck(drv)
+	n := len(cc.held)
+	cc.held = slices.DeleteFunc(cc.held, func(e congEntry) bool {
+		if e.dd.drv != drv {
+			return false
 		}
-	}
-	cc.held = kept
-	return wasHeld
+		e.dd.held = false
+		return true
+	})
+	return len(cc.held) < n
 }
 
 // fellBack stops expecting acks from a guest we no longer trust, and
 // publishes one last best-effort release if the guest was held: a
 // live-but-slow driver will act on it; a dead one leaves its queues to
 // the local controller. Nothing may stay parked behind a dead protocol.
-func (cc *congestController) fellBack(dom store.DomID) {
-	if cc.detach(dom) {
-		cc.m.st.WriteBoolCursor(store.Dom0, &cc.m.drivers[dom].release, true)
+func (cc *congestController) fellBack(drv *Driver) {
+	if cc.detach(drv) {
+		cc.m.st.WriteBoolCursor(store.Dom0, &drv.release, true)
 	}
 }
 
 // handleCongestQuery answers a guest's congestion query: confirm when the
 // host device is genuinely overcrowded, otherwise release the guest.
-func (cc *congestController) handleCongestQuery(dom store.DomID, disk string) {
+func (cc *congestController) handleCongestQuery(dd *diskDriver) {
 	m := cc.m
-	if !m.live.cooperative(dom) {
+	if !m.live.cooperative(dd.drv) {
 		// No verdict for a fallback guest: its kernel's local avoidance
 		// (engage at 7/8, release below 13/16) is exactly Baseline.
 		return
 	}
 	// Reset the query flag so subsequent queries re-fire the watch.
-	m.st.WriteBoolCursor(store.Dom0, m.diskKey(dom, disk, diskCongestQuery), false)
+	m.st.WriteBoolCursor(store.Dom0, &dd.keys[diskCongestQuery], false)
 	if cc.mon.IOCongested() {
-		cc.recordCongestion(trace.KindCongestConfirm, dom, disk)
-		m.st.WriteBoolCursor(store.Dom0, m.diskKey(dom, disk, diskCongested), true)
-		key := congKey{dom: dom, disk: disk}
-		if cc.heldSet[key] {
+		cc.recordCongestion(trace.KindCongestConfirm, dd)
+		m.st.WriteBoolCursor(store.Dom0, &dd.keys[diskCongested], true)
+		if dd.held {
 			return
 		}
-		cc.heldSet[key] = true
-		cc.held = append(cc.held, congEntry{dom: dom, disk: disk, since: m.k.Now()})
+		dd.held = true
+		cc.held = append(cc.held, congEntry{dd: dd, since: m.k.Now()})
 		cc.relief.arm()
 		return
 	}
-	cc.requestRelease(dom, disk, trace.KindCongestVeto)
+	cc.requestRelease(dd, trace.KindCongestVeto)
 }
 
 // requestRelease records the verdict, publishes release_request=1 and
 // arms the bounded ack-retry machinery: a lost notification must not
 // leave the guest's producers parked forever.
-func (cc *congestController) requestRelease(dom store.DomID, disk string, kind trace.Kind) {
-	cc.recordCongestion(kind, dom, disk)
-	cc.m.st.WriteBoolCursor(store.Dom0, &cc.m.drivers[dom].release, true)
-	cc.armReleaseRetry(dom, disk)
+func (cc *congestController) requestRelease(dd *diskDriver, kind trace.Kind) {
+	cc.recordCongestion(kind, dd)
+	cc.m.st.WriteBoolCursor(store.Dom0, &dd.drv.release, true)
+	cc.armReleaseRetry(dd)
 }
 
-func (cc *congestController) armReleaseRetry(dom store.DomID, disk string) {
-	if cc.pendingRel[dom] != nil {
+func (cc *congestController) armReleaseRetry(dd *diskDriver) {
+	drv := dd.drv
+	if drv.pendingRel != nil {
 		return
 	}
-	rs := &releaseState{disk: disk}
-	cc.pendingRel[dom] = rs
-	rs.timer = cc.m.k.After(releaseAckTimeout, func() { cc.releaseRetryTick(dom, rs) })
+	rs := &releaseState{disk: dd.name}
+	drv.pendingRel = rs
+	rs.timer = cc.m.k.After(releaseAckTimeout, func() { cc.releaseRetryTick(drv, rs) })
 }
 
-func (cc *congestController) releaseRetryTick(dom store.DomID, rs *releaseState) {
+func (cc *congestController) releaseRetryTick(drv *Driver, rs *releaseState) {
 	m := cc.m
-	if cc.pendingRel[dom] != rs {
+	if drv.pendingRel != rs {
 		return
 	}
 	// The guest resets release_request to 0 when it acts; a still-set key
 	// means the order (or its notification) was lost.
-	release := &m.drivers[dom].release
-	if v, _ := m.st.ReadBoolCursor(store.Dom0, release); !v {
-		delete(cc.pendingRel, dom)
+	if v, _ := m.st.ReadBoolCursor(store.Dom0, &drv.release); !v {
+		drv.pendingRel = nil
 		return
 	}
 	if rs.retries >= releaseMaxRetries {
-		delete(cc.pendingRel, dom)
+		drv.pendingRel = nil
 		m.rec.Record(trace.Record{
-			Kind: trace.KindReleaseTimeout, Dom: int(dom), Disk: rs.disk,
+			Kind: trace.KindReleaseTimeout, Dom: int(drv.id), Disk: rs.disk,
 			Value: strconv.Itoa(rs.retries),
 		})
-		m.live.enterFallback(dom, "release-deadline")
+		m.live.enterFallback(drv, "release-deadline")
 		return
 	}
 	rs.retries++
 	m.rec.Record(trace.Record{
-		Kind: trace.KindReleaseRetry, Dom: int(dom), Disk: rs.disk,
+		Kind: trace.KindReleaseRetry, Dom: int(drv.id), Disk: rs.disk,
 		Value: strconv.Itoa(rs.retries),
 	})
 	// Re-publish: the write re-fires the guest's watch even though the
 	// value does not change.
-	m.st.WriteBoolCursor(store.Dom0, release, true)
-	rs.timer = m.k.After(releaseAckTimeout, func() { cc.releaseRetryTick(dom, rs) })
+	m.st.WriteBoolCursor(store.Dom0, &drv.release, true)
+	rs.timer = m.k.After(releaseAckTimeout, func() { cc.releaseRetryTick(drv, rs) })
 }
 
-func (cc *congestController) noteReleaseAck(dom store.DomID) {
-	if rs := cc.pendingRel[dom]; rs != nil {
+func (cc *congestController) noteReleaseAck(drv *Driver) {
+	if rs := drv.pendingRel; rs != nil {
 		cc.m.k.Cancel(rs.timer)
-		delete(cc.pendingRel, dom)
+		drv.pendingRel = nil
 	}
 }
 
 // recordCongestion traces an Algorithm 2 verdict with the host queue
 // depths that justified it.
-func (cc *congestController) recordCongestion(kind trace.Kind, dom store.DomID, disk string) {
+func (cc *congestController) recordCongestion(kind trace.Kind, dd *diskDriver) {
 	cc.m.rec.Record(trace.Record{
-		Kind: kind, Dom: int(dom), Disk: disk,
+		Kind: kind, Dom: int(dd.drv.id), Disk: dd.name,
 		QueueDepth: cc.mon.QueueBacklog(),
 		DevPending: cc.mon.DevPending(),
 	})
@@ -210,28 +195,26 @@ func (cc *congestController) congestionTick() {
 		// when nothing expired, not a scan over every held guest.
 		cut := 0
 		for cut < len(cc.held) && now-cc.held[cut].since >= holdDeadline {
-			e := cc.held[cut]
+			dd := cc.held[cut].dd
 			cut++
-			delete(cc.heldSet, congKey{dom: e.dom, disk: e.disk})
-			cc.requestRelease(e.dom, e.disk, trace.KindHoldTimeout)
+			dd.held = false
+			cc.requestRelease(dd, trace.KindHoldTimeout)
 		}
-		if cut > 0 {
-			cc.held = append(cc.held[:0], cc.held[cut:]...)
-		}
+		cc.held = slices.Delete(cc.held, 0, cut)
 		return
 	}
 	var offset sim.Duration
 	for _, e := range cc.held {
-		dom, disk := e.dom, e.disk
-		delete(cc.heldSet, congKey{dom: dom, disk: disk})
+		dd := e.dd
+		dd.held = false
 		cc.relieves++
 		m.k.After(offset, func() {
-			if m.drivers[dom] == nil {
+			if m.drivers[dd.drv.id] != dd.drv {
 				return // detached during the stagger
 			}
-			cc.requestRelease(dom, disk, trace.KindCongestRelease)
+			cc.requestRelease(dd, trace.KindCongestRelease)
 		})
 		offset += sim.Duration(m.rng.Int63n(int64(cc.cfg.ReleaseStaggerMax)))
 	}
-	cc.held = cc.held[:0]
+	cc.held = slices.Delete(cc.held, 0, len(cc.held))
 }

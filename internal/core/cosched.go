@@ -23,7 +23,6 @@ type coschedController struct {
 
 	lastRatio float64
 	lastApply sim.Time
-	off       map[store.DomID]bool
 
 	// Per-tick scratch, reused so a warm update allocates only the values
 	// it writes: the guests in dom order and the per-core share sums.
@@ -36,7 +35,6 @@ func newCoschedController(m *Manager) *coschedController {
 		m:   m,
 		cfg: &m.cfg,
 		mon: m.h.Monitor(),
-		off: map[store.DomID]bool{},
 	}
 	// Sample faster than the apply cadence so the >50 %-change trigger
 	// can fire early, as the paper specifies.
@@ -90,7 +88,7 @@ func (cc *coschedController) coschedTick() bool {
 	contended := maxOf(lat) >= coschedMinLatency.Seconds()
 	for _, dom := range cc.doms {
 		drv := m.drivers[dom]
-		if !contended || len(drv.sockets) < 2 || cc.off[dom] || !m.live.cooperative(dom) {
+		if !contended || len(drv.sockets) < 2 || drv.coschedOff || !m.live.cooperative(drv) {
 			continue
 		}
 		for i := range drv.sockets {
@@ -122,7 +120,7 @@ func (cc *coschedController) coschedTick() bool {
 	clear(shares)
 	for _, dom := range cc.doms {
 		drv := m.drivers[dom]
-		if cc.off[dom] || m.live.inFallback(dom) {
+		if drv.coschedOff || drv.fellBack {
 			// Fallback guests keep their last-applied static weights
 			// (Algorithm 3 degradation) — their stale store state must
 			// not keep steering quanta.

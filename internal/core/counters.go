@@ -33,12 +33,16 @@ type Counters struct {
 	HeartbeatMisses uint64 // stale-heartbeat detections
 	Fallbacks       uint64 // guests demoted to Baseline behavior
 	Restores        uint64 // guests restored to collaborative mode
+
+	// Dispatch.
+	OrphanEvents uint64 // store events for a dom with no driver, or a disk it does not drive
 }
 
 // Counters snapshots every counter in one call. It is the only counter
 // read surface. A decision is counted where it is traced: each field is
 // the manager's recorder's lifetime count of the kind it names, so the
-// two cannot drift. Relieves alone is a field of its controller.
+// two cannot drift. Relieves (a field of its controller) and
+// OrphanEvents (the manager's) are plain counts, not trace kinds.
 func (m *Manager) Counters() Counters {
 	n := m.rec.Count
 	c := Counters{
@@ -62,6 +66,8 @@ func (m *Manager) Counters() Counters {
 		HeartbeatMisses: n(trace.KindHeartbeatMiss),
 		Fallbacks:       n(trace.KindFallbackEnter),
 		Restores:        n(trace.KindFallbackExit),
+
+		OrphanEvents: m.orphanEvents,
 	}
 	if m.congest != nil {
 		c.Relieves = m.congest.relieves

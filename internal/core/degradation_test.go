@@ -21,6 +21,13 @@ import (
 	"iorchestra/internal/trace"
 )
 
+// inFallback reports whether liveness has dom's guest demoted to
+// Baseline behavior.
+func inFallback(m *Manager, dom store.DomID) bool {
+	drv := m.drivers[dom]
+	return drv != nil && drv.fellBack
+}
+
 func mkPlatformCfg(t *testing.T, pol Policies, cfg ManagerConfig, seed uint64) (*sim.Kernel, *hypervisor.Host, *Manager) {
 	t.Helper()
 	k := sim.NewKernel()
@@ -86,7 +93,7 @@ func TestStuckSyncGuestSkippedAndSiblingFlushed(t *testing.T) {
 	if m.Counters().Restores == 0 {
 		t.Fatal("guest never restored after penalty")
 	}
-	if !m.live.cooperative(rt1.G.ID()) {
+	if !m.live.cooperative(m.drivers[rt1.G.ID()]) {
 		t.Fatal("recovered guest still non-cooperative")
 	}
 	if rt1.G.Disk("xvda").Cache.DirtyPages() != 0 {
@@ -106,7 +113,7 @@ func TestCrashedDriverFallsBackAndRestartRestores(t *testing.T) {
 	drv := m.EnableGuest(rt)
 	dom := rt.G.ID()
 	k.RunUntil(500 * sim.Millisecond)
-	if !m.live.cooperative(dom) {
+	if !m.live.cooperative(m.drivers[dom]) {
 		t.Fatal("healthy heartbeating guest reported non-cooperative")
 	}
 	k.At(sim.Second, drv.Crash)
@@ -114,19 +121,19 @@ func TestCrashedDriverFallsBackAndRestartRestores(t *testing.T) {
 	if !drv.crashed {
 		t.Fatal("driver not crashed")
 	}
-	if m.live.cooperative(dom) {
+	if m.live.cooperative(m.drivers[dom]) {
 		t.Fatal("guest with 1s-stale heartbeat still cooperative")
 	}
-	if m.Counters().HeartbeatMisses == 0 || m.Counters().Fallbacks == 0 || !m.live.inFallback(dom) {
+	if m.Counters().HeartbeatMisses == 0 || m.Counters().Fallbacks == 0 || !inFallback(m, dom) {
 		t.Fatalf("miss/fallback not recorded: misses=%d fallbacks=%d",
 			m.Counters().HeartbeatMisses, m.Counters().Fallbacks)
 	}
 	k.At(k.Now()+500*sim.Millisecond, drv.Restart)
 	k.RunUntil(3 * sim.Second)
-	if m.Counters().Restores == 0 || m.live.inFallback(dom) {
+	if m.Counters().Restores == 0 || inFallback(m, dom) {
 		t.Fatalf("re-registration did not restore: restores=%d", m.Counters().Restores)
 	}
-	if !m.live.cooperative(dom) {
+	if !m.live.cooperative(m.drivers[dom]) {
 		t.Fatal("restarted guest not cooperative")
 	}
 }
@@ -174,7 +181,7 @@ func TestReleaseRetryRecoversLostNotification(t *testing.T) {
 	if h.Recorder().Count(trace.KindQueueRelease) == 0 {
 		t.Fatal("guest never released despite retry")
 	}
-	if m.Counters().ReleaseTimeouts != 0 || m.live.inFallback(dom) {
+	if m.Counters().ReleaseTimeouts != 0 || inFallback(m, dom) {
 		t.Fatal("single lost delivery must not exhaust retries")
 	}
 	if got := rt.G.Disk("xvda").Queue.Completed(); got != 40 {
@@ -219,18 +226,18 @@ func TestDisableGuestForgetsDegradationState(t *testing.T) {
 	dom := rt.G.ID()
 	k.At(sim.Second, drv.Crash)
 	k.RunUntil(2 * sim.Second)
-	if m.live.cooperative(dom) {
+	if m.live.cooperative(m.drivers[dom]) {
 		t.Fatal("crashed guest cooperative")
 	}
 	m.DisableGuest(dom)
-	if m.drivers[dom] != nil || m.live.inFallback(dom) {
+	if m.drivers[dom] != nil {
 		t.Fatal("DisableGuest left state behind")
 	}
 	// Counters keep their history; a fresh guest starts clean.
 	rt2 := flushyGuest(h)
 	m.EnableGuest(rt2)
 	k.RunUntil(3 * sim.Second)
-	if !m.live.cooperative(rt2.G.ID()) {
+	if !m.live.cooperative(m.drivers[rt2.G.ID()]) {
 		t.Fatal("fresh guest not cooperative")
 	}
 }
@@ -249,9 +256,9 @@ func TestStaggeredReleaseSkipsDepartedGuest(t *testing.T) {
 	// host: stay is released at once, leave after a non-zero stagger.
 	cc := m.congest
 	for _, rt := range []*hypervisor.GuestRuntime{stay, leave} {
-		e := congEntry{dom: rt.G.ID(), disk: "xvda", since: k.Now()}
-		cc.held = append(cc.held, e)
-		cc.heldSet[congKey{dom: e.dom, disk: e.disk}] = true
+		dd := m.drivers[rt.G.ID()].disk("xvda")
+		cc.held = append(cc.held, congEntry{dd: dd, since: k.Now()})
+		dd.held = true
 	}
 	cc.congestionTick()
 	gone := leave.G.ID()
@@ -273,7 +280,7 @@ func TestStaggeredReleaseSkipsDepartedGuest(t *testing.T) {
 	if len(late) > 0 {
 		t.Fatalf("%d records against the departed guest, first %s", len(late), late[0].Kind)
 	}
-	if m.live.fallback[gone] != nil || m.Counters().Fallbacks != 0 {
+	if m.Counters().Fallbacks != 0 {
 		t.Fatalf("fallback entered for the departed guest (%d fallbacks)", m.Counters().Fallbacks)
 	}
 }

@@ -33,14 +33,24 @@ type Driver struct {
 	// cursor per per-domain and per-socket key here, a disk's on its
 	// diskDriver, every path a slice of one string bus.Keys cut at
 	// attach. The guest writes through them as itself, the manager's
-	// policies as Dom0 (docs/STORE_KEYS.md).
-	release, totalWeight, heartbeat, fallback, present, vmShare store.Cursor
-	sockets                                                     []socketKeys
+	// policies as Dom0 (docs/STORE_KEYS.md); sla/state alone is the
+	// manager's to create and write, the guest only watches it.
+	release, totalWeight, heartbeat, fallback, present, vmShare, slaState store.Cursor
+	sockets                                                               []socketKeys
 
 	// disks are in name order, the order every per-disk loop runs in.
 	disks []diskDriver
 
-	// Liveness machinery and fault-injection state.
+	// The manager's per-guest policy state, Dom0's side of the guest: the
+	// guest never reads it, and it goes with the driver at DisableGuest.
+	beat       beatNode      // liveness: the guest's place on the beat list
+	fellBack   bool          // liveness: demoted to Baseline behavior
+	fellBackAt sim.Time      // liveness: when, while fellBack
+	pendingRel *releaseState // congestion: unacknowledged release_request
+	coschedOff bool          // co-scheduling: held static (DisableCosched)
+	lat        latWindow     // gstate: the last latency snapshot
+
+	// The guest's heartbeat and watch, and fault-injection state.
 	watchID   store.WatchID
 	hb        *sim.Ticker
 	hbCount   int64
@@ -97,6 +107,11 @@ type diskDriver struct {
 	nrTimer       *sim.Event
 	pendingNr     int64
 	havePending   bool
+
+	// The manager's policy state about the disk (see Driver).
+	retries   int  // flush: timed-out orders since the guest last answered
+	withdrawn int  // flush: own flush_now=0 withdrawals still in flight
+	held      bool // congestion: on the held FIFO
 }
 
 // NewDriver installs the IOrchestra driver into a guest on host h. It
@@ -160,6 +175,7 @@ func (drv *Driver) registerKeys(disks []*guest.VDisk) {
 		ks.Add(&drv.fallback, keyFallback)
 		ks.Add(&drv.present, keyDriverPresent)
 		ks.Add(&drv.vmShare, keyVMShare)
+		ks.Add(&drv.slaState, keySLAState)
 		for i := range drv.sockets {
 			sk := &drv.sockets[i]
 			ks.AddIndex(&sk.weight, keyWeightPrefix, sk.socket)

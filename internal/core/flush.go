@@ -9,16 +9,12 @@ import (
 	"iorchestra/internal/trace"
 )
 
-// retryKey indexes bounded-retry state per (guest, disk).
-type retryKey struct {
-	dom  store.DomID
-	disk string
-}
-
 // flushController is Algorithm 1, the policy for flushing dirty pages:
 // when the device has low utilization, tell the guest with the most
 // dirty pages to flush. Guest dirty mirrors live in the hypervisor
 // Monitor; this controller only decides and actuates through the store.
+// Its per-disk state (bounded-retry debt, withdrawals in flight) lives on
+// the disk's diskDriver.
 type flushController struct {
 	m   *Manager
 	cfg *ManagerConfig
@@ -26,17 +22,11 @@ type flushController struct {
 
 	check cadence
 
-	outstandingDom   store.DomID
-	outstandingDisk  string
+	// outstanding is the disk the last order went to, nil once the guest
+	// answered or the order was abandoned.
+	outstanding      *diskDriver
 	outstandingSince sim.Time
 	lastNotice       sim.Time
-
-	retries map[retryKey]int
-	// withdrawn counts the manager's own flush_now=0 withdrawal writes
-	// whose watch notifications are still in flight: they must not be
-	// mistaken for guest acks (the notification arrives a latency later,
-	// possibly after the next order went out).
-	withdrawn map[retryKey]int
 }
 
 func newFlushController(m *Manager) *flushController {
@@ -46,8 +36,6 @@ func newFlushController(m *Manager) *flushController {
 		mon: m.h.Monitor(),
 		// No order yet: the first one owes no cooldown.
 		lastNotice: -m.cfg.FlushCooldown,
-		retries:    map[retryKey]int{},
-		withdrawn:  map[retryKey]int{},
 	}
 	// Algorithm 1's mid-burst guard, taken literally: a guest whose dirty
 	// count grew within the last 200 ms is still writing — leave it alone.
@@ -59,63 +47,49 @@ func newFlushController(m *Manager) *flushController {
 	return fc
 }
 
-// detach forgets all flush state about dom.
-func (fc *flushController) detach(dom store.DomID) {
-	fc.mon.ForgetGuest(dom)
-	if fc.outstandingDom == dom {
-		fc.outstandingDom = 0
-	}
-	for rk := range fc.retries {
-		if rk.dom == dom {
-			delete(fc.retries, rk)
-		}
-	}
-	for rk := range fc.withdrawn {
-		if rk.dom == dom {
-			delete(fc.withdrawn, rk)
-		}
-	}
+// detach forgets the guest's dirty mirror and any order outstanding on
+// one of its disks.
+func (fc *flushController) detach(drv *Driver) {
+	fc.mon.ForgetGuest(drv.id)
+	fc.fellBack(drv)
 }
 
 // noteDirty mirrors a guest's has_dirty_pages bit; a dirty guest is a
 // flush candidate, so the idle-bandwidth check runs.
-func (fc *flushController) noteDirty(dom store.DomID, disk string, has bool) {
-	fc.mon.ObserveDirty(dom, disk, has)
+func (fc *flushController) noteDirty(dd *diskDriver, has bool) {
+	fc.mon.ObserveDirty(dd.drv.id, dd.name, has)
 	if has {
 		fc.check.arm()
 	}
 }
 
-func (fc *flushController) noteFlushAck(dom store.DomID, disk string) {
-	rk := retryKey{dom: dom, disk: disk}
-	if fc.withdrawn[rk] > 0 {
-		// Our own withdrawal echoing back — not a guest ack.
-		if fc.withdrawn[rk]--; fc.withdrawn[rk] == 0 {
-			delete(fc.withdrawn, rk)
-		}
+func (fc *flushController) noteFlushAck(dd *diskDriver) {
+	if dd.withdrawn > 0 {
+		// Our own withdrawal echoing back — not a guest ack. The
+		// notification arrives a latency later, possibly after the next
+		// order went out.
+		dd.withdrawn--
 		return
 	}
-	if dom == fc.outstandingDom && disk == fc.outstandingDisk {
-		fc.outstandingDom = 0 // guest answered; allow the next flush
-		delete(fc.retries, rk)
+	if dd == fc.outstanding {
+		fc.outstanding = nil // guest answered; allow the next flush
+		dd.retries = 0
 	}
 }
 
 // fellBack: a demoted guest can owe us nothing — drop any outstanding
 // order so the argmax is free to pick a live candidate.
-func (fc *flushController) fellBack(dom store.DomID) {
-	if fc.outstandingDom == dom {
-		fc.outstandingDom = 0
+func (fc *flushController) fellBack(drv *Driver) {
+	if fc.outstanding != nil && fc.outstanding.drv == drv {
+		fc.outstanding = nil
 	}
 }
 
 // restored wipes the guest's retry debt and resumes idle checks if
 // anyone still holds dirty pages.
-func (fc *flushController) restored(dom store.DomID) {
-	for rk := range fc.retries {
-		if rk.dom == dom {
-			delete(fc.retries, rk)
-		}
+func (fc *flushController) restored(drv *Driver) {
+	for i := range drv.disks {
+		drv.disks[i].retries = 0
 	}
 	if fc.mon.AnyDirty() {
 		fc.check.arm()
@@ -127,28 +101,26 @@ func (fc *flushController) restored(dom store.DomID) {
 func (fc *flushController) flushTick() {
 	m := fc.m
 	now := m.k.Now()
-	if fc.outstandingDom != 0 {
+	if dd := fc.outstanding; dd != nil {
 		if now-fc.outstandingSince < fc.cfg.FlushTimeout {
 			return
 		}
 		// Deadline expired: the guest never answered flush_now. Withdraw
-		// the stale order, count a bounded retry against the pair, and
+		// the stale order, count a bounded retry against the disk, and
 		// after FlushMaxRetries demote the guest so the argmax below can
 		// never pick the same dead guest forever while live candidates
 		// starve.
-		dom, disk := fc.outstandingDom, fc.outstandingDisk
-		fc.outstandingDom = 0
-		rk := retryKey{dom: dom, disk: disk}
-		fc.retries[rk]++
+		fc.outstanding = nil
+		dd.retries++
 		m.rec.Record(trace.Record{
-			Kind: trace.KindFlushTimeout, Dom: int(dom), Disk: disk,
-			Value: strconv.Itoa(fc.retries[rk]),
+			Kind: trace.KindFlushTimeout, Dom: int(dd.drv.id), Disk: dd.name,
+			Value: strconv.Itoa(dd.retries),
 		})
-		fc.withdrawn[rk]++
-		m.st.WriteBoolCursor(store.Dom0, m.diskKey(dom, disk, diskFlushNow), false)
-		if fc.retries[rk] > fc.cfg.FlushMaxRetries {
-			delete(fc.retries, rk)
-			m.live.enterFallback(dom, "flush-deadline")
+		dd.withdrawn++
+		m.st.WriteBoolCursor(store.Dom0, &dd.keys[diskFlushNow], false)
+		if dd.retries > fc.cfg.FlushMaxRetries {
+			dd.retries = 0
+			m.live.enterFallback(dd.drv, "flush-deadline")
 		}
 	}
 	// Algorithm 1's trigger, taken literally: act only when the device
@@ -171,16 +143,20 @@ func (fc *flushController) flushTick() {
 	// are Baseline guests — their own flusher threads own the dirty
 	// pages, so BestDirty skips them (Algorithm 1's liveness gate).
 	m.live.sweepStale(fc.mon.Observed)
-	bestDom, bestDisk, bestNr, found := fc.mon.BestDirty(now, m.live.cooperative)
+	bestDom, bestDisk, bestNr, found := fc.mon.BestDirty(now, m.live.cooperativeDom)
 	if !found || bestNr*4096 < fc.cfg.MinFlushBytes {
 		return
 	}
+	// A cooperative dom has a driver; the Monitor learns a disk only from
+	// that driver's has_dirty_pages (or a migration's copy of the same
+	// disk set), so the driver drives it.
+	dd := m.drivers[bestDom].disk(bestDisk)
 	fc.lastNotice = now
-	fc.outstandingDom, fc.outstandingDisk, fc.outstandingSince = bestDom, bestDisk, now
+	fc.outstanding, fc.outstandingSince = dd, now
 	m.rec.Record(trace.Record{
 		Kind: trace.KindFlushOrder, Dom: int(bestDom), Disk: bestDisk,
 		NrDirty: bestNr, DeviceBps: dev.BandwidthBps,
 		UtilFrac: dev.UtilFraction,
 	})
-	m.st.WriteBoolCursor(store.Dom0, m.diskKey(bestDom, bestDisk, diskFlushNow), true)
+	m.st.WriteBoolCursor(store.Dom0, &dd.keys[diskFlushNow], true)
 }

@@ -41,19 +41,13 @@ type gstateController struct {
 	pressTicks  int
 	reliefTicks int
 
-	// lat holds per-guest (count, sum) latency snapshots; the delta
-	// between ticks is the windowed mean the latency verdict uses.
-	lat map[store.DomID]latWindow
-
 	// pending holds deferred arrivals in FIFO order.
 	pending []store.DomID
-
-	// state holds each attached guest's sla/state cursor. The node is
-	// Dom0's, created by applyState, so the cursor is the policy's and not
-	// on the guest driver's key table.
-	state map[store.DomID]*store.Cursor
 }
 
+// latWindow is a guest's (count, sum) latency snapshot, kept on its
+// Driver; the delta between ticks is the windowed mean the latency
+// verdict uses.
 type latWindow struct {
 	count uint64
 	sum   sim.Time
@@ -65,8 +59,6 @@ func newGStateController(m *Manager) *gstateController {
 		mon:     m.h.Monitor(),
 		machine: gstate.NewMachine(),
 		meter:   gstate.NewMeter(),
-		lat:     map[store.DomID]latWindow{},
-		state:   map[store.DomID]*store.Cursor{},
 	}
 	gc.sample = cadence{k: m.k, period: gstateInterval, tick: gc.gstateTick}
 	return gc
@@ -75,8 +67,8 @@ func newGStateController(m *Manager) *gstateController {
 // attach runs admission control for a new guest: read its declared SLA,
 // defer a bronze arrival while gold is in violation (parked at the
 // bronze floor weight until relief), admit everyone else at G0.
-func (gc *gstateController) attach(dom store.DomID) {
-	gc.state[dom] = gc.m.st.CursorFor(store.SLAKey(dom, gstate.KeyState))
+func (gc *gstateController) attach(drv *Driver) {
+	dom := drv.id
 	tier, sla := gstate.ReadSLA(gc.m.st, dom)
 	if tier == gstate.Bronze && gc.meter.AnyViolating(gstate.Gold) {
 		gc.m.rec.Record(trace.Record{
@@ -86,12 +78,12 @@ func (gc *gstateController) attach(dom store.DomID) {
 		// Park the arrival at the bronze floor: it runs, but at the
 		// deepest throttle, so it cannot widen the violation it arrived
 		// into. admitPending lifts it on relief.
-		gc.applyState(dom, gstate.Bronze.Floor())
+		gc.applyState(drv, gstate.Bronze.Floor())
 		gc.pending = append(gc.pending, dom)
 		gc.sample.arm()
 		return
 	}
-	gc.admitGuest(dom, tier, sla, "immediate")
+	gc.admitGuest(drv, tier, sla, "immediate")
 	gc.sample.arm()
 }
 
@@ -101,8 +93,6 @@ func (gc *gstateController) attach(dom store.DomID) {
 func (gc *gstateController) detach(dom store.DomID) {
 	gc.machine.Remove(dom)
 	gc.meter.Forget(dom, gc.m.k.Now())
-	delete(gc.lat, dom)
-	delete(gc.state, dom)
 	for i, d := range gc.pending {
 		if d == dom {
 			gc.pending = append(gc.pending[:i], gc.pending[i+1:]...)
@@ -116,11 +106,11 @@ func (gc *gstateController) Meter() *gstate.Meter { return gc.meter }
 
 // admitGuest installs a guest in the state machine at G0 and publishes
 // the full-speed state.
-func (gc *gstateController) admitGuest(dom store.DomID, tier gstate.Tier, sla gstate.SLA, how string) {
-	gc.machine.Add(dom, tier, sla)
-	gc.applyState(dom, gstate.G0)
+func (gc *gstateController) admitGuest(drv *Driver, tier gstate.Tier, sla gstate.SLA, how string) {
+	gc.machine.Add(drv.id, tier, sla)
+	gc.applyState(drv, gstate.G0)
 	gc.m.rec.Record(trace.Record{
-		Kind: trace.KindGStateAdmit, Dom: int(dom),
+		Kind: trace.KindGStateAdmit, Dom: int(drv.id),
 		Path: string(tier), Value: how,
 	})
 }
@@ -129,9 +119,9 @@ func (gc *gstateController) admitGuest(dom store.DomID, tier gstate.Tier, sla gs
 // weight at the host cgroup (backend mode: class id = domain id) and
 // the published sla/state index the guest driver answers by scaling its
 // congestion thresholds — the collaborative half of the actuation.
-func (gc *gstateController) applyState(dom store.DomID, st gstate.State) {
-	gc.m.h.SetClassWeight(int(dom), st.Weight())
-	key := gc.state[dom]
+func (gc *gstateController) applyState(drv *Driver, st gstate.State) {
+	gc.m.h.SetClassWeight(int(drv.id), st.Weight())
+	key := &drv.slaState
 	if !gc.m.st.Exists(key.Path()) {
 		// The node is Dom0-owned (the manager publishes it), but the
 		// guest driver watches it — and the store checks the watcher's
@@ -140,7 +130,7 @@ func (gc *gstateController) applyState(dom store.DomID, st gstate.State) {
 		// every state notification would be silently filtered and the
 		// guest would never scale its congestion thresholds.
 		gc.m.st.WriteIntCursor(store.Dom0, key, int64(gstate.G0))
-		gc.m.st.Grant(store.Dom0, key.Path(), dom, store.PermRead)
+		gc.m.st.Grant(store.Dom0, key.Path(), drv.id, store.PermRead)
 	}
 	gc.m.st.WriteIntCursor(store.Dom0, key, int64(st))
 }
@@ -188,7 +178,7 @@ func (gc *gstateController) demoteOne() {
 	if !ok {
 		return // every guest is at its tier floor
 	}
-	gc.applyState(dom, st)
+	gc.applyState(gc.m.drivers[dom], st)
 	gc.m.rec.Record(trace.Record{
 		Kind: trace.KindGStateDemote, Dom: int(dom),
 		Path: string(gc.machine.Tier(dom)), Value: st.String(), Weight: st.Weight(),
@@ -201,7 +191,7 @@ func (gc *gstateController) promoteOne() {
 	if !ok {
 		return // everyone already at G0
 	}
-	gc.applyState(dom, st)
+	gc.applyState(gc.m.drivers[dom], st)
 	gc.m.rec.Record(trace.Record{
 		Kind: trace.KindGStatePromote, Dom: int(dom),
 		Path: string(gc.machine.Tier(dom)), Value: st.String(), Weight: st.Weight(),
@@ -223,13 +213,14 @@ func (gc *gstateController) observeViolations(now sim.Time) {
 			reason = "bandwidth"
 		}
 		count, sum := gc.mon.GuestPathStats(dom)
-		if w := gc.lat[dom]; count > w.count && reason == "" {
+		drv := gc.m.drivers[dom]
+		if w := drv.lat; count > w.count && reason == "" {
 			mean := sim.Duration(sum-w.sum) / sim.Duration(count-w.count)
 			if mean > sla.P99Budget {
 				reason = "latency"
 			}
 		}
-		gc.lat[dom] = latWindow{count: count, sum: sum}
+		drv.lat = latWindow{count: count, sum: sum}
 		if onset := gc.meter.Observe(dom, tier, reason != "", now); onset {
 			gc.m.rec.Record(trace.Record{
 				Kind: trace.KindGStateViolation, Dom: int(dom),
@@ -248,9 +239,6 @@ func (gc *gstateController) admitPending() {
 	}
 	dom := gc.pending[0]
 	gc.pending = gc.pending[1:]
-	if gc.m.drivers[dom] == nil {
-		return // guest left before admission
-	}
 	tier, sla := gstate.ReadSLA(gc.m.st, dom)
-	gc.admitGuest(dom, tier, sla, "deferred")
+	gc.admitGuest(gc.m.drivers[dom], tier, sla, "deferred")
 }

@@ -16,64 +16,53 @@ import (
 // behavior and tells the manager, whose policies unstick anything they
 // were holding or expecting from it. Siblings keep full collaboration.
 //
-// Policies consume it through two calls: cooperative(dom) at decision
-// sites (which lazily runs the heartbeat check, so detection costs
-// nothing while everyone is healthy) and inFallback(dom) for read-only
-// gating. They never touch the fallback state directly.
+// Policies consume it through cooperative(drv) at decision sites (which
+// lazily runs the heartbeat check, so detection costs nothing while
+// everyone is healthy) and read Driver.fellBack for read-only gating;
+// only liveness writes a driver's liveness fields.
 type liveness struct {
 	m *Manager
 
-	// beats holds per-guest heartbeat stamps, doubly linked in stamp
-	// order (stamps are always "now", so a beat moves its node to the
-	// back in O(1) and the stale set is always a prefix). This keeps
-	// sweepStale proportional to the number of stale guests, not the
-	// number of guests.
-	beats              map[store.DomID]*beatNode
-	beatHead, beatTail *beatNode
-	fallback           map[store.DomID]*fallbackState
+	// The beat list: every enabled guest's driver, doubly linked in
+	// heartbeat-stamp order (stamps are always "now", so a beat moves its
+	// driver to the back in O(1) and the stale set is always a prefix).
+	// This keeps sweepStale proportional to the number of stale guests,
+	// not the number of guests.
+	beatHead, beatTail *Driver
 }
 
-// beatNode is one guest's last-heartbeat stamp on the beat list.
+// beatNode is one guest's last-heartbeat stamp and its links on the beat
+// list; it lives in the guest's Driver.
 type beatNode struct {
-	dom        store.DomID
 	last       sim.Time
-	prev, next *beatNode
+	prev, next *Driver
 }
 
-// fallbackState marks a guest demoted to Baseline behavior.
-type fallbackState struct {
-	reason string
-	since  sim.Time
-}
+func newLiveness(m *Manager) *liveness { return &liveness{m: m} }
 
-func newLiveness(m *Manager) *liveness {
-	return &liveness{
-		m:        m,
-		beats:    map[store.DomID]*beatNode{},
-		fallback: map[store.DomID]*fallbackState{},
-	}
-}
-
-// cooperative reports whether dom may participate in collaborative
-// decisions, lazily demoting it on a stale heartbeat — the check runs at
-// decision sites, so detection costs nothing while everyone is healthy.
-func (lv *liveness) cooperative(dom store.DomID) bool {
-	if lv.m.drivers[dom] == nil {
-		// Never enabled, or disabled: no driver to cooperate with.
+// cooperative reports whether drv's guest may participate in
+// collaborative decisions, lazily demoting it on a stale heartbeat — the
+// check runs at decision sites, so detection costs nothing while everyone
+// is healthy. A nil driver (never enabled, or disabled) has nobody to
+// cooperate with.
+func (lv *liveness) cooperative(drv *Driver) bool {
+	if drv == nil || drv.fellBack {
 		return false
 	}
-	if lv.fallback[dom] != nil {
-		return false
-	}
-	if n := lv.beats[dom]; n != nil && lv.m.k.Now()-n.last > heartbeatTimeout {
+	if now := lv.m.k.Now(); now-drv.beat.last > heartbeatTimeout {
 		lv.m.rec.Record(trace.Record{
-			Kind: trace.KindHeartbeatMiss, Dom: int(dom),
-			Latency: lv.m.k.Now() - n.last,
+			Kind: trace.KindHeartbeatMiss, Dom: int(drv.id),
+			Latency: now - drv.beat.last,
 		})
-		lv.enterFallback(dom, "heartbeat")
+		lv.enterFallback(drv, "heartbeat")
 		return false
 	}
 	return true
+}
+
+// cooperativeDom is cooperative by dom, the form Monitor.BestDirty asks.
+func (lv *liveness) cooperativeDom(dom store.DomID) bool {
+	return lv.cooperative(lv.m.drivers[dom])
 }
 
 // sweepStale demotes every stale-hearted guest accepted by keep, in
@@ -85,121 +74,104 @@ func (lv *liveness) cooperative(dom store.DomID) bool {
 // every-dirty-dom scan.
 func (lv *liveness) sweepStale(keep func(store.DomID) bool) {
 	now := lv.m.k.Now()
-	var stale []store.DomID
-	for n := lv.beatHead; n != nil && now-n.last > heartbeatTimeout; n = n.next {
-		if lv.fallback[n.dom] == nil && lv.m.drivers[n.dom] != nil && keep(n.dom) {
-			stale = append(stale, n.dom)
+	var stale []*Driver
+	for d := lv.beatHead; d != nil && now-d.beat.last > heartbeatTimeout; d = d.beat.next {
+		if !d.fellBack && keep(d.id) {
+			stale = append(stale, d)
 		}
 	}
 	if len(stale) == 0 {
 		return
 	}
-	sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
-	for _, dom := range stale {
-		lv.cooperative(dom)
+	sort.Slice(stale, func(i, j int) bool { return stale[i].id < stale[j].id })
+	for _, d := range stale {
+		lv.cooperative(d)
 	}
 }
 
-// noteBeat stamps dom's heartbeat at now, keeping the beat list in
-// stamp order (move to back).
-func (lv *liveness) noteBeat(dom store.DomID) {
-	n := lv.beats[dom]
-	if n == nil {
-		n = &beatNode{dom: dom}
-		lv.beats[dom] = n
-	} else if n == lv.beatTail {
-		n.last = lv.m.k.Now()
-		return
-	} else {
-		lv.beatUnlink(n)
+// noteBeat stamps drv's heartbeat at now and moves it to the back of the
+// beat list, keeping the list in stamp order.
+func (lv *liveness) noteBeat(drv *Driver) {
+	drv.beat.last = lv.m.k.Now()
+	if drv != lv.beatTail {
+		lv.beatUnlink(drv)
+		lv.beatPushBack(drv)
 	}
-	n.last = lv.m.k.Now()
-	n.prev = lv.beatTail
+}
+
+func (lv *liveness) beatPushBack(drv *Driver) {
+	drv.beat.prev = lv.beatTail
 	if lv.beatTail != nil {
-		lv.beatTail.next = n
+		lv.beatTail.beat.next = drv
 	} else {
-		lv.beatHead = n
+		lv.beatHead = drv
 	}
-	lv.beatTail = n
+	lv.beatTail = drv
 }
 
-func (lv *liveness) beatUnlink(n *beatNode) {
+func (lv *liveness) beatUnlink(drv *Driver) {
+	n := &drv.beat
 	if n.prev != nil {
-		n.prev.next = n.next
+		n.prev.beat.next = n.next
 	} else {
 		lv.beatHead = n.next
 	}
 	if n.next != nil {
-		n.next.prev = n.prev
+		n.next.beat.prev = n.prev
 	} else {
 		lv.beatTail = n.prev
 	}
 	n.prev, n.next = nil, nil
 }
 
-// inFallback is the read-only probe (no lazy heartbeat check).
-func (lv *liveness) inFallback(dom store.DomID) bool { return lv.fallback[dom] != nil }
-
-// noteHeartbeat and noteDriverRegistered ignore a dom with no driver: a
-// departed guest's last writes are delivered after DisableGuest, and a
-// beat stamped for it would sit at the head of the stale prefix
-// sweepStale walks, forever.
-func (lv *liveness) noteHeartbeat(dom store.DomID) {
-	if lv.m.drivers[dom] == nil {
-		return
-	}
-	lv.noteBeat(dom)
+func (lv *liveness) noteHeartbeat(drv *Driver) {
+	lv.noteBeat(drv)
 	// A fallen-back guest that has served its penalty and is beating
 	// again earns its way back to collaborative mode.
-	if fb := lv.fallback[dom]; fb != nil && lv.m.k.Now()-fb.since >= lv.m.cfg.FallbackPenalty {
-		lv.exitFallback(dom, "heartbeat-resumed")
+	if drv.fellBack && lv.m.k.Now()-drv.fellBackAt >= lv.m.cfg.FallbackPenalty {
+		lv.exitFallback(drv, "heartbeat-resumed")
 	}
 }
 
-func (lv *liveness) noteDriverRegistered(dom store.DomID) {
-	if lv.m.drivers[dom] == nil {
+func (lv *liveness) noteDriverRegistered(drv *Driver) {
+	lv.noteBeat(drv)
+	if drv.fellBack {
+		lv.exitFallback(drv, "driver-registered")
+	}
+}
+
+// enterFallback demotes drv's guest to Baseline behavior, then lets every
+// policy unstick anything it was holding or expecting from the guest.
+func (lv *liveness) enterFallback(drv *Driver, reason string) {
+	if drv.fellBack {
 		return
 	}
-	lv.noteBeat(dom)
-	if lv.fallback[dom] != nil {
-		lv.exitFallback(dom, "driver-registered")
-	}
+	drv.fellBack, drv.fellBackAt = true, lv.m.k.Now()
+	lv.m.rec.Record(trace.Record{Kind: trace.KindFallbackEnter, Dom: int(drv.id), Value: reason})
+	lv.m.st.WriteBoolCursor(store.Dom0, &drv.fallback, true)
+	lv.m.fellBack(drv)
 }
 
-// enterFallback demotes dom to Baseline behavior, then lets every policy
-// unstick anything it was holding or expecting from the guest.
-func (lv *liveness) enterFallback(dom store.DomID, reason string) {
-	if lv.fallback[dom] != nil {
+// exitFallback restores drv's guest to collaborative mode with a clean
+// slate.
+func (lv *liveness) exitFallback(drv *Driver, reason string) {
+	if !drv.fellBack {
 		return
 	}
-	lv.fallback[dom] = &fallbackState{reason: reason, since: lv.m.k.Now()}
-	lv.m.rec.Record(trace.Record{Kind: trace.KindFallbackEnter, Dom: int(dom), Value: reason})
-	lv.m.st.WriteBoolCursor(store.Dom0, &lv.m.drivers[dom].fallback, true)
-	lv.m.fellBack(dom)
+	drv.fellBack = false
+	lv.m.rec.Record(trace.Record{Kind: trace.KindFallbackExit, Dom: int(drv.id), Value: reason})
+	lv.m.st.WriteBoolCursor(store.Dom0, &drv.fallback, false)
+	lv.noteBeat(drv) // fresh grace window
+	lv.m.restored(drv)
 }
 
-// exitFallback restores dom to collaborative mode with a clean slate.
-func (lv *liveness) exitFallback(dom store.DomID, reason string) {
-	if lv.fallback[dom] == nil {
-		return
-	}
-	delete(lv.fallback, dom)
-	lv.m.rec.Record(trace.Record{Kind: trace.KindFallbackExit, Dom: int(dom), Value: reason})
-	lv.m.st.WriteBoolCursor(store.Dom0, &lv.m.drivers[dom].fallback, false)
-	lv.noteBeat(dom) // fresh grace window
-	lv.m.restored(dom)
+// noteAttached puts a new guest on the beat list and seeds its grace
+// window: registration counts as the first heartbeat (the real one
+// arrives through the store a notification latency later).
+func (lv *liveness) noteAttached(drv *Driver) {
+	drv.beat.last = lv.m.k.Now()
+	lv.beatPushBack(drv)
 }
 
-// noteAttached seeds the grace window: registration counts as the first
-// heartbeat (the real one arrives through the store a notification
-// latency later).
-func (lv *liveness) noteAttached(dom store.DomID) { lv.noteBeat(dom) }
-
-// forget drops all liveness state for a removed guest.
-func (lv *liveness) forget(dom store.DomID) {
-	if n := lv.beats[dom]; n != nil {
-		lv.beatUnlink(n)
-		delete(lv.beats, dom)
-	}
-	delete(lv.fallback, dom)
-}
+// forget takes a removed guest off the beat list.
+func (lv *liveness) forget(drv *Driver) { lv.beatUnlink(drv) }

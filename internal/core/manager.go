@@ -18,8 +18,9 @@ import (
 // owns the privileged store watch and hands each parsed key to the
 // policy that owns it, hosts the shared liveness middleware, and runs
 // the per-guest lifecycle (driver installation, teardown). The policies
-// themselves live in flush.go, congestion.go, cosched.go and gstate.go;
-// the Manager holds no policy state of its own.
+// themselves live in flush.go, congestion.go, cosched.go and gstate.go,
+// and their state about one guest on its Driver; the Manager holds no
+// policy state of its own.
 //
 // Manager is a Controller, the lifecycle a platform drives, as the
 // baseline systems are.
@@ -35,18 +36,17 @@ type Manager struct {
 	// rec.Record; Counters reads the per-kind counts back.
 	rec *trace.Recorder
 
-	// drivers holds each enabled guest's driver, and with it the key
-	// table every policy writes and reads the guest's keys through (as
-	// Dom0). Each such site runs only for a dom in this map: it checks
-	// live.cooperative, which requires the driver, or a m.drivers entry
-	// directly, or it acts on state DisableGuest clears with the entry —
-	// flush's outstanding order, congestion's held and pending releases,
-	// liveness's fallbacks, cosched's walk over this map and gstate's
-	// machine. The one lookup that can miss is a disk the driver does not
-	// drive (Manager.diskKey).
+	// drivers holds each enabled guest's driver: its key table, through
+	// which every policy writes and reads the guest's keys (as Dom0), and
+	// every policy's state about the guest and its disks. It is the
+	// manager's one per-guest index.
 	drivers map[store.DomID]*Driver
-	live    *liveness
-	faults  *fault.Injector // optional; see SetFaults
+	// orphanEvents counts store events dropped at dispatch: they name a
+	// dom with no driver, or a disk its driver does not drive.
+	orphanEvents uint64
+
+	live   *liveness
+	faults *fault.Injector // optional; see SetFaults
 
 	// The policies, each nil when Policies leaves it off. Every lifecycle
 	// step calls them in this order: flush, congestion, cosched, gstate.
@@ -120,21 +120,22 @@ func (m *Manager) EnableGuest(rt *hypervisor.GuestRuntime) *Driver {
 	m.drivers[rt.G.ID()] = drv
 	// Registration counts as the first heartbeat: the real one arrives
 	// through the store a notification latency later.
-	m.live.noteAttached(rt.G.ID())
+	m.live.noteAttached(drv)
 	if m.cosched != nil {
 		// A new guest may shift the per-core latency distribution at once.
 		m.cosched.sample.arm()
 	}
 	if m.gstate != nil {
-		m.gstate.attach(rt.G.ID())
+		m.gstate.attach(drv)
 	}
 	return drv
 }
 
-// DisableGuest closes a guest's driver and lets every policy forget its
-// state about the guest — the teardown path for guest removal (the arrival
-// experiments call it through Platform.Disable). Safe to call for guests
-// that were never enabled.
+// DisableGuest closes a guest's driver, and with it every policy's state
+// about the guest, then unlinks the guest from the orders that span
+// guests — the teardown path for guest removal (the arrival experiments
+// call it through Platform.Disable). Safe to call for guests that were
+// never enabled.
 func (m *Manager) DisableGuest(dom store.DomID) {
 	drv := m.drivers[dom]
 	if drv == nil {
@@ -143,18 +144,15 @@ func (m *Manager) DisableGuest(dom store.DomID) {
 	drv.Close()
 	delete(m.drivers, dom)
 	if m.flush != nil {
-		m.flush.detach(dom)
+		m.flush.detach(drv)
 	}
 	if m.congest != nil {
-		m.congest.detach(dom)
-	}
-	if m.cosched != nil {
-		delete(m.cosched.off, dom)
+		m.congest.detach(drv)
 	}
 	if m.gstate != nil {
 		m.gstate.detach(dom)
 	}
-	m.live.forget(dom)
+	m.live.forget(drv)
 }
 
 // fellBack lets each policy unstick anything it was holding or expecting
@@ -162,19 +160,19 @@ func (m *Manager) DisableGuest(dom store.DomID) {
 // (docs/FAULTS.md). Co-scheduling has nothing to unstick: its tick skips
 // fallen-back guests, leaving their last-applied static weights in place
 // (Algorithm 3 degradation).
-func (m *Manager) fellBack(dom store.DomID) {
+func (m *Manager) fellBack(drv *Driver) {
 	if m.flush != nil {
-		m.flush.fellBack(dom)
+		m.flush.fellBack(drv)
 	}
 	if m.congest != nil {
-		m.congest.fellBack(dom)
+		m.congest.fellBack(drv)
 	}
 }
 
 // restored runs when liveness lets a guest back into collaborative mode.
-func (m *Manager) restored(dom store.DomID) {
+func (m *Manager) restored(drv *Driver) {
 	if m.flush != nil {
-		m.flush.restored(dom)
+		m.flush.restored(drv)
 	}
 }
 
@@ -188,27 +186,14 @@ func (m *Manager) GStateMeter() *gstate.Meter {
 	return m.gstate.Meter()
 }
 
-// DisableCosched excludes one guest from co-scheduling decisions (weight
-// targets and quanta); ablation experiments use it to hold a guest's
-// process placement static on an otherwise identical platform. A no-op
-// when the manager runs without the co-scheduling policy.
+// DisableCosched excludes one enabled guest from co-scheduling decisions
+// (weight targets and quanta); ablation experiments use it to hold a
+// guest's process placement static on an otherwise identical platform. A
+// no-op when the manager runs without the co-scheduling policy.
 func (m *Manager) DisableCosched(dom store.DomID) {
-	if m.cosched != nil {
-		m.cosched.off[dom] = true
+	if drv := m.drivers[dom]; drv != nil {
+		drv.coschedOff = true
 	}
-}
-
-// diskKey returns the cursor of one of dom's per-disk keys, a
-// diskDriver.keys index: the one its driver registered, or a fresh cursor
-// on the absolute path for a disk the driver does not drive. The Monitor
-// learns a dom's disks from its has_dirty_pages writes, and can hold one
-// written under an earlier driver of the same dom id, delivered after
-// DisableGuest forgot it. dom has a driver (see drivers).
-func (m *Manager) diskKey(dom store.DomID, disk string, key int) *store.Cursor {
-	if dd := m.drivers[dom].disk(disk); dd != nil {
-		return &dd.keys[key]
-	}
-	return m.st.CursorFor(store.DiskPath(dom, disk, diskKeyNames[key]))
 }
 
 // crossSocketGuestExists reports whether any enabled guest spans sockets
@@ -222,9 +207,12 @@ func (m *Manager) crossSocketGuestExists() bool {
 	return false
 }
 
-// onStoreEvent parses /local/domain/<id>/<rel> and hands the key to the
-// policy that owns it (docs/STORE_KEYS.md, "Controller routing"). The
-// keys of a policy Policies leaves off are dropped.
+// onStoreEvent parses /local/domain/<id>/<rel>, resolves the dom's
+// driver (and, for a virt-dev key, the disk's) once, and hands the key
+// to the policy that owns it (docs/STORE_KEYS.md, "Controller routing").
+// An event for a dom with no driver, or for a disk its driver does not
+// drive, reaches no policy and is counted; the keys of a policy Policies
+// leaves off are dropped.
 func (m *Manager) onStoreEvent(path, value string) {
 	const prefix = store.Root + "/"
 	if !strings.HasPrefix(path, prefix) {
@@ -239,7 +227,11 @@ func (m *Manager) onStoreEvent(path, value string) {
 	if err != nil {
 		return
 	}
-	dom := store.DomID(id)
+	drv := m.drivers[store.DomID(id)]
+	if drv == nil {
+		m.orphanEvents++
+		return
+	}
 	rel := rest[i+1:]
 	if strings.HasPrefix(rel, "virt-dev/") {
 		dr := rel[len("virt-dev/"):]
@@ -247,30 +239,34 @@ func (m *Manager) onStoreEvent(path, value string) {
 		if j < 0 {
 			return
 		}
-		disk, key := dr[:j], dr[j+1:]
-		switch {
+		dd := drv.disk(dr[:j])
+		if dd == nil {
+			m.orphanEvents++
+			return
+		}
+		switch key := dr[j+1:]; {
 		case key == keyHasDirty && m.flush != nil:
-			m.flush.noteDirty(dom, disk, value == "1")
+			m.flush.noteDirty(dd, value == "1")
 		case key == keyNrDirty && m.flush != nil:
 			if nr, err := strconv.ParseInt(value, 10, 64); err == nil {
-				m.flush.mon.ObserveNrDirty(dom, disk, nr)
+				m.flush.mon.ObserveNrDirty(drv.id, dd.name, nr)
 			}
 		case key == keyFlushNow && value == "0" && m.flush != nil:
 			// The guest's reset of our order is the completion ack.
-			m.flush.noteFlushAck(dom, disk)
+			m.flush.noteFlushAck(dd)
 		case key == keyCongestQuery && value == "1" && m.congest != nil:
-			m.congest.handleCongestQuery(dom, disk)
+			m.congest.handleCongestQuery(dd)
 		}
 		return
 	}
 	switch {
 	case rel == keyReleaseRequest && value == "0" && m.congest != nil:
 		// The manager writes "1"; the guest's reset to "0" is the ack.
-		m.congest.noteReleaseAck(dom)
+		m.congest.noteReleaseAck(drv)
 	case rel == keyHeartbeat:
-		m.live.noteHeartbeat(dom)
+		m.live.noteHeartbeat(drv)
 	case rel == keyDriverPresent && value == "1":
-		m.live.noteDriverRegistered(dom)
+		m.live.noteDriverRegistered(drv)
 	case (rel == keyTotalWeight || strings.HasPrefix(rel, keyWeightPrefix+"/")) && m.cosched != nil:
 		// Guest-published weights: any change re-arms sampling.
 		m.cosched.sample.arm()
