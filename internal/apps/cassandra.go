@@ -6,7 +6,6 @@ package apps
 
 import (
 	"iorchestra/internal/guest"
-	"iorchestra/internal/metrics"
 	"iorchestra/internal/sim"
 	"iorchestra/internal/stats"
 )
@@ -50,8 +49,6 @@ const (
 // sync — the write-buffering that makes YCSB1 flush-sensitive) and insert
 // into the memtable. Memtable flush pressure emerges from the page cache.
 type CassandraNode struct {
-	k   *sim.Kernel
-	g   *guest.Guest
 	d   *guest.VDisk
 	cfg CassandraConfig
 	rng *stats.Stream
@@ -59,9 +56,6 @@ type CassandraNode struct {
 	// ops round-robin across it so one slow op does not serialize the node.
 	procs []*guest.Process
 	pi    int
-
-	readLat  *metrics.Histogram
-	writeLat *metrics.Histogram
 
 	// Background write machinery: memtable bytes since the last flush,
 	// SSTable count since the last compaction, and a dedicated flush
@@ -78,10 +72,8 @@ func NewCassandraNode(k *sim.Kernel, g *guest.Guest, d *guest.VDisk, cfg Cassand
 		cfg.RowCacheHit = 0.30
 	}
 	n := &CassandraNode{
-		k: k, g: g, d: d, cfg: cfg, rng: rng,
-		bg:       g.NewProcess(1),
-		readLat:  metrics.NewHistogram(),
-		writeLat: metrics.NewHistogram(),
+		d: d, cfg: cfg, rng: rng,
+		bg: g.NewProcess(1),
 	}
 	for i := 0; i < 4; i++ {
 		n.procs = append(n.procs, g.NewProcess(1))
@@ -94,32 +86,22 @@ func (n *CassandraNode) next() *guest.Process {
 	return n.procs[n.pi%len(n.procs)]
 }
 
-// ReadLatency and WriteLatency expose node-local service histograms.
-func (n *CassandraNode) ReadLatency() *metrics.Histogram { return n.readLat }
-
-// WriteLatency exposes the node-local update histogram.
-func (n *CassandraNode) WriteLatency() *metrics.Histogram { return n.writeLat }
-
 // Read implements the node-local read path.
 func (n *CassandraNode) Read(key int, done func()) {
-	start := n.k.Now()
-	finish := func() {
-		n.readLat.Record(n.k.Now() - start)
-		if done != nil {
-			done()
-		}
+	if done == nil {
+		done = func() {}
 	}
 	p := n.next()
 	p.Compute(cassReadCPUTime, func() {
 		if n.rng.Float64() < n.cfg.RowCacheHit {
-			finish()
+			done()
 			return
 		}
 		n.d.Read(p, cassRowBytes, false, func() {
 			if n.rng.Float64() < cassTwoSeekFrac {
-				n.d.Read(p, cassRowBytes, false, finish)
+				n.d.Read(p, cassRowBytes, false, done)
 			} else {
-				finish()
+				done()
 			}
 		})
 	})
@@ -130,15 +112,12 @@ func (n *CassandraNode) Read(key int, done func()) {
 // flush, and every cassCompactEvery flushes schedule a compaction — the
 // write-amplification that makes YCSB1 flush-coordination-sensitive.
 func (n *CassandraNode) Update(key int, done func()) {
-	start := n.k.Now()
+	if done == nil {
+		done = func() {} // a callback keeps the write on the cache's callback path
+	}
 	p := n.next()
 	p.Compute(cassWriteCPUTime, func() {
-		n.d.Write(p, cassCommitBytes, func() {
-			n.writeLat.Record(n.k.Now() - start)
-			if done != nil {
-				done()
-			}
-		})
+		n.d.Write(p, cassCommitBytes, done)
 		n.memtable += cassCommitBytes
 		if n.memtable >= cassMemtableBytes {
 			n.memtable = 0

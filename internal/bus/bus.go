@@ -30,10 +30,6 @@ func New(k *sim.Kernel, st *store.Store, eventLatency sim.Duration) *Bus {
 	return &Bus{k: k, st: st, latency: eventLatency, domains: map[store.DomID]*Domain{}}
 }
 
-// Store exposes the underlying system store (the hypervisor-side modules
-// use it directly; guests go through their Domain handle).
-func (b *Bus) Store() *store.Store { return b.st }
-
 // Register creates (or returns) the domain handle for dom, creating its
 // store home directory as the toolstack would at domain creation.
 func (b *Bus) Register(dom store.DomID) *Domain {
@@ -70,19 +66,16 @@ func (b *Bus) Notifications() uint64 { return b.notifications }
 type Domain struct {
 	b    *Bus
 	id   store.DomID
-	home string // cached store.DomainPath(id); Path runs on every store op
-	// cursors memoizes rel → pinned store cursors for the relative-key
-	// methods below: a caller that names its keys by string gets both the
-	// path concatenation and the store's absolute-path resolution once per
-	// key instead of once per operation, and the concatenated string is
-	// the one the store's node keeps as its path. Made on first use, so a
+	home string // store.DomainPath(id), the root of every key below
+	// cursors memoizes rel → pinned store cursors for WriteBool and
+	// WriteInt: a caller that names its keys by string gets both the path
+	// concatenation and the store's absolute-path resolution once per key
+	// instead of once per operation, and the concatenated string is the
+	// one the store's node keeps as its path. Made on first use, so a
 	// caller that holds its own cursors (Keys) never builds one.
 	// Kernel-goroutine only, like every other store-facing structure.
 	cursors map[string]*store.Cursor
 }
-
-// ID reports the domain id.
-func (d *Domain) ID() store.DomID { return d.id }
 
 // abs returns the absolute path of rel, the home itself for "".
 func (d *Domain) abs(rel string) string {
@@ -105,16 +98,6 @@ func (d *Domain) cursor(rel string) *store.Cursor {
 	return c
 }
 
-// Path resolves a relative key to the domain's absolute store path.
-func (d *Domain) Path(rel string) string {
-	return d.cursor(rel).Path()
-}
-
-// Write sets a key within the domain's own subtree.
-func (d *Domain) Write(rel, value string) error {
-	return d.b.st.WriteCursor(d.id, d.cursor(rel), value)
-}
-
 // WriteBool sets a boolean key within the domain's own subtree.
 func (d *Domain) WriteBool(rel string, v bool) error {
 	return d.b.st.WriteBoolCursor(d.id, d.cursor(rel), v)
@@ -123,26 +106,6 @@ func (d *Domain) WriteBool(rel string, v bool) error {
 // WriteInt sets an integer key within the domain's own subtree.
 func (d *Domain) WriteInt(rel string, v int64) error {
 	return d.b.st.WriteIntCursor(d.id, d.cursor(rel), v)
-}
-
-// WriteFloat sets a float key within the domain's own subtree.
-func (d *Domain) WriteFloat(rel string, v float64) error {
-	return d.b.st.WriteFloatCursor(d.id, d.cursor(rel), v)
-}
-
-// Read reads a key from the domain's own subtree.
-func (d *Domain) Read(rel string) (string, error) {
-	return d.b.st.ReadCursor(d.id, d.cursor(rel))
-}
-
-// ReadBool reads a boolean key (false when absent).
-func (d *Domain) ReadBool(rel string) (bool, error) {
-	return d.b.st.ReadBoolCursor(d.id, d.cursor(rel))
-}
-
-// ReadFloat reads a float key with a default.
-func (d *Domain) ReadFloat(rel string, def float64) (float64, error) {
-	return d.b.st.ReadFloatCursor(d.id, d.cursor(rel), def)
 }
 
 // Watch registers a callback on a relative prefix of the domain's own

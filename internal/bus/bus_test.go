@@ -26,8 +26,8 @@ func TestRegisterIdempotent(t *testing.T) {
 	if d1 != d2 {
 		t.Fatal("Register returned distinct handles for same domain")
 	}
-	if d1.ID() != 3 {
-		t.Fatalf("ID = %d", d1.ID())
+	if d1.id != 3 {
+		t.Fatalf("id = %d", d1.id)
 	}
 }
 
@@ -51,32 +51,35 @@ func TestDomainsSorted(t *testing.T) {
 func TestDomainScopedReadWrite(t *testing.T) {
 	_, b := mk()
 	d := b.Register(2)
-	if err := d.Write("virt-dev/xvda/nr", "10"); err != nil {
+	if err := d.WriteInt("virt-dev/xvda/nr", 10); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := d.Read("virt-dev/xvda/nr"); err != nil || v != "10" {
-		t.Fatalf("Read = %q, %v", v, err)
-	}
-	// Raw store confirms the absolute path.
-	if v, err := b.Store().Read(store.Dom0, store.DiskPath(2, "xvda", "nr")); err != nil || v != "10" {
-		t.Fatalf("absolute Read = %q, %v", v, err)
+	// The raw store confirms the absolute path, read by the domain and
+	// by Dom0.
+	for _, dom := range []store.DomID{2, store.Dom0} {
+		if v, err := b.st.Read(dom, store.DiskPath(2, "xvda", "nr")); err != nil || v != "10" {
+			t.Fatalf("dom %d: absolute Read = %q, %v", dom, v, err)
+		}
 	}
 }
 
 func TestDomainTypedHelpers(t *testing.T) {
 	_, b := mk()
 	d := b.Register(2)
-	d.WriteBool("flag", true)
-	if v, err := d.ReadBool("flag"); err != nil || !v {
-		t.Fatalf("ReadBool = %v, %v", v, err)
-	}
-	d.WriteInt("count", 9)
-	if v, err := d.Read("count"); err != nil || v != "9" {
-		t.Fatalf("WriteInt stored %q, %v", v, err)
-	}
-	d.WriteFloat("ratio", 0.5)
-	if v, err := d.ReadFloat("ratio", 0); err != nil || v != 0.5 {
-		t.Fatalf("ReadFloat = %v, %v", v, err)
+	for _, c := range []struct {
+		rel, want string
+		write     func(rel string) error
+	}{
+		{"flag", "1", func(rel string) error { return d.WriteBool(rel, true) }},
+		{"off", "0", func(rel string) error { return d.WriteBool(rel, false) }},
+		{"count", "9", func(rel string) error { return d.WriteInt(rel, 9) }},
+	} {
+		if err := c.write(c.rel); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := b.st.Read(2, store.DomainPath(2)+"/"+c.rel); err != nil || v != c.want {
+			t.Fatalf("%s stored %q, %v; want %q", c.rel, v, err, c.want)
+		}
 	}
 }
 
@@ -86,7 +89,7 @@ func TestDomainCannotEscapeSubtree(t *testing.T) {
 	d2 := b.Register(2)
 	// Domain 2's handle is rooted at its own path; the only way to reach
 	// domain 1 is through the raw store, which denies it.
-	err := b.Store().Write(2, store.DomainPath(1)+"/x", "intrude")
+	err := b.st.Write(2, store.DomainPath(1)+"/x", "intrude")
 	if !errors.Is(err, store.ErrPermission) {
 		t.Fatalf("cross-domain raw write err = %v", err)
 	}
@@ -98,7 +101,7 @@ func TestDomainWatchRelativePaths(t *testing.T) {
 	d := b.Register(4)
 	var gotRel, gotVal string
 	d.Watch("virt-dev", func(rel, v string) { gotRel, gotVal = rel, v })
-	k.At(1, func() { d.Write("virt-dev/xvda/congested", "1") })
+	k.At(1, func() { d.WriteBool("virt-dev/xvda/congested", true) })
 	k.Run()
 	if gotRel != "virt-dev/xvda/congested" || gotVal != "1" {
 		t.Fatalf("watch got (%q, %q)", gotRel, gotVal)
@@ -111,7 +114,7 @@ func TestDomainUnwatch(t *testing.T) {
 	fired := false
 	id, _ := d.Watch("x", func(rel, v string) { fired = true })
 	d.Unwatch(id)
-	k.At(1, func() { d.Write("x", "1") })
+	k.At(1, func() { d.WriteInt("x", 1) })
 	k.Run()
 	if fired {
 		t.Fatal("unwatched callback fired")
@@ -180,7 +183,7 @@ func TestPortString(t *testing.T) {
 func TestUnregisterForgetsTheHandle(t *testing.T) {
 	_, b := mk()
 	d := b.Register(3)
-	d.Write("k", "1")
+	d.WriteInt("k", 1)
 	b.Unregister(3)
 	b.Unregister(3) // unknown ids are ignored
 	if got := b.Domains(); len(got) != 0 {
@@ -188,12 +191,14 @@ func TestUnregisterForgetsTheHandle(t *testing.T) {
 	}
 	// The store subtree is not the bus's to remove, a held handle keeps
 	// working, and the domain can register again.
-	if err := d.Write("k", "2"); err != nil {
+	if err := d.WriteInt("k", 2); err != nil {
 		t.Fatal(err)
 	}
-	d2 := b.Register(3)
-	if v, err := d2.Read("k"); d2 == d || err != nil || v != "2" {
-		t.Fatalf("after re-Register: same handle %v, Read = %q, %v", d2 == d, v, err)
+	if v, err := b.st.Read(3, store.DomainPath(3)+"/k"); err != nil || v != "2" {
+		t.Fatalf("after Unregister: Read = %q, %v", v, err)
+	}
+	if d2 := b.Register(3); d2 == d || d2.WriteInt("k", 3) != nil {
+		t.Fatalf("after re-Register: same handle %v", d2 == d)
 	}
 }
 
@@ -214,7 +219,7 @@ type storeHistory struct {
 func runScript(t *testing.T, seed uint64, viaHandles bool) storeHistory {
 	t.Helper()
 	k, b := mk()
-	st := b.Store()
+	st := b.st
 	const doms = 3
 	handles := map[store.DomID]*Domain{}
 	for d := store.DomID(1); d <= doms; d++ {
@@ -250,7 +255,7 @@ func runScript(t *testing.T, seed uint64, viaHandles bool) storeHistory {
 		switch r := rng.Intn(100); {
 		case r < 60: // the guest writes its own key: a create the first time, an overwrite after
 			if viaHandles {
-				note("write "+abs, handles[dom].Write(rel, value))
+				note("write "+abs, handles[dom].WriteInt(rel, int64(step)))
 			} else {
 				note("write "+abs, st.Write(dom, abs, value))
 			}
@@ -336,13 +341,11 @@ func TestHandleWritesAreAbsoluteWrites(t *testing.T) {
 }
 
 // TestWarmDomainAllocs pins what a warm domain handle costs per
-// operation, watch delivery included: a guest driver and the manager do
-// nothing else on every decision. Once a key's cursor is made, Write,
-// Read and WriteBool allocate nothing — the cursor map, the
-// store's node and its delivery record are all reused. WriteInt of a
-// value of 100 or more allocates once: the formatted value, which the
-// store keeps as the node's new value (strconv has the smaller ones
-// prebuilt).
+// operation, watch delivery included. Once a key's cursor is made,
+// WriteBool allocates nothing — the cursor map, the store's node and its
+// delivery record are all reused. WriteInt of a value of 100 or more
+// allocates once: the formatted value, which the store keeps as the
+// node's new value (strconv has the smaller ones prebuilt).
 func TestWarmDomainAllocs(t *testing.T) {
 	k, b := mk()
 	d := b.Register(2)
@@ -350,24 +353,21 @@ func TestWarmDomainAllocs(t *testing.T) {
 	if _, err := d.Watch("virt-dev", func(string, string) { seen++ }); err != nil {
 		t.Fatal(err)
 	}
-	const dirty, flush, count = "virt-dev/xvda/nr_dirty", "virt-dev/xvda/flush_now", "virt-dev/xvda/count"
-	vals := [2]string{"4096", "8192"}
+	const flush, count = "virt-dev/xvda/flush_now", "virt-dev/xvda/count"
 	n := 0
 	check := func(err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, key := range []string{dirty, flush, count} { // make the keys and their cursors
-		check(d.Write(key, "0"))
-	}
+	// Make the keys and their cursors.
+	check(d.WriteBool(flush, false))
+	check(d.WriteInt(count, 0))
 	for _, c := range []struct {
 		name   string
 		budget float64
 		op     func()
 	}{
-		{"Write", 0, func() { check(d.Write(dirty, vals[n&1])) }},
-		{"Read", 0, func() { _, err := d.Read(dirty); check(err) }},
 		{"WriteBool", 0, func() { check(d.WriteBool(flush, n&1 == 0)) }},
 		{"WriteInt", 1, func() { check(d.WriteInt(count, int64(100+n&1))) }},
 	} {

@@ -68,7 +68,7 @@ func TestFlushPolicyDrainsDirtyPagesDuringIdle(t *testing.T) {
 		t.Fatal("guest driver never handled flush_now")
 	}
 	// flush_now was reset by the guest.
-	if v, _ := h.Store().ReadBool(store.Dom0, absDiskKey(rt.G.ID(), "xvda", keyFlushNow)); v {
+	if v, _ := h.Store().Read(store.Dom0, absDiskKey(rt.G.ID(), "xvda", keyFlushNow)); v != "0" {
 		t.Fatal("flush_now not reset")
 	}
 }

@@ -110,7 +110,7 @@ func TestStoreEventRouting(t *testing.T) {
 					w.prime(m, dom)
 				}
 				k.RunUntil(k.Now() + sim.Millisecond)
-				if err := rt.Dom.Write(w.rel, w.value); err != nil {
+				if err := h.Store().Write(dom, store.DomainPath(dom)+"/"+w.rel, w.value); err != nil {
 					t.Fatalf("%s: write %s: %v", tc.name, w.rel, err)
 				}
 				if departed {

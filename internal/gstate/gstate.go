@@ -108,10 +108,6 @@ const (
 	// KeyP99Ms (float) — declared p99 latency budget in milliseconds,
 	// overriding the tier default when > 0.
 	KeyP99Ms = "p99_ms"
-	// KeyState (int) — the manager-published current G-state index
-	// (0 = G0). The guest driver watches it and scales its congestion
-	// thresholds to match; operators and the trace CLI read it too.
-	KeyState = "state"
 )
 
 // PublishSLA declares a guest's tier and targets in the store — the

@@ -25,8 +25,8 @@ func TestTierOrdering(t *testing.T) {
 	if !(Gold.Floor() < Silver.Floor() && Silver.Floor() < Bronze.Floor()) {
 		t.Fatal("tier floors must deepen bronze-ward")
 	}
-	if Bronze.Floor() != MaxState {
-		t.Fatalf("bronze floor = %v, want %v", Bronze.Floor(), MaxState)
+	if Bronze.Floor() != G3 {
+		t.Fatalf("bronze floor = %v, want %v", Bronze.Floor(), G3)
 	}
 }
 

@@ -16,9 +16,6 @@ const (
 	G3              // deep throttle
 )
 
-// MaxState is the deepest throttle.
-const MaxState = G3
-
 // String names the state.
 func (s State) String() string {
 	switch s {

@@ -147,9 +147,6 @@ func (g *Guest) Processes() []*Process { return g.procs }
 // ID reports the process id.
 func (p *Process) ID() int { return p.id }
 
-// VCPU reports the process's current VCPU.
-func (p *Process) VCPU() *VCPU { return p.vcpu }
-
 // Socket reports the socket the process currently runs on.
 func (p *Process) Socket() int { return p.vcpu.Socket }
 

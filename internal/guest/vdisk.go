@@ -18,7 +18,6 @@ type VDisk struct {
 	Cache       *pagecache.Cache
 	maxTransfer int64
 
-	readLat  *metrics.Histogram // application-visible read latency
 	writeLat *metrics.Histogram // application-visible write-return latency
 }
 
@@ -58,7 +57,6 @@ func (g *Guest) AddDisk(cfg DiskConfig, lower blkio.Lower) *VDisk {
 		Queue:       q,
 		Cache:       c,
 		maxTransfer: cfg.MaxTransfer,
-		readLat:     metrics.NewHistogram(),
 		writeLat:    metrics.NewHistogram(),
 	}
 	g.vdisks[cfg.Name] = v
@@ -81,35 +79,23 @@ func (g *Guest) Disks() []*VDisk {
 // Name reports the disk name.
 func (v *VDisk) Name() string { return v.name }
 
-// ReadLatency exposes the application-visible read-latency histogram.
-func (v *VDisk) ReadLatency() *metrics.Histogram { return v.readLat }
-
 // WriteLatency exposes the application-visible write-return histogram.
 func (v *VDisk) WriteLatency() *metrics.Histogram { return v.writeLat }
 
 // Read issues a read of size bytes on behalf of p; done fires when data
 // is available. A CacheHitFrac fraction of reads is served from memory.
 func (v *VDisk) Read(p *Process, size int64, sequential bool, done func()) {
-	start := v.g.k.Now()
+	if done == nil {
+		done = func() {}
+	}
 	if v.g.cfg.CacheHitFrac > 0 && v.g.rng.Bool(v.g.cfg.CacheHitFrac) {
-		v.g.k.After(5*sim.Microsecond, func() {
-			v.readLat.Record(v.g.k.Now() - start)
-			if done != nil {
-				done()
-			}
-		})
+		v.g.k.After(5*sim.Microsecond, done)
 		return
 	}
 	socket, stream := 0, 0
 	if p != nil {
 		socket = p.Socket()
 		stream = p.ID()
-	}
-	finish := func() {
-		v.readLat.Record(v.g.k.Now() - start)
-		if done != nil {
-			done()
-		}
 	}
 	if v.maxTransfer > 0 && size > v.maxTransfer {
 		// Readahead-style split: all chunks enter the request queue at
@@ -119,7 +105,7 @@ func (v *VDisk) Read(p *Process, size int64, sequential bool, done func()) {
 		onChunk := func() {
 			remaining--
 			if remaining == 0 {
-				finish()
+				done()
 			}
 		}
 		left := size
@@ -144,7 +130,7 @@ func (v *VDisk) Read(p *Process, size int64, sequential bool, done func()) {
 		Owner:      int(v.g.cfg.ID),
 		Socket:     socket,
 		Stream:     stream,
-		Done:       finish,
+		Done:       done,
 	})
 }
 

@@ -2,7 +2,6 @@ package hypervisor
 
 import (
 	"fmt"
-	"slices"
 
 	"iorchestra/internal/blkio"
 	"iorchestra/internal/bus"
@@ -116,10 +115,9 @@ type Host struct {
 	backendQ    sim.FIFO[*device.Request]
 	backendUtil metrics.Utilization
 
-	guests     map[store.DomID]*GuestRuntime
-	guestOrder []store.DomID
-	nextDom    store.DomID
-	rec        *trace.Recorder // nil unless Config.Trace
+	guests  map[store.DomID]*GuestRuntime
+	nextDom store.DomID
+	rec     *trace.Recorder // nil unless Config.Trace
 
 	// coreLoad[socket][core] counts VCPUs pinned to that core.
 	coreLoad [][]int
@@ -207,20 +205,8 @@ func (h *Host) Recorder() *trace.Recorder { return h.rec }
 // IOCores lists dedicated polling cores (empty in ModeBackend).
 func (h *Host) IOCores() []*IOCore { return h.iocores }
 
-// Mode reports the configured I/O mode.
-func (h *Host) Mode() IOMode { return h.cfg.Mode }
-
 // Name reports the host name.
 func (h *Host) Name() string { return h.cfg.Name }
-
-// Guests returns runtimes in creation order.
-func (h *Host) Guests() []*GuestRuntime {
-	out := make([]*GuestRuntime, 0, len(h.guestOrder))
-	for _, id := range h.guestOrder {
-		out = append(out, h.guests[id])
-	}
-	return out
-}
 
 // Guest returns one runtime (nil if absent).
 func (h *Host) Guest(id store.DomID) *GuestRuntime { return h.guests[id] }
@@ -249,7 +235,6 @@ func (h *Host) CreateGuest(cfg guest.Config, disks ...guest.DiskConfig) *GuestRu
 		h.attachDisk(rt, dc)
 	}
 	h.guests[cfg.ID] = rt
-	h.guestOrder = append(h.guestOrder, cfg.ID)
 	return rt
 }
 
@@ -285,10 +270,9 @@ func (h *Host) leastLoadedCore() (socket, core int) {
 }
 
 // RemoveGuest releases a VM's cores, closes its caches and forgets it:
-// its place in the creation order, its bus handle and its host-path
-// latency aggregate go too, so a host that guests come and go on holds
-// its live population and no more (used by the dynamic-arrival
-// experiments and by migration). Its round-robin classes need nothing:
+// its bus handle and its host-path latency aggregate go too, so a host
+// that guests come and go on holds its live population and no more (used
+// by the dynamic-arrival experiments and by migration). Its round-robin classes need nothing:
 // a drained class is already off the ring, and a request still on its
 // way is served from its class at the weight it had.
 func (h *Host) RemoveGuest(id store.DomID) {
@@ -303,9 +287,6 @@ func (h *Host) RemoveGuest(id store.DomID) {
 		d.Cache.Close()
 	}
 	delete(h.guests, id)
-	if i := slices.Index(h.guestOrder, id); i >= 0 {
-		h.guestOrder = slices.Delete(h.guestOrder, i, i+1)
-	}
 	h.bs.Unregister(id)
 	delete(h.cg.pathLat, int(id))
 }

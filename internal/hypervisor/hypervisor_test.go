@@ -1,6 +1,7 @@
 package hypervisor
 
 import (
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -319,14 +320,14 @@ func TestGuestsListingAndLookup(t *testing.T) {
 	h := New(k, Config{}, stats.NewStream(16, "host"))
 	a := h.CreateGuest(guest.Config{VCPUs: 1})
 	b := h.CreateGuest(guest.Config{VCPUs: 1})
-	if len(h.Guests()) != 2 {
-		t.Fatalf("Guests = %d", len(h.Guests()))
+	if len(h.guests) != 2 {
+		t.Fatalf("guests = %d", len(h.guests))
 	}
 	if h.Guest(a.G.ID()) != a || h.Guest(b.G.ID()) != b {
 		t.Fatal("lookup broken")
 	}
 	h.RemoveGuest(a.G.ID())
-	if len(h.Guests()) != 1 {
+	if len(h.guests) != 1 {
 		t.Fatal("removal not reflected")
 	}
 	if h.Guest(a.G.ID()) != nil {
@@ -334,9 +335,8 @@ func TestGuestsListingAndLookup(t *testing.T) {
 	}
 }
 
-// A departed guest leaves nothing behind on the host: not its slot in the
-// creation order (Guests scanned every guest the host ever held), not its
-// bus handle — and the guests that stay keep their order.
+// A departed guest leaves nothing behind on the host: not its runtime,
+// not its bus handle — and the guests that stay are still held.
 func TestRemoveGuestForgetsTheGuest(t *testing.T) {
 	h := New(sim.NewKernel(), Config{}, stats.NewStream(16, "host"))
 	var ids []store.DomID
@@ -347,17 +347,14 @@ func TestRemoveGuestForgetsTheGuest(t *testing.T) {
 	h.RemoveGuest(ids[3])
 	h.RemoveGuest(ids[3]) // a second removal is a no-op
 	want := []store.DomID{ids[0], ids[2], ids[4]}
-	if !slices.Equal(h.guestOrder, want) || !slices.Equal(h.bs.Domains(), want) {
-		t.Fatalf("after two removals: order %v, bus domains %v, want both %v", h.guestOrder, h.bs.Domains(), want)
+	if got := slices.Sorted(maps.Keys(h.guests)); !slices.Equal(got, want) || !slices.Equal(h.bs.Domains(), want) {
+		t.Fatalf("after two removals: guests %v, bus domains %v, want both %v", got, h.bs.Domains(), want)
 	}
-	// An id that comes back (a migration returning) is listed once, last.
+	// An id that comes back (a migration returning) is held once.
 	h.CreateGuest(guest.Config{ID: ids[1], VCPUs: 1})
-	var got []store.DomID
-	for _, rt := range h.Guests() {
-		got = append(got, rt.G.ID())
-	}
-	if want = append(want, ids[1]); !slices.Equal(got, want) {
-		t.Fatalf("Guests = %v, want %v", got, want)
+	want = []store.DomID{ids[0], ids[1], ids[2], ids[4]}
+	if got := slices.Sorted(maps.Keys(h.guests)); !slices.Equal(got, want) || !slices.Equal(h.bs.Domains(), want) {
+		t.Fatalf("after a return: guests %v, bus domains %v, want both %v", got, h.bs.Domains(), want)
 	}
 }
 

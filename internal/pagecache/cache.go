@@ -93,7 +93,6 @@ type Cache struct {
 	OnDirtyChange func(nrPages int64)
 
 	// Stats.
-	written     float64 // bytes accepted from writers
 	writtenBack float64 // bytes flushed to the device
 	throttles   uint64
 }
@@ -144,10 +143,6 @@ func (c *Cache) DirtyPages() int64 { return c.dirtyPages }
 
 // Throttles reports how many writer blocks occurred at the dirty ratio.
 func (c *Cache) Throttles() uint64 { return c.throttles }
-
-// WrittenBytes reports bytes accepted from writers (application-visible
-// write throughput).
-func (c *Cache) WrittenBytes() float64 { return c.written }
 
 // WrittenBackBytes reports bytes flushed to storage.
 func (c *Cache) WrittenBackBytes() float64 { return c.writtenBack }
@@ -203,7 +198,6 @@ func (c *Cache) buffer(size int64) sim.Duration {
 		c.oldestDirty = c.k.Now()
 	}
 	c.setDirty(c.dirtyPages + pages)
-	c.written += float64(size)
 	copyTime := sim.Duration(float64(size) / memCopyBps * float64(sim.Second))
 	if c.dirtyPages >= c.bgLimit() {
 		c.kickWriteback(c.bgLimit())

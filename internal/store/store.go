@@ -959,20 +959,10 @@ func (s *Store) Version() uint64 { return s.version }
 
 // --- Typed convenience helpers -------------------------------------------
 
-// WriteInt writes an integer value.
-func (s *Store) WriteInt(dom DomID, path string, v int64) error {
-	return s.Write(dom, path, strconv.FormatInt(v, 10))
-}
-
 // WriteBool writes "1" or "0", the encoding Algorithms 1 and 2 use for
 // has_dirty_pages, flush_now, congested and release_request.
 func (s *Store) WriteBool(dom DomID, path string, v bool) error {
 	return s.Write(dom, path, boolValue(v))
-}
-
-// ReadBool reads a boolean; absent nodes return false.
-func (s *Store) ReadBool(dom DomID, path string) (bool, error) {
-	return parseBoolValue(s.Read(dom, path))
 }
 
 // WriteFloat writes a float value.
@@ -1008,7 +998,8 @@ func (s *Store) ReadBoolCursor(dom DomID, c *Cursor) (bool, error) {
 	if s.absent(c) {
 		return false, nil
 	}
-	return parseBoolValue(s.ReadCursor(dom, c))
+	raw, err := s.ReadCursor(dom, c) // "" on an error
+	return raw == "1" || raw == "true", err
 }
 
 // WriteFloatCursor writes a float value through a pinned cursor.
@@ -1035,16 +1026,6 @@ func boolValue(v bool) string {
 		return "1"
 	}
 	return "0"
-}
-
-func parseBoolValue(raw string, err error) (bool, error) {
-	if errors.Is(err, ErrNoEntry) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return raw == "1" || raw == "true", nil
 }
 
 func parseFloatValue(raw string, err error, path string, def float64) (float64, error) {

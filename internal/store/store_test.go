@@ -324,22 +324,23 @@ func TestWatchOnRemove(t *testing.T) {
 
 func TestTypedHelpers(t *testing.T) {
 	_, s := newTestStore()
-	if err := s.WriteInt(Dom0, "/n", 42); err != nil {
+	n, b, missing := CursorAt("/n"), CursorAt("/b"), CursorAt("/missingbool")
+	if err := s.WriteIntCursor(Dom0, &n, 42); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := s.Read(Dom0, "/n"); err != nil || v != "42" {
-		t.Fatalf("WriteInt stored %q, %v", v, err)
+		t.Fatalf("WriteIntCursor stored %q, %v", v, err)
 	}
 	s.WriteBool(Dom0, "/b", true)
-	if v, err := s.ReadBool(Dom0, "/b"); err != nil || !v {
-		t.Fatalf("ReadBool = %v, %v", v, err)
+	if v, err := s.ReadBoolCursor(Dom0, &b); err != nil || !v {
+		t.Fatalf("ReadBoolCursor = %v, %v", v, err)
 	}
 	s.WriteBool(Dom0, "/b", false)
-	if v, _ := s.ReadBool(Dom0, "/b"); v {
-		t.Fatal("ReadBool after false write = true")
+	if v, _ := s.ReadBoolCursor(Dom0, &b); v {
+		t.Fatal("ReadBoolCursor after false write = true")
 	}
-	if v, err := s.ReadBool(Dom0, "/missingbool"); err != nil || v {
-		t.Fatalf("ReadBool missing = %v, %v", v, err)
+	if v, err := s.ReadBoolCursor(Dom0, &missing); err != nil || v {
+		t.Fatalf("ReadBoolCursor missing = %v, %v", v, err)
 	}
 	s.WriteFloat(Dom0, "/f", 2.5)
 	if v, err := s.ReadFloat(Dom0, "/f", 0); err != nil || v != 2.5 {

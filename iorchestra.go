@@ -37,36 +37,18 @@ import (
 
 // Re-exported core types, so downstream users work through one import.
 type (
-	// Kernel is the discrete-event simulation executive.
-	Kernel = sim.Kernel
 	// Time is virtual time in nanoseconds.
 	Time = sim.Time
 	// Duration is a span of virtual time.
 	Duration = sim.Duration
-	// Host is one physical machine.
-	Host = hypervisor.Host
 	// HostConfig parameterizes a host.
 	HostConfig = hypervisor.Config
 	// VM couples a guest with its host-side runtime.
 	VM = hypervisor.GuestRuntime
-	// GuestConfig describes a guest VM.
-	GuestConfig = guest.Config
-	// DiskConfig describes a virtual disk.
-	DiskConfig = guest.DiskConfig
-	// Manager is IOrchestra's hypervisor-side module pair.
-	Manager = core.Manager
 	// Policies selects IOrchestra's collaborative functions.
 	Policies = core.Policies
-	// Stream is a deterministic random stream.
-	Stream = stats.Stream
-	// TraceRecorder is the unified decision-trace recorder.
-	TraceRecorder = trace.Recorder
-	// TraceRecord is one decision-trace event.
-	TraceRecord = trace.Record
 	// FaultSpec configures the deterministic fault-injection layer.
 	FaultSpec = fault.Spec
-	// FaultInjector is the per-platform fault-injection engine.
-	FaultInjector = fault.Injector
 )
 
 // ParseFaultSpec parses the -faults command-line grammar (see
@@ -75,12 +57,9 @@ func ParseFaultSpec(raw string) (fault.Spec, error) { return fault.ParseSpec(raw
 
 // Re-exported duration constants.
 const (
-	Nanosecond  = sim.Nanosecond
 	Microsecond = sim.Microsecond
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
-	Minute      = sim.Minute
-	Hour        = sim.Hour
 )
 
 // System identifies one of the four platforms the paper evaluates.

@@ -1,10 +1,6 @@
 package iorchestra
 
-import (
-	"testing"
-
-	"iorchestra/internal/hypervisor"
-)
+import "testing"
 
 func TestSystemsOrderAndNames(t *testing.T) {
 	ss := Systems()
@@ -33,21 +29,21 @@ func TestPlatformComponentsPerSystem(t *testing.T) {
 			if p.Manager == nil {
 				t.Fatalf("%v: no manager", sys)
 			}
-			if p.Host.Mode() != hypervisor.ModeDedicated {
+			if len(p.Host.IOCores()) == 0 { // dedicated I/O cores exist only in ModeDedicated
 				t.Fatalf("%v: wrong mode", sys)
 			}
 		case SystemSDC:
 			if p.SDC == nil {
 				t.Fatalf("%v: no SDC", sys)
 			}
-			if p.Host.Mode() != hypervisor.ModeDedicated {
+			if len(p.Host.IOCores()) == 0 { // dedicated I/O cores exist only in ModeDedicated
 				t.Fatalf("%v: wrong mode", sys)
 			}
 		case SystemDIF:
 			if p.DIF == nil {
 				t.Fatalf("%v: no DIF", sys)
 			}
-			if p.Host.Mode() != hypervisor.ModeBackend {
+			if len(p.Host.IOCores()) != 0 {
 				t.Fatalf("%v: wrong mode", sys)
 			}
 		case SystemBaseline:

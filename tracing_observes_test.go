@@ -13,6 +13,7 @@ import (
 	"iorchestra/internal/core"
 	"iorchestra/internal/gstate"
 	"iorchestra/internal/hypervisor"
+	"iorchestra/internal/store"
 )
 
 // observed is everything a run is judged by that tracing could have
@@ -43,8 +44,9 @@ func observe(p *Platform) observed {
 	}
 	r, w, n := p.Host.Store().Stats()
 	o.storeStats = [3]uint64{r, w, n}
-	for _, rt := range p.Host.Guests() {
-		for _, d := range rt.G.Disks() {
+	// The scenarios create their guests as doms 1, 2, … and remove none.
+	for id := store.DomID(1); p.Host.Guest(id) != nil; id++ {
+		for _, d := range p.Host.Guest(id).G.Disks() {
 			o.completed = append(o.completed, d.Queue.Completed())
 		}
 	}
