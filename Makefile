@@ -35,24 +35,26 @@ fixtures:
 race:
 	$(GO) test -race ./...
 
-# The wire fuzz targets, 10 s each (go test -fuzz takes one target per
-# run): the decoders — FuzzDecodeBatch is the one request decoder's, any
+# The fuzz targets, 10 s each (go test -fuzz takes one target per run),
+# each written <package>:<target>. First the wire targets: the decoders — FuzzDecodeBatch is the one request decoder's, any
 # opcode's body, single frame or batch, and keeps the name the test floor
 # lists its seeds under — the frame reader against its reference, whole
 # frames at a live server connection, then the shared-memory transport:
 # byte streams and hostile indexes through a ring, and hellos carrying
 # descriptors no server may take; last, the subtree-sync contract — a
 # copy kept by SyncSubtree and SyncPage.Apply converges on the subtree.
+# Then the Monitor's dirty index against the O(n) scan it replaced.
 # Plain `make test` already runs their seed corpus. Every target gives
 # the engine 1 s, not its default minute, to minimize each input it finds
 # interesting: otherwise a 10 s run can spend itself shrinking one input.
 # FuzzFrameReader did — its seeds are 30 KB streams, and it ran 45,373
 # inputs in its first 3 s and none after; the server and ring targets'
 # coverage moves with goroutine scheduling, so they find such inputs often.
-FUZZ = FuzzDecodeBatch FuzzReplyDecode FuzzReplyComposites FuzzFrameReader FuzzServerFrames FuzzRingStream FuzzHello FuzzSyncApply
+NETSTORE_FUZZ = FuzzDecodeBatch FuzzReplyDecode FuzzReplyComposites FuzzFrameReader FuzzServerFrames FuzzRingStream FuzzHello FuzzSyncApply
+FUZZ = $(NETSTORE_FUZZ:%=./internal/netstore/:%) ./internal/hypervisor/:FuzzDirtyIndex
 fuzz:
-	for f in $(FUZZ); do \
-		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s -fuzzminimizetime 1s ./internal/netstore/ || exit 1; \
+	for t in $(FUZZ); do \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 10s -fuzzminimizetime 1s "$${t%%:*}" || exit 1; \
 	done
 
 # Manager-tick microbenchmarks (all three policies over 8 guests), then

@@ -191,7 +191,7 @@ func main() {
 		var nodes []*apps.CassandraNode
 		for i := 0; i < *vms; i++ {
 			vm := newVM()
-			nodes = append(nodes, apps.NewCassandraNode(p.Kernel, vm.G, vm.G.Disks()[0],
+			nodes = append(nodes, apps.NewCassandraNode(vm.G, vm.G.Disks()[0],
 				apps.CassandraConfig{}, p.Rng.Fork(fmt.Sprintf("node%d", i))))
 		}
 		cl := apps.NewCassandraCluster(p.Kernel, nodes, p.Rng.Fork("cl"))

@@ -114,7 +114,7 @@ func TestIntegrationFourSystemsCompleteSameWorkload(t *testing.T) {
 			var nodes []*apps.CassandraNode
 			for i := 0; i < 2; i++ {
 				vm := p.NewVM(2, 4)
-				nodes = append(nodes, apps.NewCassandraNode(p.Kernel, vm.G, vm.G.Disks()[0],
+				nodes = append(nodes, apps.NewCassandraNode(vm.G, vm.G.Disks()[0],
 					apps.CassandraConfig{}, p.Rng.Fork(string(rune('x'+i)))))
 			}
 			return apps.NewCassandraCluster(p.Kernel, nodes, p.Rng.Fork("cl"))
@@ -141,7 +141,7 @@ func TestIntegrationPairedSeedsAcrossSystems(t *testing.T) {
 	for _, sys := range Systems() {
 		p := NewPlatform(sys, 16)
 		vm := p.NewVM(2, 4)
-		n := apps.NewCassandraNode(p.Kernel, vm.G, vm.G.Disks()[0], apps.CassandraConfig{}, p.Rng.Fork("n"))
+		n := apps.NewCassandraNode(vm.G, vm.G.Disks()[0], apps.CassandraConfig{}, p.Rng.Fork("n"))
 		cl := apps.NewCassandraCluster(p.Kernel, []*apps.CassandraNode{n}, p.Rng.Fork("cl"))
 		run := workload.NewYCSBOpenLoop(p.Kernel, workload.YCSB1(), cl, 500, 0, p.Rng.Fork("gen"))
 		run.Gen.Start()

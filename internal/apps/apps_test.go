@@ -18,7 +18,7 @@ func mkHost(seed uint64) (*sim.Kernel, *hypervisor.Host) {
 func TestCassandraNodeReadAndUpdate(t *testing.T) {
 	k, h := mkHost(1)
 	rt := h.CreateGuest(guest.Config{VCPUs: 2, MemBytes: 4 << 30})
-	n := NewCassandraNode(k, rt.G, rt.G.Disks()[0], CassandraConfig{}, stats.NewStream(2, "node"))
+	n := NewCassandraNode(rt.G, rt.G.Disks()[0], CassandraConfig{}, stats.NewStream(2, "node"))
 	reads, writes := 0, 0
 	var readTotal, writeTotal sim.Duration
 	for i := 0; i < 50; i++ {
@@ -46,7 +46,7 @@ func TestCassandraClusterRoutesByKey(t *testing.T) {
 	var nodes []*CassandraNode
 	for i := 0; i < 2; i++ {
 		rt := h.CreateGuest(guest.Config{VCPUs: 2, MemBytes: 4 << 30})
-		nodes = append(nodes, NewCassandraNode(k, rt.G, rt.G.Disks()[0], CassandraConfig{}, stats.NewStream(uint64(4+i), "n")))
+		nodes = append(nodes, NewCassandraNode(rt.G, rt.G.Disks()[0], CassandraConfig{}, stats.NewStream(uint64(4+i), "n")))
 	}
 	cl := NewCassandraCluster(k, nodes, stats.NewStream(6, "cl"))
 	done := 0
@@ -71,7 +71,7 @@ func TestCassandraClusterRoutesByKey(t *testing.T) {
 func TestCassandraSingleNodeNoNetworkHop(t *testing.T) {
 	k, h := mkHost(7)
 	rt := h.CreateGuest(guest.Config{VCPUs: 2, MemBytes: 4 << 30})
-	n := NewCassandraNode(k, rt.G, rt.G.Disks()[0], CassandraConfig{RowCacheHit: 1e-9}, stats.NewStream(8, "n"))
+	n := NewCassandraNode(rt.G, rt.G.Disks()[0], CassandraConfig{RowCacheHit: 1e-9}, stats.NewStream(8, "n"))
 	cl := NewCassandraCluster(k, []*CassandraNode{n}, stats.NewStream(9, "cl"))
 	var at sim.Time
 	cl.Read(1, func() { at = k.Now() })

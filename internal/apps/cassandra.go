@@ -67,7 +67,7 @@ type CassandraNode struct {
 }
 
 // NewCassandraNode builds a node on guest g's disk d.
-func NewCassandraNode(k *sim.Kernel, g *guest.Guest, d *guest.VDisk, cfg CassandraConfig, rng *stats.Stream) *CassandraNode {
+func NewCassandraNode(g *guest.Guest, d *guest.VDisk, cfg CassandraConfig, rng *stats.Stream) *CassandraNode {
 	if cfg.RowCacheHit <= 0 {
 		cfg.RowCacheHit = 0.30
 	}

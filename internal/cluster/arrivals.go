@@ -193,7 +193,7 @@ func launchApp(k *sim.Kernel, g *guest.Guest, app AppKind, vcpus int, units floa
 		poll(func() bool { return fs.WrittenBytes() >= units })
 		return launched{stop: fs.Stop, progress: fs.WrittenBytes, written: fs.WrittenBytes, io: fs.WrittenBytes}
 	case AppYCSB1:
-		node := apps.NewCassandraNode(k, g, d, apps.CassandraConfig{}, rng.Fork("node"))
+		node := apps.NewCassandraNode(g, d, apps.CassandraConfig{}, rng.Fork("node"))
 		cl := apps.NewCassandraCluster(k, []*apps.CassandraNode{node}, rng.Fork("cl"))
 		// Closed-loop with one client per VCPU ("the number of
 		// application threads is the same as its VCPUs").

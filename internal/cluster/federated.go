@@ -73,6 +73,7 @@ func NewFederatedArrivals(k *sim.Kernel, fed *federation.Federation, cfg Arrival
 	fed.SetMigrationHooks(federation.MigrationHooks{
 		Freeze:   f.freezeVM,
 		Create:   f.createOnTarget,
+		Remove:   func(_, source string, dom store.DomID) { f.removeGuest(source, dom) },
 		Unfreeze: f.unfreezeVM,
 		Restore:  f.restoreVM,
 	})
@@ -126,13 +127,19 @@ func (f *FederatedArrivals) finishVM(vm *fedVM) {
 	vm.retire()
 	delete(f.running, vm.uid)
 	f.completed++
-	h := f.fed.Member(vm.host)
-	if rt := h.Guest(vm.dom); rt != nil && f.hooks.OnRemove != nil {
-		f.hooks.OnRemove(rt)
-	}
-	h.RemoveGuest(vm.dom)
+	f.removeGuest(vm.host, vm.dom)
 	f.fed.NoteGuestGone(vm.uid)
 	f.tryPlace()
+}
+
+// removeGuest takes dom off host the way every VM leaves one, finished
+// or migrated away: the OnRemove hook first, then the host forgets it.
+func (f *FederatedArrivals) removeGuest(host string, dom store.DomID) {
+	h := f.fed.Member(host)
+	if rt := h.Guest(dom); rt != nil && f.hooks.OnRemove != nil {
+		f.hooks.OnRemove(rt)
+	}
+	h.RemoveGuest(dom)
 }
 
 // retire stops the VM's current placement, if any, and folds its

@@ -410,6 +410,53 @@ func TestMigrationCarriesRacingGuestWrites(t *testing.T) {
 	}
 }
 
+// TestMigrationRemovesSourceThroughHooks: a committed migration retires
+// the source guest the way completion does — OnRemove runs while the
+// source host still holds it, so a system attached at OnCreate lets go
+// of it — and the target's copy is the one left, removed in turn when
+// the VM finishes there.
+func TestMigrationRemovesSourceThroughHooks(t *testing.T) {
+	b := newFedBed(t, 7, 2, federation.Config{})
+	var created, removed []*hypervisor.GuestRuntime
+	hooks := VMHooks{
+		OnCreate: func(rt *hypervisor.GuestRuntime) { created = append(created, rt) },
+		OnRemove: func(rt *hypervisor.GuestRuntime) {
+			if b.hosts[0].Guest(rt.G.ID()) != rt && b.hosts[1].Guest(rt.G.ID()) != rt {
+				t.Errorf("OnRemove(dom %d) ran after its host forgot the guest", rt.G.ID())
+			}
+			removed = append(removed, rt)
+		},
+	}
+	fa := NewFederatedArrivals(b.k, b.fed, ArrivalsConfig{Cloud9Bursts: 800}, hooks, stats.NewStream(7, "arr"))
+	fa.inject("vm001", 2, AppCloud9)
+	srcDom := fa.running["vm001"].dom
+
+	b.k.RunUntil(510 * sim.Millisecond)
+	if !b.fed.Migrate("vm001", "host0", "host1") {
+		t.Fatal("Migrate refused")
+	}
+	b.k.RunUntil(sim.Second)
+	if got := b.fed.Counters().MigrateDones; got != 1 {
+		t.Fatalf("MigrateDones = %d, want 1", got)
+	}
+	if len(created) != 2 || len(removed) != 1 || removed[0] != created[0] {
+		t.Fatalf("after commit: created %d, removed %d (source removed: %v), want 2, 1, true",
+			len(created), len(removed), len(removed) == 1 && removed[0] == created[0])
+	}
+	if b.hosts[0].Guest(srcDom) != nil {
+		t.Fatal("source guest survived the commit")
+	}
+	if vm := fa.running["vm001"]; vm.host != "host1" || b.hosts[1].Guest(vm.dom) != created[1] {
+		t.Fatalf("vm001 on %q dom %d, want host1's created guest", vm.host, vm.dom)
+	}
+
+	b.k.RunUntil(4 * sim.Minute)
+	if fa.Completed() != 1 || len(removed) != 2 || removed[1] != created[1] {
+		t.Fatalf("after completion: completed %d, removed %d, want 1 VM finished and both copies removed",
+			fa.Completed(), len(removed))
+	}
+}
+
 func clusterSoakDuration() sim.Duration {
 	if v := os.Getenv("CLUSTER_SOAK"); v != "" {
 		if d, err := time.ParseDuration(v); err == nil {

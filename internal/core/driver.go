@@ -109,9 +109,10 @@ type diskDriver struct {
 	havePending   bool
 
 	// The manager's policy state about the disk (see Driver).
-	retries   int  // flush: timed-out orders since the guest last answered
-	withdrawn int  // flush: own flush_now=0 withdrawals still in flight
-	held      bool // congestion: on the held FIFO
+	dirty     hypervisor.DirtyEntry // flush: the Monitor's mirror of the disk
+	retries   int                   // flush: timed-out orders since the guest last answered
+	withdrawn int                   // flush: own flush_now=0 withdrawals still in flight
+	held      bool                  // congestion: on the held FIFO
 }
 
 // NewDriver installs the IOrchestra driver into a guest on host h. It
@@ -159,7 +160,7 @@ func NewDriver(h *hypervisor.Host, rt *hypervisor.GuestRuntime) *Driver {
 func (drv *Driver) registerKeys(disks []*guest.VDisk) {
 	drv.disks = make([]diskDriver, len(disks))
 	for i, v := range disks {
-		drv.disks[i] = diskDriver{drv: drv, name: v.Name(), v: v}
+		drv.disks[i] = diskDriver{drv: drv, name: v.Name(), v: v, dirty: hypervisor.NewDirtyEntry(drv.id, v.Name())}
 	}
 	slices.SortFunc(drv.disks, func(a, b diskDriver) int { return strings.Compare(a.name, b.name) })
 	sockets := drv.g.Sockets()
@@ -200,6 +201,17 @@ func (drv *Driver) disk(name string) *diskDriver {
 		}
 	}
 	return nil
+}
+
+// dirtyObserved reports whether any of the guest's disks has published
+// a has_dirty_pages bit the Monitor recorded.
+func (drv *Driver) dirtyObserved() bool {
+	for i := range drv.disks {
+		if _, ok := drv.disks[i].dirty.State(); ok {
+			return true
+		}
+	}
+	return false
 }
 
 func (drv *Driver) addDisk(dd *diskDriver) {

@@ -11,10 +11,10 @@ import (
 
 // flushController is Algorithm 1, the policy for flushing dirty pages:
 // when the device has low utilization, tell the guest with the most
-// dirty pages to flush. Guest dirty mirrors live in the hypervisor
-// Monitor; this controller only decides and actuates through the store.
-// Its per-disk state (bounded-retry debt, withdrawals in flight) lives on
-// the disk's diskDriver.
+// dirty pages to flush. Each disk's dirty mirror lives on its diskDriver
+// and is indexed by the hypervisor Monitor; this controller only decides
+// and actuates through the store. Its other per-disk state (bounded-retry
+// debt, withdrawals in flight) lives on the diskDriver too.
 type flushController struct {
 	m   *Manager
 	cfg *ManagerConfig
@@ -37,9 +37,6 @@ func newFlushController(m *Manager) *flushController {
 		// No order yet: the first one owes no cooldown.
 		lastNotice: -m.cfg.FlushCooldown,
 	}
-	// Algorithm 1's mid-burst guard, taken literally: a guest whose dirty
-	// count grew within the last 200 ms is still writing — leave it alone.
-	fc.mon.SetDirtySettleWindow(200 * sim.Millisecond)
 	fc.check = cadence{k: m.k, period: m.cfg.FlushCheckInterval, tick: func() bool {
 		fc.flushTick()
 		return fc.mon.AnyDirty()
@@ -47,17 +44,19 @@ func newFlushController(m *Manager) *flushController {
 	return fc
 }
 
-// detach forgets the guest's dirty mirror and any order outstanding on
+// detach forgets the guest's dirty mirrors and any order outstanding on
 // one of its disks.
 func (fc *flushController) detach(drv *Driver) {
-	fc.mon.ForgetGuest(drv.id)
+	for i := range drv.disks {
+		fc.mon.Forget(&drv.disks[i].dirty)
+	}
 	fc.fellBack(drv)
 }
 
 // noteDirty mirrors a guest's has_dirty_pages bit; a dirty guest is a
 // flush candidate, so the idle-bandwidth check runs.
 func (fc *flushController) noteDirty(dd *diskDriver, has bool) {
-	fc.mon.ObserveDirty(dd.drv.id, dd.name, has)
+	fc.mon.ObserveDirty(&dd.dirty, has)
 	if has {
 		fc.check.arm()
 	}
@@ -142,14 +141,13 @@ func (fc *flushController) flushTick() {
 	// performed through its per-dom cooperative() calls. Fallback guests
 	// are Baseline guests — their own flusher threads own the dirty
 	// pages, so BestDirty skips them (Algorithm 1's liveness gate).
-	m.live.sweepStale(fc.mon.Observed)
+	m.live.sweepStale()
 	bestDom, bestDisk, bestNr, found := fc.mon.BestDirty(now, m.live.cooperativeDom)
 	if !found || bestNr*4096 < fc.cfg.MinFlushBytes {
 		return
 	}
-	// A cooperative dom has a driver; the Monitor learns a disk only from
-	// that driver's has_dirty_pages (or a migration's copy of the same
-	// disk set), so the driver drives it.
+	// Every indexed entry is a diskDriver's, and detach forgets them, so
+	// a cooperative dom's driver drives the winning disk.
 	dd := m.drivers[bestDom].disk(bestDisk)
 	fc.lastNotice = now
 	fc.outstanding, fc.outstandingSince = dd, now

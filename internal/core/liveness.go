@@ -65,18 +65,17 @@ func (lv *liveness) cooperativeDom(dom store.DomID) bool {
 	return lv.cooperative(lv.m.drivers[dom])
 }
 
-// sweepStale demotes every stale-hearted guest accepted by keep, in
-// ascending dom order. It replicates what a decision site's
+// sweepStale demotes every stale-hearted guest with an observed dirty
+// mirror, in ascending dom order. It replicates what a decision site's
 // cooperative() calls over that dom set would do, but walks only the
 // stale prefix of the beat list — O(stale guests), not O(guests). The
-// flush controller runs it with keep = Monitor.Observed before each
-// argmax, preserving the demotion side effects of the replaced
-// every-dirty-dom scan.
-func (lv *liveness) sweepStale(keep func(store.DomID) bool) {
+// flush controller runs it before each argmax, preserving the demotion
+// side effects of the replaced every-dirty-dom scan.
+func (lv *liveness) sweepStale() {
 	now := lv.m.k.Now()
 	var stale []*Driver
 	for d := lv.beatHead; d != nil && now-d.beat.last > heartbeatTimeout; d = d.beat.next {
-		if !d.fellBack && keep(d.id) {
+		if !d.fellBack && d.dirtyObserved() {
 			stale = append(stale, d)
 		}
 	}

@@ -249,7 +249,7 @@ func (m *Manager) onStoreEvent(path, value string) {
 			m.flush.noteDirty(dd, value == "1")
 		case key == keyNrDirty && m.flush != nil:
 			if nr, err := strconv.ParseInt(value, 10, 64); err == nil {
-				m.flush.mon.ObserveNrDirty(drv.id, dd.name, nr)
+				m.flush.mon.ObserveNrDirty(&dd.dirty, nr)
 			}
 		case key == keyFlushNow && value == "0" && m.flush != nil:
 			// The guest's reset of our order is the completion ack.

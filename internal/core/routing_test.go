@@ -18,7 +18,11 @@ func routingProbe(m *Manager, dom store.DomID) map[string]string {
 	p := map[string]string{}
 	drv := m.drivers[dom]
 	if fc := m.flush; fc != nil {
-		st, ok := fc.mon.Dirty(dom, "xvda")
+		var st hypervisor.DirtyState
+		var ok bool
+		if drv != nil {
+			st, ok = drv.disk("xvda").dirty.State()
+		}
 		p["flush"] = fmt.Sprint(st, ok, fc.mon.AnyDirty(), fc.outstanding != nil)
 	}
 	if cc := m.congest; cc != nil {

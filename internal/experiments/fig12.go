@@ -59,7 +59,7 @@ func runFig12Point(sys iorchestra.System, seed uint64, rate float64, burst sim.D
 	var nodes []*apps.CassandraNode
 	for i := 0; i < 2; i++ {
 		vm := p.NewVM(2, 4, cassandraDisk())
-		nodes = append(nodes, apps.NewCassandraNode(p.Kernel, vm.G, vm.G.Disks()[0],
+		nodes = append(nodes, apps.NewCassandraNode(vm.G, vm.G.Disks()[0],
 			apps.CassandraConfig{}, p.Rng.Fork(fmt.Sprintf("node%d", i))))
 	}
 	cl := apps.NewCassandraCluster(p.Kernel, nodes, p.Rng.Fork("cl"))

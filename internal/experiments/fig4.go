@@ -52,7 +52,7 @@ func buildFig4(sys iorchestra.System, seed uint64, clients int, y1Rate, y2Rate f
 		var nodes []*apps.CassandraNode
 		for i := 0; i < 2; i++ {
 			vm := p.NewVM(2, 4, cassandraDisk())
-			nodes = append(nodes, apps.NewCassandraNode(k, vm.G, vm.G.Disks()[0],
+			nodes = append(nodes, apps.NewCassandraNode(vm.G, vm.G.Disks()[0],
 				apps.CassandraConfig{}, p.Rng.Fork(fmt.Sprintf("%s-n%d", label, i))))
 		}
 		return apps.NewCassandraCluster(k, nodes, p.Rng.Fork(label))

@@ -110,7 +110,7 @@ func runFig7Point(sys iorchestra.System, seed uint64, machines int, dur sim.Dura
 		// YCSB1 Cassandra node VM.
 		cn := h.CreateGuest(guest.Config{VCPUs: 2, MemBytes: 4 << 30}, cassandraDisk())
 		enable(i, cn)
-		nodes = append(nodes, apps.NewCassandraNode(k, cn.G, cn.G.Disks()[0],
+		nodes = append(nodes, apps.NewCassandraNode(cn.G, cn.G.Disks()[0],
 			apps.CassandraConfig{}, rng.Fork(fmt.Sprintf("cass-%d", i))))
 	}
 	// The database scales with the cluster so per-worker partitions stay

@@ -33,6 +33,10 @@ type MigrationHooks struct {
 	// Create builds the frozen guest shell on the target host and
 	// returns its new domain id.
 	Create func(uid, target string) (store.DomID, error)
+	// Remove retires the guest's source copy at commit, once its state
+	// has moved: whatever the embedder attached to the guest lets go of
+	// it, then the source host forgets it.
+	Remove func(uid, source string, dom store.DomID)
 	// Unfreeze resumes the guest on the target with its remaining work.
 	Unfreeze func(uid, target string, dom store.DomID)
 	// Restore resumes a frozen guest on the source after an abort.
@@ -183,9 +187,8 @@ func (f *Federation) migrateCatchUp(m *migration) {
 
 // migrateCommit materializes the guest on the target: create the shell,
 // replay the subtree under the new domain root (granting the guest
-// write access, as the toolstack would with SET_PERMS), hand over the
-// monitoring module's dirty-page state, retire the source copy, and
-// unfreeze on the target.
+// write access, as the toolstack would with SET_PERMS), retire the
+// source copy, and unfreeze on the target.
 func (f *Federation) migrateCommit(m *migration) {
 	if !f.reg.Live(m.to) {
 		f.migrateAbort(m, abortTargetDead)
@@ -220,17 +223,7 @@ func (f *Federation) migrateCommit(m *migration) {
 		dst.view.Grant(dp, dstDom, store.PermWrite)
 		moved++
 	}
-	// Dirty-page observations move with the guest so the target's flush
-	// policy starts from the source's view instead of from zero.
-	smon, dmon := src.host.Monitor(), dst.host.Monitor()
-	for _, disk := range smon.DirtyDisks(m.srcDom) {
-		if ds, ok := smon.Dirty(m.srcDom, disk); ok {
-			dmon.ObserveDirty(dstDom, disk, ds.HasDirty)
-			dmon.ObserveNrDirty(dstDom, disk, ds.Nr)
-		}
-	}
-	smon.ForgetGuest(m.srcDom)
-	src.host.RemoveGuest(m.srcDom)
+	f.hooks.Remove(m.uid, m.from, m.srcDom)
 	src.view.Remove(m.srcRoot)
 	f.view.Write(store.ClusterGuestKey(m.uid, keyGuestHost), m.to)
 	f.view.Write(store.ClusterGuestKey(m.uid, keyGuestDom), itoa(int64(dstDom)))

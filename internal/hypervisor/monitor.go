@@ -1,8 +1,6 @@
 package hypervisor
 
 import (
-	"sort"
-
 	"iorchestra/internal/sim"
 	"iorchestra/internal/store"
 )
@@ -16,13 +14,15 @@ import (
 // side (actuation: flush orders, DRR quanta, cgroup weights) stays on
 // Host and the store.
 //
-// Per-guest dirty state is fed by whoever mirrors the guest's published
-// counters (the flush controller's store-event handler) via the
-// Observe methods; everything else is sampled from the host on demand.
+// Per-disk dirty state is a DirtyEntry held by whoever mirrors the
+// guest's published counters (the manager's per-disk diskDriver), fed
+// through the Observe methods and unlinked with Forget; the Monitor keeps
+// no per-guest map, only its index over the entries it was handed.
+// Everything else is sampled from the host on demand.
 //
-// The dirty mirror is indexed incrementally so Algorithm 1's
-// "argmax nr_i over settled guests" is O(log n) per update and O(1)
-// per decision instead of a per-tick scan over every guest:
+// The dirty index is incremental so Algorithm 1's "argmax nr_i over
+// settled guests" is O(log n) per update and O(1) per decision instead
+// of a per-tick scan over every guest:
 //
 //   - entries whose count grew within the settle window (mid-burst
 //     writers Algorithm 1 must leave alone) sit on the recent list,
@@ -34,31 +34,46 @@ import (
 //     counts toward the lowest (dom, disk).
 //
 // Entries without dirty pages are in neither container. AnyDirty is a
-// counter. TestDirtyIndexMatchesScan pins index-vs-scan equivalence and
-// the golden traces pin end-to-end behavior.
+// counter. FuzzDirtyIndex holds the index to that scan after every
+// operation, and the golden traces pin end-to-end behavior.
 type Monitor struct {
-	h     *Host
-	dirty map[store.DomID]map[string]*dirtyEntry
+	h *Host
 
 	dirtyCount int           // entries with HasDirty set
-	settled    []*dirtyEntry // max-heap, (Nr desc, dom asc, disk asc)
-	settleWin  sim.Duration
+	settled    []*DirtyEntry // max-heap, (Nr desc, dom asc, disk asc)
 	// recent list bounds, LastGrow-ascending; nil when empty.
-	recentHead, recentTail *dirtyEntry
+	recentHead, recentTail *DirtyEntry
 
 	lat []float64 // CoreSnapshot's Latencies, reused
 }
 
-// dirtyEntry is one (guest, disk) mirror plus its index position.
-type dirtyEntry struct {
+// dirtySettleWindow is Algorithm 1's mid-burst guard, taken literally: a
+// disk whose dirty count grew within the last 200 ms is still being
+// written — leave it alone.
+const dirtySettleWindow = 200 * sim.Millisecond
+
+// DirtyEntry is one (guest, disk) dirty-page mirror plus its place in
+// the Monitor's index. Its holder owns it (NewDirtyEntry, then by value
+// wherever it lives) and must Forget it before dropping it.
+type DirtyEntry struct {
 	dom  store.DomID
 	disk string
 	st   DirtyState
 
 	pos        int // settled-heap index; -1 when not in the heap
-	prev, next *dirtyEntry
+	prev, next *DirtyEntry
 	listed     bool // on the recent list
+	observed   bool // a presence bit has arrived
 }
+
+// NewDirtyEntry returns the unobserved mirror of dom's disk.
+func NewDirtyEntry(dom store.DomID, disk string) DirtyEntry {
+	return DirtyEntry{dom: dom, disk: disk, pos: -1}
+}
+
+// State reports the entry's mirror and whether a presence bit has
+// arrived since it was built or last forgotten.
+func (e *DirtyEntry) State() (DirtyState, bool) { return e.st, e.observed }
 
 // DirtyState is the monitoring module's view of one (guest, disk)
 // dirty-page mirror: the published nr_i count, the presence bit, and
@@ -90,7 +105,7 @@ type CoreSnapshot struct {
 // Monitor returns the host's monitoring module, creating it on first use.
 func (h *Host) Monitor() *Monitor {
 	if h.mon == nil {
-		h.mon = &Monitor{h: h, dirty: map[store.DomID]map[string]*dirtyEntry{}}
+		h.mon = &Monitor{h: h}
 	}
 	return h.mon
 }
@@ -175,25 +190,9 @@ func (mo *Monitor) ActiveVCPUs() int {
 	return n
 }
 
-// SetDirtySettleWindow sets how long a dirty count must stop growing
-// before its entry is considered settled (Algorithm 1's mid-burst
-// guard). The flush controller configures it at attach; changing the
-// window does not re-shelve existing entries, so set it before traffic.
-func (mo *Monitor) SetDirtySettleWindow(d sim.Duration) { mo.settleWin = d }
-
-// ObserveDirty records a guest's has_dirty_pages transition and reports
-// the new presence bit (the caller arms its check cadence on true).
-func (mo *Monitor) ObserveDirty(dom store.DomID, disk string, has bool) {
-	byDisk := mo.dirty[dom]
-	if byDisk == nil {
-		byDisk = map[string]*dirtyEntry{}
-		mo.dirty[dom] = byDisk
-	}
-	e := byDisk[disk]
-	if e == nil {
-		e = &dirtyEntry{dom: dom, disk: disk, pos: -1}
-		byDisk[disk] = e
-	}
+// ObserveDirty records a guest's has_dirty_pages transition on e.
+func (mo *Monitor) ObserveDirty(e *DirtyEntry, has bool) {
+	e.observed = true
 	if has == e.st.HasDirty {
 		if !has {
 			e.st.Nr = 0
@@ -211,16 +210,11 @@ func (mo *Monitor) ObserveDirty(dom store.DomID, disk string, has bool) {
 	mo.index(e, mo.h.k.Now())
 }
 
-// ObserveNrDirty records a guest's published nr_dirty count, stamping
-// LastGrow when the count rose. Counts for unobserved (guest, disk)
-// pairs are ignored — the presence bit always arrives first.
-func (mo *Monitor) ObserveNrDirty(dom store.DomID, disk string, nr int64) {
-	byDisk := mo.dirty[dom]
-	if byDisk == nil {
-		return
-	}
-	e := byDisk[disk]
-	if e == nil {
+// ObserveNrDirty records a guest's published nr_dirty count on e,
+// stamping LastGrow when the count rose. A count on an unobserved entry
+// is ignored — the presence bit always arrives first.
+func (mo *Monitor) ObserveNrDirty(e *DirtyEntry, nr int64) {
+	if !e.observed {
 		return
 	}
 	if nr > e.st.Nr {
@@ -250,46 +244,18 @@ func (mo *Monitor) ObserveNrDirty(dom store.DomID, disk string, nr int64) {
 	}
 }
 
-// ForgetGuest drops all dirty state for a removed or demoted guest.
-func (mo *Monitor) ForgetGuest(dom store.DomID) {
-	for _, e := range mo.dirty[dom] {
-		if e.st.HasDirty {
-			mo.dirtyCount--
-		}
-		mo.unindex(e)
+// Forget unlinks e from the index and returns it to unobserved, for a
+// removed or demoted guest's disk.
+func (mo *Monitor) Forget(e *DirtyEntry) {
+	if e.st.HasDirty {
+		mo.dirtyCount--
 	}
-	delete(mo.dirty, dom)
+	mo.unindex(e)
+	*e = NewDirtyEntry(e.dom, e.disk)
 }
 
 // AnyDirty reports whether any observed guest disk holds dirty pages.
 func (mo *Monitor) AnyDirty() bool { return mo.dirtyCount > 0 }
-
-// Observed reports whether any dirty state has been recorded for dom —
-// the set the flush controller's liveness sweep runs over (it mirrors
-// the demotion side effects of the replaced DirtyDoms scan).
-func (mo *Monitor) Observed(dom store.DomID) bool {
-	_, ok := mo.dirty[dom]
-	return ok
-}
-
-// DirtyDisks lists a domain's observed disks in ascending name order.
-func (mo *Monitor) DirtyDisks(dom store.DomID) []string {
-	byDisk := mo.dirty[dom]
-	out := make([]string, 0, len(byDisk))
-	for name := range byDisk {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Dirty returns the state for one (guest, disk) pair.
-func (mo *Monitor) Dirty(dom store.DomID, disk string) (DirtyState, bool) {
-	if e := mo.dirty[dom][disk]; e != nil {
-		return e.st, true
-	}
-	return DirtyState{}, false
-}
 
 // BestDirty returns Algorithm 1's argmax: the settled entry with the
 // most dirty pages, lowest (dom, disk) first on ties, skipping domains
@@ -299,13 +265,13 @@ func (mo *Monitor) Dirty(dom store.DomID, disk string) (DirtyState, bool) {
 // the heap only when its dirty pages do.
 func (mo *Monitor) BestDirty(now sim.Time, ok func(store.DomID) bool) (dom store.DomID, disk string, nr int64, found bool) {
 	// Promote entries whose burst has settled (LastGrow-ordered prefix).
-	for e := mo.recentHead; e != nil && now-e.st.LastGrow > mo.settleWin; e = mo.recentHead {
+	for e := mo.recentHead; e != nil && now-e.st.LastGrow > dirtySettleWindow; e = mo.recentHead {
 		mo.listRemove(e)
 		mo.heapPush(e)
 	}
 	// Pop rejected domains aside, then restore them: rejection is a
 	// liveness verdict about the guest, not about its dirty pages.
-	var stash []*dirtyEntry
+	var stash []*DirtyEntry
 	for len(mo.settled) > 0 {
 		top := mo.settled[0]
 		if ok == nil || ok(top.dom) {
@@ -323,8 +289,8 @@ func (mo *Monitor) BestDirty(now sim.Time, ok func(store.DomID) bool) (dom store
 
 // index shelves a newly dirty entry: onto the recent list when its last
 // growth is within the settle window of now, else into the settled heap.
-func (mo *Monitor) index(e *dirtyEntry, now sim.Time) {
-	if now-e.st.LastGrow > mo.settleWin {
+func (mo *Monitor) index(e *DirtyEntry, now sim.Time) {
+	if now-e.st.LastGrow > dirtySettleWindow {
 		mo.heapPush(e)
 		return
 	}
@@ -338,7 +304,7 @@ func (mo *Monitor) index(e *dirtyEntry, now sim.Time) {
 }
 
 // unindex removes an entry from whichever container holds it.
-func (mo *Monitor) unindex(e *dirtyEntry) {
+func (mo *Monitor) unindex(e *DirtyEntry) {
 	if e.pos >= 0 {
 		mo.heapRemove(e)
 	}
@@ -357,7 +323,7 @@ var DirtyOrderInvertedForTest = false
 
 // dirtyLess orders the settled heap: most dirty pages first, ties to
 // the lowest (dom, disk) — the winner order of the replaced scan.
-func dirtyLess(a, b *dirtyEntry) bool {
+func dirtyLess(a, b *DirtyEntry) bool {
 	if a.st.Nr != b.st.Nr {
 		if DirtyOrderInvertedForTest {
 			return a.st.Nr < b.st.Nr
@@ -373,13 +339,13 @@ func dirtyLess(a, b *dirtyEntry) bool {
 	return a.disk < b.disk
 }
 
-func (mo *Monitor) heapPush(e *dirtyEntry) {
+func (mo *Monitor) heapPush(e *DirtyEntry) {
 	e.pos = len(mo.settled)
 	mo.settled = append(mo.settled, e)
 	mo.siftUp(e.pos)
 }
 
-func (mo *Monitor) heapRemove(e *dirtyEntry) {
+func (mo *Monitor) heapRemove(e *DirtyEntry) {
 	i, last := e.pos, len(mo.settled)-1
 	mo.settled[i] = mo.settled[last]
 	mo.settled[i].pos = i
@@ -425,10 +391,10 @@ func (mo *Monitor) siftDown(i int) {
 	}
 }
 
-func (mo *Monitor) listPushBack(e *dirtyEntry) { mo.listInsertAfter(e, mo.recentTail) }
+func (mo *Monitor) listPushBack(e *DirtyEntry) { mo.listInsertAfter(e, mo.recentTail) }
 
 // listInsertAfter links e after at (at == nil inserts at the head).
-func (mo *Monitor) listInsertAfter(e, at *dirtyEntry) {
+func (mo *Monitor) listInsertAfter(e, at *DirtyEntry) {
 	e.listed = true
 	e.prev = at
 	if at == nil {
@@ -445,7 +411,7 @@ func (mo *Monitor) listInsertAfter(e, at *dirtyEntry) {
 	}
 }
 
-func (mo *Monitor) listRemove(e *dirtyEntry) {
+func (mo *Monitor) listRemove(e *DirtyEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
