@@ -15,11 +15,11 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Project-invariant static analysis (internal/analysis): the rules no
-# type or test can carry, one pass each (`go run ./cmd/iorchestra-vet
-# -list`, docs/LINTING.md). There is no suppression directive to audit.
+# The project rules no type or test can carry (internal/analysis,
+# docs/LINTING.md), run alone. `make test` runs the same test, so check
+# needs no lint step. There is no suppression directive to audit.
 lint:
-	$(GO) run ./cmd/iorchestra-vet ./...
+	$(GO) test -run TestTreeObeysRules ./internal/analysis
 
 test:
 	$(GO) test ./...
@@ -77,7 +77,7 @@ SEED ?= 7
 pair:
 	@sh scripts/pair.sh "$(REV)" "$(W)" $(N) $(SEED)
 
-check: fmt vet lint build test fixtures race
+check: fmt vet build test fixtures race
 
 # Fault-injection gate (docs/FAULTS.md): the checklist test's chaos row
 # — IOrchestra within 5 % of Baseline at every uncooperative-guest

@@ -59,7 +59,7 @@ func main() {
 
 	for _, r := range selected {
 		// Elapsed-time reporting goes through the injectable clock so this
-		// binary stays clean under the determinism vet pass: nothing here
+		// binary stays clean under the determinism rule: nothing here
 		// may read the wall clock directly.
 		sw := experiments.StartStopwatch()
 		fmt.Printf("--- %s (%s scale, seed %d): %s\n", r.ID, scale, *seed, r.Describe)

@@ -13,10 +13,10 @@ import (
 	"iorchestra/internal/netstore"
 )
 
-// The tests build the real binary, as cmd/iorchestra-vet's do, and pin
-// how -faults fails: a spec the store would not run exactly as asked
-// ends in one line on stderr and exit status 2, never a panic and never
-// a store silently serving without its faults.
+// The tests build the real binary, as cmd/iorchestra-clusterd's do,
+// and pin how -faults fails: a spec the store would not run exactly as
+// asked ends in one line on stderr and exit status 2, never a panic and
+// never a store silently serving without its faults.
 
 var toolPath string
 

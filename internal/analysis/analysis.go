@@ -1,138 +1,209 @@
-// Package analysis is iorchestra-vet: the static-analysis passes that
-// enforce the invariants no type, signature or test can carry. Suite
-// lists them (`iorchestra-vet -list` prints it); docs/LINTING.md is the
-// normative rule reference and says what holds each convention that is
-// not a pass. Each Analyzer's Doc is the short form.
-//
-// The framework mirrors the shape of golang.org/x/tools/go/analysis
-// (Analyzer, Pass, Diagnostic) but is self-contained: packages are
-// parsed and type-checked with the standard library only (go/parser,
-// go/types), so the tool builds with zero dependencies beyond the Go
-// toolchain. cmd/iorchestra-vet is the multichecker driver.
+// Package analysis holds the project rules that no type, signature or
+// test can carry: determinism, storekeys and boundedretry
+// (docs/LINTING.md is the normative reference). Each rule is a check
+// over one parsed file and its package path; none needs type
+// information. Check runs them over a module, and TestTreeObeysRules
+// runs Check over this repository, so `go test ./...` enforces them.
+// There is no suppression directive: a finding is fixed, or the rule is
+// changed.
 package analysis
 
 import (
 	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
-	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// Analyzer is one named pass over a type-checked package.
-type Analyzer struct {
-	// Name identifies the pass in diagnostics and -run selections.
-	// Lower-case, no spaces.
-	Name string
-	// Doc is the one-paragraph rule statement shown by -list.
-	Doc string
-	// AppliesTo reports whether the pass runs on a package; nil means
-	// every package. The driver consults it under -scope=auto; tests and
-	// -scope=all run passes regardless.
-	AppliesTo func(pkgPath string) bool
-	// Run inspects one package and reports findings through the Pass.
-	Run func(*Pass) error
+// Finding is one rule violation. Its file name is slash-separated and
+// relative to the module root.
+type Finding struct {
+	Pos     token.Position
+	Rule    string
+	Message string
 }
 
-// Pass carries one package's syntax and type information to an Analyzer.
-type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-
-	diags *[]Diagnostic
+func (f Finding) String() string {
+	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Message)
 }
 
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
+// rule is one project invariant.
+type rule struct {
+	name string
+	// inScope reports whether the rule holds in a file. Check asks it;
+	// the fixture tests run a rule on every file they parse.
+	inScope func(s *source) bool
+	check   func(s *source, report func(pos token.Pos, format string, args ...any))
+}
+
+var rules = []*rule{determinism, storeKeys, boundedRetry}
+
+// run applies r to one file, in scope or not.
+func (r *rule) run(s *source) []Finding {
+	var out []Finding
+	r.check(s, func(pos token.Pos, format string, args ...any) {
+		out = append(out, Finding{Pos: s.fset.Position(pos), Rule: r.name, Message: fmt.Sprintf(format, args...)})
 	})
+	return out
 }
 
-// Diagnostic is one finding, resolved to a file position.
-type Diagnostic struct {
-	Analyzer string
-	Pos      token.Position
-	Message  string
+// source is one parsed file and what the rules need to know about it.
+type source struct {
+	fset *token.FileSet
+	file *ast.File
+	pkg  string // import path of the file's directory
+	name string // base name
+	// imports maps each name the file gives an imported package to that
+	// package's path.
+	imports map[string]string
 }
 
-func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-}
-
-// pkgName reports the receiver-qualified selector name for diagnostics.
-func pkgName(sel *ast.SelectorExpr) string {
+// importPath returns the path of the package a selector's base names,
+// or "" when the base is not an imported package's name. Without type
+// information a local variable that shadows an import resolves to the
+// import; the tree has none that matters.
+func (s *source) importPath(sel *ast.SelectorExpr) string {
 	if id, ok := sel.X.(*ast.Ident); ok {
-		return id.Name + "." + sel.Sel.Name
+		return s.imports[id.Name]
 	}
-	return sel.Sel.Name
+	return ""
 }
 
-// RunAnalyzers applies every analyzer to every package it matches and
-// returns the diagnostics sorted by position. scopeAll disables
-// AppliesTo gating. There is no suppression directive: a finding is
-// fixed, or the rule is changed.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, scopeAll bool) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			if !scopeAll && a.AppliesTo != nil && !a.AppliesTo(strings.TrimSuffix(pkg.Path, "_test")) {
-				continue
-			}
-			pass := &Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				diags:     &diags,
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
+// Check parses every Go file of the module rooted at root and returns
+// what each rule finds in the files it holds in, ordered by position.
+func Check(root string) ([]Finding, error) {
+	mod, err := modulePath(root)
+	if err != nil {
+		return nil, err
+	}
+	srcs, err := parseTree(root, mod)
+	if err != nil {
+		return nil, err
+	}
+	var out []Finding
+	for _, s := range srcs {
+		for _, r := range rules {
+			if r.inScope(s) {
+				out = append(out, r.run(s)...)
 			}
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
+		if a.Pos.Offset != b.Pos.Offset {
+			return a.Pos.Offset < b.Pos.Offset
 		}
-		return a.Analyzer < b.Analyzer
+		return a.Rule < b.Rule
 	})
-	return diags, nil
+	return out, nil
 }
 
-// walkFiles runs fn over every node of every file in the pass.
-func walkFiles(p *Pass, fn func(file *ast.File, n ast.Node) bool) {
-	for _, f := range p.Files {
-		file := f
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				return false
+// modulePath reads the module directive of root's go.mod.
+func modulePath(root string) (string, error) {
+	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return "", err
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.TrimSpace(rest), nil
+		}
+	}
+	return "", fmt.Errorf("%s: no module directive", filepath.Join(root, "go.mod"))
+}
+
+// parseTree parses every .go file below root, test files and every
+// build-tag variant included. It skips what the go tool skips: testdata,
+// and directories and files whose names start with "." or "_". A file
+// in directory d belongs to package mod/d. A file that does not parse is
+// an error, never a file the rules silently miss.
+func parseTree(root, mod string) ([]*source, error) {
+	fset := token.NewFileSet()
+	var srcs []*source
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
 			}
-			return fn(file, n)
-		})
-	}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			return nil
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		f, err := parser.ParseFile(fset, rel, src, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := mod
+		if dir := filepath.ToSlash(filepath.Dir(rel)); dir != "." {
+			pkg += "/" + dir
+		}
+		srcs = append(srcs, &source{fset: fset, file: f, pkg: pkg, name: name, imports: importNames(f)})
+		return nil
+	})
+	return srcs, err
 }
 
-// importedPkg resolves a selector base identifier to the import path of
-// the package it names, or "" when it is not a package reference.
-func importedPkg(info *types.Info, sel *ast.SelectorExpr) string {
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return ""
+// importNames maps the names a file's imports bind to their paths: the
+// alias, or the path's last element with a /vN major-version suffix
+// stepped over. Blank and dot imports bind no name.
+func importNames(f *ast.File) map[string]string {
+	names := make(map[string]string, len(f.Imports))
+	for _, spec := range f.Imports {
+		path, err := strconv.Unquote(spec.Path.Value)
+		if err != nil {
+			continue
+		}
+		var name string
+		if spec.Name != nil {
+			name = spec.Name.Name
+		} else {
+			elems := strings.Split(path, "/")
+			name = elems[len(elems)-1]
+			if len(elems) > 1 && isMajorVersion(name) {
+				name = elems[len(elems)-2]
+			}
+		}
+		if name != "_" && name != "." {
+			names[name] = path
+		}
 	}
-	if pn, ok := info.Uses[id].(*types.PkgName); ok {
-		return pn.Imported().Path()
+	return names
+}
+
+// isMajorVersion reports whether a path element is a major-version
+// suffix such as v2.
+func isMajorVersion(elem string) bool {
+	digits, ok := strings.CutPrefix(elem, "v")
+	if !ok || digits == "" {
+		return false
 	}
-	return ""
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }

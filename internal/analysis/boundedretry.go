@@ -5,49 +5,38 @@ import (
 	"go/token"
 )
 
-// BoundedRetry extends the PR 2 graceful-degradation contract to every
-// retry loop in the tree: a loop that spins on "try again" must decide,
-// in bounded time, to give up loudly. The manager's flush/release
-// deadlines follow this discipline; an unbounded `for { ...; continue }`
-// anywhere else is a hang waiting for a fault injector to find it.
+// boundedRetry extends the graceful-degradation contract
+// (docs/FAULTS.md) to every retry loop in the tree: a loop that spins on
+// "try again" must decide, in bounded time, to give up loudly. The
+// manager's flush/release deadlines follow this discipline; an unbounded
+// `for { ...; continue }` anywhere else is a hang waiting for a fault
+// injector to find it.
 //
 // Shape matched: a bare `for {` (no init/cond/post) containing a
 // loop-level `continue`. Such a loop passes only if it also contains a
 // relational comparison (<, <=, >, >=) — an attempt counter or deadline
 // check — guarding a bail-out (break, return or panic). Loops bounded
 // in the header (`for i := 0; i < n; i++`) and dispatch loops with no
-// loop-level continue are out of shape and never flagged.
-var BoundedRetry = &Analyzer{
-	Name: "boundedretry",
-	Doc: "bare for-loops that retry via continue must bound their attempts: a " +
-		"relational attempt-count or deadline comparison guarding a break/return/panic " +
-		"(the PR 2 bounded-degradation contract, applied tree-wide)",
-	AppliesTo: func(pkgPath string) bool {
-		// The pass suite itself builds retry-shaped loops as fixtures and
-		// test subjects; everything else is in scope.
-		return pkgPath != "iorchestra/internal/analysis"
+// loop-level continue are out of shape and never flagged. The rule
+// holds everywhere but internal/analysis, whose tests build
+// retry-shaped loops as subjects.
+var boundedRetry = &rule{
+	name:    "boundedretry",
+	inScope: func(s *source) bool { return s.pkg != "iorchestra/internal/analysis" },
+	check: func(s *source, report func(token.Pos, string, ...any)) {
+		ast.Inspect(s.file, func(n ast.Node) bool {
+			loop, ok := n.(*ast.ForStmt)
+			if !ok || loop.Cond != nil || loop.Init != nil || loop.Post != nil {
+				return true
+			}
+			if hasLoopLevelContinue(loop) && !hasBoundedBail(loop) {
+				report(loop.Pos(), "unbounded retry loop: a bare for that retries via continue "+
+					"must bound its attempts with a counter or deadline check that breaks out "+
+					"(see docs/LINTING.md#boundedretry)")
+			}
+			return true
+		})
 	},
-	Run: runBoundedRetry,
-}
-
-func runBoundedRetry(p *Pass) error {
-	walkFiles(p, func(_ *ast.File, n ast.Node) bool {
-		loop, ok := n.(*ast.ForStmt)
-		if !ok || loop.Cond != nil || loop.Init != nil || loop.Post != nil {
-			return true
-		}
-		if !hasLoopLevelContinue(loop) {
-			return true
-		}
-		if hasBoundedBail(loop) {
-			return true
-		}
-		p.Reportf(loop.Pos(), "unbounded retry loop: a bare for that retries via continue "+
-			"must bound its attempts with a counter or deadline check that breaks out "+
-			"(see docs/LINTING.md#boundedretry)")
-		return true
-	})
-	return nil
 }
 
 // inspectLoopBody walks the loop body without descending into nested

@@ -2,38 +2,20 @@ package analysis
 
 import (
 	"go/ast"
-	"strings"
+	"go/token"
 )
 
-// determinismScope lists the packages whose behavior feeds the
-// fixed-seed golden decision traces (testdata/golden): everything the
-// simulation executes, plus the binaries that drive it. A wall-clock
-// read or a draw from the global math/rand source anywhere in here
-// silently breaks byte-identical replay.
-var determinismScope = map[string]bool{
-	"iorchestra":                     true,
-	"iorchestra/internal/core":       true,
-	"iorchestra/internal/store":      true,
-	"iorchestra/internal/trace":      true,
-	"iorchestra/internal/fault":      true,
-	"iorchestra/internal/hypervisor": true,
-	"iorchestra/internal/device":     true,
-	"iorchestra/internal/blkio":      true,
-	"iorchestra/internal/federation": true,
-	"iorchestra/internal/cluster":    true,
-}
-
-// nonSimScope exempts the wire-facing packages from the determinism
-// pass. They bridge the simulated store to real sockets, so wall-clock
-// deadlines and timeouts are their job, not a leak: the
-// store they host takes no time from them — it orders its own
-// deliveries — and golden-trace parity is enforced on that side of the
-// boundary (see internal/netstore parity tests). The exemption wins over the
-// iorchestra/cmd/ prefix below.
-var nonSimScope = map[string]bool{
+// wallClockBridges lists the packages the determinism rule does not
+// hold in. They bridge the simulated store to real sockets or time the
+// benchmark, so wall-clock deadlines, timeouts and heartbeats are their
+// job, not a leak: the store they host takes no time from them — it
+// orders its own deliveries — and golden-trace parity is enforced on
+// that side of the boundary (see internal/netstore parity tests).
+var wallClockBridges = map[string]bool{
 	"iorchestra/internal/netstore":       true,
 	"iorchestra/cmd/iorchestra-stored":   true,
 	"iorchestra/cmd/iorchestra-clusterd": true,
+	"iorchestra/bench":                   true,
 }
 
 // Wall-clock and timer entry points of package time. Pure conversions
@@ -59,43 +41,48 @@ var forbiddenRandFuncs = map[string]bool{
 	"Uint": true, "N": true,
 }
 
-// Determinism forbids wall-clock time and the global math/rand source in
-// the deterministic-simulation packages.
-var Determinism = &Analyzer{
-	Name: "determinism",
-	Doc: "forbid time.Now/time.Since/timers and the global math/rand source in " +
-		"deterministic-sim packages; virtual time comes from sim.Kernel and " +
-		"randomness from an explicitly seeded stats.Stream",
-	AppliesTo: func(pkgPath string) bool {
-		if nonSimScope[pkgPath] {
-			return false
-		}
-		return determinismScope[pkgPath] || strings.HasPrefix(pkgPath, "iorchestra/cmd/")
+// determinism forbids wall-clock time and the global math/rand source
+// everywhere but the wall-clock bridges: every other package feeds the
+// fixed-seed golden decision traces (testdata/golden), and a wall-clock
+// read or a global-source draw anywhere in them silently breaks
+// byte-identical replay. internal/experiments/clock.go is the injected
+// stopwatch cmd/experiments reports progress with, and the one file of
+// its package that reads the wall clock.
+var determinism = &rule{
+	name: "determinism",
+	inScope: func(s *source) bool {
+		return !wallClockBridges[s.pkg] &&
+			!(s.pkg == "iorchestra/internal/experiments" && s.name == "clock.go")
 	},
-	Run: runDeterminism,
+	check: func(s *source, report func(token.Pos, string, ...any)) {
+		ast.Inspect(s.file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			switch s.importPath(sel) {
+			case "time":
+				if forbiddenTimeFuncs[sel.Sel.Name] {
+					report(sel.Pos(),
+						"%s reads the wall clock; deterministic-sim code must take time from sim.Kernel (golden-trace parity depends on it)",
+						selectorName(sel))
+				}
+			case "math/rand", "math/rand/v2":
+				if forbiddenRandFuncs[sel.Sel.Name] {
+					report(sel.Pos(),
+						"%s draws from the global math/rand source; use an explicitly seeded stats.Stream so fixed-seed runs replay identically",
+						selectorName(sel))
+				}
+			}
+			return true
+		})
+	},
 }
 
-func runDeterminism(p *Pass) error {
-	walkFiles(p, func(f *ast.File, n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		switch importedPkg(p.TypesInfo, sel) {
-		case "time":
-			if forbiddenTimeFuncs[sel.Sel.Name] {
-				p.Reportf(sel.Pos(),
-					"%s reads the wall clock; deterministic-sim code must take time from sim.Kernel (golden-trace parity depends on it)",
-					pkgName(sel))
-			}
-		case "math/rand", "math/rand/v2":
-			if forbiddenRandFuncs[sel.Sel.Name] {
-				p.Reportf(sel.Pos(),
-					"%s draws from the global math/rand source; use an explicitly seeded stats.Stream so fixed-seed runs replay identically",
-					pkgName(sel))
-			}
-		}
-		return true
-	})
-	return nil
+// selectorName renders a package-qualified selector for a message.
+func selectorName(sel *ast.SelectorExpr) string {
+	if id, ok := sel.X.(*ast.Ident); ok {
+		return id.Name + "." + sel.Sel.Name
+	}
+	return sel.Sel.Name
 }

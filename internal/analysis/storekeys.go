@@ -3,53 +3,38 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"path/filepath"
 	"strings"
 )
 
-// StoreKeys flags raw "/local/domain/..." and "/cluster/..." path
+// storeKeys flags raw "/local/domain/..." and "/cluster/..." path
 // literals. The store key schema (docs/STORE_KEYS.md) is owned by two
 // places — internal/store's path helpers (store.Root, store.DomainPath,
 // store.DiskPath, and the /cluster constructors in store's keys.go) and
 // the typed key constructors in internal/core/keys.go. A hand-rolled
 // path literal anywhere else bypasses both, so a schema change (or a
-// typo) silently produces keys nothing watches.
-var StoreKeys = &Analyzer{
-	Name: "storekeys",
-	Doc: "flag raw /local/domain/... and /cluster/... string literals outside " +
-		"internal/store and internal/core/keys.go; build paths with " +
-		"store.Root/DomainPath/DiskPath, store's /cluster key constructors " +
-		"(HypervisorPath, ClusterGuestKey, ...), or the core keys.go constructors",
-	AppliesTo: func(pkgPath string) bool {
-		// internal/store owns the schema; internal/analysis quotes the
-		// path in rule text without ever building keys from it.
-		return pkgPath != "iorchestra/internal/store" &&
-			pkgPath != "iorchestra/internal/analysis"
+// typo) silently produces keys nothing watches. internal/analysis quotes
+// the path in rule text without ever building keys from it.
+var storeKeys = &rule{
+	name: "storekeys",
+	inScope: func(s *source) bool {
+		return s.pkg != "iorchestra/internal/store" &&
+			s.pkg != "iorchestra/internal/analysis" &&
+			!(s.pkg == "iorchestra/internal/core" && s.name == "keys.go")
 	},
-	Run: runStoreKeys,
-}
-
-func runStoreKeys(p *Pass) error {
-	walkFiles(p, func(file *ast.File, n ast.Node) bool {
-		lit, ok := n.(*ast.BasicLit)
-		if !ok || lit.Kind != token.STRING {
+	check: func(s *source, report func(token.Pos, string, ...any)) {
+		ast.Inspect(s.file, func(n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			if strings.Contains(lit.Value, "/local/domain") ||
+				strings.Contains(lit.Value, "/cluster/") ||
+				lit.Value == `"/cluster"` {
+				report(lit.Pos(),
+					"raw store path literal %s; build it with store.Root/DomainPath/DiskPath or the internal/core/keys.go constructors (docs/STORE_KEYS.md)",
+					lit.Value)
+			}
 			return true
-		}
-		if !strings.Contains(lit.Value, "/local/domain") &&
-			!strings.Contains(lit.Value, "/cluster/") &&
-			lit.Value != `"/cluster"` {
-			return true
-		}
-		// keys.go is the schema's designated home on the core side.
-		pos := p.Fset.Position(lit.Pos())
-		if p.Pkg != nil && p.Pkg.Path() == "iorchestra/internal/core" &&
-			filepath.Base(pos.Filename) == "keys.go" {
-			return true
-		}
-		p.Reportf(lit.Pos(),
-			"raw store path literal %s; build it with store.Root/DomainPath/DiskPath or the internal/core/keys.go constructors (docs/STORE_KEYS.md)",
-			lit.Value)
-		return true
-	})
-	return nil
+		})
+	},
 }

@@ -1,6 +1,5 @@
-// Command iorchestra-stored's stand-in: under iorchestra/cmd/ but in
-// nonSimScope, so its real-time accept-loop plumbing stays legal — the
-// exemption must win over the cmd/ prefix match.
+// Command iorchestra-stored's stand-in: a wall-clock bridge, so its
+// real-time accept-loop plumbing stays legal.
 package main
 
 import "time"

@@ -1,6 +1,6 @@
-// Package analysis is boundedretry's scope carve-out: the real pass
-// suite constructs retry-shaped loops as fixtures and test subjects, so
-// the pass must not fire here — no want comments.
+// Package analysis is boundedretry's scope carve-out: the real
+// package's tests build retry-shaped loops as subjects, so the rule must
+// not fire here — no want comments.
 package analysis
 
 func Probe() bool { return true }

@@ -1,5 +1,5 @@
 // Package core stands in for a deterministic-sim package: the
-// determinism pass must flag wall-clock reads here.
+// determinism rule must flag wall-clock reads here.
 package core
 
 import "time"

@@ -1,7 +1,7 @@
-// loop.go exercises the in-scope side of boundedretry: netstore is
-// inside its gate, so the violation below must be flagged under auto
-// scoping. Its twin in internal/analysis carries no expectation and
-// proves the gate's negative side.
+// loop.go exercises the in-scope side of boundedretry: the rule holds
+// in netstore, so Check must flag the violation below. Its twin in
+// internal/analysis carries no expectation and proves the scope's
+// negative side.
 package netstore
 
 func probe() bool { return true }

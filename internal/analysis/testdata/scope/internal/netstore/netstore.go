@@ -1,7 +1,7 @@
-// Package netstore stands in for the wire-facing store server: it is in
-// nonSimScope, so its wall-clock socket deadlines must NOT be flagged —
-// no want comments in this file, and the scope test fails on any
-// unexpected diagnostic.
+// Package netstore stands in for the wire-facing store server: it is a
+// wall-clock bridge, so its socket deadlines must NOT be flagged. This
+// file has no want comments, and the scope test fails on any unexpected
+// finding.
 package netstore
 
 import "time"

@@ -1,4 +1,4 @@
-// Package boundedretry exercises the bounded-retry pass: a bare for
+// Package boundedretry exercises the bounded-retry rule: a bare for
 // that retries via continue must bound its attempts with a relational
 // counter or deadline check that bails out.
 package boundedretry
@@ -42,7 +42,7 @@ func boundedRetry() error {
 	}
 }
 
-// Bounded in the header: not a bare for, out of the pass's shape.
+// Bounded in the header: not a bare for, out of the rule's shape.
 func headerBounded() {
 	for i := 0; i < 4; i++ {
 		if ok, _ := poll(); !ok {

@@ -1,6 +1,5 @@
-// Package determinismfix is an iorchestra-vet test fixture: every line
-// marked want must be flagged by the determinism pass, everything else
-// must stay clean.
+// Package determinismfix is a test fixture: the determinism rule must
+// flag every line marked want, and nothing else.
 package determinismfix
 
 import (

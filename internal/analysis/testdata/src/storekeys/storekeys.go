@@ -1,5 +1,4 @@
-// Package storekeysfix is an iorchestra-vet test fixture for the
-// storekeys pass.
+// Package storekeysfix is the test fixture of the storekeys rule.
 package storekeysfix
 
 import "iorchestra/internal/store"

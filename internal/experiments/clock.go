@@ -4,9 +4,9 @@ import "time"
 
 // Stopwatch measures elapsed wall time for progress lines in the
 // experiment binaries. It lives here so cmd/experiments never calls
-// time.Now itself: the determinism vet pass bans wall-clock reads across
-// the simulation and its drivers, and elapsed-time reporting is the one
-// legitimate wall-clock consumer.
+// time.Now itself: the determinism rule (internal/analysis) bans
+// wall-clock reads everywhere but the wall-clock bridges and this file,
+// and elapsed-time reporting is the one legitimate wall-clock consumer.
 type Stopwatch struct {
 	start time.Time
 }

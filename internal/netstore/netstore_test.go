@@ -564,8 +564,8 @@ func overflowRepairsFinalValues(t *testing.T, network string) {
 			t.Fatalf("watcher stopped after %d of %d events", i, n)
 		}
 	}
-	if ctr := srv.Counters(); ctr.Evicted != 0 {
-		t.Fatalf("draining watcher evicted: %+v", ctr)
+	if ctr := srv.Counters(); ctr.Evicted != 0 || ctr.Lagged == 0 {
+		t.Fatalf("draining watcher evicted, or no key counted as lagged: %+v", ctr)
 	}
 	// The burst overflowed the queue, or the repair path went unexercised:
 	// the lag record is on the trace before the batch's last delivery.

@@ -64,8 +64,8 @@
 // docs/WIRE_PROTOCOL.md is the normative frame-layout and semantics
 // reference; docs/PERFORMANCE.md tracks the measured cost of all of
 // the above. Unlike every simulation package, netstore deals in real
-// sockets and real deadlines; it is exempt from the iorchestra-vet
-// determinism pass (docs/LINTING.md).
+// sockets and real deadlines; it is one of the wall-clock bridges the
+// determinism rule does not hold in (docs/LINTING.md).
 package netstore
 
 import (

@@ -205,6 +205,7 @@ func (c *srvConn) enqueueEvent(t *tree, idx map[string]int, key eventKey, value 
 	c.lagged = append(c.lagged, key)
 	c.lagIdx[key] = struct{}{}
 	c.qmu.Unlock()
+	c.srv.lagged.Add(1)
 	if first {
 		t.rec.Record(trace.Record{Kind: trace.KindWireConn, Dom: int(c.dom), Value: "lag", Path: key.path})
 	}

@@ -68,6 +68,10 @@ type Counters struct {
 	Evicted   uint64 `json:"evicted"`
 	Events    uint64 `json:"events"`
 	Coalesced uint64 `json:"coalesced"`
+	// Lagged counts the keys parked for repair because their event found
+	// the notify queue full (srvConn.lagged), one per key parked: a key
+	// parked twice before its repair is counted once and coalesced once.
+	Lagged uint64 `json:"lagged,omitempty"`
 	// RingConns counts connections that took a shared-memory ring
 	// (ring.go) and Doorbells the bytes the server wrote on their sockets
 	// to wake a parked reader: every other frame crossed without a
@@ -196,6 +200,7 @@ type Server struct {
 	evicted       atomic.Uint64
 	events        atomic.Uint64
 	coalesced     atomic.Uint64
+	lagged        atomic.Uint64
 
 	batches  atomic.Uint64
 	batchOps atomic.Uint64
@@ -364,6 +369,7 @@ func (s *Server) wireCounters() Counters {
 		Evicted:       s.evicted.Load(),
 		Events:        s.events.Load(),
 		Coalesced:     s.coalesced.Load(),
+		Lagged:        s.lagged.Load(),
 		Batches:       s.batches.Load(),
 		BatchOps:      s.batchOps.Load(),
 		Syncs:         s.syncs.Load(),

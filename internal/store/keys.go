@@ -24,7 +24,7 @@ package store
 //
 // The /cluster namespace is rooted at a Dom0-owned node, so only the
 // control plane writes it; guests never see cluster state directly.
-// The storekeys vet pass enforces that raw "/cluster/..." (and
+// The storekeys rule enforces that raw "/cluster/..." (and
 // "/local/domain/...") literals appear only in this package — every
 // other package must build paths through these constructors
 // (docs/LINTING.md).

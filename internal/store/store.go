@@ -331,7 +331,7 @@ func under(path, prefix string) bool {
 
 // Root is the top of the per-domain namespace, mirroring XenStore's
 // /local/domain. It is the only sanctioned spelling of the prefix
-// outside this package: the storekeys vet pass flags raw path literals
+// outside this package: the storekeys rule flags raw path literals
 // everywhere else (docs/STORE_KEYS.md, docs/LINTING.md).
 const Root = "/local/domain"
 
