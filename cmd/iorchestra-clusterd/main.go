@@ -1,11 +1,8 @@
-// Command iorchestra-clusterd runs the federation control plane against
-// a real cluster store served by iorchestra-stored — the wall-clock
-// counterpart of internal/federation's in-sim registry and placement
-// (docs/CLUSTER.md is the normative reference for the key schema, the
-// heartbeat/TTL semantics and the scoring formula; all four roles below
-// share their implementation with the simulator through the
-// federation package, so a decision made here matches the simulated one
-// bit for bit).
+// Command iorchestra-clusterd runs the cluster registry and placement
+// against a cluster store served by iorchestra-stored. docs/CLUSTER.md
+// is the normative reference for the key schema, the heartbeat/TTL
+// semantics and the scoring formula; internal/federation holds the
+// schema helpers and the pure scoring engine all four roles below use.
 //
 // Roles:
 //
@@ -87,8 +84,8 @@ func main() {
 	}
 }
 
-// dial connects to the cluster store as Dom0 (the federation is a
-// privileged management module, like the in-sim LocalView).
+// dial connects to the cluster store as Dom0 (the registry is a
+// privileged management module).
 func dial(url, token string) (*netstore.Client, error) {
 	if addr, ok := strings.CutPrefix(url, "tcp://"); ok {
 		return netstore.Dial("tcp", addr, store.Dom0, token)
@@ -107,14 +104,9 @@ func storeFlags(fs *flag.FlagSet) (url, token *string) {
 	return
 }
 
-// A netstore connection is a federation.View as it stands, so the same
-// registry/placement/migration code runs whether the cluster store is an
-// object or a socket away.
+// A netstore connection is a federation.View as it stands.
 var _ federation.View = (*netstore.Client)(nil)
 
-// cmdJoin registers the host and heartbeats until a signal, then leaves
-// gracefully by removing its entry (so peers see a leave, not a TTL
-// expiry).
 // parseTierList maps a comma-separated -tiers value onto a zero-count
 // census: key presence declares capability (docs/GSTATES.md §7), and a
 // freshly joined host has admitted nobody. Unknown tier names are
@@ -138,6 +130,9 @@ func parseTierList(s string) (map[string]int, error) {
 	return counts, nil
 }
 
+// cmdJoin registers the host and heartbeats until a signal, then leaves
+// gracefully by removing its entry (so peers see a leave, not a TTL
+// expiry).
 func cmdJoin(args []string) error {
 	fs := flag.NewFlagSet("join", flag.ExitOnError)
 	url, token := storeFlags(fs)
@@ -236,10 +231,10 @@ func cmdWatch(args []string) error {
 }
 
 // cmdExpire enforces the heartbeat TTL: beats are stamped on arrival,
-// and a periodic sweep removes entries whose stamp aged out — the
-// wall-clock twin of Federation.sweepTick. Entries present before this
-// expirer started get a grace stamp, so a restart never mass-expires a
-// healthy cluster.
+// and a periodic sweep removes entries whose stamp aged out. It is the
+// cluster's one expirer: place takes every listed host as live. Entries
+// present before this expirer started get a grace stamp, so a restart
+// never mass-expires a healthy cluster.
 func cmdExpire(args []string) error {
 	fs := flag.NewFlagSet("expire", flag.ExitOnError)
 	url, token := storeFlags(fs)

@@ -9,7 +9,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"iorchestra/internal/federation"
 	"iorchestra/internal/netstore"
@@ -40,10 +42,10 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// TestPlaceMatchesScoreHosts publishes two hosts into a store served on
-// a Unix socket and runs one `place`: the decision it prints is the
-// engine's over the registry it read, every host taken as live.
-func TestPlaceMatchesScoreHosts(t *testing.T) {
+// serveStore serves a cluster store on a Unix socket in a test
+// directory and returns the socket's path and a Dom0 client on it.
+func serveStore(t *testing.T) (string, *netstore.Client) {
+	t.Helper()
 	sock := filepath.Join(t.TempDir(), "s.sock")
 	l, err := net.Listen("unix", sock)
 	if err != nil {
@@ -56,7 +58,15 @@ func TestPlaceMatchesScoreHosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
+	return sock, c
+}
+
+// TestPlaceMatchesScoreHosts publishes two hosts into a store served on
+// a Unix socket and runs one `place`: the decision it prints is the
+// engine's over the registry it read, every host taken as live.
+func TestPlaceMatchesScoreHosts(t *testing.T) {
+	sock, c := serveStore(t)
 	federation.PublishHostStatics(c, "hostA", "", 8)
 	federation.PublishHostLoad(c, "hostA", federation.HostLoad{ActiveVCPUs: 6, QueueDepth: 12, Util: 0.7, P99Ms: 9})
 	federation.PublishHostStatics(c, "hostB", "", 4)
@@ -109,5 +119,112 @@ func TestPlaceBadModeExits(t *testing.T) {
 	}
 	if s := stderr.String(); strings.Count(s, "\n") != 1 || !strings.Contains(s, `-mode "bogus"`) {
 		t.Errorf("-mode bogus: want one line naming the mode, got:\n%s", s)
+	}
+}
+
+// TestExpireRemovesSilentHost runs `expire` over two registered hosts,
+// one kept beating and one silent: the silent entry is removed once its
+// beat ages past the TTL, the beating one stays, and SIGTERM exits 0.
+// The bounds are a few seconds, far above the 300 ms TTL, so a slow or
+// single-CPU machine only makes the test take longer.
+func TestExpireRemovesSilentHost(t *testing.T) {
+	sock, c := serveStore(t)
+	for _, id := range []string{"hostA", "hostB"} {
+		federation.PublishHostStatics(c, id, "", 4)
+		federation.PublishHeartbeat(c, id, 1)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The daemon writes straight into files, so they can be read while
+	// it runs without racing a copying goroutine.
+	dir := t.TempDir()
+	output := func(name string) string {
+		b, _ := os.ReadFile(filepath.Join(dir, name))
+		return string(b)
+	}
+	create := func(name string) *os.File {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
+	cmd := exec.Command(toolPath, "expire", "-store", "unix://"+sock, "-ttl", "300ms", "-sweep", "50ms")
+	cmd.Stdout, cmd.Stderr = create("stdout"), create("stderr")
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var waitErr error
+	exited := make(chan struct{})
+	go func() { waitErr = cmd.Wait(); close(exited) }()
+	t.Cleanup(func() {
+		select {
+		case <-exited:
+		default:
+			cmd.Process.Kill()
+			<-exited
+		}
+	})
+
+	// hostA beats every 25 ms until the test ends; hostB stays silent.
+	stop := make(chan struct{})
+	beaten := make(chan struct{})
+	go func() {
+		defer close(beaten)
+		tick := time.NewTicker(25 * time.Millisecond)
+		defer tick.Stop()
+		for beat := int64(2); ; beat++ {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				federation.PublishHeartbeat(c, "hostA", beat)
+			}
+		}
+	}()
+	defer func() { close(stop); <-beaten }()
+
+	hosts := func() map[string]bool {
+		t.Helper()
+		ids, err := c.List(store.HypervisorsPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := map[string]bool{}
+		for _, id := range ids {
+			set[id] = true
+		}
+		return set
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for hosts()["hostB"] {
+		if time.Now().After(deadline) {
+			t.Fatalf("silent hostB still registered after 5 s\nstdout:\n%s\nstderr:\n%s", output("stdout"), output("stderr"))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	// Let a few more TTLs pass: the beating host must outlive them.
+	time.Sleep(time.Second)
+	if !hosts()["hostA"] {
+		t.Fatalf("beating hostA was expired\nstdout:\n%s", output("stdout"))
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-exited:
+		if waitErr != nil {
+			t.Fatalf("expire after SIGTERM: %v\nstderr:\n%s", waitErr, output("stderr"))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("expire did not exit within 5 s of SIGTERM")
+	}
+	out := output("stdout")
+	if !strings.Contains(out, " expire hostB ") || strings.Contains(out, "hostA") {
+		t.Errorf("expire printed:\n%s\nwant one line expiring hostB and none naming hostA", out)
 	}
 }

@@ -99,63 +99,12 @@ func (c *ArrivalsConfig) units(app AppKind) float64 {
 	}
 }
 
-// arrivalSource is the Poisson arrival step both engines share:
-// exponential gaps at Lambda per minute until Duration, each arrival
-// drawing a size and an app and handing them to admit. Its rng drives
-// the arrival process only; VM workloads get independent per-placement
-// streams derived from appSeed, so arrival sequences stay identical
-// across compared systems no matter when each system finishes its VMs.
-type arrivalSource struct {
-	k       *sim.Kernel
-	cfg     ArrivalsConfig
-	rng     *stats.Stream
-	appSeed uint64
-	arrived int
-	admit   func(vcpus int, app AppKind)
-}
-
-func newArrivalSource(k *sim.Kernel, cfg ArrivalsConfig, rng *stats.Stream) arrivalSource {
-	cfg.fillDefaults()
-	return arrivalSource{k: k, cfg: cfg, rng: rng, appSeed: rng.Uint64()}
-}
-
-// Start begins Poisson arrivals and runs until the configured duration;
-// VMs still running at the end are left to finish or be abandoned by the
-// caller's RunUntil horizon.
-func (s *arrivalSource) Start() { s.scheduleNext() }
-
-func (s *arrivalSource) scheduleNext() {
-	ratePerSec := s.cfg.Lambda / 60.0
-	gap := sim.DurationOf(s.rng.Exponential(ratePerSec))
-	s.k.After(gap, func() {
-		if s.k.Now() >= s.cfg.Duration {
-			return
-		}
-		s.arrived++
-		s.admit(stats.Pick(s.rng, s.cfg.Sizes), stats.Pick(s.rng, s.cfg.Apps))
-		s.scheduleNext()
-	})
-}
-
-// createVM builds an arriving VM's shell on h and runs the OnCreate hook.
-func createVM(h *hypervisor.Host, vcpus int, hooks VMHooks) *hypervisor.GuestRuntime {
-	rt := h.CreateGuest(guest.Config{
-		VCPUs:    vcpus,
-		MemBytes: int64(vcpus) << 30,
-	}, workload.FlushProneDisk(0.2))
-	if hooks.OnCreate != nil {
-		hooks.OnCreate(rt)
-	}
-	return rt
-}
-
-// launched is one running application placement: how to stop it, and
-// how far it has come in app units, write bytes and total I/O bytes.
+// launched is one running application: how to stop it, and how far it
+// has come in write bytes and total I/O bytes.
 type launched struct {
-	stop     func()
-	progress func() float64
-	written  func() float64
-	io       func() float64
+	stop    func()
+	written func() float64
+	io      func() float64
 }
 
 func zero() float64 { return 0 }
@@ -163,11 +112,10 @@ func zero() float64 { return 0 }
 // pollInterval paces the completion checks of apps with no natural end.
 const pollInterval = 250 * sim.Millisecond
 
-// launchApp starts app on g for units of its problem size (the whole
-// size on first placement, the remainder after a migration) and calls
+// launchApp starts app on g for units of its problem size and calls
 // done once when that much is complete. live gates every completion
-// check: a placement retired by its engine reports false and the check
-// dies silently. The app keeps running past done until stop.
+// check: once the VM has finished it reports false and the check dies
+// silently. The app keeps running past done until stop.
 func launchApp(k *sim.Kernel, g *guest.Guest, app AppKind, vcpus int, units float64,
 	rng *stats.Stream, live func() bool, done func()) launched {
 	poll := func(complete func() bool) {
@@ -191,7 +139,7 @@ func launchApp(k *sim.Kernel, g *guest.Guest, app AppKind, vcpus int, units floa
 		fs.Start()
 		// FS has no natural end: poll for the data-transmission quota.
 		poll(func() bool { return fs.WrittenBytes() >= units })
-		return launched{stop: fs.Stop, progress: fs.WrittenBytes, written: fs.WrittenBytes, io: fs.WrittenBytes}
+		return launched{stop: fs.Stop, written: fs.WrittenBytes, io: fs.WrittenBytes}
 	case AppYCSB1:
 		node := apps.NewCassandraNode(g, d, apps.CassandraConfig{}, rng.Fork("node"))
 		cl := apps.NewCassandraCluster(k, []*apps.CassandraNode{node}, rng.Fork("cl"))
@@ -203,7 +151,7 @@ func launchApp(k *sim.Kernel, g *guest.Guest, app AppKind, vcpus int, units floa
 		ops := func() float64 { return float64(gen.Recorder().Completed()) }
 		poll(func() bool { return ops() >= units })
 		return launched{
-			stop: gen.Stop, progress: ops,
+			stop: gen.Stop,
 			// Half the ops are 4 KiB commitlog updates (Table 2 accounting).
 			written: func() float64 { return ops() / 2 * 4096 },
 			io:      func() float64 { return ops() * 4096 },
@@ -217,11 +165,7 @@ func launchApp(k *sim.Kernel, g *guest.Guest, app AppKind, vcpus int, units floa
 			}
 		}
 		cb.Start()
-		return launched{
-			stop:     cb.Stop,
-			progress: func() float64 { return float64(cb.Ops().Completed()) },
-			written:  zero, io: zero,
-		}
+		return launched{stop: cb.Stop, written: zero, io: zero}
 	}
 }
 
@@ -236,12 +180,19 @@ type runningVM struct {
 	launched
 }
 
-// Arrivals drives the dynamic VM experiment on one host: arrivals queue
-// FIFO for the host's VCPU budget.
+// Arrivals drives the dynamic VM experiment on one host: Poisson
+// arrivals at Lambda per minute until Duration, each drawing a size and
+// an app, queue FIFO for the host's VCPU budget. Its rng drives the
+// arrival process only; VM workloads get independent per-placement
+// streams derived from appSeed, so arrival sequences stay identical
+// across compared systems no matter when each system finishes its VMs.
 type Arrivals struct {
-	arrivalSource
-	h     *hypervisor.Host
-	hooks VMHooks
+	k       *sim.Kernel
+	cfg     ArrivalsConfig
+	rng     *stats.Stream
+	appSeed uint64
+	h       *hypervisor.Host
+	hooks   VMHooks
 
 	queue       []pendingVM
 	running     map[store.DomID]*runningVM
@@ -252,6 +203,7 @@ type Arrivals struct {
 	// compute capacity.
 	budget int
 
+	arrived      int
 	placed       int
 	completed    int
 	writtenBytes float64
@@ -260,16 +212,33 @@ type Arrivals struct {
 
 // NewArrivals builds the engine on host h.
 func NewArrivals(k *sim.Kernel, h *hypervisor.Host, cfg ArrivalsConfig, hooks VMHooks, rng *stats.Stream) *Arrivals {
-	a := &Arrivals{
-		arrivalSource: newArrivalSource(k, cfg, rng),
-		h:             h, hooks: hooks,
+	cfg.fillDefaults()
+	return &Arrivals{
+		k: k, cfg: cfg, rng: rng, appSeed: rng.Uint64(),
+		h: h, hooks: hooks,
 		running: map[store.DomID]*runningVM{}, budget: h.TotalCores(),
 	}
-	a.admit = func(vcpus int, app AppKind) {
+}
+
+// Start begins Poisson arrivals and runs until the configured duration;
+// VMs still running at the end are left to finish or be abandoned by the
+// caller's RunUntil horizon.
+func (a *Arrivals) Start() { a.scheduleNext() }
+
+func (a *Arrivals) scheduleNext() {
+	ratePerSec := a.cfg.Lambda / 60.0
+	gap := sim.DurationOf(a.rng.Exponential(ratePerSec))
+	a.k.After(gap, func() {
+		if a.k.Now() >= a.cfg.Duration {
+			return
+		}
+		a.arrived++
+		vcpus := stats.Pick(a.rng, a.cfg.Sizes)
+		app := stats.Pick(a.rng, a.cfg.Apps)
 		a.queue = append(a.queue, pendingVM{vcpus: vcpus, app: app})
 		a.tryPlace()
-	}
-	return a
+		a.scheduleNext()
+	})
 }
 
 // Completed reports VMs that finished their problem size (Fig. 10b).
@@ -307,12 +276,19 @@ func (a *Arrivals) tryPlace() {
 	}
 }
 
-// place creates the VM and launches its application with the full
-// problem size.
+// place creates the VM, runs the OnCreate hook and launches its
+// application with the full problem size.
 func (a *Arrivals) place(vm pendingVM) {
 	a.placed++
 	a.activeVCPUs += vm.vcpus
-	run := &runningVM{rt: createVM(a.h, vm.vcpus, a.hooks), vcpus: vm.vcpus}
+	rt := a.h.CreateGuest(guest.Config{
+		VCPUs:    vm.vcpus,
+		MemBytes: int64(vm.vcpus) << 30,
+	}, workload.FlushProneDisk(0.2))
+	if a.hooks.OnCreate != nil {
+		a.hooks.OnCreate(rt)
+	}
+	run := &runningVM{rt: rt, vcpus: vm.vcpus}
 	dom := run.rt.G.ID()
 	a.running[dom] = run
 	rng := stats.NewStream(a.appSeed+uint64(a.placed), "app")

@@ -13,10 +13,9 @@ import (
 // per host, so independent hosts can advance on separate goroutines.
 // Hosts in this testbed share nothing — each has its own store, device,
 // manager and RNG fork — so any cross-host interaction must go through
-// an external channel (e.g. the federation store) applied at epoch
-// boundaries via RunEpochs's sync callback. The single-kernel Testbed
-// remains the right tool when hosts must interleave at event
-// granularity (FederatedArrivals and the golden cluster trace use it).
+// RunEpochs's sync callback at epoch boundaries. The single-kernel
+// Testbed remains the right tool when hosts must interleave at event
+// granularity.
 type ParallelTestbed struct {
 	kernels []*sim.Kernel
 	hosts   []*hypervisor.Host

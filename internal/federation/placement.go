@@ -73,7 +73,7 @@ type Request struct {
 }
 
 // HostStats is one candidate's scoring input, as read from the registry
-// (Federation) or any other source (clusterd's one-shot scoring).
+// (ReadHostStats) or any other source.
 type HostStats struct {
 	ID          string
 	Live        bool
@@ -110,14 +110,14 @@ type HostScore struct {
 	Score float64
 }
 
-// Placement decision modes recorded in cluster.place traces.
+// Placement decision modes, printed as a decision's mode.
 const (
 	decisionEnforce    = "enforce"
 	decisionPermissive = "permissive"
 	decisionFallback   = "fallback"
 )
 
-// Rejection reasons recorded in cluster.reject traces.
+// Rejection reasons, printed as a refused decision's mode.
 const (
 	rejectNoLiveHost     = "no-live-host"
 	rejectNoFeasibleHost = "no-feasible-host"
@@ -129,8 +129,8 @@ const (
 // into the returned scores, -1 for a rejection; mode is the decision
 // mode ("enforce", "permissive", "fallback") or a rejection reason.
 //
-// The function is pure — same inputs, same decision — so the in-sim
-// Federation and the wall-clock clusterd share it verbatim.
+// The function is pure — same inputs, same decision — so a decision
+// clusterd prints can be recomputed from the registry it read.
 func ScoreHosts(pol Policy, req Request, hosts []HostStats) (scores []HostScore, winner int, mode string) {
 	pol.fillDefaults()
 	scores = make([]HostScore, len(hosts))

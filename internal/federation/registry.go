@@ -1,11 +1,16 @@
+// Package federation is the cluster registry's schema and the placement
+// engine that cmd/iorchestra-clusterd runs: hosts are records under
+// /cluster/hypervisors in a shared store, kept fresh by heartbeats and
+// TTL-expired by one expirer, and a guest request is scored against
+// those records (docs/CLUSTER.md is the normative reference). Every
+// helper works over a View, so the same code runs over an in-process
+// store (LocalView) or a netstore connection.
 package federation
 
 import (
 	"strings"
 
 	"iorchestra/internal/gstate"
-	"iorchestra/internal/hypervisor"
-	"iorchestra/internal/sim"
 	"iorchestra/internal/store"
 )
 
@@ -26,54 +31,15 @@ const (
 
 // Guest keys under /cluster/guests/<uid>/.
 const (
-	keyGuestHost  = "host"  // hypervisor currently holding the guest
+	keyGuestHost  = "host"  // hypervisor holding the guest
 	keyGuestVCPUs = "vcpus" // admitted VCPU request
-	keyGuestDom   = "dom"   // domain id on the holding host
 )
-
-// Registry tracks cluster membership and liveness from the store: a
-// watch on /cluster/hypervisors stamps heartbeat arrivals, and Stale
-// compares the stamp age against the TTL. It never writes host entries
-// itself — expiry (removal plus trace) is the Federation's (or
-// clusterd's expirer's) job, so every removal is accounted.
-type Registry struct {
-	k        *sim.Kernel
-	view     View
-	ttl      sim.Duration
-	lastBeat map[string]sim.Time
-}
-
-// NewRegistry builds a registry over the cluster view with the given
-// heartbeat TTL and begins watching membership.
-func NewRegistry(k *sim.Kernel, view View, ttl sim.Duration) *Registry {
-	r := &Registry{k: k, view: view, ttl: ttl, lastBeat: map[string]sim.Time{}}
-	hp := store.HypervisorsPath()
-	// A failed watch leaves the registry without arrivals: every host
-	// goes stale after one TTL, which is the safe reading of a view that
-	// cannot deliver heartbeats.
-	view.Watch(hp, func(path, value string) { r.observe(hp, path, value) })
-	return r
-}
-
-// observe stamps heartbeat arrivals and forgets removed entries. Only
-// the heartbeat key refreshes liveness — stats churn alone must not
-// keep a host alive whose agent died between beats.
-func (r *Registry) observe(hyperRoot, path, value string) {
-	if id, ok := BeatObserved(hyperRoot, path); ok {
-		r.lastBeat[id] = r.k.Now()
-		return
-	}
-	if id, ok := EntryRemoved(hyperRoot, path, value); ok {
-		// The whole entry went away (expiry or a graceful leave).
-		delete(r.lastBeat, id)
-	}
-}
 
 // BeatObserved decodes a watch notification under root (the hypervisors
 // prefix): it reports the host id when path is a heartbeat arrival —
-// the only key that refreshes liveness. Shared with clusterd's
-// wall-clock watcher and expirer so both clocks agree on what counts as
-// a beat.
+// the only key that refreshes liveness. Stats churn alone must not keep
+// a host alive whose agent died between beats. clusterd's watcher and
+// expirer share it, so both agree on what counts as a beat.
 func BeatObserved(root, path string) (id string, ok bool) {
 	rel, ok := strings.CutPrefix(path, root+"/")
 	if !ok {
@@ -96,112 +62,11 @@ func EntryRemoved(root, path, value string) (id string, ok bool) {
 	return id, !hasKey
 }
 
-// MarkAlive stamps id as just-heard-from — used at join time so a host
-// cannot expire in the watch-latency window before its first beat lands.
-func (r *Registry) MarkAlive(id string) { r.lastBeat[id] = r.k.Now() }
-
-// Forget drops the liveness stamp for an expired or departed host.
-func (r *Registry) Forget(id string) { delete(r.lastBeat, id) }
-
-// Hosts lists the registered hypervisor ids in ascending order (empty
-// before the first join).
-func (r *Registry) Hosts() []string {
-	names, err := r.view.List(store.HypervisorsPath())
-	if err != nil {
-		return nil
-	}
-	return names
-}
-
-// Live reports whether id's last heartbeat is within the TTL.
-func (r *Registry) Live(id string) bool {
-	stale, _ := r.Stale(id)
-	return !stale
-}
-
-// Stale reports whether id's heartbeat has aged past the TTL, and the
-// age itself. A host never heard from is stale with age 0 (it may be in
-// the registry tree from before this registry started watching).
-func (r *Registry) Stale(id string) (bool, sim.Duration) {
-	at, ok := r.lastBeat[id]
-	if !ok {
-		return true, 0
-	}
-	age := sim.Duration(r.k.Now() - at)
-	return age > r.ttl, age
-}
-
-// HostAgent is the per-hypervisor publisher: it registers the host in
-// the cluster registry and keeps its entry fresh with periodic
-// heartbeats carrying capacity and load measurements read through
-// hypervisor.Monitor. Stopping the agent (a fault-kill in tests, a
-// crashed daemon in production) is what makes the entry TTL-expire.
-type HostAgent struct {
-	k        *sim.Kernel
-	view     View
-	id       string
-	class    string
-	h        *hypervisor.Host
-	interval sim.Duration
-	beats    int64
-	stopped  bool
-}
-
-// NewHostAgent builds an agent publishing host h as id every interval.
-func NewHostAgent(k *sim.Kernel, view View, id, class string, h *hypervisor.Host, interval sim.Duration) *HostAgent {
-	return &HostAgent{k: k, view: view, id: id, class: class, h: h, interval: interval}
-}
-
-// Start publishes the first beat immediately and schedules the rest.
-func (a *HostAgent) Start() {
-	a.stopped = false
-	a.beat()
-}
-
-// Stop halts heartbeating; the registry entry is left to TTL-expire,
-// exactly as if the host died.
-func (a *HostAgent) Stop() { a.stopped = true }
-
-// Stopped reports whether the agent has been halted.
-func (a *HostAgent) Stopped() bool { return a.stopped }
-
-func (a *HostAgent) beat() {
-	if a.stopped {
-		return
-	}
-	a.beats++
-	a.Publish()
-	a.k.After(a.interval, a.beat)
-}
-
-// Publish writes the full registry entry: statics (cores, class), the
-// heartbeat counter, and the load stats placement scores on. Statics
-// ride along so an expired entry heals on the next beat.
-func (a *HostAgent) Publish() {
-	PublishHostStatics(a.view, a.id, a.class, a.h.TotalCores())
-	PublishHeartbeat(a.view, a.id, a.beats)
-	a.PublishStats()
-}
-
-// PublishStats refreshes only the load keys — called between beats when
-// placement or migration just changed the host's occupancy, so scoring
-// sees the new load without waiting out the heartbeat interval.
-func (a *HostAgent) PublishStats() {
-	mon := a.h.Monitor()
-	dev := mon.DeviceSnapshot(a.k.Now())
-	PublishHostLoad(a.view, a.id, HostLoad{
-		ActiveVCPUs: mon.ActiveVCPUs(),
-		QueueDepth:  mon.QueueBacklog() + mon.DevPending(),
-		Util:        dev.UtilFraction,
-		P99Ms:       float64(mon.HostPathP99()) / 1e6,
-	})
-}
-
 // --- Registry-entry schema helpers -------------------------------------------
 //
 // These are the only writers and reader of the /cluster/hypervisors/<id>
-// keys, shared by the in-sim HostAgent and cmd/iorchestra-clusterd's
-// wall-clock agent, so the two can never drift apart on the schema.
+// keys; clusterd's roles all go through them, so its join agent and its
+// placement can never drift apart on the schema.
 
 // HostLoad is one load sample: the soft-preference inputs placement
 // scores on.
@@ -233,9 +98,8 @@ func PublishHostLoad(v View, id string, l HostLoad) {
 }
 
 // RecordPlacement writes the guest admission record under
-// /cluster/guests/<uid> — the durable outcome of a placement decision,
-// whether it came from the in-sim Federation or clusterd's one-shot
-// scorer.
+// /cluster/guests/<uid> — the durable outcome of a placement decision
+// (clusterd's place -bind).
 func RecordPlacement(v View, uid, host string, vcpus int) error {
 	if err := v.Write(store.ClusterGuestKey(uid, keyGuestHost), host); err != nil {
 		return err
@@ -272,8 +136,8 @@ func ReadTierCounts(v View, id string) map[string]int {
 }
 
 // ReadHostStats assembles one host's scoring input from its registry
-// entry. Liveness is the caller's call — the registry (or an expirer)
-// owns the heartbeat clock — so Live is left false here.
+// entry. Liveness is the caller's call — the expirer owns the heartbeat
+// clock — so Live is left false here.
 func ReadHostStats(v View, id string) HostStats {
 	return HostStats{
 		ID:          id,

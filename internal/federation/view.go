@@ -6,24 +6,15 @@ import (
 	"iorchestra/internal/store"
 )
 
-// View is the store surface the federation consumes: a privileged
-// (Dom0) absolute-path handle plus the hash-versioned subtree sync the
-// migration handoff rides on. LocalView implements it in-process and
-// *netstore.Client over the wire, so the same registry, placement and
-// migration logic runs whether the cluster store is an object or a
-// socket away.
+// View is the store surface the registry schema and placement read and
+// write: a privileged (Dom0) absolute-path handle. LocalView implements
+// it in-process and *netstore.Client over the wire.
 type View interface {
 	Read(path string) (string, error)
 	Write(path, value string) error
 	Remove(path string) error
 	List(path string) ([]string, error)
-	Grant(path string, target store.DomID, perm store.Perm) error
 	Watch(prefix string, fn func(path, value string)) (store.WatchID, error)
-	Unwatch(id store.WatchID)
-	// SyncSubtree answers a catch-up request for one domain subtree
-	// (store.SyncSubtree as Dom0): root must be a /local/domain/<id>
-	// subtree root; prune markers lead the pairs.
-	SyncSubtree(root string, since, known uint64) (store.SyncPage, error)
 }
 
 // LocalView adapts an in-process store to View with Dom0 privilege.
@@ -45,22 +36,9 @@ func (v LocalView) Remove(path string) error { return v.St.Remove(store.Dom0, pa
 // List returns the sorted child names under path.
 func (v LocalView) List(path string) ([]string, error) { return v.St.List(store.Dom0, path) }
 
-// Grant gives target perm on path (XenStore SET_PERMS, as Dom0).
-func (v LocalView) Grant(path string, target store.DomID, perm store.Perm) error {
-	return v.St.Grant(store.Dom0, path, target, perm)
-}
-
 // Watch registers an edge-triggered prefix watch as Dom0.
 func (v LocalView) Watch(prefix string, fn func(path, value string)) (store.WatchID, error) {
 	return v.St.Watch(store.Dom0, prefix, fn)
-}
-
-// Unwatch removes a watch.
-func (v LocalView) Unwatch(id store.WatchID) { v.St.Unwatch(id) }
-
-// SyncSubtree answers a catch-up request against the local store as Dom0.
-func (v LocalView) SyncSubtree(root string, since, known uint64) (store.SyncPage, error) {
-	return v.St.SyncSubtree(store.Dom0, root, since, known)
 }
 
 // --- Typed read helpers over a View -----------------------------------------

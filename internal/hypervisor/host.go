@@ -272,7 +272,7 @@ func (h *Host) leastLoadedCore() (socket, core int) {
 // RemoveGuest releases a VM's cores, closes its caches and forgets it:
 // its bus handle and its host-path latency aggregate go too, so a host
 // that guests come and go on holds its live population and no more (used
-// by the dynamic-arrival experiments and by migration). Its round-robin classes need nothing:
+// by the dynamic-arrival experiments). Its round-robin classes need nothing:
 // a drained class is already off the ring, and a request still on its
 // way is served from its class at the weight it had.
 func (h *Host) RemoveGuest(id store.DomID) {

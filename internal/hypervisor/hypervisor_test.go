@@ -350,7 +350,7 @@ func TestRemoveGuestForgetsTheGuest(t *testing.T) {
 	if got := slices.Sorted(maps.Keys(h.guests)); !slices.Equal(got, want) || !slices.Equal(h.bs.Domains(), want) {
 		t.Fatalf("after two removals: guests %v, bus domains %v, want both %v", got, h.bs.Domains(), want)
 	}
-	// An id that comes back (a migration returning) is held once.
+	// An id that comes back (a guest re-created under its old id) is held once.
 	h.CreateGuest(guest.Config{ID: ids[1], VCPUs: 1})
 	want = []store.DomID{ids[0], ids[1], ids[2], ids[4]}
 	if got := slices.Sorted(maps.Keys(h.guests)); !slices.Equal(got, want) || !slices.Equal(h.bs.Domains(), want) {

@@ -156,11 +156,8 @@ func (mo *Monitor) DevPending() int { return mo.h.dev.Pending() }
 
 // HostPathP99 reports the 99th-percentile host-path completion latency
 // across every guest, from the decision-trace recorder's host-path
-// histogram (0 when tracing is off or nothing has completed). The
-// federation's host agents publish it as the registry's p99 health key.
-// It is the one Monitor reading that still depends on tracing: feeding
-// it from the always-on path moves the cluster golden's placement
-// scores (ROADMAP item 5).
+// histogram (0 when tracing is off or nothing has completed). It is the
+// one Monitor reading that still depends on tracing (ROADMAP item 5).
 func (mo *Monitor) HostPathP99() sim.Time {
 	if mo.h.rec == nil {
 		return 0
@@ -177,17 +174,6 @@ func (mo *Monitor) HostPathP99() sim.Time {
 // saturation a lifetime percentile would suffer under sustained load.
 func (mo *Monitor) GuestPathStats(dom store.DomID) (count uint64, sum sim.Time) {
 	return mo.h.cg.PathLatency(int(dom))
-}
-
-// ActiveVCPUs reports the summed VCPU count of resident guests — the
-// capacity quantity cluster placement budgets against (docs/CLUSTER.md).
-// Guest order does not matter for a sum, so the map iteration is safe.
-func (mo *Monitor) ActiveVCPUs() int {
-	n := 0
-	for _, rt := range mo.h.guests {
-		n += rt.G.NumVCPUs()
-	}
-	return n
 }
 
 // ObserveDirty records a guest's has_dirty_pages transition on e.

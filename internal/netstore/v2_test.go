@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"iorchestra/internal/federation"
 	"iorchestra/internal/store"
 )
 
@@ -357,11 +356,11 @@ func TestSyncUnknownModeRefused(t *testing.T) {
 	}
 }
 
-// TestSyncParityWireAndLocalView: OpSync and federation.LocalView are two
-// surfaces of one function, store.SyncSubtree. Over one store history —
-// writes, a remove-then-recreate, a node the guest cannot read, a journal
-// overflow — the Dom0 wire reply equals LocalView's page in all three
-// modes, and a guest's wire reply equals the store's verdict for that
+// TestSyncParityWireAndLocalView: OpSync is a surface of one function,
+// store.SyncSubtree. Over one store history — writes, a
+// remove-then-recreate, a node the guest cannot read, a journal
+// overflow — the Dom0 wire reply equals the local store's page as Dom0
+// in all three modes, and a guest's wire reply equals the store's verdict for that
 // guest, without the node it cannot read.
 func TestSyncParityWireAndLocalView(t *testing.T) {
 	srv, sock := startServer(t, Options{})
@@ -398,7 +397,7 @@ func TestSyncParityWireAndLocalView(t *testing.T) {
 	}
 	asDom0 := func(since, known uint64) func(*store.Store) (store.SyncPage, error) {
 		return func(st *store.Store) (store.SyncPage, error) {
-			return federation.LocalView{St: st}.SyncSubtree(root, since, known)
+			return st.SyncSubtree(store.Dom0, root, since, known)
 		}
 	}
 	has := func(page store.SyncPage, path string) bool {

@@ -1,7 +1,7 @@
 package store
 
 // This file owns the schema constructors beyond the per-disk tree: the
-// /cluster namespace the federation layer (internal/federation) keeps
+// /cluster namespace the cluster registry (internal/federation) keeps
 // beside the per-domain /local/domain tree, and the per-guest /sla
 // subtree the G-state subsystem (internal/gstate) declares tiers under.
 // docs/CLUSTER.md and docs/GSTATES.md are the normative references for

@@ -15,8 +15,8 @@ import (
 // journal hit means "here are exactly the paths that moved", and only a
 // journal miss (the client is older than the retained window) forces the
 // full snapshot walk. SyncSubtree below is that decision; netstore's
-// OpSync is its wire surface and federation.LocalView its in-process one
-// (docs/WIRE_PROTOCOL.md §6 documents the sequence).
+// OpSync is its wire surface (docs/WIRE_PROTOCOL.md §6 documents the
+// sequence).
 //
 // Both structures are maintained incrementally inside Write/Remove/
 // AddDomain on the kernel goroutine, so they follow the store's

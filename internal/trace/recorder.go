@@ -120,41 +120,6 @@ const (
 	// (docs/WIRE_PROTOCOL.md §5).
 	KindWireBatch Kind = "wire.batch"
 
-	// Cluster federation kinds (internal/federation, docs/CLUSTER.md).
-	// federation.Counters reads each one's count from the recorder.
-
-	// KindClusterJoin is a hypervisor registering in the cluster host
-	// registry: Host names it, Size carries its core count and Value its
-	// domain class.
-	KindClusterJoin Kind = "cluster.join"
-	// KindClusterExpire is the registry TTL-expiring a host whose
-	// heartbeat stalled: Host names it, Latency the heartbeat age.
-	KindClusterExpire Kind = "cluster.expire"
-	// KindClusterPlace is the placement engine admitting a guest: Host is
-	// the chosen hypervisor, Path the guest uid, Size its VCPU request,
-	// Weight the winning score and Value the decision mode ("enforce",
-	// "permissive" or "fallback").
-	KindClusterPlace Kind = "cluster.place"
-	// KindClusterReject is the placement engine refusing a guest: Path is
-	// the guest uid, Size its VCPU request and Value the reason
-	// ("no-live-host", "no-feasible-host").
-	KindClusterReject Kind = "cluster.reject"
-	// KindClusterMigrateStart opens a live migration: Path is the guest
-	// uid, Host the source and Value the target hypervisor.
-	KindClusterMigrateStart Kind = "cluster.migrate.start"
-	// KindClusterMigrateSync is one store-subtree transfer round of a
-	// migration: Path is the guest uid, Host the target, Value the sync
-	// mode ("full", "delta", "match") and Size the pairs applied.
-	KindClusterMigrateSync Kind = "cluster.migrate.sync"
-	// KindClusterMigrateDone commits a migration on the target: Path is
-	// the guest uid, Host the target, Size the subtree nodes handed off
-	// and Latency the freeze-to-unfreeze wall time in sim nanoseconds.
-	KindClusterMigrateDone Kind = "cluster.migrate.done"
-	// KindClusterMigrateAbort rolls a migration back to the source: Path
-	// is the guest uid, Host the source the guest was restored on and
-	// Value the reason ("target-dead", "source-dead", "diverged").
-	KindClusterMigrateAbort Kind = "cluster.migrate.abort"
-
 	// Elastic G-state kinds (internal/gstate + the core controller,
 	// docs/GSTATES.md). core.Counters reads each one's count from the
 	// recorder.
@@ -197,11 +162,9 @@ type Record struct {
 	Dom int `json:"dom"`
 
 	// Disk names a virtual disk (per-disk decisions), Device a physical
-	// device (device-path events), Host a hypervisor in cluster-level
-	// events (federation joins, placements, migrations).
+	// device (device-path events).
 	Disk   string `json:"disk,omitempty"`
 	Device string `json:"device,omitempty"`
-	Host   string `json:"host,omitempty"`
 
 	// Path and Value describe store traffic.
 	Path  string `json:"path,omitempty"`
@@ -243,9 +206,6 @@ func (r Record) String() string {
 	if r.Device != "" {
 		fmt.Fprintf(&b, " dev=%s", r.Device)
 	}
-	if r.Host != "" {
-		fmt.Fprintf(&b, " host=%s", r.Host)
-	}
 	if r.Path != "" {
 		fmt.Fprintf(&b, " %s=%q", r.Path, r.Value)
 	}
@@ -285,9 +245,8 @@ func (r Record) String() string {
 // aggregates: per-kind counts and the host-path latency histogram,
 // which survive ring eviction so end-of-run summaries are exact.
 //
-// The per-kind counts are the decision ledger: core.Manager and
-// federation.Federation record every decision exactly once and answer
-// Counters() from Count, so a count and its trace cannot disagree. A
+// The per-kind counts are the decision ledger: core.Manager records
+// every decision exactly once and answers Counters() from Count, so a count and its trace cannot disagree. A
 // count-only recorder (NewCountOnly) is that ledger without a trace.
 //
 // A recorder comes in three shapes: a ring (NewRecorder: stamps,
@@ -422,8 +381,7 @@ func (r *Recorder) Counts() map[Kind]uint64 {
 
 // LatencyPercentile reports the p-th percentile host-path completion
 // latency across every domain (0 when nothing has completed) — the
-// host-level health signal the federation's placement scoring reads via
-// hypervisor.Monitor.
+// host-level health signal hypervisor.Monitor reports as HostPathP99.
 func (r *Recorder) LatencyPercentile(p float64) sim.Time { return r.devLat.Percentile(p) }
 
 // Events returns the retained records oldest-first. (At, Seq) is already
@@ -574,14 +532,6 @@ var summaryKinds = []struct {
 	{KindWireOp, "wire ops"},
 	{KindWireConn, "wire conns"},
 	{KindWireBatch, "wire batches"},
-	{KindClusterJoin, "cluster joins"},
-	{KindClusterExpire, "cluster expiries"},
-	{KindClusterPlace, "cluster placements"},
-	{KindClusterReject, "cluster rejects"},
-	{KindClusterMigrateStart, "migrations started"},
-	{KindClusterMigrateSync, "migration sync rounds"},
-	{KindClusterMigrateDone, "migrations committed"},
-	{KindClusterMigrateAbort, "migrations aborted"},
 	{KindGStateDemote, "gstate demotions"},
 	{KindGStatePromote, "gstate promotions"},
 	{KindGStateViolation, "sla violations"},

@@ -4,9 +4,9 @@ package iorchestra
 // member (member=INDEX:FACTOR fault, docs/FAULTS.md) must surface
 // through the sanctioned Monitor read surface — HostPathP99 from the
 // recorder's host-path histogram and the per-core MeanLatency samples
-// of CoreSnapshot — because those are exactly the inputs the federation
-// registry publishes. A degradation the Monitor cannot see is one no policy can
-// react to.
+// of CoreSnapshot — because those are the host-health inputs a cluster
+// registry entry carries (docs/CLUSTER.md §2). A degradation the Monitor
+// cannot see is one no policy can react to.
 
 import (
 	"testing"
