@@ -43,7 +43,9 @@ race:
 # byte streams and hostile indexes through a ring, and hellos carrying
 # descriptors no server may take; last, the subtree-sync contract — a
 # copy kept by SyncSubtree and SyncPage.Apply converges on the subtree.
-# Then the Monitor's dirty index against the O(n) scan it replaced.
+# Then the Monitor's dirty index against the O(n) scan it replaced; then
+# the store's watch delivery against one kernel event per notification,
+# and its lazily filled path index against a walk from the root.
 # Plain `make test` already runs their seed corpus. Every target gives
 # the engine 1 s, not its default minute, to minimize each input it finds
 # interesting: otherwise a 10 s run can spend itself shrinking one input.
@@ -51,7 +53,7 @@ race:
 # inputs in its first 3 s and none after; the server and ring targets'
 # coverage moves with goroutine scheduling, so they find such inputs often.
 NETSTORE_FUZZ = FuzzDecodeBatch FuzzReplyDecode FuzzReplyComposites FuzzFrameReader FuzzServerFrames FuzzRingStream FuzzHello FuzzSyncApply
-FUZZ = $(NETSTORE_FUZZ:%=./internal/netstore/:%) ./internal/hypervisor/:FuzzDirtyIndex
+FUZZ = $(NETSTORE_FUZZ:%=./internal/netstore/:%) ./internal/hypervisor/:FuzzDirtyIndex ./internal/store/:FuzzDeliveryOrder ./internal/store/:FuzzPathIndex
 fuzz:
 	for t in $(FUZZ); do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 10s -fuzzminimizetime 1s "$${t%%:*}" || exit 1; \

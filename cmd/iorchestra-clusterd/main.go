@@ -260,6 +260,13 @@ func cmdExpire(args []string) error {
 			mu.Lock()
 			lastBeat[id] = time.Now()
 			mu.Unlock()
+		} else if id, ok := federation.EntryRemoved(root, path, value); ok {
+			// A host that left (or that this expirer removed) is
+			// forgotten: a later entry under its id starts from a grace
+			// stamp, and a long-running expirer holds live hosts only.
+			mu.Lock()
+			delete(lastBeat, id)
+			mu.Unlock()
 		}
 	})
 	if err != nil {

@@ -137,37 +137,7 @@ func TestExpireRemovesSilentHost(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The daemon writes straight into files, so they can be read while
-	// it runs without racing a copying goroutine.
-	dir := t.TempDir()
-	output := func(name string) string {
-		b, _ := os.ReadFile(filepath.Join(dir, name))
-		return string(b)
-	}
-	create := func(name string) *os.File {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { f.Close() })
-		return f
-	}
-	cmd := exec.Command(toolPath, "expire", "-store", "unix://"+sock, "-ttl", "300ms", "-sweep", "50ms")
-	cmd.Stdout, cmd.Stderr = create("stdout"), create("stderr")
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	var waitErr error
-	exited := make(chan struct{})
-	go func() { waitErr = cmd.Wait(); close(exited) }()
-	t.Cleanup(func() {
-		select {
-		case <-exited:
-		default:
-			cmd.Process.Kill()
-			<-exited
-		}
-	})
+	output, stopExpire := startExpire(t, sock, "-ttl", "300ms", "-sweep", "50ms")
 
 	// hostA beats every 25 ms until the test ends; hostB stays silent.
 	stop := make(chan struct{})
@@ -212,19 +182,95 @@ func TestExpireRemovesSilentHost(t *testing.T) {
 		t.Fatalf("beating hostA was expired\nstdout:\n%s", output("stdout"))
 	}
 
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if out := stopExpire(); !strings.Contains(out, " expire hostB ") || strings.Contains(out, "hostA") {
+		t.Errorf("expire printed:\n%s\nwant one line expiring hostB and none naming hostA", out)
+	}
+}
+
+// startExpire runs `expire` with args against the store on sock and
+// returns a reader of its stdout or stderr file and a stop that sends
+// SIGTERM, checks that the daemon exits 0 within 5 s and returns its
+// stdout. The daemon writes straight into files, so they can be read
+// while it runs without racing a copying goroutine.
+func startExpire(t *testing.T, sock string, args ...string) (output func(name string) string, stop func() string) {
+	t.Helper()
+	dir := t.TempDir()
+	output = func(name string) string {
+		b, _ := os.ReadFile(filepath.Join(dir, name))
+		return string(b)
+	}
+	create := func(name string) *os.File {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
+	cmd := exec.Command(toolPath, append([]string{"expire", "-store", "unix://" + sock}, args...)...)
+	cmd.Stdout, cmd.Stderr = create("stdout"), create("stderr")
+	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-exited:
-		if waitErr != nil {
-			t.Fatalf("expire after SIGTERM: %v\nstderr:\n%s", waitErr, output("stderr"))
+	var waitErr error
+	exited := make(chan struct{})
+	go func() { waitErr = cmd.Wait(); close(exited) }()
+	t.Cleanup(func() {
+		select {
+		case <-exited:
+		default:
+			cmd.Process.Kill()
+			<-exited
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("expire did not exit within 5 s of SIGTERM")
+	})
+	stop = func() string {
+		t.Helper()
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-exited:
+			if waitErr != nil {
+				t.Fatalf("expire after SIGTERM: %v\nstderr:\n%s", waitErr, output("stderr"))
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("expire did not exit within 5 s of SIGTERM")
+		}
+		return output("stdout")
 	}
-	out := output("stdout")
-	if !strings.Contains(out, " expire hostB ") || strings.Contains(out, "hostA") {
-		t.Errorf("expire printed:\n%s\nwant one line expiring hostB and none naming hostA", out)
+	return output, stop
+}
+
+// TestExpireForgetsDepartedHost has a host beat, leave gracefully and,
+// a TTL later, come back under the same id without a beat yet. The
+// expirer forgot the host when its entry went, so the returning entry
+// gets a fresh grace stamp and outlives the next sweeps; an expirer
+// that kept the departed host's stamp expires it at once, the stamp
+// being older than the TTL. The TTL is 1 s and the check comes 400 ms
+// after the return, so a slow machine only makes the expiry later.
+func TestExpireForgetsDepartedHost(t *testing.T) {
+	sock, c := serveStore(t)
+	output, stop := startExpire(t, sock, "-ttl", "1s", "-sweep", "50ms")
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(output("stderr"), "expiring beats") { // printed once its watch is set
+		if time.Now().After(deadline) {
+			t.Fatalf("expire did not start within 5 s\nstderr:\n%s", output("stderr"))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	federation.PublishHostStatics(c, "hostC", "", 4)
+	federation.PublishHeartbeat(c, "hostC", 1)
+	time.Sleep(200 * time.Millisecond) // the beat reaches the expirer
+	if err := c.Remove(store.HypervisorPath("hostC")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(1200 * time.Millisecond) // the beat ages past the TTL
+	federation.PublishHostStatics(c, "hostC", "", 4)
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(400 * time.Millisecond)
+	if out := stop(); strings.Contains(out, "hostC") {
+		t.Errorf("expire printed:\n%s\nwant nothing naming hostC: it returned %v ago, within its grace TTL", out, 400*time.Millisecond)
 	}
 }

@@ -32,12 +32,15 @@ func bringUpHost(n int) (h *hypervisor.Host, m *Manager, oneMore func() *hypervi
 
 // Bringing a guest up is 14 creating store writes under a Dom0 watcher,
 // none of whose deliveries can run before the kernel does, so what a
-// created key costs is what a guest costs. Each key is resolved,
-// allocated and indexed once — its node and its pending delivery; its
+// created key costs is what a guest costs. Each key is resolved and
+// allocated once — its node, and a note in the store's ring that its
+// guest's other notes of the instant share one delivery record with; its
 // path is a slice of the one string the driver's key table cuts them all
-// from, and its cursor a field of the driver — which this pins for the
-// 200th and later guests of a host (a scale_10k_50h kernel holds 200),
-// growth of the host's maps included as AllocsPerRun averages it.
+// from, its cursor a field of the driver, and a key below the guest's
+// home enters the store's index only when a path string first names it
+// — which this pins for the 200th and later guests of a host (a
+// scale_10k_50h kernel holds 200), growth of the host's maps and the
+// note ring included as AllocsPerRun averages it.
 //
 // With a path-cache entry with a tokenized copy of the path beside every
 // node, three string-keyed maps per key, a journal grown by doubling and
@@ -46,7 +49,9 @@ func bringUpHost(n int) (h *hypervisor.Host, m *Manager, oneMore func() *hypervi
 // per key in the bus handle, 140 and 12.6 KB; with the manager's
 // liveness beat node and G-state cursor on the heap beside the driver,
 // 90 and 11.2 KB; with a read-latency histogram per virtual disk, 88
-// and 11.2 KB; it reads 87 and 11.1 KB.
+// and 11.2 KB; with every node indexed and a delivery record and kernel
+// event per pending notification, 87 and 11.1 KB; it reads 74 and 7.5
+// KB.
 func TestGuestBringUpAllocs(t *testing.T) {
 	_, _, oneMore := bringUpHost(199)
 	const runs = 50
@@ -56,7 +61,7 @@ func TestGuestBringUpAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // one warm-up call
 	t.Logf("bring-up of one guest: %.0f allocations, %.0f bytes", allocs, bytes)
-	const maxAllocs, maxBytes = 100, 12800 // 12.5 KB
+	const maxAllocs, maxBytes = 80, 8704 // 8.5 KB
 	if allocs > maxAllocs || bytes > maxBytes {
 		t.Fatalf("bring-up of one guest costs %.0f allocations and %.0f bytes, want at most %d and %d", allocs, bytes, maxAllocs, maxBytes)
 	}

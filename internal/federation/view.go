@@ -12,9 +12,7 @@ import (
 type View interface {
 	Read(path string) (string, error)
 	Write(path, value string) error
-	Remove(path string) error
 	List(path string) ([]string, error)
-	Watch(prefix string, fn func(path, value string)) (store.WatchID, error)
 }
 
 // LocalView adapts an in-process store to View with Dom0 privilege.
@@ -30,16 +28,8 @@ func (v LocalView) Read(path string) (string, error) { return v.St.Read(store.Do
 // Write writes path as Dom0.
 func (v LocalView) Write(path, value string) error { return v.St.Write(store.Dom0, path, value) }
 
-// Remove deletes path (and its subtree) as Dom0.
-func (v LocalView) Remove(path string) error { return v.St.Remove(store.Dom0, path) }
-
 // List returns the sorted child names under path.
 func (v LocalView) List(path string) ([]string, error) { return v.St.List(store.Dom0, path) }
-
-// Watch registers an edge-triggered prefix watch as Dom0.
-func (v LocalView) Watch(prefix string, fn func(path, value string)) (store.WatchID, error) {
-	return v.St.Watch(store.Dom0, prefix, fn)
-}
 
 // --- Typed read helpers over a View -----------------------------------------
 

@@ -183,6 +183,12 @@ func (k *Kernel) Now() Time { return k.now }
 // Executed reports how many events have been dispatched so far.
 func (k *Kernel) Executed() uint64 { return k.executed }
 
+// Scheduled reports how many events have been scheduled so far: the
+// sequence number the next one gets. While it has not moved, no event
+// has been scheduled since the last one, so nothing can fire between
+// that event and one scheduled now for the same instant.
+func (k *Kernel) Scheduled() uint64 { return k.seq }
+
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it is always a model bug, and silently clamping would hide causality
 // violations.

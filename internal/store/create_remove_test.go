@@ -8,11 +8,43 @@ import (
 	"iorchestra/internal/sim"
 )
 
+// treeNode resolves path the way the index must agree with: by name,
+// down the child lists from the root. nil when path names no node.
+func treeNode(s *Store, path string) *node {
+	n := s.root
+	for _, name := range split(path) {
+		c := n.kids
+		for c != nil && c.name() != name {
+			c = c.next
+		}
+		if c == nil {
+			return nil
+		}
+		n = c
+	}
+	return n
+}
+
+// countNodes counts the nodes reachable from the root.
+func countNodes(s *Store) int {
+	var count func(n *node) int
+	count = func(n *node) int {
+		total := 1
+		for c := n.kids; c != nil; c = c.next {
+			total += count(c)
+		}
+		return total
+	}
+	return count(s.root)
+}
+
 // A create journals and hashes every level it makes under that level's
 // own path, and each of those paths is a slice of the written one: a
 // seven-level create with only its leaf new allocates the node and no
 // path string (a node, a cache entry and that entry's tokenized path read
-// 4 here; rebuilding the path level by level on top of that, 10).
+// 4 here; rebuilding the path level by level on top of that, 10). A
+// cursor's create does not index the leaf, so it allocates the node
+// alone; either way the leaf resolves by path to the node the write made.
 func TestSevenLevelCreateAllocs(t *testing.T) {
 	_, s := newTestStore()
 	s.AddDomain(3)
@@ -39,6 +71,31 @@ func TestSevenLevelCreateAllocs(t *testing.T) {
 		t.Fatalf("the last create journalled %v, want its leaf alone", deltas)
 	}
 	checkHashes(t, s, "after leaf creates")
+
+	// The same through cursors, in a directory of its own.
+	dir = DiskPath(3, "xvdb", "q")
+	cursors := make([]Cursor, runs+1)
+	for i := range cursors {
+		cursors[i] = CursorAt(fmt.Sprintf("%s/k%04d", dir, i))
+	}
+	s.Write(3, dir, "")
+	i = 0
+	allocs = testing.AllocsPerRun(runs, func() {
+		if err := s.WriteCursor(3, &cursors[i], "v"); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 1 {
+		t.Fatalf("a seven-level leaf create through a cursor allocates %.1f times, want the node alone", allocs)
+	}
+	checkHashes(t, s, "after cursor leaf creates")
+	for i := range cursors {
+		if c := &cursors[i]; treeNode(s, c.path) != c.n || !c.n.live() || s.lookup(c.path) != c.n {
+			t.Fatalf("%s: the cursor pins %p, the tree holds %p", c.path, c.n, treeNode(s, c.path))
+		}
+	}
+	checkHashes(t, s, "after every cursor-made leaf was resolved by path")
 
 	// All seven levels new: every level is journalled under its own path.
 	_, s = newTestStore()
@@ -85,17 +142,25 @@ func removeRestore(b *testing.B, s *Store, guests int) {
 }
 
 // Remove cleans the index by walking the subtree it deletes. After one
-// of 10,000 guests loses its subtree, none of that subtree's paths
-// resolves, a cursor into it re-pins on the recreated key, every sibling
-// keeps its node — and the cost does not know how big the store
-// is: a removal among 10,000 guests and one among 16 take comparable
-// time (the scan this replaced visited all 90,000 entries per Remove:
-// 2 ms against 1.4 µs).
+// of 10,000 guests loses its subtree, every node of that subtree is dead
+// and none of its paths resolves, a cursor into it re-pins on the
+// recreated key, every sibling keeps its node — and the cost does not
+// know how big the store is: a removal among 10,000 guests and one among
+// 16 take comparable time (the scan this replaced visited all 90,000
+// entries per Remove: 2 ms against 1.4 µs).
 func TestRemoveWalksOnlyItsSubtree(t *testing.T) {
 	const guests = 10_000
 	s := manyDomains(guests)
-	indexed := len(s.index)
 	victim, sibling := DomID(5000), DomID(5001)
+	var doomed []*node // virt-dev, its two disks and their four keys each
+	var collect func(n *node)
+	collect = func(n *node) {
+		doomed = append(doomed, n)
+		for c := n.kids; c != nil; c = c.next {
+			collect(c)
+		}
+	}
+	collect(treeNode(s, DomainPath(victim)+"/virt-dev"))
 	gone := DiskPath(victim, "xvdb", "flush_now")
 	cur, sibCur := s.CursorFor(gone), s.CursorFor(DiskPath(sibling, "xvdb", "flush_now"))
 	for _, c := range []*Cursor{cur, sibCur} {
@@ -108,16 +173,17 @@ func TestRemoveWalksOnlyItsSubtree(t *testing.T) {
 	if err := s.Remove(Dom0, DomainPath(victim)+"/virt-dev"); err != nil {
 		t.Fatal(err)
 	}
-	// virt-dev, its two disks and their four keys each are what goes.
-	if got, want := len(s.index), indexed-11; got != want {
-		t.Fatalf("%d indexed paths after the remove, want %d (the subtree's nodes, no more, no fewer)", got, want)
+	if len(doomed) != 11 {
+		t.Fatalf("the removed subtree held %d nodes, want 11", len(doomed))
+	}
+	for _, n := range doomed {
+		if n.live() || s.lookup(n.path) != nil {
+			t.Fatalf("%s still live or resolving after its subtree was removed", n.path)
+		}
 	}
 	for _, disk := range []string{"xvda", "xvdb"} {
 		for _, key := range []string{"nr_dirty", "flush_now", "congested", "release_request"} {
 			p := DiskPath(victim, disk, key)
-			if s.index[p] != nil {
-				t.Fatalf("%s still indexed after its subtree was removed", p)
-			}
 			if _, err := s.Read(Dom0, p); !errors.Is(err, ErrNoEntry) {
 				t.Fatalf("Read(%s) = %v after the remove, want ErrNoEntry", p, err)
 			}
@@ -126,8 +192,8 @@ func TestRemoveWalksOnlyItsSubtree(t *testing.T) {
 	if _, err := s.ReadCursor(Dom0, cur); !errors.Is(err, ErrNoEntry) {
 		t.Fatalf("a cursor into the removed subtree reads %v, want ErrNoEntry", err)
 	}
-	if p := DomainPath(victim) + "/io/weight/0"; s.index[p] == nil {
-		t.Fatalf("%s, outside the removed subtree, lost its entry", p)
+	if p := DomainPath(victim) + "/io/weight/0"; s.lookup(p) == nil || s.lookup(p) != treeNode(s, p) {
+		t.Fatalf("%s, outside the removed subtree, no longer resolves to its node", p)
 	}
 	if v, err := s.ReadCursor(Dom0, sibCur); err != nil || v != "0" || sibCur.n != sibNode {
 		t.Fatalf("the sibling's cursor re-pinned to a different node (%q, %v)", v, err)
@@ -135,8 +201,12 @@ func TestRemoveWalksOnlyItsSubtree(t *testing.T) {
 	if err := s.WriteCursor(victim, cur, "1"); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := s.ReadCursor(Dom0, cur); err != nil || v != "1" || cur.n != s.index[gone] {
+	if v, err := s.ReadCursor(Dom0, cur); err != nil || v != "1" || cur.n != treeNode(s, gone) || !cur.n.live() {
 		t.Fatalf("the cursor did not re-pin on the recreated key (%q, %v)", v, err)
+	}
+	checkHashes(t, s, "after a cursor recreated a key among 10k guests")
+	if s.lookup(gone) != cur.n {
+		t.Fatalf("%s, recreated through a cursor, does not resolve by path to the cursor's node", gone)
 	}
 	checkHashes(t, s, "after remove and recreate among 10k guests")
 
@@ -184,7 +254,7 @@ func TestHandleSurvivesRemoveRecreate(t *testing.T) {
 			t.Fatalf("%s: %v", what, err)
 		}
 		k.Run()
-		n := s.index[c.path]
+		n := treeNode(s, c.path)
 		if n == nil || c.n != n || !n.live() || n.value != value || n.version != v0+1 || s.Version() != v0+1 {
 			t.Fatalf("%s: handle holds %p, the index %p (value %q at version %d), store at version %d, was %d", what, c.n, n, n.value, n.version, s.Version(), v0)
 		}
@@ -211,7 +281,7 @@ func TestHandleSurvivesRemoveRecreate(t *testing.T) {
 	step("first use of the key handle", keyCur, 4, "1")
 	step("first use of the sibling handle", sibCur, 4, "0")
 	step("first use of the home handle", homeCur, 4, "up")
-	dead := [...]*node{homeCur.n, keyCur.n, sibCur.n, s.index[disk]}
+	dead := [...]*node{homeCur.n, keyCur.n, sibCur.n, treeNode(s, disk)}
 
 	// The whole domain goes and comes back: AddDomain puts a fresh home
 	// under the old path, and the key handles recreate their chain.
@@ -255,7 +325,7 @@ func TestHandleSurvivesRemoveRecreate(t *testing.T) {
 	}
 
 	// The remembered directory itself dies between two creates in it.
-	if s.dir != s.index[disk] {
+	if s.dir != treeNode(s, disk) {
 		t.Fatalf("the last create was in %s, the store remembers %s", disk, s.dir.path)
 	}
 	remove(disk)
@@ -264,7 +334,7 @@ func TestHandleSurvivesRemoveRecreate(t *testing.T) {
 	}
 	k.Run()
 	checkHashes(t, s, "a create in a directory recreated under the remembered path")
-	if s.dir != s.index[disk] || !s.dir.live() {
+	if s.dir != treeNode(s, disk) || !s.dir.live() {
 		t.Fatal("the create resolved from the dead directory")
 	}
 }
@@ -280,7 +350,7 @@ func TestCreateRefusedTheSameEitherWay(t *testing.T) {
 	s.Write(1, DomainPath(1)+"/a/seed", "") // the store now remembers /local/domain/1/a
 	for _, path := range []string{DomainPath(1) + "/a/k", DomainPath(1) + "/b/c/k", DomainPath(1) + "/k"} {
 		want := fmt.Sprintf("store: permission denied: dom2 creating under %s", path)
-		indexed, v := len(s.index), s.Version()
+		nodes, v := countNodes(s), s.Version()
 		byPath := s.Write(2, path, "x")
 		byHandle := s.WriteCursor(2, s.CursorFor(path), "x")
 		txn := s.Begin(2)
@@ -291,7 +361,7 @@ func TestCreateRefusedTheSameEitherWay(t *testing.T) {
 				t.Errorf("create of %s %s: %v, want %q", path, how, err, want)
 			}
 		}
-		if len(s.index) != indexed || s.Version() != v {
+		if countNodes(s) != nodes || s.Version() != v {
 			t.Errorf("a refused create of %s left nodes or a version behind", path)
 		}
 	}

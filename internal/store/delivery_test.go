@@ -45,8 +45,14 @@ func TestWatchedWriteAllocatesNothing(t *testing.T) {
 }
 
 // A burst of watched writes the kernel has not yet delivered, as when a
-// host brings its guests up, leaves the free list full to its bound
-// once it drains, not holding a record per write for the store's life.
+// host brings its guests up, holds neither its records nor its note ring
+// for the store's life once it drains: the free list keeps at most its
+// bound, and the ring, grown past that bound, is let go. Writes of one
+// instant share one record; a kernel event scheduled between two writes
+// splits them, so the second burst takes a record per write. The second
+// burst is as large as the first, so it regrows a ring of a size let go
+// of before — a burst that recurs, as a running host's same-instant
+// writes do — and the store keeps that ring for the next one.
 func TestFreeDeliveriesCapped(t *testing.T) {
 	k, s := newTestStore()
 	s.AddDomain(1)
@@ -55,17 +61,36 @@ func TestFreeDeliveriesCapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	const burst = 10000
-	for i := 0; i < burst; i++ {
-		if err := s.Write(1, DomainPath(1)+"/k", strconv.Itoa(i)); err != nil {
-			t.Fatal(err)
+	for pass, split := range []bool{false, true} {
+		for i := 0; i < burst; i++ {
+			if err := s.Write(1, DomainPath(1)+"/k", strconv.Itoa(i)); err != nil {
+				t.Fatal(err)
+			}
+			if split {
+				k.After(sim.Second, func() {})
+			}
 		}
-	}
-	k.Run()
-	if seen != burst {
-		t.Fatalf("watcher saw %d of %d writes", seen, burst)
-	}
-	if n := len(s.freeDeliveries); n != maxFreeDeliveries {
-		t.Fatalf("free list holds %d records after a %d-write burst, want its bound %d", n, burst, maxFreeDeliveries)
+		pending, want := 0, 1
+		for d := s.pendHead; d != nil; d = d.next {
+			pending++
+		}
+		if split {
+			want = burst
+		}
+		if pending != want || s.noteLen != burst {
+			t.Fatalf("split %v: %d records hold %d pending notes, want %d and %d", split, pending, s.noteLen, want, burst)
+		}
+		grown := len(s.notes)
+		k.Run()
+		if seen != (pass+1)*burst {
+			t.Fatalf("split %v: watcher saw %d of %d writes", split, seen, (pass+1)*burst)
+		}
+		if n := len(s.freeDeliveries); n > maxFreeDeliveries || (split && n != maxFreeDeliveries) {
+			t.Fatalf("split %v: free list holds %d records after a %d-write burst, want at most (and after a split burst exactly) its bound %d", split, n, burst, maxFreeDeliveries)
+		}
+		if kept := len(s.notes); split != (kept == grown) || (!split && s.notes != nil) {
+			t.Fatalf("burst %d: the drained ring keeps room for %d of the %d notes it grew to; want it let go after the first burst and kept after the recurring one", pass+1, kept, grown)
+		}
 	}
 }
 

@@ -18,9 +18,11 @@
 // own resolution: it carries its absolute path, the hash term its current
 // value contributes to the subtree hash (so a write hashes the new value
 // only) and its subtree's bucket (hash cell and watch list), and one index
-// keyed by absolute path finds it in a single probe. The notifications of
-// one write travel in delivery records drawn from, and returned to, a
-// free list the store owns.
+// keyed by absolute path finds, in a single probe, every node a path
+// string has named; a node created through a Cursor is reached through
+// the cursor until a path string names it. A notification is a value in
+// one FIFO ring the store owns, and the notifications due at one instant
+// share one delivery record and one kernel event.
 package store
 
 import (
@@ -127,8 +129,12 @@ type watch struct {
 // sit behind a stable pointer that every node of the subtree holds, so a
 // write folds its hash and finds its watchers without a lookup.
 type bucket struct {
-	// hash follows the tree's kernel-goroutine discipline.
+	// hash and unindexed follow the tree's kernel-goroutine discipline.
 	hash uint64
+	// unindexed counts the subtree's live nodes the index does not hold
+	// (Store.index); while it is 0, a path of the subtree that the index
+	// misses names no node, and no child list is walked for it.
+	unindexed int
 	// ws is guarded by Store.watchMu and kept in ascending id order — ids
 	// are handed out monotonically, so registration is an append — which
 	// makes the delivery order deterministic without a per-fire sort.
@@ -143,15 +149,18 @@ type bucket struct {
 // on other goroutines, so the watch table has its own lock: Watch,
 // Unwatch and notification delivery are safe to interleave concurrently.
 //
-// fireWatches schedules delivery records from freeDeliveries: one record
-// per run of equal-latency notifications, the record back on the list
-// after its last callback. The pending list is kept in (due time,
-// scheduling) order. On a kernel-backed store every record is one kernel
-// event, and every such event calls the same function, which takes the
-// record at the head of the list — the kernel's own (time, sequence)
-// order, so the dispatch order is exactly that of a closure per run,
-// without the closure. A store without a kernel is drained by Deliver,
-// which takes the same records in the same order.
+// fireWatches queues each notification as a value in the store's note
+// ring and counts it into the pending tail record when it is due at the
+// same instant and no kernel event has been scheduled since the tail's
+// own; otherwise it opens a record from freeDeliveries, which goes back
+// on the list after its last callback. A fault-delayed notification
+// rides a record holding its own notes. The pending list is kept in (due
+// time, scheduling) order. On a kernel-backed store every record is one
+// kernel event, and every such event calls the same function, which
+// takes the record at the head of the list — the kernel's own (time,
+// sequence) order, so the dispatch order is exactly that of one event
+// per notification, without the events. A store without a kernel is
+// drained by Deliver, which takes the same records in the same order.
 type Store struct {
 	// k, when set, triggers deliveries; nil leaves them to Deliver, and
 	// now is then the delivery clock: the due time of the last record
@@ -162,12 +171,21 @@ type Store struct {
 	notifyLatency sim.Duration
 	version       uint64
 
-	// index holds every live node under its absolute path, the root under
-	// "/": the one resolution of a path to its node. A node stays in it
-	// until a Remove covers it, and a path has one spelling (checkPath
-	// rejects the rest), so Remove's walk of the subtree it deletes meets
-	// every entry it must drop. Kernel-goroutine discipline, like the tree.
-	index map[string]*node
+	// index maps an absolute path to its live node, the root under "/",
+	// for every node a path string has named: structural nodes and domain
+	// homes from their creation, a node a by-path operation created from
+	// then on, and a node created through a Cursor from the first time a
+	// by-path operation resolves it (lookup). Until then such a node is
+	// reached by its cursor, or by walking child lists down from its
+	// deepest indexed ancestor (resolve). unindexed counts those nodes
+	// store-wide, so a store that has none (every wire server's) answers a
+	// by-path miss at the one probe. A node stays indexed until a Remove
+	// covers it, and a path has one spelling (checkPath rejects the rest),
+	// so Remove's walk of the subtree it deletes meets every entry it must
+	// drop: no dead node is indexed. Kernel-goroutine discipline, like the
+	// tree.
+	index     map[string]*node
+	unindexed int
 	// dir is the directory the last create made a node in. A guest's keys
 	// arrive directory by directory, so the next create usually finds its
 	// parent here instead of probing the index for it.
@@ -192,16 +210,25 @@ type Store struct {
 	// because fireWatches only runs on the kernel goroutine.
 	matchScratch []*watch
 	// freeDeliveries is the delivery free list: fireWatches takes a record
-	// per run of equal-latency notifications and deliver puts it back after
-	// its last callback, so a watched write allocates nothing it keeps.
-	// It holds at most maxFreeDeliveries. Kernel goroutine only (Write and
-	// the kernel's dispatch).
+	// when a notification cannot join the pending tail and deliver puts it
+	// back after its last callback, so a watched write allocates nothing
+	// it keeps. It holds at most maxFreeDeliveries. Kernel goroutine only
+	// (Write and the kernel's dispatch), like everything below.
 	freeDeliveries []*delivery
 	// pendHead and pendTail are the ends of the list of scheduled, not yet
 	// delivered records; deliverFn is deliver bound once, the function of
 	// every delivery's kernel event (nil without a kernel).
 	pendHead, pendTail *delivery
 	deliverFn          func()
+	// notes is the FIFO ring of every pending notification but the
+	// fault-delayed ones, in the order their records are due:
+	// notes[noteHead] is the next one deliver calls, and noteLen wait.
+	notes             []note
+	noteHead, noteLen int
+	// notesLetGo is the length of the largest drained ring deliver has let
+	// go of: a ring that regrows no larger serves a burst that recurs, and
+	// is kept.
+	notesLetGo int
 
 	// rec, when set, receives store.write and store.watch trace records.
 	rec *trace.Recorder
@@ -363,10 +390,12 @@ func DiskPath(dom DomID, disk, key string) string {
 }
 
 // attach creates the node at path, owned by owner, as a child of parent:
-// linked into the child list and the index, its empty value folded into
-// its bucket's hash. A child of /local/domain opens its own bucket, every
-// other node shares its parent's. Journalling is the caller's.
-func (s *Store) attach(parent *node, path string, owner DomID) *node {
+// linked into the child list, its empty value folded into its bucket's
+// hash. A child of /local/domain opens its own bucket, every other node
+// shares its parent's. A structural node or domain home is indexed, and
+// so is every node a by-path operation creates; one a Cursor creates
+// waits for a path string to name it. Journalling is the caller's.
+func (s *Store) attach(parent *node, path string, owner DomID, byPath bool) *node {
 	n := &node{path: path, owner: owner, b: parent.b, next: parent.kids, hpath: pathHashState(path)}
 	if parent.path == Root {
 		n.b = s.bucketFor(n.name())
@@ -377,7 +406,12 @@ func (s *Store) attach(parent *node, path string, owner DomID) *node {
 		n.next.prev = n
 	}
 	parent.kids, parent.sorted = n, nil
-	s.index[path] = n
+	if byPath || parent.b == s.structB {
+		s.index[path] = n
+	} else {
+		n.b.unindexed++
+		s.unindexed++
+	}
 	return n
 }
 
@@ -393,9 +427,9 @@ func (s *Store) domainsDir() *node {
 	if n == nil {
 		local := s.index[dirOf(Root)]
 		if local == nil {
-			local = s.attach(s.root, dirOf(Root), Dom0)
+			local = s.attach(s.root, dirOf(Root), Dom0, true)
 		}
-		n = s.attach(local, Root, Dom0)
+		n = s.attach(local, Root, Dom0, true)
 	}
 	return n
 }
@@ -407,7 +441,7 @@ func (s *Store) AddDomain(dom DomID) {
 	domains := s.domainsDir()
 	home := DomainPath(dom)
 	if s.index[home] == nil {
-		s.attach(domains, home, dom)
+		s.attach(domains, home, dom, true)
 		// Journal the (re)created home so a client that pruned the subtree
 		// after a Remove learns it is back on its next delta sync.
 		s.journalAppend(s.version+1, home, false)
@@ -443,20 +477,26 @@ func (s *Store) CursorFor(path string) *Cursor {
 func (c *Cursor) Path() string { return c.path }
 
 // pinned returns the cursor's node, resolving the path again when the
-// pinned node was detached (nil when the path names no node).
+// pinned node was detached (nil when the path names no node). A node a
+// cursor resolves stays as indexed as it was: the cursor holds it.
 func (s *Store) pinned(c *Cursor) *node {
 	if c.n == nil || !c.n.live() {
-		c.n = s.index[c.path]
+		c.n = nil
+		if checkPath(c.path) == nil {
+			if n, end := s.resolve(c.path, false); end == len(c.path) {
+				c.n = n
+			}
+		}
 	}
 	return c.n
 }
 
 // WriteCursor is Write through a pinned cursor.
 func (s *Store) WriteCursor(dom DomID, c *Cursor, value string) error {
-	n := s.pinned(c)
-	if n == nil {
+	n := c.n
+	if n == nil || !n.live() {
 		var err error
-		if n, err = s.create(dom, c.path); err != nil {
+		if n, err = s.ensure(dom, c.path, false); err != nil {
 			return err
 		}
 		c.n = n
@@ -507,15 +547,112 @@ func (s *Store) Read(dom DomID, path string) (string, error) {
 	return n.value, nil
 }
 
-// nodeAt resolves path to its node: one probe of the index.
+// nodeAt resolves path to its node, as lookup does.
 func (s *Store) nodeAt(path string) (*node, error) {
-	if n := s.index[path]; n != nil {
+	if n := s.lookup(path); n != nil {
 		return n, nil
 	}
 	if err := checkPath(path); err != nil {
 		return nil, err
 	}
 	return nil, errNoEntry(path)
+}
+
+// lookup resolves a path string to its node (nil when it names none, or
+// is no valid path): one probe of the index, and a walk only when the
+// probe misses in a store holding unindexed nodes. A node the walk finds
+// is indexed from then on, so a path string pays the walk once.
+func (s *Store) lookup(path string) *node {
+	if n := s.index[path]; n != nil || s.unindexed == 0 || checkPath(path) != nil {
+		return n
+	}
+	n, end := s.resolve(path, true)
+	if end < len(path) {
+		return nil
+	}
+	s.indexWalked(n)
+	return n
+}
+
+// indexWalked indexes n, a node resolve walked to for a path string the
+// index missed.
+func (s *Store) indexWalked(n *node) {
+	s.index[n.path] = n
+	n.b.unindexed--
+	s.unindexed--
+}
+
+// resolve finds path, a valid path: its node, with end == len(path), or,
+// when path names no node, its deepest existing ancestor and the offset
+// of the slash that follows it in path (0 for the root). probed says the
+// caller has found path absent from the index. It starts from the create
+// memo (dir) when that is path's directory, from path's domain home when
+// the store holds unindexed nodes, or else from the deepest indexed
+// ancestor; then, while that subtree holds unindexed nodes, it walks
+// child lists down, matching a child by the suffix its path adds to its
+// parent's.
+func (s *Store) resolve(path string, probed bool) (n *node, end int) {
+	end = strings.LastIndexByte(path, '/')
+	if d := s.dir; d.live() && d.b.unindexed > 0 && d.path == path[:max(end, 1)] {
+		// A guest's keys arrive directory by directory: the walk is a
+		// scan of the directory the last create made a node in.
+		n = d
+	} else if home, h := s.walkHome(path); home != nil {
+		n, end = home, h
+	} else {
+		if !probed {
+			if n = s.index[path]; n != nil {
+				return n, len(path)
+			}
+		}
+		for {
+			dir := path[:max(end, 1)]
+			if d := s.dir; d.live() && d.path == dir {
+				n = d
+				break
+			}
+			if n = s.index[dir]; n != nil {
+				break
+			}
+			end = strings.LastIndexByte(path[:end], '/')
+		}
+	}
+	for n.b.unindexed > 0 && end < len(path) {
+		next := len(path)
+		if i := strings.IndexByte(path[end+1:], '/'); i >= 0 {
+			next = end + 1 + i
+		}
+		c := n.kids
+		for c != nil && (len(c.path) != next || c.path[end:] != path[end:next]) {
+			c = c.next
+		}
+		if c == nil {
+			break
+		}
+		n, end = c, next
+	}
+	return n, end
+}
+
+// walkHome returns the domain home path lies below, and the home path's
+// length, when the home's subtree holds unindexed nodes: a walk from
+// there costs one probe, where a climb would probe every missing level.
+// nil for a path at or above the domain level, and in a store without
+// unindexed nodes, which it leaves at the probes it takes today.
+func (s *Store) walkHome(path string) (*node, int) {
+	const prefix = Root + "/"
+	if s.unindexed == 0 || !strings.HasPrefix(path, prefix) {
+		return nil, 0
+	}
+	i := strings.IndexByte(path[len(prefix):], '/')
+	if i < 0 {
+		return nil, 0
+	}
+	h := len(prefix) + i
+	if home := s.index[path[:h]]; home != nil && home.b.unindexed > 0 {
+		return home, h
+	}
+	return nil, 0
 }
 
 // Write sets the value at path on behalf of dom, creating intermediate
@@ -525,41 +662,33 @@ func (s *Store) Write(dom DomID, path, value string) error {
 	n := s.index[path]
 	if n == nil {
 		var err error
-		if n, err = s.create(dom, path); err != nil {
+		if n, err = s.ensure(dom, path, true); err != nil {
 			return err
 		}
 	}
 	return s.writeNode(dom, n, value)
 }
 
-// deepest returns the deepest existing ancestor of path, a valid path
-// that names no node, and the offset of the slash that follows it in path
-// (0 for the root).
-func (s *Store) deepest(path string) (*node, int) {
-	for end := len(path); ; {
-		end = strings.LastIndexByte(path[:end], '/')
-		dir := path[:max(end, 1)]
-		if d := s.dir; d.live() && d.path == dir {
-			return d, end
-		}
-		if n := s.index[dir]; n != nil {
-			return n, end
-		}
-	}
-}
-
-// create makes the node at path, which the index does not hold, and every
-// missing level above it, owned by dom — which needs write access at the
-// creation point; the levels below it are its own. Each level is folded
-// into its subtree hash and journalled at the version of the write it is
-// part of, under its own path: a prefix of the caller's string, sliced,
-// never rebuilt — bringing a guest up is mostly leaf creates in an
-// existing directory.
-func (s *Store) create(dom DomID, path string) (*node, error) {
+// ensure returns the node at path, which the index does not hold (byPath:
+// the caller probed it) or which a cursor no longer pins, creating it and
+// every missing level above it, owned by dom — which needs write access
+// at the creation point; the levels below it are its own. One resolve
+// finds both the node and, failing that, where to create from. Each level
+// is folded into its subtree hash and journalled at the version of the
+// write it is part of, under its own path: a prefix of the caller's
+// string, sliced, never rebuilt — bringing a guest up is mostly leaf
+// creates in an existing directory.
+func (s *Store) ensure(dom DomID, path string, byPath bool) (*node, error) {
 	if err := checkPath(path); err != nil {
 		return nil, err
 	}
-	n, end := s.deepest(path)
+	n, end := s.resolve(path, byPath)
+	if end == len(path) {
+		if byPath {
+			s.indexWalked(n)
+		}
+		return n, nil
+	}
 	if !canWrite(n, dom) {
 		return nil, errPermission(dom, "creating under", path)
 	}
@@ -570,7 +699,7 @@ func (s *Store) create(dom DomID, path string) (*node, error) {
 		} else {
 			end = len(path)
 		}
-		n = s.attach(n, path[:end], dom)
+		n = s.attach(n, path[:end], dom, byPath)
 		s.journalAppend(s.version+1, n.path, false)
 	}
 	return n, nil
@@ -633,7 +762,7 @@ func (s *Store) Remove(dom DomID, path string) error {
 	if n.prev != nil {
 		n.prev.next = n.next
 	}
-	parent := s.index[dirOf(path)]
+	parent := s.lookup(dirOf(path))
 	if parent.kids == n {
 		parent.kids = n.next
 	}
@@ -649,14 +778,19 @@ func (s *Store) Remove(dom DomID, path string) error {
 	return nil
 }
 
-// detach takes a subtree out of the index and its terms out of the bucket
+// detach takes a subtree out of the index (or, for a node it does not
+// hold, out of the unindexed counts) and its terms out of the bucket
 // hashes, and marks every node of it dead for whoever pinned one. The
 // walk meets every node that dies with its one path, so a Remove costs
 // O(subtree) however big the store is; XOR makes the order irrelevant. A
 // dead node lets go of its relatives, so a pinned one retains only itself.
 func (s *Store) detach(n *node) {
 	n.b.hash ^= n.hval
-	delete(s.index, n.path)
+	indexed := len(s.index)
+	if delete(s.index, n.path); len(s.index) == indexed {
+		n.b.unindexed--
+		s.unindexed--
+	}
 	for c := n.kids; c != nil; {
 		next := c.next
 		s.detach(c)
@@ -716,7 +850,7 @@ func (s *Store) Grant(dom DomID, path string, target DomID, perm Perm) error {
 }
 
 // Exists reports whether path names a node, regardless of readability.
-func (s *Store) Exists(path string) bool { return s.index[path] != nil }
+func (s *Store) Exists(path string) bool { return s.lookup(path) != nil }
 
 // Watch registers fn to be called (after the configured notification
 // latency) whenever a node at or below prefix changes, provided dom can
@@ -752,41 +886,58 @@ func (s *Store) Unwatch(id WatchID) {
 	}
 }
 
-// delivery is one run of equal-latency notifications of one write: the
-// watchers to call, in ascending id order, and the event they are told.
-// Records are reused through Store.freeDeliveries and wait their turn on
-// the store's pending list, so a scheduled delivery is this one object:
-// no closure, and no separate backing for the usual one or two watchers.
-type delivery struct {
-	ws          []*watch
+// note is one notification: the watcher to call and the event it is told.
+type note struct {
+	w           *watch
 	path, value string
-	due         sim.Time
-	next, prev  *delivery // pending-list links
-	first       [2]*watch // ws's backing until a third watcher matches
 }
 
-// maxFreeDeliveries bounds the delivery free list. A running host keeps
-// about one record in flight per guest — flush_burst_1k's 1,000 guests
-// on one store need between 512 and 1,024 — and the list serves that by
-// reuse. A bring-up burst, 14 records per guest all pending until the
-// kernel runs (2,800 for a 200-guest host), is let go past the bound
-// instead of being held for the store's life.
+// delivery is one kernel event's worth of notifications (one step of
+// Deliver's without a kernel): the n notes at the head of the store's
+// note ring when its turn comes, or, for a fault-delayed run, the notes
+// in own, which the ring cannot hold in due order. Records are reused
+// through Store.freeDeliveries and wait their turn on the store's
+// pending list, so a scheduled delivery is this one object: no closure,
+// and no backing of its own for the notes of an undelayed write.
+type delivery struct {
+	n   int
+	own []note // nil on a ring record
+	due sim.Time
+	// mark is the kernel's Scheduled() just after this record's event was
+	// scheduled: while it has not moved, a note due at the same instant
+	// joins this record instead of scheduling an event right behind it.
+	mark       uint64
+	next, prev *delivery // pending-list links
+}
+
+// maxFreeDeliveries bounds the delivery free list, and the note ring a
+// drained burst leaves behind (deliver). A running host keeps at most
+// about one record in flight per guest — flush_burst_1k's 1,000 guests on
+// one store need up to 1,024 — and the list serves that by reuse. A
+// bring-up burst, 15 notes per guest all pending until the kernel runs
+// (3,000 for a 200-guest host), is let go past the bound instead of
+// being held for the store's life.
 const maxFreeDeliveries = 1024
 
-// takeDelivery pops a record off the free list (making one when the list
-// is empty — a callback that re-enters Write while its own record is
-// still running simply takes another) and loads it with the event.
-func (s *Store) takeDelivery(path, value string) *delivery {
-	var d *delivery
+// takeDelivery pops a record off the free list, or makes one when the
+// list is empty (a callback that re-enters Write while its own record is
+// still running simply takes another).
+func (s *Store) takeDelivery() *delivery {
 	if n := len(s.freeDeliveries); n > 0 {
-		d = s.freeDeliveries[n-1]
+		d := s.freeDeliveries[n-1]
 		s.freeDeliveries = s.freeDeliveries[:n-1]
-	} else {
-		d = new(delivery)
-		d.ws = d.first[:0]
+		return d
 	}
-	d.path, d.value = path, value
-	return d
+	return new(delivery)
+}
+
+// clock is the store's notion of now: its kernel's, or, without one, the
+// delivery clock Deliver advances.
+func (s *Store) clock() sim.Time {
+	if s.k != nil {
+		return s.k.Now()
+	}
+	return s.now
 }
 
 // schedule queues d for delivery after delay. The kernel fires events in
@@ -796,11 +947,7 @@ func (s *Store) takeDelivery(path, value string) *delivery {
 // adds to it, so that is nearly always the tail. Without a kernel, the
 // list is all there is: Deliver walks it.
 func (s *Store) schedule(d *delivery, delay sim.Duration) {
-	now := s.now
-	if s.k != nil {
-		now = s.k.Now()
-	}
-	d.due = now + delay
+	d.due = s.clock() + delay
 	after := s.pendTail
 	for after != nil && after.due > d.due {
 		after = after.prev
@@ -818,7 +965,37 @@ func (s *Store) schedule(d *delivery, delay sim.Duration) {
 	}
 	if s.k != nil {
 		s.k.After(delay, s.deliverFn)
+		d.mark = s.k.Scheduled()
 	}
+}
+
+// queueNote queues one notification due after the store's notification
+// latency. Such notes are due in the order they are queued, so they wait
+// in the ring in the order their records are delivered. The note joins
+// the pending tail when that is a ring record due at the same instant
+// and, on a kernel-backed store, no event has been scheduled since the
+// tail's own: an event of its own would fire right behind the tail's,
+// with nothing between them in (time, sequence) order, so running it
+// inside the tail's event keeps the dispatch order. Otherwise the note
+// opens a record.
+func (s *Store) queueNote(nt note) {
+	t := s.pendTail
+	if t == nil || t.own != nil || t.due != s.clock()+s.notifyLatency || (s.k != nil && s.k.Scheduled() != t.mark) {
+		t = s.takeDelivery()
+		s.schedule(t, s.notifyLatency)
+	}
+	if s.noteLen == len(s.notes) {
+		grown := make([]note, 0, 2*len(s.notes)+1)
+		grown = append(append(grown, s.notes[s.noteHead:]...), s.notes[:s.noteHead]...)
+		s.notes, s.noteHead = grown[:cap(grown)], 0
+	}
+	i := s.noteHead + s.noteLen
+	if i >= len(s.notes) {
+		i -= len(s.notes)
+	}
+	s.notes[i] = nt
+	s.noteLen++
+	t.n++
 }
 
 // Deliver runs every delivery a store built without a kernel has queued,
@@ -835,8 +1012,13 @@ func (s *Store) Deliver() {
 }
 
 // deliver is one delivery, a kernel event or a step of Deliver: it takes
-// the record whose turn it is off the pending list, calls the watchers,
-// then hands the record back to the free list if the list has room.
+// the record whose turn it is off the pending list, calls the watchers of
+// its notes, then hands the record back to the free list if the list has
+// room. Once a burst has drained, it lets go of a note ring the burst grew
+// past maxFreeDeliveries notes and past every ring let go before: a
+// bring-up's ring is not held for the store's life, and a running host
+// whose same-instant writes regrow a ring of a size let go before keeps
+// it, instead of regrowing it on every such instant.
 func (s *Store) deliver() {
 	d := s.pendHead
 	s.pendHead = d.next
@@ -846,23 +1028,47 @@ func (s *Store) deliver() {
 		d.next.prev = nil
 		d.next = nil
 	}
-	for _, w := range d.ws {
-		// The watch may have been removed while the notification
-		// was in flight; XenStore drops such events.
-		if w.removed.Load() {
-			continue
+	if d.own == nil {
+		// A callback's write queues behind the ring's tail, so the record's
+		// notes stay at the head however the ring grows meanwhile.
+		for ; d.n > 0; d.n-- {
+			nt := s.notes[s.noteHead]
+			s.notes[s.noteHead] = note{}
+			if s.noteHead++; s.noteHead == len(s.notes) {
+				s.noteHead = 0
+			}
+			s.noteLen--
+			s.call(nt)
 		}
-		if s.rec != nil {
-			s.rec.Record(trace.Record{Kind: trace.KindStoreWatch, Dom: int(w.dom), Path: d.path, Value: d.value})
+		if s.noteLen == 0 {
+			// A drained ring starts over at its front, which the last
+			// notes left warm in the cache.
+			s.noteHead = 0
+			if len(s.notes) > max(maxFreeDeliveries, s.notesLetGo) {
+				s.notes, s.notesLetGo = nil, len(s.notes)
+			}
 		}
-		w.fn(d.path, d.value)
+	} else {
+		for _, nt := range d.own {
+			s.call(nt)
+		}
+		d.own = nil
 	}
-	clear(d.ws)
-	d.ws = d.ws[:0]
-	d.path, d.value = "", ""
 	if len(s.freeDeliveries) < maxFreeDeliveries {
 		s.freeDeliveries = append(s.freeDeliveries, d)
 	}
+}
+
+// call tells one watcher its note, unless the watch was removed while the
+// notification was in flight: XenStore drops such events.
+func (s *Store) call(nt note) {
+	if nt.w.removed.Load() {
+		return
+	}
+	if s.rec != nil {
+		s.rec.Record(trace.Record{Kind: trace.KindStoreWatch, Dom: int(nt.w.dom), Path: nt.path, Value: nt.value})
+	}
+	nt.w.fn(nt.path, nt.value)
 }
 
 func (s *Store) fireWatches(b *bucket, n *node, path, value string) {
@@ -894,15 +1100,13 @@ func (s *Store) fireWatches(b *bucket, n *node, path, value string) {
 	// The caller hands in the written node (nil for removals): the node is
 	// the same for every watcher, only the per-watcher permission differs.
 	//
-	// Deliveries that share a latency ride one record (one kernel event on
-	// a kernel-backed store): they were scheduled back-to-back for the
-	// same instant with consecutive sequence numbers, so no other event
-	// can interleave them — running the callbacks consecutively inside one
-	// record preserves the exact dispatch order while cutting the
-	// pending-list traffic of the fan-out (every write notifies at least
-	// the manager and the guest driver).
-	var run *delivery // the open run, scheduled when its latency ends
-	runDelay := s.notifyLatency
+	// An undelayed note goes to the ring (queueNote). Fault-delayed notes
+	// of one delay that follow one another share a record, scheduled when
+	// a note of another delay, or the end of the fan-out, closes the run —
+	// each record's event thus takes the place in (time, sequence) order
+	// that one event per note would have given its notes.
+	var run *delivery // the open delayed run
+	var runDelay sim.Duration
 	for _, w := range matched {
 		if !under(path, w.prefix) {
 			continue
@@ -927,12 +1131,16 @@ func (s *Store) fireWatches(b *bucket, n *node, path, value string) {
 			s.schedule(run, runDelay)
 			run = nil
 		}
-		runDelay = delay
 		s.notifies++
-		if run == nil {
-			run = s.takeDelivery(path, value)
+		nt := note{w: w, path: path, value: value}
+		if delay == s.notifyLatency {
+			s.queueNote(nt)
+			continue
 		}
-		run.ws = append(run.ws, w)
+		if run == nil {
+			run, runDelay = s.takeDelivery(), delay
+		}
+		run.own = append(run.own, nt)
 	}
 	if run != nil {
 		s.schedule(run, runDelay)

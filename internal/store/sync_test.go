@@ -25,25 +25,36 @@ func split(path string) []string {
 // recomputeBuckets walks the whole tree and rebuilds the per-subtree
 // hash map from scratch — the oracle the incremental bookkeeping in
 // Write/Remove/AddDomain must always agree with. On the way it checks
-// that the tree and the index are the same set of nodes: every node
-// reachable from the root is live, sits in the index under the path its
-// parent and name give it, holds its subtree's bucket and a hash term
-// that matches its value, and the index holds nothing else.
+// the tree against the index: every node reachable from the root is live,
+// is called by the path its parent and name give it, holds its subtree's
+// bucket and a hash term that matches its value, and is either the
+// index's entry for that path or absent from the index and counted as
+// unindexed, in its bucket and store-wide — a structural node or domain
+// home always indexed. The index holds nothing else: no dead node.
 func recomputeBuckets(t *testing.T, s *Store) map[string]uint64 {
 	t.Helper()
 	got := map[string]uint64{}
-	reached := 0
+	indexed, unindexed := 0, map[*bucket]int{}
 	var walk func(path string, n *node)
 	walk = func(path string, n *node) {
-		reached++
 		parts := split(path)
 		key := ""
 		if len(parts) >= 3 && parts[0] == "local" && parts[1] == "domain" {
 			key = parts[2]
 		}
+		switch in := s.index[path]; {
+		case n.path != path:
+			t.Fatalf("node reached as %s calls itself %s", path, n.path)
+		case in == n:
+			indexed++
+		case in != nil:
+			t.Fatalf("the index holds %p for %s, the tree %p", in, path, n)
+		case len(parts) <= 3:
+			t.Fatalf("%s, structural or a domain home, is not indexed", path)
+		default:
+			unindexed[n.b]++
+		}
 		switch {
-		case n.path != path || s.index[path] != n:
-			t.Fatalf("node reached as %s calls itself %s and the index holds %p for it, not %p", path, n.path, s.index[path], n)
 		case n.b == nil || n.b != s.buckets[key]:
 			t.Fatalf("%s holds bucket %p, want bucket %q (%p)", path, n.b, key, s.buckets[key])
 		case n != s.root && n.hval != nodeHash(path, n.value): // the root is in no hash
@@ -62,8 +73,18 @@ func recomputeBuckets(t *testing.T, s *Store) map[string]uint64 {
 		}
 	}
 	walk("/", s.root)
-	if reached != len(s.index) {
-		t.Fatalf("%d nodes reachable from the root, %d in the index", reached, len(s.index))
+	if indexed != len(s.index) {
+		t.Fatalf("%d nodes reachable from the root are indexed, the index holds %d", indexed, len(s.index))
+	}
+	total := 0
+	for key, b := range s.buckets {
+		if b.unindexed != unindexed[b] {
+			t.Fatalf("bucket %q counts %d unindexed nodes, the tree holds %d", key, b.unindexed, unindexed[b])
+		}
+		total += b.unindexed
+	}
+	if s.unindexed != total {
+		t.Fatalf("the store counts %d unindexed nodes, its buckets %d", s.unindexed, total)
 	}
 	for b, h := range got {
 		if h == 0 {

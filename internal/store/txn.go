@@ -27,7 +27,7 @@ func (s *Store) Begin(dom DomID) *Txn {
 }
 
 func (t *Txn) versionOf(path string) uint64 {
-	if n := t.s.index[path]; n != nil {
+	if n := t.s.lookup(path); n != nil {
 		return n.version
 	}
 	return 0
@@ -107,7 +107,7 @@ func (t *Txn) Commit() error {
 	// application behind.
 	for _, path := range t.order {
 		if v := t.writeSet[path]; v == nil {
-			n := t.s.index[path]
+			n := t.s.lookup(path)
 			if n == nil {
 				continue // removing an absent node is a no-op
 			}
@@ -138,7 +138,7 @@ func (t *Txn) Abort() { t.done = true }
 // checkWritable reports whether dom could perform Write(path) right now,
 // without mutating anything.
 func (s *Store) checkWritable(dom DomID, path string) error {
-	if n := s.index[path]; n != nil {
+	if n := s.lookup(path); n != nil {
 		if n == s.root {
 			return errRoot("write")
 		}
@@ -151,7 +151,7 @@ func (s *Store) checkWritable(dom DomID, path string) error {
 		return err
 	}
 	// Creation point: need write on the deepest existing ancestor.
-	if n, _ := s.deepest(path); !canWrite(n, dom) {
+	if n, _ := s.resolve(path, true); !canWrite(n, dom) {
 		return errPermission(dom, "creating under", path)
 	}
 	return nil
