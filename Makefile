@@ -41,8 +41,7 @@ race:
 # lists its seeds under — the frame reader against its reference, whole
 # frames at a live server connection, then the shared-memory transport:
 # byte streams and hostile indexes through a ring, and hellos carrying
-# descriptors no server may take; last, the subtree-sync contract — a
-# copy kept by SyncSubtree and SyncPage.Apply converges on the subtree.
+# descriptors no server may take.
 # Then the Monitor's dirty index against the O(n) scan it replaced; then
 # the store's watch delivery against one kernel event per notification,
 # and its lazily filled path index against a walk from the root.
@@ -52,7 +51,7 @@ race:
 # FuzzFrameReader did — its seeds are 30 KB streams, and it ran 45,373
 # inputs in its first 3 s and none after; the server and ring targets'
 # coverage moves with goroutine scheduling, so they find such inputs often.
-NETSTORE_FUZZ = FuzzDecodeBatch FuzzReplyDecode FuzzReplyComposites FuzzFrameReader FuzzServerFrames FuzzRingStream FuzzHello FuzzSyncApply
+NETSTORE_FUZZ = FuzzDecodeBatch FuzzReplyDecode FuzzReplyComposites FuzzFrameReader FuzzServerFrames FuzzRingStream FuzzHello
 FUZZ = $(NETSTORE_FUZZ:%=./internal/netstore/:%) ./internal/hypervisor/:FuzzDirtyIndex ./internal/store/:FuzzDeliveryOrder ./internal/store/:FuzzPathIndex
 fuzz:
 	for t in $(FUZZ); do \

@@ -186,8 +186,14 @@ func cmdJoin(args []string) error {
 	}
 }
 
+// watchCheck is how often watch looks at its connection: the client
+// reads it all along, so a store that went away shows in Err at the next
+// look.
+const watchCheck = 200 * time.Millisecond
+
 // cmdWatch streams membership transitions: first-heard joins, beats,
-// and entry removals (expiry or graceful leave).
+// and entry removals (expiry or graceful leave), until a signal or the
+// loss of the store connection.
 func cmdWatch(args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	url, token := storeFlags(fs)
@@ -226,8 +232,18 @@ func cmdWatch(args []string) error {
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	return nil
+	tick := time.NewTicker(watchCheck)
+	defer tick.Stop()
+	for {
+		select {
+		case <-sig:
+			return nil
+		case <-tick.C:
+		}
+		if err := c.Err(); err != nil {
+			return fmt.Errorf("watch: store connection lost: %w", err)
+		}
+	}
 }
 
 // cmdExpire enforces the heartbeat TTL: beats are stamped on arrival,

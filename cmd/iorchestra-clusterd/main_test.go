@@ -43,8 +43,9 @@ func TestMain(m *testing.M) {
 }
 
 // serveStore serves a cluster store on a Unix socket in a test
-// directory and returns the socket's path and a Dom0 client on it.
-func serveStore(t *testing.T) (string, *netstore.Client) {
+// directory and returns the socket's path, a Dom0 client on it and the
+// server.
+func serveStore(t *testing.T) (string, *netstore.Client, *netstore.Server) {
 	t.Helper()
 	sock := filepath.Join(t.TempDir(), "s.sock")
 	l, err := net.Listen("unix", sock)
@@ -59,14 +60,14 @@ func serveStore(t *testing.T) (string, *netstore.Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return sock, c
+	return sock, c, srv
 }
 
 // TestPlaceMatchesScoreHosts publishes two hosts into a store served on
 // a Unix socket and runs one `place`: the decision it prints is the
 // engine's over the registry it read, every host taken as live.
 func TestPlaceMatchesScoreHosts(t *testing.T) {
-	sock, c := serveStore(t)
+	sock, c, _ := serveStore(t)
 	federation.PublishHostStatics(c, "hostA", "", 8)
 	federation.PublishHostLoad(c, "hostA", federation.HostLoad{ActiveVCPUs: 6, QueueDepth: 12, Util: 0.7, P99Ms: 9})
 	federation.PublishHostStatics(c, "hostB", "", 4)
@@ -128,7 +129,7 @@ func TestPlaceBadModeExits(t *testing.T) {
 // The bounds are a few seconds, far above the 300 ms TTL, so a slow or
 // single-CPU machine only makes the test take longer.
 func TestExpireRemovesSilentHost(t *testing.T) {
-	sock, c := serveStore(t)
+	sock, c, _ := serveStore(t)
 	for _, id := range []string{"hostA", "hostB"} {
 		federation.PublishHostStatics(c, id, "", 4)
 		federation.PublishHeartbeat(c, id, 1)
@@ -137,7 +138,7 @@ func TestExpireRemovesSilentHost(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	output, stopExpire := startExpire(t, sock, "-ttl", "300ms", "-sweep", "50ms")
+	expire := startRole(t, "expire", sock, "-ttl", "300ms", "-sweep", "50ms")
 
 	// hostA beats every 25 ms until the test ends; hostB stays silent.
 	stop := make(chan struct{})
@@ -172,73 +173,102 @@ func TestExpireRemovesSilentHost(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for hosts()["hostB"] {
 		if time.Now().After(deadline) {
-			t.Fatalf("silent hostB still registered after 5 s\nstdout:\n%s\nstderr:\n%s", output("stdout"), output("stderr"))
+			t.Fatalf("silent hostB still registered after 5 s\nstdout:\n%s\nstderr:\n%s", expire.output("stdout"), expire.output("stderr"))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	// Let a few more TTLs pass: the beating host must outlive them.
 	time.Sleep(time.Second)
 	if !hosts()["hostA"] {
-		t.Fatalf("beating hostA was expired\nstdout:\n%s", output("stdout"))
+		t.Fatalf("beating hostA was expired\nstdout:\n%s", expire.output("stdout"))
 	}
 
-	if out := stopExpire(); !strings.Contains(out, " expire hostB ") || strings.Contains(out, "hostA") {
+	if out := expire.stop(t); !strings.Contains(out, " expire hostB ") || strings.Contains(out, "hostA") {
 		t.Errorf("expire printed:\n%s\nwant one line expiring hostB and none naming hostA", out)
 	}
 }
 
-// startExpire runs `expire` with args against the store on sock and
-// returns a reader of its stdout or stderr file and a stop that sends
-// SIGTERM, checks that the daemon exits 0 within 5 s and returns its
-// stdout. The daemon writes straight into files, so they can be read
-// while it runs without racing a copying goroutine.
-func startExpire(t *testing.T, sock string, args ...string) (output func(name string) string, stop func() string) {
+// daemon is one role of the binary running against a served store. It
+// writes straight into files, so they can be read while it runs without
+// racing a copying goroutine.
+type daemon struct {
+	dir     string
+	cmd     *exec.Cmd
+	exited  chan struct{}
+	waitErr error // set before exited closes
+}
+
+// startRole runs the role with args against the store on sock; the test's
+// cleanup kills it if it is still running.
+func startRole(t *testing.T, role, sock string, args ...string) *daemon {
 	t.Helper()
-	dir := t.TempDir()
-	output = func(name string) string {
-		b, _ := os.ReadFile(filepath.Join(dir, name))
-		return string(b)
-	}
+	d := &daemon{dir: t.TempDir(), exited: make(chan struct{})}
 	create := func(name string) *os.File {
-		f, err := os.Create(filepath.Join(dir, name))
+		f, err := os.Create(filepath.Join(d.dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { f.Close() })
 		return f
 	}
-	cmd := exec.Command(toolPath, append([]string{"expire", "-store", "unix://" + sock}, args...)...)
-	cmd.Stdout, cmd.Stderr = create("stdout"), create("stderr")
-	if err := cmd.Start(); err != nil {
+	d.cmd = exec.Command(toolPath, append([]string{role, "-store", "unix://" + sock}, args...)...)
+	d.cmd.Stdout, d.cmd.Stderr = create("stdout"), create("stderr")
+	if err := d.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	var waitErr error
-	exited := make(chan struct{})
-	go func() { waitErr = cmd.Wait(); close(exited) }()
+	go func() { d.waitErr = d.cmd.Wait(); close(d.exited) }()
 	t.Cleanup(func() {
 		select {
-		case <-exited:
+		case <-d.exited:
 		default:
-			cmd.Process.Kill()
-			<-exited
+			d.cmd.Process.Kill()
+			<-d.exited
 		}
 	})
-	stop = func() string {
-		t.Helper()
-		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Fatal(err)
+	return d
+}
+
+// output reads what the daemon wrote so far to "stdout" or "stderr".
+func (d *daemon) output(name string) string {
+	b, _ := os.ReadFile(filepath.Join(d.dir, name))
+	return string(b)
+}
+
+// await waits up to within for some output file to contain want.
+func (d *daemon) await(t *testing.T, name, want string, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for !strings.Contains(d.output(name), want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no %q on %s within %v\nstdout:\n%s\nstderr:\n%s", want, name, within, d.output("stdout"), d.output("stderr"))
 		}
-		select {
-		case <-exited:
-			if waitErr != nil {
-				t.Fatalf("expire after SIGTERM: %v\nstderr:\n%s", waitErr, output("stderr"))
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("expire did not exit within 5 s of SIGTERM")
-		}
-		return output("stdout")
+		time.Sleep(10 * time.Millisecond)
 	}
-	return output, stop
+}
+
+// wait waits up to within for the daemon to exit and returns how it did.
+func (d *daemon) wait(t *testing.T, within time.Duration) error {
+	t.Helper()
+	select {
+	case <-d.exited:
+		return d.waitErr
+	case <-time.After(within):
+		t.Fatalf("%s did not exit within %v\nstderr:\n%s", d.cmd.Args[1], within, d.output("stderr"))
+		return nil
+	}
+}
+
+// stop sends SIGTERM, checks that the daemon exits 0 within 5 s and
+// returns its stdout.
+func (d *daemon) stop(t *testing.T) string {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.wait(t, 5*time.Second); err != nil {
+		t.Fatalf("%s after SIGTERM: %v\nstderr:\n%s", d.cmd.Args[1], err, d.output("stderr"))
+	}
+	return d.output("stdout")
 }
 
 // TestExpireForgetsDepartedHost has a host beat, leave gracefully and,
@@ -249,15 +279,9 @@ func startExpire(t *testing.T, sock string, args ...string) (output func(name st
 // being older than the TTL. The TTL is 1 s and the check comes 400 ms
 // after the return, so a slow machine only makes the expiry later.
 func TestExpireForgetsDepartedHost(t *testing.T) {
-	sock, c := serveStore(t)
-	output, stop := startExpire(t, sock, "-ttl", "1s", "-sweep", "50ms")
-	deadline := time.Now().Add(5 * time.Second)
-	for !strings.Contains(output("stderr"), "expiring beats") { // printed once its watch is set
-		if time.Now().After(deadline) {
-			t.Fatalf("expire did not start within 5 s\nstderr:\n%s", output("stderr"))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	sock, c, _ := serveStore(t)
+	expire := startRole(t, "expire", sock, "-ttl", "1s", "-sweep", "50ms")
+	expire.await(t, "stderr", "expiring beats", 5*time.Second) // printed once its watch is set
 	federation.PublishHostStatics(c, "hostC", "", 4)
 	federation.PublishHeartbeat(c, "hostC", 1)
 	time.Sleep(200 * time.Millisecond) // the beat reaches the expirer
@@ -270,7 +294,38 @@ func TestExpireForgetsDepartedHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(400 * time.Millisecond)
-	if out := stop(); strings.Contains(out, "hostC") {
+	if out := expire.stop(t); strings.Contains(out, "hostC") {
 		t.Errorf("expire printed:\n%s\nwant nothing naming hostC: it returned %v ago, within its grace TTL", out, 400*time.Millisecond)
+	}
+}
+
+// TestWatchEndsWhenStoreGoes runs `watch` against a served store, sees a
+// host join, then closes the server: watch must say the store connection
+// is lost and exit non-zero, not keep running on a dead connection. The
+// 5 s bound is far above watch's 200 ms check.
+func TestWatchEndsWhenStoreGoes(t *testing.T) {
+	sock, c, srv := serveStore(t)
+	// hostZ is listed as a member at start; hostA arrives after the
+	// listing, so a beat of it heard through the watch is a join.
+	federation.PublishHeartbeat(c, "hostZ", 1)
+	watch := startRole(t, "watch", sock)
+	watch.await(t, "stdout", " member hostZ", 5*time.Second)
+	deadline := time.Now().Add(5 * time.Second)
+	for beat := int64(1); !strings.Contains(watch.output("stdout"), " join hostA"); beat++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("watch printed no join of hostA within 5 s\nstdout:\n%s\nstderr:\n%s", watch.output("stdout"), watch.output("stderr"))
+		}
+		// Beat until watch hears one: its watch is set just after the listing.
+		federation.PublishHeartbeat(c, "hostA", beat)
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	srv.Close()
+	err := watch.wait(t, 5*time.Second)
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() == 0 {
+		t.Fatalf("watch after the store closed: %v, want a non-zero exit\nstderr:\n%s", err, watch.output("stderr"))
+	}
+	if s := watch.output("stderr"); !strings.Contains(s, "watch: store connection lost: ") {
+		t.Errorf("watch's stderr:\n%s\nwant a line saying the store connection is lost", s)
 	}
 }

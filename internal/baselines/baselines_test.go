@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -20,8 +21,9 @@ func idleSignals(h *hypervisor.Host) map[store.DomID]int {
 	n := map[store.DomID]int{}
 	h.Recorder().SetSink(func(r trace.Record) {
 		if r.Kind == trace.KindStoreWrite && r.Value == "1" && strings.HasSuffix(r.Path, "/disk_idle") {
-			dom, _ := store.PathDomain(r.Path)
-			n[dom]++
+			id, _, _ := strings.Cut(strings.TrimPrefix(r.Path, store.Root+"/"), "/")
+			dom, _ := strconv.Atoi(id)
+			n[store.DomID(dom)]++
 		}
 	})
 	return n

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"iorchestra/internal/core"
@@ -10,6 +12,7 @@ import (
 	"iorchestra/internal/pagecache"
 	"iorchestra/internal/sim"
 	"iorchestra/internal/stats"
+	"iorchestra/internal/store"
 )
 
 // buildParityBed constructs a small multi-host scenario with real
@@ -50,6 +53,41 @@ func buildParityBed(seed uint64) *ParallelTestbed {
 	return tb
 }
 
+// listing is every node of st as path=value, children in List's sorted
+// order, as Dom0 reads them.
+func listing(t *testing.T, st *store.Store) []string {
+	t.Helper()
+	var out []string
+	var walk func(path string)
+	walk = func(path string) {
+		v, err := st.Read(store.Dom0, path)
+		if err != nil {
+			t.Fatalf("read %s: %v", path, err)
+		}
+		out = append(out, path+"="+v)
+		names, err := st.List(store.Dom0, path)
+		if err != nil {
+			t.Fatalf("list %s: %v", path, err)
+		}
+		base := strings.TrimSuffix(path, "/") + "/"
+		for _, name := range names {
+			walk(base + name)
+		}
+	}
+	walk("/")
+	return out
+}
+
+// firstDiff names the first entry at which two listings part.
+func firstDiff(a, b []string) string {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return fmt.Sprintf("%q vs %q", a[i], b[i])
+		}
+	}
+	return "past the shorter one's end"
+}
+
 // TestRunEpochsParity pins the claim RunEpochs's doc makes: because the
 // per-host kernels share nothing, the epoch-barrier parallel run is
 // event-for-event identical to advancing the same kernels sequentially
@@ -81,8 +119,9 @@ func TestRunEpochsParity(t *testing.T) {
 				t.Fatalf("epoch %v host %d: store version %d, sequential %d",
 					epoch, i, ph.Version(), sh.Version())
 			}
-			if ph.SubtreeHash("/") != sh.SubtreeHash("/") {
-				t.Fatalf("epoch %v host %d: store content hash diverged from sequential run", epoch, i)
+			if pl, sl := listing(t, ph), listing(t, sh); !slices.Equal(pl, sl) {
+				t.Fatalf("epoch %v host %d: store holds %d nodes, sequential %d; first difference %s",
+					epoch, i, len(pl), len(sl), firstDiff(pl, sl))
 			}
 		}
 	}

@@ -34,7 +34,7 @@ import (
 // reply (at most MaxFrame bytes) from the collector, so a caller that
 // files away one short field of a large reply should strings.Clone it;
 // one batch's Names slices likewise share one array. Watch callback
-// arguments and SyncSubtree pages are private copies.
+// arguments are private copies.
 type Client struct {
 	c net.Conn
 	// The inbound stream is read by whoever holds the read token, which

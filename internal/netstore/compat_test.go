@@ -133,11 +133,6 @@ func conversation(t *testing.T) string {
 	if len(res) != 7 {
 		t.Fatalf("batch of 7 returned %d results", len(res))
 	}
-	_, err = c.SyncSubtree(base, 0, 0)
-	must("sync", err)
-	if _, err = c.SyncSubtree("/local", 0, 0); err == nil {
-		t.Fatal("sync of a root that is no domain subtree succeeded")
-	}
 	_, err = c.Stats()
 	must("stats", err)
 	c.Close()
@@ -255,4 +250,54 @@ func TestWireFramesFixture(t *testing.T) {
 			}
 		}
 	})
+}
+
+// A peer that still speaks the retired subtree sync (opcode 22: a domain
+// subtree root, a since-version and a known hash) is answered as any
+// unknown opcode is — BAD_REQUEST under its request id — and keeps its
+// connection: a ping after it still answers.
+func TestRetiredSyncOpRefused(t *testing.T) {
+	frame := func(h string) []byte {
+		p, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// The handshake as dom 3 and the sync request, as an old client wrote
+	// them: opcode 0x16, id 0x14, /local/domain/3, since 0, known 0.
+	hello := frame("0100000001494f5253020000000300000000")
+	sync := frame("16000000140000000f2f6c6f63616c2f646f6d61696e2f3300000000000000000000000000000000")
+	ping := frame("1400000015")
+
+	_, nc := pipeServer(t)
+	roundTrip := func(what string, req []byte) *dec {
+		t.Helper()
+		if err := writeFrame(nc, req); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		p, err := readFrame(nc)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		d := &dec{b: p}
+		if op, id := Op(d.u8()), d.u32(); op != OpReply || id != binary.BigEndian.Uint32(req[1:]) {
+			t.Fatalf("%s: answered by %v for id %d, want the reply to id %d", what, op, id, binary.BigEndian.Uint32(req[1:]))
+		}
+		return d
+	}
+	if st := Status(roundTrip("hello", hello).u8()); st != StatusOK {
+		t.Fatalf("hello: status %d", st)
+	}
+	d := roundTrip("sync", sync)
+	if st, msg := Status(d.u8()), d.str(); st != StatusBadRequest || !strings.Contains(msg, "opcode 22") {
+		t.Fatalf("sync: status %d %q, want BAD_REQUEST naming opcode 22", st, msg)
+	}
+	if err := d.done(); err != nil {
+		t.Fatalf("sync: the refusal carries more than its status: %v", err)
+	}
+	d = roundTrip("ping after the sync", ping)
+	if st, msg := Status(d.u8()), d.str(); st != StatusOK || d.done() != nil {
+		t.Fatalf("ping after the sync: status %d %q, want OK with an empty body", st, msg)
+	}
 }

@@ -51,7 +51,6 @@ func TestOversizedReplyCountsRefused(t *testing.T) {
 	const huge = 1<<32 - 1
 	base := store.DomainPath(3)
 	list := func(c *Client) error { _, err := c.List(base); return err }
-	sync := func(c *Client) error { _, err := c.SyncSubtree(base, 0, 0); return err }
 	batch := func(c *Client) error { _, err := c.NewBatch().Read(base).List(base).List(base).Run(); return err }
 	okSub := func(e *enc) *enc { return e.u8(0).str("") }
 	cases := []struct {
@@ -62,7 +61,6 @@ func TestOversizedReplyCountsRefused(t *testing.T) {
 		{"list, count of 4 billion", list, (&enc{}).u32(huge)},
 		{"list, count past a truncated body", list, (&enc{}).u32(1000).str("a").str("b").str("c")},
 		{"list, count one more than the names sent", list, (&enc{}).u32(3).str("").str("")},
-		{"sync, count of 4 billion", sync, (&enc{}).u8(uint8(store.SyncFull)).u64(7).u64(9).u32(huge)},
 		{"batch, result count of 4 billion", batch, (&enc{}).u32(huge)},
 		{"batch, list count of 4 billion", batch, okSub(okSub((&enc{}).u32(3)).str("v")).u32(huge)},
 		{"batch, list count past a truncated body", batch, okSub(okSub((&enc{}).u32(3)).str("v")).u32(64).str("a")},

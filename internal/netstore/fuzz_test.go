@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"net"
 	"slices"
 	"strings"
@@ -50,7 +49,8 @@ func decodeRequest(op Op, body []byte) (req, []req, error) {
 // request gives the body back, byte for byte. The seeds are the batch
 // frame cut at every length and, from a loop over the op table, each
 // opcode's own request whole, cut short and overlong — a new row of the
-// table is seeded by being there.
+// table is seeded by being there — and so is the retired sync (opcode
+// 22), with the body an old client sent.
 func FuzzDecodeBatch(f *testing.F) {
 	valid := batchFrame()
 	for cut := 0; cut <= len(valid); cut++ {
@@ -63,7 +63,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Fatalf("the un-batchable seed decodes with %v", err)
 	}
 	f.Add(uint8(OpBatch), unbatchable)
-	sample := req{id: 7, path: store.DomainPath(3) + "/k", value: "v", target: 5, perm: store.PermRead, since: 1, known: 2}
+	sample := req{id: 7, path: store.DomainPath(3) + "/k", value: "v", target: 5, perm: store.PermRead}
 	var subs []req
 	for code, desc := range ops {
 		if desc.batch {
@@ -82,6 +82,10 @@ func FuzzDecodeBatch(f *testing.F) {
 			f.Add(uint8(code), body[:len(body)-1])
 		}
 	}
+	sync := (&enc{}).str(sample.path).u64(1).u64(2).b // root, since-version, known-hash
+	f.Add(uint8(22), sync)
+	f.Add(uint8(22), append(sync[:len(sync):len(sync)], 0))
+	f.Add(uint8(22), sync[:len(sync)-1])
 	f.Add(uint8(len(ops)), []byte{})
 
 	f.Fuzz(func(t *testing.T, code uint8, body []byte) {
@@ -128,20 +132,20 @@ func FuzzDecodeBatch(f *testing.F) {
 // body consumed to its last byte.
 func FuzzReplyDecode(f *testing.F) {
 	reply := replyTo(7, nil)
-	reply.str("value").strs([]string{"a", "bc"}).u64(1 << 40)
+	reply.str("value").strs([]string{"a", "bc"})
 	body := string(reply.b[replyHdr:])
-	f.Add(body, []byte{0, 3, 3, 1, 3, 3, 2}) // status, msg, value, count, two names, version
-	f.Add(body, []byte{0, 3, 3})             // trailing bytes
-	f.Add(body[:len(body)-3], []byte{0, 3, 3, 1, 3, 3, 2})
-	f.Add("\xff\xff\xff\xffab", []byte{3, 0}) // a length prefix far past the body
+	f.Add(body, []byte{0, 2, 2, 1, 2, 2}) // status, msg, value, count, two names
+	f.Add(body, []byte{0, 2, 2})          // trailing bytes
+	f.Add(body[:len(body)-1], []byte{0, 2, 2, 1, 2, 2})
+	f.Add("\xff\xff\xff\xffab", []byte{2, 0}) // a length prefix far past the body
 	f.Add("", []byte{})
 	// A string's one bounds check, at its edge: a length prefix equal to
 	// the bytes that follow it, one more than that, all ones after a
 	// partial body, and a body too short for the prefix itself.
-	f.Add("\x00\x00\x00\x03abc", []byte{3})
-	f.Add("\x00\x00\x00\x04abc", []byte{3, 0})
-	f.Add("\x07\x00\x00\x00\x01a\xff\xff\xff\xffbc", []byte{0, 3, 3, 0})
-	f.Add("\x00\x00\x00", []byte{3, 1, 0})
+	f.Add("\x00\x00\x00\x03abc", []byte{2})
+	f.Add("\x00\x00\x00\x04abc", []byte{2, 0})
+	f.Add("\x07\x00\x00\x00\x01a\xff\xff\xff\xffbc", []byte{0, 2, 2, 0})
+	f.Add("\x00\x00\x00", []byte{2, 1, 0})
 
 	f.Fuzz(func(t *testing.T, body string, script []byte) {
 		d := rdec{s: body}
@@ -158,7 +162,7 @@ func FuzzReplyDecode(f *testing.F) {
 			return at, true
 		}
 		for step, b := range script {
-			switch b % 4 {
+			switch b % 3 {
 			case 0:
 				var want uint8
 				if at, ok := need(1); ok {
@@ -176,15 +180,6 @@ func FuzzReplyDecode(f *testing.F) {
 					t.Fatalf("step %d: u32 = %d, want %d", step, got, want)
 				}
 			case 2:
-				got := d.u64()
-				// Two words, as the wire writes it: a body that holds only
-				// the first still fails the read.
-				if at, ok := need(8); ok {
-					if want := binary.BigEndian.Uint64([]byte(body[at:pos])); got != want {
-						t.Fatalf("step %d: u64 = %d, want %d", step, got, want)
-					}
-				}
-			case 3:
 				want := ""
 				if at, ok := need(4); ok {
 					if at, ok = need(uint64(binary.BigEndian.Uint32([]byte(body[at:pos])))); ok {
@@ -272,9 +267,9 @@ func FuzzServerFrames(f *testing.F) {
 		req(OpWrite, 2, write(base+"/k", "v")),
 		req(OpRead, 3, path(base+"/k")),
 		req(OpList, 4, path(base)),
-		req(Op(9), 5, path(base+"/k")), // reserved: once exists
-		req(Op(18), 6, path("/")),      // reserved: once snapshot
-		req(OpSync, 7, func(e *enc) { e.str(base).u64(0).u64(0) }),
+		req(Op(9), 5, path(base+"/k")),                             // reserved: once exists
+		req(Op(18), 6, path("/")),                                  // reserved: once snapshot
+		req(Op(22), 7, func(e *enc) { e.str(base).u64(0).u64(0) }), // retired: once sync
 		req(OpStats, 8, nil),
 		batch,
 		req(OpRemove, 10, path(base+"/k")),
@@ -363,87 +358,4 @@ func serveFrames(t *testing.T, srv *Server, nc net.Conn, payloads [][]byte) {
 	}
 	nc.Close()
 	within(t, 10*time.Second, "the store lock after the connection closed", func() { srv.Counters() })
-}
-
-// FuzzSyncApply holds the subtree-sync contract: a copy of a domain
-// subtree kept with Client.SyncSubtree and SyncPage.Apply from the ^0, ^0
-// bootstrap converges. The input is a script of two-byte steps, run by a
-// guest against a store whose mutation journal holds eight entries, so
-// a delta and the full walk it falls back to both occur: a write, a
-// removal (of a key or of a whole directory), a create three levels deep,
-// or a sync of the guest's own subtree. After every sync the copy equals
-// the subtree as the guest reads it, and a second sync of the unchanged
-// subtree answers SyncMatch.
-func FuzzSyncApply(f *testing.F) {
-	const (
-		write = iota
-		remove
-		create
-		sync
-	)
-	step := func(kind, arg byte) []byte { return []byte{kind, arg} }
-	script := func(steps ...[]byte) []byte { return bytes.Join(steps, nil) }
-	// Writes, a sync, a change and a removal: full, then delta.
-	f.Add(script(step(write, 0), step(write, 1), step(sync, 0), step(write, 0), step(remove, 1), step(sync, 0)))
-	// A directory three levels deep (d/c/b), its middle removed whole
-	// (d/c), then recreated.
-	f.Add(script(step(create, 0x1b), step(sync, 0), step(remove, 0x4b), step(sync, 0), step(create, 0x1b), step(sync, 0)))
-	// Past the journal's window: the delta falls back to the full walk.
-	var many [][]byte
-	for i := byte(0); i < 12; i++ {
-		many = append(many, step(write, i), step(create, i*7))
-	}
-	f.Add(script(append(append([][]byte{step(sync, 0)}, many...), step(sync, 0))...))
-	f.Add([]byte{})
-
-	names := []string{"a", "b", "c", "d"}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 128 {
-			data = data[:128]
-		}
-		srv, nc := pipeServer(t)
-		srv.Do(func(st *store.Store) { st.SetJournalCap(8) })
-		c, err := NewClient(nc, 3, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		base := store.DomainPath(3)
-		cp := newSubtreeCopy(c, base)
-		check := func() {
-			t.Helper()
-			if _, err := cp.sync(); err != nil {
-				t.Fatalf("sync: %v", err)
-			}
-			if want := treeOf(srv, 3, base); !maps.Equal(cp.nodes, want) {
-				t.Fatalf("copy after sync = %v, the subtree = %v", cp.nodes, want)
-			}
-			if mode, err := cp.sync(); err != nil || mode != store.SyncMatch {
-				t.Fatalf("sync of an unchanged subtree = mode %d, %v; want match", mode, err)
-			}
-		}
-		for i := 0; i+1 < len(data); i += 2 {
-			arg := data[i+1]
-			key := base + "/" + names[arg%4]
-			switch data[i] % 4 {
-			case write:
-				err = c.Write(key, fmt.Sprint(i))
-			case remove:
-				if arg&0x40 != 0 {
-					key += "/" + names[arg/4%4]
-				}
-				if err = c.Remove(key); errors.Is(err, store.ErrNoEntry) {
-					err = nil
-				}
-			case create:
-				err = c.Write(key+"/"+names[arg/4%4]+"/"+names[arg/16%4], fmt.Sprint(i))
-			case sync:
-				check()
-			}
-			if err != nil {
-				t.Fatalf("step %d: %v", i/2, err)
-			}
-		}
-		check()
-	})
 }

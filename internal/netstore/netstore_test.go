@@ -48,10 +48,25 @@ func startServerOn(t *testing.T, network string, opts Options) (*Server, string)
 }
 
 // treeOf flattens the subtree at root as dom sees it, read straight from
-// the server's store: the tests' whole-tree oracle.
+// the server's store: every node at or below root that dom may read, with
+// its value — the tests' whole-tree oracle.
 func treeOf(srv *Server, dom store.DomID, root string) map[string]string {
 	nodes := map[string]string{}
-	srv.Do(func(st *store.Store) { st.Walk(dom, root, func(p, v string) { nodes[p] = v }) })
+	var walk func(st *store.Store, path string)
+	walk = func(st *store.Store, path string) {
+		if v, err := st.Read(dom, path); err == nil {
+			nodes[path] = v
+		}
+		names, err := st.Children(dom, path)
+		if err != nil {
+			return
+		}
+		base := strings.TrimSuffix(path, "/") + "/"
+		for _, name := range names {
+			walk(st, base+name)
+		}
+	}
+	srv.Do(func(st *store.Store) { walk(st, root) })
 	return nodes
 }
 
@@ -684,8 +699,8 @@ func TestWireTraceRecords(t *testing.T) {
 	if _, err := c.Stats(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SyncSubtree("/local", 0, 0); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("sync of a root that is no domain subtree: %v", err)
+	if _, err := c.Read(store.DomainPath(4) + "/missing"); !errors.Is(err, store.ErrNoEntry) {
+		t.Fatalf("read of a missing key: %v", err)
 	}
 	if err := (&Txn{c: c, tid: 9}).Commit(); !errors.Is(err, ErrUnknownTxn) {
 		t.Fatalf("commit of a transaction never begun: %v", err)
@@ -696,7 +711,7 @@ func TestWireTraceRecords(t *testing.T) {
 		{Kind: trace.KindWireOp, Dom: 4, Value: "write", Path: store.DomainPath(4) + "/k"},
 		{Kind: trace.KindWireOp, Dom: 4, Value: "ping"},
 		{Kind: trace.KindWireOp, Dom: 4, Value: "stats"},
-		{Kind: trace.KindWireOp, Dom: 4, Value: "sync", Path: "/local"},
+		{Kind: trace.KindWireOp, Dom: 4, Value: "read", Path: store.DomainPath(4) + "/missing"},
 		{Kind: trace.KindWireOp, Dom: 4, Value: "txn.commit"},
 		{Kind: trace.KindWireConn, Dom: 4, Value: "close"},
 	} {

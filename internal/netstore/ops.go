@@ -115,7 +115,6 @@ var ops = [...]opDesc{
 	OpStats:     {"stats", "", false, (*srvConn).opStats},
 	OpPing:      {"ping", "", true, (*srvConn).opPing},
 	OpBatch:     {name: "batch", layout: "b"},
-	OpSync:      {"sync", "psh", false, (*srvConn).opSync},
 }
 
 func (c *srvConn) opPing(*tree, *req, *enc) error { return nil }
@@ -213,33 +212,4 @@ func (c *srvConn) opStats(t *tree, _ *req, e *enc) error {
 	blob, err := json.Marshal(ctr)
 	e.str(string(blob))
 	return err
-}
-
-// opSync answers a catch-up request for one domain subtree with
-// store.SyncSubtree's verdict as the connection's domain sees it; the
-// version/hash pair anchors the client's next sync (WIRE_PROTOCOL.md §6).
-func (c *srvConn) opSync(t *tree, r *req, e *enc) error {
-	page, err := t.st.SyncSubtree(c.dom, r.path, r.since, r.known)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	c.srv.syncs.Add(1)
-	switch page.Mode {
-	case store.SyncMatch:
-		c.srv.syncMatches.Add(1)
-	case store.SyncDelta:
-		c.srv.syncDeltas.Add(1)
-	default:
-		c.srv.syncFulls.Add(1)
-	}
-	e.u8(uint8(page.Mode))
-	e.u64(page.Version)
-	e.u64(page.Hash)
-	e.u32(uint32(len(page.Pairs)))
-	for _, kv := range page.Pairs {
-		e.str(kv.Path)
-		e.bool(kv.Removed)
-		e.str(kv.Value)
-	}
-	return nil
 }

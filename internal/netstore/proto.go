@@ -20,11 +20,7 @@
 // ends encode, decode and run from that row, so a frame's own op and a
 // batch's sub-op are the same op by construction. Besides the per-op
 // frames, OpBatch carries up to MaxBatchOps sub-ops and their replies in
-// one round trip, and OpSync resynchronizes a domain subtree by version
-// and content hash — a reconnecting client presents its last (version,
-// hash) to Client.SyncSubtree and receives "match" (one small frame), a
-// delta since that version, or the whole readable subtree, in that order
-// of preference.
+// one round trip.
 // The server keeps the store behind one lock: a connection's reader
 // goroutine runs each request it decodes to completion under it — the
 // store operation, then the watch deliveries it caused, each queued on
@@ -48,18 +44,19 @@
 // event's value is dropped and its key parked; once the connection's
 // writer has drained room the server re-reads each parked path and
 // queues its current value, so overflow delays a watcher but never
-// costs it a final value. A connection is severed — it recovers via
-// OpSync — only on write-stall evidence (its socket accepted no frame
-// within Options.WriteTimeout) or when even the payload-free key
-// backlog (64 × NotifyQueue) is exhausted. The invariants: an evicted
-// client has missed nothing it could not recover by sync; a connected
-// client observes, for every path it can read, the latest value and a
-// value no older than any later-queued path's (queue order is
-// first-enqueue order); and one stalled guest can never wedge fan-out
+// costs it a final value. A connection is severed only on write-stall
+// evidence (its socket accepted no frame within Options.WriteTimeout) or
+// when even the payload-free key backlog (64 × NotifyQueue) is
+// exhausted. The invariants: an evicted client learns of it because its
+// calls fail, the eviction is counted (Counters.Evicted) and traced
+// (wire.conn evict), and the client recovers by reading again; a
+// connected client observes, for every path it can read, the latest
+// value and a value no older than any later-queued path's (queue order
+// is first-enqueue order); and one stalled guest can never wedge fan-out
 // for everyone else, because enqueueing never blocks on a slow socket.
-// Writes out of a connection
-// are flushed with syscall coalescing: the frames queued at a writeLoop
-// wakeup go out in one write, from a buffer the loop keeps.
+// Writes out of a connection are flushed with syscall coalescing: the
+// frames queued at a writeLoop wakeup go out in one write, from a buffer
+// the loop keeps.
 //
 // docs/WIRE_PROTOCOL.md is the normative frame-layout and semantics
 // reference; docs/PERFORMANCE.md tracks the measured cost of all of
@@ -89,7 +86,7 @@ const (
 	// (docs/WIRE_PROTOCOL.md §2).
 	ProtocolVersion uint8 = 2
 	// MaxFrame bounds any single frame; larger frames poison the
-	// connection (a full sync page of a big subtree is the sizing case).
+	// connection.
 	MaxFrame = 16 << 20
 	// MaxPath bounds a store path on the wire.
 	MaxPath = 4 << 10
@@ -103,9 +100,9 @@ const (
 type Op uint8
 
 // Opcodes. OpReply and OpEvent flow server→client; everything else is a
-// client request, described by its row of the op table (ops). Codes 9 and
-// 18 are reserved — they named two ops no caller used — and are refused
-// like any unknown opcode; a new op takes a fresh number.
+// client request, described by its row of the op table (ops). Codes 9,
+// 18 and 22 are reserved — they named three ops no caller used — and are
+// refused like any unknown opcode; a new op takes a fresh number.
 const (
 	OpHandshake Op = 1
 	OpReply     Op = 2
@@ -131,7 +128,6 @@ const (
 	OpPing  Op = 20
 
 	OpBatch Op = 21
-	OpSync  Op = 22
 )
 
 // String names the opcode for traces and diagnostics.
@@ -379,14 +375,6 @@ func (e *enc) str(s string) *enc {
 	return e
 }
 
-// bool appends a flag as one byte, 1 or 0.
-func (e *enc) bool(v bool) *enc {
-	if v {
-		return e.u8(1)
-	}
-	return e.u8(0)
-}
-
 // strs appends a counted list of strings (a List reply's names).
 func (e *enc) strs(ss []string) *enc {
 	e.u32(uint32(len(ss)))
@@ -536,8 +524,6 @@ type req struct {
 	perm   store.Perm  // 'm': u8, at most store.PermWrite
 	id     uint32      // 'i': u32, a watch id or a transaction id
 	target store.DomID // 'd': u32
-	since  uint64      // 's': u64, OpSync's since-version
-	known  uint64      // 'h': u64, OpSync's known-hash
 	path   string      // 'p': str, at most MaxPath, interned by the server
 	value  string      // 'v': str, at most MaxValue
 }
@@ -558,10 +544,6 @@ func (e *enc) req(r *req, subs []req) *enc {
 			e.u32(uint32(r.target))
 		case 'm':
 			e.u8(uint8(r.perm))
-		case 's':
-			e.u64(r.since)
-		case 'h':
-			e.u64(r.known)
 		case 'b':
 			e.u32(uint32(len(subs)))
 			for j := range subs {
@@ -611,10 +593,6 @@ func (d *dec) req(r *req, subs []req) []req {
 			if r.perm = store.Perm(d.u8()); r.perm > store.PermWrite {
 				d.err = errPerm(r.perm)
 			}
-		case 's':
-			r.since = d.u64()
-		case 'h':
-			r.known = d.u64()
 		case 'b':
 			n := d.u32()
 			if n > MaxBatchOps {
@@ -687,8 +665,6 @@ func (d *rdec) u32() uint32 {
 	d.s = d.s[4:]
 	return v
 }
-
-func (d *rdec) u64() uint64 { return uint64(d.u32())<<32 | uint64(d.u32()) }
 
 func (d *rdec) str() string {
 	if len(d.s) >= 4 {

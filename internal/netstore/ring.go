@@ -9,7 +9,7 @@ package netstore
 // EOF that says the peer is gone. ringConn is that transport as a
 // net.Conn, so the frame path above it has one shape for both.
 //
-// Region layout (docs/WIRE_PROTOCOL.md §7), every word a native-endian
+// Region layout (docs/WIRE_PROTOCOL.md §6), every word a native-endian
 // uint32 written and read atomically:
 //
 //	page 0   accepted (offset 0): set by the server before its hello reply

@@ -93,12 +93,8 @@ type Counters struct {
 	// hears nothing.
 	StoreFiltered uint64 `json:"store_filtered,omitempty"`
 
-	Batches     uint64 `json:"batches,omitempty"`
-	BatchOps    uint64 `json:"batch_ops,omitempty"`
-	Syncs       uint64 `json:"syncs,omitempty"`
-	SyncMatches uint64 `json:"sync_matches,omitempty"`
-	SyncDeltas  uint64 `json:"sync_deltas,omitempty"`
-	SyncFulls   uint64 `json:"sync_fulls,omitempty"`
+	Batches  uint64 `json:"batches,omitempty"`
+	BatchOps uint64 `json:"batch_ops,omitempty"`
 
 	FaultDroppedWrites   uint64 `json:"fault_dropped_writes,omitempty"`
 	FaultDroppedNotifies uint64 `json:"fault_dropped_notifies,omitempty"`
@@ -204,11 +200,6 @@ type Server struct {
 
 	batches  atomic.Uint64
 	batchOps atomic.Uint64
-
-	syncs       atomic.Uint64
-	syncMatches atomic.Uint64
-	syncDeltas  atomic.Uint64
-	syncFulls   atomic.Uint64
 
 	traceDropped atomic.Uint64
 }
@@ -372,10 +363,6 @@ func (s *Server) wireCounters() Counters {
 		Lagged:        s.lagged.Load(),
 		Batches:       s.batches.Load(),
 		BatchOps:      s.batchOps.Load(),
-		Syncs:         s.syncs.Load(),
-		SyncMatches:   s.syncMatches.Load(),
-		SyncDeltas:    s.syncDeltas.Load(),
-		SyncFulls:     s.syncFulls.Load(),
 		TraceDropped:  s.traceDropped.Load(),
 	}
 	s.mu.Lock()

@@ -139,7 +139,7 @@ func TestSoakConcurrentClientsWithFaults(t *testing.T) {
 		}()
 	}
 
-	// Dom0 observer: stats and full subtree syncs while the guests hammer.
+	// Dom0 observer: stats and whole-subtree reads while the guests hammer.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -154,8 +154,25 @@ func TestSoakConcurrentClientsWithFaults(t *testing.T) {
 				errs <- fmt.Errorf("dom0 stats: %w", err)
 				return
 			}
-			if _, err := c.SyncSubtree(store.DomainPath(1), ^uint64(0), ^uint64(0)); err != nil {
-				errs <- fmt.Errorf("dom0 full sync: %w", err)
+			// Domain 1's home exists once its client has shaken hands.
+			base := store.DomainPath(1)
+			names, err := c.List(base)
+			if err != nil && !errors.Is(err, store.ErrNoEntry) {
+				errs <- fmt.Errorf("dom0 list: %w", err)
+				return
+			}
+			b := c.NewBatch()
+			for _, name := range names {
+				b.Read(base + "/" + name)
+			}
+			res, err := b.Run()
+			for _, r := range res {
+				if err == nil && r.Err != nil {
+					err = r.Err
+				}
+			}
+			if err != nil {
+				errs <- fmt.Errorf("dom0 subtree read: %w", err)
 				return
 			}
 			time.Sleep(50 * time.Millisecond)

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net"
 	"path/filepath"
 	"reflect"
@@ -297,7 +298,7 @@ func TestTraceTailRacesWriters(t *testing.T) {
 // client can observe of it — every reply, every event, in order — plus
 // where it left the store. Each watched write waits for its event, so
 // nothing can coalesce and the transcript is exact.
-func observedRun(t *testing.T, tailed bool) (transcript []string, version, hash uint64) {
+func observedRun(t *testing.T, tailed bool) (transcript []string, version uint64, tree map[string]string) {
 	srv, sock := startServer(t, Options{})
 	var tl *tail
 	if tailed {
@@ -353,12 +354,11 @@ func observedRun(t *testing.T, tailed bool) (transcript []string, version, hash 
 	say("denied remove %v", guest.Remove(base+"/dom0-owned"))
 	say("remove %v", guest.Remove(base+"/a"))
 	event()
-	page, err := guest.SyncSubtree(base, 0, 0)
-	say("sync %+v %v", page, err)
 	names, err := dom0.List(base)
 	say("list %v %v", names, err)
 	say("tree %v", treeOf(srv, store.Dom0, base))
-	srv.Do(func(st *store.Store) { version, hash = st.Version(), st.SubtreeHash(base) })
+	srv.Do(func(st *store.Store) { version = st.Version() })
+	tree = treeOf(srv, store.Dom0, "/")
 	if tailed {
 		// The tail really was on the whole run, and kept up with it.
 		tl.find(t, "the script's last wire.op", func(r trace.Record) bool {
@@ -368,7 +368,7 @@ func observedRun(t *testing.T, tailed bool) (transcript []string, version, hash 
 			t.Errorf("the tail dropped %d lines", ctr.TraceDropped)
 		}
 	}
-	return transcript, version, hash
+	return transcript, version, tree
 }
 
 // TestTailingOnlyObserves: the same script with and without a tail
@@ -376,10 +376,10 @@ func observedRun(t *testing.T, tailed bool) (transcript []string, version, hash 
 // and events. Attaching a recorder to the store mid-life changes what is
 // recorded, never what is done.
 func TestTailingOnlyObserves(t *testing.T) {
-	plain, version, hash := observedRun(t, false)
-	tailed, tversion, thash := observedRun(t, true)
-	if version != tversion || hash != thash {
-		t.Errorf("store at v%d hash %x untailed, v%d hash %x tailed", version, hash, tversion, thash)
+	plain, version, tree := observedRun(t, false)
+	tailed, tversion, ttree := observedRun(t, true)
+	if version != tversion || !maps.Equal(tree, ttree) {
+		t.Errorf("store at v%d holding %v untailed, v%d holding %v tailed", version, tree, tversion, ttree)
 	}
 	for i := 0; i < max(len(plain), len(tailed)); i++ {
 		var p, q string

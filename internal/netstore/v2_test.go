@@ -1,14 +1,13 @@
 package netstore
 
-// Handshake version check, batched frames, delta-watch sync, and the
-// views that span several domains' subtrees on the one store loop.
+// Handshake version check, batched frames, and the views that span
+// several domains' subtrees on the one store loop.
 
 import (
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -165,277 +164,6 @@ func TestBatchAcrossDomains(t *testing.T) {
 	if ctr := srv.Counters(); ctr.Batches != 2 || ctr.BatchOps != 16 {
 		t.Fatalf("counters = %+v", ctr)
 	}
-}
-
-// --- Delta sync ---------------------------------------------------------------
-
-// subtreeCopy is a caller's copy of one domain subtree, kept current by
-// Client.SyncSubtree and SyncPage.Apply from the ^0, ^0 bootstrap
-// (docs/WIRE_PROTOCOL.md §6).
-type subtreeCopy struct {
-	c             *Client
-	root          string
-	version, hash uint64
-	nodes         map[string]string
-}
-
-func newSubtreeCopy(c *Client, root string) *subtreeCopy {
-	return &subtreeCopy{c: c, root: root, version: ^uint64(0), hash: ^uint64(0)}
-}
-
-// sync is one round trip: it folds the page in and reports its mode.
-func (cp *subtreeCopy) sync() (store.SyncMode, error) {
-	page, err := cp.c.SyncSubtree(cp.root, cp.version, cp.hash)
-	if err != nil {
-		return 0, err
-	}
-	cp.nodes = page.Apply(cp.nodes)
-	cp.version, cp.hash = page.Version, page.Hash
-	return page.Mode, nil
-}
-
-// get reads a node of the copy.
-func (cp *subtreeCopy) get(path string) (string, bool) {
-	v, ok := cp.nodes[path]
-	return v, ok
-}
-
-func TestSyncModes(t *testing.T) {
-	srv, sock := startServer(t, Options{})
-	c := dialT(t, sock, 3)
-	base := store.DomainPath(3)
-	for i := 0; i < 4; i++ {
-		if err := c.Write(fmt.Sprintf("%s/k%d", base, i), fmt.Sprint(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	cp := newSubtreeCopy(c, base)
-	mode, err := cp.sync()
-	if err != nil || mode != store.SyncFull {
-		t.Fatalf("bootstrap sync = mode %d, %v; want full", mode, err)
-	}
-	if v, ok := cp.get(base + "/k2"); !ok || v != "2" {
-		t.Fatalf("copy k2 = %q, %v", v, ok)
-	}
-
-	// Unchanged subtree: hash match, no payload.
-	mode, err = cp.sync()
-	if err != nil || mode != store.SyncMatch {
-		t.Fatalf("idle sync = mode %d, %v; want match", mode, err)
-	}
-
-	// Small change: delta with exactly the touched paths.
-	if err := c.Write(base+"/k1", "changed"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Remove(base + "/k3"); err != nil {
-		t.Fatal(err)
-	}
-	mode, err = cp.sync()
-	if err != nil || mode != store.SyncDelta {
-		t.Fatalf("delta sync = mode %d, %v; want delta", mode, err)
-	}
-	if v, _ := cp.get(base + "/k1"); v != "changed" {
-		t.Fatalf("copy missed delta: k1 = %q", v)
-	}
-	if _, ok := cp.get(base + "/k3"); ok {
-		t.Fatal("copy did not prune removed key")
-	}
-
-	// Whole-subtree removal prunes by prefix.
-	if err := c.Write(base+"/sub/x", "1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Write(base+"/sub/y", "2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cp.sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Remove(base + "/sub"); err != nil {
-		t.Fatal(err)
-	}
-	if mode, err = cp.sync(); err != nil || mode != store.SyncDelta {
-		t.Fatalf("post-remove sync = mode %d, %v", mode, err)
-	}
-	for _, p := range []string{base + "/sub", base + "/sub/x", base + "/sub/y"} {
-		if _, ok := cp.get(p); ok {
-			t.Fatalf("copy kept pruned node %s", p)
-		}
-	}
-
-	ctr := srv.Counters()
-	if ctr.SyncFulls == 0 || ctr.SyncMatches == 0 || ctr.SyncDeltas == 0 {
-		t.Fatalf("sync mode counters = %+v", ctr)
-	}
-}
-
-func TestSyncJournalOverflowFallsBackToFull(t *testing.T) {
-	srv, sock := startServer(t, Options{})
-	srv.Do(func(st *store.Store) { st.SetJournalCap(8) })
-	c := dialT(t, sock, 3)
-	base := store.DomainPath(3)
-	if err := c.Write(base+"/seed", "1"); err != nil {
-		t.Fatal(err)
-	}
-	cp := newSubtreeCopy(c, base)
-	if _, err := cp.sync(); err != nil {
-		t.Fatal(err)
-	}
-	// Blow past the journal window so the copy's anchor is evicted.
-	for i := 0; i < 64; i++ {
-		if err := c.Write(fmt.Sprintf("%s/k%d", base, i), "v"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mode, err := cp.sync()
-	if err != nil || mode != store.SyncFull {
-		t.Fatalf("overflowed sync = mode %d, %v; want full", mode, err)
-	}
-	if len(cp.nodes) != 66 { // seed + 64 keys + home node
-		t.Fatalf("copy has %d nodes, want 66", len(cp.nodes))
-	}
-	if ctr := srv.Counters(); ctr.SyncFulls < 2 {
-		t.Fatalf("expected two full syncs, counters = %+v", ctr)
-	}
-}
-
-func TestSyncDomainRecreation(t *testing.T) {
-	// Remove-then-recreate of a whole domain home must heal through the
-	// journal: the copy prunes on the removal and re-learns the home.
-	_, sock := startServer(t, Options{})
-	c0 := dialT(t, sock, store.Dom0)
-	c := dialT(t, sock, 7)
-	base := store.DomainPath(7)
-	if err := c.Write(base+"/k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	cp := newSubtreeCopy(c0, base)
-	if _, err := cp.sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c0.Remove(base); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh handshake for dom7 recreates the home (AddDomain).
-	c2 := dialT(t, sock, 7)
-	if err := c2.Write(base+"/k2", "back"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cp.sync(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cp.get(base + "/k"); ok {
-		t.Fatal("copy kept node removed with the domain")
-	}
-	if v, ok := cp.get(base + "/k2"); !ok || v != "back" {
-		t.Fatalf("copy missed recreated key: %q, %v", v, ok)
-	}
-}
-
-func TestSyncBadRoot(t *testing.T) {
-	_, sock := startServer(t, Options{})
-	c := dialT(t, sock, 3)
-	for _, root := range []string{"/", "/local", store.Root, store.DomainPath(3) + "/deep"} {
-		if _, err := c.SyncSubtree(root, 0, 0); !errors.Is(err, ErrBadRequest) {
-			t.Errorf("SyncSubtree(%q) err = %v, want ErrBadRequest", root, err)
-		}
-	}
-}
-
-// TestSyncUnknownModeRefused: a sync reply whose mode is none of match,
-// delta and full fails the call with ErrBadRequest, so it never reaches
-// SyncPage.Apply, which would fold it in as a delta.
-func TestSyncUnknownModeRefused(t *testing.T) {
-	var body enc
-	body.u8(3).u64(1).u64(2).u32(0)
-	c := lyingPeer(t, body.b)
-	if page, err := c.SyncSubtree(store.DomainPath(3), 0, 0); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("a mode-3 reply = %+v, %v; want ErrBadRequest", page, err)
-	}
-}
-
-// TestSyncParityWireAndLocalView: OpSync is a surface of one function,
-// store.SyncSubtree. Over one store history — writes, a
-// remove-then-recreate, a node the guest cannot read, a journal
-// overflow — the Dom0 wire reply equals the local store's page as Dom0
-// in all three modes, and a guest's wire reply equals the store's verdict for that
-// guest, without the node it cannot read.
-func TestSyncParityWireAndLocalView(t *testing.T) {
-	srv, sock := startServer(t, Options{})
-	srv.Do(func(st *store.Store) { st.SetJournalCap(8) })
-	c0, g := dialT(t, sock, store.Dom0), dialT(t, sock, 5)
-	root := store.DomainPath(5)
-	write := func(c *Client, rel, v string) {
-		t.Helper()
-		if err := c.Write(root+rel, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// check syncs over the wire as c and in process via local, and
-	// requires the same page in the wanted mode.
-	check := func(label string, c *Client, local func(*store.Store) (store.SyncPage, error), since, known uint64, want store.SyncMode) store.SyncPage {
-		t.Helper()
-		wire, werr := c.SyncSubtree(root, since, known)
-		var loc store.SyncPage
-		var lerr error
-		srv.Do(func(st *store.Store) { loc, lerr = local(st) })
-		if werr != nil || lerr != nil {
-			t.Fatalf("%s: wire err %v, local err %v", label, werr, lerr)
-		}
-		if len(wire.Pairs) == 0 {
-			wire.Pairs = nil // the decoder's empty slice is the store's nil
-		}
-		if !reflect.DeepEqual(wire, loc) {
-			t.Fatalf("%s: wire page\n%+v\n!= local page\n%+v", label, wire, loc)
-		}
-		if wire.Mode != want {
-			t.Fatalf("%s: mode %v, want %v", label, wire.Mode, want)
-		}
-		return wire
-	}
-	asDom0 := func(since, known uint64) func(*store.Store) (store.SyncPage, error) {
-		return func(st *store.Store) (store.SyncPage, error) {
-			return st.SyncSubtree(store.Dom0, root, since, known)
-		}
-	}
-	has := func(page store.SyncPage, path string) bool {
-		for _, kv := range page.Pairs {
-			if kv.Path == path {
-				return true
-			}
-		}
-		return false
-	}
-
-	write(g, "/a", "1")
-	write(g, "/sub/x", "1")
-	write(c0, "/secret", "s") // Dom0-owned under the guest's home: unreadable for dom 5
-	full := check("bootstrap", c0, asDom0(^uint64(0), ^uint64(0)), ^uint64(0), ^uint64(0), store.SyncFull)
-	check("idle", c0, asDom0(full.Version, full.Hash), full.Version, full.Hash, store.SyncMatch)
-
-	if err := g.Remove(root + "/sub"); err != nil {
-		t.Fatal(err)
-	}
-	write(g, "/sub/y", "2")
-	write(g, "/a", "2")
-	write(c0, "/secret", "s2")
-	delta := check("delta", c0, asDom0(full.Version, full.Hash), full.Version, full.Hash, store.SyncDelta)
-	if !has(delta, root+"/secret") || !delta.Pairs[0].Removed || delta.Pairs[0].Path != root+"/sub" {
-		t.Fatalf("Dom0 delta should lead with the /sub prune marker and carry /secret: %+v", delta)
-	}
-	guest := check("guest delta", g, func(st *store.Store) (store.SyncPage, error) {
-		return st.SyncSubtree(5, root, full.Version, full.Hash)
-	}, full.Version, full.Hash, store.SyncDelta)
-	if has(guest, root+"/secret") {
-		t.Fatalf("guest delta leaked a node the guest cannot read: %+v", guest)
-	}
-
-	for i := 0; i < 64; i++ {
-		write(g, fmt.Sprintf("/k%d", i), "v")
-	}
-	check("overflow", c0, asDom0(delta.Version, delta.Hash), delta.Version, delta.Hash, store.SyncFull)
 }
 
 // --- Views across domains ----------------------------------------------------

@@ -38,8 +38,8 @@ func countNodes(s *Store) int {
 	return count(s.root)
 }
 
-// A create journals and hashes every level it makes under that level's
-// own path, and each of those paths is a slice of the written one: a
+// A create makes every level under that level's own path, and each of
+// those paths is a slice of the written one: a
 // seven-level create with only its leaf new allocates the node and no
 // path string (a node, a cache entry and that entry's tokenized path read
 // 4 here; rebuilding the path level by level on top of that, 10). A
@@ -55,6 +55,7 @@ func TestSevenLevelCreateAllocs(t *testing.T) {
 		paths[i] = fmt.Sprintf("%s/k%04d", dir, i)
 	}
 	s.Write(3, dir, "")
+	before := countNodes(s)
 	i := 0
 	allocs := testing.AllocsPerRun(runs, func() {
 		if err := s.Write(3, paths[i], "v"); err != nil {
@@ -66,11 +67,15 @@ func TestSevenLevelCreateAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Fatalf("a seven-level leaf create allocates %.1f times, want at most 2", allocs)
 	}
-	deltas, ok := s.DeltasSince(s.Version() - 1)
-	if !ok || len(deltas) != 1 || deltas[0].Path != paths[runs] {
-		t.Fatalf("the last create journalled %v, want its leaf alone", deltas)
+	if got := countNodes(s) - before; got != len(paths) {
+		t.Fatalf("%d leaf creates made %d nodes, want one each", len(paths), got)
 	}
-	checkHashes(t, s, "after leaf creates")
+	for _, p := range paths {
+		if n := treeNode(s, p); n == nil || n.value != "v" {
+			t.Fatalf("%s: the tree holds %v, want the written leaf", p, n)
+		}
+	}
+	checkIndex(t, s, "after leaf creates")
 
 	// The same through cursors, in a directory of its own.
 	dir = DiskPath(3, "xvdb", "q")
@@ -89,25 +94,28 @@ func TestSevenLevelCreateAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("a seven-level leaf create through a cursor allocates %.1f times, want the node alone", allocs)
 	}
-	checkHashes(t, s, "after cursor leaf creates")
+	checkIndex(t, s, "after cursor leaf creates")
 	for i := range cursors {
 		if c := &cursors[i]; treeNode(s, c.path) != c.n || !c.n.live() || s.lookup(c.path) != c.n {
 			t.Fatalf("%s: the cursor pins %p, the tree holds %p", c.path, c.n, treeNode(s, c.path))
 		}
 	}
-	checkHashes(t, s, "after every cursor-made leaf was resolved by path")
+	checkIndex(t, s, "after every cursor-made leaf was resolved by path")
 
-	// All seven levels new: every level is journalled under its own path.
+	// All seven levels new: every level is made under its own path.
 	_, s = newTestStore()
 	if err := s.Write(Dom0, "/a/bb/ccc/d/ee/fff/g", "v"); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := changesSince(s, 0)
-	want := []string{"/a", "/a/bb", "/a/bb/ccc", "/a/bb/ccc/d", "/a/bb/ccc/d/ee", "/a/bb/ccc/d/ee/fff", "/a/bb/ccc/d/ee/fff/g"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("a seven-level create journalled %v, want %v", got, want)
+	for _, p := range []string{"/a", "/a/bb", "/a/bb/ccc", "/a/bb/ccc/d", "/a/bb/ccc/d/ee", "/a/bb/ccc/d/ee/fff", "/a/bb/ccc/d/ee/fff/g"} {
+		if n := treeNode(s, p); n == nil || s.index[p] != n {
+			t.Fatalf("%s: the tree holds %v, the index %v; want one node, indexed", p, n, s.index[p])
+		}
 	}
-	checkHashes(t, s, "after a seven-level create")
+	if got := countNodes(s); got != 8 {
+		t.Fatalf("a seven-level create left %d nodes, want the root and seven", got)
+	}
+	checkIndex(t, s, "after a seven-level create")
 }
 
 // manyDomains builds a store of n guest subtrees the way bring-up leaves
@@ -204,11 +212,11 @@ func TestRemoveWalksOnlyItsSubtree(t *testing.T) {
 	if v, err := s.ReadCursor(Dom0, cur); err != nil || v != "1" || cur.n != treeNode(s, gone) || !cur.n.live() {
 		t.Fatalf("the cursor did not re-pin on the recreated key (%q, %v)", v, err)
 	}
-	checkHashes(t, s, "after a cursor recreated a key among 10k guests")
+	checkIndex(t, s, "after a cursor recreated a key among 10k guests")
 	if s.lookup(gone) != cur.n {
 		t.Fatalf("%s, recreated through a cursor, does not resolve by path to the cursor's node", gone)
 	}
-	checkHashes(t, s, "after remove and recreate among 10k guests")
+	checkIndex(t, s, "after remove and recreate among 10k guests")
 
 	// No wall clock in this package's tests (the determinism pass), so the
 	// two stores are timed by the benchmark runner.
@@ -237,7 +245,7 @@ func BenchmarkRemoveOneOf10kDomains(b *testing.B) {
 // live home — resolve again and reach the node a later create put under
 // their path, never the dead one; so does the directory the create path
 // remembers. Every write lands once: one value, one version step, one
-// watch event, and hashes that match a recount.
+// watch event, and a tree the index agrees with.
 func TestHandleSurvivesRemoveRecreate(t *testing.T) {
 	k, s := newTestStore()
 	s.AddDomain(4)
@@ -264,7 +272,7 @@ func TestHandleSurvivesRemoveRecreate(t *testing.T) {
 		if v, err := s.Read(Dom0, c.path); err != nil || v != value {
 			t.Fatalf("%s: Read = %q, %v", what, v, err)
 		}
-		checkHashes(t, s, what)
+		checkIndex(t, s, what)
 	}
 	remove := func(path string) {
 		t.Helper()
@@ -275,7 +283,7 @@ func TestHandleSurvivesRemoveRecreate(t *testing.T) {
 		if k.Run(); len(events) != n0+1 || events[n0] != path+"=" {
 			t.Fatalf("removing %s: watch events %q", path, events[n0:])
 		}
-		checkHashes(t, s, "after removing "+path)
+		checkIndex(t, s, "after removing "+path)
 	}
 
 	step("first use of the key handle", keyCur, 4, "1")
@@ -333,7 +341,7 @@ func TestHandleSurvivesRemoveRecreate(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Run()
-	checkHashes(t, s, "a create in a directory recreated under the remembered path")
+	checkIndex(t, s, "a create in a directory recreated under the remembered path")
 	if s.dir != treeNode(s, disk) || !s.dir.live() {
 		t.Fatal("the create resolved from the dead directory")
 	}
@@ -374,5 +382,5 @@ func TestCreateRefusedTheSameEitherWay(t *testing.T) {
 	if err := s.WriteCursor(2, s.CursorFor(path), "0"); err == nil || err.Error() != want {
 		t.Errorf("guest create under a Dom0-owned home: %v, want %q", err, want)
 	}
-	checkHashes(t, s, "after refused creates")
+	checkIndex(t, s, "after refused creates")
 }

@@ -11,10 +11,8 @@ import (
 
 // A write to an existing key with one watcher, delivery included, keeps
 // nothing it allocates: the delivery record comes off the free list and
-// goes back, the only hash computed is the new value's, and the journal
-// is a ring bought whole by the first mutation. (The kernel's event slab
-// is amortized far below one allocation per write, which AllocsPerRun
-// rounds away.)
+// goes back. (The kernel's event slab is amortized far below one
+// allocation per write, which AllocsPerRun rounds away.)
 func TestWatchedWriteAllocatesNothing(t *testing.T) {
 	k, s := newTestStore()
 	s.AddDomain(1)
@@ -41,7 +39,7 @@ func TestWatchedWriteAllocatesNothing(t *testing.T) {
 	if len(s.freeDeliveries) != 1 {
 		t.Fatalf("free list holds %d records after serial writes, want the one reused", len(s.freeDeliveries))
 	}
-	checkHashes(t, s, "after rewrites through the cached term")
+	checkIndex(t, s, "after rewrites")
 }
 
 // A burst of watched writes the kernel has not yet delivered, as when a
@@ -214,36 +212,4 @@ func TestDeliveryRecordReuse(t *testing.T) {
 	if fresh := deliveryScenario(t, true); !reflect.DeepEqual(fresh, want) {
 		t.Errorf("with fresh records:\n got %q\nwant %q", fresh, want)
 	}
-}
-
-// The cached hash term follows the node through every way a value gets
-// into it: a path write, a cursor write, a write the fault hook loses,
-// and a path recreated after a Remove detached its node.
-func TestSubtreeHashCachedTerm(t *testing.T) {
-	_, s := newTestStore()
-	s.AddDomain(1)
-	path := DomainPath(1) + "/virt-dev/xvda/flush_now"
-	s.Write(1, path, "seed")
-	s.Write(1, path, "over-a-value")
-	checkHashes(t, s, "a rewrite over a non-empty value")
-
-	c := s.CursorFor(path)
-	s.WriteCursor(1, c, "by-cursor")
-	s.Write(1, path, "by-path")
-	s.WriteCursor(1, c, "by-cursor-again")
-	checkHashes(t, s, "cursor and path writes interleaved")
-
-	s.SetFaultHooks(&FaultHooks{DropWrite: func(DomID, string) bool { return true }})
-	s.Write(1, path, "lost")
-	s.Write(1, DomainPath(1)+"/virt-dev/xvdb/flush_now", "lost-on-create")
-	s.SetFaultHooks(nil)
-	s.Write(1, path, "kept")
-	checkHashes(t, s, "after dropped writes")
-
-	if err := s.Remove(1, DomainPath(1)+"/virt-dev"); err != nil {
-		t.Fatal(err)
-	}
-	s.WriteCursor(1, c, "recreated")
-	s.WriteCursor(1, c, "rewritten")
-	checkHashes(t, s, "remove, then recreate through the stale cursor")
 }

@@ -38,7 +38,7 @@ var indexPaths = [...]string{
 // path (and each of its ancestors) resolves exactly as a walk from the
 // root by name does — to its node, or, when it names none, to its
 // deepest existing ancestor — every pinned cursor holds that node, and
-// checkHashes finds the index holding only live nodes under their own
+// checkIndex finds the index holding only live nodes under their own
 // paths, every structural node and home among them, and the unindexed
 // counts matching the tree.
 func FuzzPathIndex(f *testing.F) {
@@ -93,7 +93,7 @@ func FuzzPathIndex(f *testing.F) {
 			case indexGuestWrite:
 				s.WriteCursor(DomID(1+arg%2), c, value)
 			}
-			checkHashes(t, s, fmt.Sprintf("step %d", i/2))
+			checkIndex(t, s, fmt.Sprintf("step %d", i/2))
 			for _, p := range indexPaths {
 				for q := p; q != "/"; q = dirOf(q) {
 					checkResolves(t, i/2, s, q)

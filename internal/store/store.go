@@ -15,10 +15,9 @@
 //
 // A watched write is the control plane's unit of work, so its path keeps
 // nothing it allocates and does each piece of work once. A node is its
-// own resolution: it carries its absolute path, the hash term its current
-// value contributes to the subtree hash (so a write hashes the new value
-// only) and its subtree's bucket (hash cell and watch list), and one index
-// keyed by absolute path finds, in a single probe, every node a path
+// own resolution: it carries its absolute path and its subtree's bucket
+// (the watch list a write to it fans out to), and one index keyed by
+// absolute path finds, in a single probe, every node a path
 // string has named; a node created through a Cursor is reached through
 // the cursor until a path string names it. A notification is a value in
 // one FIFO ring the store owns, and the notifications due at one instant
@@ -92,11 +91,6 @@ type node struct {
 	// every node it detaches: that is how a Cursor, or the directory memo,
 	// learns the node it pinned no longer stands for its path.
 	b *bucket
-	// hpath is pathHashState(path), so per-write hashing starts at the
-	// value; hval is mixString(hpath, value), the node's term as it stands
-	// in b.hash. writeNode is the only assignment of value, so a write
-	// folds the cached term out and hashes the new value alone.
-	hpath, hval uint64
 }
 
 // live reports whether n is still attached to the tree.
@@ -123,17 +117,15 @@ type watch struct {
 }
 
 // bucket is the per-subtree state a write to any path of one
-// /local/domain/<id> subtree touches: the subtree's rolling content hash
-// (sync.go) and the watches whose prefix lives in it. One bucket,
-// structB, stands for every path at or above the domain level. Buckets
-// sit behind a stable pointer that every node of the subtree holds, so a
-// write folds its hash and finds its watchers without a lookup.
+// /local/domain/<id> subtree touches: the watches whose prefix lives in
+// it. One bucket, structB, stands for every path at or above the domain
+// level. Buckets sit behind a stable pointer that every node of the
+// subtree holds, so a write finds its watchers without a lookup.
 type bucket struct {
-	// hash and unindexed follow the tree's kernel-goroutine discipline.
-	hash uint64
 	// unindexed counts the subtree's live nodes the index does not hold
 	// (Store.index); while it is 0, a path of the subtree that the index
-	// misses names no node, and no child list is walked for it.
+	// misses names no node, and no child list is walked for it. It follows
+	// the tree's kernel-goroutine discipline.
 	unindexed int
 	// ws is guarded by Store.watchMu and kept in ascending id order — ids
 	// are handed out monotonically, so registration is an append — which
@@ -199,8 +191,8 @@ type Store struct {
 	watches map[WatchID]*watch
 	// buckets indexes the per-subtree buckets by domain id segment, so
 	// fan-out scans only the watches a write can possibly match instead
-	// of the whole table. It is consulted when a domain home is created,
-	// when a watch is registered and by SubtreeHash — never by a write.
+	// of the whole table. It is consulted when a domain home is created
+	// and when a watch is registered — never by a write.
 	buckets map[string]*bucket
 	// structB is the bucket of structural paths (at or above the domain
 	// level), whose watches can match any path: consulted on every fire.
@@ -237,14 +229,6 @@ type Store struct {
 	// drop watch deliveries (internal/fault). Hooks run on the kernel
 	// goroutine, inside Write.
 	faults *FaultHooks
-
-	// Cheap-reconnect sync state (sync.go): the buckets' rolling hashes
-	// plus a bounded (version, path) mutation journal, a ring of
-	// journalCap entries whose oldest is journal[journalHead] once full.
-	journal        []journalEntry
-	journalHead    int
-	journalCap     int
-	evictedThrough uint64
 
 	// Stats counters exposed for overhead accounting.
 	reads, writes, notifies uint64
@@ -301,6 +285,21 @@ func New(k *sim.Kernel, notifyLatency sim.Duration) *Store {
 		s.deliverFn = s.deliver
 	}
 	return s
+}
+
+// bucketOf maps a path to its bucket key: the owning domain's id segment
+// (a substring of the path), or "" for structural nodes at or above the
+// domain level.
+func bucketOf(path string) string {
+	const prefix = Root + "/"
+	if !strings.HasPrefix(path, prefix) {
+		return ""
+	}
+	id := path[len(prefix):]
+	if i := strings.IndexByte(id, '/'); i >= 0 {
+		id = id[:i]
+	}
+	return id
 }
 
 // bucketFor returns (creating if needed) the bucket of a domain id
@@ -368,40 +367,22 @@ func DomainPath(dom DomID) string {
 	return Root + "/" + strconv.Itoa(int(dom))
 }
 
-// PathDomain reports the domain owning path's /local/domain/<id>
-// subtree. ok is false for paths at or above the domain level and for
-// non-numeric children of /local/domain.
-func PathDomain(path string) (DomID, bool) {
-	b := bucketOf(path)
-	if b == "" {
-		return 0, false
-	}
-	id, err := strconv.Atoi(b)
-	if err != nil || id < 0 {
-		return 0, false
-	}
-	return DomID(id), true
-}
-
 // DiskPath returns the absolute path of a per-disk key under a domain's
 // virt-dev subtree: /local/domain/<dom>/virt-dev/<disk>/<key>.
 func DiskPath(dom DomID, disk, key string) string {
 	return DomainPath(dom) + "/virt-dev/" + disk + "/" + key
 }
 
-// attach creates the node at path, owned by owner, as a child of parent:
-// linked into the child list, its empty value folded into its bucket's
-// hash. A child of /local/domain opens its own bucket, every other node
-// shares its parent's. A structural node or domain home is indexed, and
-// so is every node a by-path operation creates; one a Cursor creates
-// waits for a path string to name it. Journalling is the caller's.
+// attach creates the node at path, owned by owner, as a child of parent,
+// linked into the child list. A child of /local/domain opens its own
+// bucket, every other node shares its parent's. A structural node or
+// domain home is indexed, and so is every node a by-path operation
+// creates; one a Cursor creates waits for a path string to name it.
 func (s *Store) attach(parent *node, path string, owner DomID, byPath bool) *node {
-	n := &node{path: path, owner: owner, b: parent.b, next: parent.kids, hpath: pathHashState(path)}
+	n := &node{path: path, owner: owner, b: parent.b, next: parent.kids}
 	if parent.path == Root {
 		n.b = s.bucketFor(n.name())
 	}
-	n.hval = mixString(n.hpath, "")
-	n.b.hash ^= n.hval
 	if n.next != nil {
 		n.next.prev = n
 	}
@@ -416,7 +397,7 @@ func (s *Store) attach(parent *node, path string, owner DomID, byPath bool) *nod
 }
 
 // EnsureRoot creates the structural /local/domain chain without creating
-// any domain home, so a snapshot of the tree root has its spine before
+// any domain home, so a listing of the tree root has its spine before
 // the first handshake. Idempotent; netstore calls it at server start.
 func (s *Store) EnsureRoot() { s.domainsDir() }
 
@@ -442,9 +423,6 @@ func (s *Store) AddDomain(dom DomID) {
 	home := DomainPath(dom)
 	if s.index[home] == nil {
 		s.attach(domains, home, dom, true)
-		// Journal the (re)created home so a client that pruned the subtree
-		// after a Remove learns it is back on its next delta sync.
-		s.journalAppend(s.version+1, home, false)
 	}
 }
 
@@ -674,10 +652,9 @@ func (s *Store) Write(dom DomID, path, value string) error {
 // every missing level above it, owned by dom — which needs write access
 // at the creation point; the levels below it are its own. One resolve
 // finds both the node and, failing that, where to create from. Each level
-// is folded into its subtree hash and journalled at the version of the
-// write it is part of, under its own path: a prefix of the caller's
-// string, sliced, never rebuilt — bringing a guest up is mostly leaf
-// creates in an existing directory.
+// is created under its own path: a prefix of the caller's string, sliced,
+// never rebuilt — bringing a guest up is mostly leaf creates in an
+// existing directory.
 func (s *Store) ensure(dom DomID, path string, byPath bool) (*node, error) {
 	if err := checkPath(path); err != nil {
 		return nil, err
@@ -700,7 +677,6 @@ func (s *Store) ensure(dom DomID, path string, byPath bool) (*node, error) {
 			end = len(path)
 		}
 		n = s.attach(n, path[:end], dom, byPath)
-		s.journalAppend(s.version+1, n.path, false)
 	}
 	return n, nil
 }
@@ -716,8 +692,7 @@ func (s *Store) writeNode(dom DomID, n *node, value string) error {
 	if s.faults != nil && s.faults.DropWrite != nil && s.faults.DropWrite(dom, n.path) {
 		// The write is acknowledged but lost: the key keeps its stale
 		// value and no watch fires, exactly a torn XenStore transaction.
-		// Created intermediates (and an empty created leaf) do persist:
-		// create already put them in the hash and the journal.
+		// Created intermediates (and an empty created leaf) do persist.
 		s.faultDroppedWrites++
 		return nil
 	}
@@ -725,13 +700,6 @@ func (s *Store) writeNode(dom DomID, n *node, value string) error {
 	n.value = value
 	n.version = s.version
 	s.writes++
-	// Fold the prior content out of the subtree hash and the new content
-	// in — the node holds its bucket and remembers the term it last folded
-	// in, so only the new value gets hashed.
-	hval := mixString(n.hpath, value)
-	n.b.hash ^= n.hval ^ hval
-	n.hval = hval
-	s.journalAppend(s.version, n.path, false)
 	if s.rec != nil {
 		s.rec.Record(trace.Record{Kind: trace.KindStoreWrite, Dom: int(dom), Path: n.path, Value: value})
 	}
@@ -769,9 +737,6 @@ func (s *Store) Remove(dom DomID, path string) error {
 	parent.sorted = nil
 	s.detach(n)
 	s.version++
-	// Journal only the subtree root, flagged as a removal: sync clients
-	// prune by prefix, even if the path is recreated later.
-	s.journalAppend(s.version, path, true)
 	// The node is gone: nil keeps the XenStore behavior of delivering the
 	// removal to every matching watcher without a readability filter.
 	s.fireWatches(b, nil, path, "")
@@ -779,13 +744,11 @@ func (s *Store) Remove(dom DomID, path string) error {
 }
 
 // detach takes a subtree out of the index (or, for a node it does not
-// hold, out of the unindexed counts) and its terms out of the bucket
-// hashes, and marks every node of it dead for whoever pinned one. The
-// walk meets every node that dies with its one path, so a Remove costs
-// O(subtree) however big the store is; XOR makes the order irrelevant. A
-// dead node lets go of its relatives, so a pinned one retains only itself.
+// hold, out of the unindexed counts) and marks every node of it dead for
+// whoever pinned one. The walk meets every node that dies with its one
+// path, so a Remove costs O(subtree) however big the store is. A dead
+// node lets go of its relatives, so a pinned one retains only itself.
 func (s *Store) detach(n *node) {
-	n.b.hash ^= n.hval
 	indexed := len(s.index)
 	if delete(s.index, n.path); len(s.index) == indexed {
 		n.b.unindexed--
@@ -1160,9 +1123,9 @@ func (s *Store) Stats() (reads, writes, notifies uint64) {
 func (s *Store) FilteredNotifies() uint64 { return s.filteredNotifies }
 
 // Version reports the store's global mutation counter: it advances on
-// every applied Write or Remove. Snapshot bootstrap (internal/netstore)
-// pairs a tree walk with the version so a reconnecting client knows how
-// stale its copy is.
+// every applied Write or Remove. Transactions validate against the
+// per-node version a write stamps from it, and netstore's handshake
+// reply carries it.
 func (s *Store) Version() uint64 { return s.version }
 
 // --- Typed convenience helpers -------------------------------------------
