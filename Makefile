@@ -42,7 +42,8 @@ race:
 # frames at a live server connection, then the shared-memory transport:
 # byte streams and hostile indexes through a ring, and hellos carrying
 # descriptors no server may take.
-# Then the Monitor's dirty index against the O(n) scan it replaced; then
+# Then the Monitor's dirty slice (each dirty entry once, at the slot it
+# records) and BestDirty against the test's reference scan; then
 # the store's watch delivery against one kernel event per notification,
 # and its lazily filled path index against a walk from the root.
 # Plain `make test` already runs their seed corpus. Every target gives

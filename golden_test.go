@@ -205,12 +205,12 @@ func TestGoldenHarnessDetectsPerturbation(t *testing.T) {
 	}
 }
 
-// TestGoldenCatchesIndexOrderDrift guards the incremental argmax: with
-// the Monitor's settled-index comparison deliberately inverted (argmin,
-// ties to the highest dom), the same seed must NOT reproduce the
-// fixture. This pins that the fixtures encode the exact winner order of
-// the replaced O(n) scan — an index whose ordering silently drifted
-// from those semantics would fail trace parity rather than ship.
+// TestGoldenCatchesIndexOrderDrift guards Algorithm 1's ranking: with
+// BestDirty's comparison deliberately inverted (argmin, ties to the
+// highest dom), the same seed must NOT reproduce the fixture. This pins
+// that the fixtures encode the argmax's exact winner order — a ranking
+// that silently drifted from it would fail trace parity rather than
+// ship.
 func TestGoldenCatchesIndexOrderDrift(t *testing.T) {
 	if *updateGolden {
 		t.Skip("fixtures being rewritten")
@@ -223,6 +223,6 @@ func TestGoldenCatchesIndexOrderDrift(t *testing.T) {
 	defer func() { hypervisor.DirtyOrderInvertedForTest = false }()
 	got := encodeNDJSON(t, goldenScenario(t, SystemIOrchestra, false, goldenSeed))
 	if bytes.Equal(got, want) {
-		t.Fatal("inverted settled-index order reproduced the golden trace; the fixtures do not pin the argmax winner order")
+		t.Fatal("inverted argmax order reproduced the golden trace; the fixtures do not pin the argmax winner order")
 	}
 }

@@ -51,10 +51,10 @@ func benchHost(n int, pol Policies) *sim.Kernel {
 // check interval (50 ms of simulated time) under a sustained dirtying
 // workload — the decision loops plus the store/watch traffic they
 // trigger. Per policy at the historical 8-guest scale, then the full
-// policy set at 100 and 1000 guests, where the incremental control-plane
-// structures (Algorithm 1's eligibility index, the congestion verdict
-// set) carry the load; the repo benchmark (go run ./bench) scales the
-// same scenario across parallel per-host kernels.
+// policy set at 100 and 1000 guests, where the per-decision scans
+// (Algorithm 1's argmax, the stale-heartbeat sweep) and the congestion
+// verdict set carry the load; the repo benchmark (go run ./bench) scales
+// the same scenario across parallel per-host kernels.
 func BenchmarkManagerTick(b *testing.B) {
 	cases := []struct {
 		name   string

@@ -8,6 +8,8 @@ package core
 // penalty) must restore the guest. These run under -race in CI.
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -216,6 +218,72 @@ func TestNeverAckingGuestFallsBackAndCompletes(t *testing.T) {
 	// legitimately restores it — it may be out of fallback again by now.
 	if got := rt.G.Disk("xvda").Queue.Completed(); got != 40 {
 		t.Fatalf("completed %d/40 — degradation stalled the guest's own I/O", got)
+	}
+}
+
+// Guests that stop heartbeating are demoted at the next flush tick —
+// every one with an observed mirror, the clean one too, which no argmax
+// would ask about — in ascending dom order, before Algorithm 1 picks; the
+// order then goes to the one live guest, though each stale guest holds
+// more dirty pages. The manager meets the guests in descending dom order,
+// so the demotions cannot follow the order it met them in.
+func TestStaleGuestsDemotedInDomOrder(t *testing.T) {
+	k, h, m := mkPlatformCfg(t, Policies{Flush: true}, ManagerConfig{FlushCheckInterval: sim.Second}, 17)
+	const live, clean = 4, 3
+	rts := make([]*hypervisor.GuestRuntime, 7)
+	for i := range rts {
+		rts[i] = flushyGuest(h)
+		if dom := rts[i].G.ID(); dom != store.DomID(i+1) {
+			t.Fatalf("guest %d is dom %d, want %d", i, dom, i+1)
+		}
+	}
+	drivers := make([]*Driver, len(rts))
+	for i := len(rts) - 1; i >= 0; i-- {
+		drivers[i] = m.EnableGuest(rts[i])
+	}
+	var log []string
+	h.Recorder().SetSink(func(r trace.Record) {
+		switch r.Kind {
+		case trace.KindHeartbeatMiss, trace.KindFallbackEnter, trace.KindFlushOrder:
+			log = append(log, fmt.Sprintf("%s %d", r.Kind, r.Dom))
+		}
+	})
+	k.At(sim.Millisecond, func() {
+		for i, rt := range rts {
+			mb := 32 + 8*i
+			switch rt.G.ID() {
+			case clean:
+				continue
+			case live:
+				mb = 16
+			}
+			rt.G.Disk("xvda").Write(rt.G.NewProcess(1), int64(mb)<<20, nil)
+		}
+	})
+	// Crashed after their counts are published and settled; their last
+	// beat is 200 ms, so they are stale long before the first flush tick
+	// (one FlushCheckInterval after the first dirty mirror, ~1 s).
+	k.At(250*sim.Millisecond, func() {
+		for _, drv := range drivers {
+			if drv.id != live {
+				drv.Crash()
+			}
+		}
+	})
+	k.RunUntil(sim.Second)
+	if len(log) != 0 {
+		t.Fatalf("before the first flush tick: %q, want nothing", log)
+	}
+	k.RunUntil(1500 * sim.Millisecond)
+	var want []string
+	for dom := 1; dom <= len(rts); dom++ {
+		if dom != live {
+			want = append(want, fmt.Sprint(trace.KindHeartbeatMiss, " ", dom), fmt.Sprint(trace.KindFallbackEnter, " ", dom))
+		}
+	}
+	want = append(want, fmt.Sprint(trace.KindFlushOrder, " ", live))
+	if !slices.Equal(log, want) {
+		t.Fatalf("after one flush tick:\n got %q\nwant %q", log, want)
 	}
 }
 

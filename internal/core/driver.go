@@ -43,7 +43,7 @@ type Driver struct {
 
 	// The manager's per-guest policy state, Dom0's side of the guest: the
 	// guest never reads it, and it goes with the driver at DisableGuest.
-	beat       beatNode      // liveness: the guest's place on the beat list
+	lastBeat   sim.Time      // liveness: the last heartbeat's stamp
 	fellBack   bool          // liveness: demoted to Baseline behavior
 	fellBackAt sim.Time      // liveness: when, while fellBack
 	pendingRel *releaseState // congestion: unacknowledged release_request

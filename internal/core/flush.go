@@ -12,7 +12,7 @@ import (
 // flushController is Algorithm 1, the policy for flushing dirty pages:
 // when the device has low utilization, tell the guest with the most
 // dirty pages to flush. Each disk's dirty mirror lives on its diskDriver
-// and is indexed by the hypervisor Monitor; this controller only decides
+// and is fed to the hypervisor Monitor; this controller only decides
 // and actuates through the store. Its other per-disk state (bounded-retry
 // debt, withdrawals in flight) lives on the diskDriver too.
 type flushController struct {
@@ -135,18 +135,17 @@ func (fc *flushController) flushTick() {
 	// i = argmax_i nr_i over guests with dirty pages, skipping guests
 	// whose dirty set is still growing — they are mid-write-burst, and a
 	// sync() now would stall exactly the VM the policy is protecting.
-	// The Monitor keeps the candidates indexed (settled max-heap fed by
-	// the watch events above), so the decision is O(1); the stale sweep
-	// first replicates the lazy demotions the old every-dirty-dom scan
-	// performed through its per-dom cooperative() calls. Fallback guests
-	// are Baseline guests — their own flusher threads own the dirty
-	// pages, so BestDirty skips them (Algorithm 1's liveness gate).
+	// BestDirty scans the Monitor's dirty mirrors, which the watch events
+	// above keep current; the stale sweep first demotes, in dom order,
+	// every guest whose heartbeat has lapsed. Fallback guests are
+	// Baseline guests — their own flusher threads own the dirty pages, so
+	// BestDirty skips them (Algorithm 1's liveness gate).
 	m.live.sweepStale()
 	bestDom, bestDisk, bestNr, found := fc.mon.BestDirty(now, m.live.cooperativeDom)
 	if !found || bestNr*4096 < fc.cfg.MinFlushBytes {
 		return
 	}
-	// Every indexed entry is a diskDriver's, and detach forgets them, so
+	// Every dirty entry is a diskDriver's, and detach forgets them, so
 	// a cooperative dom's driver drives the winning disk.
 	dd := m.drivers[bestDom].disk(bestDisk)
 	fc.lastNotice = now

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"iorchestra/internal/sim"
 	"iorchestra/internal/store"
 	"iorchestra/internal/trace"
 )
@@ -22,20 +21,6 @@ import (
 // only liveness writes a driver's liveness fields.
 type liveness struct {
 	m *Manager
-
-	// The beat list: every enabled guest's driver, doubly linked in
-	// heartbeat-stamp order (stamps are always "now", so a beat moves its
-	// driver to the back in O(1) and the stale set is always a prefix).
-	// This keeps sweepStale proportional to the number of stale guests,
-	// not the number of guests.
-	beatHead, beatTail *Driver
-}
-
-// beatNode is one guest's last-heartbeat stamp and its links on the beat
-// list; it lives in the guest's Driver.
-type beatNode struct {
-	last       sim.Time
-	prev, next *Driver
 }
 
 func newLiveness(m *Manager) *liveness { return &liveness{m: m} }
@@ -49,10 +34,10 @@ func (lv *liveness) cooperative(drv *Driver) bool {
 	if drv == nil || drv.fellBack {
 		return false
 	}
-	if now := lv.m.k.Now(); now-drv.beat.last > heartbeatTimeout {
+	if now := lv.m.k.Now(); now-drv.lastBeat > heartbeatTimeout {
 		lv.m.rec.Record(trace.Record{
 			Kind: trace.KindHeartbeatMiss, Dom: int(drv.id),
-			Latency: now - drv.beat.last,
+			Latency: now - drv.lastBeat,
 		})
 		lv.enterFallback(drv, "heartbeat")
 		return false
@@ -66,16 +51,15 @@ func (lv *liveness) cooperativeDom(dom store.DomID) bool {
 }
 
 // sweepStale demotes every stale-hearted guest with an observed dirty
-// mirror, in ascending dom order. It replicates what a decision site's
-// cooperative() calls over that dom set would do, but walks only the
-// stale prefix of the beat list — O(stale guests), not O(guests). The
-// flush controller runs it before each argmax, preserving the demotion
-// side effects of the replaced every-dirty-dom scan.
+// mirror, in ascending dom order — what a decision site's cooperative()
+// calls over that dom set would do. The flush controller runs it before
+// each argmax, so a guest that stopped beating is demoted, and recorded,
+// before Algorithm 1 picks among the rest.
 func (lv *liveness) sweepStale() {
 	now := lv.m.k.Now()
 	var stale []*Driver
-	for d := lv.beatHead; d != nil && now-d.beat.last > heartbeatTimeout; d = d.beat.next {
-		if !d.fellBack && d.dirtyObserved() {
+	for _, d := range lv.m.drivers {
+		if !d.fellBack && now-d.lastBeat > heartbeatTimeout && d.dirtyObserved() {
 			stale = append(stale, d)
 		}
 	}
@@ -88,40 +72,8 @@ func (lv *liveness) sweepStale() {
 	}
 }
 
-// noteBeat stamps drv's heartbeat at now and moves it to the back of the
-// beat list, keeping the list in stamp order.
-func (lv *liveness) noteBeat(drv *Driver) {
-	drv.beat.last = lv.m.k.Now()
-	if drv != lv.beatTail {
-		lv.beatUnlink(drv)
-		lv.beatPushBack(drv)
-	}
-}
-
-func (lv *liveness) beatPushBack(drv *Driver) {
-	drv.beat.prev = lv.beatTail
-	if lv.beatTail != nil {
-		lv.beatTail.beat.next = drv
-	} else {
-		lv.beatHead = drv
-	}
-	lv.beatTail = drv
-}
-
-func (lv *liveness) beatUnlink(drv *Driver) {
-	n := &drv.beat
-	if n.prev != nil {
-		n.prev.beat.next = n.next
-	} else {
-		lv.beatHead = n.next
-	}
-	if n.next != nil {
-		n.next.beat.prev = n.prev
-	} else {
-		lv.beatTail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
+// noteBeat stamps drv's heartbeat at now.
+func (lv *liveness) noteBeat(drv *Driver) { drv.lastBeat = lv.m.k.Now() }
 
 func (lv *liveness) noteHeartbeat(drv *Driver) {
 	lv.noteBeat(drv)
@@ -163,14 +115,3 @@ func (lv *liveness) exitFallback(drv *Driver, reason string) {
 	lv.noteBeat(drv) // fresh grace window
 	lv.m.restored(drv)
 }
-
-// noteAttached puts a new guest on the beat list and seeds its grace
-// window: registration counts as the first heartbeat (the real one
-// arrives through the store a notification latency later).
-func (lv *liveness) noteAttached(drv *Driver) {
-	drv.beat.last = lv.m.k.Now()
-	lv.beatPushBack(drv)
-}
-
-// forget takes a removed guest off the beat list.
-func (lv *liveness) forget(drv *Driver) { lv.beatUnlink(drv) }

@@ -120,7 +120,7 @@ func (m *Manager) EnableGuest(rt *hypervisor.GuestRuntime) *Driver {
 	m.drivers[rt.G.ID()] = drv
 	// Registration counts as the first heartbeat: the real one arrives
 	// through the store a notification latency later.
-	m.live.noteAttached(drv)
+	m.live.noteBeat(drv)
 	if m.cosched != nil {
 		// A new guest may shift the per-core latency distribution at once.
 		m.cosched.sample.arm()
@@ -152,7 +152,6 @@ func (m *Manager) DisableGuest(dom store.DomID) {
 	if m.gstate != nil {
 		m.gstate.detach(dom)
 	}
-	m.live.forget(drv)
 }
 
 // fellBack lets each policy unstick anything it was holding or expecting

@@ -34,7 +34,7 @@ func routingProbe(m *Manager, dom store.DomID) map[string]string {
 	}
 	var beat sim.Time
 	if drv != nil {
-		beat = drv.beat.last
+		beat = drv.lastBeat
 	}
 	p["liveness"] = fmt.Sprint(beat, inFallback(m, dom))
 	return p

@@ -16,33 +16,16 @@ import (
 //
 // Per-disk dirty state is a DirtyEntry held by whoever mirrors the
 // guest's published counters (the manager's per-disk diskDriver), fed
-// through the Observe methods and unlinked with Forget; the Monitor keeps
-// no per-guest map, only its index over the entries it was handed.
-// Everything else is sampled from the host on demand.
-//
-// The dirty index is incremental so Algorithm 1's "argmax nr_i over
-// settled guests" is O(log n) per update and O(1) per decision instead
-// of a per-tick scan over every guest:
-//
-//   - entries whose count grew within the settle window (mid-burst
-//     writers Algorithm 1 must leave alone) sit on the recent list,
-//     ordered by LastGrow — updates stamp the current instant, so a
-//     grown entry moves to the back in O(1) and expiry is a prefix pop;
-//   - entries past the window sit in the settled max-heap, ordered by
-//     (Nr desc, dom asc, disk asc) — exactly the winner order of the
-//     replaced scan, whose first-wins-on-ties rule resolved equal
-//     counts toward the lowest (dom, disk).
-//
-// Entries without dirty pages are in neither container. AnyDirty is a
-// counter. FuzzDirtyIndex holds the index to that scan after every
-// operation, and the golden traces pin end-to-end behavior.
+// through the Observe methods and dropped with Forget; the Monitor keeps
+// no per-guest map, only a slice of the entries that hold dirty pages.
+// Algorithm 1's "argmax nr_i over settled guests" is a scan of that
+// slice at decision time: the flush controller asks a few times per
+// second at most, while the counts it ranks change on every published
+// nr_dirty. Everything else is sampled from the host on demand.
 type Monitor struct {
 	h *Host
 
-	dirtyCount int           // entries with HasDirty set
-	settled    []*DirtyEntry // max-heap, (Nr desc, dom asc, disk asc)
-	// recent list bounds, LastGrow-ascending; nil when empty.
-	recentHead, recentTail *DirtyEntry
+	dirty []*DirtyEntry // entries with HasDirty set, each at its pos
 
 	lat []float64 // CoreSnapshot's Latencies, reused
 }
@@ -52,18 +35,16 @@ type Monitor struct {
 // written — leave it alone.
 const dirtySettleWindow = 200 * sim.Millisecond
 
-// DirtyEntry is one (guest, disk) dirty-page mirror plus its place in
-// the Monitor's index. Its holder owns it (NewDirtyEntry, then by value
-// wherever it lives) and must Forget it before dropping it.
+// DirtyEntry is one (guest, disk) dirty-page mirror plus its slot in
+// the Monitor's dirty slice. Its holder owns it (NewDirtyEntry, then by
+// value wherever it lives) and must Forget it before dropping it.
 type DirtyEntry struct {
 	dom  store.DomID
 	disk string
 	st   DirtyState
 
-	pos        int // settled-heap index; -1 when not in the heap
-	prev, next *DirtyEntry
-	listed     bool // on the recent list
-	observed   bool // a presence bit has arrived
+	pos      int  // slot in the Monitor's dirty slice; -1 when clean
+	observed bool // a presence bit has arrived
 }
 
 // NewDirtyEntry returns the unobserved mirror of dom's disk.
@@ -179,21 +160,19 @@ func (mo *Monitor) GuestPathStats(dom store.DomID) (count uint64, sum sim.Time) 
 // ObserveDirty records a guest's has_dirty_pages transition on e.
 func (mo *Monitor) ObserveDirty(e *DirtyEntry, has bool) {
 	e.observed = true
+	if !has {
+		e.st.Nr = 0
+	}
 	if has == e.st.HasDirty {
-		if !has {
-			e.st.Nr = 0
-		}
 		return
 	}
 	e.st.HasDirty = has
 	if !has {
-		e.st.Nr = 0
-		mo.unindex(e)
-		mo.dirtyCount--
+		mo.drop(e)
 		return
 	}
-	mo.dirtyCount++
-	mo.index(e, mo.h.k.Now())
+	e.pos = len(mo.dirty)
+	mo.dirty = append(mo.dirty, e)
 }
 
 // ObserveNrDirty records a guest's published nr_dirty count on e,
@@ -204,111 +183,63 @@ func (mo *Monitor) ObserveNrDirty(e *DirtyEntry, nr int64) {
 		return
 	}
 	if nr > e.st.Nr {
-		e.st.Nr = nr
 		e.st.LastGrow = mo.h.k.Now()
-		// A growing entry is mid-burst: shelve it on the recent list
-		// (move-to-back keeps the list LastGrow-ordered, since stamps
-		// are monotone).
-		if e.pos >= 0 {
-			mo.heapRemove(e)
-		}
-		if e.listed {
-			mo.listRemove(e)
-		}
-		if e.st.HasDirty {
-			mo.listPushBack(e)
-		}
-		return
-	}
-	if nr == e.st.Nr {
-		return
 	}
 	e.st.Nr = nr
-	if e.pos >= 0 {
-		// Shrank in place: restore heap order (a smaller key only sinks).
-		mo.siftDown(e.pos)
-	}
 }
 
-// Forget unlinks e from the index and returns it to unobserved, for a
-// removed or demoted guest's disk.
+// Forget drops e from the dirty slice and returns it to unobserved, for
+// a disabled guest's disk.
 func (mo *Monitor) Forget(e *DirtyEntry) {
-	if e.st.HasDirty {
-		mo.dirtyCount--
+	if e.pos >= 0 {
+		mo.drop(e)
 	}
-	mo.unindex(e)
 	*e = NewDirtyEntry(e.dom, e.disk)
 }
 
+// drop takes e, which holds dirty pages, out of the dirty slice: the last
+// entry moves into its slot.
+func (mo *Monitor) drop(e *DirtyEntry) {
+	last := len(mo.dirty) - 1
+	mo.dirty[e.pos] = mo.dirty[last]
+	mo.dirty[e.pos].pos = e.pos
+	mo.dirty[last] = nil
+	mo.dirty = mo.dirty[:last]
+	e.pos = -1
+}
+
 // AnyDirty reports whether any observed guest disk holds dirty pages.
-func (mo *Monitor) AnyDirty() bool { return mo.dirtyCount > 0 }
+func (mo *Monitor) AnyDirty() bool { return len(mo.dirty) > 0 }
 
 // BestDirty returns Algorithm 1's argmax: the settled entry with the
 // most dirty pages, lowest (dom, disk) first on ties, skipping domains
-// rejected by ok (fallback guests whose flusher owns their pages).
-// Entries whose count last grew within the settle window of now are
-// mid-burst and never returned. The winner stays indexed — it leaves
-// the heap only when its dirty pages do.
+// rejected by ok (fallback guests whose flusher owns their pages; nil
+// rejects none). Entries whose count last grew within the settle window
+// of now are mid-burst and never returned. ok is asked only about an
+// entry that would beat the best found so far.
 func (mo *Monitor) BestDirty(now sim.Time, ok func(store.DomID) bool) (dom store.DomID, disk string, nr int64, found bool) {
-	// Promote entries whose burst has settled (LastGrow-ordered prefix).
-	for e := mo.recentHead; e != nil && now-e.st.LastGrow > dirtySettleWindow; e = mo.recentHead {
-		mo.listRemove(e)
-		mo.heapPush(e)
-	}
-	// Pop rejected domains aside, then restore them: rejection is a
-	// liveness verdict about the guest, not about its dirty pages.
-	var stash []*DirtyEntry
-	for len(mo.settled) > 0 {
-		top := mo.settled[0]
-		if ok == nil || ok(top.dom) {
-			dom, disk, nr, found = top.dom, top.disk, top.st.Nr, true
-			break
+	var best *DirtyEntry
+	for _, e := range mo.dirty {
+		if now-e.st.LastGrow <= dirtySettleWindow || best != nil && !dirtyLess(e, best) || ok != nil && !ok(e.dom) {
+			continue
 		}
-		mo.heapRemove(top)
-		stash = append(stash, top)
+		best = e
 	}
-	for _, e := range stash {
-		mo.heapPush(e)
+	if best == nil {
+		return 0, "", 0, false
 	}
-	return dom, disk, nr, found
+	return best.dom, best.disk, best.st.Nr, true
 }
 
-// index shelves a newly dirty entry: onto the recent list when its last
-// growth is within the settle window of now, else into the settled heap.
-func (mo *Monitor) index(e *DirtyEntry, now sim.Time) {
-	if now-e.st.LastGrow > dirtySettleWindow {
-		mo.heapPush(e)
-		return
-	}
-	// Insert in LastGrow order from the back; re-dirtied entries carry a
-	// fresh-enough stamp that this walk is short.
-	at := mo.recentTail
-	for at != nil && at.st.LastGrow > e.st.LastGrow {
-		at = at.prev
-	}
-	mo.listInsertAfter(e, at)
-}
-
-// unindex removes an entry from whichever container holds it.
-func (mo *Monitor) unindex(e *DirtyEntry) {
-	if e.pos >= 0 {
-		mo.heapRemove(e)
-	}
-	if e.listed {
-		mo.listRemove(e)
-	}
-}
-
-// DirtyOrderInvertedForTest flips the settled-heap comparison — the
-// argmax becomes an argmin and ties resolve to the highest dom — so the
-// golden perturbation self-test can prove the fixtures pin the index's
-// exact winner order. Nothing but that test may set it: an index whose
-// order quietly diverged from the replaced scan's semantics must fail
-// trace parity, not ship.
+// DirtyOrderInvertedForTest flips BestDirty's ranking — the argmax
+// becomes an argmin and ties resolve to the highest dom — so the golden
+// perturbation self-test can prove the fixtures pin the exact winner
+// order. Nothing but that test may set it: a ranking that quietly
+// diverged from Algorithm 1's must fail trace parity, not ship.
 var DirtyOrderInvertedForTest = false
 
-// dirtyLess orders the settled heap: most dirty pages first, ties to
-// the lowest (dom, disk) — the winner order of the replaced scan.
+// dirtyLess ranks dirty entries for BestDirty: most dirty pages first,
+// ties to the lowest (dom, disk).
 func dirtyLess(a, b *DirtyEntry) bool {
 	if a.st.Nr != b.st.Nr {
 		if DirtyOrderInvertedForTest {
@@ -323,90 +254,4 @@ func dirtyLess(a, b *DirtyEntry) bool {
 		return a.dom < b.dom
 	}
 	return a.disk < b.disk
-}
-
-func (mo *Monitor) heapPush(e *DirtyEntry) {
-	e.pos = len(mo.settled)
-	mo.settled = append(mo.settled, e)
-	mo.siftUp(e.pos)
-}
-
-func (mo *Monitor) heapRemove(e *DirtyEntry) {
-	i, last := e.pos, len(mo.settled)-1
-	mo.settled[i] = mo.settled[last]
-	mo.settled[i].pos = i
-	mo.settled[last] = nil
-	mo.settled = mo.settled[:last]
-	e.pos = -1
-	if i < last {
-		mo.siftDown(i)
-		mo.siftUp(i)
-	}
-}
-
-func (mo *Monitor) siftUp(i int) {
-	h := mo.settled
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !dirtyLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		h[i].pos, h[parent].pos = i, parent
-		i = parent
-	}
-}
-
-func (mo *Monitor) siftDown(i int) {
-	h := mo.settled
-	n := len(h)
-	for {
-		best := i
-		if l := 2*i + 1; l < n && dirtyLess(h[l], h[best]) {
-			best = l
-		}
-		if r := 2*i + 2; r < n && dirtyLess(h[r], h[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		h[i], h[best] = h[best], h[i]
-		h[i].pos, h[best].pos = i, best
-		i = best
-	}
-}
-
-func (mo *Monitor) listPushBack(e *DirtyEntry) { mo.listInsertAfter(e, mo.recentTail) }
-
-// listInsertAfter links e after at (at == nil inserts at the head).
-func (mo *Monitor) listInsertAfter(e, at *DirtyEntry) {
-	e.listed = true
-	e.prev = at
-	if at == nil {
-		e.next = mo.recentHead
-		mo.recentHead = e
-	} else {
-		e.next = at.next
-		at.next = e
-	}
-	if e.next != nil {
-		e.next.prev = e
-	} else {
-		mo.recentTail = e
-	}
-}
-
-func (mo *Monitor) listRemove(e *DirtyEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		mo.recentHead = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		mo.recentTail = e.prev
-	}
-	e.prev, e.next, e.listed = nil, nil, false
 }

@@ -18,16 +18,18 @@ const (
 	dirtyForget        // Forget(e)
 	dirtyWait          // the clock moves arg%201 ms: inside the settle window
 	dirtySettle        // the clock moves 201 + arg ms: past it
-	dirtyBest          // BestDirty, rejecting each dom d whose bit d is set in arg
+	dirtyBest          // BestDirty, rejecting each dom d whose bit d is set in arg; nil ok at 0xff
 )
 
-// FuzzDirtyIndex holds the Monitor's dirty index to the scan it
-// replaced. The input is a script over six entries (doms 1–3, disks xvda
-// and xvdb); after every step the heap, the recent list and the dirty
-// count must be a consistent index of the entries, and every BestDirty
-// must return what an O(n) scan returns: the most dirty pages among
-// observed, dirty entries whose last growth is older than the settle
-// window, ties to the lowest (dom, disk), rejected doms skipped.
+// FuzzDirtyIndex holds the Monitor's dirty slice to its entries and
+// BestDirty to a reference scan. The input is a script over six entries
+// (doms 1–3, disks xvda and xvdb); after every step the slice must hold
+// exactly the entries with dirty pages, each at the slot it records, and
+// every BestDirty must return what the scan over all six returns: the
+// most dirty pages among observed, dirty entries whose last growth is
+// older than the settle window, ties to the lowest (dom, disk), rejected
+// doms skipped — or none rejected, with the nil ok the bench probe
+// passes.
 func FuzzDirtyIndex(f *testing.F) {
 	step := func(op, entry, arg byte) []byte { return []byte{op | entry<<3, arg} }
 	script := func(steps ...[]byte) []byte {
@@ -51,6 +53,10 @@ func FuzzDirtyIndex(f *testing.F) {
 	// A count before the presence bit, and a re-dirtied entry.
 	f.Add(script(step(dirtyNrSet, 3, 5), step(dirtyOn, 3, 0), step(dirtyNrStep, 3, 4), step(dirtySettle, 0, 0),
 		step(dirtyOff, 3, 0), step(dirtyOn, 3, 0), step(dirtyBest, 0, 0)))
+	// A clean entry leaves the middle of the slice; nil ok rejects none.
+	f.Add(script(step(dirtyOn, 0, 0), step(dirtyOn, 2, 0), step(dirtyOn, 4, 0), step(dirtyNrSet, 4, 6),
+		step(dirtySettle, 0, 0), step(dirtyOff, 2, 0), step(dirtyBest, 0, 0xff), step(dirtyForget, 0, 0),
+		step(dirtyBest, 0, 0xff)))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -82,6 +88,9 @@ func FuzzDirtyIndex(f *testing.F) {
 				k.RunUntil(k.Now() + (201+sim.Time(arg))*sim.Millisecond)
 			case dirtyBest:
 				ok := func(d store.DomID) bool { return arg&(1<<d) == 0 }
+				if arg == 0xff {
+					ok = nil
+				}
 				dom, disk, nr, found := mo.BestDirty(k.Now(), ok)
 				want := scanBestDirty(entries[:], k.Now(), ok)
 				if got := [4]any{dom, disk, nr, found}; got != want {
@@ -93,14 +102,14 @@ func FuzzDirtyIndex(f *testing.F) {
 	})
 }
 
-// scanBestDirty is Algorithm 1's argmax as the O(n) scan the index
-// replaced: first wins, so equal counts go to the lowest (dom, disk).
+// scanBestDirty is Algorithm 1's argmax as a plain scan over every
+// entry: first wins, so equal counts go to the lowest (dom, disk).
 func scanBestDirty(entries []DirtyEntry, now sim.Time, ok func(store.DomID) bool) [4]any {
 	var best *DirtyEntry
 	for i := range entries {
 		e := &entries[i]
 		st, observed := e.State()
-		if !observed || !st.HasDirty || now-st.LastGrow <= dirtySettleWindow || !ok(e.dom) {
+		if !observed || !st.HasDirty || now-st.LastGrow <= dirtySettleWindow || ok != nil && !ok(e.dom) {
 			continue
 		}
 		if best == nil || st.Nr > best.st.Nr ||
@@ -114,64 +123,25 @@ func scanBestDirty(entries []DirtyEntry, now sim.Time, ok func(store.DomID) bool
 	return [4]any{best.dom, best.disk, best.st.Nr, true}
 }
 
-// checkDirtyIndex fails unless the Monitor indexes exactly the dirty
-// entries, each once: the settled heap in order, holding only entries
-// past the settle window, and the recent list linked both ways in
-// LastGrow order.
+// checkDirtyIndex fails unless the Monitor's dirty slice holds exactly
+// the dirty entries, each once and at the slot it records.
 func checkDirtyIndex(t *testing.T, step int, mo *Monitor, entries []DirtyEntry) {
 	t.Helper()
-	now := mo.h.k.Now()
-	dirty, inHeap, listed := 0, 0, 0
+	dirty := 0
 	for i := range entries {
 		e := &entries[i]
-		if e.pos >= 0 {
-			inHeap++
-			if e.pos >= len(mo.settled) || mo.settled[e.pos] != e {
-				t.Fatalf("step %d: (%d, %s) claims heap slot %d it does not hold", step, e.dom, e.disk, e.pos)
+		if !e.st.HasDirty {
+			if e.pos != -1 {
+				t.Fatalf("step %d: clean (%d, %s) claims slot %d", step, e.dom, e.disk, e.pos)
 			}
+			continue
 		}
-		if e.listed {
-			listed++
-		}
-		want := 0
-		if e.st.HasDirty {
-			dirty++
-			want = 1
-		}
-		if n := btoi(e.pos >= 0) + btoi(e.listed); n != want {
-			t.Fatalf("step %d: (%d, %s) with HasDirty %v is in %d containers", step, e.dom, e.disk, e.st.HasDirty, n)
+		dirty++
+		if e.pos < 0 || e.pos >= len(mo.dirty) || mo.dirty[e.pos] != e {
+			t.Fatalf("step %d: dirty (%d, %s) claims slot %d it does not hold", step, e.dom, e.disk, e.pos)
 		}
 	}
-	if dirty != mo.dirtyCount || mo.AnyDirty() != (dirty > 0) {
-		t.Fatalf("step %d: dirtyCount %d, AnyDirty %v; %d entries dirty", step, mo.dirtyCount, mo.AnyDirty(), dirty)
+	if len(mo.dirty) != dirty || mo.AnyDirty() != (dirty > 0) {
+		t.Fatalf("step %d: the slice holds %d, AnyDirty %v; %d entries dirty", step, len(mo.dirty), mo.AnyDirty(), dirty)
 	}
-	if len(mo.settled) != inHeap {
-		t.Fatalf("step %d: heap holds %d, entries in it %d", step, len(mo.settled), inHeap)
-	}
-	for i, e := range mo.settled {
-		if i > 0 && dirtyLess(e, mo.settled[(i-1)/2]) {
-			t.Fatalf("step %d: heap slot %d (nr %d) outranks its parent (nr %d)", step, i, e.st.Nr, mo.settled[(i-1)/2].st.Nr)
-		}
-		if now-e.st.LastGrow <= dirtySettleWindow {
-			t.Fatalf("step %d: (%d, %s) is settled but grew %v ago", step, e.dom, e.disk, now-e.st.LastGrow)
-		}
-	}
-	n := 0
-	var prev *DirtyEntry
-	for e := mo.recentHead; e != nil; prev, e = e, e.next {
-		n++
-		if e.prev != prev || !e.listed || prev != nil && prev.st.LastGrow > e.st.LastGrow {
-			t.Fatalf("step %d: recent list broken or out of LastGrow order at (%d, %s)", step, e.dom, e.disk)
-		}
-	}
-	if n != listed || mo.recentTail != prev {
-		t.Fatalf("step %d: recent list walks %d entries, %d are listed", step, n, listed)
-	}
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

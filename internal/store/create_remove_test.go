@@ -243,8 +243,8 @@ func BenchmarkRemoveOneOf10kDomains(b *testing.B) {
 // A pinned node must not outlive its path. Handles taken before a Remove
 // — on a domain home, on a key under it, on a key removed alone under a
 // live home — resolve again and reach the node a later create put under
-// their path, never the dead one; so does the directory the create path
-// remembers. Every write lands once: one value, one version step, one
+// their path, never the dead one; so does a create in a directory that
+// was removed and recreated. Every write lands once: one value, one version step, one
 // watch event, and a tree the index agrees with.
 func TestHandleSurvivesRemoveRecreate(t *testing.T) {
 	k, s := newTestStore()
@@ -305,8 +305,8 @@ func TestHandleSurvivesRemoveRecreate(t *testing.T) {
 	s.AddDomain(4)
 	step("home handle after remove + AddDomain", homeCur, 4, "back")
 	step("key handle after remove + AddDomain", keyCur, 4, "2")
-	// The create above remembered the new disk directory; the sibling is
-	// created in it, not in the dead one of the same path.
+	// The sibling is created in the new disk directory, not in the dead
+	// one of the same path.
 	step("sibling handle after remove + AddDomain", sibCur, 4, "1")
 	for i, c := range []*Cursor{homeCur, keyCur, sibCur} {
 		if c.n == dead[i] {
@@ -332,30 +332,28 @@ func TestHandleSurvivesRemoveRecreate(t *testing.T) {
 		t.Fatal("the sibling's handle re-pinned though its node never went away")
 	}
 
-	// The remembered directory itself dies between two creates in it.
-	if s.dir != treeNode(s, disk) {
-		t.Fatalf("the last create was in %s, the store remembers %s", disk, s.dir.path)
-	}
+	// A directory dies between two creates in it.
+	old := treeNode(s, disk)
 	remove(disk)
 	if err := s.Write(4, disk+"/congested", "0"); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()
-	checkIndex(t, s, "a create in a directory recreated under the remembered path")
-	if s.dir != treeNode(s, disk) || !s.dir.live() {
+	checkIndex(t, s, "a create in a directory recreated under its old path")
+	if n := treeNode(s, disk); n == nil || n == old || !n.live() || treeNode(s, disk+"/congested") == nil {
 		t.Fatal("the create resolved from the dead directory")
 	}
 }
 
 // A create the writer has no right to is refused at the creation point
 // with one error text, whichever way the path was resolved — by path, by
-// handle, with the directory remembered or probed for — and leaves
+// handle, in a directory a create just used or not — and leaves
 // nothing behind.
 func TestCreateRefusedTheSameEitherWay(t *testing.T) {
 	_, s := newTestStore()
 	s.AddDomain(1)
 	s.AddDomain(2)
-	s.Write(1, DomainPath(1)+"/a/seed", "") // the store now remembers /local/domain/1/a
+	s.Write(1, DomainPath(1)+"/a/seed", "")
 	for _, path := range []string{DomainPath(1) + "/a/k", DomainPath(1) + "/b/c/k", DomainPath(1) + "/k"} {
 		want := fmt.Sprintf("store: permission denied: dom2 creating under %s", path)
 		nodes, v := countNodes(s), s.Version()

@@ -11,8 +11,9 @@ package store
 //
 //	/cluster/hypervisors/<id>/...   one registered host: heartbeat,
 //	                                capacity and load keys published by
-//	                                its HostAgent, TTL-expired by the
-//	                                registry when the heartbeat stalls
+//	                                the iorchestra-clusterd join agent,
+//	                                TTL-expired by the registry when the
+//	                                heartbeat stalls
 //	/cluster/hypervisors/<id>/tiers/<tier>
 //	                                per-tier admitted-guest count the
 //	                                host's agent publishes for tiered

@@ -88,8 +88,8 @@ type node struct {
 	version uint64
 	// b is the bucket of the /local/domain/<id> subtree the path lives in,
 	// inherited from the parent at creation. Remove sets it to nil on
-	// every node it detaches: that is how a Cursor, or the directory memo,
-	// learns the node it pinned no longer stands for its path.
+	// every node it detaches: that is how a Cursor learns the node it
+	// pinned no longer stands for its path.
 	b *bucket
 }
 
@@ -178,10 +178,6 @@ type Store struct {
 	// tree.
 	index     map[string]*node
 	unindexed int
-	// dir is the directory the last create made a node in. A guest's keys
-	// arrive directory by directory, so the next create usually finds its
-	// parent here instead of probing the index for it.
-	dir *node
 
 	// watchMu guards watches, buckets, every bucket's ws and nextWatch.
 	// fireWatches snapshots the candidates under the lock, and in-flight
@@ -275,7 +271,6 @@ func New(k *sim.Kernel, notifyLatency sim.Duration) *Store {
 		k:             k,
 		root:          root,
 		index:         map[string]*node{"/": root},
-		dir:           root,
 		watches:       map[WatchID]*watch{},
 		buckets:       map[string]*bucket{"": structB},
 		structB:       structB,
@@ -563,19 +558,14 @@ func (s *Store) indexWalked(n *node) {
 // resolve finds path, a valid path: its node, with end == len(path), or,
 // when path names no node, its deepest existing ancestor and the offset
 // of the slash that follows it in path (0 for the root). probed says the
-// caller has found path absent from the index. It starts from the create
-// memo (dir) when that is path's directory, from path's domain home when
-// the store holds unindexed nodes, or else from the deepest indexed
-// ancestor; then, while that subtree holds unindexed nodes, it walks
+// caller has found path absent from the index. It starts from path's
+// domain home when the store holds unindexed nodes, or else from the
+// deepest indexed ancestor; then, while that subtree holds unindexed nodes, it walks
 // child lists down, matching a child by the suffix its path adds to its
 // parent's.
 func (s *Store) resolve(path string, probed bool) (n *node, end int) {
 	end = strings.LastIndexByte(path, '/')
-	if d := s.dir; d.live() && d.b.unindexed > 0 && d.path == path[:max(end, 1)] {
-		// A guest's keys arrive directory by directory: the walk is a
-		// scan of the directory the last create made a node in.
-		n = d
-	} else if home, h := s.walkHome(path); home != nil {
+	if home, h := s.walkHome(path); home != nil {
 		n, end = home, h
 	} else {
 		if !probed {
@@ -584,12 +574,7 @@ func (s *Store) resolve(path string, probed bool) (n *node, end int) {
 			}
 		}
 		for {
-			dir := path[:max(end, 1)]
-			if d := s.dir; d.live() && d.path == dir {
-				n = d
-				break
-			}
-			if n = s.index[dir]; n != nil {
+			if n = s.index[path[:max(end, 1)]]; n != nil {
 				break
 			}
 			end = strings.LastIndexByte(path[:end], '/')
@@ -670,7 +655,6 @@ func (s *Store) ensure(dom DomID, path string, byPath bool) (*node, error) {
 		return nil, errPermission(dom, "creating under", path)
 	}
 	for end < len(path) {
-		s.dir = n
 		if i := strings.IndexByte(path[end+1:], '/'); i >= 0 {
 			end += 1 + i
 		} else {
