@@ -41,7 +41,7 @@ func tieredGoldenVM(p *Platform, i int, tier gstate.Tier) {
 // co-scheduling is the documented unsupported combination). Host
 // dispatch concurrency is bounded so the weighted cgroup is the
 // queueing point — the same setup the tiered experiments use.
-func goldenGStateScenario(t testing.TB, seed uint64) []trace.Record {
+func goldenGStateScenario(t testing.TB, seed uint64) *goldenTrace {
 	t.Helper()
 	p := NewPlatform(SystemIOrchestra, seed,
 		WithTracing(goldenTraceCap),
@@ -56,7 +56,9 @@ func goldenGStateScenario(t testing.TB, seed uint64) []trace.Record {
 	if d := p.Trace.Dropped(); d > 0 {
 		t.Fatalf("trace ring evicted %d records; raise goldenTraceCap", d)
 	}
-	return filterGolden(p.Trace.Events())
+	g := &goldenTrace{}
+	g.filter(p.Trace.Events())
+	return g
 }
 
 var goldenGStatePath = filepath.Join("testdata", "golden", "gstate.ndjson")
@@ -66,12 +68,12 @@ var goldenGStatePath = filepath.Join("testdata", "golden", "gstate.ndjson")
 // of the G-state decision kinds, so the fixture can never silently
 // decay into one that exercises nothing.
 func TestGoldenGStateTraceParity(t *testing.T) {
-	events := goldenGStateScenario(t, goldenSeed)
+	g := goldenGStateScenario(t, goldenSeed)
 	for _, kind := range []trace.Kind{
 		trace.KindGStateAdmit, trace.KindGStateDemote, trace.KindGStateViolation,
 	} {
 		found := false
-		for _, e := range events {
+		for _, e := range g.records {
 			if e.Kind == kind {
 				found = true
 				break
@@ -81,7 +83,7 @@ func TestGoldenGStateTraceParity(t *testing.T) {
 			t.Fatalf("golden gstate scenario emitted no %s records; the fixture would pin nothing", kind)
 		}
 	}
-	got := encodeNDJSON(t, events)
+	got := encodeGolden(t, g)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenGStatePath), 0o755); err != nil {
 			t.Fatal(err)
@@ -111,7 +113,7 @@ func TestGoldenGStateDetectsPerturbation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing fixture (run with -update to create): %v", err)
 	}
-	got := encodeNDJSON(t, goldenGStateScenario(t, goldenSeed+1))
+	got := encodeGolden(t, goldenGStateScenario(t, goldenSeed+1))
 	if bytes.Equal(got, want) {
 		t.Fatal("perturbed seed reproduced the golden gstate trace; harness is not sensitive")
 	}

@@ -5,9 +5,13 @@ package iorchestra
 // co-scheduling updates, degradation events, injected faults — is
 // captured as NDJSON in testdata/golden/ and must be byte-identical on
 // every run. The fixtures pin the behavior of the management module
-// across refactors: a change that reorders a single store write or
-// consumes one extra random draw shifts the global sequence numbers and
-// fails parity.
+// across refactors. A fixture keeps the decision records, numbered
+// 0…n−1 in line order, and ends in one trailer line that counts the
+// records of each kind it leaves out: raw store traffic (store.write,
+// store.watch) and the per-request device path (dev.*). A change in
+// that traffic alone fails parity on the trailer line, naming the kind
+// and both counts; a change in what was decided, or when, fails on the
+// first decision that moved.
 //
 // Regenerate after an intentional behavior change with
 //
@@ -17,6 +21,7 @@ package iorchestra
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -62,23 +67,24 @@ const (
 // orders (and, in the faulted variant, heartbeat-miss fallback cycles)
 // actually fire. The mixed part adds congestion-prone multi-stream VMs
 // so Algorithm 2 verdicts and Sec. 3.3 co-scheduling updates appear.
-func goldenScenario(t testing.TB, sys System, faulted bool, seed uint64) []trace.Record {
+func goldenScenario(t testing.TB, sys System, faulted bool, seed uint64) *goldenTrace {
 	t.Helper()
-	flush := goldenRun(t, sys, faulted, seed, goldenFlushDur, func(p *Platform) {
+	g := &goldenTrace{}
+	goldenRun(t, g, sys, faulted, seed, goldenFlushDur, func(p *Platform) {
 		flushProneVM(p, 0)
 		flushProneVM(p, 1)
 		flushProneVM(p, 2)
 	})
-	mixed := goldenRun(t, sys, faulted, seed^0x9e3779b97f4a7c15, goldenMixedDur, func(p *Platform) {
+	goldenRun(t, g, sys, faulted, seed^0x9e3779b97f4a7c15, goldenMixedDur, func(p *Platform) {
 		flushProneVM(p, 0)
 		flushProneVM(p, 1)
 		congestProneVM(p, 2)
 		congestProneVM(p, 3)
 	})
-	return append(flush, mixed...)
+	return g
 }
 
-func goldenRun(t testing.TB, sys System, faulted bool, seed uint64, dur Duration, populate func(*Platform)) []trace.Record {
+func goldenRun(t testing.TB, g *goldenTrace, sys System, faulted bool, seed uint64, dur Duration, populate func(*Platform)) {
 	t.Helper()
 	opts := []Option{WithTracing(goldenTraceCap)}
 	if faulted {
@@ -94,26 +100,40 @@ func goldenRun(t testing.TB, sys System, faulted bool, seed uint64, dur Duration
 	if d := p.Trace.Dropped(); d > 0 {
 		t.Fatalf("trace ring evicted %d records; raise goldenTraceCap", d)
 	}
-	return filterGolden(p.Trace.Events())
+	g.filter(p.Trace.Events())
 }
 
-// filterGolden keeps the control-plane decision records and drops the
-// bulky per-request device path (dev.*) and raw store traffic (store.*).
-// The retained records keep their original Seq values, which are stamped
-// across ALL records — so the fixture still pins the full interleaving of
-// store writes, watch fires and device events between decisions.
-func filterGolden(events []trace.Record) []trace.Record {
-	out := make([]trace.Record, 0, len(events))
+// goldenFiltered are the kinds a fixture counts instead of keeping: raw
+// store traffic and the bulky per-request device path.
+var goldenFiltered = [...]trace.Kind{
+	trace.KindStoreWrite, trace.KindStoreWatch,
+	trace.KindDevQueue, trace.KindDevIssue, trace.KindDevComplete, trace.KindDevService,
+}
+
+// goldenTrace is what a fixture pins of its runs: the decision records,
+// numbered 0…n−1 in line order, and a count per goldenFiltered kind.
+type goldenTrace struct {
+	records  []trace.Record
+	filtered [len(goldenFiltered)]int
+}
+
+// filter appends a run's records, oldest first, to g: a decision record
+// is kept and numbered by its line, any other is counted. (At, Seq) order
+// is line order, so the numbering keeps the order the recorder's Seq
+// gave; how much traffic came between decisions, which Seq also told,
+// is left to the trailer's counts.
+func (g *goldenTrace) filter(events []trace.Record) {
+next:
 	for _, e := range events {
-		switch e.Kind {
-		case trace.KindStoreWrite, trace.KindStoreWatch,
-			trace.KindDevQueue, trace.KindDevIssue,
-			trace.KindDevComplete, trace.KindDevService:
-			continue
+		for i, k := range goldenFiltered {
+			if e.Kind == k {
+				g.filtered[i]++
+				continue next
+			}
 		}
-		out = append(out, e)
+		e.Seq = uint64(len(g.records))
+		g.records = append(g.records, e)
 	}
-	return out
 }
 
 // goldenPath names one fixture: testdata/golden/<system>[_faults].ndjson.
@@ -125,12 +145,26 @@ func goldenPath(sys System, faulted bool) string {
 	return filepath.Join("testdata", "golden", name+".ndjson")
 }
 
-func encodeNDJSON(t testing.TB, events []trace.Record) []byte {
+// goldenTrailer opens a fixture's last line, the one that counts each
+// goldenFiltered kind: {"filtered":{"store.write":N,...}}.
+const goldenTrailer = `{"filtered":`
+
+// encodeGolden writes g as a fixture: one NDJSON line per record, then
+// the trailer.
+func encodeGolden(t testing.TB, g *goldenTrace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := trace.WriteNDJSON(&buf, events); err != nil {
+	if err := trace.WriteNDJSON(&buf, g.records); err != nil {
 		t.Fatal(err)
 	}
+	buf.WriteString(goldenTrailer + "{")
+	for i, k := range goldenFiltered {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		fmt.Fprintf(&buf, "%q:%d", k, g.filtered[i])
+	}
+	buf.WriteString("}}\n")
 	return buf.Bytes()
 }
 
@@ -147,7 +181,7 @@ func TestGoldenTraceParity(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				got := encodeNDJSON(t, goldenScenario(t, sys, faulted, goldenSeed))
+				got := encodeGolden(t, goldenScenario(t, sys, faulted, goldenSeed))
 				path := goldenPath(sys, faulted)
 				if *updateGolden {
 					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -172,20 +206,40 @@ func TestGoldenTraceParity(t *testing.T) {
 }
 
 // firstDiff locates the first differing NDJSON line for a readable
-// failure message.
+// failure message. When that line is the trailer on both sides, every
+// record matched, and it names each filtered kind whose count moved.
 func firstDiff(want, got []byte) string {
 	wl := strings.Split(string(want), "\n")
 	gl := strings.Split(string(got), "\n")
-	n := len(wl)
-	if len(gl) < n {
-		n = len(gl)
-	}
+	n := min(len(wl), len(gl))
 	for i := 0; i < n; i++ {
-		if wl[i] != gl[i] {
-			return fmt.Sprintf("line %d:\n  golden: %s\n  got:    %s", i+1, wl[i], gl[i])
+		if wl[i] == gl[i] {
+			continue
 		}
+		if strings.HasPrefix(wl[i], goldenTrailer) && strings.HasPrefix(gl[i], goldenTrailer) {
+			return "records identical; " + trailerDiff(wl[i], gl[i])
+		}
+		return fmt.Sprintf("line %d:\n  golden: %s\n  got:    %s", i+1, wl[i], gl[i])
 	}
 	return fmt.Sprintf("record count: golden %d lines, got %d lines", len(wl), len(gl))
+}
+
+// trailerDiff names each filtered kind whose count differs between two
+// trailer lines, with both counts.
+func trailerDiff(want, got string) string {
+	var w, g struct{ Filtered map[string]int }
+	if json.Unmarshal([]byte(want), &w) == nil && json.Unmarshal([]byte(got), &g) == nil {
+		var moved []string
+		for _, k := range goldenFiltered {
+			if a, b := w.Filtered[string(k)], g.Filtered[string(k)]; a != b {
+				moved = append(moved, fmt.Sprintf("%s: golden %d, got %d", k, a, b))
+			}
+		}
+		if len(moved) > 0 {
+			return "filtered " + strings.Join(moved, "; ")
+		}
+	}
+	return fmt.Sprintf("trailer:\n  golden: %s\n  got:    %s", want, got)
 }
 
 // TestGoldenHarnessDetectsPerturbation guards the harness itself: a
@@ -199,7 +253,7 @@ func TestGoldenHarnessDetectsPerturbation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing fixture (run with -update to create): %v", err)
 	}
-	got := encodeNDJSON(t, goldenScenario(t, SystemIOrchestra, false, goldenSeed+1))
+	got := encodeGolden(t, goldenScenario(t, SystemIOrchestra, false, goldenSeed+1))
 	if bytes.Equal(got, want) {
 		t.Fatal("perturbed seed reproduced the golden trace; harness is not sensitive")
 	}
@@ -221,8 +275,45 @@ func TestGoldenCatchesIndexOrderDrift(t *testing.T) {
 	}
 	hypervisor.DirtyOrderInvertedForTest = true
 	defer func() { hypervisor.DirtyOrderInvertedForTest = false }()
-	got := encodeNDJSON(t, goldenScenario(t, SystemIOrchestra, false, goldenSeed))
+	got := encodeGolden(t, goldenScenario(t, SystemIOrchestra, false, goldenSeed))
 	if bytes.Equal(got, want) {
 		t.Fatal("inverted argmax order reproduced the golden trace; the fixtures do not pin the argmax winner order")
+	}
+}
+
+// TestGoldenTrailerCountsTraffic guards the harness's numbering: one more
+// store.write between two decisions leaves every record line as it was,
+// and moves the trailer alone, which firstDiff reports by kind with both
+// counts.
+func TestGoldenTrailerCountsTraffic(t *testing.T) {
+	run := func(writes int) []byte {
+		events := []trace.Record{{Seq: 40, At: 1, Kind: trace.KindFlushOrder, Dom: 1}}
+		for i := 0; i < writes; i++ {
+			events = append(events, trace.Record{Seq: uint64(41 + i), At: 2, Kind: trace.KindStoreWrite, Dom: 1})
+		}
+		events = append(events, trace.Record{Seq: uint64(41 + writes), At: 3, Kind: trace.KindFlushSync, Dom: 1})
+		g := &goldenTrace{}
+		g.filter(events)
+		return encodeGolden(t, g)
+	}
+	want, got := run(1), run(2)
+	wl, gl := bytes.Split(want, []byte("\n")), bytes.Split(got, []byte("\n"))
+	if len(wl) != 4 || len(gl) != 4 { // two records, the trailer, and the final newline
+		t.Fatalf("fixtures of %d and %d lines, want 4 each:\n%s\n%s", len(wl), len(gl), want, got)
+	}
+	for i := 0; i < 2; i++ {
+		if !bytes.Equal(wl[i], gl[i]) {
+			t.Errorf("record line %d moved: %s -> %s", i+1, wl[i], gl[i])
+		}
+		if wantSeq := fmt.Sprintf(`{"seq":%d,`, i); !bytes.HasPrefix(wl[i], []byte(wantSeq)) {
+			t.Errorf("record line %d is %s, want it numbered %s", i+1, wl[i], wantSeq)
+		}
+	}
+	if bytes.Equal(wl[2], gl[2]) {
+		t.Fatalf("one more store.write left the trailer as it was: %s", wl[2])
+	}
+	const wantMsg = "records identical; filtered store.write: golden 1, got 2"
+	if msg := firstDiff(want, got); msg != wantMsg {
+		t.Errorf("firstDiff = %q, want %q", msg, wantMsg)
 	}
 }

@@ -108,15 +108,16 @@ func (d *Domain) WriteInt(rel string, v int64) error {
 	return d.b.st.WriteIntCursor(d.id, d.cursor(rel), v)
 }
 
+// Home is the domain's subtree root, store.DomainPath of its id.
+func (d *Domain) Home() string { return d.home }
+
 // Watch registers a callback on a relative prefix of the domain's own
 // subtree; fn receives the path relative to the domain root.
 func (d *Domain) Watch(rel string, fn func(rel, value string)) (store.WatchID, error) {
-	prefix := d.abs(rel)
-	base := d.home + "/"
-	return d.b.st.Watch(d.id, prefix, func(path, value string) {
+	return d.b.st.Watch(d.id, d.abs(rel), func(path, value string) {
 		r := path
-		if len(path) > len(base) && path[:len(base)] == base {
-			r = path[len(base):]
+		if len(path) > len(d.home) && path[len(d.home)] == '/' && path[:len(d.home)] == d.home {
+			r = path[len(d.home)+1:]
 		}
 		fn(r, value)
 	})

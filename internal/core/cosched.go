@@ -109,9 +109,9 @@ func (cc *coschedController) coschedTick() bool {
 		}
 	}
 
-	// Shares: S_SKT = W_SKT / ΣP · S^(VM); equal S^(VM) across enabled
-	// guests unless overridden in the store.
-	nGuests := len(m.drivers)
+	// Shares: S_SKT = W_SKT / ΣP · S^(VM), with S^(VM) split equally
+	// across enabled guests.
+	vmShare := 1.0 / float64(len(m.drivers))
 	bwMax := cc.mon.CapacityBps()
 	if len(cc.shares) != len(cores) {
 		cc.shares = make([]float64, len(cores))
@@ -126,7 +126,6 @@ func (cc *coschedController) coschedTick() bool {
 			// not keep steering quanta.
 			continue
 		}
-		vmShare, _ := m.st.ReadFloatCursor(store.Dom0, &drv.vmShare, 1.0/float64(nGuests))
 		totalW, _ := m.st.ReadFloatCursor(store.Dom0, &drv.totalWeight, 0)
 		if totalW <= 0 {
 			continue

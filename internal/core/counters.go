@@ -35,7 +35,7 @@ type Counters struct {
 	Restores        uint64 // guests restored to collaborative mode
 
 	// Dispatch.
-	OrphanEvents uint64 // store events for a dom with no driver, or a disk it does not drive
+	OrphanEvents uint64 // store events for a disk the guest's driver does not drive
 }
 
 // Counters snapshots every counter in one call. It is the only counter

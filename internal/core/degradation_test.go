@@ -108,7 +108,10 @@ func TestStuckSyncGuestSkippedAndSiblingFlushed(t *testing.T) {
 
 // A crashed driver stops heartbeating; the manager must demote the guest
 // at the next decision site, and a driver re-registration (module reload)
-// must restore it immediately — no penalty wait.
+// must restore it immediately — no penalty wait. The manager's watch on
+// the guest outlives the crash: the restarted driver's heartbeats reach
+// liveness, and each reaches the manager's watch before the driver's
+// re-registered one.
 func TestCrashedDriverFallsBackAndRestartRestores(t *testing.T) {
 	k, h, m := mkPlatformCfg(t, Policies{Flush: true}, ManagerConfig{}, 12)
 	rt := flushyGuest(h)
@@ -137,6 +140,25 @@ func TestCrashedDriverFallsBackAndRestartRestores(t *testing.T) {
 	}
 	if !m.live.cooperative(m.drivers[dom]) {
 		t.Fatal("restarted guest not cooperative")
+	}
+	hb := store.DomainPath(dom) + "/" + keyHeartbeat
+	var heard []int // the watching dom of each heartbeat notification
+	h.Recorder().SetSink(func(r trace.Record) {
+		if r.Kind == trace.KindStoreWatch && r.Path == hb {
+			heard = append(heard, r.Dom)
+		}
+	})
+	k.RunUntil(4 * sim.Second)
+	if drv.lastBeat < 3900*sim.Millisecond {
+		t.Fatalf("liveness last heard a beat at %v, want the restarted driver's beats up to 3.9 s", drv.lastBeat)
+	}
+	if len(heard) < 20 || len(heard)%2 != 0 {
+		t.Fatalf("heartbeats in the last second notified %v, want a Dom0 and a dom%d notification each", heard, dom)
+	}
+	for i := 0; i < len(heard); i += 2 {
+		if heard[i] != int(store.Dom0) || heard[i+1] != int(dom) {
+			t.Fatalf("heartbeat %d notified doms %v in that order, want the manager's watch (dom0) first, then dom%d's", i/2, heard[i:i+2], dom)
+		}
 	}
 }
 

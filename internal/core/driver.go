@@ -35,8 +35,8 @@ type Driver struct {
 	// attach. The guest writes through them as itself, the manager's
 	// policies as Dom0 (docs/STORE_KEYS.md); sla/state alone is the
 	// manager's to create and write, the guest only watches it.
-	release, totalWeight, heartbeat, fallback, present, vmShare, slaState store.Cursor
-	sockets                                                               []socketKeys
+	release, totalWeight, heartbeat, fallback, present, slaState store.Cursor
+	sockets                                                      []socketKeys
 
 	// disks are in name order, the order every per-disk loop runs in.
 	disks []diskDriver
@@ -49,6 +49,10 @@ type Driver struct {
 	pendingRel *releaseState // congestion: unacknowledged release_request
 	coschedOff bool          // co-scheduling: held static (DisableCosched)
 	lat        latWindow     // gstate: the last latency snapshot
+
+	// mgrWatch is Dom0's watch on the guest's subtree, whose callback
+	// holds this driver as its token (Manager.EnableGuest).
+	mgrWatch store.WatchID
 
 	// The guest's heartbeat and watch, and fault-injection state.
 	watchID   store.WatchID
@@ -115,11 +119,10 @@ type diskDriver struct {
 	held      bool                  // congestion: on the held FIFO
 }
 
-// NewDriver installs the IOrchestra driver into a guest on host h. It
-// must run after the guest's disks are attached: each disk's congestion
-// controller is replaced with the collaborative one, dirty-page state is
-// mirrored to the store, and all watches are registered.
-func NewDriver(h *hypervisor.Host, rt *hypervisor.GuestRuntime) *Driver {
+// newDriver builds the IOrchestra driver of a guest on host h, after the
+// guest's disks are attached: its key table, with nothing written yet.
+// start installs it.
+func newDriver(h *hypervisor.Host, rt *hypervisor.GuestRuntime) *Driver {
 	drv := &Driver{
 		k:   h.Kernel(),
 		g:   rt.G,
@@ -128,8 +131,14 @@ func NewDriver(h *hypervisor.Host, rt *hypervisor.GuestRuntime) *Driver {
 		id:  rt.G.ID(),
 		rec: h.Recorder(),
 	}
-	disks := rt.G.Disks()
-	drv.registerKeys(disks)
+	drv.registerKeys(rt.G.Disks())
+	return drv
+}
+
+// start installs the driver into its guest: each disk's congestion
+// controller is replaced with the collaborative one, dirty-page state is
+// mirrored to the store, and the guest's watch is registered.
+func (drv *Driver) start() {
 	// Create per-domain keys (guest-owned so both sides can write — nodes
 	// created by Dom0 under a guest's subtree would be unreadable to the
 	// guest).
@@ -141,7 +150,7 @@ func NewDriver(h *hypervisor.Host, rt *hypervisor.GuestRuntime) *Driver {
 		drv.writeFloat(&drv.sockets[i].target, -1)
 		drv.writeFloat(&drv.sockets[i].share, -1)
 	}
-	for _, v := range disks { // in creation order
+	for _, v := range drv.g.Disks() { // in creation order
 		drv.addDisk(drv.disk(v.Name()))
 	}
 	drv.PublishWeights()
@@ -151,7 +160,6 @@ func NewDriver(h *hypervisor.Host, rt *hypervisor.GuestRuntime) *Driver {
 	// doubles as the first proof of life.
 	drv.writeBool(&drv.present, true)
 	drv.startHeartbeat()
-	return drv
 }
 
 // registerKeys builds the key table: a diskDriver per disk, a socketKeys
@@ -175,7 +183,6 @@ func (drv *Driver) registerKeys(disks []*guest.VDisk) {
 		ks.Add(&drv.heartbeat, keyHeartbeat)
 		ks.Add(&drv.fallback, keyFallback)
 		ks.Add(&drv.present, keyDriverPresent)
-		ks.Add(&drv.vmShare, keyVMShare)
 		ks.Add(&drv.slaState, keySLAState)
 		for i := range drv.sockets {
 			sk := &drv.sockets[i]
@@ -190,6 +197,19 @@ func (drv *Driver) registerKeys(disks []*guest.VDisk) {
 			}
 		}
 	}
+}
+
+// virtDev parses a key relative to the guest's home as
+// virt-dev/<disk>/<key>: ok reports that it is one, dd is the disk's
+// driver, nil for a disk this driver does not drive, and key is what
+// follows the disk.
+func (drv *Driver) virtDev(rel string) (dd *diskDriver, key string, ok bool) {
+	rest, under := strings.CutPrefix(rel, "virt-dev/")
+	disk, key, cut := strings.Cut(rest, "/")
+	if !under || !cut {
+		return nil, "", false
+	}
+	return drv.disk(disk), key, true
 }
 
 // disk returns the driver of the named disk, nil for a disk it does not
@@ -383,27 +403,16 @@ func (dd *diskDriver) OnUncongested(q *blkio.Queue) {
 // --- Store event dispatch --------------------------------------------------
 
 func (drv *Driver) onStoreEvent(rel, value string) {
+	if dd, key, ok := drv.virtDev(rel); ok {
+		// Of a disk's keys only flush_now asks for work. The host's
+		// congested verdict needs none: the queue stays in avoidance
+		// until release or local drain.
+		if dd != nil && key == keyFlushNow && value == "1" {
+			dd.handleFlushNow()
+		}
+		return
+	}
 	switch {
-	case strings.HasPrefix(rel, "virt-dev/"):
-		rest := rel[len("virt-dev/"):]
-		i := strings.IndexByte(rest, '/')
-		if i < 0 {
-			return
-		}
-		disk, key := rest[:i], rest[i+1:]
-		dd := drv.disk(disk)
-		if dd == nil {
-			return
-		}
-		switch key {
-		case keyFlushNow:
-			if value == "1" {
-				dd.handleFlushNow()
-			}
-		case keyCongested:
-			// Host verdict recorded; nothing further to do here — the
-			// queue stays in avoidance until release or local drain.
-		}
 	case rel == keyReleaseRequest:
 		if value == "1" {
 			drv.handleRelease()

@@ -52,9 +52,6 @@ const (
 	// keyTotalWeight (float) — guest-published total I/O process weight
 	// Σ P_l, the share denominator (Sec. 3.3).
 	keyTotalWeight = "io/total_weight"
-	// keyVMShare (float) — operator-assigned VM share S^(VM)_i of host
-	// I/O capacity; the manager defaults to an equal split when absent.
-	keyVMShare = "io/vm_share"
 	// keySharePrefix (float, io/share/<socket>) — manager-published
 	// per-socket share S_SKT = S^(VM)·W_SKT/ΣP, for observability.
 	keySharePrefix = "io/share"

@@ -15,12 +15,12 @@ import (
 
 // Manager is the hypervisor side of IOrchestra: the paper's management
 // module (Fig. 3), "called when there is a change on watched items". It
-// owns the privileged store watch and hands each parsed key to the
-// policy that owns it, hosts the shared liveness middleware, and runs
-// the per-guest lifecycle (driver installation, teardown). The policies
-// themselves live in flush.go, congestion.go, cosched.go and gstate.go,
-// and their state about one guest on its Driver; the Manager holds no
-// policy state of its own.
+// holds a privileged store watch on each guest it drives and hands each
+// key to the policy that owns it, hosts the shared liveness middleware,
+// and runs the per-guest lifecycle (driver installation, teardown). The
+// policies themselves live in flush.go, congestion.go, cosched.go and
+// gstate.go, and their state about one guest on its Driver; the Manager
+// holds no policy state of its own.
 //
 // Manager is a Controller, the lifecycle a platform drives, as the
 // baseline systems are.
@@ -42,7 +42,7 @@ type Manager struct {
 	// manager's one per-guest index.
 	drivers map[store.DomID]*Driver
 	// orphanEvents counts store events dropped at dispatch: they name a
-	// dom with no driver, or a disk its driver does not drive.
+	// disk the guest's driver does not drive.
 	orphanEvents uint64
 
 	live   *liveness
@@ -84,9 +84,6 @@ func NewManager(h *hypervisor.Host, pol Policies, cfg ManagerConfig, rng *stats.
 	if pol.GState {
 		m.gstate = newGStateController(m)
 	}
-	// One privileged watch over all domains; onStoreEvent hands each
-	// change to the policy that owns the key.
-	m.st.Watch(store.Dom0, store.Root, m.onStoreEvent)
 	return m
 }
 
@@ -116,8 +113,19 @@ func (m *Manager) Detach(dom store.DomID) { m.DisableGuest(dom) }
 // EnableGuest installs the guest driver for rt and registers it with the
 // manager. Returns the driver for inspection.
 func (m *Manager) EnableGuest(rt *hypervisor.GuestRuntime) *Driver {
-	drv := NewDriver(m.h, rt)
-	m.drivers[rt.G.ID()] = drv
+	drv := newDriver(m.h, rt)
+	// Dom0's watch on the guest's subtree, the driver its token. It goes
+	// in before the driver writes or watches a key: so it hears every key
+	// the driver writes, and, with the lower watch id, hears each before
+	// the driver's own watch does.
+	home := rt.Dom.Home()
+	drv.mgrWatch, _ = m.st.Watch(store.Dom0, home, func(path, value string) {
+		if len(path) > len(home) { // the home itself is no key
+			m.onStoreEvent(drv, path[len(home)+1:], value)
+		}
+	})
+	drv.start()
+	m.drivers[drv.id] = drv
 	// Registration counts as the first heartbeat: the real one arrives
 	// through the store a notification latency later.
 	m.live.noteBeat(drv)
@@ -142,6 +150,7 @@ func (m *Manager) DisableGuest(dom store.DomID) {
 		return
 	}
 	drv.Close()
+	m.st.Unwatch(drv.mgrWatch)
 	delete(m.drivers, dom)
 	if m.flush != nil {
 		m.flush.detach(drv)
@@ -206,44 +215,17 @@ func (m *Manager) crossSocketGuestExists() bool {
 	return false
 }
 
-// onStoreEvent parses /local/domain/<id>/<rel>, resolves the dom's
-// driver (and, for a virt-dev key, the disk's) once, and hands the key
+// onStoreEvent hands a key of drv's guest, relative to the guest's home,
 // to the policy that owns it (docs/STORE_KEYS.md, "Controller routing").
-// An event for a dom with no driver, or for a disk its driver does not
-// drive, reaches no policy and is counted; the keys of a policy Policies
-// leaves off are dropped.
-func (m *Manager) onStoreEvent(path, value string) {
-	const prefix = store.Root + "/"
-	if !strings.HasPrefix(path, prefix) {
-		return
-	}
-	rest := path[len(prefix):]
-	i := strings.IndexByte(rest, '/')
-	if i < 0 {
-		return
-	}
-	id, err := strconv.Atoi(rest[:i])
-	if err != nil {
-		return
-	}
-	drv := m.drivers[store.DomID(id)]
-	if drv == nil {
-		m.orphanEvents++
-		return
-	}
-	rel := rest[i+1:]
-	if strings.HasPrefix(rel, "virt-dev/") {
-		dr := rel[len("virt-dev/"):]
-		j := strings.IndexByte(dr, '/')
-		if j < 0 {
-			return
-		}
-		dd := drv.disk(dr[:j])
+// A key under a disk the driver does not drive reaches no policy and is
+// counted; the keys of a policy Policies leaves off are dropped.
+func (m *Manager) onStoreEvent(drv *Driver, rel, value string) {
+	if dd, key, ok := drv.virtDev(rel); ok {
 		if dd == nil {
 			m.orphanEvents++
 			return
 		}
-		switch key := dr[j+1:]; {
+		switch {
 		case key == keyHasDirty && m.flush != nil:
 			m.flush.noteDirty(dd, value == "1")
 		case key == keyNrDirty && m.flush != nil:
